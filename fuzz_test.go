@@ -7,7 +7,9 @@ package sketch_test
 // `go test -fuzz=FuzzX` explores further.
 
 import (
+	"bytes"
 	"encoding"
+	"net/url"
 	"testing"
 
 	sketch "repro"
@@ -638,5 +640,47 @@ func FuzzRobustDistinctDecode(f *testing.F) {
 		if err := h.UnmarshalBinary(round); err != nil {
 			t.Fatalf("round-trip decode: %v", err)
 		}
+	})
+}
+
+// FuzzProjectionDecode hammers the query-projection carrier's decoder
+// (registry.Projection — what a shard answers `GET …/snapshot?for=`
+// with): arbitrary bytes must decode or error without panicking, a
+// decoded projection obeys the cell-count bound and re-marshals to
+// exactly the bytes it came from (so the length is bounded too), and
+// merging it with itself and finishing it under any query stay
+// errors-or-answers, never panics.
+func FuzzProjectionDecode(f *testing.F) {
+	cm, _ := typereg.Lookup("countmin")
+	inst, _ := sketch.New("countmin", 1, map[string]float64{"width": 64, "depth": 4})
+	inst.(*frequency.CountMin).Add([]byte("seed"), 3)
+	q := url.Values{"item": {"seed"}}
+	p, err := cm.Projection(inst, q)
+	if err != nil || p == nil {
+		f.Fatalf("countmin projection: %v, %v", p, err)
+	}
+	data, _ := p.MarshalBinary()
+	corpusFor(f, data)
+	carrier, _ := typereg.Lookup("projection")
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var g typereg.Projection
+		if g.UnmarshalBinary(in) != nil {
+			return
+		}
+		if len(g.Cells) > 128 {
+			t.Fatalf("decoded %d cells, over the carrier's bound", len(g.Cells))
+		}
+		out, err := g.MarshalBinary()
+		if err != nil || !bytes.Equal(out, in) {
+			t.Fatalf("re-marshal differs from the accepted input (%d vs %d bytes, err %v)", len(out), len(in), err)
+		}
+		var h typereg.Projection
+		if err := h.UnmarshalBinary(out); err != nil {
+			t.Fatalf("round-trip decode: %v", err)
+		}
+		if err := g.Merge(&h); err != nil {
+			t.Fatalf("a projection does not merge with its own copy: %v", err)
+		}
+		_, _ = carrier.Bind.Query(&g, q)
 	})
 }

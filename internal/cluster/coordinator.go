@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -69,6 +70,9 @@ type CoordCounters struct {
 	ShardFailures  core.Counter // shard calls that failed after retries
 	GatherBytes    core.Counter // envelope bytes read from shards by gathers
 	SlimGathers    core.Counter // gathers that requested slim envelopes
+
+	ProjectedGathers core.Counter // queries answered from shard projections (registry.Projection), not envelopes
+	MixedRegathers   core.Counter // queries re-gathered in full because only part of the fleet projected
 }
 
 // CoordCountersSnapshot is the JSON rendering of CoordCounters.
@@ -82,6 +86,9 @@ type CoordCountersSnapshot struct {
 	ShardFailures  uint64 `json:"shard_failures"`
 	GatherBytes    uint64 `json:"gather_bytes"`
 	SlimGathers    uint64 `json:"slim_gathers"`
+
+	ProjectedGathers uint64 `json:"projected_gathers"`
+	MixedRegathers   uint64 `json:"mixed_regathers"`
 }
 
 func (c *CoordCounters) snapshot() CoordCountersSnapshot {
@@ -95,6 +102,9 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 		ShardFailures:  c.ShardFailures.Load(),
 		GatherBytes:    c.GatherBytes.Load(),
 		SlimGathers:    c.SlimGathers.Load(),
+
+		ProjectedGathers: c.ProjectedGathers.Load(),
+		MixedRegathers:   c.MixedRegathers.Load(),
 	}
 }
 
@@ -274,7 +284,7 @@ func (c *Coordinator) broadcast(fn func(cl *client.Client) error) []ShardError {
 func routeBatch(ring *Ring, seed uint64, body []byte, buckets [][]byte) (items int) {
 	for len(body) > 0 {
 		line := body
-		if i := indexByte(body, '\n'); i >= 0 {
+		if i := bytes.IndexByte(body, '\n'); i >= 0 {
 			line, body = body[:i], body[i+1:]
 		} else {
 			body = nil
@@ -286,7 +296,7 @@ func routeBatch(ring *Ring, seed uint64, body []byte, buckets [][]byte) (items i
 			continue
 		}
 		key := line
-		if t := indexByte(line, '\t'); t >= 0 {
+		if t := bytes.IndexByte(line, '\t'); t >= 0 {
 			key = line[:t]
 		}
 		s := ring.ShardSeeded(key, seed)
@@ -295,15 +305,6 @@ func routeBatch(ring *Ring, seed uint64, body []byte, buckets [][]byte) (items i
 		items++
 	}
 	return items
-}
-
-func indexByte(b []byte, c byte) int {
-	for i, x := range b {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // FanOutAdd routes one ingest body across the shards and posts every
@@ -396,10 +397,13 @@ func (c *Coordinator) GatherTenant(tenant, name string) ([][]byte, []ShardError)
 // envelope is read into a pooled per-shard buffer (client.SnapshotAppend
 // reuses the buffer's capacity), so a steady-state read stops paying a
 // fresh envelope allocation per shard per query. slim requests each
-// shard's slim envelope. The returned envelopes alias the pooled
-// buffers: the caller must finish with them (decode/merge copies out)
-// before calling release, and must not retain them past it.
-func (c *Coordinator) gatherPooled(tenant, name string, slim bool) (envs [][]byte, fails []ShardError, release func()) {
+// shard's slim envelope; forQuery, when non-empty, tells the shards the
+// one query the envelopes will be asked (client.SnapshotFor), so a
+// family that projects it ships cells instead of its table. The
+// returned envelopes alias the pooled buffers: the caller must finish
+// with them (decode/merge copies out) before calling release, and must
+// not retain them past it.
+func (c *Coordinator) gatherPooled(tenant, name string, slim bool, forQuery string) (envs [][]byte, fails []ShardError, release func()) {
 	wire := ""
 	if slim {
 		wire = "slim"
@@ -414,7 +418,7 @@ func (c *Coordinator) gatherPooled(tenant, name string, slim bool) (envs [][]byt
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = c.callShard(i, func(cl *client.Client) error {
-				data, err := cl.Tenant(tenant).SnapshotAppend(name, wire, bufs[i])
+				data, err := cl.Tenant(tenant).SnapshotFor(name, wire, forQuery, bufs[i])
 				bufs[i] = data // keep the (possibly grown) buffer either way
 				return err
 			})

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -245,18 +247,49 @@ func (c *Coordinator) wireMode(r *http.Request) (slim bool, err error) {
 	}
 }
 
+// familyQuery is the request's query less the coordinator's own read
+// parameters: what the family's Query binding will be asked.
+func familyQuery(r *http.Request) url.Values {
+	q := r.URL.Query()
+	q.Del("allow_partial")
+	q.Del("wire")
+	return q
+}
+
+// mixedTags reports whether the envelopes are not all of one wire tag.
+func mixedTags(envs [][]byte) bool {
+	for i := 1; i < len(envs); i++ {
+		a, _ := core.PeekTag(envs[i-1])
+		if b, _ := core.PeekTag(envs[i]); a != b {
+			return true
+		}
+	}
+	return false
+}
+
 // gatherMerged runs the scatter-gather + tree-merge for a read over
-// pooled envelope buffers. It writes the error response itself when
-// the read cannot be answered under the request's partial-failure
-// policy.
-func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string) (merged any, d *registry.Descriptor, fails []ShardError, ok bool) {
+// pooled envelope buffers; query is the one question the merged result
+// will be asked (nil when the caller wants the whole state), which the
+// shards may answer with a projection of it. It writes the error
+// response itself when the read cannot be answered under the request's
+// partial-failure policy.
+func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged any, d *registry.Descriptor, fails []ShardError, ok bool) {
 	c.ops.Queries.Inc()
 	slim, err := c.wireMode(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return nil, nil, nil, false
 	}
-	envs, fails, release := c.gatherPooled(tenant, name, slim)
+	forQuery := query.Encode()
+	envs, fails, release := c.gatherPooled(tenant, name, slim, forQuery)
+	if forQuery != "" && mixedTags(envs) {
+		// Only part of the fleet projected (shards that predate ?for=
+		// ship full envelopes): the two forms do not merge, so read
+		// every shard in full, once.
+		release()
+		c.ops.MixedRegathers.Inc()
+		envs, fails, release = c.gatherPooled(tenant, name, slim, "")
+	}
 	defer release()
 	if len(fails) > 0 && !allowPartial(r) {
 		shardFailure(w, tenant, "scatter-gather", fails)
@@ -271,21 +304,32 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 	}
 	merged, d, err = MergeEnvelopes(envs)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "merge shards: %v", err)
+		// Shards that disagree on shape or seed are a conflict, as on a
+		// single server's /merge; anything else is the coordinator's fault.
+		code := http.StatusInternalServerError
+		if errors.Is(err, core.ErrIncompatible) {
+			code = http.StatusConflict
+		}
+		httpError(w, code, "merge shards: %v", err)
 		return nil, nil, fails, false
+	}
+	if _, projected := merged.(*registry.Projection); projected {
+		c.ops.ProjectedGathers.Inc()
 	}
 	return merged, d, fails, true
 }
 
-// handleQuery answers the global query: every shard's envelope,
-// tree-merged, queried once through the family's own binding.
+// handleQuery answers the global query: every shard's envelope — or,
+// from families that project the query, just the cells it reads —
+// tree-merged, queried once through the merged type's own binding.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
-	merged, d, fails, ok := c.gatherMerged(w, r, tenant, r.PathValue("name"))
+	query := familyQuery(r)
+	merged, d, fails, ok := c.gatherMerged(w, r, tenant, r.PathValue("name"), query)
 	if !ok {
 		return
 	}
-	res, err := d.Bind.Query(merged, r.URL.Query())
+	res, err := d.Bind.Query(merged, query)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "query: %v", err)
 		return
@@ -305,7 +349,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // with a single sketchd snapshot, so it feeds Merge, sketchcli
 // inspect, or another cluster.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	merged, _, fails, ok := c.gatherMerged(w, r, tenantOf(r), r.PathValue("name"))
+	merged, _, fails, ok := c.gatherMerged(w, r, tenantOf(r), r.PathValue("name"), nil)
 	if !ok {
 		return
 	}

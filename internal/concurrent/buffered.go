@@ -518,6 +518,13 @@ func (c *BufferedCountMin) Snapshot() *frequency.CountMin {
 	return c.global.Snapshot()
 }
 
+// AppendCells syncs like Snapshot, then appends the cells a point query
+// for item reads — what a synced snapshot's AppendCells would return.
+func (c *BufferedCountMin) AppendCells(dst []uint64, item []byte) []uint64 {
+	c.Sync()
+	return c.global.AppendCells(dst, item)
+}
+
 // MarshalBinary serializes a synced snapshot in the standard Count-Min
 // envelope.
 func (c *BufferedCountMin) MarshalBinary() ([]byte, error) {

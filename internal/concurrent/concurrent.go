@@ -399,29 +399,34 @@ func (c *AtomicCountMin) EstimateUint64(item uint64) uint64 {
 }
 
 func (c *AtomicCountMin) estimateHash(h uint64) uint64 {
+	var buf [8]uint64 // typical depths stay on the stack
+	return frequency.MinCells(c.appendCells(buf[:0], h))
+}
+
+// AppendCells appends the depth counters a point query for item reads,
+// each loaded atomically, in row order — the same cells, in the same
+// order, as frequency.CountMin.AppendCells on a Snapshot.
+func (c *AtomicCountMin) AppendCells(dst []uint64, item []byte) []uint64 {
+	return c.appendCells(dst, hashx.XXHash64(item, c.seed))
+}
+
+func (c *AtomicCountMin) appendCells(dst []uint64, h uint64) []uint64 {
 	if c.fused {
 		base, slots := c.fusedBase(h)
-		est := ^uint64(0)
 		for r := 0; r < c.depth; r++ {
-			if v := c.counts[base+slots&7].Load(); v < est {
-				est = v
-			}
+			dst = append(dst, c.counts[base+slots&7].Load())
 			base += 8
 			slots >>= 3
 		}
-		return est
+		return dst
 	}
 	h2 := hashx.DeriveH2(h)
 	w := uint64(c.width)
-	est := ^uint64(0)
-	x := h
 	for r := 0; r < c.depth; r++ {
-		if v := c.counts[r*c.width+int(hashx.FastRange(x, w))].Load(); v < est {
-			est = v
-		}
-		x += h2
+		dst = append(dst, c.counts[r*c.width+int(hashx.FastRange(h, w))].Load())
+		h += h2
 	}
-	return est
+	return dst
 }
 
 // N returns the total weight added.

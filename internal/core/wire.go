@@ -49,13 +49,14 @@ const (
 	TagBlockedBloom
 	TagRobustDistinct
 	TagSFSketch
+	TagProjection // registry.Projection: not a sketch, the cells one query reads
 )
 
 // TagMax is the highest assigned sketch-type tag. The registry's
 // exhaustiveness test walks [1, TagMax] and requires every tag to be
 // either registered with a descriptor or explicitly reserved, so a new
 // tag constant cannot be added without also deciding how it decodes.
-const TagMax = TagSFSketch
+const TagMax = TagProjection
 
 // PeekTag returns the sketch-type tag of a serialized envelope without
 // decoding the payload — the dispatch point for generic, self-

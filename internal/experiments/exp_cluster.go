@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"runtime"
 	"strconv"
@@ -35,7 +37,11 @@ func init() {
 //     ground truth and against a single server fed the identical
 //     stream. Merged HLL registers are exactly the single-server
 //     registers, so the two estimates must agree to the bit;
-//  3. replication lag — a durable shard shipping sealed WAL segments
+//  3. projected point query — a gathered Count-Min / Count-Sketch
+//     point query against a single server fed the identical stream
+//     (bit-identical, or the bar is not met) and the bytes it moves,
+//     next to the full envelopes the same read used to gather;
+//  4. replication lag — a durable shard shipping sealed WAL segments
 //     to a follower, reporting the LSN gap before and after a sync
 //     round.
 //
@@ -76,6 +82,7 @@ func runE30() *Result {
 		accuracy.AddRow(nShards, trueN, est, 100*math.Abs(est-float64(trueN))/float64(trueN), matches)
 	}
 
+	projTbl, projNotes := runProjectedPointQuery()
 	lagTbl, lagNotes := runReplicationLag()
 
 	cores := runtime.GOMAXPROCS(0)
@@ -93,13 +100,14 @@ func runE30() *Result {
 		notes = append(notes, fmt.Sprintf(
 			"acceptance (≥3x at 4 shards) requires ≥4 cores; this host has GOMAXPROCS=%d, so shards time-slice one core and the run qualifies the harness for CI rather than the speedup", cores))
 	}
+	notes = append(notes, projNotes...)
 	notes = append(notes, lagNotes...)
 
 	return &Result{
 		ID:     "E30",
 		Title:  "sharded cluster: ingest scaling, scatter-gather accuracy, replication lag",
 		Claim:  "mergeable summaries make sharding trivial: route anywhere, merge everywhere — per-node sketches compose into the global answer with no accuracy loss (§4 pathways to impact)",
-		Tables: []*core.Table{scaling, accuracy, lagTbl},
+		Tables: []*core.Table{scaling, accuracy, projTbl, lagTbl},
 		Notes:  notes,
 	}
 }
@@ -109,26 +117,11 @@ func runE30() *Result {
 // and checks the global estimate against ground truth and against a
 // single server fed the same items.
 func runClusterConfig(nShards, clients, batch, itemsPerClient int) (rate, est float64, trueN int, matches bool, err error) {
-	urls := make([]string, nShards)
-	var stops []func()
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	for i := range urls {
-		base, stop, serr := startLocalSketchd()
-		if serr != nil {
-			return 0, 0, 0, false, serr
-		}
-		urls[i] = base
-		stops = append(stops, stop)
-	}
-	coordBase, stopCoord, err := startCoordinator(urls)
+	_, coordBase, stop, err := startFleet(nShards)
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
-	stops = append(stops, stopCoord)
+	defer stop()
 
 	cl := client.New(coordBase)
 	if err := cl.Create("e30", server.CreateRequest{Type: "hll", P: 14, Seed: 1}); err != nil {
@@ -148,7 +141,7 @@ func runClusterConfig(nShards, clients, batch, itemsPerClient int) (rate, est fl
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
-	stops = append(stops, stopSingle)
+	defer stopSingle()
 	scl := client.New(single)
 	if err := scl.Create("e30", server.CreateRequest{Type: "hll", P: 14, Seed: 1}); err != nil {
 		return 0, 0, 0, false, err
@@ -159,6 +152,87 @@ func runClusterConfig(nShards, clients, batch, itemsPerClient int) (rate, est fl
 		return 0, 0, 0, false, err
 	}
 	return rate, est, trueN, est == sEst, nil
+}
+
+// runProjectedPointQuery asks a 4-shard coordinator and a single server
+// fed the same weighted stream the same point queries. The shards answer
+// the coordinator's gather with projections (the cells each query
+// reads), so the answers must match exactly while the bytes gathered
+// per query fall from four tables to four handfuls of counters.
+func runProjectedPointQuery() (*core.Table, []string) {
+	tbl := core.NewTable("projected point query, 4 shards: bit-identical, bytes per query",
+		"family", "queries", "matches_single_server", "bytes_per_query", "full_gather_bytes", "reduction")
+	fail := func(err error) (*core.Table, []string) {
+		return tbl, []string{fmt.Sprintf("projected point query run failed: %v", err)}
+	}
+	const queries = 64
+	shards, coordBase, stop, err := startFleet(4)
+	if err != nil {
+		return fail(err)
+	}
+	defer stop()
+	single, stopSingle, err := startLocalSketchd()
+	if err != nil {
+		return fail(err)
+	}
+	defer stopSingle()
+	ccl, scl := client.New(coordBase), client.New(single)
+
+	var batch []byte
+	for i := 0; i < 20000; i++ {
+		batch = fmt.Appendf(batch, "flow-%d\t%d\n", (i*i)%1021, 1+i%5)
+	}
+	allMet := true
+	for _, req := range []server.CreateRequest{
+		{Type: "countmin", Width: 1 << 16, Depth: 4},
+		{Type: "countsketch", Width: 1 << 16, Depth: 5},
+	} {
+		for _, cl := range []*client.Client{ccl, scl} {
+			if err := cl.Create(req.Type, req); err != nil {
+				return fail(err)
+			}
+			if err := cl.AddBatch(req.Type, batch); err != nil {
+				return fail(err)
+			}
+		}
+		full := 0 // what the same read gathered before: every shard's envelope
+		for _, u := range shards {
+			env, err := client.New(u).Snapshot(req.Type)
+			if err != nil {
+				return fail(err)
+			}
+			full += len(env)
+		}
+		before, err := coordGatherBytes(coordBase)
+		if err != nil {
+			return fail(err)
+		}
+		match := true
+		for k := 0; k < queries; k++ {
+			q := url.Values{"item": {fmt.Sprintf("flow-%d", k*17)}}
+			got, err := ccl.Query(req.Type, q)
+			if err != nil {
+				return fail(err)
+			}
+			want, err := scl.Query(req.Type, q)
+			if err != nil {
+				return fail(err)
+			}
+			match = match && got["estimate"] == want["estimate"] && got["n"] == want["n"]
+		}
+		after, err := coordGatherBytes(coordBase)
+		if err != nil {
+			return fail(err)
+		}
+		perQuery := float64(after-before) / queries
+		tbl.AddRow(req.Type, queries, match, perQuery, full, float64(full)/perQuery)
+		allMet = allMet && match && perQuery < 1024
+	}
+	met := "met"
+	if !allMet {
+		met = "NOT met"
+	}
+	return tbl, []string{"acceptance: projected point queries bit-identical to a single server at < 1 KB gathered per query — " + met}
 }
 
 // runReplicationLag ships a durable shard's WAL to a follower and
@@ -245,4 +319,45 @@ func startCoordinator(shards []string) (string, func(), error) {
 	hs := &http.Server{Handler: coord}
 	go hs.Serve(ln)
 	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
+}
+
+// startFleet serves n in-process sketchd shards and a coordinator over
+// them on loopback; stop tears everything down.
+func startFleet(n int) (shards []string, coordBase string, stop func(), err error) {
+	var stops []func()
+	stop = func() {
+		for _, s := range stops {
+			s()
+		}
+	}
+	for i := 0; i < n; i++ {
+		base, stopShard, err := startLocalSketchd()
+		if err != nil {
+			stop()
+			return nil, "", nil, err
+		}
+		shards = append(shards, base)
+		stops = append(stops, stopShard)
+	}
+	coordBase, stopCoord, err := startCoordinator(shards)
+	if err != nil {
+		stop()
+		return nil, "", nil, err
+	}
+	stops = append(stops, stopCoord)
+	return shards, coordBase, stop, nil
+}
+
+// coordGatherBytes reads gather_bytes off a coordinator's /v1/status.
+func coordGatherBytes(coordBase string) (uint64, error) {
+	resp, err := http.Get(coordBase + "/v1/status")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var doc struct {
+		Ops cluster.CoordCountersSnapshot `json:"ops"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&doc)
+	return doc.Ops.GatherBytes, err
 }

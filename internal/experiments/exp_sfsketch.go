@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"strconv"
 
@@ -124,26 +122,11 @@ func runSlimGatherBytes(items int) (*core.Table, []string) {
 		return tbl, []string{fmt.Sprintf("slim gather run failed: %v", err)}
 	}
 
-	var stops []func()
-	defer func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}()
-	urls := make([]string, 4)
-	for i := range urls {
-		base, stop, err := startLocalSketchd()
-		if err != nil {
-			return fail(err)
-		}
-		urls[i] = base
-		stops = append(stops, stop)
-	}
-	coordBase, stopCoord, err := startCoordinator(urls)
+	_, coordBase, stop, err := startFleet(4)
 	if err != nil {
 		return fail(err)
 	}
-	stops = append(stops, stopCoord)
+	defer stop()
 
 	cl := client.New(coordBase)
 	if err := cl.Create("e33", server.CreateRequest{Type: "sfsketch", Width: 256, Depth: 4, Seed: 33}); err != nil {
@@ -172,22 +155,7 @@ func runSlimGatherBytes(items int) (*core.Table, []string) {
 		}
 	}
 
-	gatherBytes := func() (uint64, error) {
-		resp, err := http.Get(coordBase + "/v1/status")
-		if err != nil {
-			return 0, err
-		}
-		defer resp.Body.Close()
-		var doc struct {
-			Ops struct {
-				GatherBytes uint64 `json:"gather_bytes"`
-			} `json:"ops"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-			return 0, err
-		}
-		return doc.Ops.GatherBytes, nil
-	}
+	gatherBytes := func() (uint64, error) { return coordGatherBytes(coordBase) }
 
 	var probe uint64
 	var probeTrue uint64

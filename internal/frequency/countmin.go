@@ -461,6 +461,29 @@ func (c *CountMin) EstimatePerRow(item []byte) (counts []uint64, buckets []int) 
 	return counts, buckets
 }
 
+// AppendCells appends the depth counters a point query for item reads
+// — row r's addressed cell, in row order: EstimatePerRow's counts — to
+// dst. Estimate is their minimum (MinCells), and because Merge is
+// cell-wise addition the same cells summed across sketches are exactly
+// the merged sketch's cells: they are all a remote reader needs to
+// answer the query, which is what the registry's projection capability
+// ships instead of the table.
+func (c *CountMin) AppendCells(dst []uint64, item []byte) []uint64 {
+	counts, _ := c.EstimatePerRow(item)
+	return append(dst, counts...)
+}
+
+// MinCells is the Count-Min point estimate over an item's cells.
+func MinCells(cells []uint64) uint64 {
+	est := uint64(math.MaxUint64)
+	for _, v := range cells {
+		if v < est {
+			est = v
+		}
+	}
+	return est
+}
+
 // InnerProduct estimates the inner product Σᵢ f(i)·g(i) of the two
 // frequency vectors summarized by compatible sketches, via the minimum
 // over rows of the row dot products. Used for join-size estimation.

@@ -202,26 +202,20 @@ func (c *CountSketch) addHashFused(h uint64, weight int64) {
 	c.countWeight(weight)
 }
 
-func (c *CountSketch) estimateFused(h uint64) int64 {
-	// The scratch rows fit a stack array (fused depth <= 21), and the
-	// in-place odd-length median keeps this query path allocation-free
-	// like the fused add path.
-	var ests [fusedMaxDepth]int64
-	base, signBits, slots := c.fusedState(h)
-	for r := 0; r < c.depth; r++ {
-		m := -int64(signBits & 1)
-		ests[r] = (c.flat[base+slots&7] ^ m) - m
-		base += 8
-		slots >>= 3
-		signBits >>= 1
+// MedianCells is the Count-Sketch point estimate over an item's
+// sign-corrected cells (AppendCells). It reorders cells.
+func MedianCells(cells []int64) int64 {
+	if len(cells)%2 == 1 {
+		return medianOddInPlace(cells)
 	}
-	return medianOddInPlace(ests[:c.depth])
+	// Only decoded historical payloads have an even depth; constructors
+	// round it odd.
+	return int64(core.MedianInt64(cells))
 }
 
-// medianOddInPlace insertion-sorts xs (odd length, <= fusedMaxDepth
-// elements) and returns the middle element. Equivalent to
-// core.MedianInt64 for odd-length input, without the copy or the
-// sort.Slice closure allocation.
+// medianOddInPlace insertion-sorts xs (odd length) and returns the
+// middle element: core.MedianInt64 for odd-length input without the
+// copy, the sort.Slice closure, or the round trip through float64.
 func medianOddInPlace(xs []int64) int64 {
 	for i := 1; i < len(xs); i++ {
 		v := xs[i]
@@ -332,33 +326,51 @@ func (c *CountSketch) EstimateUint64(item uint64) int64 {
 }
 
 func (c *CountSketch) estimateHash(h uint64) int64 {
-	if c.fused {
-		return c.estimateFused(h)
-	}
-	if !c.kwise {
-		return c.estimateDerived(h)
-	}
-	ests := make([]int64, len(c.counts))
-	for r := range c.counts {
-		j := c.bucket[r].HashRange(h, c.width)
-		ests[r] = c.sign[r].Sign(h) * c.counts[r][j]
-	}
-	return int64(core.MedianInt64(ests))
+	// Typical depths fit the stack buffer, keeping the query path
+	// allocation-free like the add path.
+	var buf [fusedMaxDepth]int64
+	return MedianCells(c.appendCells(buf[:0], h))
 }
 
-func (c *CountSketch) estimateDerived(h uint64) int64 {
-	ests := make([]int64, len(c.counts))
-	h2 := hashx.DeriveH2(h)
-	signBits := hashx.Mix64(h2)
-	w := uint64(c.width)
-	x := h
-	for r := range c.counts {
-		v := c.counts[r][hashx.FastRange(x, w)]
-		m := -int64(signBits >> uint(r) & 1)
-		ests[r] = (v ^ m) - m
-		x += h2
+// AppendCells appends the depth sign-corrected counters a point query
+// for item reads — sign_r(item)·counts[r][bucket_r(item)], in row order
+// — to dst. Estimate is their median (MedianCells), and because Merge
+// is cell-wise addition and a row's sign is fixed per item, the same
+// cells summed across sketches are exactly the merged sketch's: they
+// are all a remote reader needs to answer the query.
+func (c *CountSketch) AppendCells(dst []int64, item []byte) []int64 {
+	return c.appendCells(dst, hashx.XXHash64(item, c.seed))
+}
+
+// appendCells is the one place a read resolves an item hash to its
+// signed cells, in all three addressing modes.
+func (c *CountSketch) appendCells(dst []int64, h uint64) []int64 {
+	switch {
+	case c.fused:
+		base, signBits, slots := c.fusedState(h)
+		for r := 0; r < c.depth; r++ {
+			m := -int64(signBits & 1)
+			dst = append(dst, (c.flat[base+slots&7]^m)-m)
+			base += 8
+			slots >>= 3
+			signBits >>= 1
+		}
+	case c.kwise:
+		for r := range c.counts {
+			j := c.bucket[r].HashRange(h, c.width)
+			dst = append(dst, c.sign[r].Sign(h)*c.counts[r][j])
+		}
+	default:
+		h2 := hashx.DeriveH2(h)
+		signBits := hashx.Mix64(h2)
+		w := uint64(c.width)
+		for r := range c.counts {
+			m := -int64(signBits >> uint(r) & 1)
+			dst = append(dst, (c.counts[r][hashx.FastRange(h, w)]^m)-m)
+			h += h2
+		}
 	}
-	return int64(core.MedianInt64(ests))
+	return dst
 }
 
 // F2Estimate returns the median over rows of the squared row norms —
@@ -407,6 +419,9 @@ func (c *CountSketch) ErrorBoundL2() float64 {
 
 // SizeBytes returns the counter storage size.
 func (c *CountSketch) SizeBytes() int { return c.depth * c.width * 8 }
+
+// Seed returns the hash seed the sketch was created with.
+func (c *CountSketch) Seed() uint64 { return c.seed }
 
 // Derived reports whether buckets and signs come from the
 // double-hashing fast lane (true, the default) or per-row KWise

@@ -129,6 +129,31 @@ func init() {
 				return merge2((*concurrent.AtomicCountMin).Merge)(dst, src)
 			},
 		},
+		// A point query reads depth cells, addressed identically by the
+		// plain, atomic and buffered instances.
+		Project: func(inst any, query url.Values) (*Projection, error) {
+			c, err := cast[interface {
+				AppendCells(dst []uint64, item []byte) []uint64
+				N() uint64
+				Width() int
+				Depth() int
+				Seed() uint64
+				Fused() bool
+			}](inst)
+			item := query.Get("item")
+			if err != nil || item == "" {
+				return nil, err
+			}
+			plain, _ := inst.(*frequency.CountMin)
+			if plain != nil && plain.Conservative() {
+				return nil, nil // conservative counters are not linear: no merge, no projection
+			}
+			cells := c.AppendCells(nil, []byte(item)) // before N: this is where a buffered instance syncs
+			return cellProjection(c.Width(), c.Depth(), c.Seed(), c.Fused(), plain != nil && !plain.Derived(), c.N(), cells), nil
+		},
+		Finish: func(p *Projection, _ url.Values) (map[string]any, error) {
+			return map[string]any{"estimate": frequency.MinCells(p.Cells), "n": p.N}, nil
+		},
 	})
 
 	register(Descriptor{
@@ -170,6 +195,20 @@ func init() {
 				}, nil
 			}),
 			Merge: merge2((*frequency.CountSketch).Merge),
+		},
+		// Cells travel sign-corrected (two's complement in the carrier's
+		// uint64s), so Finish needs no hash state: it is their median.
+		Project: func(inst any, query url.Values) (*Projection, error) {
+			c, err := cast[*frequency.CountSketch](inst)
+			item := query.Get("item")
+			if err != nil || item == "" {
+				return nil, err
+			}
+			cells := cellsAs[int64, uint64](c.AppendCells(nil, []byte(item)))
+			return cellProjection(c.Width(), c.Depth(), c.Seed(), c.Fused(), !c.Derived(), c.N(), cells), nil
+		},
+		Finish: func(p *Projection, _ url.Values) (map[string]any, error) {
+			return map[string]any{"estimate": frequency.MedianCells(cellsAs[uint64, int64](p.Cells)), "n": p.N}, nil
 		},
 	})
 

@@ -190,6 +190,15 @@ type Descriptor struct {
 	// Serve operates on instances from NewServing; nil means Bind
 	// also serves them.
 	Serve *Bindings
+
+	// Project and Finish, set together, are the optional query-pushdown
+	// capability (see Projection for the contract). Project reads, from
+	// any instance variant the family constructs, the cells query needs
+	// and fills Shape, N and Cells; it returns (nil, nil) for a query —
+	// or an instance — it cannot project. Finish renders the result map
+	// Bind.Query would from the merged cells.
+	Project func(inst any, query url.Values) (*Projection, error)
+	Finish  func(p *Projection, query url.Values) (map[string]any, error)
 }
 
 // Mergeable reports whether live instances can absorb decoded peers.

@@ -261,7 +261,7 @@ func TestCapabilityExpectations(t *testing.T) {
 	if servable < 15 {
 		t.Errorf("servable types = %d, want at least 15", servable)
 	}
-	wantNonServable := []string{"simhash"}
+	wantNonServable := []string{"projection", "simhash"} // the projection carrier is wire-only
 	wantNonMergeable := []string{"mrl", "simhash", "weightedreservoir"}
 	if !equalStrings(nonServable, wantNonServable) {
 		t.Errorf("non-servable types = %v, want %v", nonServable, wantNonServable)

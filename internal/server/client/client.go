@@ -183,16 +183,37 @@ func (c *Client) SnapshotWire(name, wire string) ([]byte, error) {
 // coordinator's pooled scatter-gather path uses so a steady-state
 // gather stops allocating a fresh envelope buffer per shard per query.
 func (c *Client) SnapshotAppend(name, wire string, dst []byte) ([]byte, error) {
+	return c.SnapshotFor(name, wire, "", dst)
+}
+
+// SnapshotFor is SnapshotAppend for a reader that will ask exactly one
+// query of what it fetches: forQuery (an encoded url.Values, "" for
+// none) rides along as ?for=, and a server whose family can project
+// that query answers with a registry.Projection envelope — the cells
+// the query reads — instead of the whole state. Any other server,
+// family or query answers as SnapshotAppend would.
+func (c *Client) SnapshotFor(name, wire, forQuery string, dst []byte) ([]byte, error) {
 	u := c.url(name, "snapshot")
+	sep := "?"
 	if wire != "" {
-		u += "?wire=" + url.QueryEscape(wire)
+		u += sep + "wire=" + url.QueryEscape(wire)
+		sep = "&"
+	}
+	if forQuery != "" {
+		u += sep + "for=" + url.QueryEscape(forQuery)
 	}
 	resp, err := c.hc.Get(u)
 	if err != nil {
 		return dst, err
 	}
 	defer resp.Body.Close()
-	data, err := ReadAppend(resp.Body, dst[:0])
+	dst = dst[:0]
+	// A known length larger than the buffer is grown to once, rather
+	// than by doubling through ReadAppend with a copy at each step.
+	if n := resp.ContentLength; n > int64(cap(dst)) && n <= maxPresize {
+		dst = make([]byte, 0, n+1) // +1: room for the read that returns io.EOF
+	}
+	data, err := ReadAppend(resp.Body, dst)
 	if err != nil {
 		return data, err
 	}
@@ -201,6 +222,10 @@ func (c *Client) SnapshotAppend(name, wire string, dst []byte) ([]byte, error) {
 	}
 	return data, nil
 }
+
+// maxPresize bounds the buffer SnapshotFor allocates on a server's
+// Content-Length alone; anything longer grows as it actually arrives.
+const maxPresize = 64 << 20
 
 // ReadAppend drains r into dst, reusing dst's capacity and growing it
 // only when the payload outgrows it. io.ReadAll allocates a fresh

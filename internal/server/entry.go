@@ -295,6 +295,22 @@ func (e *Entry) SnapshotWire(slim bool) ([]byte, bool, error) {
 	return typereg.MarshalWire(e.inst, true)
 }
 
+// Project serializes the projection of the current state for query —
+// the cells that query reads, registry.Projection — or returns nil data
+// when the family does not project that query and the caller should
+// ship a full envelope instead.
+func (e *Entry) Project(query url.Values) ([]byte, error) {
+	if !e.lockFree {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+	}
+	p, err := e.desc.Projection(e.inst, query)
+	if p == nil || err != nil {
+		return nil, err
+	}
+	return p.MarshalBinary()
+}
+
 // SizeBytes reports the in-memory sketch footprint.
 func (e *Entry) SizeBytes() int {
 	if e.lockFree {

@@ -49,6 +49,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -371,21 +372,51 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// ?wire=slim asks for the family's slim envelope (the wire-efficient
 	// form, registry.SlimMarshaler); families without one serve the full
 	// envelope, so the parameter is a safe hint on any type.
-	wire := r.URL.Query().Get("wire")
+	q := r.URL.Query()
+	wire := q.Get("wire")
 	if wire != "" && wire != "full" && wire != "slim" {
 		httpError(w, http.StatusBadRequest, "bad wire mode %q (want full or slim)", wire)
 		return
 	}
-	data, slim, err := e.entry.SnapshotWire(wire == "slim")
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
+	// ?for=<escaped query> says which query the reader will ask of the
+	// envelope: a family that can project it answers with just the cells
+	// that query reads, every other family (or query) with the envelope
+	// below — one round trip either way, behind the same guard.
+	var data []byte
+	served := "" // the form that goes out, as X-Sketch-Wire names it
+	if forQuery := q.Get("for"); forQuery != "" {
+		fq, err := url.ParseQuery(forQuery)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "bad for= query: %v", err)
+			return
+		}
+		if data, err = e.entry.Project(fq); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if data != nil {
+			served = "projection"
+		}
+	}
+	if data == nil {
+		var slim bool
+		var err error
+		if data, slim, err = e.entry.SnapshotWire(wire == "slim"); err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		if slim {
+			served = "slim"
+		}
 	}
 	s.ops.Snapshots.Inc()
-	s.countWire(e.entry.Type(), slim, len(data))
+	s.countWire(e.entry.Type(), served, len(data))
 	w.Header().Set("Content-Type", "application/octet-stream")
-	if slim {
-		w.Header().Set("X-Sketch-Wire", "slim")
+	// An explicit length (the server would otherwise chunk anything past
+	// its 2 KB sniff buffer) lets the reader size its buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	if served != "" {
+		w.Header().Set("X-Sketch-Wire", served)
 	}
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)

@@ -18,6 +18,8 @@ type wireCounters struct {
 	fullBytes core.Counter
 	slimSnaps core.Counter
 	slimBytes core.Counter
+	projSnaps core.Counter
+	projBytes core.Counter
 }
 
 // WireStat is one family's wire-byte row on /v1/status and
@@ -28,6 +30,8 @@ type WireStat struct {
 	FullBytes     uint64 `json:"full_bytes"`
 	SlimSnapshots uint64 `json:"slim_snapshots,omitempty"`
 	SlimBytes     uint64 `json:"slim_bytes,omitempty"`
+	Projections   uint64 `json:"projections,omitempty"`
+	ProjBytes     uint64 `json:"projection_bytes,omitempty"`
 }
 
 // newWireCounters prebuilds a counter row per servable family, so the
@@ -43,19 +47,22 @@ func newWireCounters() map[string]*wireCounters {
 	return m
 }
 
-// countWire records one served snapshot of the given family.
-func (s *Server) countWire(typeName string, slim bool, bytes int) {
+// countWire records one served snapshot of the given family in the form
+// it went out in: "slim", "projection", or "" for the full envelope.
+func (s *Server) countWire(typeName, wire string, bytes int) {
 	wc := s.wire[typeName]
 	if wc == nil {
 		return
 	}
-	if slim {
-		wc.slimSnaps.Inc()
-		wc.slimBytes.Add(uint64(bytes))
-	} else {
-		wc.fullSnaps.Inc()
-		wc.fullBytes.Add(uint64(bytes))
+	snaps, sum := &wc.fullSnaps, &wc.fullBytes
+	switch wire {
+	case "slim":
+		snaps, sum = &wc.slimSnaps, &wc.slimBytes
+	case "projection":
+		snaps, sum = &wc.projSnaps, &wc.projBytes
 	}
+	snaps.Inc()
+	sum.Add(uint64(bytes))
 }
 
 // wireStats returns the families with wire traffic, sorted by name.
@@ -68,8 +75,10 @@ func (s *Server) wireStats() []WireStat {
 			FullBytes:     wc.fullBytes.Load(),
 			SlimSnapshots: wc.slimSnaps.Load(),
 			SlimBytes:     wc.slimBytes.Load(),
+			Projections:   wc.projSnaps.Load(),
+			ProjBytes:     wc.projBytes.Load(),
 		}
-		if st.FullSnapshots == 0 && st.SlimSnapshots == 0 {
+		if st.FullSnapshots == 0 && st.SlimSnapshots == 0 && st.Projections == 0 {
 			continue
 		}
 		out = append(out, st)
