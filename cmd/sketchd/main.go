@@ -60,8 +60,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/concurrent"
 	"repro/internal/durable"
+	"repro/internal/registry"
 	"repro/internal/server"
 )
 
@@ -122,7 +122,7 @@ func main() {
 	case "buffered":
 		// Must be selected before recovery: restored entries are
 		// constructed through the same serving-mode switch.
-		concurrent.SetBufferedServing(true)
+		registry.SetBufferedServing(true)
 	default:
 		log.Fatalf("sketchd: -concurrent-ingest must be atomic or buffered, got %q", *concurrentIngest)
 	}

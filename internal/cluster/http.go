@@ -35,7 +35,10 @@ import (
 // ring seed (SeedFor), so tenants spread independently. Group-by
 // ingest is deliberately NOT forwarded: its one-WAL-record atomicity
 // is a per-shard property, so it is served shard-local — point the
-// group-by producer at a shard, or at a single sketchd.
+// group-by producer at a shard, or at a single sketchd. The same goes
+// for the other sketchd routes with no cluster-wide meaning (merge,
+// list, overlap, /v1/types): they answer 501 naming the operation as
+// shard-local, in the JSON error body every other refusal uses.
 //
 // Reads take ?allow_partial=true to accept a degraded answer when a
 // shard is down; the response then carries "partial": true plus the
@@ -54,7 +57,12 @@ func (c *Coordinator) buildMux() {
 		mux.HandleFunc("GET "+p+"/sketch/{name}/query", c.handleQuery)
 		mux.HandleFunc("GET "+p+"/sketch/{name}/snapshot", c.handleSnapshot)
 		mux.HandleFunc("DELETE "+p+"/sketch/{name}", c.handleDelete)
+		mux.HandleFunc("POST "+p+"/sketch/{name}/merge", shardLocal("merge"))
+		mux.HandleFunc("GET "+p+"/sketch", shardLocal("list"))
+		mux.HandleFunc("GET "+p+"/overlap", shardLocal("overlap"))
+		mux.HandleFunc("POST "+p+"/ingest/groupby", shardLocal("group-by ingest"))
 	}
+	mux.HandleFunc("GET /v1/types", shardLocal("the type catalogue"))
 	mux.HandleFunc("GET /v1/cluster/status", c.handleClusterStatus)
 	mux.HandleFunc("GET /v1/status", c.handleStatus)
 	c.mux = mux
@@ -89,6 +97,13 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]any{"error": fmt.Sprintf(format, args...)})
+}
+
+// shardLocal refuses a sketchd route the coordinator does not forward.
+func shardLocal(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		httpError(w, http.StatusNotImplemented, "%s is shard-local: the coordinator does not forward it, ask a shard", op)
+	}
 }
 
 // shardFailure writes the error a failed fan-out produces: the failed

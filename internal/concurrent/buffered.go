@@ -54,22 +54,6 @@ import (
 // round-trip cost ~1/128 of an update.
 const DefaultWriterBuffer = 256
 
-// bufferedServing is the process-wide serving-mode switch consulted by
-// the registry: when set, families with a buffered variant serve it
-// instead of the atomic one. cmd/sketchd sets it from
-// -concurrent-ingest before recovery or traffic.
-var bufferedServing atomic.Bool
-
-// SetBufferedServing selects (true) or deselects (false) the
-// local-buffer/global-propagation serving variants for new server
-// entries. Set before creating or recovering entries; flipping it
-// midway only affects sketches created afterwards.
-func SetBufferedServing(on bool) { bufferedServing.Store(on) }
-
-// BufferedServing reports whether buffered serving variants are
-// selected.
-func BufferedServing() bool { return bufferedServing.Load() }
-
 // pair is one buffered update: the pre-hashed item plus its companion
 // word (Count-Min weight, Bloom h2; unused for HLL).
 type pair struct{ a, b uint64 }
@@ -120,9 +104,6 @@ const drainRound = 64
 const publishInterval = time.Millisecond
 
 func newPropagator(writerBuf int, apply func([]pair), publish func()) *propagator {
-	if writerBuf < 2 {
-		writerBuf = 2
-	}
 	p := &propagator{
 		flushq:  make(chan *flushBuf, 4*drainRound),
 		ctl:     make(chan func()),
@@ -152,13 +133,11 @@ func (p *propagator) loop() {
 		case op := <-p.ctl:
 			// Barrier semantics: everything handed off before the
 			// caller blocked on ctl is in flushq now; drain it all,
-			// refresh read state, run the op, then refresh again —
-			// the op itself may mutate the global (Merge on a
-			// quiescent sketch sees no later flush to publish for it).
+			// refresh read state, then run the op (which refreshes
+			// again before it releases its caller, see do).
 			p.drainBacklog(-1)
 			p.forcePublish()
 			op()
-			p.forcePublish()
 		case <-p.quit:
 			p.drainBacklog(-1)
 			p.forcePublish()
@@ -225,12 +204,15 @@ func (p *propagator) consume(buf *flushBuf) {
 }
 
 // do runs op on the propagator goroutine after a full backlog drain
-// and publish, blocking until it completes. Returns false if the
+// and publish, blocking until it completes and read state has been
+// refreshed once more — the op itself may mutate the global (Merge on
+// a quiescent sketch sees no later flush to publish for it), and the
+// caller must not return before that is visible. Returns false if the
 // propagator has been closed (op did not run).
 func (p *propagator) do(op func()) bool {
 	ran := make(chan struct{})
 	select {
-	case p.ctl <- func() { op(); close(ran) }:
+	case p.ctl <- func() { op(); p.forcePublish(); close(ran) }:
 		<-ran
 		return true
 	case <-p.quit:
@@ -248,24 +230,15 @@ func (p *propagator) close() {
 	<-p.done
 }
 
-// bufWriter is the family-independent half of a writer handle: the
-// active flush half plus the recycle channel its two halves cycle
-// through.
+// bufWriter is a writer handle: the active flush half, the recycle
+// channel its two halves cycle through, and the seed items are hashed
+// under. The three exported handle types are this struct under a
+// family's name; they differ only in how an item becomes a pair.
 type bufWriter struct {
 	p    *propagator
 	buf  *flushBuf
 	home chan *flushBuf
-}
-
-func (p *propagator) newWriter() bufWriter {
-	home := make(chan *flushBuf, 2)
-	home <- &flushBuf{pairs: make([]pair, 0, p.half), home: home}
-	p.writers.Add(1)
-	return bufWriter{
-		p:    p,
-		buf:  &flushBuf{pairs: make([]pair, 0, p.half), home: home},
-		home: home,
-	}
+	seed uint64
 }
 
 // put appends one update to the local buffer, handing the buffer off
@@ -315,11 +288,132 @@ func (w *bufWriter) flush() {
 	}
 }
 
-// poolSize is the serving-path writer pool capacity: enough handles
-// that GOMAXPROCS concurrent request goroutines each get their own,
-// small enough that the staleness bound writers × WriterBuffer stays
-// tight.
-func poolSize() int { return runtime.GOMAXPROCS(0) }
+// buffered is the family-independent whole of a buffered sketch: the
+// global G only the propagator writes, the propagator, the per-writer
+// capacity, and the serving pool of writer handles. The exported
+// sketch types embed it and add what depends on the family — how an
+// item is pre-hashed into a pair, how a pair is applied to G, how G is
+// read.
+type buffered[G interface {
+	Seed() uint64
+	SizeBytes() int
+}] struct {
+	global    G
+	prop      *propagator
+	writerBuf int
+	pool      chan *bufWriter
+}
+
+// start fills in the wrapper around an already-built global and
+// launches the propagator. writerBuf is rounded down to an even count,
+// minimum 2 (two flush halves). The pool holds GOMAXPROCS handles:
+// enough that every concurrent request goroutine gets its own, small
+// enough that the staleness bound writers × WriterBuffer stays tight.
+func (b *buffered[G]) start(global G, writerBuf int, apply func([]pair), publish func()) {
+	if writerBuf &^= 1; writerBuf < 2 {
+		writerBuf = 2
+	}
+	*b = buffered[G]{
+		global:    global,
+		prop:      newPropagator(writerBuf, apply, publish),
+		writerBuf: writerBuf,
+		pool:      make(chan *bufWriter, runtime.GOMAXPROCS(0)),
+	}
+}
+
+// newWriter registers a writer handle with its two flush halves.
+func (b *buffered[G]) newWriter() *bufWriter {
+	home := make(chan *flushBuf, 2)
+	home <- &flushBuf{pairs: make([]pair, 0, b.prop.half), home: home}
+	b.prop.writers.Add(1)
+	return &bufWriter{
+		p:    b.prop,
+		buf:  &flushBuf{pairs: make([]pair, 0, b.prop.half), home: home},
+		home: home,
+		seed: b.global.Seed(),
+	}
+}
+
+// checkout takes a handle out of the serving pool, creating one if all
+// are in use. The pool is how request-scoped ingest reuses local
+// buffers across batches without a handle per request.
+func (b *buffered[G]) checkout() *bufWriter {
+	select {
+	case w := <-b.pool:
+		return w
+	default:
+		return b.newWriter()
+	}
+}
+
+// release returns a pooled handle, flushing and unregistering it if
+// the pool is already full.
+func (b *buffered[G]) release(w *bufWriter) {
+	select {
+	case b.pool <- w:
+	default:
+		w.flush()
+		b.prop.writers.Add(-1)
+	}
+}
+
+// Sync flushes every idle pooled writer and waits for the propagator
+// to apply all buffers handed off before the call. Handles checked out
+// by concurrent goroutines (or owned Writer handles) are their
+// holders' responsibility; the server's per-sketch WAL lock guarantees
+// none are during snapshot capture.
+func (b *buffered[G]) Sync() {
+	var ws []*bufWriter
+	for {
+		select {
+		case w := <-b.pool:
+			w.flush()
+			ws = append(ws, w)
+			continue
+		default:
+		}
+		break
+	}
+	b.prop.do(func() {})
+	for _, w := range ws {
+		b.release(w)
+	}
+}
+
+// onGlobal runs op against a global the propagator goroutine owns
+// outright (the plain HLL): on that goroutine while it lives, directly
+// after it has exited (the done-channel wait establishes the
+// happens-before edge).
+func (b *buffered[G]) onGlobal(op func()) {
+	if !b.prop.do(op) {
+		<-b.prop.done
+		op()
+	}
+}
+
+// Seed returns the hash seed.
+func (b *buffered[G]) Seed() uint64 { return b.global.Seed() }
+
+// SizeBytes returns the global sketch's storage size.
+func (b *buffered[G]) SizeBytes() int { return b.global.SizeBytes() }
+
+// WriterBuffer returns the per-writer local capacity b.
+func (b *buffered[G]) WriterBuffer() int { return b.writerBuf }
+
+// BufferedWriters returns the number of live writer handles.
+func (b *buffered[G]) BufferedWriters() int { return int(b.prop.writers.Load()) }
+
+// StalenessBound returns the maximum number of ingested items a read
+// can currently miss: writers × per-writer buffer.
+func (b *buffered[G]) StalenessBound() int { return b.BufferedWriters() * b.writerBuf }
+
+// Propagated returns the number of updates folded into the global
+// sketch — the read-visible epoch.
+func (b *buffered[G]) Propagated() uint64 { return b.prop.propagated.Load() }
+
+// Close stops the propagator; buffered-but-unflushed writer items are
+// dropped. Do not ingest after Close.
+func (b *buffered[G]) Close() { b.prop.close() }
 
 // ---------------------------------------------------------------------
 // BufferedCountMin
@@ -338,45 +432,30 @@ func poolSize() int { return runtime.GOMAXPROCS(0) }
 // exchanges with plain sketches stay exact and flushed+synced state is
 // byte-identical to serial ingest.
 type BufferedCountMin struct {
-	global    *AtomicCountMin
-	prop      *propagator
-	writerBuf int
-	seed      uint64
-	pool      chan *BufferedCountMinWriter
+	buffered[*AtomicCountMin]
 }
 
 // NewBufferedCountMin creates a buffered Count-Min sketch with the
 // default per-writer buffer.
 func NewBufferedCountMin(width, depth int, seed uint64) *BufferedCountMin {
-	return NewBufferedCountMinOpts(width, depth, seed, false, DefaultWriterBuffer)
-}
-
-// NewBufferedCountMinFused creates a buffered Count-Min whose global
-// sketch uses the fused cache-line layout.
-func NewBufferedCountMinFused(width, depth int, seed uint64) *BufferedCountMin {
-	return NewBufferedCountMinOpts(width, depth, seed, true, DefaultWriterBuffer)
+	return BufferCountMin(NewAtomicCountMin(width, depth, seed), DefaultWriterBuffer)
 }
 
 // NewBufferedCountMinOpts creates a buffered Count-Min with an
-// explicit layout and per-writer buffer capacity (rounded down to an
-// even count, minimum 2).
+// explicit layout and per-writer buffer capacity.
 func NewBufferedCountMinOpts(width, depth int, seed uint64, fused bool, writerBuf int) *BufferedCountMin {
-	var global *AtomicCountMin
 	if fused {
-		global = NewAtomicCountMinFused(width, depth, seed)
-	} else {
-		global = NewAtomicCountMin(width, depth, seed)
+		return BufferCountMin(NewAtomicCountMinFused(width, depth, seed), writerBuf)
 	}
-	c := &BufferedCountMin{
-		global:    global,
-		writerBuf: writerBuf &^ 1,
-		seed:      seed,
-		pool:      make(chan *BufferedCountMinWriter, poolSize()),
-	}
-	if c.writerBuf < 2 {
-		c.writerBuf = 2
-	}
-	c.prop = newPropagator(c.writerBuf, func(pairs []pair) {
+	return BufferCountMin(NewAtomicCountMin(width, depth, seed), writerBuf)
+}
+
+// BufferCountMin puts local-buffer/global-propagation ingest in front
+// of an already-built atomic sketch, which the propagator alone may
+// write from here on.
+func BufferCountMin(global *AtomicCountMin, writerBuf int) *BufferedCountMin {
+	c := new(BufferedCountMin)
+	c.start(global, writerBuf, func(pairs []pair) {
 		for _, pr := range pairs {
 			global.AddHash(pr.a, pr.b)
 		}
@@ -386,39 +465,22 @@ func NewBufferedCountMinOpts(width, depth int, seed uint64, fused bool, writerBu
 
 // BufferedCountMinWriter is one writer's bounded local buffer. Handles
 // are not safe for concurrent use; give each goroutine its own.
-type BufferedCountMinWriter struct {
-	w    bufWriter
-	seed uint64
-}
+type BufferedCountMinWriter bufWriter
 
 // Writer registers and returns a new writer handle.
 func (c *BufferedCountMin) Writer() *BufferedCountMinWriter {
-	return &BufferedCountMinWriter{w: c.prop.newWriter(), seed: c.seed}
+	return (*BufferedCountMinWriter)(c.newWriter())
 }
 
 // PooledWriter checks a handle out of the serving pool (creating one
-// if all are in use); pair with ReleaseWriter. The pool is how
-// request-scoped ingest reuses local buffers across batches without a
-// handle per request.
+// if all are in use); pair with ReleaseWriter.
 func (c *BufferedCountMin) PooledWriter() *BufferedCountMinWriter {
-	select {
-	case w := <-c.pool:
-		return w
-	default:
-		return c.Writer()
-	}
+	return (*BufferedCountMinWriter)(c.checkout())
 }
 
 // ReleaseWriter returns a pooled handle, flushing and unregistering it
 // if the pool is already full.
-func (c *BufferedCountMin) ReleaseWriter(w *BufferedCountMinWriter) {
-	select {
-	case c.pool <- w:
-	default:
-		w.Flush()
-		c.prop.writers.Add(-1)
-	}
-}
+func (c *BufferedCountMin) ReleaseWriter(w *BufferedCountMinWriter) { c.release((*bufWriter)(w)) }
 
 // Add buffers weight occurrences of a byte-slice item; same
 // item→bucket map as derived-mode frequency.CountMin.
@@ -438,11 +500,11 @@ func (w *BufferedCountMinWriter) AddUint64(item, weight uint64) {
 
 // AddHash buffers a pre-hashed update: one L1 append, handed off every
 // WriterBuffer/2 items.
-func (w *BufferedCountMinWriter) AddHash(h, weight uint64) { w.w.put(h, weight) }
+func (w *BufferedCountMinWriter) AddHash(h, weight uint64) { (*bufWriter)(w).put(h, weight) }
 
 // Flush hands off the partial buffer so its items reach the global
 // sketch on the next propagation round.
-func (w *BufferedCountMinWriter) Flush() { w.w.flush() }
+func (w *BufferedCountMinWriter) Flush() { (*bufWriter)(w).flush() }
 
 // Estimate returns the wait-free point estimate for a byte-slice item,
 // read from the global sketch (never undercounts propagated updates;
@@ -462,51 +524,8 @@ func (c *BufferedCountMin) Width() int { return c.global.Width() }
 // Depth returns the number of rows.
 func (c *BufferedCountMin) Depth() int { return c.global.Depth() }
 
-// Seed returns the hash seed.
-func (c *BufferedCountMin) Seed() uint64 { return c.seed }
-
 // Fused reports whether the global uses the fused cache-line layout.
 func (c *BufferedCountMin) Fused() bool { return c.global.Fused() }
-
-// SizeBytes returns the global counter storage size.
-func (c *BufferedCountMin) SizeBytes() int { return c.global.SizeBytes() }
-
-// WriterBuffer returns the per-writer local capacity b.
-func (c *BufferedCountMin) WriterBuffer() int { return c.writerBuf }
-
-// BufferedWriters returns the number of live writer handles.
-func (c *BufferedCountMin) BufferedWriters() int { return int(c.prop.writers.Load()) }
-
-// StalenessBound returns the maximum number of ingested items a read
-// can currently miss: writers × per-writer buffer.
-func (c *BufferedCountMin) StalenessBound() int { return c.BufferedWriters() * c.writerBuf }
-
-// Propagated returns the number of updates folded into the global
-// sketch — the read-visible epoch.
-func (c *BufferedCountMin) Propagated() uint64 { return c.prop.propagated.Load() }
-
-// Sync flushes every idle pooled writer and waits for the propagator
-// to apply all buffers handed off before the call. Handles checked out
-// by concurrent goroutines (or owned Writer handles) are their
-// holders' responsibility; the server's per-sketch WAL lock guarantees
-// none are during snapshot capture.
-func (c *BufferedCountMin) Sync() {
-	var ws []*BufferedCountMinWriter
-	for {
-		select {
-		case w := <-c.pool:
-			w.Flush()
-			ws = append(ws, w)
-			continue
-		default:
-		}
-		break
-	}
-	c.prop.do(func() {})
-	for _, w := range ws {
-		c.ReleaseWriter(w)
-	}
-}
 
 // Merge atomically folds a hash-compatible plain CountMin into the
 // global sketch; safe to call concurrently with buffered ingest.
@@ -532,10 +551,6 @@ func (c *BufferedCountMin) MarshalBinary() ([]byte, error) {
 	return c.global.MarshalBinary()
 }
 
-// Close stops the propagator; buffered-but-unflushed writer items are
-// dropped. Do not ingest after Close.
-func (c *BufferedCountMin) Close() { c.prop.close() }
-
 // ---------------------------------------------------------------------
 // BufferedHLL
 
@@ -547,36 +562,28 @@ func (c *BufferedCountMin) Close() { c.prop.close() }
 // (≤ BufferedWriters() × WriterBuffer() items plus the current drain
 // round).
 type BufferedHLL struct {
-	global    *cardinality.HLL // owned by the propagator goroutine
-	prop      *propagator
-	est       atomic.Uint64 // Float64bits of the published estimate
-	p         uint8
-	seed      uint64
-	writerBuf int
-	pool      chan *BufferedHLLWriter
+	buffered[*cardinality.HLL]               // the propagator goroutine owns the global outright
+	est                        atomic.Uint64 // Float64bits of the published estimate
 }
 
 // NewBufferedHLL creates a buffered HLL with dense precision p and the
 // default per-writer buffer.
 func NewBufferedHLL(p uint8, seed uint64) *BufferedHLL {
-	return NewBufferedHLLBuf(p, seed, DefaultWriterBuffer)
+	return BufferHLL(cardinality.NewHLL(p, seed), DefaultWriterBuffer)
 }
 
 // NewBufferedHLLBuf creates a buffered HLL with an explicit per-writer
 // buffer capacity.
 func NewBufferedHLLBuf(p uint8, seed uint64, writerBuf int) *BufferedHLL {
-	global := cardinality.NewHLL(p, seed)
-	h := &BufferedHLL{
-		global:    global,
-		p:         p,
-		seed:      seed,
-		writerBuf: writerBuf &^ 1,
-		pool:      make(chan *BufferedHLLWriter, poolSize()),
-	}
-	if h.writerBuf < 2 {
-		h.writerBuf = 2
-	}
-	h.prop = newPropagator(h.writerBuf, func(pairs []pair) {
+	return BufferHLL(cardinality.NewHLL(p, seed), writerBuf)
+}
+
+// BufferHLL puts local-buffer/global-propagation ingest in front of an
+// already-built plain HLL, which becomes the propagator's: the caller
+// must not touch it again.
+func BufferHLL(global *cardinality.HLL, writerBuf int) *BufferedHLL {
+	h := new(BufferedHLL)
+	h.start(global, writerBuf, func(pairs []pair) {
 		for _, pr := range pairs {
 			global.AddHash(pr.a)
 		}
@@ -588,37 +595,18 @@ func NewBufferedHLLBuf(p uint8, seed uint64, writerBuf int) *BufferedHLL {
 
 // BufferedHLLWriter is one writer's bounded local buffer; not safe for
 // concurrent use.
-type BufferedHLLWriter struct {
-	w    bufWriter
-	seed uint64
-}
+type BufferedHLLWriter bufWriter
 
 // Writer registers and returns a new writer handle.
-func (h *BufferedHLL) Writer() *BufferedHLLWriter {
-	return &BufferedHLLWriter{w: h.prop.newWriter(), seed: h.seed}
-}
+func (h *BufferedHLL) Writer() *BufferedHLLWriter { return (*BufferedHLLWriter)(h.newWriter()) }
 
 // PooledWriter checks a handle out of the serving pool; pair with
 // ReleaseWriter.
-func (h *BufferedHLL) PooledWriter() *BufferedHLLWriter {
-	select {
-	case w := <-h.pool:
-		return w
-	default:
-		return h.Writer()
-	}
-}
+func (h *BufferedHLL) PooledWriter() *BufferedHLLWriter { return (*BufferedHLLWriter)(h.checkout()) }
 
 // ReleaseWriter returns a pooled handle, flushing and unregistering it
 // if the pool is full.
-func (h *BufferedHLL) ReleaseWriter(w *BufferedHLLWriter) {
-	select {
-	case h.pool <- w:
-	default:
-		w.Flush()
-		h.prop.writers.Add(-1)
-	}
-}
+func (h *BufferedHLL) ReleaseWriter(w *BufferedHLLWriter) { h.release((*bufWriter)(w)) }
 
 // Add buffers a byte-slice item.
 func (w *BufferedHLLWriter) Add(item []byte) {
@@ -636,7 +624,7 @@ func (w *BufferedHLLWriter) AddString(item string) {
 func (w *BufferedHLLWriter) AddUint64(v uint64) { w.AddHash(hashx.HashUint64(v, w.seed)) }
 
 // AddHash buffers a pre-hashed item.
-func (w *BufferedHLLWriter) AddHash(x uint64) { w.w.put(x, 0) }
+func (w *BufferedHLLWriter) AddHash(x uint64) { (*bufWriter)(w).put(x, 0) }
 
 // AddBatch buffers many byte-slice items; items are hashed here (not
 // retained), so the slices may alias pooled request buffers.
@@ -647,64 +635,14 @@ func (w *BufferedHLLWriter) AddBatch(items [][]byte) {
 }
 
 // Flush hands off the partial buffer.
-func (w *BufferedHLLWriter) Flush() { w.w.flush() }
+func (w *BufferedHLLWriter) Flush() { (*bufWriter)(w).flush() }
 
 // Estimate returns the published cardinality estimate: one atomic
 // load, wait-free, stale by at most the unpropagated buffer contents.
 func (h *BufferedHLL) Estimate() float64 { return math.Float64frombits(h.est.Load()) }
 
 // P returns the dense precision.
-func (h *BufferedHLL) P() uint8 { return h.p }
-
-// Seed returns the hash seed.
-func (h *BufferedHLL) Seed() uint64 { return h.seed }
-
-// SizeBytes returns the global register storage size.
-func (h *BufferedHLL) SizeBytes() int { return h.global.SizeBytes() }
-
-// WriterBuffer returns the per-writer local capacity.
-func (h *BufferedHLL) WriterBuffer() int { return h.writerBuf }
-
-// BufferedWriters returns the number of live writer handles.
-func (h *BufferedHLL) BufferedWriters() int { return int(h.prop.writers.Load()) }
-
-// StalenessBound returns the maximum number of ingested items a read
-// can currently miss.
-func (h *BufferedHLL) StalenessBound() int { return h.BufferedWriters() * h.writerBuf }
-
-// Propagated returns the number of updates folded into the global
-// sketch.
-func (h *BufferedHLL) Propagated() uint64 { return h.prop.propagated.Load() }
-
-// Sync flushes idle pooled writers and waits for propagation; see
-// BufferedCountMin.Sync for the contract.
-func (h *BufferedHLL) Sync() {
-	var ws []*BufferedHLLWriter
-	for {
-		select {
-		case w := <-h.pool:
-			w.Flush()
-			ws = append(ws, w)
-			continue
-		default:
-		}
-		break
-	}
-	h.prop.do(func() {})
-	for _, w := range ws {
-		h.ReleaseWriter(w)
-	}
-}
-
-// onGlobal runs op against the propagator-owned global sketch: on the
-// propagator goroutine while it lives, directly after it has exited
-// (the done-channel wait establishes the happens-before edge).
-func (h *BufferedHLL) onGlobal(op func()) {
-	if !h.prop.do(op) {
-		<-h.prop.done
-		op()
-	}
-}
+func (h *BufferedHLL) P() uint8 { return h.global.P() }
 
 // Merge folds a peer HLL (same p and seed) into the global sketch via
 // the propagator, so it serializes with buffered propagation.
@@ -728,9 +666,6 @@ func (h *BufferedHLL) MarshalBinary() ([]byte, error) {
 	return h.Snapshot().MarshalBinary()
 }
 
-// Close stops the propagator; unflushed writer items are dropped.
-func (h *BufferedHLL) Close() { h.prop.close() }
-
 // ---------------------------------------------------------------------
 // BufferedBlockedBloom
 
@@ -742,34 +677,28 @@ func (h *BufferedHLL) Close() { h.prop.close() }
 // once its buffer has propagated, and the staleness is bounded by
 // BufferedWriters() × WriterBuffer() items.
 type BufferedBlockedBloom struct {
-	global    *AtomicBlockedBloom
-	prop      *propagator
-	seed      uint64
-	writerBuf int
-	pool      chan *BufferedBlockedBloomWriter
+	buffered[*AtomicBlockedBloom]
 }
 
 // NewBufferedBlockedBloom creates a buffered blocked filter with at
 // least m bits (rounded up to whole 512-bit blocks), k probes per
 // item, and the default per-writer buffer.
 func NewBufferedBlockedBloom(m uint64, k int, seed uint64) *BufferedBlockedBloom {
-	return NewBufferedBlockedBloomBuf(m, k, seed, DefaultWriterBuffer)
+	return BufferBlockedBloom(NewAtomicBlockedBloom(m, k, seed), DefaultWriterBuffer)
 }
 
 // NewBufferedBlockedBloomBuf creates a buffered blocked filter with an
 // explicit per-writer buffer capacity.
 func NewBufferedBlockedBloomBuf(m uint64, k int, seed uint64, writerBuf int) *BufferedBlockedBloom {
-	global := NewAtomicBlockedBloom(m, k, seed)
-	f := &BufferedBlockedBloom{
-		global:    global,
-		seed:      seed,
-		writerBuf: writerBuf &^ 1,
-		pool:      make(chan *BufferedBlockedBloomWriter, poolSize()),
-	}
-	if f.writerBuf < 2 {
-		f.writerBuf = 2
-	}
-	f.prop = newPropagator(f.writerBuf, func(pairs []pair) {
+	return BufferBlockedBloom(NewAtomicBlockedBloom(m, k, seed), writerBuf)
+}
+
+// BufferBlockedBloom puts local-buffer/global-propagation ingest in
+// front of an already-built atomic filter, which the propagator alone
+// may write from here on.
+func BufferBlockedBloom(global *AtomicBlockedBloom, writerBuf int) *BufferedBlockedBloom {
+	f := new(BufferedBlockedBloom)
+	f.start(global, writerBuf, func(pairs []pair) {
 		for _, pr := range pairs {
 			global.AddHash(pr.a, pr.b)
 		}
@@ -779,36 +708,23 @@ func NewBufferedBlockedBloomBuf(m uint64, k int, seed uint64, writerBuf int) *Bu
 
 // BufferedBlockedBloomWriter is one writer's bounded local buffer; not
 // safe for concurrent use.
-type BufferedBlockedBloomWriter struct {
-	w    bufWriter
-	seed uint64
-}
+type BufferedBlockedBloomWriter bufWriter
 
 // Writer registers and returns a new writer handle.
 func (f *BufferedBlockedBloom) Writer() *BufferedBlockedBloomWriter {
-	return &BufferedBlockedBloomWriter{w: f.prop.newWriter(), seed: f.seed}
+	return (*BufferedBlockedBloomWriter)(f.newWriter())
 }
 
 // PooledWriter checks a handle out of the serving pool; pair with
 // ReleaseWriter.
 func (f *BufferedBlockedBloom) PooledWriter() *BufferedBlockedBloomWriter {
-	select {
-	case w := <-f.pool:
-		return w
-	default:
-		return f.Writer()
-	}
+	return (*BufferedBlockedBloomWriter)(f.checkout())
 }
 
 // ReleaseWriter returns a pooled handle, flushing and unregistering it
 // if the pool is full.
 func (f *BufferedBlockedBloom) ReleaseWriter(w *BufferedBlockedBloomWriter) {
-	select {
-	case f.pool <- w:
-	default:
-		w.Flush()
-		f.prop.writers.Add(-1)
-	}
+	f.release((*bufWriter)(w))
 }
 
 // Add buffers a byte-slice item.
@@ -824,7 +740,7 @@ func (w *BufferedBlockedBloomWriter) AddString(item string) {
 }
 
 // AddHash buffers a pre-hashed item.
-func (w *BufferedBlockedBloomWriter) AddHash(h1, h2 uint64) { w.w.put(h1, h2) }
+func (w *BufferedBlockedBloomWriter) AddHash(h1, h2 uint64) { (*bufWriter)(w).put(h1, h2) }
 
 // AddBatch buffers many byte-slice items; the slices are hashed here,
 // not retained.
@@ -835,7 +751,7 @@ func (w *BufferedBlockedBloomWriter) AddBatch(items [][]byte) {
 }
 
 // Flush hands off the partial buffer.
-func (w *BufferedBlockedBloomWriter) Flush() { w.w.flush() }
+func (w *BufferedBlockedBloomWriter) Flush() { (*bufWriter)(w).flush() }
 
 // Contains reports whether the item may be in the set — wait-free, and
 // exact (no false negatives) for items whose buffers have propagated.
@@ -860,46 +776,6 @@ func (f *BufferedBlockedBloom) M() uint64 { return f.global.M() }
 // K returns the number of bit probes per item.
 func (f *BufferedBlockedBloom) K() int { return f.global.K() }
 
-// Seed returns the hash seed.
-func (f *BufferedBlockedBloom) Seed() uint64 { return f.seed }
-
-// SizeBytes returns the bit-array storage size.
-func (f *BufferedBlockedBloom) SizeBytes() int { return f.global.SizeBytes() }
-
-// WriterBuffer returns the per-writer local capacity.
-func (f *BufferedBlockedBloom) WriterBuffer() int { return f.writerBuf }
-
-// BufferedWriters returns the number of live writer handles.
-func (f *BufferedBlockedBloom) BufferedWriters() int { return int(f.prop.writers.Load()) }
-
-// StalenessBound returns the maximum number of ingested items a read
-// can currently miss.
-func (f *BufferedBlockedBloom) StalenessBound() int { return f.BufferedWriters() * f.writerBuf }
-
-// Propagated returns the number of updates folded into the global
-// filter.
-func (f *BufferedBlockedBloom) Propagated() uint64 { return f.prop.propagated.Load() }
-
-// Sync flushes idle pooled writers and waits for propagation; see
-// BufferedCountMin.Sync for the contract.
-func (f *BufferedBlockedBloom) Sync() {
-	var ws []*BufferedBlockedBloomWriter
-	for {
-		select {
-		case w := <-f.pool:
-			w.Flush()
-			ws = append(ws, w)
-			continue
-		default:
-		}
-		break
-	}
-	f.prop.do(func() {})
-	for _, w := range ws {
-		f.ReleaseWriter(w)
-	}
-}
-
 // Merge atomically ORs a hash-compatible plain blocked filter into the
 // global; safe concurrently with buffered ingest.
 func (f *BufferedBlockedBloom) Merge(other *bloom.BlockedFilter) error {
@@ -918,6 +794,3 @@ func (f *BufferedBlockedBloom) MarshalBinary() ([]byte, error) {
 	f.Sync()
 	return f.global.MarshalBinary()
 }
-
-// Close stops the propagator; unflushed writer items are dropped.
-func (f *BufferedBlockedBloom) Close() { f.prop.close() }

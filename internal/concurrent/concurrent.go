@@ -512,56 +512,3 @@ func (c *AtomicCountMin) Snapshot() *frequency.CountMin {
 func (c *AtomicCountMin) MarshalBinary() ([]byte, error) {
 	return c.Snapshot().MarshalBinary()
 }
-
-// MutexCountMin is the baseline: a Count-Min guarded by one mutex.
-// E7a uses it to show what sharding and atomics buy. It uses the same
-// derived row positions as AtomicCountMin so the comparison isolates
-// the synchronization cost, not the hashing.
-type MutexCountMin struct {
-	mu     sync.Mutex
-	counts [][]uint64
-	width  int
-	seed   uint64
-}
-
-// NewMutexCountMin creates the mutex-guarded baseline sketch.
-func NewMutexCountMin(width, depth int, seed uint64) *MutexCountMin {
-	if width < 1 || depth < 1 {
-		panic("concurrent: dimensions must be positive")
-	}
-	counts := make([][]uint64, depth)
-	for i := range counts {
-		counts[i] = make([]uint64, width)
-	}
-	return &MutexCountMin{counts: counts, width: width, seed: seed}
-}
-
-// AddUint64 adds weight to an item's count under the lock.
-func (c *MutexCountMin) AddUint64(item, weight uint64) {
-	h := hashx.HashUint64(item, c.seed)
-	h2 := hashx.DeriveH2(h)
-	w := uint64(c.width)
-	c.mu.Lock()
-	for r := range c.counts {
-		c.counts[r][hashx.FastRange(h, w)] += weight
-		h += h2
-	}
-	c.mu.Unlock()
-}
-
-// EstimateUint64 returns the point-query estimate under the lock.
-func (c *MutexCountMin) EstimateUint64(item uint64) uint64 {
-	h := hashx.HashUint64(item, c.seed)
-	h2 := hashx.DeriveH2(h)
-	w := uint64(c.width)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	est := ^uint64(0)
-	for r := range c.counts {
-		if v := c.counts[r][hashx.FastRange(h, w)]; v < est {
-			est = v
-		}
-		h += h2
-	}
-	return est
-}

@@ -116,31 +116,10 @@ func TestAtomicCountMinByteItems(t *testing.T) {
 	}
 }
 
-func TestMutexCountMinCorrectUnderConcurrency(t *testing.T) {
-	c := NewMutexCountMin(512, 4, 5)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10000; i++ {
-				c.AddUint64(uint64(i%50), 1)
-			}
-		}()
-	}
-	wg.Wait()
-	for item := uint64(0); item < 50; item++ {
-		if got := c.EstimateUint64(item); got < 800 {
-			t.Errorf("item %d: estimate %d < 800", item, got)
-		}
-	}
-}
-
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"sharded": func() { NewShardedHLL(0, 10, 1) },
 		"atomic":  func() { NewAtomicCountMin(0, 4, 1) },
-		"mutex":   func() { NewMutexCountMin(4, 0, 1) },
 	} {
 		func() {
 			defer func() {
@@ -157,17 +136,6 @@ func TestPanics(t *testing.T) {
 
 func BenchmarkAtomicCountMinParallel(b *testing.B) {
 	c := NewAtomicCountMin(4096, 4, 1)
-	b.RunParallel(func(pb *testing.PB) {
-		i := uint64(0)
-		for pb.Next() {
-			c.AddUint64(i, 1)
-			i++
-		}
-	})
-}
-
-func BenchmarkMutexCountMinParallel(b *testing.B) {
-	c := NewMutexCountMin(4096, 4, 1)
 	b.RunParallel(func(pb *testing.PB) {
 		i := uint64(0)
 		for pb.Next() {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/frequency"
+	"repro/internal/hashx"
 	"repro/internal/quantile"
 	"repro/internal/randx"
 )
@@ -114,7 +115,7 @@ func runE7a() *Result {
 	}
 	for workers := 1; workers <= maxWorkers; workers *= 2 {
 		mutexRate := benchWorkers(workers, opsPerWorker, func() func(uint64) {
-			c := concurrent.NewMutexCountMin(4096, 4, 1)
+			c := newMutexCountMin(4096, 4, 1)
 			return func(v uint64) { c.AddUint64(v, 1) }
 		})
 		atomicRate := benchWorkers(workers, opsPerWorker, func() func(uint64) {
@@ -140,6 +141,55 @@ func runE7a() *Result {
 			fmt.Sprintf("This run used GOMAXPROCS=%d.", runtime.GOMAXPROCS(0)),
 		},
 	}
+}
+
+// mutexCountMin is E7a's strawman: a Count-Min guarded by one mutex,
+// there to show what sharding and atomics buy. It uses the same
+// derived row positions as concurrent.AtomicCountMin so the comparison
+// isolates the synchronization cost, not the hashing.
+type mutexCountMin struct {
+	mu     sync.Mutex
+	counts [][]uint64
+	width  int
+	seed   uint64
+}
+
+func newMutexCountMin(width, depth int, seed uint64) *mutexCountMin {
+	counts := make([][]uint64, depth)
+	for i := range counts {
+		counts[i] = make([]uint64, width)
+	}
+	return &mutexCountMin{counts: counts, width: width, seed: seed}
+}
+
+// AddUint64 adds weight to an item's count under the lock.
+func (c *mutexCountMin) AddUint64(item, weight uint64) {
+	h := hashx.HashUint64(item, c.seed)
+	h2 := hashx.DeriveH2(h)
+	w := uint64(c.width)
+	c.mu.Lock()
+	for r := range c.counts {
+		c.counts[r][hashx.FastRange(h, w)] += weight
+		h += h2
+	}
+	c.mu.Unlock()
+}
+
+// EstimateUint64 returns the point-query estimate under the lock.
+func (c *mutexCountMin) EstimateUint64(item uint64) uint64 {
+	h := hashx.HashUint64(item, c.seed)
+	h2 := hashx.DeriveH2(h)
+	w := uint64(c.width)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	est := ^uint64(0)
+	for r := range c.counts {
+		if v := c.counts[r][hashx.FastRange(h, w)]; v < est {
+			est = v
+		}
+		h += h2
+	}
+	return est
 }
 
 // benchWorkers runs the shared update function from `workers`

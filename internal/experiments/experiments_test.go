@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -86,5 +87,25 @@ func TestIDRank(t *testing.T) {
 	n, s = idRank("E16")
 	if n != 16 || s != "" {
 		t.Errorf("idRank(E16) = %d,%q", n, s)
+	}
+}
+
+func TestMutexCountMinCorrectUnderConcurrency(t *testing.T) {
+	c := newMutexCountMin(512, 4, 5)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10000; i++ {
+				c.AddUint64(uint64(i%50), 1)
+			}
+		}()
+	}
+	wg.Wait()
+	for item := uint64(0); item < 50; item++ {
+		if got := c.EstimateUint64(item); got < 800 {
+			t.Errorf("item %d: estimate %d < 800", item, got)
+		}
 	}
 }

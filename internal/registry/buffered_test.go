@@ -1,7 +1,10 @@
 package registry
 
 import (
+	"bytes"
+	"math/rand"
 	"net/url"
+	"reflect"
 	"testing"
 
 	"repro/internal/concurrent"
@@ -11,8 +14,8 @@ import (
 // back to the atomic constructor for families without a buffered
 // variant.
 func TestServingNewModeDispatch(t *testing.T) {
-	concurrent.SetBufferedServing(false)
-	t.Cleanup(func() { concurrent.SetBufferedServing(false) })
+	SetBufferedServing(false)
+	t.Cleanup(func() { SetBufferedServing(false) })
 
 	d, _ := Lookup("countmin")
 	p, err := d.Validate(1, nil)
@@ -27,7 +30,7 @@ func TestServingNewModeDispatch(t *testing.T) {
 		t.Fatalf("atomic mode built %T, want *concurrent.AtomicCountMin", inst)
 	}
 
-	concurrent.SetBufferedServing(true)
+	SetBufferedServing(true)
 	inst, err = d.ServingNew()(p)
 	if err != nil {
 		t.Fatal(err)
@@ -48,8 +51,8 @@ func TestServingNewModeDispatch(t *testing.T) {
 // Buffered ingest keeps the validate-whole-batch-then-apply contract:
 // a bad weight anywhere rejects the batch with no partial state.
 func TestBufferedIngestValidatesBatch(t *testing.T) {
-	concurrent.SetBufferedServing(true)
-	t.Cleanup(func() { concurrent.SetBufferedServing(false) })
+	SetBufferedServing(true)
+	t.Cleanup(func() { SetBufferedServing(false) })
 
 	d, _ := Lookup("countmin")
 	p, err := d.Validate(1, nil)
@@ -88,5 +91,117 @@ func TestBufferedIngestValidatesBatch(t *testing.T) {
 	}
 	if _, ok := q["staleness_bound"]; !ok {
 		t.Fatal("buffered query lacks staleness_bound")
+	}
+}
+
+// Every serving variant is the plain sketch behind a different ingest
+// discipline: fed the same batches through its own bindings it must
+// hold the same bytes, answer the same values, absorb the same peer
+// and refuse the same bad batch — and a buffered one adds exactly the
+// staleness bound to an answer.
+func TestServingVariantsAgree(t *testing.T) {
+	marshal := func(t *testing.T, inst any) []byte {
+		t.Helper()
+		data, err := Marshal(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for _, d := range All() {
+		if d.NewServing == nil {
+			continue
+		}
+		serve := d.Serve
+		if serve == nil {
+			serve = &d.Bind
+		}
+		for i, build := range []func(Params) (any, error){d.NewServing, d.NewServingBuffered} {
+			if build == nil {
+				continue
+			}
+			d, build, buffered, name := d, build, i == 1, [2]string{"serving", "buffered"}[i]
+			t.Run(d.Name+"/"+name, func(t *testing.T) {
+				p, err := d.Validate(7, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, err := d.New(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inst, err := build(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer closeIfOwned(inst)
+
+				rng := rand.New(rand.NewSource(int64(d.Tag)))
+				same := func(stage string) []byte {
+					t.Helper()
+					want, got := marshal(t, plain), marshal(t, inst)
+					if !bytes.Equal(got, want) {
+						t.Fatalf("%s: %T bytes diverge from the plain sketch's (%d vs %d bytes)", stage, inst, len(got), len(want))
+					}
+					return got
+				}
+				for batch := 0; batch < 5; batch++ {
+					items := randomLines(rng, d.Input, 1+rng.Intn(600))
+					if err := d.Bind.Ingest(plain, items); err != nil {
+						t.Fatal(err)
+					}
+					if err := serve.Ingest(inst, items); err != nil {
+						t.Fatal(err)
+					}
+				}
+				same("after ingest") // also syncs a buffered instance, so the reads below are exact
+
+				for _, q := range []url.Values{{}, {"item": {"k3"}}, {"item": {"never-seen"}}} {
+					want, err := d.Bind.Query(plain, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := serve.Query(inst, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for k, v := range got {
+						if w, ok := want[k]; ok && !reflect.DeepEqual(v, w) {
+							t.Errorf("query %v: %s = %v, plain answers %v", q, k, v, w)
+						}
+					}
+					if _, ok := got["staleness_bound"]; ok != buffered {
+						t.Errorf("query %v: staleness_bound present = %v on a %s instance", q, ok, name)
+					}
+				}
+
+				peer, err := d.New(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Bind.Ingest(peer, randomLines(rng, d.Input, 300)); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Bind.Merge(plain, peer); err != nil {
+					t.Fatal(err)
+				}
+				if err := serve.Merge(inst, peer); err != nil {
+					t.Fatal(err)
+				}
+				before := same("after merge")
+
+				bad := badLine(d.Input)
+				if bad == nil {
+					return // every byte string is a well-formed line
+				}
+				items := append(randomLines(rng, d.Input, 20), bad)
+				if d.Bind.Ingest(plain, items) == nil || serve.Ingest(inst, items) == nil {
+					t.Fatalf("bad line %q accepted", bad)
+				}
+				if after := same("after rejected batch"); !bytes.Equal(after, before) {
+					t.Error("rejected batch left partial state")
+				}
+			})
+		}
 	}
 }

@@ -11,6 +11,10 @@ import (
 )
 
 func init() {
+	plainHLL := func(p Params) (any, error) {
+		return cardinality.NewHLL(p.Uint8("p"), p.Seed), nil
+	}
+
 	register(Descriptor{
 		Tag:    core.TagHLL,
 		Name:   "hll",
@@ -21,9 +25,7 @@ func init() {
 			{Name: "p", Doc: "precision: 2^p registers", Def: 14, Min: 4, Max: 18},
 			{Name: "shards", Doc: "serving-mode write shards (0 = GOMAXPROCS)", Def: 0, Min: 0, Max: 256},
 		},
-		New: func(p Params) (any, error) {
-			return cardinality.NewHLL(p.Uint8("p"), p.Seed), nil
-		},
+		New: plainHLL,
 		NewServing: func(p Params) (any, error) {
 			shards := p.Int("shards")
 			if shards == 0 {
@@ -31,10 +33,9 @@ func init() {
 			}
 			return concurrent.NewShardedHLL(shards, p.Uint8("p"), p.Seed), nil
 		},
-		NewServingBuffered: func(p Params) (any, error) {
-			return concurrent.NewBufferedHLL(p.Uint8("p"), p.Seed), nil
-		},
-		Decode: decode1[cardinality.HLL](),
+		// The propagator owns a plain HLL, so the buffered global is New's.
+		NewServingBuffered: bufferedOver(plainHLL, concurrent.BufferHLL),
+		Decode:             decode1[cardinality.HLL](),
 		Bind: Bindings{
 			Ingest: batchItemsIngest((*cardinality.HLL).AddBatch),
 			Query: query1(func(h *cardinality.HLL, _ url.Values) (map[string]any, error) {
@@ -47,37 +48,16 @@ func init() {
 			Merge: merge2((*cardinality.HLL).Merge),
 		},
 		Serve: &Bindings{
-			Ingest: func(inst any, items [][]byte) error {
-				if b, ok := inst.(*concurrent.BufferedHLL); ok {
-					return bufferedHLLIngest(b, items)
-				}
-				s, err := cast[*concurrent.ShardedHLL](inst)
-				if err != nil {
-					return err
-				}
-				s.Handle().AddBatch(items)
-				return nil
-			},
-			Query: func(inst any, _ url.Values) (map[string]any, error) {
-				if b, ok := inst.(*concurrent.BufferedHLL); ok {
-					return staleness(map[string]any{"estimate": b.Estimate(), "p": b.P()}, b.StalenessBound()), nil
-				}
-				s, err := cast[*concurrent.ShardedHLL](inst)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{"estimate": s.Estimate(), "p": s.P()}, nil
-			},
-			Merge: func(dst, src any) error {
-				if b, ok := dst.(*concurrent.BufferedHLL); ok {
-					s, err := cast[*cardinality.HLL](src)
-					if err != nil {
-						return err
-					}
-					return b.Merge(s)
-				}
-				return merge2((*concurrent.ShardedHLL).Merge)(dst, src)
-			},
+			Ingest: servingIngest[*concurrent.BufferedHLL, *concurrent.BufferedHLLWriter](
+				batchItemsIngest(func(s *concurrent.ShardedHLL, items [][]byte) { s.Handle().AddBatch(items) }),
+				batchItemsIngest((*concurrent.BufferedHLLWriter).AddBatch)),
+			Query: withStaleness(query1(func(h interface {
+				Estimate() float64
+				P() uint8
+			}, _ url.Values) (map[string]any, error) {
+				return map[string]any{"estimate": h.Estimate(), "p": h.P()}, nil
+			})),
+			Merge: merge2(merger[*cardinality.HLL].Merge),
 		},
 	})
 

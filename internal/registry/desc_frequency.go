@@ -46,6 +46,30 @@ func countMinShape(p Params) (width, depth int, fused bool, err error) {
 }
 
 func init() {
+	atomicCountMin := func(p Params) (any, error) {
+		width, depth, fused, err := countMinShape(p)
+		if err != nil {
+			return nil, err
+		}
+		if fused {
+			return concurrent.NewAtomicCountMinFused(width, depth, p.Seed), nil
+		}
+		return concurrent.NewAtomicCountMin(width, depth, p.Seed), nil
+	}
+	// The plain, atomic and buffered instances answer the same keys from
+	// the read methods they share.
+	countMinQuery := query1(func(c interface {
+		Estimate(item []byte) uint64
+		N() uint64
+		Width() int
+		Depth() int
+	}, params url.Values) (map[string]any, error) {
+		if item := params.Get("item"); item != "" {
+			return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
+		}
+		return map[string]any{"n": c.N(), "width": c.Width(), "depth": c.Depth()}, nil
+	})
+
 	register(Descriptor{
 		Tag:    core.TagCountMin,
 		Name:   "countmin",
@@ -67,67 +91,20 @@ func init() {
 			}
 			return frequency.NewCountMin(width, depth, p.Seed), nil
 		},
-		NewServing: func(p Params) (any, error) {
-			width, depth, fused, err := countMinShape(p)
-			if err != nil {
-				return nil, err
-			}
-			if fused {
-				return concurrent.NewAtomicCountMinFused(width, depth, p.Seed), nil
-			}
-			return concurrent.NewAtomicCountMin(width, depth, p.Seed), nil
-		},
-		NewServingBuffered: func(p Params) (any, error) {
-			width, depth, fused, err := countMinShape(p)
-			if err != nil {
-				return nil, err
-			}
-			return concurrent.NewBufferedCountMinOpts(width, depth, p.Seed, fused, concurrent.DefaultWriterBuffer), nil
-		},
-		Decode: decode1[frequency.CountMin](),
+		NewServing:         atomicCountMin,
+		NewServingBuffered: bufferedOver(atomicCountMin, concurrent.BufferCountMin),
+		Decode:             decode1[frequency.CountMin](),
 		Bind: Bindings{
 			Ingest: weightedIngest((*frequency.CountMin).Add),
-			Query: query1(func(c *frequency.CountMin, params url.Values) (map[string]any, error) {
-				if item := params.Get("item"); item != "" {
-					return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
-				}
-				return map[string]any{"n": c.N(), "width": c.Width(), "depth": c.Depth()}, nil
-			}),
-			Merge: merge2((*frequency.CountMin).Merge),
+			Query:  countMinQuery,
+			Merge:  merge2((*frequency.CountMin).Merge),
 		},
 		Serve: &Bindings{
-			Ingest: func(inst any, items [][]byte) error {
-				if b, ok := inst.(*concurrent.BufferedCountMin); ok {
-					return bufferedCountMinIngest(b, items)
-				}
-				return atomicCountMinIngest(inst, items)
-			},
-			Query: func(inst any, params url.Values) (map[string]any, error) {
-				if b, ok := inst.(*concurrent.BufferedCountMin); ok {
-					if item := params.Get("item"); item != "" {
-						return staleness(map[string]any{"estimate": b.Estimate([]byte(item)), "n": b.N()}, b.StalenessBound()), nil
-					}
-					return staleness(map[string]any{"n": b.N(), "width": b.Width(), "depth": b.Depth()}, b.StalenessBound()), nil
-				}
-				c, err := cast[*concurrent.AtomicCountMin](inst)
-				if err != nil {
-					return nil, err
-				}
-				if item := params.Get("item"); item != "" {
-					return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
-				}
-				return map[string]any{"n": c.N(), "width": c.Width(), "depth": c.Depth()}, nil
-			},
-			Merge: func(dst, src any) error {
-				if b, ok := dst.(*concurrent.BufferedCountMin); ok {
-					s, err := cast[*frequency.CountMin](src)
-					if err != nil {
-						return err
-					}
-					return b.Merge(s)
-				}
-				return merge2((*concurrent.AtomicCountMin).Merge)(dst, src)
-			},
+			Ingest: servingIngest[*concurrent.BufferedCountMin, *concurrent.BufferedCountMinWriter](
+				weightedIngest((*concurrent.AtomicCountMin).Add),
+				weightedIngest((*concurrent.BufferedCountMinWriter).Add)),
+			Query: withStaleness(countMinQuery),
+			Merge: merge2(merger[*frequency.CountMin].Merge),
 		},
 		// A point query reads depth cells, addressed identically by the
 		// plain, atomic and buffered instances.

@@ -34,6 +34,18 @@ func blockedBloomShape(p Params) (m uint64, k int, n uint64, fpr float64, err er
 }
 
 func init() {
+	atomicBlockedBloom := func(p Params) (any, error) {
+		m, k, n, fpr, err := blockedBloomShape(p)
+		if err != nil {
+			return nil, err
+		}
+		if m == 0 {
+			shape := bloom.NewBlockedWithEstimates(n, fpr, p.Seed)
+			m, k = shape.M(), shape.K()
+		}
+		return concurrent.NewAtomicBlockedBloom(m, k, p.Seed), nil
+	}
+
 	register(Descriptor{
 		Tag:    core.TagBloom,
 		Name:   "bloom",
@@ -110,29 +122,9 @@ func init() {
 			}
 			return bloom.NewBlockedWithEstimates(n, fpr, p.Seed), nil
 		},
-		NewServing: func(p Params) (any, error) {
-			m, k, n, fpr, err := blockedBloomShape(p)
-			if err != nil {
-				return nil, err
-			}
-			if m == 0 {
-				shape := bloom.NewBlockedWithEstimates(n, fpr, p.Seed)
-				m, k = shape.M(), shape.K()
-			}
-			return concurrent.NewAtomicBlockedBloom(m, k, p.Seed), nil
-		},
-		NewServingBuffered: func(p Params) (any, error) {
-			m, k, n, fpr, err := blockedBloomShape(p)
-			if err != nil {
-				return nil, err
-			}
-			if m == 0 {
-				shape := bloom.NewBlockedWithEstimates(n, fpr, p.Seed)
-				m, k = shape.M(), shape.K()
-			}
-			return concurrent.NewBufferedBlockedBloom(m, k, p.Seed), nil
-		},
-		Decode: decode1[bloom.BlockedFilter](),
+		NewServing:         atomicBlockedBloom,
+		NewServingBuffered: bufferedOver(atomicBlockedBloom, concurrent.BufferBlockedBloom),
+		Decode:             decode1[bloom.BlockedFilter](),
 		Bind: Bindings{
 			Ingest: batchItemsIngest((*bloom.BlockedFilter).AddBatch),
 			Query: query1(func(f *bloom.BlockedFilter, params url.Values) (map[string]any, error) {
@@ -154,38 +146,21 @@ func init() {
 			Merge: merge2((*bloom.BlockedFilter).Merge),
 		},
 		Serve: &Bindings{
-			Ingest: func(inst any, items [][]byte) error {
-				if b, ok := inst.(*concurrent.BufferedBlockedBloom); ok {
-					return bufferedBloomIngest(b, items)
-				}
-				return atomicBloomIngest(inst, items)
-			},
-			Query: func(inst any, params url.Values) (map[string]any, error) {
-				if b, ok := inst.(*concurrent.BufferedBlockedBloom); ok {
-					if item := params.Get("item"); item != "" {
-						return staleness(map[string]any{"contains": b.Contains([]byte(item))}, b.StalenessBound()), nil
-					}
-					return staleness(map[string]any{"m": b.M(), "k": b.K(), "n": b.N()}, b.StalenessBound()), nil
-				}
-				f, err := cast[*concurrent.AtomicBlockedBloom](inst)
-				if err != nil {
-					return nil, err
-				}
+			Ingest: servingIngest[*concurrent.BufferedBlockedBloom, *concurrent.BufferedBlockedBloomWriter](
+				batchItemsIngest((*concurrent.AtomicBlockedBloom).AddBatch),
+				batchItemsIngest((*concurrent.BufferedBlockedBloomWriter).AddBatch)),
+			Query: withStaleness(query1(func(f interface {
+				Contains(item []byte) bool
+				M() uint64
+				K() int
+				N() uint64
+			}, params url.Values) (map[string]any, error) {
 				if item := params.Get("item"); item != "" {
 					return map[string]any{"contains": f.Contains([]byte(item))}, nil
 				}
 				return map[string]any{"m": f.M(), "k": f.K(), "n": f.N()}, nil
-			},
-			Merge: func(dst, src any) error {
-				if b, ok := dst.(*concurrent.BufferedBlockedBloom); ok {
-					s, err := cast[*bloom.BlockedFilter](src)
-					if err != nil {
-						return err
-					}
-					return b.Merge(s)
-				}
-				return merge2((*concurrent.AtomicBlockedBloom).Merge)(dst, src)
-			},
+			})),
+			Merge: merge2(merger[*bloom.BlockedFilter].Merge),
 		},
 	})
 

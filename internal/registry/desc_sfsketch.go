@@ -24,16 +24,34 @@ func sfShape(p Params) (slimWidth, slimDepth, fatWidth, fatDepth int, err error)
 	return slimWidth, slimDepth, fatWidth, fatDepth, nil
 }
 
-func sfQueryDoc(s *frequency.SFSketch) map[string]any {
-	return map[string]any{
-		"n":          s.N(),
-		"width":      s.Width(),
-		"depth":      s.Depth(),
-		"fat_width":  s.FatWidth(),
-		"fat_depth":  s.FatDepth(),
-		"slim_bytes": s.SlimSizeBytes(),
-		"slim_only":  s.SlimOnly(),
-	}
+// sfQuery builds the query binding of the plain and the serving
+// instance alike: a point query from the read methods they share, the
+// shape summary from the plain sketch that shape returns (the instance
+// itself, or a serving instance's snapshot).
+func sfQuery[T interface {
+	Estimate(item []byte) uint64
+	FatEstimate(item []byte) uint64
+	N() uint64
+}](shape func(T) *frequency.SFSketch) func(any, url.Values) (map[string]any, error) {
+	return query1(func(s T, params url.Values) (map[string]any, error) {
+		if item := params.Get("item"); item != "" {
+			return map[string]any{
+				"estimate":     s.Estimate([]byte(item)),
+				"fat_estimate": s.FatEstimate([]byte(item)),
+				"n":            s.N(),
+			}, nil
+		}
+		plain := shape(s)
+		return map[string]any{
+			"n":          plain.N(),
+			"width":      plain.Width(),
+			"depth":      plain.Depth(),
+			"fat_width":  plain.FatWidth(),
+			"fat_depth":  plain.FatDepth(),
+			"slim_bytes": plain.SlimSizeBytes(),
+			"slim_only":  plain.SlimOnly(),
+		}, nil
+	})
 }
 
 func init() {
@@ -65,35 +83,13 @@ func init() {
 		Decode: decode1[frequency.SFSketch](),
 		Bind: Bindings{
 			Ingest: weightedIngest((*frequency.SFSketch).Add),
-			Query: query1(func(s *frequency.SFSketch, params url.Values) (map[string]any, error) {
-				if item := params.Get("item"); item != "" {
-					return map[string]any{
-						"estimate":     s.Estimate([]byte(item)),
-						"fat_estimate": s.FatEstimate([]byte(item)),
-						"n":            s.N(),
-					}, nil
-				}
-				return sfQueryDoc(s), nil
-			}),
-			Merge: merge2((*frequency.SFSketch).Merge),
+			Query:  sfQuery(func(s *frequency.SFSketch) *frequency.SFSketch { return s }),
+			Merge:  merge2((*frequency.SFSketch).Merge),
 		},
 		Serve: &Bindings{
 			Ingest: weightedIngest((*concurrent.ServingSF).Add),
-			Query: func(inst any, params url.Values) (map[string]any, error) {
-				s, err := cast[*concurrent.ServingSF](inst)
-				if err != nil {
-					return nil, err
-				}
-				if item := params.Get("item"); item != "" {
-					return map[string]any{
-						"estimate":     s.Estimate([]byte(item)),
-						"fat_estimate": s.FatEstimate([]byte(item)),
-						"n":            s.N(),
-					}, nil
-				}
-				return sfQueryDoc(s.Snapshot()), nil
-			},
-			Merge: merge2((*concurrent.ServingSF).Merge),
+			Query:  sfQuery((*concurrent.ServingSF).Snapshot),
+			Merge:  merge2((*concurrent.ServingSF).Merge),
 		},
 	})
 }

@@ -19,7 +19,6 @@ import (
 	"net/url"
 	"sort"
 
-	"repro/internal/concurrent"
 	"repro/internal/core"
 )
 
@@ -176,10 +175,11 @@ type Descriptor struct {
 	// NewServingBuffered, when set, constructs the local-buffer/
 	// global-propagation serving variant (writer-handle ingest, a
 	// propagator goroutine, wait-free relaxed-consistency reads). It is
-	// selected over NewServing when concurrent.SetBufferedServing is
-	// on; its instances are also driven through Serve, whose closures
-	// dispatch on the concrete type. Buffered instances own a
-	// goroutine — callers must Close them when the entry is deleted.
+	// selected over NewServing when SetBufferedServing is on; its
+	// instances are also driven through Serve, written against the
+	// methods both variants share (desc_buffered.go holds what differs).
+	// Buffered instances own a goroutine — callers must Close them when
+	// the entry is deleted.
 	NewServingBuffered func(p Params) (any, error)
 	// Decode deserializes a MarshalBinary envelope of this family's
 	// plain type.
@@ -207,11 +207,11 @@ func (d *Descriptor) Mergeable() bool { return d.Bind.Merge != nil }
 // ServingNew resolves the serving constructor for the current
 // concurrent-ingest mode: the buffered (local-buffer/global-
 // propagation) constructor when the process has opted in via
-// concurrent.SetBufferedServing and the family provides one, otherwise
-// the default internally synchronized constructor. Nil when the family
-// has no serving variant at all.
+// SetBufferedServing and the family provides one, otherwise the
+// default internally synchronized constructor. Nil when the family has
+// no serving variant at all.
 func (d *Descriptor) ServingNew() func(p Params) (any, error) {
-	if d.NewServingBuffered != nil && concurrent.BufferedServing() {
+	if d.NewServingBuffered != nil && BufferedServing() {
 		return d.NewServingBuffered
 	}
 	return d.NewServing

@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/concurrent"
 	"repro/internal/durable"
+	typereg "repro/internal/registry"
 )
 
 // bufferedMode flips the process into buffered serving for one test,
@@ -23,8 +23,8 @@ import (
 // sequentially, so the global switch cannot leak into parallel tests.
 func bufferedMode(t *testing.T) {
 	t.Helper()
-	concurrent.SetBufferedServing(true)
-	t.Cleanup(func() { concurrent.SetBufferedServing(false) })
+	typereg.SetBufferedServing(true)
+	t.Cleanup(func() { typereg.SetBufferedServing(false) })
 }
 
 // bufferedFamilies are the families with a buffered serving variant.
