@@ -160,7 +160,7 @@ func Benchmarks() []NamedBench {
 			}
 		}},
 		{"CountMinFusedAddUint64", func(b *testing.B) {
-			cm := frequency.NewCountMinFused(2048, 5, 1)
+			cm := frequency.NewCountMinLayout(frequency.Layout{Width: 2048, Depth: 5, Mode: frequency.Fused, Seed: 1})
 			b.SetBytes(8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -180,7 +180,7 @@ func Benchmarks() []NamedBench {
 			}
 		}},
 		{"CountMinFusedAddHashBatch", func(b *testing.B) {
-			cm := frequency.NewCountMinFused(2048, 5, 1)
+			cm := frequency.NewCountMinLayout(frequency.Layout{Width: 2048, Depth: 5, Mode: frequency.Fused, Seed: 1})
 			hs := make([]uint64, 1024)
 			for i := range hs {
 				hs[i] = hashx.HashUint64(uint64(i), 1)
@@ -192,7 +192,7 @@ func Benchmarks() []NamedBench {
 			}
 		}},
 		{"CountMinKWiseAddUint64", func(b *testing.B) {
-			cm := frequency.NewCountMinKWise(2048, 5, 1)
+			cm := frequency.NewCountMinLayout(frequency.Layout{Width: 2048, Depth: 5, Mode: frequency.KWise, Seed: 1})
 			b.SetBytes(8)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

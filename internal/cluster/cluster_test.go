@@ -314,6 +314,58 @@ func TestCoordinatorAdminSurface(t *testing.T) {
 	}
 }
 
+// A status poll names a dead shard in its row and is one plain call per
+// shard: no retries, nothing on the shard-work counters.
+func TestCoordinatorStatusNamesDeadShard(t *testing.T) {
+	coord, shards := fleet(t, 3)
+	shards[1].Close()
+	st := coord.Status()
+	if st.Healthy != 2 {
+		t.Errorf("healthy %d, want 2", st.Healthy)
+	}
+	for i, row := range st.Shards {
+		if dead := i == 1; row.OK == dead || (row.Error != "") != dead || (row.Status == nil) != dead || row.Shard != coord.shards[i] {
+			t.Errorf("row %d (dead=%v): %+v", i, dead, row)
+		}
+	}
+	if ops := st.Coordinator; ops.ShardRequests != 0 || ops.Retries != 0 || ops.ShardFailures != 0 {
+		t.Errorf("status poll counted as shard work: %+v", ops)
+	}
+}
+
+// errBody fails the read after a few bytes, as a client that drops the
+// connection mid-body does.
+type errBody struct{ sent bool }
+
+func (b *errBody) Read(p []byte) (int, error) {
+	if b.sent {
+		return 0, errors.New("connection reset")
+	}
+	b.sent = true
+	return copy(p, "k-1\n"), nil
+}
+
+// A body over the cap is the client's 413; any other failure to read it
+// is a 400, as on a single sketchd.
+func TestCoordinatorReadBodyStatus(t *testing.T) {
+	coord, _ := fleet(t, 1)
+	for name, tc := range map[string]struct {
+		body func() io.Reader
+		want int
+	}{
+		"over the cap": {func() io.Reader { return bytes.NewReader(make([]byte, maxBodyBytes+1)) }, http.StatusRequestEntityTooLarge},
+		"read error":   {func() io.Reader { return &errBody{} }, http.StatusBadRequest},
+	} {
+		for _, path := range []string{"/v1/sketch/s", "/v1/sketch/s/add"} {
+			rec := httptest.NewRecorder()
+			coord.ServeHTTP(rec, httptest.NewRequest("POST", path, tc.body()))
+			if rec.Code != tc.want {
+				t.Errorf("%s on %s: %d, want %d (%s)", name, path, rec.Code, tc.want, rec.Body)
+			}
+		}
+	}
+}
+
 // The sketchd routes the coordinator does not forward refuse with a
 // 501 in the JSON error body, not net/http's plain-text 404.
 func TestCoordinatorShardLocalRoutes(t *testing.T) {

@@ -224,18 +224,18 @@ func retryable(err error) bool {
 	return true // transport error
 }
 
-// callShard runs fn against one shard under the in-flight bound, with
+// callShard runs one shard call under the in-flight bound, with
 // retry + exponential backoff on retryable errors. A shard-provided
 // Retry-After that exceeds the computed backoff wins — the shard knows
 // when its window reopens better than our doubling schedule does.
-func (c *Coordinator) callShard(shard int, fn func(cl *client.Client) error) error {
+func (c *Coordinator) callShard(fn func() error) error {
 	release := c.acquire()
 	defer release()
 	backoff := c.opts.RetryBackoff
 	var err error
 	for attempt := 0; ; attempt++ {
 		c.ops.ShardRequests.Inc()
-		if err = fn(c.clients[shard]); err == nil {
+		if err = fn(); err == nil {
 			return nil
 		}
 		if attempt >= c.opts.Retries || !retryable(err) {
@@ -253,19 +253,26 @@ func (c *Coordinator) callShard(shard int, fn func(cl *client.Client) error) err
 	}
 }
 
-// broadcast runs fn against every shard concurrently and returns the
-// failures, shard-named.
-func (c *Coordinator) broadcast(fn func(cl *client.Client) error) []ShardError {
+// scatter runs fn for every shard concurrently, each with its index
+// and client, and returns the errors by shard index. It is the one
+// fan-out loop; what a call costs (callShard's bound and retries, or a
+// plain status poll) is fn's choice.
+func (c *Coordinator) scatter(fn func(i int, cl *client.Client) error) []error {
 	errs := make([]error, len(c.shards))
 	var wg sync.WaitGroup
 	for i := range c.shards {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = c.callShard(i, fn)
-		}(i)
+			errs[i] = fn(i, c.clients[i])
+		}()
 	}
 	wg.Wait()
+	return errs
+}
+
+// failures names the shards whose scatter call failed.
+func (c *Coordinator) failures(errs []error) []ShardError {
 	var out []ShardError
 	for i, err := range errs {
 		if err != nil {
@@ -327,30 +334,15 @@ func (c *Coordinator) FanOutAddTenant(tenant, name string, body []byte) (int, []
 	}
 	items := routeBatch(c.ring, SeedFor(tenant), body, buckets)
 
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
+	fails := c.failures(c.scatter(func(i int, cl *client.Client) error {
 		if len(buckets[i]) == 0 {
-			continue
+			return nil
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.callShard(i, func(cl *client.Client) error {
-				return cl.Tenant(tenant).AddBatch(name, buckets[i])
-			})
-		}(i)
-	}
-	wg.Wait()
-	var out []ShardError
-	for i, err := range errs {
-		if err != nil {
-			out = append(out, shardError(c.shards[i], err))
-		}
-	}
+		return c.callShard(func() error { return cl.Tenant(tenant).AddBatch(name, buckets[i]) })
+	}))
 	*bp = buckets
 	c.routePool.Put(bp)
-	return items, out
+	return items, fails
 }
 
 // Gather scatter-gathers the named sketch's envelope from every shard
@@ -364,33 +356,24 @@ func (c *Coordinator) Gather(name string) ([][]byte, []ShardError) {
 // and the failures, shard-named.
 func (c *Coordinator) GatherTenant(tenant, name string) ([][]byte, []ShardError) {
 	envs := make([][]byte, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.callShard(i, func(cl *client.Client) error {
-				data, err := cl.Tenant(tenant).Snapshot(name)
-				if err != nil {
-					return err
-				}
-				envs[i] = data
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	var ok [][]byte
-	var failed []ShardError
-	for i := range c.shards {
-		if errs[i] != nil {
-			failed = append(failed, shardError(c.shards[i], errs[i]))
-			continue
+	errs := c.scatter(func(i int, cl *client.Client) error {
+		return c.callShard(func() (err error) {
+			envs[i], err = cl.Tenant(tenant).Snapshot(name)
+			return err
+		})
+	})
+	return arrived(envs, errs), c.failures(errs)
+}
+
+// arrived keeps the envelopes of the shards that answered, in shard
+// order.
+func arrived(envs [][]byte, errs []error) (ok [][]byte) {
+	for i, env := range envs {
+		if errs[i] == nil {
+			ok = append(ok, env)
 		}
-		ok = append(ok, envs[i])
 	}
-	return ok, failed
+	return ok
 }
 
 // gatherPooled is the serving-path scatter-gather: every shard's
@@ -411,31 +394,20 @@ func (c *Coordinator) gatherPooled(tenant, name string, slim bool, forQuery stri
 	}
 	bp := c.gatherPool.Get().(*[][]byte)
 	bufs := *bp
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.callShard(i, func(cl *client.Client) error {
-				data, err := cl.Tenant(tenant).SnapshotFor(name, wire, forQuery, bufs[i])
-				bufs[i] = data // keep the (possibly grown) buffer either way
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
+	errs := c.scatter(func(i int, cl *client.Client) error {
+		return c.callShard(func() (err error) {
+			// Keep the (possibly grown) buffer either way.
+			bufs[i], err = cl.Tenant(tenant).SnapshotFor(name, wire, forQuery, bufs[i])
+			return err
+		})
+	})
+	envs = arrived(bufs, errs)
 	var total uint64
-	for i := range c.shards {
-		if errs[i] != nil {
-			fails = append(fails, shardError(c.shards[i], errs[i]))
-			continue
-		}
-		envs = append(envs, bufs[i])
-		total += uint64(len(bufs[i]))
+	for _, env := range envs {
+		total += uint64(len(env))
 	}
 	c.ops.GatherBytes.Add(total)
-	return envs, fails, func() {
+	return envs, c.failures(errs), func() {
 		*bp = bufs
 		c.gatherPool.Put(bp)
 	}

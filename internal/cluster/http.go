@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -148,7 +147,12 @@ func shardFailure(w http.ResponseWriter, tenant, op string, fails []ShardError) 
 func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		httpError(w, http.StatusRequestEntityTooLarge, "read body: %v", err)
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "read body: %v", err)
 		return nil, false
 	}
 	return body, true
@@ -169,29 +173,14 @@ func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.callShard(i, func(cl *client.Client) error {
-				return cl.Tenant(tenant).CreateRaw(name, body)
-			})
-		}(i)
-	}
-	wg.Wait()
-	var fails []ShardError
-	for i, err := range errs {
-		if err != nil {
-			fails = append(fails, shardError(c.shards[i], err))
-		}
-	}
-	if len(fails) > 0 {
+	errs := c.scatter(func(_ int, cl *client.Client) error {
+		return c.callShard(func() error { return cl.Tenant(tenant).CreateRaw(name, body) })
+	})
+	if fails := c.failures(errs); len(fails) > 0 {
 		for i, err := range errs {
 			if err == nil {
-				i := i
-				go c.callShard(i, func(cl *client.Client) error { return cl.Tenant(tenant).Delete(name) })
+				cl := c.clients[i]
+				go c.callShard(func() error { return cl.Tenant(tenant).Delete(name) })
 			}
 		}
 		// A 4xx from every shard (bad params, duplicate name, quota) is
@@ -384,7 +373,9 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	tenant := tenantOf(r)
 	name := r.PathValue("name")
-	fails := c.broadcast(func(cl *client.Client) error { return cl.Tenant(tenant).Delete(name) })
+	fails := c.failures(c.scatter(func(_ int, cl *client.Client) error {
+		return c.callShard(func() error { return cl.Tenant(tenant).Delete(name) })
+	}))
 	if len(fails) > 0 {
 		shardFailure(w, tenant, "delete", fails)
 		return
@@ -413,25 +404,21 @@ type ClusterStatus struct {
 // Status polls every shard and assembles the cluster view.
 func (c *Coordinator) Status() ClusterStatus {
 	rows := make([]ShardStatus, len(c.shards))
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rows[i].Shard = c.shards[i]
-			st, err := c.clients[i].Status()
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			rows[i].OK = true
-			rows[i].Status = &st
-		}(i)
-	}
-	wg.Wait()
+	// A status poll is one plain call per shard: no retries, not counted
+	// as shard work.
+	errs := c.scatter(func(i int, cl *client.Client) error {
+		rows[i].Shard = c.shards[i]
+		st, err := cl.Status()
+		if err != nil {
+			rows[i].Error = err.Error()
+			return err
+		}
+		rows[i].OK, rows[i].Status = true, &st
+		return nil
+	})
 	healthy := 0
-	for _, row := range rows {
-		if row.OK {
+	for _, err := range errs {
+		if err == nil {
 			healthy++
 		}
 	}

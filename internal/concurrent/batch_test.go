@@ -27,29 +27,34 @@ func prehashed(n int, seed uint64) []uint64 {
 func TestAtomicCountMinAddHashBatchConcurrent(t *testing.T) {
 	const goroutines = 8
 	hs := prehashed(4096, 3)
-	acm := NewAtomicCountMin(1024, 4, 3)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(chunk []uint64) {
-			defer wg.Done()
-			acm.AddHashBatch(chunk)
-		}(hs[g*len(hs)/goroutines : (g+1)*len(hs)/goroutines])
-	}
-	wg.Wait()
+	for _, mode := range []frequency.Mode{frequency.Derived, frequency.KWise, frequency.Fused} {
+		l := frequency.Layout{Width: 1024, Depth: 4, Mode: mode, Seed: 3}
+		acm := NewAtomicCountMinLayout(l)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(chunk []uint64) {
+				defer wg.Done()
+				acm.AddHashBatch(chunk)
+			}(hs[g*len(hs)/goroutines : (g+1)*len(hs)/goroutines])
+		}
+		wg.Wait()
 
-	ref := frequency.NewCountMin(1024, 4, 3)
-	ref.AddHashBatch(hs)
-	a, err := acm.Snapshot().MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ref.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("concurrent AddHashBatch state differs from single-threaded CountMin fed the same hashes")
+		ref := frequency.NewCountMinLayout(l)
+		for _, h := range hs {
+			ref.AddHash(h, 1)
+		}
+		a, err := acm.Snapshot().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ref.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("%v: concurrent AddHashBatch state differs from single-threaded CountMin fed the same hashes one by one", mode)
+		}
 	}
 }
 

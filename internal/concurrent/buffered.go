@@ -427,10 +427,9 @@ func (b *buffered[G]) Close() { b.prop.close() }
 // loads against the global and may lag ingest by at most
 // BufferedWriters() × WriterBuffer() items.
 //
-// Addressing matches derived-mode frequency.CountMin exactly (equal
-// width, depth, seed ⇒ identical buckets), so Merge and Snapshot
-// exchanges with plain sketches stay exact and flushed+synced state is
-// byte-identical to serial ingest.
+// Addressing is the global's frequency.Layout (equal layout ⇒ identical
+// cells), so Merge and Snapshot exchanges with plain sketches stay exact
+// and flushed+synced state is byte-identical to serial ingest.
 type BufferedCountMin struct {
 	buffered[*AtomicCountMin]
 }
@@ -439,15 +438,6 @@ type BufferedCountMin struct {
 // default per-writer buffer.
 func NewBufferedCountMin(width, depth int, seed uint64) *BufferedCountMin {
 	return BufferCountMin(NewAtomicCountMin(width, depth, seed), DefaultWriterBuffer)
-}
-
-// NewBufferedCountMinOpts creates a buffered Count-Min with an
-// explicit layout and per-writer buffer capacity.
-func NewBufferedCountMinOpts(width, depth int, seed uint64, fused bool, writerBuf int) *BufferedCountMin {
-	if fused {
-		return BufferCountMin(NewAtomicCountMinFused(width, depth, seed), writerBuf)
-	}
-	return BufferCountMin(NewAtomicCountMin(width, depth, seed), writerBuf)
 }
 
 // BufferCountMin puts local-buffer/global-propagation ingest in front
@@ -524,8 +514,8 @@ func (c *BufferedCountMin) Width() int { return c.global.Width() }
 // Depth returns the number of rows.
 func (c *BufferedCountMin) Depth() int { return c.global.Depth() }
 
-// Fused reports whether the global uses the fused cache-line layout.
-func (c *BufferedCountMin) Fused() bool { return c.global.Fused() }
+// Layout returns the global's layout.
+func (c *BufferedCountMin) Layout() frequency.Layout { return c.global.Layout() }
 
 // Merge atomically folds a hash-compatible plain CountMin into the
 // global sketch; safe to call concurrently with buffered ingest.

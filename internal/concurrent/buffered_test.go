@@ -25,11 +25,12 @@ func TestBufferedCountMinByteIdentity(t *testing.T) {
 			const width, depth, seed = 512, 4, 42
 			const items, writers = 20000, 4
 
-			serial := frequency.NewCountMin(width, depth, seed)
+			l := frequency.Layout{Width: width, Depth: depth, Seed: seed}
 			if fused {
-				serial = frequency.NewCountMinFused(width, depth, seed)
+				l.Mode = frequency.Fused
 			}
-			buf := NewBufferedCountMinOpts(width, depth, seed, fused, 64)
+			serial := frequency.NewCountMinLayout(l)
+			buf := BufferCountMin(NewAtomicCountMinLayout(l), 64)
 			defer buf.Close()
 
 			rng := rand.New(rand.NewSource(7))
@@ -173,7 +174,7 @@ func TestBufferedCountMinStalenessBound(t *testing.T) {
 	const writers = 4
 	const perWriter = 10000
 
-	c := NewBufferedCountMinOpts(width, depth, seed, false, writerBuf)
+	c := BufferCountMin(NewAtomicCountMin(width, depth, seed), writerBuf)
 	defer c.Close()
 
 	var wg sync.WaitGroup

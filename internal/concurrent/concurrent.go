@@ -241,165 +241,97 @@ func (s *ShardedHLL) SizeBytes() int {
 // the whole row set), which preserves the never-undercount property for
 // items whose updates happened-before the query.
 //
-// Row positions use the same hash-once double-hashing scheme as
-// derived-mode frequency.CountMin — equal width, depth and seed imply
-// identical bucket addressing, which is what makes Merge and Snapshot
-// exchanges with the plain sketch exact.
+// It holds a frequency.Layout over one flat table of atomics, so it
+// addresses exactly the cells a plain frequency.CountMin of the same
+// layout does — which is what makes Merge and Snapshot exchanges with
+// the plain sketch exact. Its cell operation is the atomic add.
 type AtomicCountMin struct {
-	counts []atomic.Uint64 // depth × width: row-major, or fused block order
-	width  int
-	depth  int
-	blocks uint64 // fused mode: 8-counter blocks per row (width/8)
-	seed   uint64
-	fused  bool
+	layout frequency.Layout
+	cells  []atomic.Uint64
 	n      atomic.Uint64
 }
 
-// NewAtomicCountMin creates a width×depth atomic Count-Min sketch.
+// NewAtomicCountMin creates a width×depth atomic Count-Min sketch in
+// the Derived layout: the shorthand for NewAtomicCountMinLayout.
 func NewAtomicCountMin(width, depth int, seed uint64) *AtomicCountMin {
-	if width < 1 || depth < 1 {
-		panic("concurrent: dimensions must be positive")
-	}
-	return &AtomicCountMin{
-		counts: make([]atomic.Uint64, width*depth),
-		width:  width,
-		depth:  depth,
-		seed:   seed,
-	}
+	return NewAtomicCountMinLayout(frequency.Layout{Width: width, Depth: depth, Seed: seed})
 }
 
-// NewAtomicCountMinFused creates an atomic Count-Min in the fused
-// cache-line layout, addressing exactly the same cells as
-// frequency.NewCountMinFused with equal shape and seed (which is what
-// keeps Merge and Snapshot exchanges with the plain fused sketch
-// exact). Width is rounded up to a multiple of 8; depth is capped at
-// 21, mirroring the plain constructor.
-func NewAtomicCountMinFused(width, depth int, seed uint64) *AtomicCountMin {
-	shape := frequency.NewCountMinFused(width, depth, seed) // reuse sizing + validation
-	return &AtomicCountMin{
-		counts: make([]atomic.Uint64, shape.Width()*shape.Depth()),
-		width:  shape.Width(),
-		depth:  shape.Depth(),
-		blocks: uint64(shape.Width() / 8),
-		seed:   seed,
-		fused:  true,
+// NewAtomicCountMinLayout creates an empty atomic sketch over l.
+func NewAtomicCountMinLayout(l frequency.Layout) *AtomicCountMin {
+	l, err := l.Build()
+	if err != nil {
+		panic("concurrent: " + err.Error())
 	}
+	return &AtomicCountMin{layout: l, cells: make([]atomic.Uint64, l.Len())}
 }
 
 // AddUint64 adds weight to an integer item's count. Safe for concurrent
 // use without external locking.
 func (c *AtomicCountMin) AddUint64(item, weight uint64) {
-	c.AddHash(hashx.HashUint64(item, c.seed), weight)
+	c.AddHash(hashx.HashUint64(item, c.layout.Seed), weight)
 }
 
 // Add adds weight occurrences of a byte-slice item: one hash pass, all
 // row positions derived from it. Equivalent to
-// AddHash(hashx.XXHash64(item, seed), weight), the same item→bucket map
-// as derived-mode frequency.CountMin.
+// AddHash(hashx.XXHash64(item, seed), weight), the same item→cell map
+// as frequency.CountMin.
 func (c *AtomicCountMin) Add(item []byte, weight uint64) {
-	c.AddHash(hashx.XXHash64(item, c.seed), weight)
+	c.AddHash(hashx.XXHash64(item, c.layout.Seed), weight)
 }
 
 // AddString adds weight occurrences of a string item without copying
 // or allocating.
 func (c *AtomicCountMin) AddString(item string, weight uint64) {
-	c.AddHash(hashx.XXHash64String(item, c.seed), weight)
+	c.AddHash(hashx.XXHash64String(item, c.layout.Seed), weight)
 }
 
-// AddHash adds weight at the derived row positions
-// FastRange(h + r·DeriveH2(h), width), matching
-// frequency.CountMin.AddHash in derived mode. Wait-free: one atomic add
-// per row.
+// AddHash adds weight at the cells frequency.CountMin.AddHash would
+// touch. Wait-free: one atomic add per row.
 func (c *AtomicCountMin) AddHash(h, weight uint64) {
-	if c.fused {
-		base, slots := c.fusedBase(h)
-		for r := 0; r < c.depth; r++ {
-			c.counts[base+slots&7].Add(weight)
-			base += 8
-			slots >>= 3
-		}
-		c.n.Add(weight)
-		return
-	}
-	h2 := hashx.DeriveH2(h)
-	w := uint64(c.width)
-	x := h
-	for r := 0; r < c.depth; r++ {
-		c.counts[r*c.width+int(hashx.FastRange(x, w))].Add(weight)
-		x += h2
+	var buf [frequency.StackDepth]uint32
+	cells := c.cells
+	for _, j := range c.layout.Cells(h, buf[:]) {
+		cells[j].Add(weight)
 	}
 	c.n.Add(weight)
 }
 
-// fusedBase mirrors frequency.CountMin's fused addressing: the flat
-// index of row 0's cache line in the block column h selects, and the
-// slot word whose 3-bit chunks pick each row's cell.
-func (c *AtomicCountMin) fusedBase(h uint64) (base, slots uint64) {
-	return hashx.FastRange(h, c.blocks) * uint64(c.depth) * 8,
-		hashx.Mix64(hashx.DeriveH2(h))
-}
-
-// atomicIngestChunk is the chunk size of AddHashBatch's two-phase
-// loop; see the frequency package's ingestChunk.
+// atomicIngestChunk is how many items a batch entry point hashes
+// outside any lock before folding them in; see the frequency package's
+// ingestChunk.
 const atomicIngestChunk = 256
 
 // AddHashBatch folds many pre-hashed items in, each with weight 1 —
-// the hash-once batch entry point for ingest pipelines. The loop is
-// two-phase over fixed chunks: phase 1 derives every item's addressing
-// state (pure ALU), phase 2 streams the atomic adds, so independent
-// cache misses overlap. Atomic adds commute, so state is identical to
-// calling AddHash per value.
+// the hash-once batch entry point for ingest pipelines — in the two
+// phases of Layout.CellsBatch. Atomic adds commute, so state is
+// identical to calling AddHash per value.
 func (c *AtomicCountMin) AddHashBatch(hs []uint64) {
-	var xs, h2s [atomicIngestChunk]uint64
-	w := uint64(c.width)
-	for start := 0; start < len(hs); start += atomicIngestChunk {
-		end := start + atomicIngestChunk
-		if end > len(hs) {
-			end = len(hs)
+	var buf [frequency.BatchCells]uint32
+	cells := c.cells
+	for len(hs) > 0 {
+		idx, n := c.layout.CellsBatch(hs, buf[:])
+		for _, j := range idx {
+			cells[j].Add(1)
 		}
-		chunk := hs[start:end]
-		if c.fused {
-			for i, h := range chunk {
-				xs[i], h2s[i] = c.fusedBase(h)
-			}
-			for i := range chunk {
-				base, slots := xs[i], h2s[i]
-				for r := 0; r < c.depth; r++ {
-					c.counts[base+slots&7].Add(1)
-					base += 8
-					slots >>= 3
-				}
-			}
-		} else {
-			for i, h := range chunk {
-				xs[i] = h
-				h2s[i] = hashx.DeriveH2(h)
-			}
-			for r := 0; r < c.depth; r++ {
-				row := c.counts[r*c.width : (r+1)*c.width]
-				for i := range chunk {
-					row[hashx.FastRange(xs[i], w)].Add(1)
-					xs[i] += h2s[i]
-				}
-			}
-		}
-		c.n.Add(uint64(len(chunk)))
+		c.n.Add(uint64(n))
+		hs = hs[n:]
 	}
 }
 
 // Estimate returns the point-query estimate for a byte-slice item,
 // probing exactly the buckets Add touched for the same item.
 func (c *AtomicCountMin) Estimate(item []byte) uint64 {
-	return c.estimateHash(hashx.XXHash64(item, c.seed))
+	return c.estimateHash(hashx.XXHash64(item, c.layout.Seed))
 }
 
 // EstimateUint64 returns the point-query estimate for an integer item.
 func (c *AtomicCountMin) EstimateUint64(item uint64) uint64 {
-	return c.estimateHash(hashx.HashUint64(item, c.seed))
+	return c.estimateHash(hashx.HashUint64(item, c.layout.Seed))
 }
 
 func (c *AtomicCountMin) estimateHash(h uint64) uint64 {
-	var buf [8]uint64 // typical depths stay on the stack
+	var buf [frequency.StackDepth]uint64
 	return frequency.MinCells(c.appendCells(buf[:0], h))
 }
 
@@ -407,24 +339,13 @@ func (c *AtomicCountMin) estimateHash(h uint64) uint64 {
 // each loaded atomically, in row order — the same cells, in the same
 // order, as frequency.CountMin.AppendCells on a Snapshot.
 func (c *AtomicCountMin) AppendCells(dst []uint64, item []byte) []uint64 {
-	return c.appendCells(dst, hashx.XXHash64(item, c.seed))
+	return c.appendCells(dst, hashx.XXHash64(item, c.layout.Seed))
 }
 
 func (c *AtomicCountMin) appendCells(dst []uint64, h uint64) []uint64 {
-	if c.fused {
-		base, slots := c.fusedBase(h)
-		for r := 0; r < c.depth; r++ {
-			dst = append(dst, c.counts[base+slots&7].Load())
-			base += 8
-			slots >>= 3
-		}
-		return dst
-	}
-	h2 := hashx.DeriveH2(h)
-	w := uint64(c.width)
-	for r := 0; r < c.depth; r++ {
-		dst = append(dst, c.counts[r*c.width+int(hashx.FastRange(h, w))].Load())
-		h += h2
+	var buf [frequency.StackDepth]uint32
+	for _, j := range c.layout.Cells(h, buf[:]) {
+		dst = append(dst, c.cells[j].Load())
 	}
 	return dst
 }
@@ -433,52 +354,35 @@ func (c *AtomicCountMin) appendCells(dst []uint64, h uint64) []uint64 {
 func (c *AtomicCountMin) N() uint64 { return c.n.Load() }
 
 // Width returns the bucket count per row.
-func (c *AtomicCountMin) Width() int { return c.width }
+func (c *AtomicCountMin) Width() int { return c.layout.Width }
 
 // Depth returns the number of rows.
-func (c *AtomicCountMin) Depth() int { return c.depth }
+func (c *AtomicCountMin) Depth() int { return c.layout.Depth }
 
 // Seed returns the hash seed.
-func (c *AtomicCountMin) Seed() uint64 { return c.seed }
+func (c *AtomicCountMin) Seed() uint64 { return c.layout.Seed }
 
-// Fused reports whether counters live in the fused cache-line layout.
-func (c *AtomicCountMin) Fused() bool { return c.fused }
+// Layout returns the built layout the sketch addresses by.
+func (c *AtomicCountMin) Layout() frequency.Layout { return c.layout }
 
 // SizeBytes returns the counter storage size.
-func (c *AtomicCountMin) SizeBytes() int { return len(c.counts) * 8 }
+func (c *AtomicCountMin) SizeBytes() int { return len(c.cells) * 8 }
 
-// compatibleWith checks that a plain CountMin addresses the same
-// buckets: equal width, depth and seed in derived mode imply identical
-// double-hashed row positions.
-func (c *AtomicCountMin) compatibleWith(other *frequency.CountMin) error {
-	if c.width != other.Width() || c.depth != other.Depth() || c.seed != other.Seed() {
-		return fmt.Errorf("%w: atomic count-min %dx%d/seed=%d vs %dx%d/seed=%d",
-			core.ErrIncompatible, c.width, c.depth, c.seed,
-			other.Width(), other.Depth(), other.Seed())
-	}
-	if !other.Derived() {
-		return fmt.Errorf("%w: atomic count-min requires a derived-mode peer", core.ErrIncompatible)
+// Merge atomically adds a plain CountMin's counters cell-wise; the peer
+// must hold the same layout and not be conservative (those counters are
+// not linear). Concurrent Adds interleave safely: each cell addition is
+// atomic, so the never-undercount guarantee holds for any item whose
+// updates happened-before a subsequent query.
+func (c *AtomicCountMin) Merge(other *frequency.CountMin) error {
+	if !c.layout.Same(other.Layout()) {
+		return fmt.Errorf("%w: atomic count-min %v vs %v", core.ErrIncompatible, c.layout, other.Layout())
 	}
 	if other.Conservative() {
 		return fmt.Errorf("%w: conservative-update sketches are not mergeable", core.ErrIncompatible)
 	}
-	if other.Fused() != c.fused {
-		return fmt.Errorf("%w: count-min layouts differ (fused vs row-major)", core.ErrIncompatible)
-	}
-	return nil
-}
-
-// Merge atomically adds a hash-compatible plain CountMin's counters
-// cell-wise. Concurrent Adds interleave safely: each cell addition is
-// atomic, so the never-undercount guarantee holds for any item whose
-// updates happened-before a subsequent query.
-func (c *AtomicCountMin) Merge(other *frequency.CountMin) error {
-	if err := c.compatibleWith(other); err != nil {
-		return err
-	}
-	for i, v := range other.CountsRowMajor() {
+	for j, v := range other.Table() {
 		if v != 0 {
-			c.counts[i].Add(v)
+			c.cells[j].Add(v)
 		}
 	}
 	c.n.Add(other.N())
@@ -490,20 +394,12 @@ func (c *AtomicCountMin) Merge(other *frequency.CountMin) error {
 // writes the copy is a per-cell snapshot (sufficient for the
 // overestimate guarantee, as with EstimateUint64).
 func (c *AtomicCountMin) Snapshot() *frequency.CountMin {
-	counts := make([]uint64, len(c.counts))
-	for i := range c.counts {
-		counts[i] = c.counts[i].Load()
+	cm := frequency.NewCountMinLayout(c.layout)
+	cells := cm.Table()
+	for j := range cells {
+		cells[j] = c.cells[j].Load()
 	}
-	var cm *frequency.CountMin
-	var err error
-	if c.fused {
-		cm, err = frequency.NewCountMinFusedFromCounts(c.width, c.depth, c.seed, counts, c.n.Load())
-	} else {
-		cm, err = frequency.NewCountMinFromCounts(c.width, c.depth, c.seed, counts, c.n.Load())
-	}
-	if err != nil {
-		panic(err) // dimensions match by construction
-	}
+	cm.SetN(c.n.Load())
 	return cm
 }
 

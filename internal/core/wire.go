@@ -177,6 +177,10 @@ func NewReaderVersioned(data []byte, tag, maxVersion byte) (*Reader, byte, error
 // after reading all fields.
 func (r *Reader) Err() error { return r.err }
 
+// Remaining is the number of bytes not yet read: what a decoder that
+// knows its shape checks before it allocates for it.
+func (r *Reader) Remaining() int { return len(r.buf) - r.off }
+
 func (r *Reader) need(n int) bool {
 	if r.err != nil {
 		return false

@@ -144,52 +144,33 @@ func runE7a() *Result {
 }
 
 // mutexCountMin is E7a's strawman: a Count-Min guarded by one mutex,
-// there to show what sharding and atomics buy. It uses the same
-// derived row positions as concurrent.AtomicCountMin so the comparison
-// isolates the synchronization cost, not the hashing.
+// there to show what sharding and atomics buy. The item is hashed
+// outside the lock and the sketch shares concurrent.AtomicCountMin's
+// layout, so the comparison isolates the synchronization cost, not the
+// hashing.
 type mutexCountMin struct {
-	mu     sync.Mutex
-	counts [][]uint64
-	width  int
-	seed   uint64
+	mu sync.Mutex
+	cm *frequency.CountMin
 }
 
 func newMutexCountMin(width, depth int, seed uint64) *mutexCountMin {
-	counts := make([][]uint64, depth)
-	for i := range counts {
-		counts[i] = make([]uint64, width)
-	}
-	return &mutexCountMin{counts: counts, width: width, seed: seed}
+	return &mutexCountMin{cm: frequency.NewCountMin(width, depth, seed)}
 }
 
 // AddUint64 adds weight to an item's count under the lock.
 func (c *mutexCountMin) AddUint64(item, weight uint64) {
-	h := hashx.HashUint64(item, c.seed)
-	h2 := hashx.DeriveH2(h)
-	w := uint64(c.width)
+	h := hashx.HashUint64(item, c.cm.Seed())
 	c.mu.Lock()
-	for r := range c.counts {
-		c.counts[r][hashx.FastRange(h, w)] += weight
-		h += h2
-	}
+	c.cm.AddHash(h, weight)
 	c.mu.Unlock()
 }
 
 // EstimateUint64 returns the point-query estimate under the lock.
 func (c *mutexCountMin) EstimateUint64(item uint64) uint64 {
-	h := hashx.HashUint64(item, c.seed)
-	h2 := hashx.DeriveH2(h)
-	w := uint64(c.width)
+	h := hashx.HashUint64(item, c.cm.Seed())
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	est := ^uint64(0)
-	for r := range c.counts {
-		if v := c.counts[r][hashx.FastRange(h, w)]; v < est {
-			est = v
-		}
-		h += h2
-	}
-	return est
+	return c.cm.EstimateHash(h)
 }
 
 // benchWorkers runs the shared update function from `workers`

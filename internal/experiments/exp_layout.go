@@ -145,7 +145,7 @@ func runE28() *Result {
 	// Count-Min layouts: the same d=5 updates against row-major (d
 	// scattered lines) and fused (d adjacent lines in one block).
 	cmRow := frequency.NewCountMin(cmWidth, cmDepth, 1)
-	cmFused := frequency.NewCountMinFused(cmWidth, cmDepth, 1)
+	cmFused := frequency.NewCountMinLayout(frequency.Layout{Width: cmWidth, Depth: cmDepth, Mode: frequency.Fused, Seed: 1})
 	rowAdd := warmNs(nItems, func() {
 		for _, h := range h1s {
 			cmRow.AddHash(h, 1)

@@ -64,7 +64,7 @@ func runE33() *Result {
 	for _, width := range []int{64, 128, 256, 512} {
 		sf := frequency.NewSFSketch(width, depth, ratio*width, depth, 33)
 		cm := frequency.NewCountMin(width, depth, 33)
-		fu := frequency.NewCountMinFused(width, depth, 33)
+		fu := frequency.NewCountMinLayout(frequency.Layout{Width: width, Depth: depth, Mode: frequency.Fused, Seed: 33})
 		for _, v := range stream {
 			sf.AddUint64(v, 1)
 			cm.AddUint64(v, 1)

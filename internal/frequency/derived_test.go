@@ -70,7 +70,7 @@ func TestCountMinDerivedAndKWiseBothWithinBound(t *testing.T) {
 		cm   *CountMin
 	}{
 		{"derived", NewCountMin(2048, 5, 11)},
-		{"kwise", NewCountMinKWise(2048, 5, 11)},
+		{"kwise", NewCountMinLayout(Layout{Width: 2048, Depth: 5, Mode: KWise, Seed: 11})},
 	} {
 		truth := skewedStream(func(item, w uint64) { tc.cm.AddUint64(item, w) })
 		bound := uint64(tc.cm.ErrorBound()) + 1
@@ -88,7 +88,7 @@ func TestCountMinDerivedAndKWiseBothWithinBound(t *testing.T) {
 
 func TestCountMinModeRoundTripAndMergeGuard(t *testing.T) {
 	derived := NewCountMin(512, 4, 5)
-	kwise := NewCountMinKWise(512, 4, 5)
+	kwise := NewCountMinLayout(Layout{Width: 512, Depth: 4, Mode: KWise, Seed: 5})
 	for i := uint64(0); i < 1000; i++ {
 		derived.AddUint64(i, 1)
 		kwise.AddUint64(i, 1)
@@ -105,8 +105,8 @@ func TestCountMinModeRoundTripAndMergeGuard(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if back.Derived() != tc.cm.Derived() {
-			t.Fatalf("%s: round-trip flipped Derived() to %v", tc.name, back.Derived())
+		if back.layout.Mode != tc.cm.layout.Mode {
+			t.Fatalf("%s: round-trip flipped the mode to %v", tc.name, back.layout.Mode)
 		}
 		if got, want := back.EstimateUint64(7), tc.cm.EstimateUint64(7); got != want {
 			t.Fatalf("%s: round-trip estimate %d != %d", tc.name, got, want)
@@ -124,24 +124,24 @@ func TestCountMinModeRoundTripAndMergeGuard(t *testing.T) {
 func TestCountMinVersion1DecodesAsKWise(t *testing.T) {
 	// Hand-write a version-1 envelope (no mode byte): it must decode as
 	// a KWise sketch whose estimates match a live KWise twin.
-	ref := NewCountMinKWise(256, 4, 9)
+	ref := NewCountMinLayout(Layout{Width: 256, Depth: 4, Mode: KWise, Seed: 9})
 	for i := uint64(0); i < 500; i++ {
 		ref.AddUint64(i%50, 1)
 	}
 	w := core.NewWriter(core.TagCountMin, 1)
-	w.U32(uint32(ref.width))
-	w.U32(uint32(len(ref.counts)))
-	w.U64(ref.seed)
+	w.U32(uint32(ref.Width()))
+	w.U32(uint32(ref.Depth()))
+	w.U64(ref.Seed())
 	w.U64(ref.n)
 	w.U8(0) // conservative=false; v1 ends here, before the mode byte
-	for _, row := range ref.counts {
-		w.U64Slice(row)
+	for r := 0; r < ref.Depth(); r++ {
+		w.U64Slice(ref.cells[r*ref.Width() : (r+1)*ref.Width()])
 	}
 	var back CountMin
 	if err := back.UnmarshalBinary(w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if back.Derived() {
+	if back.layout.Mode != KWise {
 		t.Fatal("version-1 payload decoded as derived; want KWise")
 	}
 	for i := uint64(0); i < 50; i++ {
@@ -153,7 +153,7 @@ func TestCountMinVersion1DecodesAsKWise(t *testing.T) {
 
 func TestCountSketchModeRoundTripAndMergeGuard(t *testing.T) {
 	derived := NewCountSketch(512, 5, 5)
-	kwise := NewCountSketchKWise(512, 5, 5)
+	kwise := NewCountSketchLayout(Layout{Width: 512, Depth: 5, Mode: KWise, Seed: 5})
 	for i := uint64(0); i < 1000; i++ {
 		derived.AddUint64(i%100, 1)
 		kwise.AddUint64(i%100, 1)
@@ -170,8 +170,8 @@ func TestCountSketchModeRoundTripAndMergeGuard(t *testing.T) {
 		if err := back.UnmarshalBinary(data); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if back.Derived() != tc.cs.Derived() {
-			t.Fatalf("%s: round-trip flipped Derived()", tc.name)
+		if back.layout.Mode != tc.cs.layout.Mode {
+			t.Fatalf("%s: round-trip flipped the mode", tc.name)
 		}
 		if got, want := back.EstimateUint64(7), tc.cs.EstimateUint64(7); got != want {
 			t.Fatalf("%s: round-trip estimate %d != %d", tc.name, got, want)
@@ -205,7 +205,7 @@ func TestCountMinAddHashMatchesAdd(t *testing.T) {
 		mk   func() *CountMin
 	}{
 		{"derived", func() *CountMin { return NewCountMin(1024, 5, 21) }},
-		{"kwise", func() *CountMin { return NewCountMinKWise(1024, 5, 21) }},
+		{"kwise", func() *CountMin { return NewCountMinLayout(Layout{Width: 1024, Depth: 5, Mode: KWise, Seed: 21}) }},
 	} {
 		viaItem, viaHash := tc.mk(), tc.mk()
 		for i := 0; i < 2000; i++ {
@@ -231,7 +231,7 @@ func TestCountSketchAddHashMatchesAdd(t *testing.T) {
 		mk   func() *CountSketch
 	}{
 		{"derived", func() *CountSketch { return NewCountSketch(1024, 5, 23) }},
-		{"kwise", func() *CountSketch { return NewCountSketchKWise(1024, 5, 23) }},
+		{"kwise", func() *CountSketch { return NewCountSketchLayout(Layout{Width: 1024, Depth: 5, Mode: KWise, Seed: 23}) }},
 	} {
 		viaItem, viaHash := tc.mk(), tc.mk()
 		for i := 0; i < 2000; i++ {

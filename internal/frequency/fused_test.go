@@ -19,7 +19,7 @@ func TestCountMinFusedOverestimates(t *testing.T) {
 	// Count-Min's one-sided error is layout-independent: every estimate
 	// must be >= the true count, and exact counts must survive when
 	// collisions are unlikely.
-	cm := NewCountMinFused(4096, 5, 1)
+	cm := NewCountMinLayout(Layout{Width: 4096, Depth: 5, Mode: Fused, Seed: 1})
 	truth := map[uint64]uint64{}
 	for i := uint64(0); i < 2000; i++ {
 		w := i%7 + 1
@@ -37,8 +37,8 @@ func TestCountMinFusedOverestimates(t *testing.T) {
 }
 
 func TestCountMinFusedBatchMatchesSequential(t *testing.T) {
-	seq := NewCountMinFused(2048, 5, 3)
-	bat := NewCountMinFused(2048, 5, 3)
+	seq := NewCountMinLayout(Layout{Width: 2048, Depth: 5, Mode: Fused, Seed: 3})
+	bat := NewCountMinLayout(Layout{Width: 2048, Depth: 5, Mode: Fused, Seed: 3})
 	hs := make([]uint64, 1000) // spans multiple ingestChunk chunks
 	for i := range hs {
 		hs[i] = hashx.HashUint64(uint64(i), 3)
@@ -53,8 +53,8 @@ func TestCountMinFusedBatchMatchesSequential(t *testing.T) {
 }
 
 func TestCountSketchFusedBatchMatchesSequential(t *testing.T) {
-	seq := NewCountSketchFused(2048, 5, 3)
-	bat := NewCountSketchFused(2048, 5, 3)
+	seq := NewCountSketchLayout(Layout{Width: 2048, Depth: 5, Mode: Fused, Seed: 3})
+	bat := NewCountSketchLayout(Layout{Width: 2048, Depth: 5, Mode: Fused, Seed: 3})
 	hs := make([]uint64, 1000)
 	for i := range hs {
 		hs[i] = hashx.HashUint64(uint64(i), 3)
@@ -69,7 +69,7 @@ func TestCountSketchFusedBatchMatchesSequential(t *testing.T) {
 }
 
 func TestCountMinFusedRoundTripAndMergeGuard(t *testing.T) {
-	fused := NewCountMinFused(512, 5, 5)
+	fused := NewCountMinLayout(Layout{Width: 512, Depth: 5, Mode: Fused, Seed: 5})
 	std := NewCountMin(512, 5, 5)
 	for i := uint64(0); i < 1000; i++ {
 		fused.AddUint64(i%100, 1)
@@ -83,7 +83,7 @@ func TestCountMinFusedRoundTripAndMergeGuard(t *testing.T) {
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Fused() {
+	if back.layout.Mode != Fused {
 		t.Fatal("round trip dropped the fused layout")
 	}
 	round, _ := back.MarshalBinary()
@@ -104,7 +104,7 @@ func TestCountMinFusedRoundTripAndMergeGuard(t *testing.T) {
 		t.Fatalf("Merge(standard, fused) = %v, want ErrIncompatible", err)
 	}
 	// Same-shape fused sketches merge by counter addition.
-	clone := NewCountMinFused(512, 5, 5)
+	clone := NewCountMinLayout(Layout{Width: 512, Depth: 5, Mode: Fused, Seed: 5})
 	if err := clone.Merge(fused); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestCountMinFusedRoundTripAndMergeGuard(t *testing.T) {
 }
 
 func TestCountSketchFusedRoundTripAndMergeGuard(t *testing.T) {
-	fused := NewCountSketchFused(512, 5, 5)
+	fused := NewCountSketchLayout(Layout{Width: 512, Depth: 5, Mode: Fused, Seed: 5})
 	std := NewCountSketch(512, 5, 5)
 	for i := uint64(0); i < 1000; i++ {
 		fused.AddUint64(i%100, 1)
@@ -129,7 +129,7 @@ func TestCountSketchFusedRoundTripAndMergeGuard(t *testing.T) {
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Fused() {
+	if back.layout.Mode != Fused {
 		t.Fatal("round trip dropped the fused layout")
 	}
 	round, _ := back.MarshalBinary()
@@ -168,11 +168,11 @@ func writeCountMinV2WithMode(mode byte) []byte {
 
 func TestCountMinV2FusedModeByteRejected(t *testing.T) {
 	var cm CountMin
-	if err := cm.UnmarshalBinary(writeCountMinV2WithMode(cmModeFused)); !errors.Is(err, core.ErrCorrupt) {
+	if err := cm.UnmarshalBinary(writeCountMinV2WithMode(byte(Fused))); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("v2 envelope with fused mode byte: err = %v, want ErrCorrupt", err)
 	}
 	// Sanity: the same envelope with a legal v2 mode byte decodes.
-	if err := cm.UnmarshalBinary(writeCountMinV2WithMode(cmModeDerived)); err != nil {
+	if err := cm.UnmarshalBinary(writeCountMinV2WithMode(byte(Derived))); err != nil {
 		t.Fatalf("legal v2 envelope rejected: %v", err)
 	}
 }
@@ -191,10 +191,10 @@ func TestCountSketchV2FusedModeByteRejected(t *testing.T) {
 		return w.Bytes()
 	}
 	var cs CountSketch
-	if err := cs.UnmarshalBinary(write(cmModeFused)); !errors.Is(err, core.ErrCorrupt) {
+	if err := cs.UnmarshalBinary(write(byte(Fused))); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("v2 envelope with fused mode byte: err = %v, want ErrCorrupt", err)
 	}
-	if err := cs.UnmarshalBinary(write(cmModeDerived)); err != nil {
+	if err := cs.UnmarshalBinary(write(byte(Derived))); err != nil {
 		t.Fatalf("legal v2 envelope rejected: %v", err)
 	}
 }
@@ -207,7 +207,7 @@ func TestFusedDecodeRejectsBadDims(t *testing.T) {
 		w.U64(1)
 		w.U64(0)
 		w.U8(0) // conservative
-		w.U8(cmModeFused)
+		w.U8(byte(Fused))
 		w.U64Slice(make([]uint64, cells))
 		return w.Bytes()
 	}
@@ -233,7 +233,7 @@ func TestFusedDecodeRejectsBadDims(t *testing.T) {
 		w.U32(depth)
 		w.U64(1)
 		w.U64(0)
-		w.U8(cmModeFused)
+		w.U8(byte(Fused))
 		w.I64Slice(make([]int64, 64*int(depth)))
 		return w.Bytes()
 	}
@@ -249,8 +249,8 @@ func TestFusedDecodeRejectsBadDims(t *testing.T) {
 func TestCountMinFusedConservative(t *testing.T) {
 	// Conservative update in the fused layout: still an overestimate,
 	// never larger than the plain fused estimate.
-	plain := NewCountMinFused(1024, 5, 2)
-	cons := NewCountMinFused(1024, 5, 2)
+	plain := NewCountMinLayout(Layout{Width: 1024, Depth: 5, Mode: Fused, Seed: 2})
+	cons := NewCountMinLayout(Layout{Width: 1024, Depth: 5, Mode: Fused, Seed: 2})
 	cons.SetConservative(true)
 	truth := map[uint64]uint64{}
 	for i := uint64(0); i < 3000; i++ {

@@ -3,6 +3,7 @@ package frequency
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hashx"
@@ -34,14 +35,10 @@ import (
 // remixed copy of h, so slim-only decoders can still address queries
 // from (item, seed) alone. Updates and queries are 0 allocs/op.
 type SFSketch struct {
-	slim      [][]uint64 // slimDepth × slimWidth; the wire stage
-	fat       [][]uint64 // fatDepth × fatWidth; nil in a slim-only instance
-	slimWidth int
-	slimDepth int
-	fatWidth  int
-	fatDepth  int
-	seed      uint64
-	n         uint64 // total weight, both stages' streams are identical
+	slimL, fatL Layout   // both Derived, one seed
+	slim        []uint64 // the wire stage
+	fat         []uint64 // nil in a slim-only instance
+	n           uint64   // total weight, both stages' streams are identical
 }
 
 // sfSlimSalt decorrelates the slim stage's double-hashing stream from
@@ -62,44 +59,29 @@ const sfMaxDepth = 64
 // multiple of slimWidth — the paper's regime — and both stages share
 // one hash seed.
 func NewSFSketch(slimWidth, slimDepth, fatWidth, fatDepth int, seed uint64) *SFSketch {
-	if slimWidth < 1 || slimDepth < 1 || fatWidth < 1 || fatDepth < 1 {
-		panic("frequency: SFSketch dimensions must be positive")
-	}
 	s := &SFSketch{
-		slim:      makeGrid(slimDepth, slimWidth),
-		fat:       makeGrid(fatDepth, fatWidth),
-		slimWidth: slimWidth,
-		slimDepth: slimDepth,
-		fatWidth:  fatWidth,
-		fatDepth:  fatDepth,
-		seed:      seed,
+		slimL: mustBuild(Layout{Width: slimWidth, Depth: slimDepth, Seed: seed}, false),
+		fatL:  mustBuild(Layout{Width: fatWidth, Depth: fatDepth, Seed: seed}, false),
 	}
+	s.slim, s.fat = make([]uint64, s.slimL.Len()), make([]uint64, s.fatL.Len())
 	return s
-}
-
-func makeGrid(depth, width int) [][]uint64 {
-	g := make([][]uint64, depth)
-	for i := range g {
-		g[i] = make([]uint64, width)
-	}
-	return g
 }
 
 // Add increments item's count by weight: one hash pass, every row
 // position in both stages derived from it.
 func (s *SFSketch) Add(item []byte, weight uint64) {
-	s.AddHash(hashx.XXHash64(item, s.seed), weight)
+	s.AddHash(hashx.XXHash64(item, s.slimL.Seed), weight)
 }
 
 // AddUint64 increments an integer item's count by weight.
 func (s *SFSketch) AddUint64(item, weight uint64) {
-	s.AddHash(hashx.HashUint64(item, s.seed), weight)
+	s.AddHash(hashx.HashUint64(item, s.slimL.Seed), weight)
 }
 
 // AddString increments a string item's count by one without copying or
 // allocating.
 func (s *SFSketch) AddString(item string) {
-	s.AddHash(hashx.XXHash64String(item, s.seed), 1)
+	s.AddHash(hashx.XXHash64String(item, s.slimL.Seed), 1)
 }
 
 // Update implements core.Updater (weight 1).
@@ -114,47 +96,28 @@ func (s *SFSketch) Update(item []byte) { s.Add(item, 1) }
 // instances exist to be queried and merged, not to absorb streams.
 func (s *SFSketch) AddHash(h, weight uint64) {
 	s.n += weight
-	hs := sfSlimHash(h)
-	hs2 := hashx.DeriveH2(hs)
-	sw := uint64(s.slimWidth)
-	if s.fat == nil {
-		y := hs
-		for r := range s.slim {
-			s.slim[r][hashx.FastRange(y, sw)] += weight
-			y += hs2
+	var buf [StackDepth]uint32 // the fat indices, then the slim ones
+	slim, fat := s.slim, s.fat
+	if fat == nil {
+		for _, j := range s.slimL.Cells(sfSlimHash(h), buf[:]) {
+			slim[j] += weight
 		}
 		return
 	}
-	// Fat stage: plain double-hashed adds; the running minimum of the
-	// *new* counter values is exactly the post-update fat estimate.
-	h2 := hashx.DeriveH2(h)
-	fw := uint64(s.fatWidth)
-	x := h
+	// Fat stage: plain adds; the running minimum of the *new* counter
+	// values is exactly the post-update fat estimate.
 	fatEst := uint64(math.MaxUint64)
-	for r := range s.fat {
-		row := s.fat[r]
-		j := hashx.FastRange(x, fw)
-		v := row[j] + weight
-		row[j] = v
-		if v < fatEst {
-			fatEst = v
-		}
-		x += h2
+	for _, j := range s.fatL.Cells(h, buf[:]) {
+		v := fat[j] + weight
+		fat[j] = v
+		fatEst = min(fatEst, v)
 	}
 	// Slim stage: raise each counter toward the fat estimate, never
 	// past it. Counters already at or above fatEst are left alone.
-	y := hs
-	for r := range s.slim {
-		row := s.slim[r]
-		j := hashx.FastRange(y, sw)
-		if c := row[j]; c < fatEst {
-			if nc := c + weight; nc < fatEst {
-				row[j] = nc
-			} else {
-				row[j] = fatEst
-			}
+	for _, j := range s.slimL.Cells(sfSlimHash(h), buf[:]) {
+		if c := slim[j]; c < fatEst {
+			slim[j] = min(c+weight, fatEst)
 		}
-		y += hs2
 	}
 }
 
@@ -167,12 +130,9 @@ func (s *SFSketch) AddHash(h, weight uint64) {
 func (s *SFSketch) AddBatch(items [][]byte) {
 	var hs [ingestChunk]uint64
 	for len(items) > 0 {
-		n := len(items)
-		if n > ingestChunk {
-			n = ingestChunk
-		}
+		n := min(len(items), ingestChunk)
 		for i, item := range items[:n] {
-			hs[i] = hashx.XXHash64(item, s.seed)
+			hs[i] = hashx.XXHash64(item, s.slimL.Seed)
 		}
 		s.AddHashBatch(hs[:n])
 		items = items[n:]
@@ -190,35 +150,25 @@ func (s *SFSketch) AddHashBatch(hs []uint64) {
 // Estimate returns the point-query estimate for item: the minimum over
 // the slim rows. Never an undercount (see the type invariant).
 func (s *SFSketch) Estimate(item []byte) uint64 {
-	return s.EstimateHash(hashx.XXHash64(item, s.seed))
+	return s.EstimateHash(hashx.XXHash64(item, s.slimL.Seed))
 }
 
 // EstimateUint64 returns the point-query estimate for an integer item.
 func (s *SFSketch) EstimateUint64(item uint64) uint64 {
-	return s.EstimateHash(hashx.HashUint64(item, s.seed))
+	return s.EstimateHash(hashx.HashUint64(item, s.slimL.Seed))
 }
 
 // EstimateString returns the point-query estimate for a string item
 // without copying or allocating.
 func (s *SFSketch) EstimateString(item string) uint64 {
-	return s.EstimateHash(hashx.XXHash64String(item, s.seed))
+	return s.EstimateHash(hashx.XXHash64String(item, s.slimL.Seed))
 }
 
 // EstimateHash answers a point query for a pre-hashed item from the
 // slim stage.
 func (s *SFSketch) EstimateHash(h uint64) uint64 {
-	hs := sfSlimHash(h)
-	hs2 := hashx.DeriveH2(hs)
-	sw := uint64(s.slimWidth)
-	est := uint64(math.MaxUint64)
-	y := hs
-	for r := range s.slim {
-		if v := s.slim[r][hashx.FastRange(y, sw)]; v < est {
-			est = v
-		}
-		y += hs2
-	}
-	return est
+	var buf [StackDepth]uint32
+	return minAt(s.slim, s.slimL.Cells(sfSlimHash(h), buf[:]))
 }
 
 // FatEstimate answers a point query from the fat stage — the estimate
@@ -229,37 +179,27 @@ func (s *SFSketch) FatEstimate(item []byte) uint64 {
 	if s.fat == nil {
 		return s.Estimate(item)
 	}
-	h := hashx.XXHash64(item, s.seed)
-	h2 := hashx.DeriveH2(h)
-	fw := uint64(s.fatWidth)
-	est := uint64(math.MaxUint64)
-	x := h
-	for r := range s.fat {
-		if v := s.fat[r][hashx.FastRange(x, fw)]; v < est {
-			est = v
-		}
-		x += h2
-	}
-	return est
+	var buf [StackDepth]uint32
+	return minAt(s.fat, s.fatL.Cells(hashx.XXHash64(item, s.fatL.Seed), buf[:]))
 }
 
 // N returns the total weight added.
 func (s *SFSketch) N() uint64 { return s.n }
 
 // Seed returns the hash seed the sketch was created with.
-func (s *SFSketch) Seed() uint64 { return s.seed }
+func (s *SFSketch) Seed() uint64 { return s.slimL.Seed }
 
 // Width returns the slim-stage width (the wire-relevant dimension).
-func (s *SFSketch) Width() int { return s.slimWidth }
+func (s *SFSketch) Width() int { return s.slimL.Width }
 
 // Depth returns the slim-stage depth.
-func (s *SFSketch) Depth() int { return s.slimDepth }
+func (s *SFSketch) Depth() int { return s.slimL.Depth }
 
 // FatWidth returns the fat-stage width.
-func (s *SFSketch) FatWidth() int { return s.fatWidth }
+func (s *SFSketch) FatWidth() int { return s.fatL.Width }
 
 // FatDepth returns the fat-stage depth.
-func (s *SFSketch) FatDepth() int { return s.fatDepth }
+func (s *SFSketch) FatDepth() int { return s.fatL.Depth }
 
 // SlimOnly reports whether this instance carries only the slim stage
 // (decoded from a slim envelope or merged from slim envelopes).
@@ -267,38 +207,21 @@ func (s *SFSketch) SlimOnly() bool { return s.fat == nil }
 
 // SizeBytes returns the resident counter storage: both stages on a
 // full instance, the slim grid alone on a slim-only one.
-func (s *SFSketch) SizeBytes() int {
-	sz := s.slimDepth * s.slimWidth * 8
-	if s.fat != nil {
-		sz += s.fatDepth * s.fatWidth * 8
-	}
-	return sz
-}
+func (s *SFSketch) SizeBytes() int { return (len(s.slim) + len(s.fat)) * 8 }
 
 // SlimSizeBytes returns the slim-stage counter bytes — the payload a
 // slim envelope ships (plus the fixed header).
-func (s *SFSketch) SlimSizeBytes() int { return s.slimDepth * s.slimWidth * 8 }
+func (s *SFSketch) SlimSizeBytes() int { return len(s.slim) * 8 }
 
 // ErrorBound returns the fat stage's additive error bound ε·N =
 // (e/fatWidth)·N — the error regime the slim estimates track. For a
 // slim-only instance the bound degrades to the slim width's.
 func (s *SFSketch) ErrorBound() float64 {
-	w := s.fatWidth
+	w := s.fatL.Width
 	if s.fat == nil {
-		w = s.slimWidth
+		w = s.slimL.Width
 	}
 	return math.E / float64(w) * float64(s.n)
-}
-
-func (s *SFSketch) compatible(other *SFSketch) error {
-	if s.slimWidth != other.slimWidth || s.slimDepth != other.slimDepth ||
-		s.fatWidth != other.fatWidth || s.fatDepth != other.fatDepth || s.seed != other.seed {
-		return fmt.Errorf("%w: sf-sketch slim %dx%d fat %dx%d seed=%d vs slim %dx%d fat %dx%d seed=%d",
-			core.ErrIncompatible,
-			s.slimWidth, s.slimDepth, s.fatWidth, s.fatDepth, s.seed,
-			other.slimWidth, other.slimDepth, other.fatWidth, other.fatDepth, other.seed)
-	}
-	return nil
 }
 
 // Merge folds another sketch's counters in cell-wise. Full+full merges
@@ -310,23 +233,18 @@ func (s *SFSketch) compatible(other *SFSketch) error {
 // stream would cap later conditional updates below the true count and
 // break the no-undercount invariant.
 func (s *SFSketch) Merge(other *SFSketch) error {
-	if err := s.compatible(other); err != nil {
-		return err
+	if !s.slimL.Same(other.slimL) || !s.fatL.Same(other.fatL) {
+		return fmt.Errorf("%w: sf-sketch slim %v fat %v vs slim %v fat %v",
+			core.ErrIncompatible, s.slimL, s.fatL, other.slimL, other.fatL)
 	}
 	if (s.fat == nil) != (other.fat == nil) {
 		return fmt.Errorf("%w: sf-sketch slim-only and full-fat instances do not merge", core.ErrIncompatible)
 	}
-	for r := range s.slim {
-		for j, v := range other.slim[r] {
-			s.slim[r][j] += v
-		}
+	for j, v := range other.slim {
+		s.slim[j] += v
 	}
-	if s.fat != nil {
-		for r := range s.fat {
-			for j, v := range other.fat[r] {
-				s.fat[r][j] += v
-			}
-		}
+	for j, v := range other.fat {
+		s.fat[j] += v
 	}
 	s.n += other.n
 	return nil
@@ -334,25 +252,9 @@ func (s *SFSketch) Merge(other *SFSketch) error {
 
 // Clone returns a deep copy.
 func (s *SFSketch) Clone() *SFSketch {
-	cp := &SFSketch{
-		slim:      makeGrid(s.slimDepth, s.slimWidth),
-		slimWidth: s.slimWidth,
-		slimDepth: s.slimDepth,
-		fatWidth:  s.fatWidth,
-		fatDepth:  s.fatDepth,
-		seed:      s.seed,
-		n:         s.n,
-	}
-	for r := range s.slim {
-		copy(cp.slim[r], s.slim[r])
-	}
-	if s.fat != nil {
-		cp.fat = makeGrid(s.fatDepth, s.fatWidth)
-		for r := range s.fat {
-			copy(cp.fat[r], s.fat[r])
-		}
-	}
-	return cp
+	cp := *s
+	cp.slim, cp.fat = slices.Clone(s.slim), slices.Clone(s.fat)
+	return &cp
 }
 
 // Mode byte values in the SF wire envelope.
@@ -372,12 +274,8 @@ func (s *SFSketch) MarshalBinary() ([]byte, error) {
 		return s.MarshalSlim()
 	}
 	w := s.marshalHeader(sfModeFull)
-	for _, row := range s.slim {
-		w.U64Slice(row)
-	}
-	for _, row := range s.fat {
-		w.U64Slice(row)
-	}
+	writeTable(w, &s.slimL, s.slim)
+	writeTable(w, &s.fatL, s.fat)
 	return w.Bytes(), nil
 }
 
@@ -388,20 +286,18 @@ func (s *SFSketch) MarshalBinary() ([]byte, error) {
 // smaller than a full envelope.
 func (s *SFSketch) MarshalSlim() ([]byte, error) {
 	w := s.marshalHeader(sfModeSlim)
-	for _, row := range s.slim {
-		w.U64Slice(row)
-	}
+	writeTable(w, &s.slimL, s.slim)
 	return w.Bytes(), nil
 }
 
 func (s *SFSketch) marshalHeader(mode byte) *core.Writer {
 	w := core.NewWriter(core.TagSFSketch, 1)
 	w.U8(mode)
-	w.U32(uint32(s.slimWidth))
-	w.U32(uint32(s.slimDepth))
-	w.U32(uint32(s.fatWidth))
-	w.U32(uint32(s.fatDepth))
-	w.U64(s.seed)
+	w.U32(uint32(s.slimL.Width))
+	w.U32(uint32(s.slimL.Depth))
+	w.U32(uint32(s.fatL.Width))
+	w.U32(uint32(s.fatL.Depth))
+	w.U64(s.slimL.Seed)
 	w.U64(s.n)
 	return w
 }
@@ -415,52 +311,38 @@ func (s *SFSketch) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	mode := r.U8()
-	slimWidth := int(r.U32())
-	slimDepth := int(r.U32())
-	fatWidth := int(r.U32())
-	fatDepth := int(r.U32())
-	seed := r.U64()
-	n := r.U64()
+	fresh := SFSketch{
+		slimL: Layout{Width: int(r.U32()), Depth: int(r.U32())},
+		fatL:  Layout{Width: int(r.U32()), Depth: int(r.U32())},
+	}
+	fresh.slimL.Seed = r.U64()
+	fresh.fatL.Seed = fresh.slimL.Seed
+	fresh.n = r.U64()
 	if r.Err() != nil {
 		return r.Err()
 	}
 	if mode > sfModeSlim {
 		return fmt.Errorf("%w: sf-sketch mode byte %d", core.ErrCorrupt, mode)
 	}
-	if slimWidth < 1 || slimDepth < 1 || slimDepth > sfMaxDepth ||
-		fatWidth < 1 || fatDepth < 1 || fatDepth > sfMaxDepth {
-		return fmt.Errorf("%w: sf-sketch dims slim %dx%d fat %dx%d",
-			core.ErrCorrupt, slimWidth, slimDepth, fatWidth, fatDepth)
-	}
-	slim := make([][]uint64, slimDepth)
-	for i := range slim {
-		slim[i] = r.U64Slice()
-		if len(slim[i]) != slimWidth {
-			return fmt.Errorf("%w: sf-sketch slim row %d length %d", core.ErrCorrupt, i, len(slim[i]))
+	for _, l := range []*Layout{&fresh.slimL, &fresh.fatL} {
+		if l.Depth > sfMaxDepth {
+			return fmt.Errorf("%w: sf-sketch stage depth %d", core.ErrCorrupt, l.Depth)
+		}
+		if *l, err = l.build(false); err != nil {
+			return fmt.Errorf("%w: sf-sketch stage: %v", core.ErrCorrupt, err)
 		}
 	}
-	var fat [][]uint64
+	if fresh.slim, err = readTable[uint64](r, &fresh.slimL); err != nil {
+		return err
+	}
 	if mode == sfModeFull {
-		fat = make([][]uint64, fatDepth)
-		for i := range fat {
-			fat[i] = r.U64Slice()
-			if len(fat[i]) != fatWidth {
-				return fmt.Errorf("%w: sf-sketch fat row %d length %d", core.ErrCorrupt, i, len(fat[i]))
-			}
+		if fresh.fat, err = readTable[uint64](r, &fresh.fatL); err != nil {
+			return err
 		}
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	*s = SFSketch{
-		slim:      slim,
-		fat:       fat,
-		slimWidth: slimWidth,
-		slimDepth: slimDepth,
-		fatWidth:  fatWidth,
-		fatDepth:  fatDepth,
-		seed:      seed,
-		n:         n,
-	}
+	*s = fresh
 	return nil
 }

@@ -31,31 +31,39 @@ func topEntries(params url.Values, entries []frequency.Entry) ([]map[string]any,
 	return out, nil
 }
 
-// countMinShape validates the shared width/depth/fused parameter
-// convention of the countmin constructors (plain and serving must
-// agree so WAL replay restores identical addressing).
-func countMinShape(p Params) (width, depth int, fused bool, err error) {
-	width, depth, fused = p.Int("width"), p.Int("depth"), p.Int("fused") == 1
-	if width*depth > 1<<26 {
-		return 0, 0, false, fmt.Errorf("%w: countmin shape %dx%d", ErrParams, width, depth)
+// countMinShape turns the width/depth/fused parameter convention the
+// countmin and countsketch constructors share into a built layout
+// (plain and serving must agree so WAL replay restores identical
+// addressing). frequency.Layout is where a shape is valid or not; the
+// cell budget is the server's.
+func countMinShape(p Params) (frequency.Layout, error) {
+	l := frequency.Layout{Width: p.Int("width"), Depth: p.Int("depth"), Seed: p.Seed}
+	if p.Int("fused") == 1 {
+		l.Mode = frequency.Fused
 	}
-	if fused && depth > 21 {
-		return 0, 0, false, fmt.Errorf("%w: fused countmin depth %d must be <= 21", ErrParams, depth)
+	l, err := l.Build()
+	if err != nil {
+		return l, fmt.Errorf("%w: %v", ErrParams, err)
 	}
-	return width, depth, fused, nil
+	if l.Len() > 1<<26 {
+		return l, fmt.Errorf("%w: shape %dx%d", ErrParams, l.Width, l.Depth)
+	}
+	return l, nil
 }
 
-func init() {
-	atomicCountMin := func(p Params) (any, error) {
-		width, depth, fused, err := countMinShape(p)
+// shaped is a constructor over a validated layout.
+func shaped[T any](build func(frequency.Layout) T) func(Params) (any, error) {
+	return func(p Params) (any, error) {
+		l, err := countMinShape(p)
 		if err != nil {
 			return nil, err
 		}
-		if fused {
-			return concurrent.NewAtomicCountMinFused(width, depth, p.Seed), nil
-		}
-		return concurrent.NewAtomicCountMin(width, depth, p.Seed), nil
+		return build(l), nil
 	}
+}
+
+func init() {
+	atomicCountMin := shaped(concurrent.NewAtomicCountMinLayout)
 	// The plain, atomic and buffered instances answer the same keys from
 	// the read methods they share.
 	countMinQuery := query1(func(c interface {
@@ -81,16 +89,7 @@ func init() {
 			{Name: "depth", Doc: "hash rows", Def: 4, Min: 1, Max: 64},
 			{Name: "fused", Doc: "1 = fused cache-line layout (depth <= 21)", Def: 0, Min: 0, Max: 1},
 		},
-		New: func(p Params) (any, error) {
-			width, depth, fused, err := countMinShape(p)
-			if err != nil {
-				return nil, err
-			}
-			if fused {
-				return frequency.NewCountMinFused(width, depth, p.Seed), nil
-			}
-			return frequency.NewCountMin(width, depth, p.Seed), nil
-		},
+		New:                shaped(frequency.NewCountMinLayout),
 		NewServing:         atomicCountMin,
 		NewServingBuffered: bufferedOver(atomicCountMin, concurrent.BufferCountMin),
 		Decode:             decode1[frequency.CountMin](),
@@ -112,21 +111,17 @@ func init() {
 			c, err := cast[interface {
 				AppendCells(dst []uint64, item []byte) []uint64
 				N() uint64
-				Width() int
-				Depth() int
-				Seed() uint64
-				Fused() bool
+				Layout() frequency.Layout
 			}](inst)
 			item := query.Get("item")
 			if err != nil || item == "" {
 				return nil, err
 			}
-			plain, _ := inst.(*frequency.CountMin)
-			if plain != nil && plain.Conservative() {
+			if plain, ok := inst.(*frequency.CountMin); ok && plain.Conservative() {
 				return nil, nil // conservative counters are not linear: no merge, no projection
 			}
 			cells := c.AppendCells(nil, []byte(item)) // before N: this is where a buffered instance syncs
-			return cellProjection(c.Width(), c.Depth(), c.Seed(), c.Fused(), plain != nil && !plain.Derived(), c.N(), cells), nil
+			return cellProjection(c.Layout(), c.N(), cells), nil
 		},
 		Finish: func(p *Projection, _ url.Values) (map[string]any, error) {
 			return map[string]any{"estimate": frequency.MinCells(p.Cells), "n": p.N}, nil
@@ -144,19 +139,10 @@ func init() {
 			{Name: "depth", Doc: "hash rows (odd; even is bumped)", Def: 5, Min: 1, Max: 63},
 			{Name: "fused", Doc: "1 = fused cache-line layout (depth <= 21)", Def: 0, Min: 0, Max: 1},
 		},
-		New: func(p Params) (any, error) {
-			width, depth, fused := p.Int("width"), p.Int("depth"), p.Int("fused") == 1
-			if width*depth > 1<<26 {
-				return nil, fmt.Errorf("%w: countsketch shape %dx%d", ErrParams, width, depth)
-			}
-			if fused {
-				if depth > 21 {
-					return nil, fmt.Errorf("%w: fused countsketch depth %d must be <= 21", ErrParams, depth)
-				}
-				return frequency.NewCountSketchFused(width, depth, p.Seed), nil
-			}
-			return frequency.NewCountSketch(width, depth, p.Seed), nil
-		},
+		// The sketch rounds an even depth up by one; both caps that could
+		// then refuse it (21 fused, the schema's 63 otherwise) are odd, so
+		// a shape valid as given is valid rounded.
+		New:    shaped(frequency.NewCountSketchLayout),
 		Decode: decode1[frequency.CountSketch](),
 		Bind: Bindings{
 			Ingest: signedIngest((*frequency.CountSketch).Add),
@@ -182,7 +168,7 @@ func init() {
 				return nil, err
 			}
 			cells := cellsAs[int64, uint64](c.AppendCells(nil, []byte(item)))
-			return cellProjection(c.Width(), c.Depth(), c.Seed(), c.Fused(), !c.Derived(), c.N(), cells), nil
+			return cellProjection(c.Layout(), c.N(), cells), nil
 		},
 		Finish: func(p *Projection, _ url.Values) (map[string]any, error) {
 			return map[string]any{"estimate": frequency.MedianCells(cellsAs[uint64, int64](p.Cells)), "n": p.N}, nil

@@ -5,6 +5,7 @@ import (
 	"net/url"
 
 	"repro/internal/core"
+	"repro/internal/frequency"
 	"repro/internal/hashx"
 )
 
@@ -34,11 +35,12 @@ type Projection struct {
 // family reads one cell per row, and no family allows more than 65 rows.
 const maxProjectionCells = 128
 
-// cellProjection is the projection of a width×depth hashed-counter
-// family (Count-Min, Count-Sketch); the fingerprint covers everything
-// that decides which cells an item addresses.
-func cellProjection(width, depth int, seed uint64, fused, kwise bool, n uint64, cells []uint64) *Projection {
-	shape := hashx.XXHash64String(fmt.Sprint(width, depth, seed, fused, kwise), 0)
+// cellProjection is the projection of a hashed-counter family
+// (Count-Min, Count-Sketch); the fingerprint covers the layout, which
+// is everything that decides which cells an item addresses. Its
+// rendering is frozen: mixed-version fleets compare it.
+func cellProjection(l frequency.Layout, n uint64, cells []uint64) *Projection {
+	shape := hashx.XXHash64String(fmt.Sprint(l.Width, l.Depth, l.Seed, l.Mode == frequency.Fused, l.Mode == frequency.KWise), 0)
 	return &Projection{Shape: shape, N: n, Cells: cells}
 }
 

@@ -32,8 +32,12 @@ type projVariant struct {
 
 // kwiseBuilders are the row-hash layouts no creation parameter reaches.
 var kwiseBuilders = map[string]func(seed uint64) any{
-	"countmin":    func(seed uint64) any { return frequency.NewCountMinKWise(96, 5, seed) },
-	"countsketch": func(seed uint64) any { return frequency.NewCountSketchKWise(96, 5, seed) },
+	"countmin": func(seed uint64) any {
+		return frequency.NewCountMinLayout(frequency.Layout{Width: 96, Depth: 5, Mode: frequency.KWise, Seed: seed})
+	},
+	"countsketch": func(seed uint64) any {
+		return frequency.NewCountSketchLayout(frequency.Layout{Width: 96, Depth: 5, Mode: frequency.KWise, Seed: seed})
+	},
 }
 
 func projVariants(d *Descriptor) []projVariant {

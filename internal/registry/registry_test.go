@@ -210,6 +210,26 @@ func TestIngestRejectsBadLines(t *testing.T) {
 	}
 }
 
+// Every constructor of the two hashed-counter families refuses a fused
+// depth past frequency.Layout's cap as ErrParams, not a panic.
+func TestFusedDepthCapIsErrParams(t *testing.T) {
+	for _, name := range []string{"countmin", "countsketch"} {
+		d, _ := Lookup(name)
+		p, err := d.Validate(1, map[string]float64{"fused": 1, "depth": 22})
+		if err != nil {
+			t.Fatalf("%s: the schema itself refused depth 22: %v", name, err)
+		}
+		for _, build := range []func(Params) (any, error){d.New, d.NewServing, d.NewServingBuffered} {
+			if build == nil {
+				continue
+			}
+			if _, err := build(p); !errors.Is(err, ErrParams) {
+				t.Errorf("%s fused depth 22: err = %v, want ErrParams", name, err)
+			}
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	d, ok := Lookup("hll")
 	if !ok {

@@ -177,4 +177,21 @@ func TestCreateWithParams(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("create with unknown param: %v, want HTTP 400", err)
 	}
+	// In range for the schema, refused by the one place a shape is
+	// valid or not (frequency.Layout): fused layouts stop at depth 21.
+	for _, typ := range []string{"countmin", "countsketch"} {
+		err := cl.Create("deep-"+typ, server.CreateRequest{
+			Type:   typ,
+			Params: map[string]float64{"fused": 1, "depth": 22},
+		})
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Errorf("create fused %s with depth 22: %v, want HTTP 400", typ, err)
+		}
+		if err := cl.Create("deep-"+typ, server.CreateRequest{
+			Type:   typ,
+			Params: map[string]float64{"fused": 1, "depth": 21},
+		}); err != nil {
+			t.Errorf("create fused %s with depth 21: %v", typ, err)
+		}
+	}
 }

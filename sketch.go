@@ -200,13 +200,13 @@ func NewCountMinWithSpec(spec Spec, seed uint64) (*CountMin, error) {
 // multiple of 8; depth ≤ 21). Fused and standard sketches address
 // different cells and do not merge with each other.
 func NewCountMinFused(width, depth int, seed uint64) *CountMin {
-	return frequency.NewCountMinFused(width, depth, seed)
+	return frequency.NewCountMinLayout(frequency.Layout{Width: width, Depth: depth, Mode: frequency.Fused, Seed: seed})
 }
 
 // NewCountSketchFused creates a Count Sketch in the fused cache-line
 // layout (width rounds up to a multiple of 8; depth rounds odd, ≤ 21).
 func NewCountSketchFused(width, depth int, seed uint64) *CountSketch {
-	return frequency.NewCountSketchFused(width, depth, seed)
+	return frequency.NewCountSketchLayout(frequency.Layout{Width: width, Depth: depth, Mode: frequency.Fused, Seed: seed})
 }
 
 // NewCountSketch creates a width×depth Count Sketch (depth ≤ 63; even

@@ -118,7 +118,7 @@ func TestZeroAllocBlockedAndFusedPaths(t *testing.T) {
 		hs[i] = hashx.HashUint64(uint64(i), 1)
 	}
 
-	fcm := frequency.NewCountMinFused(2048, 5, 1)
+	fcm := frequency.NewCountMinLayout(frequency.Layout{Width: 2048, Depth: 5, Mode: frequency.Fused, Seed: 1})
 	assertZeroAlloc(t, "frequency.CountMin(fused).AddUint64", func() { fcm.AddUint64(42, 1) })
 	assertZeroAlloc(t, "frequency.CountMin(fused).EstimateUint64", func() { _ = fcm.EstimateUint64(42) })
 	assertZeroAlloc(t, "frequency.CountMin(fused).AddHashBatch", func() { fcm.AddHashBatch(hs) })
@@ -127,7 +127,7 @@ func TestZeroAllocBlockedAndFusedPaths(t *testing.T) {
 	assertZeroAlloc(t, "frequency.CountMin.AddHashBatch", func() { cm.AddHashBatch(hs) })
 	assertZeroAlloc(t, "frequency.CountMin.AddBatch", func() { cm.AddBatch(batch) })
 
-	fcs := frequency.NewCountSketchFused(2048, 5, 1)
+	fcs := frequency.NewCountSketchLayout(frequency.Layout{Width: 2048, Depth: 5, Mode: frequency.Fused, Seed: 1})
 	assertZeroAlloc(t, "frequency.CountSketch(fused).AddUint64", func() { fcs.AddUint64(42, 1) })
 	assertZeroAlloc(t, "frequency.CountSketch(fused).EstimateUint64", func() { _ = fcs.EstimateUint64(42) })
 	assertZeroAlloc(t, "frequency.CountSketch(fused).AddHashBatch", func() { fcs.AddHashBatch(hs) })
