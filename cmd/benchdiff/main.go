@@ -7,16 +7,18 @@
 //
 // Usage:
 //
-//	benchdiff old.json new.json           # report, always exit 0
+//	benchdiff old.json new.json           # exit 1 only if allocs/op rose
 //	benchdiff -strict old.json new.json   # exit 1 if anything regressed
 //	benchdiff -threshold 0.05 a.json b.json
 //
-// The default mode never fails: microbenchmark noise on shared CI
-// runners would otherwise gate merges on scheduler luck. CI runs it
-// informationally after bench-smoke; scripts/benchdiff.sh is the
-// local entry point. When the two reports disagree on CPU model or
-// GOMAXPROCS the diff is printed with a loud warning — across
-// machines the numbers are two experiments, not a regression signal.
+// allocs/op is a count, the same on any runner, so its growth for a
+// benchmark both reports hold always fails. ns/op only informs unless
+// -strict: microbenchmark noise on shared CI runners would otherwise
+// gate merges on scheduler luck. CI runs it after bench-smoke;
+// scripts/benchdiff.sh is the local entry point. When the two reports
+// disagree on CPU model or GOMAXPROCS the diff is printed with a loud
+// warning — across machines the numbers are two experiments, not a
+// regression signal.
 package main
 
 import (
@@ -46,8 +48,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	regressions := diff(os.Stdout, oldRep, newRep, *threshold)
-	if regressions > 0 && *strict {
+	regressions, allocGrowth := diff(os.Stdout, oldRep, newRep, *threshold)
+	if allocGrowth > 0 || regressions > 0 && *strict {
 		os.Exit(1)
 	}
 }
@@ -104,8 +106,8 @@ func load(path string) (benchrun.Report, error) {
 }
 
 // diff prints the comparison and returns the number of flagged
-// regressions.
-func diff(w *os.File, oldRep, newRep benchrun.Report, threshold float64) int {
+// regressions, and how many of them are allocs/op growth.
+func diff(w *os.File, oldRep, newRep benchrun.Report, threshold float64) (regressions, allocGrowth int) {
 	if oldRep.CPUModel != "" && newRep.CPUModel != "" && oldRep.CPUModel != newRep.CPUModel {
 		fmt.Fprintf(w, "WARNING: reports come from different CPUs (%q vs %q); deltas are not comparable\n",
 			oldRep.CPUModel, newRep.CPUModel)
@@ -119,7 +121,6 @@ func diff(w *os.File, oldRep, newRep benchrun.Report, threshold float64) int {
 		oldByName[r.Name] = r
 	}
 	fmt.Fprintf(w, "%-28s %12s %12s %8s\n", "benchmark", "old ns/op", "new ns/op", "delta")
-	regressions := 0
 	for _, nr := range newRep.Results {
 		or, ok := oldByName[nr.Name]
 		if !ok {
@@ -141,6 +142,7 @@ func diff(w *os.File, oldRep, newRep benchrun.Report, threshold float64) int {
 		if nr.AllocsPerOp > or.AllocsPerOp {
 			mark += fmt.Sprintf("  ALLOCS %d->%d", or.AllocsPerOp, nr.AllocsPerOp)
 			regressions++
+			allocGrowth++
 		}
 		fmt.Fprintf(w, "%-28s %12.2f %12.2f %+7.1f%%%s\n", nr.Name, or.NsPerOp, nr.NsPerOp, 100*delta, mark)
 	}
@@ -153,5 +155,8 @@ func diff(w *os.File, oldRep, newRep benchrun.Report, threshold float64) int {
 	} else {
 		fmt.Fprintf(w, "\nno regressions past %.0f%%\n", 100*threshold)
 	}
-	return regressions
+	if allocGrowth > 0 {
+		fmt.Fprintf(w, "%d benchmark(s) allocate more per op than the old report: failing\n", allocGrowth)
+	}
+	return regressions, allocGrowth
 }

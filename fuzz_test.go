@@ -9,6 +9,7 @@ package sketch_test
 import (
 	"bytes"
 	"encoding"
+	"math"
 	"net/url"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/cardinality"
 	"repro/internal/concurrent"
+	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/frequency"
 	typereg "repro/internal/registry"
@@ -682,5 +684,55 @@ func FuzzProjectionDecode(f *testing.F) {
 			t.Fatalf("a projection does not merge with its own copy: %v", err)
 		}
 		_, _ = carrier.Bind.Query(&g, q)
+	})
+}
+
+// FuzzWireBlocks hammers the block codec under every table family
+// (core.ReadBlock / WriteBlock behind U64Slice, I64Slice, F64Slice and
+// the frequency tables): arbitrary bytes read as three length-prefixed
+// blocks must give exactly what one bounds-checked U64 per element
+// gives — the same values, the same verdict — never panic, never return
+// a slice the bytes present did not pay for, and whatever is accepted
+// re-encodes to the bytes it came from.
+func FuzzWireBlocks(f *testing.F) {
+	w := core.NewWriter(core.TagKLL, 1)
+	w.U64Slice([]uint64{1, 1 << 63, 3})
+	w.I64Slice([]int64{-1})
+	w.F64Slice(nil)
+	corpusFor(f, w.Bytes())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r, version, err := core.NewReader(in, core.TagKLL)
+		if err != nil {
+			return
+		}
+		us, is, fs := r.U64Slice(), r.I64Slice(), r.F64Slice()
+		if held := 8 * (len(us) + len(is) + len(fs)); held > len(in) {
+			t.Fatalf("%d bytes of input decoded into %d bytes of slices", len(in), held)
+		}
+		per, _, _ := core.NewReader(in, core.TagKLL)
+		for s, n := range []int{len(us), len(is), len(fs)} {
+			if per.Count(8) != n && per.Err() == nil {
+				t.Fatalf("block %d holds %d elements, its count says otherwise", s, n)
+			}
+			for i := 0; i < n && per.Err() == nil; i++ {
+				v := per.U64()
+				if s == 0 && us[i] != v || s == 1 && is[i] != int64(v) || s == 2 && math.Float64bits(fs[i]) != v {
+					t.Fatalf("block %d element %d differs from the per-element read", s, i)
+				}
+			}
+		}
+		if (r.Done() == nil) != (per.Done() == nil) {
+			t.Fatalf("block reads say %v, per-element reads say %v", r.Done(), per.Done())
+		}
+		if r.Done() != nil {
+			return
+		}
+		back := core.NewWriter(core.TagKLL, version)
+		back.U64Slice(us)
+		back.I64Slice(is)
+		back.F64Slice(fs)
+		if !bytes.Equal(back.Bytes(), in) {
+			t.Fatalf("re-encoding differs from the accepted input (%d vs %d bytes)", len(back.Bytes()), len(in))
+		}
 	})
 }

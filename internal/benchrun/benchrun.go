@@ -12,6 +12,7 @@
 package benchrun
 
 import (
+	"encoding"
 	"encoding/json"
 	"os"
 	"runtime"
@@ -335,6 +336,34 @@ func Benchmarks() []NamedBench {
 				sf.AddHashBatch(hs)
 			}
 		}},
+		// The wire hop, next to the kernels it ships: MB/s of envelope.
+		{"CountMinMarshal2MB", marshalBench(func() encoding.BinaryMarshaler { return countMin2MB() })},
+		{"CountMinDecode2MB", func(b *testing.B) {
+			env, _ := countMin2MB().MarshalBinary()
+			var into frequency.CountMin
+			b.SetBytes(int64(len(env)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := into.UnmarshalBinary(env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"AtomicCountMinMarshal2MB", marshalBench(func() encoding.BinaryMarshaler {
+			cm := concurrent.NewAtomicCountMin(65536, 4, 1)
+			fillTable(cm.AddHashBatch)
+			return cm
+		})},
+		{"SFSketchMarshalFull", marshalBench(func() encoding.BinaryMarshaler {
+			sf := frequency.NewSFSketch(4096, 4, 32768, 4, 1)
+			fillTable(sf.AddHashBatch)
+			return sf
+		})},
+		{"BlockedBloomMarshal", marshalBench(func() encoding.BinaryMarshaler {
+			f := bloom.NewBlockedWithEstimates(4_000_000, 0.01, 1)
+			f.AddBatch(ByteKeys())
+			return f
+		})},
 		{"ServerCountMinIngest", serverCountMinIngest},
 		{"ClusterRingRoute", clusterRingRoute},
 		{"ClusterFanOutAdd4", clusterFanOutAdd},
@@ -357,6 +386,42 @@ func Benchmarks() []NamedBench {
 			}
 		}},
 	}
+}
+
+// wireSink keeps a marshalled envelope alive past the loop.
+var wireSink []byte
+
+// marshalBench times MarshalBinary of the instance build returns.
+func marshalBench(build func() encoding.BinaryMarshaler) func(b *testing.B) {
+	return func(b *testing.B) {
+		inst := build()
+		env, err := inst.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(env)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			wireSink, _ = inst.MarshalBinary()
+		}
+	}
+}
+
+// countMin2MB is the benchmark's cm shape (65536 × 4), loaded.
+func countMin2MB() *frequency.CountMin {
+	cm := frequency.NewCountMin(65536, 4, 1)
+	fillTable(cm.AddHashBatch)
+	return cm
+}
+
+// fillTable feeds a hashed-counter table keyCount item hashes, so that
+// the cells it marshals are not all zero.
+func fillTable(addHashBatch func([]uint64)) {
+	hs := make([]uint64, keyCount)
+	for i := range hs {
+		hs[i] = hashx.HashUint64(uint64(i), 1)
+	}
+	addHashBatch(hs)
 }
 
 // serverCountMinIngest measures the full sketchd ingest inner loop —
@@ -449,7 +514,7 @@ func wireSizes() []WireBytes {
 			continue
 		}
 		wb := WireBytes{Type: d.Name, FullBytes: len(full)}
-		if slim, used, err := entry.SnapshotWire(true); err == nil && used {
+		if slim, used, err := entry.SnapshotWire(nil, true); err == nil && used {
 			wb.SlimBytes = len(slim)
 		}
 		entry.Close()

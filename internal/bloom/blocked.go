@@ -3,6 +3,7 @@ package bloom
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hashx"
@@ -364,14 +365,26 @@ func NewBlockedFromWords(blocks uint64, k int, seed uint64, words []uint64, n ui
 // MarshalBinary serializes the filter under its own wire tag (the
 // blocked layout addresses different bits than the classic filter, so
 // the formats must never be confused). Version 1.
-func (f *BlockedFilter) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagBlockedBloom, 1)
-	w.U64(f.blocks)
-	w.U32(uint32(f.k))
-	w.U64(f.seed)
-	w.U64(f.n)
-	w.U64Slice(f.bits)
-	return w.Bytes(), nil
+func (f *BlockedFilter) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
+
+// AppendBinary appends the serialization to dst (Go 1.24's
+// encoding.BinaryAppender), in one sized pass.
+func (f *BlockedFilter) AppendBinary(dst []byte) ([]byte, error) {
+	return AppendBlocked(dst, f.blocks, f.k, f.seed, f.n, f.bits), nil
+}
+
+// AppendBlocked appends the blocked-Bloom envelope of a filter's words
+// to dst. BlockedFilter holds them plain; concurrent.AtomicBlockedBloom
+// holds atomics and writes the same envelope from them without copying
+// the words first.
+func AppendBlocked[T uint64 | atomic.Uint64](dst []byte, blocks uint64, k int, seed, n uint64, words []T) []byte {
+	w := core.AppendWriter(dst, core.TagBlockedBloom, 1, 32+8*len(words))
+	w.U64(blocks)
+	w.U32(uint32(k))
+	w.U64(seed)
+	w.U64(n)
+	core.WriteSlice(w, words)
+	return w.Bytes()
 }
 
 // UnmarshalBinary restores a filter serialized by MarshalBinary.

@@ -251,8 +251,12 @@ func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }
 // whose bit positions are derived by FastRange reduction; version 1
 // was written when positions were reduced by modulo, so its payloads
 // address different bits and are not decodable (see UnmarshalBinary).
-func (f *Filter) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagBloom, 2)
+func (f *Filter) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
+
+// AppendBinary appends the serialization to dst (Go 1.24's
+// encoding.BinaryAppender), in one sized pass.
+func (f *Filter) AppendBinary(dst []byte) ([]byte, error) {
+	w := core.AppendWriter(dst, core.TagBloom, 2, 32+8*len(f.bits))
 	w.U64(f.m)
 	w.U32(uint32(f.k))
 	w.U64(f.seed)

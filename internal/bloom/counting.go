@@ -111,15 +111,15 @@ func (f *CountingFilter) Merge(other *CountingFilter) error {
 // whose counter positions are derived by FastRange reduction; version 1
 // (modulo positions) is not decodable, as with Filter.
 func (f *CountingFilter) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagCountingBloom, 2)
-	w.U64(f.m)
-	w.U32(uint32(f.k))
-	w.U64(f.seed)
-	w.U64(f.n)
 	packed := make([]uint64, (len(f.counts)+3)/4)
 	for i, c := range f.counts {
 		packed[i/4] |= uint64(c) << ((i % 4) * 16)
 	}
+	w := core.AppendWriter(nil, core.TagCountingBloom, 2, 32+8*len(packed))
+	w.U64(f.m)
+	w.U32(uint32(f.k))
+	w.U64(f.seed)
+	w.U64(f.n)
 	w.U64Slice(packed)
 	return w.Bytes(), nil
 }

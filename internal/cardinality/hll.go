@@ -239,8 +239,12 @@ func (h *HLL) Clone() *HLL {
 }
 
 // MarshalBinary serializes the sketch.
-func (h *HLL) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagHLL, 1)
+func (h *HLL) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
+
+// AppendBinary appends the serialization to dst (Go 1.24's
+// encoding.BinaryAppender), in one sized pass.
+func (h *HLL) AppendBinary(dst []byte) ([]byte, error) {
+	w := core.AppendWriter(dst, core.TagHLL, 1, 13+8*len(h.packed))
 	w.U8(h.p)
 	w.U64(h.seed)
 	w.U64Slice(h.packed)

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -492,5 +493,58 @@ func TestCoordinator429Passthrough(t *testing.T) {
 	_, err = cl.Estimate("metered", nil)
 	if !errors.As(err, &se) || se.Code != 503 {
 		t.Fatalf("mixed 429 + down shard: %v, want StatusError 503", err)
+	}
+}
+
+// The coordinator's merged /snapshot declares its length, as a shard's
+// does: a > 1 MB envelope would otherwise go out chunked, and the
+// reader's buffer would grow by doubling. With the header the client
+// sizes its buffer once, and the bytes are the merge of the shards'.
+func TestCoordinatorSnapshotDeclaresLength(t *testing.T) {
+	coord, _ := fleet(t, 3)
+	ts := httptest.NewServer(coord)
+	t.Cleanup(ts.Close)
+	cl := client.New(ts.URL)
+	if err := cl.Create("cm", server.CreateRequest{Type: "countmin", Width: 65536, Depth: 4}); err != nil {
+		t.Fatal(err)
+	}
+	ingestN(t, cl, "cm", 5_000)
+
+	resp, err := http.Get(ts.URL + "/v1/sketch/cm/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || len(body) < 1<<20 {
+		t.Fatalf("merged snapshot: %d bytes, %v", len(body), err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("merged snapshot of %d bytes: Content-Length %d, Transfer-Encoding %v", len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+	envs, fails := coord.Gather("cm")
+	if len(fails) > 0 {
+		t.Fatal(fails)
+	}
+	merged, _, err := MergeEnvelopes(envs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := registry.Marshal(merged); !bytes.Equal(body, want) {
+		t.Fatal("merged snapshot is not the merge of the shard snapshots")
+	}
+
+	got, err := cl.SnapshotAppend("cm", "", make([]byte, 0, 512))
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("SnapshotAppend through the coordinator: %d bytes, %v", len(got), err)
+	}
+	if cap(got) != len(body)+1 {
+		t.Errorf("buffer grew to cap %d for a declared %d bytes: want one allocation of len+1", cap(got), len(body))
+	}
+	// A second read lands in the coordinator's pooled response buffer;
+	// the reply must not change for it.
+	again, err := cl.SnapshotAppend("cm", "", got)
+	if err != nil || !bytes.Equal(again, body) || &again[0] != &got[0] {
+		t.Errorf("second read: %d bytes, reused %v, err %v", len(again), len(again) > 0 && &again[0] == &got[0], err)
 	}
 }

@@ -126,6 +126,7 @@ type Coordinator struct {
 
 	routePool  sync.Pool // *[][]byte per-shard ingest buckets
 	gatherPool sync.Pool // *[][]byte per-shard envelope read buffers
+	envPool    sync.Pool // *[]byte merged /snapshot response envelopes
 }
 
 // NewCoordinator builds a coordinator over shard base URLs.
@@ -169,6 +170,7 @@ func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
 		bufs := make([][]byte, len(c.shards))
 		return &bufs // per-shard capacities grow to envelope size on first use
 	}
+	c.envPool.New = func() any { return new([]byte) }
 	c.buildMux()
 	return c, nil
 }

@@ -357,12 +357,21 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	env, err := registry.Marshal(merged)
+	// Marshalled into a pooled buffer, which goes back only once Write
+	// below has returned.
+	bp := c.envPool.Get().(*[]byte)
+	defer c.envPool.Put(bp)
+	env, _, err := registry.AppendMarshal((*bp)[:0], merged, false)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "marshal: %v", err)
 		return
 	}
+	*bp = env // keep what the marshal grew
 	w.Header().Set("Content-Type", "application/octet-stream")
+	// An explicit length, as on the shards: past net/http's 2 KB sniff
+	// buffer the reply would otherwise go out chunked, and the reader
+	// could not size its buffer once.
+	w.Header().Set("Content-Length", strconv.Itoa(len(env)))
 	if len(fails) > 0 {
 		w.Header().Set("X-Cluster-Partial", "true")
 	}

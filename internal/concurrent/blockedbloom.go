@@ -248,6 +248,11 @@ func (f *AtomicBlockedBloom) Snapshot() *bloom.BlockedFilter {
 
 // MarshalBinary serializes a snapshot in the standard blocked-Bloom
 // envelope, so any BlockedFilter can absorb it.
-func (f *AtomicBlockedBloom) MarshalBinary() ([]byte, error) {
-	return f.Snapshot().MarshalBinary()
+func (f *AtomicBlockedBloom) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to dst. The words are
+// loaded straight into the envelope — the same per-word snapshot as
+// Snapshot's, without a second bit array in between.
+func (f *AtomicBlockedBloom) AppendBinary(dst []byte) ([]byte, error) {
+	return bloom.AppendBlocked(dst, f.blocks, f.k, f.seed, f.n.Load(), f.bits), nil
 }

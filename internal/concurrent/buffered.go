@@ -536,9 +536,12 @@ func (c *BufferedCountMin) AppendCells(dst []uint64, item []byte) []uint64 {
 
 // MarshalBinary serializes a synced snapshot in the standard Count-Min
 // envelope.
-func (c *BufferedCountMin) MarshalBinary() ([]byte, error) {
+func (c *BufferedCountMin) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to dst.
+func (c *BufferedCountMin) AppendBinary(dst []byte) ([]byte, error) {
 	c.Sync()
-	return c.global.MarshalBinary()
+	return c.global.AppendBinary(dst)
 }
 
 // ---------------------------------------------------------------------
@@ -652,8 +655,14 @@ func (h *BufferedHLL) Snapshot() *cardinality.HLL {
 
 // MarshalBinary serializes a synced snapshot in the standard HLL
 // envelope.
-func (h *BufferedHLL) MarshalBinary() ([]byte, error) {
-	return h.Snapshot().MarshalBinary()
+func (h *BufferedHLL) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to dst, written on
+// the propagator's turn so that no clone of the registers is needed.
+func (h *BufferedHLL) AppendBinary(dst []byte) (out []byte, err error) {
+	h.Sync()
+	h.onGlobal(func() { out, err = h.global.AppendBinary(dst) })
+	return out, err
 }
 
 // ---------------------------------------------------------------------
@@ -780,7 +789,10 @@ func (f *BufferedBlockedBloom) Snapshot() *bloom.BlockedFilter {
 
 // MarshalBinary serializes a synced snapshot in the standard
 // blocked-Bloom envelope.
-func (f *BufferedBlockedBloom) MarshalBinary() ([]byte, error) {
+func (f *BufferedBlockedBloom) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to dst.
+func (f *BufferedBlockedBloom) AppendBinary(dst []byte) ([]byte, error) {
 	f.Sync()
-	return f.global.MarshalBinary()
+	return f.global.AppendBinary(dst)
 }

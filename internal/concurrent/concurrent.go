@@ -216,9 +216,12 @@ func (s *ShardedHLL) Merge(other *cardinality.HLL) error {
 
 // MarshalBinary serializes the merged view in the standard HLL
 // envelope, so any HLL (sharded or not) can absorb it.
-func (s *ShardedHLL) MarshalBinary() ([]byte, error) {
+func (s *ShardedHLL) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to dst.
+func (s *ShardedHLL) AppendBinary(dst []byte) ([]byte, error) {
 	merged, _ := s.mergedView()
-	return merged.MarshalBinary()
+	return merged.AppendBinary(dst)
 }
 
 // P returns the dense precision shared by all shards.
@@ -405,6 +408,11 @@ func (c *AtomicCountMin) Snapshot() *frequency.CountMin {
 
 // MarshalBinary serializes a snapshot in the standard Count-Min
 // envelope, so any CountMin can absorb it.
-func (c *AtomicCountMin) MarshalBinary() ([]byte, error) {
-	return c.Snapshot().MarshalBinary()
+func (c *AtomicCountMin) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to dst. The counters
+// are loaded straight into the envelope — the same per-cell snapshot as
+// Snapshot's, without a second table in between.
+func (c *AtomicCountMin) AppendBinary(dst []byte) ([]byte, error) {
+	return frequency.AppendCountMin(dst, &c.layout, c.n.Load(), false, c.cells), nil
 }

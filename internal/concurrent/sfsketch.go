@@ -103,18 +103,24 @@ func (s *ServingSF) Snapshot() *frequency.SFSketch {
 }
 
 // MarshalBinary serializes the full two-stage state.
-func (s *ServingSF) MarshalBinary() ([]byte, error) {
+func (s *ServingSF) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends the full two-stage state to dst.
+func (s *ServingSF) AppendBinary(dst []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.s.MarshalBinary()
+	return s.s.AppendBinary(dst)
 }
 
 // MarshalSlim serializes the slim stage only (the wire-efficient
 // envelope).
-func (s *ServingSF) MarshalSlim() ([]byte, error) {
+func (s *ServingSF) MarshalSlim() ([]byte, error) { return s.AppendSlim(nil) }
+
+// AppendSlim appends the slim envelope to dst.
+func (s *ServingSF) AppendSlim(dst []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.s.MarshalSlim()
+	return s.s.AppendSlim(dst)
 }
 
 // N returns the total weight added.

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 )
 
 // Wire is the shared binary serialization envelope. Every sketch
@@ -72,20 +74,34 @@ func PeekTag(data []byte) (byte, error) {
 	return data[4], nil
 }
 
+// headerSize is the bytes every envelope starts with: magic, tag, version.
+const headerSize = 6
+
 // Writer accumulates a sketch serialization.
 type Writer struct {
 	buf []byte
 }
 
-// NewWriter starts an envelope for the given sketch tag and version.
+// NewWriter starts an envelope for the given sketch tag and version in
+// a buffer of its own.
 func NewWriter(tag, version byte) *Writer {
-	w := &Writer{buf: make([]byte, 0, 64)}
+	return AppendWriter(nil, tag, version, 64-headerSize)
+}
+
+// AppendWriter starts an envelope at the end of dst, which the caller
+// owns, with room reserved for the header and size more bytes. A
+// marshaller that knows its payload size passes it here, so that the
+// envelope is written in one pass into one allocation — or into none,
+// when dst already has the room.
+func AppendWriter(dst []byte, tag, version byte, size int) *Writer {
+	w := &Writer{buf: slices.Grow(dst, headerSize+size)}
 	w.buf = append(w.buf, wireMagic...)
 	w.buf = append(w.buf, tag, version)
 	return w
 }
 
-// Bytes returns the accumulated serialization.
+// Bytes returns the accumulated serialization: whatever AppendWriter
+// was handed, then the envelope.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // U8 appends one byte.
@@ -109,27 +125,83 @@ func (w *Writer) BytesField(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// U64Slice appends a length-prefixed slice of uint64.
-func (w *Writer) U64Slice(vs []uint64) {
-	w.U32(uint32(len(vs)))
-	for _, v := range vs {
-		w.U64(v)
+// Word is an element the block codec moves: eight little-endian bytes.
+// An atomic.Uint64 is a cell of a table its writers are still updating;
+// each is loaded once, straight into the envelope.
+type Word interface {
+	uint64 | int64 | float64 | atomic.Uint64
+}
+
+// extend appends n bytes for the caller to fill: the one reservation of
+// a block append.
+func (w *Writer) extend(n int) []byte {
+	at := len(w.buf)
+	w.buf = slices.Grow(w.buf, n)[:at+n]
+	return w.buf[at:]
+}
+
+// sliceRoom writes the count of an n-element slice and returns the
+// bytes its block goes into.
+func (w *Writer) sliceRoom(n int) []byte {
+	w.buf = slices.Grow(w.buf, 4+8*n)
+	w.U32(uint32(n))
+	return w.extend(8 * n)
+}
+
+// WriteBlock appends vs with no length prefix: one reservation, then
+// one pass over a destination sliced to size, where a U64 per element
+// would re-check (and now and then regrow) the buffer per element.
+func WriteBlock[T Word](w *Writer, vs []T) { putWords(w.extend(8*len(vs)), vs) }
+
+// WriteSlice appends a length-prefixed block: the form U64Slice, I64Slice
+// and F64Slice write, for a caller generic over the element type.
+func WriteSlice[T Word](w *Writer, vs []T) { putWords(w.sliceRoom(len(vs)), vs) }
+
+func putWords[T Word](dst []byte, vs []T) {
+	switch vs := any(vs).(type) {
+	case []uint64:
+		putU64s(dst, vs)
+	case []int64:
+		putI64s(dst, vs)
+	case []float64:
+		putF64s(dst, vs)
+	case []atomic.Uint64:
+		for i := range vs {
+			binary.LittleEndian.PutUint64(dst, vs[i].Load())
+			dst = dst[8:]
+		}
 	}
 }
+
+// U64Slice appends a length-prefixed slice of uint64. (The three slice
+// methods fill their block themselves: a call into a generic function
+// from code inlined into another package makes the Writer escape.)
+func (w *Writer) U64Slice(vs []uint64) { putU64s(w.sliceRoom(len(vs)), vs) }
 
 // I64Slice appends a length-prefixed slice of int64.
-func (w *Writer) I64Slice(vs []int64) {
-	w.U32(uint32(len(vs)))
+func (w *Writer) I64Slice(vs []int64) { putI64s(w.sliceRoom(len(vs)), vs) }
+
+// F64Slice appends a length-prefixed slice of float64.
+func (w *Writer) F64Slice(vs []float64) { putF64s(w.sliceRoom(len(vs)), vs) }
+
+func putU64s(dst []byte, vs []uint64) {
 	for _, v := range vs {
-		w.I64(v)
+		binary.LittleEndian.PutUint64(dst, v)
+		dst = dst[8:]
 	}
 }
 
-// F64Slice appends a length-prefixed slice of float64.
-func (w *Writer) F64Slice(vs []float64) {
-	w.U32(uint32(len(vs)))
+func putI64s(dst []byte, vs []int64) {
 	for _, v := range vs {
-		w.F64(v)
+		binary.LittleEndian.PutUint64(dst, uint64(v))
+		dst = dst[8:]
+	}
+}
+
+func putF64s(dst []byte, vs []float64) {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(dst, math.Float64bits(v))
+		dst = dst[8:]
 	}
 }
 
@@ -240,51 +312,52 @@ func (r *Reader) BytesField() []byte {
 	return out
 }
 
-// U64Slice reads a length-prefixed slice of uint64.
-func (r *Reader) U64Slice() []uint64 {
-	n := int(r.U32())
-	if r.err != nil || !r.checkLen(n, 8) {
-		return nil
+// ReadBlock fills out from the next 8·len(out) bytes, the inverse of
+// WriteBlock: one bounds check for the block. The caller sized out, so
+// it has already compared the length it trusts with Remaining.
+func ReadBlock[T uint64 | int64 | float64](r *Reader, out []T) {
+	if !r.need(8 * len(out)) {
+		return
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
+	src := r.buf[r.off : r.off+8*len(out)]
+	r.off += len(src)
+	switch out := any(out).(type) {
+	case []uint64:
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint64(src)
+			src = src[8:]
+		}
+	case []int64:
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(src))
+			src = src[8:]
+		}
+	case []float64:
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+			src = src[8:]
+		}
 	}
-	if r.err != nil {
-		return nil
-	}
-	return out
 }
+
+// U64Slice reads a length-prefixed slice of uint64.
+func (r *Reader) U64Slice() []uint64 { return readSlice[uint64](r) }
 
 // I64Slice reads a length-prefixed slice of int64.
-func (r *Reader) I64Slice() []int64 {
-	n := int(r.U32())
-	if r.err != nil || !r.checkLen(n, 8) {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.I64()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
+func (r *Reader) I64Slice() []int64 { return readSlice[int64](r) }
 
 // F64Slice reads a length-prefixed slice of float64.
-func (r *Reader) F64Slice() []float64 {
+func (r *Reader) F64Slice() []float64 { return readSlice[float64](r) }
+
+// readSlice allocates only once the count has been checked against the
+// bytes present.
+func readSlice[T uint64 | int64 | float64](r *Reader) []T {
 	n := int(r.U32())
 	if r.err != nil || !r.checkLen(n, 8) {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
-	if r.err != nil {
-		return nil
-	}
+	out := make([]T, n)
+	ReadBlock(r, out)
 	return out
 }
 
@@ -305,7 +378,9 @@ func (r *Reader) Count(elemSize int) int {
 // checkLen rejects length prefixes that would exceed the remaining
 // buffer, preventing huge allocations on corrupt input.
 func (r *Reader) checkLen(n, elemSize int) bool {
-	if n < 0 || n*elemSize > len(r.buf)-r.off {
+	// Dividing the room, not multiplying the count: n·elemSize wraps a
+	// 32-bit int for a forged count and would pass.
+	if n < 0 || n > (len(r.buf)-r.off)/elemSize {
 		r.err = fmt.Errorf("%w: implausible length %d", ErrCorrupt, n)
 		return false
 	}

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"math"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -177,5 +182,199 @@ func TestReaderRejectsTrailingBytes(t *testing.T) {
 	r.U64Slice()
 	if err := r.Done(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Done() with trailing bytes = %v, want ErrCorrupt", err)
+	}
+}
+
+// blockLens are the slice lengths the block codec is checked at: empty,
+// one element, and enough to cross the writer's initial 64 bytes.
+var blockLens = []int{0, 1, 7, 1000}
+
+// TestBlockCodecMatchesPerElement pins the block forms to the
+// per-element ones they replaced: the same bytes out, the same values
+// back, for every element type, an atomic table included.
+func TestBlockCodecMatchesPerElement(t *testing.T) {
+	for _, n := range blockLens {
+		us, is, fs := make([]uint64, n), make([]int64, n), make([]float64, n)
+		as := make([]atomic.Uint64, n)
+		for i := range us {
+			us[i] = uint64(i+1) * 0x9e3779b97f4a7c15
+			is[i] = -int64(us[i] >> 1)
+			fs[i] = math.Float64frombits(us[i]) // NaN payloads must survive too
+			as[i].Store(us[i])
+		}
+		want := NewWriter(TagKLL, 1) // one element at a time
+		for _, per := range []func(i int){
+			func(i int) { want.U64(us[i]) },
+			func(i int) { want.I64(is[i]) },
+			func(i int) { want.F64(fs[i]) },
+			func(i int) { want.U64(as[i].Load()) },
+		} {
+			want.U32(uint32(n))
+			for i := 0; i < n; i++ {
+				per(i)
+			}
+		}
+		got := NewWriter(TagKLL, 1)
+		got.U64Slice(us)
+		got.I64Slice(is)
+		got.F64Slice(fs)
+		WriteSlice(got, as)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("n=%d: block writes differ from per-element writes", n)
+		}
+
+		r, _, err := NewReader(got.Bytes(), TagKLL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per, _, _ := NewReader(got.Bytes(), TagKLL)
+		gu, gi, gf, ga := r.U64Slice(), r.I64Slice(), r.F64Slice(), r.U64Slice()
+		if err := r.Done(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(gu) != n || len(gi) != n || len(gf) != n || len(ga) != n {
+			t.Fatalf("n=%d: block reads returned %d/%d/%d/%d elements", n, len(gu), len(gi), len(gf), len(ga))
+		}
+		for s := 0; s < 4; s++ {
+			if c := per.Count(8); c != n {
+				t.Fatalf("n=%d: per-element count %d", n, c)
+			}
+			for i := 0; i < n; i++ {
+				switch v := per.U64(); s {
+				case 0:
+					if gu[i] != v {
+						t.Fatalf("n=%d: uint64[%d] = %d, per-element read %d", n, i, gu[i], v)
+					}
+				case 1:
+					if gi[i] != int64(v) {
+						t.Fatalf("n=%d: int64[%d] = %d, per-element read %d", n, i, gi[i], int64(v))
+					}
+				case 2:
+					if math.Float64bits(gf[i]) != v {
+						t.Fatalf("n=%d: float64[%d] bits %x, per-element read %x", n, i, math.Float64bits(gf[i]), v)
+					}
+				case 3:
+					if ga[i] != v {
+						t.Fatalf("n=%d: atomic[%d] = %d, per-element read %d", n, i, ga[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBlockTruncatedAtEveryOffset cuts an envelope at every byte inside
+// and before a block: each cut is ErrCorrupt, never a panic, and the
+// reader allocates nothing the bytes present did not pay for.
+func TestBlockTruncatedAtEveryOffset(t *testing.T) {
+	w := NewWriter(TagKLL, 1)
+	w.F64Slice(make([]float64, 3))
+	w.U64Slice(make([]uint64, 1<<16)) // a 512 KB block
+	data := w.Bytes()
+	cuts := []int{len(data) - 1, len(data) - 8, len(data) / 2}
+	for cut := headerSize; cut < headerSize+4+24+4+17; cut++ {
+		cuts = append(cuts, cut)
+	}
+	for _, cut := range cuts {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		r, _, err := NewReader(data[:cut], TagKLL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.F64Slice()
+		if got := r.U64Slice(); got != nil {
+			t.Errorf("cut=%d: U64Slice returned %d elements", cut, len(got))
+		}
+		if err := r.Done(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cut=%d: Done() = %v, want ErrCorrupt", cut, err)
+		}
+		runtime.ReadMemStats(&ms1)
+		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > 4096 {
+			t.Errorf("cut=%d: a truncated block allocated %d bytes", cut, got)
+		}
+	}
+	// ReadBlock into a caller-sized slice past the end fails the same way.
+	r, _, _ := NewReader(data[:headerSize+4+24+4+16], TagKLL)
+	r.F64Slice()
+	r.U32()
+	ReadBlock(r, make([]uint64, 3))
+	if err := r.Err(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadBlock past the end: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestCheckLenForgedCount: a count whose byte size wraps the int must
+// be refused like any other too-large count. On a 32-bit build that is
+// a count U32 can deliver (2^31-1 elements of 8 bytes); the product
+// n·elemSize then wrapped to a small number and let a short payload
+// through to a count-sized make.
+func TestCheckLenForgedCount(t *testing.T) {
+	for _, elemSize := range []int{8, 12, 16, 24} {
+		for _, n := range []int{math.MaxInt/elemSize + 1, math.MaxInt / 2, math.MaxInt} {
+			r, _, err := NewReader(buildEnvelope(TagHLL, 1), TagHLL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.checkLen(n, elemSize) {
+				t.Errorf("checkLen(%d, %d) passed with %d bytes left", n, elemSize, r.Remaining())
+			}
+			if !errors.Is(r.Err(), ErrCorrupt) {
+				t.Errorf("checkLen(%d, %d): Err() = %v, want ErrCorrupt", n, elemSize, r.Err())
+			}
+		}
+	}
+	// The same forgery through the public surface, for the counts a U32
+	// can name on this build.
+	w := NewWriter(TagHLL, 1)
+	w.U32(math.MaxInt32) // 2^31-1 elements; 16 bytes follow
+	w.U64(0)
+	w.U64(0)
+	for name, read := range map[string]func(r *Reader) bool{
+		"U64Slice": func(r *Reader) bool { return r.U64Slice() == nil },
+		"I64Slice": func(r *Reader) bool { return r.I64Slice() == nil },
+		"F64Slice": func(r *Reader) bool { return r.F64Slice() == nil },
+		"Count":    func(r *Reader) bool { return r.Count(8) == 0 },
+	} {
+		r, _, _ := NewReader(w.Bytes(), TagHLL)
+		if !read(r) || !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("%s accepted a forged count of 2^31-1: %v", name, r.Err())
+		}
+	}
+}
+
+// growSink makes the reference reservation below a heap allocation.
+var growSink []byte
+
+// TestAppendWriterOwnsNothing: an envelope appended to a caller's
+// buffer leaves the prefix alone, equals the one NewWriter builds, and
+// with the size reserved costs one reservation — nothing when the
+// buffer already has the room.
+func TestAppendWriterOwnsNothing(t *testing.T) {
+	vs := make([]uint64, 512)
+	for i := range vs {
+		vs[i] = uint64(i)
+	}
+	fresh := NewWriter(TagHLL, 1)
+	fresh.U64Slice(vs)
+	build := func(dst []byte) []byte {
+		w := AppendWriter(dst, TagHLL, 1, 4+8*len(vs))
+		w.U64Slice(vs)
+		return w.Bytes()
+	}
+	prefix := []byte("prefix")
+	out := build(prefix)
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], fresh.Bytes()) {
+		t.Fatal("AppendWriter(prefix) is not prefix + the NewWriter envelope")
+	}
+	// What one reservation costs: 1, or 2 under the race detector, where
+	// the make inside slices.Grow is materialised.
+	once := testing.AllocsPerRun(20, func() { growSink = slices.Grow([]byte(nil), len(out)) })
+	if got := testing.AllocsPerRun(20, func() { build(nil) }); got != once {
+		t.Errorf("a sized envelope took %v allocations, one reservation takes %v", got, once)
+	}
+	buf := make([]byte, 0, len(out))
+	if got := testing.AllocsPerRun(20, func() { build(buf[:0]) }); got != 0 {
+		t.Errorf("appending into a buffer with room took %v allocations, want 0", got)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hashx"
@@ -315,20 +316,33 @@ func (c *CountMin) Clone() *CountMin {
 // one flat slice in the fused cell order instead of per-row slices.
 // Version-1 payloads (written before the derived fast lane existed)
 // decode as KWise sketches.
-func (c *CountMin) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagCountMin, 3)
-	w.U32(uint32(c.layout.Width))
-	w.U32(uint32(c.layout.Depth))
-	w.U64(c.layout.Seed)
-	w.U64(c.n)
-	if c.conservative {
+func (c *CountMin) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+// AppendBinary appends the serialization to dst (Go 1.24's
+// encoding.BinaryAppender): the caller owns the buffer, and one with
+// room for the envelope makes the marshal allocation-free.
+func (c *CountMin) AppendBinary(dst []byte) ([]byte, error) {
+	return AppendCountMin(dst, &c.layout, c.n, c.conservative, c.cells), nil
+}
+
+// AppendCountMin appends the Count-Min envelope of a table of layout l
+// to dst, in one sized pass. CountMin holds such a table as plain
+// words; concurrent.AtomicCountMin holds one as atomics and writes the
+// same envelope from them without copying the table first.
+func AppendCountMin[T uint64 | atomic.Uint64](dst []byte, l *Layout, n uint64, conservative bool, cells []T) []byte {
+	w := core.AppendWriter(dst, core.TagCountMin, 3, 26+l.wireSize())
+	w.U32(uint32(l.Width))
+	w.U32(uint32(l.Depth))
+	w.U64(l.Seed)
+	w.U64(n)
+	if conservative {
 		w.U8(1)
 	} else {
 		w.U8(0)
 	}
-	w.U8(byte(c.layout.Mode))
-	writeTable(w, &c.layout, c.cells)
-	return w.Bytes(), nil
+	w.U8(byte(l.Mode))
+	writeTable(w, l, cells)
+	return w.Bytes()
 }
 
 // decodeLayout reads the mode byte of a Count-Min or Count Sketch

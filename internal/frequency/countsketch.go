@@ -259,8 +259,11 @@ func (c *CountSketch) Merge(other *CountSketch) error {
 
 // MarshalBinary serializes the sketch in Count-Min's envelope shape
 // (see CountMin.MarshalBinary) without the conservative byte.
-func (c *CountSketch) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagCountSketch, 3)
+func (c *CountSketch) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
+
+// AppendBinary appends the serialization to dst, in one sized pass.
+func (c *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
+	w := core.AppendWriter(dst, core.TagCountSketch, 3, 25+c.layout.wireSize())
 	w.U32(uint32(c.layout.Width))
 	w.U32(uint32(c.layout.Depth))
 	w.U64(c.layout.Seed)

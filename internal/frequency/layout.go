@@ -3,6 +3,7 @@ package frequency
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/hashx"
@@ -251,13 +252,18 @@ func (l *Layout) wireParts() int {
 	return l.Depth
 }
 
-func writeTable[T uint64 | int64](w *core.Writer, l *Layout, cells []T) {
+// wireSize is the bytes the table travels as: a count before each part,
+// eight per cell.
+func (l *Layout) wireSize() int { return 4*l.wireParts() + 8*l.Len() }
+
+// writeTable appends the cells of a table of layout l, part by part, as
+// blocks. An atomic table is a serving holder's, loaded cell by cell
+// into the envelope.
+func writeTable[T uint64 | int64 | atomic.Uint64](w *core.Writer, l *Layout, cells []T) {
 	part := len(cells) / l.wireParts()
 	for ; len(cells) > 0; cells = cells[part:] {
 		w.U32(uint32(part))
-		for _, v := range cells[:part] {
-			w.U64(uint64(v))
-		}
+		core.WriteBlock(w, cells[:part])
 	}
 }
 
@@ -267,7 +273,7 @@ func writeTable[T uint64 | int64](w *core.Writer, l *Layout, cells []T) {
 func readTable[T uint64 | int64](r *core.Reader, l *Layout) ([]T, error) {
 	parts := l.wireParts()
 	part := l.Len() / parts
-	if r.Remaining() < parts*4+l.Len()*8 {
+	if r.Remaining() < l.wireSize() {
 		return nil, fmt.Errorf("%w: payload shorter than a %v table", core.ErrCorrupt, *l)
 	}
 	cells := make([]T, l.Len())
@@ -275,9 +281,7 @@ func readTable[T uint64 | int64](r *core.Reader, l *Layout) ([]T, error) {
 		if got := int(r.U32()); got != part {
 			return nil, fmt.Errorf("%w: table slice %d holds %d counters, want %d", core.ErrCorrupt, p, got, part)
 		}
-		for i := p * part; i < (p+1)*part; i++ {
-			cells[i] = T(r.U64())
-		}
+		core.ReadBlock(r, cells[p*part:(p+1)*part])
 	}
 	return cells, r.Err()
 }

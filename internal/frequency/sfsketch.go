@@ -269,14 +269,15 @@ const (
 // always see full envelopes (they need byte-identical recovery of the
 // whole state); slim envelopes are produced on demand by MarshalSlim
 // for the wire paths that trade state for bytes.
-func (s *SFSketch) MarshalBinary() ([]byte, error) {
+func (s *SFSketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) }
+
+// AppendBinary appends what MarshalBinary returns to dst (Go 1.24's
+// encoding.BinaryAppender).
+func (s *SFSketch) AppendBinary(dst []byte) ([]byte, error) {
 	if s.fat == nil {
-		return s.MarshalSlim()
+		return s.AppendSlim(dst)
 	}
-	w := s.marshalHeader(sfModeFull)
-	writeTable(w, &s.slimL, s.slim)
-	writeTable(w, &s.fatL, s.fat)
-	return w.Bytes(), nil
+	return s.appendWire(dst, sfModeFull), nil
 }
 
 // MarshalSlim serializes the slim stage only: the same versioned GSK1
@@ -284,14 +285,20 @@ func (s *SFSketch) MarshalBinary() ([]byte, error) {
 // compatibility checks survive the trip), and just the slim grid.
 // For the default shape the payload is fatWidth/slimWidth-times
 // smaller than a full envelope.
-func (s *SFSketch) MarshalSlim() ([]byte, error) {
-	w := s.marshalHeader(sfModeSlim)
-	writeTable(w, &s.slimL, s.slim)
-	return w.Bytes(), nil
+func (s *SFSketch) MarshalSlim() ([]byte, error) { return s.AppendSlim(nil) }
+
+// AppendSlim appends what MarshalSlim returns to dst.
+func (s *SFSketch) AppendSlim(dst []byte) ([]byte, error) {
+	return s.appendWire(dst, sfModeSlim), nil
 }
 
-func (s *SFSketch) marshalHeader(mode byte) *core.Writer {
-	w := core.NewWriter(core.TagSFSketch, 1)
+// appendWire appends the envelope of the given mode in one sized pass.
+func (s *SFSketch) appendWire(dst []byte, mode byte) []byte {
+	size := 33 + s.slimL.wireSize()
+	if mode == sfModeFull {
+		size += s.fatL.wireSize()
+	}
+	w := core.AppendWriter(dst, core.TagSFSketch, 1, size)
 	w.U8(mode)
 	w.U32(uint32(s.slimL.Width))
 	w.U32(uint32(s.slimL.Depth))
@@ -299,7 +306,11 @@ func (s *SFSketch) marshalHeader(mode byte) *core.Writer {
 	w.U32(uint32(s.fatL.Depth))
 	w.U64(s.slimL.Seed)
 	w.U64(s.n)
-	return w
+	writeTable(w, &s.slimL, s.slim)
+	if mode == sfModeFull {
+		writeTable(w, &s.fatL, s.fat)
+	}
+	return w.Bytes()
 }
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary or

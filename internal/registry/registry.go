@@ -351,14 +351,19 @@ func Decode(data []byte) (any, *Descriptor, error) {
 	return inst, d, nil
 }
 
-// Marshal serializes any registry-constructed instance through its
-// encoding.BinaryMarshaler implementation.
+// Marshal serializes any registry-constructed instance in its full
+// envelope.
 func Marshal(inst any) ([]byte, error) {
-	m, ok := inst.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("registry: %T does not serialize", inst)
-	}
-	return m.MarshalBinary()
+	data, _, err := AppendMarshal(nil, inst, false)
+	return data, err
+}
+
+// BinaryAppender is Go 1.24's encoding.BinaryAppender, declared here
+// because go.mod names an older release: the table families and their
+// serving holders marshal into a buffer the caller owns, and their
+// MarshalBinary is AppendBinary(nil).
+type BinaryAppender interface {
+	AppendBinary(dst []byte) ([]byte, error)
 }
 
 // SlimMarshaler is the optional wire-efficiency interface: families
@@ -369,24 +374,47 @@ func Marshal(inst any) ([]byte, error) {
 // only the bytes a remote reader needs. Byte-exact paths (durability,
 // replication) always use MarshalBinary; wire paths that trade state
 // for bytes (?wire=slim snapshots, scatter-gather) ask for this.
+// MarshalSlim is AppendSlim(nil).
 type SlimMarshaler interface {
 	MarshalSlim() ([]byte, error)
+	AppendSlim(dst []byte) ([]byte, error)
 }
 
-// MarshalWire serializes an instance for the wire: the slim envelope
-// when slim is requested and the instance supports it, the full
+// MarshalWire serializes an instance for the wire into a buffer of its
+// own: AppendMarshal(nil, inst, slim).
+func MarshalWire(inst any, slim bool) ([]byte, bool, error) {
+	return AppendMarshal(nil, inst, slim)
+}
+
+// AppendMarshal appends an instance's envelope to dst: the slim one
+// when slim is requested and the instance has one, the full
 // MarshalBinary envelope otherwise. The second result reports whether
 // the slim form was actually used, so callers can count slim vs full
-// wire bytes per family.
-func MarshalWire(inst any, slim bool) ([]byte, bool, error) {
+// wire bytes per family. A BinaryAppender writes straight into dst; any
+// other family's MarshalBinary result is copied in.
+func AppendMarshal(dst []byte, inst any, slim bool) ([]byte, bool, error) {
 	if slim {
 		if sm, ok := inst.(SlimMarshaler); ok {
-			data, err := sm.MarshalSlim()
-			return data, err == nil, err
+			out, err := sm.AppendSlim(dst)
+			return out, err == nil, err
 		}
 	}
-	data, err := Marshal(inst)
-	return data, false, err
+	if a, ok := inst.(BinaryAppender); ok {
+		out, err := a.AppendBinary(dst)
+		return out, false, err
+	}
+	m, ok := inst.(encoding.BinaryMarshaler)
+	if !ok {
+		return dst, false, fmt.Errorf("registry: %T does not serialize", inst)
+	}
+	data, err := m.MarshalBinary()
+	if err != nil {
+		return dst, false, err
+	}
+	if dst == nil {
+		return data, false, nil
+	}
+	return append(dst, data...), false, nil
 }
 
 // SizeOf reports an instance's in-memory footprint: its own SizeBytes

@@ -262,37 +262,27 @@ func (e *Entry) Merge(data []byte) error {
 	return e.bind.Merge(e.inst, src)
 }
 
-// Snapshot serializes the current state in the standard envelope.
+// Snapshot serializes the current state in the standard envelope, in a
+// buffer of its own: what durability and replication keep.
 func (e *Entry) Snapshot() ([]byte, error) {
-	m, ok := e.inst.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s does not serialize", ErrUnsupported, e.desc.Name)
-	}
-	if e.lockFree {
-		return m.MarshalBinary()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return m.MarshalBinary()
+	b, _, err := e.SnapshotWire(nil, false)
+	return b, err
 }
 
-// SnapshotWire serializes the current state for the wire: the slim
-// envelope when requested and the family implements
-// registry.SlimMarshaler, the full envelope otherwise (so ?wire=slim
-// stays a no-op hint for families without a slim form). The second
-// result reports which form was served. Durability and replication
-// never come through here — they require the byte-exact full envelope.
-func (e *Entry) SnapshotWire(slim bool) ([]byte, bool, error) {
-	if _, ok := e.inst.(typereg.SlimMarshaler); !ok || !slim {
-		b, err := e.Snapshot()
-		return b, false, err
+// SnapshotWire appends the current state to dst, which the caller owns,
+// as it goes on the wire: the slim envelope when requested and the
+// family implements registry.SlimMarshaler, the full envelope otherwise
+// (so ?wire=slim stays a no-op hint for families without a slim form).
+// The second result reports which form was served.
+func (e *Entry) SnapshotWire(dst []byte, slim bool) ([]byte, bool, error) {
+	if _, ok := e.inst.(encoding.BinaryMarshaler); !ok {
+		return dst, false, fmt.Errorf("%w: %s does not serialize", ErrUnsupported, e.desc.Name)
 	}
-	if e.lockFree {
-		return typereg.MarshalWire(e.inst, true)
+	if !e.lockFree {
+		e.mu.Lock()
+		defer e.mu.Unlock()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return typereg.MarshalWire(e.inst, true)
+	return typereg.AppendMarshal(dst, e.inst, slim)
 }
 
 // Project serializes the projection of the current state for query —

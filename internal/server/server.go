@@ -80,6 +80,7 @@ type Server struct {
 	start     time.Time
 	bufPool   sync.Pool // *[]byte request-body buffers
 	itemsPool sync.Pool // *[][]byte split-batch item headers
+	envPool   sync.Pool // *[]byte /snapshot response envelopes
 	mux       *http.ServeMux
 
 	reaperStop chan struct{}
@@ -110,6 +111,7 @@ func New() *Server {
 		items := make([][]byte, 0, 1024)
 		return &items
 	}
+	s.envPool.New = func() any { return new([]byte) }
 	s.mux = http.NewServeMux()
 	// Legacy (default-tenant) routes and their /v1/t/{tenant}/ twins
 	// share handlers; tenantOf picks the namespace per request.
@@ -399,12 +401,18 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if data == nil {
+		// The envelope is marshalled into a pooled buffer, which goes
+		// back only once Write below has returned: net/http has copied
+		// or sent the bytes by then, and nothing else keeps them.
+		bp := s.envPool.Get().(*[]byte)
+		defer s.envPool.Put(bp)
 		var slim bool
 		var err error
-		if data, slim, err = e.entry.SnapshotWire(wire == "slim"); err != nil {
+		if data, slim, err = e.entry.SnapshotWire((*bp)[:0], wire == "slim"); err != nil {
 			httpError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
+		*bp = data // keep what the marshal grew
 		if slim {
 			served = "slim"
 		}

@@ -6,8 +6,9 @@
 #   scripts/benchdiff.sh BENCH_1.json BENCH_2.json
 #   scripts/benchdiff.sh -strict BENCH_2.json bench-smoke.json
 #
-# Default mode always exits 0 (informational — shared-runner noise
-# must not gate merges); pass -strict to fail on flagged regressions.
+# ns/op is informational by default (shared-runner noise must not gate
+# merges; pass -strict to fail on it too). allocs/op growth for a
+# benchmark both reports hold always exits 1.
 set -eu
 cd "$(dirname "$0")/.."
 exec go run ./cmd/benchdiff "$@"
