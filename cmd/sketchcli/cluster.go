@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/registry"
+	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
@@ -35,15 +36,7 @@ func shardList(s string) ([]string, error) {
 	if s == "" {
 		return nil, fmt.Errorf("-shards url1,url2,... is required")
 	}
-	urls := strings.Split(s, ",")
-	for i, u := range urls {
-		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		if !strings.Contains(u, "://") {
-			u = "http://" + u
-		}
-		urls[i] = u
-	}
-	return urls, nil
+	return cluster.ShardURLs(strings.Split(s, ",")), nil
 }
 
 func runClusterStatus(args []string) error {
@@ -112,8 +105,8 @@ func runClusterMerge(args []string) error {
 	if *name == "" {
 		return fmt.Errorf("-name is required")
 	}
-	if *wire != "" && *wire != "full" && *wire != "slim" {
-		return fmt.Errorf("-wire must be full or slim, got %q", *wire)
+	if _, err := server.WireSlim(*wire, false); err != nil {
+		return fmt.Errorf("-wire: %w", err)
 	}
 	envs := make([][]byte, 0, len(urls))
 	gathered := 0

@@ -354,7 +354,7 @@ func TestCoordinatorReadBodyStatus(t *testing.T) {
 		body func() io.Reader
 		want int
 	}{
-		"over the cap": {func() io.Reader { return bytes.NewReader(make([]byte, maxBodyBytes+1)) }, http.StatusRequestEntityTooLarge},
+		"over the cap": {func() io.Reader { return bytes.NewReader(make([]byte, server.MaxBodyBytes+1)) }, http.StatusRequestEntityTooLarge},
 		"read error":   {func() io.Reader { return &errBody{} }, http.StatusBadRequest},
 	} {
 		for _, path := range []string{"/v1/sketch/s", "/v1/sketch/s/add"} {
@@ -363,43 +363,6 @@ func TestCoordinatorReadBodyStatus(t *testing.T) {
 			if rec.Code != tc.want {
 				t.Errorf("%s on %s: %d, want %d (%s)", name, path, rec.Code, tc.want, rec.Body)
 			}
-		}
-	}
-}
-
-// The sketchd routes the coordinator does not forward refuse with a
-// 501 in the JSON error body, not net/http's plain-text 404.
-func TestCoordinatorShardLocalRoutes(t *testing.T) {
-	coord, _ := fleet(t, 1)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-
-	for _, tc := range []struct{ method, path, op string }{
-		{"POST", "/v1/sketch/s/merge", "merge"},
-		{"POST", "/v1/t/acme/sketch/s/merge", "merge"},
-		{"GET", "/v1/sketch", "list"},
-		{"GET", "/v1/t/acme/sketch", "list"},
-		{"GET", "/v1/overlap?a=x&b=y", "overlap"},
-		{"GET", "/v1/t/acme/overlap?a=x&b=y", "overlap"},
-		{"POST", "/v1/ingest/groupby", "group-by ingest"},
-		{"POST", "/v1/t/acme/ingest/groupby", "group-by ingest"},
-		{"GET", "/v1/types", "the type catalogue"},
-	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("x"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc map[string]string
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotImplemented || err != nil ||
-			!strings.HasPrefix(doc["error"], tc.op+" is shard-local") {
-			t.Errorf("%s %s: %d %v (decode: %v), want 501 naming %q as shard-local",
-				tc.method, tc.path, resp.StatusCode, doc, err, tc.op)
 		}
 	}
 }

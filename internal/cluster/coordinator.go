@@ -129,17 +129,23 @@ type Coordinator struct {
 	envPool    sync.Pool // *[]byte merged /snapshot response envelopes
 }
 
-// NewCoordinator builds a coordinator over shard base URLs.
-func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
-	norm := make([]string, len(shards))
+// ShardURLs normalizes a list of shard addresses to base URLs: spaces
+// and trailing slashes go, and a bare host:port gets the http scheme.
+func ShardURLs(shards []string) []string {
+	urls := make([]string, len(shards))
 	for i, s := range shards {
-		s = strings.TrimRight(s, "/")
+		s = strings.TrimRight(strings.TrimSpace(s), "/")
 		if !strings.Contains(s, "://") {
 			s = "http://" + s
 		}
-		norm[i] = s
+		urls[i] = s
 	}
-	ring, err := NewRing(norm, opts.VirtualNodes)
+	return urls
+}
+
+// NewCoordinator builds a coordinator over shard addresses.
+func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
+	ring, err := NewRing(ShardURLs(shards), opts.VirtualNodes)
 	if err != nil {
 		return nil, err
 	}

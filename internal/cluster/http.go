@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -16,28 +14,22 @@ import (
 	"repro/internal/server/client"
 )
 
-// The coordinator serves the same /v1/sketch surface as a single
-// sketchd, so every existing client (sketchcli, the loadgen, curl
-// scripts) points at a cluster unchanged:
+// The coordinator serves the operation table a single sketchd does
+// (server.Ops), so every existing client (sketchcli, the loadgen, curl
+// scripts) points at a cluster unchanged. What it does for an operation
+// is the row's cluster meaning: add is routed by key, create and delete
+// are broadcast, query and snapshot gather and tree-merge, types and
+// status are answered locally, and the rows with no cluster-wide
+// meaning (merge, list, overlap, and group-by ingest, whose
+// one-WAL-record atomicity is a per-shard property) answer 501 naming
+// the operation as shard-local — point their callers at a shard.
 //
-//	POST   /v1/sketch/{name}           create, broadcast to all shards
-//	POST   /v1/sketch/{name}/add       ingest, ring-routed fan-out
-//	GET    /v1/sketch/{name}/query     scatter-gather + tree-merge
-//	GET    /v1/sketch/{name}/snapshot  merged global envelope
-//	DELETE /v1/sketch/{name}           broadcast
-//	GET    /v1/cluster/status          ring + per-shard health
-//	GET    /v1/status                  the coordinator's own counters
-//
-// Every sketch route also exists under /v1/t/{tenant}/... (or with the
+// Every sketch route also exists under its tenant twin (or with the
 // X-Sketch-Tenant header), forwarding to the same tenant namespace on
 // the shards; non-default tenants route keys under a tenant-derived
-// ring seed (SeedFor), so tenants spread independently. Group-by
-// ingest is deliberately NOT forwarded: its one-WAL-record atomicity
-// is a per-shard property, so it is served shard-local — point the
-// group-by producer at a shard, or at a single sketchd. The same goes
-// for the other sketchd routes with no cluster-wide meaning (merge,
-// list, overlap, /v1/types): they answer 501 naming the operation as
-// shard-local, in the JSON error body every other refusal uses.
+// ring seed (SeedFor), so tenants spread independently, and the default
+// tenant forwards over the plain shard paths with the unseeded ring —
+// bit-identical to pre-tenant clusters.
 //
 // Reads take ?allow_partial=true to accept a degraded answer when a
 // shard is down; the response then carries "partial": true plus the
@@ -46,41 +38,13 @@ import (
 // failure is a 503 naming the shard — a silently incomplete merge is
 // the one outcome the cluster must never produce.
 
-const maxBodyBytes = 8 << 20 // match sketchd's ingest cap
-
 func (c *Coordinator) buildMux() {
-	mux := http.NewServeMux()
-	for _, p := range []string{"/v1", "/v1/t/{tenant}"} {
-		mux.HandleFunc("POST "+p+"/sketch/{name}", c.handleCreate)
-		mux.HandleFunc("POST "+p+"/sketch/{name}/add", c.handleAdd)
-		mux.HandleFunc("GET "+p+"/sketch/{name}/query", c.handleQuery)
-		mux.HandleFunc("GET "+p+"/sketch/{name}/snapshot", c.handleSnapshot)
-		mux.HandleFunc("DELETE "+p+"/sketch/{name}", c.handleDelete)
-		mux.HandleFunc("POST "+p+"/sketch/{name}/merge", shardLocal("merge"))
-		mux.HandleFunc("GET "+p+"/sketch", shardLocal("list"))
-		mux.HandleFunc("GET "+p+"/overlap", shardLocal("overlap"))
-		mux.HandleFunc("POST "+p+"/ingest/groupby", shardLocal("group-by ingest"))
-	}
-	mux.HandleFunc("GET /v1/types", shardLocal("the type catalogue"))
-	mux.HandleFunc("GET /v1/cluster/status", c.handleClusterStatus)
-	mux.HandleFunc("GET /v1/status", c.handleStatus)
-	c.mux = mux
-}
-
-// tenantOf extracts the request's tenant: the /v1/t/{tenant} route
-// value, else the X-Sketch-Tenant header. The default tenant
-// normalizes to "" so it forwards over the legacy shard paths and
-// routes with the unseeded ring — bit-identical to pre-tenant
-// clusters.
-func tenantOf(r *http.Request) string {
-	t := r.PathValue("tenant")
-	if t == "" {
-		t = r.Header.Get(server.TenantHeader)
-	}
-	if t == server.DefaultTenant {
-		return ""
-	}
-	return t
+	c.mux = http.NewServeMux()
+	server.Mount(c.mux, true, map[string]http.HandlerFunc{
+		"create": c.broadcast("create"), "delete": c.broadcast("delete"),
+		"add": c.handleAdd, "query": c.handleQuery, "snapshot": c.handleSnapshot,
+		"types": server.HandleTypes, "status": c.handleStatus, "cluster-status": c.handleClusterStatus,
+	})
 }
 
 // ServeHTTP makes the coordinator an http.Handler.
@@ -88,130 +52,79 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]any{"error": fmt.Sprintf(format, args...)})
-}
-
-// shardLocal refuses a sketchd route the coordinator does not forward.
-func shardLocal(op string) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		httpError(w, http.StatusNotImplemented, "%s is shard-local: the coordinator does not forward it, ask a shard", op)
+// labeled adds the tenant to the reply of a tenant-scoped call.
+func labeled(doc map[string]any, tenant string) map[string]any {
+	if tenant != server.DefaultTenant {
+		doc["tenant"] = tenant
 	}
+	return doc
 }
 
 // shardFailure writes the error a failed fan-out produces: the failed
 // shards are named in both the error text and a structured field, and
-// tenant-scoped calls carry the tenant label so a multi-tenant
-// operator can attribute the degradation. Normally a 503 — but when
-// every failure is a shard's 429 (query-budget or tenant-QPS
-// throttle), the coordinator is not degraded, the workload is over
-// budget: pass the 429 through with the largest shard Retry-After so
-// the client backs off instead of failing over.
+// tenant-scoped calls carry the tenant label so a multi-tenant operator
+// can attribute the degradation. One rule serves every cluster meaning.
+// When every failed shard answered 4xx — no such sketch, a malformed
+// batch, a duplicate name, a query-budget or tenant-QPS throttle — the
+// coordinator is not degraded, the request is at fault: the first such
+// status passes through, with the largest shard Retry-After, so the
+// client fixes or paces the request instead of failing over. A 503 is
+// for a failure that was transport-level or 5xx.
 func shardFailure(w http.ResponseWriter, tenant, op string, fails []ShardError) {
 	names := make([]string, len(fails))
-	allThrottled := len(fails) > 0
+	status := fails[0].Code
 	var retryAfter int64
 	for i, f := range fails {
 		names[i] = f.Shard
-		if f.Code != http.StatusTooManyRequests {
-			allThrottled = false
+		if f.Code < 400 || f.Code > 499 {
+			status = http.StatusServiceUnavailable
 		}
-		if f.RetryAfterS > retryAfter {
-			retryAfter = f.RetryAfterS
-		}
+		retryAfter = max(retryAfter, f.RetryAfterS)
 	}
-	doc := map[string]any{
+	if status != http.StatusServiceUnavailable && retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
+	}
+	server.WriteJSON(w, status, labeled(map[string]any{
 		"error":         fmt.Sprintf("%s failed on shard(s) %v", op, names),
 		"failed_shards": fails,
-	}
-	if tenant != "" {
-		doc["tenant"] = tenant
-	}
-	if allThrottled {
-		if retryAfter < 1 {
-			retryAfter = 1
-		}
-		w.Header().Set("Retry-After", strconv.FormatInt(retryAfter, 10))
-		writeJSON(w, http.StatusTooManyRequests, doc)
-		return
-	}
-	writeJSON(w, http.StatusServiceUnavailable, doc)
-}
-
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		code := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "read body: %v", err)
-		return nil, false
-	}
-	return body, true
+	}, tenant))
 }
 
 func allowPartial(r *http.Request) bool {
 	return r.URL.Query().Get("allow_partial") == "true"
 }
 
-// handleCreate broadcasts the create to every shard — a cluster sketch
-// exists everywhere or nowhere. On partial failure the successful
-// shards are rolled back (best effort) so a retry does not hit
-// already-exists conflicts.
-func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
-	name := r.PathValue("name")
-	body, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	errs := c.scatter(func(_ int, cl *client.Client) error {
-		return c.callShard(func() error { return cl.Tenant(tenant).CreateRaw(name, body) })
-	})
-	if fails := c.failures(errs); len(fails) > 0 {
-		for i, err := range errs {
-			if err == nil {
-				cl := c.clients[i]
-				go c.callShard(func() error { return cl.Tenant(tenant).Delete(name) })
+// broadcast forwards a request to every shard as it stands — a cluster
+// sketch exists everywhere or nowhere. When a create fails on some
+// shards the ones that took it are rolled back (best effort), so a retry
+// does not hit already-exists conflicts.
+func (c *Coordinator) broadcast(op string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tenant, name := server.TenantOf(r), r.PathValue("name")
+		body, ok := server.ReadBody(w, r, nil)
+		if !ok {
+			return
+		}
+		errs := c.scatter(func(_ int, cl *client.Client) error {
+			return c.callShard(func() error {
+				return cl.Tenant(tenant).Forward(op, name, r.Header.Get("Content-Type"), body)
+			})
+		})
+		if fails := c.failures(errs); len(fails) > 0 {
+			for i, err := range errs {
+				if op == "create" && err == nil {
+					go c.callShard(func() error { return c.clients[i].Tenant(tenant).Delete(name) })
+				}
 			}
+			shardFailure(w, tenant, op, fails)
+			return
 		}
-		// A 4xx from every shard (bad params, duplicate name, quota) is
-		// the request's fault, not availability — pass the first one
-		// through.
-		if len(fails) == len(c.shards) {
-			if se := firstStatusError(errs); se != nil && se.Code < 500 {
-				httpError(w, se.Code, "%s", se.Msg)
-				return
-			}
+		if op == "create" {
+			server.WriteJSON(w, http.StatusCreated, labeled(map[string]any{"name": name, "shards": len(c.shards)}, tenant))
+			return
 		}
-		shardFailure(w, tenant, "create", fails)
-		return
+		server.WriteJSON(w, http.StatusOK, map[string]any{"deleted": name})
 	}
-	resp := map[string]any{"name": name, "shards": len(c.shards)}
-	if tenant != "" {
-		resp["tenant"] = tenant
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-// firstStatusError returns the first HTTP-status error in errs, nil if
-// every failure was transport-level.
-func firstStatusError(errs []error) *client.StatusError {
-	for _, err := range errs {
-		var se *client.StatusError
-		if errors.As(err, &se) {
-			return se
-		}
-	}
-	return nil
 }
 
 // handleAdd ring-routes the batch and fans the per-shard sub-batches
@@ -219,36 +132,19 @@ func firstStatusError(errs []error) *client.StatusError {
 // whole request with the shard named — acknowledging ingest that
 // partially happened would silently skew every later estimate.
 func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
-	name := r.PathValue("name")
-	body, ok := readBody(w, r)
+	tenant := server.TenantOf(r)
+	body, ok := server.ReadBody(w, r, nil)
 	if !ok {
 		return
 	}
 	c.ops.AddBatches.Inc()
-	items, fails := c.FanOutAddTenant(tenant, name, body)
+	items, fails := c.FanOutAddTenant(tenant, r.PathValue("name"), body)
 	if len(fails) > 0 {
 		shardFailure(w, tenant, "add", fails)
 		return
 	}
 	c.ops.Adds.Add(uint64(items))
-	writeJSON(w, http.StatusOK, map[string]any{"added": items})
-}
-
-// wireMode resolves a read's envelope form: an explicit ?wire=full or
-// ?wire=slim wins, otherwise the coordinator's SlimGather default
-// applies. The error return is a client mistake (400).
-func (c *Coordinator) wireMode(r *http.Request) (slim bool, err error) {
-	switch wire := r.URL.Query().Get("wire"); wire {
-	case "":
-		return c.opts.SlimGather, nil
-	case "full":
-		return false, nil
-	case "slim":
-		return true, nil
-	default:
-		return false, fmt.Errorf("bad wire mode %q (want full or slim)", wire)
-	}
+	server.WriteJSON(w, http.StatusOK, map[string]any{"added": items})
 }
 
 // familyQuery is the request's query less the coordinator's own read
@@ -279,9 +175,11 @@ func mixedTags(envs [][]byte) bool {
 // partial-failure policy.
 func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged any, d *registry.Descriptor, fails []ShardError, ok bool) {
 	c.ops.Queries.Inc()
-	slim, err := c.wireMode(r)
+	// An explicit ?wire=full or ?wire=slim wins over the coordinator's
+	// SlimGather default.
+	slim, err := server.WireSlim(r.URL.Query().Get("wire"), c.opts.SlimGather)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return nil, nil, nil, false
 	}
 	forQuery := query.Encode()
@@ -314,7 +212,7 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 		if errors.Is(err, core.ErrIncompatible) {
 			code = http.StatusConflict
 		}
-		httpError(w, code, "merge shards: %v", err)
+		server.HTTPError(w, code, "merge shards: %v", err)
 		return nil, nil, fails, false
 	}
 	if _, projected := merged.(*registry.Projection); projected {
@@ -327,7 +225,7 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 // from families that project the query, just the cells it reads —
 // tree-merged, queried once through the merged type's own binding.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
+	tenant := server.TenantOf(r)
 	query := familyQuery(r)
 	merged, d, fails, ok := c.gatherMerged(w, r, tenant, r.PathValue("name"), query)
 	if !ok {
@@ -335,25 +233,22 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := d.Bind.Query(merged, query)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "query: %v", err)
+		server.HTTPError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
 	res["shards_merged"] = c.ring.N() - len(fails)
-	if tenant != "" {
-		res["tenant"] = tenant
-	}
 	if len(fails) > 0 {
 		res["partial"] = true
 		res["failed_shards"] = fails
 	}
-	writeJSON(w, http.StatusOK, res)
+	server.WriteJSON(w, http.StatusOK, labeled(res, tenant))
 }
 
 // handleSnapshot serves the merged global envelope — byte-compatible
 // with a single sketchd snapshot, so it feeds Merge, sketchcli
 // inspect, or another cluster.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	merged, _, fails, ok := c.gatherMerged(w, r, tenantOf(r), r.PathValue("name"), nil)
+	merged, _, fails, ok := c.gatherMerged(w, r, server.TenantOf(r), r.PathValue("name"), nil)
 	if !ok {
 		return
 	}
@@ -363,33 +258,14 @@ func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	defer c.envPool.Put(bp)
 	env, _, err := registry.AppendMarshal((*bp)[:0], merged, false)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "marshal: %v", err)
+		server.HTTPError(w, http.StatusInternalServerError, "marshal: %v", err)
 		return
 	}
 	*bp = env // keep what the marshal grew
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// An explicit length, as on the shards: past net/http's 2 KB sniff
-	// buffer the reply would otherwise go out chunked, and the reader
-	// could not size its buffer once.
-	w.Header().Set("Content-Length", strconv.Itoa(len(env)))
 	if len(fails) > 0 {
 		w.Header().Set("X-Cluster-Partial", "true")
 	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(env)
-}
-
-func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
-	name := r.PathValue("name")
-	fails := c.failures(c.scatter(func(_ int, cl *client.Client) error {
-		return c.callShard(func() error { return cl.Tenant(tenant).Delete(name) })
-	}))
-	if len(fails) > 0 {
-		shardFailure(w, tenant, "delete", fails)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
+	server.WriteEnvelope(w, env)
 }
 
 // ShardStatus is one shard's row in the cluster status.
@@ -442,11 +318,11 @@ func (c *Coordinator) Status() ClusterStatus {
 }
 
 func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	server.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"role":     "coordinator",
 		"shards":   c.shards,
 		"uptime_s": time.Since(c.start).Seconds(),

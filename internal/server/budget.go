@@ -99,7 +99,7 @@ func retryAfterSeconds(nanos int64) int64 {
 // through.
 func throttle(w http.ResponseWriter, retryAfterS int64, format string, args ...any) {
 	w.Header().Set("Retry-After", strconv.FormatInt(retryAfterS, 10))
-	httpError(w, http.StatusTooManyRequests, format, args...)
+	HTTPError(w, http.StatusTooManyRequests, format, args...)
 }
 
 // guardRead applies the adaptive-read guards — the tenant QPS cap,

@@ -107,7 +107,7 @@ func (c *Client) Create(name string, req server.CreateRequest) error {
 	if err != nil {
 		return err
 	}
-	return c.post(c.url(name, ""), "application/json", body, nil)
+	return c.Forward("create", name, "application/json", body)
 }
 
 // Add ingests a batch of string items in one request.
@@ -118,18 +118,14 @@ func (c *Client) Add(name string, items []string) error {
 // AddBatch ingests a pre-joined newline-delimited batch. Loadgen hot
 // paths use this form to reuse one buffer across requests.
 func (c *Client) AddBatch(name string, batch []byte) error {
-	return c.post(c.url(name, "add"), "text/plain", batch, nil)
+	return c.Forward("add", name, "text/plain", batch)
 }
 
 // Query runs the sketch's read operation and returns the decoded JSON
 // document.
 func (c *Client) Query(name string, params url.Values) (map[string]any, error) {
-	u := c.url(name, "query")
-	if len(params) > 0 {
-		u += "?" + params.Encode()
-	}
 	var out map[string]any
-	if err := c.get(u, &out); err != nil {
+	if err := c.do("query", name, params, "", nil, &out); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -151,7 +147,7 @@ func (c *Client) Estimate(name string, params url.Values) (float64, error) {
 
 // Merge posts a peer's MarshalBinary envelope into the named sketch.
 func (c *Client) Merge(name string, envelope []byte) error {
-	return c.post(c.url(name, "merge"), "application/octet-stream", envelope, nil)
+	return c.Forward("merge", name, "application/octet-stream", envelope)
 }
 
 // MergeMany posts many same-type envelopes as one GSKB bundle. The
@@ -162,7 +158,7 @@ func (c *Client) MergeMany(name string, envelopes [][]byte) error {
 	if len(envelopes) == 1 {
 		return c.Merge(name, envelopes[0])
 	}
-	return c.post(c.url(name, "merge"), "application/octet-stream", server.EncodeBundle(envelopes), nil)
+	return c.Merge(name, server.EncodeBundle(envelopes))
 }
 
 // Snapshot fetches the sketch's full serialization envelope.
@@ -193,7 +189,7 @@ func (c *Client) SnapshotAppend(name, wire string, dst []byte) ([]byte, error) {
 // the query reads — instead of the whole state. Any other server,
 // family or query answers as SnapshotAppend would.
 func (c *Client) SnapshotFor(name, wire, forQuery string, dst []byte) ([]byte, error) {
-	u := c.url(name, "snapshot")
+	u := c.url("snapshot", name)
 	sep := "?"
 	if wire != "" {
 		u += sep + "wire=" + url.QueryEscape(wire)
@@ -250,15 +246,7 @@ func ReadAppend(r io.Reader, dst []byte) ([]byte, error) {
 
 // Delete drops the named sketch.
 func (c *Client) Delete(name string) error {
-	req, err := http.NewRequest(http.MethodDelete, c.url(name, ""), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	return drainStatus(resp)
+	return c.Forward("delete", name, "", nil)
 }
 
 // ListPage is one page of GET /v1/sketch: the sketch rows plus the
@@ -287,12 +275,8 @@ func (c *Client) List(prefix, cursor string, limit int) (ListPage, error) {
 	if limit > 0 {
 		q.Set("limit", strconv.Itoa(limit))
 	}
-	u := c.v1() + "/sketch"
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
 	var out ListPage
-	err := c.get(u, &out)
+	err := c.do("list", "", q, "", nil, &out)
 	return out, err
 }
 
@@ -310,12 +294,8 @@ type GroupByResult struct {
 // required; prefix, ttl_s, and the CreateRequest convenience fields
 // are optional).
 func (c *Client) GroupBy(params url.Values, batch []byte) (GroupByResult, error) {
-	u := c.v1() + "/ingest/groupby"
-	if len(params) > 0 {
-		u += "?" + params.Encode()
-	}
 	var out GroupByResult
-	err := c.post(u, "text/plain", batch, &out)
+	err := c.do("groupby", "", params, "text/plain", batch, &out)
 	return out, err
 }
 
@@ -338,7 +318,7 @@ type OverlapResult struct {
 func (c *Client) Overlap(a, b string) (OverlapResult, error) {
 	q := url.Values{"sketches": []string{a + "," + b}}
 	var out OverlapResult
-	err := c.get(c.v1()+"/overlap?"+q.Encode(), &out)
+	err := c.do("overlap", "", q, "", nil, &out)
 	return out, err
 }
 
@@ -348,7 +328,7 @@ func (c *Client) Types() ([]server.TypeInfo, error) {
 	var out struct {
 		Types []server.TypeInfo `json:"types"`
 	}
-	if err := c.get(c.base+"/v1/types", &out); err != nil {
+	if err := c.do("types", "", nil, "", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Types, nil
@@ -359,22 +339,15 @@ func (c *Client) Types() ([]server.TypeInfo, error) {
 // age; Durability.Enabled is false on an in-memory-only server).
 func (c *Client) Status() (server.StatusResponse, error) {
 	var out server.StatusResponse
-	err := c.get(c.base+"/v1/status", &out)
+	err := c.do("status", "", nil, "", nil, &out)
 	return out, err
 }
 
 // Statsz fetches the server's operation counters.
 func (c *Client) Statsz() (server.Statsz, error) {
 	var out server.Statsz
-	err := c.get(c.base+"/debug/statsz", &out)
+	err := c.do("statsz", "", nil, "", nil, &out)
 	return out, err
-}
-
-// CreateRaw registers a named sketch from a pre-encoded JSON
-// CreateRequest body — the coordinator's broadcast path, which
-// forwards the client's body verbatim instead of re-marshaling it.
-func (c *Client) CreateRaw(name string, body []byte) error {
-	return c.post(c.url(name, ""), "application/json", body, nil)
 }
 
 // ReplStatus polls the leader's replication manifest (sealed WAL
@@ -382,14 +355,14 @@ func (c *Client) CreateRaw(name string, body []byte) error {
 // so the leader can surface its replication lag.
 func (c *Client) ReplStatus(applied uint64) (durable.ShippableState, error) {
 	var out durable.ShippableState
-	err := c.get(c.base+"/v1/repl/status?applied="+strconv.FormatUint(applied, 10), &out)
+	err := c.do("repl-status", "", url.Values{"applied": {strconv.FormatUint(applied, 10)}}, "", nil, &out)
 	return out, err
 }
 
 // ReplFile fetches one shippable file (sealed WAL segment or snapshot)
 // by its manifest name.
 func (c *Client) ReplFile(name string) ([]byte, error) {
-	resp, err := c.hc.Get(c.base + "/v1/repl/file/" + url.PathEscape(name))
+	resp, err := c.hc.Get(c.url("repl-file", name))
 	if err != nil {
 		return nil, err
 	}
@@ -408,47 +381,38 @@ func (c *Client) ReplFile(name string) ([]byte, error) {
 // record appended so far becomes shippable — the freshness knob a
 // polling follower turns before each sync round.
 func (c *Client) ReplSeal() error {
-	return c.post(c.base+"/v1/repl/seal", "application/json", nil, nil)
+	return c.Forward("repl-seal", "", "application/json", nil)
 }
 
-// v1 returns the client's API prefix: "/v1" unscoped, or the
-// tenant-scoped "/v1/t/{tenant}".
-func (c *Client) v1() string {
-	if c.tenant == "" {
-		return c.base + "/v1"
+// url is the address of a table operation (server.Ops) on this client's
+// server and tenant.
+func (c *Client) url(op, name string) string {
+	return c.base + server.Named(op).Path(c.tenant, name)
+}
+
+// Forward sends one operation as it stands — the row's method and path,
+// the caller's body — and reports a non-2xx answer as a *StatusError.
+// It is how a coordinator broadcasts a request to its shards.
+func (c *Client) Forward(op, name, contentType string, body []byte) error {
+	return c.do(op, name, nil, contentType, body, nil)
+}
+
+// do issues one operation and decodes its JSON reply into out (nil: the
+// reply is drained).
+func (c *Client) do(op, name string, query url.Values, contentType string, body []byte, out any) error {
+	row := server.Named(op)
+	u := c.base + row.Path(c.tenant, name)
+	if len(query) > 0 {
+		u += "?" + query.Encode()
 	}
-	return c.base + "/v1/t/" + url.PathEscape(c.tenant)
-}
-
-func (c *Client) url(name, op string) string {
-	u := c.v1() + "/sketch/" + url.PathEscape(name)
-	if op != "" {
-		u += "/" + op
-	}
-	return u
-}
-
-func (c *Client) get(u string, out any) error {
-	resp, err := c.hc.Get(u)
+	req, err := http.NewRequest(row.Method, u, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return statusError(resp, data)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
-}
-
-func (c *Client) post(u, contentType string, body []byte, out any) error {
-	resp, err := c.hc.Post(u, contentType, bytes.NewReader(body))
+	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}

@@ -104,12 +104,72 @@ func (s *Server) captureAll() []durable.SketchSnap {
 	return out
 }
 
-// replayer applies recovered state to the server namespace. Skip
-// rules make recovery exact without any replay-time deduplication
-// state: a snapshot at cut LSN M subsumes every create/delete at or
-// below M (the namespace it captured already reflects them) and every
-// ingest/merge at or below the owning sketch's LastLSN (the captured
-// bytes already contain them).
+// hold claims an entry for the mutation in progress. An apply body calls
+// it on every entry before publishing or mutating it, in sorted-name
+// order when it touches several (group-by), and leaves alone an entry
+// for which it answers false: that entry already holds the record.
+type hold func(*namedEntry) bool
+
+func noHold(*namedEntry) bool { return true }
+
+// logged is the durability policy around one mutation, and the only
+// place that asks whether there is a log. apply changes the state and
+// returns how many of the entries it claimed, counted from the first,
+// now hold the change. On a durable server a claim takes the entry's WAL
+// lock, and apply, the append of the record (body) and the LSN
+// bookkeeping run under every lock claimed — so a captured sketch's
+// bytes hold exactly the records at or below its lastLSN, and a sketch
+// claimed before it was published cannot be mutated by anyone who finds
+// it until the record that creates it is in the log. The append only
+// copies into a bounded queue; disk I/O and fsync are the background
+// syncer's. An apply that fails logs nothing. In-memory servers run
+// apply with no lock.
+func (s *Server) logged(ts *tenantState, op byte, name string, body []byte, apply func(hold) (int, error)) error {
+	if s.dur == nil {
+		_, err := apply(noHold)
+		return err
+	}
+	var held []*namedEntry
+	defer func() {
+		for _, ne := range held {
+			ne.walMu.Unlock()
+		}
+	}()
+	n, err := apply(func(ne *namedEntry) bool {
+		ne.walMu.Lock()
+		held = append(held, ne)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	lsn := s.dur.Append(op, ts.walName, name, body)
+	for _, ne := range held[:n] {
+		ne.lastLSN = lsn
+	}
+	return nil
+}
+
+// remove deletes a sketch on behalf of a client or the reaper, logging
+// the delete so recovery replays it instead of resurrecting the sketch.
+func (s *Server) remove(ts *tenantState, name string) bool {
+	return s.logged(ts, durable.OpDelete, name, nil, func(hold) (int, error) {
+		if !ts.remove(name) {
+			return 0, ErrNotFound
+		}
+		return 0, nil
+	}) == nil
+}
+
+// replayer applies recovered or replicated state to the namespace
+// through the apply bodies the live handlers run under logged —
+// tenantState.create and remove, Entry.Add and Merge, fanOut — so
+// recovery and a follower cannot drift from the server that wrote the
+// log. Its own policy is the skip rule, which makes replay exact
+// without any deduplication state: a snapshot at cut LSN M subsumes
+// every create/delete at or below M (the namespace it captured already
+// reflects them) and every ingest/merge at or below the owning sketch's
+// LastLSN (the captured bytes already contain them).
 type replayer struct {
 	s       *Server
 	snapLSN uint64
@@ -125,14 +185,8 @@ func (r *replayer) RestoreSketch(sn durable.SketchSnap) error {
 	if err := json.Unmarshal(sn.Req, &req); err != nil {
 		return fmt.Errorf("create request: %w", err)
 	}
-	entry, err := RestoreEntry(req, sn.Data)
+	ne, err := r.s.walTenantState(sn.Tenant).create(sn.Name, req, sn.Data, noHold)
 	if err != nil {
-		return err
-	}
-	ts := r.s.walTenantState(sn.Tenant)
-	ne := &namedEntry{name: sn.Name, entry: entry, expiresAt: req.expiryUnix()}
-	if err := ts.install(ne); err != nil {
-		entry.Close()
 		return err
 	}
 	ne.lastLSN = sn.LastLSN
@@ -153,17 +207,12 @@ func (r *replayer) Replay(rec durable.Record) error {
 		if err := json.Unmarshal(rec.Body, &req); err != nil {
 			return err
 		}
-		entry, err := NewEntry(req)
+		ne, err := ts.create(rec.Name, req, nil, noHold)
 		if err != nil {
 			return err
 		}
-		ne := &namedEntry{name: rec.Name, entry: entry, expiresAt: req.expiryUnix()}
-		if err := ts.install(ne); err != nil {
-			entry.Close()
-			return err
-		}
 		ne.lastLSN = rec.LSN
-	case durable.OpIngest:
+	case durable.OpIngest, durable.OpMerge:
 		ne, err := ts.reg.get(rec.Name)
 		if err != nil {
 			return nil // deleted later in the log, or never created: skip
@@ -171,31 +220,21 @@ func (r *replayer) Replay(rec durable.Record) error {
 		if rec.LSN <= ne.lastLSN {
 			return nil // already inside the recovered bytes
 		}
-		if err := ne.entry.Add(SplitBatch(rec.Body)); err != nil {
-			return err
+		if rec.Op == durable.OpIngest {
+			err = ne.entry.Add(SplitBatch(rec.Body))
+		} else {
+			err = ne.entry.Merge(rec.Body)
 		}
-		ne.lastLSN = rec.LSN
-	case durable.OpMerge:
-		ne, err := ts.reg.get(rec.Name)
 		if err != nil {
-			return nil
-		}
-		if rec.LSN <= ne.lastLSN {
-			return nil
-		}
-		if err := ne.entry.Merge(rec.Body); err != nil {
 			return err
 		}
 		ne.lastLSN = rec.LSN
 	case durable.OpDelete:
-		if rec.LSN <= r.snapLSN {
-			return nil
-		}
-		if ne := ts.drop(rec.Name); ne != nil {
-			ne.entry.Close()
+		if rec.LSN > r.snapLSN {
+			ts.remove(rec.Name)
 		}
 	case durable.OpGroupBy:
-		return r.s.replayGroupBy(ts, rec)
+		return replayGroupBy(ts, rec)
 	default:
 		return fmt.Errorf("unknown WAL op %d", rec.Op)
 	}

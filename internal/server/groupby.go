@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -100,44 +101,52 @@ func splitGroups(body []byte) (groups map[string][][]byte, names []string, total
 	return groups, names, total, nil
 }
 
-// groupEntries resolves (creating as needed) the sketch entry for each
-// sorted group key. Created entries carry the template's TTL and are
-// installed with gauges updated; they are persisted by the OpGroupBy
-// record itself, not individual creates.
-func groupEntries(ts *tenantState, spec GroupBySpec, names []string) (entries []*namedEntry, created int, err error) {
-	entries = make([]*namedEntry, 0, len(names))
+// fanOut applies a group-by batch to ts, the one body the live handler
+// and replay share. In sorted group order it resolves each group's
+// sketch (created from the template when missing; persisted by the
+// OpGroupBy record itself, not an individual create), claims it, and
+// feeds it its items, stopping at the first group that fails — so a
+// live fan-out and its replay stop at the same place. applied counts
+// the groups fed: the first applied of the entries claimed.
+func (ts *tenantState) fanOut(spec GroupBySpec, groups map[string][][]byte, names []string, claim hold) (applied, created int, items uint64, err error) {
 	for _, g := range names {
 		full := spec.Prefix + g
-		ne, gerr := ts.reg.get(full)
-		if gerr != nil {
-			entry, nerr := NewEntry(spec.Create)
-			if nerr != nil {
-				return nil, created, nerr
+		ne, _ := ts.reg.get(full)
+		fresh := ne == nil
+		if fresh {
+			if ne, err = ts.create(full, spec.Create, nil, claim); errors.Is(err, ErrExists) {
+				fresh = false // lost a create race: use the winner
+				ne, err = ts.reg.get(full)
 			}
-			ne = &namedEntry{name: full, entry: entry, expiresAt: spec.Create.expiryUnix()}
-			if ierr := ts.install(ne); ierr != nil {
-				entry.Close() // lost a create race: use the winner
-				if ne, gerr = ts.reg.get(full); gerr != nil {
-					return nil, created, ierr
-				}
-			} else {
-				created++
+			if err != nil {
+				return applied, created, items, err
 			}
 		}
-		entries = append(entries, ne)
+		if fresh {
+			created++
+		} else if !claim(ne) {
+			continue
+		}
+		if err = ne.entry.Add(groups[g]); err != nil {
+			return applied, created, items, fmt.Errorf("group %q: %w", g, err)
+		}
+		n := uint64(len(groups[g]))
+		ne.adds.Add(n)
+		items += n
+		applied++
 	}
-	return entries, created, nil
+	return applied, created, items, nil
 }
 
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
+	tenant := TenantOf(r)
 	if !validTenantName(tenant) {
-		httpError(w, http.StatusBadRequest, "invalid tenant name %q", tenant)
+		HTTPError(w, http.StatusBadRequest, "invalid tenant name %q", tenant)
 		return
 	}
 	spec, err := groupSpecFromQuery(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if spec.Create.TTLSeconds > 0 && spec.Create.CreatedUnix == 0 {
@@ -154,23 +163,30 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	// batch before any group sketch exists.
 	probe, err := NewEntry(spec.Create)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	probe.Close()
-
-	body, release, ok := s.readBody(w, r)
+	// The WAL record body is the spec line, then the raw batch read in
+	// behind it.
+	head, err := json.Marshal(spec)
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	record := make([]byte, 0, len(head)+2+int(min(max(r.ContentLength, 0), MaxBodyBytes)))
+	record, ok := ReadBody(w, r, append(append(record, head...), '\n'))
 	if !ok {
 		return
 	}
-	defer release()
+	body := record[len(head)+1:]
 	groups, names, total, err := splitGroups(body)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if total == 0 {
-		httpError(w, http.StatusBadRequest, "groupby: empty batch")
+		HTTPError(w, http.StatusBadRequest, "groupby: empty batch")
 		return
 	}
 
@@ -182,92 +198,47 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := s.admitCreate(ts, newGroups); err != nil {
-		httpError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	}
-
-	var walBody []byte
-	if s.dur != nil {
-		specJSON, merr := json.Marshal(spec)
-		if merr != nil {
-			httpError(w, http.StatusBadRequest, "%v", merr)
-			return
-		}
-		walBody = make([]byte, 0, len(specJSON)+1+len(body))
-		walBody = append(append(append(walBody, specJSON...), '\n'), body...)
-	}
-
-	entries, created, err := groupEntries(ts, spec, names)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
 
 	// Apply every group, then log ONE record covering the whole call.
-	// All touched WAL locks are taken in sorted-name order (concurrent
-	// group-bys take the same order; single-sketch paths hold one lock
-	// at a time — no cycles), so apply + one append + LSN bookkeeping
-	// is atomic across the batch exactly as it is per sketch on the
-	// single-name paths. On a mid-batch apply error the record is still
-	// logged: replay applies groups in the same sorted order and stops
-	// at the same deterministic failure, keeping recovery byte-exact.
-	var applied uint64
+	// The touched entries are claimed in sorted-name order (concurrent
+	// group-bys take the same order; single-sketch paths hold one claim
+	// at a time — no cycles), so apply + one append + LSN bookkeeping is
+	// atomic across the batch exactly as it is per sketch on the
+	// single-name paths. On a mid-batch failure the record is still
+	// logged: replay runs the same fanOut, stops at the same group, and
+	// recovery stays byte-exact.
+	var created int
+	var added uint64
 	var applyErr error
-	appliedThrough := -1
-	if s.dur != nil {
-		for _, ne := range entries {
-			ne.walMu.Lock()
-		}
-		for i, ne := range entries {
-			if aerr := ne.entry.Add(groups[names[i]]); aerr != nil {
-				applyErr = fmt.Errorf("group %q: %w", names[i], aerr)
-				break
-			}
-			ne.adds.Add(uint64(len(groups[names[i]])))
-			applied += uint64(len(groups[names[i]]))
-			appliedThrough = i
-		}
-		lsn := s.dur.Append(durable.OpGroupBy, ts.walName, spec.Prefix, walBody)
-		for i := 0; i <= appliedThrough; i++ {
-			entries[i].lastLSN = lsn
-		}
-		for _, ne := range entries {
-			ne.walMu.Unlock()
-		}
-	} else {
-		for i, ne := range entries {
-			if aerr := ne.entry.Add(groups[names[i]]); aerr != nil {
-				applyErr = fmt.Errorf("group %q: %w", names[i], aerr)
-				break
-			}
-			ne.adds.Add(uint64(len(groups[names[i]])))
-			applied += uint64(len(groups[names[i]]))
-		}
-	}
-	ts.adds.Add(applied)
-	s.ops.Adds.Add(applied)
+	s.logged(ts, durable.OpGroupBy, spec.Prefix, record, func(claim hold) (applied int, _ error) {
+		applied, created, added, applyErr = ts.fanOut(spec, groups, names, claim)
+		return applied, nil
+	})
+	ts.adds.Add(added)
+	s.ops.Adds.Add(added)
 	s.ops.AddBatches.Inc()
 	s.ops.BatchBytes.Add(uint64(len(body)))
 	if applyErr != nil {
-		httpError(w, http.StatusBadRequest, "%v (groups before it were applied and logged)", applyErr)
+		HTTPError(w, http.StatusBadRequest, "%v (groups before it were applied and logged)", applyErr)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"tenant":  tenant,
 		"groups":  len(names),
 		"created": created,
-		"added":   applied,
+		"added":   added,
 	})
 }
 
-// replayGroupBy re-runs a logged group-by fan-out during recovery:
-// recreate missing group sketches from the embedded template, apply
-// groups in sorted order, and skip any group whose sketch already
-// contains this record (snapshot-restored with LastLSN >= rec.LSN).
-// An apply error stops the fan-out at the same group the live path
-// stopped at — the error is surfaced so recovery logs it, and the
-// prior groups' state stands, matching the pre-crash server.
-func (s *Server) replayGroupBy(ts *tenantState, rec durable.Record) error {
+// replayGroupBy re-runs a logged group-by fan-out during recovery,
+// leaving alone any group whose sketch already holds the record
+// (snapshot-restored with LastLSN >= rec.LSN). A failure is surfaced so
+// recovery logs it; the groups before it stand, as on the pre-crash
+// server.
+func replayGroupBy(ts *tenantState, rec durable.Record) error {
 	nl := bytes.IndexByte(rec.Body, '\n')
 	if nl < 0 {
 		return fmt.Errorf("groupby record: missing spec line")
@@ -280,26 +251,16 @@ func (s *Server) replayGroupBy(ts *tenantState, rec durable.Record) error {
 	if err != nil {
 		return err
 	}
-	for _, g := range names {
-		full := spec.Prefix + g
-		ne, gerr := ts.reg.get(full)
-		if gerr != nil {
-			entry, nerr := NewEntry(spec.Create)
-			if nerr != nil {
-				return nerr
-			}
-			ne = &namedEntry{name: full, entry: entry, expiresAt: spec.Create.expiryUnix()}
-			if ierr := ts.install(ne); ierr != nil {
-				entry.Close()
-				return ierr
-			}
-		} else if rec.LSN <= ne.lastLSN {
-			continue
+	var held []*namedEntry
+	applied, _, _, err := ts.fanOut(spec, groups, names, func(ne *namedEntry) bool {
+		if rec.LSN <= ne.lastLSN {
+			return false
 		}
-		if aerr := ne.entry.Add(groups[g]); aerr != nil {
-			return fmt.Errorf("group %q: %w", g, aerr)
-		}
+		held = append(held, ne)
+		return true
+	})
+	for _, ne := range held[:applied] {
 		ne.lastLSN = rec.LSN
 	}
-	return nil
+	return err
 }

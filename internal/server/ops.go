@@ -1,0 +1,198 @@
+package server
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+)
+
+// Meaning is what an operation means to a cluster: how a coordinator
+// answers it out of what its shards hold. Because a coordinator only
+// ever composes mergeable summaries, the meaning is one word, not a
+// handler.
+type Meaning string
+
+const (
+	RouteByKey      Meaning = "route-by-key"     // each line goes to the shard its key hashes to
+	Broadcast       Meaning = "broadcast"        // the request goes to every shard unchanged
+	GatherMerge     Meaning = "gather-and-merge" // every shard's summary, tree-merged, then answered
+	Local           Meaning = "local"            // answered by whichever process is asked
+	ShardLocal      Meaning = "shard-local"      // no cluster-wide meaning: a coordinator answers 501
+	ServerOnly      Meaning = "sketchd only"     // not mounted on a coordinator
+	CoordinatorOnly Meaning = "coordinator only" // not mounted on a sketchd
+)
+
+// Op is one operation of the HTTP API: the row the server's mux, the
+// coordinator's mux, the client's URLs and the documented route table
+// are all read from.
+type Op struct {
+	Name    string
+	Method  string
+	Pattern string // net/http pattern path under the default tenant
+	Tenant  bool   // also mounted under /v1/t/{tenant}
+	Cluster Meaning
+	Doc     string
+}
+
+// Ops is the operation table; README.md renders it (TestRouteTableDocs
+// fails when the two disagree). A tenant twin is the same route under
+// /v1/t/{tenant}; the X-Sketch-Tenant header scopes the plain route the
+// same way, and with neither a request addresses the "default" tenant.
+var Ops = []Op{
+	{"create", "POST", "/v1/sketch/{name}", true, Broadcast, "create from a JSON CreateRequest"},
+	{"add", "POST", "/v1/sketch/{name}/add", true, RouteByKey, "ingest newline-delimited items"},
+	{"query", "GET", "/v1/sketch/{name}/query", true, GatherMerge, "the family's read: estimate, point query, quantile, …"},
+	{"merge", "POST", "/v1/sketch/{name}/merge", true, ShardLocal, "absorb a peer envelope, or a GSKB bundle of them"},
+	{"snapshot", "GET", "/v1/sketch/{name}/snapshot", true, GatherMerge, "serialize out (`?wire=slim`, `?for=<query>`)"},
+	{"delete", "DELETE", "/v1/sketch/{name}", true, Broadcast, "drop the sketch"},
+	{"list", "GET", "/v1/sketch", true, ShardLocal, "page through names (`?prefix=`, `?limit=`, `?cursor=`)"},
+	{"groupby", "POST", "/v1/ingest/groupby", true, ShardLocal, "fan `group<TAB>item` lines into a sketch per group, one WAL record"},
+	{"overlap", "GET", "/v1/overlap", true, ShardLocal, "audience overlap of two cardinality sketches (`?sketches=a,b`)"},
+	{"types", "GET", "/v1/types", false, Local, "servable families and their parameter schemas"},
+	{"status", "GET", "/v1/status", false, Local, "the answering process's counters and gauges"},
+	{"cluster-status", "GET", "/v1/cluster/status", false, CoordinatorOnly, "ring shape and every shard's status"},
+	{"repl-status", "GET", "/v1/repl/status", false, ServerOnly, "shippable WAL manifest; `?applied=N` reports follower progress"},
+	{"repl-file", "GET", "/v1/repl/file/{name}", false, ServerOnly, "one sealed WAL segment or snapshot file"},
+	{"repl-seal", "POST", "/v1/repl/seal", false, ServerOnly, "rotate the active WAL segment so it can ship"},
+	{"statsz", "GET", "/debug/statsz", false, ServerOnly, "operation counters and per-sketch bytes"},
+}
+
+// Named returns the table's row for an operation; a name the table
+// does not hold is a bug in the caller.
+func Named(name string) Op {
+	for _, op := range Ops {
+		if op.Name == name {
+			return op
+		}
+	}
+	panic("server: no operation " + strconv.Quote(name))
+}
+
+// Path is the operation's concrete URL path for a tenant ("" or
+// "default": the plain route) and, where the pattern has one, a name.
+func (op Op) Path(tenant, name string) string {
+	path := op.Pattern
+	if head, tail, ok := strings.Cut(path, "{name}"); ok {
+		path = head + url.PathEscape(name) + tail
+	}
+	if op.Tenant && tenant != "" && tenant != DefaultTenant {
+		path = "/v1/t/" + url.PathEscape(tenant) + path[len("/v1"):]
+	}
+	return path
+}
+
+// Mount registers on mux every row the tier serves (a sketchd, or a
+// coordinator), each with its tenant twin, from handlers keyed by
+// operation name. A coordinator's shard-local rows need no handler:
+// their 501 is read off the row. A served row without a handler, and a
+// handler without a served row, panic — no route exists outside Ops.
+func Mount(mux *http.ServeMux, coordinator bool, handlers map[string]http.HandlerFunc) {
+	mounted := 0
+	for _, op := range Ops {
+		if op.Cluster == CoordinatorOnly && !coordinator || op.Cluster == ServerOnly && coordinator {
+			continue
+		}
+		h := handlers[op.Name]
+		if h != nil {
+			mounted++
+		} else if coordinator && op.Cluster == ShardLocal {
+			h = func(w http.ResponseWriter, _ *http.Request) {
+				HTTPError(w, http.StatusNotImplemented, "%s is shard-local: the coordinator does not forward it, ask a shard", op.Name)
+			}
+		} else {
+			panic("server: no handler for operation " + op.Name)
+		}
+		mux.HandleFunc(op.Method+" "+op.Pattern, h)
+		if op.Tenant {
+			mux.HandleFunc(op.Method+" /v1/t/{tenant}"+op.Pattern[len("/v1"):], h)
+		}
+	}
+	if mounted != len(handlers) {
+		panic(fmt.Sprintf("server: %d handlers name no operation this tier serves", len(handlers)-mounted))
+	}
+}
+
+// TenantOf resolves the request's namespace: the /v1/t/{tenant}/ route
+// wins, then the X-Sketch-Tenant header, then the default tenant.
+// Every path here is allocation-free.
+func TenantOf(r *http.Request) string {
+	if t := r.PathValue("tenant"); t != "" {
+		return t
+	}
+	if t := r.Header.Get(TenantHeader); t != "" {
+		return t
+	}
+	return DefaultTenant
+}
+
+// WriteJSON sends v as the JSON reply every route but /snapshot gives.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
+}
+
+// HTTPError sends a refusal in the one error shape: {"error": "..."}.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]any{"error": fmt.Sprintf(format, args...)})
+}
+
+// MaxBodyBytes bounds any request body; a batch or envelope larger
+// than this is rejected with 413 before it can balloon memory.
+const MaxBodyBytes = 8 << 20
+
+// ReadBody appends the request body to buf, reusing its capacity. When
+// the body cannot be read it answers the request itself — 413 over
+// MaxBodyBytes, 400 otherwise — and reports false.
+func ReadBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
+	limited := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := limited.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, true
+		}
+		if err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				HTTPError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", MaxBodyBytes)
+			} else {
+				HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
+			}
+			return buf, false
+		}
+	}
+}
+
+// WireSlim parses a wire=full|slim value, the envelope form a snapshot
+// read asks for; "" takes def. The error is the caller's mistake (400).
+func WireSlim(wire string, def bool) (slim bool, err error) {
+	switch wire {
+	case "":
+		return def, nil
+	case "full":
+		return false, nil
+	case "slim":
+		return true, nil
+	}
+	return false, fmt.Errorf("bad wire mode %q (want full or slim)", wire)
+}
+
+// WriteEnvelope sends a serialized sketch. The explicit length (past
+// its 2 KB sniff buffer net/http would otherwise chunk the reply) lets
+// the reader size its buffer once; env may go back to a pool as soon as
+// this returns, net/http having copied or sent the bytes by then.
+func WriteEnvelope(w http.ResponseWriter, env []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(env)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(env)
+}

@@ -1,0 +1,50 @@
+package server
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
+
+// routeTable renders Ops as the markdown table README.md carries.
+func routeTable() string {
+	var b strings.Builder
+	b.WriteString("| operation | route | tenant twin | in a cluster | |\n|---|---|---|---|---|\n")
+	for _, op := range Ops {
+		twin := "no"
+		if op.Tenant {
+			twin = "yes"
+		}
+		fmt.Fprintf(&b, "| %s | `%s %s` | %s | %s | %s |\n", op.Name, op.Method, op.Pattern, twin, op.Cluster, op.Doc)
+	}
+	return b.String()
+}
+
+// The route list exists once, in Ops; the README's copy is this
+// rendering of it, line for line.
+func TestRouteTableDocs(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := routeTable(); !strings.Contains(string(readme), want) {
+		t.Errorf("README.md does not carry the operation table as server.Ops renders it; paste:\n%s", want)
+	}
+}
+
+func TestOpPath(t *testing.T) {
+	for _, tc := range []struct{ op, tenant, name, want string }{
+		{"add", "", "a b", "/v1/sketch/a%20b/add"},
+		{"add", DefaultTenant, "s", "/v1/sketch/s/add"},
+		{"create", "acme", "s", "/v1/t/acme/sketch/s"},
+		{"list", "acme", "", "/v1/t/acme/sketch"},
+		{"status", "acme", "", "/v1/status"}, // no tenant twin: the process's own
+		{"repl-file", "", "wal-1.log", "/v1/repl/file/wal-1.log"},
+		{"statsz", "", "", "/debug/statsz"},
+	} {
+		if got := Named(tc.op).Path(tc.tenant, tc.name); got != tc.want {
+			t.Errorf("%s.Path(%q, %q) = %q, want %q", tc.op, tc.tenant, tc.name, got, tc.want)
+		}
+	}
+}

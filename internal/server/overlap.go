@@ -14,14 +14,14 @@ import (
 // tenant's cardinality sketches. Cross-tenant names 404 like any other
 // lookup; mixed families 409.
 func (s *Server) handleOverlap(w http.ResponseWriter, r *http.Request) {
-	ts := s.tenant(tenantOf(r))
+	ts := s.tenant(TenantOf(r))
 	if ts == nil {
-		httpError(w, http.StatusNotFound, "%v", ErrNotFound)
+		HTTPError(w, http.StatusNotFound, "%v", ErrNotFound)
 		return
 	}
 	names := strings.Split(r.URL.Query().Get("sketches"), ",")
 	if len(names) != 2 || names[0] == "" || names[1] == "" {
-		httpError(w, http.StatusBadRequest, "overlap: ?sketches=a,b names exactly two sketches")
+		HTTPError(w, http.StatusBadRequest, "overlap: ?sketches=a,b names exactly two sketches")
 		return
 	}
 	envs := make([][]byte, 2)
@@ -30,12 +30,12 @@ func (s *Server) handleOverlap(w http.ResponseWriter, r *http.Request) {
 		names[i] = name
 		ne, err := ts.reg.get(name)
 		if err != nil {
-			httpError(w, http.StatusNotFound, "%v", err)
+			HTTPError(w, http.StatusNotFound, "%v", err)
 			return
 		}
 		env, err := ne.entry.Snapshot()
 		if err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+			HTTPError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		envs[i] = env
@@ -46,12 +46,12 @@ func (s *Server) handleOverlap(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, core.ErrIncompatible) {
 			status = http.StatusConflict
 		}
-		httpError(w, status, "%v", err)
+		HTTPError(w, status, "%v", err)
 		return
 	}
 	ts.queries.Inc()
 	s.ops.Queries.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"tenant":   ts.name,
 		"sketches": names,
 		"overlap":  est,

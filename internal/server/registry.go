@@ -92,14 +92,18 @@ func (r *registry) get(name string) (*namedEntry, error) {
 }
 
 // create installs a prepared entry (name, expiry, and gauges already
-// set by the caller), failing if the name is taken.
-func (r *registry) create(ne *namedEntry) error {
+// set by the caller), failing if the name is taken. The entry is claimed
+// once the name is known to be free and before anyone can find it;
+// nobody else can hold a lock of an unpublished entry, so the claim
+// cannot block under the stripe lock.
+func (r *registry) create(ne *namedEntry, claim hold) error {
 	s := r.stripeFor(ne.name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.m[ne.name]; ok {
 		return fmt.Errorf("%w: %q", ErrExists, ne.name)
 	}
+	claim(ne)
 	s.m[ne.name] = ne
 	return nil
 }

@@ -10,22 +10,16 @@ import (
 	"repro/internal/durable"
 )
 
-// Leader-side replication endpoints. Replication is follower-pull over
-// the same HTTP surface as everything else: the follower polls the
-// manifest of shippable files (sealed WAL segments + snapshots),
+// Leader-side replication endpoints (the repl-* rows of Ops).
+// Replication is follower-pull over the same HTTP surface as everything
+// else: the follower asks the leader to seal its active WAL segment,
+// polls the manifest of shippable files (sealed segments + snapshots),
 // downloads what it is missing, and replays locally through the exact
 // recovery machinery a restart uses. The poll carries the follower's
 // applied LSN, which is how the leader knows its replication lag
-// without any push channel:
-//
-//	POST /v1/repl/seal               rotate the active WAL segment so
-//	                                 its records become shippable
-//	GET  /v1/repl/status?applied=N   shippable manifest; records N as
-//	                                 the follower's applied LSN
-//	GET  /v1/repl/file/{name}        one sealed segment or snapshot file
-//
-// All three answer 409 on an in-memory-only server — replication ships
-// the durable log, so there is nothing to follow without one.
+// without any push channel. All three endpoints answer 409 on an
+// in-memory-only server — replication ships the durable log, so there
+// is nothing to follow without one.
 
 // ReplicationStatus is the replication block of GET /v1/status. On a
 // leader (durability on, at least one follower poll seen) it reports
@@ -95,7 +89,7 @@ func (s *Server) ReplicationStatus() ReplicationStatus {
 
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 	if s.dur == nil {
-		httpError(w, http.StatusConflict, "replication requires a durable server (-data-dir)")
+		HTTPError(w, http.StatusConflict, "replication requires a durable server (-data-dir)")
 		return
 	}
 	if applied := r.URL.Query().Get("applied"); applied != "" {
@@ -104,17 +98,17 @@ func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
 			s.repl.followerSeen.Store(time.Now().UnixNano())
 		}
 	}
-	writeJSON(w, http.StatusOK, s.dur.Shippable())
+	WriteJSON(w, http.StatusOK, s.dur.Shippable())
 }
 
 func (s *Server) handleReplFile(w http.ResponseWriter, r *http.Request) {
 	if s.dur == nil {
-		httpError(w, http.StatusConflict, "replication requires a durable server (-data-dir)")
+		HTTPError(w, http.StatusConflict, "replication requires a durable server (-data-dir)")
 		return
 	}
 	data, err := s.dur.ReadShippable(r.PathValue("name"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		HTTPError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -124,14 +118,14 @@ func (s *Server) handleReplFile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReplSeal(w http.ResponseWriter, _ *http.Request) {
 	if s.dur == nil {
-		httpError(w, http.StatusConflict, "replication requires a durable server (-data-dir)")
+		HTTPError(w, http.StatusConflict, "replication requires a durable server (-data-dir)")
 		return
 	}
 	if err := s.dur.SealActive(); err != nil {
-		httpError(w, http.StatusInternalServerError, "seal: %v", err)
+		HTTPError(w, http.StatusInternalServerError, "seal: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"sealed": true})
+	WriteJSON(w, http.StatusOK, map[string]any{"sealed": true})
 }
 
 // NewReplayer returns a durable.RecoveryHandler that applies recovered
@@ -150,9 +144,7 @@ func (s *Server) NewReplayer() durable.RecoveryHandler {
 func (s *Server) ResetNamespace() {
 	for _, ts := range s.tenantsSnapshot() {
 		for _, ne := range ts.reg.snapshot() {
-			if removed := ts.drop(ne.name); removed != nil {
-				removed.entry.Close()
-			}
+			ts.remove(ne.name)
 		}
 	}
 }

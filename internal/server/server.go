@@ -9,31 +9,9 @@
 // everything else serializes behind a per-entry mutex with per-batch
 // locking.
 //
-// Routes (Go 1.22 pattern syntax):
-//
-//	POST   /v1/sketch/{name}           create (JSON CreateRequest body)
-//	POST   /v1/sketch/{name}/add       ingest newline-delimited items
-//	GET    /v1/sketch/{name}/query     type-specific read (see Entry.Query)
-//	POST   /v1/sketch/{name}/merge     absorb a peer MarshalBinary envelope
-//	                                   (or a GSKB bundle of same-type
-//	                                   envelopes, tree-merged in parallel
-//	                                   before absorption — see bundle.go)
-//	GET    /v1/sketch/{name}/snapshot  serialize out (octet-stream)
-//	DELETE /v1/sketch/{name}           drop the sketch
-//	GET    /v1/sketch                  list sketches (?prefix= ?limit= ?cursor=)
-//	GET    /v1/types                   servable types + parameter schemas
-//	GET    /debug/statsz               operation counters and per-sketch bytes
-//
-// Every sketch lives in a tenant namespace (tenant.go): the routes
-// above address the "default" tenant, and each /v1/sketch... route has
-// a tenant-scoped twin under /v1/t/{tenant}/sketch... (equivalently,
-// the X-Sketch-Tenant header scopes the legacy URLs). Tenant-only
-// surfaces:
-//
-//	POST /v1/t/{tenant}/ingest/groupby  fan one stream into per-group
-//	                                    sketches in one WAL-batched call
-//	GET  /v1/t/{tenant}/overlap         audience overlap across two
-//	                                    cardinality sketches (adtech)
+// Every route is a row of Ops (ops.go), the one table this server's
+// mux, the coordinator's mux, the client's URLs and the documented API
+// are read from. Every sketch lives in a tenant namespace (tenant.go).
 //
 // Every sketch family is described by a registry descriptor
 // (internal/registry); the handlers and Entry are fully generic over
@@ -46,8 +24,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -58,10 +34,6 @@ import (
 	"repro/internal/durable"
 	typereg "repro/internal/registry"
 )
-
-// maxBodyBytes bounds any request body; a batch or envelope larger
-// than this is rejected with 413 before it can balloon memory.
-const maxBodyBytes = 8 << 20
 
 // Server is the sketchd HTTP server. Create with New and mount
 // Handler on any net/http server.
@@ -113,25 +85,13 @@ func New() *Server {
 	}
 	s.envPool.New = func() any { return new([]byte) }
 	s.mux = http.NewServeMux()
-	// Legacy (default-tenant) routes and their /v1/t/{tenant}/ twins
-	// share handlers; tenantOf picks the namespace per request.
-	for _, prefix := range []string{"/v1", "/v1/t/{tenant}"} {
-		s.mux.HandleFunc("POST "+prefix+"/sketch/{name}", s.handleCreate)
-		s.mux.HandleFunc("POST "+prefix+"/sketch/{name}/add", s.handleAdd)
-		s.mux.HandleFunc("GET "+prefix+"/sketch/{name}/query", s.handleQuery)
-		s.mux.HandleFunc("POST "+prefix+"/sketch/{name}/merge", s.handleMerge)
-		s.mux.HandleFunc("GET "+prefix+"/sketch/{name}/snapshot", s.handleSnapshot)
-		s.mux.HandleFunc("DELETE "+prefix+"/sketch/{name}", s.handleDelete)
-		s.mux.HandleFunc("GET "+prefix+"/sketch", s.handleList)
-		s.mux.HandleFunc("POST "+prefix+"/ingest/groupby", s.handleGroupBy)
-		s.mux.HandleFunc("GET "+prefix+"/overlap", s.handleOverlap)
-	}
-	s.mux.HandleFunc("GET /v1/types", s.handleTypes)
-	s.mux.HandleFunc("GET /v1/status", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/repl/status", s.handleReplStatus)
-	s.mux.HandleFunc("GET /v1/repl/file/{name}", s.handleReplFile)
-	s.mux.HandleFunc("POST /v1/repl/seal", s.handleReplSeal)
-	s.mux.HandleFunc("GET /debug/statsz", s.handleStatsz)
+	Mount(s.mux, false, map[string]http.HandlerFunc{
+		"create": s.handleCreate, "add": s.handleAdd, "query": s.handleQuery,
+		"merge": s.handleMerge, "snapshot": s.handleSnapshot, "delete": s.handleDelete,
+		"list": s.handleList, "groupby": s.handleGroupBy, "overlap": s.handleOverlap,
+		"types": HandleTypes, "status": s.handleStatus, "statsz": s.handleStatsz,
+		"repl-status": s.handleReplStatus, "repl-file": s.handleReplFile, "repl-seal": s.handleReplSeal,
+	})
 	return s
 }
 
@@ -146,36 +106,18 @@ func (s *Server) Ops() *core.OpCounters { return &s.ops }
 // retained past it.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, release func(), ok bool) {
 	bp := s.bufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	limited := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := limited.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.bufPool.Put(bp)
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				httpError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", maxBodyBytes)
-			} else {
-				httpError(w, http.StatusBadRequest, "reading body: %v", err)
-			}
-			return nil, nil, false
-		}
+	*bp, ok = ReadBody(w, r, (*bp)[:0])
+	if !ok {
+		s.bufPool.Put(bp)
+		return nil, nil, false
 	}
-	*bp = buf
-	return buf, func() { s.bufPool.Put(bp) }, true
+	return *bp, func() { s.bufPool.Put(bp) }, true
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	tenant := tenantOf(r)
+	tenant := TenantOf(r)
 	if !validTenantName(tenant) {
-		httpError(w, http.StatusBadRequest, "invalid tenant name %q", tenant)
+		HTTPError(w, http.StatusBadRequest, "invalid tenant name %q", tenant)
 		return
 	}
 	name := r.PathValue("name")
@@ -186,7 +128,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	var req CreateRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, "create body: %v", err)
+		HTTPError(w, http.StatusBadRequest, "create body: %v", err)
 		return
 	}
 	// Stamp derived fields before the request is WAL-logged, so
@@ -200,34 +142,30 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if stamp {
 		stamped, err := json.Marshal(req)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "create body: %v", err)
+			HTTPError(w, http.StatusBadRequest, "create body: %v", err)
 			return
 		}
 		body = stamped
 	}
-	entry, err := NewEntry(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	ts := s.tenantOrCreate(tenant)
 	if err := s.admitCreate(ts, 1); err != nil {
-		entry.Close()
-		httpError(w, http.StatusTooManyRequests, "%v", err)
+		HTTPError(w, http.StatusTooManyRequests, "%v", err)
 		return
 	}
-	ne := &namedEntry{name: name, entry: entry, expiresAt: req.expiryUnix()}
-	if err := ts.install(ne); err != nil {
-		entry.Close()
-		httpError(w, http.StatusConflict, "%v", err)
+	var ne *namedEntry
+	err := s.logged(ts, durable.OpCreate, name, body, func(claim hold) (_ int, err error) {
+		ne, err = ts.create(name, req, nil, claim)
+		return 1, err
+	})
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrExists) {
+			status = http.StatusConflict
+		}
+		HTTPError(w, status, "%v", err)
 		return
 	}
-	if s.dur != nil {
-		ne.walMu.Lock()
-		ne.lastLSN = s.dur.Append(durable.OpCreate, ts.walName, name, body)
-		ne.walMu.Unlock()
-	}
-	writeJSON(w, http.StatusCreated, map[string]any{"tenant": tenant, "name": name, "type": entry.Type()})
+	WriteJSON(w, http.StatusCreated, map[string]any{"tenant": tenant, "name": name, "type": ne.entry.Type()})
 }
 
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
@@ -236,7 +174,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.overByteQuota(ts) {
-		httpError(w, http.StatusTooManyRequests, "tenant %q over resident-byte quota", ts.name)
+		HTTPError(w, http.StatusTooManyRequests, "tenant %q over resident-byte quota", ts.name)
 		return
 	}
 	body, release, ok := s.readBody(w, r)
@@ -254,24 +192,12 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		*ip = items[:0]
 		s.itemsPool.Put(ip)
 	}()
-	// Durable path: apply + WAL append + LSN bookkeeping are atomic
-	// under the per-sketch WAL lock so a concurrent snapshot capture
-	// sees bytes consistent with the recorded LSN. The append itself
-	// only copies the batch into the bounded queue; disk I/O and fsync
-	// happen on the background syncer, off this path.
-	if s.dur != nil {
-		e.walMu.Lock()
-		err := e.entry.Add(items)
-		if err == nil {
-			e.lastLSN = s.dur.Append(durable.OpIngest, ts.walName, e.name, body)
-		}
-		e.walMu.Unlock()
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	} else if err := e.entry.Add(items); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	err := s.logged(ts, durable.OpIngest, e.name, body, func(claim hold) (int, error) {
+		claim(e)
+		return 1, e.entry.Add(items)
+	})
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	e.adds.Add(uint64(len(items)))
@@ -279,7 +205,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	s.ops.Adds.Add(uint64(len(items)))
 	s.ops.AddBatches.Inc()
 	s.ops.BatchBytes.Add(uint64(len(body)))
-	writeJSON(w, http.StatusOK, map[string]any{"added": len(items)})
+	WriteJSON(w, http.StatusOK, map[string]any{"added": len(items)})
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -292,12 +218,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := e.entry.Query(r.URL.Query())
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ts.queries.Inc()
 	s.ops.Queries.Inc()
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
@@ -310,34 +236,18 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
+	var err error
 	if IsBundle(body) {
 		// Fan-in: decode and tree-merge the bundle across cores while
 		// holding no locks, then absorb the single combined envelope
 		// below — one lock acquisition and one WAL record for N shards.
-		combined, err := CombineBundle(body)
-		if err != nil {
-			status := http.StatusBadRequest
-			switch {
-			case errors.Is(err, core.ErrIncompatible):
-				status = http.StatusConflict
-			case errors.Is(err, ErrUnsupported):
-				status = http.StatusMethodNotAllowed
-			}
-			httpError(w, status, "%v", err)
-			return
-		}
-		body = combined
+		body, err = CombineBundle(body)
 	}
-	var err error
-	if s.dur != nil {
-		e.walMu.Lock()
-		err = e.entry.Merge(body)
-		if err == nil {
-			e.lastLSN = s.dur.Append(durable.OpMerge, ts.walName, e.name, body)
-		}
-		e.walMu.Unlock()
-	} else {
-		err = e.entry.Merge(body)
+	if err == nil {
+		err = s.logged(ts, durable.OpMerge, e.name, body, func(claim hold) (int, error) {
+			claim(e)
+			return 1, e.entry.Merge(body)
+		})
 	}
 	if err != nil {
 		// Incompatible shapes are a semantic conflict; a non-mergeable
@@ -350,12 +260,12 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrUnsupported):
 			status = http.StatusMethodNotAllowed
 		}
-		httpError(w, status, "%v", err)
+		HTTPError(w, status, "%v", err)
 		return
 	}
 	ts.merges.Inc()
 	s.ops.Merges.Inc()
-	writeJSON(w, http.StatusOK, map[string]any{"merged": true})
+	WriteJSON(w, http.StatusOK, map[string]any{"merged": true})
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -375,9 +285,9 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// form, registry.SlimMarshaler); families without one serve the full
 	// envelope, so the parameter is a safe hint on any type.
 	q := r.URL.Query()
-	wire := q.Get("wire")
-	if wire != "" && wire != "full" && wire != "slim" {
-		httpError(w, http.StatusBadRequest, "bad wire mode %q (want full or slim)", wire)
+	wantSlim, err := WireSlim(q.Get("wire"), false)
+	if err != nil {
+		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	// ?for=<escaped query> says which query the reader will ask of the
@@ -389,11 +299,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if forQuery := q.Get("for"); forQuery != "" {
 		fq, err := url.ParseQuery(forQuery)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad for= query: %v", err)
+			HTTPError(w, http.StatusBadRequest, "bad for= query: %v", err)
 			return
 		}
 		if data, err = e.entry.Project(fq); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			HTTPError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if data != nil {
@@ -407,9 +317,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		bp := s.envPool.Get().(*[]byte)
 		defer s.envPool.Put(bp)
 		var slim bool
-		var err error
-		if data, slim, err = e.entry.SnapshotWire((*bp)[:0], wire == "slim"); err != nil {
-			httpError(w, http.StatusInternalServerError, "%v", err)
+		if data, slim, err = e.entry.SnapshotWire((*bp)[:0], wantSlim); err != nil {
+			HTTPError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
 		*bp = data // keep what the marshal grew
@@ -419,33 +328,19 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ops.Snapshots.Inc()
 	s.countWire(e.entry.Type(), served, len(data))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// An explicit length (the server would otherwise chunk anything past
-	// its 2 KB sniff buffer) lets the reader size its buffer once.
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	if served != "" {
 		w.Header().Set("X-Sketch-Wire", served)
 	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
+	WriteEnvelope(w, data)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	ts := s.tenant(tenantOf(r))
-	var ne *namedEntry
-	if ts != nil {
-		ne = ts.drop(name)
-	}
-	if ne == nil {
-		httpError(w, http.StatusNotFound, "no such sketch %q", name)
+	if ts := s.tenant(TenantOf(r)); ts == nil || !s.remove(ts, name) {
+		HTTPError(w, http.StatusNotFound, "no such sketch %q", name)
 		return
 	}
-	ne.entry.Close()
-	if s.dur != nil {
-		s.dur.Append(durable.OpDelete, ts.walName, name, nil)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"deleted": name})
+	WriteJSON(w, http.StatusOK, map[string]any{"deleted": name})
 }
 
 // listDefaultLimit bounds GET /v1/sketch replies when the caller sets
@@ -459,7 +354,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "bad limit %q", v)
+			HTTPError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		limit = n
@@ -467,7 +362,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	out := []map[string]any{}
 	var page []*namedEntry
 	var more bool
-	if ts := s.tenant(tenantOf(r)); ts != nil {
+	if ts := s.tenant(TenantOf(r)); ts != nil {
 		page, more = ts.reg.list(q.Get("prefix"), q.Get("cursor"), limit)
 	}
 	for _, e := range page {
@@ -478,7 +373,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		doc["truncated"] = true
 		doc["next_cursor"] = page[len(page)-1].name
 	}
-	writeJSON(w, http.StatusOK, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // TypeParam is one parameter row of a /v1/types schema.
@@ -502,7 +397,9 @@ type TypeInfo struct {
 	Params    []TypeParam `json:"params"`
 }
 
-func (s *Server) handleTypes(w http.ResponseWriter, _ *http.Request) {
+// HandleTypes serves the type catalogue. It reads only the linked
+// registry, so a coordinator mounts it as it is.
+func HandleTypes(w http.ResponseWriter, _ *http.Request) {
 	var out []TypeInfo
 	for _, d := range typereg.All() {
 		if !d.Servable() {
@@ -522,7 +419,7 @@ func (s *Server) handleTypes(w http.ResponseWriter, _ *http.Request) {
 			Params:    params,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"types": out})
+	WriteJSON(w, http.StatusOK, map[string]any{"types": out})
 }
 
 // StatusResponse is the GET /v1/status document: liveness plus the
@@ -549,7 +446,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		total += int(st.Sketches)
 		stats = append(stats, st)
 	}
-	writeJSON(w, http.StatusOK, StatusResponse{
+	WriteJSON(w, http.StatusOK, StatusResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Sketches:      total,
 		Ops:           s.ops.Snapshot(),
@@ -608,29 +505,19 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, stats)
+	WriteJSON(w, http.StatusOK, stats)
 }
 
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*tenantState, *namedEntry, bool) {
-	ts := s.tenant(tenantOf(r))
+	ts := s.tenant(TenantOf(r))
 	if ts == nil {
-		httpError(w, http.StatusNotFound, "%v: %q", ErrNotFound, r.PathValue("name"))
+		HTTPError(w, http.StatusNotFound, "%v: %q", ErrNotFound, r.PathValue("name"))
 		return nil, nil, false
 	}
 	e, err := ts.reg.get(r.PathValue("name"))
 	if err != nil {
-		httpError(w, http.StatusNotFound, "%v", err)
+		HTTPError(w, http.StatusNotFound, "%v", err)
 		return nil, nil, false
 	}
 	return ts, e, true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]any{"error": fmt.Sprintf(format, args...)})
 }

@@ -2,13 +2,11 @@ package server
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/durable"
 )
 
 // DefaultTenant is the namespace behind the legacy /v1/sketch/... API:
@@ -72,28 +70,46 @@ func newTenantState(name string) *tenantState {
 	return ts
 }
 
-// install publishes a fully-built entry (expiry included, so the
-// reaper never sees a half-initialized row) and bumps the gauges.
-func (ts *tenantState) install(ne *namedEntry) error {
-	ne.bytes.Store(int64(ne.entry.SizeBytes()))
-	if err := ts.reg.create(ne); err != nil {
-		return err
+// create builds the sketch req describes — from data, its recovered
+// envelope, when it is being restored — and publishes it under name,
+// claimed and fully built (expiry included, so the reaper never sees a
+// half-initialized row). It is the one way a sketch enters a namespace:
+// a live create, a group-by's new group, a replayed record and a
+// restored snapshot row all come through here.
+func (ts *tenantState) create(name string, req CreateRequest, data []byte, claim hold) (*namedEntry, error) {
+	var entry *Entry
+	var err error
+	if data != nil {
+		entry, err = RestoreEntry(req, data)
+	} else {
+		entry, err = NewEntry(req)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ne := &namedEntry{name: name, entry: entry, expiresAt: req.expiryUnix()}
+	ne.bytes.Store(int64(entry.SizeBytes()))
+	if err := ts.reg.create(ne, claim); err != nil {
+		entry.Close()
+		return nil, err
 	}
 	ts.sketches.Add(1)
 	ts.resident.Add(ne.bytes.Load())
-	return nil
+	return ne, nil
 }
 
-// drop removes a sketch and unwinds its gauges. The caller closes the
-// returned entry.
-func (ts *tenantState) drop(name string) *namedEntry {
+// remove is the one way a sketch leaves a namespace: it unpublishes the
+// name, unwinds the gauges and stops what the entry owns. False when
+// there is no such sketch.
+func (ts *tenantState) remove(name string) bool {
 	ne := ts.reg.remove(name)
 	if ne == nil {
-		return nil
+		return false
 	}
 	ts.sketches.Add(-1)
 	ts.resident.Add(-ne.bytes.Load())
-	return ne
+	ne.entry.Close()
+	return true
 }
 
 // refreshResident re-measures every live sketch and folds the deltas
@@ -130,19 +146,6 @@ func (ts *tenantState) stat() TenantStat {
 		Evictions:     ts.evictions.Load(),
 		Throttled:     ts.throttled.Load(),
 	}
-}
-
-// tenantOf resolves the request's namespace: the /v1/t/{tenant}/ route
-// wins, then the X-Sketch-Tenant header, then the default tenant.
-// Every path here is allocation-free.
-func tenantOf(r *http.Request) string {
-	if t := r.PathValue("tenant"); t != "" {
-		return t
-	}
-	if t := r.Header.Get(TenantHeader); t != "" {
-		return t
-	}
-	return DefaultTenant
 }
 
 // validTenantName gates namespace creation (lookups just miss). Names
@@ -252,15 +255,10 @@ func (s *Server) SweepExpired(now time.Time) int {
 			if ne.expiresAt == 0 || ne.expiresAt > nowUnix {
 				continue
 			}
-			got := ts.drop(ne.name)
-			if got == nil {
+			if !s.remove(ts, ne.name) {
 				continue // raced with an explicit delete
 			}
-			got.entry.Close()
 			ts.evictions.Inc()
-			if s.dur != nil {
-				s.dur.Append(durable.OpDelete, ts.walName, got.name, nil)
-			}
 			evicted++
 		}
 	}

@@ -75,6 +75,20 @@ HEALTHY=$(curl -fsS "http://$COORD/v1/cluster/status" | grep -o '"healthy":[0-9]
 echo "cluster status: $HEALTHY"
 [ "$HEALTHY" = '"healthy":3' ] || { echo "FAIL: want 3 healthy shards"; exit 1; }
 
+echo "== a request at fault gets its own status through the coordinator, not 503"
+expect() { # expect <code> <what> <curl args...>
+	want=$1 what=$2
+	shift 2
+	CODE=$(curl -s -o "$WORK/body" -w '%{http_code}' "$@")
+	echo "$what: HTTP $CODE $(head -c 200 "$WORK/body")"
+	[ "$CODE" = "$want" ] || { echo "FAIL: $what: want $want, got $CODE"; exit 1; }
+}
+curl -fsS -X POST "http://$COORD/v1/sketch/hits" -d '{"type":"countmin"}' >/dev/null
+expect 404 "query on an unknown sketch" "http://$COORD/v1/sketch/no-such-sketch/query"
+expect 400 "batch with a bad weight" -X POST --data-binary 'checkout	many' "http://$COORD/v1/sketch/hits/add"
+expect 200 "type catalogue" "http://$COORD/v1/types"
+expect 501 "list (shard-local)" "http://$COORD/v1/sketch"
+
 echo "== two tenants through the coordinator: same sketch name, disjoint state"
 curl -fsS -X POST "http://$COORD/v1/t/acme/sketch/users" -d '{"type":"hll","p":12}' >/dev/null
 curl -fsS -X POST "http://$COORD/v1/t/globex/sketch/users" -d '{"type":"hll","p":12}' >/dev/null
