@@ -73,6 +73,92 @@ func FuzzHLLUnmarshal(f *testing.F) {
 	})
 }
 
+// hllOfRegisters builds an HLL of precision p whose packed register
+// file is fill, repeated to length, by overwriting the payload of an
+// empty sketch's envelope; it returns the sketch and that file.
+func hllOfRegisters(t *testing.T, p uint8, fill []byte) (*cardinality.HLL, []byte) {
+	t.Helper()
+	h := cardinality.NewHLL(p, 1)
+	env, _ := h.MarshalBinary()
+	file := env[len(env)-h.SizeBytes():]
+	for i := range file {
+		if len(fill) > 0 {
+			file[i] = fill[i%len(fill)]
+		}
+	}
+	if err := h.UnmarshalBinary(env); err != nil {
+		t.Fatal(err)
+	}
+	return h, append([]byte(nil), file...)
+}
+
+// reg6 and setReg6 address 6-bit register i of a little-endian register
+// file byte by byte: the reference the word kernels are fuzzed against.
+func reg6(file []byte, i int) uint8 {
+	at, off := 6*i/8, uint(6*i%8)
+	v := uint(file[at]) >> off
+	if off > 2 {
+		v |= uint(file[at+1]) << (8 - off)
+	}
+	return uint8(v & 63)
+}
+
+func setReg6(file []byte, i int, r uint8) {
+	at, off := 6*i/8, uint(6*i%8)
+	file[at] = file[at]&^(63<<off) | r<<off
+	if off > 2 {
+		file[at+1] = file[at+1]&^(63>>(8-off)) | r>>(8-off)
+	}
+}
+
+// FuzzHLLMergeWords: for two arbitrary register files at a precision
+// the fuzzer picks, the word-wise Merge leaves the bytes a per-register
+// maximum does, and Estimate returns the bits of the per-register sum.
+func FuzzHLLMergeWords(f *testing.F) {
+	f.Add(uint8(0), []byte{}, []byte{0xff})
+	f.Add(uint8(1), []byte{0x3f, 0, 0xfc, 0xc0, 0x0f}, []byte{0xaa, 0x55, 1})
+	f.Add(uint8(10), []byte("registers"), []byte("of a peer sketch"))
+	f.Fuzz(func(t *testing.T, p uint8, ra, rb []byte) {
+		p = 4 + p%15
+		a, want := hllOfRegisters(t, p, ra)
+		b, peer := hllOfRegisters(t, p, rb)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		m := 1 << p
+		var sum float64
+		zeros := 0
+		for i := 0; i < m; i++ {
+			r := max(reg6(want, i), reg6(peer, i))
+			setReg6(want, i, r)
+			sum += 1 / float64(uint64(1)<<r)
+			if r == 0 {
+				zeros++
+			}
+		}
+		env, _ := a.MarshalBinary()
+		if got := env[len(env)-len(want):]; !bytes.Equal(got, want) {
+			t.Fatalf("p=%d: merged register file differs from the per-register maximum", p)
+		}
+		alpha := 0.7213 / (1 + 1.079/float64(m))
+		switch m {
+		case 16:
+			alpha = 0.673
+		case 32:
+			alpha = 0.697
+		case 64:
+			alpha = 0.709
+		}
+		est := alpha * float64(m) * float64(m) / sum
+		if est <= 2.5*float64(m) && zeros > 0 {
+			est = float64(m) * math.Log(float64(m)/float64(zeros))
+		}
+		if got := a.Estimate(); math.Float64bits(got) != math.Float64bits(est) {
+			t.Fatalf("p=%d: Estimate %v (%#x), per-register sum gives %v (%#x)", p, got, math.Float64bits(got), est, math.Float64bits(est))
+		}
+	})
+}
+
 func FuzzHLLPPUnmarshal(f *testing.F) {
 	h := sketch.NewHLLPP(10, 3)
 	for i := 0; i < 500; i++ {

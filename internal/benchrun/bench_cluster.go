@@ -137,17 +137,26 @@ func clusterSlimSnapshot(b *testing.B) {
 	}
 }
 
-// clusterRingRoute measures the pure routing lookup: one XXHash64 plus
-// a binary search over the 4-shard, 128-vnode ring.
-func clusterRingRoute(b *testing.B) {
-	ring, err := cluster.NewRing([]string{"a", "b", "c", "d"}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := ByteKeys()
-	b.SetBytes(8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ring.Shard(keys[i&(keyCount-1)])
+// ringRoute measures the pure routing lookup over a ring of n shards x
+// 128 virtual nodes: one XXHash64 plus the prefix-index lookup.
+// ClusterRingRoute is the benchmark's 4-shard ring, one index bucket in
+// eight holding a point; RingLocate the largest ring the package
+// documents, 16 shards, every other bucket holding one.
+func ringRoute(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		shards := make([]string, n)
+		for i := range shards {
+			shards[i] = "shard-" + strconv.Itoa(i)
+		}
+		ring, err := cluster.NewRing(shards, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keys := ByteKeys()
+		b.SetBytes(8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ring.Shard(keys[i&(keyCount-1)])
+		}
 	}
 }

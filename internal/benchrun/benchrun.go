@@ -364,8 +364,43 @@ func Benchmarks() []NamedBench {
 			f.AddBatch(ByteKeys())
 			return f
 		})},
+		// The block kernels under every gathered read and served batch.
+		{"HLLMerge", func(b *testing.B) {
+			x, y := loadedHLL(1), loadedHLL(2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := x.Merge(y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"HLLEstimate", func(b *testing.B) {
+			h := loadedHLL(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				estimateSink = h.Estimate()
+			}
+		}},
+		{"ShardedHLLEstimateUnderWrites", func(b *testing.B) {
+			// Every read follows a write, so every read rebuilds the
+			// merged view: a copy, a merge and an estimate.
+			s := concurrent.NewShardedHLL(2, 14, 1)
+			hs := make([]uint64, keyCount)
+			for i := range hs {
+				hs[i] = hashx.HashUint64(uint64(i), 1)
+			}
+			s.Handle().AddHashBatch(hs)
+			s.Handle().AddHashBatch(hs)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Handle().AddHashBatch(hs[i&(keyCount-1):][:1])
+				estimateSink = s.Estimate()
+			}
+		}},
+		{"RegistryCountMinWeightedIngest", registryCountMinWeightedIngest},
 		{"ServerCountMinIngest", serverCountMinIngest},
-		{"ClusterRingRoute", clusterRingRoute},
+		{"ClusterRingRoute", ringRoute(4)},
+		{"RingLocate", ringRoute(16)},
 		{"ClusterFanOutAdd4", clusterFanOutAdd},
 		{"ClusterScatterGather4", clusterScatterGather},
 		{"ClusterSlimSnapshot4", clusterSlimSnapshot},
@@ -388,8 +423,21 @@ func Benchmarks() []NamedBench {
 	}
 }
 
-// wireSink keeps a marshalled envelope alive past the loop.
-var wireSink []byte
+// wireSink keeps a marshalled envelope alive past the loop, and
+// estimateSink an estimate.
+var (
+	wireSink     []byte
+	estimateSink float64
+)
+
+// loadedHLL is the benchmark's hll shape (p = 14) after keyCount items.
+func loadedHLL(seed uint64) *cardinality.HLL {
+	h := cardinality.NewHLL(14, 1)
+	for i := 0; i < keyCount; i++ {
+		h.AddHash(hashx.HashUint64(uint64(i), seed))
+	}
+	return h
+}
 
 // marshalBench times MarshalBinary of the instance build returns.
 func marshalBench(build func() encoding.BinaryMarshaler) func(b *testing.B) {
@@ -443,6 +491,34 @@ func serverCountMinIngest(b *testing.B) {
 	for i := 0; i < b.N; i += lines {
 		items = server.SplitBatchAppend(items[:0], body)
 		if err := entry.Add(items); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// registryCountMinWeightedIngest measures the registry's ingest adapter
+// alone on the serving Count-Min: one 1024-line weighted body through
+// Serve.Ingest — cut weights, hash, pooled block, weighted batch kernel
+// — per line. Steady state allocates nothing.
+func registryCountMinWeightedIngest(b *testing.B) {
+	d, _ := typereg.Lookup("countmin")
+	p, err := d.Validate(1, map[string]float64{"width": 65536})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := d.ServingNew()(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const lines = 1024
+	items := make([][]byte, lines)
+	for i := range items {
+		items[i] = []byte("flow" + strconv.Itoa(i*7919%100000) + "\t" + strconv.Itoa(1+i%9))
+	}
+	b.SetBytes(int64(len(items[0])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i += lines {
+		if err := d.Serve.Ingest(inst, items); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -154,21 +154,97 @@ func alpha(m int) float64 {
 	}
 }
 
+// The register file is walked a group at a time: 32 registers fill
+// exactly 3 words, and every group looks the same —
+//
+//	word 0: r0 … r9 whole (bits 0–59), the low 4 bits of r10
+//	word 1: the high 2 bits of r10, r11 … r20 whole (bits 2–61), the low 2 bits of r21
+//	word 2: the high 4 bits of r21, r22 … r31 whole (bits 4–63)
+//
+// so a word is ten whole 6-bit lanes after a shift of 0, 2 or 4, and
+// only r10 and r21 straddle. 2^p registers are 2^(p-5) whole groups;
+// p = 4 alone (16 registers, a word and a half) has none, and is the
+// one file the per-register accessors still walk.
+const (
+	groupWords = 3
+	groupRegs  = 32
+	// evenLanes selects lanes 0, 2, 4, 6, 8 of a ten-lane word: one
+	// 6-bit value at the bottom of each 12-bit slot. slotHigh is the
+	// bit above each value, free to catch a borrow.
+	evenLanes = 0x03F03F03F03F03F
+	slotHigh  = 0x040040040040040
+)
+
+// maxLanes is the lane-wise maximum of the ten 6-bit lanes in bits 0–59
+// of x and y; bits 60–63 of the inputs are ignored and zero in the
+// result. Even and odd lanes go separately, each in 12-bit slots.
+func maxLanes(x, y uint64) uint64 {
+	return maxSlots(x&evenLanes, y&evenLanes) | maxSlots(x>>6&evenLanes, y>>6&evenLanes)<<6
+}
+
+// maxSlots is the slot-wise maximum of 6-bit values held in 12-bit
+// slots. (x|slotHigh)-y is x+64-y slot by slot, in [1, 127], so no
+// borrow leaves a slot and bit 6 survives exactly where x ≥ y; ge-ge>>6
+// widens that bit into the slot's 6-bit select mask.
+func maxSlots(x, y uint64) uint64 {
+	ge := ((x | slotHigh) - y) & slotHigh
+	keep := ge - ge>>6
+	return x&keep | y&^keep
+}
+
+// invPow2[r] is 2^-r, the harmonic-sum term of a register holding r.
+var invPow2 = func() (t [64]float64) {
+	for r := range t {
+		t[r] = 1 / float64(uint64(1)<<r)
+	}
+	return t
+}()
+
+// harmonic accumulates the ten lanes in bits 0–59 of w, lowest first.
+func harmonic(sum float64, zeros int, w uint64) (float64, int) {
+	for k := 0; k < 10; k++ {
+		sum, zeros = harmonic1(sum, zeros, w&0x3f)
+		w >>= 6
+	}
+	return sum, zeros
+}
+
+// harmonic1 accumulates one register: its term, and whether it is
+// empty (r-1 borrows into the top bit only for r = 0).
+func harmonic1(sum float64, zeros int, r uint64) (float64, int) {
+	return sum + invPow2[r], zeros + int((r-1)>>63)
+}
+
+// harmonicSum returns Σ 2^-register and the number of empty registers.
+// Floating-point addition does not associate, so the terms are added
+// in register order 0 … m-1, one at a time: that order is part of the
+// estimate's value, and every reader of it (the estimate a coordinator
+// returns, the one a test pins) sees the same bits whichever way the
+// words are walked.
+func (h *HLL) harmonicSum() (sum float64, zeros int) {
+	words := h.packed
+	g := 0
+	for ; g+groupWords <= len(words); g += groupWords {
+		w0, w1, w2 := words[g], words[g+1], words[g+2]
+		sum, zeros = harmonic(sum, zeros, w0)
+		sum, zeros = harmonic1(sum, zeros, w0>>60|w1&0x3<<4)
+		sum, zeros = harmonic(sum, zeros, w1>>2)
+		sum, zeros = harmonic1(sum, zeros, w1>>62|w2&0xf<<2)
+		sum, zeros = harmonic(sum, zeros, w2>>4)
+	}
+	for i := g / groupWords * groupRegs; i < 1<<h.p; i++ {
+		sum, zeros = harmonic1(sum, zeros, uint64(h.getRegister(i)))
+	}
+	return sum, zeros
+}
+
 // Estimate returns the cardinality estimate with small-range linear
 // counting: when the raw estimate is below 5m/2 and empty registers
 // remain, the linear-counting estimate m·ln(m/V) is more accurate and
 // is used instead (the Heule et al. regime switch that E8 probes).
 func (h *HLL) Estimate() float64 {
 	m := 1 << h.p
-	var sum float64
-	zeros := 0
-	for i := 0; i < m; i++ {
-		r := h.getRegister(i)
-		sum += 1 / float64(uint64(1)<<r)
-		if r == 0 {
-			zeros++
-		}
-	}
+	sum, zeros := h.harmonicSum()
 	raw := alpha(m) * float64(m) * float64(m) / sum
 	if raw <= 2.5*float64(m) && zeros > 0 {
 		return linearCounting(m, zeros)
@@ -181,10 +257,7 @@ func (h *HLL) Estimate() float64 {
 // counting (and HLL++'s bias tables) fix.
 func (h *HLL) RawEstimate() float64 {
 	m := 1 << h.p
-	var sum float64
-	for i := 0; i < m; i++ {
-		sum += 1 / float64(uint64(1)<<h.getRegister(i))
-	}
+	sum, _ := h.harmonicSum()
 	return alpha(m) * float64(m) * float64(m) / sum
 }
 
@@ -216,14 +289,26 @@ func (h *HLL) SizeBytes() int { return len(h.packed) * 8 }
 // Merge takes the register-wise maximum — the lossless union that makes
 // HLL "slice and dice" reach reporting possible (§3 of the paper):
 // sketches per (campaign, demographic) cell can be combined along any
-// dimension without double counting.
+// dimension without double counting. It runs under every gathered
+// estimate and every sharded read, so it goes a group at a time: the
+// thirty whole lanes by maxLanes, the two straddlers by hand.
 func (h *HLL) Merge(other *HLL) error {
 	if h.p != other.p || h.seed != other.seed {
 		return fmt.Errorf("%w: HLL p=%d/seed=%d vs p=%d/seed=%d",
 			core.ErrIncompatible, h.p, h.seed, other.p, other.seed)
 	}
-	m := 1 << h.p
-	for i := 0; i < m; i++ {
+	a, b := h.packed, other.packed[:len(h.packed)]
+	g := 0
+	for ; g+groupWords <= len(a); g += groupWords {
+		a0, a1, a2 := a[g], a[g+1], a[g+2]
+		b0, b1, b2 := b[g], b[g+1], b[g+2]
+		r10 := max(a0>>60|a1&0x3<<4, b0>>60|b1&0x3<<4)
+		r21 := max(a1>>62|a2&0xf<<2, b1>>62|b2&0xf<<2)
+		a[g] = maxLanes(a0, b0) | r10<<60
+		a[g+1] = r10>>4 | maxLanes(a1>>2, b1>>2)<<2 | r21<<62
+		a[g+2] = r21>>2 | maxLanes(a2>>4, b2>>4)<<4
+	}
+	for i := g / groupWords * groupRegs; i < 1<<h.p; i++ {
 		if r := other.getRegister(i); r > h.getRegister(i) {
 			h.setRegister(i, r)
 		}

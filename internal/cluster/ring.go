@@ -46,7 +46,16 @@ const ringSeed = 0xC1_05_7E_12
 type Ring struct {
 	shards []string
 	points []ringPoint // sorted by hash, ascending
+	// index[b] is the position of the first point whose hash has top
+	// bits >= b: where a key whose hash starts with b begins its scan.
+	index [1 << indexBits]uint32
 }
+
+// indexBits is how many top hash bits the prefix index resolves: 4096
+// buckets, 16 KB. A 4-shard ring's 512 points leave seven buckets in
+// eight empty, so a lookup is one load and a step or two, not the
+// log2(points) dependent probes of a binary search.
+const indexBits = 12
 
 type ringPoint struct {
 	hash  uint64
@@ -86,6 +95,13 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 		}
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
+	i := 0
+	for b := range r.index {
+		for i < len(r.points) && r.points[i].hash>>(64-indexBits) < uint64(b) {
+			i++
+		}
+		r.index[b] = uint32(i)
+	}
 	return r, nil
 }
 
@@ -113,7 +129,7 @@ func (r *Ring) ShardString(key string) int {
 // their key→shard map from every other tenant's: one tenant's hot key
 // set cannot gang up on the same shard another tenant's does. Callers
 // compute the seed once per batch and route keys with ShardSeeded —
-// the per-key path stays hash + binary search, zero allocations.
+// the per-key path stays hash + index lookup, zero allocations.
 func SeedFor(tenant string) uint64 {
 	if tenant == "" || tenant == "default" {
 		return ringSeed
@@ -127,21 +143,17 @@ func (r *Ring) ShardSeeded(key []byte, seed uint64) int {
 	return r.locate(hashx.XXHash64(key, seed))
 }
 
-// locate finds the first ring point at or clockwise of h by binary
-// search, wrapping past the last point to the first.
+// locate finds the first ring point at or clockwise of h: from where
+// the index says h's bucket starts, forward to the first point not
+// below h, wrapping past the last point to the first.
 func (r *Ring) locate(h uint64) int {
 	pts := r.points
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(r.index[h>>(64-indexBits)])
+	for i < len(pts) && pts[i].hash < h {
+		i++
 	}
-	if lo == len(pts) {
-		lo = 0
+	if i == len(pts) {
+		i = 0
 	}
-	return int(pts[lo].shard)
+	return int(pts[i].shard)
 }

@@ -58,6 +58,55 @@ func TestAtomicCountMinAddHashBatchConcurrent(t *testing.T) {
 	}
 }
 
+// Two and eight writers pushing weighted blocks into one sketch: the
+// cells and the once-per-chunk total must come out as the serial sum,
+// in the bytes the sketch serves.
+func TestAtomicCountMinWeightedBatchConcurrent(t *testing.T) {
+	hs := prehashed(8192, 3)
+	ws := make([]uint64, len(hs))
+	var total uint64
+	for i := range ws {
+		ws[i] = hashx.HashUint64(uint64(i), 11) >> (20 + i%40)
+		total += ws[i]
+	}
+	for _, mode := range []frequency.Mode{frequency.Derived, frequency.KWise, frequency.Fused} {
+		l := frequency.Layout{Width: 1024, Depth: 4, Mode: mode, Seed: 3}
+		ref := frequency.NewCountMinLayout(l)
+		for i, h := range hs {
+			ref.AddHash(h, ws[i])
+		}
+		want, err := ref.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, goroutines := range []int{2, 8} {
+			acm := NewAtomicCountMinLayout(l)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				lo, hi := g*len(hs)/goroutines, (g+1)*len(hs)/goroutines
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for ; lo < hi; lo += 1000 { // batches that end mid-chunk
+						acm.AddWeightedHashBatch(hs[lo:min(lo+1000, hi)], ws[lo:min(lo+1000, hi)])
+					}
+				}()
+			}
+			wg.Wait()
+			if got := acm.N(); got != total {
+				t.Errorf("%v, %d writers: N() = %d, want %d", mode, goroutines, got, total)
+			}
+			got, err := acm.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%v, %d writers: envelope differs from the serial sum", mode, goroutines)
+			}
+		}
+	}
+}
+
 func TestShardedHLLAddHashBatchConcurrent(t *testing.T) {
 	const goroutines = 8
 	hs := prehashed(8192, 5)

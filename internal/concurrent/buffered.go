@@ -492,6 +492,17 @@ func (w *BufferedCountMinWriter) AddUint64(item, weight uint64) {
 // WriterBuffer/2 items.
 func (w *BufferedCountMinWriter) AddHash(h, weight uint64) { (*bufWriter)(w).put(h, weight) }
 
+// AddWeightedHashBatch buffers a block of pre-hashed updates, hs[i]
+// with weight ws[i], in order.
+func (w *BufferedCountMinWriter) AddWeightedHashBatch(hs, ws []uint64) {
+	for i, h := range hs {
+		(*bufWriter)(w).put(h, ws[i])
+	}
+}
+
+// Seed returns the seed items are hashed under: the global sketch's.
+func (w *BufferedCountMinWriter) Seed() uint64 { return w.seed }
+
 // Flush hands off the partial buffer so its items reach the global
 // sketch on the next propagation round.
 func (w *BufferedCountMinWriter) Flush() { (*bufWriter)(w).flush() }

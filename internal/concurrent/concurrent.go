@@ -6,7 +6,8 @@
 //
 //   - ShardedHLL: per-goroutine HLL shards that are merged on read.
 //     Updates are entirely uncontended (the DataSketches approach of
-//     thread-local buffers), reads pay the merge.
+//     thread-local buffers); the first read after a write pays one
+//     word-wise merge per shard.
 //   - AtomicCountMin: a Count-Min sketch whose counters are updated
 //     with atomic adds — wait-free updates, exact reads, no locks.
 //
@@ -28,9 +29,16 @@ import (
 // ShardedHLL is a concurrent HyperLogLog: each shard is owned by the
 // goroutines that hash to it (striped by a cheap counter), and reads
 // merge all shards into a cached merged view. The cache is keyed by an
-// epoch — the sum of per-shard write counters — so a read-heavy
-// workload pays the O(m · shards) merge only after a write actually
-// changed something, not on every Estimate call.
+// epoch — the sum of per-shard write counters — so only the first read
+// after a write rebuilds it: a copy of the first shard, one
+// cardinality.HLL.Merge per further shard, taken under that shard's
+// lock straight into the new view, then one Estimate. Under mixed
+// traffic nearly every read is such a read, so what a read costs is
+// those word kernels: at p = 14 over 2 shards ≈ 30 µs and one 12 KB
+// view (ShardedHLLEstimateUnderWrites in the hot-path suite), 3 % of a
+// serving shard's CPU on the benchmark's cluster_ingest mix, where one
+// request in eight is such a read. With per-register loops and a clone
+// per shard it was 190 µs and 26 %.
 type ShardedHLL struct {
 	shards []shardedHLLSlot
 	p      uint8
@@ -70,43 +78,41 @@ func NewShardedHLL(shards int, p uint8, seed uint64) *ShardedHLL {
 
 // Handle returns a striped writer bound to one shard. Each goroutine
 // should obtain its own handle; updates through a handle contend only
-// with other holders of the same shard.
+// with other holders of the same shard. A handle is its shard under
+// the writer's name, so taking one per request allocates nothing.
 func (s *ShardedHLL) Handle() *HLLHandle {
-	idx := int(s.next.Add(1)-1) % len(s.shards)
-	return &HLLHandle{slot: &s.shards[idx]}
+	return (*HLLHandle)(&s.shards[(s.next.Add(1)-1)%uint64(len(s.shards))])
 }
 
 // HLLHandle is a shard-bound writer.
-type HLLHandle struct {
-	slot *shardedHLLSlot
-}
+type HLLHandle shardedHLLSlot
 
 // AddUint64 inserts an item through the handle.
 func (h *HLLHandle) AddUint64(v uint64) {
-	h.slot.mu.Lock()
-	h.slot.hll.AddUint64(v)
-	h.slot.version.Add(1)
-	h.slot.mu.Unlock()
+	h.mu.Lock()
+	h.hll.AddUint64(v)
+	h.version.Add(1)
+	h.mu.Unlock()
 }
 
 // Add inserts a byte-slice item through the handle.
 func (h *HLLHandle) Add(item []byte) {
-	h.slot.mu.Lock()
-	h.slot.hll.Add(item)
-	h.slot.version.Add(1)
-	h.slot.mu.Unlock()
+	h.mu.Lock()
+	h.hll.Add(item)
+	h.version.Add(1)
+	h.mu.Unlock()
 }
 
 // AddBatchUint64 inserts many items under one lock acquisition; the
 // serving layer uses it so a network batch costs one lock round-trip,
 // not one per item.
 func (h *HLLHandle) AddBatchUint64(vs []uint64) {
-	h.slot.mu.Lock()
+	h.mu.Lock()
 	for _, v := range vs {
-		h.slot.hll.AddUint64(v)
+		h.hll.AddUint64(v)
 	}
-	h.slot.version.Add(uint64(len(vs)))
-	h.slot.mu.Unlock()
+	h.version.Add(uint64(len(vs)))
+	h.mu.Unlock()
 }
 
 // AddBatch inserts many byte-slice items in fixed-size chunks: each
@@ -116,7 +122,7 @@ func (h *HLLHandle) AddBatchUint64(vs []uint64) {
 // the call returns; state is identical to per-item Add.
 func (h *HLLHandle) AddBatch(items [][]byte) {
 	var hs [atomicIngestChunk]uint64
-	seed := h.slot.hll.Seed()
+	seed := h.hll.Seed()
 	for len(items) > 0 {
 		c := len(items)
 		if c > atomicIngestChunk {
@@ -135,10 +141,10 @@ func (h *HLLHandle) AddBatch(items [][]byte) {
 // exactly once, outside the lock, and the critical section is pure
 // register updates. State is identical to AddBatch on the pre-images.
 func (h *HLLHandle) AddHashBatch(hs []uint64) {
-	h.slot.mu.Lock()
-	h.slot.hll.AddHashBatch(hs)
-	h.slot.version.Add(uint64(len(hs)))
-	h.slot.mu.Unlock()
+	h.mu.Lock()
+	h.hll.AddHashBatch(hs)
+	h.version.Add(uint64(len(hs)))
+	h.mu.Unlock()
 }
 
 // epoch returns a value that strictly increases with every write to any
@@ -151,16 +157,21 @@ func (s *ShardedHLL) epoch() uint64 {
 	return e
 }
 
-// mergeShards builds a fresh merged sketch from all shards. This is the
-// uncached read path; BenchmarkShardedHLLEstimate measures what the
-// epoch cache saves over calling this on every read.
+// mergeShards builds a fresh merged sketch from all shards: a copy of
+// the first, then every other merged straight in, each under its own
+// lock (a word-wise merge holds it little longer than a copy would).
+// This is the uncached read path; BenchmarkShardedHLLEstimate measures
+// what the epoch cache saves over calling this on every read.
 func (s *ShardedHLL) mergeShards() *cardinality.HLL {
-	merged := cardinality.NewHLL(s.p, s.seed)
-	for i := range s.shards {
+	first := &s.shards[0]
+	first.mu.Lock()
+	merged := first.hll.Clone()
+	first.mu.Unlock()
+	for i := 1; i < len(s.shards); i++ {
 		s.shards[i].mu.Lock()
-		clone := s.shards[i].hll.Clone()
+		err := merged.Merge(s.shards[i].hll)
 		s.shards[i].mu.Unlock()
-		if err := merged.Merge(clone); err != nil {
+		if err != nil {
 			panic(err) // all shards share p and seed by construction
 		}
 	}
@@ -187,7 +198,7 @@ func (s *ShardedHLL) mergedView() (*cardinality.HLL, float64) {
 // shards. Because HLL merge is the register-wise max, the result is
 // exactly the estimate a single sketch would have produced for the
 // union of all shards' inputs. Repeated reads between writes are
-// served from the epoch cache in O(shards) instead of O(m · shards).
+// served from the epoch cache in O(shards).
 func (s *ShardedHLL) Estimate() float64 {
 	_, est := s.mergedView()
 	return est
@@ -305,20 +316,56 @@ func (c *AtomicCountMin) AddHash(h, weight uint64) {
 // ingestChunk.
 const atomicIngestChunk = 256
 
+// unitWeights are the weights of a weight-1 chunk.
+var unitWeights = func() (u [atomicIngestChunk]uint64) {
+	for i := range u {
+		u[i] = 1
+	}
+	return u
+}()
+
 // AddHashBatch folds many pre-hashed items in, each with weight 1 —
-// the hash-once batch entry point for ingest pipelines — in the two
-// phases of Layout.CellsBatch. Atomic adds commute, so state is
-// identical to calling AddHash per value.
+// the hash-once batch entry point for ingest pipelines: the weight-1
+// call of AddWeightedHashBatch, a chunk at a time.
 func (c *AtomicCountMin) AddHashBatch(hs []uint64) {
+	for len(hs) > 0 {
+		n := min(len(hs), len(unitWeights))
+		c.AddWeightedHashBatch(hs[:n], unitWeights[:n])
+		hs = hs[n:]
+	}
+}
+
+// AddWeightedHashBatch folds a block of pre-hashed items in, hs[i] with
+// weight ws[i], in the two phases of Layout.CellsBatch. Atomic adds
+// commute, so state is identical to calling AddHash per item; what
+// differs is the shared total, added once per chunk rather than once
+// per item — with two writers on one sketch a per-item n.Add is one
+// cache line bounced between cores for every item.
+func (c *AtomicCountMin) AddWeightedHashBatch(hs, ws []uint64) {
 	var buf [frequency.BatchCells]uint32
 	cells := c.cells
 	for len(hs) > 0 {
 		idx, n := c.layout.CellsBatch(hs, buf[:])
-		for _, j := range idx {
-			cells[j].Add(1)
+		w := ws[:n]
+		if c.layout.RowMajor() {
+			for ; len(idx) > 0; idx = idx[n:] {
+				for i, j := range idx[:n] {
+					cells[j].Add(w[i])
+				}
+			}
+		} else {
+			for d := len(idx) / n; len(idx) > 0; idx, w = idx[d:], w[1:] {
+				for _, j := range idx[:d] {
+					cells[j].Add(w[0])
+				}
+			}
 		}
-		c.n.Add(uint64(n))
-		hs = hs[n:]
+		var total uint64
+		for _, wi := range ws[:n] {
+			total += wi
+		}
+		c.n.Add(total)
+		hs, ws = hs[n:], ws[n:]
 	}
 }
 

@@ -64,6 +64,15 @@ func (s *ServingSF) AddHashBatch(hs []uint64) {
 	s.mu.Unlock()
 }
 
+// AddWeightedHashBatch folds a block of pre-hashed items in, hs[i] with
+// weight ws[i], in order under one lock acquisition: what a served
+// weighted batch costs the lock, hashing done before it.
+func (s *ServingSF) AddWeightedHashBatch(hs, ws []uint64) {
+	s.mu.Lock()
+	s.s.AddWeightedHashBatch(hs, ws)
+	s.mu.Unlock()
+}
+
 // Estimate answers a point query from the slim stage.
 func (s *ServingSF) Estimate(item []byte) uint64 {
 	h := hashx.XXHash64(item, s.seed)

@@ -158,6 +158,42 @@ func (c *CountMin) AddHashBatch(hs []uint64) {
 	}
 }
 
+// AddWeightedHashBatch is AddHashBatch for a block of weighted items,
+// hs[i] with weight ws[i]: each cell of phase 2 takes its item's weight,
+// found by the order the layout streamed the cells in. Byte-identical to
+// calling AddHash per item.
+func (c *CountMin) AddWeightedHashBatch(hs, ws []uint64) {
+	if c.conservative {
+		for i, h := range hs {
+			c.AddHash(h, ws[i])
+		}
+		return
+	}
+	var buf [BatchCells]uint32
+	cells := c.cells
+	for len(hs) > 0 {
+		idx, n := c.layout.CellsBatch(hs, buf[:])
+		w := ws[:n]
+		if c.layout.RowMajor() {
+			for ; len(idx) > 0; idx = idx[n:] {
+				for i, j := range idx[:n] {
+					cells[j] += w[i]
+				}
+			}
+		} else {
+			for d := len(idx) / n; len(idx) > 0; idx, w = idx[d:], w[1:] {
+				for _, j := range idx[:d] {
+					cells[j] += w[0]
+				}
+			}
+		}
+		for _, wi := range ws[:n] {
+			c.n += wi
+		}
+		hs, ws = hs[n:], ws[n:]
+	}
+}
+
 // Estimate returns the point-query estimate for item: an overestimate
 // of the true count by at most ε‖f‖₁ with probability 1−δ. It probes
 // exactly the buckets Add touched for the same item.

@@ -34,6 +34,42 @@ func TestCountMinAddHashBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// The weighted block kernel pairs every cell with its item's weight in
+// whichever order the layout streams cells, and leaves the conservative
+// update scalar: each shape must match AddHash item by item, at sizes
+// on both sides of a CellsBatch chunk and at a depth past its buffer.
+func TestCountMinAddWeightedHashBatchMatchesSequential(t *testing.T) {
+	for _, l := range []Layout{
+		{Width: 1024, Depth: 5, Seed: 3},
+		{Width: 1024, Depth: 5, Seed: 3, Mode: KWise},
+		{Width: 1024, Depth: 5, Seed: 3, Mode: Fused},
+		{Width: 64, Depth: 1, Seed: 3},
+		{Width: 8, Depth: StackDepth + 8, Seed: 3},
+	} {
+		for _, conservative := range []bool{false, true} {
+			for _, n := range []int{0, 1, 204, 205, 1024, 4097} {
+				hs, ws := make([]uint64, n), make([]uint64, n)
+				for i := range hs {
+					hs[i] = hashx.HashUint64(uint64(i%300), 99)
+					ws[i] = hashx.HashUint64(uint64(i), 7) >> (8 + i%56)
+				}
+				seq, bat := NewCountMinLayout(l), NewCountMinLayout(l)
+				seq.SetConservative(conservative)
+				bat.SetConservative(conservative)
+				for i, h := range hs {
+					seq.AddHash(h, ws[i])
+				}
+				bat.AddWeightedHashBatch(hs, ws)
+				a, _ := seq.MarshalBinary()
+				b, _ := bat.MarshalBinary()
+				if !bytes.Equal(a, b) {
+					t.Fatalf("%v conservative=%v n=%d: AddWeightedHashBatch state differs from sequential AddHash", l, conservative, n)
+				}
+			}
+		}
+	}
+}
+
 func TestCountMinStringMatchesBytes(t *testing.T) {
 	viaBytes := NewCountMin(1024, 5, 3)
 	viaString := NewCountMin(1024, 5, 3)

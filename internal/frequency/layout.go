@@ -221,6 +221,11 @@ func (l *Layout) CellsBatch(hs []uint64, buf []uint32) (idx []uint32, n int) {
 	return idx, n
 }
 
+// RowMajor reports the order CellsBatch gave a chunk of n items: true,
+// idx[r*n+i] is item i's cell in row r (Derived); false, idx[i*Depth+r]
+// is. A weighted phase 2 pairs each cell with its item's weight by it.
+func (l *Layout) RowMajor() bool { return l.Mode == Derived }
+
 // bucket is the row-relative bucket, in [0, Width), of flat cell j in
 // row r: the inverse of Cells for callers that keep per-row state.
 func (l *Layout) bucket(r, j int) int {

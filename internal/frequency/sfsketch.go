@@ -147,6 +147,14 @@ func (s *SFSketch) AddHashBatch(hs []uint64) {
 	}
 }
 
+// AddWeightedHashBatch folds a block of pre-hashed items in, hs[i] with
+// weight ws[i], in order. Byte-identical to calling AddHash per item.
+func (s *SFSketch) AddWeightedHashBatch(hs, ws []uint64) {
+	for i, h := range hs {
+		s.AddHash(h, ws[i])
+	}
+}
+
 // Estimate returns the point-query estimate for item: the minimum over
 // the slim rows. Never an undercount (see the type invariant).
 func (s *SFSketch) Estimate(item []byte) uint64 {

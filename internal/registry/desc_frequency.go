@@ -94,14 +94,14 @@ func init() {
 		NewServingBuffered: bufferedOver(atomicCountMin, concurrent.BufferCountMin),
 		Decode:             decode1[frequency.CountMin](),
 		Bind: Bindings{
-			Ingest: weightedIngest((*frequency.CountMin).Add),
+			Ingest: hashedIngest((*frequency.CountMin).AddWeightedHashBatch),
 			Query:  countMinQuery,
 			Merge:  merge2((*frequency.CountMin).Merge),
 		},
 		Serve: &Bindings{
 			Ingest: servingIngest[*concurrent.BufferedCountMin, *concurrent.BufferedCountMinWriter](
-				weightedIngest((*concurrent.AtomicCountMin).Add),
-				weightedIngest((*concurrent.BufferedCountMinWriter).Add)),
+				hashedIngest((*concurrent.AtomicCountMin).AddWeightedHashBatch),
+				hashedIngest((*concurrent.BufferedCountMinWriter).AddWeightedHashBatch)),
 			Query: withStaleness(countMinQuery),
 			Merge: merge2(merger[*frequency.CountMin].Merge),
 		},

@@ -180,12 +180,8 @@ func init() {
 // graphEdgeIngest parses "u\tv" edge lines, validating both endpoints
 // against the sketch's vertex range before any update (AddEdge panics
 // on out-of-range or self-loop edges).
-func graphEdgeIngest(inst any, items [][]byte) error {
-	s, err := cast[*graphsketch.Sketch](inst)
-	if err != nil {
-		return err
-	}
-	parse := func(item []byte) (int, int, error) {
+var graphEdgeIngest = parsedIngest(
+	func(s *graphsketch.Sketch, item []byte) (int, int, error) {
 		tab := LastTab(item)
 		if tab < 0 {
 			return 0, 0, fmt.Errorf("%w: edge %q: expect u\\tv", ErrInput, item)
@@ -200,15 +196,5 @@ func graphEdgeIngest(inst any, items [][]byte) error {
 			return 0, 0, fmt.Errorf("%w: edge %q: vertices must be distinct and below %d", ErrInput, item, s.N())
 		}
 		return u, v, nil
-	}
-	for _, item := range items {
-		if _, _, err := parse(item); err != nil {
-			return err
-		}
-	}
-	for _, item := range items {
-		u, v, _ := parse(item)
-		s.AddEdge(u, v)
-	}
-	return nil
-}
+	},
+	each((*graphsketch.Sketch).AddEdge))

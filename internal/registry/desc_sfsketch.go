@@ -82,12 +82,12 @@ func init() {
 		},
 		Decode: decode1[frequency.SFSketch](),
 		Bind: Bindings{
-			Ingest: weightedIngest((*frequency.SFSketch).Add),
+			Ingest: hashedIngest((*frequency.SFSketch).AddWeightedHashBatch),
 			Query:  sfQuery(func(s *frequency.SFSketch) *frequency.SFSketch { return s }),
 			Merge:  merge2((*frequency.SFSketch).Merge),
 		},
 		Serve: &Bindings{
-			Ingest: weightedIngest((*concurrent.ServingSF).Add),
+			Ingest: hashedIngest((*concurrent.ServingSF).AddWeightedHashBatch),
 			Query:  sfQuery((*concurrent.ServingSF).Snapshot),
 			Merge:  merge2((*concurrent.ServingSF).Merge),
 		},

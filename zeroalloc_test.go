@@ -8,6 +8,7 @@ package sketch_test
 // temporary.
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"repro/internal/concurrent"
 	"repro/internal/frequency"
 	"repro/internal/hashx"
+	typereg "repro/internal/registry"
 )
 
 func assertZeroAlloc(t *testing.T, name string, fn func()) {
@@ -182,4 +184,51 @@ func TestZeroAllocBufferedWriterPaths(t *testing.T) {
 	assertZeroAlloc(t, "concurrent.BufferedBlockedBloomWriter.Add", func() { fw.Add(key) })
 	assertZeroAlloc(t, "concurrent.BufferedBlockedBloomWriter.AddString", func() { fw.AddString(skey) })
 	assertZeroAlloc(t, "concurrent.BufferedBlockedBloom.Contains", func() { _ = bb.Contains(key) })
+}
+
+func TestZeroAllocRegistryIngest(t *testing.T) {
+	// A served batch is parsed once into a block the binding recycles:
+	// after the first request has sized it, the whole adapter — split
+	// weights, hash, pooled block, batch kernel — allocates nothing.
+	weighted, plain := make([][]byte, 1024), make([][]byte, 1024)
+	for i := range weighted {
+		plain[i] = []byte("flow" + strconv.Itoa(i%300))
+		weighted[i] = []byte("flow" + strconv.Itoa(i%300) + "\t" + strconv.Itoa(1+i%9))
+	}
+	for _, tc := range []struct {
+		typ   string
+		lines [][]byte
+	}{
+		{"countmin", weighted},    // (hash, weight) block into the atomic weighted kernel
+		{"sfsketch", weighted},    // the same block, applied under one lock
+		{"countsketch", weighted}, // (item, signed weight) block, applied item by item
+		{"hll", plain},            // no block: a striped handle the sketch already holds
+	} {
+		d, ok := typereg.Lookup(tc.typ)
+		if !ok {
+			t.Fatalf("no descriptor %q", tc.typ)
+		}
+		p, err := d.Validate(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for variant, build := range map[string]func(typereg.Params) (any, error){"plain": d.New, "serving": d.NewServing} {
+			bind := &d.Bind
+			if variant == "serving" && d.Serve != nil {
+				bind = d.Serve
+			}
+			if build == nil {
+				continue
+			}
+			inst, err := build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertZeroAlloc(t, tc.typ+"/"+variant+" Ingest", func() {
+				if err := bind.Ingest(inst, tc.lines); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
 }
