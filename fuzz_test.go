@@ -7,11 +7,18 @@ package sketch_test
 // `go test -fuzz=FuzzX` explores further.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding"
+	"errors"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"net/url"
+	"strings"
 	"testing"
+	"time"
 
 	sketch "repro"
 	"repro/internal/bloom"
@@ -23,6 +30,7 @@ import (
 	typereg "repro/internal/registry"
 	"repro/internal/robust"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // corpusFor seeds a fuzzer with a valid serialization and a few
@@ -819,6 +827,123 @@ func FuzzWireBlocks(f *testing.F) {
 		back.F64Slice(fs)
 		if !bytes.Equal(back.Bytes(), in) {
 			t.Fatalf("re-encoding differs from the accepted input (%d vs %d bytes)", len(back.Bytes()), len(in))
+		}
+	})
+}
+
+// FuzzClientResponse holds the client's hand-written HTTP/1.1 reply
+// parser (internal/server/client/link.go) to the standard library's:
+// arbitrary bytes are served as the whole reply to one snapshot read,
+// after which the server hangs up. The call never panics and always
+// returns; when it returns a body, net/http's ReadResponse reads status
+// 200 and the same body out of the same bytes; when it returns a
+// *StatusError, ReadResponse reads that status. What the parser refuses
+// (a transport error) is not compared: it reads a subset of HTTP on
+// purpose.
+func FuzzClientResponse(f *testing.F) {
+	long := strings.Repeat("0123456789abcdef", 1024)
+	for _, seed := range []string{
+		"HTTP/1.1 200 OK\r\nContent-Length: 8\r\n\r\nenvelope",
+		"HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: 16384\r\n\r\n" + long,
+		"HTTP/1.1 200\r\ncontent-LENGTH: \t3 \r\n\r\nabc",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\nA\r\n0123456789\r\n0\r\n\r\n",
+		"HTTP/1.1 204 No Content\r\n\r\n",
+		"HTTP/1.0 200 OK\r\nContent-Length: 5\r\nConnection: keep-alive\r\n\r\nhello",
+		"HTTP/1.0 200 OK\r\n\r\nuntil the end",
+		"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 3\r\n\r\nbye",
+		"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nbodystray",
+		"HTTP/1.1 429 Too Many Requests\r\nRetry-After: 7\r\nContent-Length: 35\r\n\r\n{\"error\":\"query budget exhausted\"}\n",
+		"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 19\r\n\r\n  shard is melting\n",
+		"HTTP/1.1 400 Bad Request\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nbad w\r\n5\r\neight\r\n0\r\n\r\n",
+		"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 16384\r\n\r\n" + long,
+		"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort",
+		"HTTP/1.1 200 OK\r\nContent-Len",
+		"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 1\r\n\r\nx",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nxy",
+		"HTTP/1.1 200 OK\r\nContent-Length: 1\r\nTransfer-Encoding: chunked\r\n\r\n1\r\nx\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nxyz\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nffffffffffffffffff\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1;x=y\r\na\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n1\r\nab\r\n0\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\nX-T: v\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nX-Pad: " + long[:5000] + "\r\nContent-Length: 0\r\n\r\n",
+		"HTTP/1.1 200 OK\nContent-Length: 0\n\n",
+		"HTTP/1.1 200 OK\r\nX-A: b\r\n c\r\nContent-Length : 1\r\n\r\nx",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	replies := make(chan []byte, 1) // the reply of the one call in flight
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for {
+					for line := ""; line != "\r\n"; { // the request has no body
+						if line, err = br.ReadString('\n'); err != nil {
+							return // the client closed first
+						}
+					}
+					c.SetReadDeadline(time.Time{})
+					c.Write(<-replies)
+					// A client that took the reply for complete closes, or
+					// sends its next request here; one still waiting for the
+					// reply's end does neither, and gets it. Hanging up on
+					// every reply instead would run the host out of ports
+					// within seconds.
+					c.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
+					if _, err := br.Peek(1); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	f.Cleanup(func() { ln.Close() })
+	// One client for every input: when a reply left its connection
+	// pooled and the server has hung up since, the next call goes
+	// through the redial rule as well.
+	cl := client.New("http://" + ln.Addr().String())
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		replies <- in
+		start := time.Now()
+		got, err := cl.SnapshotAppend("s", "", nil)
+		if took := time.Since(start); took > 10*time.Second {
+			t.Fatalf("the call took %v", took)
+		}
+		select {
+		case <-replies: // no request reached the server: the dial failed
+		default:
+		}
+		resp, oracleErr := http.ReadResponse(bufio.NewReader(bytes.NewReader(in)), &http.Request{Method: "GET"})
+		var se *client.StatusError
+		switch {
+		case err == nil:
+			var want []byte
+			if oracleErr == nil {
+				want, oracleErr = io.ReadAll(resp.Body)
+			}
+			if oracleErr != nil || resp.StatusCode != 200 || !bytes.Equal(got, want) {
+				t.Fatalf("read %d bytes of a 200; net/http: %v, %d bytes (%v)", len(got), resp, len(want), oracleErr)
+			}
+		case errors.As(err, &se):
+			if oracleErr != nil || resp.StatusCode != se.Code {
+				t.Fatalf("read status %d; net/http: %v (%v)", se.Code, resp, oracleErr)
+			}
 		}
 	})
 }

@@ -459,6 +459,37 @@ func TestCoordinator429Passthrough(t *testing.T) {
 	}
 }
 
+// The wait between two attempts on a failing shard holds no in-flight
+// slot: with one slot in all, a call to a healthy shard goes through
+// while the failing shard's call sits in its back-off.
+func TestRetryBackoffReleasesItsSlot(t *testing.T) {
+	coord, err := NewCoordinator([]string{"a:1", "b:1"}, Options{MaxInflight: 1, Retries: 1, RetryBackoff: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tries atomic.Int32
+	first, down := make(chan struct{}), make(chan error, 1)
+	go func() {
+		down <- coord.callShard(func() error {
+			if tries.Add(1) == 1 {
+				close(first)
+			}
+			return &client.StatusError{Code: 503, Msg: "down"}
+		})
+	}()
+	<-first
+	if err := coord.callShard(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n := tries.Load(); n != 1 {
+		t.Errorf("the healthy call returned after attempt %d on the failing shard: it waited out the back-off", n)
+	}
+	var se *client.StatusError
+	if err := <-down; !errors.As(err, &se) || se.Code != 503 || tries.Load() != 2 {
+		t.Errorf("failing shard: %v after %d attempts, want the 503 after 2", err, tries.Load())
+	}
+}
+
 // The coordinator's merged /snapshot declares its length, as a shard's
 // does: a > 1 MB envelope would otherwise go out chunked, and the
 // reader's buffer would grow by doubling. With the header the client

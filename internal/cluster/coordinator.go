@@ -33,8 +33,6 @@ type Options struct {
 	// RetryBackoff is the first retry's delay, doubled per attempt.
 	// Default 50ms.
 	RetryBackoff time.Duration
-	// HTTPClient overrides the pooled default for all shard calls.
-	HTTPClient *http.Client
 	// SlimGather makes scatter-gather reads request each shard's slim
 	// envelope (?wire=slim) by default: families with a slim form (the
 	// SF-sketch) ship a fraction of the bytes, everything else answers
@@ -159,11 +157,7 @@ func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
 		sem:     make(chan struct{}, opts.MaxInflight),
 	}
 	for i, s := range c.shards {
-		if opts.HTTPClient != nil {
-			c.clients[i] = client.NewWithHTTPClient(s, opts.HTTPClient)
-		} else {
-			c.clients[i] = client.New(s)
-		}
+		c.clients[i] = client.New(s)
 	}
 	c.routePool.New = func() any {
 		buckets := make([][]byte, len(c.shards))
@@ -186,12 +180,6 @@ func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Shards returns the shard base URLs.
 func (c *Coordinator) Shards() []string { return append([]string(nil), c.shards...) }
-
-// acquire takes an in-flight slot; the returned func releases it.
-func (c *Coordinator) acquire() func() {
-	c.sem <- struct{}{}
-	return func() { <-c.sem }
-}
 
 // ShardError is one failed shard call in a fan-out, with the shard
 // named — partial failures must never be anonymous. When the failure
@@ -232,18 +220,25 @@ func retryable(err error) bool {
 	return true // transport error
 }
 
+// inflight runs fn holding one of the MaxInflight slots.
+func (c *Coordinator) inflight(fn func() error) error {
+	c.sem <- struct{}{}
+	defer func() { <-c.sem }()
+	return fn()
+}
+
 // callShard runs one shard call under the in-flight bound, with
 // retry + exponential backoff on retryable errors. A shard-provided
 // Retry-After that exceeds the computed backoff wins — the shard knows
-// when its window reopens better than our doubling schedule does.
+// when its window reopens better than our doubling schedule does. The
+// in-flight slot is held for an attempt, not across the wait between
+// two: a down shard's back-off must not starve calls to healthy ones.
 func (c *Coordinator) callShard(fn func() error) error {
-	release := c.acquire()
-	defer release()
 	backoff := c.opts.RetryBackoff
-	var err error
 	for attempt := 0; ; attempt++ {
 		c.ops.ShardRequests.Inc()
-		if err = fn(); err == nil {
+		err := c.inflight(fn)
+		if err == nil {
 			return nil
 		}
 		if attempt >= c.opts.Retries || !retryable(err) {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -64,8 +63,6 @@ type ReplicaOptions struct {
 	// NoSeal skips the pre-poll seal request. Lag then grows until the
 	// leader rotates segments on its own (size or snapshot cadence).
 	NoSeal bool
-	// HTTPClient overrides the pooled default for leader calls.
-	HTTPClient *http.Client
 }
 
 // NewReplica builds a follower that replays leader into srv. srv must
@@ -76,14 +73,8 @@ func NewReplica(leaderURL string, srv *server.Server, opts ReplicaOptions) *Repl
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 500 * time.Millisecond
 	}
-	var cl *client.Client
-	if opts.HTTPClient != nil {
-		cl = client.NewWithHTTPClient(leaderURL, opts.HTTPClient)
-	} else {
-		cl = client.New(leaderURL)
-	}
 	return &Replica{
-		leader:    cl,
+		leader:    client.New(leaderURL),
 		leaderURL: leaderURL,
 		srv:       srv,
 		handler:   srv.NewReplayer(),

@@ -1,8 +1,9 @@
-// Package client is the Go client for sketchd (internal/server): a
-// thin wrapper over net/http that batches newline-delimited ingest,
-// exchanges merge envelopes, and decodes query and stats responses.
-// cmd/sketchbench's E25 loadgen uses it to measure ingest throughput
-// scaling; cmd/sketchcli-style tools can reuse it as-is.
+// Package client is the Go client for sketchd (internal/server): it
+// batches newline-delimited ingest, exchanges merge envelopes, and
+// decodes query and stats responses, over keep-alive connections of its
+// own (link.go). cmd/sketchbench's E25 loadgen uses it to measure
+// ingest throughput scaling; cmd/sketchcli-style tools can reuse it
+// as-is.
 package client
 
 import (
@@ -10,10 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"net/url"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -23,63 +21,25 @@ import (
 )
 
 // Client talks to one sketchd base URL. The zero value is not usable;
-// create with New. Safe for concurrent use — the underlying
-// http.Client pools keep-alive connections per goroutine.
+// create with New. Safe for concurrent use: each call takes a
+// connection of its own from the client's pool, writes and reads on the
+// calling goroutine, and hands the connection back.
 //
 // A client is optionally scoped to a tenant namespace via Tenant; an
 // unscoped client uses the legacy /v1/sketch paths, which the server
 // maps to the "default" tenant, so existing callers are unchanged.
 type Client struct {
-	base   string
 	tenant string // "" = legacy paths (default namespace)
-	hc     *http.Client
-}
-
-// sharedTransport is the pooled transport behind every New client. One
-// transport for the whole process keeps the keep-alive pool shared
-// across clients (a loadgen spawning a client per goroutine reuses
-// connections instead of multiplying them), and its limits are tuned
-// for coordinator fan-out: enough idle connections per shard to keep
-// every core's requests pipelined, and explicit dial and
-// response-header timeouts so one dead shard turns into a prompt error
-// instead of an indefinitely hung scatter-gather slot. The stock
-// http.DefaultTransport has no response-header timeout and only 2 idle
-// connections per host — both wrong for fan-out.
-var sharedTransport = &http.Transport{
-	DialContext: (&net.Dialer{
-		Timeout:   2 * time.Second,
-		KeepAlive: 30 * time.Second,
-	}).DialContext,
-	MaxIdleConns:          256,
-	MaxIdleConnsPerHost:   maxIdlePerHost(),
-	IdleConnTimeout:       90 * time.Second,
-	ResponseHeaderTimeout: 15 * time.Second,
-	ExpectContinueTimeout: 1 * time.Second,
-}
-
-func maxIdlePerHost() int {
-	if n := runtime.GOMAXPROCS(0) * 2; n > 16 {
-		return n
-	}
-	return 16
+	link   *link
 }
 
 // New creates a client for a base URL like "http://127.0.0.1:7600".
-// The client shares a process-wide transport with dial and
-// response-header timeouts plus an overall request deadline, so a call
-// against a dead or wedged server fails instead of hanging forever;
-// callers that need different limits use NewWithHTTPClient.
+// Every call runs under a dial, a first-response-byte and an overall
+// deadline, so one against a dead or wedged server fails instead of
+// hanging forever. A base that is not an http:// URL is reported by the
+// first call.
 func New(base string) *Client {
-	return NewWithHTTPClient(base, &http.Client{
-		Transport: sharedTransport,
-		Timeout:   60 * time.Second,
-	})
-}
-
-// NewWithHTTPClient creates a client using a caller-provided
-// http.Client (custom transport limits, timeouts).
-func NewWithHTTPClient(base string, hc *http.Client) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
+	return &Client{link: newLink(base)}
 }
 
 // Tenant returns a copy of the client scoped to a tenant namespace:
@@ -87,7 +47,7 @@ func NewWithHTTPClient(base string, hc *http.Client) *Client {
 // legacy paths. Tenant("") (and Tenant("default"), which the server
 // treats identically) returns the receiver unchanged — the legacy
 // paths already address the default namespace. The copy shares the
-// underlying http.Client, so connection pooling is unaffected.
+// receiver's connections.
 func (c *Client) Tenant(tenant string) *Client {
 	if tenant == "" || tenant == "default" {
 		return c
@@ -189,39 +149,35 @@ func (c *Client) SnapshotAppend(name, wire string, dst []byte) ([]byte, error) {
 // the query reads — instead of the whole state. Any other server,
 // family or query answers as SnapshotAppend would.
 func (c *Client) SnapshotFor(name, wire, forQuery string, dst []byte) ([]byte, error) {
-	u := c.url("snapshot", name)
-	sep := "?"
+	var qbuf [128]byte // on the stack unless the query outgrows it
+	q := qbuf[:0]
 	if wire != "" {
-		u += sep + "wire=" + url.QueryEscape(wire)
-		sep = "&"
+		q = appendQueryEscape(append(q, "wire="...), wire)
 	}
 	if forQuery != "" {
-		u += sep + "for=" + url.QueryEscape(forQuery)
+		if len(q) > 0 {
+			q = append(q, '&')
+		}
+		q = appendQueryEscape(append(q, "for="...), forQuery)
 	}
-	resp, err := c.hc.Get(u)
-	if err != nil {
-		return dst, err
-	}
-	defer resp.Body.Close()
-	dst = dst[:0]
-	// A known length larger than the buffer is grown to once, rather
-	// than by doubling through ReadAppend with a copy at each step.
-	if n := resp.ContentLength; n > int64(cap(dst)) && n <= maxPresize {
-		dst = make([]byte, 0, n+1) // +1: room for the read that returns io.EOF
-	}
-	data, err := ReadAppend(resp.Body, dst)
-	if err != nil {
-		return data, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return data[:0], statusError(resp, data)
-	}
-	return data, nil
+	return c.roundTrip(request{op: server.Named("snapshot"), name: name, query: q}, nil, dst, false)
 }
 
-// maxPresize bounds the buffer SnapshotFor allocates on a server's
-// Content-Length alone; anything longer grows as it actually arrives.
-const maxPresize = 64 << 20
+// appendQueryEscape appends url.QueryEscape(s).
+func appendQueryEscape(dst []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '_' || c == '.' || c == '~':
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, '+')
+		default:
+			dst = append(dst, '%', hex[c>>4], hex[c&15])
+		}
+	}
+	return dst
+}
 
 // ReadAppend drains r into dst, reusing dst's capacity and growing it
 // only when the payload outgrows it. io.ReadAll allocates a fresh
@@ -362,19 +318,7 @@ func (c *Client) ReplStatus(applied uint64) (durable.ShippableState, error) {
 // ReplFile fetches one shippable file (sealed WAL segment or snapshot)
 // by its manifest name.
 func (c *Client) ReplFile(name string) ([]byte, error) {
-	resp, err := c.hc.Get(c.url("repl-file", name))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, statusError(resp, data)
-	}
-	return data, nil
+	return c.roundTrip(request{op: server.Named("repl-file"), name: name}, nil, nil, false)
 }
 
 // ReplSeal asks the leader to rotate its active WAL segment so every
@@ -382,12 +326,6 @@ func (c *Client) ReplFile(name string) ([]byte, error) {
 // polling follower turns before each sync round.
 func (c *Client) ReplSeal() error {
 	return c.Forward("repl-seal", "", "application/json", nil)
-}
-
-// url is the address of a table operation (server.Ops) on this client's
-// server and tenant.
-func (c *Client) url(op, name string) string {
-	return c.base + server.Named(op).Path(c.tenant, name)
 }
 
 // Forward sends one operation as it stands — the row's method and path,
@@ -398,48 +336,17 @@ func (c *Client) Forward(op, name, contentType string, body []byte) error {
 }
 
 // do issues one operation and decodes its JSON reply into out (nil: the
-// reply is drained).
+// reply is read and dropped).
 func (c *Client) do(op, name string, query url.Values, contentType string, body []byte, out any) error {
-	row := server.Named(op)
-	u := c.base + row.Path(c.tenant, name)
+	rq := request{op: server.Named(op), name: name, contentType: contentType}
 	if len(query) > 0 {
-		u += "?" + query.Encode()
+		rq.query = []byte(query.Encode())
 	}
-	req, err := http.NewRequest(row.Method, u, bytes.NewReader(body))
-	if err != nil {
+	data, err := c.roundTrip(rq, body, nil, out == nil)
+	if err != nil || out == nil {
 		return err
-	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	if out == nil {
-		return drainStatus(resp)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return statusError(resp, data)
 	}
 	return json.Unmarshal(data, out)
-}
-
-// drainStatus consumes the body (required to reuse the keep-alive
-// connection) and converts non-2xx statuses to errors.
-func drainStatus(resp *http.Response) error {
-	defer resp.Body.Close()
-	if resp.StatusCode/100 == 2 {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	return statusError(resp, data)
 }
 
 // StatusError is a non-2xx server response, carrying the HTTP status
@@ -461,8 +368,10 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("client: HTTP %d: %s", e.Code, e.Msg)
 }
 
-func statusError(resp *http.Response, body []byte) error {
-	se := &StatusError{Code: resp.StatusCode, RetryAfter: retryAfter(resp)}
+// statusError turns a refusal into a *StatusError: the message is the
+// "error" member of a JSON body, or else the body as text.
+func statusError(code int, retryAfter time.Duration, body []byte) error {
+	se := &StatusError{Code: code, RetryAfter: retryAfter}
 	var doc struct {
 		Error string `json:"error"`
 	}
@@ -472,19 +381,4 @@ func statusError(resp *http.Response, body []byte) error {
 		se.Msg = string(bytes.TrimSpace(body))
 	}
 	return se
-}
-
-// retryAfter parses the delay-seconds form of Retry-After (the form
-// sketchd emits). The HTTP-date form is not used by this system and
-// parses to 0.
-func retryAfter(resp *http.Response) time.Duration {
-	v := resp.Header.Get("Retry-After")
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
 }

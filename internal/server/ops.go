@@ -76,14 +76,35 @@ func Named(name string) Op {
 // Path is the operation's concrete URL path for a tenant ("" or
 // "default": the plain route) and, where the pattern has one, a name.
 func (op Op) Path(tenant, name string) string {
-	path := op.Pattern
-	if head, tail, ok := strings.Cut(path, "{name}"); ok {
-		path = head + url.PathEscape(name) + tail
-	}
+	return string(op.AppendPath(nil, tenant, name))
+}
+
+// AppendPath appends Path(tenant, name) to dst: the form the client
+// writes a request line with, no string built on the way.
+func (op Op) AppendPath(dst []byte, tenant, name string) []byte {
+	rest := op.Pattern
 	if op.Tenant && tenant != "" && tenant != DefaultTenant {
-		path = "/v1/t/" + url.PathEscape(tenant) + path[len("/v1"):]
+		dst = appendSegment(append(dst, "/v1/t/"...), tenant)
+		rest = rest[len("/v1"):]
 	}
-	return path
+	head, tail, named := strings.Cut(rest, "{name}")
+	dst = append(dst, head...)
+	if named {
+		dst = append(appendSegment(dst, name), tail...)
+	}
+	return dst
+}
+
+// appendSegment appends url.PathEscape(s); a segment of letters, digits
+// and "-_.~", which is nearly every sketch name, needs no escaping.
+func appendSegment(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '-' || c == '_' || c == '.' || c == '~') {
+			return append(dst, url.PathEscape(s)...)
+		}
+	}
+	return append(dst, s...)
 }
 
 // Mount registers on mux every row the tier serves (a sketchd, or a
