@@ -12,18 +12,10 @@
 // -sketchd http://host:port to drive an externally running daemon
 // instead.
 //
-// Benchmark mode runs the internal/benchrun hot-path microbenchmark
-// suite (the same code `go test -bench Hot` runs) and writes the
-// results as JSON — the committed BENCH_*.json trajectory files are
-// produced this way (BENCH_4.json is current: SF-sketch and slim-wire
-// entries plus per-family wire bytes, schema 3; BENCH_3.json added the
-// cluster coordinator entries; BENCH_2.json is the cache-layout
-// baseline; BENCH_1.json is the pre-layout-work baseline):
-//
-//	sketchbench -bench                              # 1s per benchmark, writes BENCH_4.json
-//	sketchbench -bench -benchtime 100ms -benchout - # quick run to stdout
-//
-// Compare two reports with cmd/benchdiff (scripts/benchdiff.sh).
+// sketchbench measures the paper's claims and nothing else. Timings
+// of a kernel or a hop are `go test -run '^$' -bench 'Hot/<row>'
+// -benchmem .` at the module root; a PR's end-to-end numbers are
+// benchmark/ (see its README).
 package main
 
 import (
@@ -31,10 +23,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"testing"
 	"time"
 
-	"repro/internal/benchrun"
 	"repro/internal/experiments"
 )
 
@@ -42,16 +32,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	sketchd := flag.String("sketchd", "", "base URL of a running sketchd for the E25 loadgen (default: in-process)")
-	bench := flag.Bool("bench", false, "run hot-path microbenchmarks instead of experiments")
-	benchtime := flag.Duration("benchtime", time.Second, "per-benchmark measuring time in -bench mode")
-	benchout := flag.String("benchout", "BENCH_4.json", "output path for -bench JSON results (- for stdout)")
-	testing.Init() // registers test.benchtime, which drives testing.Benchmark
 	flag.Parse()
-
-	if *bench {
-		runBench(*benchtime, *benchout)
-		return
-	}
 
 	if *sketchd != "" {
 		os.Setenv("SKETCHD_ADDR", *sketchd)
@@ -92,30 +73,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runBench executes the benchrun suite and writes the JSON report.
-func runBench(benchtime time.Duration, out string) {
-	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	rep := benchrun.Run(func(name string) {
-		fmt.Fprintf(os.Stderr, "bench: %s\n", name)
-	})
-	data, err := rep.MarshalIndent()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d benchmarks)\n", out, len(rep.Results))
 }

@@ -17,8 +17,8 @@ import (
 // an Add or Contains touches exactly one cache line instead of k.
 const BlockWords = 8
 
-// blockBits is the bit capacity of one block (512).
-const blockBits = BlockWords * 64
+// BlockBits is the bit capacity of one block (512).
+const BlockBits = BlockWords * 64
 
 // BlockedFilter is a cache-line-blocked Bloom filter: the first hash
 // stream picks one 512-bit block, the second derives all k bit
@@ -52,7 +52,7 @@ func NewBlocked(m uint64, k int, seed uint64) *BlockedFilter {
 	if k < 1 || k > maxBlockedK {
 		panic("bloom: blocked k must be in [1,64]")
 	}
-	blocks := (m + blockBits - 1) / blockBits
+	blocks := (m + BlockBits - 1) / BlockBits
 	return &BlockedFilter{
 		bits:   make([]uint64, blocks*BlockWords),
 		blocks: blocks,
@@ -103,15 +103,17 @@ func (f *BlockedFilter) blockBase(h1 uint64) uint64 {
 // up to 64 stays uniform. Direct extraction keeps the k probes
 // independent in the out-of-order window — a stride walk would chain
 // each position on the previous one — and sampling with replacement is
-// exactly the model TheoreticalBlockedFPR prices.
+// exactly the model TheoreticalBlockedFPR prices. The rule is exported
+// because concurrent.AtomicBlockedBloom walks the same bits over atomic
+// words: it is stated here and nowhere else.
 const (
-	probeBitsPerWord = 7
-	probeShift       = 9
+	ProbeBitsPerWord = 7
+	ProbeShift       = 9
 )
 
-// nextProbeWord remixes the probe stream once the current word's 63
+// NextProbeWord remixes the probe stream once the current word's 63
 // usable bits are consumed.
-func nextProbeWord(w uint64) uint64 { return hashx.Mix64(w) }
+func NextProbeWord(w uint64) uint64 { return hashx.Mix64(w) }
 
 // Add inserts an item: one 128-bit hash pass, one cache-line block.
 func (f *BlockedFilter) Add(item []byte) {
@@ -134,18 +136,18 @@ func (f *BlockedFilter) AddHash(h1, h2 uint64) {
 	k, w := f.k, h2
 	for {
 		steps := k
-		if steps > probeBitsPerWord {
-			steps = probeBitsPerWord
+		if steps > ProbeBitsPerWord {
+			steps = ProbeBitsPerWord
 		}
 		for j := 0; j < steps; j++ {
-			pos := w & (blockBits - 1)
+			pos := w & (BlockBits - 1)
 			block[pos>>6] |= 1 << (pos & 63)
-			w >>= probeShift
+			w >>= ProbeShift
 		}
 		if k -= steps; k == 0 {
 			break
 		}
-		h2 = nextProbeWord(h2)
+		h2 = NextProbeWord(h2)
 		w = h2
 	}
 	f.n++
@@ -198,18 +200,18 @@ func (f *BlockedFilter) AddHashBatch(h1s, h2s []uint64) {
 			k, w := f.k, h2
 			for {
 				steps := k
-				if steps > probeBitsPerWord {
-					steps = probeBitsPerWord
+				if steps > ProbeBitsPerWord {
+					steps = ProbeBitsPerWord
 				}
 				for j := 0; j < steps; j++ {
-					pos := w & (blockBits - 1)
+					pos := w & (BlockBits - 1)
 					block[pos>>6] |= 1 << (pos & 63)
-					w >>= probeShift
+					w >>= ProbeShift
 				}
 				if k -= steps; k == 0 {
 					break
 				}
-				h2 = nextProbeWord(h2)
+				h2 = NextProbeWord(h2)
 				w = h2
 			}
 		}
@@ -239,20 +241,20 @@ func (f *BlockedFilter) ContainsHash(h1, h2 uint64) bool {
 	k, w := f.k, h2
 	for {
 		steps := k
-		if steps > probeBitsPerWord {
-			steps = probeBitsPerWord
+		if steps > ProbeBitsPerWord {
+			steps = ProbeBitsPerWord
 		}
 		for j := 0; j < steps; j++ {
-			pos := w & (blockBits - 1)
+			pos := w & (BlockBits - 1)
 			if block[pos>>6]&(1<<(pos&63)) == 0 {
 				return false
 			}
-			w >>= probeShift
+			w >>= ProbeShift
 		}
 		if k -= steps; k == 0 {
 			return true
 		}
-		h2 = nextProbeWord(h2)
+		h2 = NextProbeWord(h2)
 		w = h2
 	}
 }
@@ -261,7 +263,7 @@ func (f *BlockedFilter) ContainsHash(h1, h2 uint64) bool {
 func (f *BlockedFilter) Update(item []byte) { f.Add(item) }
 
 // M returns the number of bits (always a multiple of 512).
-func (f *BlockedFilter) M() uint64 { return f.blocks * blockBits }
+func (f *BlockedFilter) M() uint64 { return f.blocks * BlockBits }
 
 // Blocks returns the number of 512-bit blocks.
 func (f *BlockedFilter) Blocks() uint64 { return f.blocks }
@@ -303,7 +305,7 @@ func (f *BlockedFilter) EstimatedFPR() float64 {
 // This is the bound the E28 property test checks measured rates
 // against; it always dominates the classic TheoreticalFPR(m, k, n).
 func TheoreticalBlockedFPR(m uint64, k int, n uint64) float64 {
-	blocks := (m + blockBits - 1) / blockBits
+	blocks := (m + BlockBits - 1) / BlockBits
 	lambda := float64(n) / float64(blocks)
 	// Walk the Poisson pmf iteratively until the tail is negligible.
 	p := math.Exp(-lambda) // P[i=0]
@@ -314,7 +316,7 @@ func TheoreticalBlockedFPR(m uint64, k int, n uint64) float64 {
 			p *= lambda / float64(i)
 		}
 		cum += p
-		sum += p * math.Pow(1-math.Exp(-float64(k)*float64(i)/blockBits), float64(k))
+		sum += p * math.Pow(1-math.Exp(-float64(k)*float64(i)/BlockBits), float64(k))
 	}
 	return sum
 }
@@ -356,7 +358,7 @@ func NewBlockedFromWords(blocks uint64, k int, seed uint64, words []uint64, n ui
 		return nil, fmt.Errorf("%w: %d words for a %d-block filter",
 			core.ErrIncompatible, len(words), blocks)
 	}
-	f := NewBlocked(blocks*blockBits, k, seed)
+	f := NewBlocked(blocks*BlockBits, k, seed)
 	copy(f.bits, words)
 	f.n = n
 	return f, nil

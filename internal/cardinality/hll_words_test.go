@@ -134,3 +134,20 @@ func BenchmarkHLLMerge(b *testing.B) {
 		}
 	}
 }
+
+// A gathered read merges one register file per shard and estimates
+// once; neither walk may touch the heap.
+func TestHLLMergeEstimateZeroAlloc(t *testing.T) {
+	files := wordFiles(14)
+	x, y := files[len(files)-2], files[len(files)-1]
+	if n := testing.AllocsPerRun(20, func() {
+		if err := x.Merge(y); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("HLL.Merge: %v allocs per merge, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _ = x.Estimate() }); n != 0 {
+		t.Errorf("HLL.Estimate: %v allocs per estimate, want 0", n)
+	}
+}

@@ -138,3 +138,25 @@ func TestShardedHLLAddHashBatchConcurrent(t *testing.T) {
 		t.Fatalf("Estimate() = %v, want %v", got, want)
 	}
 }
+
+// The serving holders' batch kernels chunk through fixed-size stack
+// arrays: a 1024-hash block, the size a served batch parses into,
+// allocates nothing on its way in.
+func TestBatchKernelsZeroAlloc(t *testing.T) {
+	hs := prehashed(1024, 1)
+	ws := make([]uint64, len(hs))
+	for i := range ws {
+		ws[i] = uint64(1 + i%9)
+	}
+	cm := NewAtomicCountMin(2048, 4, 1)
+	handle := NewShardedHLL(4, 14, 1).Handle()
+	for name, fn := range map[string]func(){
+		"AtomicCountMin.AddHashBatch":         func() { cm.AddHashBatch(hs) },
+		"AtomicCountMin.AddWeightedHashBatch": func() { cm.AddWeightedHashBatch(hs, ws) },
+		"HLLHandle.AddHashBatch":              func() { handle.AddHashBatch(hs) },
+	} {
+		if n := testing.AllocsPerRun(20, fn); n != 0 {
+			t.Errorf("%s: %v allocs per 1024-hash batch, want 0", name, n)
+		}
+	}
+}

@@ -13,8 +13,9 @@ import (
 // with atomic CAS-OR loops — lock-free inserts and queries, so sketchd
 // can serve the blocked layout without a mutex on the hot path. It
 // addresses exactly the same block and bits as bloom.BlockedFilter with
-// equal shape and seed, which is what makes Merge and Snapshot
-// exchanges with the plain filter exact.
+// equal shape and seed — the three walks below read the probe rule from
+// bloom's exported constants, not their own copy — which is what makes
+// Merge and Snapshot exchanges with the plain filter exact.
 //
 // Queries under concurrent writes are safe in the Bloom sense: a
 // Contains that races an Add may miss bits still being set, but any
@@ -41,10 +42,10 @@ func NewAtomicBlockedBloom(m uint64, k int, seed uint64) *AtomicBlockedBloom {
 	}
 }
 
-// orWord atomically ORs mask into word i. go.mod targets Go 1.22, so
-// atomic.Uint64.Or (added in 1.23) is unavailable; the CAS loop
-// short-circuits when the bits are already set — the common case in a
-// filling filter — making the fast path a single load.
+// orWord atomically ORs mask into word i. A CAS loop rather than
+// atomic.Uint64.Or: it returns after one load when the bits are already
+// set — the common case in a filling filter — where Or would take the
+// cache line exclusive on every probe.
 func (f *AtomicBlockedBloom) orWord(i uint64, mask uint64) {
 	w := &f.bits[i]
 	for {
@@ -77,18 +78,18 @@ func (f *AtomicBlockedBloom) AddHash(h1, h2 uint64) {
 	k, w := f.k, h2
 	for {
 		steps := k
-		if steps > 7 {
-			steps = 7
+		if steps > bloom.ProbeBitsPerWord {
+			steps = bloom.ProbeBitsPerWord
 		}
 		for j := 0; j < steps; j++ {
-			pos := w & 511
+			pos := w & (bloom.BlockBits - 1)
 			f.orWord(base+pos>>6, 1<<(pos&63))
-			w >>= 9
+			w >>= bloom.ProbeShift
 		}
 		if k -= steps; k == 0 {
 			break
 		}
-		h2 = hashx.Mix64(h2)
+		h2 = bloom.NextProbeWord(h2)
 		w = h2
 	}
 	f.n.Add(1)
@@ -136,18 +137,18 @@ func (f *AtomicBlockedBloom) AddHashBatch(h1s, h2s []uint64) {
 			k, w := f.k, h2
 			for {
 				steps := k
-				if steps > 7 {
-					steps = 7
+				if steps > bloom.ProbeBitsPerWord {
+					steps = bloom.ProbeBitsPerWord
 				}
 				for j := 0; j < steps; j++ {
-					pos := w & 511
+					pos := w & (bloom.BlockBits - 1)
 					f.orWord(base+pos>>6, 1<<(pos&63))
-					w >>= 9
+					w >>= bloom.ProbeShift
 				}
 				if k -= steps; k == 0 {
 					break
 				}
-				h2 = hashx.Mix64(h2)
+				h2 = bloom.NextProbeWord(h2)
 				w = h2
 			}
 		}
@@ -174,20 +175,20 @@ func (f *AtomicBlockedBloom) ContainsHash(h1, h2 uint64) bool {
 	k, w := f.k, h2
 	for {
 		steps := k
-		if steps > 7 {
-			steps = 7
+		if steps > bloom.ProbeBitsPerWord {
+			steps = bloom.ProbeBitsPerWord
 		}
 		for j := 0; j < steps; j++ {
-			pos := w & 511
+			pos := w & (bloom.BlockBits - 1)
 			if f.bits[base+pos>>6].Load()&(1<<(pos&63)) == 0 {
 				return false
 			}
-			w >>= 9
+			w >>= bloom.ProbeShift
 		}
 		if k -= steps; k == 0 {
 			return true
 		}
-		h2 = hashx.Mix64(h2)
+		h2 = bloom.NextProbeWord(h2)
 		w = h2
 	}
 }
@@ -196,7 +197,7 @@ func (f *AtomicBlockedBloom) ContainsHash(h1, h2 uint64) bool {
 func (f *AtomicBlockedBloom) N() uint64 { return f.n.Load() }
 
 // M returns the number of bits.
-func (f *AtomicBlockedBloom) M() uint64 { return f.blocks * 512 }
+func (f *AtomicBlockedBloom) M() uint64 { return f.blocks * bloom.BlockBits }
 
 // K returns the number of bit probes per item.
 func (f *AtomicBlockedBloom) K() int { return f.k }

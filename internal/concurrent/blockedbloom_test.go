@@ -15,26 +15,45 @@ func blockedKey(i int) []byte { return hashx.Uint64Bytes(uint64(i)) }
 
 func TestAtomicBlockedBloomMatchesSerial(t *testing.T) {
 	// The atomic wrapper must address exactly the bits the plain
-	// blocked filter does: after the same inserts, Snapshot() is
-	// byte-identical to the serial filter.
-	const n = 5000
-	ref := bloom.NewBlocked(1<<16, 6, 3)
-	af := NewAtomicBlockedBloom(1<<16, 6, 3)
-	for i := 0; i < n; i++ {
-		ref.Add(blockedKey(i))
-		af.Add(blockedKey(i))
-	}
-	a, _ := ref.MarshalBinary()
-	b, _ := af.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatal("atomic snapshot differs from serial blocked filter")
-	}
-	for i := 0; i < n; i++ {
-		if !af.Contains(blockedKey(i)) {
-			t.Fatalf("false negative for key %d", i)
+	// blocked filter does: after the same inserts — scalar and batched —
+	// its envelope is byte-identical to the serial filter's, and the two
+	// answer every probe alike, hits and misses. k = 6 stays inside one
+	// probe word; 7 ends on its last probe, 8 and 14 take the remix once,
+	// 64 (the cap) nine times. Each filter is sized to end half full: a
+	// sparse one refuses a stranger within its first probes and a
+	// saturated one refuses nobody, and neither would notice a query
+	// walk that goes wrong after the seventh.
+	const n = 2000
+	for _, k := range []int{1, 6, 7, 8, 14, 64} {
+		m := uint64(2*n*k) * 10 / 7
+		ref := bloom.NewBlocked(m, k, 3)
+		af := NewAtomicBlockedBloom(m, k, 3)
+		h1s, h2s := make([]uint64, n), make([]uint64, n)
+		for i := 0; i < n; i++ {
+			ref.Add(blockedKey(i))
+			af.Add(blockedKey(i))
+			h1s[i], h2s[i] = hashx.Murmur3_128(blockedKey(n+i), 3)
 		}
-		if !af.ContainsString(string(blockedKey(i))) {
-			t.Fatalf("string false negative for key %d", i)
+		ref.AddHashBatch(h1s, h2s)
+		af.AddHashBatch(h1s, h2s)
+		a, _ := ref.MarshalBinary()
+		b, _ := af.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Fatalf("k=%d: atomic snapshot differs from serial blocked filter", k)
+		}
+		for i := 0; i < 12*n; i++ { // all past the first 2n are strangers
+			h1, h2 := hashx.Murmur3_128(blockedKey(i), 3)
+			if got, want := af.ContainsHash(h1, h2), ref.ContainsHash(h1, h2); got != want {
+				t.Fatalf("k=%d: ContainsHash(key %d) = %v, serial filter says %v", k, i, got, want)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if !af.Contains(blockedKey(i)) {
+				t.Fatalf("k=%d: false negative for key %d", k, i)
+			}
+			if !af.ContainsString(string(blockedKey(i))) {
+				t.Fatalf("k=%d: string false negative for key %d", k, i)
+			}
 		}
 	}
 }

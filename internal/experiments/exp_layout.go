@@ -23,9 +23,9 @@ func init() {
 // pays a cache miss per probe and the layout changes (one 512-bit block
 // per Bloom item, d Count-Min rows fused into adjacent cache lines,
 // two-phase hash-then-update batch loops) convert k misses per update
-// into one or two. The committed BENCH_2.json tracks the same paths at
-// L2-resident sizes; this experiment is the >L2 complement, where the
-// speedups are the point of the design.
+// into one or two. The BenchmarkHot rows at the module root time the
+// same paths at L2-resident sizes; this experiment is the >L2
+// complement, where the speedups are the point of the design.
 //
 // The Bloom layout comparison runs twice. The speed table sizes both
 // filters past even a large server L3 (~292 MiB), where every probe is

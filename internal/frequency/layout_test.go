@@ -113,19 +113,26 @@ func TestLayoutBuild(t *testing.T) {
 
 // A decoded table is read straight into its one allocation: the
 // envelope of a w×d sketch decodes in under 1.25× the table's bytes
-// (it was 2×: a zeroed grid from the constructor, then the rows).
+// (it was 2×: a zeroed grid from the constructor, then the rows) and in
+// a fixed handful of allocations — the table, the decoded value, and a
+// sign-row or second-stage block where the family has one.
 func TestDecodeAllocatesTheTableOnce(t *testing.T) {
-	for name, sk := range map[string]interface {
+	type sketch interface {
 		MarshalBinary() ([]byte, error)
 		UnmarshalBinary([]byte) error
 		SizeBytes() int
+	}
+	for name, tc := range map[string]struct {
+		sk     sketch
+		allocs float64
 	}{
-		"countmin":          NewCountMin(65536, 4, 1),
-		"countmin fused":    NewCountMinLayout(Layout{Width: 65536, Depth: 4, Mode: Fused, Seed: 1}),
-		"countsketch":       NewCountSketch(65536, 5, 1),
-		"countsketch fused": NewCountSketchLayout(Layout{Width: 65536, Depth: 5, Mode: Fused, Seed: 1}),
-		"sfsketch":          NewSFSketch(8192, 4, 65536, 4, 1),
+		"countmin":          {NewCountMin(65536, 4, 1), 2},
+		"countmin fused":    {NewCountMinLayout(Layout{Width: 65536, Depth: 4, Mode: Fused, Seed: 1}), 2},
+		"countsketch":       {NewCountSketch(65536, 5, 1), 3},
+		"countsketch fused": {NewCountSketchLayout(Layout{Width: 65536, Depth: 5, Mode: Fused, Seed: 1}), 3},
+		"sfsketch":          {NewSFSketch(8192, 4, 65536, 4, 1), 3},
 	} {
+		sk := tc.sk
 		env, err := sk.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
@@ -138,6 +145,9 @@ func TestDecodeAllocatesTheTableOnce(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(sk.SizeBytes())*5/4; got >= limit {
 			t.Errorf("%s: decode allocates %d B for a %d B table", name, got, sk.SizeBytes())
+		}
+		if got := testing.AllocsPerRun(3, func() { _ = sk.UnmarshalBinary(env) }); got > tc.allocs {
+			t.Errorf("%s: decode makes %v allocations, want at most %v", name, got, tc.allocs)
 		}
 	}
 }

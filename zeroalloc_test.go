@@ -2,7 +2,7 @@ package sketch_test
 
 // Allocation-regression tests for the hash-once hot paths: every
 // per-item update and query below must stay at exactly zero heap
-// allocations, or the BENCH_1.json throughput numbers quietly rot.
+// allocations, or the BenchmarkHot throughput numbers quietly rot.
 // Keys are longer than 32 bytes where strings are involved, past the
 // size where the compiler could hide a []byte(s) conversion in a stack
 // temporary.
