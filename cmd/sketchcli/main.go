@@ -36,7 +36,6 @@ import (
 	"strings"
 
 	sketch "repro"
-	"repro/internal/mergex"
 	"repro/internal/registry"
 	"repro/internal/robust"
 	"repro/internal/robust/attack"
@@ -304,9 +303,10 @@ func runInspect(args []string) error {
 
 // runMerge folds any number of same-type envelopes into one, writing
 // the merged envelope to -o (or stdout with "-"). Distributed
-// aggregation from the command line: each input self-describes, the
-// registry supplies the merge, and the fold runs as a parallel binary
-// tree across GOMAXPROCS cores. Incompatible inputs fail loudly.
+// aggregation from the command line: each input self-describes and the
+// registry supplies the merge (registry.MergeEnvelopes: as bytes where
+// the family merges on the wire, else a parallel binary tree across
+// GOMAXPROCS cores). Incompatible inputs fail loudly.
 func runMerge(args []string) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	out := fs.String("o", "-", `output file ("-" for stdout)`)
@@ -316,32 +316,18 @@ func runMerge(args []string) error {
 	if fs.NArg() < 2 {
 		return fmt.Errorf("usage: sketchcli merge -o out.bin a.bin b.bin [...]")
 	}
-	var d *registry.Descriptor
-	insts := make([]any, fs.NArg())
+	envs := make([][]byte, fs.NArg())
 	for i, path := range fs.Args() {
-		data, err := os.ReadFile(path)
-		if err != nil {
+		var err error
+		if envs[i], err = os.ReadFile(path); err != nil {
 			return err
 		}
-		inst, id, err := registry.Decode(data)
-		if err != nil {
-			return fmt.Errorf("%s: %v", path, err)
-		}
-		if d == nil {
-			d = id
-			if d.Bind.Merge == nil {
-				return fmt.Errorf("%s sketches do not merge", d.Name)
-			}
-		} else if id != d {
-			return fmt.Errorf("%s: is a %s, cannot merge into %s", path, id.Name, d.Name)
-		}
-		insts[i] = inst
 	}
-	merged, err := mergex.Tree(insts, d.Bind.Merge)
+	merged, err := registry.MergeEnvelopes(envs)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w (envelopes are numbered from 0, in the order given)", err)
 	}
-	env, err := registry.Marshal(merged)
+	env, err := merged.Envelope(nil)
 	if err != nil {
 		return err
 	}

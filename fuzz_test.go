@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -944,6 +945,101 @@ func FuzzClientResponse(f *testing.F) {
 			if oracleErr != nil || resp.StatusCode != se.Code {
 				t.Fatalf("read status %d; net/http: %v (%v)", se.Code, resp, oracleErr)
 			}
+		}
+	})
+}
+
+// FuzzMergeWire: arbitrary bytes folded, as an envelope, into a valid
+// envelope of every family that merges on the wire (Descriptor.MergeWire;
+// the SF-sketch in both its forms). The fold never panics; when it
+// refuses or declines, the destination is byte for byte what it was and
+// decoding refuses too; when it merges, the destination is
+// Marshal(Merge(Decode(dst), Decode(src))). The corpus is the envelope
+// TestWireBytesGolden measures for each family — default parameters,
+// its 1024 numeric lines — with corpusFor's cuts and flips; the
+// destinations hold other lines in the same shape, so a seed merges.
+func FuzzMergeWire(f *testing.F) {
+	lines := func(mul int) [][]byte {
+		items := make([][]byte, 1024)
+		for i := range items {
+			items[i] = []byte(strconv.Itoa(i * mul % 100000))
+		}
+		return items
+	}
+	type target struct {
+		d   *typereg.Descriptor
+		env []byte
+	}
+	var targets []target
+	for _, d := range typereg.All() {
+		if d.MergeWire == nil {
+			continue
+		}
+		for _, slim := range []bool{false, true} {
+			var envs [2][]byte
+			for i, mul := range []int{7919, 104729} {
+				entry, err := server.NewEntry(server.CreateRequest{Type: d.Name})
+				if err != nil {
+					f.Fatal(err)
+				}
+				if err := entry.Add(lines(mul)); err != nil {
+					f.Fatal(err)
+				}
+				env, used, err := entry.SnapshotWire(nil, slim)
+				entry.Close()
+				if err != nil {
+					f.Fatal(err)
+				}
+				if used != slim {
+					envs[0] = nil // no slim form: the full one has had its turn
+					break
+				}
+				envs[i] = env
+			}
+			if envs[0] == nil {
+				continue
+			}
+			f.Add(uint8(len(targets)), envs[0])
+			half := envs[0][:len(envs[0])/2]
+			f.Add(uint8(len(targets)), half)
+			for _, at := range []int{5, 6, len(envs[0]) - 1} {
+				flipped := bytes.Clone(envs[0])
+				flipped[at] ^= 0x81
+				f.Add(uint8(len(targets)), flipped)
+			}
+			targets = append(targets, target{d, envs[1]})
+		}
+	}
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(1), []byte("GSK1"))
+	f.Fuzz(func(t *testing.T, which uint8, src []byte) {
+		tg := targets[int(which)%len(targets)]
+		dst := bytes.Clone(tg.env)
+		merged, err := tg.d.MergeWire(dst, src)
+
+		var want []byte
+		a, wantErr := tg.d.Decode(tg.env)
+		if wantErr != nil {
+			t.Fatalf("the destination does not decode: %v", wantErr)
+		}
+		b, wantErr := tg.d.Decode(src)
+		if wantErr == nil {
+			if wantErr = tg.d.Bind.Merge(a, b); wantErr == nil {
+				want, _ = typereg.Marshal(a)
+			}
+		}
+		switch {
+		case !merged:
+			if !bytes.Equal(dst, tg.env) {
+				t.Fatalf("%s: MergeWire answered (false, %v) and changed dst", tg.d.Name, err)
+			}
+			if err != nil && (wantErr == nil || errors.Is(err, core.ErrCorrupt) != errors.Is(wantErr, core.ErrCorrupt)) {
+				t.Fatalf("%s: MergeWire refuses with %v, decode-merge answers %v", tg.d.Name, err, wantErr)
+			}
+		case wantErr != nil:
+			t.Fatalf("%s: MergeWire merged what decode-merge refuses: %v", tg.d.Name, wantErr)
+		case !bytes.Equal(dst, want):
+			t.Fatalf("%s: MergeWire's envelope is not Marshal(Merge(Decode dst, Decode src))", tg.d.Name)
 		}
 	})
 }

@@ -408,7 +408,9 @@ var hotBenchmarks = []struct {
 	{"RingLocate", ringRoute(16)},
 	{"ClusterFanOutAdd4", clusterFanOutAdd},
 	{"ClusterScatterGather4", clusterScatterGather},
-	{"ClusterSlimSnapshot4", clusterSlimSnapshot},
+	{"ClusterSlimSnapshot4", clusterSnapshot(512, "slim")},
+	{"ClusterSnapshotSFFull", clusterSnapshot(4096, "full")},
+	{"ClusterSnapshotSFSlim", clusterSnapshot(4096, "slim")},
 	{"XXHash64String64B", func(b *testing.B) {
 		s := string(make([]byte, 64))
 		b.SetBytes(64)
@@ -584,8 +586,8 @@ func clusterFanOutAdd(b *testing.B) {
 }
 
 // clusterScatterGather measures a global read end to end: snapshot all
-// 4 shards in parallel, decode the envelopes, tree-merge them through
-// mergex, and answer the query. Reported per global query.
+// 4 shards in parallel, fold three envelopes into a copy of the fourth
+// and decode the merged one. Reported per global query.
 func clusterScatterGather(b *testing.B) {
 	coord, stop := clusterHarness(b, 4)
 	defer stop()
@@ -614,41 +616,51 @@ func clusterScatterGather(b *testing.B) {
 	}
 }
 
-// clusterSlimSnapshot measures the wire-efficient global read end to
-// end over loopback HTTP: the coordinator scatter-gathers 4 shards'
-// SLIM sfsketch envelopes through its pooled read buffers, tree-merges
-// them, and serves the merged envelope. The companion to
-// clusterScatterGather — the delta between the two is the slim-wire
-// saving plus the pooled-buffer path.
-func clusterSlimSnapshot(b *testing.B) {
-	coord, stop := clusterHarness(b, 4)
-	defer stop()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := &http.Server{Handler: coord}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	const lines = 4096
-	var body []byte
-	for i := 0; i < lines; i++ {
-		body = append(body, "item"+strconv.Itoa(i)+"\n"...)
-	}
-	for _, u := range coord.Shards() {
-		if err := client.New(u).Create("bench", server.CreateRequest{Type: "sfsketch", Width: 512, Depth: 4, Seed: 1}); err != nil {
+// clusterSnapshot measures the coordinator's merged /snapshot end to end
+// over loopback HTTP: it scatter-gathers 4 shards' sfsketch envelopes
+// of the given form through its pooled read buffers, merges them — as
+// bytes, folded into the first where it arrived — and serves the merged
+// envelope, which the reader takes into a buffer it reuses. The slim
+// rows are the companions to clusterScatterGather (the delta is the
+// slim-wire saving plus the pooled-buffer path); the two SF rows are
+// benchmark/gen's shape (SFWidth × SFDepth, a 1.15 MB full envelope),
+// the read that leads cluster_read.
+func clusterSnapshot(width int, wire string) func(b *testing.B) {
+	return func(b *testing.B) {
+		coord, stop := clusterHarness(b, 4)
+		defer stop()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	if _, fails := coord.FanOutAdd("bench", body); len(fails) > 0 {
-		b.Fatalf("seed ingest failed: %v", fails)
-	}
-	cl := client.New("http://" + ln.Addr().String())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cl.SnapshotWire("bench", "slim"); err != nil {
+		hs := &http.Server{Handler: coord}
+		go hs.Serve(ln)
+		defer hs.Close()
+
+		const lines = 4096
+		var body []byte
+		for i := 0; i < lines; i++ {
+			body = append(body, "item"+strconv.Itoa(i)+"\n"...)
+		}
+		for _, u := range coord.Shards() {
+			if err := client.New(u).Create("bench", server.CreateRequest{Type: "sfsketch", Width: width, Depth: 4, Seed: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, fails := coord.FanOutAdd("bench", body); len(fails) > 0 {
+			b.Fatalf("seed ingest failed: %v", fails)
+		}
+		cl := client.New("http://" + ln.Addr().String())
+		env, err := cl.SnapshotAppend("bench", wire, nil)
+		if err != nil {
 			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(env)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if env, err = cl.SnapshotAppend("bench", wire, env); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

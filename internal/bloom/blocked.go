@@ -389,26 +389,44 @@ func AppendBlocked[T uint64 | atomic.Uint64](dst []byte, blocks uint64, k int, s
 	return w.Bytes()
 }
 
+// blockedHeader reads a blocked-Bloom envelope up to its bit words and
+// validates it. k is bounded for the same fuzz-found reason as the
+// classic filter: a corrupt k must not turn the first post-decode probe
+// loop into a spin.
+func blockedHeader(data []byte) (r *core.Reader, f BlockedFilter, words int, err error) {
+	if r, _, err = core.NewReaderVersioned(data, core.TagBlockedBloom, 1); err != nil {
+		return nil, f, 0, err
+	}
+	if f.blocks, f.k, f.seed, f.n, words, err = bitsHeader(r); err != nil {
+		return nil, f, 0, err
+	}
+	if f.blocks == 0 || f.k < 1 || f.k > maxBlockedK || uint64(words) != f.blocks*BlockWords {
+		return nil, f, 0, fmt.Errorf("%w: inconsistent blocked bloom dimensions", core.ErrCorrupt)
+	}
+	return r, f, words, nil
+}
+
 // UnmarshalBinary restores a filter serialized by MarshalBinary.
 func (f *BlockedFilter) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReaderVersioned(data, core.TagBlockedBloom, 1)
+	r, fresh, words, err := blockedHeader(data)
 	if err != nil {
 		return err
 	}
-	blocks := r.U64()
-	k := int(r.U32())
-	seed := r.U64()
-	n := r.U64()
-	bits := r.U64Slice()
+	fresh.bits = make([]uint64, words)
+	core.ReadBlock(r, fresh.bits)
 	if err := r.Done(); err != nil {
 		return err
 	}
-	// k is bounded for the same fuzz-found reason as the classic
-	// filter: a corrupt k must not turn the first post-decode probe
-	// loop into a spin.
-	if blocks == 0 || k < 1 || k > maxBlockedK || uint64(len(bits)) != blocks*BlockWords {
-		return fmt.Errorf("%w: inconsistent blocked bloom dimensions", core.ErrCorrupt)
-	}
-	f.blocks, f.k, f.seed, f.n, f.bits = blocks, k, seed, n, bits
+	*f = fresh
 	return nil
+}
+
+// BlockedWire validates a blocked-Bloom envelope as UnmarshalBinary
+// does and locates its bit words for a merge of envelopes.
+func BlockedWire(env []byte) (core.WireCells, bool, error) {
+	r, _, words, err := blockedHeader(env)
+	if err != nil {
+		return core.WireCells{}, false, err
+	}
+	return bitsWire(r, words), true, nil
 }

@@ -265,6 +265,48 @@ func (f *Filter) AppendBinary(dst []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// bitsHeader reads what the classic and the blocked filter's envelopes
+// share after their version — size (m, or blocks), k, seed, n and the
+// count of the bit words — and checks that exactly the counted words
+// follow.
+func bitsHeader(r *core.Reader) (size uint64, k int, seed, n uint64, words int, err error) {
+	size = r.U64()
+	k = int(r.U32())
+	seed = r.U64()
+	n = r.U64()
+	words = r.Count(8)
+	if r.Err() != nil {
+		return 0, 0, 0, 0, 0, r.Err()
+	}
+	if r.Remaining() != 8*words {
+		return 0, 0, 0, 0, 0, fmt.Errorf("%w: %d bytes after the header for %d bit words", core.ErrCorrupt, r.Remaining(), words)
+	}
+	return size, k, seed, n, words, nil
+}
+
+// bitsWire locates the bit words bitsHeader counted, for a merge of
+// envelopes (core.WireCells): size, k and seed must agree, n adds and the
+// words OR, which is both filters' Merge.
+func bitsWire(r *core.Reader, words int) core.WireCells {
+	c := core.WireCells{Sum: r.Offset() - 12, Start: r.Offset() - 4}
+	c.Tables[0] = core.WireTable{Parts: 1, Words: words}
+	return c
+}
+
+// filterHeader is bitsHeader and the classic filter's own rules. k is bounded
+// because every Add/Contains does k hash probes: a corrupt multi-billion
+// k would turn the first post-decode operation into a minutes-long spin
+// (fuzz-found). Real filters use k ≤ ~30.
+func filterHeader(r *core.Reader) (f Filter, words int, err error) {
+	if f.m, f.k, f.seed, f.n, words, err = bitsHeader(r); err != nil {
+		return f, 0, err
+	}
+	if f.m == 0 || f.k < 1 || f.k > 256 || uint64(words) != (f.m+63)/64 {
+		return f, 0, fmt.Errorf("%w: inconsistent bloom dimensions", core.ErrCorrupt)
+	}
+	return f, words, nil
+}
+
 // UnmarshalBinary restores a filter serialized by MarshalBinary.
 // Version-1 payloads are rejected: they were written when bit positions
 // were reduced by modulo rather than FastRange, so their set bits do
@@ -280,22 +322,32 @@ func (f *Filter) UnmarshalBinary(data []byte) error {
 	if version < 2 {
 		return fmt.Errorf("%w: bloom wire version 1 used modulo bit addressing; decoding it under FastRange addressing would introduce false negatives — rebuild the filter", core.ErrIncompatible)
 	}
-	m := r.U64()
-	k := int(r.U32())
-	seed := r.U64()
-	n := r.U64()
-	bits := r.U64Slice()
+	fresh, words, err := filterHeader(r)
+	if err != nil {
+		return err
+	}
+	fresh.bits = make([]uint64, words)
+	core.ReadBlock(r, fresh.bits)
 	if err := r.Done(); err != nil {
 		return err
 	}
-	// k is bounded because every Add/Contains does k hash probes: a
-	// corrupt multi-billion k would turn the first post-decode operation
-	// into a minutes-long spin (fuzz-found). Real filters use k ≤ ~30.
-	if m == 0 || k < 1 || k > 256 || uint64(len(bits)) != (m+63)/64 {
-		return fmt.Errorf("%w: inconsistent bloom dimensions", core.ErrCorrupt)
-	}
-	f.m, f.k, f.seed, f.n, f.bits = m, k, seed, n, bits
+	*f = fresh
 	return nil
+}
+
+// Wire validates a Bloom envelope as UnmarshalBinary does and locates
+// its bit words for a merge of envelopes. It declines a version-1
+// envelope, whose refusal is UnmarshalBinary's to word.
+func Wire(env []byte) (core.WireCells, bool, error) {
+	r, version, err := core.NewReaderVersioned(env, core.TagBloom, 2)
+	if err != nil || version < 2 {
+		return core.WireCells{}, false, err
+	}
+	_, words, err := filterHeader(r)
+	if err != nil {
+		return core.WireCells{}, false, err
+	}
+	return bitsWire(r, words), true, nil
 }
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }

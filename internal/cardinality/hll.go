@@ -1,6 +1,7 @@
 package cardinality
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -289,9 +290,8 @@ func (h *HLL) SizeBytes() int { return len(h.packed) * 8 }
 // Merge takes the register-wise maximum — the lossless union that makes
 // HLL "slice and dice" reach reporting possible (§3 of the paper):
 // sketches per (campaign, demographic) cell can be combined along any
-// dimension without double counting. It runs under every gathered
-// estimate and every sharded read, so it goes a group at a time: the
-// thirty whole lanes by maxLanes, the two straddlers by hand.
+// dimension without double counting. It runs under every sharded read,
+// so it goes a group at a time (mergeGroup).
 func (h *HLL) Merge(other *HLL) error {
 	if h.p != other.p || h.seed != other.seed {
 		return fmt.Errorf("%w: HLL p=%d/seed=%d vs p=%d/seed=%d",
@@ -300,20 +300,53 @@ func (h *HLL) Merge(other *HLL) error {
 	a, b := h.packed, other.packed[:len(h.packed)]
 	g := 0
 	for ; g+groupWords <= len(a); g += groupWords {
-		a0, a1, a2 := a[g], a[g+1], a[g+2]
-		b0, b1, b2 := b[g], b[g+1], b[g+2]
-		r10 := max(a0>>60|a1&0x3<<4, b0>>60|b1&0x3<<4)
-		r21 := max(a1>>62|a2&0xf<<2, b1>>62|b2&0xf<<2)
-		a[g] = maxLanes(a0, b0) | r10<<60
-		a[g+1] = r10>>4 | maxLanes(a1>>2, b1>>2)<<2 | r21<<62
-		a[g+2] = r21>>2 | maxLanes(a2>>4, b2>>4)<<4
+		a[g], a[g+1], a[g+2] = mergeGroup(a[g], a[g+1], a[g+2], b[g], b[g+1], b[g+2])
 	}
-	for i := g / groupWords * groupRegs; i < 1<<h.p; i++ {
-		if r := other.getRegister(i); r > h.getRegister(i) {
-			h.setRegister(i, r)
-		}
+	if g < len(a) {
+		a[0], a[1] = mergeHalfGroup(a[0], a[1], b[0], b[1])
 	}
 	return nil
+}
+
+// mergeGroup is the register-wise maximum of two groups of 32 registers
+// in 3 words: the thirty whole lanes by maxLanes, the two straddlers by
+// hand.
+func mergeGroup(a0, a1, a2, b0, b1, b2 uint64) (uint64, uint64, uint64) {
+	r10 := max(a0>>60|a1&0x3<<4, b0>>60|b1&0x3<<4)
+	r21 := max(a1>>62|a2&0xf<<2, b1>>62|b2&0xf<<2)
+	return maxLanes(a0, b0) | r10<<60,
+		r10>>4 | maxLanes(a1>>2, b1>>2)<<2 | r21<<62,
+		r21>>2 | maxLanes(a2>>4, b2>>4)<<4
+}
+
+// mergeHalfGroup is mergeGroup for p = 4's file, 16 registers in a word
+// and a half: the group step over the 96 bits that hold registers, the
+// upper half of a's second word kept as it is.
+func mergeHalfGroup(a0, a1, b0, b1 uint64) (uint64, uint64) {
+	const regs = 1<<32 - 1
+	m0, m1, _ := mergeGroup(a0, a1&regs, 0, b0, b1&regs, 0)
+	return m0, m1 | a1&^regs
+}
+
+// MergeRegisterWords is Merge's register-wise maximum over two register
+// files in their wire form, little-endian words of equal number: what a
+// merge of HLL envelopes does to the payload, without decoding it.
+func MergeRegisterWords(dst, src []byte) {
+	le := binary.LittleEndian
+	src = src[:len(dst)]
+	g := 0
+	for ; g+8*groupWords <= len(dst); g += 8 * groupWords {
+		a, b := dst[g:g+24:g+24], src[g:g+24:g+24]
+		m0, m1, m2 := mergeGroup(le.Uint64(a), le.Uint64(a[8:]), le.Uint64(a[16:]), le.Uint64(b), le.Uint64(b[8:]), le.Uint64(b[16:]))
+		le.PutUint64(a, m0)
+		le.PutUint64(a[8:], m1)
+		le.PutUint64(a[16:], m2)
+	}
+	if g < len(dst) {
+		m0, m1 := mergeHalfGroup(le.Uint64(dst), le.Uint64(dst[8:]), le.Uint64(src), le.Uint64(src[8:]))
+		le.PutUint64(dst, m0)
+		le.PutUint64(dst[8:], m1)
+	}
 }
 
 // Clone returns a deep copy.
@@ -336,25 +369,55 @@ func (h *HLL) AppendBinary(dst []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
+// hllHeader reads an HLL envelope up to its register words and
+// validates it: the precision, and a payload of exactly the words a file
+// of 2^p registers packs into.
+func hllHeader(data []byte) (r *core.Reader, p uint8, seed uint64, words int, err error) {
+	if r, _, err = core.NewReaderVersioned(data, core.TagHLL, 1); err != nil {
+		return nil, 0, 0, 0, err
+	}
+	p = r.U8()
+	seed = r.U64()
+	words = r.Count(8)
+	if r.Err() != nil {
+		return nil, 0, 0, 0, r.Err()
+	}
+	if r.Remaining() != 8*words {
+		return nil, 0, 0, 0, fmt.Errorf("%w: %d bytes after the header for %d register words", core.ErrCorrupt, r.Remaining(), words)
+	}
+	if p < 4 || p > 18 {
+		return nil, 0, 0, 0, fmt.Errorf("%w: HLL precision %d", core.ErrCorrupt, p)
+	}
+	if words != ((1<<p)*6+63)/64 {
+		return nil, 0, 0, 0, fmt.Errorf("%w: HLL register payload length %d", core.ErrCorrupt, words)
+	}
+	return r, p, seed, words, nil
+}
+
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (h *HLL) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReaderVersioned(data, core.TagHLL, 1)
+	r, p, seed, words, err := hllHeader(data)
 	if err != nil {
 		return err
 	}
-	p := r.U8()
-	seed := r.U64()
-	packed := r.U64Slice()
+	packed := make([]uint64, words)
+	core.ReadBlock(r, packed)
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if p < 4 || p > 18 {
-		return fmt.Errorf("%w: HLL precision %d", core.ErrCorrupt, p)
-	}
-	m := 1 << p
-	if len(packed) != (m*6+63)/64 {
-		return fmt.Errorf("%w: HLL register payload length %d", core.ErrCorrupt, len(packed))
-	}
 	h.p, h.seed, h.packed = p, seed, packed
 	return nil
+}
+
+// HLLWire validates an HLL envelope as UnmarshalBinary does and locates
+// its register words for a merge of envelopes (core.WireCells): precision
+// and seed must agree, and the words merge by MergeRegisterWords.
+func HLLWire(env []byte) (core.WireCells, bool, error) {
+	r, _, _, words, err := hllHeader(env)
+	if err != nil {
+		return core.WireCells{}, false, err
+	}
+	c := core.WireCells{Start: r.Offset() - 4}
+	c.Tables[0] = core.WireTable{Parts: 1, Words: words}
+	return c, true, nil
 }

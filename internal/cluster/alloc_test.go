@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/server"
@@ -76,5 +78,66 @@ func TestCoordinatorAllocationCeilings(t *testing.T) {
 		if n := testing.AllocsPerRun(50, tc.op); n > tc.ceiling {
 			t.Errorf("%s: %v allocs per operation, ceiling %v", tc.name, n, tc.ceiling)
 		}
+	}
+}
+
+// poolKeeps reports whether a sync.Pool hands back what it was given:
+// under the race detector it drops a quarter of all Puts on purpose, and
+// a byte count of what pooling saves has nothing to measure.
+func poolKeeps() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+	}
+	for i := 0; i < 64; i++ {
+		if p.Get() == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// A merged /snapshot?wire=full of a family that merges on the wire
+// allocates no table and no envelope anywhere: the shards marshal into
+// pooled buffers, the coordinator reads them into pooled buffers, folds
+// three into the fourth where they lie and writes that one out. The
+// count is bytes and process-wide, shards and HTTP on both hops
+// included, against a ceiling of a quarter of the one envelope the reply
+// carries; decoding the four shard envelopes and marshalling their merge
+// allocated more than four envelopes' worth per read.
+func TestMergedSnapshotAllocatesNoEnvelope(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard: what is Put is what is Got
+	coord, _ := fleet(t, 4)
+	cl := coordClient(t, coord)
+	if err := cl.Create("sf", server.CreateRequest{Type: "sfsketch", Width: 4096, Depth: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ingestN(t, cl, "sf", 20_000)
+	env, err := cl.SnapshotAppend("sf", "full", nil)
+	if err != nil || len(env) < 1<<20 {
+		t.Fatalf("merged snapshot: %d bytes, %v; want an envelope over 1 MB", len(env), err)
+	}
+	read := func() {
+		if env, err = cl.SnapshotAppend("sf", "full", env[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read() // the pools are sized by now
+	const runs = 10
+	merges := coord.ops.WireMerges.Load()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= uint64(len(env))/4 {
+		t.Errorf("a merged /snapshot of a %d-byte envelope allocated %d bytes per read, want under a quarter of it", len(env), got)
+	}
+	if got := coord.ops.WireMerges.Load() - merges; got != runs {
+		t.Errorf("%d of %d reads merged on the wire", got, runs)
 	}
 }

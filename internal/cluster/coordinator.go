@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mergex"
 	typereg "repro/internal/registry"
 	"repro/internal/server/client"
 )
@@ -71,6 +71,7 @@ type CoordCounters struct {
 
 	ProjectedGathers core.Counter // queries answered from shard projections (registry.Projection), not envelopes
 	MixedRegathers   core.Counter // queries re-gathered in full because only part of the fleet projected
+	WireMerges       core.Counter // reads whose shard envelopes merged as bytes (Descriptor.MergeWire): none was decoded
 }
 
 // CoordCountersSnapshot is the JSON rendering of CoordCounters.
@@ -87,6 +88,7 @@ type CoordCountersSnapshot struct {
 
 	ProjectedGathers uint64 `json:"projected_gathers"`
 	MixedRegathers   uint64 `json:"mixed_regathers"`
+	WireMerges       uint64 `json:"wire_merges"`
 }
 
 func (c *CoordCounters) snapshot() CoordCountersSnapshot {
@@ -103,15 +105,18 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 
 		ProjectedGathers: c.ProjectedGathers.Load(),
 		MixedRegathers:   c.MixedRegathers.Load(),
+		WireMerges:       c.WireMerges.Load(),
 	}
 }
 
 // Coordinator fronts a set of sketchd shards: creates broadcast,
 // ingest routes each item to its ring shard and fans the per-shard
 // sub-batches out in parallel, and reads scatter-gather every shard's
-// envelope and tree-merge them into the global answer. It holds no
-// sketch state of its own — shards own the data, the coordinator owns
-// the routing and the merge.
+// envelope and merge them into the global answer — as bytes, folded
+// into the first envelope in the buffer it arrived in, where the family
+// merges on the wire (registry.Descriptor.MergeWire), decoded and
+// tree-merged otherwise. It holds no sketch state of its own — shards
+// own the data, the coordinator owns the routing and the merge.
 type Coordinator struct {
 	ring    *Ring
 	shards  []string
@@ -124,7 +129,7 @@ type Coordinator struct {
 
 	routePool  sync.Pool // *[][]byte per-shard ingest buckets
 	gatherPool sync.Pool // *[][]byte per-shard envelope read buffers
-	envPool    sync.Pool // *[]byte merged /snapshot response envelopes
+	envPool    sync.Pool // *[]byte merged /snapshot response envelopes of families that merge decoded
 }
 
 // ShardURLs normalizes a list of shard addresses to base URLs: spaces
@@ -386,9 +391,10 @@ func arrived(envs [][]byte, errs []error) (ok [][]byte) {
 // shard's slim envelope; forQuery, when non-empty, tells the shards the
 // one query the envelopes will be asked (client.SnapshotFor), so a
 // family that projects it ships cells instead of its table. The
-// returned envelopes alias the pooled buffers: the caller must finish
-// with them (decode/merge copies out) before calling release, and must
-// not retain them past it.
+// returned envelopes alias the pooled buffers, which the caller owns
+// until it calls release: it may merge them in place, and must have
+// finished with them — a merged envelope written out to the last byte —
+// before it does.
 func (c *Coordinator) gatherPooled(tenant, name string, slim bool, forQuery string) (envs [][]byte, fails []ShardError, release func()) {
 	wire := ""
 	if slim {
@@ -416,35 +422,25 @@ func (c *Coordinator) gatherPooled(tenant, name string, slim bool, forQuery stri
 	}
 }
 
-// MergeEnvelopes decodes same-type GSK1 envelopes and tree-merges them
-// across cores, returning the merged instance and its descriptor. The
-// registry's generic decode is what makes the coordinator family-
-// agnostic: any mergeable family a shard can serve, the cluster can
-// aggregate.
+// MergeEnvelopes merges same-type GSK1 envelopes and returns the merged
+// instance and its descriptor; the envelopes are left as they were. The
+// registry's generic merge (registry.MergeEnvelopes) is what makes the
+// coordinator family-agnostic: any mergeable family a shard can serve,
+// the cluster can aggregate — as bytes where the family merges on the
+// wire, decoded and tree-merged across cores otherwise.
 func MergeEnvelopes(envs [][]byte) (any, *typereg.Descriptor, error) {
 	if len(envs) == 0 {
 		return nil, nil, fmt.Errorf("cluster: no envelopes to merge")
 	}
-	var d *typereg.Descriptor
-	insts := make([]any, 0, len(envs))
-	for i, env := range envs {
-		inst, id, err := typereg.Decode(env)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: shard envelope %d: %w", i, err)
-		}
-		if d == nil {
-			d = id
-			if d.Bind.Merge == nil {
-				return nil, nil, fmt.Errorf("cluster: %s does not merge", d.Name)
-			}
-		} else if id != d {
-			return nil, nil, fmt.Errorf("%w: cluster mixes %s and %s envelopes", core.ErrIncompatible, d.Name, id.Name)
-		}
-		insts = append(insts, inst)
-	}
-	merged, err := mergex.Tree(insts, d.Bind.Merge)
+	// The merge folds into its first envelope: give it one of its own.
+	own := append([][]byte{slices.Clone(envs[0])}, envs[1:]...)
+	merged, err := typereg.MergeEnvelopes(own)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("cluster: %w", err)
 	}
-	return merged, d, nil
+	inst, err := merged.Instance()
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: merged envelope: %w", err)
+	}
+	return inst, merged.Desc, nil
 }

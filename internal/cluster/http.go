@@ -18,7 +18,7 @@ import (
 // (server.Ops), so every existing client (sketchcli, the loadgen, curl
 // scripts) points at a cluster unchanged. What it does for an operation
 // is the row's cluster meaning: add is routed by key, create and delete
-// are broadcast, query and snapshot gather and tree-merge, types and
+// are broadcast, query and snapshot gather and merge, types and
 // status are answered locally, and the rows with no cluster-wide
 // meaning (merge, list, overlap, and group-by ingest, whose
 // one-WAL-record atomicity is a per-shard property) answer 501 naming
@@ -167,20 +167,23 @@ func mixedTags(envs [][]byte) bool {
 	return false
 }
 
-// gatherMerged runs the scatter-gather + tree-merge for a read over
-// pooled envelope buffers; query is the one question the merged result
-// will be asked (nil when the caller wants the whole state), which the
-// shards may answer with a projection of it. It writes the error
-// response itself when the read cannot be answered under the request's
-// partial-failure policy.
-func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged any, d *registry.Descriptor, fails []ShardError, ok bool) {
+// gatherMerged runs the scatter-gather + merge for a read over pooled
+// envelope buffers; query is the one question the merged result will be
+// asked (nil when the caller wants the whole state), which the shards
+// may answer with a projection of it. The shard envelopes of a family
+// that merges on the wire fold into the first of them where they
+// arrived, so the merged result aliases the gather buffers: the caller
+// calls release once it has answered from it. When the read cannot be
+// answered under the request's partial-failure policy, gatherMerged
+// writes the error response itself and has released already.
+func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged registry.Merged, fails []ShardError, release func(), ok bool) {
 	c.ops.Queries.Inc()
 	// An explicit ?wire=full or ?wire=slim wins over the coordinator's
 	// SlimGather default.
 	slim, err := server.WireSlim(r.URL.Query().Get("wire"), c.opts.SlimGather)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, "%v", err)
-		return nil, nil, nil, false
+		return merged, nil, nil, false
 	}
 	forQuery := query.Encode()
 	envs, fails, release := c.gatherPooled(tenant, name, slim, forQuery)
@@ -192,20 +195,16 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 		c.ops.MixedRegathers.Inc()
 		envs, fails, release = c.gatherPooled(tenant, name, slim, "")
 	}
-	defer release()
-	if len(fails) > 0 && !allowPartial(r) {
+	if len(envs) == 0 || len(fails) > 0 && !allowPartial(r) {
+		release()
 		shardFailure(w, tenant, "scatter-gather", fails)
-		return nil, nil, fails, false
-	}
-	if len(envs) == 0 {
-		shardFailure(w, tenant, "scatter-gather", fails)
-		return nil, nil, fails, false
+		return merged, fails, nil, false
 	}
 	if len(fails) > 0 {
 		c.ops.PartialQueries.Inc()
 	}
-	merged, d, err = MergeEnvelopes(envs)
-	if err != nil {
+	if merged, err = registry.MergeEnvelopes(envs); err != nil {
+		release()
 		// Shards that disagree on shape or seed are a conflict, as on a
 		// single server's /merge; anything else is the coordinator's fault.
 		code := http.StatusInternalServerError
@@ -213,25 +212,35 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 			code = http.StatusConflict
 		}
 		server.HTTPError(w, code, "merge shards: %v", err)
-		return nil, nil, fails, false
+		return merged, fails, nil, false
 	}
-	if _, projected := merged.(*registry.Projection); projected {
+	switch {
+	case merged.Wire():
+		c.ops.WireMerges.Inc()
+	case merged.Desc.Tag == core.TagProjection:
 		c.ops.ProjectedGathers.Inc()
 	}
-	return merged, d, fails, true
+	return merged, fails, release, true
 }
 
 // handleQuery answers the global query: every shard's envelope — or,
 // from families that project the query, just the cells it reads —
-// tree-merged, queried once through the merged type's own binding.
+// merged, and the one merged state queried through its type's own
+// binding.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tenant := server.TenantOf(r)
 	query := familyQuery(r)
-	merged, d, fails, ok := c.gatherMerged(w, r, tenant, r.PathValue("name"), query)
+	merged, fails, release, ok := c.gatherMerged(w, r, tenant, r.PathValue("name"), query)
 	if !ok {
 		return
 	}
-	res, err := d.Bind.Query(merged, query)
+	inst, err := merged.Instance() // a copy: the gather buffers can go back
+	release()
+	if err != nil {
+		server.HTTPError(w, http.StatusInternalServerError, "merge shards: %v", err)
+		return
+	}
+	res, err := merged.Desc.Bind.Query(inst, query)
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, "query: %v", err)
 		return
@@ -246,22 +255,27 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshot serves the merged global envelope — byte-compatible
 // with a single sketchd snapshot, so it feeds Merge, sketchcli
-// inspect, or another cluster.
+// inspect, or another cluster. For a family that merges on the wire the
+// reply is the gather buffer the shard envelopes folded into, written
+// straight out; any other family's merged instance is marshalled into a
+// pooled buffer. Either goes back to its pool only once Write has
+// returned.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	merged, _, fails, ok := c.gatherMerged(w, r, server.TenantOf(r), r.PathValue("name"), nil)
+	merged, fails, release, ok := c.gatherMerged(w, r, server.TenantOf(r), r.PathValue("name"), nil)
 	if !ok {
 		return
 	}
-	// Marshalled into a pooled buffer, which goes back only once Write
-	// below has returned.
+	defer release()
 	bp := c.envPool.Get().(*[]byte)
 	defer c.envPool.Put(bp)
-	env, _, err := registry.AppendMarshal((*bp)[:0], merged, false)
+	env, err := merged.Envelope((*bp)[:0])
 	if err != nil {
 		server.HTTPError(w, http.StatusInternalServerError, "marshal: %v", err)
 		return
 	}
-	*bp = env // keep what the marshal grew
+	if !merged.Wire() {
+		*bp = env // keep what the marshal grew
+	}
 	if len(fails) > 0 {
 		w.Header().Set("X-Cluster-Partial", "true")
 	}

@@ -1,17 +1,19 @@
 // Package cluster makes sketchd horizontal: a consistent-hash ring
 // routes sketch keys across N sketchd shards, a coordinator fans
 // ingest out over pooled per-shard clients and answers queries by
-// scatter-gathering per-shard envelopes and tree-merging them through
-// internal/mergex, and a replica ships sealed DUR1 WAL segments from a
-// shard to a follower with snapshot-based catch-up.
+// scatter-gathering per-shard envelopes and merging them through
+// registry.MergeEnvelopes — as bytes where the family's envelope is its
+// mergeable state, decoded and tree-merged (internal/mergex) otherwise
+// — and a replica ships sealed DUR1 WAL segments from a shard to a
+// follower with snapshot-based catch-up.
 //
 // The design leans entirely on properties the lower layers already
 // guarantee. Sketches are mergeable, so a key can live on any shard
 // and the global view is the merge of the per-shard views — routing
 // only needs to be balanced and stable, never "correct". Envelopes are
 // self-describing (the GSK1 registry), so the coordinator has zero
-// per-family code: it moves opaque envelopes and lets registry.Decode
-// and the descriptor merge bindings do the rest. And the WAL is a
+// per-family code: it moves opaque envelopes and lets the registry's
+// descriptors (MergeWire, or Decode and the Merge binding) do the rest. And the WAL is a
 // deterministic replay log, so replication is file shipping plus the
 // same recovery machinery a restart uses.
 package cluster

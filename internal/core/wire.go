@@ -253,6 +253,10 @@ func (r *Reader) Err() error { return r.err }
 // knows its shape checks before it allocates for it.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
+// Offset is the number of bytes read so far, the header included: where
+// in the envelope the next field starts.
+func (r *Reader) Offset() int { return r.off }
+
 func (r *Reader) need(n int) bool {
 	if r.err != nil {
 		return false

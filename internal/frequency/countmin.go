@@ -366,7 +366,7 @@ func (c *CountMin) AppendBinary(dst []byte) ([]byte, error) {
 // words; concurrent.AtomicCountMin holds one as atomics and writes the
 // same envelope from them without copying the table first.
 func AppendCountMin[T uint64 | atomic.Uint64](dst []byte, l *Layout, n uint64, conservative bool, cells []T) []byte {
-	w := core.AppendWriter(dst, core.TagCountMin, 3, 26+l.wireSize())
+	w := core.AppendWriter(dst, core.TagCountMin, cmWireVersion, 26+l.wireSize())
 	w.U32(uint32(l.Width))
 	w.U32(uint32(l.Depth))
 	w.U64(l.Seed)
@@ -381,14 +381,15 @@ func AppendCountMin[T uint64 | atomic.Uint64](dst []byte, l *Layout, n uint64, c
 	return w.Bytes()
 }
 
-// decodeLayout reads the mode byte of a Count-Min or Count Sketch
-// envelope and builds the layout it names. The byte is validated
+// decodeShape reads the mode byte of a Count-Min or Count Sketch
+// envelope and validates the shape it names. The byte is validated
 // against the version that wrote it — version 2 predates the fused
 // layout, so mode 2 there means the byte and the payload cannot agree
 // and the payload is rejected rather than misparsed — and the shape
 // against what a writer can have produced: at most maxDepth rows, and a
-// fused width already whole cache lines.
-func decodeLayout(r *core.Reader, version byte, l Layout, signed bool, maxDepth int) (Layout, error) {
+// fused width already whole cache lines. The layout comes back shaped
+// but not built: a decoder builds it, a merge of envelopes needs no rows.
+func decodeShape(r *core.Reader, version byte, l Layout, maxDepth int) (Layout, error) {
 	l.Mode = KWise // every version-1 writer used KWise rows
 	if version >= 2 {
 		l.Mode = Mode(r.U8())
@@ -402,35 +403,65 @@ func decodeLayout(r *core.Reader, version byte, l Layout, signed bool, maxDepth 
 	if l.Depth > maxDepth { // before build draws a row per claimed depth
 		return l, fmt.Errorf("%w: depth %d", core.ErrCorrupt, l.Depth)
 	}
-	built, err := l.build(signed)
+	shaped, err := l.shaped()
 	if err != nil {
 		return l, fmt.Errorf("%w: %v", core.ErrCorrupt, err)
 	}
-	if built.Width != l.Width {
+	if shaped.Width != l.Width {
 		return l, fmt.Errorf("%w: fused width %d is not whole cache lines", core.ErrCorrupt, l.Width)
 	}
-	return built, nil
+	return shaped, nil
+}
+
+// cmWireVersion is the version AppendCountMin and CountSketch write.
+const cmWireVersion = 3
+
+// countMinHeader reads a Count-Min envelope up to its table and
+// validates it; the layout is shaped, not built.
+func countMinHeader(data []byte) (r *core.Reader, version byte, c CountMin, err error) {
+	if r, version, err = core.NewReaderVersioned(data, core.TagCountMin, cmWireVersion); err != nil {
+		return nil, 0, c, err
+	}
+	c.layout = Layout{Width: int(r.U32()), Depth: int(r.U32()), Seed: r.U64()}
+	c.n = r.U64()
+	c.conservative = r.U8() == 1
+	c.layout, err = decodeShape(r, version, c.layout, 64)
+	return r, version, c, err
 }
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (c *CountMin) UnmarshalBinary(data []byte) error {
-	r, version, err := core.NewReaderVersioned(data, core.TagCountMin, 3)
+	r, _, fresh, err := countMinHeader(data)
 	if err != nil {
 		return err
 	}
-	l := Layout{Width: int(r.U32()), Depth: int(r.U32()), Seed: r.U64()}
-	n := r.U64()
-	conservative := r.U8() == 1
-	if l, err = decodeLayout(r, version, l, false, 64); err != nil {
-		return err
+	if fresh.layout, err = fresh.layout.build(false); err != nil {
+		return fmt.Errorf("%w: %v", core.ErrCorrupt, err)
 	}
-	cells, err := readTable[uint64](r, &l)
-	if err != nil {
+	if fresh.cells, err = readTable[uint64](r, &fresh.layout); err != nil {
 		return err
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	*c = CountMin{layout: l, cells: cells, n: n, conservative: conservative}
+	*c = fresh
 	return nil
+}
+
+// CountMinWire validates a Count-Min envelope as UnmarshalBinary does
+// and locates its cells for a merge of envelopes (core.WireCells): shape,
+// seed and mode must agree, n and the table add, which is Merge. It
+// declines (false, no error) an envelope a merge of bytes cannot stand
+// for: one written before version 3, whose header a decoder would
+// rewrite, and a conservative one, whose refusal is Merge's to word —
+// so every byte of the header but n is compared, the conservative byte
+// being 0 in both.
+func CountMinWire(env []byte) (core.WireCells, bool, error) {
+	r, version, c, err := countMinHeader(env)
+	if err != nil || version != cmWireVersion || env[r.Offset()-2] != 0 {
+		return core.WireCells{}, false, err
+	}
+	cells := core.WireCells{Sum: r.Offset() - 10, Start: r.Offset()}
+	cells.Tables[0] = c.layout.wireTable()
+	return cells, true, cells.Check(env)
 }

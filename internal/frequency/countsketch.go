@@ -55,15 +55,23 @@ func NewCountSketchLayout(l Layout) *CountSketch {
 	return c
 }
 
+// signedDepth refuses a depth whose signs one word cannot supply.
+func signedDepth(l Layout) error {
+	if l.Mode != KWise && l.Depth > csMaxSignedDepth {
+		return fmt.Errorf("count sketch depth %d must be <= %d (signs draw one bit per row from a 64-bit word)", l.Depth, csMaxSignedDepth)
+	}
+	return nil
+}
+
 // newCountSketch draws the sign rows for a built signed layout, taken
 // as it stands (decoded historical payloads have even depths); the
 // caller supplies the table.
 func newCountSketch(l Layout) (*CountSketch, error) {
+	if err := signedDepth(l); err != nil {
+		return nil, err
+	}
 	c := &CountSketch{layout: l}
 	if l.Mode != KWise {
-		if l.Depth > csMaxSignedDepth {
-			return nil, fmt.Errorf("count sketch depth %d must be <= %d (signs draw one bit per row from a 64-bit word)", l.Depth, csMaxSignedDepth)
-		}
 		return c, nil
 	}
 	// The odd sub-seeds; the layout's bucket rows took the even ones.
@@ -263,7 +271,7 @@ func (c *CountSketch) MarshalBinary() ([]byte, error) { return c.AppendBinary(ni
 
 // AppendBinary appends the serialization to dst, in one sized pass.
 func (c *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
-	w := core.AppendWriter(dst, core.TagCountSketch, 3, 25+c.layout.wireSize())
+	w := core.AppendWriter(dst, core.TagCountSketch, cmWireVersion, 25+c.layout.wireSize())
 	w.U32(uint32(c.layout.Width))
 	w.U32(uint32(c.layout.Depth))
 	w.U64(c.layout.Seed)
@@ -273,23 +281,38 @@ func (c *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// UnmarshalBinary restores a sketch serialized by MarshalBinary. The
-// serialized depth is used as it stands: KWise payloads (including all
-// version-1 ones) may carry up to the historical depth 65 and an even
-// one, while a fused depth must be odd — the constructor only ever
-// produces odd depths there, so an even one was not written by it.
+// countSketchHeader reads a Count Sketch envelope up to its table and
+// validates it; the layout is shaped, not built. The serialized depth
+// is used as it stands: KWise payloads (including all version-1 ones)
+// may carry up to the historical depth 65 and an even one, while a fused
+// depth must be odd — the constructor only ever produces odd depths
+// there, so an even one was not written by it.
+func countSketchHeader(data []byte) (r *core.Reader, version byte, l Layout, n uint64, err error) {
+	if r, version, err = core.NewReaderVersioned(data, core.TagCountSketch, cmWireVersion); err != nil {
+		return nil, 0, l, 0, err
+	}
+	l = Layout{Width: int(r.U32()), Depth: int(r.U32()), Seed: r.U64()}
+	n = r.U64()
+	if l, err = decodeShape(r, version, l, 65); err != nil {
+		return nil, 0, l, 0, err
+	}
+	if l.Mode == Fused && l.Depth%2 == 0 {
+		return nil, 0, l, 0, fmt.Errorf("%w: fused count-sketch depth %d is even", core.ErrCorrupt, l.Depth)
+	}
+	if err := signedDepth(l); err != nil {
+		return nil, 0, l, 0, fmt.Errorf("%w: %v", core.ErrCorrupt, err)
+	}
+	return r, version, l, n, nil
+}
+
+// UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (c *CountSketch) UnmarshalBinary(data []byte) error {
-	r, version, err := core.NewReaderVersioned(data, core.TagCountSketch, 3)
+	r, _, l, n, err := countSketchHeader(data)
 	if err != nil {
 		return err
 	}
-	l := Layout{Width: int(r.U32()), Depth: int(r.U32()), Seed: r.U64()}
-	n := r.U64()
-	if l, err = decodeLayout(r, version, l, true, 65); err != nil {
-		return err
-	}
-	if l.Mode == Fused && l.Depth%2 == 0 {
-		return fmt.Errorf("%w: fused count-sketch depth %d is even", core.ErrCorrupt, l.Depth)
+	if l, err = l.build(true); err != nil {
+		return fmt.Errorf("%w: %v", core.ErrCorrupt, err)
 	}
 	fresh, err := newCountSketch(l)
 	if err != nil {
@@ -304,4 +327,18 @@ func (c *CountSketch) UnmarshalBinary(data []byte) error {
 	fresh.n = n
 	*c = *fresh
 	return nil
+}
+
+// CountSketchWire validates a Count Sketch envelope as UnmarshalBinary
+// does and locates its cells for a merge of envelopes (core.WireCells):
+// shape, seed and mode must agree, n and the signed table add, which is
+// Merge. It declines an envelope written before version 3.
+func CountSketchWire(env []byte) (core.WireCells, bool, error) {
+	r, version, l, _, err := countSketchHeader(env)
+	if err != nil || version != cmWireVersion {
+		return core.WireCells{}, false, err
+	}
+	cells := core.WireCells{Sum: r.Offset() - 9, Start: r.Offset()}
+	cells.Tables[0] = l.wireTable()
+	return cells, true, cells.Check(env)
 }

@@ -83,6 +83,29 @@ type Layout struct {
 func (l Layout) Build() (Layout, error) { return l.build(false) }
 
 func (l Layout) build(signed bool) (Layout, error) {
+	l, err := l.shaped()
+	if err != nil {
+		return l, err
+	}
+	l.signed, l.rows = signed, nil
+	if l.Mode == KWise {
+		stride := 1
+		if signed {
+			stride = 2
+		}
+		seeds := hashx.SeedSequence(l.Seed, stride*l.Depth)
+		l.rows = make([]*hashx.KWise, l.Depth)
+		for r := range l.rows {
+			l.rows[r] = hashx.NewKWise(2, seeds[stride*r])
+		}
+	}
+	return l, nil
+}
+
+// shaped is build less the KWise rows: it refuses shapes no table can
+// have and rounds a fused width, which is all that the size of a table
+// and the place of its cells on the wire depend on.
+func (l Layout) shaped() (Layout, error) {
 	if l.Width < 1 || l.Depth < 1 {
 		return l, fmt.Errorf("dimensions %dx%d must be positive", l.Width, l.Depth)
 	}
@@ -99,18 +122,6 @@ func (l Layout) build(signed bool) (Layout, error) {
 	}
 	if uint64(l.Width) > math.MaxUint32/uint64(l.Depth) {
 		return l, fmt.Errorf("%dx%d exceeds 2^32 cells", l.Width, l.Depth)
-	}
-	l.signed, l.rows = signed, nil
-	if l.Mode == KWise {
-		stride := 1
-		if signed {
-			stride = 2
-		}
-		seeds := hashx.SeedSequence(l.Seed, stride*l.Depth)
-		l.rows = make([]*hashx.KWise, l.Depth)
-		for r := range l.rows {
-			l.rows[r] = hashx.NewKWise(2, seeds[stride*r])
-		}
 	}
 	return l, nil
 }
@@ -260,6 +271,11 @@ func (l *Layout) wireParts() int {
 // wireSize is the bytes the table travels as: a count before each part,
 // eight per cell.
 func (l *Layout) wireSize() int { return 4*l.wireParts() + 8*l.Len() }
+
+// wireTable is the table as a merge of envelopes walks it.
+func (l *Layout) wireTable() core.WireTable {
+	return core.WireTable{Parts: l.wireParts(), Words: l.Len() / l.wireParts()}
+}
 
 // writeTable appends the cells of a table of layout l, part by part, as
 // blocks. An atomic table is a serving holder's, loaded cell by cell

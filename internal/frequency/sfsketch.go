@@ -321,35 +321,45 @@ func (s *SFSketch) appendWire(dst []byte, mode byte) []byte {
 	return w.Bytes()
 }
 
+// sfHeader reads an SF envelope up to its first table and validates it:
+// the mode byte, and both stages' shapes, built. What UnmarshalBinary
+// accepts and what SFWire locates cells in is decided here, once.
+func sfHeader(data []byte) (r *core.Reader, mode byte, s SFSketch, err error) {
+	if r, _, err = core.NewReaderVersioned(data, core.TagSFSketch, 1); err != nil {
+		return nil, 0, s, err
+	}
+	mode = r.U8()
+	s = SFSketch{
+		slimL: Layout{Width: int(r.U32()), Depth: int(r.U32())},
+		fatL:  Layout{Width: int(r.U32()), Depth: int(r.U32())},
+	}
+	s.slimL.Seed = r.U64()
+	s.fatL.Seed = s.slimL.Seed
+	s.n = r.U64()
+	if r.Err() != nil {
+		return nil, 0, s, r.Err()
+	}
+	if mode > sfModeSlim {
+		return nil, 0, s, fmt.Errorf("%w: sf-sketch mode byte %d", core.ErrCorrupt, mode)
+	}
+	for _, l := range []*Layout{&s.slimL, &s.fatL} {
+		if l.Depth > sfMaxDepth {
+			return nil, 0, s, fmt.Errorf("%w: sf-sketch stage depth %d", core.ErrCorrupt, l.Depth)
+		}
+		if *l, err = l.build(false); err != nil {
+			return nil, 0, s, fmt.Errorf("%w: sf-sketch stage: %v", core.ErrCorrupt, err)
+		}
+	}
+	return r, mode, s, nil
+}
+
 // UnmarshalBinary restores a sketch serialized by MarshalBinary or
 // MarshalSlim. A slim envelope yields a slim-only instance (fat stage
 // nil) that answers queries and merges with other slim-only peers.
 func (s *SFSketch) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReaderVersioned(data, core.TagSFSketch, 1)
+	r, mode, fresh, err := sfHeader(data)
 	if err != nil {
 		return err
-	}
-	mode := r.U8()
-	fresh := SFSketch{
-		slimL: Layout{Width: int(r.U32()), Depth: int(r.U32())},
-		fatL:  Layout{Width: int(r.U32()), Depth: int(r.U32())},
-	}
-	fresh.slimL.Seed = r.U64()
-	fresh.fatL.Seed = fresh.slimL.Seed
-	fresh.n = r.U64()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if mode > sfModeSlim {
-		return fmt.Errorf("%w: sf-sketch mode byte %d", core.ErrCorrupt, mode)
-	}
-	for _, l := range []*Layout{&fresh.slimL, &fresh.fatL} {
-		if l.Depth > sfMaxDepth {
-			return fmt.Errorf("%w: sf-sketch stage depth %d", core.ErrCorrupt, l.Depth)
-		}
-		if *l, err = l.build(false); err != nil {
-			return fmt.Errorf("%w: sf-sketch stage: %v", core.ErrCorrupt, err)
-		}
 	}
 	if fresh.slim, err = readTable[uint64](r, &fresh.slimL); err != nil {
 		return err
@@ -364,4 +374,21 @@ func (s *SFSketch) UnmarshalBinary(data []byte) error {
 	}
 	*s = fresh
 	return nil
+}
+
+// SFWire validates an SF envelope as UnmarshalBinary does and locates
+// its cells for a merge of envelopes (core.WireCells): the mode byte, both
+// shapes and the seed must agree, n adds, and the slim table — in a full
+// envelope the fat one after it — adds cell-wise, which is Merge.
+func SFWire(env []byte) (core.WireCells, bool, error) {
+	r, mode, s, err := sfHeader(env)
+	if err != nil {
+		return core.WireCells{}, false, err
+	}
+	c := core.WireCells{Sum: r.Offset() - 8, Start: r.Offset()}
+	c.Tables[0] = s.slimL.wireTable()
+	if mode == sfModeFull {
+		c.Tables[1] = s.fatL.wireTable()
+	}
+	return c, true, c.Check(env)
 }

@@ -7,10 +7,12 @@
 // tree's regrouping leaves the result exactly equal to the serial
 // fold's.
 //
-// The fan-in pattern appears wherever distributed summaries come home:
+// The fan-in pattern appears wherever distributed summaries come home
+// as instances: registry.MergeEnvelopes (a coordinator's gathered read,
 // sketchcli merge over snapshot files, the server's bundle-merge
-// endpoint, the E14 ad-reach union and the E24 federated aggregation
-// round all route through Tree.
+// endpoint) for every family whose envelopes do not merge as bytes —
+// the cell-wise ones are folded on the wire there and never decoded —
+// and the E14 ad-reach union and the E24 federated aggregation round.
 package mergex
 
 import (

@@ -36,6 +36,7 @@ func init() {
 		// The propagator owns a plain HLL, so the buffered global is New's.
 		NewServingBuffered: bufferedOver(plainHLL, concurrent.BufferHLL),
 		Decode:             decode1[cardinality.HLL](),
+		MergeWire:          wireMerge("hll", cardinality.HLLWire, cardinality.MergeRegisterWords),
 		Bind: Bindings{
 			Ingest: batchItemsIngest((*cardinality.HLL).AddBatch),
 			Query: query1(func(h *cardinality.HLL, _ url.Values) (map[string]any, error) {

@@ -93,6 +93,7 @@ func init() {
 		NewServing:         atomicCountMin,
 		NewServingBuffered: bufferedOver(atomicCountMin, concurrent.BufferCountMin),
 		Decode:             decode1[frequency.CountMin](),
+		MergeWire:          wireMerge("countmin", frequency.CountMinWire, core.AddWords),
 		Bind: Bindings{
 			Ingest: hashedIngest((*frequency.CountMin).AddWeightedHashBatch),
 			Query:  countMinQuery,
@@ -142,8 +143,9 @@ func init() {
 		// The sketch rounds an even depth up by one; both caps that could
 		// then refuse it (21 fused, the schema's 63 otherwise) are odd, so
 		// a shape valid as given is valid rounded.
-		New:    shaped(frequency.NewCountSketchLayout),
-		Decode: decode1[frequency.CountSketch](),
+		New:       shaped(frequency.NewCountSketchLayout),
+		Decode:    decode1[frequency.CountSketch](),
+		MergeWire: wireMerge("countsketch", frequency.CountSketchWire, core.AddWords),
 		Bind: Bindings{
 			Ingest: signedIngest((*frequency.CountSketch).Add),
 			Query: query1(func(c *frequency.CountSketch, params url.Values) (map[string]any, error) {

@@ -78,7 +78,8 @@ func init() {
 			}
 			return bloom.NewWithEstimates(n, fpr, p.Seed), nil
 		},
-		Decode: decode1[bloom.Filter](),
+		Decode:    decode1[bloom.Filter](),
+		MergeWire: wireMerge("bloom", bloom.Wire, core.OrWords),
 		Bind: Bindings{
 			Ingest: batchItemsIngest((*bloom.Filter).AddBatch),
 			Query: query1(func(f *bloom.Filter, params url.Values) (map[string]any, error) {
@@ -125,6 +126,7 @@ func init() {
 		NewServing:         atomicBlockedBloom,
 		NewServingBuffered: bufferedOver(atomicBlockedBloom, concurrent.BufferBlockedBloom),
 		Decode:             decode1[bloom.BlockedFilter](),
+		MergeWire:          wireMerge("blockedbloom", bloom.BlockedWire, core.OrWords),
 		Bind: Bindings{
 			Ingest: batchItemsIngest((*bloom.BlockedFilter).AddBatch),
 			Query: query1(func(f *bloom.BlockedFilter, params url.Values) (map[string]any, error) {

@@ -80,7 +80,8 @@ func init() {
 			}
 			return concurrent.NewServingSF(sw, sd, fw, fd, p.Seed), nil
 		},
-		Decode: decode1[frequency.SFSketch](),
+		Decode:    decode1[frequency.SFSketch](),
+		MergeWire: wireMerge("sfsketch", frequency.SFWire, core.AddWords),
 		Bind: Bindings{
 			Ingest: hashedIngest((*frequency.SFSketch).AddWeightedHashBatch),
 			Query:  sfQuery(func(s *frequency.SFSketch) *frequency.SFSketch { return s }),

@@ -199,6 +199,20 @@ type Descriptor struct {
 	// Bind.Query would from the merged cells.
 	Project func(inst any, query url.Values) (*Projection, error)
 	Finish  func(p *Projection, query url.Values) (map[string]any, error)
+
+	// MergeWire is the optional wire-domain merge of a cell-wise family
+	// (counter add, register max, bit OR), whose envelope is a fixed
+	// header plus little-endian words, so that the merge is a function of
+	// the bytes: it folds envelope src into envelope dst in place, after
+	// which dst is, byte for byte, Marshal(Merge(Decode(dst), Decode(src))).
+	// Both envelopes are validated as Decode validates them and compared
+	// as Merge compares them before the first byte of dst changes: an
+	// error (core.ErrCorrupt, core.ErrIncompatible) leaves dst as it was.
+	// It declines — false, no error, dst unchanged, and the caller decodes
+	// and merges instead — an envelope written before the family's current
+	// wire version, whose header a re-marshal would rewrite, and one that
+	// does not merge. MergeEnvelopes is the caller.
+	MergeWire func(dst, src []byte) (merged bool, err error)
 }
 
 // Mergeable reports whether live instances can absorb decoded peers.
@@ -333,22 +347,31 @@ func All() []*Descriptor {
 // decode path. It returns the concrete instance (e.g. *cardinality.HLL)
 // together with its descriptor.
 func Decode(data []byte) (any, *Descriptor, error) {
-	tag, err := core.PeekTag(data)
+	d, err := descriptorOf(data)
 	if err != nil {
 		return nil, nil, err
-	}
-	d, ok := byTag[tag]
-	if !ok {
-		if why, isReserved := reserved[tag]; isReserved {
-			return nil, nil, fmt.Errorf("%w: tag %d is retired (%s)", core.ErrCorrupt, tag, why)
-		}
-		return nil, nil, fmt.Errorf("%w: unknown sketch tag %d", core.ErrCorrupt, tag)
 	}
 	inst, err := d.Decode(data)
 	if err != nil {
 		return nil, nil, err
 	}
 	return inst, d, nil
+}
+
+// descriptorOf reads an envelope's tag and returns the family it names.
+func descriptorOf(data []byte) (*Descriptor, error) {
+	tag, err := core.PeekTag(data)
+	if err != nil {
+		return nil, err
+	}
+	d, ok := byTag[tag]
+	if !ok {
+		if why, isReserved := reserved[tag]; isReserved {
+			return nil, fmt.Errorf("%w: tag %d is retired (%s)", core.ErrCorrupt, tag, why)
+		}
+		return nil, fmt.Errorf("%w: unknown sketch tag %d", core.ErrCorrupt, tag)
+	}
+	return d, nil
 }
 
 // Marshal serializes any registry-constructed instance in its full

@@ -2,17 +2,18 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mergex"
 	typereg "repro/internal/registry"
 )
 
 // The bundle format lets a client ship N same-type envelopes to
-// POST /v1/sketch/{name}/merge in one request. The server decodes them
-// all, tree-merges them across GOMAXPROCS cores OUTSIDE the sketch
-// lock (internal/mergex), and only then absorbs the single combined
+// POST /v1/sketch/{name}/merge in one request. The server merges them
+// into one OUTSIDE the sketch lock (registry.MergeEnvelopes: as bytes
+// where the family merges on the wire, else decoded and tree-merged
+// across GOMAXPROCS cores), and only then absorbs the single combined
 // envelope through the ordinary merge path — so the entry lock and the
 // write-ahead log see exactly one merge, and replaying the WAL
 // reproduces the same state as the N individual posts would have.
@@ -53,11 +54,13 @@ func EncodeBundle(envelopes [][]byte) []byte {
 	return out
 }
 
-// CombineBundle decodes every envelope in a GSKB body and tree-merges
-// them into one combined envelope of the same type. All envelopes must
-// decode to the same registry descriptor and the family must merge;
-// shape mismatches surface the underlying core.ErrIncompatible so the
-// HTTP layer maps them to 409 like any other incompatible merge.
+// CombineBundle merges the envelopes of a GSKB body into one combined
+// envelope of the same type (registry.MergeEnvelopes: as bytes, folded
+// into the first envelope where it lies in body — which the caller must
+// therefore own, and the result may alias — or decoded and tree-merged).
+// All envelopes must be of one family and the family must merge; shape
+// mismatches surface the underlying core.ErrIncompatible so the HTTP
+// layer maps them to 409 like any other incompatible merge.
 func CombineBundle(body []byte) ([]byte, error) {
 	if !IsBundle(body) {
 		return nil, fmt.Errorf("%w: bundle too short or bad magic", core.ErrCorrupt)
@@ -71,8 +74,7 @@ func CombineBundle(body []byte) ([]byte, error) {
 	if count > maxBundleEnvelopes {
 		return nil, fmt.Errorf("%w: bundle declares %d envelopes (max %d)", core.ErrCorrupt, count, maxBundleEnvelopes)
 	}
-	var d *typereg.Descriptor
-	insts := make([]any, 0, count)
+	envs := make([][]byte, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 4 {
 			return nil, fmt.Errorf("%w: bundle truncated in envelope %d header", core.ErrCorrupt, i)
@@ -82,27 +84,18 @@ func CombineBundle(body []byte) ([]byte, error) {
 		if uint32(len(rest)) < n {
 			return nil, fmt.Errorf("%w: bundle envelope %d declares %d bytes, %d remain", core.ErrCorrupt, i, n, len(rest))
 		}
-		inst, id, err := typereg.Decode(rest[:n])
-		if err != nil {
-			return nil, fmt.Errorf("bundle envelope %d: %w", i, err)
-		}
+		envs = append(envs, rest[:n:n])
 		rest = rest[n:]
-		if d == nil {
-			d = id
-			if d.Bind.Merge == nil {
-				return nil, fmt.Errorf("%w: %s does not merge", ErrUnsupported, d.Name)
-			}
-		} else if id != d {
-			return nil, fmt.Errorf("%w: bundle mixes %s and %s envelopes", core.ErrIncompatible, d.Name, id.Name)
-		}
-		insts = append(insts, inst)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after last bundle envelope", core.ErrCorrupt, len(rest))
 	}
-	merged, err := mergex.Tree(insts, d.Bind.Merge)
-	if err != nil {
-		return nil, err
+	merged, err := typereg.MergeEnvelopes(envs)
+	if errors.Is(err, typereg.ErrNotMergeable) {
+		err = fmt.Errorf("%w: %v", ErrUnsupported, err)
 	}
-	return typereg.Marshal(merged)
+	if err != nil {
+		return nil, fmt.Errorf("bundle: %w", err)
+	}
+	return merged.Envelope(nil)
 }

@@ -20,7 +20,7 @@ type Meaning string
 const (
 	RouteByKey      Meaning = "route-by-key"     // each line goes to the shard its key hashes to
 	Broadcast       Meaning = "broadcast"        // the request goes to every shard unchanged
-	GatherMerge     Meaning = "gather-and-merge" // every shard's summary, tree-merged, then answered
+	GatherMerge     Meaning = "gather-and-merge" // every shard's summary, merged, then answered
 	Local           Meaning = "local"            // answered by whichever process is asked
 	ShardLocal      Meaning = "shard-local"      // no cluster-wide meaning: a coordinator answers 501
 	ServerOnly      Meaning = "sketchd only"     // not mounted on a coordinator
