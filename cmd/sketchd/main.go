@@ -39,9 +39,10 @@
 //	sketchd -addr :7700 -coordinator -shards http://h1:7600,http://h2:7600
 //	sketchd -addr :7601 -follow http://h1:7600 [-follow-mirror DIR]
 //
-// A coordinator serves the same /v1/sketch API, routing ingest across
-// the shards on a consistent-hash ring and answering reads by
-// scatter-gathering and tree-merging every shard's envelope. A
+// A coordinator serves the same /v1/sketch API, handing each ingest
+// batch whole to one shard in rotation (any shard can absorb any slice
+// of the stream) and answering reads by scatter-gathering and merging
+// every shard's envelope. A
 // follower replays a durable leader's sealed WAL segments into a local
 // in-memory namespace — a warm standby whose replication lag the
 // leader reports on /v1/status.
@@ -82,7 +83,7 @@ func main() {
 	shards := flag.String("shards", "",
 		"comma-separated shard base URLs for -coordinator mode")
 	vnodes := flag.Int("vnodes", cluster.DefaultVirtualNodes,
-		"virtual nodes per shard on the coordinator's consistent-hash ring")
+		"virtual nodes per shard on the coordinator's consistent-hash ring (reported on /v1/cluster/status; no request routes by the ring)")
 	follow := flag.String("follow", "",
 		"leader base URL to replicate from (follower mode; serves a read-only warm standby)")
 	followInterval := flag.Duration("follow-interval", 500*time.Millisecond,

@@ -560,9 +560,9 @@ func clusterHarness(b *testing.B, n int) (*cluster.Coordinator, func()) {
 	}
 }
 
-// clusterFanOutAdd measures coordinator ingest end to end: ring-route
-// a 1024-line batch into per-shard sub-batches and POST them to 4
-// shards in parallel. Reported per line.
+// clusterFanOutAdd measures coordinator ingest end to end: POST a
+// 1024-line batch, whole, to the one of 4 shards whose turn it is.
+// Reported per line.
 func clusterFanOutAdd(b *testing.B) {
 	coord, stop := clusterHarness(b, 4)
 	defer stop()
@@ -665,8 +665,9 @@ func clusterSnapshot(width int, wire string) func(b *testing.B) {
 	}
 }
 
-// ringRoute measures the pure routing lookup over a ring of n shards x
-// 128 virtual nodes: one XXHash64 plus the prefix-index lookup.
+// ringRoute measures the pure ring lookup (which no request routes by)
+// over a ring of n shards x 128 virtual nodes: one XXHash64 plus the
+// prefix-index lookup.
 // ClusterRingRoute is the benchmark's 4-shard ring, one index bucket in
 // eight holding a point; RingLocate the largest ring the package
 // documents, 16 shards, every other bucket holding one.

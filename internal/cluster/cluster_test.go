@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -106,8 +107,8 @@ func TestCoordinatorGlobalEstimate(t *testing.T) {
 	}
 }
 
-// Routing sends all weight for one item to one shard, so point
-// frequency estimates survive sharding exactly.
+// A batch lands on one shard whole, weights and all, so point frequency
+// estimates survive sharding exactly.
 func TestCoordinatorWeightedRouting(t *testing.T) {
 	coord, shards := fleet(t, 3)
 	cl := coordClient(t, coord)
@@ -134,7 +135,7 @@ func TestCoordinatorWeightedRouting(t *testing.T) {
 		t.Errorf("shards_merged %v, want 3", merged)
 	}
 
-	// All 500 "hot" updates landed on exactly one shard.
+	// All 500 "hot" updates of the one batch landed on exactly one shard.
 	holders := 0
 	for _, sh := range shards {
 		scl := client.New(sh.URL)
@@ -168,7 +169,8 @@ func getJSON(t *testing.T, url string) (int, map[string]any) {
 
 // A shard dying mid-operation must never produce a silently wrong
 // merge: reads fail with the shard named unless the caller opts into a
-// labeled partial answer.
+// labeled partial answer, and ingest fails for the batches sent to it,
+// which are then applied nowhere.
 func TestCoordinatorPartialFailure(t *testing.T) {
 	coord, shards := fleet(t, 3)
 	ts := httptest.NewServer(coord)
@@ -178,7 +180,11 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 	if err := cl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	ingestN(t, cl, "users", 10_000)
+	const users = 60_000 // some ten batches: every shard holds a share
+	ingestN(t, cl, "users", users)
+	if err := cl.Create("hits", server.CreateRequest{Type: "countmin", Width: 1024, Depth: 4}); err != nil {
+		t.Fatal(err)
+	}
 
 	dead := shards[1]
 	dead.Close()
@@ -193,7 +199,7 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 	}
 
 	// Opt-in degraded read: 200, labeled partial, still a sane
-	// estimate over the surviving ~2/3 of the keyspace.
+	// estimate over the ~2/3 of the batches the survivors took.
 	code, doc = getJSON(t, ts.URL+"/v1/sketch/users/query?allow_partial=true")
 	if code != http.StatusOK {
 		t.Fatalf("allow_partial query: HTTP %d (%v)", code, doc)
@@ -205,27 +211,64 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 		t.Errorf("partial answer does not name dead shard: %v", doc)
 	}
 	est := doc["estimate"].(float64)
-	if est < 10_000/3.0 || est > 10_000 {
-		t.Errorf("partial estimate %.0f implausible for 2/3 of 10000 keys", est)
+	if est < users/3.0 || est > users*0.9 {
+		t.Errorf("partial estimate %.0f implausible for 2/3 of %d keys", est, users)
 	}
 
-	// Ingest must fail loudly too — acknowledging a partially applied
-	// batch would silently skew every later estimate. Route a key that
-	// provably lives on the dead shard.
-	var batch bytes.Buffer
-	for i := 0; batch.Len() == 0; i++ {
-		key := fmt.Sprintf("probe-%d", i)
-		if coord.Ring().Shards()[coord.Ring().ShardString(key)] == dead.URL {
-			batch.WriteString(key + "\n")
+	// Ingest fails loudly too, and only where it must: exactly the
+	// batches whose turn is the dead shard answer 503 naming it (after
+	// the configured retries), the rest are acknowledged, and a refused
+	// batch is on no shard — once the shard is back, re-sending what was
+	// refused leaves n equal to the acknowledged weight exactly.
+	const batches, weight = 9, 3 * 50
+	batch := bytes.Repeat([]byte("checkout\t3\n"), 50)
+	refused := 0
+	for i := 0; i < batches; i++ {
+		err := cl.AddBatch("hits", batch)
+		var se *client.StatusError
+		switch {
+		case err == nil:
+		case errors.As(err, &se) && se.Code == http.StatusServiceUnavailable && strings.Contains(err.Error(), dead.URL):
+			refused++
+		default:
+			t.Fatalf("batch %d: %v, want an ack or a 503 naming %s", i, err, dead.URL)
 		}
 	}
-	err := cl.AddBatch("users", batch.Bytes())
-	if err == nil {
-		t.Fatal("ingest with dead shard succeeded")
+	if refused != batches/3 {
+		t.Errorf("%d of %d batches refused with 1 of 3 shards dead, want exactly every third", refused, batches)
 	}
-	if !strings.Contains(err.Error(), dead.URL) {
-		t.Errorf("ingest error does not name dead shard: %v", err)
+	restart(t, dead)
+	hits := func() float64 {
+		res, err := cl.Query("hits", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res["n"].(float64)
 	}
+	if got := hits(); got != float64((batches-refused)*weight) {
+		t.Errorf("n %v after %d acknowledged batches of weight %d: a refused batch was applied somewhere", got, batches-refused, weight)
+	}
+	for i := 0; i < refused; i++ {
+		if err := cl.AddBatch("hits", batch); err != nil {
+			t.Fatalf("re-sending a refused batch: %v", err)
+		}
+	}
+	if got := hits(); got != batches*weight {
+		t.Errorf("n %v after re-sending the refused batches, want %d", got, batches*weight)
+	}
+}
+
+// restart brings a closed shard back on its address with the state it
+// held, as a durable sketchd comes back from its WAL.
+func restart(t *testing.T, dead *httptest.Server) {
+	t.Helper()
+	l, err := net.Listen("tcp", dead.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &httptest.Server{Listener: l, Config: &http.Server{Handler: dead.Config.Handler}}
+	sh.Start()
+	t.Cleanup(sh.Close)
 }
 
 // A shard that fails transiently is retried with backoff; the batch

@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -18,8 +18,8 @@ import (
 // Options configures a Coordinator. Zero values take the documented
 // defaults.
 type Options struct {
-	// VirtualNodes per shard on the routing ring. Default
-	// DefaultVirtualNodes.
+	// VirtualNodes per shard on the ring (Coordinator.Ring), which no
+	// request routes by. Default DefaultVirtualNodes.
 	VirtualNodes int
 	// MaxInflight bounds concurrent shard requests across all fan-outs
 	// (ingest and scatter-gather combined). Excess work queues on the
@@ -59,7 +59,7 @@ func (o *Options) applyDefaults(shards int) {
 // CoordCounters are the coordinator's own operation counters,
 // surfaced on its /v1/status.
 type CoordCounters struct {
-	Adds           core.Counter // items routed and acknowledged by shards
+	Adds           core.Counter // items acknowledged by the shards they were sent to
 	AddBatches     core.Counter // client ingest requests
 	ShardRequests  core.Counter // shard HTTP calls issued (incl. retries)
 	Retries        core.Counter // shard calls retried
@@ -109,14 +109,14 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 	}
 }
 
-// Coordinator fronts a set of sketchd shards: creates broadcast,
-// ingest routes each item to its ring shard and fans the per-shard
-// sub-batches out in parallel, and reads scatter-gather every shard's
-// envelope and merge them into the global answer — as bytes, folded
+// Coordinator fronts a set of sketchd shards: creates broadcast, an
+// ingest batch (or a peer envelope to merge) goes whole to one shard in
+// rotation, and reads scatter-gather every shard's envelope and merge
+// them into the global answer — as bytes, folded
 // into the first envelope in the buffer it arrived in, where the family
 // merges on the wire (registry.Descriptor.MergeWire), decoded and
 // tree-merged otherwise. It holds no sketch state of its own — shards
-// own the data, the coordinator owns the routing and the merge.
+// own the data, the coordinator owns the rotation and the merge.
 type Coordinator struct {
 	ring    *Ring
 	shards  []string
@@ -126,8 +126,8 @@ type Coordinator struct {
 	start   time.Time
 	sem     chan struct{}
 	mux     *http.ServeMux
+	turn    atomic.Uint64 // toOne's rotation: how many turns have been taken
 
-	routePool  sync.Pool // *[][]byte per-shard ingest buckets
 	gatherPool sync.Pool // *[][]byte per-shard envelope read buffers
 	envPool    sync.Pool // *[]byte merged /snapshot response envelopes of families that merge decoded
 }
@@ -164,13 +164,6 @@ func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
 	for i, s := range c.shards {
 		c.clients[i] = client.New(s)
 	}
-	c.routePool.New = func() any {
-		buckets := make([][]byte, len(c.shards))
-		for i := range buckets {
-			buckets[i] = make([]byte, 0, 16<<10)
-		}
-		return &buckets
-	}
 	c.gatherPool.New = func() any {
 		bufs := make([][]byte, len(c.shards))
 		return &bufs // per-shard capacities grow to envelope size on first use
@@ -180,7 +173,8 @@ func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Ring returns the routing ring (read-only use).
+// Ring returns the consistent-hash ring over the shards (read-only
+// use). Nothing the coordinator serves routes by it.
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Shards returns the shard base URLs.
@@ -290,67 +284,38 @@ func (c *Coordinator) failures(errs []error) []ShardError {
 	return out
 }
 
-// routeBatch splits a newline-delimited ingest body into per-shard
-// sub-batches by ring position under a tenant routing seed (SeedFor).
-// The routing key is the item only — a trailing "\titem-weight" rides
-// along to whichever shard the item maps to, so all weight for one
-// item lands on one shard. buckets must hold ring.N() slices; their
-// contents are appended to.
-func routeBatch(ring *Ring, seed uint64, body []byte, buckets [][]byte) (items int) {
-	for len(body) > 0 {
-		line := body
-		if i := bytes.IndexByte(body, '\n'); i >= 0 {
-			line, body = body[:i], body[i+1:]
-		} else {
-			body = nil
-		}
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		if len(line) == 0 {
-			continue
-		}
-		key := line
-		if t := bytes.IndexByte(line, '\t'); t >= 0 {
-			key = line[:t]
-		}
-		s := ring.ShardSeeded(key, seed)
-		buckets[s] = append(buckets[s], line...)
-		buckets[s] = append(buckets[s], '\n')
-		items++
+// toOne runs fn against one shard — the next in rotation, a turn taken
+// per call and not per key — under callShard, and names that shard when
+// the call fails. It is how a mutation any shard can absorb (an ingest
+// batch, a peer envelope) enters the cluster: the union of the shards'
+// partial summaries is the same wherever it lands.
+func (c *Coordinator) toOne(tenant string, fn func(cl *client.Client) error) []ShardError {
+	i := int(c.turn.Add(1) % uint64(len(c.shards)))
+	cl := c.clients[i].Tenant(tenant)
+	if err := c.callShard(func() error { return fn(cl) }); err != nil {
+		return []ShardError{shardError(c.shards[i], err)}
 	}
-	return items
+	return nil
 }
 
-// FanOutAdd routes one ingest body across the shards and posts every
-// non-empty sub-batch in parallel, in the default tenant namespace.
+// FanOutAdd sends one ingest body to one shard, in the default tenant
+// namespace.
 func (c *Coordinator) FanOutAdd(name string, body []byte) (int, []ShardError) {
 	return c.FanOutAddTenant("", name, body)
 }
 
-// FanOutAddTenant routes one ingest body across the shards under a
-// tenant's routing seed and posts every non-empty sub-batch in
-// parallel into that tenant's namespace ("" = default, legacy shard
-// paths). Returns the routed item count and any shard failures (after
-// retries). Items routed to a failed shard are NOT silently dropped
-// from the ack: callers surface the failure.
-func (c *Coordinator) FanOutAddTenant(tenant, name string, body []byte) (int, []ShardError) {
-	bp := c.routePool.Get().(*[][]byte)
-	buckets := *bp
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
-	}
-	items := routeBatch(c.ring, SeedFor(tenant), body, buckets)
-
-	fails := c.failures(c.scatter(func(i int, cl *client.Client) error {
-		if len(buckets[i]) == 0 {
-			return nil
-		}
-		return c.callShard(func() error { return cl.Tenant(tenant).AddBatch(name, buckets[i]) })
-	}))
-	*bp = buckets
-	c.routePool.Put(bp)
-	return items, fails
+// FanOutAddTenant sends one ingest body, whole and as it arrived, to
+// the shard whose turn it is, into that tenant's namespace ("" =
+// default, legacy shard paths). Returns the item count that shard
+// acknowledged, or the shard's failure (after retries, to the same
+// shard). The batch is on exactly one shard or, when the call failed
+// before the shard applied it, on none.
+func (c *Coordinator) FanOutAddTenant(tenant, name string, body []byte) (added int, fails []ShardError) {
+	fails = c.toOne(tenant, func(cl *client.Client) (err error) {
+		added, err = cl.AddBatchCounted(name, body)
+		return err
+	})
+	return added, fails
 }
 
 // Gather scatter-gathers the named sketch's envelope from every shard

@@ -17,19 +17,16 @@ import (
 // The coordinator serves the operation table a single sketchd does
 // (server.Ops), so every existing client (sketchcli, the loadgen, curl
 // scripts) points at a cluster unchanged. What it does for an operation
-// is the row's cluster meaning: add is routed by key, create and delete
-// are broadcast, query and snapshot gather and merge, types and
-// status are answered locally, and the rows with no cluster-wide
-// meaning (merge, list, overlap, and group-by ingest, whose
+// is the row's cluster meaning: add and merge go whole to one shard in
+// rotation, create and delete are broadcast, query and snapshot gather
+// and merge, types and status are answered locally, and the rows with
+// no cluster-wide meaning (list, overlap, and group-by ingest, whose
 // one-WAL-record atomicity is a per-shard property) answer 501 naming
 // the operation as shard-local — point their callers at a shard.
 //
 // Every sketch route also exists under its tenant twin (or with the
 // X-Sketch-Tenant header), forwarding to the same tenant namespace on
-// the shards; non-default tenants route keys under a tenant-derived
-// ring seed (SeedFor), so tenants spread independently, and the default
-// tenant forwards over the plain shard paths with the unseeded ring —
-// bit-identical to pre-tenant clusters.
+// the shards; the default tenant forwards over the plain shard paths.
 //
 // Reads take ?allow_partial=true to accept a degraded answer when a
 // shard is down; the response then carries "partial": true plus the
@@ -42,7 +39,7 @@ func (c *Coordinator) buildMux() {
 	c.mux = http.NewServeMux()
 	server.Mount(c.mux, true, map[string]http.HandlerFunc{
 		"create": c.broadcast("create"), "delete": c.broadcast("delete"),
-		"add": c.handleAdd, "query": c.handleQuery, "snapshot": c.handleSnapshot,
+		"add": c.handleAdd, "merge": c.handleMerge, "query": c.handleQuery, "snapshot": c.handleSnapshot,
 		"types": server.HandleTypes, "status": c.handleStatus, "cluster-status": c.handleClusterStatus,
 	})
 }
@@ -127,10 +124,10 @@ func (c *Coordinator) broadcast(op string) http.HandlerFunc {
 	}
 }
 
-// handleAdd ring-routes the batch and fans the per-shard sub-batches
-// out in parallel. Any shard still failing after retries fails the
-// whole request with the shard named — acknowledging ingest that
-// partially happened would silently skew every later estimate.
+// handleAdd forwards the batch as it stands to the shard whose turn it
+// is and relays that shard's count. A shard still failing after retries
+// fails the request with the shard named, and the batch is then on no
+// shard: it was validated and applied by one, or by none.
 func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	tenant := server.TenantOf(r)
 	body, ok := server.ReadBody(w, r, nil)
@@ -145,6 +142,22 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	c.ops.Adds.Add(uint64(items))
 	server.WriteJSON(w, http.StatusOK, map[string]any{"added": items})
+}
+
+// handleMerge is the same call: a peer envelope (or a GSKB bundle of
+// them, forwarded as it stands) absorbed into one shard's partial
+// summary is absorbed into the union every read gathers.
+func (c *Coordinator) handleMerge(w http.ResponseWriter, r *http.Request) {
+	tenant, name := server.TenantOf(r), r.PathValue("name")
+	body, ok := server.ReadBody(w, r, nil)
+	if !ok {
+		return
+	}
+	if fails := c.toOne(tenant, func(cl *client.Client) error { return cl.Merge(name, body) }); len(fails) > 0 {
+		shardFailure(w, tenant, "merge", fails)
+		return
+	}
+	server.WriteJSON(w, http.StatusOK, map[string]any{"merged": true})
 }
 
 // familyQuery is the request's query less the coordinator's own read
@@ -245,7 +258,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		server.HTTPError(w, http.StatusBadRequest, "query: %v", err)
 		return
 	}
-	res["shards_merged"] = c.ring.N() - len(fails)
+	res["shards_merged"] = len(c.shards) - len(fails)
 	if len(fails) > 0 {
 		res["partial"] = true
 		res["failed_shards"] = fails

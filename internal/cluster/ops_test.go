@@ -9,18 +9,38 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/frequency"
+	"repro/internal/registry"
 	"repro/internal/server"
 )
 
 // probe is one request sent to both a single sketchd and a coordinator.
-// differs names the reply keys the two tiers document differently.
+// differs names the reply keys the two tiers document differently;
+// status, when set, is what both must answer (so that a probe meant to
+// succeed cannot pass by failing alike on both).
 type probe struct {
 	sketch, query, body string
 	differs             []string
+	status              int
 }
+
+// peerEnvelope is a countmin of sketch "s"'s shape holding a few flows:
+// what a merge probe posts.
+var peerEnvelope = func() string {
+	cm := frequency.NewCountMin(512, 4, 1)
+	for i := 0; i < 100; i++ {
+		cm.Add([]byte("flow-"+strconv.Itoa(i%17)), uint64(1+i%5))
+	}
+	env, err := registry.Marshal(cm)
+	if err != nil {
+		panic(err)
+	}
+	return string(env)
+}()
 
 // parityProbes holds, per row of server.Ops, the requests whose answers
 // a 3-shard cluster and one server must agree on: a success, and the
@@ -36,12 +56,21 @@ var parityProbes = map[string][]probe{
 		{sketch: "s", body: "k-1\t2\nk-2\nk-3\t5\nk-4\nk-5\nk-6\n"},
 		{sketch: "missing", body: "k-1\n"},
 		{sketch: "s", body: "k-1\tnot-a-weight\n"},
+		{sketch: "s", body: "k-7\t2\nk-8\tnot-a-weight\nk-9\n"}, // 400, and nothing of it applied: the snapshot probe below
+		{sketch: "s", body: "", status: http.StatusOK},          // {"added":0}
+		{sketch: "missing", body: ""},                           // 404, not an ack of nothing
 	},
 	"query": {
 		{sketch: "s", query: "?item=k-1", differs: []string{"shards_merged", "tenant"}},
 		{sketch: "missing"},
 	},
-	"merge":    {{sketch: "s", body: "not an envelope"}},
+	"merge": { // the snapshot probe below then compares the merged bytes
+		{sketch: "s", body: peerEnvelope, status: http.StatusOK},
+		{sketch: "s", body: string(server.EncodeBundle([][]byte{[]byte(peerEnvelope), []byte(peerEnvelope)})), status: http.StatusOK},
+		{sketch: "s", body: "not an envelope"},
+		{sketch: "gone", body: peerEnvelope}, // a countmin into an hll
+		{sketch: "missing", body: peerEnvelope},
+	},
 	"snapshot": {{sketch: "s"}, {sketch: "missing"}, {sketch: "s", query: "?wire=thin"}},
 	"delete":   {{sketch: "gone"}, {sketch: "gone"}}, // 200, then 404
 	"list":     {{}},
@@ -135,8 +164,8 @@ func TestOperationParity(t *testing.T) {
 					}
 					continue
 				}
-				if one.status != many.status {
-					t.Errorf("%s: sketchd %d %s, coordinator %d %s", at, one.status, one.body, many.status, many.body)
+				if one.status != many.status || p.status != 0 && one.status != p.status {
+					t.Errorf("%s: sketchd %d %s, coordinator %d %s (want %d)", at, one.status, one.body, many.status, many.body, p.status)
 					continue
 				}
 				if one.status/100 != 2 || op.Cluster == server.Local && op.Name != "types" {

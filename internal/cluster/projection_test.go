@@ -137,8 +137,10 @@ func TestProjectedQueryShardFailure(t *testing.T) {
 	if err := cl.Create("flows", server.CreateRequest{Type: "countmin", Width: 4096, Depth: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.AddBatch("flows", weightedBatch(false)); err != nil {
-		t.Fatal(err)
+	for range shards { // a batch lands on one shard: one each, so the dead one holds a share
+		if err := cl.AddBatch("flows", weightedBatch(false)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	whole, err := cl.Query("flows", url.Values{"item": {"flow-1"}})
 	if err != nil {

@@ -1,16 +1,17 @@
-// Package cluster makes sketchd horizontal: a consistent-hash ring
-// routes sketch keys across N sketchd shards, a coordinator fans
-// ingest out over pooled per-shard clients and answers queries by
-// scatter-gathering per-shard envelopes and merging them through
-// registry.MergeEnvelopes — as bytes where the family's envelope is its
-// mergeable state, decoded and tree-merged (internal/mergex) otherwise
-// — and a replica ships sealed DUR1 WAL segments from a shard to a
-// follower with snapshot-based catch-up.
+// Package cluster makes sketchd horizontal: a coordinator hands each
+// ingest batch, whole, to one of N sketchd shards in rotation over
+// pooled per-shard clients, and answers queries by scatter-gathering
+// per-shard envelopes and merging them through registry.MergeEnvelopes
+// — as bytes where the family's envelope is its mergeable state,
+// decoded and tree-merged (internal/mergex) otherwise — and a replica
+// ships sealed DUR1 WAL segments from a shard to a follower with
+// snapshot-based catch-up.
 //
 // The design leans entirely on properties the lower layers already
-// guarantee. Sketches are mergeable, so a key can live on any shard
-// and the global view is the merge of the per-shard views — routing
-// only needs to be balanced and stable, never "correct". Envelopes are
+// guarantee. Sketches are mergeable, so any slice of the stream can
+// live on any shard and the global view is the merge of the per-shard
+// views — the partition only needs to be balanced, never "correct",
+// and a batch is the unit a client already chose. Envelopes are
 // self-describing (the GSK1 registry), so the coordinator has zero
 // per-family code: it moves opaque envelopes and lets the registry's
 // descriptors (MergeWire, or Decode and the Merge binding) do the rest. And the WAL is a
@@ -32,7 +33,7 @@ import (
 // shards still fits in 32 KiB — one L1 load per routed key.
 const DefaultVirtualNodes = 128
 
-// ringSeed salts the placement and routing hash so ring positions are
+// ringSeed salts the placement and key hash so ring positions are
 // unrelated to any sketch-content hashing of the same keys.
 const ringSeed = 0xC1_05_7E_12
 
@@ -40,8 +41,14 @@ const ringSeed = 0xC1_05_7E_12
 // VirtualNodes points on a 64-bit circle; a key routes to the shard
 // owning the first point clockwise of the key's hash. Adding or
 // removing one shard moves only ~1/N of the keys — the property that
-// lets a cluster grow without re-ingesting history (old keys keep
-// merging correctly wherever they land; see the package comment).
+// lets a keyed placement grow without moving history.
+//
+// Nothing the coordinator serves routes by it: ingest is whole-batch
+// rotation, and correctness never depends on where a key lands (see the
+// package comment). It stays, with -vnodes and the virtual_nodes status
+// field, only because benchmark/layertrace prices
+// Coordinator.Ring().Shard as its cluster.ring span; ROADMAP item 5
+// deletes the two together.
 //
 // Immutable after New: rebuilding on membership change is cheap and
 // keeps lookups lock-free.
@@ -122,27 +129,6 @@ func (r *Ring) Shard(key []byte) int {
 // ShardString routes a string key without copying it.
 func (r *Ring) ShardString(key string) int {
 	return r.locate(hashx.XXHash64String(key, ringSeed))
-}
-
-// SeedFor derives the routing seed for a tenant namespace. The default
-// namespace ("" or "default") keeps the plain ringSeed, so every
-// pre-tenant placement — and the bit-identity pins built on it — is
-// unchanged. Other tenants get a tenant-derived seed, decorrelating
-// their key→shard map from every other tenant's: one tenant's hot key
-// set cannot gang up on the same shard another tenant's does. Callers
-// compute the seed once per batch and route keys with ShardSeeded —
-// the per-key path stays hash + index lookup, zero allocations.
-func SeedFor(tenant string) uint64 {
-	if tenant == "" || tenant == "default" {
-		return ringSeed
-	}
-	return hashx.XXHash64String(tenant, ringSeed)
-}
-
-// ShardSeeded routes a key under a tenant seed from SeedFor.
-// ShardSeeded(key, SeedFor("")) == Shard(key).
-func (r *Ring) ShardSeeded(key []byte, seed uint64) int {
-	return r.locate(hashx.XXHash64(key, seed))
 }
 
 // locate finds the first ring point at or clockwise of h: from where

@@ -28,11 +28,12 @@ func init() {
 // network:
 //
 //  1. ingest scaling — the same batched loadgen as E25 driven through
-//     a coordinator over 1, 2, and 4 shards. Routing is per-item on
-//     the consistent-hash ring, so each client batch fans out into
-//     per-shard sub-batches posted in parallel; with shards on
-//     separate cores, aggregate ingest should scale near-linearly
-//     (the acceptance target is ≥3x at 4 shards on a ≥4-core host);
+//     a coordinator over 1, 2, and 4 shards. Routing is per batch:
+//     each client batch goes whole to one shard in rotation, so a
+//     shard serves one request in N and the concurrent clients are
+//     what keeps every shard busy; with shards on separate cores,
+//     aggregate ingest should scale near-linearly (the acceptance
+//     target is ≥3x at 4 shards on a ≥4-core host);
 //  2. scatter-gather accuracy — the cluster-wide estimate against
 //     ground truth and against a single server fed the identical
 //     stream. Merged HLL registers are exactly the single-server

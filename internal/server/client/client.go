@@ -81,6 +81,17 @@ func (c *Client) AddBatch(name string, batch []byte) error {
 	return c.Forward("add", name, "text/plain", batch)
 }
 
+// AddBatchCounted is AddBatch that returns the server's own count of the
+// items it applied: what a coordinator relays as its ack without ever
+// looking inside the batch.
+func (c *Client) AddBatchCounted(name string, batch []byte) (int, error) {
+	var ack struct {
+		Added int `json:"added"`
+	}
+	err := c.do("add", name, nil, "text/plain", batch, &ack)
+	return ack.Added, err
+}
+
 // Query runs the sketch's read operation and returns the decoded JSON
 // document.
 func (c *Client) Query(name string, params url.Values) (map[string]any, error) {

@@ -18,7 +18,7 @@ import (
 type Meaning string
 
 const (
-	RouteByKey      Meaning = "route-by-key"     // each line goes to the shard its key hashes to
+	RouteToOne      Meaning = "route-to-one"     // the request goes whole to one shard, taken in rotation
 	Broadcast       Meaning = "broadcast"        // the request goes to every shard unchanged
 	GatherMerge     Meaning = "gather-and-merge" // every shard's summary, merged, then answered
 	Local           Meaning = "local"            // answered by whichever process is asked
@@ -45,9 +45,9 @@ type Op struct {
 // same way, and with neither a request addresses the "default" tenant.
 var Ops = []Op{
 	{"create", "POST", "/v1/sketch/{name}", true, Broadcast, "create from a JSON CreateRequest"},
-	{"add", "POST", "/v1/sketch/{name}/add", true, RouteByKey, "ingest newline-delimited items"},
+	{"add", "POST", "/v1/sketch/{name}/add", true, RouteToOne, "ingest newline-delimited items"},
 	{"query", "GET", "/v1/sketch/{name}/query", true, GatherMerge, "the family's read: estimate, point query, quantile, …"},
-	{"merge", "POST", "/v1/sketch/{name}/merge", true, ShardLocal, "absorb a peer envelope, or a GSKB bundle of them"},
+	{"merge", "POST", "/v1/sketch/{name}/merge", true, RouteToOne, "absorb a peer envelope, or a GSKB bundle of them"},
 	{"snapshot", "GET", "/v1/sketch/{name}/snapshot", true, GatherMerge, "serialize out (`?wire=slim`, `?for=<query>`)"},
 	{"delete", "DELETE", "/v1/sketch/{name}", true, Broadcast, "drop the sketch"},
 	{"list", "GET", "/v1/sketch", true, ShardLocal, "page through names (`?prefix=`, `?limit=`, `?cursor=`)"},

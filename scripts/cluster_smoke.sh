@@ -5,7 +5,8 @@
 # namespaces — then exercise the partial-failure contract end to end:
 # kill -9 a shard, assert global reads fail 503 *naming* the dead
 # shard, assert ?allow_partial=true serves a degraded estimate labeled
-# with both the shard and the tenant, restart the shard from its WAL,
+# with both the shard and the tenant, assert ingest is refused exactly
+# when it is the dead shard's turn, restart the shard from its WAL,
 # and assert per-tenant state comes back exactly. CI runs this on
 # every push (cluster-smoke job) and archives the transcript.
 set -eu
@@ -60,10 +61,20 @@ PIDS="$PIDS $S3_PID"
 PIDS="$PIDS $!"
 for h in "$S1" "$S2" "$S3" "$COORD"; do wait_ready "$h"; done
 
+# A batch lands whole on one shard, so the stream goes in as several:
+# every shard (the durable one too) then holds a share of it.
+ingest() { # ingest <path> <prefix> <batches of 5000>
+	b=0
+	while [ "$b" -lt "$3" ]; do
+		seq $((b * 5000 + 1)) $((b * 5000 + 5000)) | sed "s/^/$2-/" |
+			curl -fsS -X POST --data-binary @- "http://$COORD$1/add" >/dev/null
+		b=$((b + 1))
+	done
+}
+
 echo "== create + ingest 50000 distinct items through the coordinator"
 curl -fsS -X POST "http://$COORD/v1/sketch/users" -d '{"type":"hll","p":12}' >/dev/null
-seq 1 50000 | sed 's/^/user-/' |
-	curl -fsS -X POST --data-binary @- "http://$COORD/v1/sketch/users/add" >/dev/null
+ingest /v1/sketch/users user 10
 
 EST=$(curl -fsS "http://$COORD/v1/sketch/users/query" |
 	sed 's/.*"estimate":\([0-9.e+]*\).*/\1/')
@@ -88,14 +99,13 @@ expect 404 "query on an unknown sketch" "http://$COORD/v1/sketch/no-such-sketch/
 expect 400 "batch with a bad weight" -X POST --data-binary 'checkout	many' "http://$COORD/v1/sketch/hits/add"
 expect 200 "type catalogue" "http://$COORD/v1/types"
 expect 501 "list (shard-local)" "http://$COORD/v1/sketch"
+expect 400 "merge of a corrupt envelope (forwarded to one shard)" -X POST --data-binary 'junk' "http://$COORD/v1/sketch/hits/merge"
 
 echo "== two tenants through the coordinator: same sketch name, disjoint state"
 curl -fsS -X POST "http://$COORD/v1/t/acme/sketch/users" -d '{"type":"hll","p":12}' >/dev/null
 curl -fsS -X POST "http://$COORD/v1/t/globex/sketch/users" -d '{"type":"hll","p":12}' >/dev/null
-seq 1 20000 | sed 's/^/acme-/' |
-	curl -fsS -X POST --data-binary @- "http://$COORD/v1/t/acme/sketch/users/add" >/dev/null
-seq 1 5000 | sed 's/^/globex-/' |
-	curl -fsS -X POST --data-binary @- "http://$COORD/v1/t/globex/sketch/users/add" >/dev/null
+ingest /v1/t/acme/sketch/users acme 4
+ingest /v1/t/globex/sketch/users globex 1
 
 ACME=$(curl -fsS "http://$COORD/v1/t/acme/sketch/users/query" |
 	sed 's/.*"estimate":\([0-9.e+]*\).*/\1/')
@@ -108,9 +118,9 @@ awk -v e="$GLOBEX" 'BEGIN { d = e / 5000; if (d < 0.95 || d > 1.05) exit 1 }' ||
 	{ echo "FAIL: globex estimate $GLOBEX outside 5% of 5000 (tenant state leaked?)"; exit 1; }
 
 # Shard 3's own estimates (default + acme namespaces), for the
-# exact-recovery check: a partial ingest below only touches the
-# surviving shards, so shard 3 must come back from its WAL with
-# precisely this state.
+# exact-recovery check: ingest while it is down reaches the surviving
+# shards only, so shard 3 must come back from its WAL with precisely
+# this state.
 S3EST=$(curl -fsS "http://$S3/v1/sketch/users/query" |
 	sed 's/.*"estimate":\([0-9.e+]*\).*/\1/')
 S3ACME=$(curl -fsS "http://$S3/v1/t/acme/sketch/users/query" |
@@ -146,11 +156,25 @@ echo "partial acme query after kill: HTTP $CODE $(cat "$WORK/body")"
 grep -q '"partial":true' "$WORK/body" || { echo "FAIL: tenant degraded read not labeled partial"; exit 1; }
 grep -q '"tenant":"acme"' "$WORK/body" || { echo "FAIL: tenant degraded read not labeled with tenant"; exit 1; }
 
-# A 200-key batch is certain to route at least one key to the dead
-# shard's arc of the ring, so the fan-out must fail loudly.
-CODE=$(seq 1 200 | sed 's/^/probe-/' | curl -s -o "$WORK/body" -w '%{http_code}' -X POST --data-binary @- "http://$COORD/v1/sketch/users/add" || true)
-echo "ingest after kill: HTTP $CODE"
-[ "$CODE" = 503 ] || { echo "FAIL: ingest with dead shard want 503, got $CODE"; exit 1; }
+# A batch goes whole to the shard whose turn it is: of one probe batch
+# per shard exactly one has the dead shard's turn and fails loudly,
+# naming it; the others are acknowledged. The refused batch is on no
+# shard.
+REFUSED=0
+for i in 1 2 3; do
+	CODE=$(seq 1 200 | sed "s/^/probe$i-/" | curl -s -o "$WORK/body" -w '%{http_code}' -X POST --data-binary @- "http://$COORD/v1/sketch/users/add" || true)
+	echo "ingest after kill, probe batch $i: HTTP $CODE"
+	case "$CODE" in
+	200) ;;
+	503)
+		REFUSED=$((REFUSED + 1))
+		REFUSED_BATCH=$i
+		grep -q "$S3" "$WORK/body" || { echo "FAIL: ingest 503 does not name dead shard $S3"; exit 1; }
+		;;
+	*) echo "FAIL: ingest with dead shard want 200 or 503, got $CODE"; exit 1 ;;
+	esac
+done
+[ "$REFUSED" = 1 ] || { echo "FAIL: $REFUSED of 3 probe batches refused, want exactly the dead shard's turn"; exit 1; }
 
 echo "== restart shard 3 from its WAL, assert exact recovery"
 "$WORK/sketchd" -addr "$S3" -data-dir "$WORK/shard3" -fsync-interval 0 &
@@ -165,16 +189,15 @@ echo "shard 3 estimates after recovery: default $S3EST2, acme $S3ACME2"
 [ "$S3EST2" = "$S3EST" ] || { echo "FAIL: shard 3 state changed across crash+recovery: $S3EST -> $S3EST2"; exit 1; }
 [ "$S3ACME2" = "$S3ACME" ] || { echo "FAIL: shard 3 acme tenant changed across crash+recovery: $S3ACME -> $S3ACME2"; exit 1; }
 
-# Retrying the probe batch now succeeds everywhere (HLL ingest is
-# idempotent on the shards that already absorbed their slice), and the
-# cluster is whole again.
-seq 1 200 | sed 's/^/probe-/' |
+# Re-sending the refused probe batch now succeeds (it was applied
+# nowhere, so nothing is counted twice), and the cluster is whole again.
+seq 1 200 | sed "s/^/probe$REFUSED_BATCH-/" |
 	curl -fsS -X POST --data-binary @- "http://$COORD/v1/sketch/users/add" >/dev/null
 EST2=$(curl -fsS "http://$COORD/v1/sketch/users/query" |
 	sed 's/.*"estimate":\([0-9.e+]*\).*/\1/')
-echo "global estimate after recovery + retried batch: $EST2 (true 50200)"
-awk -v e="$EST2" 'BEGIN { d = e / 50200; if (d < 0.95 || d > 1.05) exit 1 }' ||
-	{ echo "FAIL: estimate $EST2 outside 5% of 50200"; exit 1; }
+echo "global estimate after recovery + re-sent batch: $EST2 (true 50600)"
+awk -v e="$EST2" 'BEGIN { d = e / 50600; if (d < 0.95 || d > 1.05) exit 1 }' ||
+	{ echo "FAIL: estimate $EST2 outside 5% of 50600"; exit 1; }
 HEALTHY=$(curl -fsS "http://$COORD/v1/cluster/status" | grep -o '"healthy":[0-9]*')
 [ "$HEALTHY" = '"healthy":3' ] || { echo "FAIL: want 3 healthy shards after recovery"; exit 1; }
 
