@@ -82,8 +82,6 @@ func main() {
 		"run as a cluster coordinator over -shards instead of serving sketches locally")
 	shards := flag.String("shards", "",
 		"comma-separated shard base URLs for -coordinator mode")
-	vnodes := flag.Int("vnodes", cluster.DefaultVirtualNodes,
-		"virtual nodes per shard on the coordinator's consistent-hash ring (reported on /v1/cluster/status; no request routes by the ring)")
 	follow := flag.String("follow", "",
 		"leader base URL to replicate from (follower mode; serves a read-only warm standby)")
 	followInterval := flag.Duration("follow-interval", 500*time.Millisecond,
@@ -114,7 +112,7 @@ func main() {
 	flag.Parse()
 
 	if *coordinator {
-		runCoordinator(*addr, *shards, *vnodes, *slimGather)
+		runCoordinator(*addr, *shards, *slimGather)
 		return
 	}
 
@@ -222,14 +220,11 @@ func main() {
 
 // runCoordinator serves the cluster-facing /v1/sketch API over a shard
 // fleet and blocks until SIGINT/SIGTERM.
-func runCoordinator(addr, shardList string, vnodes int, slimGather bool) {
+func runCoordinator(addr, shardList string, slimGather bool) {
 	if shardList == "" {
 		log.Fatalf("sketchd: -coordinator requires -shards url1,url2,...")
 	}
-	coord, err := cluster.NewCoordinator(strings.Split(shardList, ","), cluster.Options{
-		VirtualNodes: vnodes,
-		SlimGather:   slimGather,
-	})
+	coord, err := cluster.NewCoordinator(strings.Split(shardList, ","), cluster.Options{SlimGather: slimGather})
 	if err != nil {
 		log.Fatalf("sketchd: coordinator: %v", err)
 	}

@@ -12,15 +12,13 @@ import (
 
 	"repro/internal/core"
 	typereg "repro/internal/registry"
+	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
 // Options configures a Coordinator. Zero values take the documented
 // defaults.
 type Options struct {
-	// VirtualNodes per shard on the ring (Coordinator.Ring), which no
-	// request routes by. Default DefaultVirtualNodes.
-	VirtualNodes int
 	// MaxInflight bounds concurrent shard requests across all fan-outs
 	// (ingest and scatter-gather combined). Excess work queues on the
 	// semaphore rather than piling goroutines onto a slow shard.
@@ -128,6 +126,7 @@ type Coordinator struct {
 	mux     *http.ServeMux
 	turn    atomic.Uint64 // toOne's rotation: how many turns have been taken
 
+	bodies     server.BodyPool
 	gatherPool sync.Pool // *[][]byte per-shard envelope read buffers
 	envPool    sync.Pool // *[]byte merged /snapshot response envelopes of families that merge decoded
 }
@@ -148,7 +147,7 @@ func ShardURLs(shards []string) []string {
 
 // NewCoordinator builds a coordinator over shard addresses.
 func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
-	ring, err := NewRing(ShardURLs(shards), opts.VirtualNodes)
+	ring, err := NewRing(ShardURLs(shards), 0)
 	if err != nil {
 		return nil, err
 	}

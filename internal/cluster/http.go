@@ -98,10 +98,11 @@ func allowPartial(r *http.Request) bool {
 func (c *Coordinator) broadcast(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant, name := server.TenantOf(r), r.PathValue("name")
-		body, ok := server.ReadBody(w, r, nil)
+		body, release, ok := c.bodies.Read(w, r)
 		if !ok {
 			return
 		}
+		defer release() // every shard call, retries included, has returned by then
 		errs := c.scatter(func(_ int, cl *client.Client) error {
 			return c.callShard(func() error {
 				return cl.Tenant(tenant).Forward(op, name, r.Header.Get("Content-Type"), body)
@@ -130,10 +131,11 @@ func (c *Coordinator) broadcast(op string) http.HandlerFunc {
 // shard: it was validated and applied by one, or by none.
 func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 	tenant := server.TenantOf(r)
-	body, ok := server.ReadBody(w, r, nil)
+	body, release, ok := c.bodies.Read(w, r)
 	if !ok {
 		return
 	}
+	defer release() // the shard call, retries included, has returned by then
 	c.ops.AddBatches.Inc()
 	items, fails := c.FanOutAddTenant(tenant, r.PathValue("name"), body)
 	if len(fails) > 0 {
@@ -149,10 +151,11 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 // summary is absorbed into the union every read gathers.
 func (c *Coordinator) handleMerge(w http.ResponseWriter, r *http.Request) {
 	tenant, name := server.TenantOf(r), r.PathValue("name")
-	body, ok := server.ReadBody(w, r, nil)
+	body, release, ok := c.bodies.Read(w, r)
 	if !ok {
 		return
 	}
+	defer release() // the shard call, retries included, has returned by then
 	if fails := c.toOne(tenant, func(cl *client.Client) error { return cl.Merge(name, body) }); len(fails) > 0 {
 		shardFailure(w, tenant, "merge", fails)
 		return
@@ -303,14 +306,13 @@ type ShardStatus struct {
 	Status *server.StatusResponse `json:"status,omitempty"`
 }
 
-// ClusterStatus is GET /v1/cluster/status: ring shape, per-shard
-// health, and the coordinator's own counters.
+// ClusterStatus is GET /v1/cluster/status: per-shard health and the
+// coordinator's own counters.
 type ClusterStatus struct {
-	Shards       []ShardStatus         `json:"shards"`
-	VirtualNodes int                   `json:"virtual_nodes"`
-	Healthy      int                   `json:"healthy"`
-	Coordinator  CoordCountersSnapshot `json:"coordinator"`
-	UptimeS      float64               `json:"uptime_s"`
+	Shards      []ShardStatus         `json:"shards"`
+	Healthy     int                   `json:"healthy"`
+	Coordinator CoordCountersSnapshot `json:"coordinator"`
+	UptimeS     float64               `json:"uptime_s"`
 }
 
 // Status polls every shard and assembles the cluster view.
@@ -334,13 +336,11 @@ func (c *Coordinator) Status() ClusterStatus {
 			healthy++
 		}
 	}
-	vn := len(c.ring.points) / len(c.shards)
 	return ClusterStatus{
-		Shards:       rows,
-		VirtualNodes: vn,
-		Healthy:      healthy,
-		Coordinator:  c.ops.snapshot(),
-		UptimeS:      time.Since(c.start).Seconds(),
+		Shards:      rows,
+		Healthy:     healthy,
+		Coordinator: c.ops.snapshot(),
+		UptimeS:     time.Since(c.start).Seconds(),
 	}
 }
 

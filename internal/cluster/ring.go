@@ -27,26 +27,25 @@ import (
 	"repro/internal/hashx"
 )
 
-// DefaultVirtualNodes is the per-shard virtual node count. 128 points
+// defaultVirtualNodes is the per-shard virtual node count. 128 points
 // per shard keeps the max/mean key imbalance under ~1.15 for small
 // clusters (measured in the ring tests) while the whole ring for 16
 // shards still fits in 32 KiB — one L1 load per routed key.
-const DefaultVirtualNodes = 128
+const defaultVirtualNodes = 128
 
 // ringSeed salts the placement and key hash so ring positions are
 // unrelated to any sketch-content hashing of the same keys.
 const ringSeed = 0xC1_05_7E_12
 
 // Ring is a consistent-hash ring over named shards. Each shard owns
-// VirtualNodes points on a 64-bit circle; a key routes to the shard
+// vnodes points on a 64-bit circle; a key routes to the shard
 // owning the first point clockwise of the key's hash. Adding or
 // removing one shard moves only ~1/N of the keys — the property that
 // lets a keyed placement grow without moving history.
 //
 // Nothing the coordinator serves routes by it: ingest is whole-batch
 // rotation, and correctness never depends on where a key lands (see the
-// package comment). It stays, with -vnodes and the virtual_nodes status
-// field, only because benchmark/layertrace prices
+// package comment). It stays only because benchmark/layertrace prices
 // Coordinator.Ring().Shard as its cluster.ring span; ROADMAP item 5
 // deletes the two together.
 //
@@ -73,7 +72,7 @@ type ringPoint struct {
 
 // NewRing builds a ring over shard identities (base URLs, typically)
 // with vnodes virtual nodes per shard (<= 0 takes
-// DefaultVirtualNodes). Shard order does not affect placement — points
+// defaultVirtualNodes). Shard order does not affect placement — points
 // hash the shard identity, not its index — so two coordinators given
 // the same membership in different orders route identically.
 func NewRing(shards []string, vnodes int) (*Ring, error) {
@@ -91,7 +90,7 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 		seen[s] = true
 	}
 	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
+		vnodes = defaultVirtualNodes
 	}
 	r := &Ring{
 		shards: append([]string(nil), shards...),

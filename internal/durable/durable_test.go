@@ -353,3 +353,35 @@ func TestRecoverTruncatesTornSegmentOnDisk(t *testing.T) {
 		t.Fatal("post-truncation replay differs")
 	}
 }
+
+// A rotation whose flush, fsync or close fails is reported, and the
+// segment that could not be made durable stays the active one: the
+// parent commit dropped all three errors, opened the next segment and
+// answered nil.
+func TestRotationReportsSegmentErrors(t *testing.T) {
+	for name, rotateNow := range map[string]func(*Manager) error{
+		"SealActive":  (*Manager).SealActive,
+		"SnapshotNow": (*Manager).SnapshotNow,
+	} {
+		m, err := Open(t.TempDir(), Options{FsyncInterval: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Start(func() []SketchSnap { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		m.Append(OpIngest, "", "s", []byte("a"))
+		// Sync orders the syncer's last write of m.f before this read.
+		if err := m.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		m.f.Close() // the disk goes away under the manager
+		if err := rotateNow(m); err == nil {
+			t.Errorf("%s over a closed segment file answered nil", name)
+		}
+		if got := m.activeSeq.Load(); got != 1 {
+			t.Errorf("%s: active segment %d after a failed rotation, want 1", name, got)
+		}
+		m.Kill()
+	}
+}

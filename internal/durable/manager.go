@@ -393,9 +393,9 @@ func (m *Manager) run() {
 			if err := m.doSnapshot(); err != nil {
 				m.opts.Logf("durable: final snapshot: %v", err)
 			}
-			m.w.Flush()
-			m.f.Sync()
-			m.f.Close()
+			if err := m.seal(); err != nil {
+				m.opts.Logf("durable: closing the WAL: %v", err)
+			}
 			return
 		}
 	}
@@ -488,21 +488,46 @@ func (m *Manager) openSegment() error {
 	return nil
 }
 
-// sealActive rotates the active segment (syncer goroutine only). Runs
-// the same flush + fsync + close + open-next sequence doSnapshot uses,
-// minus the snapshot itself.
+// seal makes the active segment durable and closes it (syncer goroutine
+// only): flush, fsync — whatever FsyncInterval says, a sealed segment is
+// on disk — and close. It stops at the first error, so a segment that
+// could not be flushed or fsynced is still the open, active one.
+func (m *Manager) seal() error {
+	if err := m.w.Flush(); err != nil {
+		return fmt.Errorf("durable: WAL flush: %w", err)
+	}
+	if err := m.f.Sync(); err != nil {
+		return fmt.Errorf("durable: WAL fsync: %w", err)
+	}
+	if err := m.f.Close(); err != nil {
+		return fmt.Errorf("durable: WAL close: %w", err)
+	}
+	return nil
+}
+
+// rotate seals the active segment and opens the next one. It is the
+// one place a segment boundary is made: SealActive's, a snapshot's cut.
+func (m *Manager) rotate() error {
+	if err := m.commit(); err != nil {
+		return err
+	}
+	if err := m.seal(); err != nil {
+		return err
+	}
+	m.seq++
+	if err := m.openSegment(); err != nil {
+		return fmt.Errorf("durable: opening WAL segment %d: %w", m.seq, err)
+	}
+	return nil
+}
+
+// sealActive rotates the active segment (syncer goroutine only) unless
+// it holds no records.
 func (m *Manager) sealActive() error {
 	if m.activeBytes <= int64(walHeaderLen) {
 		return nil // no records since the last rotation: nothing to seal
 	}
-	if err := m.commit(); err != nil {
-		return err
-	}
-	m.w.Flush()
-	m.f.Sync()
-	m.f.Close()
-	m.seq++
-	return m.openSegment()
+	return m.rotate()
 }
 
 // doSnapshot is the snapshot + WAL-truncation protocol, run on the
@@ -526,16 +551,9 @@ func (m *Manager) doSnapshot() error {
 	if m.capture == nil {
 		return nil
 	}
-	if err := m.commit(); err != nil {
-		return err
-	}
 	oldSeq := m.seq
-	m.w.Flush()
-	m.f.Sync()
-	m.f.Close()
-	m.seq++
-	if err := m.openSegment(); err != nil {
-		return fmt.Errorf("durable: rotating WAL: %w", err)
+	if err := m.rotate(); err != nil {
+		return err
 	}
 
 	cut := m.lsn.Load()

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -106,6 +109,35 @@ func TestMutexCountMinCorrectUnderConcurrency(t *testing.T) {
 	for item := uint64(0); item < 50; item++ {
 		if got := c.EstimateUint64(item); got < 800 {
 			t.Errorf("item %d: estimate %d < 800", item, got)
+		}
+	}
+}
+
+// TestQuantileTablesGolden pins what `sketchbench -run` prints, less its
+// timing line, for the experiments that read the quantile package. The
+// files under testdata/ were recorded at commit 4c63857; the experiments
+// are seeded, so a change to a compactor's draw order, a read or the
+// t-digest pass shows up here as a diff.
+func TestQuantileTablesGolden(t *testing.T) {
+	for _, id := range []string{"E6", "E6a", "E7", "E17"} {
+		res, err := Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "=== %s: %s\npaper claim: %s\n\n", res.ID, res.Title, res.Claim)
+		for _, tbl := range res.Tables {
+			fmt.Fprintln(&b, tbl.String())
+		}
+		for _, note := range res.Notes {
+			fmt.Fprintln(&b, "note:", note)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", id+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.TrimRight(b.String(), "\n") + "\n"; got != string(want) {
+			t.Errorf("%s differs from testdata/%s.golden:\n%s", id, id, got)
 		}
 	}
 }

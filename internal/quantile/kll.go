@@ -1,9 +1,7 @@
 package quantile
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/randx"
@@ -18,138 +16,29 @@ import (
 // O((1/ε)·√log(1/δ)) space for additive rank error εn. KLL sketches
 // merge by concatenating levels and re-compacting, which is how the
 // mergeability experiment E7 exercises it.
-type KLL struct {
-	k          int // capacity of the top (largest) compactor
-	c          float64
-	levels     [][]float64
-	n          uint64
-	rng        *randx.RNG
-	seed       uint64
-	minV, maxV float64
+type KLL struct{ compactor }
+
+// kllPolicy: the highest level has capacity k and each level below it
+// shrinks by c = 2/3, never under 2; a compaction takes the whole level.
+var kllPolicy = policy{
+	name: "KLL",
+	minK: 8,
+	salt: 0x4b4c4c,
+	capacity: func(k, level, height int) int {
+		depth := height - 1 - level
+		return max(2, int(math.Ceil(float64(k)*math.Pow(2.0/3.0, float64(depth)))))
+	},
+	protected: func(int, *randx.RNG) int { return 0 },
 }
 
 // NewKLL creates a KLL sketch with top-compactor capacity k (commonly
 // 200 for ~1% rank error). Larger k means smaller error: ε ≈ 2.3/k.
 func NewKLL(k int, seed uint64) *KLL {
-	if k < 8 {
-		panic("quantile: KLL requires k >= 8")
-	}
-	return &KLL{
-		k:      k,
-		c:      2.0 / 3.0,
-		levels: make([][]float64, 1),
-		rng:    randx.New(seed),
-		seed:   seed,
-		minV:   math.Inf(1),
-		maxV:   math.Inf(-1),
-	}
-}
-
-// capacity returns the capacity of the compactor at the given level,
-// where the highest level has capacity k and lower levels shrink by c.
-func (s *KLL) capacity(level int) int {
-	depth := len(s.levels) - 1 - level
-	cap := int(math.Ceil(float64(s.k) * math.Pow(s.c, float64(depth))))
-	if cap < 2 {
-		cap = 2
-	}
-	return cap
-}
-
-// Add inserts a value.
-func (s *KLL) Add(v float64) {
-	s.levels[0] = append(s.levels[0], v)
-	s.n++
-	if v < s.minV {
-		s.minV = v
-	}
-	if v > s.maxV {
-		s.maxV = v
-	}
-	s.compact()
-}
-
-// compact promotes overfull levels upward.
-func (s *KLL) compact() {
-	for level := 0; level < len(s.levels); level++ {
-		if len(s.levels[level]) <= s.capacity(level) {
-			continue
-		}
-		if level+1 == len(s.levels) {
-			s.levels = append(s.levels, nil)
-		}
-		buf := s.levels[level]
-		sort.Float64s(buf)
-		// Random offset: keep odd or even positions with equal
-		// probability; survivors double their weight.
-		offset := 0
-		if s.rng.Bool() {
-			offset = 1
-		}
-		promoted := make([]float64, 0, len(buf)/2)
-		for i := offset; i < len(buf); i += 2 {
-			promoted = append(promoted, buf[i])
-		}
-		s.levels[level+1] = append(s.levels[level+1], promoted...)
-		s.levels[level] = buf[:0]
-	}
-}
-
-// weightedItem pairs a retained value with its level weight.
-type weightedItem struct {
-	v float64
-	w uint64
-}
-
-// items returns all retained items with weights, sorted by value.
-func (s *KLL) items() []weightedItem {
-	var out []weightedItem
-	for level, buf := range s.levels {
-		w := uint64(1) << uint(level)
-		for _, v := range buf {
-			out = append(out, weightedItem{v, w})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].v < out[j].v })
-	return out
+	return &KLL{newCompactor(&kllPolicy, k, seed)}
 }
 
 // Quantile returns an approximate q-quantile.
-func (s *KLL) Quantile(q float64) float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return s.minV
-	}
-	if q >= 1 {
-		return s.maxV
-	}
-	target := q * float64(s.n)
-	var acc uint64
-	items := s.items()
-	for _, it := range items {
-		acc += it.w
-		if float64(acc) >= target {
-			return it.v
-		}
-	}
-	return s.maxV
-}
-
-// Rank returns the estimated number of inserted items ≤ v.
-func (s *KLL) Rank(v float64) uint64 {
-	var acc uint64
-	for level, buf := range s.levels {
-		w := uint64(1) << uint(level)
-		for _, x := range buf {
-			if x <= v {
-				acc += w
-			}
-		}
-	}
-	return acc
-}
+func (s *KLL) Quantile(q float64) float64 { return s.quantile(q, s.n) }
 
 // CDF returns the estimated cumulative fraction of items ≤ v, clamped
 // to [0, 1] (compaction can leave the total retained weight slightly
@@ -168,72 +57,16 @@ func (s *KLL) CDF(v float64) float64 {
 	return math.Min(1, math.Max(0, c))
 }
 
-// N returns the number of inserted values.
-func (s *KLL) N() uint64 { return s.n }
-
-// K returns the top-compactor capacity.
-func (s *KLL) K() int { return s.k }
-
 // Eps returns the approximate rank-error guarantee ≈ 2.3/k.
 func (s *KLL) Eps() float64 { return 2.3 / float64(s.k) }
-
-// RetainedItems returns the number of stored values — the E6 space
-// figure.
-func (s *KLL) RetainedItems() int {
-	total := 0
-	for _, buf := range s.levels {
-		total += len(buf)
-	}
-	return total
-}
-
-// SizeBytes returns the approximate memory footprint.
-func (s *KLL) SizeBytes() int { return s.RetainedItems() * 8 }
-
-// Min returns the smallest inserted value.
-func (s *KLL) Min() float64 { return s.minV }
-
-// Max returns the largest inserted value.
-func (s *KLL) Max() float64 { return s.maxV }
 
 // Merge folds another KLL sketch into this one by concatenating levels
 // and re-compacting; the rank guarantee is preserved (KLL is fully
 // mergeable).
-func (s *KLL) Merge(other *KLL) error {
-	if s.k != other.k {
-		return fmt.Errorf("%w: KLL k=%d vs k=%d", core.ErrIncompatible, s.k, other.k)
-	}
-	for len(s.levels) < len(other.levels) {
-		s.levels = append(s.levels, nil)
-	}
-	for level, buf := range other.levels {
-		s.levels[level] = append(s.levels[level], buf...)
-	}
-	s.n += other.n
-	if other.minV < s.minV {
-		s.minV = other.minV
-	}
-	if other.maxV > s.maxV {
-		s.maxV = other.maxV
-	}
-	s.compact()
-	return nil
-}
+func (s *KLL) Merge(other *KLL) error { return s.merge(&other.compactor) }
 
 // MarshalBinary serializes the sketch.
-func (s *KLL) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagKLL, 1)
-	w.U32(uint32(s.k))
-	w.U64(s.seed)
-	w.U64(s.n)
-	w.F64(s.minV)
-	w.F64(s.maxV)
-	w.U32(uint32(len(s.levels)))
-	for _, buf := range s.levels {
-		w.F64Slice(buf)
-	}
-	return w.Bytes(), nil
-}
+func (s *KLL) MarshalBinary() ([]byte, error) { return s.marshal(core.TagKLL) }
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (s *KLL) UnmarshalBinary(data []byte) error {
@@ -241,27 +74,5 @@ func (s *KLL) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	k := int(r.U32())
-	seed := r.U64()
-	n := r.U64()
-	minV := r.F64()
-	maxV := r.F64()
-	numLevels := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if k < 8 || numLevels < 1 || numLevels > 64 {
-		return fmt.Errorf("%w: KLL k=%d levels=%d", core.ErrCorrupt, k, numLevels)
-	}
-	levels := make([][]float64, numLevels)
-	for i := range levels {
-		levels[i] = r.F64Slice()
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	s.k, s.seed, s.n, s.minV, s.maxV, s.levels = k, seed, n, minV, maxV, levels
-	s.c = 2.0 / 3.0
-	s.rng = randx.New(seed ^ 0x4b4c4c)
-	return nil
+	return s.unmarshal(r, &kllPolicy)
 }

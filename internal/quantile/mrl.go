@@ -96,18 +96,14 @@ func (s *MRL) collapse() {
 	// Weighted merge: expand conceptually, sample every (wa+wb)-th
 	// element with random start. Implemented by walking the merge with
 	// weight accumulation.
-	type wv struct {
-		v float64
-		w uint64
-	}
-	merged := make([]wv, 0, len(a.vals)+len(b.vals))
+	merged := make([]weighted, 0, len(a.vals)+len(b.vals))
 	ai, bi := 0, 0
 	for ai < len(a.vals) || bi < len(b.vals) {
 		if bi >= len(b.vals) || (ai < len(a.vals) && a.vals[ai] <= b.vals[bi]) {
-			merged = append(merged, wv{a.vals[ai], a.weight})
+			merged = append(merged, weighted{a.vals[ai], a.weight})
 			ai++
 		} else {
-			merged = append(merged, wv{b.vals[bi], b.weight})
+			merged = append(merged, weighted{b.vals[bi], b.weight})
 			bi++
 		}
 	}
@@ -145,32 +141,22 @@ func (s *MRL) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	type wv struct {
-		v float64
-		w uint64
-	}
-	var all []wv
+	all := make([]weighted, 0, s.RetainedItems())
 	var totalW uint64
 	for i := range s.buffers {
 		b := &s.buffers[i]
 		for _, v := range b.vals {
-			all = append(all, wv{v, b.weight})
+			all = append(all, weighted{v, b.weight})
 			totalW += b.weight
 		}
 	}
 	if len(all) == 0 {
 		return math.NaN()
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].v < all[j].v })
-	target := q * float64(totalW)
-	var acc uint64
-	for _, it := range all {
-		acc += it.w
-		if float64(acc) >= target {
-			return it.v
-		}
+	if v, ok := weightedQuantile(all, q, totalW); ok {
+		return v
 	}
-	return all[len(all)-1].v
+	return all[len(all)-1].v // q is not a number
 }
 
 // N returns the number of inserted values.

@@ -2,7 +2,6 @@ package quantile
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -85,8 +84,9 @@ func (s *QDigest) Compress() {
 }
 
 // Quantile returns an approximate q-quantile of the inserted values.
-// It performs the canonical post-order walk: nodes sorted by (right
-// endpoint, descending level) accumulate counts until q·n is reached.
+// It performs the canonical post-order walk: nodes sorted by right
+// endpoint accumulate counts until q·n is reached (nodes that share an
+// endpoint answer alike, whichever comes first).
 func (s *QDigest) Quantile(q float64) uint64 {
 	if s.n == 0 {
 		return 0
@@ -97,30 +97,15 @@ func (s *QDigest) Quantile(q float64) uint64 {
 	if q > 1 {
 		q = 1
 	}
-	type span struct {
-		lo, hi uint64
-		count  uint64
-	}
-	spans := make([]span, 0, len(s.nodes))
+	pairs := make([]weighted, 0, len(s.nodes))
 	for id, c := range s.nodes {
-		lo, hi := s.nodeRange(id)
-		spans = append(spans, span{lo, hi, c})
+		_, hi := s.nodeRange(id)
+		pairs = append(pairs, weighted{float64(hi), c}) // hi < 2^32: exact
 	}
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].hi != spans[j].hi {
-			return spans[i].hi < spans[j].hi
-		}
-		return spans[i].hi-spans[i].lo < spans[j].hi-spans[j].lo
-	})
-	target := q * float64(s.n)
-	var acc uint64
-	for _, sp := range spans {
-		acc += sp.count
-		if float64(acc) >= target {
-			return sp.hi
-		}
+	if v, ok := weightedQuantile(pairs, q, s.n); ok {
+		return uint64(v)
 	}
-	return spans[len(spans)-1].hi
+	return uint64(pairs[len(pairs)-1].v) // q is not a number
 }
 
 // Rank estimates the number of items ≤ v. Each stored node whose range
@@ -241,13 +226,4 @@ func (s *QDigest) UnmarshalBinary(data []byte) error {
 	}
 	s.logU, s.k, s.n, s.nodes = logU, k, n, nodes
 	return nil
-}
-
-// quantileOfSorted is a shared helper for exact reference quantiles.
-func quantileOfSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }

@@ -1,10 +1,6 @@
 package quantile
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
 	"repro/internal/core"
 	"repro/internal/randx"
 )
@@ -22,191 +18,48 @@ import (
 // *protects* its top section (the items nearest the favored end) and
 // only compacts a prefix of its buffer, choosing the protected size by
 // a random schedule. This implementation favors the upper tail (high
-// ranks); use Neg to favor the lower tail by sign flipping.
-type REQ struct {
-	k          int // section size parameter (even, >= 4)
-	levels     [][]float64
-	n          uint64
-	rng        *randx.RNG
-	seed       uint64
-	minV, maxV float64
+// ranks), so Max is exact: the favored end is never compacted away.
+type REQ struct{ compactor }
+
+// reqPolicy: 2 sections of size k at the base, +1 section per level
+// above it so heavier levels keep more of their tail exact, capped at 8
+// to keep memory O(k·log²(n/k)). A compaction protects the top section
+// (highest values, the favored tail): at least k, randomized in whole
+// sections to keep the error unbiased across compactions.
+var reqPolicy = policy{
+	name:      "REQ",
+	minK:      4,
+	salt:      0x524551,
+	capacity:  func(k, level, _ int) int { return min(2+level, 8) * k },
+	protected: func(k int, rng *randx.RNG) int { return k * (1 + rng.Intn(2)) },
 }
 
 // NewREQ creates a relative-error quantile sketch with section size k
 // (accuracy ε ≈ c/k for a constant c ≈ 4; k = 32 gives ~1% relative
-// rank error at the top).
+// rank error at the top). An odd k is bumped to the next even one.
 func NewREQ(k int, seed uint64) *REQ {
-	if k < 4 {
-		panic("quantile: REQ requires k >= 4")
-	}
-	if k%2 == 1 {
-		k++
-	}
-	return &REQ{
-		k:      k,
-		levels: make([][]float64, 1),
-		rng:    randx.New(seed),
-		seed:   seed,
-		minV:   math.Inf(1),
-		maxV:   math.Inf(-1),
-	}
-}
-
-// capacityAt returns the buffer capacity at the given level: the
-// number of protected sections grows with the level height so deeper
-// (heavier) levels keep more of their tail exact.
-func (s *REQ) capacityAt(level int) int {
-	// 2 sections of size k at the base, +1 section per level above the
-	// current bottom, capped to keep memory O(k·log²(n/k)).
-	sections := 2 + level
-	if sections > 8 {
-		sections = 8
-	}
-	return sections * s.k
-}
-
-// Add inserts a value.
-func (s *REQ) Add(v float64) {
-	s.levels[0] = append(s.levels[0], v)
-	s.n++
-	if v < s.minV {
-		s.minV = v
-	}
-	if v > s.maxV {
-		s.maxV = v
-	}
-	s.compact()
-}
-
-func (s *REQ) compact() {
-	for level := 0; level < len(s.levels); level++ {
-		if len(s.levels[level]) <= s.capacityAt(level) {
-			continue
-		}
-		if level+1 == len(s.levels) {
-			s.levels = append(s.levels, nil)
-		}
-		buf := s.levels[level]
-		sort.Float64s(buf)
-		// Protect the top section (highest values, the favored tail):
-		// compact only the lowest "compactable" prefix. The protected
-		// suffix length is at least k, randomized in whole sections to
-		// keep the error unbiased across compactions.
-		protect := s.k * (1 + s.rng.Intn(2))
-		if protect >= len(buf) {
-			protect = len(buf) / 2
-		}
-		compactable := buf[:len(buf)-protect]
-		if len(compactable) < 2 {
-			// Nothing sensible to compact; grow the buffer instead.
-			return
-		}
-		offset := 0
-		if s.rng.Bool() {
-			offset = 1
-		}
-		promoted := make([]float64, 0, len(compactable)/2)
-		for i := offset; i < len(compactable); i += 2 {
-			promoted = append(promoted, compactable[i])
-		}
-		s.levels[level+1] = append(s.levels[level+1], promoted...)
-		// Keep the protected suffix at this level.
-		kept := append([]float64(nil), buf[len(buf)-protect:]...)
-		s.levels[level] = kept
-	}
-}
-
-// Rank returns the estimated number of inserted items ≤ v.
-func (s *REQ) Rank(v float64) uint64 {
-	var acc uint64
-	for level, buf := range s.levels {
-		w := uint64(1) << uint(level)
-		for _, x := range buf {
-			if x <= v {
-				acc += w
-			}
-		}
-	}
-	return acc
+	s := &REQ{newCompactor(&reqPolicy, k, seed)}
+	s.k += k % 2
+	return s
 }
 
 // Quantile returns an approximate q-quantile with relative error in
 // the upper tail: the estimate's rank is within ε·(n − q·n) of q·n for
-// q near 1.
+// q near 1. q is a fraction of the weight retained.
 func (s *REQ) Quantile(q float64) float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return s.minV
-	}
-	if q >= 1 {
-		return s.maxV
-	}
-	type wv struct {
-		v float64
-		w uint64
-	}
-	var items []wv
 	var total uint64
 	for level, buf := range s.levels {
-		w := uint64(1) << uint(level)
-		for _, v := range buf {
-			items = append(items, wv{v, w})
-			total += w
-		}
+		total += uint64(len(buf)) << uint(level)
 	}
-	sort.Slice(items, func(i, j int) bool { return items[i].v < items[j].v })
-	target := q * float64(total)
-	var acc uint64
-	for _, it := range items {
-		acc += it.w
-		if float64(acc) >= target {
-			return it.v
-		}
-	}
-	return s.maxV
+	return s.quantile(q, total)
 }
 
-// N returns the number of inserted values.
-func (s *REQ) N() uint64 { return s.n }
-
-// K returns the section-size parameter.
-func (s *REQ) K() int { return s.k }
-
-// RetainedItems returns the number of stored values.
-func (s *REQ) RetainedItems() int {
-	total := 0
-	for _, buf := range s.levels {
-		total += len(buf)
-	}
-	return total
-}
-
-// SizeBytes returns the approximate memory footprint.
-func (s *REQ) SizeBytes() int { return s.RetainedItems() * 8 }
-
-// Min returns the smallest inserted value.
-func (s *REQ) Min() float64 { return s.minV }
-
-// Max returns the largest inserted value (exact — the favored end is
-// never compacted away).
-func (s *REQ) Max() float64 { return s.maxV }
+// Merge folds another REQ sketch into this one by concatenating levels
+// and re-compacting.
+func (s *REQ) Merge(other *REQ) error { return s.merge(&other.compactor) }
 
 // MarshalBinary serializes the sketch.
-func (s *REQ) MarshalBinary() ([]byte, error) {
-	w := core.NewWriter(core.TagREQ, 1)
-	w.U32(uint32(s.k))
-	w.U64(s.seed)
-	w.U64(s.n)
-	w.F64(s.minV)
-	w.F64(s.maxV)
-	w.U32(uint32(len(s.levels)))
-	for _, buf := range s.levels {
-		w.F64Slice(buf)
-	}
-	return w.Bytes(), nil
-}
+func (s *REQ) MarshalBinary() ([]byte, error) { return s.marshal(core.TagREQ) }
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (s *REQ) UnmarshalBinary(data []byte) error {
@@ -214,49 +67,5 @@ func (s *REQ) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	k := int(r.U32())
-	seed := r.U64()
-	n := r.U64()
-	minV := r.F64()
-	maxV := r.F64()
-	numLevels := int(r.U32())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if k < 4 || numLevels < 1 || numLevels > 64 {
-		return fmt.Errorf("%w: REQ k=%d levels=%d", core.ErrCorrupt, k, numLevels)
-	}
-	levels := make([][]float64, numLevels)
-	for i := range levels {
-		levels[i] = r.F64Slice()
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	s.k, s.seed, s.n, s.minV, s.maxV, s.levels = k, seed, n, minV, maxV, levels
-	s.rng = randx.New(seed ^ 0x524551)
-	return nil
-}
-
-// Merge folds another REQ sketch into this one by concatenating levels
-// and re-compacting.
-func (s *REQ) Merge(other *REQ) error {
-	if s.k != other.k {
-		return fmt.Errorf("%w: REQ k=%d vs k=%d", core.ErrIncompatible, s.k, other.k)
-	}
-	for len(s.levels) < len(other.levels) {
-		s.levels = append(s.levels, nil)
-	}
-	for level, buf := range other.levels {
-		s.levels[level] = append(s.levels[level], buf...)
-	}
-	s.n += other.n
-	if other.minV < s.minV {
-		s.minV = other.minV
-	}
-	if other.maxV > s.maxV {
-		s.maxV = other.maxV
-	}
-	s.compact()
-	return nil
+	return s.unmarshal(r, &reqPolicy)
 }

@@ -18,9 +18,11 @@ import (
 type TDigest struct {
 	compression float64
 	centroids   []centroid // sorted by mean
-	buffer      []float64
+	buffer      []float64  // points not yet absorbed
+	points      []centroid // flush's sorted buffer, as absorb reads it
+	scratch     []centroid // absorb merges into it, then trades it for centroids
 	n           uint64
-	minV, maxV  float64
+	extent
 }
 
 type centroid struct {
@@ -38,8 +40,7 @@ func NewTDigest(compression float64) *TDigest {
 	}
 	return &TDigest{
 		compression: compression,
-		minV:        math.Inf(1),
-		maxV:        math.Inf(-1),
+		extent:      emptyExtent(),
 	}
 }
 
@@ -50,15 +51,18 @@ func (s *TDigest) Add(v float64) {
 	}
 	s.buffer = append(s.buffer, v)
 	s.n++
-	if v < s.minV {
-		s.minV = v
-	}
-	if v > s.maxV {
-		s.maxV = v
-	}
+	s.cover(v, v)
 	if len(s.buffer) >= tdigestBufferSize {
 		s.flush()
 	}
+}
+
+func totalWeight(cs []centroid) float64 {
+	total := 0.0
+	for _, c := range cs {
+		total += c.weight
+	}
+	return total
 }
 
 // k1 is the tail-sensitive scale function.
@@ -66,31 +70,42 @@ func (s *TDigest) k1(q float64) float64 {
 	return s.compression / (2 * math.Pi) * math.Asin(2*q-1)
 }
 
-// flush merges buffered points into the centroid list.
+// flush absorbs the buffered points into the centroid list.
 func (s *TDigest) flush() {
 	if len(s.buffer) == 0 {
 		return
 	}
 	sort.Float64s(s.buffer)
-	// Merge sorted buffer and existing centroids into a combined
-	// weighted sequence.
-	merged := make([]centroid, 0, len(s.centroids)+len(s.buffer))
+	s.points = s.points[:0]
+	for _, v := range s.buffer {
+		s.points = append(s.points, centroid{mean: v, weight: 1})
+	}
+	s.buffer = s.buffer[:0]
+	s.absorb(s.points)
+}
+
+// absorb merges points, sorted by mean, with the centroid list into one
+// weighted sequence (a centroid before a point of equal mean) and runs
+// the scale-function pass over it: neighbours join while the cluster
+// they would form spans at most one unit of k₁. The sequence is built in
+// a slice the digest keeps, so a digest in steady state absorbs without
+// allocating.
+func (s *TDigest) absorb(points []centroid) {
+	merged := s.scratch[:0]
 	i, j := 0, 0
-	for i < len(s.centroids) || j < len(s.buffer) {
-		if j >= len(s.buffer) || (i < len(s.centroids) && s.centroids[i].mean <= s.buffer[j]) {
+	for i < len(s.centroids) || j < len(points) {
+		if j >= len(points) || (i < len(s.centroids) && s.centroids[i].mean <= points[j].mean) {
 			merged = append(merged, s.centroids[i])
 			i++
 		} else {
-			merged = append(merged, centroid{mean: s.buffer[j], weight: 1})
+			merged = append(merged, points[j])
 			j++
 		}
 	}
-	s.buffer = s.buffer[:0]
-
-	total := 0.0
-	for _, c := range merged {
-		total += c.weight
+	if len(merged) == 0 {
+		return
 	}
+	total := totalWeight(merged)
 	out := merged[:0]
 	cur := merged[0]
 	accumulated := 0.0 // weight fully committed to out
@@ -108,8 +123,7 @@ func (s *TDigest) flush() {
 			cur = c
 		}
 	}
-	out = append(out, cur)
-	s.centroids = out
+	s.centroids, s.scratch = append(out, cur), s.centroids[:0]
 }
 
 // Quantile returns the estimated q-quantile by interpolating between
@@ -125,11 +139,7 @@ func (s *TDigest) Quantile(q float64) float64 {
 	if q >= 1 {
 		return s.maxV
 	}
-	var total float64
-	for _, c := range s.centroids {
-		total += c.weight
-	}
-	target := q * total
+	target := q * totalWeight(s.centroids)
 	var acc float64
 	for i, c := range s.centroids {
 		if acc+c.weight >= target {
@@ -138,22 +148,26 @@ func (s *TDigest) Quantile(q float64) float64 {
 				return c.mean
 			}
 			frac := (target - acc) / c.weight
-			var lo, hi float64
-			if i > 0 {
-				lo = (s.centroids[i-1].mean + c.mean) / 2
-			} else {
-				lo = s.minV
-			}
-			if i < len(s.centroids)-1 {
-				hi = (c.mean + s.centroids[i+1].mean) / 2
-			} else {
-				hi = s.maxV
-			}
+			lo, hi := s.span(i)
 			return lo + (hi-lo)*frac
 		}
 		acc += c.weight
 	}
 	return s.maxV
+}
+
+// span is the stretch of values centroid i stands for: from halfway to
+// its left neighbour to halfway to its right one, the exact extremes at
+// the ends.
+func (s *TDigest) span(i int) (lo, hi float64) {
+	lo, hi = s.minV, s.maxV
+	if i > 0 {
+		lo = (s.centroids[i-1].mean + s.centroids[i].mean) / 2
+	}
+	if i < len(s.centroids)-1 {
+		hi = (s.centroids[i].mean + s.centroids[i+1].mean) / 2
+	}
+	return lo, hi
 }
 
 // CDF returns the estimated fraction of values ≤ v.
@@ -168,22 +182,9 @@ func (s *TDigest) CDF(v float64) float64 {
 	if v >= s.maxV {
 		return 1
 	}
-	var total, acc float64
-	for _, c := range s.centroids {
-		total += c.weight
-	}
+	var acc float64
 	for i, c := range s.centroids {
-		var lo, hi float64
-		if i > 0 {
-			lo = (s.centroids[i-1].mean + c.mean) / 2
-		} else {
-			lo = s.minV
-		}
-		if i < len(s.centroids)-1 {
-			hi = (c.mean + s.centroids[i+1].mean) / 2
-		} else {
-			hi = s.maxV
-		}
+		lo, hi := s.span(i)
 		if v < lo {
 			break
 		}
@@ -197,7 +198,7 @@ func (s *TDigest) CDF(v float64) float64 {
 		}
 		acc += c.weight
 	}
-	return acc / total
+	return acc / totalWeight(s.centroids)
 }
 
 // N returns the number of inserted values.
@@ -219,13 +220,7 @@ func (s *TDigest) SizeBytes() int {
 	return len(s.centroids) * 16
 }
 
-// Min returns the smallest inserted value.
-func (s *TDigest) Min() float64 { return s.minV }
-
-// Max returns the largest inserted value.
-func (s *TDigest) Max() float64 { return s.maxV }
-
-// Merge folds another t-digest into this one by replaying its
+// Merge folds another t-digest into this one by absorbing its
 // centroids as weighted points (the standard merging strategy).
 func (s *TDigest) Merge(other *TDigest) error {
 	if s.compression != other.compression {
@@ -234,58 +229,10 @@ func (s *TDigest) Merge(other *TDigest) error {
 	}
 	other.flush()
 	s.flush()
-	// Append other's centroids and recompress via flush machinery:
-	// inject them as pre-weighted centroids, then merge.
-	merged := make([]centroid, 0, len(s.centroids)+len(other.centroids))
-	i, j := 0, 0
-	for i < len(s.centroids) || j < len(other.centroids) {
-		if j >= len(other.centroids) ||
-			(i < len(s.centroids) && s.centroids[i].mean <= other.centroids[j].mean) {
-			merged = append(merged, s.centroids[i])
-			i++
-		} else {
-			merged = append(merged, other.centroids[j])
-			j++
-		}
-	}
-	s.centroids = merged
+	s.absorb(other.centroids)
 	s.n += other.n
-	if other.minV < s.minV {
-		s.minV = other.minV
-	}
-	if other.maxV > s.maxV {
-		s.maxV = other.maxV
-	}
-	s.recompress()
+	s.cover(other.minV, other.maxV)
 	return nil
-}
-
-// recompress runs one scale-function merge pass over the centroid list.
-func (s *TDigest) recompress() {
-	if len(s.centroids) < 2 {
-		return
-	}
-	total := 0.0
-	for _, c := range s.centroids {
-		total += c.weight
-	}
-	out := s.centroids[:0]
-	cur := s.centroids[0]
-	accumulated := 0.0
-	for _, c := range s.centroids[1:] {
-		qLeft := accumulated / total
-		qRight := (accumulated + cur.weight + c.weight) / total
-		if s.k1(qRight)-s.k1(qLeft) <= 1 {
-			w := cur.weight + c.weight
-			cur.mean += (c.mean - cur.mean) * c.weight / w
-			cur.weight = w
-		} else {
-			out = append(out, cur)
-			accumulated += cur.weight
-			cur = c
-		}
-	}
-	s.centroids = append(out, cur)
 }
 
 // MarshalBinary serializes the digest.
@@ -337,7 +284,7 @@ func (s *TDigest) UnmarshalBinary(data []byte) error {
 			return fmt.Errorf("%w: t-digest centroids unsorted", core.ErrCorrupt)
 		}
 	}
-	s.compression, s.n, s.minV, s.maxV, s.centroids = compression, n, minV, maxV, centroids
+	s.compression, s.n, s.extent, s.centroids = compression, n, extent{minV, maxV}, centroids
 	s.buffer = nil
 	return nil
 }

@@ -22,6 +22,35 @@ func qParam(params url.Values) (float64, error) {
 	return q, nil
 }
 
+// quantileQuery answers ?q= from the read methods every quantile family
+// has, and adds the keys an instance has the method for: the exact
+// extremes, the rank-error figure, the integer domain.
+func quantileQuery[V float64 | uint64]() func(any, url.Values) (map[string]any, error) {
+	return query1(func(s interface {
+		Quantile(q float64) V
+		N() uint64
+	}, params url.Values) (map[string]any, error) {
+		q, err := qParam(params)
+		if err != nil {
+			return nil, err
+		}
+		out := map[string]any{"q": q, "quantile": s.Quantile(q), "n": s.N()}
+		if r, ok := s.(interface {
+			Min() float64
+			Max() float64
+		}); ok {
+			out["min"], out["max"] = r.Min(), r.Max()
+		}
+		if e, ok := s.(interface{ Eps() float64 }); ok {
+			out["eps"] = e.Eps()
+		}
+		if d, ok := s.(interface{ LogU() uint8 }); ok {
+			out["logu"] = d.LogU()
+		}
+		return out, nil
+	})
+}
+
 func init() {
 	register(Descriptor{
 		Tag:    core.TagKLL,
@@ -38,20 +67,8 @@ func init() {
 		Decode: decode1[quantile.KLL](),
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.KLL).Add),
-			Query: query1(func(s *quantile.KLL, params url.Values) (map[string]any, error) {
-				q, err := qParam(params)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{
-					"q":        q,
-					"quantile": s.Quantile(q),
-					"n":        s.N(),
-					"min":      s.Min(),
-					"max":      s.Max(),
-				}, nil
-			}),
-			Merge: merge2((*quantile.KLL).Merge),
+			Query:  quantileQuery[float64](),
+			Merge:  merge2((*quantile.KLL).Merge),
 		},
 	})
 
@@ -70,20 +87,8 @@ func init() {
 		Decode: decode1[quantile.REQ](),
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.REQ).Add),
-			Query: query1(func(s *quantile.REQ, params url.Values) (map[string]any, error) {
-				q, err := qParam(params)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{
-					"q":        q,
-					"quantile": s.Quantile(q),
-					"n":        s.N(),
-					"min":      s.Min(),
-					"max":      s.Max(),
-				}, nil
-			}),
-			Merge: merge2((*quantile.REQ).Merge),
+			Query:  quantileQuery[float64](),
+			Merge:  merge2((*quantile.REQ).Merge),
 		},
 	})
 
@@ -106,19 +111,8 @@ func init() {
 		Decode: decode1[quantile.GK](),
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.GK).Add),
-			Query: query1(func(s *quantile.GK, params url.Values) (map[string]any, error) {
-				q, err := qParam(params)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{
-					"q":        q,
-					"quantile": s.Quantile(q),
-					"n":        s.N(),
-					"eps":      s.Eps(),
-				}, nil
-			}),
-			Merge: merge2((*quantile.GK).Merge),
+			Query:  quantileQuery[float64](),
+			Merge:  merge2((*quantile.GK).Merge),
 		},
 	})
 
@@ -137,20 +131,8 @@ func init() {
 		Decode: decode1[quantile.TDigest](),
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.TDigest).Add),
-			Query: query1(func(s *quantile.TDigest, params url.Values) (map[string]any, error) {
-				q, err := qParam(params)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{
-					"q":        q,
-					"quantile": s.Quantile(q),
-					"n":        s.N(),
-					"min":      s.Min(),
-					"max":      s.Max(),
-				}, nil
-			}),
-			Merge: merge2((*quantile.TDigest).Merge),
+			Query:  quantileQuery[float64](),
+			Merge:  merge2((*quantile.TDigest).Merge),
 		},
 	})
 
@@ -173,17 +155,7 @@ func init() {
 			// descriptor leaves Merge nil and the server gates the
 			// endpoint off (405).
 			Ingest: floatIngest((*quantile.MRL).Add),
-			Query: query1(func(s *quantile.MRL, params url.Values) (map[string]any, error) {
-				q, err := qParam(params)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{
-					"q":        q,
-					"quantile": s.Quantile(q),
-					"n":        s.N(),
-				}, nil
-			}),
+			Query:  quantileQuery[float64](),
 		},
 	})
 
@@ -211,18 +183,7 @@ func init() {
 				},
 				(*quantile.QDigest).Add,
 			),
-			Query: query1(func(s *quantile.QDigest, params url.Values) (map[string]any, error) {
-				q, err := qParam(params)
-				if err != nil {
-					return nil, err
-				}
-				return map[string]any{
-					"q":        q,
-					"quantile": s.Quantile(q),
-					"n":        s.N(),
-					"logu":     s.LogU(),
-				}, nil
-			}),
+			Query: quantileQuery[uint64](),
 			Merge: merge2((*quantile.QDigest).Merge),
 		},
 	})

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/url"
 	"strconv"
 	"strings"
@@ -188,27 +187,6 @@ func appendQueryEscape(dst []byte, s string) []byte {
 		}
 	}
 	return dst
-}
-
-// ReadAppend drains r into dst, reusing dst's capacity and growing it
-// only when the payload outgrows it. io.ReadAll allocates a fresh
-// buffer per call; this is the reusable-buffer variant the pooled
-// gather path needs — steady state is 0 allocs once the buffer has
-// grown to the envelope size.
-func ReadAppend(r io.Reader, dst []byte) ([]byte, error) {
-	for {
-		if len(dst) == cap(dst) {
-			dst = append(dst, 0)[:len(dst)]
-		}
-		n, err := r.Read(dst[len(dst):cap(dst)])
-		dst = dst[:len(dst)+n]
-		if err == io.EOF {
-			return dst, nil
-		}
-		if err != nil {
-			return dst, err
-		}
-	}
 }
 
 // Delete drops the named sketch.

@@ -399,7 +399,7 @@ func (cn *conn) readReply(dst []byte) (rep reply, err error) {
 		if limit >= 0 {
 			r = io.LimitReader(r, limit)
 		}
-		rep.body, err = ReadAppend(r, rep.body)
+		rep.body, err = server.ReadAppend(r, rep.body)
 	}
 	// Bytes past the reply's end belong to no exchange.
 	rep.keep = rep.keep && cn.br.Buffered() == 0

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Meaning is what an operation means to a cluster: how a coordinator
@@ -55,7 +56,7 @@ var Ops = []Op{
 	{"overlap", "GET", "/v1/overlap", true, ShardLocal, "audience overlap of two cardinality sketches (`?sketches=a,b`)"},
 	{"types", "GET", "/v1/types", false, Local, "servable families and their parameter schemas"},
 	{"status", "GET", "/v1/status", false, Local, "the answering process's counters and gauges"},
-	{"cluster-status", "GET", "/v1/cluster/status", false, CoordinatorOnly, "ring shape and every shard's status"},
+	{"cluster-status", "GET", "/v1/cluster/status", false, CoordinatorOnly, "every shard's status and the coordinator's own counters"},
 	{"repl-status", "GET", "/v1/repl/status", false, ServerOnly, "shippable WAL manifest; `?applied=N` reports follower progress"},
 	{"repl-file", "GET", "/v1/repl/file/{name}", false, ServerOnly, "one sealed WAL segment or snapshot file"},
 	{"repl-seal", "POST", "/v1/repl/seal", false, ServerOnly, "rotate the active WAL segment so it can ship"},
@@ -171,26 +172,59 @@ const MaxBodyBytes = 8 << 20
 // the body cannot be read it answers the request itself — 413 over
 // MaxBodyBytes, 400 otherwise — and reports false.
 func ReadBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, bool) {
-	limited := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	buf, err := ReadAppend(http.MaxBytesReader(w, r.Body, MaxBodyBytes), buf)
+	if err == nil {
+		return buf, true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		HTTPError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", MaxBodyBytes)
+	} else {
+		HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
+	}
+	return buf, false
+}
+
+// ReadAppend drains r into dst, reusing dst's capacity and growing it
+// only when the payload outgrows it. io.ReadAll allocates a fresh
+// buffer per call; this is the reusable-buffer variant request bodies
+// and the pooled gather path need — steady state is 0 allocs once the
+// buffer has grown to the payload size.
+func ReadAppend(r io.Reader, dst []byte) ([]byte, error) {
 	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
 		}
-		n, err := limited.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
 		if err == io.EOF {
-			return buf, true
+			return dst, nil
 		}
 		if err != nil {
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				HTTPError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", MaxBodyBytes)
-			} else {
-				HTTPError(w, http.StatusBadRequest, "reading body: %v", err)
-			}
-			return buf, false
+			return dst, err
 		}
 	}
+}
+
+// BodyPool reads request bodies into buffers it recycles; sketchd and
+// the coordinator each hold one. The zero value is ready to use.
+type BodyPool struct{ pool sync.Pool } // of *[]byte
+
+// Read drains the request body into a pooled buffer, answering the
+// request itself when that fails (see ReadBody). release recycles the
+// buffer; body must not be retained past it.
+func (p *BodyPool) Read(w http.ResponseWriter, r *http.Request) (body []byte, release func(), ok bool) {
+	bp, _ := p.pool.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+		*bp = make([]byte, 0, 64<<10)
+	}
+	*bp, ok = ReadBody(w, r, (*bp)[:0])
+	if !ok {
+		p.pool.Put(bp)
+		return nil, nil, false
+	}
+	return *bp, func() { p.pool.Put(bp) }, true
 }
 
 // WireSlim parses a wire=full|slim value, the envelope form a snapshot

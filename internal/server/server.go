@@ -50,7 +50,7 @@ type Server struct {
 	ops       core.OpCounters
 	wire      map[string]*wireCounters // per-family snapshot wire bytes
 	start     time.Time
-	bufPool   sync.Pool // *[]byte request-body buffers
+	bodies    BodyPool
 	itemsPool sync.Pool // *[][]byte split-batch item headers
 	envPool   sync.Pool // *[]byte /snapshot response envelopes
 	mux       *http.ServeMux
@@ -75,10 +75,6 @@ func New() *Server {
 		wire:    newWireCounters(),
 		start:   time.Now(),
 	}
-	s.bufPool.New = func() any {
-		b := make([]byte, 0, 64<<10)
-		return &b
-	}
 	s.itemsPool.New = func() any {
 		items := make([][]byte, 0, 1024)
 		return &items
@@ -101,19 +97,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Ops exposes the operation counters (read-only use).
 func (s *Server) Ops() *core.OpCounters { return &s.ops }
 
-// readBody drains the request body into a pooled buffer. The returned
-// release func recycles the buffer; the body slice must not be
-// retained past it.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, release func(), ok bool) {
-	bp := s.bufPool.Get().(*[]byte)
-	*bp, ok = ReadBody(w, r, (*bp)[:0])
-	if !ok {
-		s.bufPool.Put(bp)
-		return nil, nil, false
-	}
-	return *bp, func() { s.bufPool.Put(bp) }, true
-}
-
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	tenant := TenantOf(r)
 	if !validTenantName(tenant) {
@@ -121,7 +104,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	body, release, ok := s.readBody(w, r)
+	body, release, ok := s.bodies.Read(w, r)
 	if !ok {
 		return
 	}
@@ -177,7 +160,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusTooManyRequests, "tenant %q over resident-byte quota", ts.name)
 		return
 	}
-	body, release, ok := s.readBody(w, r)
+	body, release, ok := s.bodies.Read(w, r)
 	if !ok {
 		return
 	}
@@ -231,7 +214,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, release, ok := s.readBody(w, r)
+	body, release, ok := s.bodies.Read(w, r)
 	if !ok {
 		return
 	}
