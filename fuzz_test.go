@@ -10,9 +10,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"net/http"
 	"net/url"
@@ -28,6 +30,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/frequency"
+	"repro/internal/hashx"
 	typereg "repro/internal/registry"
 	"repro/internal/robust"
 	"repro/internal/server"
@@ -1042,4 +1045,134 @@ func FuzzMergeWire(f *testing.F) {
 			t.Fatalf("%s: MergeWire's envelope is not Marshal(Merge(Decode dst, Decode src))", tg.d.Name)
 		}
 	})
+}
+
+// FuzzMurmur3MatchesReference holds hashx.Murmur3_128, whose tail is
+// read in partial words, to the byte-at-a-time function it replaced,
+// kept below as it stood at commit 347a35f: every register file and bit
+// array on disk was addressed by that function's answers. The seeds are
+// the empty key, each tail length alone, and 16 and 17 (a block, and a
+// block with a tail behind it).
+func FuzzMurmur3MatchesReference(f *testing.F) {
+	key := []byte("flow4194303-flow0")
+	for n := 0; n <= len(key); n++ {
+		f.Add(key[:n], uint64(n)*0x9e3779b97f4a7c15)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		w1, w2 := referenceMurmur3_128(data, seed)
+		if h1, h2 := hashx.Murmur3_128(data, seed); h1 != w1 || h2 != w2 {
+			t.Fatalf("Murmur3_128(%x, %#x) = (%#x, %#x), reference (%#x, %#x)", data, seed, h1, h2, w1, w2)
+		}
+		if h1, h2 := hashx.Murmur3_128String(string(data), seed); h1 != w1 || h2 != w2 {
+			t.Fatalf("Murmur3_128String(%x, %#x) = (%#x, %#x), reference (%#x, %#x)", data, seed, h1, h2, w1, w2)
+		}
+	})
+}
+
+const (
+	refMurmurC1 uint64 = 0x87c37b91114253d5
+	refMurmurC2 uint64 = 0x4cf5ad432745937f
+)
+
+func referenceMurmur3_128(data []byte, seed uint64) (uint64, uint64) {
+	h1 := seed
+	h2 := seed
+	n := len(data)
+
+	for len(data) >= 16 {
+		k1 := binary.LittleEndian.Uint64(data[0:8])
+		k2 := binary.LittleEndian.Uint64(data[8:16])
+		data = data[16:]
+
+		k1 *= refMurmurC1
+		k1 = bits.RotateLeft64(k1, 31)
+		k1 *= refMurmurC2
+		h1 ^= k1
+		h1 = bits.RotateLeft64(h1, 27)
+		h1 += h2
+		h1 = h1*5 + 0x52dce729
+
+		k2 *= refMurmurC2
+		k2 = bits.RotateLeft64(k2, 33)
+		k2 *= refMurmurC1
+		h2 ^= k2
+		h2 = bits.RotateLeft64(h2, 31)
+		h2 += h1
+		h2 = h2*5 + 0x38495ab5
+	}
+
+	var k1, k2 uint64
+	switch len(data) & 15 {
+	case 15:
+		k2 ^= uint64(data[14]) << 48
+		fallthrough
+	case 14:
+		k2 ^= uint64(data[13]) << 40
+		fallthrough
+	case 13:
+		k2 ^= uint64(data[12]) << 32
+		fallthrough
+	case 12:
+		k2 ^= uint64(data[11]) << 24
+		fallthrough
+	case 11:
+		k2 ^= uint64(data[10]) << 16
+		fallthrough
+	case 10:
+		k2 ^= uint64(data[9]) << 8
+		fallthrough
+	case 9:
+		k2 ^= uint64(data[8])
+		k2 *= refMurmurC2
+		k2 = bits.RotateLeft64(k2, 33)
+		k2 *= refMurmurC1
+		h2 ^= k2
+		fallthrough
+	case 8:
+		k1 ^= uint64(data[7]) << 56
+		fallthrough
+	case 7:
+		k1 ^= uint64(data[6]) << 48
+		fallthrough
+	case 6:
+		k1 ^= uint64(data[5]) << 40
+		fallthrough
+	case 5:
+		k1 ^= uint64(data[4]) << 32
+		fallthrough
+	case 4:
+		k1 ^= uint64(data[3]) << 24
+		fallthrough
+	case 3:
+		k1 ^= uint64(data[2]) << 16
+		fallthrough
+	case 2:
+		k1 ^= uint64(data[1]) << 8
+		fallthrough
+	case 1:
+		k1 ^= uint64(data[0])
+		k1 *= refMurmurC1
+		k1 = bits.RotateLeft64(k1, 31)
+		k1 *= refMurmurC2
+		h1 ^= k1
+	}
+
+	h1 ^= uint64(n)
+	h2 ^= uint64(n)
+	h1 += h2
+	h2 += h1
+	h1 = refFmix64(h1)
+	h2 = refFmix64(h2)
+	h1 += h2
+	h2 += h1
+	return h1, h2
+}
+
+func refFmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
 }

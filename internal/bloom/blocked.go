@@ -115,6 +115,16 @@ const (
 // usable bits are consumed.
 func NextProbeWord(w uint64) uint64 { return hashx.Mix64(w) }
 
+// Touched is where a batch kernel hands the OR of the words its touch
+// pass loaded, so that the compiler keeps the loads; it does nothing.
+// The value is the caller's local and the call is not inlined. It must
+// never become a package variable: two writers of one atomic filter
+// would bounce that variable's cache line on every chunk, and two
+// unrelated plain filters on two goroutines would race on it.
+//
+//go:noinline
+func Touched(uint64) {}
+
 // Add inserts an item: one 128-bit hash pass, one cache-line block.
 func (f *BlockedFilter) Add(item []byte) {
 	h1, h2 := hashx.Murmur3_128(item, f.seed)
@@ -153,9 +163,9 @@ func (f *BlockedFilter) AddHash(h1, h2 uint64) {
 	f.n++
 }
 
-// AddBatch inserts many items with the two-phase pipelined loop
-// (hash-all-then-update-all over fixed chunks); the final state is
-// identical to calling Add on each item in order.
+// AddBatch inserts many items a fixed chunk at a time: hash the chunk,
+// then AddHashBatch it; the final state is identical to calling Add on
+// each item in order.
 func (f *BlockedFilter) AddBatch(items [][]byte) {
 	var h1s, h2s [ingestChunk]uint64
 	for len(items) > 0 {
@@ -171,12 +181,21 @@ func (f *BlockedFilter) AddBatch(items [][]byte) {
 	}
 }
 
-// AddHashBatch folds many pre-hashed items in, separating the
-// address-derivation stream from the memory stream: all block bases
-// for a chunk are computed first, then the bit-set loop runs over
-// them, so the independent cache-line writes overlap instead of
-// serializing behind each item's address math. State is identical to
-// calling AddHash per pair. Both slices must have equal length.
+// AddHashBatch folds many pre-hashed items in, in three passes over each
+// fixed chunk: locate (block bases, pure ALU), touch (load the first
+// word of every block), apply (the probe walk). Locating first takes the
+// address math off the memory stream, but does not by itself make the
+// chunk's cache misses overlap: the walk spends ~60 dependent
+// instructions on each line, so the out-of-order window holds three or
+// four items, and on a filter past the cache that is close to one full
+// miss per item. The touch pass overlaps them — 256 independent loads of
+// three instructions each, as many in flight as the core has fill
+// buffers — and the walk runs over lines already on their way. It pays
+// because apply is long per line. Count-Min's apply is one add per line:
+// that loop already is its own touch, and a touch pass in front of it
+// only costs (DESIGN.md §7.3, "Where a touch belongs"). State is
+// identical to calling AddHash per pair. Both slices must have equal
+// length.
 func (f *BlockedFilter) AddHashBatch(h1s, h2s []uint64) {
 	if len(h1s) != len(h2s) {
 		panic("bloom: AddHashBatch slice lengths differ")
@@ -188,12 +207,17 @@ func (f *BlockedFilter) AddHashBatch(h1s, h2s []uint64) {
 			end = len(h1s)
 		}
 		c1, c2 := h1s[start:end], h2s[start:end]
-		// Phase 1: pure ALU — block bases for the whole chunk.
+		// Locate: pure ALU — block bases for the whole chunk.
 		for i, h1 := range c1 {
 			bases[i] = f.blockBase(h1)
 		}
-		// Phase 2: memory — one cache line per item, no address math
-		// left on the critical path.
+		// Touch: one word per block, nothing depends on the value.
+		var touched uint64
+		for _, base := range bases[:len(c1)] {
+			touched |= f.bits[base]
+		}
+		Touched(touched)
+		// Apply: one cache line per item, already requested.
 		for i, h2 := range c2 {
 			base := bases[i]
 			block := f.bits[base : base+BlockWords : base+BlockWords]

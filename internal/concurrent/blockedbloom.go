@@ -95,10 +95,10 @@ func (f *AtomicBlockedBloom) AddHash(h1, h2 uint64) {
 	f.n.Add(1)
 }
 
-// AddBatch inserts many items with the two-phase pipelined loop: each
-// fixed-size chunk is fully hashed first (outside any synchronization
-// — the CAS words are the only shared state), then folded in via
-// AddHashBatch. State is identical to per-item Add.
+// AddBatch inserts many items a fixed chunk at a time: the chunk is
+// fully hashed first (outside any synchronization — the CAS words are
+// the only shared state), then folded in via AddHashBatch. State is
+// identical to per-item Add.
 func (f *AtomicBlockedBloom) AddBatch(items [][]byte) {
 	var h1s, h2s [atomicIngestChunk]uint64
 	for len(items) > 0 {
@@ -114,10 +114,14 @@ func (f *AtomicBlockedBloom) AddBatch(items [][]byte) {
 	}
 }
 
-// AddHashBatch folds many pre-hashed items in: block bases for the
-// whole chunk are derived first, then the CAS-OR stream runs over
-// them, mirroring bloom.BlockedFilter.AddHashBatch. Both slices must
-// have equal length.
+// AddHashBatch folds many pre-hashed items in, a fixed chunk at a time,
+// in the three passes of bloom.BlockedFilter.AddHashBatch (which says
+// why): locate the block bases, touch the first word of each block so
+// the chunk's cache misses overlap, then run the CAS-OR walk over lines
+// already on their way. The touch is a plain read of shared words: it
+// takes nothing exclusive, writes nothing two writers could contend on,
+// and decides nothing — orWord loads each word again before it swaps.
+// Both slices must have equal length.
 func (f *AtomicBlockedBloom) AddHashBatch(h1s, h2s []uint64) {
 	if len(h1s) != len(h2s) {
 		panic("concurrent: AddHashBatch slice lengths differ")
@@ -132,6 +136,11 @@ func (f *AtomicBlockedBloom) AddHashBatch(h1s, h2s []uint64) {
 		for i, h1 := range c1 {
 			bases[i] = hashx.FastRange(h1, f.blocks) * bloom.BlockWords
 		}
+		var touched uint64
+		for _, base := range bases[:len(c1)] {
+			touched |= f.bits[base].Load()
+		}
+		bloom.Touched(touched)
 		for i, h2 := range c2 {
 			base := bases[i]
 			k, w := f.k, h2

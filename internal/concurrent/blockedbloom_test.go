@@ -3,7 +3,9 @@ package concurrent
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bloom"
@@ -96,6 +98,99 @@ func TestAtomicBlockedBloomConcurrentAdds(t *testing.T) {
 	}
 	if af.N() != writers*perW {
 		t.Fatalf("N() = %d, want %d", af.N(), writers*perW)
+	}
+}
+
+func TestAtomicBlockedBloomReadersDuringBatch(t *testing.T) {
+	// AddHashBatch reads the first word of every block of a chunk before
+	// it CAS-es any of them, while another writer may be mid-walk on the
+	// same blocks. That read must decide nothing: a key whose batch has
+	// returned is found by every later probe and in every later snapshot,
+	// whatever the other writer's batch is doing, and the words end up
+	// the serial filter's. The block sizes straddle the 256-item chunk.
+	const (
+		writers = 2
+		rounds  = 40
+		k, seed = 7, 11
+	)
+	sizes := []int{1, 255, 256, 257, 1000}
+	perW := 0
+	for _, n := range sizes {
+		perW += n * rounds
+	}
+	m := uint64(2*writers*perW*k) * 10 / 7 // ends half full
+	hash := func(w, i int) (uint64, uint64) { return hashx.Murmur3_128(blockedKey(w*perW+i), seed) }
+
+	ref := bloom.NewBlocked(m, k, seed)
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perW; i++ {
+			ref.AddHash(hash(w, i))
+		}
+	}
+
+	af := NewAtomicBlockedBloom(m, k, seed)
+	var done [writers]atomic.Int64 // keys [0, done[w]) of writer w are in batches that returned
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			at := 0
+			for r := 0; r < rounds; r++ {
+				for _, n := range sizes {
+					h1s, h2s := make([]uint64, n), make([]uint64, n)
+					for i := range h1s {
+						h1s[i], h2s[i] = hash(w, at+i)
+					}
+					af.AddHashBatch(h1s, h2s)
+					at += n
+					done[w].Store(int64(at))
+					runtime.Gosched() // two writers fill two cores: let the reader in
+				}
+			}
+		}(w)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+
+	var env []byte
+	passes := 0
+	for last := false; !last; passes++ {
+		select {
+		case <-finished:
+			last = true // one more pass, over everything
+		default:
+		}
+		var upTo [writers]int
+		for w := range upTo {
+			upTo[w] = int(done[w].Load())
+		}
+		env, _ = af.AppendBinary(env[:0])
+		var snap bloom.BlockedFilter
+		if err := snap.UnmarshalBinary(env); err != nil {
+			t.Fatal(err)
+		}
+		for w, n := range upTo {
+			// A strided sample of everything returned so far, then each
+			// of the newest 64 — the keys whose CAS-es are freshest.
+			for i := 0; i < n; i++ {
+				if i < n-64 && i%(1+n/128) != 0 {
+					continue
+				}
+				h1, h2 := hash(w, i)
+				if !af.ContainsHash(h1, h2) {
+					t.Fatalf("writer %d key %d: false negative after its batch returned", w, i)
+				}
+				if !snap.ContainsHash(h1, h2) {
+					t.Fatalf("writer %d key %d: missing from a snapshot taken after its batch returned", w, i)
+				}
+			}
+		}
+	}
+	t.Logf("%d reader passes while the writers ran", passes-1)
+	want, _ := ref.MarshalBinary()
+	if !bytes.Equal(env, want) {
+		t.Fatal("envelope after concurrent batches differs from the serial filter's")
 	}
 }
 

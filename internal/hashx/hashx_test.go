@@ -77,8 +77,9 @@ func TestMurmur3KnownVectors(t *testing.T) {
 }
 
 func TestMurmur3AllTailLengths(t *testing.T) {
-	// Exercise every tail-switch branch (lengths 0..32) and confirm
-	// prefix changes propagate.
+	// Every prefix of one input, lengths 0..32, hashes to a distinct
+	// pair: each added byte reaches the output. This checks distinctness
+	// only; TestMurmur3EveryLengthGolden holds the values.
 	base := make([]byte, 33)
 	for i := range base {
 		base[i] = byte(i * 7)

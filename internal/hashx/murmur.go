@@ -45,56 +45,23 @@ func Murmur3_128(data []byte, seed uint64) (uint64, uint64) {
 		h2 = h2*5 + 0x38495ab5
 	}
 
-	var k1, k2 uint64
-	switch len(data) & 15 {
-	case 15:
-		k2 ^= uint64(data[14]) << 48
-		fallthrough
-	case 14:
-		k2 ^= uint64(data[13]) << 40
-		fallthrough
-	case 13:
-		k2 ^= uint64(data[12]) << 32
-		fallthrough
-	case 12:
-		k2 ^= uint64(data[11]) << 24
-		fallthrough
-	case 11:
-		k2 ^= uint64(data[10]) << 16
-		fallthrough
-	case 10:
-		k2 ^= uint64(data[9]) << 8
-		fallthrough
-	case 9:
-		k2 ^= uint64(data[8])
+	// The tail, 1 to 15 bytes: k1 is the first eight of them and k2 the
+	// rest, each read as one partial little-endian word. The reference
+	// code picks them up a byte at a time behind a 15-way switch on the
+	// length; on short keys of mixed lengths — the served case, where
+	// the tail is the whole key — that jump mispredicts and the byte
+	// loads chain. Same k1 and k2: TestMurmur3EveryLengthGolden and
+	// FuzzMurmur3MatchesReference hold the byte-at-a-time answers.
+	if len(data) > 8 {
+		k2 := loadTail(data[8:])
 		k2 *= murmurC2
 		k2 = bits.RotateLeft64(k2, 33)
 		k2 *= murmurC1
 		h2 ^= k2
-		fallthrough
-	case 8:
-		k1 ^= uint64(data[7]) << 56
-		fallthrough
-	case 7:
-		k1 ^= uint64(data[6]) << 48
-		fallthrough
-	case 6:
-		k1 ^= uint64(data[5]) << 40
-		fallthrough
-	case 5:
-		k1 ^= uint64(data[4]) << 32
-		fallthrough
-	case 4:
-		k1 ^= uint64(data[3]) << 24
-		fallthrough
-	case 3:
-		k1 ^= uint64(data[2]) << 16
-		fallthrough
-	case 2:
-		k1 ^= uint64(data[1]) << 8
-		fallthrough
-	case 1:
-		k1 ^= uint64(data[0])
+		data = data[:8]
+	}
+	if len(data) > 0 {
+		k1 := loadTail(data)
 		k1 *= murmurC1
 		k1 = bits.RotateLeft64(k1, 31)
 		k1 *= murmurC2
@@ -110,6 +77,21 @@ func Murmur3_128(data []byte, seed uint64) (uint64, uint64) {
 	h1 += h2
 	h2 += h1
 	return h1, h2
+}
+
+// loadTail reads b, 1 to 8 bytes, as a little-endian integer without a
+// loop: eight bytes are one load, four to seven are two 4-byte loads
+// that overlap in the middle, one to three are the first, middle and
+// last byte (which coincide as needed).
+func loadTail(b []byte) uint64 {
+	n := len(b)
+	if n >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	if n >= 4 {
+		return uint64(binary.LittleEndian.Uint32(b)) | uint64(binary.LittleEndian.Uint32(b[n-4:]))<<((n-4)*8)
+	}
+	return uint64(b[0]) | uint64(b[n>>1])<<((n>>1)*8) | uint64(b[n-1])<<((n-1)*8)
 }
 
 func fmix64(k uint64) uint64 {
