@@ -269,8 +269,12 @@ func linearCounting(m, zeros int) float64 {
 }
 
 // StandardError returns the theoretical relative standard error 1.04/√m.
-func (h *HLL) StandardError() float64 {
-	return 1.04 / math.Sqrt(float64(uint64(1)<<h.p))
+func (h *HLL) StandardError() float64 { return HLLStandardError(h.p) }
+
+// HLLStandardError is StandardError as the function of the precision
+// it is, for a holder that knows its p and has no single HLL to ask.
+func HLLStandardError(p uint8) float64 {
+	return 1.04 / math.Sqrt(float64(uint64(1)<<p))
 }
 
 // P returns the precision parameter.

@@ -49,7 +49,7 @@ func bufferedOver[G, B any](global func(Params) (any, error), buffer func(G, int
 		if err != nil {
 			return nil, err
 		}
-		g, err := cast[G](inst)
+		g, _, err := cast[G](inst)
 		if err != nil {
 			return nil, err
 		}

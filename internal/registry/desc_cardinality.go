@@ -15,6 +15,19 @@ func init() {
 		return cardinality.NewHLL(p.Uint8("p"), p.Seed), nil
 	}
 
+	// The plain, sharded and buffered instances answer the same keys from
+	// the read methods they share.
+	hllQuery := query1(func(h interface {
+		Estimate() float64
+		P() uint8
+	}, _ url.Values) (map[string]any, error) {
+		return map[string]any{
+			"estimate": h.Estimate(),
+			"p":        h.P(),
+			"std_err":  cardinality.HLLStandardError(h.P()),
+		}, nil
+	})
+
 	register(Descriptor{
 		Tag:    core.TagHLL,
 		Name:   "hll",
@@ -39,25 +52,14 @@ func init() {
 		MergeWire:          wireMerge("hll", cardinality.HLLWire, cardinality.MergeRegisterWords),
 		Bind: Bindings{
 			Ingest: batchItemsIngest((*cardinality.HLL).AddBatch),
-			Query: query1(func(h *cardinality.HLL, _ url.Values) (map[string]any, error) {
-				return map[string]any{
-					"estimate": h.Estimate(),
-					"p":        h.P(),
-					"std_err":  h.StandardError(),
-				}, nil
-			}),
-			Merge: merge2((*cardinality.HLL).Merge),
+			Query:  hllQuery,
+			Merge:  merge2((*cardinality.HLL).Merge),
 		},
 		Serve: &Bindings{
 			Ingest: servingIngest[*concurrent.BufferedHLL, *concurrent.BufferedHLLWriter](
 				batchItemsIngest(func(s *concurrent.ShardedHLL, items [][]byte) { s.Handle().AddBatch(items) }),
 				batchItemsIngest((*concurrent.BufferedHLLWriter).AddBatch)),
-			Query: withStaleness(query1(func(h interface {
-				Estimate() float64
-				P() uint8
-			}, _ url.Values) (map[string]any, error) {
-				return map[string]any{"estimate": h.Estimate(), "p": h.P()}, nil
-			})),
+			Query: withStaleness(hllQuery),
 			Merge: merge2(merger[*cardinality.HLL].Merge),
 		},
 	})

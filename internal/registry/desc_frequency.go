@@ -109,7 +109,7 @@ func init() {
 		// A point query reads depth cells, addressed identically by the
 		// plain, atomic and buffered instances.
 		Project: func(inst any, query url.Values) (*Projection, error) {
-			c, err := cast[interface {
+			c, _, err := cast[interface {
 				AppendCells(dst []uint64, item []byte) []uint64
 				N() uint64
 				Layout() frequency.Layout
@@ -164,7 +164,7 @@ func init() {
 		// Cells travel sign-corrected (two's complement in the carrier's
 		// uint64s), so Finish needs no hash state: it is their median.
 		Project: func(inst any, query url.Values) (*Projection, error) {
-			c, err := cast[*frequency.CountSketch](inst)
+			c, _, err := cast[*frequency.CountSketch](inst)
 			item := query.Get("item")
 			if err != nil || item == "" {
 				return nil, err

@@ -27,48 +27,22 @@ func init() {
 			return robust.NewDefendedDistinct(p.Float("eps"), p.Int("lambda"), p.Uint8("p"),
 				p.Seed, p.Float("rho"), p.Float("q")), nil
 		},
-		NewServing: func(p Params) (any, error) {
-			return robust.NewServingDistinct(p.Float("eps"), p.Int("lambda"), p.Uint8("p"),
-				p.Seed, p.Float("rho"), p.Float("q")), nil
-		},
 		Decode: decode1[robust.Distinct](),
 		Bind: Bindings{
 			Ingest: itemsIngest((*robust.Distinct).Add),
+			// The estimate plus the defense's burn-down gauges, so operators
+			// can watch an adversarial workload consume copies. Estimate is
+			// read first: it may burn a copy, which the gauges then show.
 			Query: query1(func(d *robust.Distinct, _ url.Values) (map[string]any, error) {
-				return robustDistinctDoc(d.Estimate(), d.Eps(), d.Copies(), d.CopiesUsed(), d.Exhausted()), nil
+				return map[string]any{
+					"estimate":    d.Estimate(),
+					"eps":         d.Eps(),
+					"copies":      d.Copies(),
+					"copies_used": d.CopiesUsed(),
+					"exhausted":   d.Exhausted(),
+				}, nil
 			}),
 			Merge: merge2((*robust.Distinct).Merge),
 		},
-		Serve: &Bindings{
-			Ingest: func(inst any, items [][]byte) error {
-				s, err := cast[*robust.ServingDistinct](inst)
-				if err != nil {
-					return err
-				}
-				s.AddBatch(items)
-				return nil
-			},
-			Query: func(inst any, _ url.Values) (map[string]any, error) {
-				s, err := cast[*robust.ServingDistinct](inst)
-				if err != nil {
-					return nil, err
-				}
-				return robustDistinctDoc(s.Estimate(), s.Eps(), s.Copies(), s.CopiesUsed(), s.Exhausted()), nil
-			},
-			Merge: merge2((*robust.ServingDistinct).Merge),
-		},
 	})
-}
-
-// robustDistinctDoc is the query response shared by the plain and
-// serving bindings: the estimate plus the defense's burn-down gauges,
-// so operators can watch an adversarial workload consume copies.
-func robustDistinctDoc(estimate, eps float64, copies, used int, exhausted bool) map[string]any {
-	return map[string]any{
-		"estimate":    estimate,
-		"eps":         eps,
-		"copies":      copies,
-		"copies_used": used,
-		"exhausted":   exhausted,
-	}
 }

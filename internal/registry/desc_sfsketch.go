@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"net/url"
 
-	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/frequency"
 )
 
-// sfShape validates the shared slim/fat shape convention of the
-// sfsketch constructors (plain and serving must agree so WAL replay
-// restores identical addressing). The fat stage is ratio× the slim
-// width at the same depth — the paper's regime, where the fat stage
-// sets the accuracy and the slim stage sets the wire bytes.
+// sfShape validates the slim/fat shape convention of the sfsketch
+// constructor. The fat stage is ratio× the slim width at the same depth
+// — the paper's regime, where the fat stage sets the accuracy and the
+// slim stage sets the wire bytes.
 func sfShape(p Params) (slimWidth, slimDepth, fatWidth, fatDepth int, err error) {
 	slimWidth, slimDepth = p.Int("width"), p.Int("depth")
 	ratio := p.Int("ratio")
@@ -22,36 +20,6 @@ func sfShape(p Params) (slimWidth, slimDepth, fatWidth, fatDepth int, err error)
 		return 0, 0, 0, 0, fmt.Errorf("%w: sfsketch shape %dx%d ratio %d", ErrParams, slimWidth, slimDepth, ratio)
 	}
 	return slimWidth, slimDepth, fatWidth, fatDepth, nil
-}
-
-// sfQuery builds the query binding of the plain and the serving
-// instance alike: a point query from the read methods they share, the
-// shape summary from the plain sketch that shape returns (the instance
-// itself, or a serving instance's snapshot).
-func sfQuery[T interface {
-	Estimate(item []byte) uint64
-	FatEstimate(item []byte) uint64
-	N() uint64
-}](shape func(T) *frequency.SFSketch) func(any, url.Values) (map[string]any, error) {
-	return query1(func(s T, params url.Values) (map[string]any, error) {
-		if item := params.Get("item"); item != "" {
-			return map[string]any{
-				"estimate":     s.Estimate([]byte(item)),
-				"fat_estimate": s.FatEstimate([]byte(item)),
-				"n":            s.N(),
-			}, nil
-		}
-		plain := shape(s)
-		return map[string]any{
-			"n":          plain.N(),
-			"width":      plain.Width(),
-			"depth":      plain.Depth(),
-			"fat_width":  plain.FatWidth(),
-			"fat_depth":  plain.FatDepth(),
-			"slim_bytes": plain.SlimSizeBytes(),
-			"slim_only":  plain.SlimOnly(),
-		}, nil
-	})
 }
 
 func init() {
@@ -73,24 +41,29 @@ func init() {
 			}
 			return frequency.NewSFSketch(sw, sd, fw, fd, p.Seed), nil
 		},
-		NewServing: func(p Params) (any, error) {
-			sw, sd, fw, fd, err := sfShape(p)
-			if err != nil {
-				return nil, err
-			}
-			return concurrent.NewServingSF(sw, sd, fw, fd, p.Seed), nil
-		},
 		Decode:    decode1[frequency.SFSketch](),
 		MergeWire: wireMerge("sfsketch", frequency.SFWire, core.AddWords),
 		Bind: Bindings{
 			Ingest: hashedIngest((*frequency.SFSketch).AddWeightedHashBatch),
-			Query:  sfQuery(func(s *frequency.SFSketch) *frequency.SFSketch { return s }),
-			Merge:  merge2((*frequency.SFSketch).Merge),
-		},
-		Serve: &Bindings{
-			Ingest: hashedIngest((*concurrent.ServingSF).AddWeightedHashBatch),
-			Query:  sfQuery((*concurrent.ServingSF).Snapshot),
-			Merge:  merge2((*concurrent.ServingSF).Merge),
+			Query: query1(func(s *frequency.SFSketch, params url.Values) (map[string]any, error) {
+				if item := params.Get("item"); item != "" {
+					return map[string]any{
+						"estimate":     s.Estimate([]byte(item)),
+						"fat_estimate": s.FatEstimate([]byte(item)),
+						"n":            s.N(),
+					}, nil
+				}
+				return map[string]any{
+					"n":          s.N(),
+					"width":      s.Width(),
+					"depth":      s.Depth(),
+					"fat_width":  s.FatWidth(),
+					"fat_depth":  s.FatDepth(),
+					"slim_bytes": s.SlimSizeBytes(),
+					"slim_only":  s.SlimOnly(),
+				}, nil
+			}),
+			Merge: merge2((*frequency.SFSketch).Merge),
 		},
 	})
 }

@@ -105,16 +105,19 @@ type block[A, B any] struct {
 // parsedIngest is the one validate-then-apply helper. parse turns a
 // line into its two values or refuses it (wrapping ErrInput); apply
 // runs only once the last line has parsed, over the whole block.
-// Neither may retain the lines. The blocks are recycled per binding —
-// 16 KB for a 1024-line request of (hash, weight), none allocated in
-// steady state.
+// Neither may retain the lines. An instance behind the locked holder is
+// locked around apply alone, so parse runs beside another request's
+// apply and may read of the instance only what is fixed at construction
+// (Seed(), q-digest's logU, a graph's vertex count). The blocks are
+// recycled per binding — 16 KB for a 1024-line request of (hash,
+// weight), none allocated in steady state.
 func parsedIngest[T, A, B any](
 	parse func(c T, line []byte) (A, B, error),
 	apply func(c T, a []A, b []B),
 ) func(any, [][]byte) error {
 	pool := sync.Pool{New: func() any { return new(block[A, B]) }}
 	return func(inst any, lines [][]byte) error {
-		c, err := cast[T](inst)
+		c, l, err := cast[T](inst)
 		if err != nil {
 			return err
 		}
@@ -129,6 +132,8 @@ func parsedIngest[T, A, B any](
 			a, b = append(a, x), append(b, y)
 		}
 		if err == nil {
+			l.lock()
+			defer l.unlock() // deferred so that a panicking update does not wedge the sketch
 			apply(c, a, b)
 		}
 		clear(a) // a format that keeps items as bytes has slices of the request body here
@@ -176,10 +181,12 @@ func uintField(field []byte, what string) (uint64, error) {
 // The batch function must not retain the item slices.
 func batchItemsIngest[T any](addBatch func(T, [][]byte)) func(any, [][]byte) error {
 	return func(inst any, items [][]byte) error {
-		c, err := cast[T](inst)
+		c, l, err := cast[T](inst)
 		if err != nil {
 			return err
 		}
+		l.lock()
+		defer l.unlock()
 		addBatch(c, items)
 		return nil
 	}

@@ -165,29 +165,14 @@ func ingestVariants(t *testing.T, d *Descriptor) []ingestVariant {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := d.Serve
-	if serve == nil {
-		serve = &d.Bind
-	}
 	var out []ingestVariant
-	for _, v := range []struct {
-		name   string
-		build  func(Params) (any, error)
-		ingest func(any, [][]byte) error
-	}{
-		{"plain", d.New, d.Bind.Ingest},
-		{"serving", d.NewServing, serve.Ingest},
-		{"buffered", d.NewServingBuffered, serve.Ingest},
-	} {
-		if v.build == nil {
-			continue
-		}
+	for _, v := range variantsOf(d) {
 		inst, err := v.build(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { closeIfOwned(inst) })
-		out = append(out, ingestVariant{v.name, inst, v.ingest})
+		out = append(out, ingestVariant{v.name, inst, v.bind.Ingest})
 	}
 	return out
 }

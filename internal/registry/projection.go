@@ -66,6 +66,9 @@ func (d *Descriptor) Projection(inst any, query url.Values) (*Projection, error)
 	if d.Project == nil {
 		return nil, nil
 	}
+	inst, l := held(inst)
+	l.lock()
+	defer l.unlock()
 	p, err := d.Project(inst, query)
 	if p == nil || err != nil {
 		return nil, err

@@ -46,33 +46,15 @@ func projVariants(d *Descriptor) []projVariant {
 	if d.HasParam("fused") {
 		raws["fused"] = map[string]float64{"width": 96, "depth": 5, "fused": 1}
 	}
-	serve := d.Serve
-	if serve == nil {
-		serve = &d.Bind
-	}
 	for layout, raw := range raws {
-		raw := raw
-		ctors := []struct {
-			name   string
-			fn     func(Params) (any, error)
-			ingest func(any, [][]byte) error
-		}{
-			{"plain", d.New, d.Bind.Ingest},
-			{"serving", d.NewServing, serve.Ingest},
-			{"buffered", d.NewServingBuffered, serve.Ingest},
-		}
-		for _, c := range ctors {
-			c := c
-			if c.fn == nil {
-				continue
-			}
+		for _, c := range variantsOf(d) {
 			out = append(out, projVariant{layout + "/" + c.name, func(seed uint64) (any, error) {
 				p, err := d.Validate(seed, raw)
 				if err != nil {
 					return nil, err
 				}
-				return c.fn(p)
-			}, c.ingest})
+				return c.build(p)
+			}, c.bind.Ingest})
 		}
 	}
 	if kw := kwiseBuilders[d.Name]; kw != nil {
@@ -83,8 +65,13 @@ func projVariants(d *Descriptor) []projVariant {
 
 // randomLines renders a random weighted stream in the descriptor's
 // line format over a small key universe (so shards share keys), with
-// the occasional weight near 2^64 so counters and n wrap.
+// the occasional weight near 2^64 so counters and n wrap. The kinds
+// whose first field is not an item are blockLines'.
 func randomLines(rng *rand.Rand, kind InputKind, n int) [][]byte {
+	switch kind {
+	case InputFloats, InputUintValues, InputTurnstile, InputWeightedFloatItems:
+		return blockLines(rng, kind, n)
+	}
 	out := make([][]byte, n)
 	for i := range out {
 		key := fmt.Sprintf("k%d", rng.Intn(40))
@@ -97,6 +84,9 @@ func randomLines(rng *rand.Rand, kind InputKind, n int) [][]byte {
 			out[i] = []byte(fmt.Sprintf("%s\t%d", key, w))
 		case InputSignedItems:
 			out[i] = []byte(fmt.Sprintf("%s\t%d", key, rng.Int63n(1<<40)-1<<39))
+		case InputEdges: // among compactShape's 64 vertices
+			u := rng.Intn(64)
+			out[i] = []byte(fmt.Sprintf("%d\t%d", u, (u+1+rng.Intn(63))%64))
 		default:
 			out[i] = []byte(key)
 		}

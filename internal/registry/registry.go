@@ -18,6 +18,7 @@ import (
 	"math"
 	"net/url"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 )
@@ -34,6 +35,10 @@ var ErrParams = errors.New("registry: bad sketch parameters")
 // under the descriptor's input kind. Ingest validates the whole batch
 // before applying any of it, so an ErrInput means no partial state.
 var ErrInput = errors.New("registry: bad input line")
+
+// ErrNoWire is returned by AppendMarshal for an instance with no
+// MarshalBinary.
+var ErrNoWire = errors.New("registry: instance does not serialize")
 
 // InputKind names the line format a descriptor's Ingest binding
 // accepts, one line per item in a newline-delimited batch. It is
@@ -135,7 +140,8 @@ func (p Params) Uint8(name string) uint8 { return uint8(p.vals[name]) }
 // operation is gated off (no merge endpoint for non-mergeable types,
 // no create for types without ingest+query). Closures receive the
 // instance as `any` and cast internally; the generic builders below
-// keep that cast in exactly one place per capability.
+// keep that cast — and, for an instance behind the locked holder, the
+// lock — in exactly one place per capability.
 type Bindings struct {
 	// Ingest folds a batch of newline-delimited lines in. It must
 	// validate the whole batch before the first update (no partial
@@ -169,8 +175,8 @@ type Descriptor struct {
 	// NewServing, when set, constructs the internally synchronized
 	// variant used for live server entries (e.g. the sharded HLL, the
 	// atomic Count-Min); its instances are driven through Serve. Types
-	// without a concurrent wrapper leave it nil and are serialized
-	// behind a per-entry mutex by the caller.
+	// without a holder of their own leave it nil, and Serving puts their
+	// plain instance behind the locked holder.
 	NewServing func(p Params) (any, error)
 	// NewServingBuffered, when set, constructs the local-buffer/
 	// global-propagation serving variant (writer-handle ingest, a
@@ -229,6 +235,67 @@ func (d *Descriptor) ServingNew() func(p Params) (any, error) {
 		return d.NewServingBuffered
 	}
 	return d.NewServing
+}
+
+// locked is the mutex column of the serving matrix, written once: a
+// plain instance and the lock every operation on it takes. A lock
+// around a sequential sketch is the baseline of Rinberg et al., "Fast
+// Concurrent Data Sketches" — generic by nature — so it is a holder
+// here and not a wrapper type per family. Every operation is exclusive,
+// reads included, because a read may write: robust.Distinct.Estimate
+// burns a copy, a digest compresses before it answers or marshals. The
+// binding builders (parsedIngest, batchItemsIngest, query1, merge2) and
+// Projection, AppendMarshal and SizeOf take the lock around the typed
+// call; an ingest binding parses the batch before it asks for it.
+type locked struct {
+	mu   sync.Mutex
+	inst any
+}
+
+// Locked puts a plain instance (from New or Decode) behind the holder;
+// the result is safe for concurrent use through Bind. It is how a
+// recovered envelope is served as the bytes it decoded from.
+func Locked(plain any) any { return &locked{inst: plain} }
+
+// held unwraps an instance: the plain instance and its holder, or the
+// instance itself and nil when it is bare or synchronises itself.
+func held(inst any) (any, *locked) {
+	if l, ok := inst.(*locked); ok {
+		return l.inst, l
+	}
+	return inst, nil
+}
+
+// lock and unlock are no-ops on the nil holder of a bare instance.
+func (l *locked) lock() {
+	if l != nil {
+		l.mu.Lock()
+	}
+}
+
+func (l *locked) unlock() {
+	if l != nil {
+		l.mu.Unlock()
+	}
+}
+
+// Serving constructs a self-synchronised instance of any servable
+// family and names the bindings that drive it: the family's own holder
+// (ServingNew) under Serve where it has one, otherwise New's plain
+// instance behind the locked holder under Bind.
+func (d *Descriptor) Serving(p Params) (inst any, bind *Bindings, err error) {
+	bind = &d.Bind
+	if own := d.ServingNew(); own != nil {
+		if d.Serve != nil {
+			bind = d.Serve
+		}
+		inst, err = own(p)
+		return inst, bind, err
+	}
+	if inst, err = d.New(p); err != nil {
+		return nil, nil, err
+	}
+	return Locked(inst), bind, nil
 }
 
 // Servable reports whether sketchd can host the type: it needs both a
@@ -414,8 +481,12 @@ func MarshalWire(inst any, slim bool) ([]byte, bool, error) {
 // MarshalBinary envelope otherwise. The second result reports whether
 // the slim form was actually used, so callers can count slim vs full
 // wire bytes per family. A BinaryAppender writes straight into dst; any
-// other family's MarshalBinary result is copied in.
+// other family's MarshalBinary result is copied in. An instance with
+// neither is ErrNoWire.
 func AppendMarshal(dst []byte, inst any, slim bool) ([]byte, bool, error) {
+	inst, l := held(inst)
+	l.lock()
+	defer l.unlock()
 	if slim {
 		if sm, ok := inst.(SlimMarshaler); ok {
 			out, err := sm.AppendSlim(dst)
@@ -428,7 +499,7 @@ func AppendMarshal(dst []byte, inst any, slim bool) ([]byte, bool, error) {
 	}
 	m, ok := inst.(encoding.BinaryMarshaler)
 	if !ok {
-		return dst, false, fmt.Errorf("registry: %T does not serialize", inst)
+		return dst, false, fmt.Errorf("%w: %T", ErrNoWire, inst)
 	}
 	data, err := m.MarshalBinary()
 	if err != nil {
@@ -443,6 +514,9 @@ func AppendMarshal(dst []byte, inst any, slim bool) ([]byte, bool, error) {
 // SizeOf reports an instance's in-memory footprint: its own SizeBytes
 // accounting when present, otherwise the serialized length as a floor.
 func SizeOf(inst any) int {
+	inst, l := held(inst)
+	l.lock()
+	defer l.unlock()
 	if s, ok := inst.(interface{ SizeBytes() int }); ok {
 		return s.SizeBytes()
 	}
@@ -452,16 +526,19 @@ func SizeOf(inst any) int {
 	return 0
 }
 
-// cast narrows a stored instance to its concrete type; failure means a
+// cast narrows a stored instance to its concrete type, reaching through
+// the locked holder, which it returns for the caller to lock around the
+// typed call (nil, a no-op, for any other instance); failure means a
 // descriptor wired closures over the wrong type, which is reported
 // rather than panicking so a server keeps serving.
-func cast[T any](inst any) (T, error) {
+func cast[T any](inst any) (T, *locked, error) {
+	inst, l := held(inst)
 	c, ok := inst.(T)
 	if !ok {
 		var zero T
-		return zero, fmt.Errorf("registry: instance is %T, want %T", inst, zero)
+		return zero, nil, fmt.Errorf("registry: instance is %T, want %T", inst, zero)
 	}
-	return c, nil
+	return c, l, nil
 }
 
 // decode1 builds a Decode closure from a type's zero-value
@@ -480,17 +557,20 @@ func decode1[T any, PT interface {
 }
 
 // merge2 builds a Merge closure from a typed merge method expression,
-// e.g. merge2((*cardinality.HLL).Merge).
+// e.g. merge2((*cardinality.HLL).Merge). It locks the destination; the
+// source is a decoded peer nobody else holds.
 func merge2[D, S any](fn func(D, S) error) func(dst, src any) error {
 	return func(dst, src any) error {
-		d, err := cast[D](dst)
+		d, l, err := cast[D](dst)
 		if err != nil {
 			return err
 		}
-		s, err := cast[S](src)
+		s, _, err := cast[S](src)
 		if err != nil {
 			return err
 		}
+		l.lock()
+		defer l.unlock()
 		return fn(d, s)
 	}
 }
@@ -498,10 +578,12 @@ func merge2[D, S any](fn func(D, S) error) func(dst, src any) error {
 // query1 builds a Query closure from a typed query function.
 func query1[T any](fn func(T, url.Values) (map[string]any, error)) func(any, url.Values) (map[string]any, error) {
 	return func(inst any, params url.Values) (map[string]any, error) {
-		c, err := cast[T](inst)
+		c, l, err := cast[T](inst)
 		if err != nil {
 			return nil, err
 		}
+		l.lock()
+		defer l.unlock()
 		return fn(c, params)
 	}
 }

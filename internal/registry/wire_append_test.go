@@ -7,38 +7,82 @@ package registry
 import (
 	"bytes"
 	"encoding"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
 )
 
+// variant is one way a descriptor builds an instance, with the bindings
+// that drive it.
+type variant struct {
+	name  string
+	build func(Params) (any, error)
+	bind  *Bindings
+}
+
+// variantsOf lists a descriptor's variants, the plain one first:
+// "serving" and "buffered" are the family's own holders under Serve,
+// "locked" is the plain instance behind the registry's holder, as
+// Descriptor.Serving builds it for every servable family without a
+// holder of its own.
+func variantsOf(d *Descriptor) []variant {
+	serve := d.Serve
+	if serve == nil {
+		serve = &d.Bind
+	}
+	out := []variant{{"plain", d.New, &d.Bind}}
+	if d.NewServing != nil {
+		out = append(out, variant{"serving", d.NewServing, serve})
+	}
+	if d.NewServingBuffered != nil {
+		out = append(out, variant{"buffered", d.NewServingBuffered, serve})
+	}
+	if d.Servable() && d.NewServing == nil {
+		out = append(out, variant{"locked", func(p Params) (any, error) {
+			inst, bind, err := d.Serving(p)
+			if _, ok := inst.(*locked); err == nil && (!ok || bind != &d.Bind) {
+				err = fmt.Errorf("%s.Serving built %T, want the locked holder under Bind", d.Name, inst)
+			}
+			return inst, err
+		}, &d.Bind})
+	}
+	return out
+}
+
+// compactShape shrinks the one family whose default instance is tens of
+// megabytes (graphsketch: 1024 vertices x 12 rounds of L0 samplers, a
+// 67 MB envelope) for the tests that build several instances and marshal
+// them at every step.
+var compactShape = map[string]map[string]float64{"graphsketch": {"vertices": 64, "rounds": 4}}
+
 // wireVariants are the instances a descriptor can build, by the name
 // the subtests use.
 func wireVariants(d *Descriptor) map[string]func(Params) (any, error) {
-	v := map[string]func(Params) (any, error){"plain": d.New}
-	if d.NewServing != nil {
-		v["serving"] = d.NewServing
-	}
-	if d.NewServingBuffered != nil {
-		v["buffered"] = d.NewServingBuffered
+	v := map[string]func(Params) (any, error){}
+	for _, c := range variantsOf(d) {
+		v[c.name] = c.build
 	}
 	return v
 }
 
 // ingestFor is the binding that feeds the named variant.
-func ingestFor(d *Descriptor, variant string) func(any, [][]byte) error {
-	if variant != "plain" && d.Serve != nil {
-		return d.Serve.Ingest
+func ingestFor(d *Descriptor, name string) func(any, [][]byte) error {
+	for _, c := range variantsOf(d) {
+		if c.name == name {
+			return c.bind.Ingest
+		}
 	}
-	return d.Bind.Ingest
+	return nil
 }
 
 // TestAppendFormsMatchMarshal: for every family and every variant of
 // it, AppendMarshal(nil) and AppendMarshal(prefix) carry exactly the
 // MarshalBinary envelope — through the family's own AppendBinary where
 // it has one, through the copying fallback where it does not — and the
-// same holds for the slim form. The table families and their serving
-// holders must be appenders, not fall back.
+// same holds for the slim form, and for an instance behind the locked
+// holder, which AppendMarshal reaches through. The table families and
+// their serving holders must be appenders, not fall back.
 func TestAppendFormsMatchMarshal(t *testing.T) {
 	mustAppend := map[string]bool{"countmin": true, "countsketch": true, "sfsketch": true, "hll": true, "bloom": true, "blockedbloom": true}
 	prefix := []byte("a caller's bytes")
@@ -75,7 +119,8 @@ func TestAppendFormsMatchMarshal(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				want, err := inst.(encoding.BinaryMarshaler).MarshalBinary()
+				direct, _ := held(inst) // the instance whose own methods are the reference
+				want, err := direct.(encoding.BinaryMarshaler).MarshalBinary()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,13 +128,13 @@ func TestAppendFormsMatchMarshal(t *testing.T) {
 					out, _, err := AppendMarshal(dst, inst, false)
 					return out, err
 				})
-				a, ok := inst.(BinaryAppender)
+				a, ok := direct.(BinaryAppender)
 				if ok {
 					same(t, "AppendBinary", want, a.AppendBinary)
 				} else if mustAppend[d.Name] {
-					t.Errorf("%T has no AppendBinary: its snapshots are marshalled, then copied", inst)
+					t.Errorf("%T has no AppendBinary: its snapshots are marshalled, then copied", direct)
 				}
-				if sm, ok := inst.(SlimMarshaler); ok {
+				if sm, ok := direct.(SlimMarshaler); ok {
 					slim, err := sm.MarshalSlim()
 					if err != nil {
 						t.Fatal(err)
@@ -127,8 +172,8 @@ var reservedRef []byte
 // TestMarshalAllocatesTheEnvelopeOnce is the allocation audit of the
 // wire hop: a table family's MarshalBinary allocates its envelope and
 // next to nothing else (under 1.05 × its length: no regrowth, no second
-// table snapshotted on the way), and AppendBinary into a buffer with
-// room allocates nothing. The length is priced as what reserving that
+// table snapshotted on the way), and AppendMarshal into a buffer with
+// room allocates nothing — through the locked holder too. The length is priced as what reserving that
 // many bytes allocates in this build — the envelope rounded up to whole
 // pages, and twice that under the race detector, where the compiler
 // materialises the make inside slices.Grow — and shapes are a few
@@ -142,7 +187,7 @@ func TestMarshalAllocatesTheEnvelopeOnce(t *testing.T) {
 		{"countmin", map[string]float64{"width": 16384, "depth": 4}, []string{"plain", "serving"}},
 		{"countmin", map[string]float64{"width": 16384, "depth": 4, "fused": 1}, []string{"plain", "serving"}},
 		{"countsketch", map[string]float64{"width": 16384, "depth": 5}, []string{"plain"}},
-		{"sfsketch", map[string]float64{"width": 8192, "depth": 4}, []string{"plain", "serving"}},
+		{"sfsketch", map[string]float64{"width": 8192, "depth": 4}, []string{"plain", "locked"}},
 		{"hll", map[string]float64{"p": 18}, []string{"plain", "serving"}},
 		{"bloom", map[string]float64{"m": 1 << 22, "k": 7}, []string{"plain"}},
 		{"blockedbloom", map[string]float64{"m": 1 << 22, "k": 7}, []string{"plain", "serving"}},
@@ -163,9 +208,19 @@ func TestMarshalAllocatesTheEnvelopeOnce(t *testing.T) {
 			if err := ingestFor(d, variant)(inst, sampleLines(d.Input)); err != nil {
 				t.Fatal(err)
 			}
-			forms := map[string]func(dst []byte) ([]byte, error){"full": inst.(BinaryAppender).AppendBinary}
-			if sm, ok := inst.(SlimMarshaler); ok {
-				forms["slim"] = sm.AppendSlim
+			direct, _ := held(inst)
+			if _, ok := direct.(BinaryAppender); !ok {
+				t.Fatalf("%s/%s: %T has no AppendBinary", c.family, variant, direct)
+			}
+			appendForm := func(slim bool) func(dst []byte) ([]byte, error) {
+				return func(dst []byte) ([]byte, error) {
+					out, _, err := AppendMarshal(dst, inst, slim)
+					return out, err
+				}
+			}
+			forms := map[string]func(dst []byte) ([]byte, error){"full": appendForm(false)}
+			if _, ok := direct.(SlimMarshaler); ok {
+				forms["slim"] = appendForm(true)
 			}
 			for form, appendTo := range forms {
 				env, err := appendTo(nil)
@@ -185,7 +240,7 @@ func TestMarshalAllocatesTheEnvelopeOnce(t *testing.T) {
 				}
 				buf := make([]byte, 0, len(env))
 				if got := testing.AllocsPerRun(5, func() { appendTo(buf[:0]) }); got != 0 {
-					t.Errorf("%s: AppendBinary into a buffer with room made %v allocations", name, got)
+					t.Errorf("%s: AppendMarshal into a buffer with room made %v allocations", name, got)
 				}
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // into one OUTSIDE the sketch lock (registry.MergeEnvelopes: as bytes
 // where the family merges on the wire, else decoded and tree-merged
 // across GOMAXPROCS cores), and only then absorbs the single combined
-// envelope through the ordinary merge path — so the entry lock and the
+// envelope through the ordinary merge path — so the sketch's lock and the
 // write-ahead log see exactly one merge, and replaying the WAL
 // reproduces the same state as the N individual posts would have.
 //

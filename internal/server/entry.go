@@ -2,11 +2,9 @@ package server
 
 import (
 	"bytes"
-	"encoding"
 	"errors"
 	"fmt"
 	"net/url"
-	"sync"
 
 	"repro/internal/core"
 	typereg "repro/internal/registry"
@@ -94,18 +92,18 @@ func (req CreateRequest) rawParams(d *typereg.Descriptor) map[string]float64 {
 // descriptor plus a live instance driven entirely through the
 // descriptor's capability bindings — there is no per-type code from
 // here up through the HTTP handlers. Entries are safe for concurrent
-// use: types with a NewServing constructor (hll, countmin) run
-// internally synchronized instances lock-free; everything else
-// serializes behind the per-entry mutex with per-batch locking. Add
-// must not retain the item slices — they alias a pooled request
+// use because every instance they hold synchronises itself
+// (registry.Descriptor.Serving): a family's own lock-free holder where
+// it has one (hll, countmin, blockedbloom), otherwise the plain sketch
+// behind the registry's locked holder, whose bindings take the lock
+// around the update or the read and parse a batch before asking for it.
+// Add must not retain the item slices — they alias a pooled request
 // buffer.
 type Entry struct {
-	desc     *typereg.Descriptor
-	bind     *typereg.Bindings
-	inst     any
-	lockFree bool
-	req      CreateRequest // creation parameters, persisted by the durability layer
-	mu       sync.Mutex
+	desc *typereg.Descriptor
+	bind *typereg.Bindings
+	inst any
+	req  CreateRequest // creation parameters, persisted by the durability layer
 }
 
 // NewEntry builds a server entry from creation parameters, resolving
@@ -127,18 +125,11 @@ func NewEntry(req CreateRequest) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	newFn, bind, lockFree := d.New, &d.Bind, false
-	if serving := d.ServingNew(); serving != nil {
-		newFn, lockFree = serving, true
-		if d.Serve != nil {
-			bind = d.Serve
-		}
-	}
-	inst, err := newFn(p)
+	inst, bind, err := d.Serving(p)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	return &Entry{desc: d, bind: bind, inst: inst, lockFree: lockFree, req: req}, nil
+	return &Entry{desc: d, bind: bind, inst: inst, req: req}, nil
 }
 
 // RestoreEntry rebuilds a live entry from its creation parameters and
@@ -147,10 +138,13 @@ func NewEntry(req CreateRequest) (*Entry, error) {
 // or restoration fails (the durability layer then skips the sketch
 // rather than serving silently divergent state).
 //
-// Families with a concurrent serving variant (hll, countmin) are
-// restored by merging the decoded state into a fresh serving instance,
-// keeping post-recovery ingest as fast as pre-crash; everything else
-// serves the decoded instance directly behind the entry mutex.
+// Families with a lock-free holder of their own (hll, countmin,
+// blockedbloom) are restored by merging the decoded state into a fresh
+// holder, keeping post-recovery ingest as fast as pre-crash, and fall
+// back to the plain path if that drifts from the recovered bytes. The
+// plain path — the only one for every other family, sfsketch and
+// robustdistinct included — serves the decoded instance itself behind
+// the registry's locked holder: byte-identical by construction.
 func RestoreEntry(req CreateRequest, data []byte) (*Entry, error) {
 	d, ok := typereg.Lookup(req.Type)
 	if !ok {
@@ -168,11 +162,11 @@ func RestoreEntry(req CreateRequest, data []byte) (*Entry, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	if servingNew := d.ServingNew(); servingNew != nil && d.Serve != nil && d.Serve.Merge != nil {
+	if d.ServingNew() != nil {
 		if p, err := d.Validate(seed, req.rawParams(d)); err == nil {
-			if serving, err := servingNew(p); err == nil {
-				if d.Serve.Merge(serving, inst) == nil {
-					e := &Entry{desc: d, bind: d.Serve, inst: serving, lockFree: true, req: req}
+			if serving, bind, err := d.Serving(p); err == nil {
+				if bind.Merge != nil && bind.Merge(serving, inst) == nil {
+					e := &Entry{desc: d, bind: bind, inst: serving, req: req}
 					if b, err := e.Snapshot(); err == nil && bytes.Equal(b, data) {
 						return e, nil
 					}
@@ -184,7 +178,7 @@ func RestoreEntry(req CreateRequest, data []byte) (*Entry, error) {
 			}
 		}
 	}
-	e := &Entry{desc: d, bind: &d.Bind, inst: inst, req: req}
+	e := &Entry{desc: d, bind: &d.Bind, inst: typereg.Locked(inst), req: req}
 	b, err := e.Snapshot()
 	if err != nil {
 		return nil, err
@@ -220,22 +214,10 @@ func (e *Entry) CreateReq() CreateRequest { return e.req }
 func (e *Entry) Mergeable() bool { return e.bind.Merge != nil }
 
 // Add folds a batch of newline-delimited items in.
-func (e *Entry) Add(items [][]byte) error {
-	if e.lockFree {
-		return e.bind.Ingest(e.inst, items)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.bind.Ingest(e.inst, items)
-}
+func (e *Entry) Add(items [][]byte) error { return e.bind.Ingest(e.inst, items) }
 
 // Query answers the type's read operation from URL parameters.
 func (e *Entry) Query(params url.Values) (map[string]any, error) {
-	if e.lockFree {
-		return e.bind.Query(e.inst, params)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.bind.Query(e.inst, params)
 }
 
@@ -254,11 +236,6 @@ func (e *Entry) Merge(data []byte) error {
 	if sdesc.Tag != e.desc.Tag {
 		return fmt.Errorf("%w: cannot merge a %s payload into %s", core.ErrIncompatible, sdesc.Name, e.desc.Name)
 	}
-	if e.lockFree {
-		return e.bind.Merge(e.inst, src)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.bind.Merge(e.inst, src)
 }
 
@@ -275,14 +252,11 @@ func (e *Entry) Snapshot() ([]byte, error) {
 // (so ?wire=slim stays a no-op hint for families without a slim form).
 // The second result reports which form was served.
 func (e *Entry) SnapshotWire(dst []byte, slim bool) ([]byte, bool, error) {
-	if _, ok := e.inst.(encoding.BinaryMarshaler); !ok {
-		return dst, false, fmt.Errorf("%w: %s does not serialize", ErrUnsupported, e.desc.Name)
+	out, slimmed, err := typereg.AppendMarshal(dst, e.inst, slim)
+	if errors.Is(err, typereg.ErrNoWire) {
+		err = fmt.Errorf("%w: %s does not serialize", ErrUnsupported, e.desc.Name)
 	}
-	if !e.lockFree {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-	}
-	return typereg.AppendMarshal(dst, e.inst, slim)
+	return out, slimmed, err
 }
 
 // Project serializes the projection of the current state for query —
@@ -290,10 +264,6 @@ func (e *Entry) SnapshotWire(dst []byte, slim bool) ([]byte, bool, error) {
 // when the family does not project that query and the caller should
 // ship a full envelope instead.
 func (e *Entry) Project(query url.Values) ([]byte, error) {
-	if !e.lockFree {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-	}
 	p, err := e.desc.Projection(e.inst, query)
 	if p == nil || err != nil {
 		return nil, err
@@ -302,11 +272,4 @@ func (e *Entry) Project(query url.Values) ([]byte, error) {
 }
 
 // SizeBytes reports the in-memory sketch footprint.
-func (e *Entry) SizeBytes() int {
-	if e.lockFree {
-		return typereg.SizeOf(e.inst)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return typereg.SizeOf(e.inst)
-}
+func (e *Entry) SizeBytes() int { return typereg.SizeOf(e.inst) }

@@ -4,10 +4,12 @@
 // and estimate queries, mergeable-summary exchange (the peer posts a
 // MarshalBinary envelope, per the Mergeable Summaries model the paper
 // builds on), and serialization out. Hot sketch types ride the
-// wrappers in internal/concurrent — the sharded HLL and the lock-free
-// Count-Min — so ingest throughput scales with client concurrency;
-// everything else serializes behind a per-entry mutex with per-batch
-// locking.
+// holders in internal/concurrent — the sharded HLL, the lock-free
+// Count-Min and blocked Bloom — so ingest throughput scales with client
+// concurrency; every other family is its plain sketch behind the
+// registry's locked holder (registry.Descriptor.Serving), whose lock is
+// around the apply or the read: a batch is parsed, validated and hashed
+// outside it. Entry itself holds no lock.
 //
 // Every route is a row of Ops (ops.go), the one table this server's
 // mux, the coordinator's mux, the client's URLs and the documented API

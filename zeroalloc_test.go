@@ -200,7 +200,7 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 		lines [][]byte
 	}{
 		{"countmin", weighted},    // (hash, weight) block into the atomic weighted kernel
-		{"sfsketch", weighted},    // the same block, applied under one lock
+		{"sfsketch", weighted},    // the same block, applied under the holder's lock
 		{"countsketch", weighted}, // (item, signed weight) block, applied item by item
 		{"hll", plain},            // no block: a striped handle the sketch already holds
 	} {
@@ -212,17 +212,26 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for variant, build := range map[string]func(typereg.Params) (any, error){"plain": d.New, "serving": d.NewServing} {
-			bind := &d.Bind
-			if variant == "serving" && d.Serve != nil {
-				bind = d.Serve
-			}
-			if build == nil {
-				continue
-			}
-			inst, err := build(p)
-			if err != nil {
-				t.Fatal(err)
+		// plain under Bind, and what a live entry holds: the family's own
+		// holder under Serve, or the plain instance behind the registry's
+		// locked holder (whose lock, like the no-op on a bare instance,
+		// must cost no allocation).
+		plain, err := d.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, serve, err := d.Serving(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servedAs := "locked"
+		if d.NewServing != nil {
+			servedAs = "serving"
+		}
+		for variant, inst := range map[string]any{"plain": plain, servedAs: served} {
+			bind := serve
+			if variant == "plain" {
+				bind = &d.Bind
 			}
 			assertZeroAlloc(t, tc.typ+"/"+variant+" Ingest", func() {
 				if err := bind.Ingest(inst, tc.lines); err != nil {
