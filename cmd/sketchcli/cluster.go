@@ -105,7 +105,7 @@ func runClusterMerge(args []string) error {
 	if *name == "" {
 		return fmt.Errorf("-name is required")
 	}
-	if _, err := server.WireSlim(*wire, false); err != nil {
+	if _, err := server.WireSlim(*wire); err != nil {
 		return fmt.Errorf("-wire: %w", err)
 	}
 	envs := make([][]byte, 0, len(urls))

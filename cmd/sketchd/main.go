@@ -106,13 +106,10 @@ func main() {
 		"derive per-(tenant,name) hash seeds for creates with no explicit seed, so sketches stop "+
 			"sharing one hash function; replicas of the same sketch still derive the same seed "+
 			"(use the same setting on every shard and across restarts)")
-	slimGather := flag.Bool("slim-gather", false,
-		"coordinator mode: scatter-gather reads fetch slim envelopes (?wire=slim) from the shards — "+
-			"fewer bytes per gather; families without a slim form still ship full envelopes")
 	flag.Parse()
 
 	if *coordinator {
-		runCoordinator(*addr, *shards, *slimGather)
+		runCoordinator(*addr, *shards)
 		return
 	}
 
@@ -220,11 +217,11 @@ func main() {
 
 // runCoordinator serves the cluster-facing /v1/sketch API over a shard
 // fleet and blocks until SIGINT/SIGTERM.
-func runCoordinator(addr, shardList string, slimGather bool) {
+func runCoordinator(addr, shardList string) {
 	if shardList == "" {
 		log.Fatalf("sketchd: -coordinator requires -shards url1,url2,...")
 	}
-	coord, err := cluster.NewCoordinator(strings.Split(shardList, ","), cluster.Options{SlimGather: slimGather})
+	coord, err := cluster.NewCoordinator(strings.Split(shardList, ","), cluster.Options{})
 	if err != nil {
 		log.Fatalf("sketchd: coordinator: %v", err)
 	}

@@ -1,10 +1,14 @@
 package sketch_test
 
-// Fuzz targets for every UnmarshalBinary in the library: arbitrary
-// bytes must either decode into a usable sketch or return an error —
-// never panic, never hang, never allocate unboundedly. The seed corpus
-// (valid serializations plus mutations) runs under plain `go test`;
-// `go test -fuzz=FuzzX` explores further.
+// Fuzz targets for every decoder in the library: arbitrary bytes must
+// either decode into a usable sketch or return an error — never panic,
+// never hang, never allocate unboundedly. The seed corpus (valid
+// serializations plus mutations) runs under plain `go test`;
+// `go test -fuzz=FuzzX` explores further. FuzzGenericDecode is the one
+// CI fuzzes for the envelope decoders — it reaches every family's and
+// uses what decodes through the family's bindings; the per-family
+// Fuzz*Unmarshal / FuzzSFDecode / FuzzRobustDistinctDecode targets are
+// kept for their seed corpora.
 
 import (
 	"bufio"
@@ -55,18 +59,30 @@ func corpusFor(f *testing.F, data []byte) {
 	f.Add([]byte("GSK1"))
 }
 
+// fuzzDecode is a per-family decode target: the envelopes and their
+// mutations seed it, and what decodes into a T is used.
+func fuzzDecode[T any, PT interface {
+	*T
+	encoding.BinaryUnmarshaler
+}](f *testing.F, use func(t *testing.T, g PT), seeds ...encoding.BinaryMarshaler) {
+	for _, m := range seeds {
+		data, _ := m.MarshalBinary()
+		corpusFor(f, data)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if g := PT(new(T)); g.UnmarshalBinary(in) == nil {
+			use(t, g)
+		}
+	})
+}
+
 func FuzzBloomUnmarshal(f *testing.F) {
 	b := sketch.NewBloomWithEstimates(100, 0.01, 1)
 	b.AddString("seed")
-	data, _ := b.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.BloomFilter
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-			_ = g.ContainsString("post")
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.BloomFilter) {
+		g.AddString("post")
+		_ = g.ContainsString("post")
+	}, b)
 }
 
 func FuzzHLLUnmarshal(f *testing.F) {
@@ -74,15 +90,10 @@ func FuzzHLLUnmarshal(f *testing.F) {
 	for i := 0; i < 1000; i++ {
 		h.AddUint64(uint64(i))
 	}
-	data, _ := h.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.HLLSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddUint64(42)
-			_ = g.Estimate()
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.HLLSketch) {
+		g.AddUint64(42)
+		_ = g.Estimate()
+	}, h)
 }
 
 // hllOfRegisters builds an HLL of precision p whose packed register
@@ -176,15 +187,10 @@ func FuzzHLLPPUnmarshal(f *testing.F) {
 	for i := 0; i < 500; i++ {
 		h.AddUint64(uint64(i))
 	}
-	data, _ := h.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.HLLPPSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddUint64(42)
-			_ = g.Estimate()
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.HLLPPSketch) {
+		g.AddUint64(42)
+		_ = g.Estimate()
+	}, h)
 }
 
 func FuzzCountMinUnmarshal(f *testing.F) {
@@ -294,15 +300,10 @@ func FuzzKLLUnmarshal(f *testing.F) {
 	for i := 0; i < 5000; i++ {
 		k.Add(float64(i))
 	}
-	data, _ := k.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.KLLSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.Add(1)
-			_ = g.Quantile(0.5)
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.KLLSketch) {
+		g.Add(1)
+		_ = g.Quantile(0.5)
+	}, k)
 }
 
 func FuzzTDigestUnmarshal(f *testing.F) {
@@ -310,15 +311,10 @@ func FuzzTDigestUnmarshal(f *testing.F) {
 	for i := 0; i < 2000; i++ {
 		td.Add(float64(i))
 	}
-	data, _ := td.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.TDigest
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.Add(1)
-			_ = g.Quantile(0.9)
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.TDigest) {
+		g.Add(1)
+		_ = g.Quantile(0.9)
+	}, td)
 }
 
 func FuzzQDigestUnmarshal(f *testing.F) {
@@ -326,14 +322,7 @@ func FuzzQDigestUnmarshal(f *testing.F) {
 	for i := uint64(0); i < 1000; i++ {
 		qd.Add(i%1024, 1)
 	}
-	data, _ := qd.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.QDigest
-		if err := g.UnmarshalBinary(in); err == nil {
-			_ = g.Quantile(0.5)
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.QDigest) { _ = g.Quantile(0.5) }, qd)
 }
 
 func FuzzThetaUnmarshal(f *testing.F) {
@@ -341,15 +330,10 @@ func FuzzThetaUnmarshal(f *testing.F) {
 	for i := 0; i < 5000; i++ {
 		th.AddUint64(uint64(i))
 	}
-	data, _ := th.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.ThetaSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddUint64(1)
-			_ = g.Estimate()
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.ThetaSketch) {
+		g.AddUint64(1)
+		_ = g.Estimate()
+	}, th)
 }
 
 func FuzzKMVUnmarshal(f *testing.F) {
@@ -357,15 +341,10 @@ func FuzzKMVUnmarshal(f *testing.F) {
 	for i := 0; i < 5000; i++ {
 		k.AddUint64(uint64(i))
 	}
-	data, _ := k.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.KMVSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddUint64(1)
-			_ = g.Estimate()
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.KMVSketch) {
+		g.AddUint64(1)
+		_ = g.Estimate()
+	}, k)
 }
 
 func FuzzREQUnmarshal(f *testing.F) {
@@ -373,56 +352,34 @@ func FuzzREQUnmarshal(f *testing.F) {
 	for i := 0; i < 5000; i++ {
 		r.Add(float64(i))
 	}
-	data, _ := r.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.REQSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.Add(1)
-			_ = g.Quantile(0.99)
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.REQSketch) {
+		g.Add(1)
+		_ = g.Quantile(0.99)
+	}, r)
 }
 
 func FuzzMinHashUnmarshal(f *testing.F) {
 	m := sketch.NewMinHash(32, 10)
 	m.AddString("seed")
-	data, _ := m.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.MinHash
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.MinHash) { g.AddString("post") }, m)
 }
 
 func FuzzMisraGriesUnmarshal(f *testing.F) {
 	m := sketch.NewMisraGries(16)
 	m.AddString("seed")
-	data, _ := m.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.MisraGries
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-			_ = g.Estimate("post")
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.MisraGries) {
+		g.AddString("post")
+		_ = g.Estimate("post")
+	}, m)
 }
 
 func FuzzSpaceSavingUnmarshal(f *testing.F) {
 	s := sketch.NewSpaceSaving(16)
 	s.AddString("seed")
-	data, _ := s.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.SpaceSaving
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-			_ = g.Estimate("post")
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.SpaceSaving) {
+		g.AddString("post")
+		_ = g.Estimate("post")
+	}, s)
 }
 
 func FuzzMorrisUnmarshal(f *testing.F) {
@@ -430,15 +387,10 @@ func FuzzMorrisUnmarshal(f *testing.F) {
 	for i := 0; i < 1000; i++ {
 		m.Increment()
 	}
-	data, _ := m.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.MorrisCounter
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.Increment()
-			_ = g.Count()
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.MorrisCounter) {
+		g.Increment()
+		_ = g.Count()
+	}, m)
 }
 
 // FuzzServerRequestDecode drives sketchd's two request decoders — the
@@ -494,21 +446,36 @@ func FuzzReservoirUnmarshal(f *testing.F) {
 	for i := 0; i < 100; i++ {
 		r.AddString("item")
 	}
-	data, _ := r.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.Reservoir
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-			_ = g.Sample()
-		}
-	})
+	fuzzDecode(f, func(_ *testing.T, g *sketch.Reservoir) {
+		g.AddString("post")
+		_ = g.Sample()
+	}, r)
 }
 
-// FuzzGenericDecode hammers the registry's self-describing decode path
-// with one valid payload per registered family in the seed corpus:
-// arbitrary bytes must decode-or-error, never panic, and any payload
-// that does decode must serialize again.
+// sampleBatch is one well-formed batch per input kind, valid under every
+// family's default and small shapes.
+var sampleBatch = map[typereg.InputKind]string{
+	typereg.InputItems:              "alpha\nbeta\nalpha",
+	typereg.InputWeightedItems:      "alpha\t3\nbeta",
+	typereg.InputSignedItems:        "alpha\t-2\nbeta\t+4\ngamma",
+	typereg.InputFloats:             "1.5\n2.25\n-0.5",
+	typereg.InputUintValues:         "7\t2\n42",
+	typereg.InputTurnstile:          "3\t5\n9",
+	typereg.InputEvents:             "x\nx\nx",
+	typereg.InputEdges:              "0\t1\n2\t3",
+	typereg.InputWeightedFloatItems: "alpha\t1.5\nbeta",
+}
+
+func batchOf(kind typereg.InputKind) [][]byte { return server.SplitBatch([]byte(sampleBatch[kind])) }
+
+// FuzzGenericDecode is the one decode target: the registry's
+// self-describing decode path, seeded with a fresh and a fed envelope of
+// every registered family and the hand-built envelopes that once found a
+// decoder bug. Arbitrary bytes decode or error, never panic; and what
+// decodes is a sketch a server could hold — it is used through its
+// descriptor's bindings as a live entry is: it takes the kind's lines
+// (or refuses them), answers the summary query, marshals to bytes that
+// decode again, and merges with that copy of itself.
 func FuzzGenericDecode(f *testing.F) {
 	// Families whose default shape serializes to hundreds of KB get a
 	// deliberately small seed shape — mutation throughput over payloads
@@ -522,19 +489,20 @@ func FuzzGenericDecode(f *testing.F) {
 		"countmin":      {"width": 64, "depth": 4},
 		"ams":           {"groups": 3, "per_group": 16},
 	}
+	marshal := func(name string, inst any) []byte {
+		data, err := typereg.Marshal(inst)
+		if err != nil {
+			f.Fatalf("%q marshal: %v", name, err)
+		}
+		return data
+	}
+	var fed [][]byte
 	for _, ti := range sketch.Types() {
 		inst, err := sketch.New(ti.Name, 1, small[ti.Name])
 		if err != nil {
 			f.Fatalf("New(%q): %v", ti.Name, err)
 		}
-		m, ok := inst.(encoding.BinaryMarshaler)
-		if !ok {
-			f.Fatalf("%q does not marshal", ti.Name)
-		}
-		data, err := m.MarshalBinary()
-		if err != nil {
-			f.Fatalf("%q marshal: %v", ti.Name, err)
-		}
+		data := marshal(ti.Name, inst)
 		f.Add(data)
 		// One tag-preserving mutation per family, to get the fuzzer past
 		// the envelope header into family-specific decoders.
@@ -543,20 +511,63 @@ func FuzzGenericDecode(f *testing.F) {
 			mut[len(mut)/2] ^= 0x55
 			f.Add(mut)
 		}
+		if d, _ := typereg.Lookup(ti.Name); d.Servable() {
+			if err := d.Bind.Ingest(inst, batchOf(d.Input)); err != nil {
+				f.Fatalf("%q ingest: %v", ti.Name, err)
+			}
+			fed = append(fed, marshal(ti.Name, inst))
+		}
 	}
 	f.Add([]byte{})
 	f.Add([]byte("GSK1"))
+	for _, data := range fed {
+		f.Add(data)
+	}
+	// A version-2 envelope carrying the fused mode byte (the layout cannot
+	// agree with the byte); an SF envelope in slim form, and with a mode
+	// byte beyond slim; a robust counter with its switching state baked in.
+	for _, fused := range []interface{ MarshalBinary() ([]byte, error) }{
+		sketch.NewCountMinFused(64, 3, 4), sketch.NewCountSketchFused(64, 3, 5),
+	} {
+		v2, _ := fused.MarshalBinary()
+		v2[5] = 2 // GSK1 magic (4) + tag (1), then version
+		f.Add(v2)
+	}
+	sf := sketch.NewSFSketch(64, 3, 256, 3, 4)
+	sf.AddUint64(7, 3)
+	slim, _ := sf.MarshalSlim()
+	f.Add(slim)
+	full, _ := sf.MarshalBinary()
+	full[6] = 2 // the mode byte follows the version
+	f.Add(full)
+	rd := robust.NewDefendedDistinct(0.05, 4, 8, 1, 0.1, 0.5)
+	for i := 0; i < 500; i++ {
+		rd.AddUint64(uint64(i))
+	}
+	rd.Estimate()
+	f.Add(marshal("robustdistinct", rd))
+
 	f.Fuzz(func(t *testing.T, in []byte) {
-		inst, name, err := sketch.DecodeInfo(in)
+		inst, d, err := typereg.Decode(in)
 		if err != nil {
 			return
 		}
-		m, ok := inst.(encoding.BinaryMarshaler)
-		if !ok {
-			t.Fatalf("decoded %q does not marshal", name)
+		if d.Servable() {
+			_ = d.Bind.Ingest(inst, batchOf(d.Input)) // a decoded shape may refuse a line: its domain is its own
+			_, _ = d.Bind.Query(inst, nil)
 		}
-		if _, err := m.MarshalBinary(); err != nil {
-			t.Fatalf("decoded %q fails to re-marshal: %v", name, err)
+		env, err := typereg.Marshal(inst)
+		if err != nil {
+			t.Fatalf("decoded %s fails to re-marshal: %v", d.Name, err)
+		}
+		again, err := d.Decode(env)
+		if err != nil {
+			t.Fatalf("decoded %s marshals to bytes that do not decode: %v", d.Name, err)
+		}
+		if d.Servable() && d.Mergeable() {
+			if err := d.Bind.Merge(inst, again); err != nil {
+				t.Fatalf("decoded %s does not merge with a copy of itself: %v", d.Name, err)
+			}
 		}
 	})
 }

@@ -183,7 +183,7 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagAMS)
+	r, _, err := core.NewReaderVersioned(data, core.TagAMS, 1)
 	if err != nil {
 		return err
 	}

@@ -115,29 +115,6 @@ func TestIdenticalStreamsZeroDistance(t *testing.T) {
 	}
 }
 
-func TestMergeLinear(t *testing.T) {
-	a := New(5, 128, 8)
-	b := New(5, 128, 8)
-	whole := New(5, 128, 8)
-	for i := uint64(0); i < 2000; i++ {
-		if i%2 == 0 {
-			a.AddUint64(i, 2)
-		} else {
-			b.AddUint64(i, 2)
-		}
-		whole.AddUint64(i, 2)
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.F2() != whole.F2() {
-		t.Error("merge is not lossless")
-	}
-	if err := a.Merge(New(5, 128, 9)); !errors.Is(err, core.ErrIncompatible) {
-		t.Error("merge across seeds must fail")
-	}
-}
-
 func TestVarianceShrinksWithWidth(t *testing.T) {
 	// Mean relative error over trials must drop when perGroup grows.
 	meanErr := func(perGroup int) float64 {
@@ -169,24 +146,6 @@ func TestNewWithSpec(t *testing.T) {
 	}
 	if _, err := NewWithSpec(core.Spec{Epsilon: 0, Delta: 0.5}, 1); err == nil {
 		t.Error("invalid spec accepted")
-	}
-}
-
-func TestSerialization(t *testing.T) {
-	s := New(3, 32, 10)
-	for i := uint64(0); i < 1000; i++ {
-		s.AddUint64(i, int64(i%4))
-	}
-	data, _ := s.MarshalBinary()
-	var g Sketch
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if g.F2() != s.F2() || g.N() != s.N() {
-		t.Error("round trip changed state")
-	}
-	if err := g.UnmarshalBinary(data[:10]); !errors.Is(err, core.ErrCorrupt) {
-		t.Error("truncated input accepted")
 	}
 }
 

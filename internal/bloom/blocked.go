@@ -424,7 +424,7 @@ func blockedHeader(data []byte) (r *core.Reader, f BlockedFilter, words int, err
 	if f.blocks, f.k, f.seed, f.n, words, err = bitsHeader(r); err != nil {
 		return nil, f, 0, err
 	}
-	if f.blocks == 0 || f.k < 1 || f.k > maxBlockedK || uint64(words) != f.blocks*BlockWords {
+	if f.blocks == 0 || f.k < 1 || f.k > maxBlockedK || f.blocks > uint64(words) || uint64(words) != f.blocks*BlockWords {
 		return nil, f, 0, fmt.Errorf("%w: inconsistent blocked bloom dimensions", core.ErrCorrupt)
 	}
 	return r, f, words, nil

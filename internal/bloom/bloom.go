@@ -296,12 +296,15 @@ func bitsWire(r *core.Reader, words int) core.WireCells {
 // filterHeader is bitsHeader and the classic filter's own rules. k is bounded
 // because every Add/Contains does k hash probes: a corrupt multi-billion
 // k would turn the first post-decode operation into a minutes-long spin
-// (fuzz-found). Real filters use k ≤ ~30.
+// (fuzz-found). Real filters use k ≤ ~30. The size is held under what the
+// words present can hold before it is rounded up to words, here and in the
+// blocked and counting decoders: m+63 wraps for an m near 2^64, and the
+// filter that decoded then addressed bits it did not have (fuzz-found).
 func filterHeader(r *core.Reader) (f Filter, words int, err error) {
 	if f.m, f.k, f.seed, f.n, words, err = bitsHeader(r); err != nil {
 		return f, 0, err
 	}
-	if f.m == 0 || f.k < 1 || f.k > 256 || uint64(words) != (f.m+63)/64 {
+	if f.m == 0 || f.k < 1 || f.k > 256 || f.m > 64*uint64(words) || uint64(words) != (f.m+63)/64 {
 		return f, 0, fmt.Errorf("%w: inconsistent bloom dimensions", core.ErrCorrupt)
 	}
 	return f, words, nil

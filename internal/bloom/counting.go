@@ -144,7 +144,7 @@ func (f *CountingFilter) UnmarshalBinary(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if m == 0 || k < 1 || k > 256 || uint64(len(packed)) != (m+3)/4 {
+	if m == 0 || k < 1 || k > 256 || m > 4*uint64(len(packed)) || uint64(len(packed)) != (m+3)/4 {
 		return fmt.Errorf("%w: inconsistent counting bloom dimensions", core.ErrCorrupt)
 	}
 	counts := make([]uint16, m)

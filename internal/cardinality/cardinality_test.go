@@ -33,42 +33,6 @@ func TestFMDuplicatesDoNotInflate(t *testing.T) {
 	}
 }
 
-func TestFMMergeEqualsUnion(t *testing.T) {
-	a, b, whole := NewFM(512, 3), NewFM(512, 3), NewFM(512, 3)
-	for i := 0; i < 30000; i++ {
-		if i%2 == 0 {
-			a.AddUint64(uint64(i))
-		} else {
-			b.AddUint64(uint64(i))
-		}
-		whole.AddUint64(uint64(i))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Estimate() != whole.Estimate() {
-		t.Error("FM merge is not lossless")
-	}
-	if err := a.Merge(NewFM(256, 3)); !errors.Is(err, core.ErrIncompatible) {
-		t.Error("FM merge across shapes must fail")
-	}
-}
-
-func TestFMSerialization(t *testing.T) {
-	f := NewFM(128, 9)
-	for i := 0; i < 10000; i++ {
-		f.AddUint64(uint64(i))
-	}
-	data, _ := f.MarshalBinary()
-	var g FM
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if g.Estimate() != f.Estimate() {
-		t.Error("FM round trip changed estimate")
-	}
-}
-
 func TestFMPanics(t *testing.T) {
 	for _, m := range []int{0, 1, 3, 100, 1 << 17} {
 		func() {

@@ -110,7 +110,7 @@ func (f *FM) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (f *FM) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagFM)
+	r, _, err := core.NewReaderVersioned(data, core.TagFM, 1)
 	if err != nil {
 		return err
 	}

@@ -186,7 +186,7 @@ func (h *HLLPP) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (h *HLLPP) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagHLLPP)
+	r, _, err := core.NewReaderVersioned(data, core.TagHLLPP, 1)
 	if err != nil {
 		return err
 	}

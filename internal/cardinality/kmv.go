@@ -160,7 +160,7 @@ func (s *KMV) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (s *KMV) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagKMV)
+	r, _, err := core.NewReaderVersioned(data, core.TagKMV, 1)
 	if err != nil {
 		return err
 	}

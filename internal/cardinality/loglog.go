@@ -100,7 +100,7 @@ func (l *LogLog) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (l *LogLog) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagLogLog)
+	r, _, err := core.NewReaderVersioned(data, core.TagLogLog, 1)
 	if err != nil {
 		return err
 	}

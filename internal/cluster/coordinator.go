@@ -31,13 +31,6 @@ type Options struct {
 	// RetryBackoff is the first retry's delay, doubled per attempt.
 	// Default 50ms.
 	RetryBackoff time.Duration
-	// SlimGather makes scatter-gather reads request each shard's slim
-	// envelope (?wire=slim) by default: families with a slim form (the
-	// SF-sketch) ship a fraction of the bytes, everything else answers
-	// full, unchanged. A per-request ?wire=full|slim on the coordinator
-	// overrides it either way. Off by default — full envelopes keep
-	// merged reads bit-identical to a single server for every family.
-	SlimGather bool
 }
 
 func (o *Options) applyDefaults(shards int) {

@@ -194,9 +194,7 @@ func mixedTags(envs [][]byte) bool {
 // writes the error response itself and has released already.
 func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged registry.Merged, fails []ShardError, release func(), ok bool) {
 	c.ops.Queries.Inc()
-	// An explicit ?wire=full or ?wire=slim wins over the coordinator's
-	// SlimGather default.
-	slim, err := server.WireSlim(r.URL.Query().Get("wire"), c.opts.SlimGather)
+	slim, err := server.WireSlim(r.URL.Query().Get("wire"))
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return merged, nil, nil, false

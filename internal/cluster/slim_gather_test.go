@@ -20,7 +20,7 @@ import (
 // sfFleet builds a 4-shard fleet with one sfsketch fed a weighted
 // stream through the coordinator, and returns the coordinator's test
 // server URL plus the exact per-item truth.
-func sfFleet(t *testing.T, opts Options) (*Coordinator, *client.Client, map[string]uint64) {
+func sfFleet(t *testing.T) (*Coordinator, *client.Client, map[string]uint64) {
 	t.Helper()
 	shards := make([]*httptest.Server, 4)
 	urls := make([]string, len(shards))
@@ -29,8 +29,7 @@ func sfFleet(t *testing.T, opts Options) (*Coordinator, *client.Client, map[stri
 		t.Cleanup(shards[i].Close)
 		urls[i] = shards[i].URL
 	}
-	opts.RetryBackoff = time.Millisecond
-	coord, err := NewCoordinator(urls, opts)
+	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func sfEstimate(t *testing.T, cl *client.Client, name, item, wire string) uint64
 }
 
 func TestSlimGatherCutsWireBytes(t *testing.T) {
-	coord, cl, truth := sfFleet(t, Options{})
+	coord, cl, truth := sfFleet(t)
 
 	base := coord.ops.GatherBytes.Load()
 	fullEst := sfEstimate(t, cl, "freq", "key-3", "full")
@@ -107,21 +106,21 @@ func TestSlimGatherCutsWireBytes(t *testing.T) {
 	}
 }
 
+// The wire form is the request's choice: a gather is full unless it asks
+// for ?wire=slim, and slim_gathers counts the ones that did.
 func TestSlimGatherDefaultAndOverride(t *testing.T) {
-	coord, cl, truth := sfFleet(t, Options{SlimGather: true})
-
-	// With SlimGather on, a plain query gathers slim by default...
-	est := sfEstimate(t, cl, "freq", "key-1", "")
-	if coord.ops.SlimGathers.Load() != 1 {
-		t.Fatalf("default gather under SlimGather: slim_gathers = %d, want 1", coord.ops.SlimGathers.Load())
-	}
-	if est < truth["key-1"] {
-		t.Fatalf("estimate %d undercounts true %d", est, truth["key-1"])
-	}
-	// ...and ?wire=full still forces a full gather.
-	_ = sfEstimate(t, cl, "freq", "key-1", "full")
-	if coord.ops.SlimGathers.Load() != 1 {
-		t.Fatal("?wire=full still gathered slim")
+	coord, cl, truth := sfFleet(t)
+	for _, c := range []struct {
+		wire string
+		slim uint64 // slim_gathers after the read
+	}{{"", 0}, {"slim", 1}, {"full", 1}} {
+		est := sfEstimate(t, cl, "freq", "key-1", c.wire)
+		if got := coord.ops.SlimGathers.Load(); got != c.slim {
+			t.Fatalf("after a ?wire=%q read: slim_gathers = %d, want %d", c.wire, got, c.slim)
+		}
+		if est < truth["key-1"] {
+			t.Fatalf("?wire=%q: estimate %d undercounts true %d", c.wire, est, truth["key-1"])
+		}
 	}
 }
 
@@ -131,7 +130,7 @@ func TestSlimGatherSnapshotStable(t *testing.T) {
 	// between requests and must never bleed state into the merge. The
 	// slim merged envelope also re-decodes as a mergeable slim-only
 	// sketch (the GSKB/federation contract).
-	_, cl, truth := sfFleet(t, Options{})
+	_, cl, truth := sfFleet(t)
 
 	full1, err := cl.SnapshotWire("freq", "full")
 	if err != nil {

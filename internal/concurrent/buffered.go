@@ -576,12 +576,6 @@ func NewBufferedHLL(p uint8, seed uint64) *BufferedHLL {
 	return BufferHLL(cardinality.NewHLL(p, seed), DefaultWriterBuffer)
 }
 
-// NewBufferedHLLBuf creates a buffered HLL with an explicit per-writer
-// buffer capacity.
-func NewBufferedHLLBuf(p uint8, seed uint64, writerBuf int) *BufferedHLL {
-	return BufferHLL(cardinality.NewHLL(p, seed), writerBuf)
-}
-
 // BufferHLL puts local-buffer/global-propagation ingest in front of an
 // already-built plain HLL, which becomes the propagator's: the caller
 // must not touch it again.
@@ -695,12 +689,6 @@ type BufferedBlockedBloom struct {
 // item, and the default per-writer buffer.
 func NewBufferedBlockedBloom(m uint64, k int, seed uint64) *BufferedBlockedBloom {
 	return BufferBlockedBloom(NewAtomicBlockedBloom(m, k, seed), DefaultWriterBuffer)
-}
-
-// NewBufferedBlockedBloomBuf creates a buffered blocked filter with an
-// explicit per-writer buffer capacity.
-func NewBufferedBlockedBloomBuf(m uint64, k int, seed uint64, writerBuf int) *BufferedBlockedBloom {
-	return BufferBlockedBloom(NewAtomicBlockedBloom(m, k, seed), writerBuf)
 }
 
 // BufferBlockedBloom puts local-buffer/global-propagation ingest in

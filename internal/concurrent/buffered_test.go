@@ -82,7 +82,7 @@ func TestBufferedHLLByteIdentity(t *testing.T) {
 	const items, writers = 20000, 4
 
 	serial := cardinality.NewHLL(p, seed)
-	buf := NewBufferedHLLBuf(p, seed, 64)
+	buf := BufferHLL(cardinality.NewHLL(p, seed), 64)
 	defer buf.Close()
 
 	for i := 0; i < items; i++ {
@@ -124,7 +124,7 @@ func TestBufferedBlockedBloomByteIdentity(t *testing.T) {
 	const items, writers = 20000, 4
 
 	serial := bloom.NewBlocked(m, k, seed)
-	buf := NewBufferedBlockedBloomBuf(m, k, seed, 64)
+	buf := BufferBlockedBloom(NewAtomicBlockedBloom(m, k, seed), 64)
 	defer buf.Close()
 
 	keys := make([][]byte, items)

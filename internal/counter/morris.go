@@ -166,21 +166,21 @@ func (m *Morris) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a counter serialized by MarshalBinary.
 func (m *Morris) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagMorris)
+	r, _, err := core.NewReaderVersioned(data, core.TagMorris, 1)
 	if err != nil {
 		return err
 	}
-	x := uint16(r.U32())
+	x := r.U32()
 	base := r.F64()
 	seed := r.U64()
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if base <= 1 {
-		return fmt.Errorf("%w: morris base %v", core.ErrCorrupt, base)
+	p := math.Pow(base, -float64(x))
+	if !(base > 1) || x > math.MaxUint16 || p == 0 { // p = 0: an exponent no stream reaches, and no coin left to flip
+		return fmt.Errorf("%w: morris base %v exponent %d", core.ErrCorrupt, base, x)
 	}
-	m.x, m.base, m.seed = x, base, seed
-	m.p = math.Pow(base, -float64(x))
+	m.x, m.base, m.seed, m.p = uint16(x), base, seed, p
 	m.rng = randx.New(seed ^ 0x4d6f7272) // decorrelate post-load coin flips
 	return nil
 }

@@ -121,7 +121,7 @@ func (c *NelsonYu) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a counter serialized by MarshalBinary.
 func (c *NelsonYu) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagNelsonYu)
+	r, _, err := core.NewReaderVersioned(data, core.TagNelsonYu, 1)
 	if err != nil {
 		return err
 	}
@@ -131,8 +131,8 @@ func (c *NelsonYu) UnmarshalBinary(data []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if n < 1 || n > 1<<20 {
-		return fmt.Errorf("%w: implausible repetition count %d", core.ErrCorrupt, n)
+	if n < 1 || n > 1<<20 || !(eps > 0 && eps < 1 && delta > 0 && delta < 1) { // not a number is not in (0,1) either
+		return fmt.Errorf("%w: nelson-yu eps=%v delta=%v repetitions=%d", core.ErrCorrupt, eps, delta, n)
 	}
 	counters := make([]*Morris, n)
 	for i := range counters {

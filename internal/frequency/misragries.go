@@ -173,7 +173,7 @@ func (m *MisraGries) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a summary serialized by MarshalBinary.
 func (m *MisraGries) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagMisraGries)
+	r, _, err := core.NewReaderVersioned(data, core.TagMisraGries, 1)
 	if err != nil {
 		return err
 	}

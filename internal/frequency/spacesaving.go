@@ -148,6 +148,9 @@ func (s *SpaceSaving) Merge(other *SpaceSaving) error {
 	if s.k != other.k {
 		return fmt.Errorf("%w: space-saving k=%d vs k=%d", core.ErrIncompatible, s.k, other.k)
 	}
+	if other.n == 0 {
+		return nil // an empty peer is the identity: the heap keeps its order
+	}
 	type pair struct{ count, err uint64 }
 	merged := make(map[string]pair, len(s.heap)+len(other.heap))
 	for _, e := range s.heap {
@@ -193,7 +196,7 @@ func (s *SpaceSaving) Merge(other *SpaceSaving) error {
 	if len(all) > s.k {
 		all = all[:s.k]
 	}
-	s.items = make(map[string]*ssEntry, s.k)
+	s.items = make(map[string]*ssEntry, len(all)) // not k: a decoded capacity is not a size to reserve
 	s.heap = s.heap[:0]
 	for _, r := range all {
 		e := &ssEntry{item: r.item, count: r.count, err: r.err}
@@ -220,7 +223,7 @@ func (s *SpaceSaving) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a summary serialized by MarshalBinary.
 func (s *SpaceSaving) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagSpaceSaving)
+	r, _, err := core.NewReaderVersioned(data, core.TagSpaceSaving, 1)
 	if err != nil {
 		return err
 	}

@@ -42,12 +42,17 @@ func New(n int, rounds int, seed uint64) *Sketch {
 	for r := range samplers {
 		samplers[r] = make([]*sample.L0Sampler, n)
 		for v := range samplers[r] {
-			// All samplers within a round share hash seeds (required
-			// for linearity across vertices); rounds differ.
-			samplers[r][v] = sample.NewL0Sampler(12, seed+uint64(r)*0x9e3779b97f4a7c15)
+			samplers[r][v] = roundSampler(seed, r)
 		}
 	}
 	return &Sketch{n: n, rounds: rounds, samplers: samplers, seed: seed}
+}
+
+// roundSampler is an empty sampler of round r. All samplers within a
+// round share hash seeds (required for linearity across vertices);
+// rounds differ.
+func roundSampler(seed uint64, r int) *sample.L0Sampler {
+	return sample.NewL0Sampler(12, seed+uint64(r)*0x9e3779b97f4a7c15)
 }
 
 // edgeIndex maps {u, v} to its incidence-vector coordinate.
@@ -145,7 +150,7 @@ func (s *Sketch) ConnectedComponents() []int {
 		merged := false
 		for _, members := range comps {
 			// Sum the round-r sketches of the component's vertices.
-			agg := sample.NewL0Sampler(12, s.seed+uint64(r)*0x9e3779b97f4a7c15)
+			agg := roundSampler(s.seed, r)
 			for _, v := range members {
 				if err := agg.Merge(s.samplers[r][v]); err != nil {
 					// Same-round samplers always share seeds; any
@@ -217,7 +222,7 @@ func (s *Sketch) SpanningForest() [][2]int {
 		}
 		merged := false
 		for _, members := range comps {
-			agg := sample.NewL0Sampler(12, s.seed+uint64(r)*0x9e3779b97f4a7c15)
+			agg := roundSampler(s.seed, r)
 			for _, v := range members {
 				if err := agg.Merge(s.samplers[r][v]); err != nil {
 					panic(err)
@@ -284,6 +289,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	samplers := make([][]*sample.L0Sampler, rounds)
 	for r := range samplers {
 		samplers[r] = make([]*sample.L0Sampler, n)
+		like := roundSampler(seed, r)
 		for v := range samplers[r] {
 			payload := rd.BytesField()
 			if rd.Err() != nil {
@@ -292,6 +298,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			sampler := new(sample.L0Sampler)
 			if err := sampler.UnmarshalBinary(payload); err != nil {
 				return err
+			}
+			if !like.SameShape(sampler) { // a query would add it to its round's and panic
+				return fmt.Errorf("%w: graphsketch round %d holds a sampler of another seed or sparsity", core.ErrCorrupt, r)
 			}
 			samplers[r][v] = sampler
 		}

@@ -56,12 +56,6 @@ func HashUint64(v, seed uint64) uint64 {
 	return avalanche(h)
 }
 
-// HashString hashes a string under the given seed without copying or
-// allocating.
-func HashString(s string, seed uint64) uint64 {
-	return XXHash64String(s, seed)
-}
-
 // FastRange maps a uniform 64-bit value to [0, n) with a multiply-high
 // instead of a modulo (Lemire's fastrange). On the sketch hot paths the
 // saved 64-bit division is the single largest per-row cost.

@@ -104,7 +104,7 @@ func (m *MinHash) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a signature serialized by MarshalBinary.
 func (m *MinHash) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagMinHash)
+	r, _, err := core.NewReaderVersioned(data, core.TagMinHash, 1)
 	if err != nil {
 		return err
 	}

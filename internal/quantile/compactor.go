@@ -204,6 +204,9 @@ func (c *compactor) merge(other *compactor) error {
 	if c.k != other.k {
 		return fmt.Errorf("%w: %s k=%d vs k=%d", core.ErrIncompatible, c.policy.name, c.k, other.k)
 	}
+	if other.n == 0 {
+		return nil // an empty peer is the identity: no compaction, no draw
+	}
 	for len(c.levels) < len(other.levels) {
 		c.levels = append(c.levels, nil)
 	}

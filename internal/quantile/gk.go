@@ -158,7 +158,7 @@ func (s *GK) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a summary serialized by MarshalBinary.
 func (s *GK) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagGK)
+	r, _, err := core.NewReaderVersioned(data, core.TagGK, 1)
 	if err != nil {
 		return err
 	}

@@ -197,7 +197,7 @@ func (s *MRL) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a summary serialized by MarshalBinary.
 func (s *MRL) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagMRL)
+	r, _, err := core.NewReaderVersioned(data, core.TagMRL, 1)
 	if err != nil {
 		return err
 	}

@@ -163,6 +163,9 @@ func (s *QDigest) Merge(other *QDigest) error {
 	if s.logU != other.logU || s.k != other.k {
 		return fmt.Errorf("%w: q-digest logU/k mismatch", core.ErrIncompatible)
 	}
+	if other.n == 0 {
+		return nil // an empty peer is the identity: no recompression
+	}
 	for id, c := range other.nodes {
 		s.nodes[id] += c
 	}
@@ -192,7 +195,7 @@ func (s *QDigest) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a digest serialized by MarshalBinary.
 func (s *QDigest) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagQDigest)
+	r, _, err := core.NewReaderVersioned(data, core.TagQDigest, 1)
 	if err != nil {
 		return err
 	}

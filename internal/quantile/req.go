@@ -63,7 +63,7 @@ func (s *REQ) MarshalBinary() ([]byte, error) { return s.marshal(core.TagREQ) }
 
 // UnmarshalBinary restores a sketch serialized by MarshalBinary.
 func (s *REQ) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagREQ)
+	r, _, err := core.NewReaderVersioned(data, core.TagREQ, 1)
 	if err != nil {
 		return err
 	}

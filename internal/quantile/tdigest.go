@@ -253,7 +253,7 @@ func (s *TDigest) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a digest serialized by MarshalBinary.
 func (s *TDigest) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagTDigest)
+	r, _, err := core.NewReaderVersioned(data, core.TagTDigest, 1)
 	if err != nil {
 		return err
 	}
@@ -265,7 +265,7 @@ func (s *TDigest) UnmarshalBinary(data []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if compression < 10 {
+	if !(compression >= 10) { // not a number included
 		return fmt.Errorf("%w: t-digest compression %v", core.ErrCorrupt, compression)
 	}
 	centroids := make([]centroid, cnt)

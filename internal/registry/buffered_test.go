@@ -2,8 +2,8 @@ package registry
 
 import (
 	"bytes"
-	"math/rand"
 	"net/url"
+	"path"
 	"reflect"
 	"slices"
 	"testing"
@@ -95,129 +95,99 @@ func TestBufferedIngestValidatesBatch(t *testing.T) {
 	}
 }
 
-// answersLess lists, per family, the keys a serving variant's answer may
-// leave out of the plain answer, with the reason. Everywhere else a
-// served sketch and a gathered (plain, decoded) one answer the same keys.
-var answersLess = map[string][]string{
-	// An O(m) scan of the bit array, which the lock-free holder does not
-	// run on every query.
-	"blockedbloom": {"fill_ratio", "estimated_fpr", "blocks"},
-}
-
-// Every serving variant is the plain sketch behind a different ingest
-// discipline: fed the same batches through its own bindings it must
-// hold the same bytes, answer the same keys with the same values,
-// absorb the same peer and refuse the same bad batch — and a buffered
-// one adds exactly the staleness bound to an answer.
+// TestServingVariantsAgree is law S of laws_test.go, over the same rows
+// and fixture: every serving variant — the family's own holders, the
+// locked holder, in every layout — at a shape below and one past the
+// family's capacity.
 func TestServingVariantsAgree(t *testing.T) {
-	marshal := func(t *testing.T, inst any) []byte {
-		t.Helper()
-		data, err := Marshal(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
 	for _, d := range All() {
 		if !d.Servable() {
 			continue
 		}
-		for _, v := range variantsOf(d)[1:] {
-			build, serve, buffered, name := v.build, v.bind, v.name == "buffered", v.name
-			t.Run(d.Name+"/"+name, func(t *testing.T) {
-				p, err := d.Validate(7, compactShape[d.Name])
-				if err != nil {
-					t.Fatal(err)
-				}
-				plain, err := d.New(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inst, err := build(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer closeIfOwned(inst)
-
-				rng := rand.New(rand.NewSource(int64(d.Tag)))
-				same := func(stage string) []byte {
-					t.Helper()
-					want, got := marshal(t, plain), marshal(t, inst)
-					if !bytes.Equal(got, want) {
-						t.Fatalf("%s: %T bytes diverge from the plain sketch's (%d vs %d bytes)", stage, inst, len(got), len(want))
-					}
-					return got
-				}
-				for batch := 0; batch < 5; batch++ {
-					items := randomLines(rng, d.Input, 1+rng.Intn(600))
-					if err := d.Bind.Ingest(plain, items); err != nil {
-						t.Fatal(err)
-					}
-					if err := serve.Ingest(inst, items); err != nil {
-						t.Fatal(err)
-					}
-				}
-				same("after ingest") // also syncs a buffered instance, so the reads below are exact
-
-				for _, q := range []url.Values{{}, {"item": {"k3"}}, {"item": {"never-seen"}}} {
-					want, err := d.Bind.Query(plain, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := serve.Query(inst, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, ok := got["staleness_bound"]; ok != buffered {
-						t.Errorf("query %v: staleness_bound present = %v on a %s instance", q, ok, name)
-					}
-					for k, w := range want {
-						if v, ok := got[k]; ok && !reflect.DeepEqual(v, w) {
-							t.Errorf("query %v: %s = %v, plain answers %v", q, k, v, w)
-						} else if !ok && !slices.Contains(answersLess[d.Name], k) {
-							t.Errorf("query %v: no %s in the answer, plain answers %v", q, k, w)
+		for i, v := range variantsOf(d)[1:] {
+			t.Run(d.Name+"/"+v.name, func(t *testing.T) {
+				for _, reg := range regimes {
+					for _, lay := range layoutsOf(d) {
+						if i+1 < len(lay.variants) {
+							c := &cell{newFixture(t, d, lawRows[d.Name], lay, reg), lay.variants[i+1]}
+							t.Run(path.Join(lay.name, reg.name), func(t *testing.T) { lawServing(t, c) })
 						}
 					}
-					delete(got, "staleness_bound")
-					for k := range got {
-						if _, ok := want[k]; !ok {
-							t.Errorf("query %v: answers %s, which the plain sketch does not", q, k)
-						}
-					}
-				}
-
-				if (serve.Merge == nil) != (d.Bind.Merge == nil) {
-					t.Fatalf("plain merges = %v, %s merges = %v", d.Bind.Merge != nil, name, serve.Merge != nil)
-				}
-				if serve.Merge != nil {
-					peer, err := d.New(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := d.Bind.Ingest(peer, randomLines(rng, d.Input, 300)); err != nil {
-						t.Fatal(err)
-					}
-					if err := d.Bind.Merge(plain, peer); err != nil {
-						t.Fatal(err)
-					}
-					if err := serve.Merge(inst, peer); err != nil {
-						t.Fatal(err)
-					}
-				}
-				before := same("after merge")
-
-				bad := badLine(d.Input)
-				if bad == nil {
-					return // every byte string is a well-formed line
-				}
-				items := append(randomLines(rng, d.Input, 20), bad)
-				if d.Bind.Ingest(plain, items) == nil || serve.Ingest(inst, items) == nil {
-					t.Fatalf("bad line %q accepted", bad)
-				}
-				if after := same("after rejected batch"); !bytes.Equal(after, before) {
-					t.Error("rejected batch left partial state")
 				}
 			})
 		}
+	}
+}
+
+// lawServing: a serving variant is the plain sketch behind a different
+// ingest discipline: fed the same batches through its own bindings it
+// holds the same bytes, answers the same keys with the same values,
+// absorbs the same peer and refuses the same bad batch — and a buffered
+// one adds exactly the staleness bound to an answer.
+func lawServing(t *testing.T, c *cell) {
+	d, serve, buffered := c.d, c.v.bind, c.v.name == "buffered"
+	plain, inst := c.plainNew(t, lawSeed, c.raw), c.receiver(t)
+	same := func(stage string) []byte {
+		t.Helper()
+		want, got := mustMarshal(t, plain), mustMarshal(t, inst)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %T bytes diverge from the plain sketch's (%d vs %d bytes)", stage, inst, len(got), len(want))
+		}
+		return got
+	}
+	for _, batch := range c.parts {
+		c.fed(t, plain, &d.Bind, batch)
+		c.fed(t, inst, serve, batch)
+	}
+	same("after ingest") // also syncs a buffered instance, so the reads below are exact
+
+	for _, q := range []url.Values{{}, ofK3, {"item": {"never-seen"}}} {
+		want, err := d.Bind.Query(plain, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := serve.Query(inst, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := got["staleness_bound"]; ok != buffered {
+			t.Errorf("query %v: staleness_bound present = %v on a %s instance", q, ok, c.v.name)
+		}
+		for k, w := range want {
+			if v, ok := got[k]; ok && !reflect.DeepEqual(v, w) {
+				t.Errorf("query %v: %s = %v, plain answers %v", q, k, v, w)
+			} else if !ok && !slices.Contains(c.row.answersLess, k) {
+				t.Errorf("query %v: no %s in the answer, plain answers %v", q, k, w)
+			}
+		}
+		delete(got, "staleness_bound")
+		for k := range got {
+			if _, ok := want[k]; !ok {
+				t.Errorf("query %v: answers %s, which the plain sketch does not", q, k)
+			}
+		}
+	}
+
+	if (serve.Merge == nil) != (d.Bind.Merge == nil) {
+		t.Fatalf("plain merges = %v, %s merges = %v", d.Bind.Merge != nil, c.v.name, serve.Merge != nil)
+	}
+	if serve.Merge != nil {
+		if err := d.Bind.Merge(plain, c.decoded(t, c.part[0])); err != nil {
+			t.Fatal(err)
+		}
+		c.absorb(t, inst, 0)
+	}
+	before := same("after merge")
+
+	bad := badLine(d.Input)
+	if bad == nil {
+		return // every byte string is a well-formed line
+	}
+	items := append(slices.Clone(c.parts[0][:min(20, len(c.parts[0]))]), bad)
+	if d.Bind.Ingest(plain, items) == nil || serve.Ingest(inst, items) == nil {
+		t.Fatalf("bad line %q accepted", bad)
+	}
+	if after := same("after rejected batch"); !bytes.Equal(after, before) {
+		t.Error("rejected batch left partial state")
 	}
 }

@@ -3,7 +3,6 @@ package registry
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -26,52 +25,6 @@ func parsedKind(k InputKind) bool {
 		return true
 	}
 	return false
-}
-
-// blockLines generates n well-formed lines of a parsed kind, valid
-// under every descriptor's default parameters, with and without the
-// optional second field and with values at the edges of its range.
-func blockLines(rng *rand.Rand, kind InputKind, n int) [][]byte {
-	out := make([][]byte, n)
-	for i := range out {
-		key, bare := fmt.Sprintf("k%d", rng.Intn(40)), rng.Intn(4) == 0
-		if rng.Intn(10) == 0 {
-			// An item may contain tabs when a weight follows the last one.
-			key, bare = "a\tb"+key, false
-		}
-		var line string
-		switch kind {
-		case InputWeightedItems:
-			w := uint64(rng.Intn(1000))
-			if rng.Intn(50) == 0 {
-				w = ^uint64(0) - uint64(rng.Intn(10))
-			}
-			line = key + "\t" + strconv.FormatUint(w, 10)
-		case InputSignedItems:
-			line = key + "\t" + strconv.FormatInt(rng.Int63n(1<<40)-1<<39, 10)
-			if rng.Intn(8) == 0 {
-				line = key + "\t+" + strconv.Itoa(rng.Intn(9))
-			}
-		case InputFloats:
-			line, bare = strconv.FormatFloat(rng.NormFloat64()*1e3, 'g', -1, 64), false
-		case InputUintValues:
-			key = strconv.Itoa(rng.Intn(1 << 20))
-			line = key + "\t" + strconv.Itoa(1+rng.Intn(9))
-		case InputTurnstile:
-			key = strconv.FormatUint(rng.Uint64()>>uint(rng.Intn(64)), 10)
-			line = key + "\t" + strconv.Itoa(rng.Intn(19)-9)
-		case InputEdges:
-			u := rng.Intn(1024)
-			line, bare = fmt.Sprintf("%d\t%d", u, (u+1+rng.Intn(1023))%1024), false
-		case InputWeightedFloatItems:
-			line = key + "\t" + strconv.FormatFloat(rng.Float64()*10+1e-9, 'g', -1, 64)
-		}
-		if bare {
-			line = key
-		}
-		out[i] = []byte(line)
-	}
-	return out
 }
 
 // scalarAdd is the reference the block path is held to: the line split
@@ -159,12 +112,8 @@ type ingestVariant struct {
 	ingest func(any, [][]byte) error
 }
 
-func ingestVariants(t *testing.T, d *Descriptor) []ingestVariant {
+func ingestVariants(t *testing.T, d *Descriptor, p Params) []ingestVariant {
 	t.Helper()
-	p, err := d.Validate(7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []ingestVariant
 	for _, v := range variantsOf(d) {
 		inst, err := v.build(p)
@@ -198,7 +147,7 @@ func TestIngestBlockMatchesScalar(t *testing.T) {
 		}
 		covered++
 		t.Run(d.Name, func(t *testing.T) {
-			p, err := d.Validate(7, nil)
+			p, err := d.Validate(7, lawRows[d.Name].compact)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,12 +155,12 @@ func TestIngestBlockMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			variants := ingestVariants(t, d)
+			variants := ingestVariants(t, d, p)
 			rng := rand.New(rand.NewSource(int64(d.Tag)))
 			// Sizes around the kernels' 256-item chunk, and a batch
 			// after a batch: the pooled block comes back dirty.
 			for _, n := range []int{1, 255, 256, 257, 1024, 3} {
-				batch := blockLines(rng, d.Input, n)
+				batch := randomLines(rng, d.Input, n, universeOf(d, p, 40))
 				for _, line := range batch {
 					scalarAdd(t, ref, string(line))
 				}
@@ -236,7 +185,7 @@ func TestIngestBlockMatchesScalar(t *testing.T) {
 
 // rejectedLines are lines a kind's parse must refuse: a malformed
 // second field, one past its range, an empty one, and (value kinds) a
-// first field outside the default instance's domain.
+// first field outside every shape's domain.
 func rejectedLines(k InputKind) []string {
 	switch k {
 	case InputWeightedItems:
@@ -266,14 +215,18 @@ func TestIngestRejectsWholeBatch(t *testing.T) {
 			continue
 		}
 		t.Run(d.Name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(d.Tag)))
-			for _, v := range ingestVariants(t, d) {
-				if err := v.ingest(v.inst, blockLines(rng, d.Input, 300)); err != nil {
+			p, err := d.Validate(7, lawRows[d.Name].compact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng, universe := rand.New(rand.NewSource(int64(d.Tag))), universeOf(d, p, 40)
+			for _, v := range ingestVariants(t, d, p) {
+				if err := v.ingest(v.inst, randomLines(rng, d.Input, 300, universe)); err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
 				before := mustMarshal(t, v.inst)
 				for _, bad := range rejectedLines(d.Input) {
-					batch := append(blockLines(rng, d.Input, 40), []byte(bad))
+					batch := append(randomLines(rng, d.Input, 40, universe), []byte(bad))
 					if err := v.ingest(v.inst, batch); !errors.Is(err, ErrInput) {
 						t.Errorf("%s: last line %q: err = %v, want ErrInput", v.name, bad, err)
 					}

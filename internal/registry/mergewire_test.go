@@ -77,9 +77,20 @@ func wireEnvelope(t *testing.T, d *Descriptor, variant string, raw map[string]fl
 	return marshalFed(t, d, inst, ingestFor(d, variant), slim, rng)
 }
 
+// kwiseOf builds d's k-wise layout at projShape.
+func kwiseOf(t *testing.T, d *Descriptor, seed uint64) any {
+	t.Helper()
+	p, err := d.Validate(seed, projShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, _ := kwiseBuilders[d.Name](p)
+	return inst
+}
+
 func marshalFed(t *testing.T, d *Descriptor, inst any, ingest func(any, [][]byte) error, slim bool, rng *rand.Rand) []byte {
 	t.Helper()
-	if err := ingest(inst, randomLines(rng, d.Input, 300)); err != nil {
+	if err := ingest(inst, randomLines(rng, d.Input, 300, 40)); err != nil {
 		t.Fatal(err)
 	}
 	env, _, err := AppendMarshal(nil, inst, slim)
@@ -203,9 +214,9 @@ func TestMergeWireLaw(t *testing.T) {
 				}
 			}
 		}
-		if kw := kwiseBuilders[name]; kw != nil {
+		if kwiseBuilders[name] != nil {
 			sources = append(sources, source{name: "plain/kwise", make: func(seed uint64, rng *rand.Rand) []byte {
-				return marshalFed(t, d, kw(seed), d.Bind.Ingest, false, rng)
+				return marshalFed(t, d, kwiseOf(t, d, seed), d.Bind.Ingest, false, rng)
 			}})
 		}
 		for _, src := range sources {
@@ -310,7 +321,7 @@ func TestMergeWireDeclines(t *testing.T) {
 	d, _ := Lookup("countmin")
 	rng := rand.New(rand.NewSource(5))
 	v3 := func() []byte {
-		return marshalFed(t, d, kwiseBuilders["countmin"](7), d.Bind.Ingest, false, rng)
+		return marshalFed(t, d, kwiseOf(t, d, 7), d.Bind.Ingest, false, rng)
 	}
 	// Versions 1 and 2 wrote version 3's bytes under their own version
 	// byte, version 1 without the mode byte (offset 31; all of its

@@ -12,9 +12,9 @@ package registry
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math/rand"
 	"net/url"
+	"path"
 	"reflect"
 	"testing"
 
@@ -22,73 +22,29 @@ import (
 	"repro/internal/frequency"
 )
 
-// projVariant is one way to build a projecting family's instance, with
-// the ingest binding that drives it.
-type projVariant struct {
-	name   string
-	build  func(seed uint64) (any, error)
-	ingest func(inst any, items [][]byte) error
+// kwise builds a hashed-counter family in the row-hash layout no creation
+// parameter reaches, at the width and depth asked for.
+func kwise[T any](build func(frequency.Layout) T) func(Params) (any, error) {
+	return func(p Params) (any, error) {
+		return build(frequency.Layout{Width: p.Int("width"), Depth: p.Int("depth"), Mode: frequency.KWise, Seed: p.Seed}), nil
+	}
 }
 
-// kwiseBuilders are the row-hash layouts no creation parameter reaches.
-var kwiseBuilders = map[string]func(seed uint64) any{
-	"countmin": func(seed uint64) any {
-		return frequency.NewCountMinLayout(frequency.Layout{Width: 96, Depth: 5, Mode: frequency.KWise, Seed: seed})
-	},
-	"countsketch": func(seed uint64) any {
-		return frequency.NewCountSketchLayout(frequency.Layout{Width: 96, Depth: 5, Mode: frequency.KWise, Seed: seed})
-	},
+var kwiseBuilders = map[string]func(Params) (any, error){
+	"countmin":    kwise(frequency.NewCountMinLayout),
+	"countsketch": kwise(frequency.NewCountSketchLayout),
 }
 
-func projVariants(d *Descriptor) []projVariant {
-	var out []projVariant
-	raws := map[string]map[string]float64{"rows": {"width": 96, "depth": 5}}
-	if d.HasParam("fused") {
-		raws["fused"] = map[string]float64{"width": 96, "depth": 5, "fused": 1}
-	}
-	for layout, raw := range raws {
-		for _, c := range variantsOf(d) {
-			out = append(out, projVariant{layout + "/" + c.name, func(seed uint64) (any, error) {
-				p, err := d.Validate(seed, raw)
-				if err != nil {
-					return nil, err
-				}
-				return c.build(p)
-			}, c.bind.Ingest})
-		}
-	}
-	if kw := kwiseBuilders[d.Name]; kw != nil {
-		out = append(out, projVariant{"kwise/plain", func(seed uint64) (any, error) { return kw(seed), nil }, d.Bind.Ingest})
-	}
-	return out
-}
+// projShape is the table the projection and wire-merge tests run on.
+var projShape = shape{"width": 96, "depth": 5}
 
-// randomLines renders a random weighted stream in the descriptor's
-// line format over a small key universe (so shards share keys), with
-// the occasional weight near 2^64 so counters and n wrap. The kinds
-// whose first field is not an item are blockLines'.
-func randomLines(rng *rand.Rand, kind InputKind, n int) [][]byte {
-	switch kind {
-	case InputFloats, InputUintValues, InputTurnstile, InputWeightedFloatItems:
-		return blockLines(rng, kind, n)
-	}
-	out := make([][]byte, n)
-	for i := range out {
-		key := fmt.Sprintf("k%d", rng.Intn(40))
-		switch kind {
-		case InputWeightedItems:
-			w := uint64(rng.Intn(1000))
-			if rng.Intn(50) == 0 {
-				w = ^uint64(0) - uint64(rng.Intn(10))
-			}
-			out[i] = []byte(fmt.Sprintf("%s\t%d", key, w))
-		case InputSignedItems:
-			out[i] = []byte(fmt.Sprintf("%s\t%d", key, rng.Int63n(1<<40)-1<<39))
-		case InputEdges: // among compactShape's 64 vertices
-			u := rng.Intn(64)
-			out[i] = []byte(fmt.Sprintf("%d\t%d", u, (u+1+rng.Intn(63))%64))
-		default:
-			out[i] = []byte(key)
+// projVariants are every layout's variants, named layout/variant.
+func projVariants(d *Descriptor) []variant {
+	var out []variant
+	for _, lay := range layoutsOf(d) {
+		for _, v := range lay.variants {
+			v.name = path.Join(lay.name, v.name)
+			out = append(out, v)
 		}
 	}
 	return out
@@ -149,12 +105,16 @@ func TestProjectionEqualsMergedQuery(t *testing.T) {
 					seed := uint64(1 + rng.Intn(3))
 					insts := make([]any, shards)
 					for i := range insts {
-						inst, err := v.build(seed)
+						p, err := d.Validate(seed, projShape)
+						if err != nil {
+							t.Fatal(err)
+						}
+						inst, err := v.build(p)
 						if err != nil {
 							t.Fatalf("build: %v", err)
 						}
 						defer closeIfOwned(inst)
-						if err := v.ingest(inst, randomLines(rng, d.Input, rng.Intn(400))); err != nil {
+						if err := v.bind.Ingest(inst, randomLines(rng, d.Input, rng.Intn(400), 40)); err != nil {
 							t.Fatalf("ingest: %v", err)
 						}
 						insts[i] = inst
@@ -208,7 +168,7 @@ func project(t *testing.T, name string, seed uint64, raw map[string]float64, q u
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Bind.Ingest(inst, sampleLines(d.Input)); err != nil {
+	if err := d.Bind.Ingest(inst, defaultLines(d)); err != nil {
 		t.Fatal(err)
 	}
 	proj, err := d.Projection(inst, q)
@@ -240,7 +200,7 @@ func TestProjectionRefusals(t *testing.T) {
 	}
 
 	// A projection answers only the query it was taken for.
-	carrier, _ := LookupTag(core.TagProjection)
+	carrier := byTag[core.TagProjection]
 	if _, err := carrier.Bind.Query(base(), url.Values{"item": {"beta"}}); !errors.Is(err, core.ErrIncompatible) {
 		t.Errorf("Finish under another query: err = %v, want ErrIncompatible", err)
 	}

@@ -387,18 +387,6 @@ func Lookup(name string) (*Descriptor, bool) {
 	return d, ok
 }
 
-// LookupTag returns the descriptor registered for a wire tag.
-func LookupTag(tag byte) (*Descriptor, bool) {
-	d, ok := byTag[tag]
-	return d, ok
-}
-
-// ReservedTag reports whether a tag is tombstoned and why.
-func ReservedTag(tag byte) (string, bool) {
-	why, ok := reserved[tag]
-	return why, ok
-}
-
 // All returns every registered descriptor sorted by name.
 func All() []*Descriptor {
 	out := make([]*Descriptor, 0, len(byName))

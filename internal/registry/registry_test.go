@@ -1,14 +1,15 @@
 package registry
 
-// Registry-wide contract tests: every wire tag is accounted for, every
-// descriptor's fresh instance survives Marshal → Decode → Marshal
-// byte-identically, every servable type ingests its advertised line
-// format and rejects malformed batches whole, and the capability
-// surface (servable / mergeable) matches the documented expectations.
+// Registry-wide contract tests at the schema's defaults: every wire tag
+// is accounted for, every descriptor's default instance builds, round-
+// trips, ingests its advertised line format, merges a decoded peer and
+// rejects a malformed batch whole. What a family promises beyond that,
+// at shapes its streams overflow, is laws_test.go.
 
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"net/url"
 	"testing"
 
@@ -21,8 +22,8 @@ import (
 // silently being undecodable.
 func TestTagExhaustive(t *testing.T) {
 	for tag := byte(1); tag <= core.TagMax; tag++ {
-		d, registered := LookupTag(tag)
-		_, isReserved := ReservedTag(tag)
+		d, registered := byTag[tag]
+		_, isReserved := reserved[tag]
 		switch {
 		case registered && isReserved:
 			t.Errorf("tag %d is both registered (%s) and reserved", tag, d.Name)
@@ -39,74 +40,54 @@ func TestTagExhaustive(t *testing.T) {
 	}
 }
 
-// TestFreshRoundTrip builds each type with schema defaults and checks
-// MarshalBinary → Decode → MarshalBinary is byte-identical, and that
-// the generic decode reports the right descriptor.
-func TestFreshRoundTrip(t *testing.T) {
+// atDefaults runs f, for each descriptor want accepts, with a constructor
+// of its plain instance under the schema's defaults and a check that an
+// envelope decodes, generically, to this family and the same bytes.
+func atDefaults(t *testing.T, want func(*Descriptor) bool, f func(t *testing.T, d *Descriptor, build func() any, roundTrip func(inst any) any)) {
 	for _, d := range All() {
+		if !want(d) {
+			continue
+		}
 		t.Run(d.Name, func(t *testing.T) {
 			p, err := d.Validate(1, nil)
 			if err != nil {
 				t.Fatalf("Validate with defaults: %v", err)
 			}
-			inst, err := d.New(p)
-			if err != nil {
-				t.Fatalf("New with defaults: %v", err)
+			build := func() any {
+				inst, err := d.New(p)
+				if err != nil {
+					t.Fatalf("New with defaults: %v", err)
+				}
+				return inst
 			}
-			env, err := Marshal(inst)
-			if err != nil {
-				t.Fatalf("MarshalBinary: %v", err)
-			}
-			decoded, dd, err := Decode(env)
-			if err != nil {
-				t.Fatalf("Decode: %v", err)
-			}
-			if dd != d {
-				t.Fatalf("Decode resolved %q, want %q", dd.Name, d.Name)
-			}
-			env2, err := Marshal(decoded)
-			if err != nil {
-				t.Fatalf("re-MarshalBinary: %v", err)
-			}
-			if !bytes.Equal(env, env2) {
-				t.Errorf("round-trip not byte-identical: %d vs %d bytes", len(env), len(env2))
-			}
+			f(t, d, build, func(inst any) any {
+				env := mustMarshal(t, inst)
+				decoded, dd, err := Decode(env)
+				if err != nil || dd != d {
+					t.Fatalf("Decode = %v, %v; want a %s", dd, err, d.Name)
+				}
+				if again := mustMarshal(t, decoded); !bytes.Equal(env, again) {
+					t.Errorf("round-trip not byte-identical: %d vs %d bytes", len(env), len(again))
+				}
+				return decoded
+			})
 		})
 	}
 }
 
-func lines(ss ...string) [][]byte {
-	out := make([][]byte, len(ss))
-	for i, s := range ss {
-		out[i] = []byte(s)
-	}
-	return out
+func servable(d *Descriptor) bool { return d.Servable() }
+
+// TestFreshRoundTrip: every descriptor's defaults build an instance whose
+// envelope decodes, generically, to the same bytes.
+func TestFreshRoundTrip(t *testing.T) {
+	atDefaults(t, func(*Descriptor) bool { return true }, func(t *testing.T, d *Descriptor, build func() any, roundTrip func(any) any) {
+		roundTrip(build())
+	})
 }
 
-// sampleLines returns a well-formed batch for each advertised input
-// kind, valid under every descriptor's default parameters.
-func sampleLines(k InputKind) [][]byte {
-	switch k {
-	case InputItems:
-		return lines("alpha", "beta", "gamma")
-	case InputWeightedItems:
-		return lines("alpha\t3", "beta")
-	case InputSignedItems:
-		return lines("alpha\t-2", "beta\t+4", "gamma")
-	case InputFloats:
-		return lines("1.5", "2.25", "-0.5")
-	case InputUintValues:
-		return lines("7\t2", "42")
-	case InputTurnstile:
-		return lines("3\t5", "9")
-	case InputEvents:
-		return lines("x", "x", "x")
-	case InputEdges:
-		return lines("0\t1", "2\t3")
-	case InputWeightedFloatItems:
-		return lines("alpha\t1.5", "beta")
-	}
-	return nil
+// defaultLines is a short batch valid under d's default parameters.
+func defaultLines(d *Descriptor) [][]byte {
+	return randomLines(rand.New(rand.NewSource(int64(d.Tag))), d.Input, 12, 40)
 }
 
 // badLine returns a line the kind's parser must reject, or nil when
@@ -135,79 +116,32 @@ func badLine(k InputKind) []byte {
 // the descriptor alone: construct, ingest the advertised line format,
 // serialize, decode generically, and query the decoded copy.
 func TestIngestQueryRoundTrip(t *testing.T) {
-	for _, d := range All() {
-		if !d.Servable() {
-			continue
+	atDefaults(t, servable, func(t *testing.T, d *Descriptor, build func() any, roundTrip func(any) any) {
+		inst := build()
+		if err := d.Bind.Ingest(inst, defaultLines(d)); err != nil {
+			t.Fatalf("Ingest(%q): %v", defaultLines(d), err)
 		}
-		t.Run(d.Name, func(t *testing.T) {
-			p, err := d.Validate(1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, err := d.New(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := sampleLines(d.Input)
-			if batch == nil {
-				t.Fatalf("no sample batch for input kind %v", d.Input)
-			}
-			if err := d.Bind.Ingest(inst, batch); err != nil {
-				t.Fatalf("Ingest(%q): %v", batch, err)
-			}
-			env, err := Marshal(inst)
-			if err != nil {
-				t.Fatalf("MarshalBinary after ingest: %v", err)
-			}
-			decoded, dd, err := Decode(env)
-			if err != nil {
-				t.Fatalf("Decode after ingest: %v", err)
-			}
-			if dd != d {
-				t.Fatalf("Decode resolved %q, want %q", dd.Name, d.Name)
-			}
-			if _, err := d.Bind.Query(decoded, url.Values{}); err != nil {
-				t.Fatalf("Query on decoded instance: %v", err)
-			}
-		})
-	}
+		if _, err := d.Bind.Query(roundTrip(inst), url.Values{}); err != nil {
+			t.Fatalf("Query on decoded instance: %v", err)
+		}
+	})
 }
 
 // TestIngestRejectsBadLines checks batch atomicity: a batch with one
 // malformed line fails as a whole with ErrInput and the instance still
 // serializes identically to its pre-batch state.
 func TestIngestRejectsBadLines(t *testing.T) {
-	for _, d := range All() {
-		bad := badLine(d.Input)
-		if !d.Servable() || bad == nil {
-			continue
+	parsed := func(d *Descriptor) bool { return d.Servable() && badLine(d.Input) != nil }
+	atDefaults(t, parsed, func(t *testing.T, d *Descriptor, build func() any, _ func(any) any) {
+		inst, bad := build(), badLine(d.Input)
+		before := mustMarshal(t, inst)
+		if err := d.Bind.Ingest(inst, append(defaultLines(d), bad)); !errors.Is(err, ErrInput) {
+			t.Fatalf("Ingest with bad line %q: err = %v, want ErrInput", bad, err)
 		}
-		t.Run(d.Name, func(t *testing.T) {
-			p, err := d.Validate(1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, err := d.New(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before, err := Marshal(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := append(sampleLines(d.Input), bad)
-			if err := d.Bind.Ingest(inst, batch); !errors.Is(err, ErrInput) {
-				t.Fatalf("Ingest with bad line %q: err = %v, want ErrInput", bad, err)
-			}
-			after, err := Marshal(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(before, after) {
-				t.Error("rejected batch mutated the sketch (partial ingest)")
-			}
-		})
-	}
+		if !bytes.Equal(before, mustMarshal(t, inst)) {
+			t.Error("rejected batch mutated the sketch (partial ingest)")
+		}
+	})
 }
 
 // Every constructor of the two hashed-counter families refuses a fused
@@ -263,46 +197,6 @@ func nan() float64 {
 	return z / z
 }
 
-// TestCapabilityExpectations pins the capability surface: at least 15
-// servable types (the sketchd floor), and the exact sets of types that
-// intentionally lack merge or serving support.
-func TestCapabilityExpectations(t *testing.T) {
-	servable, nonMergeable, nonServable := 0, []string{}, []string{}
-	for _, d := range All() {
-		if d.Servable() {
-			servable++
-		} else {
-			nonServable = append(nonServable, d.Name)
-		}
-		if !d.Mergeable() {
-			nonMergeable = append(nonMergeable, d.Name)
-		}
-	}
-	if servable < 15 {
-		t.Errorf("servable types = %d, want at least 15", servable)
-	}
-	wantNonServable := []string{"projection", "simhash"} // the projection carrier is wire-only
-	wantNonMergeable := []string{"mrl", "simhash", "weightedreservoir"}
-	if !equalStrings(nonServable, wantNonServable) {
-		t.Errorf("non-servable types = %v, want %v", nonServable, wantNonServable)
-	}
-	if !equalStrings(nonMergeable, wantNonMergeable) {
-		t.Errorf("non-mergeable types = %v, want %v", nonMergeable, wantNonMergeable)
-	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestDecodeRejects covers the generic decoder's failure taxonomy:
 // short or bad-magic headers, unknown tags, and retired tags all fail
 // with core.ErrCorrupt and a distinguishing message.
@@ -326,41 +220,17 @@ func TestDecodeRejects(t *testing.T) {
 }
 
 // TestMergeThroughRegistry merges a decoded peer into a live instance
-// through the descriptor bindings alone, for one representative of
-// each mergeable family-shape, and checks a seed mismatch surfaces
-// core.ErrIncompatible.
+// of every mergeable servable family at its default shape, through the
+// descriptor bindings alone.
 func TestMergeThroughRegistry(t *testing.T) {
-	for _, d := range All() {
-		if !d.Mergeable() || !d.Servable() {
-			continue
+	merging := func(d *Descriptor) bool { return d.Mergeable() && d.Servable() }
+	atDefaults(t, merging, func(t *testing.T, d *Descriptor, build func() any, roundTrip func(any) any) {
+		peer := build()
+		if err := d.Bind.Ingest(peer, defaultLines(d)); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(d.Name, func(t *testing.T) {
-			p, err := d.Validate(1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := d.New(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := d.New(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Bind.Ingest(b, sampleLines(d.Input)); err != nil {
-				t.Fatal(err)
-			}
-			env, err := Marshal(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			peer, _, err := Decode(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Bind.Merge(a, peer); err != nil {
-				t.Fatalf("Merge same-shape peer: %v", err)
-			}
-		})
-	}
+		if err := d.Bind.Merge(build(), roundTrip(peer)); err != nil {
+			t.Fatalf("Merge same-shape peer: %v", err)
+		}
+	})
 }

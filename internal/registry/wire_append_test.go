@@ -50,12 +50,6 @@ func variantsOf(d *Descriptor) []variant {
 	return out
 }
 
-// compactShape shrinks the one family whose default instance is tens of
-// megabytes (graphsketch: 1024 vertices x 12 rounds of L0 samplers, a
-// 67 MB envelope) for the tests that build several instances and marshal
-// them at every step.
-var compactShape = map[string]map[string]float64{"graphsketch": {"vertices": 64, "rounds": 4}}
-
 // wireVariants are the instances a descriptor can build, by the name
 // the subtests use.
 func wireVariants(d *Descriptor) map[string]func(Params) (any, error) {
@@ -115,7 +109,7 @@ func TestAppendFormsMatchMarshal(t *testing.T) {
 				}
 				defer closeIfOwned(inst)
 				if ingest := ingestFor(d, variant); ingest != nil {
-					if err := ingest(inst, sampleLines(d.Input)); err != nil {
+					if err := ingest(inst, defaultLines(d)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -205,7 +199,7 @@ func TestMarshalAllocatesTheEnvelopeOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ingestFor(d, variant)(inst, sampleLines(d.Input)); err != nil {
+			if err := ingestFor(d, variant)(inst, defaultLines(d)); err != nil {
 				t.Fatal(err)
 			}
 			direct, _ := held(inst)

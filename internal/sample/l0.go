@@ -193,7 +193,7 @@ func (sr *SparseRecovery) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a structure serialized by MarshalBinary.
 func (sr *SparseRecovery) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagSparseRecovery)
+	r, _, err := core.NewReaderVersioned(data, core.TagSparseRecovery, 1)
 	if err != nil {
 		return err
 	}
@@ -202,8 +202,8 @@ func (sr *SparseRecovery) UnmarshalBinary(data []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if s < 1 || s > 1<<20 {
-		return fmt.Errorf("%w: sparse recovery s=%d", core.ErrCorrupt, s)
+	if s < 1 || s > 1<<20 || r.Remaining() != 4*2*s*24 { // the cells are allocated from s: they must all be here
+		return fmt.Errorf("%w: sparse recovery s=%d with %d bytes of cells", core.ErrCorrupt, s, r.Remaining())
 	}
 	fresh := NewSparseRecovery(s, seed)
 	for i := range fresh.cells {
@@ -301,9 +301,15 @@ func (l *L0Sampler) Update(index uint64, weight int64) {
 	}
 }
 
+// SameShape reports whether other was built with l's sparsity and seed:
+// whether the two add.
+func (l *L0Sampler) SameShape(other *L0Sampler) bool {
+	return l.seed == other.seed && l.s == other.s && len(l.levels) == len(other.levels)
+}
+
 // Merge adds another sampler level-wise.
 func (l *L0Sampler) Merge(other *L0Sampler) error {
-	if l.seed != other.seed || l.s != other.s || len(l.levels) != len(other.levels) {
+	if !l.SameShape(other) {
 		return fmt.Errorf("%w: L0 sampler shape mismatch", core.ErrIncompatible)
 	}
 	for i := range l.levels {
@@ -346,7 +352,7 @@ func (l *L0Sampler) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a sampler serialized by MarshalBinary.
 func (l *L0Sampler) UnmarshalBinary(data []byte) error {
-	r, _, err := core.NewReader(data, core.TagL0SamplerFull)
+	r, _, err := core.NewReaderVersioned(data, core.TagL0SamplerFull, 1)
 	if err != nil {
 		return err
 	}
@@ -356,7 +362,9 @@ func (l *L0Sampler) UnmarshalBinary(data []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if s < 1 || live < 0 || live > l0Levels {
+	// A level is allocated from s on the first update that reaches it,
+	// whatever the envelope held: 2^16 is 12 MB a level.
+	if s < 1 || s > 1<<16 || live < 0 || live > l0Levels {
 		return fmt.Errorf("%w: L0 sampler s=%d live=%d", core.ErrCorrupt, s, live)
 	}
 	fresh := NewL0Sampler(s, seed)
@@ -373,8 +381,8 @@ func (l *L0Sampler) UnmarshalBinary(data []byte) error {
 		if err := sr.UnmarshalBinary(payload); err != nil {
 			return err
 		}
-		if sr.seed != fresh.levelSeeds[idx] {
-			return fmt.Errorf("%w: L0 sampler level seed mismatch", core.ErrCorrupt)
+		if sr.seed != fresh.levelSeeds[idx] || sr.s != s {
+			return fmt.Errorf("%w: L0 sampler level seed or sparsity mismatch", core.ErrCorrupt)
 		}
 		fresh.levels[idx] = &sr
 	}

@@ -73,16 +73,16 @@ func (r *Reservoir) Merge(other *Reservoir) error {
 	if r.k != other.k {
 		return fmt.Errorf("%w: reservoir capacities %d vs %d", core.ErrIncompatible, r.k, other.k)
 	}
-	total := r.n + other.n
-	if total == 0 {
-		return nil
+	if other.n == 0 {
+		return nil // an empty peer is the identity: no shuffle, no draw
 	}
+	total := r.n + other.n
 	// Shuffle copies of both samples, then draw slot by slot.
 	mine := append([][]byte(nil), r.items...)
 	theirs := append([][]byte(nil), other.items...)
 	r.rng.Shuffle(len(mine), func(i, j int) { mine[i], mine[j] = mine[j], mine[i] })
 	r.rng.Shuffle(len(theirs), func(i, j int) { theirs[i], theirs[j] = theirs[j], theirs[i] })
-	out := make([][]byte, 0, r.k)
+	out := make([][]byte, 0, min(r.k, len(mine)+len(theirs))) // a decoded k is not a size to reserve
 	nMine, nTheirs := r.n, other.n
 	for len(out) < r.k && (len(mine) > 0 || len(theirs) > 0) {
 		takeMine := false
@@ -125,14 +125,14 @@ func (r *Reservoir) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary restores a reservoir serialized by MarshalBinary.
 func (r *Reservoir) UnmarshalBinary(data []byte) error {
-	rd, _, err := core.NewReader(data, core.TagReservoir)
+	rd, _, err := core.NewReaderVersioned(data, core.TagReservoir, 1)
 	if err != nil {
 		return err
 	}
 	k := int(rd.U32())
 	seed := rd.U64()
 	n := rd.U64()
-	cnt := int(rd.U32())
+	cnt := rd.Count(4) // an item is at least its length prefix
 	if rd.Err() != nil {
 		return rd.Err()
 	}

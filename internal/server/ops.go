@@ -228,12 +228,10 @@ func (p *BodyPool) Read(w http.ResponseWriter, r *http.Request) (body []byte, re
 }
 
 // WireSlim parses a wire=full|slim value, the envelope form a snapshot
-// read asks for; "" takes def. The error is the caller's mistake (400).
-func WireSlim(wire string, def bool) (slim bool, err error) {
+// read asks for; "" is full. The error is the caller's mistake (400).
+func WireSlim(wire string) (slim bool, err error) {
 	switch wire {
-	case "":
-		return def, nil
-	case "full":
+	case "", "full":
 		return false, nil
 	case "slim":
 		return true, nil

@@ -270,7 +270,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	// form, registry.SlimMarshaler); families without one serve the full
 	// envelope, so the parameter is a safe hint on any type.
 	q := r.URL.Query()
-	wantSlim, err := WireSlim(q.Get("wire"), false)
+	wantSlim, err := WireSlim(q.Get("wire"))
 	if err != nil {
 		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
