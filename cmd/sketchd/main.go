@@ -20,8 +20,9 @@
 // window); 0 fsyncs after every drained batch; negative never fsyncs
 // (the OS page cache decides).
 //
-// -concurrent-ingest=buffered switches hll, countmin, and blockedbloom
-// serving to the local-buffer/global-propagation variants: writer-local
+// -concurrent-ingest=buffered serves this process's hll, countmin, and
+// blockedbloom sketches in their local-buffer/global-propagation form
+// (server.Server.SetBufferedIngest, set before recovery): writer-local
 // ingest buffers drained by a propagator goroutine, wait-free reads
 // with a bounded staleness window (reported as staleness_bound on
 // queries). Ideal for many-writer ingest-heavy workloads; atomic (the
@@ -62,7 +63,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/durable"
-	"repro/internal/registry"
 	"repro/internal/server"
 )
 
@@ -113,17 +113,13 @@ func main() {
 		return
 	}
 
-	switch *concurrentIngest {
-	case "atomic":
-	case "buffered":
-		// Must be selected before recovery: restored entries are
-		// constructed through the same serving-mode switch.
-		registry.SetBufferedServing(true)
-	default:
+	if *concurrentIngest != "atomic" && *concurrentIngest != "buffered" {
 		log.Fatalf("sketchd: -concurrent-ingest must be atomic or buffered, got %q", *concurrentIngest)
 	}
 
 	srv := server.New()
+	// Before recovery: restored sketches are built in the server's mode.
+	srv.SetBufferedIngest(*concurrentIngest == "buffered")
 	if *saltSeeds {
 		// Before recovery: replayed creates carry stamped seeds, but new
 		// creates must salt from the first request on.

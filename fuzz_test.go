@@ -666,8 +666,8 @@ func FuzzBufferedMerge(f *testing.F) {
 	})
 }
 
-// FuzzBufferedIngest drives the registry's buffered serving ingest
-// closures (pooled-writer batch path, including the validate-whole-
+// FuzzBufferedIngest drives the registry's ingest bindings over buffered
+// instances (pooled-writer batch path, including the validate-whole-
 // batch weight parsing) with arbitrary newline batches: a bad line
 // must reject the batch with an error and no partial state panic-free.
 func FuzzBufferedIngest(f *testing.F) {
@@ -688,9 +688,9 @@ func FuzzBufferedIngest(f *testing.F) {
 	})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		items := server.SplitBatch(in)
-		_ = cmDesc.Serve.Ingest(bcm, items)
-		_ = hllDesc.Serve.Ingest(bh, items)
-		_ = bloomDesc.Serve.Ingest(bb, items)
+		_ = cmDesc.Bind.Ingest(bcm, items)
+		_ = hllDesc.Bind.Ingest(bh, items)
+		_ = bloomDesc.Bind.Ingest(bb, items)
 	})
 }
 

@@ -553,7 +553,7 @@ func serverCountMinIngest(b *testing.B) {
 
 // registryCountMinWeightedIngest measures the registry's ingest adapter
 // alone on the serving Count-Min: one 1024-line weighted body through
-// Serve.Ingest — cut weights, hash, pooled block, weighted batch kernel
+// Bind.Ingest — cut weights, hash, pooled block, weighted batch kernel
 // — per line. Steady state allocates nothing.
 func registryCountMinWeightedIngest(b *testing.B) {
 	d, _ := typereg.Lookup("countmin")
@@ -561,7 +561,7 @@ func registryCountMinWeightedIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inst, err := d.ServingNew()(p)
+	inst, err := d.Serving(p, false)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func registryCountMinWeightedIngest(b *testing.B) {
 	b.SetBytes(int64(len(items[0])))
 	b.ResetTimer()
 	for i := 0; i < b.N; i += lines {
-		if err := d.Serve.Ingest(inst, items); err != nil {
+		if err := d.Bind.Ingest(inst, items); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,8 @@ package concurrent
 // lines (and the shared n counter) ping-pong between sockets and
 // throughput flattens. Here writers never touch shared sketch state:
 //
-//   - Each writer owns a bounded local buffer (a writer handle,
-//     obtained via Writer()): updates append pre-hashed items to
+//   - Each writer owns a bounded local buffer (a handle from Writer(),
+//     or one a batch borrows): updates append pre-hashed items to
 //     private memory — pure L1 traffic, no synchronization.
 //   - A filled buffer is handed to a background propagator goroutine
 //     over a channel; the propagator — the only goroutine that writes
@@ -346,13 +346,13 @@ func (b *buffered[G]) checkout() *bufWriter {
 	}
 }
 
-// release returns a pooled handle, flushing and unregistering it if
-// the pool is already full.
+// release flushes a pooled handle and returns it, unregistering it
+// instead if the pool is already full.
 func (b *buffered[G]) release(w *bufWriter) {
+	w.flush()
 	select {
 	case b.pool <- w:
 	default:
-		w.flush()
 		b.prop.writers.Add(-1)
 	}
 }
@@ -419,9 +419,9 @@ func (b *buffered[G]) Close() { b.prop.close() }
 // BufferedCountMin
 
 // BufferedCountMin is a Count-Min sketch with local-buffer/global-
-// propagation ingest. Writers obtain handles (Writer for owned use,
-// PooledWriter for request-scoped serving use) and append pre-hashed
-// (hash, weight) pairs to private buffers; the propagator folds filled
+// propagation ingest. Writers append pre-hashed (hash, weight) pairs to
+// private buffers — through a handle of their own (Writer), or one
+// borrowed for a batch (AddWeightedHashBatch); the propagator folds filled
 // buffers into an AtomicCountMin global it alone writes, so the
 // atomic adds never contend. Reads (Estimate, N) are wait-free atomic
 // loads against the global and may lag ingest by at most
@@ -462,15 +462,14 @@ func (c *BufferedCountMin) Writer() *BufferedCountMinWriter {
 	return (*BufferedCountMinWriter)(c.newWriter())
 }
 
-// PooledWriter checks a handle out of the serving pool (creating one
-// if all are in use); pair with ReleaseWriter.
-func (c *BufferedCountMin) PooledWriter() *BufferedCountMinWriter {
-	return (*BufferedCountMinWriter)(c.checkout())
+// AddWeightedHashBatch buffers hs[i] with weight ws[i] through a pooled
+// writer handle flushed at batch end, so the unit the WAL logs is the
+// unit the propagator receives and a snapshot (which syncs) holds it.
+func (c *BufferedCountMin) AddWeightedHashBatch(hs, ws []uint64) {
+	w := c.checkout()
+	(*BufferedCountMinWriter)(w).AddWeightedHashBatch(hs, ws)
+	c.release(w)
 }
-
-// ReleaseWriter returns a pooled handle, flushing and unregistering it
-// if the pool is already full.
-func (c *BufferedCountMin) ReleaseWriter(w *BufferedCountMinWriter) { c.release((*bufWriter)(w)) }
 
 // Add buffers weight occurrences of a byte-slice item; same
 // item→bucket map as derived-mode frequency.CountMin.
@@ -598,13 +597,13 @@ type BufferedHLLWriter bufWriter
 // Writer registers and returns a new writer handle.
 func (h *BufferedHLL) Writer() *BufferedHLLWriter { return (*BufferedHLLWriter)(h.newWriter()) }
 
-// PooledWriter checks a handle out of the serving pool; pair with
-// ReleaseWriter.
-func (h *BufferedHLL) PooledWriter() *BufferedHLLWriter { return (*BufferedHLLWriter)(h.checkout()) }
-
-// ReleaseWriter returns a pooled handle, flushing and unregistering it
-// if the pool is full.
-func (h *BufferedHLL) ReleaseWriter(w *BufferedHLLWriter) { h.release((*bufWriter)(w)) }
+// AddBatch buffers the items through a pooled writer handle flushed at
+// batch end, as BufferedCountMin.AddWeightedHashBatch does.
+func (h *BufferedHLL) AddBatch(items [][]byte) {
+	w := h.checkout()
+	(*BufferedHLLWriter)(w).AddBatch(items)
+	h.release(w)
+}
 
 // Add buffers a byte-slice item.
 func (w *BufferedHLLWriter) Add(item []byte) {
@@ -713,16 +712,12 @@ func (f *BufferedBlockedBloom) Writer() *BufferedBlockedBloomWriter {
 	return (*BufferedBlockedBloomWriter)(f.newWriter())
 }
 
-// PooledWriter checks a handle out of the serving pool; pair with
-// ReleaseWriter.
-func (f *BufferedBlockedBloom) PooledWriter() *BufferedBlockedBloomWriter {
-	return (*BufferedBlockedBloomWriter)(f.checkout())
-}
-
-// ReleaseWriter returns a pooled handle, flushing and unregistering it
-// if the pool is full.
-func (f *BufferedBlockedBloom) ReleaseWriter(w *BufferedBlockedBloomWriter) {
-	f.release((*bufWriter)(w))
+// AddBatch buffers the items through a pooled writer handle flushed at
+// batch end, as BufferedCountMin.AddWeightedHashBatch does.
+func (f *BufferedBlockedBloom) AddBatch(items [][]byte) {
+	w := f.checkout()
+	(*BufferedBlockedBloomWriter)(w).AddBatch(items)
+	f.release(w)
 }
 
 // Add buffers a byte-slice item.

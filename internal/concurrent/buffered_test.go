@@ -401,12 +401,12 @@ func TestBufferedPooledWriters(t *testing.T) {
 	defer c.Close()
 
 	size := runtime.GOMAXPROCS(0)
-	seen := make(map[*BufferedCountMinWriter]bool)
+	seen := make(map[*bufWriter]bool)
 	for i := 0; i < 3*size; i++ {
-		w := c.PooledWriter()
+		w := c.checkout()
 		seen[w] = true
-		w.AddUint64(uint64(i), 1)
-		c.ReleaseWriter(w)
+		(*BufferedCountMinWriter)(w).AddUint64(uint64(i), 1)
+		c.release(w)
 	}
 	if len(seen) > size {
 		t.Fatalf("%d distinct pooled writers, want ≤ %d", len(seen), size)

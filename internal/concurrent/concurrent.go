@@ -84,6 +84,10 @@ func (s *ShardedHLL) Handle() *HLLHandle {
 	return (*HLLHandle)(&s.shards[(s.next.Add(1)-1)%uint64(len(s.shards))])
 }
 
+// AddBatch is cardinality.HLL's batch entry point on the sharded
+// sketch: the batch goes through one handle, Handle().AddBatch.
+func (s *ShardedHLL) AddBatch(items [][]byte) { s.Handle().AddBatch(items) }
+
 // HLLHandle is a shard-bound writer.
 type HLLHandle shardedHLLSlot
 

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
@@ -115,15 +113,13 @@ func startDurableSketchd(dur bool, fsync time.Duration) (base string, shutdown f
 			return "", nil, err
 		}
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	base, stop, err := serveLoopback(srv.Handler())
 	if err != nil {
 		cleanupDir()
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return "http://" + ln.Addr().String(), func() {
-		hs.Close()
+	return base, func() {
+		stop()
 		srv.CloseDurability()
 		cleanupDir()
 	}, nil

@@ -141,7 +141,7 @@ func runE32() *Result {
 	// query budget refuses the online hunt ----
 	srv := server.New()
 	srv.SetQueryBudget(server.QueryBudget{Queries: 256, Interval: time.Minute})
-	base, shutdown, err := serveExisting(srv)
+	base, shutdown, err := serveLoopback(srv.Handler())
 	if err != nil {
 		return fail("serve: %v", err)
 	}

@@ -31,7 +31,7 @@ func runE25() *Result {
 	var shutdown func()
 	if base == "" {
 		var err error
-		base, shutdown, err = startLocalSketchd()
+		base, shutdown, err = serveLoopback(server.New().Handler())
 		if err != nil {
 			return &Result{
 				ID:    "E25",
@@ -119,15 +119,14 @@ func driveIngest(base, name string, clients, batch, itemsPerClient int) (adds, r
 	return adds, reqs, elapsed
 }
 
-// startLocalSketchd serves internal/server on an ephemeral loopback
-// port, returning the base URL and a shutdown func.
-func startLocalSketchd() (string, func(), error) {
+// serveLoopback serves h on an ephemeral loopback port, returning the
+// base URL and a shutdown func.
+func serveLoopback(h http.Handler) (base string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: server.New().Handler()}
+	hs := &http.Server{Handler: h}
 	go hs.Serve(ln)
-	base := "http://" + ln.Addr().String()
-	return base, func() { hs.Close() }, nil
+	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"net/url"
 	"os"
 	"testing"
@@ -50,7 +48,7 @@ func runE31() *Result {
 	if _, err := srv.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
 		return fail("durability: %v", err)
 	}
-	base, shutdown, err := serveExisting(srv)
+	base, shutdown, err := serveLoopback(srv.Handler())
 	if err != nil {
 		return fail("serve: %v", err)
 	}
@@ -116,7 +114,7 @@ func runE31() *Result {
 	if _, err := srv2.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
 		return fail("recovery: %v", err)
 	}
-	base2, shutdown2, err := serveExisting(srv2)
+	base2, shutdown2, err := serveLoopback(srv2.Handler())
 	if err != nil {
 		return fail("serve recovered: %v", err)
 	}
@@ -156,7 +154,7 @@ func runE31() *Result {
 	// ---- Part 2: quota isolation on a fresh in-memory server ----
 	qsrv := server.New()
 	qsrv.SetTenantQuota(server.TenantQuota{MaxSketches: 5})
-	qbase, qshutdown, err := serveExisting(qsrv)
+	qbase, qshutdown, err := serveLoopback(qsrv.Handler())
 	if err != nil {
 		return fail("quota server: %v", err)
 	}
@@ -204,7 +202,7 @@ func runE31() *Result {
 	if err != nil {
 		return fail("v1 recovery: %v", err)
 	}
-	v1base, v1shutdown, err := serveExisting(v1srv)
+	v1base, v1shutdown, err := serveLoopback(v1srv.Handler())
 	if err != nil {
 		return fail("serve v1: %v", err)
 	}
@@ -255,17 +253,4 @@ func okStr(err error) string {
 		return "ok"
 	}
 	return err.Error()
-}
-
-// serveExisting serves an already-constructed server on an ephemeral
-// loopback port (startLocalSketchd builds its own Server; E31 needs
-// the handle for SweepExpired and KillDurability).
-func serveExisting(srv *server.Server) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
 }

@@ -11,19 +11,17 @@ import (
 	"repro/internal/concurrent"
 )
 
-// ServingNew must dispatch on the process-wide serving mode and fall
-// back to the atomic constructor for families without a buffered
-// variant.
+// Serving must build the mode it is asked for: the buffered form where
+// the family has one, its own holder where it has no buffered form or
+// buffering is off, and the locked holder for a family with neither.
 func TestServingNewModeDispatch(t *testing.T) {
-	SetBufferedServing(false)
-	t.Cleanup(func() { SetBufferedServing(false) })
-
+	t.Parallel()
 	d, _ := Lookup("countmin")
 	p, err := d.Validate(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := d.ServingNew()(p)
+	inst, err := d.Serving(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +29,7 @@ func TestServingNewModeDispatch(t *testing.T) {
 		t.Fatalf("atomic mode built %T, want *concurrent.AtomicCountMin", inst)
 	}
 
-	SetBufferedServing(true)
-	inst, err = d.ServingNew()(p)
+	inst, err = d.Serving(p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,25 +39,35 @@ func TestServingNewModeDispatch(t *testing.T) {
 	}
 	b.Close()
 
-	// A family with no buffered variant keeps its atomic serving
-	// constructor even in buffered mode.
-	if d, _ := Lookup("theta"); d.NewServingBuffered != nil {
-		t.Fatal("theta unexpectedly grew a buffered constructor; update this test")
+	// A family with no holder of its own is the locked plain sketch in
+	// either mode.
+	theta, _ := Lookup("theta")
+	if theta.NewServingBuffered != nil || theta.NewServing != nil {
+		t.Fatal("theta unexpectedly grew a holder of its own; update this test")
+	}
+	tp, err := theta.Validate(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, buffered := range []bool{false, true} {
+		if inst, err := theta.Serving(tp, buffered); err != nil {
+			t.Fatal(err)
+		} else if _, ok := inst.(*locked); !ok {
+			t.Fatalf("theta (buffered %v) built %T, want the locked holder", buffered, inst)
+		}
 	}
 }
 
 // Buffered ingest keeps the validate-whole-batch-then-apply contract:
 // a bad weight anywhere rejects the batch with no partial state.
 func TestBufferedIngestValidatesBatch(t *testing.T) {
-	SetBufferedServing(true)
-	t.Cleanup(func() { SetBufferedServing(false) })
-
+	t.Parallel()
 	d, _ := Lookup("countmin")
 	p, err := d.Validate(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := d.ServingNew()(p)
+	inst, err := d.Serving(p, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +75,7 @@ func TestBufferedIngestValidatesBatch(t *testing.T) {
 	defer b.Close()
 
 	batch := [][]byte{[]byte("good\t2"), []byte("bad\tnot-a-number")}
-	if err := d.Serve.Ingest(inst, batch); err == nil {
+	if err := d.Bind.Ingest(inst, batch); err == nil {
 		t.Fatal("bad weight accepted")
 	}
 	b.Sync()
@@ -76,14 +83,14 @@ func TestBufferedIngestValidatesBatch(t *testing.T) {
 		t.Fatalf("partial ingest after rejected batch: n=%d", n)
 	}
 
-	if err := d.Serve.Ingest(inst, [][]byte{[]byte("good\t2"), []byte("plain")}); err != nil {
+	if err := d.Bind.Ingest(inst, [][]byte{[]byte("good\t2"), []byte("plain")}); err != nil {
 		t.Fatal(err)
 	}
 	b.Sync()
 	if n := b.N(); n != 3 {
 		t.Fatalf("n=%d after weights 2+1, want 3", n)
 	}
-	q, err := d.Serve.Query(inst, url.Values{"item": {"good"}})
+	q, err := d.Bind.Query(inst, url.Values{"item": {"good"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,19 +15,6 @@ func init() {
 		return cardinality.NewHLL(p.Uint8("p"), p.Seed), nil
 	}
 
-	// The plain, sharded and buffered instances answer the same keys from
-	// the read methods they share.
-	hllQuery := query1(func(h interface {
-		Estimate() float64
-		P() uint8
-	}, _ url.Values) (map[string]any, error) {
-		return map[string]any{
-			"estimate": h.Estimate(),
-			"p":        h.P(),
-			"std_err":  cardinality.HLLStandardError(h.P()),
-		}, nil
-	})
-
 	register(Descriptor{
 		Tag:    core.TagHLL,
 		Name:   "hll",
@@ -50,17 +37,21 @@ func init() {
 		NewServingBuffered: bufferedOver(plainHLL, concurrent.BufferHLL),
 		Decode:             decode1[cardinality.HLL](),
 		MergeWire:          wireMerge("hll", cardinality.HLLWire, cardinality.MergeRegisterWords),
+		// The plain, sharded and buffered instances share the batch entry
+		// point and the read methods.
 		Bind: Bindings{
-			Ingest: batchItemsIngest((*cardinality.HLL).AddBatch),
-			Query:  hllQuery,
-			Merge:  merge2((*cardinality.HLL).Merge),
-		},
-		Serve: &Bindings{
-			Ingest: servingIngest[*concurrent.BufferedHLL, *concurrent.BufferedHLLWriter](
-				batchItemsIngest(func(s *concurrent.ShardedHLL, items [][]byte) { s.Handle().AddBatch(items) }),
-				batchItemsIngest((*concurrent.BufferedHLLWriter).AddBatch)),
-			Query: withStaleness(hllQuery),
-			Merge: merge2(merger[*cardinality.HLL].Merge),
+			Ingest: batchItemsIngest(itemBatcher.AddBatch),
+			Query: query1(func(h interface {
+				Estimate() float64
+				P() uint8
+			}, _ url.Values) (map[string]any, error) {
+				return map[string]any{
+					"estimate": h.Estimate(),
+					"p":        h.P(),
+					"std_err":  cardinality.HLLStandardError(h.P()),
+				}, nil
+			}),
+			Merge: merge2[*cardinality.HLL](),
 		},
 	})
 
@@ -86,7 +77,7 @@ func init() {
 					"sparse":   h.IsSparse(),
 				}, nil
 			}),
-			Merge: merge2((*cardinality.HLLPP).Merge),
+			Merge: merge2[*cardinality.HLLPP](),
 		},
 	})
 
@@ -112,7 +103,7 @@ func init() {
 					"std_err":  l.StandardError(),
 				}, nil
 			}),
-			Merge: merge2((*cardinality.LogLog).Merge),
+			Merge: merge2[*cardinality.LogLog](),
 		},
 	})
 
@@ -142,7 +133,7 @@ func init() {
 					"std_err":  f.StandardError(),
 				}, nil
 			}),
-			Merge: merge2((*cardinality.FM).Merge),
+			Merge: merge2[*cardinality.FM](),
 		},
 	})
 
@@ -168,7 +159,7 @@ func init() {
 					"std_err":  s.StandardError(),
 				}, nil
 			}),
-			Merge: merge2((*cardinality.KMV).Merge),
+			Merge: merge2[*cardinality.KMV](),
 		},
 	})
 
@@ -195,7 +186,7 @@ func init() {
 					"estimating": t.IsEstimationMode(),
 				}, nil
 			}),
-			Merge: merge2((*cardinality.Theta).Merge),
+			Merge: merge2[*cardinality.Theta](),
 		},
 	})
 }

@@ -64,19 +64,6 @@ func shaped[T any](build func(frequency.Layout) T) func(Params) (any, error) {
 
 func init() {
 	atomicCountMin := shaped(concurrent.NewAtomicCountMinLayout)
-	// The plain, atomic and buffered instances answer the same keys from
-	// the read methods they share.
-	countMinQuery := query1(func(c interface {
-		Estimate(item []byte) uint64
-		N() uint64
-		Width() int
-		Depth() int
-	}, params url.Values) (map[string]any, error) {
-		if item := params.Get("item"); item != "" {
-			return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
-		}
-		return map[string]any{"n": c.N(), "width": c.Width(), "depth": c.Depth()}, nil
-	})
 
 	register(Descriptor{
 		Tag:    core.TagCountMin,
@@ -94,17 +81,22 @@ func init() {
 		NewServingBuffered: bufferedOver(atomicCountMin, concurrent.BufferCountMin),
 		Decode:             decode1[frequency.CountMin](),
 		MergeWire:          wireMerge("countmin", frequency.CountMinWire, core.AddWords),
+		// The plain, atomic and buffered instances share the batch kernel's
+		// entry point and the read methods.
 		Bind: Bindings{
-			Ingest: hashedIngest((*frequency.CountMin).AddWeightedHashBatch),
-			Query:  countMinQuery,
-			Merge:  merge2((*frequency.CountMin).Merge),
-		},
-		Serve: &Bindings{
-			Ingest: servingIngest[*concurrent.BufferedCountMin, *concurrent.BufferedCountMinWriter](
-				hashedIngest((*concurrent.AtomicCountMin).AddWeightedHashBatch),
-				hashedIngest((*concurrent.BufferedCountMinWriter).AddWeightedHashBatch)),
-			Query: withStaleness(countMinQuery),
-			Merge: merge2(merger[*frequency.CountMin].Merge),
+			Ingest: hashedIngest(weightedHashBatcher.AddWeightedHashBatch),
+			Query: query1(func(c interface {
+				Estimate(item []byte) uint64
+				N() uint64
+				Width() int
+				Depth() int
+			}, params url.Values) (map[string]any, error) {
+				if item := params.Get("item"); item != "" {
+					return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
+				}
+				return map[string]any{"n": c.N(), "width": c.Width(), "depth": c.Depth()}, nil
+			}),
+			Merge: merge2[*frequency.CountMin](),
 		},
 		// A point query reads depth cells, addressed identically by the
 		// plain, atomic and buffered instances.
@@ -159,7 +151,7 @@ func init() {
 					"f2":    c.F2Estimate(),
 				}, nil
 			}),
-			Merge: merge2((*frequency.CountSketch).Merge),
+			Merge: merge2[*frequency.CountSketch](),
 		},
 		// Cells travel sign-corrected (two's complement in the carrier's
 		// uint64s), so Finish needs no hash state: it is their median.
@@ -206,7 +198,7 @@ func init() {
 				}
 				return map[string]any{"n": m.N(), "k": m.K(), "entries": top}, nil
 			}),
-			Merge: merge2((*frequency.MisraGries).Merge),
+			Merge: merge2[*frequency.MisraGries](),
 		},
 	})
 
@@ -239,7 +231,7 @@ func init() {
 				}
 				return map[string]any{"n": s.N(), "k": s.K(), "entries": top}, nil
 			}),
-			Merge: merge2((*frequency.SpaceSaving).Merge),
+			Merge: merge2[*frequency.SpaceSaving](),
 		},
 	})
 }

@@ -97,7 +97,7 @@ func init() {
 					"estimated_fpr": f.EstimatedFPR(),
 				}, nil
 			}),
-			Merge: merge2((*bloom.Filter).Merge),
+			Merge: merge2[*bloom.Filter](),
 		},
 	})
 
@@ -127,42 +127,36 @@ func init() {
 		NewServingBuffered: bufferedOver(atomicBlockedBloom, concurrent.BufferBlockedBloom),
 		Decode:             decode1[bloom.BlockedFilter](),
 		MergeWire:          wireMerge("blockedbloom", bloom.BlockedWire, core.OrWords),
+		// The plain, atomic and buffered filters share the batch entry point
+		// and the membership reads; only the plain one also reports what
+		// costs a scan of every word, which the lock-free holders skip.
 		Bind: Bindings{
-			Ingest: batchItemsIngest((*bloom.BlockedFilter).AddBatch),
-			Query: query1(func(f *bloom.BlockedFilter, params url.Values) (map[string]any, error) {
-				if item := params.Get("item"); item != "" {
-					return map[string]any{
-						"contains":   f.Contains([]byte(item)),
-						"fill_ratio": f.FillRatio(),
-					}, nil
-				}
-				return map[string]any{
-					"m":             f.M(),
-					"k":             f.K(),
-					"n":             f.N(),
-					"blocks":        f.Blocks(),
-					"fill_ratio":    f.FillRatio(),
-					"estimated_fpr": f.EstimatedFPR(),
-				}, nil
-			}),
-			Merge: merge2((*bloom.BlockedFilter).Merge),
-		},
-		Serve: &Bindings{
-			Ingest: servingIngest[*concurrent.BufferedBlockedBloom, *concurrent.BufferedBlockedBloomWriter](
-				batchItemsIngest((*concurrent.AtomicBlockedBloom).AddBatch),
-				batchItemsIngest((*concurrent.BufferedBlockedBloomWriter).AddBatch)),
-			Query: withStaleness(query1(func(f interface {
+			Ingest: batchItemsIngest(itemBatcher.AddBatch),
+			Query: query1(func(f interface {
 				Contains(item []byte) bool
 				M() uint64
 				K() int
 				N() uint64
 			}, params url.Values) (map[string]any, error) {
+				s, scans := f.(interface {
+					Blocks() uint64
+					FillRatio() float64
+					EstimatedFPR() float64
+				})
 				if item := params.Get("item"); item != "" {
-					return map[string]any{"contains": f.Contains([]byte(item))}, nil
+					m := map[string]any{"contains": f.Contains([]byte(item))}
+					if scans {
+						m["fill_ratio"] = s.FillRatio()
+					}
+					return m, nil
 				}
-				return map[string]any{"m": f.M(), "k": f.K(), "n": f.N()}, nil
-			})),
-			Merge: merge2(merger[*bloom.BlockedFilter].Merge),
+				m := map[string]any{"m": f.M(), "k": f.K(), "n": f.N()}
+				if scans {
+					m["blocks"], m["fill_ratio"], m["estimated_fpr"] = s.Blocks(), s.FillRatio(), s.EstimatedFPR()
+				}
+				return m, nil
+			}),
+			Merge: merge2[*bloom.BlockedFilter](),
 		},
 	})
 
@@ -188,7 +182,7 @@ func init() {
 				}
 				return map[string]any{"n": f.N(), "bytes": f.SizeBytes()}, nil
 			}),
-			Merge: merge2((*bloom.CountingFilter).Merge),
+			Merge: merge2[*bloom.CountingFilter](),
 		},
 	})
 }

@@ -30,7 +30,7 @@ func init() {
 			Query: query1(func(m *lsh.MinHash, _ url.Values) (map[string]any, error) {
 				return map[string]any{"k": m.K()}, nil
 			}),
-			Merge: merge2((*lsh.MinHash).Merge),
+			Merge: merge2[*lsh.MinHash](),
 		},
 	})
 
@@ -81,7 +81,7 @@ func init() {
 					"base":     m.Base(),
 				}, nil
 			}),
-			Merge: merge2((*counter.Morris).Merge),
+			Merge: merge2[*counter.Morris](),
 		},
 	})
 
@@ -117,7 +117,7 @@ func init() {
 					"repetitions": c.Repetitions(),
 				}, nil
 			}),
-			Merge: merge2((*counter.NelsonYu).Merge),
+			Merge: merge2[*counter.NelsonYu](),
 		},
 	})
 
@@ -140,7 +140,7 @@ func init() {
 			Query: query1(func(s *ams.Sketch, _ url.Values) (map[string]any, error) {
 				return map[string]any{"f2": s.F2(), "n": s.N()}, nil
 			}),
-			Merge: merge2((*ams.Sketch).Merge),
+			Merge: merge2[*ams.Sketch](),
 		},
 	})
 
@@ -172,7 +172,7 @@ func init() {
 					"components": s.ComponentCount(),
 				}, nil
 			}),
-			Merge: merge2((*graphsketch.Sketch).Merge),
+			Merge: merge2[*graphsketch.Sketch](),
 		},
 	})
 }

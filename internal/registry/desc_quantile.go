@@ -68,7 +68,7 @@ func init() {
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.KLL).Add),
 			Query:  quantileQuery[float64](),
-			Merge:  merge2((*quantile.KLL).Merge),
+			Merge:  merge2[*quantile.KLL](),
 		},
 	})
 
@@ -88,7 +88,7 @@ func init() {
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.REQ).Add),
 			Query:  quantileQuery[float64](),
-			Merge:  merge2((*quantile.REQ).Merge),
+			Merge:  merge2[*quantile.REQ](),
 		},
 	})
 
@@ -112,7 +112,7 @@ func init() {
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.GK).Add),
 			Query:  quantileQuery[float64](),
-			Merge:  merge2((*quantile.GK).Merge),
+			Merge:  merge2[*quantile.GK](),
 		},
 	})
 
@@ -132,7 +132,7 @@ func init() {
 		Bind: Bindings{
 			Ingest: floatIngest((*quantile.TDigest).Add),
 			Query:  quantileQuery[float64](),
-			Merge:  merge2((*quantile.TDigest).Merge),
+			Merge:  merge2[*quantile.TDigest](),
 		},
 	})
 
@@ -184,7 +184,7 @@ func init() {
 				(*quantile.QDigest).Add,
 			),
 			Query: quantileQuery[uint64](),
-			Merge: merge2((*quantile.QDigest).Merge),
+			Merge: merge2[*quantile.QDigest](),
 		},
 	})
 }

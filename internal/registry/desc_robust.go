@@ -42,7 +42,7 @@ func init() {
 					"exhausted":   d.Exhausted(),
 				}, nil
 			}),
-			Merge: merge2((*robust.Distinct).Merge),
+			Merge: merge2[*robust.Distinct](),
 		},
 	})
 }

@@ -43,7 +43,7 @@ func init() {
 					"sample": sampleStrings(r.Sample(), 64),
 				}, nil
 			}),
-			Merge: merge2((*sample.Reservoir).Merge),
+			Merge: merge2[*sample.Reservoir](),
 		},
 	})
 
@@ -105,7 +105,7 @@ func init() {
 				}
 				return map[string]any{"recovered": len(rec), "entries": out}, nil
 			}),
-			Merge: merge2((*sample.SparseRecovery).Merge),
+			Merge: merge2[*sample.SparseRecovery](),
 		},
 	})
 
@@ -133,7 +133,7 @@ func init() {
 				}
 				return res, nil
 			}),
-			Merge: merge2((*sample.L0Sampler).Merge),
+			Merge: merge2[*sample.L0Sampler](),
 		},
 	})
 

@@ -63,7 +63,7 @@ func init() {
 					"slim_only":  s.SlimOnly(),
 				}, nil
 			}),
-			Merge: merge2((*frequency.SFSketch).Merge),
+			Merge: merge2[*frequency.SFSketch](),
 		},
 	})
 }

@@ -115,18 +115,30 @@ func parsedIngest[T, A, B any](
 	parse func(c T, line []byte) (A, B, error),
 	apply func(c T, a []A, b []B),
 ) func(any, [][]byte) error {
+	return parsedIngestOf(func(c T) T { return c }, parse, apply)
+}
+
+// parsedIngestOf is parsedIngest whose parse sees, in place of the
+// instance, what of reads from it once per batch — so a read through an
+// interface (hashedIngest's seed) costs one call a batch, not a line.
+func parsedIngestOf[T, K, A, B any](
+	of func(c T) K,
+	parse func(k K, line []byte) (A, B, error),
+	apply func(c T, a []A, b []B),
+) func(any, [][]byte) error {
 	pool := sync.Pool{New: func() any { return new(block[A, B]) }}
 	return func(inst any, lines [][]byte) error {
 		c, l, err := cast[T](inst)
 		if err != nil {
 			return err
 		}
+		k := of(c)
 		blk := pool.Get().(*block[A, B])
 		a, b := blk.a[:0], blk.b[:0]
 		for _, line := range lines {
 			var x A
 			var y B
-			if x, y, err = parse(c, line); err != nil {
+			if x, y, err = parse(k, line); err != nil {
 				break
 			}
 			a, b = append(a, x), append(b, y)
@@ -209,14 +221,28 @@ func weightedIngest[T any](add func(T, []byte, uint64)) func(any, [][]byte) erro
 		each(add))
 }
 
+// itemBatcher is the item-batch entry point every hll and blockedbloom
+// instance presents: the plain sketch's AddBatch, and the holders'
+// (sharded, atomic, buffered) version of it.
+type itemBatcher interface{ AddBatch(items [][]byte) }
+
+// weightedHashBatcher is the same for countmin: the weighted batch
+// kernel's entry point and the seed items are hashed under.
+type weightedHashBatcher interface {
+	Seed() uint64
+	AddWeightedHashBatch(hs, ws []uint64)
+}
+
 // hashedIngest: InputWeightedItems for the hashed-counter holders. The
-// item is hashed where it is parsed, and the (hash, weight) block is
-// the argument of the holder's weighted batch entry point.
+// item is hashed where it is parsed, under a seed read once per batch,
+// and the (hash, weight) block is the argument of the holder's weighted
+// batch entry point.
 func hashedIngest[T interface{ Seed() uint64 }](addBatch func(c T, hs, ws []uint64)) func(any, [][]byte) error {
-	return parsedIngest(
-		func(c T, line []byte) (uint64, uint64, error) {
+	return parsedIngestOf(
+		func(c T) uint64 { return c.Seed() },
+		func(seed uint64, line []byte) (uint64, uint64, error) {
 			item, w, err := cutWeight(line, 1, "weight", ParseWeight)
-			return hashx.XXHash64(item, c.Seed()), w, err
+			return hashx.XXHash64(item, seed), w, err
 		},
 		addBatch)
 }

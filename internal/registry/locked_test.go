@@ -246,15 +246,15 @@ func TestServedSummaryQueryAllocatesNoTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	served, bind, err := d.Serving(p)
+	served, err := d.Serving(p, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := testing.AllocsPerRun(20, func() { d.Bind.Query(plain, nil) })
-	if got := testing.AllocsPerRun(20, func() { bind.Query(served, nil) }); got != want {
+	if got := testing.AllocsPerRun(20, func() { d.Bind.Query(served, nil) }); got != want {
 		t.Errorf("a served summary query makes %v allocations, the plain one %v", got, want)
 	}
-	if got := bytesPerRun(20, func() { bind.Query(served, nil) }); got > 2048 {
+	if got := bytesPerRun(20, func() { d.Bind.Query(served, nil) }); got > 2048 {
 		t.Errorf("a served summary query allocates %.0f bytes over a %d-byte sketch", got, SizeOf(served))
 	}
 }

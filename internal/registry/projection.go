@@ -145,7 +145,7 @@ func init() {
 		Decode: decode1[Projection](),
 		Bind: Bindings{
 			Query: query1((*Projection).finish),
-			Merge: merge2((*Projection).Merge),
+			Merge: merge2[*Projection](),
 		},
 	})
 }

@@ -20,6 +20,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/concurrent"
 	"repro/internal/core"
 )
 
@@ -135,11 +136,14 @@ func (p Params) Uint64(name string) uint64 { return uint64(p.vals[name]) }
 // Uint8 returns the named parameter as a uint8.
 func (p Params) Uint8(name string) uint8 { return uint8(p.vals[name]) }
 
-// Bindings are the capability closures over a concrete sketch type.
-// A nil field means the capability is absent and the corresponding
-// operation is gated off (no merge endpoint for non-mergeable types,
-// no create for types without ingest+query). Closures receive the
-// instance as `any` and cast internally; the generic builders below
+// Bindings are the capability closures over a sketch family. A nil
+// field means the capability is absent and the corresponding operation
+// is gated off (no merge endpoint for non-mergeable types, no create
+// for types without ingest+query). Closures receive the instance as
+// `any` and cast it to the methods they call, which every instance of
+// the family presents — the plain sketch, the plain sketch behind the
+// locked holder, and the family's own holders (sharded, atomic,
+// buffered) — so one set drives them all; the generic builders below
 // keep that cast — and, for an instance behind the locked holder, the
 // lock — in exactly one place per capability.
 type Bindings struct {
@@ -172,29 +176,27 @@ type Descriptor struct {
 	// New constructs a plain single-threaded instance from validated
 	// parameters.
 	New func(p Params) (any, error)
-	// NewServing, when set, constructs the internally synchronized
-	// variant used for live server entries (e.g. the sharded HLL, the
-	// atomic Count-Min); its instances are driven through Serve. Types
-	// without a holder of their own leave it nil, and Serving puts their
-	// plain instance behind the locked holder.
+	// NewServing, when set, constructs the family's own internally
+	// synchronized holder (the sharded HLL, the atomic Count-Min and
+	// blocked Bloom). Types without one leave it nil, and Serving puts
+	// their plain instance behind the locked holder.
 	NewServing func(p Params) (any, error)
-	// NewServingBuffered, when set, constructs the local-buffer/
-	// global-propagation serving variant (writer-handle ingest, a
-	// propagator goroutine, wait-free relaxed-consistency reads). It is
-	// selected over NewServing when SetBufferedServing is on; its
-	// instances are also driven through Serve, written against the
-	// methods both variants share (desc_buffered.go holds what differs).
-	// Buffered instances own a goroutine — callers must Close them when
-	// the entry is deleted.
+	// NewServingBuffered, when set, constructs that holder's local-
+	// buffer/global-propagation form (pooled writer handles, a
+	// propagator goroutine, wait-free relaxed-consistency reads), which
+	// Serving builds when asked for a buffered instance. Buffered
+	// instances own a goroutine — callers must Close them when the entry
+	// is deleted.
 	NewServingBuffered func(p Params) (any, error)
 	// Decode deserializes a MarshalBinary envelope of this family's
 	// plain type.
 	Decode func(data []byte) (any, error)
 
-	// Bind operates on instances from New (and from Decode).
+	// Bind operates on every instance the descriptor builds.
 	Bind Bindings
-	// Serve operates on instances from NewServing; nil means Bind
-	// also serves them.
+	// Serve is &Bind for a family with a holder of its own and nil for
+	// any other; register sets it, no descriptor does. It remains only
+	// because benchmark/layertrace, a separate module, names it.
 	Serve *Bindings
 
 	// Project and Finish, set together, are the optional query-pushdown
@@ -224,18 +226,9 @@ type Descriptor struct {
 // Mergeable reports whether live instances can absorb decoded peers.
 func (d *Descriptor) Mergeable() bool { return d.Bind.Merge != nil }
 
-// ServingNew resolves the serving constructor for the current
-// concurrent-ingest mode: the buffered (local-buffer/global-
-// propagation) constructor when the process has opted in via
-// SetBufferedServing and the family provides one, otherwise the
-// default internally synchronized constructor. Nil when the family has
-// no serving variant at all.
-func (d *Descriptor) ServingNew() func(p Params) (any, error) {
-	if d.NewServingBuffered != nil && BufferedServing() {
-		return d.NewServingBuffered
-	}
-	return d.NewServing
-}
+// ServingNew returns NewServing. Like Serve, it remains only because
+// benchmark/layertrace names it; Serving is the constructor.
+func (d *Descriptor) ServingNew() func(p Params) (any, error) { return d.NewServing }
 
 // locked is the mutex column of the serving matrix, written once: a
 // plain instance and the lock every operation on it takes. A lock
@@ -280,22 +273,40 @@ func (l *locked) unlock() {
 }
 
 // Serving constructs a self-synchronised instance of any servable
-// family and names the bindings that drive it: the family's own holder
-// (ServingNew) under Serve where it has one, otherwise New's plain
-// instance behind the locked holder under Bind.
-func (d *Descriptor) Serving(p Params) (inst any, bind *Bindings, err error) {
-	bind = &d.Bind
-	if own := d.ServingNew(); own != nil {
-		if d.Serve != nil {
-			bind = d.Serve
+// family, which Bind drives like every other: the buffered form of the
+// family's own holder when buffered is set and the family has one,
+// otherwise that holder (NewServing), otherwise New's plain instance
+// behind the locked holder.
+func (d *Descriptor) Serving(p Params, buffered bool) (any, error) {
+	switch {
+	case buffered && d.NewServingBuffered != nil:
+		return d.NewServingBuffered(p)
+	case d.NewServing != nil:
+		return d.NewServing(p)
+	}
+	inst, err := d.New(p)
+	if err != nil {
+		return nil, err
+	}
+	return Locked(inst), nil
+}
+
+// bufferedOver builds a NewServingBuffered from the constructor of the
+// global it buffers (the family's NewServing, or New where the
+// propagator owns a plain sketch), so the parameters are validated and
+// the shape resolved by that constructor alone.
+func bufferedOver[G, B any](global func(Params) (any, error), buffer func(G, int) B) func(Params) (any, error) {
+	return func(p Params) (any, error) {
+		inst, err := global(p)
+		if err != nil {
+			return nil, err
 		}
-		inst, err = own(p)
-		return inst, bind, err
+		g, _, err := cast[G](inst)
+		if err != nil {
+			return nil, err
+		}
+		return buffer(g, concurrent.DefaultWriterBuffer), nil
 	}
-	if inst, err = d.New(p); err != nil {
-		return nil, nil, err
-	}
-	return Locked(inst), bind, nil
 }
 
 // Servable reports whether sketchd can host the type: it needs both a
@@ -366,6 +377,9 @@ func register(d Descriptor) {
 	}
 	dp := new(Descriptor)
 	*dp = d
+	if dp.NewServing != nil {
+		dp.Serve = &dp.Bind
+	}
 	byTag[d.Tag] = dp
 	byName[d.Name] = dp
 }
@@ -544,12 +558,13 @@ func decode1[T any, PT interface {
 	}
 }
 
-// merge2 builds a Merge closure from a typed merge method expression,
-// e.g. merge2((*cardinality.HLL).Merge). It locks the destination; the
-// source is a decoded peer nobody else holds.
-func merge2[D, S any](fn func(D, S) error) func(dst, src any) error {
+// merge2 builds the Merge closure of a family whose every instance
+// absorbs a decoded plain peer S with a Merge(S) error method, e.g.
+// merge2[*cardinality.HLL](). It locks the destination; the source is a
+// decoded peer nobody else holds.
+func merge2[S any]() func(dst, src any) error {
 	return func(dst, src any) error {
-		d, l, err := cast[D](dst)
+		d, l, err := cast[interface{ Merge(S) error }](dst)
 		if err != nil {
 			return err
 		}
@@ -559,11 +574,14 @@ func merge2[D, S any](fn func(D, S) error) func(dst, src any) error {
 		}
 		l.lock()
 		defer l.unlock()
-		return fn(d, s)
+		return d.Merge(s)
 	}
 }
 
-// query1 builds a Query closure from a typed query function.
+// query1 builds a Query closure from a typed query function. An
+// instance that reports StalenessBound() — a buffered one, whose reads
+// are wait-free and may miss at most that many items still in writer
+// buffers — carries it in every answer as staleness_bound.
 func query1[T any](fn func(T, url.Values) (map[string]any, error)) func(any, url.Values) (map[string]any, error) {
 	return func(inst any, params url.Values) (map[string]any, error) {
 		c, l, err := cast[T](inst)
@@ -572,6 +590,10 @@ func query1[T any](fn func(T, url.Values) (map[string]any, error)) func(any, url
 		}
 		l.lock()
 		defer l.unlock()
-		return fn(c, params)
+		m, err := fn(c, params)
+		if b, ok := inst.(interface{ StalenessBound() int }); ok && err == nil {
+			m["staleness_bound"] = b.StalenessBound()
+		}
+		return m, err
 	}
 }

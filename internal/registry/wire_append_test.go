@@ -14,35 +14,35 @@ import (
 )
 
 // variant is one way a descriptor builds an instance, with the bindings
-// that drive it.
+// that drive it: Bind, for every variant.
 type variant struct {
 	name  string
 	build func(Params) (any, error)
 	bind  *Bindings
 }
 
-// variantsOf lists a descriptor's variants, the plain one first:
-// "serving" and "buffered" are the family's own holders under Serve,
-// "locked" is the plain instance behind the registry's holder, as
-// Descriptor.Serving builds it for every servable family without a
-// holder of its own.
+// variantsOf lists a descriptor's variants, the plain one first, each
+// built by the production constructor Descriptor.Serving where it is a
+// served one: "serving" and "buffered" are the family's own holder and
+// its buffered form, "locked" is the plain instance behind the
+// registry's holder, as Serving builds it for every servable family
+// without a holder of its own.
 func variantsOf(d *Descriptor) []variant {
-	serve := d.Serve
-	if serve == nil {
-		serve = &d.Bind
+	serving := func(buffered bool) func(Params) (any, error) {
+		return func(p Params) (any, error) { return d.Serving(p, buffered) }
 	}
 	out := []variant{{"plain", d.New, &d.Bind}}
 	if d.NewServing != nil {
-		out = append(out, variant{"serving", d.NewServing, serve})
+		out = append(out, variant{"serving", serving(false), &d.Bind})
 	}
 	if d.NewServingBuffered != nil {
-		out = append(out, variant{"buffered", d.NewServingBuffered, serve})
+		out = append(out, variant{"buffered", serving(true), &d.Bind})
 	}
 	if d.Servable() && d.NewServing == nil {
 		out = append(out, variant{"locked", func(p Params) (any, error) {
-			inst, bind, err := d.Serving(p)
-			if _, ok := inst.(*locked); err == nil && (!ok || bind != &d.Bind) {
-				err = fmt.Errorf("%s.Serving built %T, want the locked holder under Bind", d.Name, inst)
+			inst, err := d.Serving(p, false)
+			if _, ok := inst.(*locked); err == nil && !ok {
+				err = fmt.Errorf("%s.Serving built %T, want the locked holder", d.Name, inst)
 			}
 			return inst, err
 		}, &d.Bind})

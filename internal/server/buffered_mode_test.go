@@ -3,14 +3,19 @@ package server
 // Serving-mode tests for -concurrent-ingest=buffered: the registry's
 // buffered (local-buffer/global-propagation) variants behind the same
 // HTTP surface, including lifecycle (delete stops the propagator
-// goroutine) and crash recovery with byte-identical restores.
+// goroutine) and crash recovery with byte-identical restores. The mode
+// belongs to a Server, so these tests run in parallel, beside servers
+// in the default mode.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,13 +23,22 @@ import (
 	typereg "repro/internal/registry"
 )
 
-// bufferedMode flips the process into buffered serving for one test,
-// restoring the default afterwards. Tests in this package run
-// sequentially, so the global switch cannot leak into parallel tests.
-func bufferedMode(t *testing.T) {
-	t.Helper()
-	typereg.SetBufferedServing(true)
-	t.Cleanup(func() { typereg.SetBufferedServing(false) })
+// bufferedServer is a Server in buffered mode whose sketches' propagator
+// goroutines stop when the test ends.
+func bufferedServer(t *testing.T) *Server {
+	s := New()
+	s.SetBufferedIngest(true)
+	t.Cleanup(func() { closeEntries(s) })
+	return s
+}
+
+// closeEntries closes every live entry of s.
+func closeEntries(s *Server) {
+	for _, ts := range s.tenantsSnapshot() {
+		for _, ne := range ts.reg.snapshot() {
+			ne.entry.Close()
+		}
+	}
 }
 
 // bufferedFamilies are the families with a buffered serving variant.
@@ -38,8 +52,8 @@ var bufferedFamilies = []struct {
 }
 
 func TestBufferedServingLifecycle(t *testing.T) {
-	bufferedMode(t)
-	s := New()
+	t.Parallel()
+	s := bufferedServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -75,34 +89,47 @@ func TestBufferedServingLifecycle(t *testing.T) {
 	}
 }
 
+// propagators counts the process's live propagator goroutines.
+func propagators() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "concurrent.(*propagator).loop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
 // Deleting a buffered sketch must stop its propagator goroutine.
 func TestBufferedDeleteStopsPropagator(t *testing.T) {
-	bufferedMode(t)
-	s := New()
+	t.Parallel()
+	s := bufferedServer(t)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Measure relative to the fully created state so constant HTTP
-	// client/server goroutines (keep-alive conns) cancel out: deleting
-	// the 8 sketches must release their 8 propagator goroutines.
+	// Measure relative to the fully created state, counting propagators
+	// only, so the tests running beside this one and the HTTP
+	// connections cancel out: deleting the 8 sketches must release their
+	// 8 propagator goroutines. Other tests stop theirs when they end, so
+	// a count they raise meanwhile falls back before the deadline.
 	const sketches = 8
 	for i := 0; i < sketches; i++ {
 		name := fmt.Sprintf("tmp-%d", i)
 		mustDo(t, "POST", ts.URL+"/v1/sketch/"+name, `{"type":"countmin"}`)
 		mustDo(t, "POST", ts.URL+"/v1/sketch/"+name+"/add", "x\ny")
 	}
-	withSketches := runtime.NumGoroutine()
+	withSketches := propagators()
 	for i := 0; i < sketches; i++ {
 		mustDo(t, "DELETE", ts.URL+fmt.Sprintf("/v1/sketch/tmp-%d", i), "")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if runtime.NumGoroutine() <= withSketches-sketches {
+		if propagators() <= withSketches-sketches {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines %d after deletes, want <= %d (had %d with %d buffered sketches live)",
-				runtime.NumGoroutine(), withSketches-sketches, withSketches, sketches)
+			t.Fatalf("propagators %d after deletes, want <= %d (had %d with %d buffered sketches live)",
+				propagators(), withSketches-sketches, withSketches, sketches)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -113,9 +140,9 @@ func TestBufferedDeleteStopsPropagator(t *testing.T) {
 // syncs (batch-end flush means every WAL-logged batch is handed off
 // before its append) and restore merges into a fresh buffered global.
 func TestBufferedCrashRecovery(t *testing.T) {
-	bufferedMode(t)
+	t.Parallel()
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := serveDurable(t, bufferedServer(t), dir, durable.Options{FsyncInterval: 0})
 
 	for _, f := range bufferedFamilies {
 		mustDo(t, "POST", ts1.URL+"/v1/sketch/bufdur-"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ))
@@ -140,7 +167,7 @@ func TestBufferedCrashRecovery(t *testing.T) {
 	ts1.Close()
 	s1.dur.Kill()
 
-	_, ts2, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts2, stats := serveDurable(t, bufferedServer(t), dir, durable.Options{FsyncInterval: 0})
 	if stats.SketchesLoaded != len(bufferedFamilies) {
 		t.Fatalf("recovered %d sketches, want %d (stats %+v)", stats.SketchesLoaded, len(bufferedFamilies), stats)
 	}
@@ -148,6 +175,83 @@ func TestBufferedCrashRecovery(t *testing.T) {
 		got := mustDo(t, "GET", ts2.URL+"/v1/sketch/bufdur-"+f.typ+"/snapshot", "")
 		if !bytes.Equal(got, want[f.typ]) {
 			t.Errorf("%s: recovered snapshot differs (%d bytes vs %d)", f.typ, len(got), len(want[f.typ]))
+		}
+	}
+}
+
+// TestTwoServingModesInOneProcess: a buffered and a default server side
+// by side, each hosting the three families with a buffered form, fed
+// the same batches by concurrent writers. After a snapshot each sketch
+// holds the bytes of a plain sketch fed the same lines, and only the
+// buffered server's answers carry staleness_bound.
+func TestTwoServingModesInOneProcess(t *testing.T) {
+	t.Parallel()
+	servers := map[string]*httptest.Server{}
+	for mode, s := range map[string]*Server{"buffered": bufferedServer(t), "default": New()} {
+		servers[mode] = httptest.NewServer(s.Handler())
+		defer servers[mode].Close()
+	}
+	for _, ts := range servers {
+		for _, f := range bufferedFamilies {
+			mustDo(t, "POST", ts.URL+"/v1/sketch/"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ))
+		}
+	}
+
+	const writers, rounds = 4, 16
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, f := range bufferedFamilies {
+					for _, ts := range servers {
+						resp, err := http.Post(ts.URL+"/v1/sketch/"+f.typ+"/add", "text/plain", strings.NewReader(f.batch(w*rounds+r)))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						resp.Body.Close()
+						if resp.StatusCode != http.StatusOK {
+							t.Errorf("%s add: HTTP %d", f.typ, resp.StatusCode)
+						}
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	for _, f := range bufferedFamilies {
+		d, _ := typereg.Lookup(f.typ)
+		p, err := d.Validate(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := d.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < writers*rounds; i++ {
+			if err := d.Bind.Ingest(plain, SplitBatch([]byte(f.batch(i)))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := typereg.Marshal(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for mode, ts := range servers {
+			if got := mustDo(t, "GET", ts.URL+"/v1/sketch/"+f.typ+"/snapshot", ""); !bytes.Equal(got, want) {
+				t.Errorf("%s/%s: snapshot differs from the plain sketch's (%d vs %d bytes)", mode, f.typ, len(got), len(want))
+			}
+			var q map[string]any
+			if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/sketch/"+f.typ+"/query", ""), &q); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := q["staleness_bound"]; ok != (mode == "buffered") {
+				t.Errorf("%s/%s: staleness_bound present = %v: %v", mode, f.typ, ok, q)
+			}
 		}
 	}
 }

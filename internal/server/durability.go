@@ -185,7 +185,7 @@ func (r *replayer) RestoreSketch(sn durable.SketchSnap) error {
 	if err := json.Unmarshal(sn.Req, &req); err != nil {
 		return fmt.Errorf("create request: %w", err)
 	}
-	ne, err := r.s.walTenantState(sn.Tenant).create(sn.Name, req, sn.Data, noHold)
+	ne, err := r.s.walTenantState(sn.Tenant).create(sn.Name, req, sn.Data, noHold, r.s.bufferedIngest)
 	if err != nil {
 		return err
 	}
@@ -207,7 +207,7 @@ func (r *replayer) Replay(rec durable.Record) error {
 		if err := json.Unmarshal(rec.Body, &req); err != nil {
 			return err
 		}
-		ne, err := ts.create(rec.Name, req, nil, noHold)
+		ne, err := ts.create(rec.Name, req, nil, noHold, r.s.bufferedIngest)
 		if err != nil {
 			return err
 		}
@@ -234,7 +234,7 @@ func (r *replayer) Replay(rec durable.Record) error {
 			ts.remove(rec.Name)
 		}
 	case durable.OpGroupBy:
-		return replayGroupBy(ts, rec)
+		return replayGroupBy(ts, rec, r.s.bufferedIngest)
 	default:
 		return fmt.Errorf("unknown WAL op %d", rec.Op)
 	}

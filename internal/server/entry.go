@@ -94,22 +94,24 @@ func (req CreateRequest) rawParams(d *typereg.Descriptor) map[string]float64 {
 // here up through the HTTP handlers. Entries are safe for concurrent
 // use because every instance they hold synchronises itself
 // (registry.Descriptor.Serving): a family's own lock-free holder where
-// it has one (hll, countmin, blockedbloom), otherwise the plain sketch
-// behind the registry's locked holder, whose bindings take the lock
-// around the update or the read and parse a batch before asking for it.
-// Add must not retain the item slices — they alias a pooled request
-// buffer.
+// it has one (hll, countmin, blockedbloom; buffered when the server is),
+// otherwise the plain sketch behind the registry's locked holder, whose
+// bindings take the lock around the update or the read and parse a
+// batch before asking for it. Add must not retain the item slices —
+// they alias a pooled request buffer.
 type Entry struct {
 	desc *typereg.Descriptor
-	bind *typereg.Bindings
 	inst any
 	req  CreateRequest // creation parameters, persisted by the durability layer
 }
 
-// NewEntry builds a server entry from creation parameters, resolving
-// the type through the registry so defaults, bounds, and construction
-// live in exactly one place.
-func NewEntry(req CreateRequest) (*Entry, error) {
+// NewEntry builds a server entry in the default serving mode.
+func NewEntry(req CreateRequest) (*Entry, error) { return newEntry(req, false) }
+
+// newEntry builds a server entry from creation parameters, in the
+// serving mode buffered selects, resolving the type through the registry
+// so defaults, bounds, and construction live in exactly one place.
+func newEntry(req CreateRequest, buffered bool) (*Entry, error) {
 	d, ok := typereg.Lookup(req.Type)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown sketch type %q", ErrBadParams, req.Type)
@@ -125,11 +127,11 @@ func NewEntry(req CreateRequest) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	inst, bind, err := d.Serving(p)
+	inst, err := d.Serving(p, buffered)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	return &Entry{desc: d, bind: bind, inst: inst, req: req}, nil
+	return &Entry{desc: d, inst: inst, req: req}, nil
 }
 
 // RestoreEntry rebuilds a live entry from its creation parameters and
@@ -140,12 +142,13 @@ func NewEntry(req CreateRequest) (*Entry, error) {
 //
 // Families with a lock-free holder of their own (hll, countmin,
 // blockedbloom) are restored by merging the decoded state into a fresh
-// holder, keeping post-recovery ingest as fast as pre-crash, and fall
-// back to the plain path if that drifts from the recovered bytes. The
-// plain path — the only one for every other family, sfsketch and
-// robustdistinct included — serves the decoded instance itself behind
-// the registry's locked holder: byte-identical by construction.
-func RestoreEntry(req CreateRequest, data []byte) (*Entry, error) {
+// entry in the mode buffered selects, keeping post-recovery ingest as
+// fast as pre-crash, and fall back to the plain path if that drifts
+// from the recovered bytes. The plain path — the only one for every
+// other family, sfsketch and robustdistinct included — serves the
+// decoded instance itself behind the registry's locked holder:
+// byte-identical by construction.
+func RestoreEntry(req CreateRequest, data []byte, buffered bool) (*Entry, error) {
 	d, ok := typereg.Lookup(req.Type)
 	if !ok {
 		return nil, fmt.Errorf("%w: unknown sketch type %q", ErrBadParams, req.Type)
@@ -158,27 +161,20 @@ func RestoreEntry(req CreateRequest, data []byte) (*Entry, error) {
 		return nil, fmt.Errorf("%w: snapshot holds %s bytes for a %s entry",
 			core.ErrIncompatible, sdesc.Name, d.Name)
 	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	if d.ServingNew() != nil {
-		if p, err := d.Validate(seed, req.rawParams(d)); err == nil {
-			if serving, bind, err := d.Serving(p); err == nil {
-				if bind.Merge != nil && bind.Merge(serving, inst) == nil {
-					e := &Entry{desc: d, bind: bind, inst: serving, req: req}
-					if b, err := e.Snapshot(); err == nil && bytes.Equal(b, data) {
-						return e, nil
-					}
-					// Serving-path restore drifted from the recovered
-					// bytes; fall through to the provably-identical
-					// plain instance.
+	if d.NewServing != nil && d.Mergeable() {
+		if e, err := newEntry(req, buffered); err == nil {
+			if d.Bind.Merge(e.inst, inst) == nil {
+				if b, err := e.Snapshot(); err == nil && bytes.Equal(b, data) {
+					return e, nil
 				}
-				closeInstance(serving)
+				// Serving-path restore drifted from the recovered
+				// bytes; fall through to the provably-identical
+				// plain instance.
 			}
+			e.Close()
 		}
 	}
-	e := &Entry{desc: d, bind: &d.Bind, inst: typereg.Locked(inst), req: req}
+	e := &Entry{desc: d, inst: typereg.Locked(inst), req: req}
 	b, err := e.Snapshot()
 	if err != nil {
 		return nil, err
@@ -190,19 +186,15 @@ func RestoreEntry(req CreateRequest, data []byte) (*Entry, error) {
 	return e, nil
 }
 
-// closeInstance releases instance-held resources: buffered serving
-// sketches own a propagator goroutine stopped by their Close method;
-// everything else is a no-op.
-func closeInstance(inst any) {
-	if c, ok := inst.(interface{ Close() }); ok {
+// Close releases entry-held resources — a buffered sketch's propagator
+// goroutine; for any other instance it is a no-op. Call exactly when
+// the entry leaves the namespace (delete, replaced on replay, a restore
+// that fell back); the entry must not be used afterwards.
+func (e *Entry) Close() {
+	if c, ok := e.inst.(interface{ Close() }); ok {
 		c.Close()
 	}
 }
-
-// Close releases entry-held resources. Call exactly when the entry
-// leaves the namespace (delete, replaced on replay); the entry must
-// not be used afterwards.
-func (e *Entry) Close() { closeInstance(e.inst) }
 
 // Type returns the registry type name ("hll", "countmin", …).
 func (e *Entry) Type() string { return e.desc.Name }
@@ -211,14 +203,14 @@ func (e *Entry) Type() string { return e.desc.Name }
 func (e *Entry) CreateReq() CreateRequest { return e.req }
 
 // Mergeable reports whether the entry accepts peer envelopes.
-func (e *Entry) Mergeable() bool { return e.bind.Merge != nil }
+func (e *Entry) Mergeable() bool { return e.desc.Mergeable() }
 
 // Add folds a batch of newline-delimited items in.
-func (e *Entry) Add(items [][]byte) error { return e.bind.Ingest(e.inst, items) }
+func (e *Entry) Add(items [][]byte) error { return e.desc.Bind.Ingest(e.inst, items) }
 
 // Query answers the type's read operation from URL parameters.
 func (e *Entry) Query(params url.Values) (map[string]any, error) {
-	return e.bind.Query(e.inst, params)
+	return e.desc.Bind.Query(e.inst, params)
 }
 
 // Merge absorbs a peer's MarshalBinary envelope. The payload is
@@ -226,7 +218,7 @@ func (e *Entry) Query(params url.Values) (map[string]any, error) {
 // envelope is an incompatibility (409 at the HTTP layer), and a
 // non-mergeable family reports ErrUnsupported (405).
 func (e *Entry) Merge(data []byte) error {
-	if e.bind.Merge == nil {
+	if !e.Mergeable() {
 		return fmt.Errorf("%w: %s does not merge", ErrUnsupported, e.desc.Name)
 	}
 	src, sdesc, err := typereg.Decode(data)
@@ -236,7 +228,7 @@ func (e *Entry) Merge(data []byte) error {
 	if sdesc.Tag != e.desc.Tag {
 		return fmt.Errorf("%w: cannot merge a %s payload into %s", core.ErrIncompatible, sdesc.Name, e.desc.Name)
 	}
-	return e.bind.Merge(e.inst, src)
+	return e.desc.Bind.Merge(e.inst, src)
 }
 
 // Snapshot serializes the current state in the standard envelope, in a

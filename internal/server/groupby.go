@@ -108,13 +108,13 @@ func splitGroups(body []byte) (groups map[string][][]byte, names []string, total
 // feeds it its items, stopping at the first group that fails — so a
 // live fan-out and its replay stop at the same place. applied counts
 // the groups fed: the first applied of the entries claimed.
-func (ts *tenantState) fanOut(spec GroupBySpec, groups map[string][][]byte, names []string, claim hold) (applied, created int, items uint64, err error) {
+func (ts *tenantState) fanOut(spec GroupBySpec, groups map[string][][]byte, names []string, claim hold, buffered bool) (applied, created int, items uint64, err error) {
 	for _, g := range names {
 		full := spec.Prefix + g
 		ne, _ := ts.reg.get(full)
 		fresh := ne == nil
 		if fresh {
-			if ne, err = ts.create(full, spec.Create, nil, claim); errors.Is(err, ErrExists) {
+			if ne, err = ts.create(full, spec.Create, nil, claim, buffered); errors.Is(err, ErrExists) {
 				fresh = false // lost a create race: use the winner
 				ne, err = ts.reg.get(full)
 			}
@@ -214,7 +214,7 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 	var added uint64
 	var applyErr error
 	s.logged(ts, durable.OpGroupBy, spec.Prefix, record, func(claim hold) (applied int, _ error) {
-		applied, created, added, applyErr = ts.fanOut(spec, groups, names, claim)
+		applied, created, added, applyErr = ts.fanOut(spec, groups, names, claim, s.bufferedIngest)
 		return applied, nil
 	})
 	ts.adds.Add(added)
@@ -238,7 +238,7 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
 // (snapshot-restored with LastLSN >= rec.LSN). A failure is surfaced so
 // recovery logs it; the groups before it stand, as on the pre-crash
 // server.
-func replayGroupBy(ts *tenantState, rec durable.Record) error {
+func replayGroupBy(ts *tenantState, rec durable.Record, buffered bool) error {
 	nl := bytes.IndexByte(rec.Body, '\n')
 	if nl < 0 {
 		return fmt.Errorf("groupby record: missing spec line")
@@ -258,7 +258,7 @@ func replayGroupBy(ts *tenantState, rec durable.Record) error {
 		}
 		held = append(held, ne)
 		return true
-	})
+	}, buffered)
 	for _, ne := range held[:applied] {
 		ne.lastLSN = rec.LSN
 	}

@@ -41,7 +41,12 @@ var recoveryFamilies = []struct {
 
 func durableServer(t *testing.T, dir string, opts durable.Options) (*Server, *httptest.Server, durable.RecoveryStats) {
 	t.Helper()
-	s := New()
+	return serveDurable(t, New(), dir, opts)
+}
+
+// serveDurable recovers s from dir and serves it.
+func serveDurable(t *testing.T, s *Server, dir string, opts durable.Options) (*Server, *httptest.Server, durable.RecoveryStats) {
+	t.Helper()
 	stats, err := s.EnableDurability(dir, opts)
 	if err != nil {
 		t.Fatalf("EnableDurability(%s): %v", dir, err)

@@ -65,7 +65,7 @@ func TestRestoreEntryEveryServableFamily(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Snapshot: %v", err)
 			}
-			re, err := server.RestoreEntry(req, want)
+			re, err := server.RestoreEntry(req, want, false)
 			if err != nil {
 				t.Fatalf("RestoreEntry: %v", err)
 			}

@@ -49,6 +49,8 @@ type Server struct {
 	// (see salt.go). Set before serving; default off keeps seed 1.
 	saltSeeds bool
 
+	bufferedIngest bool // see SetBufferedIngest
+
 	ops       core.OpCounters
 	wire      map[string]*wireCounters // per-family snapshot wire bytes
 	start     time.Time
@@ -92,6 +94,11 @@ func New() *Server {
 	})
 	return s
 }
+
+// SetBufferedIngest (sketchd -concurrent-ingest=buffered) serves the
+// hll, countmin and blockedbloom sketches this server creates or
+// recovers in their buffered form. Call before recovery or traffic.
+func (s *Server) SetBufferedIngest(on bool) { s.bufferedIngest = on }
 
 // Handler returns the route multiplexer.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -139,7 +146,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var ne *namedEntry
 	err := s.logged(ts, durable.OpCreate, name, body, func(claim hold) (_ int, err error) {
-		ne, err = ts.create(name, req, nil, claim)
+		ne, err = ts.create(name, req, nil, claim, s.bufferedIngest)
 		return 1, err
 	})
 	if err != nil {

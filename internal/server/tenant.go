@@ -70,19 +70,19 @@ func newTenantState(name string) *tenantState {
 	return ts
 }
 
-// create builds the sketch req describes — from data, its recovered
-// envelope, when it is being restored — and publishes it under name,
-// claimed and fully built (expiry included, so the reaper never sees a
-// half-initialized row). It is the one way a sketch enters a namespace:
-// a live create, a group-by's new group, a replayed record and a
-// restored snapshot row all come through here.
-func (ts *tenantState) create(name string, req CreateRequest, data []byte, claim hold) (*namedEntry, error) {
+// create builds the sketch req describes, in the serving mode buffered
+// selects — from data, its recovered envelope, when restored — and
+// publishes it under name, claimed and fully built (expiry included, so
+// the reaper never sees a half-initialized row). It is the one way a
+// sketch enters a namespace: a live create, a group-by's new group, a
+// replayed record and a restored snapshot row all come through here.
+func (ts *tenantState) create(name string, req CreateRequest, data []byte, claim hold, buffered bool) (*namedEntry, error) {
 	var entry *Entry
 	var err error
 	if data != nil {
-		entry, err = RestoreEntry(req, data)
+		entry, err = RestoreEntry(req, data, buffered)
 	} else {
-		entry, err = NewEntry(req)
+		entry, err = newEntry(req, buffered)
 	}
 	if err != nil {
 		return nil, err

@@ -203,6 +203,7 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 		{"sfsketch", weighted},    // the same block, applied under the holder's lock
 		{"countsketch", weighted}, // (item, signed weight) block, applied item by item
 		{"hll", plain},            // no block: a striped handle the sketch already holds
+		{"blockedbloom", plain},   // no block: the lock-free filter's own batch
 	} {
 		d, ok := typereg.Lookup(tc.typ)
 		if !ok {
@@ -212,32 +213,40 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// plain under Bind, and what a live entry holds: the family's own
-		// holder under Serve, or the plain instance behind the registry's
-		// locked holder (whose lock, like the no-op on a bare instance,
-		// must cost no allocation).
+		// Bind over the plain instance and over what a live entry holds:
+		// the family's own holder and its buffered form (a pooled writer
+		// handle, flushed at batch end), or the plain instance behind the
+		// registry's locked holder (whose lock, like the no-op on a bare
+		// instance, must cost no allocation).
 		plain, err := d.New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		served, serve, err := d.Serving(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		servedAs := "locked"
-		if d.NewServing != nil {
-			servedAs = "serving"
-		}
-		for variant, inst := range map[string]any{"plain": plain, servedAs: served} {
-			bind := serve
-			if variant == "plain" {
-				bind = &d.Bind
+		insts := map[string]any{"plain": plain}
+		for variant, buffered := range map[string]bool{"served": false, "buffered": true} {
+			if variant == "buffered" && d.NewServingBuffered == nil {
+				continue
 			}
-			assertZeroAlloc(t, tc.typ+"/"+variant+" Ingest", func() {
-				if err := bind.Ingest(inst, tc.lines); err != nil {
+			if insts[variant], err = d.Serving(p, buffered); err != nil {
+				t.Fatal(err)
+			}
+			if c, ok := insts[variant].(interface{ Close() }); ok {
+				defer c.Close()
+			}
+		}
+		for variant, inst := range insts {
+			ingest := func() {
+				if err := d.Bind.Ingest(inst, tc.lines); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
+			if s, ok := inst.(interface{ Sync() }); ok {
+				for i := 0; i < 8; i++ { // arm a buffered HLL's one-time publish timer off the clock
+					ingest()
+				}
+				s.Sync()
+			}
+			assertZeroAlloc(t, tc.typ+"/"+variant+" Ingest", ingest)
 		}
 	}
 }
