@@ -26,7 +26,15 @@
 // ingest buffers drained by a propagator goroutine, wait-free reads
 // with a bounded staleness window (reported as staleness_bound on
 // queries). Ideal for many-writer ingest-heavy workloads; atomic (the
-// default) keeps reads exact to the last completed batch.
+// default) serves each family through its exact holder — the sharded
+// HLL, the lock-free blocked Bloom, every other family (countmin
+// included) behind the registry's one lock — and keeps reads exact to
+// the last completed batch.
+//
+// -pprof mounts net/http/pprof's handlers under /debug/pprof/ on
+// either tier, so the shipped binary can be profiled in place:
+//
+//	go tool pprof 'http://127.0.0.1:7600/debug/pprof/profile?seconds=10'
 //
 // Sketches live in tenant namespaces: /v1/t/{tenant}/sketch/... (or
 // the X-Sketch-Tenant header) scopes every call, the bare /v1 paths
@@ -55,8 +63,10 @@ import (
 	"flag"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -76,8 +86,11 @@ func main() {
 	walMaxBytes := flag.Int64("wal-max-bytes", 64<<20,
 		"WAL size that forces a snapshot + truncation")
 	concurrentIngest := flag.String("concurrent-ingest", "atomic",
-		"multi-writer ingest mode for families with concurrent variants: "+
-			"atomic (shared-memory CAS) or buffered (per-writer local buffers + propagator, wait-free stale reads)")
+		"multi-writer ingest mode for hll, countmin and blockedbloom: atomic (each family's exact holder: "+
+			"sharded hll, lock-free blockedbloom, countmin behind the registry's lock) or "+
+			"buffered (per-writer local buffers + propagator, wait-free stale reads)")
+	pprofOn := flag.Bool("pprof", false,
+		"mount net/http/pprof's handlers under /debug/pprof/ (CPU, heap, goroutine profiles of this process)")
 	coordinator := flag.Bool("coordinator", false,
 		"run as a cluster coordinator over -shards instead of serving sketches locally")
 	shards := flag.String("shards", "",
@@ -107,9 +120,15 @@ func main() {
 			"sharing one hash function; replicas of the same sketch still derive the same seed "+
 			"(use the same setting on every shard and across restarts)")
 	flag.Parse()
+	if !*pprofOn {
+		// Linking net/http/pprof turns on the runtime's heap-profile
+		// sampling, which a binary without it runs with off; under
+		// ingest_mem its buckets cost a shard half a megabyte of RSS.
+		runtime.MemProfileRate = 0
+	}
 
 	if *coordinator {
-		runCoordinator(*addr, *shards)
+		runCoordinator(*addr, *shards, *pprofOn)
 		return
 	}
 
@@ -168,7 +187,7 @@ func main() {
 
 	hs := &http.Server{
 		Addr:              *addr,
-		Handler:           srv.Handler(),
+		Handler:           withPprof(srv.Handler(), *pprofOn),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
@@ -211,9 +230,26 @@ func main() {
 		ops.Adds, ops.AddBatches, ops.Merges, ops.Queries)
 }
 
+// withPprof serves net/http/pprof's handlers under /debug/pprof/ in
+// front of h when on; off, h alone answers every path, that one with
+// its 404.
+func withPprof(h http.Handler, on bool) http.Handler {
+	if !on {
+		return h
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	return mux
+}
+
 // runCoordinator serves the cluster-facing /v1/sketch API over a shard
 // fleet and blocks until SIGINT/SIGTERM.
-func runCoordinator(addr, shardList string) {
+func runCoordinator(addr, shardList string, pprofOn bool) {
 	if shardList == "" {
 		log.Fatalf("sketchd: -coordinator requires -shards url1,url2,...")
 	}
@@ -223,7 +259,7 @@ func runCoordinator(addr, shardList string) {
 	}
 	hs := &http.Server{
 		Addr:              addr,
-		Handler:           coord,
+		Handler:           withPprof(coord, pprofOn),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	go func() {

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	sketch "repro"
+	"repro/internal/concurrent"
 	"repro/internal/hashx"
 	"repro/internal/registry"
 )
@@ -232,23 +233,14 @@ func TestGoldenLayoutWire(t *testing.T) {
 		got["sfsketch/estimates/"+probe] = fmt.Sprint(sf.Estimate([]byte(probe)), sf.FatEstimate([]byte(probe)), slim.Estimate([]byte(probe)))
 	}
 
-	// Atomic Count-Min, through Snapshot; the fused one is only reachable
-	// as the registry's serving instance.
-	cmDesc, _ := registry.Lookup("countmin")
+	// Atomic Count-Min, through Snapshot; the fused one over a built
+	// layout, as the registry builds a buffered Count-Min's global.
 	atomics := map[string]func() *sketch.AtomicCountMin{
 		"derived": func() *sketch.AtomicCountMin {
 			return sketch.NewAtomicCountMin(goldenWidth, goldenDepth, goldenSeed)
 		},
 		"fused": func() *sketch.AtomicCountMin {
-			p, err := cmDesc.Validate(goldenSeed, map[string]float64{"width": goldenWidth, "depth": goldenDepth, "fused": 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			inst, err := cmDesc.NewServing(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return inst.(*sketch.AtomicCountMin)
+			return concurrent.NewAtomicCountMinLayout(sketch.NewCountMinFused(goldenWidth, goldenDepth, goldenSeed).Layout())
 		},
 	}
 	for mode, build := range atomics {

@@ -445,7 +445,8 @@ var hotBenchmarks = []struct {
 			estimateSink = s.Estimate()
 		}
 	}},
-	{"RegistryCountMinWeightedIngest", registryCountMinWeightedIngest},
+	{"RegistryCountMinWeightedIngest", registryCountMinWeightedIngest(1)},
+	{"RegistryCountMinWeightedIngestParallel", registryCountMinWeightedIngest(2)},
 	{"ServerCountMinIngest", serverCountMinIngest},
 	{"ClusterRingRoute", ringRoute(4)},
 	{"RingLocate", ringRoute(16)},
@@ -584,29 +585,52 @@ func serverCountMinIngest(b *testing.B) {
 
 // registryCountMinWeightedIngest measures the registry's ingest adapter
 // alone on the serving Count-Min: one 1024-line weighted body through
-// Bind.Ingest — cut weights, hash, pooled block, weighted batch kernel
-// — per line. Steady state allocates nothing.
-func registryCountMinWeightedIngest(b *testing.B) {
-	d, _ := typereg.Lookup("countmin")
-	p, err := d.Validate(1, map[string]float64{"width": 65536})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inst, err := d.Serving(p, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const lines = 1024
-	items := make([][]byte, lines)
-	for i := range items {
-		items[i] = []byte("flow" + strconv.Itoa(i*7919%100000) + "\t" + strconv.Itoa(1+i%9))
-	}
-	b.SetBytes(int64(len(items[0])))
-	b.ResetTimer()
-	for i := 0; i < b.N; i += lines {
-		if err := d.Bind.Ingest(inst, items); err != nil {
+// Bind.Ingest — cut weights, hash, pooled block, then the weighted batch
+// kernel under the holder's lock — per line. Steady state allocates
+// nothing. With writers > 1 it is that many goroutines (GOMAXPROCS is
+// raised to match for the run) each sending its own bodies to the one
+// sketch, and ns/op is wall time per line over all of them: the row that
+// prices the lock's serialisation against the parse outside it.
+func registryCountMinWeightedIngest(writers int) func(b *testing.B) {
+	return func(b *testing.B) {
+		d, _ := typereg.Lookup("countmin")
+		p, err := d.Validate(1, map[string]float64{"width": 65536})
+		if err != nil {
 			b.Fatal(err)
 		}
+		inst, err := d.Serving(p, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const lines = 1024
+		items := make([][]byte, lines)
+		for i := range items {
+			items[i] = []byte("flow" + strconv.Itoa(i*7919%100000) + "\t" + strconv.Itoa(1+i%9))
+		}
+		b.SetBytes(int64(len(items[0])))
+		if writers == 1 {
+			b.ResetTimer()
+			for i := 0; i < b.N; i += lines {
+				if err := d.Bind.Ingest(inst, items); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return
+		}
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(writers))
+		b.SetParallelism(1)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for n := 0; pb.Next(); {
+				if n++; n == lines {
+					n = 0
+					if err := d.Bind.Ingest(inst, items); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}
+		})
 	}
 }
 

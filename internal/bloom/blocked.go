@@ -49,13 +49,10 @@ func NewBlocked(m uint64, k int, seed uint64) *BlockedFilter {
 	if m == 0 {
 		panic("bloom: m must be positive")
 	}
-	if k < 1 || k > maxBlockedK {
-		panic("bloom: blocked k must be in [1,64]")
-	}
-	blocks := (m + BlockBits - 1) / BlockBits
+	m, k = BlockedShape(m, k, 0, 0)
 	return &BlockedFilter{
-		bits:   make([]uint64, blocks*BlockWords),
-		blocks: blocks,
+		bits:   make([]uint64, m/BlockBits*BlockWords),
+		blocks: m / BlockBits,
 		k:      k,
 		seed:   seed,
 	}
@@ -72,24 +69,32 @@ const maxBlockedK = 64
 // blocking penalty); callers needing the exact classic rate should
 // oversize m by ~15-30% or use New.
 func NewBlockedWithEstimates(n uint64, p float64, seed uint64) *BlockedFilter {
-	if n == 0 {
-		n = 1
-	}
-	if !(p > 0 && p < 1) {
-		panic("bloom: false positive rate must be in (0,1)")
-	}
-	m := uint64(math.Ceil(-float64(n) * math.Log(p) / (math.Ln2 * math.Ln2)))
-	if m == 0 {
-		m = 1
-	}
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	if k > maxBlockedK {
-		k = maxBlockedK
-	}
+	m, k := BlockedShape(0, 0, n, p)
 	return NewBlocked(m, k, seed)
+}
+
+// BlockedShape is the one sizing rule of a blocked filter, which
+// NewBlocked, NewBlockedWithEstimates and concurrent.AtomicBlockedBloom
+// share: with m set, at least m bits and k probes; with m zero, n
+// expected items (zero counts as one) at target false-positive rate p by
+// the classic optimal-m/k formulas. It returns m rounded up to whole
+// 512-bit blocks and k, allocates nothing, and panics on a k outside
+// [1,64] or a p outside (0,1).
+func BlockedShape(m uint64, k int, n uint64, p float64) (uint64, int) {
+	if m == 0 {
+		if n == 0 {
+			n = 1
+		}
+		if !(p > 0 && p < 1) {
+			panic("bloom: false positive rate must be in (0,1)")
+		}
+		m = max(1, uint64(math.Ceil(-float64(n)*math.Log(p)/(math.Ln2*math.Ln2))))
+		k = min(max(1, int(math.Round(float64(m)/float64(n)*math.Ln2))), maxBlockedK)
+	}
+	if k < 1 || k > maxBlockedK {
+		panic("bloom: blocked k must be in [1,64]")
+	}
+	return (m + BlockBits - 1) / BlockBits * BlockBits, k
 }
 
 // blockBase returns the first word index of the block h1 selects.

@@ -30,13 +30,13 @@ type AtomicBlockedBloom struct {
 }
 
 // NewAtomicBlockedBloom creates an atomic blocked filter with at least
-// m bits (rounded up to whole 512-bit blocks) and k probes per item,
-// mirroring bloom.NewBlocked.
+// m > 0 bits (rounded up to whole 512-bit blocks) and k probes per item,
+// sized and validated by bloom.BlockedShape as bloom.NewBlocked is.
 func NewAtomicBlockedBloom(m uint64, k int, seed uint64) *AtomicBlockedBloom {
-	shape := bloom.NewBlocked(m, k, seed) // reuse sizing + validation
+	m, k = bloom.BlockedShape(m, k, 0, 0)
 	return &AtomicBlockedBloom{
-		bits:   make([]atomic.Uint64, len(shape.Words())),
-		blocks: shape.Blocks(),
+		bits:   make([]atomic.Uint64, m/bloom.BlockBits*bloom.BlockWords),
+		blocks: m / bloom.BlockBits,
 		k:      k,
 		seed:   seed,
 	}

@@ -262,7 +262,10 @@ func (s *ShardedHLL) SizeBytes() int {
 // It holds a frequency.Layout over one flat table of atomics, so it
 // addresses exactly the cells a plain frequency.CountMin of the same
 // layout does — which is what makes Merge and Snapshot exchanges with
-// the plain sketch exact. Its cell operation is the atomic add.
+// the plain sketch exact. Its cell operation is the atomic add. sketchd
+// serves it only as a buffered Count-Min's global: a default-mode
+// Count-Min is the plain sketch behind the registry's lock, which costs
+// less CPU a line than four atomic adds (DESIGN.md §5.1).
 type AtomicCountMin struct {
 	layout frequency.Layout
 	cells  []atomic.Uint64

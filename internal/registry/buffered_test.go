@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"fmt"
 	"net/url"
 	"path"
 	"reflect"
@@ -11,50 +12,96 @@ import (
 	"repro/internal/concurrent"
 )
 
-// Serving must build the mode it is asked for: the buffered form where
-// the family has one, its own holder where it has no buffered form or
-// buffering is off, and the locked holder for a family with neither.
-func TestServingNewModeDispatch(t *testing.T) {
+// servingHolders is which holder serves which family, in the default
+// mode and in the buffered one: "locked T" is a plain T behind the
+// registry's holder. Changing a family's holder is an edit here.
+var servingHolders = map[string][2]string{
+	"ams":               {"locked *ams.Sketch", "locked *ams.Sketch"},
+	"blockedbloom":      {"*concurrent.AtomicBlockedBloom", "*concurrent.BufferedBlockedBloom"},
+	"bloom":             {"locked *bloom.Filter", "locked *bloom.Filter"},
+	"countingbloom":     {"locked *bloom.CountingFilter", "locked *bloom.CountingFilter"},
+	"countmin":          {"locked *frequency.CountMin", "*concurrent.BufferedCountMin"},
+	"countsketch":       {"locked *frequency.CountSketch", "locked *frequency.CountSketch"},
+	"fm":                {"locked *cardinality.FM", "locked *cardinality.FM"},
+	"gk":                {"locked *quantile.GK", "locked *quantile.GK"},
+	"graphsketch":       {"locked *graphsketch.Sketch", "locked *graphsketch.Sketch"},
+	"hll":               {"*concurrent.ShardedHLL", "*concurrent.BufferedHLL"},
+	"hllpp":             {"locked *cardinality.HLLPP", "locked *cardinality.HLLPP"},
+	"kll":               {"locked *quantile.KLL", "locked *quantile.KLL"},
+	"kmv":               {"locked *cardinality.KMV", "locked *cardinality.KMV"},
+	"l0sampler":         {"locked *sample.L0Sampler", "locked *sample.L0Sampler"},
+	"loglog":            {"locked *cardinality.LogLog", "locked *cardinality.LogLog"},
+	"minhash":           {"locked *lsh.MinHash", "locked *lsh.MinHash"},
+	"misragries":        {"locked *frequency.MisraGries", "locked *frequency.MisraGries"},
+	"morris":            {"locked *counter.Morris", "locked *counter.Morris"},
+	"mrl":               {"locked *quantile.MRL", "locked *quantile.MRL"},
+	"nelsonyu":          {"locked *counter.NelsonYu", "locked *counter.NelsonYu"},
+	"qdigest":           {"locked *quantile.QDigest", "locked *quantile.QDigest"},
+	"req":               {"locked *quantile.REQ", "locked *quantile.REQ"},
+	"reservoir":         {"locked *sample.Reservoir", "locked *sample.Reservoir"},
+	"robustdistinct":    {"locked *robust.Distinct", "locked *robust.Distinct"},
+	"sfsketch":          {"locked *frequency.SFSketch", "locked *frequency.SFSketch"},
+	"spacesaving":       {"locked *frequency.SpaceSaving", "locked *frequency.SpaceSaving"},
+	"sparserecovery":    {"locked *sample.SparseRecovery", "locked *sample.SparseRecovery"},
+	"tdigest":           {"locked *quantile.TDigest", "locked *quantile.TDigest"},
+	"theta":             {"locked *cardinality.Theta", "locked *cardinality.Theta"},
+	"weightedreservoir": {"locked *sample.WeightedReservoir", "locked *sample.WeightedReservoir"},
+}
+
+// TestServingHolders: Serving builds, for every servable family and in
+// either mode, the holder servingHolders names; the shims
+// benchmark/layertrace calls build and drive exactly what Serving and
+// Bind do.
+func TestServingHolders(t *testing.T) {
 	t.Parallel()
-	d, _ := Lookup("countmin")
-	p, err := d.Validate(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := d.Serving(p, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := inst.(*concurrent.AtomicCountMin); !ok {
-		t.Fatalf("atomic mode built %T, want *concurrent.AtomicCountMin", inst)
-	}
-
-	inst, err = d.Serving(p, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, ok := inst.(*concurrent.BufferedCountMin)
-	if !ok {
-		t.Fatalf("buffered mode built %T, want *concurrent.BufferedCountMin", inst)
-	}
-	b.Close()
-
-	// A family with no holder of its own is the locked plain sketch in
-	// either mode.
-	theta, _ := Lookup("theta")
-	if theta.NewServingBuffered != nil || theta.NewServing != nil {
-		t.Fatal("theta unexpectedly grew a holder of its own; update this test")
-	}
-	tp, err := theta.Validate(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, buffered := range []bool{false, true} {
-		if inst, err := theta.Serving(tp, buffered); err != nil {
-			t.Fatal(err)
-		} else if _, ok := inst.(*locked); !ok {
-			t.Fatalf("theta (buffered %v) built %T, want the locked holder", buffered, inst)
+	holderOf := func(inst any) string {
+		if plain, l := held(inst); l != nil {
+			return fmt.Sprintf("locked %T", plain)
 		}
+		return fmt.Sprintf("%T", inst)
+	}
+	rows := 0
+	for _, d := range All() {
+		if d.Serve != &d.Bind {
+			t.Errorf("%s: Serve is not &Bind", d.Name)
+		}
+		want, ok := servingHolders[d.Name]
+		if !d.Servable() {
+			if ok {
+				t.Errorf("%s is not servable but has a servingHolders row", d.Name)
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("servable %s has no servingHolders row", d.Name)
+			continue
+		}
+		rows++
+		p, err := d.Validate(7, lawRows[d.Name].compact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name  string
+			build func(Params) (any, error)
+			want  string
+		}{
+			{"Serving(p, false)", func(p Params) (any, error) { return d.Serving(p, false) }, want[0]},
+			{"Serving(p, true)", func(p Params) (any, error) { return d.Serving(p, true) }, want[1]},
+			{"ServingNew()(p)", d.ServingNew(), want[0]},
+		} {
+			inst, err := c.build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := holderOf(inst); got != c.want {
+				t.Errorf("%s: %s built %s, want %s", d.Name, c.name, got, c.want)
+			}
+			closeIfOwned(inst)
+		}
+	}
+	if rows != len(servingHolders) {
+		t.Errorf("%d servable families, %d servingHolders rows", rows, len(servingHolders))
 	}
 }
 

@@ -63,8 +63,6 @@ func shaped[T any](build func(frequency.Layout) T) func(Params) (any, error) {
 }
 
 func init() {
-	atomicCountMin := shaped(concurrent.NewAtomicCountMinLayout)
-
 	register(Descriptor{
 		Tag:    core.TagCountMin,
 		Name:   "countmin",
@@ -76,9 +74,11 @@ func init() {
 			{Name: "depth", Doc: "hash rows", Def: 4, Min: 1, Max: 64},
 			{Name: "fused", Doc: "1 = fused cache-line layout (depth <= 21)", Def: 0, Min: 0, Max: 1},
 		},
+		// Served as the plain sketch behind the locked holder: a batch is
+		// parsed and hashed outside the lock and applied by the weighted
+		// batch kernel under it. The atomic table is the buffered global.
 		New:                shaped(frequency.NewCountMinLayout),
-		NewServing:         atomicCountMin,
-		NewServingBuffered: bufferedOver(atomicCountMin, concurrent.BufferCountMin),
+		NewServingBuffered: bufferedOver(shaped(concurrent.NewAtomicCountMinLayout), concurrent.BufferCountMin),
 		Decode:             decode1[frequency.CountMin](),
 		MergeWire:          wireMerge("countmin", frequency.CountMinWire, core.AddWords),
 		// The plain, atomic and buffered instances share the batch kernel's

@@ -11,37 +11,31 @@ import (
 
 // blockedBloomShape resolves the blocked filter's m/k/n/fpr parameter
 // convention (explicit m+k wins; otherwise n/fpr sizing with the same
-// defaults as classic bloom).
-func blockedBloomShape(p Params) (m uint64, k int, n uint64, fpr float64, err error) {
-	if m = p.Uint64("m"); m != 0 {
-		k = p.Int("k")
-		if k < 1 {
-			return 0, 0, 0, 0, fmt.Errorf("%w: blockedbloom m=%d needs k in [1,64]", ErrParams, m)
-		}
-		return m, k, 0, 0, nil
+// defaults as classic bloom) to the m and k bloom.BlockedShape sizes,
+// which every instance is built at: nothing is allocated to learn them.
+func blockedBloomShape(p Params) (uint64, int, error) {
+	m, k, n, fpr := p.Uint64("m"), p.Int("k"), p.Uint64("n"), p.Float("fpr")
+	switch {
+	case m != 0 && k < 1:
+		return 0, 0, fmt.Errorf("%w: blockedbloom m=%d needs k in [1,64]", ErrParams, m)
+	case m == 0 && fpr >= 1:
+		return 0, 0, fmt.Errorf("%w: blockedbloom fpr=%v must be below 1", ErrParams, fpr)
 	}
-	n, fpr = p.Uint64("n"), p.Float("fpr")
 	if n == 0 {
 		n = 1_000_000
 	}
 	if fpr == 0 {
 		fpr = 0.01
 	}
-	if fpr >= 1 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: blockedbloom fpr=%v must be below 1", ErrParams, fpr)
-	}
-	return 0, 0, n, fpr, nil
+	m, k = bloom.BlockedShape(m, k, n, fpr)
+	return m, k, nil
 }
 
 func init() {
 	atomicBlockedBloom := func(p Params) (any, error) {
-		m, k, n, fpr, err := blockedBloomShape(p)
+		m, k, err := blockedBloomShape(p)
 		if err != nil {
 			return nil, err
-		}
-		if m == 0 {
-			shape := bloom.NewBlockedWithEstimates(n, fpr, p.Seed)
-			m, k = shape.M(), shape.K()
 		}
 		return concurrent.NewAtomicBlockedBloom(m, k, p.Seed), nil
 	}
@@ -114,14 +108,11 @@ func init() {
 			{Name: "fpr", Doc: "target false-positive rate before blocking penalty (default 0.01)", Def: 0, Min: 0, Max: 1, Float: true},
 		},
 		New: func(p Params) (any, error) {
-			m, k, n, fpr, err := blockedBloomShape(p)
+			m, k, err := blockedBloomShape(p)
 			if err != nil {
 				return nil, err
 			}
-			if m != 0 {
-				return bloom.NewBlocked(m, k, p.Seed), nil
-			}
-			return bloom.NewBlockedWithEstimates(n, fpr, p.Seed), nil
+			return bloom.NewBlocked(m, k, p.Seed), nil
 		},
 		NewServing:         atomicBlockedBloom,
 		NewServingBuffered: bufferedOver(atomicBlockedBloom, concurrent.BufferBlockedBloom),

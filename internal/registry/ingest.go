@@ -19,15 +19,18 @@ import (
 // and the block, not the text, is what gets applied. For the
 // hashed-counter holders the two values are (XXHash64(item, seed),
 // weight) and the apply is their weighted batch kernel, so a served
-// Count-Min line is split, parsed and hashed once and reaches the
-// batch kernel. Measured on the benchmark's ingest_mem mix (a profile
-// of the live sketchd as of PR 24), the kernels and their hashes are a
-// third of sketchd's CPU: Count-Min's atomic adds 13 % (the top
-// kernel), the blocked-Bloom batch 7 %, Murmur3_128 5.4 %, XXHash64
-// 4.5 %, HLL 2 %; line splitting is 7 %, and the rest is net/http, the
-// scheduler and the loopback socket. Two writers sending 1024-line
-// bodies to one sketch pay 33 ns of wall time a line (112 when every
-// item bumped the shared total).
+// Count-Min line is split, parsed and hashed once, outside the locked
+// holder's mutex, and reaches the plain batch kernel under it. Measured
+// on the benchmark's ingest_mem mix (a 12 s `sketchd -pprof` CPU
+// profile of the live process, 2 vCPUs), the kernels and their hashes
+// are two fifths of sketchd's CPU: the atomic blocked-Bloom batch 11 %
+// (the top kernel), Count-Min's weighted batch 9.5 % (the mutex around
+// it below 0.5 %), Murmur3_128 7 %, XXHash64 5.4 %, HLL 2 %; line
+// splitting is 9 %, and the rest is net/http, the scheduler and the
+// loopback socket (syscalls 14 %). Two writers sending 1024-line
+// bodies to one Count-Min take turns only for the kernel, and pay the
+// wall time a line that four atomic adds a line did
+// (Hot/RegistryCountMinWeightedIngestParallel).
 
 // errBadWeight is the shared parse failure; callers wrap it with the
 // offending bytes.

@@ -37,8 +37,8 @@ func lockedFamilies(t *testing.T, f func(t *testing.T, d *Descriptor, p Params, 
 			})
 		}
 	}
-	if n != 27 {
-		t.Errorf("%d families are served behind the locked holder, want 27: 30 servable less hll, countmin and blockedbloom", n)
+	if n != 28 {
+		t.Errorf("%d families are served behind the locked holder, want 28: 30 servable less hll and blockedbloom", n)
 	}
 }
 

@@ -177,16 +177,21 @@ type Descriptor struct {
 	// parameters.
 	New func(p Params) (any, error)
 	// NewServing, when set, constructs the family's own internally
-	// synchronized holder (the sharded HLL, the atomic Count-Min and
-	// blocked Bloom). Types without one leave it nil, and Serving puts
-	// their plain instance behind the locked holder.
+	// synchronized holder, which Serving builds in place of the locked
+	// one: the sharded HLL (one register file per P, nothing shared to
+	// serialise) and the atomic blocked Bloom (its load-first OR skips
+	// the locked op on bits already set). Every other family leaves it
+	// nil and is served behind the locked holder — countmin included:
+	// its plain weighted batch kernel under the lock costs less CPU a
+	// line than four atomic adds, at 1 to 4 writers (DESIGN.md §5.1).
 	NewServing func(p Params) (any, error)
-	// NewServingBuffered, when set, constructs that holder's local-
-	// buffer/global-propagation form (pooled writer handles, a
-	// propagator goroutine, wait-free relaxed-consistency reads), which
-	// Serving builds when asked for a buffered instance. Buffered
-	// instances own a goroutine — callers must Close them when the entry
-	// is deleted.
+	// NewServingBuffered, when set, constructs a local-buffer/global-
+	// propagation holder (pooled writer handles, a propagator goroutine,
+	// wait-free relaxed-consistency reads), which Serving builds when
+	// asked for a buffered instance: over the sharded HLL's plain
+	// kernel, the atomic blocked Bloom, and the atomic Count-Min, whose
+	// only served role is that global. Buffered instances own a
+	// goroutine — callers must Close them when the entry is deleted.
 	NewServingBuffered func(p Params) (any, error)
 	// Decode deserializes a MarshalBinary envelope of this family's
 	// plain type.
@@ -194,9 +199,9 @@ type Descriptor struct {
 
 	// Bind operates on every instance the descriptor builds.
 	Bind Bindings
-	// Serve is &Bind for a family with a holder of its own and nil for
-	// any other; register sets it, no descriptor does. It remains only
-	// because benchmark/layertrace, a separate module, names it.
+	// Serve is &Bind, which drives every instance; register sets it, no
+	// descriptor does. It remains only because benchmark/layertrace, a
+	// separate module, names it.
 	Serve *Bindings
 
 	// Project and Finish, set together, are the optional query-pushdown
@@ -228,9 +233,12 @@ type Descriptor struct {
 // Mergeable reports whether live instances can absorb decoded peers.
 func (d *Descriptor) Mergeable() bool { return d.Bind.Merge != nil }
 
-// ServingNew returns NewServing. Like Serve, it remains only because
-// benchmark/layertrace names it; Serving is the constructor.
-func (d *Descriptor) ServingNew() func(p Params) (any, error) { return d.NewServing }
+// ServingNew returns Serving in the default mode: what sketchd builds
+// for a create. Like Serve, it remains only because benchmark/layertrace
+// names it; Serving is the constructor.
+func (d *Descriptor) ServingNew() func(p Params) (any, error) {
+	return func(p Params) (any, error) { return d.Serving(p, false) }
+}
 
 // locked is the mutex column of the serving matrix, written once: a
 // plain instance and the lock every operation on it takes. A lock
@@ -275,10 +283,10 @@ func (l *locked) unlock() {
 }
 
 // Serving constructs a self-synchronised instance of any servable
-// family, which Bind drives like every other: the buffered form of the
-// family's own holder when buffered is set and the family has one,
-// otherwise that holder (NewServing), otherwise New's plain instance
-// behind the locked holder.
+// family, which Bind drives like every other: the buffered holder when
+// buffered is set and the family has one (hll, countmin, blockedbloom),
+// otherwise the family's own holder (NewServing: hll, blockedbloom),
+// otherwise New's plain instance behind the locked holder.
 func (d *Descriptor) Serving(p Params, buffered bool) (any, error) {
 	switch {
 	case buffered && d.NewServingBuffered != nil:
@@ -294,9 +302,9 @@ func (d *Descriptor) Serving(p Params, buffered bool) (any, error) {
 }
 
 // bufferedOver builds a NewServingBuffered from the constructor of the
-// global it buffers (the family's NewServing, or New where the
-// propagator owns a plain sketch), so the parameters are validated and
-// the shape resolved by that constructor alone.
+// global it buffers (an atomic table, or New where the propagator owns
+// a plain sketch), so the parameters are validated and the shape
+// resolved by that constructor alone.
 func bufferedOver[G, B any](global func(Params) (any, error), buffer func(G, int) B) func(Params) (any, error) {
 	return func(p Params) (any, error) {
 		inst, err := global(p)
@@ -379,9 +387,7 @@ func register(d Descriptor) {
 	}
 	dp := new(Descriptor)
 	*dp = d
-	if dp.NewServing != nil {
-		dp.Serve = &dp.Bind
-	}
+	dp.Serve = &dp.Bind
 	byTag[d.Tag] = dp
 	byName[d.Name] = dp
 }

@@ -234,3 +234,34 @@ func TestMergeThroughRegistry(t *testing.T) {
 		}
 	})
 }
+
+// TestBlockedBloomServingAllocatesOneFilter: a served or buffered
+// blockedbloom allocates its bit array once — sized by arithmetic, not
+// by a throwaway filter built to read m and k from — through both
+// parameter conventions, at sizes where a second array would show.
+func TestBlockedBloomServingAllocatesOneFilter(t *testing.T) {
+	d, _ := Lookup("blockedbloom")
+	for _, raw := range []map[string]float64{
+		{"m": 1 << 26, "k": 7},
+		{"n": 4_000_000, "fpr": 0.01},
+	} {
+		p, err := d.Validate(1, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, buffered := range []bool{false, true} {
+			size := 0
+			got := bytesPerRun(2, func() {
+				inst, err := d.Serving(p, buffered)
+				if err != nil {
+					t.Fatal(err)
+				}
+				size = SizeOf(inst)
+				closeIfOwned(inst)
+			})
+			if got >= 1.1*float64(size) {
+				t.Errorf("%v buffered=%v: creating a %d-byte filter allocated %.0f bytes, %.2fx", raw, buffered, size, got, got/float64(size))
+			}
+		}
+	}
+}

@@ -11,6 +11,8 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/concurrent"
 )
 
 // variant is one way a descriptor builds an instance, with the bindings
@@ -26,7 +28,8 @@ type variant struct {
 // served one: "serving" and "buffered" are the family's own holder and
 // its buffered form, "locked" is the plain instance behind the
 // registry's holder, as Serving builds it for every servable family
-// without a holder of its own.
+// without a holder of its own. A family whose own holder is served only
+// as its buffered form's global (bufferedGlobals) has "serving" too.
 func variantsOf(d *Descriptor) []variant {
 	serving := func(buffered bool) func(Params) (any, error) {
 		return func(p Params) (any, error) { return d.Serving(p, buffered) }
@@ -34,6 +37,8 @@ func variantsOf(d *Descriptor) []variant {
 	out := []variant{{"plain", d.New, &d.Bind}}
 	if d.NewServing != nil {
 		out = append(out, variant{"serving", serving(false), &d.Bind})
+	} else if global := bufferedGlobals[d.Name]; global != nil {
+		out = append(out, variant{"serving", global, &d.Bind})
 	}
 	if d.NewServingBuffered != nil {
 		out = append(out, variant{"buffered", serving(true), &d.Bind})
@@ -48,6 +53,14 @@ func variantsOf(d *Descriptor) []variant {
 		}, &d.Bind})
 	}
 	return out
+}
+
+// bufferedGlobals are the own holders Serving builds only inside a
+// buffered one: Count-Min's atomic table, which the propagator writes
+// and every buffered read reads. Checked on its own, it keeps the
+// variant name it had when it was the default served instance.
+var bufferedGlobals = map[string]func(Params) (any, error){
+	"countmin": shaped(concurrent.NewAtomicCountMinLayout),
 }
 
 // wireVariants are the instances a descriptor can build, by the name
@@ -178,8 +191,8 @@ func TestMarshalAllocatesTheEnvelopeOnce(t *testing.T) {
 		params   map[string]float64
 		variants []string
 	}{
-		{"countmin", map[string]float64{"width": 16384, "depth": 4}, []string{"plain", "serving"}},
-		{"countmin", map[string]float64{"width": 16384, "depth": 4, "fused": 1}, []string{"plain", "serving"}},
+		{"countmin", map[string]float64{"width": 16384, "depth": 4}, []string{"plain", "locked", "serving"}},
+		{"countmin", map[string]float64{"width": 16384, "depth": 4, "fused": 1}, []string{"plain", "locked"}},
 		{"countsketch", map[string]float64{"width": 16384, "depth": 5}, []string{"plain"}},
 		{"sfsketch", map[string]float64{"width": 8192, "depth": 4}, []string{"plain", "locked"}},
 		{"hll", map[string]float64{"p": 18}, []string{"plain", "serving"}},

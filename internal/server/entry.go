@@ -93,8 +93,9 @@ func (req CreateRequest) rawParams(d *typereg.Descriptor) map[string]float64 {
 // descriptor's capability bindings — there is no per-type code from
 // here up through the HTTP handlers. Entries are safe for concurrent
 // use because every instance they hold synchronises itself
-// (registry.Descriptor.Serving): a family's own lock-free holder where
-// it has one (hll, countmin, blockedbloom; buffered when the server is),
+// (registry.Descriptor.Serving): a buffered holder when the server is
+// buffered and the family has one (hll, countmin, blockedbloom), else a
+// family's own lock-free holder where it has one (hll, blockedbloom),
 // otherwise the plain sketch behind the registry's locked holder, whose
 // bindings take the lock around the update or the read and parse a
 // batch before asking for it. Add must not retain the item slices —
@@ -140,14 +141,15 @@ func newEntry(req CreateRequest, buffered bool) (*Entry, error) {
 // or restoration fails (the durability layer then skips the sketch
 // rather than serving silently divergent state).
 //
-// Families with a lock-free holder of their own (hll, countmin,
-// blockedbloom) are restored by merging the decoded state into a fresh
-// entry in the mode buffered selects, keeping post-recovery ingest as
-// fast as pre-crash, and fall back to the plain path if that drifts
-// from the recovered bytes. The plain path — the only one for every
-// other family, sfsketch and robustdistinct included — serves the
-// decoded instance itself behind the registry's locked holder:
-// byte-identical by construction.
+// A family served, in the mode buffered selects, through a holder of
+// its own (hll and blockedbloom; countmin too when buffered) is
+// restored by merging the decoded state into a fresh entry in that
+// mode, keeping post-recovery ingest as fast as pre-crash, and falls
+// back to the plain path if that drifts from the recovered bytes. The
+// plain path — the only one for every other family, sfsketch,
+// robustdistinct and an unbuffered countmin included — serves the
+// decoded instance itself behind the registry's locked holder, as a
+// create would: byte-identical by construction.
 func RestoreEntry(req CreateRequest, data []byte, buffered bool) (*Entry, error) {
 	d, ok := typereg.Lookup(req.Type)
 	if !ok {
@@ -161,7 +163,7 @@ func RestoreEntry(req CreateRequest, data []byte, buffered bool) (*Entry, error)
 		return nil, fmt.Errorf("%w: snapshot holds %s bytes for a %s entry",
 			core.ErrIncompatible, sdesc.Name, d.Name)
 	}
-	if d.NewServing != nil && d.Mergeable() {
+	if (d.NewServing != nil || buffered && d.NewServingBuffered != nil) && d.Mergeable() {
 		if e, err := newEntry(req, buffered); err == nil {
 			if d.Bind.Merge(e.inst, inst) == nil {
 				if b, err := e.Snapshot(); err == nil && bytes.Equal(b, data) {

@@ -83,6 +83,43 @@ func TestRestoreEntryEveryServableFamily(t *testing.T) {
 	}
 }
 
+// TestRestoreServesInTheServersMode: a recovered sketch of a family
+// with a buffered holder is served buffered — its answers carry
+// staleness_bound — exactly when the restoring server is, countmin
+// included, though its default-mode holder is the plain sketch.
+func TestRestoreServesInTheServersMode(t *testing.T) {
+	for _, typ := range []string{"countmin", "hll", "blockedbloom", "theta"} {
+		d, _ := registry.Lookup(typ)
+		req := server.CreateRequest{Type: typ}
+		e, err := server.NewEntry(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Add(splitLines(batchFor(d.Input))); err != nil {
+			t.Fatal(err)
+		}
+		data, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, buffered := range []bool{false, true} {
+			re, err := server.RestoreEntry(req, data, buffered)
+			if err != nil {
+				t.Fatalf("%s buffered=%v: %v", typ, buffered, err)
+			}
+			q, err := re.Query(nil)
+			re.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, stale := q["staleness_bound"]
+			if want := buffered && typ != "theta"; stale != want {
+				t.Errorf("%s restored by a server with buffered=%v: staleness_bound present %v, want %v", typ, buffered, stale, want)
+			}
+		}
+	}
+}
+
 // TestClientStatus drives GET /v1/status through the Go client against
 // both a durable and an in-memory server.
 func TestClientStatus(t *testing.T) {

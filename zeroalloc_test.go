@@ -199,8 +199,8 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 		typ   string
 		lines [][]byte
 	}{
-		{"countmin", weighted},    // (hash, weight) block into the atomic weighted kernel
-		{"sfsketch", weighted},    // the same block, applied under the holder's lock
+		{"countmin", weighted},    // (hash, weight) block into the weighted kernel, under the holder's lock
+		{"sfsketch", weighted},    // the same block and the same lock
 		{"countsketch", weighted}, // (item, signed weight) block, applied item by item
 		{"hll", plain},            // no block: a striped handle the sketch already holds
 		{"blockedbloom", plain},   // no block: the lock-free filter's own batch
