@@ -23,9 +23,9 @@
 // -concurrent-ingest=buffered serves this process's hll, countmin, and
 // blockedbloom sketches in their local-buffer/global-propagation form
 // (server.Server.SetBufferedIngest, set before recovery): writer-local
-// ingest buffers drained by a propagator goroutine, wait-free reads
-// with a bounded staleness window (reported as staleness_bound on
-// queries). Ideal for many-writer ingest-heavy workloads; atomic (the
+// ingest buffers a propagator goroutine applies to the family's
+// concurrent holder, whose own reads answer with a bounded staleness
+// window (reported as staleness_bound on queries). Ideal for many-writer ingest-heavy workloads; atomic (the
 // default) serves each family through its exact holder — the sharded
 // HLL, the lock-free blocked Bloom, every other family (countmin
 // included) behind the registry's one lock — and keeps reads exact to
@@ -88,7 +88,7 @@ func main() {
 	concurrentIngest := flag.String("concurrent-ingest", "atomic",
 		"multi-writer ingest mode for hll, countmin and blockedbloom: atomic (each family's exact holder: "+
 			"sharded hll, lock-free blockedbloom, countmin behind the registry's lock) or "+
-			"buffered (per-writer local buffers + propagator, wait-free stale reads)")
+			"buffered (per-writer local buffers + a propagator into a concurrent holder, whose reads lag by a bounded staleness)")
 	pprofOn := flag.Bool("pprof", false,
 		"mount net/http/pprof's handlers under /debug/pprof/ (CPU, heap, goroutine profiles of this process)")
 	coordinator := flag.Bool("coordinator", false,

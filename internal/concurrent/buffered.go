@@ -3,32 +3,33 @@ package concurrent
 // Local-buffer/global-propagation sketches in the architecture of
 // "Fast Concurrent Data Sketches" (Rinberg et al., PPoPP 2020 / TOPC
 // 2022), the design the paper's DataSketches discussion points at for
-// multi-writer ingest. The atomic wrappers in this package keep every
-// writer on the same shared memory, so under many cores the hot cache
-// lines (and the shared n counter) ping-pong between sockets and
-// throughput flattens. Here writers never touch shared sketch state:
+// multi-writer ingest. The concurrent holders in this package keep
+// every writer on the same shared memory, so under many cores the hot
+// cache lines (and the shared n counter) ping-pong between sockets and
+// throughput flattens. A buffered sketch is a buffer in front of its
+// family's holder:
 //
 //   - Each writer owns a bounded local buffer (a handle from Writer(),
 //     or one a batch borrows): updates append pre-hashed items to
-//     private memory — pure L1 traffic, no synchronization.
+//     private memory — pure L1 traffic, no synchronization. A flush
+//     half holds the arguments of the holder's batch kernel.
 //   - A filled buffer is handed to a background propagator goroutine
 //     over a channel; the propagator — the only goroutine that writes
-//     the global sketch — folds buffers in and recycles them to their
-//     writer. The writer's two buffers cycling through this handoff
-//     are the backpressure that bounds unpropagated state.
-//   - Readers are wait-free with relaxed consistency: they see the
-//     global sketch (atomic counter/word loads, or a published
-//     estimate for HLL) and may miss items still sitting in local
-//     buffers. The staleness is quantified: at most
-//     writers × WriterBuffer items are buffered-but-unpropagated at
-//     any instant (each writer holds two flush halves of
-//     WriterBuffer/2 items each).
+//     through the buffer — passes it to the holder's batch kernel and
+//     recycles it to its writer. The writer's two buffers cycling
+//     through this handoff are the backpressure that bounds
+//     unpropagated state.
+//   - Every read and Merge is the holder's own, with relaxed
+//     consistency: it may miss items still sitting in local buffers.
+//     The staleness is quantified: at most writers × WriterBuffer items
+//     are buffered-but-unpropagated at any instant (each writer holds
+//     two flush halves of WriterBuffer/2 items each).
 //
-// Because propagation replays the exact per-item updates the plain
-// sketch would have applied — and Count-Min addition, HLL register
-// max, and Bloom bit OR are all commutative — a buffered sketch that
-// has been flushed and synced is byte-identical to serial ingest of
-// the same multiset (property-tested in buffered_test.go).
+// Because propagation applies the exact updates the plain sketch would
+// have applied — and Count-Min addition, HLL register max, and Bloom
+// bit OR are all commutative — a buffered sketch that has been flushed
+// and synced is byte-identical to serial ingest of the same multiset
+// (property-tested in buffered_test.go).
 //
 // Lifecycle: Close stops the propagator. Items still buffered in
 // writer handles at Close are dropped (flush first for an exact
@@ -36,10 +37,8 @@ package concurrent
 // has a quit escape.
 
 import (
-	"math"
 	"runtime"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/cardinality"
@@ -54,21 +53,22 @@ import (
 // round-trip cost ~1/128 of an update.
 const DefaultWriterBuffer = 256
 
-// pair is one buffered update: the pre-hashed item plus its companion
-// word (Count-Min weight, Bloom h2; unused for HLL).
-type pair struct{ a, b uint64 }
-
-// flushBuf is one flush half: a bounded pair slice plus the recycle
-// channel of the writer that owns it.
+// flushBuf is one flush half: the two word slices the holder's batch
+// kernel takes (b stays empty for a kernel of one slice), plus the
+// recycle channel of the writer that owns it.
 type flushBuf struct {
-	pairs []pair
-	home  chan *flushBuf
+	a, b []uint64
+	home chan *flushBuf
 }
 
-// propagator runs the single goroutine that owns the global sketch.
-// apply folds one buffer of updates in; publish (optional) refreshes
-// derived read state after a drain round — rounds coalesce the backlog
-// so its cost amortizes over many buffers under load.
+func newFlushBuf(half int, home chan *flushBuf) *flushBuf {
+	return &flushBuf{a: make([]uint64, 0, half), b: make([]uint64, 0, half), home: home}
+}
+
+func (f *flushBuf) reset() { f.a, f.b = f.a[:0], f.b[:0] }
+
+// propagator runs the single goroutine that passes handed-off buffers
+// to apply, the holder's batch kernel.
 type propagator struct {
 	flushq     chan *flushBuf
 	ctl        chan func()
@@ -78,40 +78,22 @@ type propagator struct {
 	writers    atomic.Int64
 	propagated atomic.Uint64
 	half       int
-	apply      func([]pair)
-	publish    func()
-
-	// Publish throttling (propagator-goroutine state, no locking): a
-	// costly publish — the HLL estimate recomputation scans every
-	// register — runs at most once per publishInterval under load, with
-	// a dirty flag plus one-shot timer guaranteeing a final publish
-	// after the last handoff. Barriers (ctl ops, quit) always publish,
-	// so Sync keeps its exactness contract.
-	lastPub  time.Time
-	pubDirty bool
-	pubTimer *time.Timer
-	pubC     <-chan time.Time
+	apply      func(a, b []uint64)
 }
 
-// drainRound bounds how many backlogged buffers one round coalesces
-// before publishing, so read staleness stays bounded in time as well
-// as items even under a saturating writer fleet.
-const drainRound = 64
+// flushQueue bounds the handed-off buffers waiting for the propagator.
+// A writer has at most its two halves queued, so up to 128 writers
+// wait only on their own recycled half, never on the queue.
+const flushQueue = 256
 
-// publishInterval caps how often the throttled publish path recomputes
-// derived read state. 1ms keeps estimate staleness imperceptible while
-// amortizing a ~50µs HLL register scan over thousands of updates.
-const publishInterval = time.Millisecond
-
-func newPropagator(writerBuf int, apply func([]pair), publish func()) *propagator {
+func newPropagator(half int, apply func(a, b []uint64)) *propagator {
 	p := &propagator{
-		flushq:  make(chan *flushBuf, 4*drainRound),
-		ctl:     make(chan func()),
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
-		half:    writerBuf / 2,
-		apply:   apply,
-		publish: publish,
+		flushq: make(chan *flushBuf, flushQueue),
+		ctl:    make(chan func()),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
+		half:   half,
+		apply:  apply,
 	}
 	go p.loop()
 	return p
@@ -123,67 +105,22 @@ func (p *propagator) loop() {
 		select {
 		case buf := <-p.flushq:
 			p.consume(buf)
-			p.drainBacklog(drainRound - 1)
-			p.maybePublish()
-		case <-p.pubC:
-			p.pubC = nil // keep pubTimer for Reset-reuse: one alloc per propagator
-			if p.pubDirty {
-				p.forcePublish()
-			}
 		case op := <-p.ctl:
 			// Barrier semantics: everything handed off before the
-			// caller blocked on ctl is in flushq now; drain it all,
-			// refresh read state, then run the op (which refreshes
-			// again before it releases its caller, see do).
-			p.drainBacklog(-1)
-			p.forcePublish()
+			// caller blocked on ctl is in flushq now; apply it all,
+			// then run the op.
+			p.drain()
 			op()
 		case <-p.quit:
-			p.drainBacklog(-1)
-			p.forcePublish()
-			if p.pubTimer != nil {
-				p.pubTimer.Stop()
-			}
+			p.drain()
 			return
 		}
 	}
 }
 
-// maybePublish refreshes derived read state unless a publish ran
-// within publishInterval; a skipped publish arms the one-shot timer so
-// the state still converges after the last handoff.
-func (p *propagator) maybePublish() {
-	if p.publish == nil {
-		return
-	}
-	if time.Since(p.lastPub) >= publishInterval {
-		p.forcePublish()
-		return
-	}
-	p.pubDirty = true
-	if p.pubC == nil {
-		if p.pubTimer == nil {
-			p.pubTimer = time.NewTimer(publishInterval)
-		} else {
-			p.pubTimer.Reset(publishInterval)
-		}
-		p.pubC = p.pubTimer.C
-	}
-}
-
-func (p *propagator) forcePublish() {
-	if p.publish == nil {
-		return
-	}
-	p.publish()
-	p.lastPub = time.Now()
-	p.pubDirty = false
-}
-
-// drainBacklog consumes up to max queued buffers (all of them when max
-// is negative) without blocking.
-func (p *propagator) drainBacklog(max int) {
-	for n := 0; max < 0 || n < max; n++ {
+// drain applies every queued buffer without blocking.
+func (p *propagator) drain() {
+	for {
 		select {
 		case buf := <-p.flushq:
 			p.consume(buf)
@@ -194,25 +131,22 @@ func (p *propagator) drainBacklog(max int) {
 }
 
 func (p *propagator) consume(buf *flushBuf) {
-	p.apply(buf.pairs)
-	p.propagated.Add(uint64(len(buf.pairs)))
-	buf.pairs = buf.pairs[:0]
+	p.apply(buf.a, buf.b)
+	p.propagated.Add(uint64(len(buf.a)))
+	buf.reset()
 	select {
 	case buf.home <- buf:
 	default: // owner replaced it after racing a Close; let it be collected
 	}
 }
 
-// do runs op on the propagator goroutine after a full backlog drain
-// and publish, blocking until it completes and read state has been
-// refreshed once more — the op itself may mutate the global (Merge on
-// a quiescent sketch sees no later flush to publish for it), and the
-// caller must not return before that is visible. Returns false if the
-// propagator has been closed (op did not run).
+// do runs op on the propagator goroutine after a full backlog drain,
+// blocking until it completes. Returns false if the propagator has
+// been closed (op did not run).
 func (p *propagator) do(op func()) bool {
 	ran := make(chan struct{})
 	select {
-	case p.ctl <- func() { op(); p.forcePublish(); close(ran) }:
+	case p.ctl <- func() { op(); close(ran) }:
 		<-ran
 		return true
 	case <-p.quit:
@@ -221,8 +155,7 @@ func (p *propagator) do(op func()) bool {
 }
 
 // close stops the propagator after a final drain and waits for it to
-// exit; the wait gives callers a happens-before edge to every write
-// the propagator made to the global sketch.
+// exit.
 func (p *propagator) close() {
 	if p.closed.CompareAndSwap(false, true) {
 		close(p.quit)
@@ -233,7 +166,7 @@ func (p *propagator) close() {
 // bufWriter is a writer handle: the active flush half, the recycle
 // channel its two halves cycle through, and the seed items are hashed
 // under. The three exported handle types are this struct under a
-// family's name; they differ only in how an item becomes a pair.
+// family's name; they differ only in how an item becomes words.
 type bufWriter struct {
 	p    *propagator
 	buf  *flushBuf
@@ -241,13 +174,22 @@ type bufWriter struct {
 	seed uint64
 }
 
-// put appends one update to the local buffer, handing the buffer off
-// when it fills. The hot path is an L1 store plus a length compare —
-// no atomics, no shared lines, no allocation.
-func (w *bufWriter) put(a, b uint64) {
+// put appends a one-word update to the local buffer, handing the
+// buffer off when it fills. The hot path is an L1 store plus a length
+// compare — no atomics, no shared lines, no allocation.
+func (w *bufWriter) put(a uint64) {
 	buf := w.buf
-	buf.pairs = append(buf.pairs, pair{a, b})
-	if len(buf.pairs) == cap(buf.pairs) {
+	buf.a = append(buf.a, a)
+	if len(buf.a) == cap(buf.a) {
+		w.handoff()
+	}
+}
+
+// put2 is put for a kernel that takes two words an item.
+func (w *bufWriter) put2(a, b uint64) {
+	buf := w.buf
+	buf.a, buf.b = append(buf.a, a), append(buf.b, b)
+	if len(buf.a) == cap(buf.a) {
 		w.handoff()
 	}
 }
@@ -260,13 +202,13 @@ func (w *bufWriter) put(a, b uint64) {
 func (w *bufWriter) handoff() {
 	p := w.p
 	if p.closed.Load() {
-		w.buf.pairs = w.buf.pairs[:0]
+		w.buf.reset()
 		return
 	}
 	select {
 	case p.flushq <- w.buf:
 	case <-p.quit:
-		w.buf.pairs = w.buf.pairs[:0]
+		w.buf.reset()
 		return
 	}
 	select {
@@ -275,69 +217,59 @@ func (w *bufWriter) handoff() {
 		select {
 		case w.buf = <-w.home:
 		default:
-			w.buf = &flushBuf{pairs: make([]pair, 0, p.half), home: w.home}
+			w.buf = newFlushBuf(p.half, w.home)
 		}
 	}
 }
 
 // flush hands off a partially filled buffer so its items become
-// visible on the next propagation round.
+// visible once the propagator applies it.
 func (w *bufWriter) flush() {
-	if len(w.buf.pairs) > 0 {
+	if len(w.buf.a) > 0 {
 		w.handoff()
 	}
 }
 
-// buffered is the family-independent whole of a buffered sketch: the
-// global G only the propagator writes, the propagator, the per-writer
-// capacity, and the serving pool of writer handles. The exported
-// sketch types embed it and add what depends on the family — how an
-// item is pre-hashed into a pair, how a pair is applied to G, how G is
-// read.
-type buffered[G interface {
-	Seed() uint64
-	SizeBytes() int
-}] struct {
-	global    G
+// buffered is the family-independent part of a buffered sketch: the
+// propagator, the per-writer capacity, the seed writers hash under and
+// the serving pool of writer handles. The exported sketch types embed
+// it next to their holder.
+type buffered struct {
 	prop      *propagator
 	writerBuf int
+	seed      uint64
 	pool      chan *bufWriter
 }
 
-// start fills in the wrapper around an already-built global and
-// launches the propagator. writerBuf is rounded down to an even count,
-// minimum 2 (two flush halves). The pool holds GOMAXPROCS handles:
-// enough that every concurrent request goroutine gets its own, small
-// enough that the staleness bound writers × WriterBuffer stays tight.
-func (b *buffered[G]) start(global G, writerBuf int, apply func([]pair), publish func()) {
+// start launches the propagator in front of apply, the holder's batch
+// kernel. writerBuf is rounded down to an even count, minimum 2 (two
+// flush halves). The pool holds GOMAXPROCS handles: enough that every
+// concurrent request goroutine gets its own, small enough that the
+// staleness bound writers × WriterBuffer stays tight.
+func (b *buffered) start(seed uint64, writerBuf int, apply func(a, b []uint64)) {
 	if writerBuf &^= 1; writerBuf < 2 {
 		writerBuf = 2
 	}
-	*b = buffered[G]{
-		global:    global,
-		prop:      newPropagator(writerBuf, apply, publish),
+	*b = buffered{
+		prop:      newPropagator(writerBuf/2, apply),
 		writerBuf: writerBuf,
+		seed:      seed,
 		pool:      make(chan *bufWriter, runtime.GOMAXPROCS(0)),
 	}
 }
 
 // newWriter registers a writer handle with its two flush halves.
-func (b *buffered[G]) newWriter() *bufWriter {
+func (b *buffered) newWriter() *bufWriter {
 	home := make(chan *flushBuf, 2)
-	home <- &flushBuf{pairs: make([]pair, 0, b.prop.half), home: home}
+	home <- newFlushBuf(b.prop.half, home)
 	b.prop.writers.Add(1)
-	return &bufWriter{
-		p:    b.prop,
-		buf:  &flushBuf{pairs: make([]pair, 0, b.prop.half), home: home},
-		home: home,
-		seed: b.global.Seed(),
-	}
+	return &bufWriter{p: b.prop, buf: newFlushBuf(b.prop.half, home), home: home, seed: b.seed}
 }
 
 // checkout takes a handle out of the serving pool, creating one if all
 // are in use. The pool is how request-scoped ingest reuses local
 // buffers across batches without a handle per request.
-func (b *buffered[G]) checkout() *bufWriter {
+func (b *buffered) checkout() *bufWriter {
 	select {
 	case w := <-b.pool:
 		return w
@@ -348,7 +280,7 @@ func (b *buffered[G]) checkout() *bufWriter {
 
 // release flushes a pooled handle and returns it, unregistering it
 // instead if the pool is already full.
-func (b *buffered[G]) release(w *bufWriter) {
+func (b *buffered) release(w *bufWriter) {
 	w.flush()
 	select {
 	case b.pool <- w:
@@ -362,7 +294,7 @@ func (b *buffered[G]) release(w *bufWriter) {
 // by concurrent goroutines (or owned Writer handles) are their
 // holders' responsibility; the server's per-sketch WAL lock guarantees
 // none are during snapshot capture.
-func (b *buffered[G]) Sync() {
+func (b *buffered) Sync() {
 	var ws []*bufWriter
 	for {
 		select {
@@ -380,58 +312,46 @@ func (b *buffered[G]) Sync() {
 	}
 }
 
-// onGlobal runs op against a global the propagator goroutine owns
-// outright (the plain HLL): on that goroutine while it lives, directly
-// after it has exited (the done-channel wait establishes the
-// happens-before edge).
-func (b *buffered[G]) onGlobal(op func()) {
-	if !b.prop.do(op) {
-		<-b.prop.done
-		op()
-	}
-}
-
-// Seed returns the hash seed.
-func (b *buffered[G]) Seed() uint64 { return b.global.Seed() }
-
-// SizeBytes returns the global sketch's storage size.
-func (b *buffered[G]) SizeBytes() int { return b.global.SizeBytes() }
-
 // WriterBuffer returns the per-writer local capacity b.
-func (b *buffered[G]) WriterBuffer() int { return b.writerBuf }
+func (b *buffered) WriterBuffer() int { return b.writerBuf }
 
 // BufferedWriters returns the number of live writer handles.
-func (b *buffered[G]) BufferedWriters() int { return int(b.prop.writers.Load()) }
+func (b *buffered) BufferedWriters() int { return int(b.prop.writers.Load()) }
 
 // StalenessBound returns the maximum number of ingested items a read
 // can currently miss: writers × per-writer buffer.
-func (b *buffered[G]) StalenessBound() int { return b.BufferedWriters() * b.writerBuf }
+func (b *buffered) StalenessBound() int { return b.BufferedWriters() * b.writerBuf }
 
-// Propagated returns the number of updates folded into the global
-// sketch — the read-visible epoch.
-func (b *buffered[G]) Propagated() uint64 { return b.prop.propagated.Load() }
+// Propagated returns the number of updates applied to the holder — the
+// read-visible epoch.
+func (b *buffered) Propagated() uint64 { return b.prop.propagated.Load() }
 
 // Close stops the propagator; buffered-but-unflushed writer items are
 // dropped. Do not ingest after Close.
-func (b *buffered[G]) Close() { b.prop.close() }
+func (b *buffered) Close() { b.prop.close() }
 
 // ---------------------------------------------------------------------
 // BufferedCountMin
 
 // BufferedCountMin is a Count-Min sketch with local-buffer/global-
-// propagation ingest. Writers append pre-hashed (hash, weight) pairs to
-// private buffers — through a handle of their own (Writer), or one
-// borrowed for a batch (AddWeightedHashBatch); the propagator folds filled
-// buffers into an AtomicCountMin global it alone writes, so the
-// atomic adds never contend. Reads (Estimate, N) are wait-free atomic
-// loads against the global and may lag ingest by at most
-// BufferedWriters() × WriterBuffer() items.
+// propagation ingest in front of an AtomicCountMin. Writers append
+// pre-hashed (hash, weight) pairs to private buffers — through a handle
+// of their own (Writer), or one borrowed for a batch
+// (AddWeightedHashBatch); the propagator passes filled buffers to the
+// holder's AddWeightedHashBatch, so the atomic adds never contend.
+// Reads and Merge are the holder's own: wait-free atomic loads that may
+// lag ingest by at most StalenessBound() items. Snapshot, AppendCells,
+// MarshalBinary and AppendBinary sync first. The holder's write methods
+// (Add, AddHash, ...) stay reachable and correct — the holder is
+// concurrent-safe and adds commute — but bypass the buffer, as Merge
+// does.
 //
-// Addressing is the global's frequency.Layout (equal layout ⇒ identical
+// Addressing is the holder's frequency.Layout (equal layout ⇒ identical
 // cells), so Merge and Snapshot exchanges with plain sketches stay exact
 // and flushed+synced state is byte-identical to serial ingest.
 type BufferedCountMin struct {
-	buffered[*AtomicCountMin]
+	buffered
+	*AtomicCountMin
 }
 
 // NewBufferedCountMin creates a buffered Count-Min sketch with the
@@ -441,15 +361,10 @@ func NewBufferedCountMin(width, depth int, seed uint64) *BufferedCountMin {
 }
 
 // BufferCountMin puts local-buffer/global-propagation ingest in front
-// of an already-built atomic sketch, which the propagator alone may
-// write from here on.
+// of an already-built atomic sketch.
 func BufferCountMin(global *AtomicCountMin, writerBuf int) *BufferedCountMin {
-	c := new(BufferedCountMin)
-	c.start(global, writerBuf, func(pairs []pair) {
-		for _, pr := range pairs {
-			global.AddHash(pr.a, pr.b)
-		}
-	}, nil)
+	c := &BufferedCountMin{AtomicCountMin: global}
+	c.start(global.Seed(), writerBuf, global.AddWeightedHashBatch)
 	return c
 }
 
@@ -489,59 +404,35 @@ func (w *BufferedCountMinWriter) AddUint64(item, weight uint64) {
 
 // AddHash buffers a pre-hashed update: one L1 append, handed off every
 // WriterBuffer/2 items.
-func (w *BufferedCountMinWriter) AddHash(h, weight uint64) { (*bufWriter)(w).put(h, weight) }
+func (w *BufferedCountMinWriter) AddHash(h, weight uint64) { (*bufWriter)(w).put2(h, weight) }
 
 // AddWeightedHashBatch buffers a block of pre-hashed updates, hs[i]
 // with weight ws[i], in order.
 func (w *BufferedCountMinWriter) AddWeightedHashBatch(hs, ws []uint64) {
 	for i, h := range hs {
-		(*bufWriter)(w).put(h, ws[i])
+		(*bufWriter)(w).put2(h, ws[i])
 	}
 }
 
-// Seed returns the seed items are hashed under: the global sketch's.
+// Seed returns the seed items are hashed under: the holder's.
 func (w *BufferedCountMinWriter) Seed() uint64 { return w.seed }
 
-// Flush hands off the partial buffer so its items reach the global
-// sketch on the next propagation round.
+// Flush hands off the partial buffer so its items reach the holder
+// once the propagator applies it.
 func (w *BufferedCountMinWriter) Flush() { (*bufWriter)(w).flush() }
 
-// Estimate returns the wait-free point estimate for a byte-slice item,
-// read from the global sketch (never undercounts propagated updates;
-// may miss still-buffered ones).
-func (c *BufferedCountMin) Estimate(item []byte) uint64 { return c.global.Estimate(item) }
-
-// EstimateUint64 returns the wait-free point estimate for an integer
-// item.
-func (c *BufferedCountMin) EstimateUint64(item uint64) uint64 { return c.global.EstimateUint64(item) }
-
-// N returns the total propagated weight.
-func (c *BufferedCountMin) N() uint64 { return c.global.N() }
-
-// Width returns the bucket count per row.
-func (c *BufferedCountMin) Width() int { return c.global.Width() }
-
-// Depth returns the number of rows.
-func (c *BufferedCountMin) Depth() int { return c.global.Depth() }
-
-// Layout returns the global's layout.
-func (c *BufferedCountMin) Layout() frequency.Layout { return c.global.Layout() }
-
-// Merge atomically folds a hash-compatible plain CountMin into the
-// global sketch; safe to call concurrently with buffered ingest.
-func (c *BufferedCountMin) Merge(other *frequency.CountMin) error { return c.global.Merge(other) }
-
-// Snapshot syncs and copies the global counters into a plain CountMin.
+// Snapshot syncs and copies the holder's counters into a plain
+// CountMin.
 func (c *BufferedCountMin) Snapshot() *frequency.CountMin {
 	c.Sync()
-	return c.global.Snapshot()
+	return c.AtomicCountMin.Snapshot()
 }
 
 // AppendCells syncs like Snapshot, then appends the cells a point query
 // for item reads — what a synced snapshot's AppendCells would return.
 func (c *BufferedCountMin) AppendCells(dst []uint64, item []byte) []uint64 {
 	c.Sync()
-	return c.global.AppendCells(dst, item)
+	return c.AtomicCountMin.AppendCells(dst, item)
 }
 
 // MarshalBinary serializes a synced snapshot in the standard Count-Min
@@ -551,42 +442,41 @@ func (c *BufferedCountMin) MarshalBinary() ([]byte, error) { return c.AppendBina
 // AppendBinary appends what MarshalBinary returns to dst.
 func (c *BufferedCountMin) AppendBinary(dst []byte) ([]byte, error) {
 	c.Sync()
-	return c.global.AppendBinary(dst)
+	return c.AtomicCountMin.AppendBinary(dst)
 }
 
 // ---------------------------------------------------------------------
 // BufferedHLL
 
 // BufferedHLL is a HyperLogLog with local-buffer/global-propagation
-// ingest. The propagator owns a plain cardinality.HLL and republishes
-// the estimate (an atomic float) after every propagation round, so
-// Estimate is a wait-free single load — cheaper than even the sharded
-// HLL's epoch-checked merge cache — at the price of bounded staleness
-// (≤ BufferedWriters() × WriterBuffer() items plus the current drain
-// round).
+// ingest in front of a ShardedHLL: writers buffer one hash an item, and
+// the propagator passes filled buffers to AddHashBatch on one handle of
+// the holder, taken at construction. Reads and Merge are the holder's
+// own: the first Estimate after a propagation rebuilds the holder's
+// merged view, later ones read its cache, and an estimate is exact for
+// everything propagated. Snapshot, MarshalBinary and AppendBinary sync
+// first. The holder's write methods (Handle and its adds) stay
+// reachable and correct — the holder is concurrent-safe and register
+// max commutes — but bypass the buffer, as Merge does.
 type BufferedHLL struct {
-	buffered[*cardinality.HLL]               // the propagator goroutine owns the global outright
-	est                        atomic.Uint64 // Float64bits of the published estimate
+	buffered
+	*ShardedHLL
 }
 
 // NewBufferedHLL creates a buffered HLL with dense precision p and the
-// default per-writer buffer.
+// default per-writer buffer, over a one-shard holder: the propagator is
+// its only buffered writer, and more shards would only add merge work
+// to every read.
 func NewBufferedHLL(p uint8, seed uint64) *BufferedHLL {
-	return BufferHLL(cardinality.NewHLL(p, seed), DefaultWriterBuffer)
+	return BufferHLL(NewShardedHLL(1, p, seed), DefaultWriterBuffer)
 }
 
 // BufferHLL puts local-buffer/global-propagation ingest in front of an
-// already-built plain HLL, which becomes the propagator's: the caller
-// must not touch it again.
-func BufferHLL(global *cardinality.HLL, writerBuf int) *BufferedHLL {
-	h := new(BufferedHLL)
-	h.start(global, writerBuf, func(pairs []pair) {
-		for _, pr := range pairs {
-			global.AddHash(pr.a)
-		}
-	}, func() {
-		h.est.Store(math.Float64bits(global.Estimate()))
-	})
+// already-built sharded HLL.
+func BufferHLL(global *ShardedHLL, writerBuf int) *BufferedHLL {
+	h := &BufferedHLL{ShardedHLL: global}
+	handle := global.Handle()
+	h.start(global.seed, writerBuf, func(a, _ []uint64) { handle.AddHashBatch(a) })
 	return h
 }
 
@@ -621,7 +511,7 @@ func (w *BufferedHLLWriter) AddString(item string) {
 func (w *BufferedHLLWriter) AddUint64(v uint64) { w.AddHash(hashx.HashUint64(v, w.seed)) }
 
 // AddHash buffers a pre-hashed item.
-func (w *BufferedHLLWriter) AddHash(x uint64) { (*bufWriter)(w).put(x, 0) }
+func (w *BufferedHLLWriter) AddHash(x uint64) { (*bufWriter)(w).put(x) }
 
 // AddBatch buffers many byte-slice items; items are hashed here (not
 // retained), so the slices may alias pooled request buffers.
@@ -634,53 +524,39 @@ func (w *BufferedHLLWriter) AddBatch(items [][]byte) {
 // Flush hands off the partial buffer.
 func (w *BufferedHLLWriter) Flush() { (*bufWriter)(w).flush() }
 
-// Estimate returns the published cardinality estimate: one atomic
-// load, wait-free, stale by at most the unpropagated buffer contents.
-func (h *BufferedHLL) Estimate() float64 { return math.Float64frombits(h.est.Load()) }
-
-// P returns the dense precision.
-func (h *BufferedHLL) P() uint8 { return h.global.P() }
-
-// Merge folds a peer HLL (same p and seed) into the global sketch via
-// the propagator, so it serializes with buffered propagation.
-func (h *BufferedHLL) Merge(other *cardinality.HLL) error {
-	var err error
-	h.onGlobal(func() { err = h.global.Merge(other) })
-	return err
-}
-
-// Snapshot syncs and returns a private copy of the global sketch.
+// Snapshot syncs and returns a private copy of the holder's merged
+// sketch.
 func (h *BufferedHLL) Snapshot() *cardinality.HLL {
 	h.Sync()
-	var clone *cardinality.HLL
-	h.onGlobal(func() { clone = h.global.Clone() })
-	return clone
+	return h.ShardedHLL.Snapshot()
 }
 
 // MarshalBinary serializes a synced snapshot in the standard HLL
 // envelope.
 func (h *BufferedHLL) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
 
-// AppendBinary appends what MarshalBinary returns to dst, written on
-// the propagator's turn so that no clone of the registers is needed.
-func (h *BufferedHLL) AppendBinary(dst []byte) (out []byte, err error) {
+// AppendBinary appends what MarshalBinary returns to dst.
+func (h *BufferedHLL) AppendBinary(dst []byte) ([]byte, error) {
 	h.Sync()
-	h.onGlobal(func() { out, err = h.global.AppendBinary(dst) })
-	return out, err
+	return h.ShardedHLL.AppendBinary(dst)
 }
 
 // ---------------------------------------------------------------------
 // BufferedBlockedBloom
 
 // BufferedBlockedBloom is a blocked Bloom filter with local-buffer/
-// global-propagation ingest: writers buffer (h1, h2) pairs; the
-// propagator CAS-ORs them into an AtomicBlockedBloom global it alone
-// writes (so the CAS loops never retry under writer contention).
-// Contains is wait-free against the global: an item is always found
-// once its buffer has propagated, and the staleness is bounded by
-// BufferedWriters() × WriterBuffer() items.
+// global-propagation ingest in front of an AtomicBlockedBloom: writers
+// buffer (h1, h2) pairs; the propagator passes filled buffers to the
+// holder's AddHashBatch, so its CAS loops never retry under writer
+// contention. Reads and Merge are the holder's own: an item is always
+// found once its buffer has propagated, and the staleness is bounded
+// by StalenessBound() items. Snapshot, MarshalBinary and AppendBinary
+// sync first. The holder's write methods (Add, AddHash, ...) stay
+// reachable and correct — the holder is concurrent-safe and bit OR
+// commutes — but bypass the buffer, as Merge does.
 type BufferedBlockedBloom struct {
-	buffered[*AtomicBlockedBloom]
+	buffered
+	*AtomicBlockedBloom
 }
 
 // NewBufferedBlockedBloom creates a buffered blocked filter with at
@@ -691,15 +567,10 @@ func NewBufferedBlockedBloom(m uint64, k int, seed uint64) *BufferedBlockedBloom
 }
 
 // BufferBlockedBloom puts local-buffer/global-propagation ingest in
-// front of an already-built atomic filter, which the propagator alone
-// may write from here on.
+// front of an already-built atomic filter.
 func BufferBlockedBloom(global *AtomicBlockedBloom, writerBuf int) *BufferedBlockedBloom {
-	f := new(BufferedBlockedBloom)
-	f.start(global, writerBuf, func(pairs []pair) {
-		for _, pr := range pairs {
-			global.AddHash(pr.a, pr.b)
-		}
-	}, nil)
+	f := &BufferedBlockedBloom{AtomicBlockedBloom: global}
+	f.start(global.Seed(), writerBuf, global.AddHashBatch)
 	return f
 }
 
@@ -733,7 +604,7 @@ func (w *BufferedBlockedBloomWriter) AddString(item string) {
 }
 
 // AddHash buffers a pre-hashed item.
-func (w *BufferedBlockedBloomWriter) AddHash(h1, h2 uint64) { (*bufWriter)(w).put(h1, h2) }
+func (w *BufferedBlockedBloomWriter) AddHash(h1, h2 uint64) { (*bufWriter)(w).put2(h1, h2) }
 
 // AddBatch buffers many byte-slice items; the slices are hashed here,
 // not retained.
@@ -746,39 +617,11 @@ func (w *BufferedBlockedBloomWriter) AddBatch(items [][]byte) {
 // Flush hands off the partial buffer.
 func (w *BufferedBlockedBloomWriter) Flush() { (*bufWriter)(w).flush() }
 
-// Contains reports whether the item may be in the set — wait-free, and
-// exact (no false negatives) for items whose buffers have propagated.
-func (f *BufferedBlockedBloom) Contains(item []byte) bool { return f.global.Contains(item) }
-
-// ContainsString reports membership for a string item.
-func (f *BufferedBlockedBloom) ContainsString(item string) bool {
-	return f.global.ContainsString(item)
-}
-
-// ContainsHash answers a membership query from a pre-computed hash.
-func (f *BufferedBlockedBloom) ContainsHash(h1, h2 uint64) bool {
-	return f.global.ContainsHash(h1, h2)
-}
-
-// N returns the number of propagated insertions.
-func (f *BufferedBlockedBloom) N() uint64 { return f.global.N() }
-
-// M returns the number of bits.
-func (f *BufferedBlockedBloom) M() uint64 { return f.global.M() }
-
-// K returns the number of bit probes per item.
-func (f *BufferedBlockedBloom) K() int { return f.global.K() }
-
-// Merge atomically ORs a hash-compatible plain blocked filter into the
-// global; safe concurrently with buffered ingest.
-func (f *BufferedBlockedBloom) Merge(other *bloom.BlockedFilter) error {
-	return f.global.Merge(other)
-}
-
-// Snapshot syncs and copies the bits into a plain BlockedFilter.
+// Snapshot syncs and copies the holder's bits into a plain
+// BlockedFilter.
 func (f *BufferedBlockedBloom) Snapshot() *bloom.BlockedFilter {
 	f.Sync()
-	return f.global.Snapshot()
+	return f.AtomicBlockedBloom.Snapshot()
 }
 
 // MarshalBinary serializes a synced snapshot in the standard
@@ -788,5 +631,5 @@ func (f *BufferedBlockedBloom) MarshalBinary() ([]byte, error) { return f.Append
 // AppendBinary appends what MarshalBinary returns to dst.
 func (f *BufferedBlockedBloom) AppendBinary(dst []byte) ([]byte, error) {
 	f.Sync()
-	return f.global.AppendBinary(dst)
+	return f.AtomicBlockedBloom.AppendBinary(dst)
 }

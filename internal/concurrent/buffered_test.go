@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bloom"
 	"repro/internal/cardinality"
@@ -82,7 +83,7 @@ func TestBufferedHLLByteIdentity(t *testing.T) {
 	const items, writers = 20000, 4
 
 	serial := cardinality.NewHLL(p, seed)
-	buf := BufferHLL(cardinality.NewHLL(p, seed), 64)
+	buf := BufferHLL(NewShardedHLL(1, p, seed), 64)
 	defer buf.Close()
 
 	for i := 0; i < items; i++ {
@@ -331,10 +332,9 @@ func TestBufferedMergeDuringIngest(t *testing.T) {
 }
 
 func TestBufferedMergeQuiescentPublishes(t *testing.T) {
-	// A merge into a sketch with no writer traffic must still refresh
-	// the published read state: the ctl barrier publishes after the op,
-	// not only before, or the merged registers sit invisible until the
-	// next unrelated flush (caught live via sketchd snapshot→merge).
+	// A merge into a sketch with no writer traffic is visible to the
+	// next read: Merge and Estimate are the holder's own, so no flush
+	// has to follow the merge.
 	h := NewBufferedHLL(12, 9)
 	defer h.Close()
 	peer := cardinality.NewHLL(12, 9)
@@ -346,6 +346,32 @@ func TestBufferedMergeQuiescentPublishes(t *testing.T) {
 	}
 	if got, want := h.Estimate(), peer.Estimate(); got != want {
 		t.Fatalf("published estimate after quiescent merge = %.1f, want %.1f", got, want)
+	}
+}
+
+// An estimate is exact for everything propagated: once Propagated
+// counts an item, Estimate sees it, with no Sync in between — the read
+// is the holder's own, not a copy refreshed on the propagator's clock.
+func TestBufferedHLLEstimateNeedsNoSync(t *testing.T) {
+	const p, seed, items = 12, 21, 5000
+	serial := cardinality.NewHLL(p, seed)
+	h := NewBufferedHLL(p, seed)
+	defer h.Close()
+	w := h.Writer()
+	for i := 0; i < items; i++ {
+		serial.AddUint64(uint64(i))
+		w.AddUint64(uint64(i))
+	}
+	w.Flush()
+	deadline := time.Now().Add(10 * time.Second)
+	for h.Propagated() < items {
+		if time.Now().After(deadline) {
+			t.Fatalf("propagated %d of %d items after 10s", h.Propagated(), items)
+		}
+		runtime.Gosched()
+	}
+	if got, want := h.Estimate(), serial.Estimate(); got != want {
+		t.Fatalf("estimate %.1f after propagation, serial HLL %.1f", got, want)
 	}
 }
 
@@ -479,14 +505,6 @@ func TestBufferedWriterHotPathAllocs(t *testing.T) {
 	h := NewBufferedHLL(12, 17)
 	defer h.Close()
 	hw := h.Writer()
-	// Warm the propagator's one-time publish-timer allocation (the
-	// throttled-publish path arms it on the first sub-interval round)
-	// so the measured window sees the steady state.
-	for j := 0; j < 2000; j++ {
-		hw.AddUint64(uint64(j))
-	}
-	hw.Flush()
-	h.Sync()
 	allocs = testing.AllocsPerRun(10000, func() {
 		hw.AddUint64(i)
 		i++

@@ -264,15 +264,23 @@ func runE29() *Result {
 	stTbl.AddRow("bound writers x buffer", float64(bound))
 	stTbl.AddRow("visible after flush+sync", float64(exactN))
 
+	// The scaling bars are about ≥4 cores; under that they are not
+	// evaluated rather than met.
+	scaleBar := func(ok bool) string {
+		if maxW < 4 {
+			return fmt.Sprintf("not evaluated (GOMAXPROCS=%d < 4)", maxW)
+		}
+		return metStr(ok)
+	}
 	notes := []string{
 		fmt.Sprintf("buffered Count-Min scaling 1→%d writers: %.2fx (acceptance ≥3x on ≥4 cores: %s); atomic: %.2fx (expected <1.5x: %s)",
-			maxW, bufferedScale, metStr(maxW < 4 || bufferedScale >= 3), atomicScale, metStr(maxW < 4 || atomicScale < 1.5)),
+			maxW, bufferedScale, scaleBar(bufferedScale >= 3), atomicScale, scaleBar(atomicScale < 1.5)),
 		fmt.Sprintf("mid-ingest staleness %d items ≤ bound %d (%s); exact after flush+sync: %s",
 			missing, bound, metStr(missing <= bound), metStr(exactN == stTotal)),
 		"buffered timings include final flush and full propagation sync — no deferred work is hidden off the clock",
 	}
-	if maxW == 1 {
-		notes = append(notes, "scaling acceptance qualified: GOMAXPROCS=1 on this host, so every sweep degenerates to one writer and the atomic-vs-buffered gap shows only per-update overhead, not contention relief; run on a ≥4-core machine (or the CI scaling-smoke artifact) for the scaling claim")
+	if maxW < 4 {
+		notes = append(notes, fmt.Sprintf("scaling acceptance qualified: GOMAXPROCS=%d on this host, under the 4 cores the scaling bars need, so the sweep shows per-update overhead and at most %d-way contention relief, not the scaling claim; run on a ≥4-core machine (or the CI scaling-smoke artifact) for it", maxW, maxW))
 	}
 	return &Result{
 		ID:     "E29",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -139,5 +140,47 @@ func TestQuantileTablesGolden(t *testing.T) {
 		if got := strings.TrimRight(b.String(), "\n") + "\n"; got != string(want) {
 			t.Errorf("%s differs from testdata/%s.golden:\n%s", id, id, got)
 		}
+	}
+}
+
+// TestE29Bars runs E29 small at GOMAXPROCS=2 and checks its exact bars
+// only: the staleness bounds hold, every table has rows, and the
+// ≥4-core scaling bars say they were not evaluated. No timing cell is
+// read.
+func TestE29Bars(t *testing.T) {
+	t.Setenv("E29_WRITER_ITEMS", "20000")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	res, err := Run("E29")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tables) != 3 {
+		t.Fatalf("%d tables, want 3", len(res.Tables))
+	}
+	for _, tbl := range res.Tables {
+		if len(strings.Split(strings.TrimSpace(tbl.String()), "\n")) < 4 {
+			t.Errorf("table %q has no data rows", tbl.Title)
+		}
+	}
+	var staleness, scaling bool
+	for _, note := range res.Notes {
+		if strings.Contains(note, "NOT met") {
+			t.Errorf("bar not met: %s", note)
+		}
+		if strings.HasPrefix(note, "mid-ingest staleness") {
+			staleness = true
+			if !strings.Contains(note, "(met)") || !strings.HasSuffix(note, "exact after flush+sync: met") {
+				t.Errorf("staleness bounds: %s", note)
+			}
+		}
+		if strings.HasPrefix(note, "buffered Count-Min scaling") {
+			scaling = true
+			if strings.Count(note, "not evaluated (GOMAXPROCS=2 < 4)") != 2 {
+				t.Errorf("scaling bars evaluated at GOMAXPROCS=2: %s", note)
+			}
+		}
+	}
+	if !staleness || !scaling {
+		t.Errorf("staleness note found = %v, scaling note found = %v", staleness, scaling)
 	}
 }

@@ -11,10 +11,6 @@ import (
 )
 
 func init() {
-	plainHLL := func(p Params) (any, error) {
-		return cardinality.NewHLL(p.Uint8("p"), p.Seed), nil
-	}
-
 	register(Descriptor{
 		Tag:    core.TagHLL,
 		Name:   "hll",
@@ -25,7 +21,9 @@ func init() {
 			{Name: "p", Doc: "precision: 2^p registers", Def: 14, Min: 4, Max: 18},
 			{Name: "shards", Doc: "serving-mode write shards (0 = GOMAXPROCS)", Def: 0, Min: 0, Max: 256},
 		},
-		New: plainHLL,
+		New: func(p Params) (any, error) {
+			return cardinality.NewHLL(p.Uint8("p"), p.Seed), nil
+		},
 		NewServing: func(p Params) (any, error) {
 			shards := p.Int("shards")
 			if shards == 0 {
@@ -33,8 +31,8 @@ func init() {
 			}
 			return concurrent.NewShardedHLL(shards, p.Uint8("p"), p.Seed), nil
 		},
-		// The propagator owns a plain HLL, so the buffered global is New's.
-		NewServingBuffered: bufferedOver(plainHLL, concurrent.BufferHLL),
+		// A buffer in front of a one-shard holder; shards is not read.
+		NewServingBuffered: func(p Params) (any, error) { return concurrent.NewBufferedHLL(p.Uint8("p"), p.Seed), nil },
 		Decode:             decode1[cardinality.HLL](),
 		MergeWire:          wireMerge("hll", cardinality.HLLWire, cardinality.MergeRegisterWords),
 		// The plain, sharded and buffered instances share the batch entry

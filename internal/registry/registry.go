@@ -186,11 +186,11 @@ type Descriptor struct {
 	// line than four atomic adds, at 1 to 4 writers (DESIGN.md §5.1).
 	NewServing func(p Params) (any, error)
 	// NewServingBuffered, when set, constructs a local-buffer/global-
-	// propagation holder (pooled writer handles, a propagator goroutine,
-	// wait-free relaxed-consistency reads), which Serving builds when
-	// asked for a buffered instance: over the sharded HLL's plain
-	// kernel, the atomic blocked Bloom, and the atomic Count-Min, whose
-	// only served role is that global. Buffered instances own a
+	// propagation sketch (pooled writer handles, a propagator goroutine
+	// calling the holder's batch kernel, the holder's own reads), which
+	// Serving builds when asked for a buffered instance: in front of a
+	// one-shard sharded HLL, the atomic blocked Bloom, and the atomic
+	// Count-Min (its only served role). Buffered instances own a
 	// goroutine — callers must Close them when the entry is deleted.
 	NewServingBuffered func(p Params) (any, error)
 	// Decode deserializes a MarshalBinary envelope of this family's
@@ -302,9 +302,8 @@ func (d *Descriptor) Serving(p Params, buffered bool) (any, error) {
 }
 
 // bufferedOver builds a NewServingBuffered from the constructor of the
-// global it buffers (an atomic table, or New where the propagator owns
-// a plain sketch), so the parameters are validated and the shape
-// resolved by that constructor alone.
+// atomic holder it buffers, so the parameters are validated and the
+// shape resolved by that constructor alone.
 func bufferedOver[G, B any](global func(Params) (any, error), buffer func(G, int) B) func(Params) (any, error) {
 	return func(p Params) (any, error) {
 		inst, err := global(p)
@@ -588,8 +587,8 @@ func merge2[S any]() func(dst, src any) error {
 
 // query1 builds a Query closure from a typed query function. An
 // instance that reports StalenessBound() — a buffered one, whose reads
-// are wait-free and may miss at most that many items still in writer
-// buffers — carries it in every answer as staleness_bound.
+// are its holder's and may miss at most that many items still in
+// writer buffers — carries it in every answer as staleness_bound.
 func query1[T any](fn func(T, url.Values) (map[string]any, error)) func(any, url.Values) (map[string]any, error) {
 	return func(inst any, params url.Values) (map[string]any, error) {
 		c, l, err := cast[T](inst)
