@@ -2,7 +2,10 @@ package durable
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -135,13 +138,27 @@ func TestWALImplausibleLength(t *testing.T) {
 	}
 }
 
+// snapshotFile commits rows through writeSnapshot and returns the file.
+func snapshotFile(t *testing.T, rows []SketchSnap) []byte {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := writeSnapshot(dir, "test.snap", rows); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "test.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestSnapshotRoundtrip(t *testing.T) {
 	want := []SketchSnap{
 		{Name: "a", Req: []byte(`{"type":"hll"}`), LastLSN: 12, Data: []byte("GSK1-bytes-a")},
-		{Name: "b", Req: []byte(`{"type":"kll","k":200}`), LastLSN: 7, Data: []byte("GSK1-bytes-b")},
+		{Tenant: "acme", Name: "b", Req: []byte(`{"type":"kll","k":200}`), LastLSN: 7, Data: []byte("GSK1-bytes-b")},
 		{Name: "", Req: []byte(`{}`), LastLSN: 0, Data: nil},
 	}
-	got, err := decodeSnapshot(encodeSnapshot(want))
+	got, err := decodeSnapshot(snapshotFile(t, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +166,71 @@ func TestSnapshotRoundtrip(t *testing.T) {
 		t.Fatalf("decoded %d rows, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i].Name != want[i].Name || got[i].LastLSN != want[i].LastLSN ||
+		if got[i].Tenant != want[i].Tenant || got[i].Name != want[i].Name || got[i].LastLSN != want[i].LastLSN ||
 			!bytes.Equal(got[i].Req, want[i].Req) || !bytes.Equal(got[i].Data, want[i].Data) {
 			t.Errorf("row %d: got %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
+// TestSnapshotFormatUnchanged pins the file's bytes: the digest was
+// taken from the whole-file encoder that streaming rows replaced, over
+// the same rows, the last of them larger than the write buffer.
+func TestSnapshotFormatUnchanged(t *testing.T) {
+	const want = "7735a4d06e77bdf7abe9946c7eb23e8719e945401ec1a018386169b4ac10d4ea"
+	rows := []SketchSnap{
+		{Name: "a", Req: []byte(`{"type":"hll"}`), LastLSN: 12, Data: []byte("GSK1-bytes-a")},
+		{Tenant: "acme", Name: "b", Req: []byte(`{"type":"kll","k":200}`), LastLSN: 7, Data: []byte("GSK1-bytes-b")},
+		{Name: "", Req: []byte(`{}`), LastLSN: 0, Data: nil},
+		{Tenant: "t", Name: "big", Req: []byte(`{"type":"countmin"}`), LastLSN: 1 << 40, Data: bytes.Repeat([]byte("0123456789abcdef"), 200<<10/16+3)},
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotFile(t, rows))); got != want {
+		t.Fatalf("snapshot file sha256 %s, want %s", got, want)
+	}
+	// A row captured when it is written lands exactly as that row given
+	// its bytes up front.
+	for i := range rows {
+		data, lsn := rows[i].Data, rows[i].LastLSN
+		rows[i].Data, rows[i].LastLSN = nil, 0
+		rows[i].Capture = func(dst []byte) ([]byte, uint64, error) { return append(dst, data...), lsn, nil }
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotFile(t, rows))); got != want {
+		t.Fatalf("captured rows: snapshot file sha256 %s, want %s", got, want)
+	}
+}
+
+// A row whose Capture fails is left out; the rows around it decode.
+func TestSnapshotSkipsFailedCapture(t *testing.T) {
+	dir := t.TempDir()
+	rows := []SketchSnap{
+		{Name: "ok", Req: []byte("{}"), Capture: func(dst []byte) ([]byte, uint64, error) {
+			return append(dst, "state"...), 5, nil
+		}},
+		{Name: "broken", Req: []byte("{}"), Capture: func(dst []byte) ([]byte, uint64, error) {
+			return append(dst, "partial"...), 6, errors.New("does not serialize")
+		}},
+		{Name: "plain", Req: []byte("{}"), LastLSN: 7, Data: []byte("bytes")},
+	}
+	n, err := writeSnapshot(dir, "test.snap", rows)
+	if err != nil || n != 2 {
+		t.Fatalf("writeSnapshot: %d rows, %v; want 2 rows", n, err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "test.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Name != "ok" || got[0].LastLSN != 5 || string(got[0].Data) != "state" ||
+		got[1].Name != "plain" || got[1].LastLSN != 7 || string(got[1].Data) != "bytes" {
+		t.Fatalf("decoded %+v", got)
+	}
+}
+
 func TestSnapshotRejectsDamage(t *testing.T) {
-	data := encodeSnapshot([]SketchSnap{{Name: "a", Req: []byte("{}"), LastLSN: 1, Data: []byte("xyz")}})
+	data := snapshotFile(t, []SketchSnap{{Name: "a", Req: []byte("{}"), LastLSN: 1, Data: []byte("xyz")}})
 	for _, mut := range [][]byte{
 		data[:len(data)-1],              // torn tail
 		append([]byte("XXXX"), data...), // foreign prefix
@@ -290,11 +363,11 @@ func TestManagerSnapshotTruncatesWAL(t *testing.T) {
 
 func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	old := encodeSnapshot([]SketchSnap{{Name: "old", Req: []byte("{}"), LastLSN: 1, Data: []byte("v1")}})
+	old := snapshotFile(t, []SketchSnap{{Name: "old", Req: []byte("{}"), LastLSN: 1, Data: []byte("v1")}})
 	if err := os.WriteFile(filepath.Join(dir, snapFileName(1)), old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bad := encodeSnapshot([]SketchSnap{{Name: "new", Req: []byte("{}"), LastLSN: 9, Data: []byte("v2")}})
+	bad := snapshotFile(t, []SketchSnap{{Name: "new", Req: []byte("{}"), LastLSN: 9, Data: []byte("v2")}})
 	bad[len(bad)-1] ^= 1
 	if err := os.WriteFile(filepath.Join(dir, snapFileName(9)), bad, 0o644); err != nil {
 		t.Fatal(err)
@@ -309,6 +382,37 @@ func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {
 	}
 	if h.snapLSN != 1 || len(h.restored) != 1 || h.restored[0].Name != "old" {
 		t.Fatalf("fallback recovery: snapLSN %d, restored %+v", h.snapLSN, h.restored)
+	}
+}
+
+// A crash mid-commit leaves a temp file nothing refers to; recovery
+// removes it and loads the committed snapshot beside it.
+func TestRecoverRemovesOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := writeSnapshot(dir, snapFileName(3), []SketchSnap{{Name: "a", Req: []byte("{}"), LastLSN: 3, Data: []byte("v")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(dir, manifest{Version: 1, Snapshot: snapFileName(3), LSN: 3}); err != nil {
+		t.Fatal(err)
+	}
+	orphans := []string{snapFileName(9) + ".tmp-123456", "MANIFEST.tmp-654321"}
+	for _, name := range orphans {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, _ := Open(dir, Options{})
+	var h collectHandler
+	if _, err := m.Recover(&h); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery (stat: %v)", name, err)
+		}
+	}
+	if h.snapLSN != 3 || len(h.restored) != 1 || h.restored[0].Name != "a" || string(h.restored[0].Data) != "v" {
+		t.Fatalf("recovery beside orphans: snapLSN %d, restored %+v", h.snapLSN, h.restored)
 	}
 }
 

@@ -145,11 +145,13 @@ func Open(dir string, opts Options) (*Manager, error) {
 // Recover loads the latest valid snapshot and replays the WAL tail
 // into h. Torn or corrupt tails are truncated to the last valid
 // record; segments past a damaged one are deleted so the log keeps a
-// single timeline. Must be called before Start.
+// single timeline, and so are temp files a crash left mid-commit.
+// Must be called before Start.
 func (m *Manager) Recover(h RecoveryHandler) (RecoveryStats, error) {
 	logf := m.opts.Logf
 	var stats RecoveryStats
 
+	removeOrphanedTemps(m.dir, logf)
 	snaps, snapLSN, ok := loadLatestSnapshot(m.dir, logf)
 	if !ok {
 		snapLSN = 0
@@ -235,10 +237,12 @@ func (m *Manager) Recover(h RecoveryHandler) (RecoveryStats, error) {
 func (m *Manager) RecoveredStats() RecoveryStats { return m.recovered }
 
 // Start opens a fresh WAL segment and launches the background syncer.
-// capture must return a consistent per-sketch snapshot set; it is
-// called from a snapshot goroutine while the syncer keeps draining the
-// append queue, so capture may block on per-sketch locks without
-// deadlocking writers.
+// capture lists the rows of a snapshot cut: each row's Capture reads
+// its sketch's envelope and LSN consistently (under the sketch's lock)
+// when the cut writes that row, so the cut holds one envelope at a
+// time. capture and every Capture run on a snapshot goroutine while
+// the syncer keeps draining the append queue, so they may block on
+// per-sketch locks without deadlocking writers.
 func (m *Manager) Start(capture func() []SketchSnap) error {
 	m.capture = capture
 	if err := m.openSegment(); err != nil {
@@ -536,10 +540,12 @@ func (m *Manager) sealActive() error {
 //  1. flush+fsync and rotate to a fresh segment — every record already
 //     written lands before the cut;
 //  2. read the cut LSN;
-//  3. capture every live sketch (in a helper goroutine, while this
+//  3. capture every live sketch and stream its row into the snapshot
+//     file, one row at a time (in a helper goroutine, while this
 //     goroutine keeps draining the append queue so writers blocked on
-//     per-sketch locks can finish their Append without deadlock);
-//  4. commit the snapshot file, then the manifest (atomic renames);
+//     per-sketch locks can finish their Append without deadlock), and
+//     commit the file (atomic rename);
+//  4. commit the manifest (atomic rename);
 //  5. delete WAL segments before the rotation and snapshots older than
 //     the previous one.
 //
@@ -558,23 +564,26 @@ func (m *Manager) doSnapshot() error {
 
 	cut := m.lsn.Load()
 
-	snapsC := make(chan []SketchSnap, 1)
-	go func() { snapsC <- m.capture() }()
-	var snaps []SketchSnap
-	for snaps == nil {
+	// The helper captures and writes the rows while this goroutine keeps
+	// draining the queue: a handler holding a WAL lock the capture needs
+	// may be blocked on a full queue.
+	name := snapFileName(cut)
+	var rows int
+	var err error
+	done := make(chan struct{})
+	go func() {
+		rows, err = writeSnapshot(m.dir, name, m.capture())
+		close(done)
+	}()
+	for waiting := true; waiting; {
 		select {
-		case s := <-snapsC:
-			if s == nil {
-				s = []SketchSnap{}
-			}
-			snaps = s
+		case <-done:
+			waiting = false
 		case rec := <-m.ch:
 			m.writeRecord(rec)
 		}
 	}
-
-	name := snapFileName(cut)
-	if err := writeFileSync(m.dir, name, encodeSnapshot(snaps)); err != nil {
+	if err != nil {
 		return fmt.Errorf("durable: writing snapshot: %w", err)
 	}
 	if err := writeManifest(m.dir, manifest{Version: 1, Snapshot: name, LSN: cut}); err != nil {
@@ -596,6 +605,6 @@ func (m *Manager) doSnapshot() error {
 			os.Remove(filepath.Join(m.dir, sf))
 		}
 	}
-	m.opts.Logf("durable: snapshot %s committed (%d sketches, cut lsn %d)", name, len(snaps), cut)
+	m.opts.Logf("durable: snapshot %s committed (%d sketches, cut lsn %d)", name, rows, cut)
 	return nil
 }

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -39,12 +40,21 @@ const (
 // reconstruct the live entry (creation parameters + serialized state)
 // plus the LSN up to which the state already includes WAL records.
 // An empty Tenant is the default namespace.
+//
+// A row handed to a cut carries Capture, which appends the sketch's
+// envelope to dst and returns the LSN that envelope holds, both read
+// under the sketch's WAL lock. The cut calls it when the row's turn
+// comes to be written, so only one envelope is in memory at a time; an
+// error leaves the row out of the snapshot. A row without Capture is
+// written with its LastLSN and Data as they stand, and rows read back
+// from a file carry those two.
 type SketchSnap struct {
 	Tenant  string
 	Name    string
 	Req     []byte // JSON CreateRequest
 	LastLSN uint64
 	Data    []byte // MarshalBinary envelope
+	Capture func(dst []byte) ([]byte, uint64, error)
 }
 
 // manifest is the JSON document in the MANIFEST file: which snapshot
@@ -62,33 +72,56 @@ func snapFileName(lsn uint64) string { return fmt.Sprintf("snap-%020d.snap", lsn
 func walFileName(seq uint64) string  { return fmt.Sprintf("wal-%020d.log", seq) }
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
-// encodeSnapshot renders a complete snapshot file.
-func encodeSnapshot(snaps []SketchSnap) []byte {
-	size := walHeaderLen
-	for _, s := range snaps {
-		size += recordOverhead + 8 + 4 + len(s.Name) + 4 + len(s.Tenant) + 4 + len(s.Req) + 4 + len(s.Data)
-	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, snapMagic...)
-	buf = append(buf, snapVersion)
-	for _, s := range snaps {
-		payloadLen := 8 + 4 + len(s.Name) + 4 + len(s.Tenant) + 4 + len(s.Req) + 4 + len(s.Data)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(payloadLen))
-		crcAt := len(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, 0)
-		payloadAt := len(buf)
-		buf = binary.LittleEndian.AppendUint64(buf, s.LastLSN)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Name)))
-		buf = append(buf, s.Name...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Tenant)))
-		buf = append(buf, s.Tenant...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Req)))
-		buf = append(buf, s.Req...)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Data)))
-		buf = append(buf, s.Data...)
-		binary.LittleEndian.PutUint32(buf[crcAt:], Checksum(buf[payloadAt:]))
-	}
-	return buf
+// writeSnapshot commits rows as the snapshot file name in dir, through
+// a temp file as writeFileSync does. Rows are captured and written one
+// at a time: each record is built in one buffer reused across rows and
+// streamed out through a 64 KB writer, so a cut holds the largest
+// row's record rather than every envelope and a copy of the file. A
+// row is captured when its turn comes; one whose Capture fails is left
+// out. It returns the number of rows written.
+func writeSnapshot(dir, name string, rows []SketchSnap) (int, error) {
+	written := 0
+	err := commitFile(dir, name, func(f *os.File) error {
+		w := bufio.NewWriterSize(f, 64<<10)
+		w.WriteString(snapMagic)
+		w.WriteByte(snapVersion) // a bufio error sticks: a later Write or the Flush reports it
+		var rec []byte
+		for _, s := range rows {
+			// Payload length, CRC and LSN are patched once the envelope is in.
+			rec = append(rec[:0], make([]byte, recordOverhead+8)...)
+			rec = appendSnapField(rec, s.Name)
+			rec = appendSnapField(rec, s.Tenant)
+			rec = appendSnapField(rec, s.Req)
+			dataAt := len(rec)
+			rec = binary.LittleEndian.AppendUint32(rec, 0)
+			lsn := s.LastLSN
+			if s.Capture != nil {
+				out, l, err := s.Capture(rec)
+				if err != nil {
+					continue
+				}
+				rec, lsn = out, l
+			} else {
+				rec = append(rec, s.Data...)
+			}
+			binary.LittleEndian.PutUint32(rec[dataAt:], uint32(len(rec)-dataAt-4))
+			binary.LittleEndian.PutUint64(rec[recordOverhead:], lsn)
+			binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recordOverhead))
+			binary.LittleEndian.PutUint32(rec[4:], Checksum(rec[recordOverhead:]))
+			if _, err := w.Write(rec); err != nil {
+				return err
+			}
+			written++
+		}
+		return w.Flush()
+	})
+	return written, err
+}
+
+// appendSnapField appends a u32 length and the bytes of v.
+func appendSnapField[T string | []byte](buf []byte, v T) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
+	return append(buf, v...)
 }
 
 // decodeSnapshot parses and validates a snapshot file whole; any
@@ -161,12 +194,21 @@ func decodeSnapshot(data []byte) ([]SketchSnap, error) {
 // atomically renames it into place, then fsyncs the directory so the
 // rename itself is durable.
 func writeFileSync(dir, name string, data []byte) error {
+	return commitFile(dir, name, func(f *os.File) error {
+		_, err := f.Write(data)
+		return err
+	})
+}
+
+// commitFile is writeFileSync with the content written by write into
+// the temp file, which is removed if anything fails.
+func commitFile(dir, name string, write func(*os.File) error) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err
@@ -185,6 +227,22 @@ func writeFileSync(dir, name string, data []byte) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// removeOrphanedTemps deletes the temp files of commits a crash cut
+// short (snapshots' and the manifest's "<name>.tmp-*"): a temp file is
+// renamed before anything refers to it, so one still there is garbage.
+func removeOrphanedTemps(dir string, logf func(string, ...any)) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		if !e.IsDir() && strings.Contains(e.Name(), ".tmp-") {
+			logf("durable: removing orphaned temp file %s", e.Name())
+			os.Remove(filepath.Join(dir, e.Name()))
+		}
+	}
 }
 
 func syncDir(dir string) error {

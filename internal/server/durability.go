@@ -73,35 +73,33 @@ func (s *Server) DurabilityStatus() durable.Status {
 	return s.dur.Status()
 }
 
-// captureAll is the snapshot capture callback: it serializes every
-// live sketch under its WAL lock, pairing the bytes with the last LSN
-// already folded into them. Sketches that fail to serialize are
-// skipped (they remain recoverable only until the WAL truncates, which
-// cannot happen for registry families — all of them marshal).
+// captureAll is the snapshot capture callback: it lists every live
+// sketch as a row whose Capture serializes it under its WAL lock,
+// pairing the bytes with the last LSN already folded into them, when
+// the cut writes that row. A sketch that fails to serialize is left out
+// (it stays recoverable only until the WAL truncates, which cannot
+// happen for registry families — all of them marshal).
 func (s *Server) captureAll() []durable.SketchSnap {
 	var out []durable.SketchSnap
 	for _, ts := range s.tenantsSnapshot() {
 		for _, ne := range ts.reg.snapshot() {
-			ne.walMu.Lock()
-			data, err := ne.entry.Snapshot()
-			lsn := ne.lastLSN
-			ne.walMu.Unlock()
-			if err != nil {
-				continue
-			}
 			req, err := json.Marshal(ne.entry.CreateReq())
 			if err != nil {
 				continue
 			}
-			out = append(out, durable.SketchSnap{
-				Tenant: ts.walName, Name: ne.name, Req: req, LastLSN: lsn, Data: data,
-			})
+			out = append(out, durable.SketchSnap{Tenant: ts.walName, Name: ne.name, Req: req, Capture: ne.capture})
 		}
 	}
-	if out == nil {
-		out = []durable.SketchSnap{}
-	}
 	return out
+}
+
+// capture appends the entry's envelope to dst and returns the LSN it
+// holds, both read under the entry's WAL lock.
+func (ne *namedEntry) capture(dst []byte) ([]byte, uint64, error) {
+	ne.walMu.Lock()
+	defer ne.walMu.Unlock()
+	data, _, err := ne.entry.SnapshotWire(dst, false)
+	return data, ne.lastLSN, err
 }
 
 // hold claims an entry for the mutation in progress. An apply body calls

@@ -16,9 +16,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
 )
@@ -165,6 +169,147 @@ func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 		if !bytes.Equal(gotSnaps[f.typ], wantSnaps[f.typ]) {
 			t.Errorf("%s: post-clean-shutdown snapshot differs", f.typ)
 		}
+	}
+}
+
+// TestSnapshotCutUnderIngestRecoversExactly takes cuts while writers
+// ingest. A cut reads each row's bytes and LSN together, under the
+// sketch's WAL lock, so the snapshot plus the WAL after it rebuild every
+// sketch exactly — for the locked families and for blockedbloom, whose
+// holder is its own. Exactly means byte-identical, except for the two
+// families whose envelope leaves out their generator (kll's compactor
+// coins, reservoir's replacement draws): a restored one draws a new
+// random stream from its seed, so there the check is that it holds
+// exactly the items the live one saw, n, which a row paired with the
+// wrong LSN would double or drop.
+func TestSnapshotCutUnderIngestRecoversExactly(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	batches := map[string]func(int) string{
+		"blockedbloom": func(r int) string { return fmt.Sprintf("member-%d\nmember-%d-x", r, r) },
+	}
+	for _, f := range recoveryFamilies {
+		batches[f.typ] = f.batch
+	}
+	for typ := range batches {
+		mustDo(t, "POST", ts1.URL+"/v1/sketch/cut-"+typ, fmt.Sprintf(`{"type":%q}`, typ))
+	}
+
+	const writers = 4
+	var requests atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; ; r++ {
+				for typ, batch := range batches {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp, err := http.Post(ts1.URL+"/v1/sketch/cut-"+typ+"/add", "text/plain", strings.NewReader(batch(w*100000+r)))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode/100 != 2 {
+						t.Errorf("add to cut-%s: HTTP %d", typ, resp.StatusCode)
+						return
+					}
+					requests.Add(1)
+				}
+			}
+		}()
+	}
+	// Every cut starts only once the writers have moved on since the last.
+	awaitIngest := func() {
+		for n := requests.Load(); requests.Load() < n+2*writers && !t.Failed(); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		awaitIngest()
+		if err := s1.dur.SnapshotNow(); err != nil {
+			t.Errorf("SnapshotNow %d: %v", i, err)
+		}
+	}
+	awaitIngest()
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	want := map[string][]byte{}
+	for typ := range batches {
+		want[typ] = mustDo(t, "GET", ts1.URL+"/v1/sketch/cut-"+typ+"/snapshot", "")
+	}
+	wantN := map[string]uint64{}
+	for _, typ := range []string{"kll", "reservoir"} {
+		wantN[typ] = queryN(t, ts1.URL+"/v1/sketch/cut-"+typ)
+	}
+	if err := s1.dur.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	ts1.Close()
+	s1.dur.Kill()
+
+	_, ts2, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	if stats.SketchesLoaded != len(batches) {
+		t.Fatalf("recovered %d sketches from the snapshot, want %d (stats %+v)", stats.SketchesLoaded, len(batches), stats)
+	}
+	for typ := range batches {
+		if _, drawn := wantN[typ]; drawn {
+			continue
+		}
+		if got := mustDo(t, "GET", ts2.URL+"/v1/sketch/cut-"+typ+"/snapshot", ""); !bytes.Equal(got, want[typ]) {
+			t.Errorf("%s: recovered snapshot differs (%d bytes vs %d)", typ, len(got), len(want[typ]))
+		}
+	}
+	for typ, live := range wantN {
+		if got := queryN(t, ts2.URL+"/v1/sketch/cut-"+typ); got != live {
+			t.Errorf("%s: recovered n = %d, live n = %d", typ, got, live)
+		}
+	}
+}
+
+// queryN reads n, the items a sketch has seen, from its summary query.
+func queryN(t *testing.T, sketchURL string) uint64 {
+	t.Helper()
+	var doc struct {
+		N uint64 `json:"n"`
+	}
+	if err := json.Unmarshal(mustDo(t, "GET", sketchURL+"/query", ""), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.N
+}
+
+// TestSnapshotCutHoldsOneEnvelope: a cut captures each row as it writes
+// it, into one record buffer reused across rows, so it allocates about
+// one envelope however many sketches there are — not every envelope
+// and then a copy of the whole file.
+func TestSnapshotCutHoldsOneEnvelope(t *testing.T) {
+	s1, ts1, _ := durableServer(t, t.TempDir(), durable.Options{FsyncInterval: 0})
+	for i := 0; i < 4; i++ {
+		url := fmt.Sprintf("%s/v1/sketch/cm-%d", ts1.URL, i)
+		mustDo(t, "POST", url, `{"type":"countmin","width":65536,"depth":4}`)
+		mustDo(t, "POST", url+"/add", "hot\t3\ncold")
+	}
+	envelope := len(mustDo(t, "GET", ts1.URL+"/v1/sketch/cm-0/snapshot", ""))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s1.dur.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*envelope+1<<20); alloc >= limit {
+		t.Fatalf("a cut over four %d-byte envelopes allocated %d bytes, want < %d", envelope, alloc, limit)
 	}
 }
 
