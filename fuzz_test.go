@@ -22,6 +22,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -848,13 +849,17 @@ func FuzzWireBlocks(f *testing.F) {
 
 // FuzzClientResponse holds the client's hand-written HTTP/1.1 reply
 // parser (internal/server/client/link.go) to the standard library's:
-// arbitrary bytes are served as the whole reply to one snapshot read,
-// after which the server hangs up. The call never panics and always
-// returns; when it returns a body, net/http's ReadResponse reads status
-// 200 and the same body out of the same bytes; when it returns a
-// *StatusError, ReadResponse reads that status. What the parser refuses
-// (a transport error) is not compared: it reads a subset of HTTP on
-// purpose.
+// arbitrary bytes are served as the whole reply to one conditional
+// snapshot read (client.Refresh, holding an envelope under a tag). The
+// call never panics and always returns; when it returns a new envelope,
+// net/http's ReadResponse reads status 200, the same body and the same
+// ETag out of the same bytes; when it keeps what it held, ReadResponse
+// reads a 304; when it returns a *StatusError, ReadResponse reads that
+// status. What the parser refuses (a transport error) is not compared:
+// it reads a subset of HTTP on purpose. Nor does the client keep a
+// connection net/http would close: the server sees whether the client
+// hung up, and a reply that ends where the input does and says
+// Connection: close (or has no length) must have been hung up on.
 func FuzzClientResponse(f *testing.F) {
 	long := strings.Repeat("0123456789abcdef", 1024)
 	for _, seed := range []string{
@@ -888,6 +893,17 @@ func FuzzClientResponse(f *testing.F) {
 		"HTTP/1.1 200 OK\nContent-Length: 0\n\n",
 		"HTTP/1.1 200 OK\r\nX-A: b\r\n c\r\nContent-Length : 1\r\n\r\nx",
 		"",
+		"HTTP/1.1 304 Not Modified\r\nETag: \"held\"\r\n\r\n",
+		"HTTP/1.1 304 Not Modified\r\n\r\n",
+		"HTTP/1.1 304 Not Modified\r\nContent-Length: 5\r\n\r\n",
+		"HTTP/1.1 304 Not Modified\r\nConnection: close\r\n\r\n",
+		"HTTP/1.0 304 Not Modified\r\n\r\n",
+		"HTTP/1.1 200 OK\r\nETag: \"a1-2-3\"\r\nContent-Length: 8\r\n\r\nenvelope",
+		"HTTP/1.1 200 OK\r\netag:  W/\"weak\" \r\nContent-Length: 1\r\n\r\nx",
+		"HTTP/1.1 200 OK\r\nETag: \"one\"\r\nETag: \"two\"\r\nContent-Length: 1\r\n\r\nx",
+		"HTTP/1.1 200 OK\r\nETag:\r\nETag: \"late\"\r\nContent-Length: 1\r\n\r\nx",
+		"HTTP/1.1 200 OK\r\nETag: \"held\"\r\nTransfer-Encoding: chunked\r\n\r\n1\r\nx\r\n0\r\n\r\n",
+		"HTTP/1.1 412 Precondition Failed\r\nETag: \"held\"\r\nContent-Length: 2\r\n\r\nno",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -897,6 +913,8 @@ func FuzzClientResponse(f *testing.F) {
 		f.Fatal(err)
 	}
 	replies := make(chan []byte, 1) // the reply of the one call in flight
+	returned := make(chan struct{}) // the call that reply answered has returned
+	kept := make(chan bool)         // and the client kept the connection open
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -909,56 +927,93 @@ func FuzzClientResponse(f *testing.F) {
 				for {
 					for line := ""; line != "\r\n"; { // the request has no body
 						if line, err = br.ReadString('\n'); err != nil {
-							return // the client closed first
+							return // the client closed
 						}
 					}
-					c.SetReadDeadline(time.Time{})
 					c.Write(<-replies)
-					// A client that took the reply for complete closes, or
-					// sends its next request here; one still waiting for the
-					// reply's end does neither, and gets it. Hanging up on
-					// every reply instead would run the host out of ports
-					// within seconds.
+					select {
+					case <-returned:
+					case <-time.After(10 * time.Millisecond):
+						// The client still waits for the rest of a reply
+						// that has none: hang up, as a reply without a
+						// length ends.
+						c.Close()
+						<-returned
+					}
+					// A client that hung up before it returned has its FIN
+					// here by now; one that pooled the connection sends
+					// nothing until its next call, which waits for this.
 					c.SetReadDeadline(time.Now().Add(2 * time.Millisecond))
-					if _, err := br.Peek(1); err != nil {
+					_, err := br.Peek(1)
+					open := err == nil || errors.Is(err, os.ErrDeadlineExceeded)
+					kept <- open
+					if !open {
 						return
 					}
+					c.SetReadDeadline(time.Time{})
 				}
 			}()
 		}
 	}()
 	f.Cleanup(func() { ln.Close() })
-	// One client for every input: when a reply left its connection
-	// pooled and the server has hung up since, the next call goes
-	// through the redial rule as well.
+	// One client for every input: a connection one reply left pooled
+	// carries the next call.
 	cl := client.New("http://" + ln.Addr().String())
 
 	f.Fuzz(func(t *testing.T, in []byte) {
+		held := client.Cached{Env: []byte("held envelope"), Tag: []byte(`"held"`)}
 		replies <- in
 		start := time.Now()
-		got, err := cl.SnapshotAppend("s", "", nil)
+		changed, err := cl.Refresh("s", "", &held)
 		if took := time.Since(start); took > 10*time.Second {
 			t.Fatalf("the call took %v", took)
 		}
+		served := true
 		select {
 		case <-replies: // no request reached the server: the dial failed
+			served = false
 		default:
 		}
-		resp, oracleErr := http.ReadResponse(bufio.NewReader(bytes.NewReader(in)), &http.Request{Method: "GET"})
+		clientKept := false
+		if served {
+			returned <- struct{}{}
+			clientKept = <-kept
+		}
+		rd := bytes.NewReader(in)
+		brd := bufio.NewReader(rd)
+		resp, oracleErr := http.ReadResponse(brd, &http.Request{Method: "GET"})
+		var want []byte
+		bodyErr := oracleErr
+		if oracleErr == nil {
+			want, bodyErr = io.ReadAll(resp.Body)
+		}
 		var se *client.StatusError
 		switch {
-		case err == nil:
-			var want []byte
-			if oracleErr == nil {
-				want, oracleErr = io.ReadAll(resp.Body)
+		case err == nil && changed:
+			if bodyErr != nil || resp.StatusCode != 200 || !bytes.Equal(held.Env, want) {
+				t.Fatalf("read %d bytes of a 200; net/http: %v, %d bytes (%v)", len(held.Env), resp, len(want), bodyErr)
 			}
-			if oracleErr != nil || resp.StatusCode != 200 || !bytes.Equal(got, want) {
-				t.Fatalf("read %d bytes of a 200; net/http: %v, %d bytes (%v)", len(got), resp, len(want), oracleErr)
+			if tag := resp.Header.Get("ETag"); string(held.Tag) != tag {
+				t.Fatalf("read the tag %q; net/http: %q", held.Tag, tag)
+			}
+		case err == nil:
+			if oracleErr != nil || resp.StatusCode != 304 {
+				t.Fatalf("read a 304; net/http: %v (%v)", resp, oracleErr)
+			}
+			if string(held.Env) != "held envelope" || string(held.Tag) != `"held"` {
+				t.Fatalf("a 304 left %q under %q, not what was held", held.Env, held.Tag)
 			}
 		case errors.As(err, &se):
 			if oracleErr != nil || resp.StatusCode != se.Code {
 				t.Fatalf("read status %d; net/http: %v (%v)", se.Code, resp, oracleErr)
 			}
+		default:
+			return
+		}
+		// The reply ends where the input does, so net/http's Transport
+		// would decide on resp.Close alone.
+		if clientKept && bodyErr == nil && brd.Buffered()+rd.Len() == 0 && resp.Close {
+			t.Fatalf("kept the connection of a reply net/http closes: %v", resp)
 		}
 	})
 }

@@ -59,6 +59,7 @@ type CoordCounters struct {
 	ShardFailures  core.Counter // shard calls that failed after retries
 	GatherBytes    core.Counter // envelope bytes read from shards by gathers
 	SlimGathers    core.Counter // gathers that requested slim envelopes
+	NotModified    core.Counter // shard replies that were 304: the gather slot's envelope was current
 
 	ProjectedGathers core.Counter // queries answered from shard projections (registry.Projection), not envelopes
 	MixedRegathers   core.Counter // queries re-gathered in full because only part of the fleet projected
@@ -76,6 +77,7 @@ type CoordCountersSnapshot struct {
 	ShardFailures  uint64 `json:"shard_failures"`
 	GatherBytes    uint64 `json:"gather_bytes"`
 	SlimGathers    uint64 `json:"slim_gathers"`
+	NotModified    uint64 `json:"not_modified"`
 
 	ProjectedGathers uint64 `json:"projected_gathers"`
 	MixedRegathers   uint64 `json:"mixed_regathers"`
@@ -93,6 +95,7 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 		ShardFailures:  c.ShardFailures.Load(),
 		GatherBytes:    c.GatherBytes.Load(),
 		SlimGathers:    c.SlimGathers.Load(),
+		NotModified:    c.NotModified.Load(),
 
 		ProjectedGathers: c.ProjectedGathers.Load(),
 		MixedRegathers:   c.MixedRegathers.Load(),
@@ -103,11 +106,13 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 // Coordinator fronts a set of sketchd shards: creates broadcast, an
 // ingest batch (or a peer envelope to merge) goes whole to one shard in
 // rotation, and reads scatter-gather every shard's envelope and merge
-// them into the global answer — as bytes, folded
-// into the first envelope in the buffer it arrived in, where the family
-// merges on the wire (registry.Descriptor.MergeWire), decoded and
-// tree-merged otherwise. It holds no sketch state of its own — shards
-// own the data, the coordinator owns the rotation and the merge.
+// them into the global answer — as bytes, folded into a copy of the
+// first envelope, where the family merges on the wire
+// (registry.Descriptor.MergeWire), decoded and tree-merged otherwise.
+// It holds no sketch state of its own — shards own the data, the
+// coordinator owns the rotation and the merge. What it keeps of the
+// shards' envelopes between whole-state reads (slots.go) is a cache
+// that every read revalidates with every shard.
 type Coordinator struct {
 	ring    *Ring
 	shards  []string
@@ -120,8 +125,9 @@ type Coordinator struct {
 	turn    atomic.Uint64 // toOne's rotation: how many turns have been taken
 
 	bodies     server.BodyPool
-	gatherPool sync.Pool // *[][]byte per-shard envelope read buffers
-	envPool    sync.Pool // *[]byte merged /snapshot response envelopes of families that merge decoded
+	slots      slotCache // whole-state reads: every shard's last envelope and tag
+	gatherPool sync.Pool // *[][]byte per-shard envelope read buffers of projected reads
+	envPool    sync.Pool // *[]byte a read's copy of its first envelope, or the marshalled merge of a family that merges decoded
 }
 
 // ShardURLs normalizes a list of shard addresses to base URLs: spaces
@@ -341,23 +347,83 @@ func arrived(envs [][]byte, errs []error) (ok [][]byte) {
 	return ok
 }
 
-// gatherPooled is the serving-path scatter-gather: every shard's
-// envelope is read into a pooled per-shard buffer (client.SnapshotAppend
-// reuses the buffer's capacity), so a steady-state read stops paying a
-// fresh envelope allocation per shard per query. slim requests each
-// shard's slim envelope; forQuery, when non-empty, tells the shards the
-// one query the envelopes will be asked (client.SnapshotFor), so a
-// family that projects it ships cells instead of its table. The
-// returned envelopes alias the pooled buffers, which the caller owns
-// until it calls release: it may merge them in place, and must have
-// finished with them — a merged envelope written out to the last byte —
-// before it does.
-func (c *Coordinator) gatherPooled(tenant, name string, slim bool, forQuery string) (envs [][]byte, fails []ShardError, release func()) {
-	wire := ""
-	if slim {
-		wire = "slim"
-		c.ops.SlimGathers.Inc()
+// wireOf is the ?wire= a gather asks the shards for, counted as a slim
+// gather when it is one.
+func (c *Coordinator) wireOf(slim bool) string {
+	if !slim {
+		return ""
 	}
+	c.ops.SlimGathers.Inc()
+	return "slim"
+}
+
+// gatherCached is the scatter-gather of a whole-state read, through the
+// slot of (tenant, name, wire form). Under the slot's lock it asks every
+// shard for its envelope conditionally on the tag of the one the slot
+// holds (client.Refresh), so an unchanged shard answers 304 and sends
+// nothing, and a changed one's reply replaces the slot's copy. It
+// returns the envelopes of the shards that answered: the first a copy
+// in a pooled buffer of the read's own, because the merge folds into
+// it, the others the slot's. The caller merges them and calls unlock,
+// which it must do before it answers — with false when the merge
+// refused the envelopes, which drops the slot rather than keep them —
+// and release once it has answered. A shard that no longer has the
+// sketch drops the sketch's slots, as a delete does.
+func (c *Coordinator) gatherCached(tenant, name string, slim bool) (envs [][]byte, fails []ShardError, unlock func(merged bool), release func()) {
+	wire := c.wireOf(slim)
+	s := c.slots.get(slotKey{tenant, name, slim}, len(c.shards))
+	s.mu.Lock()
+	errs := c.scatter(func(i int, cl *client.Client) error {
+		return c.callShard(func() error {
+			changed, err := cl.Tenant(tenant).Refresh(name, wire, &s.shards[i])
+			if changed {
+				c.ops.GatherBytes.Add(uint64(len(s.shards[i].Env)))
+			} else if err == nil {
+				c.ops.NotModified.Inc()
+			}
+			return err
+		})
+	})
+	gone := false
+	for i, err := range errs {
+		var se *client.StatusError
+		if err == nil {
+			envs = append(envs, s.shards[i].Env)
+		} else if errors.As(err, &se) && se.Code == http.StatusNotFound {
+			gone = true
+		}
+	}
+	bp := c.envPool.Get().(*[]byte)
+	if len(envs) > 0 {
+		*bp = append((*bp)[:0], envs[0]...)
+		envs[0] = *bp
+	}
+	unlock = func(merged bool) {
+		size := s.size()
+		s.mu.Unlock()
+		switch {
+		case gone:
+			c.slots.drop(tenant, name)
+		case !merged:
+			c.slots.resize(s, -1)
+		default:
+			c.slots.resize(s, size)
+		}
+	}
+	return envs, c.failures(errs), unlock, func() { c.envPool.Put(bp) }
+}
+
+// gatherPooled is the scatter-gather of a projected read: every shard's
+// reply is read into a pooled per-shard buffer (client.SnapshotFor
+// reuses the buffer's capacity). forQuery tells the shards the one
+// query the envelopes will be asked, so a family that projects it ships
+// the cells that query reads instead of its state, and slim asks for a
+// slim envelope where a shard sends its state. The returned envelopes alias
+// the pooled buffers, which the caller owns until it calls release: it
+// may merge them in place, and must have finished with them — a merged
+// envelope written out to the last byte — before it does.
+func (c *Coordinator) gatherPooled(tenant, name string, slim bool, forQuery string) (envs [][]byte, fails []ShardError, release func()) {
+	wire := c.wireOf(slim)
 	bp := c.gatherPool.Get().(*[][]byte)
 	bufs := *bp
 	errs := c.scatter(func(i int, cl *client.Client) error {

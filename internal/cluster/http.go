@@ -94,7 +94,8 @@ func allowPartial(r *http.Request) bool {
 // broadcast forwards a request to every shard as it stands — a cluster
 // sketch exists everywhere or nowhere. When a create fails on some
 // shards the ones that took it are rolled back (best effort), so a retry
-// does not hit already-exists conflicts.
+// does not hit already-exists conflicts. A delete drops the sketch's
+// gather slots.
 func (c *Coordinator) broadcast(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant, name := server.TenantOf(r), r.PathValue("name")
@@ -108,6 +109,9 @@ func (c *Coordinator) broadcast(op string) http.HandlerFunc {
 				return cl.Tenant(tenant).Forward(op, name, r.Header.Get("Content-Type"), body)
 			})
 		})
+		if op == "delete" {
+			c.slots.drop(tenant, name)
+		}
 		if fails := c.failures(errs); len(fails) > 0 {
 			for i, err := range errs {
 				if op == "create" && err == nil {
@@ -183,15 +187,17 @@ func mixedTags(envs [][]byte) bool {
 	return false
 }
 
-// gatherMerged runs the scatter-gather + merge for a read over pooled
-// envelope buffers; query is the one question the merged result will be
-// asked (nil when the caller wants the whole state), which the shards
-// may answer with a projection of it. The shard envelopes of a family
-// that merges on the wire fold into the first of them where they
-// arrived, so the merged result aliases the gather buffers: the caller
-// calls release once it has answered from it. When the read cannot be
-// answered under the request's partial-failure policy, gatherMerged
-// writes the error response itself and has released already.
+// gatherMerged runs the scatter-gather + merge for a read; query is the
+// one question the merged result will be asked (nil when the caller
+// wants the whole state), which the shards may answer with a projection
+// of it. A whole-state read goes through its gather slot
+// (gatherCached), a projected one through pooled buffers
+// (gatherPooled). The shard envelopes of a family that merges on the
+// wire fold into the first of them, so the merged result aliases a
+// buffer of the read: the caller calls release once it has answered
+// from it. When the read cannot be answered under the request's
+// partial-failure policy, gatherMerged writes the error response itself
+// and has released already.
 func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged registry.Merged, fails []ShardError, release func(), ok bool) {
 	c.ops.Queries.Inc()
 	slim, err := server.WireSlim(r.URL.Query().Get("wire"))
@@ -199,9 +205,11 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return merged, nil, nil, false
 	}
-	forQuery := query.Encode()
-	envs, fails, release := c.gatherPooled(tenant, name, slim, forQuery)
-	if forQuery != "" && mixedTags(envs) {
+	var envs [][]byte
+	unlock := func(bool) {}
+	if forQuery := query.Encode(); forQuery == "" {
+		envs, fails, unlock, release = c.gatherCached(tenant, name, slim)
+	} else if envs, fails, release = c.gatherPooled(tenant, name, slim, forQuery); mixedTags(envs) {
 		// Only part of the fleet projected (shards that predate ?for=
 		// ship full envelopes): the two forms do not merge, so read
 		// every shard in full, once.
@@ -210,6 +218,7 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 		envs, fails, release = c.gatherPooled(tenant, name, slim, "")
 	}
 	if len(envs) == 0 || len(fails) > 0 && !allowPartial(r) {
+		unlock(true)
 		release()
 		shardFailure(w, tenant, "scatter-gather", fails)
 		return merged, fails, nil, false
@@ -217,7 +226,9 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 	if len(fails) > 0 {
 		c.ops.PartialQueries.Inc()
 	}
-	if merged, err = registry.MergeEnvelopes(envs); err != nil {
+	merged, err = registry.MergeEnvelopes(envs)
+	unlock(err == nil)
+	if err != nil {
 		release()
 		// Shards that disagree on shape or seed are a conflict, as on a
 		// single server's /merge; anything else is the coordinator's fault.

@@ -1,0 +1,115 @@
+package cluster
+
+import (
+	"container/list"
+	"sync"
+
+	"repro/internal/server/client"
+)
+
+// slotBudget bounds the bytes the coordinator keeps in gather slots,
+// over all of them: past it the least recently read slot goes. A slot
+// lost costs its next read one unconditional gather, never a wrong
+// answer, so the bound is a constant and not a setting.
+const slotBudget = 64 << 20
+
+// slotKey names one whole-state read: a sketch of a tenant, in one wire
+// form. A full and a slim read of one sketch are two slots.
+type slotKey struct {
+	tenant, name string
+	slim         bool
+}
+
+// slot holds every shard's last envelope of one whole-state read and
+// the entity tag the shard named it by. A read holds mu while it asks
+// every shard conditionally and folds what it holds, and not while it
+// writes its reply.
+type slot struct {
+	mu     sync.Mutex
+	shards []client.Cached // by shard index
+
+	key   slotKey
+	elem  *list.Element // in the cache's LRU order; nil once dropped
+	bytes int           // what the cache counts for the slot
+}
+
+// size is what the slot's buffers hold on to. Call with s.mu held.
+func (s *slot) size() int {
+	n := 0
+	for _, sh := range s.shards {
+		n += cap(sh.Env) + cap(sh.Tag)
+	}
+	return n
+}
+
+// slotCache is the coordinator's gather slots, least recently read
+// last, within slotBudget. It is soft state: a dropped slot is read
+// again from scratch, and every read asks every shard whether what a
+// slot holds is still current.
+type slotCache struct {
+	mu    sync.Mutex
+	m     map[slotKey]*slot
+	lru   list.List // of *slot, most recently read first
+	bytes int
+}
+
+// get returns the key's slot, made empty for shards shards when there
+// is none, as the most recently read.
+func (c *slotCache) get(key slotKey, shards int) *slot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.m[key]
+	if s == nil {
+		if c.m == nil {
+			c.m = make(map[slotKey]*slot)
+		}
+		s = &slot{key: key, shards: make([]client.Cached, shards)}
+		s.elem = c.lru.PushFront(s)
+		c.m[key] = s
+		return s
+	}
+	c.lru.MoveToFront(s.elem)
+	return s
+}
+
+// resize counts a slot at its size now, size() taken under its lock,
+// and drops the least recently read slots until the cache is within its
+// budget again. A slot over the budget by itself, or of a negative size,
+// is dropped alone.
+func (c *slotCache) resize(s *slot, size int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s.elem == nil {
+		return
+	}
+	if size < 0 || size > slotBudget {
+		c.remove(s)
+		return
+	}
+	c.bytes += size - s.bytes
+	s.bytes = size
+	for c.bytes > slotBudget {
+		c.remove(c.lru.Back().Value.(*slot))
+	}
+}
+
+// drop forgets the slots of a sketch in every wire form: it was deleted,
+// or a shard no longer has it.
+func (c *slotCache) drop(tenant, name string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, slim := range []bool{false, true} {
+		if s := c.m[slotKey{tenant, name, slim}]; s != nil {
+			c.remove(s)
+		}
+	}
+}
+
+// remove takes s out of the cache; a read holding it finishes on it
+// and its bytes go with the last reference. Call with c.mu held.
+func (c *slotCache) remove(s *slot) {
+	c.lru.Remove(s.elem)
+	delete(c.m, s.key)
+	c.bytes -= s.bytes
+	s.elem = nil
+}

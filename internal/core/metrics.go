@@ -41,6 +41,9 @@ type OpCounters struct {
 	Merges     Counter // peer envelopes merged in
 	Queries    Counter // estimate/point/quantile queries served
 	Snapshots  Counter // serializations out
+	// NotModified counts conditional snapshot reads answered 304: the
+	// reader's copy was the current state, and no envelope went out.
+	NotModified Counter
 }
 
 // OpSnapshot is a point-in-time copy of an OpCounters, in plain
@@ -52,6 +55,8 @@ type OpSnapshot struct {
 	Merges     uint64 `json:"merges"`
 	Queries    uint64 `json:"queries"`
 	Snapshots  uint64 `json:"snapshots"`
+
+	NotModified uint64 `json:"not_modified"`
 }
 
 // Snapshot copies the current counter values.
@@ -63,6 +68,8 @@ func (o *OpCounters) Snapshot() OpSnapshot {
 		Merges:     o.Merges.Load(),
 		Queries:    o.Queries.Load(),
 		Snapshots:  o.Snapshots.Load(),
+
+		NotModified: o.NotModified.Load(),
 	}
 }
 

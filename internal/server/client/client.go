@@ -160,7 +160,38 @@ func (c *Client) SnapshotAppend(name, wire string, dst []byte) ([]byte, error) {
 // family or query answers as SnapshotAppend would.
 func (c *Client) SnapshotFor(name, wire, forQuery string, dst []byte) ([]byte, error) {
 	var qbuf [128]byte // on the stack unless the query outgrows it
-	q := qbuf[:0]
+	_, env, err := c.roundTrip(request{op: server.Named("snapshot"), name: name, query: snapshotQuery(&qbuf, wire, forQuery)}, nil, dst, false)
+	return env, err
+}
+
+// Cached is an envelope a reader keeps and the entity tag its server
+// named it by: what Refresh brings up to date.
+type Cached struct {
+	Env []byte
+	Tag []byte
+}
+
+// Refresh brings cached up to date with the named sketch's whole state
+// in a wire mode, as SnapshotAppend reads it: cached.Tag, when there is
+// one, goes out as If-None-Match, and a server whose state still has
+// that tag answers 304 — Refresh then reports false and cached is as it
+// was. Any other answer replaces Env and Tag (Tag empty when the server
+// sent none) and reports true. On an error both come back empty,
+// capacity kept, so the next Refresh asks unconditionally.
+func (c *Client) Refresh(name, wire string, cached *Cached) (changed bool, err error) {
+	var qbuf [128]byte
+	rq := request{op: server.Named("snapshot"), name: name, query: snapshotQuery(&qbuf, wire, ""), tag: &cached.Tag}
+	status, env, err := c.roundTrip(rq, nil, cached.Env, false)
+	cached.Env = env
+	if err != nil {
+		cached.Tag = cached.Tag[:0]
+	}
+	return err == nil && status != 304, err
+}
+
+// snapshotQuery writes a snapshot read's query string into buf.
+func snapshotQuery(buf *[128]byte, wire, forQuery string) []byte {
+	q := buf[:0]
 	if wire != "" {
 		q = appendQueryEscape(append(q, "wire="...), wire)
 	}
@@ -170,7 +201,7 @@ func (c *Client) SnapshotFor(name, wire, forQuery string, dst []byte) ([]byte, e
 		}
 		q = appendQueryEscape(append(q, "for="...), forQuery)
 	}
-	return c.roundTrip(request{op: server.Named("snapshot"), name: name, query: q}, nil, dst, false)
+	return q
 }
 
 // appendQueryEscape appends url.QueryEscape(s).
@@ -307,7 +338,8 @@ func (c *Client) ReplStatus(applied uint64) (durable.ShippableState, error) {
 // ReplFile fetches one shippable file (sealed WAL segment or snapshot)
 // by its manifest name.
 func (c *Client) ReplFile(name string) ([]byte, error) {
-	return c.roundTrip(request{op: server.Named("repl-file"), name: name}, nil, nil, false)
+	_, data, err := c.roundTrip(request{op: server.Named("repl-file"), name: name}, nil, nil, false)
+	return data, err
 }
 
 // ReplSeal asks the leader to rotate its active WAL segment so every
@@ -331,7 +363,7 @@ func (c *Client) do(op, name string, query url.Values, contentType string, body 
 	if len(query) > 0 {
 		rq.query = []byte(query.Encode())
 	}
-	data, err := c.roundTrip(rq, body, nil, out == nil)
+	_, data, err := c.roundTrip(rq, body, nil, out == nil)
 	if err != nil || out == nil {
 		return err
 	}

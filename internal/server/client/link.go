@@ -60,6 +60,7 @@ type conn struct {
 	vec     [2][]byte   // hdr and body: backing of bufs
 	bufs    net.Buffers // consumed by its WriteTo, so re-sliced from vec every time
 	scratch []byte      // where a reply nobody reads lands
+	etag    []byte      // backing of the current reply's ETag
 	reused  bool        // has completed an exchange before this one
 
 	// How far the current exchange got: what the redial rule asks.
@@ -149,29 +150,35 @@ type request struct {
 	name        string
 	query       []byte // escaped, without the "?"
 	contentType string
+	// tag, when not nil, makes a GET conditional: a non-empty *tag goes
+	// out as If-None-Match, and a reply other than 304 replaces it with
+	// its ETag (empty when it has none).
+	tag *[]byte
 }
 
 // roundTrip is the one request path: it sends rq and body on a pooled
-// connection and returns the reply's body, appended to dst[:0]; with
-// discard the body is left in a buffer the connection keeps and not
-// returned. A status outside 2xx, or other than 200 to a GET, is a
-// *StatusError, and on any error the body comes back empty, its
-// capacity kept.
+// connection and returns the reply's status and body, appended to
+// dst[:0]; with discard the body is left in a buffer the connection
+// keeps and not returned. A status outside 2xx, or other than 200 to a
+// GET, is a *StatusError — except a 304 to a conditional GET, whose
+// answer is dst as it was — and on any error the body comes back
+// empty, its capacity kept.
 //
 // A pooled connection may have been closed by the server while it sat
 // idle. Such a request is sent once more on a fresh connection under
 // net/http's rule — when it is a GET the server did not begin to
 // answer, or when not a byte of it went out — and never otherwise: a
 // POST that was written may have been applied.
-func (c *Client) roundTrip(rq request, body, dst []byte, discard bool) ([]byte, error) {
+func (c *Client) roundTrip(rq request, body, dst []byte, discard bool) (int, []byte, error) {
 	l := c.link
 	if l.addr == "" {
-		return dst[:0], fmt.Errorf("client: base URL %q is not http://host[:port]", l.base)
+		return 0, dst[:0], fmt.Errorf("client: base URL %q is not http://host[:port]", l.base)
 	}
+	held := dst
 	for fresh := false; ; fresh = true {
 		cn, err := l.get(fresh)
 		if err != nil {
-			return dst[:0], c.failed(rq.op, rq.name, err)
+			return 0, dst[:0], c.failed(rq.op, rq.name, err)
 		}
 		cn.hdr = c.appendRequest(cn.hdr[:0], rq, len(body))
 		into := dst
@@ -185,8 +192,13 @@ func (c *Client) roundTrip(rq request, body, dst []byte, discard bool) ([]byte, 
 			dst = rep.body
 		}
 		if err == nil {
-			if rep.status != 200 && (rep.status/100 != 2 || rq.op.Method == "GET") {
+			switch {
+			case rep.status == 304 && rq.tag != nil && len(*rq.tag) > 0:
+				dst = held // still current: the 304 had no body to put in it
+			case rep.status != 200 && (rep.status/100 != 2 || rq.op.Method == "GET"):
 				err = statusError(rep.status, rep.retryAfter, rep.body)
+			case rq.tag != nil:
+				*rq.tag = append((*rq.tag)[:0], rep.etag...) // before cn, whose buffer rep.etag is, goes back
 			}
 			if rep.keep {
 				l.put(cn)
@@ -196,17 +208,17 @@ func (c *Client) roundTrip(rq request, body, dst []byte, discard bool) ([]byte, 
 			if err != nil || discard {
 				dst = dst[:0]
 			}
-			return dst, err
+			return rep.status, dst, err
 		}
 		cn.nc.Close()
 		if !cn.reused || errors.Is(err, os.ErrDeadlineExceeded) {
-			return dst[:0], c.failed(rq.op, rq.name, err)
+			return 0, dst[:0], c.failed(rq.op, rq.name, err)
 		}
 		// The server went away under an idle connection, so it did under
 		// the others of the pool, which are no younger.
 		l.closeIdle()
 		if cn.wrote && (rq.op.Method != "GET" || cn.answered) {
-			return dst[:0], c.failed(rq.op, rq.name, err)
+			return 0, dst[:0], c.failed(rq.op, rq.name, err)
 		}
 	}
 }
@@ -234,6 +246,10 @@ func (c *Client) appendRequest(h []byte, rq request, n int) []byte {
 		h = append(h, "\r\nContent-Type: "...)
 		h = append(h, rq.contentType...)
 	}
+	if rq.tag != nil && len(*rq.tag) > 0 {
+		h = append(h, "\r\nIf-None-Match: "...)
+		h = append(h, *rq.tag...)
+	}
 	if rq.op.Method != "GET" || n > 0 {
 		h = append(h, "\r\nContent-Length: "...)
 		h = strconv.AppendInt(h, int64(n), 10)
@@ -245,6 +261,7 @@ func (c *Client) appendRequest(h []byte, rq request, n int) []byte {
 type reply struct {
 	status     int
 	retryAfter time.Duration
+	etag       []byte // the first ETag field's value, in the connection's buffer
 	body       []byte
 	keep       bool // the connection can carry another exchange
 }
@@ -332,7 +349,7 @@ func (cn *conn) readReply(dst []byte) (rep reply, err error) {
 	}
 	http11 := line[7] == '1'
 	rep.keep = http11
-	length, chunked := int64(-1), false
+	length, chunked, tagged := int64(-1), false, false
 	for total := len(line); ; {
 		if line, err = cn.line(); err != nil {
 			return rep, err
@@ -364,6 +381,9 @@ func (cn *conn) readReply(dst []byte) (rep reply, err error) {
 			chunked = true
 		case foldEq(key, "connection"):
 			rep.keep = rep.keep && foldEq(val, "keep-alive")
+		case foldEq(key, "etag") && !tagged:
+			cn.etag = append(cn.etag[:0], val...)
+			rep.etag, tagged = cn.etag, true
 		case foldEq(key, "retry-after") && rep.retryAfter == 0:
 			// The delay-seconds form, which sketchd emits; an HTTP date
 			// parses to 0.

@@ -479,3 +479,97 @@ func TestRoundTripZeroAlloc(t *testing.T) {
 		t.Errorf("%d connections, want the one", n)
 	}
 }
+
+// Refresh is a conditional GET: the tag the caller holds goes out as
+// If-None-Match, a 304 leaves the envelope and the tag as they were, a
+// 200 replaces both (the tag with nothing when the reply names none),
+// and an error empties both. A 304 to a GET that named no tag is an
+// error, as any other status but 200. In steady state a 304 allocates
+// nothing; the server here allocates nothing either, so that the count
+// is the client's.
+func TestRefresh(t *testing.T) {
+	tags := []string{"", `"v1"`, `"v2"`} // what a request may name, by index
+	var state atomic.Pointer[[]byte]     // the reply to a request that names no tag the reply has
+	set := func(reply string) { b := []byte(reply); state.Store(&b) }
+	notModified := []byte("HTTP/1.1 304 Not Modified\r\n\r\n")
+	set("HTTP/1.1 200 OK\r\nETag: \"v1\"\r\nContent-Length: 4\r\n\r\nenv1")
+	var sent atomic.Int32 // index in tags of the last request's If-None-Match; -1 for another
+	srv := rawPeer(t, func(c net.Conn, _ int) {
+		buf := make([]byte, 4096)
+		for n := 0; ; {
+			m, err := c.Read(buf[n:])
+			if err != nil {
+				return
+			}
+			n += m
+			end := bytes.Index(buf[:n], []byte("\r\n\r\n"))
+			if end < 0 {
+				continue
+			}
+			inm := []byte(nil)
+			if i := bytes.Index(buf[:end+2], []byte("If-None-Match: ")); i >= 0 {
+				inm = buf[i+len("If-None-Match: ") : end+2]
+				inm = inm[:bytes.IndexByte(inm, '\r')]
+			}
+			sent.Store(-1)
+			for i, tag := range tags {
+				if string(inm) == tag {
+					sent.Store(int32(i))
+				}
+			}
+			reply := *state.Load()
+			if i := bytes.Index(reply, []byte("ETag: ")) + len("ETag: "); len(inm) > 0 && i >= len("ETag: ") &&
+				bytes.HasPrefix(reply[i:], inm) && reply[i+len(inm)] == '\r' {
+				reply = notModified
+			}
+			n = 0
+			if _, err := c.Write(reply); err != nil {
+				return
+			}
+		}
+	})
+	cl := New(srv.url)
+	var cached Cached
+	refresh := func(wantChanged bool, wantSent int32, wantEnv, wantTag string) {
+		t.Helper()
+		changed, err := cl.Refresh("s", "", &cached)
+		if err != nil || changed != wantChanged {
+			t.Fatalf("Refresh: changed %v, %v; want %v", changed, err, wantChanged)
+		}
+		if got := sent.Load(); got != wantSent {
+			t.Errorf("If-None-Match was tag %d, want %d (%q)", got, wantSent, tags[wantSent])
+		}
+		if string(cached.Env) != wantEnv || string(cached.Tag) != wantTag {
+			t.Errorf("cached %q under %q, want %q under %q", cached.Env, cached.Tag, wantEnv, wantTag)
+		}
+	}
+	refresh(true, 0, "env1", `"v1"`)
+	refresh(false, 1, "env1", `"v1"`)
+	set("HTTP/1.1 200 OK\r\nETag: \"v2\"\r\nContent-Length: 4\r\n\r\nenv2")
+	refresh(true, 1, "env2", `"v2"`)
+	refresh(false, 2, "env2", `"v2"`)
+	if n := srv.accepts.Load(); n != 1 {
+		t.Errorf("%d connections, want the one: a 304 leaves it reusable", n)
+	}
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { cl.Refresh("s", "", &cached) }); n != 0 {
+			t.Errorf("Refresh answered 304: %v allocs per call, want 0", n)
+		}
+	}
+	set("HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\nenv3")
+	refresh(true, 2, "env3", "")
+	refresh(true, 0, "env3", "")
+
+	set("HTTP/1.1 200 OK\r\nETag: \"v2\"\r\nContent-Length: 4\r\n\r\nenv2")
+	refresh(true, 0, "env2", `"v2"`)
+	set("HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\n\r\ndown")
+	var se *StatusError
+	if _, err := cl.Refresh("s", "", &cached); !errors.As(err, &se) || se.Code != 503 || len(cached.Env) != 0 || len(cached.Tag) != 0 {
+		t.Errorf("Refresh of a 503: %v, cached %q under %q; want the 503 and nothing cached", err, cached.Env, cached.Tag)
+	}
+
+	set("HTTP/1.1 304 Not Modified\r\n\r\n")
+	if _, err := cl.SnapshotAppend("s", "", nil); !errors.As(err, &se) || se.Code != 304 {
+		t.Errorf("a 304 to an unconditional GET: %v, want a StatusError 304", err)
+	}
+}

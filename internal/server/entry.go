@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/url"
+	"strconv"
+	"sync/atomic"
 
 	"repro/internal/core"
 	typereg "repro/internal/registry"
@@ -100,10 +103,29 @@ func (req CreateRequest) rawParams(d *typereg.Descriptor) map[string]float64 {
 // bindings take the lock around the update or the read and parse a
 // batch before asking for it. Add must not retain the item slices —
 // they alias a pooled request buffer.
+//
+// Every state an entry serializes is named by an entity tag (appendTag):
+// the process's nonce, the entry's id and its version, which Add, Merge
+// and Query move on once they return — Query too, because a read
+// advances robustdistinct's switching state, which its envelope holds.
 type Entry struct {
-	desc *typereg.Descriptor
-	inst any
-	req  CreateRequest // creation parameters, persisted by the durability layer
+	desc    *typereg.Descriptor
+	inst    any
+	req     CreateRequest // creation parameters, persisted by the durability layer
+	id      uint64        // unique in the process: a re-created or restored sketch is another entry
+	version atomic.Uint64 // mutations and reads returned so far
+}
+
+// entryIDs numbers the entries of the process.
+var entryIDs atomic.Uint64
+
+// tagNonce is the process's part of every entity tag, so that a
+// restarted server, whose ids and versions count from zero again, never
+// names a state by a tag its previous process gave another.
+var tagNonce = rand.Uint64()
+
+func makeEntry(d *typereg.Descriptor, inst any, req CreateRequest) *Entry {
+	return &Entry{desc: d, inst: inst, req: req, id: entryIDs.Add(1)}
 }
 
 // NewEntry builds a server entry in the default serving mode.
@@ -132,7 +154,7 @@ func newEntry(req CreateRequest, buffered bool) (*Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadParams, err)
 	}
-	return &Entry{desc: d, inst: inst, req: req}, nil
+	return makeEntry(d, inst, req), nil
 }
 
 // RestoreEntry rebuilds a live entry from its creation parameters and
@@ -176,7 +198,7 @@ func RestoreEntry(req CreateRequest, data []byte, buffered bool) (*Entry, error)
 			e.Close()
 		}
 	}
-	e := &Entry{desc: d, inst: typereg.Locked(inst), req: req}
+	e := makeEntry(d, typereg.Locked(inst), req)
 	b, err := e.Snapshot()
 	if err != nil {
 		return nil, err
@@ -208,11 +230,17 @@ func (e *Entry) CreateReq() CreateRequest { return e.req }
 func (e *Entry) Mergeable() bool { return e.desc.Mergeable() }
 
 // Add folds a batch of newline-delimited items in.
-func (e *Entry) Add(items [][]byte) error { return e.desc.Bind.Ingest(e.inst, items) }
+func (e *Entry) Add(items [][]byte) error {
+	err := e.desc.Bind.Ingest(e.inst, items)
+	e.version.Add(1)
+	return err
+}
 
 // Query answers the type's read operation from URL parameters.
 func (e *Entry) Query(params url.Values) (map[string]any, error) {
-	return e.desc.Bind.Query(e.inst, params)
+	res, err := e.desc.Bind.Query(e.inst, params)
+	e.version.Add(1)
+	return res, err
 }
 
 // Merge absorbs a peer's MarshalBinary envelope. The payload is
@@ -230,7 +258,21 @@ func (e *Entry) Merge(data []byte) error {
 	if sdesc.Tag != e.desc.Tag {
 		return fmt.Errorf("%w: cannot merge a %s payload into %s", core.ErrIncompatible, sdesc.Name, e.desc.Name)
 	}
-	return e.desc.Bind.Merge(e.inst, src)
+	err = e.desc.Bind.Merge(e.inst, src)
+	e.version.Add(1)
+	return err
+}
+
+// appendTag appends the strong entity tag of the entry's current state,
+// "nonce-id-version" in hex between quotes. Read it before the state is
+// serialized: a mutation racing the read may be in the bytes or not,
+// but once it has returned the version has moved on, so no tag keeps
+// naming bytes that lack it.
+func (e *Entry) appendTag(dst []byte) []byte {
+	dst = strconv.AppendUint(append(dst, '"'), tagNonce, 16)
+	dst = strconv.AppendUint(append(dst, '-'), e.id, 16)
+	dst = strconv.AppendUint(append(dst, '-'), e.version.Load(), 16)
+	return append(dst, '"')
 }
 
 // Snapshot serializes the current state in the standard envelope, in a

@@ -303,6 +303,18 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if data == nil {
+		// The state's tag is read before it is marshalled (see
+		// Entry.appendTag), and a reader already holding the bytes it
+		// names gets a 304 and no body: If-None-Match must carry
+		// exactly that one strong tag.
+		tag := string(e.entry.appendTag(make([]byte, 0, 64)))
+		if r.Header.Get("If-None-Match") == tag {
+			s.ops.NotModified.Inc()
+			s.countWire(e.entry.Type(), "not-modified", 0)
+			w.Header().Set("ETag", tag)
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
 		// The envelope is marshalled into a pooled buffer, which goes
 		// back only once Write below has returned: net/http has copied
 		// or sent the bytes by then, and nothing else keeps them.
@@ -314,6 +326,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		*bp = data // keep what the marshal grew
+		w.Header().Set("ETag", tag)
 		if slim {
 			served = "slim"
 		}

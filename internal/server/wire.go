@@ -20,6 +20,7 @@ type wireCounters struct {
 	slimBytes core.Counter
 	projSnaps core.Counter
 	projBytes core.Counter
+	unchanged core.Counter // conditional reads answered 304
 }
 
 // WireStat is one family's wire-byte row on /v1/status and
@@ -32,6 +33,7 @@ type WireStat struct {
 	SlimBytes     uint64 `json:"slim_bytes,omitempty"`
 	Projections   uint64 `json:"projections,omitempty"`
 	ProjBytes     uint64 `json:"projection_bytes,omitempty"`
+	NotModified   uint64 `json:"not_modified,omitempty"`
 }
 
 // newWireCounters prebuilds a counter row per servable family, so the
@@ -48,7 +50,8 @@ func newWireCounters() map[string]*wireCounters {
 }
 
 // countWire records one served snapshot of the given family in the form
-// it went out in: "slim", "projection", or "" for the full envelope.
+// it went out in: "slim", "projection", "" for the full envelope, or
+// "not-modified" for a conditional read answered 304 with no body.
 func (s *Server) countWire(typeName, wire string, bytes int) {
 	wc := s.wire[typeName]
 	if wc == nil {
@@ -60,6 +63,9 @@ func (s *Server) countWire(typeName, wire string, bytes int) {
 		snaps, sum = &wc.slimSnaps, &wc.slimBytes
 	case "projection":
 		snaps, sum = &wc.projSnaps, &wc.projBytes
+	case "not-modified":
+		wc.unchanged.Inc()
+		return
 	}
 	snaps.Inc()
 	sum.Add(uint64(bytes))
@@ -77,8 +83,9 @@ func (s *Server) wireStats() []WireStat {
 			SlimBytes:     wc.slimBytes.Load(),
 			Projections:   wc.projSnaps.Load(),
 			ProjBytes:     wc.projBytes.Load(),
+			NotModified:   wc.unchanged.Load(),
 		}
-		if st.FullSnapshots == 0 && st.SlimSnapshots == 0 && st.Projections == 0 {
+		if st.FullSnapshots == 0 && st.SlimSnapshots == 0 && st.Projections == 0 && st.NotModified == 0 {
 			continue
 		}
 		out = append(out, st)

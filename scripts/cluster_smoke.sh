@@ -46,6 +46,7 @@ wait_ready() {
 
 echo "== build"
 go build -o "$WORK/sketchd" ./cmd/sketchd
+go build -o "$WORK/sketchcli" ./cmd/sketchcli
 
 echo "== start 3 shards (shard 3 durable) + coordinator"
 "$WORK/sketchd" -addr "$S1" &
@@ -211,5 +212,24 @@ awk -v e="$ACME2" 'BEGIN { d = e / 20000; if (d < 0.95 || d > 1.05) exit 1 }' ||
 	{ echo "FAIL: acme estimate $ACME2 outside 5% of 20000 after recovery"; exit 1; }
 awk -v e="$GLOBEX2" 'BEGIN { d = e / 5000; if (d < 0.95 || d > 1.05) exit 1 }' ||
 	{ echo "FAIL: globex estimate $GLOBEX2 outside 5% of 5000 after recovery"; exit 1; }
+
+# A merged /snapshot read twice equals the merge of the shards' own
+# snapshots both times; the second finds every shard unchanged, so the
+# coordinator's gather slot answers it and its not_modified count moves.
+echo "== merged /snapshot twice after recovery: the second from unchanged shards"
+"$WORK/sketchcli" cluster merge -shards "$S1,$S2,$S3" -name users -o "$WORK/merged.bin" >/dev/null
+not_modified() {
+	curl -fsS "http://$COORD/v1/status" | grep -o '"not_modified":[0-9]*' | cut -d: -f2
+}
+for read in 1 2; do
+	BEFORE=$(not_modified)
+	curl -fsS "http://$COORD/v1/sketch/users/snapshot" -o "$WORK/read$read.bin"
+	AFTER=$(not_modified)
+	echo "merged snapshot read $read: $(wc -c <"$WORK/read$read.bin") bytes, not_modified $BEFORE -> $AFTER"
+	cmp -s "$WORK/read$read.bin" "$WORK/merged.bin" ||
+		{ echo "FAIL: merged snapshot read $read differs from the merge of the shard snapshots"; exit 1; }
+done
+[ "$AFTER" -gt "$BEFORE" ] ||
+	{ echo "FAIL: the second read of an unchanged sketch left not_modified at $AFTER"; exit 1; }
 
 echo "PASS: cluster smoke (3 shards + coordinator, 2 tenants, kill -9 + WAL recovery)"
