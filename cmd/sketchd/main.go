@@ -20,16 +20,16 @@
 // window); 0 fsyncs after every drained batch; negative never fsyncs
 // (the OS page cache decides).
 //
-// -concurrent-ingest=buffered serves this process's hll, countmin, and
-// blockedbloom sketches in their local-buffer/global-propagation form
-// (server.Server.SetBufferedIngest, set before recovery): writer-local
-// ingest buffers a propagator goroutine applies to the family's
-// concurrent holder, whose own reads answer with a bounded staleness
-// window (reported as staleness_bound on queries). Ideal for many-writer ingest-heavy workloads; atomic (the
-// default) serves each family through its exact holder — the sharded
-// HLL, the lock-free blocked Bloom, every other family (countmin
-// included) behind the registry's one lock — and keeps reads exact to
-// the last completed batch.
+// Every sketch is its plain kernel behind the registry's one lock.
+// -concurrent-ingest=buffered puts a local-buffer/global-propagation
+// buffer in front of that lock for this process's hll, countmin and
+// blockedbloom sketches (server.Server.SetBufferedIngest, set before
+// recovery): each batch goes to a writer-local buffer, and a propagator
+// goroutine applies the buffers with the plain batch kernel under the
+// lock, so reads answer with a bounded staleness window (reported as
+// staleness_bound on queries). atomic (the default; the name is kept so
+// existing scripts still work) applies each batch under the lock
+// itself and keeps reads exact to the last completed batch.
 //
 // -pprof mounts net/http/pprof's handlers under /debug/pprof/ on
 // either tier, so the shipped binary can be profiled in place:
@@ -86,9 +86,9 @@ func main() {
 	walMaxBytes := flag.Int64("wal-max-bytes", 64<<20,
 		"WAL size that forces a snapshot + truncation")
 	concurrentIngest := flag.String("concurrent-ingest", "atomic",
-		"multi-writer ingest mode for hll, countmin and blockedbloom: atomic (each family's exact holder: "+
-			"sharded hll, lock-free blockedbloom, countmin behind the registry's lock) or "+
-			"buffered (per-writer local buffers + a propagator into a concurrent holder, whose reads lag by a bounded staleness)")
+		"multi-writer ingest mode for hll, countmin and blockedbloom, each the plain sketch behind the registry's lock: "+
+			"atomic (each batch applied under the lock; reads exact) or "+
+			"buffered (per-writer local buffers + a propagator applying them under the lock; reads lag by a bounded staleness)")
 	pprofOn := flag.Bool("pprof", false,
 		"mount net/http/pprof's handlers under /debug/pprof/ (CPU, heap, goroutine profiles of this process)")
 	coordinator := flag.Bool("coordinator", false,

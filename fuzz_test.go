@@ -31,7 +31,6 @@ import (
 	sketch "repro"
 	"repro/internal/bloom"
 	"repro/internal/cardinality"
-	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/frequency"
@@ -410,7 +409,7 @@ func FuzzServerRequestDecode(f *testing.F) {
 	f.Add([]byte("\n\r\n\t\n"))
 
 	types := []sketch.ServerCreateRequest{
-		{Type: "hll", P: 10, Shards: 2, Seed: 1},
+		{Type: "hll", P: 10, Params: map[string]float64{"shards": 2}, Seed: 1},
 		{Type: "countmin", Width: 128, Depth: 3, Seed: 1},
 		{Type: "bloom", NItems: 1000, FPR: 0.01, Seed: 1},
 		{Type: "kll", K: 64, Seed: 1},
@@ -624,13 +623,38 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
-// FuzzBufferedMerge exercises the PR 6 buffered (local-buffer/global-
-// propagation) families' merge surface: arbitrary bytes that decode as
-// a plain family envelope are merged into a live buffered instance —
-// shape/seed mismatches must error cleanly, compatible payloads must
-// fold in, and nothing may panic or wedge the propagator. The buffered
-// instances are shared across iterations (created once here, not per
-// fuzz case) so the target doesn't spawn a goroutine per input.
+// bufferedInstances are the buffered serving instances the buffered
+// fuzz targets share: each hashed family as Serving(p, true) builds it,
+// at the shapes of the seed envelopes below, closed when the target
+// ends. They are shared across iterations (created once, not per fuzz
+// case) so the target doesn't spawn a goroutine per input.
+func bufferedInstances(f *testing.F) map[*typereg.Descriptor]any {
+	out := map[*typereg.Descriptor]any{}
+	for name, raw := range map[string]map[string]float64{
+		"countmin":     {"width": 64, "depth": 4},
+		"hll":          {"p": 10},
+		"blockedbloom": {"m": 1024, "k": 4},
+	} {
+		d, _ := typereg.Lookup(name)
+		p, err := d.Validate(map[string]uint64{"countmin": 1, "hll": 2, "blockedbloom": 3}[name], raw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		inst, err := d.Serving(p, true)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Cleanup(inst.(interface{ Close() }).Close)
+		out[d] = inst
+	}
+	return out
+}
+
+// FuzzBufferedMerge exercises the buffered families' merge surface:
+// arbitrary bytes that decode as a plain family envelope are merged into
+// a live buffered instance — shape/seed mismatches must error cleanly,
+// compatible payloads must fold in, and nothing may panic or wedge the
+// propagator.
 func FuzzBufferedMerge(f *testing.F) {
 	cmSeed := frequencyCountMinSeed()
 	hllSeed := cardinalityHLLSeed()
@@ -639,30 +663,14 @@ func FuzzBufferedMerge(f *testing.F) {
 	f.Add(hllSeed)
 	f.Add(bloomSeed)
 
-	bcm := concurrent.NewBufferedCountMin(64, 4, 1)
-	bh := concurrent.NewBufferedHLL(10, 2)
-	bb := concurrent.NewBufferedBlockedBloom(1024, 4, 3)
-	f.Cleanup(func() {
-		bcm.Close()
-		bh.Close()
-		bb.Close()
-	})
+	insts := bufferedInstances(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var cm frequency.CountMin
-		if err := cm.UnmarshalBinary(in); err == nil {
-			_ = bcm.Merge(&cm)
-			_ = bcm.EstimateUint64(42)
-			_ = bcm.N()
-		}
-		var h cardinality.HLL
-		if err := h.UnmarshalBinary(in); err == nil {
-			_ = bh.Merge(&h)
-			_ = bh.Estimate()
-		}
-		var bf bloom.BlockedFilter
-		if err := bf.UnmarshalBinary(in); err == nil {
-			_ = bb.Merge(&bf)
-			_ = bb.Contains(in)
+		for d, inst := range insts {
+			if src, err := d.Decode(in); err == nil {
+				_ = d.Bind.Merge(inst, src)
+				_, _ = d.Bind.Query(inst, url.Values{"item": {"42"}})
+				_, _ = d.Bind.Query(inst, nil)
+			}
 		}
 	})
 }
@@ -676,22 +684,12 @@ func FuzzBufferedIngest(f *testing.F) {
 	f.Add([]byte("a\tb"))
 	f.Add([]byte("\t\n\t\t\n"))
 	f.Add([]byte(""))
-	cmDesc, _ := typereg.Lookup("countmin")
-	hllDesc, _ := typereg.Lookup("hll")
-	bloomDesc, _ := typereg.Lookup("blockedbloom")
-	bcm := concurrent.NewBufferedCountMin(64, 4, 1)
-	bh := concurrent.NewBufferedHLL(10, 2)
-	bb := concurrent.NewBufferedBlockedBloom(1024, 4, 3)
-	f.Cleanup(func() {
-		bcm.Close()
-		bh.Close()
-		bb.Close()
-	})
+	insts := bufferedInstances(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		items := server.SplitBatch(in)
-		_ = cmDesc.Bind.Ingest(bcm, items)
-		_ = hllDesc.Bind.Ingest(bh, items)
-		_ = bloomDesc.Bind.Ingest(bb, items)
+		for d, inst := range insts {
+			_ = d.Bind.Ingest(inst, items)
+		}
 	})
 }
 

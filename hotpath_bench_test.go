@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/bloom"
@@ -40,6 +41,23 @@ func BenchmarkHot(b *testing.B) {
 		b.Run(nb.name, nb.f)
 	}
 }
+
+// bufferOver is the buffered serving shape the Buffered rows and the
+// writer allocation audit price: a concurrent.Buffer in front of a
+// plain sketch's batch kernel under one mutex, as the registry builds
+// it.
+func bufferOver[S any](s S, kernel func(S, []uint64, []uint64)) *concurrent.Buffer {
+	var mu sync.Mutex
+	return concurrent.NewBuffer(concurrent.DefaultWriterBuffer, func(a, b []uint64) {
+		mu.Lock()
+		defer mu.Unlock()
+		kernel(s, a, b)
+	})
+}
+
+// hllKernel is the HLL's register update over the first of the two
+// words an item the buffered serving path puts.
+func hllKernel(h *cardinality.HLL, h1s, _ []uint64) { h.AddHashBatch(h1s) }
 
 // keyCount is the pooled-key working set; a power of two so the cycle
 // index is a mask, not a modulo.
@@ -276,13 +294,13 @@ var hotBenchmarks = []struct {
 		}
 	}},
 	{"BufferedCountMinWriterAddHash", func(b *testing.B) {
-		c := concurrent.NewBufferedCountMin(2048, 4, 1)
+		c := bufferOver(frequency.NewCountMin(2048, 4, 1), (*frequency.CountMin).AddWeightedHashBatch)
 		defer c.Close()
 		w := c.Writer()
 		b.SetBytes(8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.AddHash(uint64(i)*0x9E3779B97F4A7C15, 1)
+			w.Put2(uint64(i)*0x9E3779B97F4A7C15, 1)
 		}
 		b.StopTimer()
 		w.Flush()
@@ -290,8 +308,8 @@ var hotBenchmarks = []struct {
 	}},
 	{"BufferedCountMinWriterParallel", func(b *testing.B) {
 		// The contended shape E29 sweeps: every benchmark worker its
-		// own writer handle, one propagator folding into the global.
-		c := concurrent.NewBufferedCountMin(2048, 4, 1)
+		// own writer handle, one propagator folding into the sketch.
+		c := bufferOver(frequency.NewCountMin(2048, 4, 1), (*frequency.CountMin).AddWeightedHashBatch)
 		defer c.Close()
 		b.SetBytes(8)
 		b.ResetTimer()
@@ -299,7 +317,7 @@ var hotBenchmarks = []struct {
 			w := c.Writer()
 			var i uint64
 			for pb.Next() {
-				w.AddHash(i*0x9E3779B97F4A7C15, 1)
+				w.Put2(i*0x9E3779B97F4A7C15, 1)
 				i++
 			}
 			w.Flush()
@@ -321,13 +339,13 @@ var hotBenchmarks = []struct {
 		})
 	}},
 	{"BufferedHLLWriterAddHash", func(b *testing.B) {
-		h := concurrent.NewBufferedHLL(14, 1)
+		h := bufferOver(cardinality.NewHLL(14, 1), hllKernel)
 		defer h.Close()
 		w := h.Writer()
 		b.SetBytes(8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			w.AddHash(uint64(i) * 0x9E3779B97F4A7C15)
+			w.Put(uint64(i) * 0x9E3779B97F4A7C15)
 		}
 		b.StopTimer()
 		w.Flush()

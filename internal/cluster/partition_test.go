@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -147,6 +148,50 @@ func TestAnyPartitionSameBytes(t *testing.T) {
 					t.Errorf("countmin n %v (%v), want the stream's weight %d", res["n"], err, total)
 				}
 			})
+		}
+	}
+}
+
+// TestCoordinatorAnswersAsOneServer: for the three families sketchd
+// buffers, the coordinator's answer over 4 shards — summary and point
+// queries alike — is a single server's fed the same batches, key for key
+// and value for value, but for the shards_merged it adds. A served
+// instance answers what the plain sketch the coordinator merges answers.
+func TestCoordinatorAnswersAsOneServer(t *testing.T) {
+	weighted, _, _ := zipfBodies(11, 8)
+	single := httptest.NewServer(server.New().Handler())
+	t.Cleanup(single.Close)
+	scl := client.New(single.URL)
+	coord, _ := fleet(t, 4)
+	cl := coordClient(t, coord)
+	for _, family := range []string{"hll", "countmin", "blockedbloom"} {
+		d, _ := registry.Lookup(family)
+		for _, c := range []*client.Client{scl, cl} {
+			if err := c.Create(family, server.CreateRequest{Type: family, Seed: 5}); err != nil {
+				t.Fatalf("create %s: %v", family, err)
+			}
+			for _, body := range weighted {
+				if d.Input == registry.InputItems {
+					body = plainLines(body)
+				}
+				if err := c.AddBatch(family, body); err != nil {
+					t.Fatalf("add %s: %v", family, err)
+				}
+			}
+		}
+		for _, q := range []url.Values{{}, {"item": {"flow1"}}, {"item": {"flow2"}}, {"item": {"never-seen"}}} {
+			want, err := scl.Query(family, q)
+			if err != nil {
+				t.Fatalf("%s %v on one server: %v", family, q, err)
+			}
+			got, err := cl.Query(family, q)
+			if err != nil {
+				t.Fatalf("%s %v through the coordinator: %v", family, q, err)
+			}
+			delete(got, "shards_merged")
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %v: the coordinator answers %v, one server %v", family, q, got, want)
+			}
 		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // AtomicBlockedBloom is a blocked Bloom filter whose bit words are set
-// with atomic CAS-OR loops — lock-free inserts and queries, so sketchd
-// can serve the blocked layout without a mutex on the hot path. It
+// with atomic CAS-OR loops — lock-free inserts and queries. sketchd
+// serves the plain filter behind the registry's lock instead, which
+// measured at parity (DESIGN.md §5.1); this is the per-cell baseline. It
 // addresses exactly the same block and bits as bloom.BlockedFilter with
 // equal shape and seed — the three walks below read the probe rule from
 // bloom's exported constants, not their own copy — which is what makes

@@ -2,6 +2,7 @@ package concurrent
 
 import (
 	"bytes"
+	"encoding"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -12,7 +13,74 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/cardinality"
 	"repro/internal/frequency"
+	"repro/internal/hashx"
 )
+
+// overKernel is the shape sketchd serves in buffered mode: a plain
+// sketch behind one mutex, and a Buffer in front whose propagator
+// applies each flush half with the sketch's batch kernel under it.
+type overKernel[S any] struct {
+	mu sync.Mutex
+	s  S
+	*Buffer
+}
+
+func bufferOver[S any](s S, writerBuf int, kernel func(S, []uint64, []uint64)) *overKernel[S] {
+	o := &overKernel[S]{s: s}
+	o.Buffer = NewBuffer(writerBuf, func(a, b []uint64) {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		kernel(o.s, a, b)
+	})
+	return o
+}
+
+// with runs f on the sketch under the mutex, as a served read or merge
+// does.
+func (o *overKernel[S]) with(f func(S)) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	f(o.s)
+}
+
+// marshal syncs, then serializes under the mutex, as a served snapshot
+// does.
+func (o *overKernel[S]) marshal(t *testing.T) []byte {
+	t.Helper()
+	o.Sync()
+	var data []byte
+	var err error
+	o.with(func(s S) { data, err = any(s).(encoding.BinaryMarshaler).MarshalBinary() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// The three kernels sketchd buffers.
+var (
+	cmKernel    = (*frequency.CountMin).AddWeightedHashBatch
+	bloomKernel = (*bloom.BlockedFilter).AddHashBatch
+)
+
+func hllKernel(h *cardinality.HLL, h1s, _ []uint64) { h.AddHashBatch(h1s) }
+
+func newBufferedCountMin(width, depth int, seed uint64) *overKernel[*frequency.CountMin] {
+	return bufferOver(frequency.NewCountMin(width, depth, seed), DefaultWriterBuffer, cmKernel)
+}
+
+func newBufferedHLL(p uint8, seed uint64) *overKernel[*cardinality.HLL] {
+	return bufferOver(cardinality.NewHLL(p, seed), DefaultWriterBuffer, hllKernel)
+}
+
+func newBufferedBlockedBloom(m uint64, k int, seed uint64) *overKernel[*bloom.BlockedFilter] {
+	return bufferOver(bloom.NewBlocked(m, k, seed), DefaultWriterBuffer, bloomKernel)
+}
+
+func (o *overKernel[S]) n() (n uint64) {
+	o.with(func(s S) { n = any(s).(interface{ N() uint64 }).N() })
+	return n
+}
 
 // Byte-identity property: buffered multi-writer ingest, once flushed
 // and synced, serializes to exactly the bytes of serial ingest of the
@@ -31,7 +99,7 @@ func TestBufferedCountMinByteIdentity(t *testing.T) {
 				l.Mode = frequency.Fused
 			}
 			serial := frequency.NewCountMinLayout(l)
-			buf := BufferCountMin(NewAtomicCountMinLayout(l), 64)
+			buf := bufferOver(frequency.NewCountMinLayout(l), 64, cmKernel)
 			defer buf.Close()
 
 			rng := rand.New(rand.NewSource(7))
@@ -52,26 +120,21 @@ func TestBufferedCountMinByteIdentity(t *testing.T) {
 					defer wg.Done()
 					wr := buf.Writer()
 					for _, u := range part {
-						wr.AddUint64(u.item, u.w)
+						wr.Put2(hashx.HashUint64(u.item, seed), u.w)
 					}
 					wr.Flush()
 				}(updates[w*per : (w+1)*per])
 			}
 			wg.Wait()
-			buf.Sync()
 
 			want, err := serial.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := buf.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(want, got) {
+			if got := buf.marshal(t); !bytes.Equal(want, got) {
 				t.Fatalf("buffered bytes diverge from serial ingest (%d vs %d bytes)", len(got), len(want))
 			}
-			if n := buf.N(); n != serial.N() {
+			if n := buf.n(); n != serial.N() {
 				t.Fatalf("N = %d, want %d", n, serial.N())
 			}
 		})
@@ -83,7 +146,7 @@ func TestBufferedHLLByteIdentity(t *testing.T) {
 	const items, writers = 20000, 4
 
 	serial := cardinality.NewHLL(p, seed)
-	buf := BufferHLL(NewShardedHLL(1, p, seed), 64)
+	buf := bufferOver(cardinality.NewHLL(p, seed), 64, hllKernel)
 	defer buf.Close()
 
 	for i := 0; i < items; i++ {
@@ -97,7 +160,7 @@ func TestBufferedHLLByteIdentity(t *testing.T) {
 			defer wg.Done()
 			wr := buf.Writer()
 			for i := lo; i < lo+per; i++ {
-				wr.AddUint64(uint64(i))
+				wr.Put(hashx.HashUint64(uint64(i), seed))
 			}
 			wr.Flush()
 		}(w * per)
@@ -108,15 +171,13 @@ func TestBufferedHLLByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := buf.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
+	if got := buf.marshal(t); !bytes.Equal(want, got) {
 		t.Fatalf("buffered bytes diverge from serial ingest (%d vs %d bytes)", len(got), len(want))
 	}
-	if est, want := buf.Estimate(), serial.Estimate(); est != want {
-		t.Fatalf("published estimate %.1f, want %.1f", est, want)
+	var est float64
+	buf.with(func(h *cardinality.HLL) { est = h.Estimate() })
+	if want := serial.Estimate(); est != want {
+		t.Fatalf("estimate %.1f, want %.1f", est, want)
 	}
 }
 
@@ -125,7 +186,7 @@ func TestBufferedBlockedBloomByteIdentity(t *testing.T) {
 	const items, writers = 20000, 4
 
 	serial := bloom.NewBlocked(m, k, seed)
-	buf := BufferBlockedBloom(NewAtomicBlockedBloom(m, k, seed), 64)
+	buf := bufferOver(bloom.NewBlocked(m, k, seed), 64, bloomKernel)
 	defer buf.Close()
 
 	keys := make([][]byte, items)
@@ -141,7 +202,7 @@ func TestBufferedBlockedBloomByteIdentity(t *testing.T) {
 			defer wg.Done()
 			wr := buf.Writer()
 			for _, key := range part {
-				wr.Add(key)
+				wr.Put2(hashx.Murmur3_128(key, seed))
 			}
 			wr.Flush()
 		}(keys[w*per : (w+1)*per])
@@ -152,18 +213,16 @@ func TestBufferedBlockedBloomByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := buf.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, got) {
+	if got := buf.marshal(t); !bytes.Equal(want, got) {
 		t.Fatalf("buffered bytes diverge from serial ingest (%d vs %d bytes)", len(got), len(want))
 	}
-	for _, key := range keys[:100] {
-		if !buf.Contains(key) {
-			t.Fatalf("false negative for %q after sync", key)
+	buf.with(func(f *bloom.BlockedFilter) {
+		for _, key := range keys[:100] {
+			if !f.Contains(key) {
+				t.Fatalf("false negative for %q after sync", key)
+			}
 		}
-	}
+	})
 }
 
 // Staleness bound: at any instant mid-ingest, a reader misses at most
@@ -175,11 +234,11 @@ func TestBufferedCountMinStalenessBound(t *testing.T) {
 	const writers = 4
 	const perWriter = 10000
 
-	c := BufferCountMin(NewAtomicCountMin(width, depth, seed), writerBuf)
+	c := bufferOver(frequency.NewCountMin(width, depth, seed), writerBuf, cmKernel)
 	defer c.Close()
 
 	var wg sync.WaitGroup
-	handles := make([]*BufferedCountMinWriter, writers)
+	handles := make([]*Writer, writers)
 	for i := range handles {
 		handles[i] = c.Writer()
 	}
@@ -189,11 +248,11 @@ func TestBufferedCountMinStalenessBound(t *testing.T) {
 	start := make(chan struct{})
 	for _, wr := range handles {
 		wg.Add(1)
-		go func(wr *BufferedCountMinWriter) {
+		go func(wr *Writer) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perWriter; i++ {
-				wr.AddUint64(uint64(i), 1)
+				wr.Put2(uint64(i), 1)
 			}
 		}(wr)
 	}
@@ -206,7 +265,7 @@ func TestBufferedCountMinStalenessBound(t *testing.T) {
 	c.prop.do(func() {})
 	total := uint64(writers * perWriter)
 	bound := uint64(c.StalenessBound())
-	if n := c.N(); n < total-bound || n > total {
+	if n := c.n(); n < total-bound || n > total {
 		t.Fatalf("N = %d outside staleness window [%d, %d]", n, total-bound, total)
 	}
 
@@ -215,7 +274,7 @@ func TestBufferedCountMinStalenessBound(t *testing.T) {
 		wr.Flush()
 	}
 	c.Sync()
-	if n := c.N(); n != total {
+	if n := c.n(); n != total {
 		t.Fatalf("N = %d after flush+sync, want %d", n, total)
 	}
 }
@@ -223,9 +282,10 @@ func TestBufferedCountMinStalenessBound(t *testing.T) {
 // Concurrent readers during multi-writer ingest: estimates are
 // monotone in propagated weight and never exceed the true total
 // (Count-Min never undercounts propagated state, never counts
-// unbuffered state).
+// unbuffered state). Readers take the mutex each flush half is applied
+// under.
 func TestBufferedCountMinConcurrentReaders(t *testing.T) {
-	c := NewBufferedCountMin(512, 4, 9)
+	c := newBufferedCountMin(512, 4, 9)
 	defer c.Close()
 
 	const writers = 4
@@ -244,13 +304,13 @@ func TestBufferedCountMinConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				n := c.N()
+				n := c.n()
 				if n < last {
 					t.Error("visible N went backwards")
 					return
 				}
 				last = n
-				c.EstimateUint64(12345)
+				c.with(func(c *frequency.CountMin) { c.EstimateUint64(12345) })
 			}
 		}()
 	}
@@ -260,7 +320,7 @@ func TestBufferedCountMinConcurrentReaders(t *testing.T) {
 			defer wg.Done()
 			wr := c.Writer()
 			for i := 0; i < perWriter; i++ {
-				wr.AddUint64(uint64(i%100), 1)
+				wr.Put2(hashx.HashUint64(uint64(i%100), 9), 1)
 			}
 			wr.Flush()
 		}()
@@ -269,7 +329,7 @@ func TestBufferedCountMinConcurrentReaders(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	c.Sync()
-	if n := c.N(); n != writers*perWriter {
+	if n := c.n(); n != writers*perWriter {
 		t.Fatalf("N = %d, want %d", n, writers*perWriter)
 	}
 }
@@ -277,7 +337,7 @@ func TestBufferedCountMinConcurrentReaders(t *testing.T) {
 // Merging a plain sketch into a buffered one concurrently with
 // buffered ingest must land exactly once and completely.
 func TestBufferedMergeDuringIngest(t *testing.T) {
-	c := NewBufferedCountMin(512, 4, 3)
+	c := newBufferedCountMin(512, 4, 3)
 	defer c.Close()
 
 	peer := frequency.NewCountMin(512, 4, 3)
@@ -291,76 +351,93 @@ func TestBufferedMergeDuringIngest(t *testing.T) {
 		defer wg.Done()
 		wr := c.Writer()
 		for i := 0; i < 5000; i++ {
-			wr.AddUint64(uint64(i), 1)
+			wr.Put2(hashx.HashUint64(uint64(i), 3), 1)
 		}
 		wr.Flush()
 	}()
-	if err := c.Merge(peer); err != nil {
+	var err error
+	c.with(func(c *frequency.CountMin) { err = c.Merge(peer) })
+	if err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 	c.Sync()
-	if n, want := c.N(), uint64(5000+2000); n != want {
+	if n, want := c.n(), uint64(5000+2000); n != want {
 		t.Fatalf("N = %d, want %d", n, want)
 	}
 
-	h := NewBufferedHLL(12, 3)
+	h := newBufferedHLL(12, 3)
 	defer h.Close()
 	hpeer := cardinality.NewHLL(12, 3)
 	for i := 0; i < 1000; i++ {
 		hpeer.AddUint64(uint64(i))
 	}
-	if err := h.Merge(hpeer); err != nil {
+	h.with(func(h *cardinality.HLL) { err = h.Merge(hpeer) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := h.Snapshot()
-	if snap.Estimate() != hpeer.Estimate() {
-		t.Fatalf("merged HLL estimate %.1f, want %.1f", snap.Estimate(), hpeer.Estimate())
+	if !bytes.Equal(h.marshal(t), mustMarshal(t, hpeer)) {
+		t.Fatal("merged HLL is not its peer")
 	}
 
-	f := NewBufferedBlockedBloom(1<<12, 7, 3)
+	f := newBufferedBlockedBloom(1<<12, 7, 3)
 	defer f.Close()
 	fpeer := bloom.NewBlocked(1<<12, 7, 3)
 	fpeer.Add([]byte("merged-item"))
-	if err := f.Merge(fpeer); err != nil {
+	f.with(func(f *bloom.BlockedFilter) { err = f.Merge(fpeer) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Sync()
-	if !f.Contains([]byte("merged-item")) {
-		t.Fatal("merged item not visible")
+	f.with(func(f *bloom.BlockedFilter) {
+		if !f.Contains([]byte("merged-item")) {
+			t.Fatal("merged item not visible")
+		}
+	})
+}
+
+func mustMarshal(t *testing.T, m encoding.BinaryMarshaler) []byte {
+	t.Helper()
+	data, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
 	}
+	return data
 }
 
 func TestBufferedMergeQuiescentPublishes(t *testing.T) {
 	// A merge into a sketch with no writer traffic is visible to the
-	// next read: Merge and Estimate are the holder's own, so no flush
+	// next read: Merge and Estimate are the sketch's own, so no flush
 	// has to follow the merge.
-	h := NewBufferedHLL(12, 9)
+	h := newBufferedHLL(12, 9)
 	defer h.Close()
 	peer := cardinality.NewHLL(12, 9)
 	for i := 0; i < 50000; i++ {
 		peer.AddUint64(uint64(i))
 	}
-	if err := h.Merge(peer); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := h.Estimate(), peer.Estimate(); got != want {
-		t.Fatalf("published estimate after quiescent merge = %.1f, want %.1f", got, want)
+	var got float64
+	h.with(func(h *cardinality.HLL) {
+		if err := h.Merge(peer); err != nil {
+			t.Fatal(err)
+		}
+	})
+	h.with(func(h *cardinality.HLL) { got = h.Estimate() })
+	if want := peer.Estimate(); got != want {
+		t.Fatalf("estimate after quiescent merge = %.1f, want %.1f", got, want)
 	}
 }
 
 // An estimate is exact for everything propagated: once Propagated
 // counts an item, Estimate sees it, with no Sync in between — the read
-// is the holder's own, not a copy refreshed on the propagator's clock.
+// is the sketch's own, not a copy refreshed on the propagator's clock.
 func TestBufferedHLLEstimateNeedsNoSync(t *testing.T) {
 	const p, seed, items = 12, 21, 5000
 	serial := cardinality.NewHLL(p, seed)
-	h := NewBufferedHLL(p, seed)
+	h := newBufferedHLL(p, seed)
 	defer h.Close()
 	w := h.Writer()
 	for i := 0; i < items; i++ {
 		serial.AddUint64(uint64(i))
-		w.AddUint64(uint64(i))
+		w.Put(hashx.HashUint64(uint64(i), seed))
 	}
 	w.Flush()
 	deadline := time.Now().Add(10 * time.Second)
@@ -370,7 +447,9 @@ func TestBufferedHLLEstimateNeedsNoSync(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if got, want := h.Estimate(), serial.Estimate(); got != want {
+	var got float64
+	h.with(func(h *cardinality.HLL) { got = h.Estimate() })
+	if want := serial.Estimate(); got != want {
 		t.Fatalf("estimate %.1f after propagation, serial HLL %.1f", got, want)
 	}
 }
@@ -378,7 +457,7 @@ func TestBufferedHLLEstimateNeedsNoSync(t *testing.T) {
 // Close while writers are mid-stream must not deadlock or panic;
 // post-close handoffs drop silently.
 func TestBufferedCloseWithLiveWriters(t *testing.T) {
-	c := NewBufferedCountMin(256, 4, 5)
+	c := newBufferedCountMin(256, 4, 5)
 	var wg sync.WaitGroup
 	started := make(chan struct{}, 8)
 	for w := 0; w < 8; w++ {
@@ -388,7 +467,7 @@ func TestBufferedCloseWithLiveWriters(t *testing.T) {
 			wr := c.Writer()
 			started <- struct{}{}
 			for i := 0; i < 100000; i++ {
-				wr.AddUint64(uint64(i), 1)
+				wr.Put2(uint64(i), 1)
 			}
 			wr.Flush()
 		}()
@@ -399,39 +478,40 @@ func TestBufferedCloseWithLiveWriters(t *testing.T) {
 	c.Close()
 	wg.Wait() // must terminate: every channel wait has a quit escape
 
-	// Idempotent close; reads still answer from the final global.
+	// Idempotent close; Sync returns; reads still answer from the sketch.
 	c.Close()
-	_ = c.N()
-	_ = c.EstimateUint64(1)
+	c.Sync()
+	_ = c.n()
+	c.with(func(c *frequency.CountMin) { _ = c.EstimateUint64(1) })
 
-	h := NewBufferedHLL(12, 5)
+	h := newBufferedHLL(12, 5)
 	hw := h.Writer()
-	hw.AddUint64(1)
+	hw.Put(1)
 	h.Close()
-	_ = h.Estimate()
-	if h.Snapshot() == nil { // post-close snapshot uses the done-channel path
-		t.Fatal("nil snapshot after close")
+	if len(h.marshal(t)) == 0 {
+		t.Fatal("empty snapshot after close")
 	}
 
-	f := NewBufferedBlockedBloom(1<<12, 7, 5)
+	f := newBufferedBlockedBloom(1<<12, 7, 5)
 	fw := f.Writer()
-	fw.AddHash(1, 2)
+	fw.Put2(1, 2)
 	f.Close()
-	_ = f.Contains([]byte("x"))
+	fw.Flush()
+	f.with(func(f *bloom.BlockedFilter) { _ = f.Contains([]byte("x")) })
 }
 
 // Pooled writers recycle across checkouts and keep the registered
 // writer count bounded by the pool size.
 func TestBufferedPooledWriters(t *testing.T) {
-	c := NewBufferedCountMin(256, 4, 11)
+	c := newBufferedCountMin(256, 4, 11)
 	defer c.Close()
 
 	size := runtime.GOMAXPROCS(0)
-	seen := make(map[*bufWriter]bool)
+	seen := make(map[*Writer]bool)
 	for i := 0; i < 3*size; i++ {
 		w := c.checkout()
 		seen[w] = true
-		(*BufferedCountMinWriter)(w).AddUint64(uint64(i), 1)
+		w.Put2(uint64(i), 1)
 		c.release(w)
 	}
 	if len(seen) > size {
@@ -440,87 +520,86 @@ func TestBufferedPooledWriters(t *testing.T) {
 	if bw := c.BufferedWriters(); bw > size {
 		t.Fatalf("BufferedWriters = %d, want ≤ %d", bw, size)
 	}
+	c.Add([]uint64{7, 8}, []uint64{1, 1})
 	c.Sync()
-	if n := c.N(); n != uint64(3*size) {
-		t.Fatalf("N = %d, want %d", n, 3*size)
+	if n := c.n(); n != uint64(3*size+2) {
+		t.Fatalf("N = %d, want %d", n, 3*size+2)
 	}
 }
 
+// A block put through the pool lands whole and in order, past the
+// flush half it starts in: the bytes of the kernel applied to it once.
 func TestBufferedSnapshotRoundTrip(t *testing.T) {
-	c := NewBufferedCountMin(256, 4, 13)
+	c := newBufferedCountMin(256, 4, 13)
 	defer c.Close()
-	w := c.Writer()
-	for i := 0; i < 1000; i++ {
-		w.AddUint64(uint64(i%50), 1)
+	hs, ws := make([]uint64, 1000), make([]uint64, 1000)
+	for i := range hs {
+		hs[i], ws[i] = hashx.HashUint64(uint64(i%50), 13), uint64(1+i%3)
 	}
-	w.Flush()
-	snap := c.Snapshot()
-	if snap.N() != 1000 {
-		t.Fatalf("snapshot N = %d, want 1000", snap.N())
+	c.Add(hs[:10], ws[:10])
+	c.Add(hs[10:], ws[10:])
+	serial := frequency.NewCountMin(256, 4, 13)
+	serial.AddWeightedHashBatch(hs, ws)
+	if !bytes.Equal(c.marshal(t), mustMarshal(t, serial)) {
+		t.Fatal("buffered Count-Min is not the kernel applied to the block")
 	}
-	if got, want := snap.EstimateUint64(7), c.EstimateUint64(7); got != want {
+	var snap frequency.CountMin
+	if err := snap.UnmarshalBinary(c.marshal(t)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snap.EstimateUint64(7), serial.EstimateUint64(7); got != want {
 		t.Fatalf("snapshot estimate %d, want %d", got, want)
 	}
 
-	h := NewBufferedHLL(12, 13)
+	h := newBufferedHLL(12, 13)
 	defer h.Close()
-	hw := h.Writer()
-	for i := 0; i < 1000; i++ {
-		hw.AddUint64(uint64(i))
-	}
-	hw.Flush()
-	hsnap := h.Snapshot()
-	if hsnap.Estimate() != h.Estimate() {
-		t.Fatalf("snapshot estimate %.1f, live %.1f", hsnap.Estimate(), h.Estimate())
+	h.Add(hs, nil)
+	hser := cardinality.NewHLL(12, 13)
+	hser.AddHashBatch(hs)
+	if !bytes.Equal(h.marshal(t), mustMarshal(t, hser)) {
+		t.Fatal("buffered HLL is not the kernel applied to the block")
 	}
 
-	f := NewBufferedBlockedBloom(1<<12, 7, 13)
+	f := newBufferedBlockedBloom(1<<12, 7, 13)
 	defer f.Close()
-	fw := f.Writer()
-	fw.Add([]byte("hello"))
-	fw.Flush()
-	fsnap := f.Snapshot()
+	h1, h2 := hashx.Murmur3_128([]byte("hello"), 13)
+	f.Add([]uint64{h1}, []uint64{h2})
+	var fsnap bloom.BlockedFilter
+	if err := fsnap.UnmarshalBinary(f.marshal(t)); err != nil {
+		t.Fatal(err)
+	}
 	if !fsnap.Contains([]byte("hello")) {
 		t.Fatal("snapshot lost an item")
 	}
 }
 
-// The writer hot path must not allocate: put() appends into a
+// The writer hot path must not allocate: a put appends into a
 // preallocated buffer and handoff recycles via channels. (The guards
 // in zeroalloc_test.go cover the same path at the repo level; this
 // one keeps the property local to the package.)
 func TestBufferedWriterHotPathAllocs(t *testing.T) {
-	c := NewBufferedCountMin(256, 4, 17)
-	defer c.Close()
-	w := c.Writer()
-	var i uint64
-	allocs := testing.AllocsPerRun(10000, func() {
-		w.AddUint64(i, 1)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("writer AddUint64: %.2f allocs/op, want 0", allocs)
-	}
-
-	h := NewBufferedHLL(12, 17)
-	defer h.Close()
-	hw := h.Writer()
-	allocs = testing.AllocsPerRun(10000, func() {
-		hw.AddUint64(i)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("HLL writer AddUint64: %.2f allocs/op, want 0", allocs)
-	}
-
-	f := NewBufferedBlockedBloom(1<<12, 7, 17)
-	defer f.Close()
-	fw := f.Writer()
-	allocs = testing.AllocsPerRun(10000, func() {
-		fw.AddHash(i, i*2654435761)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("bloom writer AddHash: %.2f allocs/op, want 0", allocs)
+	for name, b := range map[string]*Buffer{
+		"countmin":     newBufferedCountMin(256, 4, 17).Buffer,
+		"hll":          newBufferedHLL(12, 17).Buffer,
+		"blockedbloom": newBufferedBlockedBloom(1<<12, 7, 17).Buffer,
+	} {
+		defer b.Close()
+		w := b.Writer()
+		var i uint64
+		put := func() {
+			if name == "hll" {
+				w.Put(i * 0x9E3779B97F4A7C15)
+			} else {
+				w.Put2(i*0x9E3779B97F4A7C15, i)
+			}
+			i++
+		}
+		if allocs := testing.AllocsPerRun(10000, put); allocs != 0 {
+			t.Errorf("%s writer put: %.2f allocs/op, want 0", name, allocs)
+		}
+		block := make([]uint64, 300)
+		if allocs := testing.AllocsPerRun(100, func() { b.Add(block, block) }); allocs != 0 {
+			t.Errorf("%s pooled Add: %.2f allocs/op, want 0", name, allocs)
+		}
 	}
 }

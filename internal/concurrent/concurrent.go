@@ -1,18 +1,19 @@
-// Package concurrent provides thread-safe sketch wrappers in the
-// spirit of the Yahoo!/Apache DataSketches "fast concurrent data
-// sketches" work the paper cites (Rinberg et al., TOPC 2022): the
-// project "emphasised the need for concurrency and mergability of
-// sketches". Two designs are provided:
+// Package concurrent provides the multi-writer designs in the spirit of
+// the Yahoo!/Apache DataSketches "fast concurrent data sketches" work
+// the paper cites (Rinberg et al., TOPC 2022): the project "emphasised
+// the need for concurrency and mergability of sketches".
 //
+//   - Buffer: local-buffer/global-propagation ingest in front of any
+//     batch kernel (buffered.go). sketchd's buffered mode is a Buffer in
+//     front of a plain sketch's kernel under the registry's one mutex.
 //   - ShardedHLL: per-goroutine HLL shards that are merged on read.
-//     Updates are entirely uncontended (the DataSketches approach of
-//     thread-local buffers); the first read after a write pays one
-//     word-wise merge per shard.
-//   - AtomicCountMin: a Count-Min sketch whose counters are updated
-//     with atomic adds — wait-free updates, exact reads, no locks.
+//   - AtomicCountMin and AtomicBlockedBloom: per-cell atomic updates —
+//     wait-free writes, no locks.
 //
-// Experiment E7a measures the update-throughput scaling of both
-// against a mutex-guarded baseline.
+// sketchd serves none of the sharded or atomic types: each lost to, or
+// tied, the plain kernel behind one lock (DESIGN.md §5.1). They remain
+// as the per-cell and per-shard baselines experiments E7a and E29
+// measure against.
 package concurrent
 
 import (
@@ -37,9 +38,9 @@ import (
 // traffic nearly every read is such a read, so what a read costs is
 // those word kernels: at p = 14 over 2 shards ≈ 30 µs and one 12 KB
 // view (ShardedHLLEstimateUnderWrites in the hot-path suite), 3 % of a
-// serving shard's CPU on the benchmark's cluster_ingest mix, where one
-// request in eight is such a read. With per-register loops and a clone
-// per shard it was 190 µs and 26 %.
+// shard's CPU on the benchmark's cluster_ingest mix when sketchd served
+// this type, where one request in eight is such a read. With
+// per-register loops and a clone per shard it was 190 µs and 26 %.
 type ShardedHLL struct {
 	shards []shardedHLLSlot
 	p      uint8
@@ -86,10 +87,6 @@ func (s *ShardedHLL) Handle() *HLLHandle {
 	return (*HLLHandle)(&s.shards[(s.next.Add(1)-1)%uint64(len(s.shards))])
 }
 
-// AddBatch is cardinality.HLL's batch entry point on the sharded
-// sketch: the batch goes through one handle, Handle().AddBatch.
-func (s *ShardedHLL) AddBatch(items [][]byte) { s.Handle().AddBatch(items) }
-
 // HLLHandle is a shard-bound writer.
 type HLLHandle shardedHLLSlot
 
@@ -106,18 +103,6 @@ func (h *HLLHandle) Add(item []byte) {
 	h.mu.Lock()
 	h.hll.Add(item)
 	h.version.Add(1)
-	h.mu.Unlock()
-}
-
-// AddBatchUint64 inserts many items under one lock acquisition; the
-// serving layer uses it so a network batch costs one lock round-trip,
-// not one per item.
-func (h *HLLHandle) AddBatchUint64(vs []uint64) {
-	h.mu.Lock()
-	for _, v := range vs {
-		h.hll.AddUint64(v)
-	}
-	h.version.Add(uint64(len(vs)))
 	h.mu.Unlock()
 }
 
@@ -272,9 +257,9 @@ func (s *ShardedHLL) SizeBytes() int {
 // addresses exactly the cells a plain frequency.CountMin of the same
 // layout does — which is what makes Merge and Snapshot exchanges with
 // the plain sketch exact. Its cell operation is the atomic add. sketchd
-// serves it only as a buffered Count-Min's global: a default-mode
-// Count-Min is the plain sketch behind the registry's lock, which costs
-// less CPU a line than four atomic adds (DESIGN.md §5.1).
+// does not serve it: a Count-Min is the plain sketch behind the
+// registry's lock, buffered or not, which costs less CPU a line than
+// four atomic adds (DESIGN.md §5.1).
 type AtomicCountMin struct {
 	layout frequency.Layout
 	cells  []atomic.Uint64

@@ -3,14 +3,16 @@ package registry
 import (
 	"fmt"
 	"net/url"
-	"runtime"
 
 	"repro/internal/cardinality"
-	"repro/internal/concurrent"
 	"repro/internal/core"
 )
 
 func init() {
+	// The register update over h1; h2, which the item parse computes
+	// anyway, is not read.
+	hllKernel := func(h *cardinality.HLL, h1s, _ []uint64) { h.AddHashBatch(h1s) }
+
 	register(Descriptor{
 		Tag:    core.TagHLL,
 		Name:   "hll",
@@ -19,30 +21,19 @@ func init() {
 		Input:  InputItems,
 		Params: []Param{
 			{Name: "p", Doc: "precision: 2^p registers", Def: 14, Min: 4, Max: 18},
-			{Name: "shards", Doc: "serving-mode write shards (0 = GOMAXPROCS)", Def: 0, Min: 0, Max: 256},
+			// Accepted and ignored: it sized the sharded holder sketchd no
+			// longer serves, and a create logged with it still recovers.
+			{Name: "shards", Doc: "accepted and ignored (once the serving write shards)", Def: 0, Min: 0, Max: 256},
 		},
 		New: func(p Params) (any, error) {
 			return cardinality.NewHLL(p.Uint8("p"), p.Seed), nil
 		},
-		NewServing: func(p Params) (any, error) {
-			shards := p.Int("shards")
-			if shards == 0 {
-				shards = runtime.GOMAXPROCS(0)
-			}
-			return concurrent.NewShardedHLL(shards, p.Uint8("p"), p.Seed), nil
-		},
-		// A buffer in front of a one-shard holder; shards is not read.
-		NewServingBuffered: func(p Params) (any, error) { return concurrent.NewBufferedHLL(p.Uint8("p"), p.Seed), nil },
-		Decode:             decode1[cardinality.HLL](),
-		MergeWire:          wireMerge("hll", cardinality.HLLWire, cardinality.MergeRegisterWords),
-		// The plain, sharded and buffered instances share the batch entry
-		// point and the read methods.
+		Kernel:    kernelOf(hllKernel),
+		Decode:    decode1[cardinality.HLL](),
+		MergeWire: wireMerge("hll", cardinality.HLLWire, cardinality.MergeRegisterWords),
 		Bind: Bindings{
-			Ingest: batchItemsIngest(itemBatcher.AddBatch),
-			Query: query1(func(h interface {
-				Estimate() float64
-				P() uint8
-			}, _ url.Values) (map[string]any, error) {
+			Ingest: hashedIngest(itemHash, hllKernel),
+			Query: query1(func(h *cardinality.HLL, _ url.Values) (map[string]any, error) {
 				return map[string]any{
 					"estimate": h.Estimate(),
 					"p":        h.P(),

@@ -5,7 +5,6 @@ import (
 	"net/url"
 	"strconv"
 
-	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/frequency"
 )
@@ -74,23 +73,15 @@ func init() {
 			{Name: "depth", Doc: "hash rows", Def: 4, Min: 1, Max: 64},
 			{Name: "fused", Doc: "1 = fused cache-line layout (depth <= 21)", Def: 0, Min: 0, Max: 1},
 		},
-		// Served as the plain sketch behind the locked holder: a batch is
-		// parsed and hashed outside the lock and applied by the weighted
-		// batch kernel under it. The atomic table is the buffered global.
-		New:                shaped(frequency.NewCountMinLayout),
-		NewServingBuffered: bufferedOver(shaped(concurrent.NewAtomicCountMinLayout), concurrent.BufferCountMin),
-		Decode:             decode1[frequency.CountMin](),
-		MergeWire:          wireMerge("countmin", frequency.CountMinWire, core.AddWords),
-		// The plain, atomic and buffered instances share the batch kernel's
-		// entry point and the read methods.
+		// A batch is parsed and hashed outside the lock and applied by the
+		// weighted batch kernel under it, or through the buffer in front.
+		New:       shaped(frequency.NewCountMinLayout),
+		Kernel:    kernelOf((*frequency.CountMin).AddWeightedHashBatch),
+		Decode:    decode1[frequency.CountMin](),
+		MergeWire: wireMerge("countmin", frequency.CountMinWire, core.AddWords),
 		Bind: Bindings{
-			Ingest: hashedIngest(weightedHashBatcher.AddWeightedHashBatch),
-			Query: query1(func(c interface {
-				Estimate(item []byte) uint64
-				N() uint64
-				Width() int
-				Depth() int
-			}, params url.Values) (map[string]any, error) {
+			Ingest: hashedIngest(weightedHash, (*frequency.CountMin).AddWeightedHashBatch),
+			Query: query1(func(c *frequency.CountMin, params url.Values) (map[string]any, error) {
 				if item := params.Get("item"); item != "" {
 					return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
 				}
@@ -99,7 +90,8 @@ func init() {
 			Merge: merge2[*frequency.CountMin](),
 		},
 		// A point query reads depth cells, addressed identically by the
-		// plain, atomic and buffered instances.
+		// plain sketch and by concurrent.AtomicCountMin, which sketchd does
+		// not serve but whose layout pins project through here too.
 		Project: func(inst any, query url.Values) (*Projection, error) {
 			c, _, err := cast[interface {
 				AppendCells(dst []uint64, item []byte) []uint64
@@ -113,7 +105,7 @@ func init() {
 			if plain, ok := inst.(*frequency.CountMin); ok && plain.Conservative() {
 				return nil, nil // conservative counters are not linear: no merge, no projection
 			}
-			cells := c.AppendCells(nil, []byte(item)) // before N: this is where a buffered instance syncs
+			cells := c.AppendCells(nil, []byte(item))
 			return cellProjection(c.Layout(), c.N(), cells), nil
 		},
 		Finish: func(p *Projection, _ url.Values) (map[string]any, error) {

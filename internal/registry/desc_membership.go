@@ -5,7 +5,6 @@ import (
 	"net/url"
 
 	"repro/internal/bloom"
-	"repro/internal/concurrent"
 	"repro/internal/core"
 )
 
@@ -32,14 +31,6 @@ func blockedBloomShape(p Params) (uint64, int, error) {
 }
 
 func init() {
-	atomicBlockedBloom := func(p Params) (any, error) {
-		m, k, err := blockedBloomShape(p)
-		if err != nil {
-			return nil, err
-		}
-		return concurrent.NewAtomicBlockedBloom(m, k, p.Seed), nil
-	}
-
 	register(Descriptor{
 		Tag:    core.TagBloom,
 		Name:   "bloom",
@@ -114,38 +105,25 @@ func init() {
 			}
 			return bloom.NewBlocked(m, k, p.Seed), nil
 		},
-		NewServing:         atomicBlockedBloom,
-		NewServingBuffered: bufferedOver(atomicBlockedBloom, concurrent.BufferBlockedBloom),
-		Decode:             decode1[bloom.BlockedFilter](),
-		MergeWire:          wireMerge("blockedbloom", bloom.BlockedWire, core.OrWords),
-		// The plain, atomic and buffered filters share the batch entry point
-		// and the membership reads; only the plain one also reports what
-		// costs a scan of every word, which the lock-free holders skip.
+		Kernel:    kernelOf((*bloom.BlockedFilter).AddHashBatch),
+		Decode:    decode1[bloom.BlockedFilter](),
+		MergeWire: wireMerge("blockedbloom", bloom.BlockedWire, core.OrWords),
 		Bind: Bindings{
-			Ingest: batchItemsIngest(itemBatcher.AddBatch),
-			Query: query1(func(f interface {
-				Contains(item []byte) bool
-				M() uint64
-				K() int
-				N() uint64
-			}, params url.Values) (map[string]any, error) {
-				s, scans := f.(interface {
-					Blocks() uint64
-					FillRatio() float64
-					EstimatedFPR() float64
-				})
+			Ingest: hashedIngest(itemHash, (*bloom.BlockedFilter).AddHashBatch),
+			// A point query reads one block; what costs a scan of every
+			// word is in the summary alone.
+			Query: query1(func(f *bloom.BlockedFilter, params url.Values) (map[string]any, error) {
 				if item := params.Get("item"); item != "" {
-					m := map[string]any{"contains": f.Contains([]byte(item))}
-					if scans {
-						m["fill_ratio"] = s.FillRatio()
-					}
-					return m, nil
+					return map[string]any{"contains": f.Contains([]byte(item))}, nil
 				}
-				m := map[string]any{"m": f.M(), "k": f.K(), "n": f.N()}
-				if scans {
-					m["blocks"], m["fill_ratio"], m["estimated_fpr"] = s.Blocks(), s.FillRatio(), s.EstimatedFPR()
-				}
-				return m, nil
+				return map[string]any{
+					"m":             f.M(),
+					"k":             f.K(),
+					"n":             f.N(),
+					"blocks":        f.Blocks(),
+					"fill_ratio":    f.FillRatio(),
+					"estimated_fpr": f.EstimatedFPR(),
+				}, nil
 			}),
 			Merge: merge2[*bloom.BlockedFilter](),
 		},

@@ -44,7 +44,7 @@ func init() {
 		Decode:    decode1[frequency.SFSketch](),
 		MergeWire: wireMerge("sfsketch", frequency.SFWire, core.AddWords),
 		Bind: Bindings{
-			Ingest: hashedIngest((*frequency.SFSketch).AddWeightedHashBatch),
+			Ingest: hashedIngest(weightedHash, (*frequency.SFSketch).AddWeightedHashBatch),
 			Query: query1(func(s *frequency.SFSketch, params url.Values) (map[string]any, error) {
 				if item := params.Get("item"); item != "" {
 					return map[string]any{

@@ -20,14 +20,17 @@ import (
 // hashed-counter holders the two values are (XXHash64(item, seed),
 // weight) and the apply is their weighted batch kernel, so a served
 // Count-Min line is split, parsed and hashed once, outside the locked
-// holder's mutex, and reaches the plain batch kernel under it. Measured
+// holder's mutex, and reaches the plain batch kernel under it; an HLL or
+// blocked-Bloom line is hashed the same way, into the two Murmur3_128
+// words (hashedIngest). Measured
 // on the benchmark's ingest_mem mix (a 12 s `sketchd -pprof` CPU
-// profile of the live process, 2 vCPUs), the kernels and their hashes
-// are two fifths of sketchd's CPU: the atomic blocked-Bloom batch 11 %
-// (the top kernel), Count-Min's weighted batch 9.5 % (the mutex around
-// it below 0.5 %), Murmur3_128 7 %, XXHash64 5.4 %, HLL 2 %; line
-// splitting is 9 %, and the rest is net/http, the scheduler and the
-// loopback socket (syscalls 14 %). Two writers sending 1024-line
+// profile of the live process, 2 vCPUs, when the blocked Bloom was still
+// served by its atomic holder), the kernels and their hashes are two
+// fifths of sketchd's CPU: the atomic blocked-Bloom batch 11 % (the top
+// kernel), Count-Min's weighted batch 9.5 % (the mutex around it below
+// 0.5 %), Murmur3_128 7 %, XXHash64 5.4 %, HLL 2 %; line splitting is
+// 9 %, and the rest is net/http, the scheduler and the loopback socket
+// (syscalls 14 %). Two writers sending 1024-line
 // bodies to one Count-Min take turns only for the kernel, and pay the
 // wall time a line that four atomic adds a line did
 // (Hot/RegistryCountMinWeightedIngestParallel).
@@ -118,16 +121,20 @@ func parsedIngest[T, A, B any](
 	parse func(c T, line []byte) (A, B, error),
 	apply func(c T, a []A, b []B),
 ) func(any, [][]byte) error {
-	return parsedIngestOf(func(c T) T { return c }, parse, apply)
+	return parsedIngestOf(func(c T) T { return c }, parse, func(c T, l *locked, a []A, b []B) {
+		l.lock()
+		defer l.unlock() // deferred so that a panicking update does not wedge the sketch
+		apply(c, a, b)
+	})
 }
 
 // parsedIngestOf is parsedIngest whose parse sees, in place of the
-// instance, what of reads from it once per batch — so a read through an
-// interface (hashedIngest's seed) costs one call a batch, not a line.
+// instance, what of reads from it once per batch — a hashed family's
+// seed — and whose apply is handed the holder, to lock or to buffer.
 func parsedIngestOf[T, K, A, B any](
 	of func(c T) K,
 	parse func(k K, line []byte) (A, B, error),
-	apply func(c T, a []A, b []B),
+	apply func(c T, l *locked, a []A, b []B),
 ) func(any, [][]byte) error {
 	pool := sync.Pool{New: func() any { return new(block[A, B]) }}
 	return func(inst any, lines [][]byte) error {
@@ -147,9 +154,7 @@ func parsedIngestOf[T, K, A, B any](
 			a, b = append(a, x), append(b, y)
 		}
 		if err == nil {
-			l.lock()
-			defer l.unlock() // deferred so that a panicking update does not wedge the sketch
-			apply(c, a, b)
+			apply(c, l, a, b)
 		}
 		clear(a) // a format that keeps items as bytes has slices of the request body here
 		blk.a, blk.b = a, b
@@ -224,30 +229,47 @@ func weightedIngest[T any](add func(T, []byte, uint64)) func(any, [][]byte) erro
 		each(add))
 }
 
-// itemBatcher is the item-batch entry point every hll and blockedbloom
-// instance presents: the plain sketch's AddBatch, and the holders'
-// (sharded, atomic, buffered) version of it.
-type itemBatcher interface{ AddBatch(items [][]byte) }
-
-// weightedHashBatcher is the same for countmin: the weighted batch
-// kernel's entry point and the seed items are hashed under.
-type weightedHashBatcher interface {
-	Seed() uint64
-	AddWeightedHashBatch(hs, ws []uint64)
-}
-
-// hashedIngest: InputWeightedItems for the hashed-counter holders. The
-// item is hashed where it is parsed, under a seed read once per batch,
-// and the (hash, weight) block is the argument of the holder's weighted
-// batch entry point.
-func hashedIngest[T interface{ Seed() uint64 }](addBatch func(c T, hs, ws []uint64)) func(any, [][]byte) error {
+// hashedIngest is the one ingest binding of a hashed family (countmin,
+// hll, blockedbloom). parse makes a line two words under the seed, read
+// once per batch — (XXHash64, weight) or Murmur3_128's two halves — so
+// every line is hashed where it is parsed, outside the lock, and the
+// block of words is kernel's argument: applied under the holder's lock,
+// or handed to a buffered holder's buffer, whose propagator applies it
+// under that lock a flush half at a time.
+func hashedIngest[T interface{ Seed() uint64 }](
+	parse func(seed uint64, line []byte) (uint64, uint64, error),
+	kernel func(c T, a, b []uint64),
+) func(any, [][]byte) error {
 	return parsedIngestOf(
 		func(c T) uint64 { return c.Seed() },
-		func(seed uint64, line []byte) (uint64, uint64, error) {
-			item, w, err := cutWeight(line, 1, "weight", ParseWeight)
-			return hashx.XXHash64(item, seed), w, err
-		},
-		addBatch)
+		parse,
+		func(c T, l *locked, a, b []uint64) {
+			if buf := l.buffer(); buf != nil {
+				buf.Add(a, b)
+				return
+			}
+			l.lock()
+			defer l.unlock()
+			kernel(c, a, b)
+		})
+}
+
+// weightedHash is the line parse of InputWeightedItems into
+// (XXHash64(item, seed), weight).
+func weightedHash(seed uint64, line []byte) (uint64, uint64, error) {
+	item, w, err := cutWeight(line, 1, "weight", ParseWeight)
+	return hashx.XXHash64(item, seed), w, err
+}
+
+// itemHash is the line parse of InputItems into Murmur3_128(item, seed).
+func itemHash(seed uint64, line []byte) (uint64, uint64, error) {
+	h1, h2 := hashx.Murmur3_128(line, seed)
+	return h1, h2, nil
+}
+
+// kernelOf is a typed batch kernel as Descriptor.Kernel takes it.
+func kernelOf[T any](kernel func(c T, a, b []uint64)) func(any, []uint64, []uint64) {
+	return func(inst any, a, b []uint64) { kernel(inst.(T), a, b) }
 }
 
 // stringWeightedIngest: InputWeightedItems for string-keyed sketches

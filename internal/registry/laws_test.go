@@ -70,9 +70,6 @@ type lawRow struct {
 	// one-stream run's. A family with a loose key has no one serial run
 	// for a concurrent one to equal, whatever its union.
 	loose []string
-	// answersLess are keys a serving variant may leave out of the plain
-	// answer.
-	answersLess []string
 }
 
 var (
@@ -86,7 +83,7 @@ type shape = map[string]float64
 // bounded, 2 that do not merge, and the two wire-only descriptors.
 var lawRows = map[string]lawRow{
 	"ams":            {union: exact, seedBinds: true, compact: shape{"groups": 3, "per_group": 8}},
-	"blockedbloom":   {union: exact, seedBinds: true, oneSided: noFalseNegative, compact: shape{"m": 2048, "k": 3}, saturating: shape{"m": 512, "k": 3}, query: ofK3, answersLess: []string{"fill_ratio", "estimated_fpr", "blocks"}}, // an O(m) scan the lock-free holder does not run per query
+	"blockedbloom":   {union: exact, seedBinds: true, oneSided: noFalseNegative, compact: shape{"m": 2048, "k": 3}, saturating: shape{"m": 512, "k": 3}, query: ofK3},
 	"bloom":          {union: exact, seedBinds: true, oneSided: noFalseNegative, compact: shape{"m": 1000, "k": 3}, saturating: shape{"m": 256, "k": 3}, query: ofK3},
 	"countingbloom":  {union: exact, seedBinds: true, oneSided: noFalseNegative, compact: shape{"m": 512, "k": 3}, saturating: shape{"m": 64, "k": 3}, query: ofK3},
 	"countmin":       {union: exact, seedBinds: true, oneSided: neverUnder, compact: shape{"width": 96, "depth": 5}, saturating: shape{"width": 8, "depth": 3}, query: ofK3},

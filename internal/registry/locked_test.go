@@ -21,8 +21,8 @@ import (
 func lockedFamilies(t *testing.T, f func(t *testing.T, d *Descriptor, p Params, inst any)) {
 	n := 0
 	for _, d := range All() {
-		vs := variantsOf(d)
-		if v := vs[len(vs)-1]; v.name == "locked" {
+		if d.Servable() {
+			v := variantsOf(d)[1] // Serving(p, false)
 			n++
 			t.Run(d.Name, func(t *testing.T) {
 				p, err := d.Validate(7, lawRows[d.Name].compact)
@@ -37,8 +37,8 @@ func lockedFamilies(t *testing.T, f func(t *testing.T, d *Descriptor, p Params, 
 			})
 		}
 	}
-	if n != 28 {
-		t.Errorf("%d families are served behind the locked holder, want 28: 30 servable less hll and blockedbloom", n)
+	if n != 30 {
+		t.Errorf("%d families are served behind the locked holder, want all 30 servable", n)
 	}
 }
 

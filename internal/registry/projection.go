@@ -67,6 +67,7 @@ func (d *Descriptor) Projection(inst any, query url.Values) (*Projection, error)
 		return nil, nil
 	}
 	inst, l := held(inst)
+	l.sync()
 	l.lock()
 	defer l.unlock()
 	p, err := d.Project(inst, query)

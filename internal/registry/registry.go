@@ -140,12 +140,11 @@ func (p Params) Uint8(name string) uint8 { return uint8(p.vals[name]) }
 // field means the capability is absent and the corresponding operation
 // is gated off (no merge endpoint for non-mergeable types, no create
 // for types without ingest+query). Closures receive the instance as
-// `any` and cast it to the methods they call, which every instance of
-// the family presents — the plain sketch, the plain sketch behind the
-// locked holder, and the family's own holders (sharded, atomic,
-// buffered) — so one set drives them all; the generic builders below
-// keep that cast — and, for an instance behind the locked holder, the
-// lock — in exactly one place per capability.
+// `any` and cast it to the family's plain type — the bare sketch, or
+// the sketch behind the locked holder, buffered or not — so one set
+// drives them all; the generic builders below keep that cast — and, for
+// an instance behind the locked holder, the lock and the buffer — in
+// exactly one place per capability.
 type Bindings struct {
 	// Ingest folds a batch of newline-delimited lines in. It must
 	// validate the whole batch before the first update (no partial
@@ -176,23 +175,12 @@ type Descriptor struct {
 	// New constructs a plain single-threaded instance from validated
 	// parameters.
 	New func(p Params) (any, error)
-	// NewServing, when set, constructs the family's own internally
-	// synchronized holder, which Serving builds in place of the locked
-	// one: the sharded HLL (one register file per P, nothing shared to
-	// serialise) and the atomic blocked Bloom (its load-first OR skips
-	// the locked op on bits already set). Every other family leaves it
-	// nil and is served behind the locked holder — countmin included:
-	// its plain weighted batch kernel under the lock costs less CPU a
-	// line than four atomic adds, at 1 to 4 writers (DESIGN.md §5.1).
-	NewServing func(p Params) (any, error)
-	// NewServingBuffered, when set, constructs a local-buffer/global-
-	// propagation sketch (pooled writer handles, a propagator goroutine
-	// calling the holder's batch kernel, the holder's own reads), which
-	// Serving builds when asked for a buffered instance: in front of a
-	// one-shard sharded HLL, the atomic blocked Bloom, and the atomic
-	// Count-Min (its only served role). Buffered instances own a
-	// goroutine — callers must Close them when the entry is deleted.
-	NewServingBuffered func(p Params) (any, error)
+	// Kernel, set on the hashed families (countmin, hll, blockedbloom),
+	// is the plain instance's batch kernel over the two word slices their
+	// ingest parse makes of a batch (hashedIngest). Hold puts a
+	// local-buffer/global-propagation buffer in front of it when asked
+	// for a buffered instance.
+	Kernel func(inst any, a, b []uint64)
 	// Decode deserializes a MarshalBinary envelope of this family's
 	// plain type.
 	Decode func(data []byte) (any, error)
@@ -206,10 +194,11 @@ type Descriptor struct {
 
 	// Project and Finish, set together, are the optional query-pushdown
 	// capability (see Projection for the contract). Project reads, from
-	// any instance variant the family constructs, the cells query needs
-	// and fills Shape, N and Cells; it returns (nil, nil) for a query —
-	// or an instance — it cannot project. Finish renders the result map
-	// Bind.Query would from the merged cells.
+	// the plain instance — Projection unwraps, syncs and locks the
+	// holder — the cells query needs and fills Shape, N and Cells; it
+	// returns (nil, nil) for a query — or an instance — it cannot
+	// project. Finish renders the result map Bind.Query would from the
+	// merged cells.
 	Project func(inst any, query url.Values) (*Projection, error)
 	Finish  func(p *Projection, query url.Values) (map[string]any, error)
 
@@ -240,33 +229,78 @@ func (d *Descriptor) ServingNew() func(p Params) (any, error) {
 	return func(p Params) (any, error) { return d.Serving(p, false) }
 }
 
-// locked is the mutex column of the serving matrix, written once: a
-// plain instance and the lock every operation on it takes. A lock
-// around a sequential sketch is the baseline of Rinberg et al., "Fast
-// Concurrent Data Sketches" — generic by nature — so it is a holder
-// here and not a wrapper type per family. Every operation is exclusive,
-// reads included, because a read may write: robust.Distinct.Estimate
-// burns a copy, a digest compresses before it answers or marshals. The
-// binding builders (parsedIngest, batchItemsIngest, query1, merge2) and
+// locked is how sketchd serves every family, written once: a plain
+// instance and the lock every operation on it takes. A lock around a
+// sequential sketch is the baseline of Rinberg et al., "Fast Concurrent
+// Data Sketches" — generic by nature — so it is a holder here and not a
+// wrapper type per family. Every operation is exclusive, reads
+// included, because a read may write: robust.Distinct.Estimate burns a
+// copy, a digest compresses before it answers or marshals. The binding
+// builders (parsedIngest, batchItemsIngest, query1, merge2) and
 // Projection, AppendMarshal and SizeOf take the lock around the typed
 // call; an ingest binding parses the batch before it asks for it.
+//
+// A buffered holder (buf set, hashed families only) is the same holder
+// with a concurrent.Buffer in front: its ingest binding hands the parsed
+// block to the buffer instead of taking the lock, and the buffer's
+// propagator applies each flush half with the family's Kernel under mu.
+// Every read is the unbuffered one; AppendMarshal and Projection sync
+// the buffer first, and an answer adds its staleness_bound.
 type locked struct {
 	mu   sync.Mutex
 	inst any
+	buf  *concurrent.Buffer
 }
 
-// Locked puts a plain instance (from New or Decode) behind the holder;
-// the result is safe for concurrent use through Bind. It is how a
-// recovered envelope is served as the bytes it decoded from.
-func Locked(plain any) any { return &locked{inst: plain} }
+// Hold puts a plain instance (from New or Decode) behind the locked
+// holder, with a buffer in front of the family's Kernel when buffered
+// is set and the family has one; the result is safe for concurrent use
+// through Bind. A buffered instance owns the propagator goroutine:
+// Close it when it is dropped.
+func (d *Descriptor) Hold(plain any, buffered bool) any {
+	l := &locked{inst: plain}
+	if kernel := d.Kernel; buffered && kernel != nil {
+		l.buf = concurrent.NewBuffer(concurrent.DefaultWriterBuffer, func(a, b []uint64) {
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			kernel(l.inst, a, b)
+		})
+	}
+	return l
+}
+
+// Close stops a buffered holder's propagator; for any other it is a
+// no-op.
+func (l *locked) Close() {
+	if l.buf != nil {
+		l.buf.Close()
+	}
+}
 
 // held unwraps an instance: the plain instance and its holder, or the
-// instance itself and nil when it is bare or synchronises itself.
+// instance itself and nil when it is bare.
 func held(inst any) (any, *locked) {
 	if l, ok := inst.(*locked); ok {
 		return l.inst, l
 	}
 	return inst, nil
+}
+
+// buffer is the holder's buffer, nil for an unbuffered or bare one.
+func (l *locked) buffer() *concurrent.Buffer {
+	if l == nil {
+		return nil
+	}
+	return l.buf
+}
+
+// sync applies everything a buffered holder's writers have put; a read
+// that must see the whole ingest calls it before it takes the lock,
+// which the propagator takes too.
+func (l *locked) sync() {
+	if b := l.buffer(); b != nil {
+		b.Sync()
+	}
 }
 
 // lock and unlock are no-ops on the nil holder of a bare instance.
@@ -283,39 +317,15 @@ func (l *locked) unlock() {
 }
 
 // Serving constructs a self-synchronised instance of any servable
-// family, which Bind drives like every other: the buffered holder when
-// buffered is set and the family has one (hll, countmin, blockedbloom),
-// otherwise the family's own holder (NewServing: hll, blockedbloom),
-// otherwise New's plain instance behind the locked holder.
+// family, which Bind drives like every other: New's plain instance
+// behind the locked holder, buffered when buffered is set and the
+// family has a Kernel (hll, countmin, blockedbloom).
 func (d *Descriptor) Serving(p Params, buffered bool) (any, error) {
-	switch {
-	case buffered && d.NewServingBuffered != nil:
-		return d.NewServingBuffered(p)
-	case d.NewServing != nil:
-		return d.NewServing(p)
-	}
 	inst, err := d.New(p)
 	if err != nil {
 		return nil, err
 	}
-	return Locked(inst), nil
-}
-
-// bufferedOver builds a NewServingBuffered from the constructor of the
-// atomic holder it buffers, so the parameters are validated and the
-// shape resolved by that constructor alone.
-func bufferedOver[G, B any](global func(Params) (any, error), buffer func(G, int) B) func(Params) (any, error) {
-	return func(p Params) (any, error) {
-		inst, err := global(p)
-		if err != nil {
-			return nil, err
-		}
-		g, _, err := cast[G](inst)
-		if err != nil {
-			return nil, err
-		}
-		return buffer(g, concurrent.DefaultWriterBuffer), nil
-	}
+	return d.Hold(inst, buffered), nil
 }
 
 // Servable reports whether sketchd can host the type: it needs both a
@@ -494,6 +504,7 @@ func MarshalWire(inst any, slim bool) ([]byte, bool, error) {
 // neither is ErrNoWire.
 func AppendMarshal(dst []byte, inst any, slim bool) ([]byte, bool, error) {
 	inst, l := held(inst)
+	l.sync()
 	l.lock()
 	defer l.unlock()
 	if slim {
@@ -585,10 +596,10 @@ func merge2[S any]() func(dst, src any) error {
 	}
 }
 
-// query1 builds a Query closure from a typed query function. An
-// instance that reports StalenessBound() — a buffered one, whose reads
-// are its holder's and may miss at most that many items still in
-// writer buffers — carries it in every answer as staleness_bound.
+// query1 builds a Query closure from a typed query function. A buffered
+// instance, whose reads may miss at most StalenessBound() items still
+// in writer buffers, carries that bound in every answer as
+// staleness_bound.
 func query1[T any](fn func(T, url.Values) (map[string]any, error)) func(any, url.Values) (map[string]any, error) {
 	return func(inst any, params url.Values) (map[string]any, error) {
 		c, l, err := cast[T](inst)
@@ -598,7 +609,7 @@ func query1[T any](fn func(T, url.Values) (map[string]any, error)) func(any, url
 		l.lock()
 		defer l.unlock()
 		m, err := fn(c, params)
-		if b, ok := inst.(interface{ StalenessBound() int }); ok && err == nil {
+		if b := l.buffer(); b != nil && err == nil {
 			m["staleness_bound"] = b.StalenessBound()
 		}
 		return m, err

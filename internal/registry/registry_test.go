@@ -153,11 +153,8 @@ func TestFusedDepthCapIsErrParams(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: the schema itself refused depth 22: %v", name, err)
 		}
-		for _, build := range []func(Params) (any, error){d.New, d.NewServing, d.NewServingBuffered} {
-			if build == nil {
-				continue
-			}
-			if _, err := build(p); !errors.Is(err, ErrParams) {
+		for _, buffered := range []bool{false, true} {
+			if _, err := d.Serving(p, buffered); !errors.Is(err, ErrParams) {
 				t.Errorf("%s fused depth 22: err = %v, want ErrParams", name, err)
 			}
 		}

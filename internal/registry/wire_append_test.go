@@ -8,11 +8,13 @@ import (
 	"bytes"
 	"encoding"
 	"fmt"
+	"net/url"
 	"runtime"
 	"slices"
 	"testing"
 
 	"repro/internal/concurrent"
+	"repro/internal/frequency"
 )
 
 // variant is one way a descriptor builds an instance, with the bindings
@@ -25,42 +27,58 @@ type variant struct {
 
 // variantsOf lists a descriptor's variants, the plain one first, each
 // built by the production constructor Descriptor.Serving where it is a
-// served one: "serving" and "buffered" are the family's own holder and
-// its buffered form, "locked" is the plain instance behind the
-// registry's holder, as Serving builds it for every servable family
-// without a holder of its own. A family whose own holder is served only
-// as its buffered form's global (bufferedGlobals) has "serving" too.
+// served one: the plain instance behind the registry's holder, as
+// Serving builds it for every servable family, named by servedVariant,
+// and for a family with a Kernel "buffered", the same holder with a
+// buffer in front. Count-Min also has its atomic table (atomicCountMin).
 func variantsOf(d *Descriptor) []variant {
 	serving := func(buffered bool) func(Params) (any, error) {
-		return func(p Params) (any, error) { return d.Serving(p, buffered) }
-	}
-	out := []variant{{"plain", d.New, &d.Bind}}
-	if d.NewServing != nil {
-		out = append(out, variant{"serving", serving(false), &d.Bind})
-	} else if global := bufferedGlobals[d.Name]; global != nil {
-		out = append(out, variant{"serving", global, &d.Bind})
-	}
-	if d.NewServingBuffered != nil {
-		out = append(out, variant{"buffered", serving(true), &d.Bind})
-	}
-	if d.Servable() && d.NewServing == nil {
-		out = append(out, variant{"locked", func(p Params) (any, error) {
-			inst, err := d.Serving(p, false)
-			if _, ok := inst.(*locked); err == nil && !ok {
-				err = fmt.Errorf("%s.Serving built %T, want the locked holder", d.Name, inst)
+		return func(p Params) (any, error) {
+			inst, err := d.Serving(p, buffered)
+			if l, ok := inst.(*locked); err == nil && (!ok || (l.buf != nil) != buffered) {
+				err = fmt.Errorf("%s.Serving(p, %v) built %T, want the locked holder, buffered %v", d.Name, buffered, inst, buffered)
 			}
 			return inst, err
-		}, &d.Bind})
+		}
+	}
+	out := []variant{{"plain", d.New, &d.Bind}}
+	if d.Servable() {
+		out = append(out, variant{servedVariant(d), serving(false), &d.Bind})
+	}
+	if d.Kernel != nil {
+		out = append(out, variant{"buffered", serving(true), &d.Bind})
+	}
+	if d.Name == "countmin" {
+		out = append(out, atomicCountMin)
 	}
 	return out
 }
 
-// bufferedGlobals are the own holders Serving builds only inside a
-// buffered one: Count-Min's atomic table, which the propagator writes
-// and every buffered read reads. Checked on its own, it keeps the
-// variant name it had when it was the default served instance.
-var bufferedGlobals = map[string]func(Params) (any, error){
-	"countmin": shaped(concurrent.NewAtomicCountMinLayout),
+// atomicCountMin is concurrent.AtomicCountMin as a countmin variant.
+// sketchd serves it nowhere, but it stays a library type — the per-cell
+// baseline the concurrency experiments measure — so the law table keeps
+// checking it, under the variant name it had while it was served,
+// through bindings of its own: the registry's name the plain type.
+var atomicCountMin = variant{"serving", shaped(concurrent.NewAtomicCountMinLayout), &Bindings{
+	Ingest: hashedIngest(weightedHash, (*concurrent.AtomicCountMin).AddWeightedHashBatch),
+	Query: query1(func(c *concurrent.AtomicCountMin, params url.Values) (map[string]any, error) {
+		if item := params.Get("item"); item != "" {
+			return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
+		}
+		return map[string]any{"n": c.N(), "width": c.Width(), "depth": c.Depth()}, nil
+	}),
+	Merge: merge2[*frequency.CountMin](),
+}}
+
+// servedVariant names the variant Serving(p, false) builds: "locked",
+// except for hll and blockedbloom, whose served variant keeps the name
+// "serving" it had while each was served by a holder of its own, so
+// that their law cells keep their names.
+func servedVariant(d *Descriptor) string {
+	if d.Name == "hll" || d.Name == "blockedbloom" {
+		return "serving"
+	}
+	return "locked"
 }
 
 // wireVariants are the instances a descriptor can build, by the name
@@ -126,7 +144,8 @@ func TestAppendFormsMatchMarshal(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				direct, _ := held(inst) // the instance whose own methods are the reference
+				direct, l := held(inst) // the instance whose own methods are the reference
+				l.sync()                // of everything put, for a buffered one
 				want, err := direct.(encoding.BinaryMarshaler).MarshalBinary()
 				if err != nil {
 					t.Fatal(err)

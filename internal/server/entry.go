@@ -29,16 +29,15 @@ var ErrUnsupported = errors.New("server: operation not supported by sketch type"
 // parameters; Params passes any schema parameter by name and wins on
 // overlap. Zero values mean "use the descriptor default" throughout.
 type CreateRequest struct {
-	Type   string  `json:"type"`             // registry name: hll, countmin, kll, theta, minhash, …
-	Seed   uint64  `json:"seed,omitempty"`   // hash seed (default 1)
-	P      uint8   `json:"p,omitempty"`      // hll/hllpp/loglog precision
-	Shards int     `json:"shards,omitempty"` // hll serving shards (default GOMAXPROCS)
-	Width  int     `json:"width,omitempty"`  // countmin/countsketch row width
-	Depth  int     `json:"depth,omitempty"`  // countmin/countsketch rows
-	M      uint64  `json:"m,omitempty"`      // bloom bits / countingbloom counters / fm bitmaps
-	K      int     `json:"k,omitempty"`      // capacity-style parameter (bloom, kll, theta, kmv, …)
-	NItems uint64  `json:"n,omitempty"`      // bloom expected items
-	FPR    float64 `json:"fpr,omitempty"`    // bloom target false-positive rate
+	Type   string  `json:"type"`            // registry name: hll, countmin, kll, theta, minhash, …
+	Seed   uint64  `json:"seed,omitempty"`  // hash seed (default 1)
+	P      uint8   `json:"p,omitempty"`     // hll/hllpp/loglog precision
+	Width  int     `json:"width,omitempty"` // countmin/countsketch row width
+	Depth  int     `json:"depth,omitempty"` // countmin/countsketch rows
+	M      uint64  `json:"m,omitempty"`     // bloom bits / countingbloom counters / fm bitmaps
+	K      int     `json:"k,omitempty"`     // capacity-style parameter (bloom, kll, theta, kmv, …)
+	NItems uint64  `json:"n,omitempty"`     // bloom expected items
+	FPR    float64 `json:"fpr,omitempty"`   // bloom target false-positive rate
 
 	// Params addresses the full descriptor schema by parameter name
 	// (e.g. {"eps": 0.02} for gk, {"vertices": 512} for graphsketch).
@@ -78,7 +77,6 @@ func (req CreateRequest) rawParams(d *typereg.Descriptor) map[string]float64 {
 		}
 	}
 	put("p", float64(req.P))
-	put("shards", float64(req.Shards))
 	put("width", float64(req.Width))
 	put("depth", float64(req.Depth))
 	put("m", float64(req.M))
@@ -95,14 +93,12 @@ func (req CreateRequest) rawParams(d *typereg.Descriptor) map[string]float64 {
 // descriptor plus a live instance driven entirely through the
 // descriptor's capability bindings — there is no per-type code from
 // here up through the HTTP handlers. Entries are safe for concurrent
-// use because every instance they hold synchronises itself
-// (registry.Descriptor.Serving): a buffered holder when the server is
-// buffered and the family has one (hll, countmin, blockedbloom), else a
-// family's own lock-free holder where it has one (hll, blockedbloom),
-// otherwise the plain sketch behind the registry's locked holder, whose
-// bindings take the lock around the update or the read and parse a
-// batch before asking for it. Add must not retain the item slices —
-// they alias a pooled request buffer.
+// use because every instance they hold is the plain sketch behind the
+// registry's locked holder (registry.Descriptor.Serving), whose bindings
+// take the lock around the update or the read and parse a batch before
+// asking for it — with a buffer in front of the lock when the server is
+// buffered and the family has one (hll, countmin, blockedbloom). Add
+// must not retain the item slices — they alias a pooled request buffer.
 //
 // Every state an entry serializes is named by an entity tag (appendTag):
 // the process's nonce, the entry's id and its version, which Add, Merge
@@ -158,20 +154,12 @@ func newEntry(req CreateRequest, buffered bool) (*Entry, error) {
 }
 
 // RestoreEntry rebuilds a live entry from its creation parameters and
-// a recovered MarshalBinary envelope, verifying byte-identity: the
-// restored entry must serialize back to exactly the recovered bytes,
-// or restoration fails (the durability layer then skips the sketch
-// rather than serving silently divergent state).
-//
-// A family served, in the mode buffered selects, through a holder of
-// its own (hll and blockedbloom; countmin too when buffered) is
-// restored by merging the decoded state into a fresh entry in that
-// mode, keeping post-recovery ingest as fast as pre-crash, and falls
-// back to the plain path if that drifts from the recovered bytes. The
-// plain path — the only one for every other family, sfsketch,
-// robustdistinct and an unbuffered countmin included — serves the
-// decoded instance itself behind the registry's locked holder, as a
-// create would: byte-identical by construction.
+// a recovered MarshalBinary envelope: the decoded instance itself,
+// behind the holder of the mode buffered selects, as a create would
+// build it. It verifies byte-identity: the restored entry must
+// serialize back to exactly the recovered bytes, or restoration fails
+// (the durability layer then skips the sketch rather than serving
+// silently divergent state).
 func RestoreEntry(req CreateRequest, data []byte, buffered bool) (*Entry, error) {
 	d, ok := typereg.Lookup(req.Type)
 	if !ok {
@@ -185,35 +173,23 @@ func RestoreEntry(req CreateRequest, data []byte, buffered bool) (*Entry, error)
 		return nil, fmt.Errorf("%w: snapshot holds %s bytes for a %s entry",
 			core.ErrIncompatible, sdesc.Name, d.Name)
 	}
-	if (d.NewServing != nil || buffered && d.NewServingBuffered != nil) && d.Mergeable() {
-		if e, err := newEntry(req, buffered); err == nil {
-			if d.Bind.Merge(e.inst, inst) == nil {
-				if b, err := e.Snapshot(); err == nil && bytes.Equal(b, data) {
-					return e, nil
-				}
-				// Serving-path restore drifted from the recovered
-				// bytes; fall through to the provably-identical
-				// plain instance.
-			}
-			e.Close()
-		}
-	}
-	e := makeEntry(d, typereg.Locked(inst), req)
+	e := makeEntry(d, d.Hold(inst, buffered), req)
 	b, err := e.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(b, data) {
-		return nil, fmt.Errorf("server: %s restore is not byte-identical (recovered %d bytes, reserialized %d)",
+	if err == nil && !bytes.Equal(b, data) {
+		err = fmt.Errorf("server: %s restore is not byte-identical (recovered %d bytes, reserialized %d)",
 			d.Name, len(data), len(b))
+	}
+	if err != nil {
+		e.Close()
+		return nil, err
 	}
 	return e, nil
 }
 
 // Close releases entry-held resources — a buffered sketch's propagator
 // goroutine; for any other instance it is a no-op. Call exactly when
-// the entry leaves the namespace (delete, replaced on replay, a restore
-// that fell back); the entry must not be used afterwards.
+// the entry leaves the namespace (delete, replaced on replay); the
+// entry must not be used afterwards.
 func (e *Entry) Close() {
 	if c, ok := e.inst.(interface{ Close() }); ok {
 		c.Close()

@@ -59,7 +59,6 @@ func groupSpecFromQuery(q url.Values) (GroupBySpec, error) {
 	}
 	c.Seed = uint64(num("seed"))
 	c.P = uint8(num("p"))
-	c.Shards = int(num("shards"))
 	c.Width = int(num("width"))
 	c.Depth = int(num("depth"))
 	c.M = uint64(num("m"))

@@ -444,6 +444,48 @@ func TestRecoveryDeleteRecreate(t *testing.T) {
 	}
 }
 
+// TestRecoveryCreateNamingShards: hll's shards parameter sized a holder
+// sketchd no longer serves. A create that names it — as the typed field
+// older servers logged the request with, or in the params map — is
+// accepted and ignored: replayed from the WAL, and from a snapshot cut,
+// it recovers the bytes it served.
+func TestRecoveryCreateNamingShards(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	creates := map[string]string{
+		"typed":  `{"type":"hll","p":10,"shards":4}`,
+		"params": `{"type":"hll","params":{"p":10,"shards":4}}`,
+	}
+	for name, body := range creates {
+		mustDo(t, "POST", ts1.URL+"/v1/sketch/"+name, body)
+		mustDo(t, "POST", ts1.URL+"/v1/sketch/"+name+"/add", "a\nb\nc")
+	}
+	if err := s1.dur.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	mustDo(t, "POST", ts1.URL+"/v1/sketch/late", creates["params"])
+	want := map[string][]byte{}
+	for _, name := range []string{"typed", "params", "late"} {
+		mustDo(t, "POST", ts1.URL+"/v1/sketch/"+name+"/add", "d\ne")
+		want[name] = mustDo(t, "GET", ts1.URL+"/v1/sketch/"+name+"/snapshot", "")
+	}
+	if err := s1.dur.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	s1.dur.Kill()
+
+	_, ts2, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	if stats.SketchesLoaded != 2 {
+		t.Errorf("loaded %d sketches from the snapshot, want 2 (stats %+v)", stats.SketchesLoaded, stats)
+	}
+	for name, w := range want {
+		if got := mustDo(t, "GET", ts2.URL+"/v1/sketch/"+name+"/snapshot", ""); !bytes.Equal(got, w) {
+			t.Errorf("%s: recovered %d bytes, served %d", name, len(got), len(w))
+		}
+	}
+}
+
 func TestRecoveryMergeRecord(t *testing.T) {
 	dir := t.TempDir()
 	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})

@@ -300,7 +300,7 @@ func TestStatszCounters(t *testing.T) {
 // against one sketch, all at once.
 func TestConcurrentAddMergeSnapshot(t *testing.T) {
 	_, cl := newTestServer(t)
-	if err := cl.Create("race", server.CreateRequest{Type: "hll", P: 12, Seed: 1, Shards: 4}); err != nil {
+	if err := cl.Create("race", server.CreateRequest{Type: "hll", P: 12, Seed: 1, Params: map[string]float64{"shards": 4}}); err != nil {
 		t.Fatal(err)
 	}
 	const writers = 4

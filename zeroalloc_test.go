@@ -146,39 +146,54 @@ func TestZeroAllocBlockedAndFusedPaths(t *testing.T) {
 }
 
 func TestZeroAllocBufferedWriterPaths(t *testing.T) {
-	// The PR 6 local-buffer/global-propagation writer handles: the whole
+	// The local-buffer/global-propagation writer handles: the whole
 	// point of writer-local ingest is an L1-resident append per update,
 	// so any allocation on the hot path (including in the amortized
 	// buffer handoff — recycled through channels, never reallocated)
-	// defeats the design. The propagator goroutine runs concurrently
-	// with the measurement and must stay alloc-free too.
+	// defeats the design. The propagator goroutine, applying each flush
+	// half with the plain kernel under a mutex, runs concurrently with
+	// the measurement and must stay alloc-free too.
 	key := []byte("https://example.com/api/v1/users/1000000")
-	skey := strings.Repeat("zero-alloc-key/", 4) // 60 bytes
 
-	bc := concurrent.NewBufferedCountMin(512, 4, 1)
+	bc := bufferOver(frequency.NewCountMin(512, 4, 1), (*frequency.CountMin).AddWeightedHashBatch)
 	defer bc.Close()
 	bw := bc.Writer()
-	assertZeroAlloc(t, "concurrent.BufferedCountMinWriter.AddHash", func() { bw.AddHash(42, 1) })
-	assertZeroAlloc(t, "concurrent.BufferedCountMinWriter.AddUint64", func() { bw.AddUint64(42, 1) })
-	assertZeroAlloc(t, "concurrent.BufferedCountMinWriter.Add", func() { bw.Add(key, 1) })
-	assertZeroAlloc(t, "concurrent.BufferedCountMinWriter.AddString", func() { bw.AddString(skey, 1) })
-	assertZeroAlloc(t, "concurrent.BufferedCountMin.EstimateUint64", func() { _ = bc.EstimateUint64(42) })
+	assertZeroAlloc(t, "concurrent.Writer.Put2 (countmin)", func() { bw.Put2(hashx.XXHash64(key, 1), 1) })
+	block := make([]uint64, 300)
+	assertZeroAlloc(t, "concurrent.Buffer.Add (countmin)", func() { bc.Add(block, block) })
 
-	bh := concurrent.NewBufferedHLL(12, 1)
+	bh := bufferOver(cardinality.NewHLL(12, 1), func(h *cardinality.HLL, h1s, _ []uint64) { h.AddHashBatch(h1s) })
 	defer bh.Close()
 	hw := bh.Writer()
-	assertZeroAlloc(t, "concurrent.BufferedHLLWriter.AddHash", func() { hw.AddHash(42) })
-	assertZeroAlloc(t, "concurrent.BufferedHLLWriter.AddString", func() { hw.AddString(skey) })
-	bh.Sync() // the first read after a propagation rebuilds the holder's view once
-	assertZeroAlloc(t, "concurrent.BufferedHLL.Estimate", func() { _ = bh.Estimate() })
+	assertZeroAlloc(t, "concurrent.Writer.Put (hll)", func() { hw.Put(42) })
 
-	bb := concurrent.NewBufferedBlockedBloom(1<<17, 5, 1)
+	bb := bufferOver(bloom.NewBlocked(1<<17, 5, 1), (*bloom.BlockedFilter).AddHashBatch)
 	defer bb.Close()
 	fw := bb.Writer()
-	assertZeroAlloc(t, "concurrent.BufferedBlockedBloomWriter.AddHash", func() { fw.AddHash(42, 43) })
-	assertZeroAlloc(t, "concurrent.BufferedBlockedBloomWriter.Add", func() { fw.Add(key) })
-	assertZeroAlloc(t, "concurrent.BufferedBlockedBloomWriter.AddString", func() { fw.AddString(skey) })
-	assertZeroAlloc(t, "concurrent.BufferedBlockedBloom.Contains", func() { _ = bb.Contains(key) })
+	assertZeroAlloc(t, "concurrent.Writer.Put2 (blockedbloom)", func() { fw.Put2(hashx.Murmur3_128(key, 1)) })
+
+	// What a buffered sketchd serves: the registry's ingest binding on
+	// Serving(p, true) — parse and hash into the pooled block, hand it to
+	// a pooled writer, flush at batch end.
+	lines := make([][]byte, 1024)
+	for i := range lines {
+		lines[i] = []byte("flow" + strconv.Itoa(i%300) + "\t" + strconv.Itoa(1+i%9))
+	}
+	d, _ := typereg.Lookup("countmin")
+	p, err := d.Validate(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := d.Serving(p, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inst.(interface{ Close() }).Close()
+	assertZeroAlloc(t, "countmin Bind.Ingest on Serving(p, true)", func() {
+		if err := d.Bind.Ingest(inst, lines); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestZeroAllocRegistryIngest(t *testing.T) {
@@ -197,8 +212,8 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 		{"countmin", weighted},    // (hash, weight) block into the weighted kernel, under the holder's lock
 		{"sfsketch", weighted},    // the same block and the same lock
 		{"countsketch", weighted}, // (item, signed weight) block, applied item by item
-		{"hll", plain},            // no block: a striped handle the sketch already holds
-		{"blockedbloom", plain},   // no block: the lock-free filter's own batch
+		{"hll", plain},            // (h1, h2) block into the register kernel, under the same lock
+		{"blockedbloom", plain},   // (h1, h2) block into the filter's batch kernel, under the same lock
 	} {
 		d, ok := typereg.Lookup(tc.typ)
 		if !ok {
@@ -209,17 +224,17 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Bind over the plain instance and over what a live entry holds:
-		// the family's own holder and its buffered form (a pooled writer
-		// handle, flushed at batch end), or the plain instance behind the
-		// registry's locked holder (whose lock, like the no-op on a bare
-		// instance, must cost no allocation).
+		// the plain instance behind the registry's locked holder (whose
+		// lock, like the no-op on a bare instance, must cost no
+		// allocation), and for a hashed family its buffered form (a pooled
+		// writer handle, flushed at batch end).
 		plain, err := d.New(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		insts := map[string]any{"plain": plain}
 		for variant, buffered := range map[string]bool{"served": false, "buffered": true} {
-			if variant == "buffered" && d.NewServingBuffered == nil {
+			if variant == "buffered" && d.Kernel == nil {
 				continue
 			}
 			if insts[variant], err = d.Serving(p, buffered); err != nil {
