@@ -12,6 +12,9 @@
 // -sketchd http://host:port to drive an externally running daemon
 // instead.
 //
+// It exits non-zero when an experiment is unknown or one of its exact
+// pass bars is not met.
+//
 // sketchbench measures the paper's claims and nothing else. Timings
 // of a kernel or a hop are `go test -run '^$' -bench 'Hot/<row>'
 // -benchmem .` at the module root; a PR's end-to-end numbers are
@@ -60,15 +63,12 @@ func main() {
 			failed = true
 			continue
 		}
-		fmt.Printf("=== %s: %s\n", res.ID, res.Title)
-		fmt.Printf("paper claim: %s\n\n", res.Claim)
-		for _, tbl := range res.Tables {
-			fmt.Println(tbl.String())
-		}
-		for _, note := range res.Notes {
-			fmt.Println("note:", note)
-		}
+		fmt.Print(res)
 		fmt.Printf("(%s completed in %v)\n\n", res.ID, time.Since(start).Round(time.Millisecond))
+		for _, claim := range res.Unmet() {
+			fmt.Fprintf(os.Stderr, "%s: bar not met: %s\n", res.ID, claim)
+			failed = true
+		}
 	}
 	if failed {
 		os.Exit(1)

@@ -44,15 +44,8 @@ func init() {
 //  4. replication lag — a durable shard shipping sealed WAL segments
 //     to a follower, reporting the LSN gap before and after a sync
 //     round.
-//
-// E30_ITEMS overrides the per-client item count (CI smoke runs small).
 func runE30() *Result {
-	itemsPerClient := 1 << 16
-	if s := os.Getenv("E30_ITEMS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			itemsPerClient = v
-		}
-	}
+	const itemsPerClient = 1 << 16
 	const clients = 4
 	const batch = 1000
 
@@ -68,7 +61,7 @@ func runE30() *Result {
 		rate, est, trueN, matches, err := runClusterConfig(nShards, clients, batch, itemsPerClient)
 		if err != nil {
 			return &Result{ID: "E30", Title: "sharded cluster scaling",
-				Notes: []string{fmt.Sprintf("cluster with %d shards: %v", nShards, err)}}
+				Bars: []Bar{bar(false, "cluster with %d shards runs: %v", nShards, err)}}
 		}
 		if nShards == 1 {
 			baseRate = rate
@@ -82,7 +75,7 @@ func runE30() *Result {
 		accuracy.AddRow(nShards, trueN, est, 100*math.Abs(est-float64(trueN))/float64(trueN), matches)
 	}
 
-	projTbl, projNotes := runProjectedPointQuery()
+	projTbl, projBar := runProjectedPointQuery()
 	lagTbl, lagNotes := runReplicationLag()
 
 	cores := runtime.GOMAXPROCS(0)
@@ -101,7 +94,6 @@ func runE30() *Result {
 		notes = append(notes, fmt.Sprintf(
 			"acceptance (≥3x at 4 shards) requires ≥4 cores; this host has GOMAXPROCS=%d, so shards time-slice one core and the run qualifies the harness for CI rather than the speedup", cores))
 	}
-	notes = append(notes, projNotes...)
 	notes = append(notes, lagNotes...)
 
 	return &Result{
@@ -109,6 +101,7 @@ func runE30() *Result {
 		Title:  "sharded cluster: ingest scaling, scatter-gather accuracy, replication lag",
 		Claim:  "mergeable summaries make sharding trivial: route anywhere, merge everywhere — per-node sketches compose into the global answer with no accuracy loss (§4 pathways to impact)",
 		Tables: []*core.Table{scaling, accuracy, projTbl, lagTbl},
+		Bars:   []Bar{projBar},
 		Notes:  notes,
 	}
 }
@@ -160,11 +153,12 @@ func runClusterConfig(nShards, clients, batch, itemsPerClient int) (rate, est fl
 // the coordinator's gather with projections (the cells each query
 // reads), so the answers must match exactly while the bytes gathered
 // per query fall from four tables to four handfuls of counters.
-func runProjectedPointQuery() (*core.Table, []string) {
+func runProjectedPointQuery() (*core.Table, Bar) {
+	const claim = "projected point queries bit-identical to a single server at < 1 KB gathered per query"
 	tbl := core.NewTable("projected point query, 4 shards: bit-identical, bytes per query",
 		"family", "queries", "matches_single_server", "bytes_per_query", "full_gather_bytes", "reduction")
-	fail := func(err error) (*core.Table, []string) {
-		return tbl, []string{fmt.Sprintf("projected point query run failed: %v", err)}
+	fail := func(err error) (*core.Table, Bar) {
+		return tbl, bar(false, "%s (run failed: %v)", claim, err)
 	}
 	const queries = 64
 	shards, coordBase, stop, err := startFleet(4)
@@ -229,11 +223,7 @@ func runProjectedPointQuery() (*core.Table, []string) {
 		tbl.AddRow(req.Type, queries, match, perQuery, full, float64(full)/perQuery)
 		allMet = allMet && match && perQuery < 1024
 	}
-	met := "met"
-	if !allMet {
-		met = "NOT met"
-	}
-	return tbl, []string{"acceptance: projected point queries bit-identical to a single server at < 1 KB gathered per query — " + met}
+	return tbl, bar(allMet, claim)
 }
 
 // runReplicationLag ships a durable shard's WAL to a follower and

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/cardinality"
@@ -18,19 +16,6 @@ import (
 
 func init() {
 	register("E32", "adversarial robustness: quadratic-query attack vs the defended estimator family and the sketchd query budget", runE32)
-}
-
-// e32Size returns an E32 size parameter, overridable by environment
-// for CI smoke runs (the attack's interaction count scales with the
-// sketch size, so CI runs a reduced k; the quadratic *shape* and the
-// defense outcomes survive the reduction).
-func e32Size(env string, def int) int {
-	if s := os.Getenv(env); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return def
 }
 
 // runE32 mounts the Cohen–Nelson–Sarlós universal adaptive attack
@@ -47,20 +32,16 @@ func e32Size(env string, def int) int {
 //     429 + Retry-After while ingest stays ungated;
 //  4. the robustdistinct family serves honest traffic accurately over
 //     HTTP through the registry bindings.
-//
-// E32_P overrides the HLL precision (default 10) and E32_K the KMV
-// size (default 256) for reduced-size CI smoke runs.
 func runE32() *Result {
 	fail := func(format string, args ...any) *Result {
 		return &Result{ID: "E32", Title: "adversarial robustness",
-			Notes: []string{fmt.Sprintf(format, args...)}}
+			Bars: []Bar{bar(false, "the run completes: "+format, args...)}}
 	}
-	var notes []string
+	var bars []Bar
 	var tables []*core.Table
 
-	p := e32Size("E32_P", 10)
-	kmvK := e32Size("E32_K", 256)
-	hllK := 1 << p
+	const p, kmvK = 10, 256
+	const hllK = 1 << p
 	const seed = 1 // sketchd's default hash seed — the shared-randomness scenario
 	cfg := attack.Config{Seed: 11}
 
@@ -90,15 +71,9 @@ func runE32() *Result {
 		hllRes.InteractionsToFail <= attack.QuadraticBudget(hllK)
 	brokeKMV := kmvRes.FinalRelError >= 2 && kmvRes.InteractionsToFail > 0 &&
 		kmvRes.InteractionsToFail <= attack.QuadraticBudget(kmvK)
-	if brokeHLL && brokeKMV {
-		notes = append(notes, fmt.Sprintf(
-			"acceptance: attack drives raw hll to %.1fx and raw kmv to %.1fx relative error within the 64k^2 budget — met",
-			hllRes.FinalRelError, kmvRes.FinalRelError))
-	} else {
-		notes = append(notes, fmt.Sprintf(
-			"acceptance NOT met: raw sketches survived (hll %.2fx @ %d, kmv %.2fx @ %d)",
-			hllRes.FinalRelError, hllRes.InteractionsToFail, kmvRes.FinalRelError, kmvRes.InteractionsToFail))
-	}
+	bars = append(bars, bar(brokeHLL && brokeKMV,
+		"attack drives raw hll to %.1fx and raw kmv to %.1fx relative error within the 64k^2 budget",
+		hllRes.FinalRelError, kmvRes.FinalRelError))
 
 	// ---- Part 2: every defense keeps error bounded ----
 	const lambda = 24
@@ -131,11 +106,7 @@ func runE32() *Result {
 		tbl2.AddRow(d.name, res.Probed, res.Masked, res.Interactions, res.FinalRelError, bounded)
 	}
 	tables = append(tables, tbl2)
-	if allBounded {
-		notes = append(notes, "acceptance: every defense holds the attack below 2x relative error — met")
-	} else {
-		notes = append(notes, "acceptance NOT met: a defended wrapper was driven past 2x relative error")
-	}
+	bars = append(bars, bar(allBounded, "every defense holds the attack below 2x relative error"))
 
 	// ---- Part 3: live sketchd — offline-hunted set transfers; the
 	// query budget refuses the online hunt ----
@@ -196,13 +167,8 @@ func runE32() *Result {
 	tbl3.AddRow("ingest ungated while throttled", okStr(ingestErr))
 	tbl3.AddRow("throttled gauge on /v1/status", fmt.Sprintf("%d", throttledGauge))
 	tables = append(tables, tbl3)
-	if transfer.FinalRelError >= 2 && guarded.Refused && gotRetryAfter && ingestErr == nil && throttledGauge > 0 {
-		notes = append(notes, "acceptance: the query budget refuses the online hunt with 429 + Retry-After while ingest flows, and the offline transfer shows why the guard exists — met")
-	} else {
-		notes = append(notes, fmt.Sprintf(
-			"acceptance NOT met: guard outcome transfer=%.2fx refused=%v retry_after=%v ingest=%v throttled=%d",
-			transfer.FinalRelError, guarded.Refused, gotRetryAfter, ingestErr, throttledGauge))
-	}
+	bars = append(bars, bar(transfer.FinalRelError >= 2 && guarded.Refused && gotRetryAfter && ingestErr == nil && throttledGauge > 0,
+		"the query budget refuses the online hunt with 429 + Retry-After while ingest flows, and the offline transfer shows why the guard exists"))
 
 	// ---- Part 4: robustdistinct serves honest traffic accurately ----
 	if err := cl.Create("honest", server.CreateRequest{Type: "robustdistinct", P: 12,
@@ -229,17 +195,14 @@ func runE32() *Result {
 		"truth", "estimate", "rel_err", "copies", "exhausted")
 	tbl4.AddRow(honestN, est, honestErr, int(copies), doc["exhausted"])
 	tables = append(tables, tbl4)
-	if honestErr < 0.15 && int(copies) == 8 {
-		notes = append(notes, fmt.Sprintf("acceptance: served robustdistinct answers honest queries within %.1f%% — met", honestErr*100))
-	} else {
-		notes = append(notes, fmt.Sprintf("acceptance NOT met: served robustdistinct off by %.1f%%", honestErr*100))
-	}
+	bars = append(bars, bar(honestErr < 0.15 && int(copies) == 8,
+		"served robustdistinct answers honest queries within %.1f%%", honestErr*100))
 
 	return &Result{
 		ID:     "E32",
 		Title:  "adversarial robustness: quadratic-query attack vs the defended estimator family and the sketchd query budget",
 		Claim:  "a fixed-randomness sketch is breakable in O(k^2) adaptive queries (Cohen–Nelson–Sarlós), and the paper's robustness pathway — switching, noise, subsampling, and query budgeting — holds the line: each defense keeps error bounded or refuses the query stream outright (§5 adversarial robustness)",
 		Tables: tables,
-		Notes:  notes,
+		Bars:   bars,
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 
 	"repro/internal/core"
@@ -31,15 +30,8 @@ func init() {
 //     envelopes, reading gather_bytes off the coordinator's /v1/status.
 //     Acceptance: the slim gather moves ≤ 1/4 the bytes and the merged
 //     slim estimates never undercount the stream.
-//
-// E33_ITEMS overrides the stream length (CI smoke runs small).
 func runE33() *Result {
-	items := 1 << 18
-	if s := os.Getenv("E33_ITEMS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			items = v
-		}
-	}
+	const items = 1 << 18
 	const depth = 4
 	const ratio = 8
 	const domain = 1 << 16
@@ -58,7 +50,6 @@ func runE33() *Result {
 		truth[v]++
 	}
 
-	var notes []string
 	accMet := true
 	minGain := 0.0
 	for _, width := range []int{64, 128, 256, 512} {
@@ -81,7 +72,7 @@ func runE33() *Result {
 		sfErr, cmErr, fuErr = sfErr/n, cmErr/n, fuErr/n
 		slimEnv, err := sf.MarshalSlim()
 		if err != nil {
-			return &Result{ID: "E33", Notes: []string{fmt.Sprintf("marshal slim: %v", err)}}
+			return &Result{ID: "E33", Bars: []Bar{bar(false, "the run completes: marshal slim: %v", err)}}
 		}
 		gain := cmErr / sfErr
 		if minGain == 0 || gain < minGain {
@@ -92,34 +83,28 @@ func runE33() *Result {
 		}
 		accTbl.AddRow(len(slimEnv), width, cmErr, fuErr, sfErr, gain)
 	}
-	if accMet {
-		notes = append(notes, fmt.Sprintf(
-			"acceptance: SF ≥2x lower avg relative error than plain Count-Min at every equal wire size — met (worst case %.1fx)", minGain))
-	} else {
-		notes = append(notes, fmt.Sprintf(
-			"acceptance: SF ≥2x lower avg relative error than plain Count-Min NOT met (worst case %.1fx)", minGain))
-	}
-
-	gatherTbl, gatherNotes := runSlimGatherBytes(items)
-	notes = append(notes, gatherNotes...)
+	accBar := bar(accMet, "SF ≥2x lower avg relative error than plain Count-Min at every equal wire size (worst case %.1fx)", minGain)
+	gatherTbl, gatherBar, gatherNotes := runSlimGatherBytes(items)
 
 	return &Result{
 		ID:     "E33",
 		Title:  "SF-sketch two-stage accuracy per transmitted byte; slim-wire scatter-gather",
 		Claim:  "communication, not memory, prices distributed sketching: a two-stage sketch keeps a fat update stage at each site and ships a slim near-fat-accuracy stage, so coordinator reads cost a fraction of the bytes at almost no accuracy loss (§3 applications / §4 pathways to impact)",
 		Tables: []*core.Table{accTbl, gatherTbl},
-		Notes:  notes,
+		Bars:   []Bar{accBar, gatherBar},
+		Notes:  gatherNotes,
 	}
 }
 
 // runSlimGatherBytes drives a 4-shard coordinator fleet and reads the
 // gather byte counters off the coordinator's own status endpoint, full
 // gather vs slim gather over the same merged read.
-func runSlimGatherBytes(items int) (*core.Table, []string) {
+func runSlimGatherBytes(items int) (*core.Table, Bar, []string) {
+	const claim = "slim gather ≤1/4 the bytes with no undercount"
 	tbl := core.NewTable("coordinator scatter-gather bytes, sfsketch width 256 depth 4 over 4 shards",
 		"wire", "gather_bytes", "estimate(probe)", "true(probe)", "overestimates_stream")
-	fail := func(err error) (*core.Table, []string) {
-		return tbl, []string{fmt.Sprintf("slim gather run failed: %v", err)}
+	fail := func(err error) (*core.Table, Bar, []string) {
+		return tbl, bar(false, "%s (run failed: %v)", claim, err), nil
 	}
 
 	_, coordBase, stop, err := startFleet(4)
@@ -195,13 +180,7 @@ func runSlimGatherBytes(items int) (*core.Table, []string) {
 		}
 	}
 
-	notes := []string{fmt.Sprintf(
+	return tbl, bar(slimBytes*4 <= fullBytes && uint64(slimEst) >= probeTrue, claim), []string{fmt.Sprintf(
 		"slim gather moves %d bytes vs %d full (%.1fx less) for the same merged read; the slim estimate stays an overestimate of the true stream",
 		slimBytes, fullBytes, float64(fullBytes)/float64(slimBytes))}
-	if slimBytes*4 <= fullBytes && uint64(slimEst) >= probeTrue {
-		notes = append(notes, "acceptance: slim gather ≤1/4 the bytes with no undercount — met")
-	} else {
-		notes = append(notes, "acceptance: slim gather ≤1/4 the bytes with no undercount NOT met")
-	}
-	return tbl, notes
 }

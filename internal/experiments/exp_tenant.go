@@ -33,9 +33,9 @@ func init() {
 func runE31() *Result {
 	fail := func(format string, args ...any) *Result {
 		return &Result{ID: "E31", Title: "multi-tenant sketchd",
-			Notes: []string{fmt.Sprintf(format, args...)}}
+			Bars: []Bar{bar(false, "the run completes: "+format, args...)}}
 	}
-	var notes []string
+	var bars []Bar
 	var tables []*core.Table
 
 	// ---- Part 1: group-by fan-out, one call, one WAL record ----
@@ -75,11 +75,8 @@ func runE31() *Result {
 		"groups", "items", "created", "wal_records", "wall_ms")
 	tbl1.AddRow(ack.Groups, int(ack.Added), ack.Created, int(walRecords), float64(wall.Milliseconds()))
 	tables = append(tables, tbl1)
-	if ack.Created >= 1000 && walRecords == 1 {
-		notes = append(notes, fmt.Sprintf("acceptance: %d group sketches from one batched call, logged as 1 WAL record — met", ack.Created))
-	} else {
-		notes = append(notes, fmt.Sprintf("acceptance NOT met: created %d sketches across %d WAL records", ack.Created, walRecords))
-	}
+	bars = append(bars, bar(ack.Created >= 1000 && walRecords == 1,
+		"one batched group-by call creates ≥1000 sketches, logged as 1 WAL record: %d sketches, %d records", ack.Created, walRecords))
 
 	// ---- Part 3 (same durable server): TTL eviction across kill -9 ----
 	ttlCl := client.New(base).Tenant("ttl")
@@ -134,11 +131,8 @@ func runE31() *Result {
 	tbl3.AddRow("survivor snapshot byte-identical", fmt.Sprintf("%v", bytes.Equal(wantKeeper, gotKeeper)))
 	tbl3.AddRow("group-by sketch byte-identical", fmt.Sprintf("%v", bytes.Equal(wantGroup, gotGroup)))
 	tables = append(tables, tbl3)
-	if evicted == 1 && evictedStaysDead && bytes.Equal(wantKeeper, gotKeeper) && bytes.Equal(wantGroup, gotGroup) {
-		notes = append(notes, "acceptance: TTL eviction is WAL-logged — kill -9 recovery keeps the eviction and restores survivors byte-identically — met")
-	} else {
-		notes = append(notes, "acceptance NOT met: TTL eviction did not survive recovery intact")
-	}
+	bars = append(bars, bar(evicted == 1 && evictedStaysDead && bytes.Equal(wantKeeper, gotKeeper) && bytes.Equal(wantGroup, gotGroup),
+		"TTL eviction is WAL-logged — kill -9 recovery keeps the eviction and restores survivors byte-identically"))
 
 	// Legacy URL on the recovered server: bare /v1 is the default
 	// tenant, disjoint from the tenanted namespaces above.
@@ -179,11 +173,8 @@ func runE31() *Result {
 	tbl2.AddRow("quiet", "create", okStr(quietCreateErr))
 	tbl2.AddRow("quiet", "ingest", okStr(quietAddErr))
 	tables = append(tables, tbl2)
-	if breachIs429 && quietCreateErr == nil && quietAddErr == nil && noisyAddErr == nil {
-		notes = append(notes, "acceptance: quota breach answers 429 without disturbing other tenants (or the tenant's own existing sketches) — met")
-	} else {
-		notes = append(notes, "acceptance NOT met: quota breach leaked across tenants")
-	}
+	bars = append(bars, bar(breachIs429 && quietCreateErr == nil && quietAddErr == nil && noisyAddErr == nil,
+		"quota breach answers 429 without disturbing other tenants (or the tenant's own existing sketches)"))
 
 	// ---- Part 4: pre-tenant version-1 DUR1 log replay ----
 	v1dir, err := os.MkdirTemp("", "e31-v1log-*")
@@ -215,11 +206,8 @@ func runE31() *Result {
 	tbl4.AddRow("default-tenant sketch from other tenant", map[bool]string{true: "404 (isolated)", false: fmt.Sprintf("%v", crossErr)}[crossIs404])
 	tbl4.AddRow("version-1 DUR1 log replay", fmt.Sprintf("%d records, estimate %.0f, err=%v", v1stats.RecordsReplayed, v1est, v1err))
 	tables = append(tables, tbl4)
-	if legacyErr == nil && crossIs404 && v1err == nil && v1stats.RecordsReplayed == 2 {
-		notes = append(notes, "acceptance: legacy paths keep working — bare /v1 URLs and version-1 DUR1 logs replay into the default tenant — met")
-	} else {
-		notes = append(notes, "acceptance NOT met: a legacy surface regressed")
-	}
+	bars = append(bars, bar(legacyErr == nil && crossIs404 && v1err == nil && v1stats.RecordsReplayed == 2,
+		"legacy paths keep working — bare /v1 URLs and version-1 DUR1 logs replay into the default tenant"))
 
 	// ---- Part 5: the ingest apply path stays allocation-free ----
 	entry, err := server.NewEntry(server.CreateRequest{Type: "hll", P: 14})
@@ -233,18 +221,14 @@ func runE31() *Result {
 	}
 	entry.Add(lines) // warm up
 	allocs := testing.AllocsPerRun(50, func() { entry.Add(lines) })
-	if allocs == 0 {
-		notes = append(notes, "acceptance: batched ingest apply path runs at 0 allocs/op — met")
-	} else {
-		notes = append(notes, fmt.Sprintf("acceptance NOT met: ingest apply path allocates %.1f allocs/op", allocs))
-	}
+	bars = append(bars, bar(allocs == 0, "batched ingest apply path runs at 0 allocs/op: %.1f", allocs))
 
 	return &Result{
 		ID:     "E31",
 		Title:  "multi-tenant sketchd: group-by fan-out, quota isolation, TTL eviction under kill -9",
 		Claim:  "a sketch service is multi-tenant by construction: namespaces are cheap (two map hops), per-group sketches are created by the stream itself (Gigascope-style GROUP BY), and quota/TTL policy rides the same WAL as the data (§4 pathways to impact)",
 		Tables: tables,
-		Notes:  notes,
+		Bars:   bars,
 	}
 }
 

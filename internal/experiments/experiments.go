@@ -5,14 +5,18 @@
 // claims rather than copying a numbered figure; the mapping from claim
 // to experiment is the table in DESIGN.md.
 //
-// All experiments are deterministic under fixed seeds and sized to run
-// in seconds on a laptop. cmd/sketchbench runs them from the command
-// line; bench_test.go wraps each in a testing.B benchmark.
+// Every experiment is seeded and sized to run in seconds on a laptop.
+// Each states its exact pass bars as Bars; a timing is only ever a note.
+// The tier-1 sweep fails on an unmet bar and holds every experiment that
+// prints no timing to its testdata/<id>.golden byte for byte.
+// cmd/sketchbench runs them from the command line; bench_test.go wraps
+// each in a testing.B benchmark.
 package experiments
 
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/core"
 )
@@ -23,7 +27,49 @@ type Result struct {
 	Title  string
 	Claim  string // the paper claim being validated
 	Tables []*core.Table
-	Notes  []string
+	Bars   []Bar    // the exact pass bars; the tier-1 sweep fails on an unmet one
+	Notes  []string // informational, timing statements included; no test reads them
+}
+
+// Bar is one exact acceptance predicate an experiment evaluates over its
+// own run: a count, an identity, a bound on an error. A clock reading is
+// never a Bar, since it depends on the host.
+type Bar struct {
+	Claim string
+	Met   bool
+}
+
+// bar states the Bar whose claim is fmt.Sprintf(format, args...).
+func bar(met bool, format string, args ...any) Bar {
+	return Bar{Claim: fmt.Sprintf(format, args...), Met: met}
+}
+
+// Unmet returns the claims of r's bars that are not met.
+func (r *Result) Unmet() []string {
+	var out []string
+	for _, b := range r.Bars {
+		if !b.Met {
+			out = append(out, b.Claim)
+		}
+	}
+	return out
+}
+
+// String renders r as sketchbench prints it and as testdata/<id>.golden
+// pins it: the header, every table, every bar, then the notes.
+func (r *Result) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "=== %s: %s\npaper claim: %s\n\n", r.ID, r.Title, r.Claim)
+	for _, tbl := range r.Tables {
+		fmt.Fprintln(&b, tbl.String())
+	}
+	for _, bar := range r.Bars {
+		fmt.Fprintf(&b, "acceptance: %s — %s\n", bar.Claim, metStr(bar.Met))
+	}
+	for _, note := range r.Notes {
+		fmt.Fprintln(&b, "note:", note)
+	}
+	return strings.TrimRight(b.String(), "\n") + "\n"
 }
 
 // runner produces a result; registered in the table below.
@@ -99,6 +145,13 @@ func Titles() map[string]string {
 		out[r.id] = r.title
 	}
 	return out
+}
+
+func metStr(ok bool) string {
+	if ok {
+		return "met"
+	}
+	return "NOT met"
 }
 
 // sortedKeys is a small helper for deterministic table rows.

@@ -2,10 +2,12 @@
 // same-shape sketches. Folding N sketches serially costs N−1
 // sequential merges on one core; the tree reduction performs the same
 // N−1 merges in ⌈log₂N⌉ rounds, with the merges inside a round
-// independent and spread across GOMAXPROCS goroutines. Sketch merges
-// are associative (counter addition, bitwise OR, register max), so the
-// tree's regrouping leaves the result exactly equal to the serial
-// fold's.
+// independent and spread across GOMAXPROCS goroutines. The grouping is
+// the same at every GOMAXPROCS, so a result never depends on the
+// machine's core count. For associative merges (counter addition,
+// bitwise OR, register max) it also equals the serial fold's; compactor
+// and digest merges (KLL, REQ, t-digest) are not exactly associative,
+// and for them the tree's grouping is the definition of the result.
 //
 // The fan-in pattern appears wherever distributed summaries come home
 // as instances: registry.MergeEnvelopes (a coordinator's gathered read,
@@ -42,18 +44,6 @@ func Tree[T any](items []T, merge func(dst, src T) error) (T, error) {
 		return zero, ErrNoItems
 	}
 	workers := runtime.GOMAXPROCS(0)
-	if workers <= 1 {
-		// One core: the binary-tree schedule would read two cold
-		// operands per merge, where the serial fold keeps one hot dst
-		// and streams the sources — strictly better cache behavior for
-		// the same N−1 merges (associativity makes the results equal).
-		for _, src := range items[1:] {
-			if err := merge(items[0], src); err != nil {
-				return zero, err
-			}
-		}
-		return items[0], nil
-	}
 	for stride := 1; stride < len(items); stride *= 2 {
 		// Collect this round's independent pairs: dst i, src i+stride.
 		step := 2 * stride

@@ -51,7 +51,7 @@ func TestTreeMatchesSerialFold(t *testing.T) {
 
 // TestTreeParallelSchedule pins GOMAXPROCS above 1 so the goroutine
 // fan-out runs (and the race detector watches it) even on a single-core
-// host, where Tree would otherwise take its serial-fold fast path.
+// host, where Tree would otherwise run each round's merges inline.
 func TestTreeParallelSchedule(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
