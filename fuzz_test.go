@@ -6,9 +6,10 @@ package sketch_test
 // serializations plus mutations) runs under plain `go test`;
 // `go test -fuzz=FuzzX` explores further. FuzzGenericDecode is the one
 // CI fuzzes for the envelope decoders — it reaches every family's and
-// uses what decodes through the family's bindings; the per-family
-// Fuzz*Unmarshal / FuzzSFDecode / FuzzRobustDistinctDecode targets are
-// kept for their seed corpora.
+// uses what decodes through the family's bindings, and it carries the
+// seeds' mutations and the assertions of the per-family Fuzz*Unmarshal /
+// FuzzSFDecode / FuzzRobustDistinctDecode targets, which still run their
+// own seed corpora.
 
 import (
 	"bufio"
@@ -32,11 +33,15 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/cardinality"
 	"repro/internal/core"
+	"repro/internal/counter"
 	"repro/internal/durable"
 	"repro/internal/frequency"
 	"repro/internal/hashx"
+	"repro/internal/lsh"
+	"repro/internal/quantile"
 	typereg "repro/internal/registry"
 	"repro/internal/robust"
+	"repro/internal/sample"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -45,18 +50,24 @@ import (
 // deterministic mutations of it.
 func corpusFor(f *testing.F, data []byte) {
 	f.Add(data)
-	if len(data) > 8 {
-		trunc := data[:len(data)/2]
-		f.Add(trunc)
-		flipped := append([]byte(nil), data...)
-		flipped[len(flipped)-1] ^= 0xff
-		f.Add(flipped)
-		flipped2 := append([]byte(nil), data...)
-		flipped2[6] ^= 0x80
-		f.Add(flipped2)
+	for _, m := range mutations(data) {
+		f.Add(m)
 	}
 	f.Add([]byte{})
 	f.Add([]byte("GSK1"))
+}
+
+// mutations of an envelope: its first half, its last byte inverted, and
+// the high bit of its first payload byte flipped.
+func mutations(data []byte) [][]byte {
+	if len(data) <= 8 {
+		return nil
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)-1] ^= 0xff
+	flipped2 := append([]byte(nil), data...)
+	flipped2[6] ^= 0x80
+	return [][]byte{data[:len(data)/2], flipped, flipped2}
 }
 
 // fuzzDecode is a per-family decode target: the envelopes and their
@@ -77,20 +88,20 @@ func fuzzDecode[T any, PT interface {
 }
 
 func FuzzBloomUnmarshal(f *testing.F) {
-	b := sketch.NewBloomWithEstimates(100, 0.01, 1)
+	b := bloom.NewWithEstimates(100, 0.01, 1)
 	b.AddString("seed")
-	fuzzDecode(f, func(_ *testing.T, g *sketch.BloomFilter) {
+	fuzzDecode(f, func(_ *testing.T, g *bloom.Filter) {
 		g.AddString("post")
 		_ = g.ContainsString("post")
 	}, b)
 }
 
 func FuzzHLLUnmarshal(f *testing.F) {
-	h := sketch.NewHLL(10, 2)
+	h := cardinality.NewHLL(10, 2)
 	for i := 0; i < 1000; i++ {
 		h.AddUint64(uint64(i))
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.HLLSketch) {
+	fuzzDecode(f, func(_ *testing.T, g *cardinality.HLL) {
 		g.AddUint64(42)
 		_ = g.Estimate()
 	}, h)
@@ -183,22 +194,22 @@ func FuzzHLLMergeWords(f *testing.F) {
 }
 
 func FuzzHLLPPUnmarshal(f *testing.F) {
-	h := sketch.NewHLLPP(10, 3)
+	h := cardinality.NewHLLPP(10, 3)
 	for i := 0; i < 500; i++ {
 		h.AddUint64(uint64(i))
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.HLLPPSketch) {
+	fuzzDecode(f, func(_ *testing.T, g *cardinality.HLLPP) {
 		g.AddUint64(42)
 		_ = g.Estimate()
 	}, h)
 }
 
 func FuzzCountMinUnmarshal(f *testing.F) {
-	c := sketch.NewCountMin(64, 3, 4)
+	c := frequency.NewCountMin(64, 3, 4)
 	c.AddString("seed")
 	data, _ := c.MarshalBinary()
 	corpusFor(f, data)
-	fused := sketch.NewCountMinFused(64, 3, 4)
+	fused := frequency.NewCountMinLayout(frequency.Layout{Width: 64, Depth: 3, Mode: frequency.Fused, Seed: 4})
 	fused.AddString("seed")
 	fdata, _ := fused.MarshalBinary()
 	corpusFor(f, fdata)
@@ -212,7 +223,7 @@ func FuzzCountMinUnmarshal(f *testing.F) {
 		f.Add(v2)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.CountMin
+		var g frequency.CountMin
 		if err := g.UnmarshalBinary(in); err == nil {
 			g.AddString("post")
 			_ = g.EstimateString("post")
@@ -221,11 +232,11 @@ func FuzzCountMinUnmarshal(f *testing.F) {
 }
 
 func FuzzCountSketchUnmarshal(f *testing.F) {
-	c := sketch.NewCountSketch(64, 3, 5)
+	c := frequency.NewCountSketch(64, 3, 5)
 	c.AddUint64(7, 3)
 	data, _ := c.MarshalBinary()
 	corpusFor(f, data)
-	fused := sketch.NewCountSketchFused(64, 3, 5)
+	fused := frequency.NewCountSketchLayout(frequency.Layout{Width: 64, Depth: 3, Mode: frequency.Fused, Seed: 5})
 	fused.AddUint64(7, 3)
 	fdata, _ := fused.MarshalBinary()
 	corpusFor(f, fdata)
@@ -235,7 +246,7 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 		f.Add(v2)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.CountSketch
+		var g frequency.CountSketch
 		if err := g.UnmarshalBinary(in); err == nil {
 			g.AddUint64(9, 1)
 			_ = g.EstimateUint64(9)
@@ -244,7 +255,7 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 }
 
 func FuzzSFDecode(f *testing.F) {
-	s := sketch.NewSFSketch(64, 3, 256, 3, 4)
+	s := frequency.NewSFSketch(64, 3, 256, 3, 4)
 	s.AddString("seed")
 	s.AddUint64(7, 3)
 	full, _ := s.MarshalBinary()
@@ -258,7 +269,7 @@ func FuzzSFDecode(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.SFSketch
+		var g frequency.SFSketch
 		if err := g.UnmarshalBinary(in); err == nil {
 			g.AddString("post")
 			_ = g.EstimateString("post")
@@ -273,19 +284,19 @@ func FuzzSFDecode(f *testing.F) {
 }
 
 func FuzzBlockedBloomUnmarshal(f *testing.F) {
-	b := sketch.NewBlockedBloomWithEstimates(100, 0.01, 1)
+	b := bloom.NewBlockedWithEstimates(100, 0.01, 1)
 	b.AddString("seed")
 	data, _ := b.MarshalBinary()
 	corpusFor(f, data)
 	// The classic filter's envelope must never decode as a blocked one
 	// (the layouts address different bits); seed it so the fuzzer
 	// exercises the tag check from the start.
-	classic := sketch.NewBloomWithEstimates(100, 0.01, 1)
+	classic := bloom.NewWithEstimates(100, 0.01, 1)
 	classic.AddString("seed")
 	cdata, _ := classic.MarshalBinary()
 	f.Add(cdata)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		var g sketch.BlockedBloomFilter
+		var g bloom.BlockedFilter
 		if err := g.UnmarshalBinary(in); err == nil {
 			g.AddString("post")
 			if !g.ContainsString("post") {
@@ -296,98 +307,98 @@ func FuzzBlockedBloomUnmarshal(f *testing.F) {
 }
 
 func FuzzKLLUnmarshal(f *testing.F) {
-	k := sketch.NewKLL(64, 6)
+	k := quantile.NewKLL(64, 6)
 	for i := 0; i < 5000; i++ {
 		k.Add(float64(i))
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.KLLSketch) {
+	fuzzDecode(f, func(_ *testing.T, g *quantile.KLL) {
 		g.Add(1)
 		_ = g.Quantile(0.5)
 	}, k)
 }
 
 func FuzzTDigestUnmarshal(f *testing.F) {
-	td := sketch.NewTDigest(50)
+	td := quantile.NewTDigest(50)
 	for i := 0; i < 2000; i++ {
 		td.Add(float64(i))
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.TDigest) {
+	fuzzDecode(f, func(_ *testing.T, g *quantile.TDigest) {
 		g.Add(1)
 		_ = g.Quantile(0.9)
 	}, td)
 }
 
 func FuzzQDigestUnmarshal(f *testing.F) {
-	qd := sketch.NewQDigest(10, 32)
+	qd := quantile.NewQDigest(10, 32)
 	for i := uint64(0); i < 1000; i++ {
 		qd.Add(i%1024, 1)
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.QDigest) { _ = g.Quantile(0.5) }, qd)
+	fuzzDecode(f, func(_ *testing.T, g *quantile.QDigest) { _ = g.Quantile(0.5) }, qd)
 }
 
 func FuzzThetaUnmarshal(f *testing.F) {
-	th := sketch.NewTheta(64, 7)
+	th := cardinality.NewTheta(64, 7)
 	for i := 0; i < 5000; i++ {
 		th.AddUint64(uint64(i))
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.ThetaSketch) {
+	fuzzDecode(f, func(_ *testing.T, g *cardinality.Theta) {
 		g.AddUint64(1)
 		_ = g.Estimate()
 	}, th)
 }
 
 func FuzzKMVUnmarshal(f *testing.F) {
-	k := sketch.NewKMV(32, 8)
+	k := cardinality.NewKMV(32, 8)
 	for i := 0; i < 5000; i++ {
 		k.AddUint64(uint64(i))
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.KMVSketch) {
+	fuzzDecode(f, func(_ *testing.T, g *cardinality.KMV) {
 		g.AddUint64(1)
 		_ = g.Estimate()
 	}, k)
 }
 
 func FuzzREQUnmarshal(f *testing.F) {
-	r := sketch.NewREQ(16, 9)
+	r := quantile.NewREQ(16, 9)
 	for i := 0; i < 5000; i++ {
 		r.Add(float64(i))
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.REQSketch) {
+	fuzzDecode(f, func(_ *testing.T, g *quantile.REQ) {
 		g.Add(1)
 		_ = g.Quantile(0.99)
 	}, r)
 }
 
 func FuzzMinHashUnmarshal(f *testing.F) {
-	m := sketch.NewMinHash(32, 10)
+	m := lsh.NewMinHash(32, 10)
 	m.AddString("seed")
-	fuzzDecode(f, func(_ *testing.T, g *sketch.MinHash) { g.AddString("post") }, m)
+	fuzzDecode(f, func(_ *testing.T, g *lsh.MinHash) { g.AddString("post") }, m)
 }
 
 func FuzzMisraGriesUnmarshal(f *testing.F) {
-	m := sketch.NewMisraGries(16)
+	m := frequency.NewMisraGries(16)
 	m.AddString("seed")
-	fuzzDecode(f, func(_ *testing.T, g *sketch.MisraGries) {
+	fuzzDecode(f, func(_ *testing.T, g *frequency.MisraGries) {
 		g.AddString("post")
 		_ = g.Estimate("post")
 	}, m)
 }
 
 func FuzzSpaceSavingUnmarshal(f *testing.F) {
-	s := sketch.NewSpaceSaving(16)
+	s := frequency.NewSpaceSaving(16)
 	s.AddString("seed")
-	fuzzDecode(f, func(_ *testing.T, g *sketch.SpaceSaving) {
+	fuzzDecode(f, func(_ *testing.T, g *frequency.SpaceSaving) {
 		g.AddString("post")
 		_ = g.Estimate("post")
 	}, s)
 }
 
 func FuzzMorrisUnmarshal(f *testing.F) {
-	m := sketch.NewMorrisBase(1.2, 11)
+	m := counter.NewMorrisBase(1.2, 11)
 	for i := 0; i < 1000; i++ {
 		m.Increment()
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.MorrisCounter) {
+	fuzzDecode(f, func(_ *testing.T, g *counter.Morris) {
 		g.Increment()
 		_ = g.Count()
 	}, m)
@@ -400,7 +411,7 @@ func FuzzMorrisUnmarshal(f *testing.F) {
 // error; panics and hangs are bugs in the serving layer's input
 // validation.
 func FuzzServerRequestDecode(f *testing.F) {
-	h := sketch.NewHLL(10, 1)
+	h := cardinality.NewHLL(10, 1)
 	h.AddUint64(7)
 	env, _ := h.MarshalBinary()
 	corpusFor(f, env)
@@ -408,7 +419,7 @@ func FuzzServerRequestDecode(f *testing.F) {
 	f.Add([]byte("item\t18446744073709551616\n")) // weight overflows uint64
 	f.Add([]byte("\n\r\n\t\n"))
 
-	types := []sketch.ServerCreateRequest{
+	types := []server.CreateRequest{
 		{Type: "hll", P: 10, Params: map[string]float64{"shards": 2}, Seed: 1},
 		{Type: "countmin", Width: 128, Depth: 3, Seed: 1},
 		{Type: "bloom", NItems: 1000, FPR: 0.01, Seed: 1},
@@ -442,11 +453,11 @@ func FuzzServerRequestDecode(f *testing.F) {
 }
 
 func FuzzReservoirUnmarshal(f *testing.F) {
-	r := sketch.NewReservoir(8, 12)
+	r := sample.NewReservoir(8, 12)
 	for i := 0; i < 100; i++ {
 		r.AddString("item")
 	}
-	fuzzDecode(f, func(_ *testing.T, g *sketch.Reservoir) {
+	fuzzDecode(f, func(_ *testing.T, g *sample.Reservoir) {
 		g.AddString("post")
 		_ = g.Sample()
 	}, r)
@@ -470,12 +481,14 @@ func batchOf(kind typereg.InputKind) [][]byte { return server.SplitBatch([]byte(
 
 // FuzzGenericDecode is the one decode target: the registry's
 // self-describing decode path, seeded with a fresh and a fed envelope of
-// every registered family and the hand-built envelopes that once found a
-// decoder bug. Arbitrary bytes decode or error, never panic; and what
-// decodes is a sketch a server could hold — it is used through its
-// descriptor's bindings as a live entry is: it takes the kind's lines
-// (or refuses them), answers the summary query, marshals to bytes that
-// decode again, and merges with that copy of itself.
+// every registered family, their truncations and byte flips, and the
+// hand-built envelopes that once found a decoder bug. Arbitrary bytes
+// decode or error, never panic; and what decodes is a sketch a server
+// could hold — it is used through its descriptor's bindings as a live
+// entry is: it takes the kind's lines (or refuses them), answers the
+// summary query, keeps a fresh insert if it is a membership filter,
+// marshals to bytes that decode again, and merges with that copy of
+// itself.
 func FuzzGenericDecode(f *testing.F) {
 	// Families whose default shape serializes to hundreds of KB get a
 	// deliberately small seed shape — mutation throughput over payloads
@@ -496,14 +509,15 @@ func FuzzGenericDecode(f *testing.F) {
 		}
 		return data
 	}
-	var fed [][]byte
-	for _, ti := range sketch.Types() {
-		inst, err := sketch.New(ti.Name, 1, small[ti.Name])
+	var fresh, fed [][]byte
+	for _, d := range typereg.All() {
+		inst, err := sketch.New(d.Name, 1, small[d.Name])
 		if err != nil {
-			f.Fatalf("New(%q): %v", ti.Name, err)
+			f.Fatalf("New(%q): %v", d.Name, err)
 		}
-		data := marshal(ti.Name, inst)
+		data := marshal(d.Name, inst)
 		f.Add(data)
+		fresh = append(fresh, data)
 		// One tag-preserving mutation per family, to get the fuzzer past
 		// the envelope header into family-specific decoders.
 		if len(data) > 8 {
@@ -511,11 +525,11 @@ func FuzzGenericDecode(f *testing.F) {
 			mut[len(mut)/2] ^= 0x55
 			f.Add(mut)
 		}
-		if d, _ := typereg.Lookup(ti.Name); d.Servable() {
+		if d.Servable() {
 			if err := d.Bind.Ingest(inst, batchOf(d.Input)); err != nil {
-				f.Fatalf("%q ingest: %v", ti.Name, err)
+				f.Fatalf("%q ingest: %v", d.Name, err)
 			}
-			fed = append(fed, marshal(ti.Name, inst))
+			fed = append(fed, marshal(d.Name, inst))
 		}
 	}
 	f.Add([]byte{})
@@ -527,13 +541,14 @@ func FuzzGenericDecode(f *testing.F) {
 	// agree with the byte); an SF envelope in slim form, and with a mode
 	// byte beyond slim; a robust counter with its switching state baked in.
 	for _, fused := range []interface{ MarshalBinary() ([]byte, error) }{
-		sketch.NewCountMinFused(64, 3, 4), sketch.NewCountSketchFused(64, 3, 5),
+		frequency.NewCountMinLayout(frequency.Layout{Width: 64, Depth: 3, Mode: frequency.Fused, Seed: 4}),
+		frequency.NewCountSketchLayout(frequency.Layout{Width: 64, Depth: 3, Mode: frequency.Fused, Seed: 5}),
 	} {
 		v2, _ := fused.MarshalBinary()
 		v2[5] = 2 // GSK1 magic (4) + tag (1), then version
 		f.Add(v2)
 	}
-	sf := sketch.NewSFSketch(64, 3, 256, 3, 4)
+	sf := frequency.NewSFSketch(64, 3, 256, 3, 4)
 	sf.AddUint64(7, 3)
 	slim, _ := sf.MarshalSlim()
 	f.Add(slim)
@@ -546,6 +561,17 @@ func FuzzGenericDecode(f *testing.F) {
 	}
 	rd.Estimate()
 	f.Add(marshal("robustdistinct", rd))
+	// Every family's envelopes, fresh and fed, cut and flipped; and a
+	// classic Bloom payload under the blocked filter's tag (the layouts
+	// address different bits, so it must not decode as one).
+	for _, data := range append(fresh, fed...) {
+		for _, m := range mutations(data) {
+			f.Add(m)
+		}
+	}
+	classic := marshal("bloom", bloom.NewWithEstimates(100, 0.01, 1))
+	classic[4] = core.TagBlockedBloom
+	f.Add(classic)
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		inst, d, err := typereg.Decode(in)
@@ -555,6 +581,15 @@ func FuzzGenericDecode(f *testing.F) {
 		if d.Servable() {
 			_ = d.Bind.Ingest(inst, batchOf(d.Input)) // a decoded shape may refuse a line: its domain is its own
 			_, _ = d.Bind.Query(inst, nil)
+		}
+		if m, ok := inst.(interface {
+			AddString(string)
+			ContainsString(string) bool
+		}); ok {
+			m.AddString("post")
+			if !m.ContainsString("post") {
+				t.Fatalf("decoded %s lost a fresh insert", d.Name)
+			}
 		}
 		env, err := typereg.Marshal(inst)
 		if err != nil {

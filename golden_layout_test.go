@@ -8,9 +8,9 @@ package sketch_test
 // as it stood before row addressing moved into frequency.Layout, and
 // are never regenerated: a change to any of them is a wire break.
 //
-// The file uses only names that exist on both sides of that change —
-// the root facade, the registry and MarshalBinary/UnmarshalBinary — so
-// it did not have to be edited when the constructor family went away.
+// The file builds each sketch through its own package's constructor and
+// reads it through the registry and MarshalBinary/UnmarshalBinary, so a
+// change of representation behind those names leaves it unedited.
 
 import (
 	"crypto/sha256"
@@ -19,8 +19,8 @@ import (
 	"net/url"
 	"testing"
 
-	sketch "repro"
 	"repro/internal/concurrent"
+	"repro/internal/frequency"
 	"repro/internal/hashx"
 	"repro/internal/registry"
 )
@@ -30,6 +30,9 @@ const (
 	goldenWidth = 203 // not a multiple of 8: pins the fused round-up to 208
 	goldenDepth = 4   // even: pins Count Sketch's round-up to 5
 )
+
+// goldenFused is the fused cache-line layout at the golden shape.
+var goldenFused = frequency.Layout{Width: goldenWidth, Depth: goldenDepth, Mode: frequency.Fused, Seed: goldenSeed}
 
 var goldenProbes = []string{"k-1", "k-77", "never-added"}
 
@@ -86,7 +89,7 @@ func feedCounter(c goldenCounter) {
 }
 
 // feedSigned is feedCounter for Count Sketch: weights in [-5, 5].
-func feedSigned(c *sketch.CountSketch) {
+func feedSigned(c *frequency.CountSketch) {
 	rng := goldenRand(goldenSeed)
 	for i := 0; i < 4000; i++ {
 		v := rng.next()
@@ -156,14 +159,14 @@ func TestGoldenLayoutWire(t *testing.T) {
 	got := map[string]string{}
 
 	// Count-Min: three addressing modes, each plain and conservative.
-	countMins := map[string]func() *sketch.CountMin{
-		"derived": func() *sketch.CountMin { return sketch.NewCountMin(goldenWidth, goldenDepth, goldenSeed) },
-		"kwise": func() *sketch.CountMin {
-			c := new(sketch.CountMin)
-			asKWise(t, sketch.NewCountMin(goldenWidth, goldenDepth, goldenSeed), 31, c)
+	countMins := map[string]func() *frequency.CountMin{
+		"derived": func() *frequency.CountMin { return frequency.NewCountMin(goldenWidth, goldenDepth, goldenSeed) },
+		"kwise": func() *frequency.CountMin {
+			c := new(frequency.CountMin)
+			asKWise(t, frequency.NewCountMin(goldenWidth, goldenDepth, goldenSeed), 31, c)
 			return c
 		},
-		"fused": func() *sketch.CountMin { return sketch.NewCountMinFused(goldenWidth, goldenDepth, goldenSeed) },
+		"fused": func() *frequency.CountMin { return frequency.NewCountMinLayout(goldenFused) },
 	}
 	for mode, build := range countMins {
 		for _, conservative := range []bool{false, true} {
@@ -187,15 +190,15 @@ func TestGoldenLayoutWire(t *testing.T) {
 	}
 
 	// Count Sketch: the same three modes, signed weights.
-	countSketches := map[string]func() *sketch.CountSketch{
-		"derived": func() *sketch.CountSketch { return sketch.NewCountSketch(goldenWidth, goldenDepth, goldenSeed) },
-		"kwise": func() *sketch.CountSketch {
-			c := new(sketch.CountSketch)
-			asKWise(t, sketch.NewCountSketch(goldenWidth, goldenDepth, goldenSeed), 30, c)
+	countSketches := map[string]func() *frequency.CountSketch{
+		"derived": func() *frequency.CountSketch { return frequency.NewCountSketch(goldenWidth, goldenDepth, goldenSeed) },
+		"kwise": func() *frequency.CountSketch {
+			c := new(frequency.CountSketch)
+			asKWise(t, frequency.NewCountSketch(goldenWidth, goldenDepth, goldenSeed), 30, c)
 			return c
 		},
-		"fused": func() *sketch.CountSketch {
-			return sketch.NewCountSketchFused(goldenWidth, goldenDepth, goldenSeed)
+		"fused": func() *frequency.CountSketch {
+			return frequency.NewCountSketchLayout(goldenFused)
 		},
 	}
 	for mode, build := range countSketches {
@@ -212,7 +215,7 @@ func TestGoldenLayoutWire(t *testing.T) {
 
 	// SF-sketch: the two-stage envelope, its slim form, and a slim-only
 	// instance that went on absorbing updates.
-	sf := sketch.NewSFSketch(64, 3, 509, goldenDepth, goldenSeed)
+	sf := frequency.NewSFSketch(64, 3, 509, goldenDepth, goldenSeed)
 	feedCounter(sf)
 	sf.AddString("k-77")
 	sf.AddBatch([][]byte{[]byte("k-1"), []byte("k-2"), []byte("k-77")})
@@ -223,7 +226,7 @@ func TestGoldenLayoutWire(t *testing.T) {
 	}
 	sum := sha256.Sum256(slimEnv)
 	got["sfsketch/slim/wire"] = fmt.Sprintf("%d:%s", len(slimEnv), hex.EncodeToString(sum[:]))
-	slim := new(sketch.SFSketch)
+	slim := new(frequency.SFSketch)
 	if err := slim.UnmarshalBinary(slimEnv); err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +238,12 @@ func TestGoldenLayoutWire(t *testing.T) {
 
 	// Atomic Count-Min, through Snapshot; the fused one over a built
 	// layout, as the registry builds a buffered Count-Min's global.
-	atomics := map[string]func() *sketch.AtomicCountMin{
-		"derived": func() *sketch.AtomicCountMin {
-			return sketch.NewAtomicCountMin(goldenWidth, goldenDepth, goldenSeed)
+	atomics := map[string]func() *concurrent.AtomicCountMin{
+		"derived": func() *concurrent.AtomicCountMin {
+			return concurrent.NewAtomicCountMin(goldenWidth, goldenDepth, goldenSeed)
 		},
-		"fused": func() *sketch.AtomicCountMin {
-			return concurrent.NewAtomicCountMinLayout(sketch.NewCountMinFused(goldenWidth, goldenDepth, goldenSeed).Layout())
+		"fused": func() *concurrent.AtomicCountMin {
+			return concurrent.NewAtomicCountMinLayout(frequency.NewCountMinLayout(goldenFused).Layout())
 		},
 	}
 	for mode, build := range atomics {

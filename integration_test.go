@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	sketch "repro"
+	"repro/internal/cardinality"
 	"repro/internal/core"
 	"repro/internal/randx"
 )
@@ -172,84 +173,43 @@ func TestSerializationAcrossBoundary(t *testing.T) {
 	}
 }
 
-// TestFacadeConstructorsSmoke constructs every sketch through the
-// public facade and performs one update+query.
+// TestFacadeConstructorsSmoke constructs every sketch the root package
+// names and performs one update+query; the families it does not name
+// are reached through New and Decode, and constructed by their own
+// package's tests.
 func TestFacadeConstructorsSmoke(t *testing.T) {
 	b := sketch.NewBloomWithEstimates(100, 0.01, 1)
 	b.AddString("x")
 	if !b.ContainsString("x") {
 		t.Error("bloom")
 	}
-	cb := sketch.NewCountingBloom(128, 3, 1)
-	cb.Add([]byte("x"))
 
 	m := sketch.NewMorris(1)
 	m.Increment()
-	ny := sketch.NewNelsonYu(0.2, 0.1, 1)
-	ny.Increment()
+	mb := sketch.NewMorrisBase(1.2, 1)
+	mb.Increment()
 
-	fm := sketch.NewFM(64, 1)
-	fm.AddUint64(1)
-	ll := sketch.NewLogLog(8, 1)
-	ll.AddUint64(1)
 	h := sketch.NewHLL(10, 1)
 	h.AddUint64(1)
-	hpp := sketch.NewHLLPP(10, 1)
-	hpp.AddUint64(1)
-	kmv := sketch.NewKMV(16, 1)
-	kmv.AddUint64(1)
+	th := sketch.NewTheta(16, 1)
+	th.AddUint64(1)
 
 	cm := sketch.NewCountMin(64, 3, 1)
 	cm.AddString("x")
-	cs := sketch.NewCountSketch(64, 3, 1)
-	cs.AddUint64(1, 1)
-	mg := sketch.NewMisraGries(8)
-	mg.AddString("x")
 	ss := sketch.NewSpaceSaving(8)
 	ss.AddString("x")
-	mj := sketch.NewMajority()
-	mj.Add("x")
-	dy := sketch.NewDyadicCountMin(8, 64, 3, 1)
-	dy.Add(5, 1)
 
 	a := sketch.NewAMS(3, 16, 1)
 	a.AddUint64(1, 1)
-	if _, err := sketch.NewAMSWithSpec(sketch.Spec{Epsilon: 0.2, Delta: 0.1}, 1); err != nil {
-		t.Error(err)
-	}
-	if _, err := sketch.NewCountMinWithSpec(sketch.Spec{Epsilon: 0.01, Delta: 0.01}, 1); err != nil {
-		t.Error(err)
-	}
 
-	gk := sketch.NewGK(0.05)
-	gk.Add(1)
 	kll := sketch.NewKLL(64, 1)
 	kll.Add(1)
-	qd := sketch.NewQDigest(8, 16)
-	qd.Add(5, 1)
 	td := sketch.NewTDigest(50)
 	td.Add(1)
-	mrl := sketch.NewMRL(4, 16, 1)
-	mrl.Add(1)
+	req := sketch.NewREQ(16, 1)
+	req.Add(1)
 	ex := sketch.NewExactQuantiles()
 	ex.Add(1)
-
-	r := sketch.NewReservoir(4, 1)
-	r.AddString("x")
-	wr := sketch.NewWeightedReservoir(4, 1)
-	wr.Add([]byte("x"), 2)
-	l0 := sketch.NewL0Sampler(4, 1)
-	l0.Update(3, 1)
-	sr := sketch.NewSparseRecovery(4, 1)
-	sr.Update(3, 1)
-
-	var tr sketch.JLTransform = sketch.NewGaussianJL(8, 4, 1)
-	_ = tr.Apply(make([]float64, 8))
-	sketch.NewRademacherJL(8, 4, 1)
-	sketch.NewSparseJL(8, 4, 2, 1)
-	if sketch.JLTargetDim(100, 0.5) < 1 {
-		t.Error("target dim")
-	}
 
 	mh := sketch.NewMinHash(16, 1)
 	mh.AddString("x")
@@ -259,54 +219,39 @@ func TestFacadeConstructorsSmoke(t *testing.T) {
 	}
 	sh := sketch.NewSimHash(4, 16, 1)
 	sh.Hash(make([]float64, 4))
-	el := sketch.NewEuclideanLSH(4, 2, 1, 1)
-	el.Hash(make([]float64, 4))
 
 	g := sketch.NewGraphSketch(8, 4, 1)
 	g.AddEdge(0, 1)
 
-	rr := sketch.NewRandomizedResponse(1, 1)
-	rr.Perturb(true)
 	rp := sketch.NewRAPPOR(16, 2, 2, 1)
 	rp.Encode("v", 1)
 	pc := sketch.NewPrivateCMS(32, 4, 2, 1)
 	pc.Absorb(pc.EncodeClient("v", 1))
 	dp := sketch.NewDPCountMin(32, 3, 1, 1)
 	dp.AddString("x")
-	lm := sketch.NewLaplaceMechanism(1, 1, 1)
-	lm.Release(0)
-	gm := sketch.NewGaussianMechanism(1, 0.01, 1, 1)
-	gm.Release(0)
 
-	rf := sketch.NewRobustF2(0.5, sketch.RobustLambdaFor(0.5, 1e6), 1, 16, 1)
-	rf.AddUint64(1, 1)
-	rf.Estimate()
-
-	gs := sketch.NewGradSketch(3, 16, 1)
-	gs.Accumulate(make([]float64, 8), 1)
-
-	shll := sketch.NewShardedHLL(2, 10, 1)
-	shll.Handle().AddUint64(1)
-	acm := sketch.NewAtomicCountMin(32, 3, 1)
-	acm.AddUint64(1, 1)
-
-	// Extension families.
-	req := sketch.NewREQ(16, 1)
-	req.Add(1)
-	lp := sketch.NewLpSampler(1, 64, 3, 1)
-	lp.Update(3, 2)
-	ts := sketch.NewTensorSketch(8, 16, 2, 1)
-	_ = ts.Apply(make([]float64, 8))
-	fd := sketch.NewFrequentDirections(4, 8, 1)
-	fd.Append(make([]float64, 8))
-	am := sketch.NewAMM(16, 4, 4, 1)
-	am.Append(make([]float64, 4), make([]float64, 4))
 	eh := sketch.NewEH(100, 8)
 	eh.Tick(1)
 	eh.Add()
-	wh := sketch.NewWindowedHLL(100, 4, 10, 1)
-	wh.Tick(1)
-	wh.AddUint64(1)
+
+	// Any family by name, and back from its envelope.
+	inst, err := sketch.New("hll", 1, map[string]float64{"p": 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := inst.(*sketch.HLLSketch)
+	byName.AddUint64(1)
+	data, err := byName.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := sketch.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.(*sketch.HLLSketch).Estimate() != byName.Estimate() {
+		t.Error("Decode(New(hll)) answers differently")
+	}
 
 	// Error vocabulary is exported.
 	if sketch.ErrIncompatible == nil || sketch.ErrCorrupt == nil {
@@ -344,8 +289,8 @@ func TestMergeCommutativityProperty(t *testing.T) {
 			t.Fatal("HLL merge not commutative")
 		}
 
-		buildKMV := func(vals []uint64) *sketch.KMVSketch {
-			s := sketch.NewKMV(64, 3)
+		buildKMV := func(vals []uint64) *cardinality.KMV {
+			s := cardinality.NewKMV(64, 3)
 			for _, v := range vals {
 				s.AddUint64(v)
 			}

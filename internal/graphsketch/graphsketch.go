@@ -113,65 +113,11 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// ConnectedComponents runs sketch-space Borůvka: in each round, every
-// current component samples one cut edge from the merged sketches of
-// its vertices and unions along it. Returns the component id of every
-// vertex. With enough rounds the result equals the true components with
-// high probability.
+// ConnectedComponents returns the component id of every vertex, its
+// union-find root after Borůvka. With enough rounds the result equals
+// the true components with high probability.
 func (s *Sketch) ConnectedComponents() []int {
-	parent := make([]int, s.n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-
-	for r := 0; r < s.rounds; r++ {
-		// Group vertices by component.
-		comps := make(map[int][]int)
-		for v := 0; v < s.n; v++ {
-			comps[find(v)] = append(comps[find(v)], v)
-		}
-		if len(comps) == 1 {
-			break
-		}
-		merged := false
-		for _, members := range comps {
-			// Sum the round-r sketches of the component's vertices.
-			agg := roundSampler(s.seed, r)
-			for _, v := range members {
-				if err := agg.Merge(s.samplers[r][v]); err != nil {
-					// Same-round samplers always share seeds; any
-					// failure is a programming error.
-					panic(err)
-				}
-			}
-			if idx, _, ok := agg.Sample(); ok {
-				u, v := s.decodeEdge(idx)
-				if find(u) != find(v) {
-					union(u, v)
-					merged = true
-				}
-			}
-		}
-		if !merged {
-			break
-		}
-	}
-
-	// Normalize component ids.
+	find, _ := s.boruvka()
 	out := make([]int, s.n)
 	for v := range out {
 		out[v] = find(v)
@@ -199,11 +145,21 @@ func (s *Sketch) ComponentCount() int {
 // SpanningForest returns the edges Borůvka used, one set per merge —
 // a spanning forest of the sketched graph (with high probability).
 func (s *Sketch) SpanningForest() [][2]int {
+	_, forest := s.boruvka()
+	return forest
+}
+
+// boruvka runs sketch-space Borůvka: in each round, every current
+// component samples one cut edge from the summed round sketches of its
+// vertices and unions along it. Components are visited in ascending
+// order of their smallest vertex, so the answer is a function of the
+// sketch alone. It returns the union-find it leaves behind and the edges
+// it unioned along, in order.
+func (s *Sketch) boruvka() (find func(int) int, forest [][2]int) {
 	parent := make([]int, s.n)
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
 	find = func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
@@ -211,27 +167,36 @@ func (s *Sketch) SpanningForest() [][2]int {
 		}
 		return x
 	}
-	var forest [][2]int
+	slot := make([]int, s.n) // a root's index in comps, +1 (0: not seen this round)
 	for r := 0; r < s.rounds; r++ {
-		comps := make(map[int][]int)
+		// Group vertices by component.
+		clear(slot)
+		var comps [][]int
 		for v := 0; v < s.n; v++ {
-			comps[find(v)] = append(comps[find(v)], v)
+			root := find(v)
+			if slot[root] == 0 {
+				comps = append(comps, nil)
+				slot[root] = len(comps)
+			}
+			comps[slot[root]-1] = append(comps[slot[root]-1], v)
 		}
 		if len(comps) == 1 {
 			break
 		}
 		merged := false
 		for _, members := range comps {
+			// Sum the round-r sketches of the component's vertices.
 			agg := roundSampler(s.seed, r)
 			for _, v := range members {
 				if err := agg.Merge(s.samplers[r][v]); err != nil {
+					// Same-round samplers always share seeds; any
+					// failure is a programming error.
 					panic(err)
 				}
 			}
 			if idx, _, ok := agg.Sample(); ok {
 				u, v := s.decodeEdge(idx)
-				ru, rv := find(u), find(v)
-				if ru != rv {
+				if ru, rv := find(u), find(v); ru != rv {
 					parent[ru] = rv
 					forest = append(forest, [2]int{u, v})
 					merged = true
@@ -242,7 +207,7 @@ func (s *Sketch) SpanningForest() [][2]int {
 			break
 		}
 	}
-	return forest
+	return find, forest
 }
 
 // Rounds returns the number of independent Borůvka rounds kept.

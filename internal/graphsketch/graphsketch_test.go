@@ -2,6 +2,7 @@ package graphsketch
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -190,6 +191,36 @@ func TestSpanningForest(t *testing.T) {
 	// The forest must connect everything.
 	if countComponents(exactComponents(n, forest)) != 1 {
 		t.Error("forest does not span the graph")
+	}
+}
+
+// TestAnswersAreReplayable pins that the forest and the component
+// labels are a function of the sketch alone: two identically built
+// sketches, and repeated calls on one, give the same answers.
+func TestAnswersAreReplayable(t *testing.T) {
+	const n = 64
+	build := func() *Sketch {
+		s := New(n, 10, 9)
+		rng := randx.New(10)
+		for i := 0; i+1 < n; i += 2 {
+			s.AddEdge(i, i+1)
+		}
+		for k := 0; k < n; k++ {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				s.AddEdge(u, v)
+			}
+		}
+		return s
+	}
+	a, b := build(), build()
+	forest, labels := fmt.Sprint(a.SpanningForest()), fmt.Sprint(a.ConnectedComponents())
+	for i, s := range []*Sketch{a, b, a, b, a, b, a, b} {
+		if got := fmt.Sprint(s.SpanningForest()); got != forest {
+			t.Fatalf("call %d: forest %s, first call %s", i, got, forest)
+		}
+		if got := fmt.Sprint(s.ConnectedComponents()); got != labels {
+			t.Fatalf("call %d: labels %s, first call %s", i, got, labels)
+		}
 	}
 }
 

@@ -37,8 +37,8 @@ func IsBundle(body []byte) bool {
 	return len(body) >= 8 && string(body[:4]) == BundleMagic
 }
 
-// EncodeBundle frames envelopes into one GSKB merge body. The client
-// package uses it for MergeMany; tests use it to drive the handler.
+// EncodeBundle frames envelopes into one GSKB merge body, for a
+// client's Merge and for tests that drive the handler.
 func EncodeBundle(envelopes [][]byte) []byte {
 	size := 8
 	for _, env := range envelopes {

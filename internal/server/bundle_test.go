@@ -31,7 +31,7 @@ func TestBundleMergeFanIn(t *testing.T) {
 		}
 		envs[s] = env
 	}
-	if err := cl.MergeMany("reach", envs); err != nil {
+	if err := cl.Merge("reach", server.EncodeBundle(envs)); err != nil {
 		t.Fatalf("bundle merge: %v", err)
 	}
 	est, err := cl.Estimate("reach", nil)

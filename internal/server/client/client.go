@@ -56,10 +56,6 @@ func (c *Client) Tenant(tenant string) *Client {
 	return &scoped
 }
 
-// TenantName reports the tenant the client is scoped to ("" for the
-// legacy/default namespace).
-func (c *Client) TenantName() string { return c.tenant }
-
 // Create registers a named sketch.
 func (c *Client) Create(name string, req server.CreateRequest) error {
 	body, err := json.Marshal(req)
@@ -118,17 +114,6 @@ func (c *Client) Estimate(name string, params url.Values) (float64, error) {
 // Merge posts a peer's MarshalBinary envelope into the named sketch.
 func (c *Client) Merge(name string, envelope []byte) error {
 	return c.Forward("merge", name, "application/octet-stream", envelope)
-}
-
-// MergeMany posts many same-type envelopes as one GSKB bundle. The
-// server tree-merges the shards across its cores outside the sketch
-// lock, then absorbs the combined result in a single merge — one
-// request, one lock acquisition, one WAL record for the whole fan-in.
-func (c *Client) MergeMany(name string, envelopes [][]byte) error {
-	if len(envelopes) == 1 {
-		return c.Merge(name, envelopes[0])
-	}
-	return c.Merge(name, server.EncodeBundle(envelopes))
 }
 
 // Snapshot fetches the sketch's full serialization envelope.
@@ -225,37 +210,6 @@ func (c *Client) Delete(name string) error {
 	return c.Forward("delete", name, "", nil)
 }
 
-// ListPage is one page of GET /v1/sketch: the sketch rows plus the
-// cursor to pass back for the next page when the listing was
-// truncated at the requested limit.
-type ListPage struct {
-	Sketches []struct {
-		Name string `json:"name"`
-		Type string `json:"type"`
-	} `json:"sketches"`
-	Truncated  bool   `json:"truncated,omitempty"`
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// List fetches one page of the tenant's sketch listing. prefix filters
-// by name prefix, cursor resumes after a prior page's NextCursor, and
-// limit caps the page size (0 takes the server default).
-func (c *Client) List(prefix, cursor string, limit int) (ListPage, error) {
-	q := url.Values{}
-	if prefix != "" {
-		q.Set("prefix", prefix)
-	}
-	if cursor != "" {
-		q.Set("cursor", cursor)
-	}
-	if limit > 0 {
-		q.Set("limit", strconv.Itoa(limit))
-	}
-	var out ListPage
-	err := c.do("list", "", q, "", nil, &out)
-	return out, err
-}
-
 // GroupByResult is the ack of a group-by ingest call.
 type GroupByResult struct {
 	Tenant  string `json:"tenant"`
@@ -272,29 +226,6 @@ type GroupByResult struct {
 func (c *Client) GroupBy(params url.Values, batch []byte) (GroupByResult, error) {
 	var out GroupByResult
 	err := c.do("groupby", "", params, "text/plain", batch, &out)
-	return out, err
-}
-
-// OverlapResult is the audience-overlap estimate between two of the
-// tenant's cardinality sketches (GET /v1/overlap?sketches=a,b).
-type OverlapResult struct {
-	Tenant   string   `json:"tenant"`
-	Sketches []string `json:"sketches"`
-	Overlap  struct {
-		Family  string  `json:"family"`
-		ReachA  float64 `json:"reach_a"`
-		ReachB  float64 `json:"reach_b"`
-		Union   float64 `json:"union"`
-		Overlap float64 `json:"overlap"`
-	} `json:"overlap"`
-}
-
-// Overlap estimates |a ∩ b| by inclusion-exclusion across two
-// same-family cardinality sketches.
-func (c *Client) Overlap(a, b string) (OverlapResult, error) {
-	q := url.Values{"sketches": []string{a + "," + b}}
-	var out OverlapResult
-	err := c.do("overlap", "", q, "", nil, &out)
 	return out, err
 }
 

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	sketch "repro"
+	"repro/internal/bloom"
+	"repro/internal/frequency"
+	"repro/internal/quantile"
 )
 
 // marshaler pairs a name with a sketch serialization and a decode
@@ -26,7 +29,7 @@ func wireCases(t *testing.T) []wireCase {
 	t.Helper()
 	h := sketch.NewHLL(12, 1)
 	cm := sketch.NewCountMin(256, 3, 2)
-	bf := sketch.NewBloom(1<<12, 4, 3)
+	bf := bloom.New(1<<12, 4, 3)
 	kll := sketch.NewKLL(64, 4)
 	th := sketch.NewTheta(128, 5)
 	for i := 0; i < 2000; i++ {
@@ -104,9 +107,9 @@ func TestUnmarshalCorruptCounts(t *testing.T) {
 		return data
 	}
 	td := sketch.NewTDigest(50)
-	gk := sketch.NewGK(0.01)
-	qd := sketch.NewQDigest(16, 32)
-	mg := sketch.NewMisraGries(16)
+	gk := quantile.NewGK(0.01)
+	qd := quantile.NewQDigest(16, 32)
+	mg := frequency.NewMisraGries(16)
 	ss := sketch.NewSpaceSaving(16)
 	for i := 0; i < 500; i++ {
 		td.Add(float64(i))
@@ -126,11 +129,11 @@ func TestUnmarshalCorruptCounts(t *testing.T) {
 		{"tdigest", mustMarshal(td.MarshalBinary()), 6 + 8 + 8 + 8 + 8,
 			func(b []byte) error { var g sketch.TDigest; return g.UnmarshalBinary(b) }},
 		{"gk", mustMarshal(gk.MarshalBinary()), 6 + 8 + 8,
-			func(b []byte) error { var g sketch.GKSummary; return g.UnmarshalBinary(b) }},
+			func(b []byte) error { var g quantile.GK; return g.UnmarshalBinary(b) }},
 		{"qdigest", mustMarshal(qd.MarshalBinary()), 6 + 1 + 8 + 8,
-			func(b []byte) error { var g sketch.QDigest; return g.UnmarshalBinary(b) }},
+			func(b []byte) error { var g quantile.QDigest; return g.UnmarshalBinary(b) }},
 		{"misragries", mustMarshal(mg.MarshalBinary()), 6 + 4 + 8 + 8,
-			func(b []byte) error { var g sketch.MisraGries; return g.UnmarshalBinary(b) }},
+			func(b []byte) error { var g frequency.MisraGries; return g.UnmarshalBinary(b) }},
 		{"spacesaving", mustMarshal(ss.MarshalBinary()), 6 + 4 + 8,
 			func(b []byte) error { var g sketch.SpaceSaving; return g.UnmarshalBinary(b) }},
 	}
@@ -152,9 +155,9 @@ func TestUnmarshalCorruptCounts(t *testing.T) {
 // Contains, so a decoded multi-billion k turns the first membership
 // operation into a minutes-long spin (fuzz-found).
 func TestUnmarshalCorruptBloomK(t *testing.T) {
-	bf := sketch.NewBloom(1<<10, 4, 3)
+	bf := bloom.New(1<<10, 4, 3)
 	bf.AddString("x")
-	cbf := sketch.NewCountingBloom(1<<10, 4, 3)
+	cbf := bloom.NewCounting(1<<10, 4, 3)
 	cbf.Add([]byte("x"))
 	bfData, err := bf.MarshalBinary()
 	if err != nil {
@@ -172,7 +175,7 @@ func TestUnmarshalCorruptBloomK(t *testing.T) {
 		{"bloom", bfData,
 			func(b []byte) error { var g sketch.BloomFilter; return g.UnmarshalBinary(b) }},
 		{"countingbloom", cbfData,
-			func(b []byte) error { var g sketch.CountingBloomFilter; return g.UnmarshalBinary(b) }},
+			func(b []byte) error { var g bloom.CountingFilter; return g.UnmarshalBinary(b) }},
 	}
 	for _, c := range cases {
 		if err := c.dec(c.data); err != nil {
