@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	typereg "repro/internal/registry"
+	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -64,6 +64,7 @@ type CoordCounters struct {
 	ProjectedGathers core.Counter // queries answered from shard projections (registry.Projection), not envelopes
 	MixedRegathers   core.Counter // queries re-gathered in full because only part of the fleet projected
 	WireMerges       core.Counter // reads whose shard envelopes merged as bytes (Descriptor.MergeWire): none was decoded
+	HeldFolds        core.Counter // of WireMerges, reads every shard answered 304: the slot's held fold was the answer
 }
 
 // CoordCountersSnapshot is the JSON rendering of CoordCounters.
@@ -82,6 +83,7 @@ type CoordCountersSnapshot struct {
 	ProjectedGathers uint64 `json:"projected_gathers"`
 	MixedRegathers   uint64 `json:"mixed_regathers"`
 	WireMerges       uint64 `json:"wire_merges"`
+	HeldFolds        uint64 `json:"held_folds"`
 }
 
 func (c *CoordCounters) snapshot() CoordCountersSnapshot {
@@ -100,6 +102,7 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 		ProjectedGathers: c.ProjectedGathers.Load(),
 		MixedRegathers:   c.MixedRegathers.Load(),
 		WireMerges:       c.WireMerges.Load(),
+		HeldFolds:        c.HeldFolds.Load(),
 	}
 }
 
@@ -111,8 +114,9 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 // (registry.Descriptor.MergeWire), decoded and tree-merged otherwise.
 // It holds no sketch state of its own — shards own the data, the
 // coordinator owns the rotation and the merge. What it keeps of the
-// shards' envelopes between whole-state reads (slots.go) is a cache
-// that every read revalidates with every shard.
+// shards' envelopes between whole-state reads (slots.go), and the fold
+// of them it answers with while nothing changed, is a cache that every
+// read revalidates with every shard.
 type Coordinator struct {
 	ring    *Ring
 	shards  []string
@@ -127,7 +131,7 @@ type Coordinator struct {
 	bodies     server.BodyPool
 	slots      slotCache // whole-state reads: every shard's last envelope and tag
 	gatherPool sync.Pool // *[][]byte per-shard envelope read buffers of projected reads
-	envPool    sync.Pool // *[]byte a read's copy of its first envelope, or the marshalled merge of a family that merges decoded
+	envPool    sync.Pool // *foldBuf a read's copy of its first envelope, or the marshalled merge of a family that merges decoded
 }
 
 // ShardURLs normalizes a list of shard addresses to base URLs: spaces
@@ -166,7 +170,7 @@ func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
 		bufs := make([][]byte, len(c.shards))
 		return &bufs // per-shard capacities grow to envelope size on first use
 	}
-	c.envPool.New = func() any { return new([]byte) }
+	c.envPool.New = func() any { return new(foldBuf) }
 	c.buildMux()
 	return c, nil
 }
@@ -357,26 +361,31 @@ func (c *Coordinator) wireOf(slim bool) string {
 	return "slim"
 }
 
-// gatherCached is the scatter-gather of a whole-state read, through the
-// slot of (tenant, name, wire form). Under the slot's lock it asks every
-// shard for its envelope conditionally on the tag of the one the slot
-// holds (client.Refresh), so an unchanged shard answers 304 and sends
-// nothing, and a changed one's reply replaces the slot's copy. It
-// returns the envelopes of the shards that answered: the first a copy
-// in a pooled buffer of the read's own, because the merge folds into
-// it, the others the slot's. The caller merges them and calls unlock,
-// which it must do before it answers — with false when the merge
-// refused the envelopes, which drops the slot rather than keep them —
-// and release once it has answered. A shard that no longer has the
-// sketch drops the sketch's slots, as a delete does.
-func (c *Coordinator) gatherCached(tenant, name string, slim bool) (envs [][]byte, fails []ShardError, unlock func(merged bool), release func()) {
+// gatherCached is the scatter-gather and merge of a whole-state read,
+// through the slot of (tenant, name, wire form). Under the slot's lock
+// it asks every shard for its envelope conditionally on the tag of the
+// one the slot holds (client.Refresh), so an unchanged shard answers 304
+// and sends nothing, and a changed one's reply replaces the slot's copy.
+// When every shard answered 304 and the slot holds the fold of what they
+// sent before, that fold is the answer: nothing is copied or merged.
+// Otherwise the envelopes of the shards that answered are merged (see
+// mergeArrived), the first copied into a pooled buffer of the read's
+// own, because the merge folds into it; when every shard answered and
+// they merged on the wire, that buffer becomes the slot's held fold. The
+// caller calls release once it has answered from merged. A merge the
+// envelopes refuse drops the slot rather than keep them, and a shard
+// that no longer has the sketch drops the sketch's slots, as a delete
+// does.
+func (c *Coordinator) gatherCached(tenant, name string, slim, partial bool) (merged registry.Merged, fails []ShardError, release func(), err error) {
 	wire := c.wireOf(slim)
 	s := c.slots.get(slotKey{tenant, name, slim}, len(c.shards))
 	s.mu.Lock()
+	var changed atomic.Bool
 	errs := c.scatter(func(i int, cl *client.Client) error {
 		return c.callShard(func() error {
-			changed, err := cl.Tenant(tenant).Refresh(name, wire, &s.shards[i])
-			if changed {
+			ch, err := cl.Tenant(tenant).Refresh(name, wire, &s.shards[i])
+			if ch {
+				changed.Store(true)
 				c.ops.GatherBytes.Add(uint64(len(s.shards[i].Env)))
 			} else if err == nil {
 				c.ops.NotModified.Inc()
@@ -384,6 +393,19 @@ func (c *Coordinator) gatherCached(tenant, name string, slim bool) (envs [][]byt
 			return err
 		})
 	})
+	fails = c.failures(errs)
+	if fold := s.fold; fold != nil {
+		if len(fails) == 0 && !changed.Load() && !s.dropped.Load() {
+			fold.refs.Add(1)
+			merged = s.held
+			s.mu.Unlock()
+			c.ops.HeldFolds.Inc()
+			return merged, nil, func() { fold.unref(&c.envPool) }, nil
+		}
+		s.fold, s.held = nil, registry.Merged{}
+		fold.unref(&c.envPool)
+	}
+	var envs [][]byte
 	gone := false
 	for i, err := range errs {
 		var se *client.StatusError
@@ -393,24 +415,42 @@ func (c *Coordinator) gatherCached(tenant, name string, slim bool) (envs [][]byt
 			gone = true
 		}
 	}
-	bp := c.envPool.Get().(*[]byte)
+	fb := c.envPool.Get().(*foldBuf)
+	fb.refs.Store(1)
 	if len(envs) > 0 {
-		*bp = append((*bp)[:0], envs[0]...)
-		envs[0] = *bp
+		fb.b = append(fb.b[:0], envs[0]...)
+		envs[0] = fb.b
 	}
-	unlock = func(merged bool) {
-		size := s.size()
-		s.mu.Unlock()
-		switch {
-		case gone:
-			c.slots.drop(tenant, name)
-		case !merged:
-			c.slots.resize(s, -1)
-		default:
-			c.slots.resize(s, size)
-		}
+	if merged, err = mergeArrived(envs, fails, partial); err == nil && merged.Wire() && len(fails) == 0 {
+		fb.refs.Add(1)
+		s.fold, s.held = fb, merged
 	}
-	return envs, c.failures(errs), unlock, func() { c.envPool.Put(bp) }
+	size := s.size()
+	s.mu.Unlock()
+	switch {
+	case gone:
+		c.slots.drop(tenant, name)
+	case err != nil && !errors.Is(err, errShardsMissing):
+		c.slots.resize(s, -1)
+	default:
+		c.slots.resize(s, size)
+	}
+	return merged, fails, func() { fb.unref(&c.envPool) }, err
+}
+
+// errShardsMissing is mergeArrived's refusal of a read that the shards
+// which answered do not answer: none did, or some failed and the read
+// does not allow a partial answer.
+var errShardsMissing = errors.New("cluster: shards missing from the read")
+
+// mergeArrived merges the envelopes of the shards that answered a read
+// (registry.MergeEnvelopes, which folds into envs[0]), or refuses with
+// errShardsMissing.
+func mergeArrived(envs [][]byte, fails []ShardError, partial bool) (registry.Merged, error) {
+	if len(envs) == 0 || len(fails) > 0 && !partial {
+		return registry.Merged{}, errShardsMissing
+	}
+	return registry.MergeEnvelopes(envs)
 }
 
 // gatherPooled is the scatter-gather of a projected read: every shard's
@@ -451,13 +491,13 @@ func (c *Coordinator) gatherPooled(tenant, name string, slim bool, forQuery stri
 // coordinator family-agnostic: any mergeable family a shard can serve,
 // the cluster can aggregate — as bytes where the family merges on the
 // wire, decoded and tree-merged across cores otherwise.
-func MergeEnvelopes(envs [][]byte) (any, *typereg.Descriptor, error) {
+func MergeEnvelopes(envs [][]byte) (any, *registry.Descriptor, error) {
 	if len(envs) == 0 {
 		return nil, nil, fmt.Errorf("cluster: no envelopes to merge")
 	}
 	// The merge folds into its first envelope: give it one of its own.
 	own := append([][]byte{slices.Clone(envs[0])}, envs[1:]...)
-	merged, err := typereg.MergeEnvelopes(own)
+	merged, err := registry.MergeEnvelopes(own)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: %w", err)
 	}

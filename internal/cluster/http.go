@@ -191,13 +191,13 @@ func mixedTags(envs [][]byte) bool {
 // one question the merged result will be asked (nil when the caller
 // wants the whole state), which the shards may answer with a projection
 // of it. A whole-state read goes through its gather slot
-// (gatherCached), a projected one through pooled buffers
-// (gatherPooled). The shard envelopes of a family that merges on the
-// wire fold into the first of them, so the merged result aliases a
-// buffer of the read: the caller calls release once it has answered
-// from it. When the read cannot be answered under the request's
-// partial-failure policy, gatherMerged writes the error response itself
-// and has released already.
+// (gatherCached), which may answer from the fold it holds, a projected
+// one through pooled buffers (gatherPooled). The shard envelopes of a
+// family that merges on the wire fold into the first of them, so the
+// merged result aliases a buffer of the read or of the slot: the caller
+// calls release once it has answered from it. When the read cannot be
+// answered under the request's partial-failure policy, gatherMerged
+// writes the error response itself and has released already.
 func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged registry.Merged, fails []ShardError, release func(), ok bool) {
 	c.ops.Queries.Inc()
 	slim, err := server.WireSlim(r.URL.Query().Get("wire"))
@@ -205,20 +205,22 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 		server.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return merged, nil, nil, false
 	}
-	var envs [][]byte
-	unlock := func(bool) {}
 	if forQuery := query.Encode(); forQuery == "" {
-		envs, fails, unlock, release = c.gatherCached(tenant, name, slim)
-	} else if envs, fails, release = c.gatherPooled(tenant, name, slim, forQuery); mixedTags(envs) {
-		// Only part of the fleet projected (shards that predate ?for=
-		// ship full envelopes): the two forms do not merge, so read
-		// every shard in full, once.
-		release()
-		c.ops.MixedRegathers.Inc()
-		envs, fails, release = c.gatherPooled(tenant, name, slim, "")
+		merged, fails, release, err = c.gatherCached(tenant, name, slim, allowPartial(r))
+	} else {
+		var envs [][]byte
+		envs, fails, release = c.gatherPooled(tenant, name, slim, forQuery)
+		if mixedTags(envs) {
+			// Only part of the fleet projected (shards that predate ?for=
+			// ship full envelopes): the two forms do not merge, so read
+			// every shard in full, once.
+			release()
+			c.ops.MixedRegathers.Inc()
+			envs, fails, release = c.gatherPooled(tenant, name, slim, "")
+		}
+		merged, err = mergeArrived(envs, fails, allowPartial(r))
 	}
-	if len(envs) == 0 || len(fails) > 0 && !allowPartial(r) {
-		unlock(true)
+	if errors.Is(err, errShardsMissing) {
 		release()
 		shardFailure(w, tenant, "scatter-gather", fails)
 		return merged, fails, nil, false
@@ -226,8 +228,6 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 	if len(fails) > 0 {
 		c.ops.PartialQueries.Inc()
 	}
-	merged, err = registry.MergeEnvelopes(envs)
-	unlock(err == nil)
 	if err != nil {
 		release()
 		// Shards that disagree on shape or seed are a conflict, as on a
@@ -281,25 +281,29 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot serves the merged global envelope — byte-compatible
 // with a single sketchd snapshot, so it feeds Merge, sketchcli
 // inspect, or another cluster. For a family that merges on the wire the
-// reply is the gather buffer the shard envelopes folded into, written
-// straight out; any other family's merged instance is marshalled into a
-// pooled buffer. Either goes back to its pool only once Write has
-// returned.
+// reply is the buffer the shard envelopes folded into — this read's, or
+// the one its slot holds — written straight out; any other family's
+// merged instance is marshalled into a pooled buffer. Either goes back
+// to its pool only once Write has returned, and a held fold only once
+// the slot has let go of it too.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	merged, fails, release, ok := c.gatherMerged(w, r, server.TenantOf(r), r.PathValue("name"), nil)
 	if !ok {
 		return
 	}
 	defer release()
-	bp := c.envPool.Get().(*[]byte)
-	defer c.envPool.Put(bp)
-	env, err := merged.Envelope((*bp)[:0])
-	if err != nil {
-		server.HTTPError(w, http.StatusInternalServerError, "marshal: %v", err)
-		return
-	}
-	if !merged.Wire() {
-		*bp = env // keep what the marshal grew
+	var env []byte
+	if merged.Wire() {
+		env, _ = merged.Envelope(nil) // the folded bytes themselves: no marshal, no error
+	} else {
+		fb := c.envPool.Get().(*foldBuf)
+		defer c.envPool.Put(fb)
+		var err error
+		if env, err = merged.Envelope(fb.b[:0]); err != nil {
+			server.HTTPError(w, http.StatusInternalServerError, "marshal: %v", err)
+			return
+		}
+		fb.b = env // keep what the marshal grew
 	}
 	if len(fails) > 0 {
 		w.Header().Set("X-Cluster-Partial", "true")

@@ -255,9 +255,17 @@ func TestOneHotKeySpreadsOverShards(t *testing.T) {
 // shardSnapshots reads one sketch's envelope off every shard directly.
 func shardSnapshots(t *testing.T, shards []*httptest.Server, name string) [][]byte {
 	t.Helper()
+	return shardEnvs(t, shards, name, "")
+}
+
+// shardEnvs reads one sketch's envelope in a wire form ("" for full)
+// off every shard directly; a plain snapshot read does not move a
+// shard's tag.
+func shardEnvs(t *testing.T, shards []*httptest.Server, name, wire string) [][]byte {
+	t.Helper()
 	envs := make([][]byte, len(shards))
 	for i, sh := range shards {
-		env, err := client.New(sh.URL).Snapshot(name)
+		env, err := client.New(sh.URL).SnapshotWire(name, wire)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,9 @@ package cluster
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/registry"
 	"repro/internal/server/client"
 )
 
@@ -21,25 +23,53 @@ type slotKey struct {
 }
 
 // slot holds every shard's last envelope of one whole-state read and
-// the entity tag the shard named it by. A read holds mu while it asks
-// every shard conditionally and folds what it holds, and not while it
-// writes its reply.
+// the entity tag the shard named it by, and, for a family that merges on
+// the wire, the fold of exactly those envelopes: held is answered while
+// every shard answers 304 to the tag the slot holds for it. A read that
+// finds any shard changed or failed, a partial read and a refused merge
+// clear the fold, and a dropped slot answers nothing from it. A read
+// holds mu while it asks every shard conditionally and folds what it
+// holds, and not while it writes its reply.
 type slot struct {
 	mu     sync.Mutex
 	shards []client.Cached // by shard index
+	held   registry.Merged // the fold of shards' envelopes as they stand, when fold is not nil
+	fold   *foldBuf        // the buffer held folded into; one of its references is the slot's
 
-	key   slotKey
-	elem  *list.Element // in the cache's LRU order; nil once dropped
-	bytes int           // what the cache counts for the slot
+	key     slotKey
+	elem    *list.Element // in the cache's LRU order; nil once dropped
+	bytes   int           // what the cache counts for the slot
+	dropped atomic.Bool   // out of the cache: no read answers from its fold
 }
 
-// size is what the slot's buffers hold on to. Call with s.mu held.
+// size is what the slot's buffers hold on to, the held fold's included.
+// Call with s.mu held.
 func (s *slot) size() int {
 	n := 0
 	for _, sh := range s.shards {
 		n += cap(sh.Env) + cap(sh.Tag)
 	}
+	if s.fold != nil {
+		n += cap(s.fold.b)
+	}
 	return n
+}
+
+// foldBuf is a pooled buffer that a whole-state read folds the shard
+// envelopes into, counted by who uses it: each read writing a reply from
+// it, and the slot that holds it. The last to let go puts it back in the
+// pool, so no read folds into a buffer a reply is still written from.
+type foldBuf struct {
+	b    []byte
+	refs atomic.Int32
+}
+
+// unref lets go of one reference to fb, and puts it in pool with the
+// last one.
+func (fb *foldBuf) unref(pool *sync.Pool) {
+	if fb.refs.Add(-1) == 0 {
+		pool.Put(fb)
+	}
 }
 
 // slotCache is the coordinator's gather slots, least recently read
@@ -112,4 +142,5 @@ func (c *slotCache) remove(s *slot) {
 	delete(c.m, s.key)
 	c.bytes -= s.bytes
 	s.elem = nil
+	s.dropped.Store(true)
 }
