@@ -65,6 +65,7 @@ type CoordCounters struct {
 	MixedRegathers   core.Counter // queries re-gathered in full because only part of the fleet projected
 	WireMerges       core.Counter // reads whose shard envelopes merged as bytes (Descriptor.MergeWire): none was decoded
 	HeldFolds        core.Counter // of WireMerges, reads every shard answered 304: the slot's held fold was the answer
+	HeldAnswers      core.Counter // of HeldFolds, /query reads written from the reply stored with the held fold
 }
 
 // CoordCountersSnapshot is the JSON rendering of CoordCounters.
@@ -84,6 +85,7 @@ type CoordCountersSnapshot struct {
 	MixedRegathers   uint64 `json:"mixed_regathers"`
 	WireMerges       uint64 `json:"wire_merges"`
 	HeldFolds        uint64 `json:"held_folds"`
+	HeldAnswers      uint64 `json:"held_answers"`
 }
 
 func (c *CoordCounters) snapshot() CoordCountersSnapshot {
@@ -103,6 +105,7 @@ func (c *CoordCounters) snapshot() CoordCountersSnapshot {
 		MixedRegathers:   c.MixedRegathers.Load(),
 		WireMerges:       c.WireMerges.Load(),
 		HeldFolds:        c.HeldFolds.Load(),
+		HeldAnswers:      c.HeldAnswers.Load(),
 	}
 }
 
@@ -371,12 +374,12 @@ func (c *Coordinator) wireOf(slim bool) string {
 // Otherwise the envelopes of the shards that answered are merged (see
 // mergeArrived), the first copied into a pooled buffer of the read's
 // own, because the merge folds into it; when every shard answered and
-// they merged on the wire, that buffer becomes the slot's held fold. The
-// caller calls release once it has answered from merged. A merge the
-// envelopes refuse drops the slot rather than keep them, and a shard
-// that no longer has the sketch drops the sketch's slots, as a delete
-// does.
-func (c *Coordinator) gatherCached(tenant, name string, slim, partial bool) (merged registry.Merged, fails []ShardError, release func(), err error) {
+// they merged on the wire, that buffer becomes the slot's held fold.
+// Either way a held fold is the read's g.fold. The caller calls
+// g.release once it has answered from g.merged. A merge the envelopes
+// refuse drops the slot rather than keep them, and a shard that no
+// longer has the sketch drops the sketch's slots, as a delete does.
+func (c *Coordinator) gatherCached(tenant, name string, slim, partial bool) (g gathered, err error) {
 	wire := c.wireOf(slim)
 	s := c.slots.get(slotKey{tenant, name, slim}, len(c.shards))
 	s.mu.Lock()
@@ -393,14 +396,15 @@ func (c *Coordinator) gatherCached(tenant, name string, slim, partial bool) (mer
 			return err
 		})
 	})
-	fails = c.failures(errs)
+	g.fails = c.failures(errs)
 	if fold := s.fold; fold != nil {
-		if len(fails) == 0 && !changed.Load() && !s.dropped.Load() {
+		if len(g.fails) == 0 && !changed.Load() && !s.dropped.Load() {
 			fold.refs.Add(1)
-			merged = s.held
+			g.merged, g.fold, g.held = s.held, fold, true
 			s.mu.Unlock()
 			c.ops.HeldFolds.Inc()
-			return merged, nil, func() { fold.unref(&c.envPool) }, nil
+			g.release = func() { fold.unref(&c.envPool) }
+			return g, nil
 		}
 		s.fold, s.held = nil, registry.Merged{}
 		fold.unref(&c.envPool)
@@ -421,9 +425,10 @@ func (c *Coordinator) gatherCached(tenant, name string, slim, partial bool) (mer
 		fb.b = append(fb.b[:0], envs[0]...)
 		envs[0] = fb.b
 	}
-	if merged, err = mergeArrived(envs, fails, partial); err == nil && merged.Wire() && len(fails) == 0 {
+	if g.merged, err = mergeArrived(envs, g.fails, partial); err == nil && g.merged.Wire() && len(g.fails) == 0 {
 		fb.refs.Add(1)
-		s.fold, s.held = fb, merged
+		s.fold, s.held = fb, g.merged
+		g.fold = fb
 	}
 	size := s.size()
 	s.mu.Unlock()
@@ -435,7 +440,8 @@ func (c *Coordinator) gatherCached(tenant, name string, slim, partial bool) (mer
 	default:
 		c.slots.resize(s, size)
 	}
-	return merged, fails, func() { fb.unref(&c.envPool) }, err
+	g.release = func() { fb.unref(&c.envPool) }
+	return g, err
 }
 
 // errShardsMissing is mergeArrived's refusal of a read that the shards

@@ -114,11 +114,13 @@ func TestHeldFoldIsTheFreshFold(t *testing.T) {
 				write()
 			}
 			// read asks one whole-state read of the coordinator and checks
-			// its reply against the merge of the shards' own envelopes.
+			// its reply against the merge of the shards' own envelopes, and
+			// that a /query answered from the held fold, and only such a
+			// read, is written from the reply stored with it.
 			read := func(op, wire, query string, want [][]byte, wantHeld bool) {
 				t.Helper()
 				path := "/v1/sketch/" + name + "/" + op + "?wire=" + wire + query
-				held := coord.ops.HeldFolds.Load()
+				held, answers := coord.ops.HeldFolds.Load(), coord.ops.HeldAnswers.Load()
 				code, body := getSnapshot(t, ts.URL+path)
 				merged := mergeOf(t, want)
 				if op == "query" {
@@ -127,8 +129,15 @@ func TestHeldFoldIsTheFreshFold(t *testing.T) {
 				if code != http.StatusOK || !bytes.Equal(body, merged) {
 					t.Fatalf("GET %s: HTTP %d, %d bytes; want the %d-byte merge of %d shards' envelopes", path, code, len(body), len(merged), len(want))
 				}
-				if got := coord.ops.HeldFolds.Load() - held; got > 1 || (got == 1) != wantHeld {
+				got := coord.ops.HeldFolds.Load() - held
+				if got > 1 || (got == 1) != wantHeld {
 					t.Fatalf("GET %s: held_folds +%d, want held %v", path, got, wantHeld)
+				}
+				if op != "query" {
+					got = 0
+				}
+				if answered := coord.ops.HeldAnswers.Load() - answers; answered != got {
+					t.Fatalf("GET %s: held_answers +%d, want +%d", path, answered, got)
 				}
 			}
 
@@ -164,11 +173,18 @@ func TestHeldFoldIsTheFreshFold(t *testing.T) {
 			read("snapshot", "", "", all, true)
 		})
 	}
-	if _, doc := getJSON(t, ts.URL+"/v1/status"); doc["ops"].(map[string]any)["held_folds"] != float64(coord.ops.HeldFolds.Load()) {
-		t.Errorf("/v1/status ops: %v, want held_folds %d", doc["ops"], coord.ops.HeldFolds.Load())
-	}
-	if _, doc := getJSON(t, ts.URL+"/v1/cluster/status"); doc["coordinator"].(map[string]any)["held_folds"] != float64(coord.ops.HeldFolds.Load()) {
-		t.Errorf("/v1/cluster/status coordinator: %v, want held_folds %d", doc["coordinator"], coord.ops.HeldFolds.Load())
+	_, status := getJSON(t, ts.URL+"/v1/status")
+	_, cluster := getJSON(t, ts.URL+"/v1/cluster/status")
+	for key, n := range map[string]uint64{"held_folds": coord.ops.HeldFolds.Load(), "held_answers": coord.ops.HeldAnswers.Load()} {
+		if n == 0 {
+			t.Errorf("no read counted in %s", key)
+		}
+		if status["ops"].(map[string]any)[key] != float64(n) {
+			t.Errorf("/v1/status ops: %v, want %s %d", status["ops"], key, n)
+		}
+		if cluster["coordinator"].(map[string]any)[key] != float64(n) {
+			t.Errorf("/v1/cluster/status coordinator: %v, want %s %d", cluster["coordinator"], key, n)
+		}
 	}
 }
 
@@ -198,12 +214,17 @@ func cmConsistent(env []byte) error {
 // through the coordinator. Two readers drain their replies slowly behind
 // small socket buffers and two at full speed, and the writer writes once
 // three reads were answered from the fold held since its last write, so
-// refolds start while held replies are being written. Every snapshot a
-// reader receives must be one state of the sketch — checked on arrival,
-// by its cell sum against its header — and once the writes stop, the
-// held answer is the merge of the shards' envelopes. A held buffer put
-// back in the pool while a reply is written from it, or refolded in
-// place, fails it within a run.
+// refolds start while held replies are being written. Every reply a
+// reader receives is checked on arrival against the fold it was
+// answered from: a snapshot must be one state of the sketch, by its
+// cell sum against its header, and a /query must be, byte for byte, the
+// reply to a state the sketch was in while the read was out — the count
+// the writer had acknowledged when it was sent, at least, and at most
+// the count of the writes begun when it arrived. Once the writes stop,
+// the held answer is the merge of the shards' envelopes. A held buffer
+// put back in the pool while a reply is written from it, or refolded in
+// place, and a stored /query reply that outlives its fold, fail it
+// within a run.
 func TestHeldFoldUnderConcurrentWrites(t *testing.T) {
 	coord, shards := fleet(t, 4)
 	ts := httptest.NewUnstartedServer(coord)
@@ -219,6 +240,17 @@ func TestHeldFoldUnderConcurrentWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingestN(t, cl, "cm", 5_000)
+	base, err := cl.Query("cm", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// queryOf is the reply to a /query of the sketch after k writes of two
+	// lines each.
+	queryOf := func(k uint64) []byte {
+		body, _ := json.Marshal(map[string]any{"depth": 4, "n": uint64(base["n"].(float64)) + 2*k, "shards_merged": 4, "width": 1 << 14})
+		return append(body, '\n')
+	}
+	var begun, acked atomic.Uint64 // writes begun and acknowledged
 
 	// get reads a reply through a small receive buffer, pausing between
 	// reads, so the coordinator's Write of it blocks.
@@ -263,12 +295,22 @@ func TestHeldFoldUnderConcurrentWrites(t *testing.T) {
 				if (g+i)%3 == 2 {
 					path = "/v1/sketch/cm/query"
 				}
+				lo := acked.Load()
 				code, body, err := get(path, time.Duration(g%2)*200*time.Microsecond)
+				hi := begun.Load()
 				if err != nil || code != http.StatusOK {
 					t.Errorf("GET %s: HTTP %d, %v", path, code, err)
 					return
 				}
 				if path == "/v1/sketch/cm/query" {
+					k := lo
+					for k < hi && !bytes.Equal(body, queryOf(k)) {
+						k++
+					}
+					if !bytes.Equal(body, queryOf(k)) {
+						t.Errorf("reader %d, query %d: %q is the reply to no state between %d and %d writes", g, i, body, lo, hi)
+						return
+					}
 					continue
 				}
 				if err := cmConsistent(body); err != nil {
@@ -281,9 +323,11 @@ func TestHeldFoldUnderConcurrentWrites(t *testing.T) {
 	// Each write waits for three reads answered from the fold held since
 	// it, so the next read's refold starts while held replies are out.
 	for i := 0; i < 20; i++ {
+		begun.Add(1)
 		if err := cl.AddBatch("cm", []byte(fmt.Sprintf("w-%d\nw-%d\n", i, i+1))); err != nil {
 			t.Fatal(err)
 		}
+		acked.Add(1)
 		held := coord.ops.HeldFolds.Load()
 		for deadline := time.Now().Add(5 * time.Second); coord.ops.HeldFolds.Load() < held+3 && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
@@ -367,5 +411,51 @@ func TestRefoldedSnapshotAllocatesNoEnvelope(t *testing.T) {
 		if got := coord.ops.HeldFolds.Load() - held; got != tc.held {
 			t.Errorf("%s: %d of %d reads answered from the held fold", tc.row, got, runs+1)
 		}
+	}
+}
+
+// The /query twin of TestRefoldedSnapshotAllocatesNoEnvelope's held row:
+// a whole-state /query that every shard answers with 304 writes the
+// reply stored with the held fold, so it decodes no instance of the
+// 1.18 MB envelope and allocates only the five requests' bookkeeping,
+// under the same ceiling of 1/64 of the envelope. Decoding the fold for
+// every read allocated the whole table each time.
+func TestHeldAnswerAllocatesNoReply(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard: what is Put is what is Got
+	coord, _ := fleet(t, 4)
+	cl := coordClient(t, coord)
+	if err := cl.Create("sf", server.CreateRequest{Type: "sfsketch", Width: 4096, Depth: 4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ingestN(t, cl, "sf", 20_000)
+	env, err := cl.SnapshotAppend("sf", "full", nil)
+	if err != nil || len(env) < 1<<20 {
+		t.Fatalf("merged snapshot: %d bytes, %v; want an envelope over 1 MB", len(env), err)
+	}
+	const runs = 10
+	var bytesRead uint64
+	held, answers := coord.ops.HeldFolds.Load(), coord.ops.HeldAnswers.Load()
+	for i := -1; i < runs; i++ { // read -1 renders the stored reply
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := cl.Query("sf", nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i >= 0 {
+			bytesRead += after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	if got, ceiling := bytesRead/runs, uint64(len(env))/64; got >= ceiling {
+		t.Errorf("a held /query of a %d-byte envelope allocated %d bytes per read, ceiling %d", len(env), got, ceiling)
+	}
+	if got := coord.ops.HeldFolds.Load() - held; got != runs+1 {
+		t.Errorf("%d of %d reads answered from the held fold", got, runs+1)
+	}
+	if got := coord.ops.HeldAnswers.Load() - answers; got != runs+1 {
+		t.Errorf("%d of %d reads written from the stored reply", got, runs+1)
 	}
 }

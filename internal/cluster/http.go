@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -22,7 +24,9 @@ import (
 // and merge, types and status are answered locally, and the rows with
 // no cluster-wide meaning (list, overlap, and group-by ingest, whose
 // one-WAL-record atomicity is a per-shard property) answer 501 naming
-// the operation as shard-local — point their callers at a shard.
+// the operation as shard-local — point their callers at a shard. So
+// does a query of a family whose release changes its state
+// (registry.Descriptor.QueryMutates), named by family.
 //
 // Every sketch route also exists under its tenant twin (or with the
 // X-Sketch-Tenant header), forwarding to the same tenant namespace on
@@ -187,6 +191,15 @@ func mixedTags(envs [][]byte) bool {
 	return false
 }
 
+// gathered is a read's merged state and what answering from it takes.
+type gathered struct {
+	merged  registry.Merged
+	fails   []ShardError
+	release func()   // lets go of the buffers merged aliases, once the read has answered from it
+	fold    *foldBuf // the slot's held fold, when merged is it: a whole-state read every shard answered
+	held    bool     // fold was held from an earlier read: every shard answered 304
+}
+
 // gatherMerged runs the scatter-gather + merge for a read; query is the
 // one question the merged result will be asked (nil when the caller
 // wants the whole state), which the shards may answer with a projection
@@ -195,41 +208,41 @@ func mixedTags(envs [][]byte) bool {
 // one through pooled buffers (gatherPooled). The shard envelopes of a
 // family that merges on the wire fold into the first of them, so the
 // merged result aliases a buffer of the read or of the slot: the caller
-// calls release once it has answered from it. When the read cannot be
+// calls g.release once it has answered from it. When the read cannot be
 // answered under the request's partial-failure policy, gatherMerged
 // writes the error response itself and has released already.
-func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (merged registry.Merged, fails []ShardError, release func(), ok bool) {
+func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenant, name string, query url.Values) (g gathered, ok bool) {
 	c.ops.Queries.Inc()
 	slim, err := server.WireSlim(r.URL.Query().Get("wire"))
 	if err != nil {
 		server.HTTPError(w, http.StatusBadRequest, "%v", err)
-		return merged, nil, nil, false
+		return g, false
 	}
 	if forQuery := query.Encode(); forQuery == "" {
-		merged, fails, release, err = c.gatherCached(tenant, name, slim, allowPartial(r))
+		g, err = c.gatherCached(tenant, name, slim, allowPartial(r))
 	} else {
 		var envs [][]byte
-		envs, fails, release = c.gatherPooled(tenant, name, slim, forQuery)
+		envs, g.fails, g.release = c.gatherPooled(tenant, name, slim, forQuery)
 		if mixedTags(envs) {
 			// Only part of the fleet projected (shards that predate ?for=
 			// ship full envelopes): the two forms do not merge, so read
 			// every shard in full, once.
-			release()
+			g.release()
 			c.ops.MixedRegathers.Inc()
-			envs, fails, release = c.gatherPooled(tenant, name, slim, "")
+			envs, g.fails, g.release = c.gatherPooled(tenant, name, slim, "")
 		}
-		merged, err = mergeArrived(envs, fails, allowPartial(r))
+		g.merged, err = mergeArrived(envs, g.fails, allowPartial(r))
 	}
 	if errors.Is(err, errShardsMissing) {
-		release()
-		shardFailure(w, tenant, "scatter-gather", fails)
-		return merged, fails, nil, false
+		g.release()
+		shardFailure(w, tenant, "scatter-gather", g.fails)
+		return g, false
 	}
-	if len(fails) > 0 {
+	if len(g.fails) > 0 {
 		c.ops.PartialQueries.Inc()
 	}
 	if err != nil {
-		release()
+		g.release()
 		// Shards that disagree on shape or seed are a conflict, as on a
 		// single server's /merge; anything else is the coordinator's fault.
 		code := http.StatusInternalServerError
@@ -237,45 +250,80 @@ func (c *Coordinator) gatherMerged(w http.ResponseWriter, r *http.Request, tenan
 			code = http.StatusConflict
 		}
 		server.HTTPError(w, code, "merge shards: %v", err)
-		return merged, fails, nil, false
+		return g, false
 	}
 	switch {
-	case merged.Wire():
+	case g.merged.Wire():
 		c.ops.WireMerges.Inc()
-	case merged.Desc.Tag == core.TagProjection:
+	case g.merged.Desc.Tag == core.TagProjection:
 		c.ops.ProjectedGathers.Inc()
 	}
-	return merged, fails, release, true
+	return g, true
 }
 
 // handleQuery answers the global query: every shard's envelope — or,
 // from families that project the query, just the cells it reads —
 // merged, and the one merged state queried through its type's own
-// binding.
+// binding. The reply to a whole-state query of a held fold is rendered
+// once, by the first read that asks, and kept with the fold
+// (foldBuf.answer): a read every shard answered with 304 writes those
+// bytes, decoding, asking and encoding nothing. Every read still asks
+// every shard, so one answered from stored bytes is charged to every
+// shard's query budget as any other. A family whose release changes its
+// state (registry.Descriptor.QueryMutates) is refused as shard-local
+// before anything is asked of the merge, so no reply of it is stored.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tenant := server.TenantOf(r)
 	query := familyQuery(r)
-	merged, fails, release, ok := c.gatherMerged(w, r, tenant, r.PathValue("name"), query)
+	g, ok := c.gatherMerged(w, r, tenant, r.PathValue("name"), query)
 	if !ok {
 		return
 	}
-	inst, err := merged.Instance() // a copy: the gather buffers can go back
-	release()
-	if err != nil {
-		server.HTTPError(w, http.StatusInternalServerError, "merge shards: %v", err)
+	defer g.release() // a stored reply is written under the read's reference
+	if d := g.merged.Desc; d.QueryMutates {
+		server.HTTPError(w, http.StatusNotImplemented,
+			"query of %s is shard-local: its release changes its state, which a merge of the shards' states does not carry; ask a shard", d.Name)
 		return
 	}
-	res, err := merged.Desc.Bind.Query(inst, query)
+	code := http.StatusOK
+	encode := func(buf *bytes.Buffer) error {
+		inst, err := g.merged.Instance()
+		if err != nil {
+			code = http.StatusInternalServerError
+			return fmt.Errorf("merge shards: %w", err)
+		}
+		res, err := g.merged.Desc.Bind.Query(inst, query)
+		if err != nil {
+			code = http.StatusBadRequest
+			return fmt.Errorf("query: %w", err)
+		}
+		res["shards_merged"] = len(c.shards) - len(g.fails)
+		if len(g.fails) > 0 {
+			res["partial"] = true
+			res["failed_shards"] = g.fails
+		}
+		json.NewEncoder(buf).Encode(labeled(res, tenant)) // as server.WriteJSON encodes it
+		return nil
+	}
+	var reply []byte
+	var err error
+	if g.fold != nil {
+		reply, err = g.fold.answer(encode)
+	} else {
+		var buf bytes.Buffer
+		err = encode(&buf)
+		reply = buf.Bytes()
+	}
 	if err != nil {
-		server.HTTPError(w, http.StatusBadRequest, "query: %v", err)
+		server.HTTPError(w, code, "%v", err)
 		return
 	}
-	res["shards_merged"] = len(c.shards) - len(fails)
-	if len(fails) > 0 {
-		res["partial"] = true
-		res["failed_shards"] = fails
+	if g.held {
+		c.ops.HeldAnswers.Inc()
 	}
-	server.WriteJSON(w, http.StatusOK, labeled(res, tenant))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(reply)
 }
 
 // handleSnapshot serves the merged global envelope — byte-compatible
@@ -287,25 +335,25 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 // to its pool only once Write has returned, and a held fold only once
 // the slot has let go of it too.
 func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	merged, fails, release, ok := c.gatherMerged(w, r, server.TenantOf(r), r.PathValue("name"), nil)
+	g, ok := c.gatherMerged(w, r, server.TenantOf(r), r.PathValue("name"), nil)
 	if !ok {
 		return
 	}
-	defer release()
+	defer g.release()
 	var env []byte
-	if merged.Wire() {
-		env, _ = merged.Envelope(nil) // the folded bytes themselves: no marshal, no error
+	if g.merged.Wire() {
+		env, _ = g.merged.Envelope(nil) // the folded bytes themselves: no marshal, no error
 	} else {
 		fb := c.envPool.Get().(*foldBuf)
 		defer c.envPool.Put(fb)
 		var err error
-		if env, err = merged.Envelope(fb.b[:0]); err != nil {
+		if env, err = g.merged.Envelope(fb.b[:0]); err != nil {
 			server.HTTPError(w, http.StatusInternalServerError, "marshal: %v", err)
 			return
 		}
 		fb.b = env // keep what the marshal grew
 	}
-	if len(fails) > 0 {
+	if len(g.fails) > 0 {
 		w.Header().Set("X-Cluster-Partial", "true")
 	}
 	server.WriteEnvelope(w, env)

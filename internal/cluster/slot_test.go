@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"testing"
@@ -163,14 +164,23 @@ func etagOf(t *testing.T, url string) string {
 
 // A conditional read is a read: it draws from the sketch's query budget
 // as an unconditional one does, and a sketch over budget answers 429 to
-// it, not 304 — on the shard and through the coordinator's slots.
+// it, not 304 — on the shard and through the coordinator's slots. The
+// budget composes: with budget B on every shard, B reads through the
+// coordinator are answered and read B + 1 is a 429 carrying the largest
+// Retry-After of the shards, in every form a read takes — a held
+// /snapshot, a whole-state /query held and refolded, and a projected
+// ?for= point query. A reply stored with a held fold is written only
+// after every shard charged the read: the refused read answers nothing
+// from it.
 func TestGatherSlotUnderQueryBudget(t *testing.T) {
 	const budget = 3
 	shards := make([]*httptest.Server, 2)
 	urls := make([]string, len(shards))
 	for i := range shards {
 		s := server.New()
-		s.SetQueryBudget(server.QueryBudget{Queries: budget, Interval: time.Hour})
+		// Windows of one and two hours: the coordinator's 429 must carry
+		// the second shard's longer wait.
+		s.SetQueryBudget(server.QueryBudget{Queries: budget, Interval: time.Duration(i+1) * time.Hour})
 		shards[i] = httptest.NewServer(s.Handler())
 		t.Cleanup(shards[i].Close)
 		urls[i] = shards[i].URL
@@ -180,40 +190,93 @@ func TestGatherSlotUnderQueryBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := coordClient(t, coord)
-	if err := cl.Create("metered", server.CreateRequest{Type: "hll", P: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Add("metered", []string{"a", "b", "c"}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < budget; i++ {
-		if _, err := cl.Snapshot("metered"); err != nil {
-			t.Fatalf("read %d under budget: %v", i, err)
-		}
-	}
-	if got := coord.ops.NotModified.Load(); got != 2*(budget-1) {
-		t.Fatalf("%d shard replies were 304, want every one after the first read", got)
-	}
-	tag := string(coord.slots.m[slotKey{server.DefaultTenant, "metered", false}].shards[0].Tag)
-	if tag == "" {
-		t.Fatal("the slot holds no tag for shard 0")
-	}
-	_, err = cl.Snapshot("metered")
-	var se *client.StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter <= 0 {
-		t.Fatalf("read over budget through the coordinator: %v, want 429 with a Retry-After", err)
-	}
-
-	// On the shard itself, holding the current tag changes nothing.
-	req, _ := http.NewRequest("GET", urls[0]+"/v1/sketch/metered/snapshot", nil)
-	req.Header.Set("If-None-Match", tag)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("conditional read over budget on the shard: HTTP %d, want 429", resp.StatusCode)
+	for _, tc := range []struct {
+		name  string
+		req   server.CreateRequest
+		write bool   // a line lands on one shard before every read: every read refolds
+		held  uint64 // reads of the budget answered from the held fold
+		read  func(name string) error
+	}{
+		{"snapshot-held", server.CreateRequest{Type: "hll", P: 10}, false, budget - 1, func(name string) error {
+			_, err := cl.Snapshot(name)
+			return err
+		}},
+		{"query-held", server.CreateRequest{Type: "hll", P: 10}, false, budget - 1, func(name string) error {
+			_, err := cl.Query(name, nil)
+			return err
+		}},
+		{"query-refolded", server.CreateRequest{Type: "hll", P: 10}, true, 0, func(name string) error {
+			_, err := cl.Query(name, nil)
+			return err
+		}},
+		{"query-for", server.CreateRequest{Type: "countmin", Width: 1024, Depth: 4}, false, 0, func(name string) error {
+			_, err := cl.Query(name, url.Values{"item": {"a"}})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := cl.Create(tc.name, tc.req); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Add(tc.name, []string{"a", "b", "c"}); err != nil {
+				t.Fatal(err)
+			}
+			isQuery := strings.HasPrefix(tc.name, "query")
+			before := coord.ops.snapshot()
+			var tag string // the slot's tag for shard 0 as the budget ran out
+			for i := 0; i <= budget; i++ {
+				if tc.write {
+					if err := cl.Add(tc.name, []string{fmt.Sprint("w", i)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				answers := coord.ops.HeldAnswers.Load()
+				err := tc.read(tc.name)
+				if i < budget {
+					if err != nil {
+						t.Fatalf("read %d under budget: %v", i, err)
+					}
+					if s := coord.slots.m[slotKey{server.DefaultTenant, tc.name, false}]; s != nil {
+						tag = string(s.shards[0].Tag)
+					}
+					continue
+				}
+				var se *client.StatusError
+				if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter <= time.Hour {
+					t.Fatalf("read over budget through the coordinator: %v, want 429 with the second shard's Retry-After, over an hour", err)
+				}
+				if got := coord.ops.HeldAnswers.Load() - answers; got != 0 {
+					t.Fatalf("the read over budget was answered from a stored reply: held_answers +%d", got)
+				}
+			}
+			after := coord.ops.snapshot()
+			if got := after.HeldFolds - before.HeldFolds; got != tc.held {
+				t.Errorf("%d of %d reads answered from the held fold, want %d", got, budget, tc.held)
+			}
+			if want := map[bool]uint64{false: 0, true: tc.held}[isQuery]; after.HeldAnswers-before.HeldAnswers != want {
+				t.Errorf("held_answers +%d, want %d", after.HeldAnswers-before.HeldAnswers, want)
+			}
+			if tc.name != "snapshot-held" {
+				return
+			}
+			if got := after.NotModified - before.NotModified; got != 2*(budget-1) {
+				t.Fatalf("%d shard replies were 304, want every one after the first read", got)
+			}
+			if tag == "" {
+				t.Fatal("the slot holds no tag for shard 0")
+			}
+			// On the shard itself, holding the current tag changes nothing.
+			req, _ := http.NewRequest("GET", urls[0]+"/v1/sketch/"+tc.name+"/snapshot", nil)
+			req.Header.Set("If-None-Match", tag)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Errorf("conditional read over budget on the shard: HTTP %d, want 429", resp.StatusCode)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"container/list"
 	"sync"
 	"sync/atomic"
@@ -25,11 +26,13 @@ type slotKey struct {
 // slot holds every shard's last envelope of one whole-state read and
 // the entity tag the shard named it by, and, for a family that merges on
 // the wire, the fold of exactly those envelopes: held is answered while
-// every shard answers 304 to the tag the slot holds for it. A read that
-// finds any shard changed or failed, a partial read and a refused merge
-// clear the fold, and a dropped slot answers nothing from it. A read
-// holds mu while it asks every shard conditionally and folds what it
-// holds, and not while it writes its reply.
+// every shard answers 304 to the tag the slot holds for it, a /snapshot
+// with the folded bytes and a /query with the reply stored with them
+// (foldBuf.answer). A read that finds any shard changed or failed, a
+// partial read and a refused merge clear the fold, its stored reply with
+// it, and a dropped slot answers nothing from it. A read holds mu while
+// it asks every shard conditionally and folds what it holds, and not
+// while it writes its reply.
 type slot struct {
 	mu     sync.Mutex
 	shards []client.Cached // by shard index
@@ -59,15 +62,41 @@ func (s *slot) size() int {
 // envelopes into, counted by who uses it: each read writing a reply from
 // it, and the slot that holds it. The last to let go puts it back in the
 // pool, so no read folds into a buffer a reply is still written from.
+// With the fold it keeps the one reply a whole-state /query of it has,
+// rendered by the first read that asks and then only written out; it
+// goes with the fold's last reference, and its buffer, like b, keeps its
+// capacity from one fold to the next.
 type foldBuf struct {
 	b    []byte
 	refs atomic.Int32
+
+	mu       sync.Mutex   // held while the reply is looked up or rendered
+	answered bool         // reply is the fold's whole-state /query reply
+	reply    bytes.Buffer // the reply, as handleQuery writes it
+}
+
+// answer returns the fold's whole-state /query reply, rendered into its
+// buffer by render the first time any read asks for it. Call it holding
+// a reference: the bytes stay as they are until the last one goes. A
+// render that fails stores nothing, and the next read renders again.
+func (fb *foldBuf) answer(render func(*bytes.Buffer) error) ([]byte, error) {
+	fb.mu.Lock()
+	defer fb.mu.Unlock()
+	if !fb.answered {
+		fb.reply.Reset()
+		if err := render(&fb.reply); err != nil {
+			return nil, err
+		}
+		fb.answered = true
+	}
+	return fb.reply.Bytes(), nil
 }
 
 // unref lets go of one reference to fb, and puts it in pool with the
-// last one.
+// last one, its stored reply forgotten.
 func (fb *foldBuf) unref(pool *sync.Pool) {
 	if fb.refs.Add(-1) == 0 {
+		fb.answered = false
 		pool.Put(fb)
 	}
 }

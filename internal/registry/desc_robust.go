@@ -44,5 +44,6 @@ func init() {
 			}),
 			Merge: merge2[*robust.Distinct](),
 		},
+		QueryMutates: true,
 	})
 }

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/url"
 	"slices"
 	"testing"
 
@@ -310,6 +311,64 @@ func TestMergeWireLaw(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestMergeWireQueryIsPure: a coordinator stores the reply to a
+// whole-state /query of a held fold and writes it again while no shard
+// changed, so the summary Query of a family that merges on the wire
+// must read its state and change nothing. For every row's shape,
+// variant and form, the decoded envelope is asked twice, with no
+// parameters: the two replies are equal, and the envelope it marshals
+// to after them is the one it marshalled to before, byte for byte.
+func TestMergeWireQueryIsPure(t *testing.T) {
+	for name, row := range mergeWireRows {
+		d, _ := Lookup(name)
+		if d.QueryMutates {
+			t.Errorf("%s merges on the wire and declares that its release changes its state", name)
+		}
+		forms := []bool{false}
+		p, _ := d.Validate(1, row.shapes[0])
+		if inst, _ := d.New(p); inst != nil {
+			if _, ok := inst.(SlimMarshaler); ok {
+				forms = append(forms, true)
+			}
+		}
+		for si, shape := range row.shapes {
+			for variant := range wireVariants(d) {
+				for _, slim := range forms {
+					rng := rand.New(rand.NewSource(int64(si)))
+					env := wireEnvelope(t, d, variant, shape, 7, slim, rng)
+					inst, err := d.Decode(env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					before, _, err := AppendMarshal(nil, inst, slim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					first, err := d.Bind.Query(inst, url.Values{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					again, err := d.Bind.Query(inst, url.Values{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					after, _, err := AppendMarshal(nil, inst, slim)
+					if err != nil {
+						t.Fatal(err)
+					}
+					what := fmt.Sprintf("%s/%s/%d slim=%v", name, variant, si, slim)
+					if fmt.Sprint(first) != fmt.Sprint(again) {
+						t.Errorf("%s: a second summary query answered %v, the first %v", what, again, first)
+					}
+					if !bytes.Equal(before, after) {
+						t.Errorf("%s: the summary query changed the envelope", what)
+					}
+				}
+			}
 		}
 	}
 }

@@ -217,6 +217,14 @@ type Descriptor struct {
 	// rewrite, or one that does not merge, and the caller decodes and
 	// merges the rest. MergeEnvelopes is the caller.
 	MergeWire func(dst []byte, srcs ...[]byte) (folded int, err error)
+
+	// QueryMutates marks a family whose release changes its state:
+	// robustdistinct's Estimate may burn a copy of its sketch switching,
+	// which its envelope holds. A merge of the shards' states made for
+	// one read and thrown away carries no such state, so a coordinator
+	// refuses the family's /query as shard-local, and no reply of it is
+	// ever stored to be written again.
+	QueryMutates bool
 }
 
 // Mergeable reports whether live instances can absorb decoded peers.
