@@ -401,21 +401,28 @@ func (f *BlockedFilter) MarshalBinary() ([]byte, error) { return f.AppendBinary(
 // AppendBinary appends the serialization to dst (Go 1.24's
 // encoding.BinaryAppender), in one sized pass.
 func (f *BlockedFilter) AppendBinary(dst []byte) ([]byte, error) {
-	return AppendBlocked(dst, f.blocks, f.k, f.seed, f.n, f.bits), nil
+	return EncodeBlocked(dst, nil, f.blocks, f.k, f.seed, f.n, f.bits)
 }
 
-// AppendBlocked appends the blocked-Bloom envelope of a filter's words
-// to dst. BlockedFilter holds them plain; concurrent.AtomicBlockedBloom
-// holds atomics and writes the same envelope from them without copying
-// the words first.
-func AppendBlocked[T uint64 | atomic.Uint64](dst []byte, blocks uint64, k int, seed, n uint64, words []T) []byte {
-	w := core.AppendWriter(dst, core.TagBlockedBloom, 1, 32+8*len(words))
+// StreamBinary writes the envelope AppendBinary appends to s, the bit
+// words as they are.
+func (f *BlockedFilter) StreamBinary(s core.Sink) error {
+	_, err := EncodeBlocked(nil, s, f.blocks, f.k, f.seed, f.n, f.bits)
+	return err
+}
+
+// EncodeBlocked writes the blocked-Bloom envelope of a filter's words:
+// to s when s is set, else at the end of dst. BlockedFilter holds them
+// plain; concurrent.AtomicBlockedBloom holds atomics and writes the
+// same envelope from them without copying the words first.
+func EncodeBlocked[T uint64 | atomic.Uint64](dst []byte, s core.Sink, blocks uint64, k int, seed, n uint64, words []T) ([]byte, error) {
+	w := core.OpenWriter(dst, s, core.TagBlockedBloom, 1, 32+8*len(words))
 	w.U64(blocks)
 	w.U32(uint32(k))
 	w.U64(seed)
 	w.U64(n)
 	core.WriteSlice(w, words)
-	return w.Bytes()
+	return w.Finish()
 }
 
 // blockedHeader reads a blocked-Bloom envelope up to its bit words and

@@ -255,14 +255,23 @@ func (f *Filter) MarshalBinary() ([]byte, error) { return f.AppendBinary(nil) }
 
 // AppendBinary appends the serialization to dst (Go 1.24's
 // encoding.BinaryAppender), in one sized pass.
-func (f *Filter) AppendBinary(dst []byte) ([]byte, error) {
-	w := core.AppendWriter(dst, core.TagBloom, 2, 32+8*len(f.bits))
+func (f *Filter) AppendBinary(dst []byte) ([]byte, error) { return f.encode(dst, nil) }
+
+// StreamBinary writes the envelope AppendBinary appends to s, the bit
+// array as the words it is.
+func (f *Filter) StreamBinary(s core.Sink) error {
+	_, err := f.encode(nil, s)
+	return err
+}
+
+func (f *Filter) encode(dst []byte, s core.Sink) ([]byte, error) {
+	w := core.OpenWriter(dst, s, core.TagBloom, 2, 32+8*len(f.bits))
 	w.U64(f.m)
 	w.U32(uint32(f.k))
 	w.U64(f.seed)
 	w.U64(f.n)
 	w.U64Slice(f.bits)
-	return w.Bytes(), nil
+	return w.Finish()
 }
 
 // bitsHeader reads what the classic and the blocked filter's envelopes

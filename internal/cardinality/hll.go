@@ -367,12 +367,21 @@ func (h *HLL) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
 
 // AppendBinary appends the serialization to dst (Go 1.24's
 // encoding.BinaryAppender), in one sized pass.
-func (h *HLL) AppendBinary(dst []byte) ([]byte, error) {
-	w := core.AppendWriter(dst, core.TagHLL, 1, 13+8*len(h.packed))
+func (h *HLL) AppendBinary(dst []byte) ([]byte, error) { return h.encode(dst, nil) }
+
+// StreamBinary writes the envelope AppendBinary appends to s, the
+// register words as they are.
+func (h *HLL) StreamBinary(s core.Sink) error {
+	_, err := h.encode(nil, s)
+	return err
+}
+
+func (h *HLL) encode(dst []byte, s core.Sink) ([]byte, error) {
+	w := core.OpenWriter(dst, s, core.TagHLL, 1, 13+8*len(h.packed))
 	w.U8(h.p)
 	w.U64(h.seed)
 	w.U64Slice(h.packed)
-	return w.Bytes(), nil
+	return w.Finish()
 }
 
 // hllHeader reads an HLL envelope up to its register words and

@@ -265,5 +265,5 @@ func (f *AtomicBlockedBloom) MarshalBinary() ([]byte, error) { return f.AppendBi
 // loaded straight into the envelope — the same per-word snapshot as
 // Snapshot's, without a second bit array in between.
 func (f *AtomicBlockedBloom) AppendBinary(dst []byte) ([]byte, error) {
-	return bloom.AppendBlocked(dst, f.blocks, f.k, f.seed, f.n.Load(), f.bits), nil
+	return bloom.EncodeBlocked(dst, nil, f.blocks, f.k, f.seed, f.n.Load(), f.bits)
 }

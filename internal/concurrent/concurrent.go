@@ -462,5 +462,5 @@ func (c *AtomicCountMin) MarshalBinary() ([]byte, error) { return c.AppendBinary
 // are loaded straight into the envelope — the same per-cell snapshot as
 // Snapshot's, without a second table in between.
 func (c *AtomicCountMin) AppendBinary(dst []byte) ([]byte, error) {
-	return frequency.AppendCountMin(dst, &c.layout, c.n.Load(), false, c.cells), nil
+	return frequency.EncodeCountMin(dst, nil, &c.layout, c.n.Load(), false, c.cells)
 }

@@ -78,9 +78,25 @@ func PeekTag(data []byte) (byte, error) {
 // headerSize is the bytes every envelope starts with: magic, tag, version.
 const headerSize = 6
 
-// Writer accumulates a sketch serialization.
+// Writer writes a sketch serialization: into a buffer it returns
+// (AppendWriter), or to a Sink as it goes (OpenWriter with a sink).
 type Writer struct {
-	buf []byte
+	buf  []byte
+	sink Sink
+	err  error // with a sink: the first error it returned
+}
+
+// Sink takes an envelope as it is written, in place of a buffer that
+// holds it whole: a snapshot cut streams each sketch into its file.
+type Sink interface {
+	// Begin is told the envelope's exact length before its first byte.
+	Begin(size int) error
+	// Write takes the envelope's next bytes. They may be a sketch's own
+	// words, valid only until Write returns.
+	Write(p []byte) error
+	// Lend returns an empty buffer of the sink's, for the bytes an
+	// encoder gathers on their way to Write.
+	Lend() []byte
 }
 
 // NewWriter starts an envelope for the given sketch tag and version in
@@ -95,14 +111,63 @@ func NewWriter(tag, version byte) *Writer {
 // envelope is written in one pass into one allocation — or into none,
 // when dst already has the room.
 func AppendWriter(dst []byte, tag, version byte, size int) *Writer {
-	w := &Writer{buf: slices.Grow(dst, headerSize+size)}
-	w.buf = append(w.buf, wireMagic...)
-	w.buf = append(w.buf, tag, version)
+	w := new(Writer)
+	w.start(dst, tag, version, size)
 	return w
 }
 
+// OpenWriter starts an envelope of the header and size more bytes: for
+// s when s is set, else at the end of dst as AppendWriter does. A
+// writer for a sink tells it the length first, gathers the small
+// fields in the buffer the sink lends, and hands a block of plain words
+// over as their own memory on a little-endian host, so that no copy of
+// the envelope is ever made. The sink holds the encoder to the size it
+// was told.
+func OpenWriter(dst []byte, s Sink, tag, version byte, size int) *Writer {
+	w := &Writer{sink: s}
+	w.start(dst, tag, version, size)
+	return w
+}
+
+func (w *Writer) start(dst []byte, tag, version byte, size int) {
+	if w.sink == nil {
+		w.buf = slices.Grow(dst, headerSize+size)
+	} else {
+		w.buf = w.sink.Lend()[:0]
+		w.err = w.sink.Begin(headerSize + size)
+	}
+	w.buf = append(w.buf, wireMagic...)
+	w.buf = append(w.buf, tag, version)
+}
+
+// Finish completes the envelope and returns what AppendWriter's buffer
+// now holds, or, for a sink, nil and the first error the sink returned.
+func (w *Writer) Finish() ([]byte, error) {
+	if w.sink == nil {
+		return w.buf, nil
+	}
+	w.flush()
+	return nil, w.err
+}
+
+// flush hands the gathered bytes to the sink.
+func (w *Writer) flush() {
+	if len(w.buf) > 0 {
+		w.give(w.buf)
+		w.buf = w.buf[:0]
+	}
+}
+
+// give hands p to the sink; its first error stops every later write.
+func (w *Writer) give(p []byte) {
+	if w.err == nil {
+		w.err = w.sink.Write(p)
+	}
+}
+
 // Bytes returns the accumulated serialization: whatever AppendWriter
-// was handed, then the envelope.
+// was handed, then the envelope. A writer opened on a sink holds no
+// envelope: Finish it.
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // U8 appends one byte.
@@ -161,11 +226,55 @@ func (w *Writer) sliceRoom(n int) []byte {
 // WriteBlock appends vs with no length prefix: one reservation, then
 // one copy into a destination sliced to size, where a U64 per element
 // would re-check (and now and then regrow) the buffer per element.
-func WriteBlock[T Word](w *Writer, vs []T) { putWords(w.extend(8*len(vs)), vs) }
+func WriteBlock[T Word](w *Writer, vs []T) {
+	if w.sink != nil {
+		sinkBlock(w, vs)
+		return
+	}
+	putWords(w.extend(8*len(vs)), vs)
+}
 
 // WriteSlice appends a length-prefixed block: the form U64Slice, I64Slice
 // and F64Slice write, for a caller generic over the element type.
-func WriteSlice[T Word](w *Writer, vs []T) { putWords(w.sliceRoom(len(vs)), vs) }
+func WriteSlice[T Word](w *Writer, vs []T) {
+	if w.sink != nil {
+		w.U32(uint32(len(vs)))
+		sinkBlock(w, vs)
+		return
+	}
+	putWords(w.sliceRoom(len(vs)), vs)
+}
+
+// sinkChunk is the most a block that is not plain words on a
+// little-endian host puts in the gathering buffer at once, flushed
+// before and after, so that a lent buffer of 4 KB is never outgrown.
+const sinkChunk = 4 << 10
+
+// sinkBlock hands a block to the sink: plain words on a little-endian
+// host as their own memory, anything else a chunk at a time through the
+// gathering buffer — atomic cells loaded, words put in wire order.
+func sinkBlock[T Word](w *Writer, vs []T) {
+	w.flush()
+	if hostLittleEndian {
+		switch vs := any(vs).(type) {
+		case []uint64:
+			w.give(bytesOf(vs))
+			return
+		case []int64:
+			w.give(bytesOf(wordsOf(vs)))
+			return
+		case []float64:
+			w.give(bytesOf(wordsOf(vs)))
+			return
+		}
+	}
+	for len(vs) > 0 {
+		n := min(len(vs), sinkChunk/8)
+		putWords(w.extend(8*n), vs[:n])
+		w.flush()
+		vs = vs[n:]
+	}
+}
 
 func putWords[T Word](dst []byte, vs []T) {
 	switch vs := any(vs).(type) {
@@ -186,13 +295,22 @@ func putWords[T Word](dst []byte, vs []T) {
 // U64Slice appends a length-prefixed slice of uint64. (The three slice
 // methods fill their block themselves: a call into a generic function
 // from code inlined into another package makes the Writer escape.)
-func (w *Writer) U64Slice(vs []uint64) { encodeBlock(w.sliceRoom(len(vs)), vs) }
+func (w *Writer) U64Slice(vs []uint64) { w.plainSlice(vs) }
 
 // I64Slice appends a length-prefixed slice of int64.
-func (w *Writer) I64Slice(vs []int64) { encodeBlock(w.sliceRoom(len(vs)), wordsOf(vs)) }
+func (w *Writer) I64Slice(vs []int64) { w.plainSlice(wordsOf(vs)) }
 
 // F64Slice appends a length-prefixed slice of float64.
-func (w *Writer) F64Slice(vs []float64) { encodeBlock(w.sliceRoom(len(vs)), wordsOf(vs)) }
+func (w *Writer) F64Slice(vs []float64) { w.plainSlice(wordsOf(vs)) }
+
+func (w *Writer) plainSlice(vs []uint64) {
+	if w.sink != nil {
+		w.U32(uint32(len(vs)))
+		sinkBlock(w, vs)
+		return
+	}
+	encodeBlock(w.sliceRoom(len(vs)), vs)
+}
 
 // wordsOf is vs's memory as the uint64 words it holds: an int64 or a
 // float64 travels as its bits.

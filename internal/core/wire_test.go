@@ -432,3 +432,59 @@ func TestAppendWriterOwnsNothing(t *testing.T) {
 		t.Errorf("appending into a buffer with room took %v allocations, want 0", got)
 	}
 }
+
+// chunkSink records what a Writer hands a Sink.
+type chunkSink struct {
+	size   int
+	got    []byte
+	chunks []*byte // where each chunk handed over lies
+	sizes  []int
+	lent   []byte
+}
+
+func (s *chunkSink) Begin(size int) error { s.size = size; return nil }
+func (s *chunkSink) Lend() []byte         { return s.lent[:0] }
+func (s *chunkSink) Write(p []byte) error {
+	s.got = append(s.got, p...)
+	s.chunks, s.sizes = append(s.chunks, &p[0]), append(s.sizes, len(p))
+	return nil
+}
+
+// TestSinkWriter: a writer for a sink states the length first and hands
+// over the same bytes AppendWriter appends; a plain block crosses as the
+// words' own memory on a little-endian host, an atomic one a chunk at a
+// time.
+func TestSinkWriter(t *testing.T) {
+	plain := make([]uint64, 3000)
+	cells := make([]atomic.Uint64, 1500)
+	for i := range plain {
+		plain[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	for i := range cells {
+		cells[i].Store(uint64(i) << 7)
+	}
+	encode := func(dst []byte, s Sink) ([]byte, error) {
+		w := OpenWriter(dst, s, TagCountMin, 3, 1+4+8*len(plain)+8*len(cells))
+		w.U8(9)
+		w.U64Slice(plain)
+		WriteBlock(w, cells)
+		return w.Finish()
+	}
+	want, _ := encode(nil, nil)
+	sink := &chunkSink{lent: make([]byte, 0, 4<<10)}
+	if out, err := encode(nil, sink); out != nil || err != nil {
+		t.Fatalf("Finish for a sink = %d bytes, %v; want none, nil", len(out), err)
+	}
+	if sink.size != len(want) || !bytes.Equal(sink.got, want) {
+		t.Fatalf("sink told %d bytes and given %d; want the %d AppendWriter appends", sink.size, len(sink.got), len(want))
+	}
+	words := &bytesOf(plain)[0]
+	if hostLittleEndian && !slices.Contains(sink.chunks, words) {
+		t.Error("the plain block was copied on its way to the sink")
+	}
+	for i, n := range sink.sizes {
+		if n > sinkChunk && sink.chunks[i] != words {
+			t.Errorf("a gathered chunk of %d bytes, want at most %d", n, sinkChunk)
+		}
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 )
 
 func sampleLog(records []Record) []byte {
@@ -187,30 +188,70 @@ func TestSnapshotFormatUnchanged(t *testing.T) {
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotFile(t, rows))); got != want {
 		t.Fatalf("snapshot file sha256 %s, want %s", got, want)
 	}
-	// A row captured when it is written lands exactly as that row given
-	// its bytes up front.
+	// A row streamed when its turn comes, in chunks of any size, lands
+	// exactly as that row given its bytes up front.
 	for i := range rows {
-		data, lsn := rows[i].Data, rows[i].LastLSN
-		rows[i].Data, rows[i].LastLSN = nil, 0
-		rows[i].Capture = func(dst []byte) ([]byte, uint64, error) { return append(dst, data...), lsn, nil }
+		rows[i] = streamed(rows[i], 1, 7, 70000)
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotFile(t, rows))); got != want {
-		t.Fatalf("captured rows: snapshot file sha256 %s, want %s", got, want)
+		t.Fatalf("streamed rows: snapshot file sha256 %s, want %s", got, want)
 	}
 }
 
-// A row whose Capture fails is left out; the rows around it decode.
-func TestSnapshotSkipsFailedCapture(t *testing.T) {
-	dir := t.TempDir()
-	rows := []SketchSnap{
-		{Name: "ok", Req: []byte("{}"), Capture: func(dst []byte) ([]byte, uint64, error) {
-			return append(dst, "state"...), 5, nil
-		}},
-		{Name: "broken", Req: []byte("{}"), Capture: func(dst []byte) ([]byte, uint64, error) {
-			return append(dst, "partial"...), 6, errors.New("does not serialize")
-		}},
-		{Name: "plain", Req: []byte("{}"), LastLSN: 7, Data: []byte("bytes")},
+// streamed is row with its Data and LastLSN written by a Stream instead,
+// in chunks of the given sizes, in turn.
+func streamed(row SketchSnap, chunks ...int) SketchSnap {
+	data, lsn := row.Data, row.LastLSN
+	row.Data, row.LastLSN = nil, 0
+	row.Stream = func(r *Row) error {
+		r.LSN = lsn
+		if err := r.Begin(len(data)); err != nil {
+			return err
+		}
+		for i, rest := 0, data; len(rest) > 0; i++ {
+			n := min(len(rest), chunks[i%len(chunks)])
+			if err := r.Write(rest[:n]); err != nil {
+				return err
+			}
+			rest = rest[n:]
+		}
+		return nil
 	}
+	return row
+}
+
+// A row whose Stream fails, or whose chunks do not add up to the length
+// it stated, is taken back out of the file — within the write buffer or
+// past it — and the rows around it are written as if it were not there.
+func TestSnapshotSkipsFailedCapture(t *testing.T) {
+	big := bytes.Repeat([]byte("x"), 100<<10)
+	ok := SketchSnap{Name: "ok", Req: []byte("{}"), LastLSN: 5, Data: []byte("state")}
+	plain := SketchSnap{Name: "plain", Req: []byte("{}"), LastLSN: 7, Data: []byte("bytes")}
+	fails := func(name string, size int, chunks [][]byte, err error) SketchSnap {
+		return SketchSnap{Name: name, Req: []byte("{}"), Stream: func(r *Row) error {
+			r.LSN = 6
+			if e := r.Begin(size); e != nil {
+				return e
+			}
+			for _, c := range chunks {
+				if e := r.Write(c); e != nil {
+					return e
+				}
+			}
+			return err
+		}}
+	}
+	rows := []SketchSnap{
+		streamed(ok, 2),
+		fails("broken", 20, [][]byte{[]byte("partial")}, errors.New("does not serialize")),
+		fails("broken-big", 2*len(big), [][]byte{big}, errors.New("does not serialize")),
+		fails("short", 10, [][]byte{[]byte("12345")}, nil),
+		fails("short-big", len(big)+1, [][]byte{big}, nil),
+		fails("over", 3, [][]byte{[]byte("12345")}, nil),
+		{Name: "silent", Req: []byte("{}"), Stream: func(*Row) error { return nil }},
+		plain,
+	}
+	dir := t.TempDir()
 	n, err := writeSnapshot(dir, "test.snap", rows)
 	if err != nil || n != 2 {
 		t.Fatalf("writeSnapshot: %d rows, %v; want 2 rows", n, err)
@@ -219,13 +260,8 @@ func TestSnapshotSkipsFailedCapture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "ok" || got[0].LastLSN != 5 || string(got[0].Data) != "state" ||
-		got[1].Name != "plain" || got[1].LastLSN != 7 || string(got[1].Data) != "bytes" {
-		t.Fatalf("decoded %+v", got)
+	if want := snapshotFile(t, []SketchSnap{ok, plain}); !bytes.Equal(data, want) {
+		t.Fatalf("file of %d bytes, want the %d bytes of the two good rows alone", len(data), len(want))
 	}
 }
 
@@ -359,6 +395,66 @@ func TestManagerSnapshotTruncatesWAL(t *testing.T) {
 	if len(h.replayed) != 1 || h.replayed[0].LSN != 3 || !bytes.Equal(h.replayed[0].Body, []byte("y")) {
 		t.Fatalf("WAL tail after snapshot: %+v", h.replayed)
 	}
+}
+
+// TestCutKeepsGroupCommit: while a cut's helper streams a row that holds
+// it for 500 ms — a sketch's lock taken, a slow disk — the syncer keeps
+// taking appends and fsyncs them on its 50 ms tick, so commits go on
+// completing while the row is held. (At 50 ms a commit, up to ten
+// complete; one is asked for, because on a disk other tests are loading
+// an fsync can take 200–300 ms. A syncer that only drains the queue
+// completes none.)
+func TestCutKeepsGroupCommit(t *testing.T) {
+	m, err := Open(t.TempDir(), Options{FsyncInterval: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Recover(&collectHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	held, released := make(chan struct{}), make(chan struct{})
+	slow := SketchSnap{Name: "slow", Req: []byte("{}"), Stream: func(r *Row) error {
+		close(held)
+		time.Sleep(500 * time.Millisecond)
+		close(released)
+		if err := r.Begin(5); err != nil {
+			return err
+		}
+		return r.Write([]byte("state"))
+	}}
+	if err := m.Start(func() []SketchSnap { return []SketchSnap{slow} }); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Kill()
+	m.Append(OpCreate, "", "slow", []byte("{}"))
+	if err := m.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	cut := make(chan error, 1)
+	go func() { cut <- m.SnapshotNow() }()
+	<-held
+	last, commits, worst := m.lastFsync.Load(), 0, int64(0)
+	tick := time.NewTicker(10 * time.Millisecond)
+	defer tick.Stop()
+	for holding := true; holding; {
+		select {
+		case <-released:
+			holding = false
+		case <-tick.C:
+			m.Append(OpIngest, "", "slow", []byte("x"))
+		}
+		if at := m.lastFsync.Load(); at != last {
+			last, commits = at, commits+1
+		}
+		worst = max(worst, m.Status().LastFsyncAgeMS)
+	}
+	if err := <-cut; err != nil {
+		t.Fatal(err)
+	}
+	if commits == 0 {
+		t.Fatalf("no commit completed while a row held the cut for 500 ms (the last fsync grew %d ms old)", worst)
+	}
+	t.Logf("%d commits completed while the row was held; the last fsync was at most %d ms old", commits, worst)
 }
 
 func TestRecoverFallsBackToOlderSnapshot(t *testing.T) {

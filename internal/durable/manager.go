@@ -106,6 +106,9 @@ type Manager struct {
 	capture func() []SketchSnap
 
 	// syncer-owned state (no locking: single goroutine)
+	fsyncC      <-chan time.Time // the group-commit tick; nil unless FsyncInterval > 0
+	fsyncing    chan error       // the fsync in flight; nil when none is
+	fsyncStart  time.Time        // when the fsync in flight was started
 	f           *os.File
 	w           *bufio.Writer
 	seq         uint64
@@ -237,12 +240,12 @@ func (m *Manager) Recover(h RecoveryHandler) (RecoveryStats, error) {
 func (m *Manager) RecoveredStats() RecoveryStats { return m.recovered }
 
 // Start opens a fresh WAL segment and launches the background syncer.
-// capture lists the rows of a snapshot cut: each row's Capture reads
+// capture lists the rows of a snapshot cut: each row's Stream writes
 // its sketch's envelope and LSN consistently (under the sketch's lock)
-// when the cut writes that row, so the cut holds one envelope at a
-// time. capture and every Capture run on a snapshot goroutine while
-// the syncer keeps draining the append queue, so they may block on
-// per-sketch locks without deadlocking writers.
+// when the cut reaches that row, straight into the file, so the cut
+// holds no envelope. capture and every Stream run on a snapshot
+// goroutine while the syncer keeps taking appends and committing them,
+// so they may block on per-sketch locks without deadlocking writers.
 func (m *Manager) Start(capture func() []SketchSnap) error {
 	m.capture = capture
 	if err := m.openSegment(); err != nil {
@@ -347,11 +350,11 @@ func (m *Manager) Status() Status {
 
 func (m *Manager) run() {
 	defer m.wg.Done()
-	var fsyncC, snapC <-chan time.Time
+	var snapC <-chan time.Time
 	if m.opts.FsyncInterval > 0 {
 		t := time.NewTicker(m.opts.FsyncInterval)
 		defer t.Stop()
-		fsyncC = t.C
+		m.fsyncC = t.C
 	}
 	if m.opts.SnapshotInterval > 0 {
 		t := time.NewTicker(m.opts.SnapshotInterval)
@@ -361,16 +364,16 @@ func (m *Manager) run() {
 	for {
 		select {
 		case rec := <-m.ch:
-			m.writeRecord(rec)
-			m.drainQueue()
-			m.maybeCommit(false)
+			m.take(rec)
 			if m.activeBytes > m.opts.WALMaxBytes {
 				if err := m.doSnapshot(); err != nil {
 					m.opts.Logf("durable: size-triggered snapshot: %v", err)
 				}
 			}
-		case <-fsyncC:
-			m.commit()
+		case <-m.fsyncC:
+			m.startCommit()
+		case err := <-m.fsyncing:
+			m.fsyncEnded(err)
 		case <-snapC:
 			if err := m.doSnapshot(); err != nil {
 				m.opts.Logf("durable: timed snapshot: %v", err)
@@ -386,7 +389,8 @@ func (m *Manager) run() {
 			done <- m.sealActive()
 		case <-m.quit:
 			if m.kill.Load() {
-				// Simulated kill -9: drop buffered data on the floor.
+				// Simulated kill -9: drop buffered data on the floor (an
+				// fsync in flight ends on the closed file).
 				m.f.Close()
 				return
 			}
@@ -403,6 +407,14 @@ func (m *Manager) run() {
 			return
 		}
 	}
+}
+
+// take writes rec and whatever else is queued, then starts a commit if
+// one is due.
+func (m *Manager) take(rec Record) {
+	m.writeRecord(rec)
+	m.drainQueue()
+	m.commitIfDue()
 }
 
 // drainQueue moves every queued record to the writer without blocking.
@@ -429,36 +441,84 @@ func (m *Manager) writeRecord(rec Record) {
 	m.dirty = true
 }
 
-// maybeCommit applies the group-commit policy after a write burst.
-func (m *Manager) maybeCommit(force bool) {
-	switch {
-	case force,
-		m.opts.FsyncInterval == 0, // per-batch commit
-		m.unsynced >= m.opts.MaxBatchBytes:
-		m.commit()
+// commitIfDue is the group-commit policy after a write burst: commit
+// every batch (FsyncInterval 0), or once MaxBatchBytes are unsynced.
+// The FsyncInterval tick commits the rest.
+func (m *Manager) commitIfDue() {
+	if m.opts.FsyncInterval == 0 || m.unsynced >= m.opts.MaxBatchBytes {
+		m.startCommit()
 	}
 }
 
-// commit flushes buffered records and fsyncs unless fsync is disabled
-// (FsyncInterval < 0), in which case it only flushes to the OS.
-func (m *Manager) commit() error {
-	if !m.dirty {
+// startCommit is the one way records are committed: it flushes the
+// buffered records to the OS and starts their fsync on a goroutine of
+// its own, unless fsync is disabled (FsyncInterval < 0). The syncer
+// does not wait for that fsync but goes on taking appends, which count
+// toward the next commit; that one starts when the fsync in flight has
+// ended (endFsync). An fsync waits on whatever else the filesystem is
+// committing — a snapshot file, an unlink that discards a 64 MiB
+// segment — and a syncer that waited with it would leave the appends
+// queueing in memory.
+func (m *Manager) startCommit() error {
+	if m.fsyncing != nil || !m.dirty {
 		return nil
 	}
+	start := time.Now()
 	if err := m.w.Flush(); err != nil {
 		m.opts.Logf("durable: WAL flush: %v", err)
 		return err
 	}
-	if m.opts.FsyncInterval >= 0 {
-		if err := m.f.Sync(); err != nil {
-			m.opts.Logf("durable: WAL fsync: %v", err)
-			return err
-		}
-	}
 	m.dirty = false
 	m.unsynced = 0
-	m.lastFsync.Store(time.Now().UnixNano())
+	if m.opts.FsyncInterval < 0 {
+		m.lastFsync.Store(start.UnixNano())
+		return nil
+	}
+	done := make(chan error, 1)
+	m.fsyncing, m.fsyncStart = done, start
+	go func(f *os.File) { done <- f.Sync() }(m.f)
 	return nil
+}
+
+// endFsync records the outcome of the fsync in flight: everything
+// flushed before it started is on disk, or, if it failed, still to be
+// committed.
+func (m *Manager) endFsync(err error) error {
+	m.fsyncing = nil
+	if err != nil {
+		m.opts.Logf("durable: WAL fsync: %v", err)
+		m.dirty = true
+		return err
+	}
+	m.lastFsync.Store(m.fsyncStart.UnixNano())
+	return nil
+}
+
+// fsyncEnded takes the outcome of the fsync in flight and starts the
+// next commit if one is due. After a failure the next record or tick
+// retries, so a failing disk is not fsynced in a loop.
+func (m *Manager) fsyncEnded(err error) {
+	if m.endFsync(err) == nil {
+		m.commitIfDue()
+	}
+}
+
+// settle waits for the fsync in flight, if one is.
+func (m *Manager) settle() error {
+	if m.fsyncing == nil {
+		return nil
+	}
+	return m.endFsync(<-m.fsyncing)
+}
+
+// commit is a barrier: it returns once every record written so far is
+// flushed and, unless FsyncInterval < 0, fsynced.
+func (m *Manager) commit() error {
+	m.settle() // a failed fsync leaves its records to the commit below
+	if err := m.startCommit(); err != nil {
+		return err
+	}
+	return m.settle()
 }
 
 // openSegment creates the next WAL segment and makes it the active
@@ -483,7 +543,11 @@ func (m *Manager) openSegment() error {
 		return err
 	}
 	m.f = f
-	m.w = bufio.NewWriterSize(f, 256<<10)
+	if m.w == nil {
+		m.w = bufio.NewWriterSize(f, 256<<10)
+	} else {
+		m.w.Reset(f) // a rotation keeps the buffer: a cut allocates none
+	}
 	m.activeBytes = int64(len(header))
 	m.walBytes.Store(m.activeBytes)
 	m.unsynced = 0
@@ -497,6 +561,7 @@ func (m *Manager) openSegment() error {
 // on disk — and close. It stops at the first error, so a segment that
 // could not be flushed or fsynced is still the open, active one.
 func (m *Manager) seal() error {
+	m.settle() // the file is fsynced and closed below
 	if err := m.w.Flush(); err != nil {
 		return fmt.Errorf("durable: WAL flush: %w", err)
 	}
@@ -540,14 +605,19 @@ func (m *Manager) sealActive() error {
 //  1. flush+fsync and rotate to a fresh segment — every record already
 //     written lands before the cut;
 //  2. read the cut LSN;
-//  3. capture every live sketch and stream its row into the snapshot
-//     file, one row at a time (in a helper goroutine, while this
-//     goroutine keeps draining the append queue so writers blocked on
-//     per-sketch locks can finish their Append without deadlock), and
-//     commit the file (atomic rename);
-//  4. commit the manifest (atomic rename);
-//  5. delete WAL segments before the rotation and snapshots older than
-//     the previous one.
+//  3. on a helper goroutine, stream every live sketch's row into the
+//     snapshot file, one row at a time, and commit the file (atomic
+//     rename);
+//  4. on the helper, commit the manifest (atomic rename);
+//  5. on the helper, delete WAL segments before the rotation and
+//     snapshots older than the previous one.
+//
+// While the helper runs, this goroutine keeps taking appends and
+// committing them as it always does (startCommit) — on its fsync tick
+// and its early commit — so writers blocked on per-sketch locks the
+// helper needs can finish their Append, and neither a row that holds
+// its sketch's lock while it streams nor an unlink that takes seconds
+// stalls the log. doSnapshot returns once the old files are gone.
 //
 // Every record with LSN <= the cut is subsumed: it was applied to its
 // sketch before that sketch was captured (apply and Append share the
@@ -561,28 +631,28 @@ func (m *Manager) doSnapshot() error {
 	if err := m.rotate(); err != nil {
 		return err
 	}
-
 	cut := m.lsn.Load()
-
-	// The helper captures and writes the rows while this goroutine keeps
-	// draining the queue: a handler holding a WAL lock the capture needs
-	// may be blocked on a full queue.
-	name := snapFileName(cut)
-	var rows int
-	var err error
-	done := make(chan struct{})
-	go func() {
-		rows, err = writeSnapshot(m.dir, name, m.capture())
-		close(done)
-	}()
-	for waiting := true; waiting; {
+	done := make(chan error, 1)
+	go func() { done <- m.cutSnapshot(cut, oldSeq) }()
+	for {
 		select {
-		case <-done:
-			waiting = false
+		case err := <-done:
+			return err
 		case rec := <-m.ch:
-			m.writeRecord(rec)
+			m.take(rec)
+		case <-m.fsyncC:
+			m.startCommit()
+		case err := <-m.fsyncing:
+			m.fsyncEnded(err)
 		}
 	}
+}
+
+// cutSnapshot is doSnapshot's helper: steps 3 to 5 for the cut at LSN
+// cut, made after segment oldSeq was sealed. It touches no syncer state.
+func (m *Manager) cutSnapshot(cut, oldSeq uint64) error {
+	name := snapFileName(cut)
+	rows, err := writeSnapshot(m.dir, name, m.capture())
 	if err != nil {
 		return fmt.Errorf("durable: writing snapshot: %w", err)
 	}
@@ -604,6 +674,12 @@ func (m *Manager) doSnapshot() error {
 		if i >= 2 {
 			os.Remove(filepath.Join(m.dir, sf))
 		}
+	}
+	// Commit the removals here: on a filesystem that discards freed
+	// blocks, that journal commit can take seconds, and the syncer's
+	// next fsync would otherwise be the one to wait for it.
+	if err := syncDir(m.dir); err != nil {
+		m.opts.Logf("durable: syncing %s after removals: %v", m.dir, err)
 	}
 	m.opts.Logf("durable: snapshot %s committed (%d sketches, cut lsn %d)", name, rows, cut)
 	return nil

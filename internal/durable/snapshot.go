@@ -1,10 +1,11 @@
 package durable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,21 +42,69 @@ const (
 // plus the LSN up to which the state already includes WAL records.
 // An empty Tenant is the default namespace.
 //
-// A row handed to a cut carries Capture, which appends the sketch's
-// envelope to dst and returns the LSN that envelope holds, both read
-// under the sketch's WAL lock. The cut calls it when the row's turn
-// comes to be written, so only one envelope is in memory at a time; an
-// error leaves the row out of the snapshot. A row without Capture is
-// written with its LastLSN and Data as they stand, and rows read back
-// from a file carry those two.
+// A row handed to a cut carries Stream, which writes the sketch's
+// envelope to the Row when the cut reaches it: it sets the Row's LSN
+// and streams the envelope under the sketch's WAL lock, so the two
+// agree, and the envelope goes from the sketch's own words into the
+// file — no copy of it is ever held. An error leaves the row out of
+// the snapshot. A row without Stream is written with its LastLSN and
+// Data as they stand, and rows read back from a file carry those two.
 type SketchSnap struct {
 	Tenant  string
 	Name    string
 	Req     []byte // JSON CreateRequest
 	LastLSN uint64
 	Data    []byte // MarshalBinary envelope
-	Capture func(dst []byte) ([]byte, uint64, error)
+	Stream  func(row *Row) error
 }
+
+// Row is the sink a SketchSnap's Stream writes to, a core.Sink. Stream
+// sets LSN to the last LSN the envelope holds, then the envelope
+// follows: Begin with its exact length, which frames the record, then
+// Write for each of its chunks, which pass through the CRC into the
+// file. A row whose chunks do not add up to the length Begin was told
+// fails, and the cut takes its bytes back out of the file.
+type Row struct {
+	LSN   uint64
+	file  *snapFile
+	snap  *SketchSnap
+	at    int64 // file offset of the record
+	left  int   // envelope bytes Begin was told of less those Write has seen
+	crc   uint32
+	begun bool
+}
+
+// Begin writes the record's framing for an envelope of size bytes. The
+// CRC is patched in once the envelope is through.
+func (r *Row) Begin(size int) error {
+	if r.begun {
+		return fmt.Errorf("durable: row %q begun twice", r.snap.Name)
+	}
+	r.begun, r.left = true, size
+	f := r.file
+	h := append(f.head[:0], make([]byte, recordOverhead)...)
+	h = binary.LittleEndian.AppendUint64(h, r.LSN)
+	h = appendSnapField(h, r.snap.Name)
+	h = appendSnapField(h, r.snap.Tenant)
+	h = appendSnapField(h, r.snap.Req)
+	h = binary.LittleEndian.AppendUint32(h, uint32(size))
+	binary.LittleEndian.PutUint32(h, uint32(len(h)-recordOverhead+size))
+	r.crc = crc32.Update(0, castagnoli, h[recordOverhead:])
+	f.head = h
+	f.write(h)
+	return f.err
+}
+
+// Write streams the envelope's next chunk into the file.
+func (r *Row) Write(p []byte) error {
+	r.left -= len(p)
+	r.crc = crc32.Update(r.crc, castagnoli, p)
+	r.file.write(p)
+	return r.file.err
+}
+
+// Lend returns the cut's gathering buffer, empty.
+func (r *Row) Lend() []byte { return r.file.lend[:0] }
 
 // manifest is the JSON document in the MANIFEST file: which snapshot
 // file is current and the global LSN at which it cut the log. Records
@@ -73,49 +122,125 @@ func walFileName(seq uint64) string  { return fmt.Sprintf("wal-%020d.log", seq) 
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
 // writeSnapshot commits rows as the snapshot file name in dir, through
-// a temp file as writeFileSync does. Rows are captured and written one
-// at a time: each record is built in one buffer reused across rows and
-// streamed out through a 64 KB writer, so a cut holds the largest
-// row's record rather than every envelope and a copy of the file. A
-// row is captured when its turn comes; one whose Capture fails is left
-// out. It returns the number of rows written.
+// a temp file as writeFileSync does. Each row is streamed in its turn:
+// its framing, then its envelope chunk by chunk through a 64 KB buffer
+// into the file, folded into the CRC on the way, then the CRC patched
+// in. So a cut holds no envelope — the largest sketch's words go from
+// its table to the file — and no copy of the file. A row whose Stream
+// fails is taken back out and left out of the snapshot. It returns the
+// number of rows written.
 func writeSnapshot(dir, name string, rows []SketchSnap) (int, error) {
 	written := 0
 	err := commitFile(dir, name, func(f *os.File) error {
-		w := bufio.NewWriterSize(f, 64<<10)
-		w.WriteString(snapMagic)
-		w.WriteByte(snapVersion) // a bufio error sticks: a later Write or the Flush reports it
-		var rec []byte
-		for _, s := range rows {
-			// Payload length, CRC and LSN are patched once the envelope is in.
-			rec = append(rec[:0], make([]byte, recordOverhead+8)...)
-			rec = appendSnapField(rec, s.Name)
-			rec = appendSnapField(rec, s.Tenant)
-			rec = appendSnapField(rec, s.Req)
-			dataAt := len(rec)
-			rec = binary.LittleEndian.AppendUint32(rec, 0)
-			lsn := s.LastLSN
-			if s.Capture != nil {
-				out, l, err := s.Capture(rec)
-				if err != nil {
-					continue
-				}
-				rec, lsn = out, l
-			} else {
-				rec = append(rec, s.Data...)
+		sf := &snapFile{f: f, buf: make([]byte, 0, 64<<10), lend: make([]byte, 0, 4<<10)}
+		sf.buf = append(sf.buf, snapMagic...)
+		sf.buf = append(sf.buf, snapVersion)
+		for i := range rows {
+			err := sf.writeRow(&rows[i])
+			if sf.err != nil {
+				return sf.err
 			}
-			binary.LittleEndian.PutUint32(rec[dataAt:], uint32(len(rec)-dataAt-4))
-			binary.LittleEndian.PutUint64(rec[recordOverhead:], lsn)
-			binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recordOverhead))
-			binary.LittleEndian.PutUint32(rec[4:], Checksum(rec[recordOverhead:]))
-			if _, err := w.Write(rec); err != nil {
-				return err
+			if err == nil {
+				written++
 			}
-			written++
 		}
-		return w.Flush()
+		sf.flush()
+		return sf.err
 	})
 	return written, err
+}
+
+// snapFile is a snapshot file being written: a buffer in front of the
+// file, which a row's record can be patched or cut back in.
+type snapFile struct {
+	f    *os.File
+	buf  []byte // bytes not yet written, from file offset off on
+	off  int64
+	err  error  // the first I/O error: the cut fails
+	head []byte // the record framing Begin builds
+	lend []byte // the buffer Row.Lend lends
+}
+
+// writeRow writes one row's record. A row that fails is cut back out,
+// so the file never holds a mis-framed record; an I/O error is sf.err.
+func (sf *snapFile) writeRow(s *SketchSnap) error {
+	r := &Row{LSN: s.LastLSN, file: sf, snap: s, at: sf.off + int64(len(sf.buf))}
+	var err error
+	if s.Stream != nil {
+		err = s.Stream(r)
+	} else if err = r.Begin(len(s.Data)); err == nil {
+		err = r.Write(s.Data)
+	}
+	switch {
+	case err != nil:
+	case !r.begun:
+		err = fmt.Errorf("durable: row %q streamed no envelope", s.Name)
+	case r.left != 0:
+		err = fmt.Errorf("durable: row %q streamed %+d bytes off the size it stated", s.Name, -r.left)
+	}
+	if err != nil {
+		sf.cut(r.at)
+		return err
+	}
+	sf.patch(r.at+4, binary.LittleEndian.AppendUint32(sf.head[:0], r.crc))
+	return nil
+}
+
+// write appends p to the file: through the buffer, or straight to the
+// file when it would fill the buffer by itself.
+func (sf *snapFile) write(p []byte) {
+	if len(sf.buf)+len(p) > cap(sf.buf) {
+		sf.flush()
+		if len(p) >= cap(sf.buf) {
+			sf.out(p)
+			return
+		}
+	}
+	sf.buf = append(sf.buf, p...)
+}
+
+func (sf *snapFile) flush() {
+	sf.out(sf.buf)
+	sf.buf = sf.buf[:0]
+}
+
+// out writes p to the file at off.
+func (sf *snapFile) out(p []byte) {
+	if sf.err == nil && len(p) > 0 {
+		var n int
+		n, sf.err = sf.f.Write(p)
+		sf.off += int64(n)
+	}
+}
+
+// patch overwrites the bytes at file offset at with p: in the buffer
+// while they are still there, else with one WriteAt once the buffer
+// in front of them is out.
+func (sf *snapFile) patch(at int64, p []byte) {
+	if at >= sf.off {
+		copy(sf.buf[at-sf.off:], p)
+		return
+	}
+	sf.flush()
+	if sf.err == nil {
+		_, sf.err = sf.f.WriteAt(p, at)
+	}
+}
+
+// cut drops everything written from file offset at on.
+func (sf *snapFile) cut(at int64) {
+	if at >= sf.off {
+		sf.buf = sf.buf[:at-sf.off]
+		return
+	}
+	sf.buf = sf.buf[:0]
+	if sf.err == nil {
+		sf.err = sf.f.Truncate(at)
+	}
+	if sf.err == nil {
+		_, sf.err = sf.f.Seek(at, io.SeekStart)
+	}
+	sf.off = at
 }
 
 // appendSnapField appends a u32 length and the bytes of v.

@@ -358,15 +358,23 @@ func (c *CountMin) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) 
 // encoding.BinaryAppender): the caller owns the buffer, and one with
 // room for the envelope makes the marshal allocation-free.
 func (c *CountMin) AppendBinary(dst []byte) ([]byte, error) {
-	return AppendCountMin(dst, &c.layout, c.n, c.conservative, c.cells), nil
+	return EncodeCountMin(dst, nil, &c.layout, c.n, c.conservative, c.cells)
 }
 
-// AppendCountMin appends the Count-Min envelope of a table of layout l
-// to dst, in one sized pass. CountMin holds such a table as plain
-// words; concurrent.AtomicCountMin holds one as atomics and writes the
-// same envelope from them without copying the table first.
-func AppendCountMin[T uint64 | atomic.Uint64](dst []byte, l *Layout, n uint64, conservative bool, cells []T) []byte {
-	w := core.AppendWriter(dst, core.TagCountMin, cmWireVersion, 26+l.wireSize())
+// StreamBinary writes the envelope AppendBinary appends to s, the table
+// as the words it is.
+func (c *CountMin) StreamBinary(s core.Sink) error {
+	_, err := EncodeCountMin(nil, s, &c.layout, c.n, c.conservative, c.cells)
+	return err
+}
+
+// EncodeCountMin writes the Count-Min envelope of a table of layout l,
+// in one sized pass: to s when s is set, else at the end of dst.
+// CountMin holds such a table as plain words; concurrent.AtomicCountMin
+// holds one as atomics and writes the same envelope from them without
+// copying the table first.
+func EncodeCountMin[T uint64 | atomic.Uint64](dst []byte, s core.Sink, l *Layout, n uint64, conservative bool, cells []T) ([]byte, error) {
+	w := core.OpenWriter(dst, s, core.TagCountMin, cmWireVersion, 26+l.wireSize())
 	w.U32(uint32(l.Width))
 	w.U32(uint32(l.Depth))
 	w.U64(l.Seed)
@@ -378,7 +386,7 @@ func AppendCountMin[T uint64 | atomic.Uint64](dst []byte, l *Layout, n uint64, c
 	}
 	w.U8(byte(l.Mode))
 	writeTable(w, l, cells)
-	return w.Bytes()
+	return w.Finish()
 }
 
 // decodeShape reads the mode byte of a Count-Min or Count Sketch
@@ -413,7 +421,7 @@ func decodeShape(r *core.Reader, version byte, l Layout, maxDepth int) (Layout, 
 	return shaped, nil
 }
 
-// cmWireVersion is the version AppendCountMin and CountSketch write.
+// cmWireVersion is the version EncodeCountMin and CountSketch write.
 const cmWireVersion = 3
 
 // countMinHeader reads a Count-Min envelope up to its table and

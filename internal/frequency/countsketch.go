@@ -270,15 +270,24 @@ func (c *CountSketch) Merge(other *CountSketch) error {
 func (c *CountSketch) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
 
 // AppendBinary appends the serialization to dst, in one sized pass.
-func (c *CountSketch) AppendBinary(dst []byte) ([]byte, error) {
-	w := core.AppendWriter(dst, core.TagCountSketch, cmWireVersion, 25+c.layout.wireSize())
+func (c *CountSketch) AppendBinary(dst []byte) ([]byte, error) { return c.encode(dst, nil) }
+
+// StreamBinary writes the envelope AppendBinary appends to s, the table
+// as the words it is.
+func (c *CountSketch) StreamBinary(s core.Sink) error {
+	_, err := c.encode(nil, s)
+	return err
+}
+
+func (c *CountSketch) encode(dst []byte, s core.Sink) ([]byte, error) {
+	w := core.OpenWriter(dst, s, core.TagCountSketch, cmWireVersion, 25+c.layout.wireSize())
 	w.U32(uint32(c.layout.Width))
 	w.U32(uint32(c.layout.Depth))
 	w.U64(c.layout.Seed)
 	w.U64(c.n)
 	w.U8(byte(c.layout.Mode))
 	writeTable(w, &c.layout, c.cells)
-	return w.Bytes(), nil
+	return w.Finish()
 }
 
 // countSketchHeader reads a Count Sketch envelope up to its table and

@@ -281,11 +281,22 @@ func (s *SFSketch) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil) 
 
 // AppendBinary appends what MarshalBinary returns to dst (Go 1.24's
 // encoding.BinaryAppender).
-func (s *SFSketch) AppendBinary(dst []byte) ([]byte, error) {
+func (s *SFSketch) AppendBinary(dst []byte) ([]byte, error) { return s.encode(dst, nil, s.fullMode()) }
+
+// StreamBinary writes the envelope AppendBinary appends to sink, both
+// stages' tables as the words they are.
+func (s *SFSketch) StreamBinary(sink core.Sink) error {
+	_, err := s.encode(nil, sink, s.fullMode())
+	return err
+}
+
+// fullMode is the mode MarshalBinary writes: full while the fat stage
+// is resident.
+func (s *SFSketch) fullMode() byte {
 	if s.fat == nil {
-		return s.AppendSlim(dst)
+		return sfModeSlim
 	}
-	return s.appendWire(dst, sfModeFull), nil
+	return sfModeFull
 }
 
 // MarshalSlim serializes the slim stage only: the same versioned GSK1
@@ -296,17 +307,16 @@ func (s *SFSketch) AppendBinary(dst []byte) ([]byte, error) {
 func (s *SFSketch) MarshalSlim() ([]byte, error) { return s.AppendSlim(nil) }
 
 // AppendSlim appends what MarshalSlim returns to dst.
-func (s *SFSketch) AppendSlim(dst []byte) ([]byte, error) {
-	return s.appendWire(dst, sfModeSlim), nil
-}
+func (s *SFSketch) AppendSlim(dst []byte) ([]byte, error) { return s.encode(dst, nil, sfModeSlim) }
 
-// appendWire appends the envelope of the given mode in one sized pass.
-func (s *SFSketch) appendWire(dst []byte, mode byte) []byte {
+// encode writes the envelope of the given mode in one sized pass: to
+// sink when it is set, else at the end of dst.
+func (s *SFSketch) encode(dst []byte, sink core.Sink, mode byte) ([]byte, error) {
 	size := 33 + s.slimL.wireSize()
 	if mode == sfModeFull {
 		size += s.fatL.wireSize()
 	}
-	w := core.AppendWriter(dst, core.TagSFSketch, 1, size)
+	w := core.OpenWriter(dst, sink, core.TagSFSketch, 1, size)
 	w.U8(mode)
 	w.U32(uint32(s.slimL.Width))
 	w.U32(uint32(s.slimL.Depth))
@@ -318,7 +328,7 @@ func (s *SFSketch) appendWire(dst []byte, mode byte) []byte {
 	if mode == sfModeFull {
 		writeTable(w, &s.fatL, s.fat)
 	}
-	return w.Bytes()
+	return w.Finish()
 }
 
 // sfHeader reads an SF envelope up to its first table and validates it:

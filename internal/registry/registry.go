@@ -521,22 +521,63 @@ func AppendMarshal(dst []byte, inst any, slim bool) ([]byte, bool, error) {
 			return out, err == nil, err
 		}
 	}
+	out, err := appendFull(dst, inst)
+	return out, false, err
+}
+
+// appendFull appends a plain instance's full envelope to dst.
+func appendFull(dst []byte, inst any) ([]byte, error) {
 	if a, ok := inst.(BinaryAppender); ok {
-		out, err := a.AppendBinary(dst)
-		return out, false, err
+		return a.AppendBinary(dst)
 	}
 	m, ok := inst.(encoding.BinaryMarshaler)
 	if !ok {
-		return dst, false, fmt.Errorf("%w: %T", ErrNoWire, inst)
+		return dst, fmt.Errorf("%w: %T", ErrNoWire, inst)
 	}
 	data, err := m.MarshalBinary()
 	if err != nil {
-		return dst, false, err
+		return dst, err
 	}
 	if dst == nil {
-		return data, false, nil
+		return data, nil
 	}
-	return append(dst, data...), false, nil
+	return append(dst, data...), nil
+}
+
+// streamer is a family whose envelope is written to a core.Sink as it
+// is encoded: StreamBinary writes what AppendBinary appends, its tables
+// handed over as the words they are.
+type streamer interface {
+	StreamBinary(s core.Sink) error
+}
+
+// StreamMarshal writes an instance's full envelope, the bytes Marshal
+// returns, to s, under the holder's sync and lock: s.Begin is told the
+// exact length before s.Write sees the first byte. A streamer's tables
+// reach s as its own words, so no copy of the envelope is made; any
+// other family's envelope is appended into the buffer s lends, or is
+// its MarshalBinary result, and written whole. An instance with no
+// envelope is ErrNoWire.
+func StreamMarshal(s core.Sink, inst any) error {
+	inst, l := held(inst)
+	l.sync()
+	l.lock()
+	defer l.unlock()
+	if st, ok := inst.(streamer); ok {
+		return st.StreamBinary(s)
+	}
+	var dst []byte
+	if _, ok := inst.(BinaryAppender); ok {
+		dst = s.Lend()
+	}
+	data, err := appendFull(dst, inst)
+	if err != nil {
+		return err
+	}
+	if err := s.Begin(len(data)); err != nil {
+		return err
+	}
+	return s.Write(data)
 }
 
 // SizeOf reports an instance's in-memory footprint: its own SizeBytes

@@ -74,11 +74,11 @@ func (s *Server) DurabilityStatus() durable.Status {
 }
 
 // captureAll is the snapshot capture callback: it lists every live
-// sketch as a row whose Capture serializes it under its WAL lock,
-// pairing the bytes with the last LSN already folded into them, when
-// the cut writes that row. A sketch that fails to serialize is left out
-// (it stays recoverable only until the WAL truncates, which cannot
-// happen for registry families — all of them marshal).
+// sketch as a row whose Stream writes it, under its WAL lock and paired
+// with the last LSN already folded into it, when the cut reaches that
+// row. A sketch that fails to serialize is left out (it stays
+// recoverable only until the WAL truncates, which cannot happen for
+// registry families — all of them marshal).
 func (s *Server) captureAll() []durable.SketchSnap {
 	var out []durable.SketchSnap
 	for _, ts := range s.tenantsSnapshot() {
@@ -87,19 +87,20 @@ func (s *Server) captureAll() []durable.SketchSnap {
 			if err != nil {
 				continue
 			}
-			out = append(out, durable.SketchSnap{Tenant: ts.walName, Name: ne.name, Req: req, Capture: ne.capture})
+			out = append(out, durable.SketchSnap{Tenant: ts.walName, Name: ne.name, Req: req, Stream: ne.stream})
 		}
 	}
 	return out
 }
 
-// capture appends the entry's envelope to dst and returns the LSN it
-// holds, both read under the entry's WAL lock.
-func (ne *namedEntry) capture(dst []byte) ([]byte, uint64, error) {
+// stream writes the entry's envelope to row with the LSN it holds, both
+// read under the entry's WAL lock. The lock is held while the envelope
+// goes into the file: a mutation of this sketch waits for the row.
+func (ne *namedEntry) stream(row *durable.Row) error {
 	ne.walMu.Lock()
 	defer ne.walMu.Unlock()
-	data, _, err := ne.entry.SnapshotWire(dst, false)
-	return data, ne.lastLSN, err
+	row.LSN = ne.lastLSN
+	return ne.entry.StreamSnapshot(row)
 }
 
 // hold claims an entry for the mutation in progress. An apply body calls

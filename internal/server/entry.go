@@ -265,10 +265,21 @@ func (e *Entry) Snapshot() ([]byte, error) {
 // The second result reports which form was served.
 func (e *Entry) SnapshotWire(dst []byte, slim bool) ([]byte, bool, error) {
 	out, slimmed, err := typereg.AppendMarshal(dst, e.inst, slim)
+	return out, slimmed, e.wireErr(err)
+}
+
+// StreamSnapshot writes the current state in the standard envelope to
+// s as it is encoded: the bytes Snapshot returns, which no buffer holds.
+func (e *Entry) StreamSnapshot(s core.Sink) error {
+	return e.wireErr(typereg.StreamMarshal(s, e.inst))
+}
+
+// wireErr reports a family without an envelope as ErrUnsupported.
+func (e *Entry) wireErr(err error) error {
 	if errors.Is(err, typereg.ErrNoWire) {
-		err = fmt.Errorf("%w: %s does not serialize", ErrUnsupported, e.desc.Name)
+		return fmt.Errorf("%w: %s does not serialize", ErrUnsupported, e.desc.Name)
 	}
-	return out, slimmed, err
+	return err
 }
 
 // Project serializes the projection of the current state for query —

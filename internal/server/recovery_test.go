@@ -173,10 +173,12 @@ func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 }
 
 // TestSnapshotCutUnderIngestRecoversExactly takes cuts while writers
-// ingest. A cut reads each row's bytes and LSN together, under the
+// ingest. A cut streams each row's bytes and LSN together, under the
 // sketch's WAL lock, so the snapshot plus the WAL after it rebuild every
-// sketch exactly — for the locked families and for blockedbloom, whose
-// holder is its own. Exactly means byte-identical, except for the two
+// sketch exactly — for every family whose tables stream as their own
+// words (countmin, countsketch, sfsketch, bloom, blockedbloom, hll) and
+// for the families that hand the cut one envelope. Exactly means
+// byte-identical, except for the two
 // families whose envelope leaves out their generator (kll's compactor
 // coins, reservoir's replacement draws): a restored one draws a new
 // random stream from its seed, so there the check is that it holds
@@ -187,6 +189,7 @@ func TestSnapshotCutUnderIngestRecoversExactly(t *testing.T) {
 	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
 	batches := map[string]func(int) string{
 		"blockedbloom": func(r int) string { return fmt.Sprintf("member-%d\nmember-%d-x", r, r) },
+		"countsketch":  func(r int) string { return fmt.Sprintf("hot\t3\ncold-%d\t-1", r) },
 	}
 	for _, f := range recoveryFamilies {
 		batches[f.typ] = f.batch
@@ -311,6 +314,40 @@ func TestSnapshotCutHoldsOneEnvelope(t *testing.T) {
 	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*envelope+1<<20); alloc >= limit {
 		t.Fatalf("a cut over four %d-byte envelopes allocated %d bytes, want < %d", envelope, alloc, limit)
 	}
+}
+
+// TestSnapshotCutAllocatesNoEnvelope: a cut streams each row from the
+// sketch's own words into the file, so however large the sketches, it
+// allocates only its write buffer and bookkeeping — here under 256 KB
+// for four 2 MB Count-Min rows, a 4.8 MB blocked Bloom filter and a
+// full SF-sketch.
+func TestSnapshotCutAllocatesNoEnvelope(t *testing.T) {
+	s1, ts1, _ := durableServer(t, t.TempDir(), durable.Options{FsyncInterval: 0})
+	creates := map[string]string{
+		"bb": `{"type":"blockedbloom","n":4000000,"fpr":0.01}`,
+		"sf": `{"type":"sfsketch"}`,
+	}
+	for i := 0; i < 4; i++ {
+		creates[fmt.Sprintf("cm-%d", i)] = `{"type":"countmin","width":65536,"depth":4}`
+	}
+	total := 0
+	for name, req := range creates {
+		url := ts1.URL + "/v1/sketch/" + name
+		mustDo(t, "POST", url, req)
+		mustDo(t, "POST", url+"/add", "hot\t3\ncold")
+		total += len(mustDo(t, "GET", url+"/snapshot", ""))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s1.dur.SnapshotNow(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if alloc >= 256<<10 {
+		t.Fatalf("a cut over %d envelope bytes allocated %d bytes, want < %d", total, alloc, 256<<10)
+	}
+	t.Logf("a cut over %d envelope bytes allocated %d bytes", total, alloc)
 }
 
 // activeWAL returns the newest WAL segment in dir.
