@@ -185,12 +185,6 @@ func main() {
 	// revived server, not resurrected silently.
 	srv.StartReaper(*ttlSweep)
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           withPprof(srv.Handler(), *pprofOn),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
 	replCtx, replCancel := context.WithCancel(context.Background())
 	defer replCancel()
 	if *follow != "" {
@@ -202,25 +196,11 @@ func main() {
 		log.Printf("sketchd: following %s (poll %v)", *follow, *followInterval)
 	}
 
-	go func() {
-		log.Printf("sketchd listening on %s", *addr)
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("sketchd: %v", err)
-		}
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	<-stop
-
-	// Graceful shutdown: stop accepting requests and drain in-flight
-	// ones first, then flush the WAL and write a final snapshot so a
-	// clean restart recovers without replaying anything.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("sketchd: shutdown: %v", err)
-	}
+	log.Printf("sketchd listening on %s", *addr)
+	// Requests are drained first, then the WAL is flushed and a final
+	// snapshot written, so a clean restart recovers without replaying
+	// anything.
+	serve(*addr, withPprof(srv.Handler(), *pprofOn))
 	srv.StopReaper() // before the WAL closes: a mid-sweep eviction still logs
 	if err := srv.CloseDurability(); err != nil {
 		log.Printf("sketchd: closing durability: %v", err)
@@ -257,13 +237,15 @@ func runCoordinator(addr, shardList string, pprofOn bool) {
 	if err != nil {
 		log.Fatalf("sketchd: coordinator: %v", err)
 	}
-	hs := &http.Server{
-		Addr:              addr,
-		Handler:           withPprof(coord, pprofOn),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	log.Printf("sketchd coordinator listening on %s over %d shards", addr, len(coord.Shards()))
+	serve(addr, withPprof(coord, pprofOn))
+}
+
+// serve answers h on addr until SIGINT or SIGTERM, then stops
+// accepting requests and drains in-flight ones for up to 5 s.
+func serve(addr string, h http.Handler) {
+	hs := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
-		log.Printf("sketchd coordinator listening on %s over %d shards", addr, len(coord.Shards()))
 		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("sketchd: %v", err)
 		}

@@ -2,22 +2,35 @@
 // (§3): campaign reach measurement with mergeable HLL sketches —
 // distinct users per campaign, sliced by demographics, rolled up
 // without double counting, and compared against exact ground truth.
+//
+//	go run ./examples/adreach [-n 400000] [-campaigns 8] [-users 150000] [-seed 7]
 package main
 
 import (
+	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/adtech"
 	"repro/internal/core"
 )
 
 func main() {
-	const impressions = 400_000
-	gen := adtech.NewGenerator(8, 150_000, 7)
-	rep := adtech.NewReporter(14, 8)
+	impressions := flag.Int("n", 400_000, "impressions to generate")
+	campaigns := flag.Int("campaigns", 8, "number of campaigns")
+	users := flag.Int("users", 150_000, "size of the user population")
+	seed := flag.Uint64("seed", 7, "generator seed (the reporter's is seed+1)")
+	flag.Parse()
+	if *campaigns < 1 || *users < 1 {
+		fmt.Fprintln(os.Stderr, "adreach: -campaigns and -users must be at least 1")
+		os.Exit(2)
+	}
+
+	gen := adtech.NewGenerator(*campaigns, *users, *seed)
+	rep := adtech.NewReporter(14, *seed+1)
 
 	exact := map[int]map[uint64]bool{}
-	for i := 0; i < impressions; i++ {
+	for i := 0; i < *impressions; i++ {
 		imp := gen.Next()
 		rep.Record(imp)
 		if exact[imp.CampaignID] == nil {
@@ -27,7 +40,7 @@ func main() {
 	}
 
 	fmt.Printf("%d impressions recorded into %d sketches (%d KiB total)\n\n",
-		impressions, rep.SketchCount(), rep.SizeBytes()/1024)
+		*impressions, rep.SketchCount(), rep.SizeBytes()/1024)
 
 	tbl := core.NewTable("Reach per campaign", "campaign", "sketch", "exact", "relerr")
 	for _, c := range rep.Campaigns() {

@@ -506,7 +506,7 @@ func TestCoordinator429Passthrough(t *testing.T) {
 // slot: with one slot in all, a call to a healthy shard goes through
 // while the failing shard's call sits in its back-off.
 func TestRetryBackoffReleasesItsSlot(t *testing.T) {
-	coord, err := NewCoordinator([]string{"a:1", "b:1"}, Options{MaxInflight: 1, Retries: 1, RetryBackoff: 500 * time.Millisecond})
+	coord, err := NewCoordinator([]string{"a:1", "b:1"}, Options{maxInflight: 1, Retries: 1, RetryBackoff: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

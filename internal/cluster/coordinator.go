@@ -19,11 +19,6 @@ import (
 // Options configures a Coordinator. Zero values take the documented
 // defaults.
 type Options struct {
-	// MaxInflight bounds concurrent shard requests across all fan-outs
-	// (ingest and scatter-gather combined). Excess work queues on the
-	// semaphore rather than piling goroutines onto a slow shard.
-	// Default 4 × shard count.
-	MaxInflight int
 	// Retries is how many times a failed shard ingest request is
 	// retried (transport errors and 5xx only — a 4xx is the request's
 	// fault and repeats identically). Default 2.
@@ -31,11 +26,17 @@ type Options struct {
 	// RetryBackoff is the first retry's delay, doubled per attempt.
 	// Default 50ms.
 	RetryBackoff time.Duration
+
+	// maxInflight bounds concurrent shard requests across all fan-outs
+	// (ingest and scatter-gather combined). Excess work queues on the
+	// semaphore rather than piling goroutines onto a slow shard.
+	// 4 × shard count unless a test sets it.
+	maxInflight int
 }
 
 func (o *Options) applyDefaults(shards int) {
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 4 * shards
+	if o.maxInflight <= 0 {
+		o.maxInflight = 4 * shards
 	}
 	if o.Retries < 0 {
 		o.Retries = 0
@@ -164,7 +165,7 @@ func NewCoordinator(shards []string, opts Options) (*Coordinator, error) {
 		clients: make([]*client.Client, len(shards)),
 		opts:    opts,
 		start:   time.Now(),
-		sem:     make(chan struct{}, opts.MaxInflight),
+		sem:     make(chan struct{}, opts.maxInflight),
 	}
 	for i, s := range c.shards {
 		c.clients[i] = client.New(s)
@@ -224,7 +225,7 @@ func retryable(err error) bool {
 	return true // transport error
 }
 
-// inflight runs fn holding one of the MaxInflight slots.
+// inflight runs fn holding one of the maxInflight slots.
 func (c *Coordinator) inflight(fn func() error) error {
 	c.sem <- struct{}{}
 	defer func() { <-c.sem }()

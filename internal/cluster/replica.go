@@ -60,9 +60,6 @@ type ReplicaOptions struct {
 	// shipped file — a cold-start archive a future leader could
 	// recover from.
 	MirrorDir string
-	// NoSeal skips the pre-poll seal request. Lag then grows until the
-	// leader rotates segments on its own (size or snapshot cadence).
-	NoSeal bool
 }
 
 // NewReplica builds a follower that replays leader into srv. srv must
@@ -89,11 +86,9 @@ func (r *Replica) Applied() uint64 { return r.applied }
 // from one loop (Run does).
 func (r *Replica) SyncOnce() error {
 	r.rounds++
-	if !r.opts.NoSeal {
-		// Best effort: a failed seal still leaves previously sealed
-		// segments fetchable, and the poll below surfaces real outages.
-		_ = r.leader.ReplSeal()
-	}
+	// Best effort: a failed seal still leaves previously sealed
+	// segments fetchable, and the poll below surfaces real outages.
+	_ = r.leader.ReplSeal()
 	appliedBefore := r.applied
 	st, err := r.leader.ReplStatus(r.applied)
 	if err != nil {

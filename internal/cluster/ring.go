@@ -125,11 +125,6 @@ func (r *Ring) Shard(key []byte) int {
 	return r.locate(hashx.XXHash64(key, ringSeed))
 }
 
-// ShardString routes a string key without copying it.
-func (r *Ring) ShardString(key string) int {
-	return r.locate(hashx.XXHash64String(key, ringSeed))
-}
-
 // locate finds the first ring point at or clockwise of h: from where
 // the index says h's bucket starts, forward to the first point not
 // below h, wrapping past the last point to the first.

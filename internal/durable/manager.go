@@ -19,9 +19,6 @@ type Options struct {
 	// < 0 never fsyncs explicitly (the OS page cache decides — fastest,
 	// survives process crashes but not power loss).
 	FsyncInterval time.Duration
-	// MaxBatchBytes fsyncs early once this many unsynced bytes have
-	// accumulated, regardless of the interval. Default 1 MiB.
-	MaxBatchBytes int
 	// SnapshotInterval is the period between automatic snapshots
 	// (each snapshot truncates the WAL at its cut LSN). <= 0 disables
 	// timed snapshots; the WAL size trigger and final shutdown
@@ -30,23 +27,23 @@ type Options struct {
 	// WALMaxBytes triggers a snapshot (and thus WAL truncation) when
 	// the active segment exceeds this size. Default 64 MiB.
 	WALMaxBytes int64
-	// QueueDepth bounds the append queue between request handlers and
-	// the syncer. A full queue applies backpressure to writers rather
-	// than dropping records. Default 4096.
-	QueueDepth int
 	// Logf receives operational log lines. Default: discard.
 	Logf func(format string, args ...any)
 }
 
+const (
+	// maxBatchBytes commits early once this many unsynced bytes have
+	// accumulated, regardless of the interval.
+	maxBatchBytes = 1 << 20
+	// queueDepth bounds the append queue between request handlers and
+	// the syncer. A full queue applies backpressure to writers rather
+	// than dropping records.
+	queueDepth = 4096
+)
+
 func (o *Options) applyDefaults() {
-	if o.MaxBatchBytes == 0 {
-		o.MaxBatchBytes = 1 << 20
-	}
 	if o.WALMaxBytes == 0 {
 		o.WALMaxBytes = 64 << 20
-	}
-	if o.QueueDepth == 0 {
-		o.QueueDepth = 4096
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -122,8 +119,6 @@ type Manager struct {
 	walBytes  atomic.Int64
 	lastFsync atomic.Int64  // unixnano; 0 until the first commit
 	activeSeq atomic.Uint64 // seq of the segment currently being written
-
-	recovered RecoveryStats
 }
 
 // Open prepares a manager over dir (created if absent). No files are
@@ -136,7 +131,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	return &Manager{
 		dir:     dir,
 		opts:    opts,
-		ch:      make(chan Record, opts.QueueDepth),
+		ch:      make(chan Record, queueDepth),
 		syncReq: make(chan chan error, 1),
 		snapReq: make(chan chan error, 1),
 		sealReq: make(chan chan error, 1),
@@ -230,14 +225,10 @@ func (m *Manager) Recover(h RecoveryHandler) (RecoveryStats, error) {
 	}
 	m.lsn.Store(last)
 	m.snapLSN.Store(snapLSN)
-	m.recovered = stats
 	logf("durable: recovered %d sketches (snapshot lsn %d), replayed %d records, lsn now %d",
 		stats.SketchesLoaded, snapLSN, stats.RecordsReplayed, last)
 	return stats, nil
 }
-
-// RecoveredStats returns the stats from the last Recover call.
-func (m *Manager) RecoveredStats() RecoveryStats { return m.recovered }
 
 // Start opens a fresh WAL segment and launches the background syncer.
 // capture lists the rows of a snapshot cut: each row's Stream writes
@@ -442,10 +433,10 @@ func (m *Manager) writeRecord(rec Record) {
 }
 
 // commitIfDue is the group-commit policy after a write burst: commit
-// every batch (FsyncInterval 0), or once MaxBatchBytes are unsynced.
+// every batch (FsyncInterval 0), or once maxBatchBytes are unsynced.
 // The FsyncInterval tick commits the rest.
 func (m *Manager) commitIfDue() {
-	if m.opts.FsyncInterval == 0 || m.unsynced >= m.opts.MaxBatchBytes {
+	if m.opts.FsyncInterval == 0 || m.unsynced >= maxBatchBytes {
 		m.startCommit()
 	}
 }

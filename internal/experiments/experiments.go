@@ -128,16 +128,6 @@ func Run(id string) (*Result, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 }
 
-// RunAll executes every experiment in order.
-func RunAll() []*Result {
-	sortRegistry()
-	out := make([]*Result, 0, len(registry))
-	for _, r := range registry {
-		out = append(out, r.run())
-	}
-	return out
-}
-
 // Titles returns id → registered title for listing.
 func Titles() map[string]string {
 	out := make(map[string]string, len(registry))

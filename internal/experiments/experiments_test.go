@@ -77,23 +77,35 @@ var printsTimings = map[string]bool{
 	"E7a": true, "E25": true, "E27": true, "E28": true, "E29": true, "E30": true, "E31": true,
 }
 
+// reduced runs, in the sweep, an experiment whose registered size is
+// there for its timings alone, at a size that keeps its bars and table
+// shape. At full size E28's past-L3 tables take about 25 s on 2 vCPU;
+// sketchbench, and so CI's bench-smoke, runs them full.
+var reduced = map[string]func() *Result{
+	"E28": func() *Result { return runE28(64_000) },
+}
+
 // TestRunAllExperimentsEndToEnd is the E-series as a test suite: every
 // experiment runs once, as a subtest of its id (-run
-// 'TestRunAllExperimentsEndToEnd/E33$' runs one), and must produce
-// well-formed tables and meet every one of its bars. Every experiment
-// that prints no timing must also print exactly its
-// testdata/<id>.golden, what sketchbench printed at the commit that
-// recorded it less the "(… completed in …)" line. The experiments are
-// seeded, so a refactor that moves a measured-against-theory cell fails
-// here with the new output. Skipped under -short.
+// 'TestRunAllExperimentsEndToEnd/E33$' runs one), those in reduced at
+// their reduced size, and must produce well-formed tables and meet
+// every one of its bars. Every experiment that prints no timing must
+// also print exactly its testdata/<id>.golden, what sketchbench
+// printed at the commit that recorded it less the "(… completed in …)"
+// line. The experiments are seeded, so a refactor that moves a
+// measured-against-theory cell fails here with the new output. Skipped
+// under -short.
 func TestRunAllExperimentsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep skipped in -short mode")
 	}
 	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			res, err := Run(id)
-			if err != nil {
+			var res *Result
+			var err error
+			if run := reduced[id]; run != nil {
+				res = run()
+			} else if res, err = Run(id); err != nil {
 				t.Fatal(err)
 			}
 			checkShape(t, res)

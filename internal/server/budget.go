@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -33,50 +34,44 @@ func (s *Server) SetQueryBudget(qb QueryBudget) {
 	s.qb = qb
 }
 
-// allowSketchQuery spends one token from the sketch's budget window.
-// Hot path: two atomic loads and an add when the window is current —
-// no allocation, no lock. The refill CAS is best-effort under races
-// (two racing refills at a boundary cannot over-grant more than one
-// window's tokens).
-func (s *Server) allowSketchQuery(ne *namedEntry, now int64) (retryAfterS int64, ok bool) {
-	q := s.qb
-	if q.Queries <= 0 {
+// bucket is a lazily refilled token bucket: limit tokens per
+// interval, the window opening at the first take after the last one
+// closed. Zero values mean the first take opens the first window.
+type bucket struct {
+	tokens atomic.Int64
+	window atomic.Int64 // unix nanos the current window opened
+}
+
+// take spends one token at now. Hot path: two atomic loads and an add
+// when the window is current — no allocation, no lock. The refill CAS
+// is best-effort under races (two racing refills at a boundary cannot
+// over-grant more than one window's tokens). limit <= 0 never refuses.
+func (b *bucket) take(now, limit int64, interval time.Duration) (retryAfterS int64, ok bool) {
+	if limit <= 0 {
 		return 0, true
 	}
-	interval := int64(q.Interval)
-	win := ne.qbWindow.Load()
-	if now-win >= interval {
-		if ne.qbWindow.CompareAndSwap(win, now) {
-			ne.qbTokens.Store(q.Queries)
+	win := b.window.Load()
+	if now-win >= int64(interval) {
+		if b.window.CompareAndSwap(win, now) {
+			b.tokens.Store(limit)
 		}
-		win = ne.qbWindow.Load()
+		win = b.window.Load()
 	}
-	if ne.qbTokens.Add(-1) >= 0 {
+	if b.tokens.Add(-1) >= 0 {
 		return 0, true
 	}
-	return retryAfterSeconds(win + interval - now), false
+	return retryAfterSeconds(win + int64(interval) - now), false
+}
+
+// allowSketchQuery spends one token from the sketch's budget window.
+func (s *Server) allowSketchQuery(ne *namedEntry, now int64) (retryAfterS int64, ok bool) {
+	return ne.budget.take(now, s.qb.Queries, s.qb.Interval)
 }
 
 // allowTenantQuery spends one token from the tenant's queries-per-
-// second window (TenantQuota.MaxQPS). Same lazy-refill shape as the
-// sketch budget, over a fixed one-second window.
+// second window (TenantQuota.MaxQPS).
 func (s *Server) allowTenantQuery(ts *tenantState, now int64) (retryAfterS int64, ok bool) {
-	maxQPS := int64(s.quota.MaxQPS)
-	if maxQPS <= 0 {
-		return 0, true
-	}
-	const interval = int64(time.Second)
-	win := ts.qpsWindow.Load()
-	if now-win >= interval {
-		if ts.qpsWindow.CompareAndSwap(win, now) {
-			ts.qpsTokens.Store(maxQPS)
-		}
-		win = ts.qpsWindow.Load()
-	}
-	if ts.qpsTokens.Add(-1) >= 0 {
-		return 0, true
-	}
-	return retryAfterSeconds(win + interval - now), false
+	return ts.qps.take(now, int64(s.quota.MaxQPS), time.Second)
 }
 
 // retryAfterSeconds converts a window remainder in nanoseconds to the

@@ -128,3 +128,54 @@ func TestBudgetGuardZeroAlloc(t *testing.T) {
 		t.Errorf("budget-guard allow path allocates %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestBucketTake drives the one token bucket behind both read guards
+// with explicit clock readings: limit takes succeed, the next refuses
+// with the window's remainder rounded up to whole seconds (never 0), a
+// take at the window boundary refills, and limit <= 0 never refuses.
+func TestBucketTake(t *testing.T) {
+	const t0 = int64(1_700_000_000) * int64(time.Second)
+	type take struct {
+		at    time.Duration // since t0
+		ok    bool
+		retry int64 // Retry-After in seconds when refused
+	}
+	for _, tc := range []struct {
+		name     string
+		limit    int64
+		interval time.Duration
+		takes    []take
+	}{
+		{"limit takes, then the remainder rounded up", 3, time.Minute, []take{
+			{0, true, 0}, {time.Second, true, 0}, {2 * time.Second, true, 0},
+			{2500 * time.Millisecond, false, 58}, {59 * time.Second, false, 1},
+		}},
+		{"a whole-second remainder is not rounded", 1, 10 * time.Second, []take{
+			{0, true, 0}, {4 * time.Second, false, 6},
+		}},
+		{"a nanosecond left is still 1 s", 1, time.Second, []take{
+			{0, true, 0}, {time.Second - 1, false, 1},
+		}},
+		{"the window boundary refills", 2, time.Second, []take{
+			{0, true, 0}, {0, true, 0}, {999 * time.Millisecond, false, 1},
+			{time.Second, true, 0}, {time.Second, true, 0}, {time.Second, false, 1},
+			{2500 * time.Millisecond, true, 0},
+		}},
+		{"limit 0 never refuses", 0, time.Second, []take{
+			{0, true, 0}, {0, true, 0}, {0, true, 0}, {time.Hour, true, 0},
+		}},
+		{"a negative limit never refuses", -1, time.Second, []take{
+			{0, true, 0}, {0, true, 0},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var b bucket
+			for i, tk := range tc.takes {
+				retry, ok := b.take(t0+int64(tk.at), tc.limit, tc.interval)
+				if ok != tk.ok || retry != tk.retry {
+					t.Errorf("take %d at +%v: (%d, %v), want (%d, %v)", i, tk.at, retry, ok, tk.retry, tk.ok)
+				}
+			}
+		})
+	}
+}

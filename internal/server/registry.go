@@ -54,12 +54,7 @@ type namedEntry struct {
 	// tenant's resident gauge (refreshed off the hot path).
 	bytes atomic.Int64
 
-	// qbTokens/qbWindow are the sketch's query-budget bucket: tokens
-	// remaining in the window starting at qbWindow (unix nanos),
-	// refilled lazily by allowSketchQuery. Zero values mean the first
-	// query opens the first window.
-	qbTokens atomic.Int64
-	qbWindow atomic.Int64
+	budget bucket // the sketch's query budget (QueryBudget)
 
 	walMu   sync.Mutex
 	lastLSN uint64 // guarded by walMu (recovery writes it single-threaded)

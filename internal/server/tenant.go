@@ -55,11 +55,7 @@ type tenantState struct {
 	merges    core.Counter
 	evictions core.Counter
 	throttled core.Counter // queries refused by the QPS cap or a sketch budget
-
-	// qpsTokens/qpsWindow are the tenant's queries-per-second bucket
-	// (TenantQuota.MaxQPS), refilled lazily by allowTenantQuery.
-	qpsTokens atomic.Int64
-	qpsWindow atomic.Int64
+	qps       bucket       // the tenant's queries-per-second cap (TenantQuota.MaxQPS)
 }
 
 func newTenantState(name string) *tenantState {
