@@ -405,11 +405,12 @@ func FuzzMorrisUnmarshal(f *testing.F) {
 }
 
 // FuzzServerRequestDecode drives sketchd's two request decoders — the
-// newline-batch splitter feeding Entry.Add and the merge-envelope
-// decoder feeding Entry.Merge — with arbitrary bodies against every
-// registered sketch type. Any input must either ingest or return an
-// error; panics and hangs are bugs in the serving layer's input
-// validation.
+// ingest body path (Entry.Ingest, which cuts and parses the lines in one
+// pass) and the merge-envelope decoder feeding Entry.Merge — with
+// arbitrary bodies against several sketch types. Any input must either
+// ingest, counting the items SplitBatch (the reference splitter) finds,
+// or return an error and leave the envelope byte-identical; panics and
+// hangs are bugs in the serving layer's input validation.
 func FuzzServerRequestDecode(f *testing.F) {
 	h := cardinality.NewHLL(10, 1)
 	h.AddUint64(7)
@@ -430,17 +431,27 @@ func FuzzServerRequestDecode(f *testing.F) {
 		if len(in) > 64<<10 {
 			t.Skip("body size is bounded by maxBodyBytes in the server; keep fuzz execs fast")
 		}
-		items := server.SplitBatch(in)
+		want := len(server.SplitBatch(in))
 		for _, req := range types {
 			e, err := server.NewEntry(req)
 			if err != nil {
 				t.Fatalf("NewEntry(%v): %v", req.Type, err)
 			}
-			// Ingest must not panic and must not mutate on rejected
-			// batches in a way that breaks subsequent use.
-			_ = e.Add(items)
-			if _, err := e.Snapshot(); err != nil {
+			before, err := e.Snapshot()
+			if err != nil {
+				t.Fatalf("%s: snapshot: %v", req.Type, err)
+			}
+			// Ingest must not panic, must count what the reference
+			// splitter cuts, and must not mutate on a rejected batch.
+			n, ingestErr := e.Ingest(in)
+			after, err := e.Snapshot()
+			switch {
+			case err != nil:
 				t.Errorf("%s: snapshot after add: %v", req.Type, err)
+			case ingestErr == nil && n != want:
+				t.Errorf("%s: Ingest counted %d items, SplitBatch %d", req.Type, n, want)
+			case ingestErr != nil && (n != 0 || !bytes.Equal(after, before)):
+				t.Errorf("%s: rejected batch (%v) counted %d items or changed the envelope", req.Type, ingestErr, n)
 			}
 			// Merge of arbitrary bytes must either succeed (valid
 			// same-type envelope) or error cleanly.
@@ -477,7 +488,7 @@ var sampleBatch = map[typereg.InputKind]string{
 	typereg.InputWeightedFloatItems: "alpha\t1.5\nbeta",
 }
 
-func batchOf(kind typereg.InputKind) [][]byte { return server.SplitBatch([]byte(sampleBatch[kind])) }
+func batchOf(kind typereg.InputKind) []byte { return []byte(sampleBatch[kind]) }
 
 // FuzzGenericDecode is the one decode target: the registry's
 // self-describing decode path, seeded with a fresh and a fed envelope of
@@ -526,7 +537,7 @@ func FuzzGenericDecode(f *testing.F) {
 			f.Add(mut)
 		}
 		if d.Servable() {
-			if err := d.Bind.Ingest(inst, batchOf(d.Input)); err != nil {
+			if _, err := d.Bind.Ingest(inst, batchOf(d.Input)); err != nil {
 				f.Fatalf("%q ingest: %v", d.Name, err)
 			}
 			fed = append(fed, marshal(d.Name, inst))
@@ -579,7 +590,7 @@ func FuzzGenericDecode(f *testing.F) {
 			return
 		}
 		if d.Servable() {
-			_ = d.Bind.Ingest(inst, batchOf(d.Input)) // a decoded shape may refuse a line: its domain is its own
+			_, _ = d.Bind.Ingest(inst, batchOf(d.Input)) // a decoded shape may refuse a line: its domain is its own
 			_, _ = d.Bind.Query(inst, nil)
 		}
 		if m, ok := inst.(interface {
@@ -721,9 +732,8 @@ func FuzzBufferedIngest(f *testing.F) {
 	f.Add([]byte(""))
 	insts := bufferedInstances(f)
 	f.Fuzz(func(t *testing.T, in []byte) {
-		items := server.SplitBatch(in)
 		for d, inst := range insts {
-			_ = d.Bind.Ingest(inst, items)
+			_, _ = d.Bind.Ingest(inst, in)
 		}
 	})
 }
@@ -1061,12 +1071,12 @@ func FuzzClientResponse(f *testing.F) {
 // its 1024 numeric lines — with corpusFor's cuts and flips; the
 // destinations hold other lines in the same shape, so a seed merges.
 func FuzzMergeWire(f *testing.F) {
-	lines := func(mul int) [][]byte {
-		items := make([][]byte, 1024)
-		for i := range items {
-			items[i] = []byte(strconv.Itoa(i * mul % 100000))
+	lines := func(mul int) []byte {
+		var body []byte
+		for i := 0; i < 1024; i++ {
+			body = append(strconv.AppendInt(body, int64(i*mul%100000), 10), '\n')
 		}
-		return items
+		return body
 	}
 	type target struct {
 		d   *typereg.Descriptor
@@ -1084,7 +1094,7 @@ func FuzzMergeWire(f *testing.F) {
 				if err != nil {
 					f.Fatal(err)
 				}
-				if err := entry.Add(lines(mul)); err != nil {
+				if _, err := entry.Ingest(lines(mul)); err != nil {
 					f.Fatal(err)
 				}
 				env, used, err := entry.SnapshotWire(nil, slim)

@@ -578,8 +578,9 @@ func fillTable(addHashBatch func([]uint64)) {
 }
 
 // serverCountMinIngest measures the full sketchd ingest inner loop —
-// SplitBatchAppend over a weighted newline-delimited body, weight
-// parsing and the countmin entry update — per line, excluding HTTP.
+// a weighted newline-delimited body into Entry.Ingest, which cuts,
+// parses and hashes each line in one pass before the countmin update —
+// per line, excluding HTTP.
 func serverCountMinIngest(b *testing.B) {
 	entry, err := server.NewEntry(server.CreateRequest{Type: "countmin"})
 	if err != nil {
@@ -590,12 +591,10 @@ func serverCountMinIngest(b *testing.B) {
 	for i := 0; i < lines; i++ {
 		body = append(body, "item"+strconv.Itoa(i)+"\t3\n"...)
 	}
-	items := make([][]byte, 0, lines)
 	b.SetBytes(int64(len(body) / lines))
 	b.ResetTimer()
 	for i := 0; i < b.N; i += lines {
-		items = server.SplitBatchAppend(items[:0], body)
-		if err := entry.Add(items); err != nil {
+		if _, err := entry.Ingest(body); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -621,15 +620,15 @@ func registryCountMinWeightedIngest(writers int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		const lines = 1024
-		items := make([][]byte, lines)
-		for i := range items {
-			items[i] = []byte("flow" + strconv.Itoa(i*7919%100000) + "\t" + strconv.Itoa(1+i%9))
+		var body []byte
+		for i := 0; i < lines; i++ {
+			body = append(body, "flow"+strconv.Itoa(i*7919%100000)+"\t"+strconv.Itoa(1+i%9)+"\n"...)
 		}
-		b.SetBytes(int64(len(items[0])))
+		b.SetBytes(int64(len(body) / lines))
 		if writers == 1 {
 			b.ResetTimer()
 			for i := 0; i < b.N; i += lines {
-				if err := d.Bind.Ingest(inst, items); err != nil {
+				if _, err := d.Bind.Ingest(inst, body); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -642,7 +641,7 @@ func registryCountMinWeightedIngest(writers int) func(b *testing.B) {
 			for n := 0; pb.Next(); {
 				if n++; n == lines {
 					n = 0
-					if err := d.Bind.Ingest(inst, items); err != nil {
+					if _, err := d.Bind.Ingest(inst, body); err != nil {
 						b.Error(err)
 						return
 					}

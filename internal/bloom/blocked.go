@@ -288,6 +288,27 @@ func (f *BlockedFilter) ContainsHash(h1, h2 uint64) bool {
 	}
 }
 
+// AppendProbes appends the k bits Contains probes for item, in probe
+// order, as 0/1 cells: Contains is "every cell is 1", and over filters
+// that share a shape and seed, "every cell of their cell-wise sum is
+// nonzero" is Contains of their union.
+func (f *BlockedFilter) AppendProbes(dst []uint64, item []byte) []uint64 {
+	h1, h2 := hashx.Murmur3_128(item, f.seed)
+	base := f.blockBase(h1)
+	block := f.bits[base : base+BlockWords : base+BlockWords]
+	w := h2
+	for j := 0; j < f.k; j++ {
+		if j > 0 && j%ProbeBitsPerWord == 0 {
+			h2 = NextProbeWord(h2)
+			w = h2
+		}
+		pos := w & (BlockBits - 1)
+		dst = append(dst, block[pos>>6]>>(pos&63)&1)
+		w >>= ProbeShift
+	}
+	return dst
+}
+
 // Update implements the core.Updater streaming interface.
 func (f *BlockedFilter) Update(item []byte) { f.Add(item) }
 

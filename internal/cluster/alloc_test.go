@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // What one coordinator operation over 4 loopback shards allocates,
@@ -68,6 +70,60 @@ func TestCoordinatorAllocationCeilings(t *testing.T) {
 		// AllocsPerRun's warm-up call dials the connections and sizes the pools.
 		if n := testing.AllocsPerRun(50, tc.op); n > tc.ceiling {
 			t.Errorf("%s: %v allocs per operation, ceiling %v", tc.name, n, tc.ceiling)
+		}
+	}
+}
+
+// What one 1024-line /add allocates, process-wide: the client, a node's
+// net/http server and its handler, over loopback; and the same request
+// through a 4-shard coordinator, its shard hop and the shard. This tree
+// reads 29 and 58 for each family at GOMAXPROCS 1, 2 and 4. The
+// ceilings sit a few above, and under what the request cost while both
+// tiers JSON-encoded the ack and the coordinator decoded the shard's ack
+// with encoding/json into a buffer of its own (34 and 74).
+func TestAddAllocationCeilings(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	node := httptest.NewServer(server.New().Handler())
+	t.Cleanup(node.Close)
+	coord, _ := fleet(t, 4)
+	tiers := []struct {
+		name    string
+		cl      *client.Client
+		ceiling float64
+	}{
+		{"node", client.New(node.URL), 32},
+		{"4-shard coordinator", coordClient(t, coord), 66},
+	}
+	families := []server.CreateRequest{
+		{Type: "countmin", Width: 4096, Depth: 4, Seed: 1},
+		{Type: "hll", P: 12, Seed: 1},
+		{Type: "blockedbloom", NItems: 100_000, FPR: 0.01, Seed: 1},
+	}
+	var body []byte
+	for i := 0; i < 1024; i++ {
+		body = fmt.Appendf(body, "item%d\t%d\n", i, 1+i%9)
+	}
+	plain := bytes.ReplaceAll(body, []byte("\t"), []byte("-")) // hll and blockedbloom take whole lines
+	for _, tier := range tiers {
+		for _, req := range families {
+			batch := plain
+			if req.Type == "countmin" {
+				batch = body
+			}
+			if err := tier.cl.Create(req.Type, req); err != nil {
+				t.Fatal(err)
+			}
+			// AllocsPerRun's warm-up call dials the connections and sizes the pools.
+			n := testing.AllocsPerRun(50, func() {
+				if err := tier.cl.AddBatch(req.Type, batch); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > tier.ceiling {
+				t.Errorf("%s, %s: %v allocs per 1024-line /add, ceiling %v", tier.name, req.Type, n, tier.ceiling)
+			}
 		}
 	}
 }

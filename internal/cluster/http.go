@@ -151,7 +151,7 @@ func (c *Coordinator) handleAdd(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.ops.Adds.Add(uint64(items))
-	server.WriteJSON(w, http.StatusOK, map[string]any{"added": items})
+	server.WriteAdded(w, items)
 }
 
 // handleMerge is the same call: a peer envelope (or a GSKB bundle of

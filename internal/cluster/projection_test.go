@@ -103,6 +103,59 @@ func TestProjectedQueryEqualsSingleServer(t *testing.T) {
 	}
 }
 
+// A blocked Bloom point query through a 4-shard coordinator gathers the
+// k bits each shard probes, not four whole filters, and answers what one
+// server fed the same batches answers.
+func TestProjectedBloomQueryEqualsSingleServer(t *testing.T) {
+	coord, _ := fleet(t, 4)
+	cl := coordClient(t, coord)
+	single := httptest.NewServer(server.New().Handler())
+	t.Cleanup(single.Close)
+	scl := client.New(single.URL)
+	req := server.CreateRequest{Type: "blockedbloom", NItems: 20_000, FPR: 0.01, Seed: 3}
+	for _, c := range []*client.Client{cl, scl} {
+		if err := c.Create("seen", req); err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		for b := 0; b < 8; b++ { // a batch lands whole on one shard: two a shard
+			var batch bytes.Buffer
+			for i := 0; i < 500; i++ {
+				fmt.Fprintf(&batch, "user-%d\n", b*500+i)
+			}
+			if err := c.AddBatch("seen", batch.Bytes()); err != nil {
+				t.Fatalf("add: %v", err)
+			}
+		}
+	}
+	answers := map[any]int{}
+	for _, item := range []string{"user-0", "user-1999", "user-3999", "user-4000", "absent", "user-9999"} {
+		q := url.Values{"item": {item}}
+		before := coord.ops.snapshot()
+		got, err := cl.Query("seen", q)
+		if err != nil {
+			t.Fatalf("cluster query: %v", err)
+		}
+		after := coord.ops.snapshot()
+		want, err := scl.Query("seen", q)
+		if err != nil {
+			t.Fatalf("single query: %v", err)
+		}
+		if got["contains"] != want["contains"] || got["shards_merged"] != float64(4) {
+			t.Errorf("item %s: cluster contains=%v over %v shards, single server %v", item, got["contains"], got["shards_merged"], want["contains"])
+		}
+		answers[got["contains"]]++
+		if b := after.GatherBytes - before.GatherBytes; b == 0 || b >= 1024 {
+			t.Errorf("item %s: gathered %d bytes, want a projected read under 1 KB", item, b)
+		}
+		if after.ProjectedGathers != before.ProjectedGathers+1 {
+			t.Errorf("item %s: projected_gathers +%d, want +1", item, after.ProjectedGathers-before.ProjectedGathers)
+		}
+	}
+	if answers[true] == 0 || answers[false] == 0 {
+		t.Errorf("answers %v: want both a member and a non-member", answers)
+	}
+}
+
 // A family without Project, asked a parameterised query, is served by
 // exactly the old gather: one round trip of full envelopes.
 func TestUnprojectedFamilyOneRoundTrip(t *testing.T) {

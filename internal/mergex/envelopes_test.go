@@ -34,12 +34,12 @@ func TestMergeEnvelopesSameAtEveryGOMAXPROCS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lines := make([][]byte, perShard)
-			for i := range lines {
+			var body []byte
+			for i := 0; i < perShard; i++ {
 				v := hashx.HashUint64(uint64(s*perShard+i), 38) % 1_000_003
-				lines[i] = strconv.AppendUint(nil, v, 10)
+				body = append(strconv.AppendUint(body, v, 10), '\n')
 			}
-			if err := d.Bind.Ingest(inst, lines); err != nil {
+			if _, err := d.Bind.Ingest(inst, body); err != nil {
 				t.Fatal(err)
 			}
 			if envs[s], err = registry.Marshal(inst); err != nil {

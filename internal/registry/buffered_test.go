@@ -65,8 +65,8 @@ func TestServingHolders(t *testing.T) {
 	}
 	rows := 0
 	for _, d := range All() {
-		if d.Serve != &d.Bind {
-			t.Errorf("%s: Serve is not &Bind", d.Name)
+		if d.Serve != (Lines{d}) {
+			t.Errorf("%s: Serve is not Bind's Lines", d.Name)
 		}
 		want, ok := servingHolders[d.Name]
 		if !d.Servable() {
@@ -131,14 +131,14 @@ func TestBufferedIngestValidatesBatch(t *testing.T) {
 	}
 
 	batch := [][]byte{[]byte("good\t2"), []byte("bad\tnot-a-number")}
-	if err := d.Bind.Ingest(inst, batch); err == nil {
+	if _, err := d.Bind.Ingest(inst, joinLines(batch)); err == nil {
 		t.Fatal("bad weight accepted")
 	}
 	if n := n(); n != 0 {
 		t.Fatalf("partial ingest after rejected batch: n=%d", n)
 	}
 
-	if err := d.Bind.Ingest(inst, [][]byte{[]byte("good\t2"), []byte("plain")}); err != nil {
+	if _, err := d.Bind.Ingest(inst, joinLines([][]byte{[]byte("good\t2"), []byte("plain")})); err != nil {
 		t.Fatal(err)
 	}
 	if n := n(); n != 3 {
@@ -245,7 +245,8 @@ func lawServing(t *testing.T, c *cell) {
 		return // every byte string is a well-formed line
 	}
 	items := append(slices.Clone(c.parts[0][:min(20, len(c.parts[0]))]), bad)
-	if d.Bind.Ingest(plain, items) == nil || serve.Ingest(inst, items) == nil {
+	_, plainErr := d.Bind.Ingest(plain, joinLines(items))
+	if _, err := serve.Ingest(inst, joinLines(items)); plainErr == nil || err == nil {
 		t.Fatalf("bad line %q accepted", bad)
 	}
 	if after := same("after rejected batch"); !bytes.Equal(after, before) {

@@ -3,9 +3,11 @@ package registry
 import (
 	"fmt"
 	"net/url"
+	"slices"
 
 	"repro/internal/bloom"
 	"repro/internal/core"
+	"repro/internal/hashx"
 )
 
 // blockedBloomShape resolves the blocked filter's m/k/n/fpr parameter
@@ -126,6 +128,20 @@ func init() {
 				}, nil
 			}),
 			Merge: merge2[*bloom.BlockedFilter](),
+		},
+		// A point query projects to the k bits it probes; the cell-wise
+		// sum of the shards' bits is nonzero wherever their OR is set.
+		Project: func(inst any, query url.Values) (*Projection, error) {
+			f, _, err := cast[*bloom.BlockedFilter](inst)
+			item := query.Get("item")
+			if err != nil || item == "" {
+				return nil, err
+			}
+			shape := hashx.XXHash64String(fmt.Sprint(f.Blocks(), f.K(), f.Seed()), 0)
+			return &Projection{Shape: shape, N: f.N(), Cells: f.AppendProbes(nil, []byte(item))}, nil
+		},
+		Finish: func(p *Projection, _ url.Values) (map[string]any, error) {
+			return map[string]any{"contains": !slices.Contains(p.Cells, 0)}, nil
 		},
 	})
 

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -9,20 +10,21 @@ import (
 	"repro/internal/hashx"
 )
 
-// The ingest builders below turn one typed update function into a batch
-// Ingest binding with a uniform contract: every line is parsed and
-// validated before the first update — so a bad line rejects the whole
-// batch with ErrInput and no partial state, and a WAL record is a batch
-// that applied whole. A line format with something to parse (a weight,
-// a sign, a value, a delta, an edge) goes through parsedIngest: one
-// pass parses each line once into a pooled block of two values a line,
-// and the block, not the text, is what gets applied. For the
-// hashed-counter holders the two values are (XXHash64(item, seed),
-// weight) and the apply is their weighted batch kernel, so a served
-// Count-Min line is split, parsed and hashed once, outside the locked
-// holder's mutex, and reaches the plain batch kernel under it; an HLL or
-// blocked-Bloom line is hashed the same way, into the two Murmur3_128
-// words (hashedIngest). Measured
+// The ingest builders below turn one typed update function into an
+// Ingest binding over a request body with a uniform contract: the body
+// is cut into lines where it is parsed (CutLine), and every line is
+// parsed and validated before the first update — so a bad line rejects
+// the whole batch with ErrInput and no partial state, and a WAL record
+// is a batch that applied whole. A line format with something to parse
+// (a weight, a sign, a value, a delta, an edge) goes through
+// parsedIngest: one pass over the body cuts and parses each line once
+// into a pooled block of two values a line, and the block, not the
+// text, is what gets applied. For the hashed-counter holders the two
+// values are (XXHash64(item, seed), weight) and the apply is their
+// weighted batch kernel, so a served Count-Min line is cut, parsed and
+// hashed in one pass, outside the locked holder's mutex, and reaches the
+// plain batch kernel under it; an HLL or blocked-Bloom line is hashed
+// the same way, into the two Murmur3_128 words (hashedIngest). Measured
 // on the benchmark's ingest_mem mix (a 12 s `sketchd -pprof` CPU
 // profile of the live process, 2 vCPUs, when the blocked Bloom was still
 // served by its atomic holder), the kernels and their hashes are two
@@ -55,6 +57,62 @@ func LastTab(b []byte) int {
 		}
 	}
 	return -1
+}
+
+// CutLine cuts the first line off an ingest body by the one line rule
+// of every body: a line ends at '\n' or at the end of the body, and a CR
+// before its end is stripped. An empty line is a blank one, which no
+// ingest applies or counts.
+func CutLine(body []byte) (line, rest []byte) {
+	line = body
+	if i := bytes.IndexByte(body, '\n'); i >= 0 {
+		line, rest = body[:i], body[i+1:]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line, rest
+}
+
+// AppendLines appends the non-blank lines of body to dst, each aliasing
+// body: the [][]byte a kernel over items takes (batchItemsIngest).
+func AppendLines(dst [][]byte, body []byte) [][]byte {
+	for len(body) > 0 {
+		var line []byte
+		if line, body = CutLine(body); len(line) > 0 {
+			dst = append(dst, line)
+		}
+	}
+	return dst
+}
+
+// joined recycles the bodies IngestLines joins lines into.
+var joined = sync.Pool{New: func() any { return new([]byte) }}
+
+// IngestLines is the one [][]byte ingest entry point over the body path:
+// it joins items, each followed by '\n', into a pooled body and hands it
+// to ingest, so that a line reaches the parse a request's line reaches.
+// A line is read by the body's rule: an empty one is skipped, and one
+// must hold no '\n' nor end in CR.
+func IngestLines(items [][]byte, ingest func(body []byte) (int, error)) error {
+	bp := joined.Get().(*[]byte)
+	body := (*bp)[:0]
+	for _, item := range items {
+		body = append(append(body, item...), '\n')
+	}
+	_, err := ingest(body)
+	*bp = body[:0]
+	joined.Put(bp)
+	return err
+}
+
+// Lines is the type of Descriptor.Serve: Bind.Ingest over a [][]byte of
+// lines, through IngestLines.
+type Lines struct{ d *Descriptor }
+
+// Ingest folds items into inst as Bind.Ingest folds their body.
+func (l Lines) Ingest(inst any, items [][]byte) error {
+	return IngestLines(items, func(body []byte) (int, error) { return l.d.Bind.Ingest(inst, body) })
 }
 
 // ParseWeight decodes a decimal uint64 from b without allocating — the
@@ -111,16 +169,16 @@ type block[A, B any] struct {
 // parsedIngest is the one validate-then-apply helper. parse turns a
 // line into its two values or refuses it (wrapping ErrInput); apply
 // runs only once the last line has parsed, over the whole block.
-// Neither may retain the lines. An instance behind the locked holder is
-// locked around apply alone, so parse runs beside another request's
-// apply and may read of the instance only what is fixed at construction
-// (Seed(), q-digest's logU, a graph's vertex count). The blocks are
-// recycled per binding — 16 KB for a 1024-line request of (hash,
-// weight), none allocated in steady state.
+// Neither may retain the lines, which alias the body. An instance
+// behind the locked holder is locked around apply alone, so parse runs
+// beside another request's apply and may read of the instance only what
+// is fixed at construction (Seed(), q-digest's logU, a graph's vertex
+// count). The blocks are recycled per binding — 16 KB for a 1024-line
+// request of (hash, weight), none allocated in steady state.
 func parsedIngest[T, A, B any](
 	parse func(c T, line []byte) (A, B, error),
 	apply func(c T, a []A, b []B),
-) func(any, [][]byte) error {
+) func(any, []byte) (int, error) {
 	return parsedIngestOf(func(c T) T { return c }, parse, func(c T, l *locked, a []A, b []B) {
 		l.lock()
 		defer l.unlock() // deferred so that a panicking update does not wedge the sketch
@@ -130,22 +188,28 @@ func parsedIngest[T, A, B any](
 
 // parsedIngestOf is parsedIngest whose parse sees, in place of the
 // instance, what of reads from it once per batch — a hashed family's
-// seed — and whose apply is handed the holder, to lock or to buffer.
+// seed — and whose apply is handed the holder, to lock or to buffer. It
+// is the one loop over a body's lines: each is cut, parsed and appended
+// to the block in one pass, and the count it returns is the block's.
 func parsedIngestOf[T, K, A, B any](
 	of func(c T) K,
 	parse func(k K, line []byte) (A, B, error),
 	apply func(c T, l *locked, a []A, b []B),
-) func(any, [][]byte) error {
+) func(any, []byte) (int, error) {
 	pool := sync.Pool{New: func() any { return new(block[A, B]) }}
-	return func(inst any, lines [][]byte) error {
+	return func(inst any, body []byte) (int, error) {
 		c, l, err := cast[T](inst)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		k := of(c)
 		blk := pool.Get().(*block[A, B])
 		a, b := blk.a[:0], blk.b[:0]
-		for _, line := range lines {
+		for len(body) > 0 {
+			var line []byte
+			if line, body = CutLine(body); len(line) == 0 {
+				continue
+			}
 			var x A
 			var y B
 			if x, y, err = parse(k, line); err != nil {
@@ -153,13 +217,15 @@ func parsedIngestOf[T, K, A, B any](
 			}
 			a, b = append(a, x), append(b, y)
 		}
+		n := 0
 		if err == nil {
 			apply(c, l, a, b)
+			n = len(a)
 		}
 		clear(a) // a format that keeps items as bytes has slices of the request body here
 		blk.a, blk.b = a, b
 		pool.Put(blk)
-		return err
+		return n, err
 	}
 }
 
@@ -198,23 +264,32 @@ func uintField(field []byte, what string) (uint64, error) {
 // batchItemsIngest: InputItems for types with a pipelined batch entry
 // point (AddBatch hashes each chunk fully before updating; DESIGN.md
 // §7.3 says for which kernels that alone makes the misses overlap).
-// The batch function must not retain the item slices.
-func batchItemsIngest[T any](addBatch func(T, [][]byte)) func(any, [][]byte) error {
-	return func(inst any, items [][]byte) error {
+// The body is cut into a pooled [][]byte of lines (AppendLines), which
+// the batch function must not retain.
+func batchItemsIngest[T any](addBatch func(T, [][]byte)) func(any, []byte) (int, error) {
+	pool := sync.Pool{New: func() any { return new([][]byte) }}
+	return func(inst any, body []byte) (int, error) {
 		c, l, err := cast[T](inst)
 		if err != nil {
-			return err
+			return 0, err
 		}
+		ip := pool.Get().(*[][]byte)
+		items := AppendLines((*ip)[:0], body)
 		l.lock()
-		defer l.unlock()
+		defer func() {
+			l.unlock()   // deferred so that a panicking update does not wedge the sketch
+			clear(items) // the lines alias the body
+			*ip = items[:0]
+			pool.Put(ip)
+		}()
 		addBatch(c, items)
-		return nil
+		return len(items), nil
 	}
 }
 
 // itemsIngest: InputItems. The add function must not retain the item
 // slice (or must copy, as the sample types do).
-func itemsIngest[T any](add func(T, []byte)) func(any, [][]byte) error {
+func itemsIngest[T any](add func(T, []byte)) func(any, []byte) (int, error) {
 	return batchItemsIngest(func(c T, items [][]byte) {
 		for _, item := range items {
 			add(c, item)
@@ -223,7 +298,7 @@ func itemsIngest[T any](add func(T, []byte)) func(any, [][]byte) error {
 }
 
 // weightedIngest: InputWeightedItems, the item kept as bytes.
-func weightedIngest[T any](add func(T, []byte, uint64)) func(any, [][]byte) error {
+func weightedIngest[T any](add func(T, []byte, uint64)) func(any, []byte) (int, error) {
 	return parsedIngest(
 		func(_ T, line []byte) ([]byte, uint64, error) { return cutWeight(line, 1, "weight", ParseWeight) },
 		each(add))
@@ -239,7 +314,7 @@ func weightedIngest[T any](add func(T, []byte, uint64)) func(any, [][]byte) erro
 func hashedIngest[T interface{ Seed() uint64 }](
 	parse func(seed uint64, line []byte) (uint64, uint64, error),
 	kernel func(c T, a, b []uint64),
-) func(any, [][]byte) error {
+) func(any, []byte) (int, error) {
 	return parsedIngestOf(
 		func(c T) uint64 { return c.Seed() },
 		parse,
@@ -275,21 +350,21 @@ func kernelOf[T any](kernel func(c T, a, b []uint64)) func(any, []uint64, []uint
 // stringWeightedIngest: InputWeightedItems for string-keyed sketches
 // (Misra-Gries, SpaceSaving). The string conversion copies, which
 // doubles as the no-retention guarantee.
-func stringWeightedIngest[T any](add func(T, string, uint64)) func(any, [][]byte) error {
+func stringWeightedIngest[T any](add func(T, string, uint64)) func(any, []byte) (int, error) {
 	return weightedIngest[T](func(c T, item []byte, weight uint64) {
 		add(c, string(item), weight)
 	})
 }
 
 // signedIngest: InputSignedItems.
-func signedIngest[T any](add func(T, []byte, int64)) func(any, [][]byte) error {
+func signedIngest[T any](add func(T, []byte, int64)) func(any, []byte) (int, error) {
 	return parsedIngest(
 		func(_ T, line []byte) ([]byte, int64, error) { return cutWeight(line, 1, "weight", parseSigned) },
 		each(add))
 }
 
 // floatIngest: InputFloats.
-func floatIngest[T any](add func(T, float64)) func(any, [][]byte) error {
+func floatIngest[T any](add func(T, float64)) func(any, []byte) (int, error) {
 	return parsedIngest(
 		func(_ T, line []byte) (float64, struct{}, error) {
 			v, err := strconv.ParseFloat(string(line), 64)
@@ -303,7 +378,7 @@ func floatIngest[T any](add func(T, float64)) func(any, [][]byte) error {
 
 // uintValuesIngest: InputUintValues. check rejects values outside the
 // instance's domain before any update (q-digest panics past 2^logU).
-func uintValuesIngest[T any](check func(T, uint64) error, add func(T, uint64, uint64)) func(any, [][]byte) error {
+func uintValuesIngest[T any](check func(T, uint64) error, add func(T, uint64, uint64)) func(any, []byte) (int, error) {
 	return parsedIngest(
 		func(c T, line []byte) (uint64, uint64, error) {
 			field, w, err := cutWeight(line, 1, "weight", ParseWeight)
@@ -322,7 +397,7 @@ func uintValuesIngest[T any](check func(T, uint64) error, add func(T, uint64, ui
 }
 
 // turnstileIngest: InputTurnstile.
-func turnstileIngest[T any](update func(T, uint64, int64)) func(any, [][]byte) error {
+func turnstileIngest[T any](update func(T, uint64, int64)) func(any, []byte) (int, error) {
 	return parsedIngest(
 		func(_ T, line []byte) (uint64, int64, error) {
 			field, delta, err := cutWeight(line, 1, "delta", parseSigned)
@@ -336,13 +411,13 @@ func turnstileIngest[T any](update func(T, uint64, int64)) func(any, [][]byte) e
 }
 
 // eventsIngest: InputEvents — each line is one occurrence.
-func eventsIngest[T any](incN func(T, uint64)) func(any, [][]byte) error {
+func eventsIngest[T any](incN func(T, uint64)) func(any, []byte) (int, error) {
 	return batchItemsIngest(func(c T, items [][]byte) { incN(c, uint64(len(items))) })
 }
 
 // weightedFloatIngest: InputWeightedFloatItems (weighted reservoir;
 // its Add panics on weight <= 0, so the parse rejects those).
-func weightedFloatIngest[T any](add func(T, []byte, float64)) func(any, [][]byte) error {
+func weightedFloatIngest[T any](add func(T, []byte, float64)) func(any, []byte) (int, error) {
 	positive := func(field []byte) (float64, error) {
 		w, err := strconv.ParseFloat(string(field), 64)
 		if err != nil || !(w > 0) {

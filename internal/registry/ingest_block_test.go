@@ -109,7 +109,7 @@ func scalarAdd(t *testing.T, inst any, line string) {
 type ingestVariant struct {
 	name   string
 	inst   any
-	ingest func(any, [][]byte) error
+	ingest func(any, []byte) (int, error)
 }
 
 func ingestVariants(t *testing.T, d *Descriptor, p Params) []ingestVariant {
@@ -135,10 +135,29 @@ func mustMarshal(t *testing.T, inst any) []byte {
 	return data
 }
 
-// TestIngestBlockMatchesScalar: a batch parsed once into a block and
-// applied as one leaves exactly the bytes the same lines leave when
-// each is decoded by strconv and added by the sketch's per-item method
-// — for every descriptor with something to parse, in every variant.
+// messyBody is lines as a body that takes every liberty the line rule
+// allows: CRLF endings, blank lines (bare and CRLF) before any line, and
+// no newline after the last.
+func messyBody(rng *rand.Rand, lines [][]byte) []byte {
+	var body []byte
+	for i, line := range lines {
+		for rng.Intn(4) == 0 {
+			body = append(body, []string{"\n", "\r\n"}[rng.Intn(2)]...)
+		}
+		body = append(body, line...)
+		if i < len(lines)-1 {
+			body = append(body, []string{"\n", "\r\n"}[rng.Intn(2)]...)
+		}
+	}
+	return body
+}
+
+// TestIngestBlockMatchesScalar: a body cut and parsed once into a block
+// and applied as one leaves exactly the bytes its lines leave when each
+// is decoded by strconv and added by the sketch's per-item method — for
+// every descriptor with something to parse, in every variant, whether
+// the body is clean or has CRLF endings, blank lines and no final
+// newline; and the count is the lines'.
 func TestIngestBlockMatchesScalar(t *testing.T) {
 	covered := 0
 	for _, d := range All() {
@@ -155,7 +174,7 @@ func TestIngestBlockMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			variants := ingestVariants(t, d, p)
+			clean, messy := ingestVariants(t, d, p), ingestVariants(t, d, p)
 			rng := rand.New(rand.NewSource(int64(d.Tag)))
 			// Sizes around the kernels' 256-item chunk, and a batch
 			// after a batch: the pooled block comes back dirty.
@@ -164,16 +183,23 @@ func TestIngestBlockMatchesScalar(t *testing.T) {
 				for _, line := range batch {
 					scalarAdd(t, ref, string(line))
 				}
-				for _, v := range variants {
-					if err := v.ingest(v.inst, batch); err != nil {
-						t.Fatalf("%s: %v", v.name, err)
+				for i := range clean {
+					for _, fed := range []struct {
+						v    ingestVariant
+						body []byte
+					}{{clean[i], joinLines(batch)}, {messy[i], messyBody(rng, batch)}} {
+						if got, err := fed.v.ingest(fed.v.inst, fed.body); err != nil || got != n {
+							t.Fatalf("%s: body %.40q...: %d items, %v; want %d", fed.v.name, fed.body, got, err, n)
+						}
 					}
 				}
 			}
 			want := mustMarshal(t, ref)
-			for _, v := range variants {
-				if got := mustMarshal(t, v.inst); !bytes.Equal(got, want) {
-					t.Errorf("%s: %T diverges from per-line scalar adds (%d vs %d bytes)", v.name, v.inst, len(got), len(want))
+			for i := range clean {
+				for _, v := range []ingestVariant{clean[i], messy[i]} {
+					if got := mustMarshal(t, v.inst); !bytes.Equal(got, want) {
+						t.Errorf("%s: %T diverges from per-line scalar adds (%d vs %d bytes)", v.name, v.inst, len(got), len(want))
+					}
 				}
 			}
 		})
@@ -221,14 +247,14 @@ func TestIngestRejectsWholeBatch(t *testing.T) {
 			}
 			rng, universe := rand.New(rand.NewSource(int64(d.Tag))), universeOf(d, p, 40)
 			for _, v := range ingestVariants(t, d, p) {
-				if err := v.ingest(v.inst, randomLines(rng, d.Input, 300, universe)); err != nil {
+				if _, err := v.ingest(v.inst, joinLines(randomLines(rng, d.Input, 300, universe))); err != nil {
 					t.Fatalf("%s: %v", v.name, err)
 				}
 				before := mustMarshal(t, v.inst)
 				for _, bad := range rejectedLines(d.Input) {
 					batch := append(randomLines(rng, d.Input, 40, universe), []byte(bad))
-					if err := v.ingest(v.inst, batch); !errors.Is(err, ErrInput) {
-						t.Errorf("%s: last line %q: err = %v, want ErrInput", v.name, bad, err)
+					if n, err := v.ingest(v.inst, joinLines(batch)); !errors.Is(err, ErrInput) || n != 0 {
+						t.Errorf("%s: last line %q: %d items, err = %v; want 0, ErrInput", v.name, bad, n, err)
 					}
 					if after := mustMarshal(t, v.inst); !bytes.Equal(after, before) {
 						t.Fatalf("%s: last line %q: rejected batch changed the sketch", v.name, bad)

@@ -193,6 +193,15 @@ func randomLines(rng *rand.Rand, kind InputKind, n, universe int) [][]byte {
 	return out
 }
 
+// joinLines is lines as an ingest body: each line and a newline.
+func joinLines(lines [][]byte) []byte {
+	var body []byte
+	for _, line := range lines {
+		body = append(append(body, line...), '\n')
+	}
+	return body
+}
+
 // truth is what a stream holds, by the kind's own reading of a line.
 type truth struct {
 	weight   map[string]uint64 // per item, of the kinds whose lines are items
@@ -324,7 +333,7 @@ func (f *fixture) plainNew(t *testing.T, seed uint64, raw shape) any {
 
 func (f *fixture) fed(t *testing.T, inst any, bind *Bindings, lines [][]byte) any {
 	t.Helper()
-	if err := bind.Ingest(inst, lines); err != nil {
+	if _, err := bind.Ingest(inst, joinLines(lines)); err != nil {
 		t.Fatal(err)
 	}
 	return inst
@@ -539,7 +548,7 @@ func (c *cell) use(inst any) error {
 	if !c.d.Servable() {
 		return nil
 	}
-	c.d.Bind.Ingest(inst, c.stream[:3]) // its shape is its own: it may refuse the lines
+	c.d.Bind.Ingest(inst, joinLines(c.stream[:3])) // its shape is its own: it may refuse the lines
 	c.d.Bind.Query(inst, nil)
 	env, err := Marshal(inst)
 	if err != nil {

@@ -57,7 +57,7 @@ func TestLockedIngestParsesOutsideTheLock(t *testing.T) {
 		universe := universeOf(d, p, 40)
 		first, second := randomLines(rng, d.Input, 200, universe), randomLines(rng, d.Input, 200, universe)
 		for _, fed := range []any{inst, ref} {
-			if err := d.Bind.Ingest(fed, first); err != nil {
+			if _, err := d.Bind.Ingest(fed, joinLines(first)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -69,7 +69,10 @@ func TestLockedIngestParsesOutsideTheLock(t *testing.T) {
 		l.mu.Lock()
 		if bad := badLine(d.Input); bad != nil {
 			refused := make(chan error, 1)
-			go func() { refused <- d.Bind.Ingest(inst, append(randomLines(rng, d.Input, 40, universe), bad)) }()
+			go func() {
+				_, err := d.Bind.Ingest(inst, joinLines(append(randomLines(rng, d.Input, 40, universe), bad)))
+				refused <- err
+			}()
 			select {
 			case err := <-refused:
 				if !errors.Is(err, ErrInput) {
@@ -84,7 +87,7 @@ func TestLockedIngestParsesOutsideTheLock(t *testing.T) {
 			mustMarshal(t, ref)
 		}
 		applied := make(chan error, 1)
-		go func() { applied <- d.Bind.Ingest(inst, second) }()
+		go func() { _, err := d.Bind.Ingest(inst, joinLines(second)); applied <- err }()
 		select {
 		case err := <-applied:
 			t.Fatalf("a well-formed batch applied (err = %v) while the test held the lock", err)
@@ -94,7 +97,7 @@ func TestLockedIngestParsesOutsideTheLock(t *testing.T) {
 		if err := <-applied; err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Bind.Ingest(ref, second); err != nil {
+		if _, err := d.Bind.Ingest(ref, joinLines(second)); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(mustMarshal(t, inst), mustMarshal(t, ref)) {
@@ -124,7 +127,7 @@ func TestLockedHolderConcurrentUse(t *testing.T) {
 			for b := range fed[w] {
 				fed[w][b] = randomLines(rng, d.Input, 50+rng.Intn(100), universe)
 				stream = append(stream, fed[w][b]...)
-				if err := d.Bind.Ingest(serial, fed[w][b]); err != nil {
+				if _, err := d.Bind.Ingest(serial, joinLines(fed[w][b])); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -137,7 +140,7 @@ func TestLockedHolderConcurrentUse(t *testing.T) {
 			}
 			lines := randomLines(rng, d.Input, 200, universe)
 			stream = append(stream, lines...)
-			if err := d.Bind.Ingest(peer, lines); err != nil {
+			if _, err := d.Bind.Ingest(peer, joinLines(lines)); err != nil {
 				t.Fatal(err)
 			}
 			peerEnv = mustMarshal(t, peer)
@@ -153,7 +156,7 @@ func TestLockedHolderConcurrentUse(t *testing.T) {
 			go func() {
 				defer writing.Done()
 				for _, batch := range fed[w] {
-					if err := d.Bind.Ingest(inst, batch); err != nil {
+					if _, err := d.Bind.Ingest(inst, joinLines(batch)); err != nil {
 						fail <- err
 						return
 					}

@@ -89,9 +89,9 @@ func kwiseOf(t *testing.T, d *Descriptor, seed uint64) any {
 	return inst
 }
 
-func marshalFed(t *testing.T, d *Descriptor, inst any, ingest func(any, [][]byte) error, slim bool, rng *rand.Rand) []byte {
+func marshalFed(t *testing.T, d *Descriptor, inst any, ingest func(any, []byte) (int, error), slim bool, rng *rand.Rand) []byte {
 	t.Helper()
-	if err := ingest(inst, randomLines(rng, d.Input, 300, 40)); err != nil {
+	if _, err := ingest(inst, joinLines(randomLines(rng, d.Input, 300, 40))); err != nil {
 		t.Fatal(err)
 	}
 	env, _, err := AppendMarshal(nil, inst, slim)
@@ -405,7 +405,7 @@ func TestMergeWireFoldsAllInOnePass(t *testing.T) {
 			envs := make([][]byte, 5)
 			for i := range envs {
 				inst, _ := d.New(p)
-				if err := d.Bind.Ingest(inst, randomLines(rng, d.Input, 30000, 1<<30)); err != nil {
+				if _, err := d.Bind.Ingest(inst, joinLines(randomLines(rng, d.Input, 30000, 1<<30))); err != nil {
 					t.Fatal(err)
 				}
 				if envs[i], err = Marshal(inst); err != nil {

@@ -31,8 +31,9 @@ type Projection struct {
 	Cells  []uint64
 }
 
-// maxProjectionCells bounds a decoded projection: every projecting
-// family reads one cell per row, and no family allows more than 65 rows.
+// maxProjectionCells bounds a decoded projection: a hashed-counter
+// family reads one cell per row, and none allows more than 65 rows; a
+// blocked Bloom filter reads its k <= 64 probed bits.
 const maxProjectionCells = 128
 
 // cellProjection is the projection of a hashed-counter family

@@ -38,6 +38,11 @@ var kwiseBuilders = map[string]func(Params) (any, error){
 // projShape is the table the projection and wire-merge tests run on.
 var projShape = shape{"width": 96, "depth": 5}
 
+// projShapes are the shapes of the projecting families that are not a
+// table of counters: a blocked Bloom filter of 4 blocks, small enough
+// that a shard may lack a key the union holds.
+var projShapes = map[string]shape{"blockedbloom": {"m": 2048, "k": 6}}
+
 // projVariants are every layout's variants, named layout/variant.
 func projVariants(d *Descriptor) []variant {
 	var out []variant
@@ -105,7 +110,11 @@ func TestProjectionEqualsMergedQuery(t *testing.T) {
 					seed := uint64(1 + rng.Intn(3))
 					insts := make([]any, shards)
 					for i := range insts {
-						p, err := d.Validate(seed, projShape)
+						raw, ok := projShapes[d.Name]
+						if !ok {
+							raw = projShape
+						}
+						p, err := d.Validate(seed, raw)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -114,7 +123,7 @@ func TestProjectionEqualsMergedQuery(t *testing.T) {
 							t.Fatalf("build: %v", err)
 						}
 						defer closeIfOwned(inst)
-						if err := v.bind.Ingest(inst, randomLines(rng, d.Input, rng.Intn(400), 40)); err != nil {
+						if _, err := v.bind.Ingest(inst, joinLines(randomLines(rng, d.Input, rng.Intn(400), 40))); err != nil {
 							t.Fatalf("ingest: %v", err)
 						}
 						insts[i] = inst
@@ -150,8 +159,8 @@ func TestProjectionEqualsMergedQuery(t *testing.T) {
 			})
 		}
 	}
-	if projecting < 2 {
-		t.Errorf("%d families project, want countmin and countsketch at least", projecting)
+	if projecting < 3 {
+		t.Errorf("%d families project, want countmin, countsketch and blockedbloom at least", projecting)
 	}
 }
 
@@ -168,7 +177,7 @@ func project(t *testing.T, name string, seed uint64, raw map[string]float64, q u
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Bind.Ingest(inst, defaultLines(d)); err != nil {
+	if _, err := d.Bind.Ingest(inst, joinLines(defaultLines(d))); err != nil {
 		t.Fatal(err)
 	}
 	proj, err := d.Projection(inst, q)

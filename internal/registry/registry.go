@@ -146,11 +146,12 @@ func (p Params) Uint8(name string) uint8 { return uint8(p.vals[name]) }
 // an instance behind the locked holder, the lock and the buffer — in
 // exactly one place per capability.
 type Bindings struct {
-	// Ingest folds a batch of newline-delimited lines in. It must
-	// validate the whole batch before the first update (no partial
-	// ingest on a bad line) and must not retain the item slices —
-	// they alias a pooled server buffer.
-	Ingest func(inst any, items [][]byte) error
+	// Ingest folds a request body in — newline-delimited lines, cut by
+	// CutLine, blank ones skipped — and returns how many items it held.
+	// It must validate the whole batch before the first update (no
+	// partial ingest on a bad line; the count is then 0) and must not
+	// retain the body, a pooled server buffer.
+	Ingest func(inst any, body []byte) (int, error)
 	// Query answers the type's read operation from URL parameters.
 	// With no parameters it returns a summary (estimate, shape, n —
 	// whatever the family supports), so it doubles as "inspect".
@@ -187,10 +188,10 @@ type Descriptor struct {
 
 	// Bind operates on every instance the descriptor builds.
 	Bind Bindings
-	// Serve is &Bind, which drives every instance; register sets it, no
-	// descriptor does. It remains only because benchmark/layertrace, a
-	// separate module, names it.
-	Serve *Bindings
+	// Serve is Bind.Ingest over a [][]byte of lines (Lines); register
+	// sets it, no descriptor does. It remains only because
+	// benchmark/layertrace, a separate module, names it.
+	Serve Lines
 
 	// Project and Finish, set together, are the optional query-pushdown
 	// capability (see Projection for the contract). Project reads, from
@@ -404,7 +405,7 @@ func register(d Descriptor) {
 	}
 	dp := new(Descriptor)
 	*dp = d
-	dp.Serve = &dp.Bind
+	dp.Serve = Lines{dp}
 	byTag[d.Tag] = dp
 	byName[d.Name] = dp
 }

@@ -118,7 +118,7 @@ func badLine(k InputKind) []byte {
 func TestIngestQueryRoundTrip(t *testing.T) {
 	atDefaults(t, servable, func(t *testing.T, d *Descriptor, build func() any, roundTrip func(any) any) {
 		inst := build()
-		if err := d.Bind.Ingest(inst, defaultLines(d)); err != nil {
+		if _, err := d.Bind.Ingest(inst, joinLines(defaultLines(d))); err != nil {
 			t.Fatalf("Ingest(%q): %v", defaultLines(d), err)
 		}
 		if _, err := d.Bind.Query(roundTrip(inst), url.Values{}); err != nil {
@@ -135,7 +135,7 @@ func TestIngestRejectsBadLines(t *testing.T) {
 	atDefaults(t, parsed, func(t *testing.T, d *Descriptor, build func() any, _ func(any) any) {
 		inst, bad := build(), badLine(d.Input)
 		before := mustMarshal(t, inst)
-		if err := d.Bind.Ingest(inst, append(defaultLines(d), bad)); !errors.Is(err, ErrInput) {
+		if _, err := d.Bind.Ingest(inst, joinLines(append(defaultLines(d), bad))); !errors.Is(err, ErrInput) {
 			t.Fatalf("Ingest with bad line %q: err = %v, want ErrInput", bad, err)
 		}
 		if !bytes.Equal(before, mustMarshal(t, inst)) {
@@ -223,7 +223,7 @@ func TestMergeThroughRegistry(t *testing.T) {
 	merging := func(d *Descriptor) bool { return d.Mergeable() && d.Servable() }
 	atDefaults(t, merging, func(t *testing.T, d *Descriptor, build func() any, roundTrip func(any) any) {
 		peer := build()
-		if err := d.Bind.Ingest(peer, defaultLines(d)); err != nil {
+		if _, err := d.Bind.Ingest(peer, joinLines(defaultLines(d))); err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Bind.Merge(build(), roundTrip(peer)); err != nil {

@@ -92,7 +92,7 @@ func wireVariants(d *Descriptor) map[string]func(Params) (any, error) {
 }
 
 // ingestFor is the binding that feeds the named variant.
-func ingestFor(d *Descriptor, name string) func(any, [][]byte) error {
+func ingestFor(d *Descriptor, name string) func(any, []byte) (int, error) {
 	for _, c := range variantsOf(d) {
 		if c.name == name {
 			return c.bind.Ingest
@@ -140,7 +140,7 @@ func TestAppendFormsMatchMarshal(t *testing.T) {
 				}
 				defer closeIfOwned(inst)
 				if ingest := ingestFor(d, variant); ingest != nil {
-					if err := ingest(inst, defaultLines(d)); err != nil {
+					if _, err := ingest(inst, joinLines(defaultLines(d))); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -231,7 +231,7 @@ func TestMarshalAllocatesTheEnvelopeOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ingestFor(d, variant)(inst, defaultLines(d)); err != nil {
+			if _, err := ingestFor(d, variant)(inst, joinLines(defaultLines(d))); err != nil {
 				t.Fatal(err)
 			}
 			direct, _ := held(inst)

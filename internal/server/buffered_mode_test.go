@@ -233,7 +233,7 @@ func TestTwoServingModesInOneProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < writers*rounds; i++ {
-			if err := d.Bind.Ingest(plain, SplitBatch([]byte(f.batch(i)))); err != nil {
+			if _, err := d.Bind.Ingest(plain, []byte(f.batch(i))); err != nil {
 				t.Fatal(err)
 			}
 		}

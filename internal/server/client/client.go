@@ -80,11 +80,31 @@ func (c *Client) AddBatch(name string, batch []byte) error {
 // items it applied: what a coordinator relays as its ack without ever
 // looking inside the batch.
 func (c *Client) AddBatchCounted(name string, batch []byte) (int, error) {
-	var ack struct {
+	var added int
+	_, _, err := c.roundTrip(request{op: server.Named("add"), name: name, contentType: "text/plain", added: &added}, batch, nil, true)
+	return added, err
+}
+
+// readAdded reads the count of an /add ack. The ack both tiers write
+// (server.WriteAdded) is read as bytes; any other body goes through
+// encoding/json, which then has the last word.
+func readAdded(ack []byte) (int, error) {
+	if digits, ok := bytes.CutPrefix(ack, []byte(`{"added":`)); ok {
+		n, i := 0, 0
+		for ; i < len(digits) && i < 18 && '0' <= digits[i] && digits[i] <= '9'; i++ {
+			n = n*10 + int(digits[i]-'0')
+		}
+		// One to 18 digits, no leading zero, and the object's end: what
+		// WriteAdded writes, and what encoding/json reads the same.
+		if end := digits[i:]; i > 0 && (i == 1 || digits[0] != '0') && (string(end) == "}\n" || string(end) == "}") {
+			return n, nil
+		}
+	}
+	var doc struct {
 		Added int `json:"added"`
 	}
-	err := c.do("add", name, nil, "text/plain", batch, &ack)
-	return ack.Added, err
+	err := json.Unmarshal(ack, &doc)
+	return doc.Added, err
 }
 
 // Query runs the sketch's read operation and returns the decoded JSON

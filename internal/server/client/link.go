@@ -59,7 +59,7 @@ type conn struct {
 	hdr     []byte      // request line and header of the current exchange
 	vec     [2][]byte   // hdr and body: backing of bufs
 	bufs    net.Buffers // consumed by its WriteTo, so re-sliced from vec every time
-	scratch []byte      // where a reply nobody reads lands
+	scratch []byte      // where a reply the caller does not take lands
 	etag    []byte      // backing of the current reply's ETag
 	reused  bool        // has completed an exchange before this one
 
@@ -154,6 +154,9 @@ type request struct {
 	// out as If-None-Match, and a reply other than 304 replaces it with
 	// its ETag (empty when it has none).
 	tag *[]byte
+	// added, when not nil, takes the count of a 2xx reply read as an
+	// /add ack (readAdded), from the buffer a discarded reply lands in.
+	added *int
 }
 
 // roundTrip is the one request path: it sends rq and body on a pooled
@@ -199,6 +202,8 @@ func (c *Client) roundTrip(rq request, body, dst []byte, discard bool) (int, []b
 				err = statusError(rep.status, rep.retryAfter, rep.body)
 			case rq.tag != nil:
 				*rq.tag = append((*rq.tag)[:0], rep.etag...) // before cn, whose buffer rep.etag is, goes back
+			case rq.added != nil:
+				*rq.added, err = readAdded(rep.body) // before cn, whose buffer a discarded body is, goes back
 			}
 			if rep.keep {
 				l.put(cn)
@@ -268,13 +273,16 @@ type reply struct {
 
 // exchange writes cn.hdr and body in one write and reads the reply,
 // appending its body to dst. The deadlines are the connection's own, so
-// no timer goroutine and no second reader stand behind the call.
-// SetDeadline fails only on a closed connection, which the next read or
-// write reports.
+// no timer goroutine and no second reader stand behind the call: one
+// deadline, start + firstByteTimeout, covers the write and the reply's
+// first byte (a write still running then could not have been answered
+// in time anyway), and the read deadline moves to start +
+// exchangeTimeout once that byte is in. SetDeadline fails only on a
+// closed connection, which the next read or write reports.
 func (cn *conn) exchange(body, dst []byte) (reply, error) {
 	cn.wrote, cn.answered = false, false
 	start := time.Now()
-	cn.nc.SetDeadline(start.Add(exchangeTimeout))
+	cn.nc.SetDeadline(start.Add(firstByteTimeout))
 	var n int64
 	var err error
 	if len(body) == 0 {
@@ -288,7 +296,6 @@ func (cn *conn) exchange(body, dst []byte) (reply, error) {
 		cn.vec = [2][]byte{} // the caller's body is not ours to keep
 	}
 	cn.wrote = n > 0
-	firstByte := start.Add(firstByteTimeout)
 	if err != nil {
 		if n == 0 {
 			return reply{body: dst}, err
@@ -297,9 +304,8 @@ func (cn *conn) exchange(body, dst []byte) (reply, error) {
 		// 413) answers and hangs up under the rest of the write. Its
 		// answer, when it is already here, says more than the write
 		// error does.
-		firstByte = time.Now().Add(refusalWait)
+		cn.nc.SetReadDeadline(time.Now().Add(refusalWait))
 	}
-	cn.nc.SetReadDeadline(firstByte)
 	if _, perr := cn.br.Peek(1); perr != nil {
 		if err == nil {
 			err = perr

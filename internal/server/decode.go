@@ -1,37 +1,24 @@
 package server
 
-import "bytes"
+import (
+	"bytes"
 
-// SplitBatch splits an ingest body into items: one item per line,
-// tolerant of CRLF and of a missing trailing newline; empty lines are
-// skipped. The returned slices alias data — callers hand them straight
-// to Entry.Add, which must not retain them.
-//
-// This is the request decoder the fuzz smoke target exercises together
-// with Entry.Merge: arbitrary bodies must split and ingest (or error)
-// without panicking.
+	typereg "repro/internal/registry"
+)
+
+// SplitBatch splits an ingest body into items by the rule the ingest
+// path cuts it by (registry.CutLine): one item per line, tolerant of
+// CRLF and of a missing trailing newline; empty lines are skipped. The
+// returned slices alias data. The serving path never splits a body — it
+// hands it whole to Entry.Ingest — so this is the reference the fuzz
+// targets hold the body path's item count to, and a [][]byte for the
+// entry points that still take one (Entry.Add).
 func SplitBatch(data []byte) [][]byte {
 	return SplitBatchAppend(make([][]byte, 0, bytes.Count(data, []byte{'\n'})+1), data)
 }
 
-// SplitBatchAppend splits like SplitBatch but appends into dst, so the
-// serving hot path can reuse a pooled [][]byte across requests instead
-// of allocating a fresh header slice per batch. The item slices alias
-// data; dst's previous contents must already be released.
+// SplitBatchAppend splits like SplitBatch but appends into dst: it is
+// registry.AppendLines.
 func SplitBatchAppend(dst [][]byte, data []byte) [][]byte {
-	for len(data) > 0 {
-		line := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			line, data = data[:i], data[i+1:]
-		} else {
-			data = nil
-		}
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		if len(line) > 0 {
-			dst = append(dst, line)
-		}
-	}
-	return dst
+	return typereg.AppendLines(dst, data)
 }

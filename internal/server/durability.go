@@ -162,7 +162,7 @@ func (s *Server) remove(ts *tenantState, name string) bool {
 
 // replayer applies recovered or replicated state to the namespace
 // through the apply bodies the live handlers run under logged —
-// tenantState.create and remove, Entry.Add and Merge, fanOut — so
+// tenantState.create and remove, Entry.Ingest and Merge, fanOut — so
 // recovery and a follower cannot drift from the server that wrote the
 // log. Its own policy is the skip rule, which makes replay exact
 // without any deduplication state: a snapshot at cut LSN M subsumes
@@ -220,7 +220,7 @@ func (r *replayer) Replay(rec durable.Record) error {
 			return nil // already inside the recovered bytes
 		}
 		if rec.Op == durable.OpIngest {
-			err = ne.entry.Add(SplitBatch(rec.Body))
+			_, err = ne.entry.Ingest(rec.Body)
 		} else {
 			err = ne.entry.Merge(rec.Body)
 		}

@@ -97,8 +97,8 @@ func (req CreateRequest) rawParams(d *typereg.Descriptor) map[string]float64 {
 // registry's locked holder (registry.Descriptor.Serving), whose bindings
 // take the lock around the update or the read and parse a batch before
 // asking for it — with a buffer in front of the lock when the server is
-// buffered and the family has one (hll, countmin, blockedbloom). Add
-// must not retain the item slices — they alias a pooled request buffer.
+// buffered and the family has one (hll, countmin, blockedbloom). Ingest
+// must not retain the body, a pooled request buffer.
 //
 // Every state an entry serializes is named by an entity tag (appendTag):
 // the process's nonce, the entry's id and its version, which Add, Merge
@@ -205,12 +205,17 @@ func (e *Entry) CreateReq() CreateRequest { return e.req }
 // Mergeable reports whether the entry accepts peer envelopes.
 func (e *Entry) Mergeable() bool { return e.desc.Mergeable() }
 
-// Add folds a batch of newline-delimited items in.
-func (e *Entry) Add(items [][]byte) error {
-	err := e.desc.Bind.Ingest(e.inst, items)
+// Ingest folds an ingest body — newline-delimited items — in and
+// returns how many items it held.
+func (e *Entry) Ingest(body []byte) (int, error) {
+	n, err := e.desc.Bind.Ingest(e.inst, body)
 	e.version.Add(1)
-	return err
+	return n, err
 }
+
+// Add folds a batch of items in, through Ingest
+// (registry.IngestLines).
+func (e *Entry) Add(items [][]byte) error { return typereg.IngestLines(items, e.Ingest) }
 
 // Query answers the type's read operation from URL parameters.
 func (e *Entry) Query(params url.Values) (map[string]any, error) {

@@ -1,9 +1,9 @@
 package server
 
 // Internal tests for the allocation-free ingest path: Entry.Add's
-// validate-then-apply batch semantics, a regression check that the
-// whole per-batch loop stays at zero heap allocations, and the same
-// guard for the registry's name-to-stripe hash.
+// validate-then-apply batch semantics, a regression check that a body
+// into Entry.Ingest stays at zero heap allocations, and the same guard
+// for the registry's name-to-stripe hash.
 
 import (
 	"net/url"
@@ -61,14 +61,12 @@ func TestEntryAddZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		body := []byte(strings.Repeat(body, 64))
-		items := make([][]byte, 0, 128)
 		if n := testing.AllocsPerRun(50, func() {
-			items = SplitBatchAppend(items[:0], body)
-			if err := entry.Add(items); err != nil {
+			if _, err := entry.Ingest(body); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
-			t.Errorf("%s: split+Add batch: %v allocs per batch, want 0", typ, n)
+			t.Errorf("%s: Ingest of a body: %v allocs per batch, want 0", typ, n)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	typereg "repro/internal/registry"
 )
 
 // Group-by ingest (Gigascope-style GROUP BY over a stream): one POST
@@ -79,17 +80,23 @@ func groupSpecFromQuery(q url.Values) (GroupBySpec, error) {
 	return spec, err
 }
 
-// splitGroups parses a group-by batch into per-group item lists, group
-// keys sorted (the canonical apply order). The item slices alias body.
-func splitGroups(body []byte) (groups map[string][][]byte, names []string, total int, err error) {
-	groups = map[string][][]byte{}
-	for _, line := range SplitBatch(body) {
+// splitGroups parses a group-by batch into an ingest body per group —
+// each line's item and a newline — with the group keys sorted (the
+// canonical apply order). An empty item is a blank line of its group's
+// body, which its ingest skips.
+func splitGroups(body []byte) (groups map[string][]byte, names []string, total int, err error) {
+	groups = map[string][]byte{}
+	for len(body) > 0 {
+		var line []byte
+		if line, body = typereg.CutLine(body); len(line) == 0 {
+			continue
+		}
 		tab := bytes.IndexByte(line, '\t')
 		if tab <= 0 {
 			return nil, nil, 0, fmt.Errorf("groupby: line %d missing group<TAB>item", total+1)
 		}
 		g := string(line[:tab])
-		groups[g] = append(groups[g], line[tab+1:])
+		groups[g] = append(append(groups[g], line[tab+1:]...), '\n')
 		total++
 	}
 	names = make([]string, 0, len(groups))
@@ -107,7 +114,7 @@ func splitGroups(body []byte) (groups map[string][][]byte, names []string, total
 // feeds it its items, stopping at the first group that fails — so a
 // live fan-out and its replay stop at the same place. applied counts
 // the groups fed: the first applied of the entries claimed.
-func (ts *tenantState) fanOut(spec GroupBySpec, groups map[string][][]byte, names []string, claim hold, buffered bool) (applied, created int, items uint64, err error) {
+func (ts *tenantState) fanOut(spec GroupBySpec, groups map[string][]byte, names []string, claim hold, buffered bool) (applied, created int, items uint64, err error) {
 	for _, g := range names {
 		full := spec.Prefix + g
 		ne, _ := ts.reg.get(full)
@@ -126,12 +133,12 @@ func (ts *tenantState) fanOut(spec GroupBySpec, groups map[string][][]byte, name
 		} else if !claim(ne) {
 			continue
 		}
-		if err = ne.entry.Add(groups[g]); err != nil {
+		var n int
+		if n, err = ne.entry.Ingest(groups[g]); err != nil {
 			return applied, created, items, fmt.Errorf("group %q: %w", g, err)
 		}
-		n := uint64(len(groups[g]))
-		ne.adds.Add(n)
-		items += n
+		ne.adds.Add(uint64(n))
+		items += uint64(n)
 		applied++
 	}
 	return applied, created, items, nil

@@ -159,6 +159,19 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// WriteAdded sends the ack of an /add that applied n items,
+// {"added":n} and a newline: the bytes WriteJSON(w, 200,
+// map[string]any{"added": n}) sends, appended rather than encoded. Both
+// tiers answer an /add with it, and client.AddBatchCounted reads it back
+// without encoding/json.
+func WriteAdded(w http.ResponseWriter, n int) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	var buf [32]byte
+	ack := strconv.AppendInt(append(buf[:0], `{"added":`...), int64(n), 10)
+	w.Write(append(ack, '}', '\n'))
+}
+
 // HTTPError sends a refusal in the one error shape: {"error": "..."}.
 func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]any{"error": fmt.Sprintf(format, args...)})

@@ -51,13 +51,12 @@ type Server struct {
 
 	bufferedIngest bool // see SetBufferedIngest
 
-	ops       core.OpCounters
-	wire      map[string]*wireCounters // per-family snapshot wire bytes
-	start     time.Time
-	bodies    BodyPool
-	itemsPool sync.Pool // *[][]byte split-batch item headers
-	envPool   sync.Pool // *[]byte /snapshot response envelopes
-	mux       *http.ServeMux
+	ops     core.OpCounters
+	wire    map[string]*wireCounters // per-family snapshot wire bytes
+	start   time.Time
+	bodies  BodyPool
+	envPool sync.Pool // *[]byte /snapshot response envelopes
+	mux     *http.ServeMux
 
 	reaperStop chan struct{}
 	reaperWG   sync.WaitGroup
@@ -78,10 +77,6 @@ func New() *Server {
 		tenants: map[string]*tenantState{DefaultTenant: newTenantState(DefaultTenant)},
 		wire:    newWireCounters(),
 		start:   time.Now(),
-	}
-	s.itemsPool.New = func() any {
-		items := make([][]byte, 0, 1024)
-		return &items
 	}
 	s.envPool.New = func() any { return new([]byte) }
 	s.mux = http.NewServeMux()
@@ -173,31 +168,23 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	defer release()
-	// Split zero-copy into a pooled header slice: the item slices alias
-	// the pooled body buffer, and entries are contractually forbidden
-	// from retaining either, so both recycle at the end of the request.
-	ip := s.itemsPool.Get().(*[][]byte)
-	items := SplitBatchAppend((*ip)[:0], body)
-	defer func() {
-		clear(items) // drop aliases into the body buffer before pooling
-		*ip = items[:0]
-		s.itemsPool.Put(ip)
-	}()
-	err := s.logged(ts, durable.OpIngest, e.name, body, func(claim hold) (int, error) {
+	defer release() // the entry does not retain the body, nor the WAL once Append returns
+	var n int
+	err := s.logged(ts, durable.OpIngest, e.name, body, func(claim hold) (_ int, err error) {
 		claim(e)
-		return 1, e.entry.Add(items)
+		n, err = e.entry.Ingest(body)
+		return 1, err
 	})
 	if err != nil {
 		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	e.adds.Add(uint64(len(items)))
-	ts.adds.Add(uint64(len(items)))
-	s.ops.Adds.Add(uint64(len(items)))
+	e.adds.Add(uint64(n))
+	ts.adds.Add(uint64(n))
+	s.ops.Adds.Add(uint64(n))
 	s.ops.AddBatches.Inc()
 	s.ops.BatchBytes.Add(uint64(len(body)))
-	WriteJSON(w, http.StatusOK, map[string]any{"added": len(items)})
+	WriteAdded(w, n)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {

@@ -173,11 +173,11 @@ func TestZeroAllocBufferedWriterPaths(t *testing.T) {
 	assertZeroAlloc(t, "concurrent.Writer.Put2 (blockedbloom)", func() { fw.Put2(hashx.Murmur3_128(key, 1)) })
 
 	// What a buffered sketchd serves: the registry's ingest binding on
-	// Serving(p, true) — parse and hash into the pooled block, hand it to
-	// a pooled writer, flush at batch end.
-	lines := make([][]byte, 1024)
-	for i := range lines {
-		lines[i] = []byte("flow" + strconv.Itoa(i%300) + "\t" + strconv.Itoa(1+i%9))
+	// Serving(p, true) — cut, parse and hash a body into the pooled
+	// block, hand it to a pooled writer, flush at batch end.
+	var body []byte
+	for i := 0; i < 1024; i++ {
+		body = append(body, "flow"+strconv.Itoa(i%300)+"\t"+strconv.Itoa(1+i%9)+"\n"...)
 	}
 	d, _ := typereg.Lookup("countmin")
 	p, err := d.Validate(1, nil)
@@ -190,24 +190,25 @@ func TestZeroAllocBufferedWriterPaths(t *testing.T) {
 	}
 	defer inst.(interface{ Close() }).Close()
 	assertZeroAlloc(t, "countmin Bind.Ingest on Serving(p, true)", func() {
-		if err := d.Bind.Ingest(inst, lines); err != nil {
+		if _, err := d.Bind.Ingest(inst, body); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 func TestZeroAllocRegistryIngest(t *testing.T) {
-	// A served batch is parsed once into a block the binding recycles:
-	// after the first request has sized it, the whole adapter — split
-	// weights, hash, pooled block, batch kernel — allocates nothing.
-	weighted, plain := make([][]byte, 1024), make([][]byte, 1024)
-	for i := range weighted {
-		plain[i] = []byte("flow" + strconv.Itoa(i%300))
-		weighted[i] = []byte("flow" + strconv.Itoa(i%300) + "\t" + strconv.Itoa(1+i%9))
+	// A served body is cut and parsed once into a block the binding
+	// recycles: after the first request has sized it, the whole adapter
+	// — cut lines, split weights, hash, pooled block, batch kernel —
+	// allocates nothing.
+	var weighted, plain []byte
+	for i := 0; i < 1024; i++ {
+		plain = append(plain, "flow"+strconv.Itoa(i%300)+"\n"...)
+		weighted = append(weighted, "flow"+strconv.Itoa(i%300)+"\t"+strconv.Itoa(1+i%9)+"\n"...)
 	}
 	for _, tc := range []struct {
-		typ   string
-		lines [][]byte
+		typ  string
+		body []byte
 	}{
 		{"countmin", weighted},    // (hash, weight) block into the weighted kernel, under the holder's lock
 		{"sfsketch", weighted},    // the same block and the same lock
@@ -246,7 +247,7 @@ func TestZeroAllocRegistryIngest(t *testing.T) {
 		}
 		for variant, inst := range insts {
 			ingest := func() {
-				if err := d.Bind.Ingest(inst, tc.lines); err != nil {
+				if _, err := d.Bind.Ingest(inst, tc.body); err != nil {
 					t.Fatal(err)
 				}
 			}
