@@ -62,6 +62,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -241,12 +242,17 @@ func runCoordinator(addr, shardList string, pprofOn bool) {
 	serve(addr, withPprof(coord, pprofOn))
 }
 
-// serve answers h on addr until SIGINT or SIGTERM, then stops
-// accepting requests and drains in-flight ones for up to 5 s.
+// serve answers h on addr through server.HTTPServer until SIGINT or
+// SIGTERM, then stops accepting requests and drains in-flight ones for
+// up to 5 s.
 func serve(addr string, h http.Handler) {
-	hs := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("sketchd: %v", err)
+	}
+	hs := &server.HTTPServer{Handler: h}
 	go func() {
-		if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("sketchd: %v", err)
 		}
 	}()

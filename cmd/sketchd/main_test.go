@@ -7,7 +7,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"testing"
 
@@ -25,11 +24,11 @@ func tiers(t *testing.T) map[string]http.Handler {
 	return map[string]http.Handler{"server": server.New().Handler(), "coordinator": coord}
 }
 
+// get serves h as sketchd does, through server.HTTPServer, and GETs
+// path from it.
 func get(t *testing.T, h http.Handler, path string) (int, []byte) {
 	t.Helper()
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + path)
+	resp, err := http.Get("http://" + serveLoop(t, h) + path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,10 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -1284,4 +1286,168 @@ func refFmix64(k uint64) uint64 {
 	k *= 0xc4ceb9fe1a85ec53
 	k ^= k >> 33
 	return k
+}
+
+// FuzzServeConn writes arbitrary bytes down a connection to sketchd's
+// server.HTTPServer and to http.Server, its reference, each serving a
+// handler that covers the reply shapes: a held body, a chunked one (the
+// type catalogue, over 2 KB and unsized), a set length, 204, 304, an
+// echo of the request body and a handler that leaves the body to the
+// drain. The loop must neither panic nor hang, every reply must parse
+// with http.ReadResponse, and the statuses must be http.Server's.
+func FuzzServeConn(f *testing.F) {
+	for _, seed := range []string{
+		"GET /small HTTP/1.1\r\nHost: x\r\n\r\n",
+		"HEAD /small HTTP/1.1\r\nHost: x\r\n\r\nHEAD /v1/types HTTP/1.1\r\nHost: x\r\n\r\nGET /sized HTTP/1.1\r\nHost: x\r\n\r\n",
+		"GET /v1/types HTTP/1.1\r\nHost: x\r\n\r\nGET /none HTTP/1.1\r\nHost: x\r\n\r\nGET /held HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST /echo HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello\r\nGET /small HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST /echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"POST /peek HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n0123456789GET /small HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST /echo HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nok",
+		"POST /peek HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\nContent-Length: 9\r\n\r\n123456789",
+		"POST /echo HTTP/1.1\r\nHost: x\r\nExpect: soon\r\nContent-Length: 2\r\n\r\nok",
+		"GET /small HTTP/1.0\r\n\r\n",
+		"GET /small HTTP/1.0\r\nConnection: keep-alive\r\n\r\nGET /v1/types HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+		"GET /small HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\nGET /small HTTP/1.1\r\nHost: x\r\n\r\n",
+		"GET /small HTTP/1.1\r\n\r\n",
+		"GET /small HTTP/1.1\r\nHost:\r\n\r\n",
+		"GET /small HTTP/1.1\r\nHost: a b\r\n\r\n",
+		"GET http://x/small HTTP/1.1\r\n\r\n",
+		"GET http://x/small HTTP/1.1\r\nHost: y\r\n\r\n",
+		"GET /small HTTP/2.0\r\nHost: x\r\n\r\n",
+		"PRI * HTTP/2.0\r\n\r\nSM\r\n\r\n",
+		"OPTIONS * HTTP/1.1\r\nHost: x\r\n\r\n",
+		"POST /echo HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: gzip\r\n\r\n",
+		"GET /small HTTP/1.1\r\nHost: x\r\nBad Name: v\r\n\r\n",
+		"GARBAGE\r\n\r\n",
+		"GET /sm",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/types", server.HandleTypes)
+	mux.HandleFunc("/small", func(w http.ResponseWriter, _ *http.Request) { w.Write([]byte("small\n")) })
+	mux.HandleFunc("/sized", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Length", "5")
+		w.Write([]byte("sized"))
+	})
+	mux.HandleFunc("/none", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusNoContent) })
+	mux.HandleFunc("/held", func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusNotModified) })
+	mux.HandleFunc("/echo", func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, "reading the body", http.StatusBadRequest)
+			return
+		}
+		w.Write(body)
+	})
+	mux.HandleFunc("/peek", func(w http.ResponseWriter, r *http.Request) {
+		io.CopyN(io.Discard, r.Body, 3)
+		w.Write([]byte("peeked\n"))
+	})
+	var addrs [2]string
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			f.Fatal(err)
+		}
+		addrs[i] = ln.Addr().String()
+		if i == 0 {
+			ref := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+			go ref.Serve(ln)
+			f.Cleanup(func() { ref.Close() })
+		} else {
+			loop := &server.HTTPServer{Handler: mux}
+			go loop.Serve(ln)
+			f.Cleanup(func() { loop.Close() })
+		}
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		methods := requestMethods(in)
+		want, wantReset := serveStatuses(t, addrs[0], in, methods)
+		got, gotReset := serveStatuses(t, addrs[1], in, methods)
+		if wantReset || gotReset {
+			// A reset can destroy replies in flight: compare what both read.
+			n := min(len(want), len(got))
+			want, got = want[:n], got[:n]
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("statuses %v, http.Server's %v, on %q", got, want, in)
+		}
+	})
+}
+
+// requestMethods parses in as a server does, for the method of each
+// request a reply answers.
+func requestMethods(in []byte) []string {
+	br := bufio.NewReader(bytes.NewReader(in))
+	var methods []string
+	for post := false; ; post = methods[len(methods)-1] == "POST" {
+		if post {
+			peek, _ := br.Peek(4)
+			n := 0
+			for n < len(peek) && (peek[n] == '\r' || peek[n] == '\n') {
+				n++
+			}
+			br.Discard(n)
+		}
+		req, err := http.ReadRequest(br)
+		if err != nil {
+			return methods
+		}
+		methods = append(methods, req.Method)
+		if _, err := io.Copy(io.Discard, req.Body); err != nil {
+			return methods
+		}
+	}
+}
+
+// serveStatuses writes in to addr, half-closes, and returns the status
+// of every reply, interim ones included, and whether the connection
+// ended in a reset rather than a close.
+func serveStatuses(t *testing.T, addr string, in []byte, methods []string) ([]int, bool) {
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Skipf("dial: %v", err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	go func() {
+		c.Write(in)
+		c.(*net.TCPConn).CloseWrite()
+	}()
+	br := bufio.NewReader(c)
+	var codes []int
+	for i := 0; ; {
+		if _, err := br.Peek(1); err != nil {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatalf("%s: neither a reply nor a close in 10 s, on %q", addr, in)
+			}
+			return codes, err != io.EOF
+		}
+		method := "GET"
+		if i < len(methods) {
+			method = methods[i]
+		}
+		resp, err := http.ReadResponse(br, &http.Request{Method: method})
+		if err == nil && !resp.Close {
+			_, err = io.Copy(io.Discard, resp.Body)
+		}
+		if errors.Is(err, syscall.ECONNRESET) {
+			return codes, true
+		}
+		if err != nil {
+			t.Fatalf("%s: reply %d does not parse: %v, on %q", addr, len(codes), err, in)
+		}
+		codes = append(codes, resp.StatusCode)
+		if resp.Close {
+			// Nothing follows; a refusal's body is delimited by the close
+			// even when it answers a HEAD.
+			return codes, false
+		}
+		if resp.StatusCode >= 200 {
+			i++
+		}
+	}
 }

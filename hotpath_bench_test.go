@@ -19,7 +19,6 @@ package sketch_test
 import (
 	"encoding"
 	"net"
-	"net/http"
 	"runtime"
 	"strconv"
 	"sync"
@@ -654,8 +653,9 @@ func registryCountMinWeightedIngest(writers int) func(b *testing.B) {
 // Cluster-layer entries: the coordinator's hot paths measured over real
 // loopback HTTP shards, next to the sketch kernels they sit on.
 
-// clusterHarness stands up n in-process shards plus a coordinator and
-// returns the coordinator with a teardown.
+// clusterHarness stands up n in-process shards, each served as sketchd
+// serves it (server.HTTPServer), plus a coordinator and returns the
+// coordinator with a teardown.
 func clusterHarness(b *testing.B, n int) (*cluster.Coordinator, func()) {
 	b.Helper()
 	var stops []func()
@@ -665,7 +665,7 @@ func clusterHarness(b *testing.B, n int) (*cluster.Coordinator, func()) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hs := &http.Server{Handler: server.New().Handler()}
+		hs := &server.HTTPServer{Handler: server.New().Handler()}
 		go hs.Serve(ln)
 		urls[i] = "http://" + ln.Addr().String()
 		stops = append(stops, func() { hs.Close() })
@@ -754,7 +754,7 @@ func clusterSnapshot(width int, wire string) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hs := &http.Server{Handler: coord}
+		hs := &server.HTTPServer{Handler: coord}
 		go hs.Serve(ln)
 		defer hs.Close()
 

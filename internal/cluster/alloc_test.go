@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -126,6 +129,65 @@ func TestAddAllocationCeilings(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The same 1024-line /add, process-wide, with every tier served as
+// sketchd serves it, through server.HTTPServer: the node, and the
+// coordinator and its 4 shards. This tree reads 16 and 32 at GOMAXPROCS
+// 1, 2 and 4, against 29 and 58 through net/http's server above, which
+// spends a context, a background read and a header clone per request
+// that the loop does not. The ceilings sit a few above.
+func TestLoopAddAllocationCeilings(t *testing.T) {
+	if !poolKeeps() {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	shards := make([]string, 4)
+	for i := range shards {
+		shards[i] = serveLoop(t, server.New().Handler())
+	}
+	coord, err := NewCoordinator(shards, Options{RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body []byte
+	for i := 0; i < 1024; i++ {
+		body = fmt.Appendf(body, "item%d\t%d\n", i, 1+i%9)
+	}
+	for _, tier := range []struct {
+		name    string
+		cl      *client.Client
+		ceiling float64
+	}{
+		{"node", client.New(serveLoop(t, server.New().Handler())), 20},
+		{"4-shard coordinator", client.New(serveLoop(t, coord)), 38},
+	} {
+		if err := tier.cl.Create("cm", server.CreateRequest{Type: "countmin", Width: 4096, Depth: 4, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		// AllocsPerRun's warm-up call dials the connections and sizes the pools.
+		n := testing.AllocsPerRun(50, func() {
+			if err := tier.cl.AddBatch("cm", body); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > tier.ceiling {
+			t.Errorf("%s: %v allocs per 1024-line /add, ceiling %v", tier.name, n, tier.ceiling)
+		}
+	}
+}
+
+// serveLoop serves h through server.HTTPServer on a loopback port and
+// returns its base URL.
+func serveLoop(t *testing.T, h http.Handler) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &server.HTTPServer{Handler: h}
+	go hs.Serve(ln)
+	t.Cleanup(func() { hs.Close() })
+	return "http://" + ln.Addr().String()
 }
 
 // poolKeeps reports whether a sync.Pool hands back what it was given:

@@ -119,14 +119,15 @@ func driveIngest(base, name string, clients, batch, itemsPerClient int) (adds, r
 	return adds, reqs, elapsed
 }
 
-// serveLoopback serves h on an ephemeral loopback port, returning the
-// base URL and a shutdown func.
+// serveLoopback serves h on an ephemeral loopback port as sketchd
+// does, through server.HTTPServer, returning the base URL and a
+// shutdown func.
 func serveLoopback(h http.Handler) (base string, stop func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: h}
+	hs := &server.HTTPServer{Handler: h}
 	go hs.Serve(ln)
 	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
 }

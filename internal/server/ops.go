@@ -252,10 +252,11 @@ func WireSlim(wire string) (slim bool, err error) {
 	return false, fmt.Errorf("bad wire mode %q (want full or slim)", wire)
 }
 
-// WriteEnvelope sends a serialized sketch. The explicit length (past
-// its 2 KB sniff buffer net/http would otherwise chunk the reply) lets
-// the reader size its buffer once; env may go back to a pool as soon as
-// this returns, net/http having copied or sent the bytes by then.
+// WriteEnvelope sends a serialized sketch, or any other file of bytes
+// the handler holds whole (a shipped WAL segment). The explicit length
+// (past 2 KB the server would otherwise chunk the reply) lets the
+// reader size its buffer once; env may go back to a pool as soon as
+// this returns, the server having copied or sent the bytes by then.
 func WriteEnvelope(w http.ResponseWriter, env []byte) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(env)))

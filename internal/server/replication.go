@@ -111,9 +111,7 @@ func (s *Server) handleReplFile(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
+	WriteEnvelope(w, data)
 }
 
 func (s *Server) handleReplSeal(w http.ResponseWriter, _ *http.Request) {
