@@ -59,10 +59,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -242,20 +240,14 @@ func runCoordinator(addr, shardList string, pprofOn bool) {
 	serve(addr, withPprof(coord, pprofOn))
 }
 
-// serve answers h on addr through server.HTTPServer until SIGINT or
+// serve answers h on addr through server.Listen until SIGINT or
 // SIGTERM, then stops accepting requests and drains in-flight ones for
 // up to 5 s.
 func serve(addr string, h http.Handler) {
-	ln, err := net.Listen("tcp", addr)
+	hs, _, err := server.Listen(addr, h)
 	if err != nil {
 		log.Fatalf("sketchd: %v", err)
 	}
-	hs := &server.HTTPServer{Handler: h}
-	go func() {
-		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("sketchd: %v", err)
-		}
-	}()
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop

@@ -24,11 +24,11 @@ func tiers(t *testing.T) map[string]http.Handler {
 	return map[string]http.Handler{"server": server.New().Handler(), "coordinator": coord}
 }
 
-// get serves h as sketchd does, through server.HTTPServer, and GETs
-// path from it.
+// get serves h as sketchd does, through server.Listen, and GETs path
+// from it.
 func get(t *testing.T, h http.Handler, path string) (int, []byte) {
 	t.Helper()
-	resp, err := http.Get("http://" + serveLoop(t, h) + path)
+	resp, err := http.Get(serveLoop(t, h) + path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,22 +18,20 @@ import (
 	"repro/internal/server"
 )
 
-// serveLoop serves h through server.HTTPServer, as sketchd does, and
-// returns its address.
+// serveLoop serves h through server.Listen, as sketchd does, until the
+// test ends, and returns its base URL.
 func serveLoop(t *testing.T, h http.Handler) string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	hs, base, err := server.Listen("127.0.0.1:0", h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &server.HTTPServer{Handler: h}
-	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })
-	return ln.Addr().String()
+	return base
 }
 
 // twin is one tier served twice, from two instances built alike: by
-// http.Server, the reference, and by server.HTTPServer.
+// http.Server, the reference the loop is held to, and by server.Listen.
 type twin struct {
 	ref, loop string
 	shards    [2]string // each instance's shard, a coordinator's only
@@ -41,28 +39,27 @@ type twin struct {
 
 func newTwin(t *testing.T, coordinator bool) twin {
 	var tw twin
-	var addrs [2]string
-	for i := range addrs {
+	var bases [2]string
+	for i := range bases {
 		var h http.Handler = server.New().Handler()
 		if coordinator {
-			shard := httptest.NewServer(server.New().Handler())
-			t.Cleanup(shard.Close)
-			coord, err := cluster.NewCoordinator([]string{shard.URL}, cluster.Options{})
+			shard := serveLoop(t, server.New().Handler())
+			coord, err := cluster.NewCoordinator([]string{shard}, cluster.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			h, tw.shards[i] = coord, strings.TrimPrefix(shard.URL, "http://")
+			h, tw.shards[i] = coord, strings.TrimPrefix(shard, "http://")
 		}
 		h = withPprof(h, true)
 		if i == 0 {
 			ref := httptest.NewServer(h)
 			t.Cleanup(ref.Close)
-			addrs[i] = strings.TrimPrefix(ref.URL, "http://")
+			bases[i] = ref.URL
 		} else {
-			addrs[i] = serveLoop(t, h)
+			bases[i] = serveLoop(t, h)
 		}
 	}
-	tw.ref, tw.loop = addrs[0], addrs[1]
+	tw.ref, tw.loop = strings.TrimPrefix(bases[0], "http://"), strings.TrimPrefix(bases[1], "http://")
 	return tw
 }
 
@@ -179,12 +176,15 @@ func TestServeMatchesHTTPServer(t *testing.T) {
 			return rows
 		}
 		chunkBody := "d\t4\ne\n"
+		pastDrain := fmt.Sprintf("Content-Length: %d\r\n\r\n%s", 300<<10, strings.Repeat("x", 300<<10)) // unread, over 256 KB
 		cases := append(opCases(false),
 			tc{"HEAD", "HEAD", "HEAD /v1/types HTTP/1.1\r\nHost: sketchd\r\n\r\n"},
 			tc{"HEAD small", "HEAD", "HEAD /v1/sketch/s/query?item=a HTTP/1.1\r\nHost: sketchd\r\n\r\n"},
 			tc{"HTTP/1.0", "GET", "GET /v1/sketch/s/query?item=a HTTP/1.0\r\n\r\n"},
 			tc{"HTTP/1.0 keep-alive", "GET", "GET /v1/sketch/s/query?item=a HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"},
 			tc{"HTTP/1.0 long", "GET", "GET /v1/types HTTP/1.0\r\n\r\n"},
+			tc{"HTTP/1.0 keep-alive, body past the drain", "GET", "GET /v1/sketch/s/query?item=a HTTP/1.0\r\nConnection: keep-alive\r\n" + pastDrain},
+			tc{"HTTP/1.0 keep-alive long, body past the drain", "GET", "GET /v1/types HTTP/1.0\r\nConnection: keep-alive\r\n" + pastDrain},
 			tc{"Connection: close", "GET", "GET /v1/types HTTP/1.1\r\nHost: sketchd\r\nConnection: close\r\n\r\n"},
 			tc{"chunked request", "POST", "POST /v1/sketch/s/add HTTP/1.1\r\nHost: sketchd\r\nTransfer-Encoding: chunked\r\n\r\n" +
 				fmt.Sprintf("%x\r\n%s\r\n0\r\n\r\n", len(chunkBody), chunkBody)},

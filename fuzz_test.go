@@ -1289,7 +1289,7 @@ func refFmix64(k uint64) uint64 {
 }
 
 // FuzzServeConn writes arbitrary bytes down a connection to sketchd's
-// server.HTTPServer and to http.Server, its reference, each serving a
+// server.Listen and to http.Server, its reference, each serving a
 // handler that covers the reply shapes: a held body, a chunked one (the
 // type catalogue, over 2 KB and unsized), a set length, 204, 304, an
 // echo of the request body and a handler that leaves the body to the
@@ -1346,23 +1346,20 @@ func FuzzServeConn(f *testing.F) {
 		io.CopyN(io.Discard, r.Body, 3)
 		w.Write([]byte("peeked\n"))
 	})
-	var addrs [2]string
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		if i == 0 {
-			ref := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-			go ref.Serve(ln)
-			f.Cleanup(func() { ref.Close() })
-		} else {
-			loop := &server.HTTPServer{Handler: mux}
-			go loop.Serve(ln)
-			f.Cleanup(func() { loop.Close() })
-		}
+	// http.Server stays here on purpose: it is the reference.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
 	}
+	ref := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	go ref.Serve(ln)
+	f.Cleanup(func() { ref.Close() })
+	loop, base, err := server.Listen("127.0.0.1:0", mux)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { loop.Close() })
+	addrs := [2]string{ln.Addr().String(), strings.TrimPrefix(base, "http://")}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		methods := requestMethods(in)
 		want, wantReset := serveStatuses(t, addrs[0], in, methods)

@@ -18,7 +18,6 @@ package sketch_test
 
 import (
 	"encoding"
-	"net"
 	"runtime"
 	"strconv"
 	"sync"
@@ -654,39 +653,31 @@ func registryCountMinWeightedIngest(writers int) func(b *testing.B) {
 // loopback HTTP shards, next to the sketch kernels they sit on.
 
 // clusterHarness stands up n in-process shards, each served as sketchd
-// serves it (server.HTTPServer), plus a coordinator and returns the
-// coordinator with a teardown.
-func clusterHarness(b *testing.B, n int) (*cluster.Coordinator, func()) {
+// serves it (server.Listen), and a coordinator over them, all closed
+// when the benchmark ends.
+func clusterHarness(b *testing.B, n int) *cluster.Coordinator {
 	b.Helper()
-	var stops []func()
 	urls := make([]string, n)
 	for i := range urls {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		hs, base, err := server.Listen("127.0.0.1:0", server.New().Handler())
 		if err != nil {
 			b.Fatal(err)
 		}
-		hs := &server.HTTPServer{Handler: server.New().Handler()}
-		go hs.Serve(ln)
-		urls[i] = "http://" + ln.Addr().String()
-		stops = append(stops, func() { hs.Close() })
+		b.Cleanup(func() { hs.Close() })
+		urls[i] = base
 	}
 	coord, err := cluster.NewCoordinator(urls, cluster.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return coord, func() {
-		for _, stop := range stops {
-			stop()
-		}
-	}
+	return coord
 }
 
 // clusterFanOutAdd measures coordinator ingest end to end: POST a
 // 1024-line batch, whole, to the one of 4 shards whose turn it is.
 // Reported per line.
 func clusterFanOutAdd(b *testing.B) {
-	coord, stop := clusterHarness(b, 4)
-	defer stop()
+	coord := clusterHarness(b, 4)
 	const lines = 1024
 	var body []byte
 	for i := 0; i < lines; i++ {
@@ -710,8 +701,7 @@ func clusterFanOutAdd(b *testing.B) {
 // 4 shards in parallel, fold three envelopes into a copy of the fourth
 // and decode the merged one. Reported per global query.
 func clusterScatterGather(b *testing.B) {
-	coord, stop := clusterHarness(b, 4)
-	defer stop()
+	coord := clusterHarness(b, 4)
 	const lines = 4096
 	var body []byte
 	for i := 0; i < lines; i++ {
@@ -748,14 +738,11 @@ func clusterScatterGather(b *testing.B) {
 // the read that leads cluster_read.
 func clusterSnapshot(width int, wire string) func(b *testing.B) {
 	return func(b *testing.B) {
-		coord, stop := clusterHarness(b, 4)
-		defer stop()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		coord := clusterHarness(b, 4)
+		hs, base, err := server.Listen("127.0.0.1:0", coord)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hs := &server.HTTPServer{Handler: coord}
-		go hs.Serve(ln)
 		defer hs.Close()
 
 		const lines = 4096
@@ -771,7 +758,7 @@ func clusterSnapshot(width int, wire string) func(b *testing.B) {
 		if _, fails := coord.FanOutAdd("bench", body); len(fails) > 0 {
 			b.Fatalf("seed ingest failed: %v", fails)
 		}
-		cl := client.New("http://" + ln.Addr().String())
+		cl := client.New(base)
 		env, err := cl.SnapshotAppend("bench", wire, nil)
 		if err != nil {
 			b.Fatal(err)

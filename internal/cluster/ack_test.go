@@ -34,12 +34,9 @@ func TestAddAck(t *testing.T) {
 		}
 	}
 
-	node := httptest.NewServer(server.New().Handler())
-	t.Cleanup(node.Close)
-	coord, _ := fleet(t, 4)
-	front := httptest.NewServer(coord)
-	t.Cleanup(front.Close)
-	for tier, base := range map[string]string{"node": node.URL, "coordinator": front.URL} {
+	f := newFleet(t, 1)
+	_, front := newFleet(t, 4).coordinator()
+	for tier, base := range map[string]string{"node": f.nodes[0].URL, "coordinator": front} {
 		if err := client.New(base).Create("s", server.CreateRequest{Type: "hll", P: 10}); err != nil {
 			t.Fatal(err)
 		}
@@ -76,12 +73,11 @@ func TestAddAck(t *testing.T) {
 		{400, "{\"error\":\"line 2: bad weight\"}\n"},
 		{503, "shard down"},
 	} {
-		peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		cl := client.New(f.serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			io.Copy(io.Discard, r.Body)
 			w.WriteHeader(tc.status)
 			io.WriteString(w, tc.body)
-		}))
-		cl := client.New(peer.URL)
+		})))
 		got, err := cl.AddBatchCounted("s", []byte("x\n"))
 		var want int
 		var wantErr error
@@ -100,6 +96,5 @@ func TestAddAck(t *testing.T) {
 		case tc.status != http.StatusOK && err.Error() != wantErr.Error():
 			t.Errorf("%d %q: AddBatchCounted says %q, Forward %q", tc.status, tc.body, err, wantErr)
 		}
-		peer.Close()
 	}
 }

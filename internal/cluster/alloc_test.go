@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -16,20 +15,22 @@ import (
 )
 
 // What one coordinator operation over 4 loopback shards allocates,
-// shards' net/http servers included (the count is process-wide).
+// the shards' connection loops included (the count is process-wide).
 // Ceilings, not equalities: the runtime's own share moves with
 // GOMAXPROCS and the Go release (a gathered read counted 120 at
 // GOMAXPROCS 1 and 134 at 2 on one commit), and the race detector's
 // sync.Pool drops a quarter of the pooled buffers (43, 125, 158
-// there). They sit about half above what this tree reads (39, 118,
-// 147) and far under what the same operations cost on net/http's client
-// (441, 376, 493), so a hop that goes back to allocating per request
-// fails here — as does an ingest that goes back to a request per shard
-// (137 when the body was split by key: four round trips, a goroutine
-// and a bucket each).
+// there). They were set about half above what the tree read with the
+// shards on net/http's server (39, 118, 147; 29, 125, 138 before the
+// fleet moved to server.Listen, which reads 16, 81, 83), and sit far
+// under what the same operations cost on net/http's client (441, 376,
+// 493), so a hop that goes back to allocating per request fails here —
+// as does an ingest that goes back to a request per shard (137 when the
+// body was split by key: four round trips, a goroutine and a bucket
+// each).
 func TestCoordinatorAllocationCeilings(t *testing.T) {
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	coord, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("uniq", server.CreateRequest{Type: "hll", P: 12, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -83,21 +84,33 @@ func TestCoordinatorAllocationCeilings(t *testing.T) {
 // reads 29 and 58 for each family at GOMAXPROCS 1, 2 and 4. The
 // ceilings sit a few above, and under what the request cost while both
 // tiers JSON-encoded the ack and the coordinator decoded the shard's ack
-// with encoding/json into a buffer of its own (34 and 74).
+// with encoding/json into a buffer of its own (34 and 74). Every tier
+// here is served by http.Server, not server.Listen: these ceilings are
+// http.Server's numbers, the reference the loop's below are read against.
 func TestAddAllocationCeilings(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
-	node := httptest.NewServer(server.New().Handler())
-	t.Cleanup(node.Close)
-	coord, _ := fleet(t, 4)
+	serve := func(h http.Handler) string {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	shards := make([]string, 4)
+	for i := range shards {
+		shards[i] = serve(server.New().Handler())
+	}
+	coord, err := NewCoordinator(shards, Options{RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
 	tiers := []struct {
 		name    string
 		cl      *client.Client
 		ceiling float64
 	}{
-		{"node", client.New(node.URL), 32},
-		{"4-shard coordinator", coordClient(t, coord), 66},
+		{"node", client.New(serve(server.New().Handler())), 32},
+		{"4-shard coordinator", client.New(serve(coord)), 66},
 	}
 	families := []server.CreateRequest{
 		{Type: "countmin", Width: 4096, Depth: 4, Seed: 1},
@@ -132,7 +145,7 @@ func TestAddAllocationCeilings(t *testing.T) {
 }
 
 // The same 1024-line /add, process-wide, with every tier served as
-// sketchd serves it, through server.HTTPServer: the node, and the
+// sketchd serves it, through server.Listen: the node, and the
 // coordinator and its 4 shards. This tree reads 16 and 32 at GOMAXPROCS
 // 1, 2 and 4, against 29 and 58 through net/http's server above, which
 // spends a context, a background read and a header clone per request
@@ -141,14 +154,7 @@ func TestLoopAddAllocationCeilings(t *testing.T) {
 	if !poolKeeps() {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
-	shards := make([]string, 4)
-	for i := range shards {
-		shards[i] = serveLoop(t, server.New().Handler())
-	}
-	coord, err := NewCoordinator(shards, Options{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, front := newFleet(t, 4).coordinator()
 	var body []byte
 	for i := 0; i < 1024; i++ {
 		body = fmt.Appendf(body, "item%d\t%d\n", i, 1+i%9)
@@ -158,8 +164,8 @@ func TestLoopAddAllocationCeilings(t *testing.T) {
 		cl      *client.Client
 		ceiling float64
 	}{
-		{"node", client.New(serveLoop(t, server.New().Handler())), 20},
-		{"4-shard coordinator", client.New(serveLoop(t, coord)), 38},
+		{"node", client.New(newFleet(t, 1).nodes[0].URL), 20},
+		{"4-shard coordinator", client.New(front), 38},
 	} {
 		if err := tier.cl.Create("cm", server.CreateRequest{Type: "countmin", Width: 4096, Depth: 4, Seed: 1}); err != nil {
 			t.Fatal(err)
@@ -174,20 +180,6 @@ func TestLoopAddAllocationCeilings(t *testing.T) {
 			t.Errorf("%s: %v allocs per 1024-line /add, ceiling %v", tier.name, n, tier.ceiling)
 		}
 	}
-}
-
-// serveLoop serves h through server.HTTPServer on a loopback port and
-// returns its base URL.
-func serveLoop(t *testing.T, h http.Handler) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &server.HTTPServer{Handler: h}
-	go hs.Serve(ln)
-	t.Cleanup(func() { hs.Close() })
-	return "http://" + ln.Addr().String()
 }
 
 // poolKeeps reports whether a sync.Pool hands back what it was given:
@@ -219,8 +211,8 @@ func TestMergedSnapshotAllocatesNoEnvelope(t *testing.T) {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard: what is Put is what is Got
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	coord, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("sf", server.CreateRequest{Type: "sfsketch", Width: 4096, Depth: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}

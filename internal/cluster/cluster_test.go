@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -16,34 +14,115 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
-// fleet spins up n in-process sketchd shards and a coordinator over
-// them, all torn down with the test.
-func fleet(t *testing.T, n int) (*Coordinator, []*httptest.Server) {
-	t.Helper()
-	shards := make([]*httptest.Server, n)
-	urls := make([]string, n)
-	for i := range shards {
-		shards[i] = httptest.NewServer(server.New().Handler())
-		t.Cleanup(shards[i].Close)
-		urls[i] = shards[i].URL
-	}
-	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coord, shards
+// A fleet is sketchd nodes, each served through server.Listen as
+// sketchd serves it, and the handlers a test serves beside them (a
+// coordinator, a proxy), all closed when the test ends. A node is in
+// memory, or durable at a directory of its own that Restart recovers it
+// from.
+type fleet struct {
+	t     *testing.T
+	nodes []*node
 }
 
-func coordClient(t *testing.T, coord *Coordinator) *client.Client {
-	t.Helper()
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	return client.New(ts.URL)
+// node is one sketchd of a fleet.
+type node struct {
+	*server.Server
+	URL string
+	dir string // where the node is durable; "" in memory
+	hs  *server.HTTPServer
+}
+
+// newFleet starts n in-memory nodes.
+func newFleet(t *testing.T, n int) *fleet {
+	f := &fleet{t: t}
+	for range n {
+		f.add(server.New(), "")
+	}
+	return f
+}
+
+// add serves s as the fleet's next node, durable at dir unless dir is
+// "": s recovers what dir holds first.
+func (f *fleet) add(s *server.Server, dir string) *node {
+	n := &node{Server: s, dir: dir}
+	f.start(n, "127.0.0.1:0")
+	f.nodes = append(f.nodes, n)
+	return n
+}
+
+// start serves n on addr, recovering it from its directory first. A
+// durable node fsyncs every batch it drains and snapshots on no timer,
+// so that what a test reads after a kill is what was acknowledged.
+func (f *fleet) start(n *node, addr string) {
+	f.t.Helper()
+	if s := n.Server; n.dir != "" {
+		if _, err := s.EnableDurability(n.dir, durable.Options{FsyncInterval: 0, SnapshotInterval: -1}); err != nil {
+			f.t.Fatal(err)
+		}
+		f.t.Cleanup(func() { s.CloseDurability() })
+	}
+	hs, url, err := server.Listen(addr, n.Handler())
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { hs.Close() })
+	n.hs, n.URL = hs, url
+}
+
+// Kill closes node i and every connection to it, and drops its WAL as a
+// kill -9 does: its port refuses connections from then on.
+func (f *fleet) Kill(i int) {
+	n := f.nodes[i]
+	n.hs.Close()
+	if err := n.KillDurability(); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+// Restart brings node i back on its address as a new process would:
+// recovered from its directory, or empty if it has none.
+func (f *fleet) Restart(i int) {
+	n := f.nodes[i]
+	n.Server = server.New()
+	f.start(n, strings.TrimPrefix(n.URL, "http://"))
+}
+
+// urls are the nodes' base URLs.
+func (f *fleet) urls() []string {
+	urls := make([]string, len(f.nodes))
+	for i, n := range f.nodes {
+		urls[i] = n.URL
+	}
+	return urls
+}
+
+// serve serves h through server.Listen until the test ends and returns
+// its base URL.
+func (f *fleet) serve(h http.Handler) string {
+	f.t.Helper()
+	hs, url, err := server.Listen("127.0.0.1:0", h)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { hs.Close() })
+	return url
+}
+
+// coordinator serves a coordinator over the fleet's nodes and returns it
+// and its base URL.
+func (f *fleet) coordinator() (*Coordinator, string) {
+	f.t.Helper()
+	coord, err := NewCoordinator(f.urls(), Options{RetryBackoff: time.Millisecond})
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	return coord, f.serve(coord)
 }
 
 func ingestN(t *testing.T, cl *client.Client, name string, n int) {
@@ -69,8 +148,8 @@ func ingestN(t *testing.T, cl *client.Client, name string, n int) {
 // one server would produce within the family's merge bounds, because
 // the global sketch IS the merge of the per-shard sketches.
 func TestCoordinatorGlobalEstimate(t *testing.T) {
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	_, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 
 	if err := cl.Create("users", server.CreateRequest{Type: "hll", P: 14, Seed: 1}); err != nil {
 		t.Fatalf("create: %v", err)
@@ -90,10 +169,7 @@ func TestCoordinatorGlobalEstimate(t *testing.T) {
 
 	// The merged envelope must agree with the per-shard envelopes
 	// merged by hand — scatter-gather adds routing, not new math.
-	single := server.New()
-	ss := httptest.NewServer(single.Handler())
-	defer ss.Close()
-	scl := client.New(ss.URL)
+	scl := client.New(newFleet(t, 1).nodes[0].URL)
 	if err := scl.Create("users", server.CreateRequest{Type: "hll", P: 14, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +186,9 @@ func TestCoordinatorGlobalEstimate(t *testing.T) {
 // A batch lands on one shard whole, weights and all, so point frequency
 // estimates survive sharding exactly.
 func TestCoordinatorWeightedRouting(t *testing.T) {
-	coord, shards := fleet(t, 3)
-	cl := coordClient(t, coord)
+	f := newFleet(t, 3)
+	_, base := f.coordinator()
+	cl := client.New(base)
 
 	if err := cl.Create("freq", server.CreateRequest{Type: "countmin", Width: 4096, Depth: 4, Seed: 7}); err != nil {
 		t.Fatalf("create: %v", err)
@@ -137,7 +214,7 @@ func TestCoordinatorWeightedRouting(t *testing.T) {
 
 	// All 500 "hot" updates of the one batch landed on exactly one shard.
 	holders := 0
-	for _, sh := range shards {
+	for _, sh := range f.nodes {
 		scl := client.New(sh.URL)
 		r, err := scl.Query("freq", url.Values{"item": {"hot"}})
 		if err != nil {
@@ -152,30 +229,17 @@ func TestCoordinatorWeightedRouting(t *testing.T) {
 	}
 }
 
-func getJSON(t *testing.T, url string) (int, map[string]any) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, _ := io.ReadAll(resp.Body)
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bad JSON %q: %v", data, err)
-	}
-	return resp.StatusCode, doc
-}
-
 // A shard dying mid-operation must never produce a silently wrong
 // merge: reads fail with the shard named unless the caller opts into a
 // labeled partial answer, and ingest fails for the batches sent to it,
 // which are then applied nowhere.
 func TestCoordinatorPartialFailure(t *testing.T) {
-	coord, shards := fleet(t, 3)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	f := newFleet(t, 0)
+	for range 3 {
+		f.add(server.New(), t.TempDir())
+	}
+	_, base := f.coordinator()
+	cl := client.New(base)
 
 	if err := cl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -186,11 +250,11 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dead := shards[1]
-	dead.Close()
+	dead := f.nodes[1]
+	f.Kill(1)
 
 	// Default read: 503, failed shard named in the structured error.
-	code, doc := getJSON(t, ts.URL+"/v1/sketch/users/query")
+	code, doc := request(t, "GET", base+"/v1/sketch/users/query", "").doc(t)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("query with dead shard: HTTP %d, want 503 (%v)", code, doc)
 	}
@@ -200,7 +264,7 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 
 	// Opt-in degraded read: 200, labeled partial, still a sane
 	// estimate over the ~2/3 of the batches the survivors took.
-	code, doc = getJSON(t, ts.URL+"/v1/sketch/users/query?allow_partial=true")
+	code, doc = request(t, "GET", base+"/v1/sketch/users/query?allow_partial=true", "").doc(t)
 	if code != http.StatusOK {
 		t.Fatalf("allow_partial query: HTTP %d (%v)", code, doc)
 	}
@@ -237,7 +301,7 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 	if refused != batches/3 {
 		t.Errorf("%d of %d batches refused with 1 of 3 shards dead, want exactly every third", refused, batches)
 	}
-	restart(t, dead)
+	f.Restart(1)
 	hits := func() float64 {
 		res, err := cl.Query("hits", nil)
 		if err != nil {
@@ -258,41 +322,26 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 	}
 }
 
-// restart brings a closed shard back on its address with the state it
-// held, as a durable sketchd comes back from its WAL.
-func restart(t *testing.T, dead *httptest.Server) {
-	t.Helper()
-	l, err := net.Listen("tcp", dead.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := &httptest.Server{Listener: l, Config: &http.Server{Handler: dead.Config.Handler}}
-	sh.Start()
-	t.Cleanup(sh.Close)
-}
-
 // A shard that fails transiently is retried with backoff; the batch
 // lands without the client seeing the blip.
 func TestCoordinatorIngestRetry(t *testing.T) {
-	real := httptest.NewServer(server.New().Handler())
-	t.Cleanup(real.Close)
-
+	f := newFleet(t, 0)
+	real := server.New().Handler()
 	var failuresLeft atomic.Int32
 	failuresLeft.Store(2)
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	flaky := f.serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasSuffix(r.URL.Path, "/add") && failuresLeft.Add(-1) >= 0 {
 			http.Error(w, `{"error":"synthetic overload"}`, http.StatusServiceUnavailable)
 			return
 		}
-		real.Config.Handler.ServeHTTP(w, r)
+		real.ServeHTTP(w, r)
 	}))
-	t.Cleanup(flaky.Close)
 
-	coord, err := NewCoordinator([]string{flaky.URL}, Options{Retries: 3, RetryBackoff: time.Millisecond})
+	coord, err := NewCoordinator([]string{flaky}, Options{Retries: 3, RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := coordClient(t, coord)
+	cl := client.New(f.serve(coord))
 	if err := cl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +375,8 @@ func asStatusError(err error, target **client.StatusError) bool {
 // The coordinator serves the same API surface a single sketchd does:
 // a broadcast delete and per-shard status roll-up complete the story.
 func TestCoordinatorAdminSurface(t *testing.T) {
-	coord, _ := fleet(t, 3)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	coord, base := newFleet(t, 3).coordinator()
+	cl := client.New(base)
 
 	if err := cl.Create("tmp", server.CreateRequest{Type: "hll", P: 10, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -352,7 +399,7 @@ func TestCoordinatorAdminSurface(t *testing.T) {
 		}
 	}
 
-	code, doc := getJSON(t, ts.URL+"/v1/cluster/status")
+	code, doc := request(t, "GET", base+"/v1/cluster/status", "").doc(t)
 	if code != http.StatusOK || doc["healthy"].(float64) != 3 {
 		t.Errorf("GET /v1/cluster/status: %d %v", code, doc)
 	}
@@ -361,8 +408,9 @@ func TestCoordinatorAdminSurface(t *testing.T) {
 // A status poll names a dead shard in its row and is one plain call per
 // shard: no retries, nothing on the shard-work counters.
 func TestCoordinatorStatusNamesDeadShard(t *testing.T) {
-	coord, shards := fleet(t, 3)
-	shards[1].Close()
+	f := newFleet(t, 3)
+	coord, _ := f.coordinator()
+	f.Kill(1)
 	st := coord.Status()
 	if st.Healthy != 2 {
 		t.Errorf("healthy %d, want 2", st.Healthy)
@@ -392,7 +440,7 @@ func (b *errBody) Read(p []byte) (int, error) {
 // A body over the cap is the client's 413; any other failure to read it
 // is a 400, as on a single sketchd.
 func TestCoordinatorReadBodyStatus(t *testing.T) {
-	coord, _ := fleet(t, 1)
+	coord, _ := newFleet(t, 1).coordinator()
 	for name, tc := range map[string]struct {
 		body func() io.Reader
 		want int
@@ -413,8 +461,8 @@ func TestCoordinatorReadBodyStatus(t *testing.T) {
 // The merged snapshot endpoint emits a plain GSK1 envelope — feeding
 // it back through a single server's merge endpoint must work.
 func TestCoordinatorSnapshotRoundTrip(t *testing.T) {
-	coord, _ := fleet(t, 3)
-	cl := coordClient(t, coord)
+	_, base := newFleet(t, 3).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -424,9 +472,7 @@ func TestCoordinatorSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("cluster snapshot: %v", err)
 	}
 
-	single := httptest.NewServer(server.New().Handler())
-	t.Cleanup(single.Close)
-	scl := client.New(single.URL)
+	scl := client.New(newFleet(t, 1).nodes[0].URL)
 	if err := scl.Create("import", server.CreateRequest{Type: "hll", P: 12, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -448,22 +494,14 @@ func TestCoordinatorSnapshotRoundTrip(t *testing.T) {
 // Retry-After, not a 503 that invites failover.
 func TestCoordinator429Passthrough(t *testing.T) {
 	const budget = 2
-	shards := make([]*httptest.Server, 2)
-	urls := make([]string, len(shards))
-	for i := range shards {
+	f := newFleet(t, 0)
+	for range 2 {
 		s := server.New()
 		s.SetQueryBudget(server.QueryBudget{Queries: budget, Interval: time.Hour})
-		shards[i] = httptest.NewServer(s.Handler())
-		t.Cleanup(shards[i].Close)
-		urls[i] = shards[i].URL
+		f.add(s, "")
 	}
-	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	_, base := f.coordinator()
+	cl := client.New(base)
 
 	if err := cl.Create("metered", server.CreateRequest{Type: "hll", P: 10}); err != nil {
 		t.Fatalf("create: %v", err)
@@ -478,7 +516,7 @@ func TestCoordinator429Passthrough(t *testing.T) {
 			t.Fatalf("query %d under budget: %v", i, err)
 		}
 	}
-	_, err = cl.Estimate("metered", nil)
+	_, err := cl.Estimate("metered", nil)
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Code != 429 {
 		t.Fatalf("over budget via coordinator: %v, want StatusError 429", err)
@@ -495,7 +533,7 @@ func TestCoordinator429Passthrough(t *testing.T) {
 
 	// One shard throttled + one shard down is availability loss, not
 	// budget exhaustion: the coordinator must answer 503, not 429.
-	shards[1].Close()
+	f.Kill(1)
 	_, err = cl.Estimate("metered", nil)
 	if !errors.As(err, &se) || se.Code != 503 {
 		t.Fatalf("mixed 429 + down shard: %v, want StatusError 503", err)
@@ -538,16 +576,14 @@ func TestRetryBackoffReleasesItsSlot(t *testing.T) {
 // reader's buffer would grow by doubling. With the header the client
 // sizes its buffer once, and the bytes are the merge of the shards'.
 func TestCoordinatorSnapshotDeclaresLength(t *testing.T) {
-	coord, _ := fleet(t, 3)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	coord, base := newFleet(t, 3).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("cm", server.CreateRequest{Type: "countmin", Width: 65536, Depth: 4}); err != nil {
 		t.Fatal(err)
 	}
 	ingestN(t, cl, "cm", 5_000)
 
-	resp, err := http.Get(ts.URL + "/v1/sketch/cm/snapshot")
+	resp, err := http.Get(base + "/v1/sketch/cm/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}

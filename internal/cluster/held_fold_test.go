@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"strings"
@@ -58,31 +57,25 @@ func queryReply(t *testing.T, env []byte, shards int) []byte {
 // answered from a held fold until every shard has answered again.
 func TestHeldFoldIsTheFreshFold(t *testing.T) {
 	const n = 4
-	real := make([]*httptest.Server, n)
-	urls := make([]string, n)
-	for i := range real {
-		real[i] = httptest.NewServer(server.New().Handler())
-		t.Cleanup(real[i].Close)
-		urls[i] = real[i].URL
-	}
+	real := newFleet(t, n)
 	// The last shard answers through a proxy that can drop every
 	// connection, as a killed process does.
 	var killed atomic.Bool
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	last := real.nodes[n-1].Handler()
+	proxy := real.serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if killed.Load() {
 			panic(http.ErrAbortHandler)
 		}
-		real[n-1].Config.Handler.ServeHTTP(w, r)
+		last.ServeHTTP(w, r)
 	}))
-	t.Cleanup(proxy.Close)
-	urls[n-1] = proxy.URL
+	urls := real.urls()
+	urls[n-1] = proxy
 	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	base := real.serve(coord)
+	cl := client.New(base)
 
 	for _, fam := range []struct {
 		req   server.CreateRequest
@@ -121,7 +114,8 @@ func TestHeldFoldIsTheFreshFold(t *testing.T) {
 				t.Helper()
 				path := "/v1/sketch/" + name + "/" + op + "?wire=" + wire + query
 				held, answers := coord.ops.HeldFolds.Load(), coord.ops.HeldAnswers.Load()
-				code, body := getSnapshot(t, ts.URL+path)
+				r := request(t, "GET", base+path, "")
+				code, body := r.status, r.body
 				merged := mergeOf(t, want)
 				if op == "query" {
 					merged = queryReply(t, merged, len(want))
@@ -150,17 +144,18 @@ func TestHeldFoldIsTheFreshFold(t *testing.T) {
 				}
 				wire := fam.wires[rng.Intn(len(fam.wires))]
 				op := []string{"snapshot", "query"}[rng.Intn(2)]
-				read(op, wire, "", shardEnvs(t, real, name, wire), current[wire])
+				read(op, wire, "", shardEnvs(t, real.nodes, name, wire), current[wire])
 				current[wire] = true
 			}
 
 			killed.Store(true)
 			held := coord.ops.HeldFolds.Load()
-			code, body := getSnapshot(t, ts.URL+"/v1/sketch/"+name+"/snapshot")
-			if code != http.StatusServiceUnavailable || !strings.Contains(string(body), proxy.URL) {
-				t.Fatalf("strict read with shard %s killed: HTTP %d %s, want 503 naming it", proxy.URL, code, body)
+			r := request(t, "GET", base+"/v1/sketch/"+name+"/snapshot", "")
+			code, body := r.status, r.body
+			if code != http.StatusServiceUnavailable || !strings.Contains(string(body), proxy) {
+				t.Fatalf("strict read with shard %s killed: HTTP %d %s, want 503 naming it", proxy, code, body)
 			}
-			live := shardSnapshots(t, real[:n-1], name)
+			live := shardSnapshots(t, real.nodes[:n-1], name)
 			for i := 0; i < 2; i++ { // the live shards answer 304 the second time
 				read("snapshot", "", "&allow_partial=true", live, false)
 			}
@@ -168,13 +163,13 @@ func TestHeldFoldIsTheFreshFold(t *testing.T) {
 			if got := coord.ops.HeldFolds.Load() - held; got != 0 {
 				t.Fatalf("%d reads answered from a held fold while a shard was down", got)
 			}
-			all := shardSnapshots(t, real, name)
+			all := shardSnapshots(t, real.nodes, name)
 			read("snapshot", "", "", all, false) // every shard answers again: a fold made afresh
 			read("snapshot", "", "", all, true)
 		})
 	}
-	_, status := getJSON(t, ts.URL+"/v1/status")
-	_, cluster := getJSON(t, ts.URL+"/v1/cluster/status")
+	_, status := request(t, "GET", base+"/v1/status", "").doc(t)
+	_, cluster := request(t, "GET", base+"/v1/cluster/status", "").doc(t)
 	for key, n := range map[string]uint64{"held_folds": coord.ops.HeldFolds.Load(), "held_answers": coord.ops.HeldAnswers.Load()} {
 		if n == 0 {
 			t.Errorf("no read counted in %s", key)
@@ -186,6 +181,22 @@ func TestHeldFoldIsTheFreshFold(t *testing.T) {
 			t.Errorf("/v1/cluster/status coordinator: %v, want %s %d", cluster["coordinator"], key, n)
 		}
 	}
+}
+
+// smallWrites is a listener whose connections get socket write buffers
+// of size bytes: a reply larger than that blocks its writer until the
+// reader drains it.
+type smallWrites struct {
+	net.Listener
+	size int
+}
+
+func (l smallWrites) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		c.(*net.TCPConn).SetWriteBuffer(l.size)
+	}
+	return c, err
 }
 
 // cmConsistent reports whether a Count-Min envelope is one state of the
@@ -226,16 +237,19 @@ func cmConsistent(env []byte) error {
 // place, and a stored /query reply that outlives its fold, fail it
 // within a run.
 func TestHeldFoldUnderConcurrentWrites(t *testing.T) {
-	coord, shards := fleet(t, 4)
-	ts := httptest.NewUnstartedServer(coord)
-	ts.Config.ConnState = func(c net.Conn, state http.ConnState) {
-		if state == http.StateNew {
-			c.(*net.TCPConn).SetWriteBuffer(64 << 10)
-		}
+	shards := newFleet(t, 4)
+	coord, err := NewCoordinator(shards.urls(), Options{RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ts.Start()
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &server.HTTPServer{Handler: coord}
+	go hs.Serve(smallWrites{ln, 64 << 10})
+	t.Cleanup(func() { hs.Close() })
+	cl := client.New("http://" + ln.Addr().String())
 	if err := cl.Create("cm", server.CreateRequest{Type: "countmin", Width: 1 << 14, Depth: 4, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +269,7 @@ func TestHeldFoldUnderConcurrentWrites(t *testing.T) {
 	// get reads a reply through a small receive buffer, pausing between
 	// reads, so the coordinator's Write of it blocks.
 	get := func(path string, pause time.Duration) (int, []byte, error) {
-		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			return 0, nil, err
 		}
@@ -336,7 +350,7 @@ func TestHeldFoldUnderConcurrentWrites(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	want := mergeOf(t, shardSnapshots(t, shards, "cm"))
+	want := mergeOf(t, shardSnapshots(t, shards.nodes, "cm"))
 	for i := 0; i < 2; i++ {
 		held := coord.ops.HeldFolds.Load()
 		got, err := cl.Snapshot("cm")
@@ -364,8 +378,8 @@ func TestRefoldedSnapshotAllocatesNoEnvelope(t *testing.T) {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard: what is Put is what is Got
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	coord, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("sf", server.CreateRequest{Type: "sfsketch", Width: 4096, Depth: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -425,8 +439,8 @@ func TestHeldAnswerAllocatesNoReply(t *testing.T) {
 		t.Skip("sync.Pool drops buffers at random under the race detector")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P, one pool shard: what is Put is what is Got
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	coord, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("sf", server.CreateRequest{Type: "sfsketch", Width: 4096, Depth: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}

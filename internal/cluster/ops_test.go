@@ -84,15 +84,18 @@ var parityProbes = map[string][]probe{
 	"repl-status": {{}}, "repl-file": {{sketch: "wal-1.log"}}, "repl-seal": {{}},
 }
 
+// reply is what a request got back.
 type reply struct {
 	status int
 	header http.Header
 	body   []byte
 }
 
-func send(t *testing.T, base string, op server.Op, tenant string, p probe) reply {
+// request sends method url with body and returns the reply, its body
+// read: this package's one way to make a request by hand.
+func request(t *testing.T, method, url, body string) reply {
 	t.Helper()
-	req, err := http.NewRequest(op.Method, base+op.Path(tenant, p.sketch)+p.query, strings.NewReader(p.body))
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +104,27 @@ func send(t *testing.T, base string, op server.Op, tenant string, p probe) reply
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reply{resp.StatusCode, resp.Header, body}
+	return reply{resp.StatusCode, resp.Header, data}
+}
+
+// doc is the reply's status and its body, a JSON object.
+func (r reply) doc(t *testing.T) (int, map[string]any) {
+	t.Helper()
+	var doc map[string]any
+	if err := json.Unmarshal(r.body, &doc); err != nil {
+		t.Fatalf("bad JSON %q: %v", r.body, err)
+	}
+	return r.status, doc
+}
+
+// send sends probe p as operation op in tenant.
+func send(t *testing.T, base string, op server.Op, tenant string, p probe) reply {
+	t.Helper()
+	return request(t, op.Method, base+op.Path(tenant, p.sketch)+p.query, p.body)
 }
 
 // An operation means the same thing asked of one sketchd or of a
@@ -118,12 +137,9 @@ func send(t *testing.T, base string, op server.Op, tenant string, p probe) reply
 // 503 that invites a retry which can never succeed.
 func TestOperationParity(t *testing.T) {
 	for _, tenant := range []string{"", "acme"} {
-		single := httptest.NewServer(server.New().Handler())
-		t.Cleanup(single.Close)
-		coord, _ := fleet(t, 3)
-		cluster := httptest.NewServer(coord)
-		t.Cleanup(cluster.Close)
-		for _, base := range []string{single.URL, cluster.URL} {
+		single := newFleet(t, 1).nodes[0].URL
+		_, cluster := newFleet(t, 3).coordinator()
+		for _, base := range []string{single, cluster} {
 			for _, setup := range []probe{
 				{sketch: "s", body: `{"type":"countmin","width":512,"depth":4}`},
 				{sketch: "gone", body: `{"type":"hll","p":10}`},
@@ -143,7 +159,7 @@ func TestOperationParity(t *testing.T) {
 				t.Fatalf("operation %q has no parity probe: add one to parityProbes", op.Name)
 			}
 			for i, p := range probes {
-				one, many := send(t, single.URL, op, tenant, p), send(t, cluster.URL, op, tenant, p)
+				one, many := send(t, single, op, tenant, p), send(t, cluster, op, tenant, p)
 				at := op.Name + " probe " + string(rune('0'+i)) + " tenant " + tenant
 				switch op.Cluster {
 				case server.ShardLocal:
@@ -200,7 +216,7 @@ func TestOperationParity(t *testing.T) {
 // pattern the row spells (and its tenant twin), and on the other tier to
 // nothing; and no file but ops.go registers a route.
 func TestEveryRowIsMounted(t *testing.T) {
-	coord, _ := fleet(t, 1)
+	coord, _ := newFleet(t, 1).coordinator()
 	muxes := map[bool]*http.ServeMux{false: server.New().Handler().(*http.ServeMux), true: coord.mux}
 	for _, op := range server.Ops {
 		for _, tenant := range []string{"", "acme"} {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"reflect"
 	"sort"
@@ -89,9 +88,7 @@ func TestAnyPartitionSameBytes(t *testing.T) {
 		}
 		return weighted[b]
 	}
-	single := httptest.NewServer(server.New().Handler())
-	t.Cleanup(single.Close)
-	scl := client.New(single.URL)
+	scl := client.New(newFleet(t, 1).nodes[0].URL)
 	for _, d := range families {
 		if err := scl.Create(d.Name, server.CreateRequest{Type: d.Name, Seed: 3}); err != nil {
 			t.Fatalf("create %s: %v", d.Name, err)
@@ -105,8 +102,8 @@ func TestAnyPartitionSameBytes(t *testing.T) {
 	for _, shards := range []int{1, 3, 4} {
 		for _, clients := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/clients=%d", shards, clients), func(t *testing.T) {
-				coord, _ := fleet(t, shards)
-				cl := coordClient(t, coord)
+				coord, base := newFleet(t, shards).coordinator()
+				cl := client.New(base)
 				for _, d := range families {
 					if err := cl.Create(d.Name, server.CreateRequest{Type: d.Name, Seed: 3}); err != nil {
 						t.Fatalf("create %s: %v", d.Name, err)
@@ -159,11 +156,9 @@ func TestAnyPartitionSameBytes(t *testing.T) {
 // instance answers what the plain sketch the coordinator merges answers.
 func TestCoordinatorAnswersAsOneServer(t *testing.T) {
 	weighted, _, _ := zipfBodies(11, 8)
-	single := httptest.NewServer(server.New().Handler())
-	t.Cleanup(single.Close)
-	scl := client.New(single.URL)
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	scl := client.New(newFleet(t, 1).nodes[0].URL)
+	_, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	for _, family := range []string{"hll", "countmin", "blockedbloom"} {
 		d, _ := registry.Lookup(family)
 		for _, c := range []*client.Client{scl, cl} {
@@ -226,8 +221,8 @@ func sameFatStage(t *testing.T, got, want []byte, truth map[string]uint64, total
 // shard takes its turn, and the busiest is at most one batch ahead of
 // the idlest.
 func TestOneHotKeySpreadsOverShards(t *testing.T) {
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	coord, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("hot", server.CreateRequest{Type: "countmin", Width: 256, Depth: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +248,7 @@ func TestOneHotKeySpreadsOverShards(t *testing.T) {
 }
 
 // shardSnapshots reads one sketch's envelope off every shard directly.
-func shardSnapshots(t *testing.T, shards []*httptest.Server, name string) [][]byte {
+func shardSnapshots(t *testing.T, shards []*node, name string) [][]byte {
 	t.Helper()
 	return shardEnvs(t, shards, name, "")
 }
@@ -261,7 +256,7 @@ func shardSnapshots(t *testing.T, shards []*httptest.Server, name string) [][]by
 // shardEnvs reads one sketch's envelope in a wire form ("" for full)
 // off every shard directly; a plain snapshot read does not move a
 // shard's tag.
-func shardEnvs(t *testing.T, shards []*httptest.Server, name, wire string) [][]byte {
+func shardEnvs(t *testing.T, shards []*node, name, wire string) [][]byte {
 	t.Helper()
 	envs := make([][]byte, len(shards))
 	for i, sh := range shards {
@@ -279,10 +274,10 @@ func shardEnvs(t *testing.T, shards []*httptest.Server, name, wire string) [][]b
 // shard's state as it was, whichever shard's turn it is. Splitting the
 // body by key used to apply the slices that held only good lines.
 func TestBadLineAppliesNowhere(t *testing.T) {
-	coord, shards := fleet(t, 4)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	f := newFleet(t, 4)
+	shards := f.nodes
+	_, base := f.coordinator()
+	cl := client.New(base)
 	if err := cl.Create("cm", server.CreateRequest{Type: "countmin", Width: 512, Depth: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +292,7 @@ func TestBadLineAppliesNowhere(t *testing.T) {
 	bad := string(bytes.Join(lines[:500], nil)) + "flow-9\tmany\n" + string(bytes.Join(lines[500:], nil))
 	refusedBy := map[string]bool{}
 	for range shards {
-		r := send(t, ts.URL, server.Named("add"), "", probe{sketch: "cm", body: bad})
+		r := send(t, base, server.Named("add"), "", probe{sketch: "cm", body: bad})
 		if r.status != http.StatusBadRequest || !strings.Contains(string(r.body), "many") {
 			t.Fatalf("HTTP %d %s, want 400 with the shard's message quoting the bad weight", r.status, r.body)
 		}
@@ -334,8 +329,8 @@ func TestHeavyHittersWithinReportedBound(t *testing.T) {
 		}
 		return hottest[i] < hottest[j]
 	})
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
+	_, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	for _, family := range []string{"misragries", "spacesaving"} {
 		if err := cl.Create(family, server.CreateRequest{Type: family, K: k}); err != nil {
 			t.Fatal(err)

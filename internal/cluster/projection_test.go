@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -45,11 +44,9 @@ func TestProjectedQueryEqualsSingleServer(t *testing.T) {
 		for _, tenant := range []string{"", "acme"} {
 			fam, tenant := fam, tenant
 			t.Run(fmt.Sprintf("%s/fused=%v/tenant=%q", fam.req.Type, fam.req.Params["fused"], tenant), func(t *testing.T) {
-				coord, _ := fleet(t, 4)
-				cl := coordClient(t, coord).Tenant(tenant)
-				single := httptest.NewServer(server.New().Handler())
-				t.Cleanup(single.Close)
-				scl := client.New(single.URL).Tenant(tenant)
+				coord, base := newFleet(t, 4).coordinator()
+				cl := client.New(base).Tenant(tenant)
+				scl := client.New(newFleet(t, 1).nodes[0].URL).Tenant(tenant)
 				batch := weightedBatch(fam.signed)
 				for _, c := range []*client.Client{cl, scl} {
 					if err := c.Create("flows", fam.req); err != nil {
@@ -107,11 +104,9 @@ func TestProjectedQueryEqualsSingleServer(t *testing.T) {
 // k bits each shard probes, not four whole filters, and answers what one
 // server fed the same batches answers.
 func TestProjectedBloomQueryEqualsSingleServer(t *testing.T) {
-	coord, _ := fleet(t, 4)
-	cl := coordClient(t, coord)
-	single := httptest.NewServer(server.New().Handler())
-	t.Cleanup(single.Close)
-	scl := client.New(single.URL)
+	coord, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
+	scl := client.New(newFleet(t, 1).nodes[0].URL)
 	req := server.CreateRequest{Type: "blockedbloom", NItems: 20_000, FPR: 0.01, Seed: 3}
 	for _, c := range []*client.Client{cl, scl} {
 		if err := c.Create("seen", req); err != nil {
@@ -159,8 +154,8 @@ func TestProjectedBloomQueryEqualsSingleServer(t *testing.T) {
 // A family without Project, asked a parameterised query, is served by
 // exactly the old gather: one round trip of full envelopes.
 func TestUnprojectedFamilyOneRoundTrip(t *testing.T) {
-	coord, _ := fleet(t, 3)
-	cl := coordClient(t, coord)
+	coord, base := newFleet(t, 3).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("top", server.CreateRequest{Type: "misragries", K: 16}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +178,10 @@ func TestUnprojectedFamilyOneRoundTrip(t *testing.T) {
 }
 
 func TestProjectedQueryShardFailure(t *testing.T) {
-	coord, shards := fleet(t, 3)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	f := newFleet(t, 3)
+	shards := f.nodes
+	coord, base := f.coordinator()
+	cl := client.New(base)
 	if err := cl.Create("flows", server.CreateRequest{Type: "countmin", Width: 4096, Depth: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +195,13 @@ func TestProjectedQueryShardFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead := shards[2]
-	dead.Close()
+	f.Kill(2)
 
-	code, doc := getJSON(t, ts.URL+"/v1/sketch/flows/query?item=flow-1")
+	code, doc := request(t, "GET", base+"/v1/sketch/flows/query?item=flow-1", "").doc(t)
 	if code != http.StatusServiceUnavailable || !strings.Contains(fmt.Sprint(doc["failed_shards"]), dead.URL) {
 		t.Fatalf("projected read with a dead shard: HTTP %d %v, want 503 naming %s", code, doc, dead.URL)
 	}
-	code, doc = getJSON(t, ts.URL+"/v1/sketch/flows/query?item=flow-1&allow_partial=true")
+	code, doc = request(t, "GET", base+"/v1/sketch/flows/query?item=flow-1&allow_partial=true", "").doc(t)
 	if code != http.StatusOK || doc["partial"] != true || !strings.Contains(fmt.Sprint(doc["failed_shards"]), dead.URL) {
 		t.Fatalf("allow_partial projected read: HTTP %d %v, want a labelled partial answer", code, doc)
 	}
@@ -223,19 +218,14 @@ func TestProjectedQueryShardFailure(t *testing.T) {
 // passes through the coordinator as 429 + Retry-After.
 func TestProjectedQueryDrawsQueryBudget(t *testing.T) {
 	const budget = 3
-	urls := make([]string, 2)
-	for i := range urls {
+	f := newFleet(t, 0)
+	for range 2 {
 		s := server.New()
 		s.SetQueryBudget(server.QueryBudget{Queries: budget, Interval: time.Hour})
-		sh := httptest.NewServer(s.Handler())
-		t.Cleanup(sh.Close)
-		urls[i] = sh.URL
+		f.add(s, "")
 	}
-	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := coordClient(t, coord)
+	coord, base := f.coordinator()
+	cl := client.New(base)
 	if err := cl.Create("flows", server.CreateRequest{Type: "countmin", Width: 1024, Depth: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +238,7 @@ func TestProjectedQueryDrawsQueryBudget(t *testing.T) {
 			t.Fatalf("projected query %d under budget: %v", i, err)
 		}
 	}
-	_, err = cl.Query("flows", q)
+	_, err := cl.Query("flows", q)
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter <= 0 {
 		t.Fatalf("projected query over budget: %v, want 429 with Retry-After", err)
@@ -262,6 +252,7 @@ func TestProjectedQueryDrawsQueryBudget(t *testing.T) {
 // and full envelopes; the coordinator re-gathers once in full and
 // counts it instead of failing the read.
 func TestMixedFleetRegathersInFull(t *testing.T) {
+	f := newFleet(t, 0)
 	var urls []string
 	for i := 0; i < 3; i++ {
 		h := server.New().Handler()
@@ -274,18 +265,14 @@ func TestMixedFleetRegathersInFull(t *testing.T) {
 				inner.ServeHTTP(w, r)
 			})
 		}
-		sh := httptest.NewServer(h)
-		t.Cleanup(sh.Close)
-		urls = append(urls, sh.URL)
+		urls = append(urls, f.serve(h))
 	}
 	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := coordClient(t, coord)
-	single := httptest.NewServer(server.New().Handler())
-	t.Cleanup(single.Close)
-	scl := client.New(single.URL)
+	cl := client.New(f.serve(coord))
+	scl := client.New(newFleet(t, 1).nodes[0].URL)
 	for _, c := range []*client.Client{cl, scl} {
 		if err := c.Create("flows", server.CreateRequest{Type: "countmin", Width: 2048, Depth: 4}); err != nil {
 			t.Fatal(err)
@@ -312,9 +299,9 @@ func TestMixedFleetRegathersInFull(t *testing.T) {
 // form — and the coordinator says so with the status a single server's
 // /merge uses, 409, not a 500.
 func TestIncompatibleShardsConflict(t *testing.T) {
-	coord, shards := fleet(t, 2)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
+	f := newFleet(t, 2)
+	shards := f.nodes
+	_, base := f.coordinator()
 	for i, sh := range shards {
 		scl := client.New(sh.URL)
 		if err := scl.Create("flows", server.CreateRequest{Type: "countmin", Width: 256, Depth: 4, Seed: uint64(10 + i)}); err != nil {
@@ -325,7 +312,7 @@ func TestIncompatibleShardsConflict(t *testing.T) {
 		}
 	}
 	for _, path := range []string{"/v1/sketch/flows/query?item=a", "/v1/sketch/flows/query"} {
-		code, doc := getJSON(t, ts.URL+path)
+		code, doc := request(t, "GET", base+path, "").doc(t)
 		if code != http.StatusConflict {
 			t.Errorf("GET %s over differently seeded shards: HTTP %d %v, want 409", path, code, doc)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,35 +14,16 @@ import (
 	"repro/internal/server/client"
 )
 
-// durableLeader starts a durable sketchd over dir.
-func durableLeader(t *testing.T, dir string) (*server.Server, *httptest.Server) {
-	t.Helper()
-	s := server.New()
-	if _, err := s.EnableDurability(dir, durable.Options{
-		FsyncInterval:    0, // fsync per drained batch: deterministic tests
-		SnapshotInterval: -1,
-		WALMaxBytes:      64 << 20,
-	}); err != nil {
-		t.Fatalf("EnableDurability: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { ts.Close(); s.CloseDurability() })
-	return s, ts
+// follower adds an in-memory node to f with a replica following
+// leaderURL.
+func follower(f *fleet, leaderURL, mirror string) (*node, *Replica) {
+	n := f.add(server.New(), "")
+	return n, NewReplica(leaderURL, n.Server, ReplicaOptions{MirrorDir: mirror})
 }
 
-// follower pairs an in-memory server with a replica following leader.
-func follower(t *testing.T, leaderURL, mirror string) (*server.Server, *Replica) {
+func estimateOf(t *testing.T, n *node, name string) float64 {
 	t.Helper()
-	fs := server.New()
-	rep := NewReplica(leaderURL, fs, ReplicaOptions{MirrorDir: mirror})
-	return fs, rep
-}
-
-func estimateOf(t *testing.T, s *server.Server, name string) float64 {
-	t.Helper()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	est, err := client.New(ts.URL).Estimate(name, nil)
+	est, err := client.New(n.URL).Estimate(name, nil)
 	if err != nil {
 		t.Fatalf("estimate %s: %v", name, err)
 	}
@@ -56,8 +36,9 @@ func estimateOf(t *testing.T, s *server.Server, name string) float64 {
 func TestReplicaShipsSegmentsByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	mirror := t.TempDir()
-	_, lts := durableLeader(t, dir)
-	lcl := client.New(lts.URL)
+	f := newFleet(t, 0)
+	lead := f.add(server.New(), dir)
+	lcl := client.New(lead.URL)
 
 	if err := lcl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 3}); err != nil {
 		t.Fatal(err)
@@ -70,7 +51,7 @@ func TestReplicaShipsSegmentsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fsrv, rep := follower(t, lts.URL, mirror)
+	fsrv, rep := follower(f, lead.URL, mirror)
 	if err := rep.SyncOnce(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
@@ -107,14 +88,14 @@ func TestReplicaShipsSegmentsByteIdentical(t *testing.T) {
 // zero right after a sync, exactly the number of unshipped mutation
 // records after new writes, zero again after the next sync.
 func TestReplicationLagBounded(t *testing.T) {
-	dir := t.TempDir()
-	_, lts := durableLeader(t, dir)
-	lcl := client.New(lts.URL)
+	f := newFleet(t, 0)
+	lead := f.add(server.New(), t.TempDir())
+	lcl := client.New(lead.URL)
 
 	if err := lcl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	fsrv, rep := follower(t, lts.URL, "")
+	fsrv, rep := follower(f, lead.URL, "")
 	if err := rep.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +115,7 @@ func TestReplicationLagBounded(t *testing.T) {
 		}
 	}
 	// Report the stale applied LSN to the leader without advancing.
-	if _, err := client.New(lts.URL).ReplStatus(rep.Applied()); err != nil {
+	if _, err := client.New(lead.URL).ReplStatus(rep.Applied()); err != nil {
 		t.Fatal(err)
 	}
 	st, err = lcl.Status()
@@ -148,9 +129,7 @@ func TestReplicationLagBounded(t *testing.T) {
 	if err := rep.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	fts := httptest.NewServer(fsrv.Handler())
-	defer fts.Close()
-	fst, err := client.New(fts.URL).Status()
+	fst, err := client.New(fsrv.URL).Status()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,30 +148,27 @@ func TestReplicaSnapshotCatchUp(t *testing.T) {
 	dir := t.TempDir()
 	mirror := t.TempDir()
 
-	s1 := server.New()
-	if _, err := s1.EnableDurability(dir, durable.Options{FsyncInterval: 0, SnapshotInterval: -1, WALMaxBytes: 64 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1.Handler())
-	cl1 := client.New(ts1.URL)
+	f := newFleet(t, 0)
+	lead := f.add(server.New(), dir)
+	cl1 := client.New(lead.URL)
 	if err := cl1.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl1.AddBatch("users", []byte("a\nb\nc\nd\ne\n")); err != nil {
 		t.Fatal(err)
 	}
-	ts1.Close()
-	if err := s1.CloseDurability(); err != nil { // writes the snapshot
+	lead.hs.Close()
+	if err := lead.CloseDurability(); err != nil { // writes the snapshot
 		t.Fatal(err)
 	}
 
-	_, lts := durableLeader(t, dir)
-	lcl := client.New(lts.URL)
+	f.Restart(0)
+	lcl := client.New(lead.URL)
 	if err := lcl.AddBatch("users", []byte("f\ng\nh\n")); err != nil { // WAL tail past the snapshot
 		t.Fatal(err)
 	}
 
-	fsrv, rep := follower(t, lts.URL, mirror)
+	fsrv, rep := follower(f, lead.URL, mirror)
 	if err := rep.SyncOnce(); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
@@ -248,13 +224,14 @@ func TestReplicaTornFinalSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, lts := durableLeader(t, dir) // recovers the valid prefix, opens a new segment
-	lcl := client.New(lts.URL)
+	f := newFleet(t, 0)
+	lead := f.add(server.New(), dir) // recovers the valid prefix, opens a new segment
+	lcl := client.New(lead.URL)
 	if err := lcl.AddBatch("users", []byte("g\nh\n")); err != nil { // reuses LSN 5
 		t.Fatal(err)
 	}
 
-	fsrv, rep := follower(t, lts.URL, "")
+	fsrv, rep := follower(f, lead.URL, "")
 	if err := rep.SyncOnce(); err != nil {
 		t.Fatalf("sync over torn segment: %v", err)
 	}
@@ -267,9 +244,7 @@ func TestReplicaTornFinalSegment(t *testing.T) {
 		t.Errorf("follower %.2f != leader %.2f across torn segment", fEst, lEst)
 	}
 	// The torn batch must not have leaked into the follower.
-	fts := httptest.NewServer(fsrv.Handler())
-	defer fts.Close()
-	env, err := client.New(fts.URL).Snapshot("users")
+	env, err := client.New(fsrv.URL).Snapshot("users")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +266,9 @@ func TestReplicaTornFinalSegment(t *testing.T) {
 // Killing and restarting the whole follower re-seeds cleanly from the
 // leader's snapshot path on first contact — the cold-start story.
 func TestReplicaFreshFollowerJoinsLate(t *testing.T) {
-	dir := t.TempDir()
-	_, lts := durableLeader(t, dir)
-	lcl := client.New(lts.URL)
+	f := newFleet(t, 0)
+	lead := f.add(server.New(), t.TempDir())
+	lcl := client.New(lead.URL)
 	if err := lcl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +278,11 @@ func TestReplicaFreshFollowerJoinsLate(t *testing.T) {
 		}
 	}
 	// First follower syncs, then "dies"; a second one joins from zero.
-	_, rep1 := follower(t, lts.URL, "")
+	_, rep1 := follower(f, lead.URL, "")
 	if err := rep1.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}
-	fsrv2, rep2 := follower(t, lts.URL, "")
+	fsrv2, rep2 := follower(f, lead.URL, "")
 	if err := rep2.SyncOnce(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -23,13 +22,9 @@ import (
 // budget, still answers.
 func TestGatheredRobustDistinctQueryIsShardLocal(t *testing.T) {
 	req := server.CreateRequest{Type: "robustdistinct", Seed: 1, Params: map[string]float64{"lambda": 8, "eps": 0.05}}
-	single := httptest.NewServer(server.New().Handler())
-	t.Cleanup(single.Close)
-	one := client.New(single.URL)
-	coord, _ := fleet(t, 4)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	one := client.New(newFleet(t, 1).nodes[0].URL)
+	_, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	for _, c := range []*client.Client{one, cl} {
 		if err := c.Create("rd", req); err != nil {
 			t.Fatal(err)
@@ -52,15 +47,15 @@ func TestGatheredRobustDistinctQueryIsShardLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		used = res["copies_used"].(float64)
-		code, body := getSnapshot(t, ts.URL+"/v1/sketch/rd/query")
-		if code != http.StatusNotImplemented || !strings.Contains(string(body), "robustdistinct") || !strings.Contains(string(body), "shard-local") {
+		r := request(t, "GET", base+"/v1/sketch/rd/query", "")
+		if code, body := r.status, r.body; code != http.StatusNotImplemented || !strings.Contains(string(body), "robustdistinct") || !strings.Contains(string(body), "shard-local") {
 			t.Fatalf("read %d through the coordinator: HTTP %d %s, want 501 naming robustdistinct shard-local", b, code, body)
 		}
 	}
 	if used < 2 {
 		t.Fatalf("one server used %v copies over 12 drifting reads: the sequence does not exercise switching", used)
 	}
-	if code, _ := getSnapshot(t, ts.URL+"/v1/sketch/rd/snapshot"); code != http.StatusOK {
+	if code := request(t, "GET", base+"/v1/sketch/rd/snapshot", "").status; code != http.StatusOK {
 		t.Fatalf("merged snapshot: HTTP %d, want 200", code)
 	}
 }

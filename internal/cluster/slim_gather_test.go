@@ -8,32 +8,20 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
 	"net/url"
 	"testing"
-	"time"
 
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
 
-// sfFleet builds a 4-shard fleet with one sfsketch fed a weighted
-// stream through the coordinator, and returns the coordinator's test
-// server URL plus the exact per-item truth.
+// sfFleet starts 4 nodes and a coordinator over them, feeds one
+// sfsketch a weighted stream through it, and returns the coordinator, a
+// client of it and the exact per-item truth.
 func sfFleet(t *testing.T) (*Coordinator, *client.Client, map[string]uint64) {
 	t.Helper()
-	shards := make([]*httptest.Server, 4)
-	urls := make([]string, len(shards))
-	for i := range shards {
-		shards[i] = httptest.NewServer(server.New().Handler())
-		t.Cleanup(shards[i].Close)
-		urls[i] = shards[i].URL
-	}
-	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := coordClient(t, coord)
+	coord, base := newFleet(t, 4).coordinator()
+	cl := client.New(base)
 	if err := cl.Create("freq", server.CreateRequest{Type: "sfsketch", Width: 128, Depth: 4, Seed: 3}); err != nil {
 		t.Fatalf("create: %v", err)
 	}

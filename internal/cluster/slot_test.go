@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/durable"
 	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/server/client"
@@ -38,21 +34,6 @@ func mergeOf(t *testing.T, envs [][]byte) []byte {
 	return slices.Clone(env)
 }
 
-// getSnapshot reads a merged /snapshot off the coordinator.
-func getSnapshot(t *testing.T, url string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, body
-}
-
 // A whole-state read through the gather slots keeps every failure rule
 // of a read that gathers afresh: a shard killed after a cached read
 // fails the next strict read with a 503 naming it, ?allow_partial=true
@@ -61,80 +42,51 @@ func getSnapshot(t *testing.T, url string) (int, []byte) {
 // under other tags — after which the merged snapshot is what it was
 // before the kill, byte for byte.
 func TestGatherSlotAcrossAShardKill(t *testing.T) {
-	dir := t.TempDir()
-	shards := make([]*httptest.Server, 3)
-	urls := make([]string, len(shards))
-	var durableShard *server.Server
-	for i := range shards {
-		s := server.New()
-		if i == 2 {
-			if _, err := s.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
-				t.Fatal(err)
-			}
-			durableShard = s
-		}
-		shards[i] = httptest.NewServer(s.Handler())
-		t.Cleanup(shards[i].Close)
-		urls[i] = shards[i].URL
-	}
-	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	f := newFleet(t, 2)
+	f.add(server.New(), t.TempDir())
+	coord, base := f.coordinator()
+	cl := client.New(base)
 	if err := cl.Create("sf", server.CreateRequest{Type: "sfsketch", Width: 512, Depth: 4, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	ingestN(t, cl, "sf", 30_000) // several batches: every shard holds a share
-	snapURL := ts.URL + "/v1/sketch/sf/snapshot"
+	snapURL := base + "/v1/sketch/sf/snapshot"
 
-	code, before := getSnapshot(t, snapURL)
+	r := request(t, "GET", snapURL, "")
+	code, before := r.status, r.body
 	if code != http.StatusOK {
 		t.Fatalf("first read: HTTP %d", code)
 	}
 	unchanged := coord.ops.NotModified.Load()
-	if code, again := getSnapshot(t, snapURL); code != http.StatusOK || !bytes.Equal(again, before) {
-		t.Fatalf("second read: HTTP %d, %d bytes, want the first read's %d", code, len(again), len(before))
+	if r := request(t, "GET", snapURL, ""); r.status != http.StatusOK || !bytes.Equal(r.body, before) {
+		t.Fatalf("second read: HTTP %d, %d bytes, want the first read's %d", r.status, len(r.body), len(before))
 	}
 	if got := coord.ops.NotModified.Load() - unchanged; got != 3 {
 		t.Fatalf("second read of an unchanged sketch: %d of 3 shards answered 304", got)
 	}
-	deadTag := etagOf(t, shards[2].URL+"/v1/sketch/sf/snapshot")
+	dead := f.nodes[2]
+	deadTag := etagOf(t, dead.URL+"/v1/sketch/sf/snapshot")
 
-	dead := shards[2]
-	dead.Close()
-	if err := durableShard.KillDurability(); err != nil {
-		t.Fatal(err)
-	}
-	code, body := getSnapshot(t, snapURL)
+	f.Kill(2)
+	r = request(t, "GET", snapURL, "")
+	code, body := r.status, r.body
 	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), dead.URL) {
 		t.Fatalf("strict read with a dead shard: HTTP %d %s, want 503 naming %s", code, body, dead.URL)
 	}
-	code, partial := getSnapshot(t, snapURL+"?allow_partial=true")
-	if want := mergeOf(t, shardSnapshots(t, shards[:2], "sf")); code != http.StatusOK || !bytes.Equal(partial, want) {
+	r = request(t, "GET", snapURL+"?allow_partial=true", "")
+	code, partial := r.status, r.body
+	if want := mergeOf(t, shardSnapshots(t, f.nodes[:2], "sf")); code != http.StatusOK || !bytes.Equal(partial, want) {
 		t.Fatalf("partial read: HTTP %d, %d bytes; want the %d-byte merge of the live shards' snapshots", code, len(partial), len(want))
 	}
 
-	l, err := net.Listen("tcp", dead.Listener.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered := server.New()
-	if _, err := recovered.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { recovered.CloseDurability() })
-	back := &httptest.Server{Listener: l, Config: &http.Server{Handler: recovered.Handler()}}
-	back.Start()
-	t.Cleanup(back.Close)
-	if tag := etagOf(t, back.URL+"/v1/sketch/sf/snapshot"); tag == deadTag {
+	f.Restart(2)
+	if tag := etagOf(t, dead.URL+"/v1/sketch/sf/snapshot"); tag == deadTag {
 		t.Fatalf("the recovered shard names its state %s, as before the kill", tag)
 	}
 
 	gathered, unchanged := coord.ops.GatherBytes.Load(), coord.ops.NotModified.Load()
-	code, after := getSnapshot(t, snapURL)
+	r = request(t, "GET", snapURL, "")
+	code, after := r.status, r.body
 	if code != http.StatusOK || !bytes.Equal(after, before) {
 		t.Fatalf("read after the restart: HTTP %d, %d bytes; want the %d bytes read before the kill", code, len(after), len(before))
 	}
@@ -149,13 +101,7 @@ func TestGatherSlotAcrossAShardKill(t *testing.T) {
 // etagOf is the ETag a shard's snapshot goes out with.
 func etagOf(t *testing.T, url string) string {
 	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if tag := resp.Header.Get("ETag"); tag != "" {
+	if tag := request(t, "GET", url, "").header.Get("ETag"); tag != "" {
 		return tag
 	}
 	t.Fatalf("GET %s: no ETag", url)
@@ -174,22 +120,16 @@ func etagOf(t *testing.T, url string) string {
 // from it.
 func TestGatherSlotUnderQueryBudget(t *testing.T) {
 	const budget = 3
-	shards := make([]*httptest.Server, 2)
-	urls := make([]string, len(shards))
-	for i := range shards {
+	f := newFleet(t, 0)
+	for i := range 2 {
 		s := server.New()
 		// Windows of one and two hours: the coordinator's 429 must carry
 		// the second shard's longer wait.
 		s.SetQueryBudget(server.QueryBudget{Queries: budget, Interval: time.Duration(i+1) * time.Hour})
-		shards[i] = httptest.NewServer(s.Handler())
-		t.Cleanup(shards[i].Close)
-		urls[i] = shards[i].URL
+		f.add(s, "")
 	}
-	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := coordClient(t, coord)
+	coord, base := f.coordinator()
+	cl := client.New(base)
 	for _, tc := range []struct {
 		name  string
 		req   server.CreateRequest
@@ -266,7 +206,7 @@ func TestGatherSlotUnderQueryBudget(t *testing.T) {
 				t.Fatal("the slot holds no tag for shard 0")
 			}
 			// On the shard itself, holding the current tag changes nothing.
-			req, _ := http.NewRequest("GET", urls[0]+"/v1/sketch/"+tc.name+"/snapshot", nil)
+			req, _ := http.NewRequest("GET", f.nodes[0].URL+"/v1/sketch/"+tc.name+"/snapshot", nil)
 			req.Header.Set("If-None-Match", tag)
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
@@ -285,12 +225,12 @@ func TestGatherSlotUnderQueryBudget(t *testing.T) {
 // and one done on the shards behind its back leaves a slot whose tags
 // name entries that are gone.
 func TestGatherSlotAfterRecreate(t *testing.T) {
-	coord, shards := fleet(t, 3)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	f := newFleet(t, 3)
+	shards := f.nodes
+	_, base := f.coordinator()
+	cl := client.New(base)
 	req := server.CreateRequest{Type: "countmin", Width: 256, Depth: 4, Seed: 1}
-	snapURL := ts.URL + "/v1/sketch/cm/snapshot"
+	snapURL := base + "/v1/sketch/cm/snapshot"
 	for round, recreate := range []func(){
 		func() { // through the coordinator
 			if err := cl.Delete("cm"); err != nil {
@@ -318,7 +258,7 @@ func TestGatherSlotAfterRecreate(t *testing.T) {
 			}
 		}
 		ingestN(t, cl, "cm", 20_000)
-		if code, _ := getSnapshot(t, snapURL); code != http.StatusOK {
+		if code := request(t, "GET", snapURL, "").status; code != http.StatusOK {
 			t.Fatalf("round %d: HTTP %d", round, code)
 		}
 		recreate()
@@ -327,7 +267,8 @@ func TestGatherSlotAfterRecreate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		code, got := getSnapshot(t, snapURL)
+		r := request(t, "GET", snapURL, "")
+		code, got := r.status, r.body
 		if want := mergeOf(t, shardSnapshots(t, shards, "cm")); code != http.StatusOK || !bytes.Equal(got, want) {
 			t.Fatalf("round %d: read after the sketch was created again: HTTP %d, not the merge of the new sketch's shards", round, code)
 		}

@@ -30,10 +30,8 @@ import (
 // routes; a kll read decodes and tree-merges as before, and a projected
 // point query counts as projected, as before.
 func TestWireMergesCounted(t *testing.T) {
-	coord, _ := fleet(t, 3)
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	coord, base := newFleet(t, 3).coordinator()
+	cl := client.New(base)
 	for name, req := range map[string]server.CreateRequest{
 		"sf":  {Type: "sfsketch", Width: 128, Depth: 4, Seed: 1},
 		"hll": {Type: "hll", P: 10, Seed: 1},
@@ -52,7 +50,7 @@ func TestWireMergesCounted(t *testing.T) {
 	}
 	get := func(path string) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(base + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,10 +82,10 @@ func TestWireMergesCounted(t *testing.T) {
 		}
 	}
 	want := float64(coord.ops.WireMerges.Load())
-	if _, doc := getJSON(t, ts.URL+"/v1/status"); doc["ops"].(map[string]any)["wire_merges"] != want {
+	if _, doc := request(t, "GET", base+"/v1/status", "").doc(t); doc["ops"].(map[string]any)["wire_merges"] != want {
 		t.Errorf("/v1/status ops: %v, want wire_merges %v", doc["ops"], want)
 	}
-	if _, doc := getJSON(t, ts.URL+"/v1/cluster/status"); doc["coordinator"].(map[string]any)["wire_merges"] != want {
+	if _, doc := request(t, "GET", base+"/v1/cluster/status", "").doc(t); doc["coordinator"].(map[string]any)["wire_merges"] != want {
 		t.Errorf("/v1/cluster/status coordinator: %v, want wire_merges %v", doc["coordinator"], want)
 	}
 }
@@ -97,38 +95,32 @@ func TestWireMergesCounted(t *testing.T) {
 // is the cluster's fault (500), shards that disagree on shape or seed a
 // conflict (409) — and a partial read folds the envelopes that arrived.
 func TestWireMergeRefusals(t *testing.T) {
-	real := make([]*httptest.Server, 3)
-	urls := make([]string, len(real))
-	for i := range real {
-		real[i] = httptest.NewServer(server.New().Handler())
-		t.Cleanup(real[i].Close)
-		urls[i] = real[i].URL
-	}
+	real := newFleet(t, 3)
 	// Shard 2 answers through a proxy that can cut the snapshots of one
 	// sketch short ("cut <name>"), or be down ("down").
 	var fault atomic.Value
 	fault.Store("")
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	shard2 := real.nodes[2].Handler()
+	proxy := real.serve(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch f := fault.Load().(string); {
 		case f == "down":
 			http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
 		case strings.HasPrefix(f, "cut ") && strings.HasSuffix(r.URL.Path, "/"+f[4:]+"/snapshot"):
 			rec := httptest.NewRecorder()
-			real[2].Config.Handler.ServeHTTP(rec, r)
+			shard2.ServeHTTP(rec, r)
 			w.Write(rec.Body.Bytes()[:rec.Body.Len()-8])
 		default:
-			real[2].Config.Handler.ServeHTTP(w, r)
+			shard2.ServeHTTP(w, r)
 		}
 	}))
-	t.Cleanup(proxy.Close)
-	urls[2] = proxy.URL
+	urls := real.urls()
+	urls[2] = proxy
 	coord, err := NewCoordinator(urls, Options{RetryBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(coord)
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	base := real.serve(coord)
+	cl := client.New(base)
 
 	for _, tc := range []struct {
 		family string
@@ -148,7 +140,7 @@ func TestWireMergeRefusals(t *testing.T) {
 
 		fault.Store("cut " + tc.family)
 		for _, op := range []string{"snapshot", "query"} {
-			code, doc := getJSON(t, ts.URL+"/v1/sketch/"+tc.family+"/"+op)
+			code, doc := request(t, "GET", base+"/v1/sketch/"+tc.family+"/"+op, "").doc(t)
 			if code != http.StatusInternalServerError || !strings.HasPrefix(fmt.Sprint(doc["error"]), "merge shards: ") {
 				t.Errorf("%s %s with a truncated shard envelope: HTTP %d %v, want 500 merge shards: …", tc.family, op, code, doc)
 			}
@@ -172,7 +164,7 @@ func TestWireMergeRefusals(t *testing.T) {
 			}
 		}
 		for _, op := range []string{"snapshot", "query"} {
-			code, doc := getJSON(t, ts.URL+"/v1/sketch/"+tc.family+"-odd/"+op)
+			code, doc := request(t, "GET", base+"/v1/sketch/"+tc.family+"-odd/"+op, "").doc(t)
 			if code != http.StatusConflict || !strings.HasPrefix(fmt.Sprint(doc["error"]), "merge shards: ") {
 				t.Errorf("%s %s over shards of two seeds: HTTP %d %v, want 409 merge shards: …", tc.family, op, code, doc)
 			}
@@ -192,7 +184,7 @@ func TestWireMergeRefusals(t *testing.T) {
 		}
 		wantPartial, _ := registry.Marshal(merged)
 		fault.Store("down")
-		resp, err := http.Get(ts.URL + "/v1/sketch/" + tc.family + "/snapshot?allow_partial=true")
+		resp, err := http.Get(base + "/v1/sketch/" + tc.family + "/snapshot?allow_partial=true")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +194,7 @@ func TestWireMergeRefusals(t *testing.T) {
 			t.Errorf("%s partial snapshot: HTTP %d, X-Cluster-Partial %q, the two shards' merge: %v",
 				tc.family, resp.StatusCode, resp.Header.Get("X-Cluster-Partial"), bytes.Equal(body, wantPartial))
 		}
-		if code, _ := getJSON(t, ts.URL+"/v1/sketch/"+tc.family+"/snapshot"); code != http.StatusServiceUnavailable {
+		if code := request(t, "GET", base+"/v1/sketch/"+tc.family+"/snapshot", "").status; code != http.StatusServiceUnavailable {
 			t.Errorf("%s snapshot with a shard down: HTTP %d, want 503", tc.family, code)
 		}
 		fault.Store("")
@@ -219,16 +211,19 @@ func TestWireMergeRefusals(t *testing.T) {
 // be the bytes the same read gets alone.
 func TestConcurrentReadsOfOneSketch(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one pool shard: the next gather gets the buffer the last one put back
-	coord, _ := fleet(t, 4)
-	ts := httptest.NewUnstartedServer(coord)
-	ts.Config.ConnState = func(c net.Conn, state http.ConnState) {
-		if state == http.StateNew {
-			c.(*net.TCPConn).SetWriteBuffer(128 << 10)
-		}
+	coord, err := NewCoordinator(newFleet(t, 4).urls(), Options{RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ts.Start()
-	t.Cleanup(ts.Close)
-	cl := client.New(ts.URL)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &server.HTTPServer{Handler: coord}
+	go hs.Serve(smallWrites{ln, 128 << 10})
+	t.Cleanup(func() { hs.Close() })
+	base := "http://" + ln.Addr().String()
+	cl := client.New(base)
 	for i, name := range []string{"freq", "other"} {
 		if err := cl.Create(name, server.CreateRequest{Type: "sfsketch", Width: 4096, Depth: 4, Seed: 3}); err != nil {
 			t.Fatal(err)
@@ -243,7 +238,7 @@ func TestConcurrentReadsOfOneSketch(t *testing.T) {
 		"/v1/sketch/other/query?item=item-3&wire=slim",
 	}
 	fetch := func(path string) ([]byte, error) {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(base + path)
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +256,7 @@ func TestConcurrentReadsOfOneSketch(t *testing.T) {
 		}
 	}
 
-	stalled, err := net.Dial("tcp", ts.Listener.Addr().String())
+	stalled, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

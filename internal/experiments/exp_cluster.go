@@ -131,11 +131,11 @@ func runClusterConfig(nShards, clients, batch, itemsPerClient int) (rate, est fl
 	}
 
 	// Single-server control with the identical stream.
-	single, stopSingle, err := serveLoopback(server.New().Handler())
+	hs, single, err := server.Listen("127.0.0.1:0", server.New().Handler())
 	if err != nil {
 		return 0, 0, 0, false, err
 	}
-	defer stopSingle()
+	defer hs.Close()
 	scl := client.New(single)
 	if err := scl.Create("e30", server.CreateRequest{Type: "hll", P: 14, Seed: 1}); err != nil {
 		return 0, 0, 0, false, err
@@ -166,11 +166,11 @@ func runProjectedPointQuery() (*core.Table, Bar) {
 		return fail(err)
 	}
 	defer stop()
-	single, stopSingle, err := serveLoopback(server.New().Handler())
+	hs, single, err := server.Listen("127.0.0.1:0", server.New().Handler())
 	if err != nil {
 		return fail(err)
 	}
-	defer stopSingle()
+	defer hs.Close()
 	ccl, scl := client.New(coordBase), client.New(single)
 
 	var batch []byte
@@ -248,11 +248,11 @@ func runReplicationLag() (*core.Table, []string) {
 		return fail(err)
 	}
 	defer leader.CloseDurability()
-	base, stop, err := serveLoopback(leader.Handler())
+	hs, base, err := server.Listen("127.0.0.1:0", leader.Handler())
 	if err != nil {
 		return fail(err)
 	}
-	defer stop()
+	defer hs.Close()
 
 	lcl := client.New(base)
 	if err := lcl.Create("e30", server.CreateRequest{Type: "hll", P: 14, Seed: 1}); err != nil {
@@ -296,32 +296,31 @@ func runReplicationLag() (*core.Table, []string) {
 // startFleet serves n in-process sketchd shards and a coordinator over
 // them on loopback; stop tears everything down.
 func startFleet(n int) (shards []string, coordBase string, stop func(), err error) {
-	var stops []func()
+	var servers []*server.HTTPServer
 	stop = func() {
-		for _, s := range stops {
-			s()
+		for _, hs := range servers {
+			hs.Close()
 		}
 	}
 	for i := 0; i < n; i++ {
-		base, stopShard, err := serveLoopback(server.New().Handler())
+		hs, base, err := server.Listen("127.0.0.1:0", server.New().Handler())
 		if err != nil {
 			stop()
 			return nil, "", nil, err
 		}
-		shards = append(shards, base)
-		stops = append(stops, stopShard)
+		shards, servers = append(shards, base), append(servers, hs)
 	}
 	coord, err := cluster.NewCoordinator(shards, cluster.Options{})
 	if err != nil {
 		stop()
 		return nil, "", nil, err
 	}
-	coordBase, stopCoord, err := serveLoopback(coord)
+	hs, coordBase, err := server.Listen("127.0.0.1:0", coord)
 	if err != nil {
 		stop()
 		return nil, "", nil, err
 	}
-	stops = append(stops, stopCoord)
+	servers = append(servers, hs)
 	return shards, coordBase, stop, nil
 }
 

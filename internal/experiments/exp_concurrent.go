@@ -94,7 +94,7 @@ func (lb *lockedBuffer[S]) read(f func(S)) {
 	f(lb.s)
 }
 
-// runE29 measures what ROADMAP item 2 names as the current ceiling:
+// runE29 measures what ROADMAP item 6 names as the current ceiling:
 // shared-memory atomic wrappers serialize multi-writer ingest on hot
 // cache lines (AtomicCountMin's shared total counter alone is one
 // atomic RMW per update from every writer), so throughput flattens —

@@ -113,13 +113,13 @@ func startDurableSketchd(dur bool, fsync time.Duration) (base string, shutdown f
 			return "", nil, err
 		}
 	}
-	base, stop, err := serveLoopback(srv.Handler())
+	hs, base, err := server.Listen("127.0.0.1:0", srv.Handler())
 	if err != nil {
 		cleanupDir()
 		return "", nil, err
 	}
 	return base, func() {
-		stop()
+		hs.Close()
 		srv.CloseDurability()
 		cleanupDir()
 	}, nil

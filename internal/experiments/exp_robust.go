@@ -112,11 +112,11 @@ func runE32() *Result {
 	// query budget refuses the online hunt ----
 	srv := server.New()
 	srv.SetQueryBudget(server.QueryBudget{Queries: 256, Interval: time.Minute})
-	base, shutdown, err := serveLoopback(srv.Handler())
+	hs, base, err := server.Listen("127.0.0.1:0", srv.Handler())
 	if err != nil {
 		return fail("serve: %v", err)
 	}
-	defer shutdown()
+	defer hs.Close()
 	cl := client.New(base)
 
 	// 3a: hunt locally against the default seed, replay into a live

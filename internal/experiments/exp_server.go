@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"sync"
@@ -28,10 +26,8 @@ func init() {
 // path is the uncontended sharded writer, not a global lock.
 func runE25() *Result {
 	base := os.Getenv("SKETCHD_ADDR")
-	var shutdown func()
 	if base == "" {
-		var err error
-		base, shutdown, err = serveLoopback(server.New().Handler())
+		hs, local, err := server.Listen("127.0.0.1:0", server.New().Handler())
 		if err != nil {
 			return &Result{
 				ID:    "E25",
@@ -39,7 +35,8 @@ func runE25() *Result {
 				Notes: []string{fmt.Sprintf("failed to start local sketchd: %v", err)},
 			}
 		}
-		defer shutdown()
+		defer hs.Close()
+		base = local
 	}
 
 	const itemsPerClient = 1 << 17 // 131072 adds per client per config
@@ -117,17 +114,4 @@ func driveIngest(base, name string, clients, batch, itemsPerClient int) (adds, r
 	adds = clients * itemsPerClient
 	reqs = clients * (itemsPerClient + batch - 1) / batch
 	return adds, reqs, elapsed
-}
-
-// serveLoopback serves h on an ephemeral loopback port as sketchd
-// does, through server.HTTPServer, returning the base URL and a
-// shutdown func.
-func serveLoopback(h http.Handler) (base string, stop func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	hs := &server.HTTPServer{Handler: h}
-	go hs.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { hs.Close() }, nil
 }

@@ -48,7 +48,7 @@ func runE31() *Result {
 	if _, err := srv.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
 		return fail("durability: %v", err)
 	}
-	base, shutdown, err := serveLoopback(srv.Handler())
+	hs, base, err := server.Listen("127.0.0.1:0", srv.Handler())
 	if err != nil {
 		return fail("serve: %v", err)
 	}
@@ -66,7 +66,7 @@ func runE31() *Result {
 	ack, err := cl.GroupBy(url.Values{"type": {"hll"}, "p": {"12"}, "prefix": {"g-"}}, batch.Bytes())
 	wall := time.Since(t0)
 	if err != nil {
-		shutdown()
+		hs.Close()
 		return fail("groupby: %v", err)
 	}
 	walRecords := srv.DurabilityStatus().WALLSN - lsn0
@@ -81,28 +81,28 @@ func runE31() *Result {
 	// ---- Part 3 (same durable server): TTL eviction across kill -9 ----
 	ttlCl := client.New(base).Tenant("ttl")
 	if err := ttlCl.Create("ephemeral", server.CreateRequest{Type: "hll", P: 12, TTLSeconds: 1, CreatedUnix: 1000}); err != nil {
-		shutdown()
+		hs.Close()
 		return fail("create ephemeral: %v", err)
 	}
 	ttlCl.Add("ephemeral", []string{"gone-1", "gone-2"})
 	if err := ttlCl.Create("keeper", server.CreateRequest{Type: "hll", P: 12}); err != nil {
-		shutdown()
+		hs.Close()
 		return fail("create keeper: %v", err)
 	}
 	ttlCl.Add("keeper", []string{"kept-1", "kept-2", "kept-3"})
 	evicted := srv.SweepExpired(time.Now())
 	wantKeeper, err := ttlCl.Snapshot("keeper")
 	if err != nil {
-		shutdown()
+		hs.Close()
 		return fail("keeper snapshot: %v", err)
 	}
 	wantGroup, err := cl.Snapshot("g-seg0000")
 	if err != nil {
-		shutdown()
+		hs.Close()
 		return fail("group snapshot: %v", err)
 	}
 
-	shutdown()
+	hs.Close()
 	if err := srv.KillDurability(); err != nil {
 		return fail("kill: %v", err)
 	}
@@ -111,11 +111,11 @@ func runE31() *Result {
 	if _, err := srv2.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
 		return fail("recovery: %v", err)
 	}
-	base2, shutdown2, err := serveLoopback(srv2.Handler())
+	hs2, base2, err := server.Listen("127.0.0.1:0", srv2.Handler())
 	if err != nil {
 		return fail("serve recovered: %v", err)
 	}
-	defer shutdown2()
+	defer hs2.Close()
 	defer srv2.CloseDurability()
 
 	_, ephErr := client.New(base2).Tenant("ttl").Snapshot("ephemeral")
@@ -148,11 +148,11 @@ func runE31() *Result {
 	// ---- Part 2: quota isolation on a fresh in-memory server ----
 	qsrv := server.New()
 	qsrv.SetTenantQuota(server.TenantQuota{MaxSketches: 5})
-	qbase, qshutdown, err := serveLoopback(qsrv.Handler())
+	qhs, qbase, err := server.Listen("127.0.0.1:0", qsrv.Handler())
 	if err != nil {
 		return fail("quota server: %v", err)
 	}
-	defer qshutdown()
+	defer qhs.Close()
 	noisy := client.New(qbase).Tenant("noisy")
 	quiet := client.New(qbase).Tenant("quiet")
 	for i := 0; i < 5; i++ {
@@ -193,12 +193,12 @@ func runE31() *Result {
 	if err != nil {
 		return fail("v1 recovery: %v", err)
 	}
-	v1base, v1shutdown, err := serveLoopback(v1srv.Handler())
+	v1hs, v1base, err := server.Listen("127.0.0.1:0", v1srv.Handler())
 	if err != nil {
 		return fail("serve v1: %v", err)
 	}
 	v1est, v1err := client.New(v1base).Estimate("legacy", nil)
-	v1shutdown()
+	v1hs.Close()
 	v1srv.CloseDurability()
 
 	tbl4 := core.NewTable("legacy compatibility", "surface", "result")

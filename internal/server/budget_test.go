@@ -2,7 +2,7 @@ package server
 
 import (
 	"encoding/json"
-	"net/http/httptest"
+	"net/http"
 	"strconv"
 	"testing"
 	"time"
@@ -14,28 +14,18 @@ import (
 // /snapshot) per (tenant, sketch) and per tenant — and nothing else.
 // Ingest, merges, and other sketches must never be collateral.
 
-func budgetServer(t *testing.T, qb QueryBudget, quota TenantQuota) (*Server, *httptest.Server) {
-	t.Helper()
-	s := New()
-	if qb.Queries > 0 {
-		s.SetQueryBudget(qb)
-	}
-	s.SetTenantQuota(quota)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
 func TestQueryBudgetExhaustsTo429(t *testing.T) {
-	_, ts := budgetServer(t, QueryBudget{Queries: 3, Interval: time.Hour}, TenantQuota{})
-	mustDo(t, "POST", ts.URL+"/v1/sketch/guarded", `{"type":"hll","p":10}`)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/other", `{"type":"hll","p":10}`)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/guarded/add", "a\nb\nc")
+	s := New()
+	s.SetQueryBudget(QueryBudget{Queries: 3, Interval: time.Hour})
+	ts := serveLoop(t, s.Handler(), nil)
+	do(t, "POST", ts.URL+"/v1/sketch/guarded", `{"type":"hll","p":10}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/other", `{"type":"hll","p":10}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/guarded/add", "a\nb\nc").ok(t)
 
 	for i := 0; i < 3; i++ {
-		mustDo(t, "GET", ts.URL+"/v1/sketch/guarded/query", "")
+		do(t, "GET", ts.URL+"/v1/sketch/guarded/query", "").ok(t)
 	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/sketch/guarded/query")
+	resp, err := http.Get(ts.URL + "/v1/sketch/guarded/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,50 +40,54 @@ func TestQueryBudgetExhaustsTo429(t *testing.T) {
 
 	// The budget is per sketch: a sibling sketch's reads are untouched,
 	// and the throttled sketch still ingests.
-	mustDo(t, "GET", ts.URL+"/v1/sketch/other/query", "")
-	mustDo(t, "POST", ts.URL+"/v1/sketch/guarded/add", "d\ne")
+	do(t, "GET", ts.URL+"/v1/sketch/other/query", "").ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/guarded/add", "d\ne").ok(t)
 
 	// Snapshots draw from the same budget — an unmetered state export
 	// would let the attacker evaluate estimates offline.
-	if code, _ := httpDo(t, "GET", ts.URL+"/v1/sketch/guarded/snapshot", ""); code != 429 {
+	if code := do(t, "GET", ts.URL+"/v1/sketch/guarded/snapshot", "").code; code != 429 {
 		t.Fatalf("snapshot over budget: HTTP %d, want 429", code)
 	}
-	mustDo(t, "GET", ts.URL+"/v1/sketch/other/snapshot", "")
+	do(t, "GET", ts.URL+"/v1/sketch/other/snapshot", "").ok(t)
 }
 
 func TestQueryBudgetWindowRefills(t *testing.T) {
-	_, ts := budgetServer(t, QueryBudget{Queries: 2, Interval: 50 * time.Millisecond}, TenantQuota{})
-	mustDo(t, "POST", ts.URL+"/v1/sketch/s", `{"type":"hll","p":10}`)
-	mustDo(t, "GET", ts.URL+"/v1/sketch/s/query", "")
-	mustDo(t, "GET", ts.URL+"/v1/sketch/s/query", "")
-	if code, _ := httpDo(t, "GET", ts.URL+"/v1/sketch/s/query", ""); code != 429 {
+	s := New()
+	s.SetQueryBudget(QueryBudget{Queries: 2, Interval: 50 * time.Millisecond})
+	ts := serveLoop(t, s.Handler(), nil)
+	do(t, "POST", ts.URL+"/v1/sketch/s", `{"type":"hll","p":10}`).ok(t)
+	do(t, "GET", ts.URL+"/v1/sketch/s/query", "").ok(t)
+	do(t, "GET", ts.URL+"/v1/sketch/s/query", "").ok(t)
+	if code := do(t, "GET", ts.URL+"/v1/sketch/s/query", "").code; code != 429 {
 		t.Fatalf("over budget: HTTP %d, want 429", code)
 	}
 	time.Sleep(80 * time.Millisecond)
-	mustDo(t, "GET", ts.URL+"/v1/sketch/s/query", "")
+	do(t, "GET", ts.URL+"/v1/sketch/s/query", "").ok(t)
 }
 
 func TestTenantMaxQPS(t *testing.T) {
-	_, ts := budgetServer(t, QueryBudget{}, TenantQuota{MaxQPS: 2})
-	mustDo(t, "POST", ts.URL+"/v1/t/noisy/sketch/a", `{"type":"hll","p":10}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/noisy/sketch/b", `{"type":"hll","p":10}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/quiet/sketch/c", `{"type":"hll","p":10}`)
+	s := New()
+	s.SetTenantQuota(TenantQuota{MaxQPS: 2})
+	ts := serveLoop(t, s.Handler(), nil)
+	do(t, "POST", ts.URL+"/v1/t/noisy/sketch/a", `{"type":"hll","p":10}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/noisy/sketch/b", `{"type":"hll","p":10}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/quiet/sketch/c", `{"type":"hll","p":10}`).ok(t)
 
 	// The cap spans the tenant's sketches: a+b together burn the 2/sec.
-	mustDo(t, "GET", ts.URL+"/v1/t/noisy/sketch/a/query", "")
-	mustDo(t, "GET", ts.URL+"/v1/t/noisy/sketch/b/query", "")
-	code, _ := httpDo(t, "GET", ts.URL+"/v1/t/noisy/sketch/a/query", "")
+	do(t, "GET", ts.URL+"/v1/t/noisy/sketch/a/query", "").ok(t)
+	do(t, "GET", ts.URL+"/v1/t/noisy/sketch/b/query", "").ok(t)
+	code := do(t, "GET", ts.URL+"/v1/t/noisy/sketch/a/query", "").code
 	if code != 429 {
 		t.Fatalf("over tenant QPS: HTTP %d, want 429", code)
 	}
 
 	// Another tenant is untouched; the throttled tenant still ingests.
-	mustDo(t, "GET", ts.URL+"/v1/t/quiet/sketch/c/query", "")
-	mustDo(t, "POST", ts.URL+"/v1/t/noisy/sketch/a/add", "still-flowing")
+	do(t, "GET", ts.URL+"/v1/t/quiet/sketch/c/query", "").ok(t)
+	do(t, "POST", ts.URL+"/v1/t/noisy/sketch/a/add", "still-flowing").ok(t)
 
 	// The refusal is visible on /v1/status.
 	var st StatusResponse
-	if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/status", ""), &st); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/status", "").ok(t), &st); err != nil {
 		t.Fatal(err)
 	}
 	var throttled uint64

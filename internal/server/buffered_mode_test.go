@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
@@ -54,19 +53,18 @@ var bufferedFamilies = []struct {
 func TestBufferedServingLifecycle(t *testing.T) {
 	t.Parallel()
 	s := bufferedServer(t)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := serveLoop(t, s.Handler(), nil)
 
 	for _, f := range bufferedFamilies {
-		mustDo(t, "POST", ts.URL+"/v1/sketch/buf-"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ))
+		do(t, "POST", ts.URL+"/v1/sketch/buf-"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ)).ok(t)
 		for round := 0; round < 3; round++ {
-			mustDo(t, "POST", ts.URL+"/v1/sketch/buf-"+f.typ+"/add", f.batch(round))
+			do(t, "POST", ts.URL+"/v1/sketch/buf-"+f.typ+"/add", f.batch(round)).ok(t)
 		}
 		// Snapshot syncs the buffered instance, so the query that
 		// follows is exact (no writers in flight).
-		mustDo(t, "GET", ts.URL+"/v1/sketch/buf-"+f.typ+"/snapshot", "")
+		do(t, "GET", ts.URL+"/v1/sketch/buf-"+f.typ+"/snapshot", "").ok(t)
 		var q map[string]any
-		if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/sketch/buf-"+f.typ+"/query", ""), &q); err != nil {
+		if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/sketch/buf-"+f.typ+"/query", "").ok(t), &q); err != nil {
 			t.Fatalf("%s query: %v", f.typ, err)
 		}
 		if _, ok := q["staleness_bound"]; !ok {
@@ -75,13 +73,13 @@ func TestBufferedServingLifecycle(t *testing.T) {
 	}
 
 	var q map[string]any
-	if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/sketch/buf-countmin/query?item=hot", ""), &q); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/sketch/buf-countmin/query?item=hot", "").ok(t), &q); err != nil {
 		t.Fatal(err)
 	}
 	if est := q["estimate"].(float64); est < 9 {
 		t.Errorf("countmin estimate for hot = %v, want >= 9 (3 rounds x weight 3)", est)
 	}
-	if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/sketch/buf-blockedbloom/query?item=member-1", ""), &q); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/sketch/buf-blockedbloom/query?item=member-1", "").ok(t), &q); err != nil {
 		t.Fatal(err)
 	}
 	if q["contains"] != true {
@@ -104,8 +102,7 @@ func propagators() int {
 func TestBufferedDeleteStopsPropagator(t *testing.T) {
 	t.Parallel()
 	s := bufferedServer(t)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := serveLoop(t, s.Handler(), nil)
 
 	// Measure relative to the fully created state, counting propagators
 	// only, so the tests running beside this one and the HTTP
@@ -115,12 +112,12 @@ func TestBufferedDeleteStopsPropagator(t *testing.T) {
 	const sketches = 8
 	for i := 0; i < sketches; i++ {
 		name := fmt.Sprintf("tmp-%d", i)
-		mustDo(t, "POST", ts.URL+"/v1/sketch/"+name, `{"type":"countmin"}`)
-		mustDo(t, "POST", ts.URL+"/v1/sketch/"+name+"/add", "x\ny")
+		do(t, "POST", ts.URL+"/v1/sketch/"+name, `{"type":"countmin"}`).ok(t)
+		do(t, "POST", ts.URL+"/v1/sketch/"+name+"/add", "x\ny").ok(t)
 	}
 	withSketches := propagators()
 	for i := 0; i < sketches; i++ {
-		mustDo(t, "DELETE", ts.URL+fmt.Sprintf("/v1/sketch/tmp-%d", i), "")
+		do(t, "DELETE", ts.URL+fmt.Sprintf("/v1/sketch/tmp-%d", i), "").ok(t)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -142,23 +139,23 @@ func TestBufferedDeleteStopsPropagator(t *testing.T) {
 func TestBufferedCrashRecovery(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	s1, ts1, _ := serveDurable(t, bufferedServer(t), dir, durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, bufferedServer(t), dir, durable.Options{FsyncInterval: 0})
 
 	for _, f := range bufferedFamilies {
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/bufdur-"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ))
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/bufdur-"+f.typ+"/add", f.batch(0))
+		do(t, "POST", ts1.URL+"/v1/sketch/bufdur-"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ)).ok(t)
+		do(t, "POST", ts1.URL+"/v1/sketch/bufdur-"+f.typ+"/add", f.batch(0)).ok(t)
 	}
 	if err := s1.dur.SnapshotNow(); err != nil {
 		t.Fatalf("SnapshotNow: %v", err)
 	}
 	for round := 1; round <= 3; round++ {
 		for _, f := range bufferedFamilies {
-			mustDo(t, "POST", ts1.URL+"/v1/sketch/bufdur-"+f.typ+"/add", f.batch(round))
+			do(t, "POST", ts1.URL+"/v1/sketch/bufdur-"+f.typ+"/add", f.batch(round)).ok(t)
 		}
 	}
 	want := map[string][]byte{}
 	for _, f := range bufferedFamilies {
-		want[f.typ] = mustDo(t, "GET", ts1.URL+"/v1/sketch/bufdur-"+f.typ+"/snapshot", "")
+		want[f.typ] = do(t, "GET", ts1.URL+"/v1/sketch/bufdur-"+f.typ+"/snapshot", "").ok(t)
 	}
 
 	if err := s1.dur.Sync(); err != nil {
@@ -167,12 +164,12 @@ func TestBufferedCrashRecovery(t *testing.T) {
 	ts1.Close()
 	s1.dur.Kill()
 
-	_, ts2, stats := serveDurable(t, bufferedServer(t), dir, durable.Options{FsyncInterval: 0})
+	_, ts2, stats := durableServer(t, bufferedServer(t), dir, durable.Options{FsyncInterval: 0})
 	if stats.SketchesLoaded != len(bufferedFamilies) {
 		t.Fatalf("recovered %d sketches, want %d (stats %+v)", stats.SketchesLoaded, len(bufferedFamilies), stats)
 	}
 	for _, f := range bufferedFamilies {
-		got := mustDo(t, "GET", ts2.URL+"/v1/sketch/bufdur-"+f.typ+"/snapshot", "")
+		got := do(t, "GET", ts2.URL+"/v1/sketch/bufdur-"+f.typ+"/snapshot", "").ok(t)
 		if !bytes.Equal(got, want[f.typ]) {
 			t.Errorf("%s: recovered snapshot differs (%d bytes vs %d)", f.typ, len(got), len(want[f.typ]))
 		}
@@ -186,14 +183,13 @@ func TestBufferedCrashRecovery(t *testing.T) {
 // buffered server's answers carry staleness_bound.
 func TestTwoServingModesInOneProcess(t *testing.T) {
 	t.Parallel()
-	servers := map[string]*httptest.Server{}
+	servers := map[string]served{}
 	for mode, s := range map[string]*Server{"buffered": bufferedServer(t), "default": New()} {
-		servers[mode] = httptest.NewServer(s.Handler())
-		defer servers[mode].Close()
+		servers[mode] = serveLoop(t, s.Handler(), nil)
 	}
 	for _, ts := range servers {
 		for _, f := range bufferedFamilies {
-			mustDo(t, "POST", ts.URL+"/v1/sketch/"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ))
+			do(t, "POST", ts.URL+"/v1/sketch/"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ)).ok(t)
 		}
 	}
 
@@ -242,11 +238,11 @@ func TestTwoServingModesInOneProcess(t *testing.T) {
 			t.Fatal(err)
 		}
 		for mode, ts := range servers {
-			if got := mustDo(t, "GET", ts.URL+"/v1/sketch/"+f.typ+"/snapshot", ""); !bytes.Equal(got, want) {
+			if got := do(t, "GET", ts.URL+"/v1/sketch/"+f.typ+"/snapshot", "").ok(t); !bytes.Equal(got, want) {
 				t.Errorf("%s/%s: snapshot differs from the plain sketch's (%d vs %d bytes)", mode, f.typ, len(got), len(want))
 			}
 			var q map[string]any
-			if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/sketch/"+f.typ+"/query", ""), &q); err != nil {
+			if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/sketch/"+f.typ+"/query", "").ok(t), &q); err != nil {
 				t.Fatal(err)
 			}
 			if _, ok := q["staleness_bound"]; ok != (mode == "buffered") {

@@ -8,13 +8,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/frequency"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // TestBundleMergeFanIn posts 8 disjoint HLL shards in one GSKB bundle
 // and checks the server's estimate covers their union — the fan-in
 // path that tree-merges outside the sketch lock.
 func TestBundleMergeFanIn(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	if err := cl.Create("reach", server.CreateRequest{Type: "hll", P: 12, Seed: 1}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestBundleMergeFanIn(t *testing.T) {
 // cases through the HTTP layer: corrupt framing and cross-type
 // envelopes must fail without touching the sketch.
 func TestBundleMergeRejections(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	if err := cl.Create("reach", server.CreateRequest{Type: "hll", P: 12, Seed: 1}); err != nil {
 		t.Fatalf("create: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/server"
+	"repro/internal/server/client"
 )
 
 // batchFor renders a well-formed ingest batch for a registry input
@@ -48,7 +49,7 @@ func batchFor(k registry.InputKind) string {
 // code, and neither does this test: the catalog itself says how to
 // construct input.
 func TestEveryServableTypeOverHTTP(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	types, err := cl.Types()
 	if err != nil {
 		t.Fatalf("GET /v1/types: %v", err)
@@ -100,7 +101,8 @@ func TestEveryServableTypeOverHTTP(t *testing.T) {
 }
 
 func TestMergeGates(t *testing.T) {
-	ts, cl := newTestServer(t)
+	ts := server.ServeLoop(t, server.New().Handler(), nil)
+	cl := client.New(ts.URL)
 	post := func(path, body string) int {
 		t.Helper()
 		resp, err := http.Post(ts.URL+path, "application/octet-stream", strings.NewReader(body))
@@ -153,7 +155,7 @@ func TestMergeGates(t *testing.T) {
 // TestNonServableCreate pins the create gate: simhash decodes and
 // inspects but has no streaming ingest, so creating one must 400.
 func TestNonServableCreate(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	err := cl.Create("sh", server.CreateRequest{Type: "simhash"})
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Errorf("create simhash: %v, want HTTP 400", err)
@@ -163,7 +165,7 @@ func TestNonServableCreate(t *testing.T) {
 // TestCreateWithParams exercises the schema-addressed Params map,
 // including rejection of unknown names.
 func TestCreateWithParams(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	if err := cl.Create("g", server.CreateRequest{
 		Type:   "gk",
 		Params: map[string]float64{"eps": 0.001},

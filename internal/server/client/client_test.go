@@ -3,9 +3,10 @@ package client
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // A response that declares its length is read into a buffer grown once
@@ -13,13 +14,16 @@ import (
 func TestSnapshotForSizesBufferOnce(t *testing.T) {
 	payload := bytes.Repeat([]byte("z"), 1<<20)
 	var gotQuery string
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	hs, base, err := server.Listen("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotQuery = r.URL.RawQuery
 		w.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 		w.Write(payload)
 	}))
-	defer ts.Close()
-	cl := New(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	cl := New(base)
 	small := make([]byte, 0, 512)
 	got, err := cl.SnapshotFor("s", "slim", "item=a b", small)
 	if err != nil || !bytes.Equal(got, payload) {

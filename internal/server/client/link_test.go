@@ -90,6 +90,10 @@ func cannedPeer(t *testing.T, reply string, hangUp bool) *peer {
 	})
 }
 
+// handlerPeer serves h through http.Server, the server the net/http
+// client of viaNetHTTP was written against: where this package and
+// viaNetHTTP read its replies differently, the difference is the
+// client's, not the server's.
 func handlerPeer(t *testing.T, h http.HandlerFunc) *peer {
 	p := &peer{}
 	ts := httptest.NewUnstartedServer(h)

@@ -19,9 +19,12 @@ import (
 // cluster, to reach the limit; cluster imports this package.)
 func TestSilentShardIsA503NamingIt(t *testing.T) {
 	defer client.SetFirstByteTimeout(50 * time.Millisecond)()
-	live := httptest.NewServer(server.New().Handler())
-	defer live.Close()
-	if err := client.New(live.URL).Create("u", server.CreateRequest{Type: "hll"}); err != nil {
+	hs, live, err := server.Listen("127.0.0.1:0", server.New().Handler())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs.Close()
+	if err := client.New(live).Create("u", server.CreateRequest{Type: "hll"}); err != nil {
 		t.Fatal(err)
 	}
 	silent, err := net.Listen("tcp", "127.0.0.1:0") // the kernel accepts; nobody reads
@@ -31,7 +34,7 @@ func TestSilentShardIsA503NamingIt(t *testing.T) {
 	defer silent.Close()
 	silentURL := "http://" + silent.Addr().String()
 
-	coord, err := cluster.NewCoordinator([]string{live.URL, silentURL}, cluster.Options{Retries: -1})
+	coord, err := cluster.NewCoordinator([]string{live, silentURL}, cluster.Options{Retries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,11 +74,11 @@ func TestCreateIsLoggedBeforeVisible(t *testing.T) {
 	}
 	wg.Wait()
 
-	live := httptest.NewServer(s1.Handler())
+	live := serveLoop(t, s1.Handler(), nil)
 	want := map[string][]byte{}
 	for i := 0; i < names; i++ {
 		for _, name := range []string{fmt.Sprintf("c-%d", i), fmt.Sprintf("g%d-00", i), fmt.Sprintf("g%d-%02d", i, groups-1)} {
-			want[name] = mustDo(t, "GET", live.URL+"/v1/sketch/"+name+"/snapshot", "")
+			want[name] = do(t, "GET", live.URL+"/v1/sketch/"+name+"/snapshot", "").ok(t)
 		}
 	}
 	live.Close()
@@ -86,9 +86,9 @@ func TestCreateIsLoggedBeforeVisible(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts2, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts2, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	for name, env := range want {
-		if got := mustDo(t, "GET", ts2.URL+"/v1/sketch/"+name+"/snapshot", ""); !bytes.Equal(got, env) {
+		if got := do(t, "GET", ts2.URL+"/v1/sketch/"+name+"/snapshot", "").ok(t); !bytes.Equal(got, env) {
 			t.Errorf("%s: recovered snapshot differs from the pre-kill server's (an acknowledged batch was lost)", name)
 		}
 	}

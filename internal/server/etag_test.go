@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -86,15 +85,11 @@ func TestEveryMutationMovesTheTag(t *testing.T) {
 	for _, buffered := range []bool{false, true} {
 		t.Run(fmt.Sprintf("buffered=%v", buffered), func(t *testing.T) {
 			dir := t.TempDir()
-			serve := func() (*Server, *httptest.Server) {
+			serve := func() (*Server, served) {
 				s := New()
 				s.SetBufferedIngest(buffered)
-				if _, err := s.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
-					t.Fatal(err)
-				}
 				t.Cleanup(func() { closeEntries(s) })
-				ts := httptest.NewServer(s.Handler())
-				t.Cleanup(ts.Close)
+				s, ts, _ := durableServer(t, s, dir, durable.Options{FsyncInterval: 0})
 				return s, ts
 			}
 			srv, ts := serve()
@@ -205,8 +200,7 @@ func TestNoStaleNotModified(t *testing.T) {
 			s := New()
 			s.SetBufferedIngest(tc.buffered)
 			t.Cleanup(func() { closeEntries(s) })
-			ts := httptest.NewServer(s.Handler())
-			t.Cleanup(ts.Close)
+			ts := serveLoop(t, s.Handler(), nil)
 			url := ts.URL + "/v1/sketch/x"
 			if !call(t, "POST", url, tc.create, http.StatusCreated) {
 				t.FailNow()

@@ -8,7 +8,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"testing"
@@ -19,14 +18,13 @@ import (
 )
 
 func TestSnapshotForProjects(t *testing.T) {
-	ts := httptest.NewServer(New().Handler())
-	defer ts.Close()
-	mustDo(t, "POST", ts.URL+"/v1/sketch/cm", `{"type":"countmin","width":4096,"depth":4}`)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/cm/add", "alpha\t5\nbeta\t2\ngamma")
-	mustDo(t, "POST", ts.URL+"/v1/sketch/hll", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/hll/add", "a\nb\nc")
-	mustDo(t, "POST", ts.URL+"/v1/sketch/sf", `{"type":"sfsketch","width":64,"depth":3}`)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/sf/add", "alpha\t5")
+	ts := serveLoop(t, New().Handler(), nil)
+	do(t, "POST", ts.URL+"/v1/sketch/cm", `{"type":"countmin","width":4096,"depth":4}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/cm/add", "alpha\t5\nbeta\t2\ngamma").ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/hll", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/hll/add", "a\nb\nc").ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/sf", `{"type":"sfsketch","width":64,"depth":3}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/sf/add", "alpha\t5").ok(t)
 
 	forAlpha := "for=" + url.QueryEscape("item=alpha")
 	resp, err := http.Get(ts.URL + "/v1/sketch/cm/snapshot?" + forAlpha)
@@ -51,13 +49,13 @@ func TestSnapshotForProjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want map[string]any
-	json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/sketch/cm/query?item=alpha", ""), &want)
+	json.Unmarshal(do(t, "GET", ts.URL+"/v1/sketch/cm/query?item=alpha", "").ok(t), &want)
 	if float64(got["estimate"].(uint64)) != want["estimate"] || float64(got["n"].(uint64)) != want["n"] {
 		t.Errorf("finished projection %v, /query %v", got, want)
 	}
 
 	// Everything that does not project is served as if for= were absent.
-	full, _ := getWire(t, ts.URL, "cm", "")
+	full := do(t, "GET", ts.URL+"/v1/sketch/cm/snapshot", "").ok(t)
 	for _, c := range []struct{ name, query, hdr string }{
 		{"cm", "for=" + url.QueryEscape("k=3"), ""}, // not a query countmin projects
 		{"hll", forAlpha, ""},                       // not a projecting family
@@ -84,7 +82,7 @@ func TestSnapshotForProjects(t *testing.T) {
 	// The projection column sits next to full and slim on both surfaces.
 	for _, path := range []string{"/v1/status", "/debug/statsz"} {
 		var doc struct{ Wire []WireStat }
-		json.Unmarshal(mustDo(t, "GET", ts.URL+path, ""), &doc)
+		json.Unmarshal(do(t, "GET", ts.URL+path, "").ok(t), &doc)
 		var cm WireStat
 		for _, row := range doc.Wire {
 			if row.Type == "countmin" {
@@ -101,9 +99,8 @@ func TestSnapshotForProjects(t *testing.T) {
 func TestSnapshotForIsMetered(t *testing.T) {
 	s := New()
 	s.SetQueryBudget(QueryBudget{Queries: 2, Interval: time.Hour})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	mustDo(t, "POST", ts.URL+"/v1/sketch/cm", `{"type":"countmin"}`)
+	ts := serveLoop(t, s.Handler(), nil)
+	do(t, "POST", ts.URL+"/v1/sketch/cm", `{"type":"countmin"}`).ok(t)
 	u := ts.URL + "/v1/sketch/cm/snapshot?for=" + url.QueryEscape("item=a")
 	for i, want := range []int{200, 200, 429} {
 		resp, err := http.Get(u)

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -43,24 +42,31 @@ var recoveryFamilies = []struct {
 	{"sfsketch", func(r int) string { return fmt.Sprintf("hot\t4\nwarm-%d\t2\ncool-%d", r, r) }},   // frequency, two-stage wire form
 }
 
-func durableServer(t *testing.T, dir string, opts durable.Options) (*Server, *httptest.Server, durable.RecoveryStats) {
+// durableServer recovers s from dir and serves it; s is a new server
+// when nil.
+func durableServer(t *testing.T, s *Server, dir string, opts durable.Options) (*Server, served, durable.RecoveryStats) {
 	t.Helper()
-	return serveDurable(t, New(), dir, opts)
-}
-
-// serveDurable recovers s from dir and serves it.
-func serveDurable(t *testing.T, s *Server, dir string, opts durable.Options) (*Server, *httptest.Server, durable.RecoveryStats) {
-	t.Helper()
+	if s == nil {
+		s = New()
+	}
 	stats, err := s.EnableDurability(dir, opts)
 	if err != nil {
 		t.Fatalf("EnableDurability(%s): %v", dir, err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts, stats
+	return s, serveLoop(t, s.Handler(), nil), stats
 }
 
-func httpDo(t *testing.T, method, url, body string) (int, []byte) {
+// reply is what a request sent with do got back.
+type reply struct {
+	req    string // its method and URL
+	code   int
+	header http.Header
+	body   []byte
+}
+
+// do sends method url with body and returns the reply, its body read:
+// this package's one way to make a request by hand.
+func do(t *testing.T, method, url, body string) reply {
 	t.Helper()
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
@@ -75,16 +81,16 @@ func httpDo(t *testing.T, method, url, body string) (int, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, data
+	return reply{method + " " + url, resp.StatusCode, resp.Header, data}
 }
 
-func mustDo(t *testing.T, method, url, body string) []byte {
+// ok is the reply's body; a status outside 2xx fails the test.
+func (r reply) ok(t *testing.T) []byte {
 	t.Helper()
-	code, data := httpDo(t, method, url, body)
-	if code/100 != 2 {
-		t.Fatalf("%s %s: HTTP %d: %s", method, url, code, data)
+	if r.code/100 != 2 {
+		t.Fatalf("%s: HTTP %d: %s", r.req, r.code, r.body)
 	}
-	return data
+	return r.body
 }
 
 // snapshotAll fetches every recovery family's serialized envelope and
@@ -93,19 +99,19 @@ func snapshotAll(t *testing.T, base string) (snaps map[string][]byte, queries ma
 	t.Helper()
 	snaps, queries = map[string][]byte{}, map[string][]byte{}
 	for _, f := range recoveryFamilies {
-		snaps[f.typ] = mustDo(t, "GET", base+"/v1/sketch/dur-"+f.typ+"/snapshot", "")
-		queries[f.typ] = mustDo(t, "GET", base+"/v1/sketch/dur-"+f.typ+"/query", "")
+		snaps[f.typ] = do(t, "GET", base+"/v1/sketch/dur-"+f.typ+"/snapshot", "").ok(t)
+		queries[f.typ] = do(t, "GET", base+"/v1/sketch/dur-"+f.typ+"/query", "").ok(t)
 	}
 	return snaps, queries
 }
 
 func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 
 	for _, f := range recoveryFamilies {
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/dur-"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ))
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/dur-"+f.typ+"/add", f.batch(0))
+		do(t, "POST", ts1.URL+"/v1/sketch/dur-"+f.typ, fmt.Sprintf(`{"type":%q}`, f.typ)).ok(t)
+		do(t, "POST", ts1.URL+"/v1/sketch/dur-"+f.typ+"/add", f.batch(0)).ok(t)
 	}
 	// Snapshot mid-stream so recovery exercises snapshot + WAL tail,
 	// not the WAL alone.
@@ -114,7 +120,7 @@ func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 	}
 	for round := 1; round <= 3; round++ {
 		for _, f := range recoveryFamilies {
-			mustDo(t, "POST", ts1.URL+"/v1/sketch/dur-"+f.typ+"/add", f.batch(round))
+			do(t, "POST", ts1.URL+"/v1/sketch/dur-"+f.typ+"/add", f.batch(round)).ok(t)
 		}
 	}
 	wantSnaps, wantQueries := snapshotAll(t, ts1.URL)
@@ -127,7 +133,7 @@ func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 	ts1.Close()
 	s1.dur.Kill()
 
-	s2, ts2, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	s2, ts2, stats := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	if stats.SketchesLoaded != len(recoveryFamilies) {
 		t.Fatalf("recovered %d sketches from snapshot, want %d (stats %+v)",
 			stats.SketchesLoaded, len(recoveryFamilies), stats)
@@ -151,7 +157,7 @@ func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 	// The recovered server keeps working: new ingest, then a clean
 	// shutdown whose final snapshot alone must carry the state.
 	for _, f := range recoveryFamilies {
-		mustDo(t, "POST", ts2.URL+"/v1/sketch/dur-"+f.typ+"/add", f.batch(4))
+		do(t, "POST", ts2.URL+"/v1/sketch/dur-"+f.typ+"/add", f.batch(4)).ok(t)
 	}
 	wantSnaps, _ = snapshotAll(t, ts2.URL)
 	ts2.Close()
@@ -159,7 +165,7 @@ func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 		t.Fatalf("CloseDurability: %v", err)
 	}
 
-	_, ts3, stats3 := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts3, stats3 := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	if stats3.RecordsReplayed != 0 {
 		t.Fatalf("after clean shutdown, replayed %d records, want 0 (final snapshot covers all)",
 			stats3.RecordsReplayed)
@@ -186,7 +192,7 @@ func TestCrashRecoveryAcrossFamilies(t *testing.T) {
 // wrong LSN would double or drop.
 func TestSnapshotCutUnderIngestRecoversExactly(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	batches := map[string]func(int) string{
 		"blockedbloom": func(r int) string { return fmt.Sprintf("member-%d\nmember-%d-x", r, r) },
 		"countsketch":  func(r int) string { return fmt.Sprintf("hot\t3\ncold-%d\t-1", r) },
@@ -195,7 +201,7 @@ func TestSnapshotCutUnderIngestRecoversExactly(t *testing.T) {
 		batches[f.typ] = f.batch
 	}
 	for typ := range batches {
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/cut-"+typ, fmt.Sprintf(`{"type":%q}`, typ))
+		do(t, "POST", ts1.URL+"/v1/sketch/cut-"+typ, fmt.Sprintf(`{"type":%q}`, typ)).ok(t)
 	}
 
 	const writers = 4
@@ -250,7 +256,7 @@ func TestSnapshotCutUnderIngestRecoversExactly(t *testing.T) {
 
 	want := map[string][]byte{}
 	for typ := range batches {
-		want[typ] = mustDo(t, "GET", ts1.URL+"/v1/sketch/cut-"+typ+"/snapshot", "")
+		want[typ] = do(t, "GET", ts1.URL+"/v1/sketch/cut-"+typ+"/snapshot", "").ok(t)
 	}
 	wantN := map[string]uint64{}
 	for _, typ := range []string{"kll", "reservoir"} {
@@ -262,7 +268,7 @@ func TestSnapshotCutUnderIngestRecoversExactly(t *testing.T) {
 	ts1.Close()
 	s1.dur.Kill()
 
-	_, ts2, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts2, stats := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	if stats.SketchesLoaded != len(batches) {
 		t.Fatalf("recovered %d sketches from the snapshot, want %d (stats %+v)", stats.SketchesLoaded, len(batches), stats)
 	}
@@ -270,7 +276,7 @@ func TestSnapshotCutUnderIngestRecoversExactly(t *testing.T) {
 		if _, drawn := wantN[typ]; drawn {
 			continue
 		}
-		if got := mustDo(t, "GET", ts2.URL+"/v1/sketch/cut-"+typ+"/snapshot", ""); !bytes.Equal(got, want[typ]) {
+		if got := do(t, "GET", ts2.URL+"/v1/sketch/cut-"+typ+"/snapshot", "").ok(t); !bytes.Equal(got, want[typ]) {
 			t.Errorf("%s: recovered snapshot differs (%d bytes vs %d)", typ, len(got), len(want[typ]))
 		}
 	}
@@ -287,7 +293,7 @@ func queryN(t *testing.T, sketchURL string) uint64 {
 	var doc struct {
 		N uint64 `json:"n"`
 	}
-	if err := json.Unmarshal(mustDo(t, "GET", sketchURL+"/query", ""), &doc); err != nil {
+	if err := json.Unmarshal(do(t, "GET", sketchURL+"/query", "").ok(t), &doc); err != nil {
 		t.Fatal(err)
 	}
 	return doc.N
@@ -298,13 +304,13 @@ func queryN(t *testing.T, sketchURL string) uint64 {
 // one envelope however many sketches there are — not every envelope
 // and then a copy of the whole file.
 func TestSnapshotCutHoldsOneEnvelope(t *testing.T) {
-	s1, ts1, _ := durableServer(t, t.TempDir(), durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, nil, t.TempDir(), durable.Options{FsyncInterval: 0})
 	for i := 0; i < 4; i++ {
 		url := fmt.Sprintf("%s/v1/sketch/cm-%d", ts1.URL, i)
-		mustDo(t, "POST", url, `{"type":"countmin","width":65536,"depth":4}`)
-		mustDo(t, "POST", url+"/add", "hot\t3\ncold")
+		do(t, "POST", url, `{"type":"countmin","width":65536,"depth":4}`).ok(t)
+		do(t, "POST", url+"/add", "hot\t3\ncold").ok(t)
 	}
-	envelope := len(mustDo(t, "GET", ts1.URL+"/v1/sketch/cm-0/snapshot", ""))
+	envelope := len(do(t, "GET", ts1.URL+"/v1/sketch/cm-0/snapshot", "").ok(t))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if err := s1.dur.SnapshotNow(); err != nil {
@@ -322,7 +328,7 @@ func TestSnapshotCutHoldsOneEnvelope(t *testing.T) {
 // for four 2 MB Count-Min rows, a 4.8 MB blocked Bloom filter and a
 // full SF-sketch.
 func TestSnapshotCutAllocatesNoEnvelope(t *testing.T) {
-	s1, ts1, _ := durableServer(t, t.TempDir(), durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, nil, t.TempDir(), durable.Options{FsyncInterval: 0})
 	creates := map[string]string{
 		"bb": `{"type":"blockedbloom","n":4000000,"fpr":0.01}`,
 		"sf": `{"type":"sfsketch"}`,
@@ -333,9 +339,9 @@ func TestSnapshotCutAllocatesNoEnvelope(t *testing.T) {
 	total := 0
 	for name, req := range creates {
 		url := ts1.URL + "/v1/sketch/" + name
-		mustDo(t, "POST", url, req)
-		mustDo(t, "POST", url+"/add", "hot\t3\ncold")
-		total += len(mustDo(t, "GET", url+"/snapshot", ""))
+		do(t, "POST", url, req).ok(t)
+		do(t, "POST", url+"/add", "hot\t3\ncold").ok(t)
+		total += len(do(t, "GET", url+"/snapshot", "").ok(t))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -367,10 +373,10 @@ func activeWAL(t *testing.T, dir string) string {
 func countAfterDamage(t *testing.T, batches int, damage func(path string, data []byte)) uint64 {
 	t.Helper()
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/cm", `{"type":"countmin"}`)
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
+	do(t, "POST", ts1.URL+"/v1/sketch/cm", `{"type":"countmin"}`).ok(t)
 	for i := 0; i < batches; i++ {
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/cm/add", "x")
+		do(t, "POST", ts1.URL+"/v1/sketch/cm/add", "x").ok(t)
 	}
 	if err := s1.dur.Sync(); err != nil {
 		t.Fatal(err)
@@ -385,11 +391,11 @@ func countAfterDamage(t *testing.T, batches int, damage func(path string, data [
 	}
 	damage(path, data)
 
-	_, ts2, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts2, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	var doc struct {
 		Estimate uint64 `json:"estimate"`
 	}
-	if err := json.Unmarshal(mustDo(t, "GET", ts2.URL+"/v1/sketch/cm/query?item=x", ""), &doc); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts2.URL+"/v1/sketch/cm/query?item=x", "").ok(t), &doc); err != nil {
 		t.Fatal(err)
 	}
 	return doc.Estimate
@@ -446,23 +452,23 @@ func TestRecoveryBitFlip(t *testing.T) {
 
 func TestRecoveryDeleteRecreate(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/a", `{"type":"hll"}`)
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/a/add", "one\ntwo\nthree")
-	mustDo(t, "DELETE", ts1.URL+"/v1/sketch/a", "")
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/a", `{"type":"countmin"}`)
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/a/add", "x\t7")
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
+	do(t, "POST", ts1.URL+"/v1/sketch/a", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/a/add", "one\ntwo\nthree").ok(t)
+	do(t, "DELETE", ts1.URL+"/v1/sketch/a", "").ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/a", `{"type":"countmin"}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/a/add", "x\t7").ok(t)
 	if err := s1.dur.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
 	s1.dur.Kill()
 
-	_, ts2, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts2, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	var doc struct {
 		Estimate uint64 `json:"estimate"`
 	}
-	if err := json.Unmarshal(mustDo(t, "GET", ts2.URL+"/v1/sketch/a/query?item=x", ""), &doc); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts2.URL+"/v1/sketch/a/query?item=x", "").ok(t), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Estimate != 7 {
@@ -473,7 +479,7 @@ func TestRecoveryDeleteRecreate(t *testing.T) {
 			Name, Type string
 		} `json:"sketches"`
 	}
-	if err := json.Unmarshal(mustDo(t, "GET", ts2.URL+"/v1/sketch", ""), &listDoc); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts2.URL+"/v1/sketch", "").ok(t), &listDoc); err != nil {
 		t.Fatal(err)
 	}
 	if len(listDoc.Sketches) != 1 || listDoc.Sketches[0].Type != "countmin" {
@@ -488,23 +494,23 @@ func TestRecoveryDeleteRecreate(t *testing.T) {
 // it recovers the bytes it served.
 func TestRecoveryCreateNamingShards(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	creates := map[string]string{
 		"typed":  `{"type":"hll","p":10,"shards":4}`,
 		"params": `{"type":"hll","params":{"p":10,"shards":4}}`,
 	}
 	for name, body := range creates {
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/"+name, body)
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/"+name+"/add", "a\nb\nc")
+		do(t, "POST", ts1.URL+"/v1/sketch/"+name, body).ok(t)
+		do(t, "POST", ts1.URL+"/v1/sketch/"+name+"/add", "a\nb\nc").ok(t)
 	}
 	if err := s1.dur.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/late", creates["params"])
+	do(t, "POST", ts1.URL+"/v1/sketch/late", creates["params"]).ok(t)
 	want := map[string][]byte{}
 	for _, name := range []string{"typed", "params", "late"} {
-		mustDo(t, "POST", ts1.URL+"/v1/sketch/"+name+"/add", "d\ne")
-		want[name] = mustDo(t, "GET", ts1.URL+"/v1/sketch/"+name+"/snapshot", "")
+		do(t, "POST", ts1.URL+"/v1/sketch/"+name+"/add", "d\ne").ok(t)
+		want[name] = do(t, "GET", ts1.URL+"/v1/sketch/"+name+"/snapshot", "").ok(t)
 	}
 	if err := s1.dur.Sync(); err != nil {
 		t.Fatal(err)
@@ -512,12 +518,12 @@ func TestRecoveryCreateNamingShards(t *testing.T) {
 	ts1.Close()
 	s1.dur.Kill()
 
-	_, ts2, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts2, stats := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	if stats.SketchesLoaded != 2 {
 		t.Errorf("loaded %d sketches from the snapshot, want 2 (stats %+v)", stats.SketchesLoaded, stats)
 	}
 	for name, w := range want {
-		if got := mustDo(t, "GET", ts2.URL+"/v1/sketch/"+name+"/snapshot", ""); !bytes.Equal(got, w) {
+		if got := do(t, "GET", ts2.URL+"/v1/sketch/"+name+"/snapshot", "").ok(t); !bytes.Equal(got, w) {
 			t.Errorf("%s: recovered %d bytes, served %d", name, len(got), len(w))
 		}
 	}
@@ -525,22 +531,22 @@ func TestRecoveryCreateNamingShards(t *testing.T) {
 
 func TestRecoveryMergeRecord(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/m", `{"type":"hll"}`)
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/m/add", "a\nb")
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/peer", `{"type":"hll"}`)
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/peer/add", "c\nd\ne")
-	peer := mustDo(t, "GET", ts1.URL+"/v1/sketch/peer/snapshot", "")
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/m/merge", string(peer))
-	want := mustDo(t, "GET", ts1.URL+"/v1/sketch/m/snapshot", "")
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
+	do(t, "POST", ts1.URL+"/v1/sketch/m", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/m/add", "a\nb").ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/peer", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/peer/add", "c\nd\ne").ok(t)
+	peer := do(t, "GET", ts1.URL+"/v1/sketch/peer/snapshot", "").ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/m/merge", string(peer)).ok(t)
+	want := do(t, "GET", ts1.URL+"/v1/sketch/m/snapshot", "").ok(t)
 	if err := s1.dur.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
 	s1.dur.Kill()
 
-	_, ts2, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
-	got := mustDo(t, "GET", ts2.URL+"/v1/sketch/m/snapshot", "")
+	_, ts2, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
+	got := do(t, "GET", ts2.URL+"/v1/sketch/m/snapshot", "").ok(t)
 	if !bytes.Equal(got, want) {
 		t.Fatal("merge record not replayed to byte-identical state")
 	}
@@ -548,14 +554,14 @@ func TestRecoveryMergeRecord(t *testing.T) {
 
 func TestStatusDurabilityFields(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/st", `{"type":"hll"}`)
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/st/add", "a\nb\nc")
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
+	do(t, "POST", ts1.URL+"/v1/sketch/st", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/st/add", "a\nb\nc").ok(t)
 	if err := s1.dur.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	var doc StatusResponse
-	if err := json.Unmarshal(mustDo(t, "GET", ts1.URL+"/v1/status", ""), &doc); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts1.URL+"/v1/status", "").ok(t), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if !doc.Durability.Enabled {
@@ -570,7 +576,7 @@ func TestStatusDurabilityFields(t *testing.T) {
 	if err := s1.dur.SnapshotNow(); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(mustDo(t, "GET", ts1.URL+"/v1/status", ""), &doc); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts1.URL+"/v1/status", "").ok(t), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Durability.LastSnapshotLSN != 2 {
@@ -578,9 +584,8 @@ func TestStatusDurabilityFields(t *testing.T) {
 	}
 
 	// In-memory server: the block reports disabled.
-	ts2 := httptest.NewServer(New().Handler())
-	defer ts2.Close()
-	if err := json.Unmarshal(mustDo(t, "GET", ts2.URL+"/v1/status", ""), &doc); err != nil {
+	ts2 := serveLoop(t, New().Handler(), nil)
+	if err := json.Unmarshal(do(t, "GET", ts2.URL+"/v1/status", "").ok(t), &doc); err != nil {
 		t.Fatal(err)
 	}
 	if doc.Durability.Enabled {

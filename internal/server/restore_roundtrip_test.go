@@ -7,7 +7,6 @@ package server_test
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/durable"
@@ -26,13 +25,6 @@ func splitLines(batch string) [][]byte {
 		}
 	}
 	return out
-}
-
-func newTestServerFor(t *testing.T, srv *server.Server) (*httptest.Server, *client.Client) {
-	t.Helper()
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts, client.New(ts.URL)
 }
 
 // TestRestoreEntryEveryServableFamily pins the recovery invariant for
@@ -127,8 +119,7 @@ func TestClientStatus(t *testing.T) {
 	if _, err := srv.EnableDurability(t.TempDir(), durable.Options{FsyncInterval: 0}); err != nil {
 		t.Fatalf("EnableDurability: %v", err)
 	}
-	ts, cl := newTestServerFor(t, srv)
-	_ = ts
+	cl := client.New(server.ServeLoop(t, srv.Handler(), nil).URL)
 	if err := cl.Create("s", server.CreateRequest{Type: "hll"}); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +137,7 @@ func TestClientStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, cl2 := newTestServer(t)
+	cl2 := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	st2, err := cl2.Status()
 	if err != nil {
 		t.Fatalf("Status: %v", err)

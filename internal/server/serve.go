@@ -53,12 +53,31 @@ type HTTPServer struct {
 	conns     map[*conn]struct{}
 }
 
+// Listen listens on addr and serves h there through a new HTTPServer
+// on a goroutine of its own, as sketchd serves; it returns the server
+// and its base URL. Close or Shutdown stops it.
+func Listen(addr string, h http.Handler) (*HTTPServer, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	s := &HTTPServer{Handler: h}
+	go func() {
+		if err := s.Serve(ln); err != http.ErrServerClosed {
+			log.Printf("sketchd: serving %s: %v", ln.Addr(), err)
+		}
+	}()
+	return s, "http://" + ln.Addr().String(), nil
+}
+
 // Serve accepts connections on ln and serves each on a goroutine of its
 // own, until Shutdown or Close, when it returns http.ErrServerClosed.
+// ln is closed when it returns, as http.Server's Serve leaves it.
 func (s *HTTPServer) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closing.Load() {
 		s.mu.Unlock()
+		ln.Close()
 		return http.ErrServerClosed
 	}
 	if s.listeners == nil {
@@ -517,14 +536,18 @@ func (w *response) finish() {
 	if w.chunked {
 		bw.WriteString("0\r\n\r\n")
 	}
-	if bw.Flush() != nil {
+	flushed := bw.Flush() == nil
+	if !flushed {
 		w.closeAfter = true
 	}
 	if w.req.Method != "HEAD" && w.clen != -1 && bodyAllowed(w.status) && w.clen != w.written {
 		w.closeAfter = true // the reply fell short of its length
 	}
-	if !w.closeAfter && w.req.ContentLength != 0 && !w.c.drain(w.req.Body) {
-		w.closeAfter, w.unread = true, true // the handler read on past its header
+	// The body the handler left is read off even when the connection
+	// closes, as http.Server's body Close does: a close on unread bytes
+	// resets the connection, and the client can lose the reply.
+	if w.req.ContentLength != 0 && flushed && !w.unread && !w.req.Close && (w.cont == nil || w.cont.sawEOF) && !w.c.drain(w.req.Body) {
+		w.closeAfter, w.unread = true, true
 	}
 }
 
@@ -600,8 +623,7 @@ func (w *response) writeHeader(done bool, p []byte) {
 		delete(h, "Transfer-Encoding")
 	}
 	if w.closeAfter && (closing || !hasToken(get(h, "Connection"), "close")) {
-		delete(h, "Connection")
-		setConn = ""
+		delete(h, "Connection") // an HTTP/1.0 reply keeps the setConn chosen above, as http.Server's does
 		if req.ProtoAtLeast(1, 1) {
 			setConn = "close"
 		}

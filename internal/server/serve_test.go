@@ -27,9 +27,20 @@ import (
 	"repro/internal/durable"
 )
 
+// served is a handler serveLoop serves, at URL.
+type served struct {
+	*HTTPServer
+	URL string
+}
+
+// ServeLoop is serveLoop, for this directory's external test package.
+var ServeLoop = serveLoop
+
 // serveLoop serves h through an HTTPServer on a loopback listener ln
-// (a fresh one when nil) and returns the server and its address.
-func serveLoop(t *testing.T, h http.Handler, ln net.Listener) (*HTTPServer, string) {
+// (a fresh one when nil) until the test ends. It is this package's one
+// way to serve a handler: its cleanup checks that Serve returned
+// http.ErrServerClosed and that every connection's goroutine ended.
+func serveLoop(t *testing.T, h http.Handler, ln net.Listener) served {
 	t.Helper()
 	if ln == nil {
 		var err error
@@ -51,12 +62,13 @@ func serveLoop(t *testing.T, h http.Handler, ln net.Listener) (*HTTPServer, stri
 			return len(hs.conns) == 0
 		})
 	})
-	return hs, ln.Addr().String()
+	return served{hs, "http://" + ln.Addr().String()}
 }
 
-func dial(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+// dial connects to the base URL of a served handler.
+func dial(t *testing.T, base string) (net.Conn, *bufio.Reader) {
 	t.Helper()
-	c, err := net.Dial("tcp", addr)
+	c, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +119,8 @@ func addRequest(path, body string) string {
 
 func TestServeByteAtATime(t *testing.T) {
 	srv := New()
-	_, addr := serveLoop(t, srv.Handler(), nil)
-	c, br := dial(t, addr)
+	base := serveLoop(t, srv.Handler(), nil).URL
+	c, br := dial(t, base)
 	for _, tc := range []struct{ method, raw string }{
 		{"POST", addRequest("/v1/sketch/cm", `{"type":"countmin","width":1024,"depth":4}`)},
 		{"POST", addRequest("/v1/sketch/cm/add", "a\t3\nb\nc\t2\n")},
@@ -141,18 +153,18 @@ func TestServeHeaderStallIsClosed(t *testing.T) {
 	t.Cleanup(func() { headerTimeout = old }) // after serveLoop's cleanup: its connections have ended
 	headerTimeout = 200 * time.Millisecond
 	srv := New()
-	_, addr := serveLoop(t, srv.Handler(), nil)
+	base := serveLoop(t, srv.Handler(), nil).URL
 
 	// A connection's first request, stalled in its header. (Stalled
 	// inside a line, the part read is parsed as a line, and the reply
 	// before the close is a 400, as with http.Server.)
-	c, br := dial(t, addr)
+	c, br := dial(t, base)
 	c.Write([]byte("GET /v1/types HTTP/1.1\r\nHost: x\r\n"))
 	expectClosed(t, br, 5*time.Second)
 
 	// A kept-alive connection: idle, it has no deadline; the header that
 	// then starts does.
-	c, br = dial(t, addr)
+	c, br = dial(t, base)
 	for i := 0; i < 2; i++ {
 		c.Write([]byte("GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n"))
 		if resp, _ := readReply(t, br, "GET"); resp.StatusCode != http.StatusOK {
@@ -172,8 +184,9 @@ func TestServeResetMidBodyAppliesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.CloseDurability()
-	hs, addr := serveLoop(t, srv.Handler(), nil)
-	c, br := dial(t, addr)
+	hs := serveLoop(t, srv.Handler(), nil)
+	base := hs.URL
+	c, br := dial(t, base)
 	c.Write([]byte(addRequest("/v1/sketch/h", `{"type":"hll","p":10}`)))
 	readReply(t, br, "POST")
 	c.Write([]byte(addRequest("/v1/sketch/h/add", "a\nb\nc\n")))
@@ -185,7 +198,7 @@ func TestServeResetMidBodyAppliesNothing(t *testing.T) {
 	}
 	env, lsn := snapshot(), srv.DurabilityStatus().WALLSN
 
-	rc, _ := dial(t, addr)
+	rc, _ := dial(t, base)
 	fmt.Fprintf(rc, "POST /v1/sketch/h/add HTTP/1.1\r\nHost: x\r\nContent-Length: 100000\r\n\r\n")
 	rc.Write(bytes.Repeat([]byte("item\n"), 4000)) // 20 KB of 100
 	time.Sleep(50 * time.Millisecond)
@@ -215,8 +228,8 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestServePipelinedRepliesInOrder(t *testing.T) {
-	_, addr := serveLoop(t, New().Handler(), nil)
-	c, br := dial(t, addr)
+	base := serveLoop(t, New().Handler(), nil).URL
+	c, br := dial(t, base)
 	create := addRequest("/v1/sketch/p", `{"type":"hll","p":10}`)
 	c.Write([]byte(create + create + "GET /v1/sketch/p/query HTTP/1.1\r\nHost: x\r\n\r\n"))
 	for i, want := range []int{http.StatusCreated, http.StatusConflict, http.StatusOK} {
@@ -231,8 +244,8 @@ func TestServePipelinedRepliesInOrder(t *testing.T) {
 }
 
 func TestServeOversizedHeaderIs431(t *testing.T) {
-	_, addr := serveLoop(t, New().Handler(), nil)
-	c, br := dial(t, addr)
+	base := serveLoop(t, New().Handler(), nil).URL
+	c, br := dial(t, base)
 	go func() {
 		fmt.Fprintf(c, "GET /v1/types HTTP/1.1\r\nHost: x\r\nX-Big: %s\r\n\r\n", strings.Repeat("a", maxHeaderBytes+8192))
 	}()
@@ -278,8 +291,8 @@ func TestServeBodyPastMaxIs413(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln := &countingListener{Listener: inner}
-	_, addr := serveLoop(t, srv.Handler(), ln)
-	c, br := dial(t, addr)
+	base := serveLoop(t, srv.Handler(), ln).URL
+	c, br := dial(t, base)
 	c.Write([]byte(addRequest("/v1/sketch/h", `{"type":"hll","p":10}`)))
 	readReply(t, br, "POST")
 	before := ln.read.Load()
@@ -314,13 +327,13 @@ func TestServeHandlerPanicClosesOnlyItsConnection(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/panic", func(http.ResponseWriter, *http.Request) { panic("boom") })
 	mux.Handle("/", New().Handler())
-	_, addr := serveLoop(t, mux, nil)
+	base := serveLoop(t, mux, nil).URL
 
-	idle, idleBr := dial(t, addr)
+	idle, idleBr := dial(t, base)
 	idle.Write([]byte("GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n"))
 	readReply(t, idleBr, "GET")
 
-	c, br := dial(t, addr)
+	c, br := dial(t, base)
 	c.Write([]byte("GET /panic HTTP/1.1\r\nHost: x\r\n\r\n"))
 	expectClosed(t, br, 5*time.Second)
 
@@ -329,7 +342,7 @@ func TestServeHandlerPanicClosesOnlyItsConnection(t *testing.T) {
 		br *bufio.Reader
 	}{{idle, idleBr}, {}} {
 		if cc.c == nil {
-			cc.c, cc.br = dial(t, addr)
+			cc.c, cc.br = dial(t, base)
 		}
 		cc.c.Write([]byte("GET /v1/status HTTP/1.1\r\nHost: x\r\n\r\n"))
 		if resp, _ := readReply(t, cc.br, "GET"); resp.StatusCode != http.StatusOK {
@@ -363,16 +376,9 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 			late.Add(1)
 		}
 	})
-	hs := &HTTPServer{Handler: slow}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go hs.Serve(ln)
-	defer hs.Close()
-	addr := ln.Addr().String()
-
-	c, br := dial(t, addr)
+	hs := serveLoop(t, slow, nil)
+	base := hs.URL
+	c, br := dial(t, base)
 	c.Write([]byte(addRequest("/v1/sketch/cm", `{"type":"countmin","width":65536,"depth":4}`)))
 	readReply(t, br, "POST") // and c stays, idle
 
@@ -383,7 +389,7 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 		wg.Add(1)
 		go func(client int) {
 			defer wg.Done()
-			c, err := net.Dial("tcp", addr)
+			c, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -454,6 +460,25 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// Serve on a server already closed returns at once and leaves nothing
+// listening: a dial to its port is refused, as after http.Server's.
+func TestServeAfterCloseClosesListener(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hs := &HTTPServer{Handler: New().Handler()}
+	hs.Close()
+	if err := hs.Serve(ln); err != http.ErrServerClosed {
+		t.Fatalf("Serve after Close: %v, want http.ErrServerClosed", err)
+	}
+	if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+		c.Close()
+		t.Fatal("a dial after Serve returned was accepted: the listener is still open")
+	}
+}
+
 func batchLines(batch int) string {
 	var b strings.Builder
 	for i := 0; i < 32; i++ {
@@ -471,8 +496,8 @@ func TestReplFileIsSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.CloseDurability()
-	_, addr := serveLoop(t, srv.Handler(), nil)
-	c, br := dial(t, addr)
+	base := serveLoop(t, srv.Handler(), nil).URL
+	c, br := dial(t, base)
 	for _, raw := range []string{
 		addRequest("/v1/sketch/h", `{"type":"hll","p":10}`),
 		addRequest("/v1/sketch/h/add", strings.Repeat("item\n", 1000)),

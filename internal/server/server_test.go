@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"strings"
@@ -17,15 +16,8 @@ import (
 	"repro/internal/server/client"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *client.Client) {
-	t.Helper()
-	ts := httptest.NewServer(server.New().Handler())
-	t.Cleanup(ts.Close)
-	return ts, client.New(ts.URL)
-}
-
 func TestHLLLifecycle(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	if err := cl.Create("users", server.CreateRequest{Type: "hll", P: 12, Seed: 1}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -83,7 +75,7 @@ func TestHLLLifecycle(t *testing.T) {
 }
 
 func TestCountMinLifecycle(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	if err := cl.Create("freq", server.CreateRequest{Type: "countmin", Width: 2048, Depth: 4, Seed: 7}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
@@ -127,7 +119,7 @@ func TestCountMinLifecycle(t *testing.T) {
 }
 
 func TestBloomKLLTheta(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	// Bloom.
 	if err := cl.Create("seen", server.CreateRequest{Type: "bloom", NItems: 1000, FPR: 0.01, Seed: 3}); err != nil {
 		t.Fatalf("create bloom: %v", err)
@@ -202,7 +194,8 @@ func TestBloomKLLTheta(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	ts, cl := newTestServer(t)
+	ts := server.ServeLoop(t, server.New().Handler(), nil)
+	cl := client.New(ts.URL)
 
 	post := func(path, body string) int {
 		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(body))
@@ -262,7 +255,7 @@ func TestHTTPErrors(t *testing.T) {
 }
 
 func TestStatszCounters(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	if err := cl.Create("s", server.CreateRequest{Type: "hll"}); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +292,7 @@ func TestStatszCounters(t *testing.T) {
 // envelopes, and readers pull snapshots, estimates and statsz, all
 // against one sketch, all at once.
 func TestConcurrentAddMergeSnapshot(t *testing.T) {
-	_, cl := newTestServer(t)
+	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
 	if err := cl.Create("race", server.CreateRequest{Type: "hll", P: 12, Seed: 1, Params: map[string]float64{"shards": 4}}); err != nil {
 		t.Fatal(err)
 	}

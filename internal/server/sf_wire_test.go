@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/durable"
@@ -17,40 +16,20 @@ import (
 	typereg "repro/internal/registry"
 )
 
-func getWire(t *testing.T, base, name, wire string) ([]byte, string) {
-	t.Helper()
-	url := base + "/v1/sketch/" + name + "/snapshot"
-	if wire != "" {
-		url += "?wire=" + wire
-	}
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, buf.String())
-	}
-	return buf.Bytes(), resp.Header.Get("X-Sketch-Wire")
-}
-
 func TestSnapshotWireSlim(t *testing.T) {
-	ts := httptest.NewServer(New().Handler())
-	defer ts.Close()
-	mustDo(t, "POST", ts.URL+"/v1/sketch/sf", `{"type":"sfsketch","width":64,"depth":3}`)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/sf/add", "alpha\t5\nbeta\t2\ngamma")
-	mustDo(t, "POST", ts.URL+"/v1/sketch/hll-full", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/hll-full/add", "a\nb\nc")
+	ts := serveLoop(t, New().Handler(), nil)
+	do(t, "POST", ts.URL+"/v1/sketch/sf", `{"type":"sfsketch","width":64,"depth":3}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/sf/add", "alpha\t5\nbeta\t2\ngamma").ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/hll-full", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/sketch/hll-full/add", "a\nb\nc").ok(t)
 
-	full, hdr := getWire(t, ts.URL, "sf", "")
+	r := do(t, "GET", ts.URL+"/v1/sketch/sf/snapshot", "")
+	full, hdr := r.ok(t), r.header.Get("X-Sketch-Wire")
 	if hdr != "" {
 		t.Fatalf("full snapshot carries X-Sketch-Wire=%q", hdr)
 	}
-	slim, hdr := getWire(t, ts.URL, "sf", "slim")
+	r = do(t, "GET", ts.URL+"/v1/sketch/sf/snapshot?wire=slim", "")
+	slim, hdr := r.ok(t), r.header.Get("X-Sketch-Wire")
 	if hdr != "slim" {
 		t.Fatalf("slim snapshot header = %q, want slim", hdr)
 	}
@@ -74,23 +53,24 @@ func TestSnapshotWireSlim(t *testing.T) {
 
 	// Families without a slim form answer ?wire=slim with their full
 	// envelope and no header — the hint is safe everywhere.
-	hfull, _ := getWire(t, ts.URL, "hll-full", "")
-	hslim, hdr := getWire(t, ts.URL, "hll-full", "slim")
+	hfull := do(t, "GET", ts.URL+"/v1/sketch/hll-full/snapshot", "").ok(t)
+	r = do(t, "GET", ts.URL+"/v1/sketch/hll-full/snapshot?wire=slim", "")
+	hslim, hdr := r.ok(t), r.header.Get("X-Sketch-Wire")
 	if hdr != "" || !bytes.Equal(hfull, hslim) {
 		t.Fatalf("hll ?wire=slim: header %q, bytes equal %v — want full fallback", hdr, bytes.Equal(hfull, hslim))
 	}
 
 	// Explicit ?wire=full and the default agree; junk modes are a 400.
-	if f2, _ := getWire(t, ts.URL, "sf", "full"); !bytes.Equal(full, f2) {
+	if f2 := do(t, "GET", ts.URL+"/v1/sketch/sf/snapshot?wire=full", "").ok(t); !bytes.Equal(full, f2) {
 		t.Fatal("?wire=full differs from the default snapshot")
 	}
-	if code, _ := httpDo(t, "GET", ts.URL+"/v1/sketch/sf/snapshot?wire=thin", ""); code != http.StatusBadRequest {
+	if code := do(t, "GET", ts.URL+"/v1/sketch/sf/snapshot?wire=thin", "").code; code != http.StatusBadRequest {
 		t.Fatalf("?wire=thin: HTTP %d, want 400", code)
 	}
 
 	// The wire counters saw exactly the traffic above.
 	var st StatusResponse
-	if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/status", ""), &st); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/status", "").ok(t), &st); err != nil {
 		t.Fatal(err)
 	}
 	byType := map[string]WireStat{}
@@ -112,14 +92,12 @@ func TestSnapshotWireSlim(t *testing.T) {
 func TestSaltSeedsDerivation(t *testing.T) {
 	salted := New()
 	salted.SetSaltSeeds(true)
-	ts := httptest.NewServer(salted.Handler())
-	defer ts.Close()
-	plainSrv := httptest.NewServer(New().Handler())
-	defer plainSrv.Close()
+	ts := serveLoop(t, salted.Handler(), nil)
+	plainSrv := serveLoop(t, New().Handler(), nil)
 
 	seedOf := func(base, name string) uint64 {
 		t.Helper()
-		env := mustDo(t, "GET", base+"/v1/sketch/"+name+"/snapshot", "")
+		env := do(t, "GET", base+"/v1/sketch/"+name+"/snapshot", "").ok(t)
 		inst, _, err := typereg.Decode(env)
 		if err != nil {
 			t.Fatal(err)
@@ -128,9 +106,9 @@ func TestSaltSeedsDerivation(t *testing.T) {
 	}
 
 	for _, base := range []string{ts.URL, plainSrv.URL} {
-		mustDo(t, "POST", base+"/v1/sketch/a", `{"type":"countmin"}`)
-		mustDo(t, "POST", base+"/v1/sketch/b", `{"type":"countmin"}`)
-		mustDo(t, "POST", base+"/v1/sketch/c", `{"type":"countmin","seed":5}`)
+		do(t, "POST", base+"/v1/sketch/a", `{"type":"countmin"}`).ok(t)
+		do(t, "POST", base+"/v1/sketch/b", `{"type":"countmin"}`).ok(t)
+		do(t, "POST", base+"/v1/sketch/c", `{"type":"countmin","seed":5}`).ok(t)
 	}
 
 	// Unsalted: seedless creates share the default seed. Salted: every
@@ -151,8 +129,8 @@ func TestSaltSeedsDerivation(t *testing.T) {
 	}
 	// A tenant namespace derives differently from the default tenant for
 	// the same sketch name.
-	mustDo(t, "POST", ts.URL+"/v1/t/acme/sketch/a", `{"type":"countmin"}`)
-	env := mustDo(t, "GET", ts.URL+"/v1/t/acme/sketch/a/snapshot", "")
+	do(t, "POST", ts.URL+"/v1/t/acme/sketch/a", `{"type":"countmin"}`).ok(t)
+	env := do(t, "GET", ts.URL+"/v1/t/acme/sketch/a/snapshot", "").ok(t)
 	inst, _, err := typereg.Decode(env)
 	if err != nil {
 		t.Fatal(err)
@@ -172,31 +150,31 @@ func TestSaltSeedsStampedIntoWAL(t *testing.T) {
 	if _, err := s1.EnableDurability(dir, durable.Options{FsyncInterval: 0}); err != nil {
 		t.Fatal(err)
 	}
-	ts1 := httptest.NewServer(s1.Handler())
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/salted", `{"type":"sfsketch","width":64,"depth":3}`)
-	mustDo(t, "POST", ts1.URL+"/v1/sketch/salted/add", "x\t9\ny\nz")
-	mustDo(t, "POST", ts1.URL+"/v1/ingest/groupby?type=countmin&prefix=g-", "k1\thot\t2\nk2\tcold")
-	want := mustDo(t, "GET", ts1.URL+"/v1/sketch/salted/snapshot", "")
-	wantG1 := mustDo(t, "GET", ts1.URL+"/v1/sketch/g-k1/snapshot", "")
+	ts1 := serveLoop(t, s1.Handler(), nil)
+	do(t, "POST", ts1.URL+"/v1/sketch/salted", `{"type":"sfsketch","width":64,"depth":3}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/sketch/salted/add", "x\t9\ny\nz").ok(t)
+	do(t, "POST", ts1.URL+"/v1/ingest/groupby?type=countmin&prefix=g-", "k1\thot\t2\nk2\tcold").ok(t)
+	want := do(t, "GET", ts1.URL+"/v1/sketch/salted/snapshot", "").ok(t)
+	wantG1 := do(t, "GET", ts1.URL+"/v1/sketch/g-k1/snapshot", "").ok(t)
 	if err := s1.dur.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	ts1.Close()
 	s1.dur.Kill()
 
-	s2, ts2, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0}) // salting NOT enabled
+	s2, ts2, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0}) // salting NOT enabled
 	defer s2.CloseDurability()
-	if got := mustDo(t, "GET", ts2.URL+"/v1/sketch/salted/snapshot", ""); !bytes.Equal(got, want) {
+	if got := do(t, "GET", ts2.URL+"/v1/sketch/salted/snapshot", "").ok(t); !bytes.Equal(got, want) {
 		t.Fatal("recovered salted sketch is not byte-identical")
 	}
-	if got := mustDo(t, "GET", ts2.URL+"/v1/sketch/g-k1/snapshot", ""); !bytes.Equal(got, wantG1) {
+	if got := do(t, "GET", ts2.URL+"/v1/sketch/g-k1/snapshot", "").ok(t); !bytes.Equal(got, wantG1) {
 		t.Fatal("recovered salted group sketch is not byte-identical")
 	}
 
 	// Group sketches of one fan-out share the template's derived seed
 	// (one template, one WAL record), and it is not the default.
 	seedFor := func(name string) uint64 {
-		env := mustDo(t, "GET", ts2.URL+"/v1/sketch/"+name+"/snapshot", "")
+		env := do(t, "GET", ts2.URL+"/v1/sketch/"+name+"/snapshot", "").ok(t)
 		inst, _, err := typereg.Decode(env)
 		if err != nil {
 			t.Fatal(err)

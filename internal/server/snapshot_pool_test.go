@@ -27,18 +27,19 @@ func (w *countingWriter) Header() http.Header         { return w.header }
 func (w *countingWriter) WriteHeader(status int)      { w.status = status }
 func (w *countingWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
-func loadedServer(t *testing.T, creates map[string]string) (*Server, *httptest.Server) {
+// loadedServer serves a new server holding the sketches creates makes,
+// each fed one 4096-line batch.
+func loadedServer(t *testing.T, creates map[string]string) (*Server, served) {
 	t.Helper()
 	s := New()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	ts := serveLoop(t, s.Handler(), nil)
 	var body strings.Builder
 	for i := 0; i < 4096; i++ {
 		fmt.Fprintf(&body, "flow%d\t%d\n", i%1500, 1+i%9)
 	}
 	for name, create := range creates {
-		mustDo(t, "POST", ts.URL+"/v1/sketch/"+name, create)
-		mustDo(t, "POST", ts.URL+"/v1/sketch/"+name+"/add", body.String())
+		do(t, "POST", ts.URL+"/v1/sketch/"+name, create).ok(t)
+		do(t, "POST", ts.URL+"/v1/sketch/"+name+"/add", body.String()).ok(t)
 	}
 	return s, ts
 }

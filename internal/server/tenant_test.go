@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -19,21 +18,13 @@ import (
 	"repro/internal/durable"
 )
 
-func inMemoryServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	s := New()
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
-
 // queryEstimate returns the sketch's estimate rounded to the nearest
 // integer — at these tiny cardinalities the HLL estimator is exact up
 // to float noise.
 func queryEstimate(t *testing.T, base, path string) float64 {
 	t.Helper()
 	var doc map[string]any
-	if err := json.Unmarshal(mustDo(t, "GET", base+path, ""), &doc); err != nil {
+	if err := json.Unmarshal(do(t, "GET", base+path, "").ok(t), &doc); err != nil {
 		t.Fatalf("query %s: %v", path, err)
 	}
 	est, ok := doc["estimate"].(float64)
@@ -44,17 +35,17 @@ func queryEstimate(t *testing.T, base, path string) float64 {
 }
 
 func TestTenantIsolation(t *testing.T) {
-	_, ts := inMemoryServer(t)
+	ts := serveLoop(t, New().Handler(), nil)
 
 	// The same sketch name in three namespaces: default (legacy path),
 	// tenant a, tenant b. Same name, independent state.
-	mustDo(t, "POST", ts.URL+"/v1/sketch/users", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/a/sketch/users", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/b/sketch/users", `{"type":"hll"}`)
+	do(t, "POST", ts.URL+"/v1/sketch/users", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/a/sketch/users", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/b/sketch/users", `{"type":"hll"}`).ok(t)
 
-	mustDo(t, "POST", ts.URL+"/v1/sketch/users/add", "d1\nd2")
-	mustDo(t, "POST", ts.URL+"/v1/t/a/sketch/users/add", "a1\na2\na3")
-	mustDo(t, "POST", ts.URL+"/v1/t/b/sketch/users/add", "b1")
+	do(t, "POST", ts.URL+"/v1/sketch/users/add", "d1\nd2").ok(t)
+	do(t, "POST", ts.URL+"/v1/t/a/sketch/users/add", "a1\na2\na3").ok(t)
+	do(t, "POST", ts.URL+"/v1/t/b/sketch/users/add", "b1").ok(t)
 
 	if got := queryEstimate(t, ts.URL, "/v1/sketch/users/query"); got != 2 {
 		t.Errorf("default tenant estimate = %v, want 2", got)
@@ -81,20 +72,20 @@ func TestTenantIsolation(t *testing.T) {
 	}
 
 	// A sketch that exists only in tenant a is invisible elsewhere.
-	mustDo(t, "POST", ts.URL+"/v1/t/a/sketch/only-a", `{"type":"hll"}`)
+	do(t, "POST", ts.URL+"/v1/t/a/sketch/only-a", `{"type":"hll"}`).ok(t)
 	for _, path := range []string{
 		"/v1/sketch/only-a/query",
 		"/v1/t/b/sketch/only-a/query",
 		"/v1/t/missing/sketch/only-a/query",
 	} {
-		if code, _ := httpDo(t, "GET", ts.URL+path, ""); code != http.StatusNotFound {
+		if code := do(t, "GET", ts.URL+path, "").code; code != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, code)
 		}
 	}
 
 	// Deleting tenant a's sketch leaves b's and default's intact.
-	mustDo(t, "DELETE", ts.URL+"/v1/t/a/sketch/users", "")
-	if code, _ := httpDo(t, "GET", ts.URL+"/v1/t/a/sketch/users/query", ""); code != http.StatusNotFound {
+	do(t, "DELETE", ts.URL+"/v1/t/a/sketch/users", "").ok(t)
+	if code := do(t, "GET", ts.URL+"/v1/t/a/sketch/users/query", "").code; code != http.StatusNotFound {
 		t.Errorf("deleted tenant-a sketch still answers: %d", code)
 	}
 	if got := queryEstimate(t, ts.URL, "/v1/t/b/sketch/users/query"); got != 1 {
@@ -105,17 +96,17 @@ func TestTenantIsolation(t *testing.T) {
 	}
 
 	// Bad tenant names reject rather than silently creating namespaces.
-	if code, _ := httpDo(t, "POST", ts.URL+"/v1/t/bad%2Fname/sketch/x", `{"type":"hll"}`); code != http.StatusBadRequest {
+	if code := do(t, "POST", ts.URL+"/v1/t/bad%2Fname/sketch/x", `{"type":"hll"}`).code; code != http.StatusBadRequest {
 		t.Errorf("create under invalid tenant = %d, want 400", code)
 	}
 }
 
 func TestTenantListPagination(t *testing.T) {
-	_, ts := inMemoryServer(t)
+	ts := serveLoop(t, New().Handler(), nil)
 	for i := 0; i < 25; i++ {
-		mustDo(t, "POST", ts.URL+fmt.Sprintf("/v1/t/pag/sketch/p-%02d", i), `{"type":"hll"}`)
+		do(t, "POST", ts.URL+fmt.Sprintf("/v1/t/pag/sketch/p-%02d", i), `{"type":"hll"}`).ok(t)
 	}
-	mustDo(t, "POST", ts.URL+"/v1/t/pag/sketch/q-other", `{"type":"hll"}`)
+	do(t, "POST", ts.URL+"/v1/t/pag/sketch/q-other", `{"type":"hll"}`).ok(t)
 
 	type page struct {
 		Sketches []struct {
@@ -133,7 +124,7 @@ func TestTenantListPagination(t *testing.T) {
 			u += "&cursor=" + cursor
 		}
 		var pg page
-		if err := json.Unmarshal(mustDo(t, "GET", u, ""), &pg); err != nil {
+		if err := json.Unmarshal(do(t, "GET", u, "").ok(t), &pg); err != nil {
 			t.Fatal(err)
 		}
 		pages++
@@ -159,7 +150,7 @@ func TestTenantListPagination(t *testing.T) {
 
 	// The prefix filter excluded q-other; an unfiltered list includes it.
 	var all page
-	if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/t/pag/sketch", ""), &all); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/t/pag/sketch", "").ok(t), &all); err != nil {
 		t.Fatal(err)
 	}
 	if len(all.Sketches) != 26 || all.Truncated {
@@ -168,18 +159,19 @@ func TestTenantListPagination(t *testing.T) {
 }
 
 func TestTenantQuota429(t *testing.T) {
-	s, ts := inMemoryServer(t)
+	s := New()
+	ts := serveLoop(t, s.Handler(), nil)
 	s.SetTenantQuota(TenantQuota{MaxSketches: 2})
 
-	mustDo(t, "POST", ts.URL+"/v1/t/capped/sketch/s1", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/capped/sketch/s2", `{"type":"hll"}`)
-	if code, body := httpDo(t, "POST", ts.URL+"/v1/t/capped/sketch/s3", `{"type":"hll"}`); code != http.StatusTooManyRequests {
-		t.Errorf("create over sketch quota = %d (%s), want 429", code, body)
+	do(t, "POST", ts.URL+"/v1/t/capped/sketch/s1", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/capped/sketch/s2", `{"type":"hll"}`).ok(t)
+	if r := do(t, "POST", ts.URL+"/v1/t/capped/sketch/s3", `{"type":"hll"}`); r.code != http.StatusTooManyRequests {
+		t.Errorf("create over sketch quota = %d (%s), want 429", r.code, r.body)
 	}
 	// The breach is per tenant: another namespace still creates freely.
-	mustDo(t, "POST", ts.URL+"/v1/t/other/sketch/s1", `{"type":"hll"}`)
+	do(t, "POST", ts.URL+"/v1/t/other/sketch/s1", `{"type":"hll"}`).ok(t)
 	// And the capped tenant's existing sketches still serve.
-	mustDo(t, "POST", ts.URL+"/v1/t/capped/sketch/s1/add", "x\ny")
+	do(t, "POST", ts.URL+"/v1/t/capped/sketch/s1/add", "x\ny").ok(t)
 
 	// Byte quota: the resident gauge refreshes on statsz, after which
 	// further ingest into an over-quota tenant answers 429. The cap is
@@ -187,9 +179,9 @@ func TestTenantQuota429(t *testing.T) {
 	// (two sketches) breaches it, "other" (one sketch) does not: the
 	// quota binds per tenant, so one tenant's breach never throttles
 	// another.
-	mustDo(t, "GET", ts.URL+"/debug/statsz", "")
+	do(t, "GET", ts.URL+"/debug/statsz", "").ok(t)
 	var sz Statsz
-	if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/debug/statsz", ""), &sz); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts.URL+"/debug/statsz", "").ok(t), &sz); err != nil {
 		t.Fatal(err)
 	}
 	var one int64
@@ -202,13 +194,13 @@ func TestTenantQuota429(t *testing.T) {
 		t.Fatalf("no resident gauge for tenant other: %+v", sz.Tenants)
 	}
 	s.SetTenantQuota(TenantQuota{MaxBytes: one + one/2})
-	if code, body := httpDo(t, "POST", ts.URL+"/v1/t/capped/sketch/s1/add", "z"); code != http.StatusTooManyRequests {
-		t.Errorf("ingest over byte quota = %d (%s), want 429", code, body)
+	if r := do(t, "POST", ts.URL+"/v1/t/capped/sketch/s1/add", "z"); r.code != http.StatusTooManyRequests {
+		t.Errorf("ingest over byte quota = %d (%s), want 429", r.code, r.body)
 	}
 	// Reads are never quota-gated.
-	mustDo(t, "GET", ts.URL+"/v1/t/capped/sketch/s1/query", "")
+	do(t, "GET", ts.URL+"/v1/t/capped/sketch/s1/query", "").ok(t)
 	// Other tenants' ingest is untouched by the capped tenant's breach.
-	mustDo(t, "POST", ts.URL+"/v1/t/other/sketch/s1/add", "ok")
+	do(t, "POST", ts.URL+"/v1/t/other/sketch/s1/add", "ok").ok(t)
 }
 
 // TestTTLEvictionSurvivesKill9 drives the satellite's core claim: a
@@ -217,22 +209,22 @@ func TestTenantQuota429(t *testing.T) {
 // sketch dead while serving the survivor byte-identically.
 func TestTTLEvictionSurvivesKill9(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 
 	// created_unix pinned in the past: the TTL deadline has long
 	// passed, so the sweep below is deterministic.
-	mustDo(t, "POST", ts1.URL+"/v1/t/ads/sketch/ephemeral", `{"type":"hll","ttl_s":1,"created_unix":1000}`)
-	mustDo(t, "POST", ts1.URL+"/v1/t/ads/sketch/ephemeral/add", "gone-1\ngone-2")
-	mustDo(t, "POST", ts1.URL+"/v1/t/ads/sketch/keeper", `{"type":"hll"}`)
-	mustDo(t, "POST", ts1.URL+"/v1/t/ads/sketch/keeper/add", "kept-1\nkept-2\nkept-3")
+	do(t, "POST", ts1.URL+"/v1/t/ads/sketch/ephemeral", `{"type":"hll","ttl_s":1,"created_unix":1000}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/t/ads/sketch/ephemeral/add", "gone-1\ngone-2").ok(t)
+	do(t, "POST", ts1.URL+"/v1/t/ads/sketch/keeper", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts1.URL+"/v1/t/ads/sketch/keeper/add", "kept-1\nkept-2\nkept-3").ok(t)
 
 	if n := s1.SweepExpired(time.Now()); n != 1 {
 		t.Fatalf("SweepExpired evicted %d sketches, want 1", n)
 	}
-	if code, _ := httpDo(t, "GET", ts1.URL+"/v1/t/ads/sketch/ephemeral/query", ""); code != http.StatusNotFound {
+	if code := do(t, "GET", ts1.URL+"/v1/t/ads/sketch/ephemeral/query", "").code; code != http.StatusNotFound {
 		t.Fatalf("evicted sketch still answers: %d", code)
 	}
-	wantSnap := mustDo(t, "GET", ts1.URL+"/v1/t/ads/sketch/keeper/snapshot", "")
+	wantSnap := do(t, "GET", ts1.URL+"/v1/t/ads/sketch/keeper/snapshot", "").ok(t)
 
 	if err := s1.dur.Sync(); err != nil {
 		t.Fatal(err)
@@ -240,18 +232,18 @@ func TestTTLEvictionSurvivesKill9(t *testing.T) {
 	ts1.Close()
 	s1.dur.Kill()
 
-	s2, ts2, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
-	if code, _ := httpDo(t, "GET", ts2.URL+"/v1/t/ads/sketch/ephemeral/query", ""); code != http.StatusNotFound {
+	s2, ts2, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
+	if code := do(t, "GET", ts2.URL+"/v1/t/ads/sketch/ephemeral/query", "").code; code != http.StatusNotFound {
 		t.Errorf("evicted sketch resurrected by recovery: %d", code)
 	}
-	gotSnap := mustDo(t, "GET", ts2.URL+"/v1/t/ads/sketch/keeper/snapshot", "")
+	gotSnap := do(t, "GET", ts2.URL+"/v1/t/ads/sketch/keeper/snapshot", "").ok(t)
 	if string(gotSnap) != string(wantSnap) {
 		t.Errorf("survivor snapshot differs after recovery: %d vs %d bytes", len(gotSnap), len(wantSnap))
 	}
 
 	// A restored TTL sketch whose deadline passed during downtime is
 	// not resurrected forever: the revived server's sweep evicts it.
-	mustDo(t, "POST", ts2.URL+"/v1/t/ads/sketch/late", `{"type":"hll","ttl_s":1,"created_unix":1000}`)
+	do(t, "POST", ts2.URL+"/v1/t/ads/sketch/late", `{"type":"hll","ttl_s":1,"created_unix":1000}`).ok(t)
 	if n := s2.SweepExpired(time.Now()); n != 1 {
 		t.Errorf("post-recovery sweep evicted %d, want 1", n)
 	}
@@ -259,11 +251,11 @@ func TestTTLEvictionSurvivesKill9(t *testing.T) {
 
 func TestGroupByIngestAndRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s1, ts1, _ := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	s1, ts1, _ := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 
 	lsnBefore := s1.dur.Status().WALLSN
 	body := "web\tu1\nweb\tu2\nmobile\tu3\nweb\tu1\nmobile\tu4\ntv\tu5"
-	ack := mustDo(t, "POST", ts1.URL+"/v1/t/ads/ingest/groupby?type=hll&prefix=ch-", body)
+	ack := do(t, "POST", ts1.URL+"/v1/t/ads/ingest/groupby?type=hll&prefix=ch-", body).ok(t)
 	var res struct {
 		Tenant  string `json:"tenant"`
 		Groups  int    `json:"groups"`
@@ -286,7 +278,7 @@ func TestGroupByIngestAndRecovery(t *testing.T) {
 
 	// A second call hits existing group sketches (created=0) and mixes
 	// in a new group.
-	ack2 := mustDo(t, "POST", ts1.URL+"/v1/t/ads/ingest/groupby?type=hll&prefix=ch-", "web\tu9\nprint\tu10")
+	ack2 := do(t, "POST", ts1.URL+"/v1/t/ads/ingest/groupby?type=hll&prefix=ch-", "web\tu9\nprint\tu10").ok(t)
 	if err := json.Unmarshal(ack2, &res); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +288,7 @@ func TestGroupByIngestAndRecovery(t *testing.T) {
 
 	snaps := map[string][]byte{}
 	for _, g := range []string{"ch-web", "ch-mobile", "ch-tv", "ch-print"} {
-		snaps[g] = mustDo(t, "GET", ts1.URL+"/v1/t/ads/sketch/"+g+"/snapshot", "")
+		snaps[g] = do(t, "GET", ts1.URL+"/v1/t/ads/sketch/"+g+"/snapshot", "").ok(t)
 	}
 
 	if err := s1.dur.Sync(); err != nil {
@@ -305,12 +297,12 @@ func TestGroupByIngestAndRecovery(t *testing.T) {
 	ts1.Close()
 	s1.dur.Kill()
 
-	_, ts2, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts2, stats := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	if stats.RecordsReplayed == 0 {
 		t.Fatal("recovery replayed no records; groupby records were lost")
 	}
 	for g, want := range snaps {
-		got := mustDo(t, "GET", ts2.URL+"/v1/t/ads/sketch/"+g+"/snapshot", "")
+		got := do(t, "GET", ts2.URL+"/v1/t/ads/sketch/"+g+"/snapshot", "").ok(t)
 		if string(got) != string(want) {
 			t.Errorf("%s snapshot differs after groupby replay: %d vs %d bytes", g, len(got), len(want))
 		}
@@ -332,7 +324,7 @@ func TestLegacyV1LogReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts, stats := durableServer(t, dir, durable.Options{FsyncInterval: 0})
+	_, ts, stats := durableServer(t, nil, dir, durable.Options{FsyncInterval: 0})
 	if stats.RecordsReplayed != 3 {
 		t.Fatalf("replayed %d records from v1 log, want 3", stats.RecordsReplayed)
 	}
@@ -344,29 +336,29 @@ func TestLegacyV1LogReplay(t *testing.T) {
 	if got := queryEstimate(t, ts.URL, "/v1/t/default/sketch/legacy/query"); got != 3 {
 		t.Errorf("legacy sketch via /v1/t/default = %v, want 3", got)
 	}
-	if code, _ := httpDo(t, "GET", ts.URL+"/v1/t/other/sketch/legacy/query", ""); code != http.StatusNotFound {
+	if code := do(t, "GET", ts.URL+"/v1/t/other/sketch/legacy/query", "").code; code != http.StatusNotFound {
 		t.Errorf("legacy sketch leaked into tenant other: %d", code)
 	}
 
 	// New writes over the recovered state land in today's v2 log and
 	// coexist with the v1 history on the next recovery.
-	mustDo(t, "POST", ts.URL+"/v1/sketch/legacy/add", "new-4")
-	mustDo(t, "POST", ts.URL+"/v1/t/fresh/sketch/modern", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/fresh/sketch/modern/add", "m-1")
+	do(t, "POST", ts.URL+"/v1/sketch/legacy/add", "new-4").ok(t)
+	do(t, "POST", ts.URL+"/v1/t/fresh/sketch/modern", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/fresh/sketch/modern/add", "m-1").ok(t)
 	if got := queryEstimate(t, ts.URL, "/v1/sketch/legacy/query"); got != 4 {
 		t.Errorf("legacy sketch after mixed-version writes = %v, want 4", got)
 	}
 }
 
 func TestStatusReportsTenants(t *testing.T) {
-	_, ts := inMemoryServer(t)
-	mustDo(t, "POST", ts.URL+"/v1/sketch/d1", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/acme/sketch/a1", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/acme/sketch/a2", `{"type":"hll"}`)
-	mustDo(t, "POST", ts.URL+"/v1/t/acme/sketch/a1/add", "x\ny\nz")
+	ts := serveLoop(t, New().Handler(), nil)
+	do(t, "POST", ts.URL+"/v1/sketch/d1", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/acme/sketch/a1", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/acme/sketch/a2", `{"type":"hll"}`).ok(t)
+	do(t, "POST", ts.URL+"/v1/t/acme/sketch/a1/add", "x\ny\nz").ok(t)
 
 	var st StatusResponse
-	if err := json.Unmarshal(mustDo(t, "GET", ts.URL+"/v1/status", ""), &st); err != nil {
+	if err := json.Unmarshal(do(t, "GET", ts.URL+"/v1/status", "").ok(t), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Sketches != 3 {
