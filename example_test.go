@@ -40,8 +40,8 @@ func ExampleNewCountMin() {
 		cm.AddString("popular")
 	}
 	cm.AddString("rare")
-	fmt.Println(cm.EstimateString("popular") >= 1000)
-	fmt.Println(cm.EstimateString("rare") >= 1)
+	fmt.Println(cm.Estimate([]byte("popular")) >= 1000)
+	fmt.Println(cm.Estimate([]byte("rare")) >= 1)
 	// Output:
 	// true
 	// true

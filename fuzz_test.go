@@ -228,7 +228,7 @@ func FuzzCountMinUnmarshal(f *testing.F) {
 		var g frequency.CountMin
 		if err := g.UnmarshalBinary(in); err == nil {
 			g.AddString("post")
-			_ = g.EstimateString("post")
+			_ = g.Estimate([]byte("post"))
 		}
 	})
 }
@@ -258,7 +258,7 @@ func FuzzCountSketchUnmarshal(f *testing.F) {
 
 func FuzzSFDecode(f *testing.F) {
 	s := frequency.NewSFSketch(64, 3, 256, 3, 4)
-	s.AddString("seed")
+	s.Add([]byte("seed"), 1)
 	s.AddUint64(7, 3)
 	full, _ := s.MarshalBinary()
 	corpusFor(f, full)
@@ -273,8 +273,8 @@ func FuzzSFDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var g frequency.SFSketch
 		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-			_ = g.EstimateString("post")
+			g.Add([]byte("post"), 1)
+			_ = g.Estimate([]byte("post"))
 			_ = g.SlimOnly()
 			if out, err := g.MarshalBinary(); err != nil {
 				t.Fatalf("re-marshal of decoded sketch failed: %v", err)
@@ -287,7 +287,7 @@ func FuzzSFDecode(f *testing.F) {
 
 func FuzzBlockedBloomUnmarshal(f *testing.F) {
 	b := bloom.NewBlockedWithEstimates(100, 0.01, 1)
-	b.AddString("seed")
+	b.Add([]byte("seed"))
 	data, _ := b.MarshalBinary()
 	corpusFor(f, data)
 	// The classic filter's envelope must never decode as a blocked one
@@ -300,8 +300,8 @@ func FuzzBlockedBloomUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var g bloom.BlockedFilter
 		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-			if !g.ContainsString("post") {
+			g.Add([]byte("post"))
+			if !g.Contains([]byte("post")) {
 				t.Fatal("decoded blocked filter lost a fresh insert")
 			}
 		}
@@ -379,18 +379,18 @@ func FuzzMinHashUnmarshal(f *testing.F) {
 
 func FuzzMisraGriesUnmarshal(f *testing.F) {
 	m := frequency.NewMisraGries(16)
-	m.AddString("seed")
+	m.Add("seed", 1)
 	fuzzDecode(f, func(_ *testing.T, g *frequency.MisraGries) {
-		g.AddString("post")
+		g.Add("post", 1)
 		_ = g.Estimate("post")
 	}, m)
 }
 
 func FuzzSpaceSavingUnmarshal(f *testing.F) {
 	s := frequency.NewSpaceSaving(16)
-	s.AddString("seed")
+	s.Add("seed", 1)
 	fuzzDecode(f, func(_ *testing.T, g *frequency.SpaceSaving) {
-		g.AddString("post")
+		g.Add("post", 1)
 		_ = g.Estimate("post")
 	}, s)
 }
@@ -468,10 +468,10 @@ func FuzzServerRequestDecode(f *testing.F) {
 func FuzzReservoirUnmarshal(f *testing.F) {
 	r := sample.NewReservoir(8, 12)
 	for i := 0; i < 100; i++ {
-		r.AddString("item")
+		r.Add([]byte("item"))
 	}
 	fuzzDecode(f, func(_ *testing.T, g *sample.Reservoir) {
-		g.AddString("post")
+		g.Add([]byte("post"))
 		_ = g.Sample()
 	}, r)
 }
@@ -762,7 +762,7 @@ func cardinalityHLLSeed() []byte {
 
 func bloomBlockedSeed() []byte {
 	bf := bloom.NewBlocked(1024, 4, 3)
-	bf.AddString("seed")
+	bf.Add([]byte("seed"))
 	data, _ := bf.MarshalBinary()
 	return data
 }

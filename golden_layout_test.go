@@ -52,16 +52,16 @@ func (r *goldenRand) next() uint64 {
 // SF-sketch share; the stream below goes through every one of these
 // entry points.
 type goldenCounter interface {
-	Add(item []byte, weight uint64)
 	AddUint64(item, weight uint64)
 	AddHash(h, weight uint64)
-	AddHashBatch(hs []uint64)
 	Seed() uint64
 }
 
 // feedCounter drives c with 6000 weighted updates over ~1000 keys:
 // scalar adds by bytes, by integer and by hash, and two hash batches,
-// one shorter and one longer than the 256-item ingest chunk.
+// one shorter and one longer than the 256-item ingest chunk. A counter
+// without a batch kernel (the SF-sketch) takes the batches one hash at
+// a time.
 func feedCounter(c goldenCounter) {
 	rng := goldenRand(goldenSeed)
 	for i := 0; i < 4000; i++ {
@@ -69,7 +69,7 @@ func feedCounter(c goldenCounter) {
 		key, weight := v%997, 1+(v>>20)%7
 		switch i % 3 {
 		case 0:
-			c.Add([]byte(fmt.Sprintf("k-%d", key)), weight)
+			addBytes(c, []byte(fmt.Sprintf("k-%d", key)), weight)
 		case 1:
 			c.AddUint64(key, weight)
 		default:
@@ -81,11 +81,27 @@ func feedCounter(c goldenCounter) {
 		for i := range hs {
 			hs[i] = hashx.XXHash64String(fmt.Sprintf("k-%d", rng.next()%997), c.Seed())
 		}
-		c.AddHashBatch(hs)
+		if b, ok := c.(interface{ AddHashBatch([]uint64) }); ok {
+			b.AddHashBatch(hs)
+		} else {
+			for _, h := range hs {
+				c.AddHash(h, 1)
+			}
+		}
 	}
 	// A weight that wraps the counters it lands on.
-	c.Add([]byte("k-1"), ^uint64(0)-5)
-	c.Add([]byte("k-1"), 9)
+	addBytes(c, []byte("k-1"), ^uint64(0)-5)
+	addBytes(c, []byte("k-1"), 9)
+}
+
+// addBytes adds a byte item through c's Add, or, for a counter that
+// takes hashes only, through the hash Add would take.
+func addBytes(c goldenCounter, item []byte, weight uint64) {
+	if a, ok := c.(interface{ Add([]byte, uint64) }); ok {
+		a.Add(item, weight)
+		return
+	}
+	c.AddHash(hashx.XXHash64(item, c.Seed()), weight)
 }
 
 // feedSigned is feedCounter for Count Sketch: weights in [-5, 5].
@@ -108,7 +124,9 @@ func feedSigned(c *frequency.CountSketch) {
 		for i := range hs {
 			hs[i] = hashx.XXHash64String(fmt.Sprintf("k-%d", rng.next()%997), c.Seed())
 		}
-		c.AddHashBatch(hs)
+		for _, h := range hs {
+			c.AddHash(h, 1)
+		}
 	}
 }
 
@@ -205,7 +223,7 @@ func TestGoldenLayoutWire(t *testing.T) {
 		name := "countsketch/" + mode
 		c := build()
 		feedSigned(c)
-		c.AddString("k-77", -3)
+		c.Add([]byte("k-77"), -3)
 		got[name+"/wire"] = digest(t, c)
 		for _, probe := range goldenProbes {
 			got[name+"/cells/"+probe] = fmt.Sprint(c.AppendCells(nil, []byte(probe)))
@@ -217,8 +235,10 @@ func TestGoldenLayoutWire(t *testing.T) {
 	// instance that went on absorbing updates.
 	sf := frequency.NewSFSketch(64, 3, 509, goldenDepth, goldenSeed)
 	feedCounter(sf)
-	sf.AddString("k-77")
-	sf.AddBatch([][]byte{[]byte("k-1"), []byte("k-2"), []byte("k-77")})
+	sf.Add([]byte("k-77"), 1)
+	for _, item := range [][]byte{[]byte("k-1"), []byte("k-2"), []byte("k-77")} {
+		sf.Add(item, 1)
+	}
 	got["sfsketch/full/wire"] = digest(t, sf)
 	slimEnv, err := sf.MarshalSlim()
 	if err != nil {
@@ -236,7 +256,7 @@ func TestGoldenLayoutWire(t *testing.T) {
 		got["sfsketch/estimates/"+probe] = fmt.Sprint(sf.Estimate([]byte(probe)), sf.FatEstimate([]byte(probe)), slim.Estimate([]byte(probe)))
 	}
 
-	// Atomic Count-Min, through Snapshot; the fused one over a built
+	// Atomic Count-Min, through its own envelope; the fused one over a built
 	// layout, as the registry builds a buffered Count-Min's global.
 	atomics := map[string]func() *concurrent.AtomicCountMin{
 		"derived": func() *concurrent.AtomicCountMin {
@@ -250,8 +270,8 @@ func TestGoldenLayoutWire(t *testing.T) {
 		name := "atomic/" + mode
 		c := build()
 		feedCounter(c)
-		c.AddString("k-77", 2)
-		got[name+"/wire"] = digest(t, c.Snapshot())
+		c.AddHash(hashx.XXHash64String("k-77", c.Seed()), 2)
+		got[name+"/wire"] = digest(t, c)
 		for _, probe := range goldenProbes {
 			got[name+"/cells/"+probe] = fmt.Sprint(c.AppendCells(nil, []byte(probe)))
 		}

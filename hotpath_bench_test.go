@@ -357,18 +357,6 @@ var hotBenchmarks = []struct {
 			sf.AddUint64(uint64(i), 1)
 		}
 	}},
-	{"SFSketchAddHashBatch", func(b *testing.B) {
-		sf := frequency.NewSFSketch(512, 4, 4096, 4, 1)
-		hs := make([]uint64, 1024)
-		for i := range hs {
-			hs[i] = hashx.HashUint64(uint64(i), 1)
-		}
-		b.SetBytes(8)
-		b.ResetTimer()
-		for i := 0; i < b.N; i += len(hs) {
-			sf.AddHashBatch(hs)
-		}
-	}},
 	// The wire hop, next to the kernels it ships: MB/s of envelope.
 	{"CountMinMarshal2MB", marshalBench(func() encoding.BinaryMarshaler { return countMin2MB() })},
 	{"CountMinDecode2MB", func(b *testing.B) {
@@ -389,7 +377,7 @@ var hotBenchmarks = []struct {
 	})},
 	{"SFSketchMarshalFull", marshalBench(func() encoding.BinaryMarshaler {
 		sf := frequency.NewSFSketch(4096, 4, 32768, 4, 1)
-		fillTable(sf.AddHashBatch)
+		fillTable(func(hs []uint64) { addOnes(sf, hs) })
 		return sf
 	})},
 	{"BlockedBloomMarshal", marshalBench(func() encoding.BinaryMarshaler {
@@ -399,7 +387,7 @@ var hotBenchmarks = []struct {
 	})},
 	{"SFSketchDecodeFull", func(b *testing.B) {
 		sf := frequency.NewSFSketch(4096, 4, 32768, 4, 1)
-		fillTable(sf.AddHashBatch)
+		fillTable(func(hs []uint64) { addOnes(sf, hs) })
 		env, _ := sf.MarshalBinary()
 		var into frequency.SFSketch
 		b.SetBytes(int64(len(env)))
@@ -417,7 +405,7 @@ var hotBenchmarks = []struct {
 		envs := make([][]byte, 4)
 		for i := range envs {
 			sf := frequency.NewSFSketch(4096, 4, 32768, 4, 1)
-			fillTable(sf.AddHashBatch)
+			fillTable(func(hs []uint64) { addOnes(sf, hs) })
 			envs[i], _ = sf.MarshalBinary()
 		}
 		b.SetBytes(int64(len(envs) * len(envs[0])))
@@ -443,22 +431,6 @@ var hotBenchmarks = []struct {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			estimateSink = h.Estimate()
-		}
-	}},
-	{"ShardedHLLEstimateUnderWrites", func(b *testing.B) {
-		// Every read follows a write, so every read rebuilds the
-		// merged view: a copy, a merge and an estimate.
-		s := concurrent.NewShardedHLL(2, 14, 1)
-		hs := make([]uint64, keyCount)
-		for i := range hs {
-			hs[i] = hashx.HashUint64(uint64(i), 1)
-		}
-		s.Handle().AddHashBatch(hs)
-		s.Handle().AddHashBatch(hs)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Handle().AddHashBatch(hs[i&(keyCount-1):][:1])
-			estimateSink = s.Estimate()
 		}
 	}},
 	{"RegistryCountMinWeightedIngest", registryCountMinWeightedIngest(1)},
@@ -567,6 +539,14 @@ func countMin2MB() *frequency.CountMin {
 
 // fillTable feeds a hashed-counter table keyCount item hashes, so that
 // the cells it marshals are not all zero.
+// addOnes adds each hash once to an SF-sketch, which has no batch
+// kernel: its conditional slim update is order-sensitive.
+func addOnes(sf *frequency.SFSketch, hs []uint64) {
+	for _, h := range hs {
+		sf.AddHash(h, 1)
+	}
+}
+
 func fillTable(addHashBatch func([]uint64)) {
 	hs := make([]uint64, keyCount)
 	for i := range hs {

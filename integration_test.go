@@ -197,7 +197,7 @@ func TestFacadeConstructorsSmoke(t *testing.T) {
 	cm := sketch.NewCountMin(64, 3, 1)
 	cm.AddString("x")
 	ss := sketch.NewSpaceSaving(8)
-	ss.AddString("x")
+	ss.Add("x", 1)
 
 	a := sketch.NewAMS(3, 16, 1)
 	a.AddUint64(1, 1)

@@ -45,9 +45,9 @@ func TestOverlapErrorVsExactKMV(t *testing.T) {
 	a, b := cardinality.NewKMV(k, 7), cardinality.NewKMV(k, 7)
 	buildAudiences(func(which int, id string) {
 		if which == 0 {
-			a.AddString(id)
+			a.Add([]byte(id))
 		} else {
-			b.AddString(id)
+			b.Add([]byte(id))
 		}
 	}, nA, nB, shared)
 
@@ -99,8 +99,8 @@ func TestOverlapClampsToBounds(t *testing.T) {
 	// never drive the reported overlap negative.
 	a, b := cardinality.NewKMV(1024, 1), cardinality.NewKMV(1024, 1)
 	for i := 0; i < 20_000; i++ {
-		a.AddString(fmt.Sprintf("left-%d", i))
-		b.AddString(fmt.Sprintf("right-%d", i))
+		a.Add([]byte(fmt.Sprintf("left-%d", i)))
+		b.Add([]byte(fmt.Sprintf("right-%d", i)))
 	}
 	est, err := OverlapFromEnvelopes(mustEnv(t, a), mustEnv(t, b))
 	if err != nil {
@@ -118,7 +118,7 @@ func TestOverlapRejectsMixedFamilies(t *testing.T) {
 	h := cardinality.NewHLL(12, 0)
 	k := cardinality.NewKMV(256, 0)
 	h.AddString("x")
-	k.AddString("x")
+	k.Add([]byte("x"))
 	_, err := OverlapFromEnvelopes(mustEnv(t, h), mustEnv(t, k))
 	if !errors.Is(err, core.ErrIncompatible) {
 		t.Errorf("mixed hll/kmv overlap error = %v, want ErrIncompatible", err)

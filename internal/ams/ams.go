@@ -158,12 +158,6 @@ func (s *Sketch) Merge(other *Sketch) error {
 	return nil
 }
 
-// Groups returns the number of median groups.
-func (s *Sketch) Groups() int { return s.groups }
-
-// PerGroup returns the number of averaging estimators per group.
-func (s *Sketch) PerGroup() int { return s.perGroup }
-
 // N returns the total absolute weight processed.
 func (s *Sketch) N() uint64 { return s.n }
 

@@ -141,8 +141,8 @@ func TestNewWithSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.PerGroup() < 100 {
-		t.Errorf("perGroup %d too small for eps=0.1", s.PerGroup())
+	if s.perGroup < 100 {
+		t.Errorf("perGroup %d too small for eps=0.1", s.perGroup)
 	}
 	if _, err := NewWithSpec(core.Spec{Epsilon: 0, Delta: 0.5}, 1); err == nil {
 		t.Error("invalid spec accepted")

@@ -136,12 +136,6 @@ func (f *BlockedFilter) Add(item []byte) {
 	f.AddHash(h1, h2)
 }
 
-// AddString inserts a string item without copying or allocating.
-func (f *BlockedFilter) AddString(item string) {
-	h1, h2 := hashx.Murmur3_128String(item, f.seed)
-	f.AddHash(h1, h2)
-}
-
 // AddHash inserts an item from its pre-computed 128-bit hash; h1
 // selects the block, h2 the bits within it. Add(item) is exactly
 // equivalent to AddHash(hashx.Murmur3_128(item, seed)).
@@ -252,13 +246,6 @@ func (f *BlockedFilter) AddHashBatch(h1s, h2s []uint64) {
 // occur at the blocked rate; false negatives never occur.
 func (f *BlockedFilter) Contains(item []byte) bool {
 	h1, h2 := hashx.Murmur3_128(item, f.seed)
-	return f.ContainsHash(h1, h2)
-}
-
-// ContainsString reports membership for a string item without copying
-// or allocating.
-func (f *BlockedFilter) ContainsString(item string) bool {
-	h1, h2 := hashx.Murmur3_128String(item, f.seed)
 	return f.ContainsHash(h1, h2)
 }
 
@@ -383,13 +370,6 @@ func (f *BlockedFilter) Merge(other *BlockedFilter) error {
 	}
 	f.n += other.n
 	return nil
-}
-
-// Clone returns a deep copy.
-func (f *BlockedFilter) Clone() *BlockedFilter {
-	c := *f
-	c.bits = append([]uint64(nil), f.bits...)
-	return &c
 }
 
 // SizeBytes returns the in-memory size of the bit array.

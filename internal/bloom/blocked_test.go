@@ -20,7 +20,7 @@ func TestBlockedNoFalseNegatives(t *testing.T) {
 		case 0:
 			f.Add(key(i))
 		case 1:
-			f.AddString(string(key(i)))
+			f.Add([]byte(string(key(i))))
 		case 2:
 			batch = append(batch, key(i))
 		case 3:
@@ -33,7 +33,7 @@ func TestBlockedNoFalseNegatives(t *testing.T) {
 		if !f.Contains(key(i)) {
 			t.Fatalf("false negative for inserted key %d", i)
 		}
-		if !f.ContainsString(string(key(i))) {
+		if !f.Contains([]byte(string(key(i)))) {
 			t.Fatalf("string false negative for inserted key %d", i)
 		}
 	}

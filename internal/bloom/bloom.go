@@ -236,13 +236,6 @@ func (f *Filter) Intersect(other *Filter) error {
 	return nil
 }
 
-// Clone returns a deep copy.
-func (f *Filter) Clone() *Filter {
-	c := *f
-	c.bits = append([]uint64(nil), f.bits...)
-	return &c
-}
-
 // SizeBytes returns the in-memory size of the bit array, the figure the
 // space experiments report.
 func (f *Filter) SizeBytes() int { return len(f.bits) * 8 }

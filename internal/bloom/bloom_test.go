@@ -235,19 +235,6 @@ func TestStringHelpers(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	f := New(512, 3, 1)
-	f.Add(key(1))
-	g := f.Clone()
-	g.Add(key(2))
-	if f.Contains(key(2)) {
-		t.Error("clone shares storage with original")
-	}
-	if !g.Contains(key(1)) {
-		t.Error("clone missing original key")
-	}
-}
-
 func TestCountingAddRemove(t *testing.T) {
 	f := NewCounting(1<<12, 4, 21)
 	for i := 0; i < 500; i++ {

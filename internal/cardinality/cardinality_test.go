@@ -97,7 +97,7 @@ func TestHLLRegisterPacking(t *testing.T) {
 	// Every register index must read back what was written, including
 	// word-boundary spans.
 	h := NewHLL(10, 1)
-	m := h.M()
+	m := (1 << h.p)
 	for i := 0; i < m; i++ {
 		h.setRegister(i, uint8(i%61)+1)
 	}
@@ -110,7 +110,7 @@ func TestHLLRegisterPacking(t *testing.T) {
 
 func TestHLLRegisterPackingProperty(t *testing.T) {
 	h := NewHLL(8, 1)
-	m := h.M()
+	m := (1 << h.p)
 	f := func(idx uint16, val uint8) bool {
 		i := int(idx) % m
 		v := val & 0x3f
@@ -276,7 +276,7 @@ func TestHLLPPConversionConsistentWithDirectDense(t *testing.T) {
 	if hpp.IsSparse() {
 		t.Fatal("expected densified sketch")
 	}
-	for i := 0; i < hd.M(); i++ {
+	for i := 0; i < (1 << hd.p); i++ {
 		if hpp.dense.getRegister(i) != hd.getRegister(i) {
 			t.Fatalf("register %d differs after conversion: %d vs %d",
 				i, hpp.dense.getRegister(i), hd.getRegister(i))

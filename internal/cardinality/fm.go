@@ -51,9 +51,6 @@ func (f *FM) Add(item []byte) {
 // AddUint64 inserts an integer item without allocation.
 func (f *FM) AddUint64(v uint64) { f.addHash(hashx.HashUint64(v, f.seed)) }
 
-// AddString inserts a string item.
-func (f *FM) AddString(s string) { f.Add([]byte(s)) }
-
 // Update implements core.Updater.
 func (f *FM) Update(item []byte) { f.Add(item) }
 

@@ -285,9 +285,6 @@ func (h *HLL) P() uint8 { return h.p }
 // as Add.
 func (h *HLL) Seed() uint64 { return h.seed }
 
-// M returns the register count 2^p.
-func (h *HLL) M() int { return 1 << h.p }
-
 // SizeBytes returns the packed register storage size.
 func (h *HLL) SizeBytes() int { return len(h.packed) * 8 }
 

@@ -13,7 +13,7 @@ import (
 // merge, same bits in an estimate.
 
 func refMerge(dst, src *HLL) {
-	for i := 0; i < dst.M(); i++ {
+	for i := 0; i < (1 << dst.p); i++ {
 		if r := src.getRegister(i); r > dst.getRegister(i) {
 			dst.setRegister(i, r)
 		}
@@ -21,7 +21,7 @@ func refMerge(dst, src *HLL) {
 }
 
 func refEstimate(h *HLL) float64 {
-	m := h.M()
+	m := (1 << h.p)
 	var sum float64
 	zeros := 0
 	for i := 0; i < m; i++ {
@@ -51,8 +51,8 @@ func wordFiles(p uint8) []*HLL {
 			h.AddHash(rng.Uint64())
 		}
 		forced := h.Clone()
-		for _, i := range []int{0, 10, 21, h.M() - 1} {
-			if i < h.M() {
+		for _, i := range []int{0, 10, 21, (1 << h.p) - 1} {
+			if i < (1 << h.p) {
 				forced.setRegister(i, 63)
 			}
 		}

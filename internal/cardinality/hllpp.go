@@ -53,9 +53,6 @@ func (h *HLLPP) Add(item []byte) {
 // AddUint64 inserts an integer item without allocation.
 func (h *HLLPP) AddUint64(v uint64) { h.AddHash(hashx.HashUint64(v, h.seed)) }
 
-// AddString inserts a string item.
-func (h *HLLPP) AddString(s string) { h.Add([]byte(s)) }
-
 // Update implements core.Updater.
 func (h *HLLPP) Update(item []byte) { h.Add(item) }
 

@@ -37,9 +37,6 @@ func (s *KMV) Add(item []byte) { s.addHash(hashx.XXHash64(item, s.seed)) }
 // AddUint64 inserts an integer item without allocation.
 func (s *KMV) AddUint64(v uint64) { s.addHash(hashx.HashUint64(v, s.seed)) }
 
-// AddString inserts a string item.
-func (s *KMV) AddString(v string) { s.Add([]byte(v)) }
-
 // Update implements core.Updater.
 func (s *KMV) Update(item []byte) { s.Add(item) }
 

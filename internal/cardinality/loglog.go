@@ -35,9 +35,6 @@ func (l *LogLog) Add(item []byte) { l.addHash(hashx.XXHash64(item, l.seed)) }
 // AddUint64 inserts an integer item without allocation.
 func (l *LogLog) AddUint64(v uint64) { l.addHash(hashx.HashUint64(v, l.seed)) }
 
-// AddString inserts a string item.
-func (l *LogLog) AddString(s string) { l.Add([]byte(s)) }
-
 // Update implements core.Updater.
 func (l *LogLog) Update(item []byte) { l.Add(item) }
 

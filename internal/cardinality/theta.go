@@ -45,9 +45,6 @@ func (t *Theta) Add(item []byte) { t.addHash(hashx.XXHash64(item, t.seed)) }
 // AddUint64 inserts an integer item without allocation.
 func (t *Theta) AddUint64(v uint64) { t.addHash(hashx.HashUint64(v, t.seed)) }
 
-// AddString inserts a string item.
-func (t *Theta) AddString(s string) { t.Add([]byte(s)) }
-
 // Update implements core.Updater.
 func (t *Theta) Update(item []byte) { t.Add(item) }
 

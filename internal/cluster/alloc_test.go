@@ -17,17 +17,15 @@ import (
 // What one coordinator operation over 4 loopback shards allocates,
 // the shards' connection loops included (the count is process-wide).
 // Ceilings, not equalities: the runtime's own share moves with
-// GOMAXPROCS and the Go release (a gathered read counted 120 at
-// GOMAXPROCS 1 and 134 at 2 on one commit), and the race detector's
-// sync.Pool drops a quarter of the pooled buffers (43, 125, 158
-// there). They were set about half above what the tree read with the
-// shards on net/http's server (39, 118, 147; 29, 125, 138 before the
-// fleet moved to server.Listen, which reads 16, 81, 83), and sit far
-// under what the same operations cost on net/http's client (441, 376,
-// 493), so a hop that goes back to allocating per request fails here —
-// as does an ingest that goes back to a request per shard (137 when the
-// body was split by key: four round trips, a goroutine and a bucket
-// each).
+// GOMAXPROCS and the Go release. They sit about a fifth above what the
+// tree reads at GOMAXPROCS 1, 2 and 4 (16, 81, 83 each time), and half
+// as much again under the race detector, whose sync.Pool drops a
+// quarter of the pooled buffers (21–24, 86–87, 86–88 there). A hop that
+// goes back to allocating per request fails here: the shards on
+// net/http's server read 39, 118, 147, and net/http's client 441, 376,
+// 493. So does an ingest that goes back to a request per shard (137
+// when the body was split by key: four round trips, a goroutine and a
+// bucket each).
 func TestCoordinatorAllocationCeilings(t *testing.T) {
 	coord, base := newFleet(t, 4).coordinator()
 	cl := client.New(base)
@@ -51,12 +49,12 @@ func TestCoordinatorAllocationCeilings(t *testing.T) {
 		ceiling float64
 		op      func()
 	}{
-		{"FanOutAdd of 1024 lines", 60, func() {
+		{"FanOutAdd of 1024 lines", 20, func() {
 			if _, fails := coord.FanOutAdd("uniq", body.Bytes()); len(fails) > 0 {
 				t.Fatal(fails)
 			}
 		}},
-		{"gathered read, full envelopes", 180, func() {
+		{"gathered read, full envelopes", 100, func() {
 			envs, fails := coord.Gather("uniq")
 			if len(fails) > 0 {
 				t.Fatal(fails)
@@ -65,15 +63,19 @@ func TestCoordinatorAllocationCeilings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"gathered read, ?wire=slim, over HTTP", 230, func() {
+		{"gathered read, ?wire=slim, over HTTP", 100, func() {
 			if _, err := cl.SnapshotWire("freq", "slim"); err != nil {
 				t.Fatal(err)
 			}
 		}},
 	} {
+		ceiling := tc.ceiling
+		if !poolKeeps() {
+			ceiling *= 1.5
+		}
 		// AllocsPerRun's warm-up call dials the connections and sizes the pools.
-		if n := testing.AllocsPerRun(50, tc.op); n > tc.ceiling {
-			t.Errorf("%s: %v allocs per operation, ceiling %v", tc.name, n, tc.ceiling)
+		if n := testing.AllocsPerRun(50, tc.op); n > ceiling {
+			t.Errorf("%s: %v allocs per operation, ceiling %v", tc.name, n, ceiling)
 		}
 	}
 }

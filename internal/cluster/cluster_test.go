@@ -57,8 +57,10 @@ func (f *fleet) add(s *server.Server, dir string) *node {
 }
 
 // start serves n on addr, recovering it from its directory first. A
-// durable node fsyncs every batch it drains and snapshots on no timer,
-// so that what a test reads after a kill is what was acknowledged.
+// durable node snapshots on no timer. What a test reads after a kill is
+// what was acknowledged because Kill's KillDurability syncs the WAL
+// before it drops it: an acknowledged record is only queued, under any
+// fsync policy, until a sync writes it.
 func (f *fleet) start(n *node, addr string) {
 	f.t.Helper()
 	if s := n.Server; n.dir != "" {
@@ -75,8 +77,9 @@ func (f *fleet) start(n *node, addr string) {
 	n.hs, n.URL = hs, url
 }
 
-// Kill closes node i and every connection to it, and drops its WAL as a
-// kill -9 does: its port refuses connections from then on.
+// Kill closes node i and every connection to it, syncs its WAL and
+// drops the rest as a kill -9 does: its port refuses connections from
+// then on.
 func (f *fleet) Kill(i int) {
 	n := f.nodes[i]
 	n.hs.Close()

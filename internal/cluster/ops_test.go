@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -17,6 +18,16 @@ import (
 	"repro/internal/registry"
 	"repro/internal/server"
 )
+
+// bundleOf frames envelopes into one GSKB merge body.
+func bundleOf(envs ...string) string {
+	b := binary.LittleEndian.AppendUint32([]byte(server.BundleMagic), uint32(len(envs)))
+	for _, env := range envs {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(env)))
+		b = append(b, env...)
+	}
+	return string(b)
+}
 
 // probe is one request sent to both a single sketchd and a coordinator.
 // differs names the reply keys the two tiers document differently;
@@ -66,7 +77,7 @@ var parityProbes = map[string][]probe{
 	},
 	"merge": { // the snapshot probe below then compares the merged bytes
 		{sketch: "s", body: peerEnvelope, status: http.StatusOK},
-		{sketch: "s", body: string(server.EncodeBundle([][]byte{[]byte(peerEnvelope), []byte(peerEnvelope)})), status: http.StatusOK},
+		{sketch: "s", body: bundleOf(peerEnvelope, peerEnvelope), status: http.StatusOK},
 		{sketch: "s", body: "not an envelope"},
 		{sketch: "gone", body: peerEnvelope}, // a countmin into an hll
 		{sketch: "missing", body: peerEnvelope},
@@ -124,7 +135,7 @@ func (r reply) doc(t *testing.T) (int, map[string]any) {
 // send sends probe p as operation op in tenant.
 func send(t *testing.T, base string, op server.Op, tenant string, p probe) reply {
 	t.Helper()
-	return request(t, op.Method, base+op.Path(tenant, p.sketch)+p.query, p.body)
+	return request(t, op.Method, base+string(op.AppendPath(nil, tenant, p.sketch))+p.query, p.body)
 }
 
 // An operation means the same thing asked of one sketchd or of a
@@ -224,7 +235,7 @@ func TestEveryRowIsMounted(t *testing.T) {
 			if tenant != "" && op.Tenant {
 				want = op.Method + " /v1/t/{tenant}" + strings.TrimPrefix(op.Pattern, "/v1")
 			}
-			req := httptest.NewRequest(op.Method, op.Path(tenant, "x"), nil)
+			req := httptest.NewRequest(op.Method, string(op.AppendPath(nil, tenant, "x")), nil)
 			for coordinator, mux := range muxes {
 				serves := op.Cluster != server.ServerOnly && op.Cluster != server.CoordinatorOnly ||
 					coordinator == (op.Cluster == server.CoordinatorOnly)

@@ -113,9 +113,6 @@ func NewRing(shards []string, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// N returns the shard count.
-func (r *Ring) N() int { return len(r.shards) }
-
 // Shards returns the shard identities in construction order (the
 // index space Shard returns into).
 func (r *Ring) Shards() []string { return append([]string(nil), r.shards...) }

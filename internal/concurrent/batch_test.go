@@ -44,7 +44,7 @@ func TestAtomicCountMinAddHashBatchConcurrent(t *testing.T) {
 		for _, h := range hs {
 			ref.AddHash(h, 1)
 		}
-		a, err := acm.Snapshot().MarshalBinary()
+		a, err := cmSnapshot(t, acm).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func TestShardedHLLAddHashBatchConcurrent(t *testing.T) {
 
 	ref := cardinality.NewHLL(12, 5)
 	ref.AddHashBatch(hs)
-	a, err := s.Snapshot().MarshalBinary()
+	a, err := s.mergedView().Clone().MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestShardedHLLAddHashBatchConcurrent(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("sharded AddHashBatch merged state differs from a single HLL fed the same hashes")
 	}
-	if got, want := s.Estimate(), ref.Estimate(); got != want {
+	if got, want := s.mergedView().Estimate(), ref.Estimate(); got != want {
 		t.Fatalf("Estimate() = %v, want %v", got, want)
 	}
 }

@@ -60,18 +60,6 @@ func (f *AtomicBlockedBloom) orWord(i uint64, mask uint64) {
 	}
 }
 
-// Add inserts a byte-slice item. Safe for concurrent use.
-func (f *AtomicBlockedBloom) Add(item []byte) {
-	h1, h2 := hashx.Murmur3_128(item, f.seed)
-	f.AddHash(h1, h2)
-}
-
-// AddString inserts a string item without copying or allocating.
-func (f *AtomicBlockedBloom) AddString(item string) {
-	h1, h2 := hashx.Murmur3_128String(item, f.seed)
-	f.AddHash(h1, h2)
-}
-
 // AddHash inserts a pre-hashed item, touching one cache-line block.
 // The k bit positions match bloom.BlockedFilter.AddHash exactly.
 func (f *AtomicBlockedBloom) AddHash(h1, h2 uint64) {
@@ -166,19 +154,6 @@ func (f *AtomicBlockedBloom) AddHashBatch(h1s, h2s []uint64) {
 	}
 }
 
-// Contains reports whether the item may be in the set.
-func (f *AtomicBlockedBloom) Contains(item []byte) bool {
-	h1, h2 := hashx.Murmur3_128(item, f.seed)
-	return f.ContainsHash(h1, h2)
-}
-
-// ContainsString reports membership for a string item without copying
-// or allocating.
-func (f *AtomicBlockedBloom) ContainsString(item string) bool {
-	h1, h2 := hashx.Murmur3_128String(item, f.seed)
-	return f.ContainsHash(h1, h2)
-}
-
 // ContainsHash answers a membership query from a pre-computed hash.
 func (f *AtomicBlockedBloom) ContainsHash(h1, h2 uint64) bool {
 	base := hashx.FastRange(h1, f.blocks) * bloom.BlockWords
@@ -203,15 +178,6 @@ func (f *AtomicBlockedBloom) ContainsHash(h1, h2 uint64) bool {
 	}
 }
 
-// N returns the number of insertions performed (including duplicates).
-func (f *AtomicBlockedBloom) N() uint64 { return f.n.Load() }
-
-// M returns the number of bits.
-func (f *AtomicBlockedBloom) M() uint64 { return f.blocks * bloom.BlockBits }
-
-// K returns the number of bit probes per item.
-func (f *AtomicBlockedBloom) K() int { return f.k }
-
 // Seed returns the hash seed.
 func (f *AtomicBlockedBloom) Seed() uint64 { return f.seed }
 
@@ -233,28 +199,6 @@ func (f *AtomicBlockedBloom) Merge(other *bloom.BlockedFilter) error {
 	}
 	f.n.Add(other.N())
 	return nil
-}
-
-// snapshotWords reads all words atomically (per-word snapshot).
-func (f *AtomicBlockedBloom) snapshotWords() ([]uint64, uint64) {
-	words := make([]uint64, len(f.bits))
-	for i := range f.bits {
-		words[i] = f.bits[i].Load()
-	}
-	return words, f.n.Load()
-}
-
-// Snapshot copies the bits into a plain BlockedFilter for
-// serialization or offline use. Under concurrent writes the copy is a
-// per-word snapshot, which preserves no-false-negatives for completed
-// inserts.
-func (f *AtomicBlockedBloom) Snapshot() *bloom.BlockedFilter {
-	words, n := f.snapshotWords()
-	bf, err := bloom.NewBlockedFromWords(f.blocks, f.k, f.seed, words, n)
-	if err != nil {
-		panic(err) // dimensions match by construction
-	}
-	return bf
 }
 
 // MarshalBinary serializes a snapshot in the standard blocked-Bloom

@@ -33,7 +33,7 @@ func TestAtomicBlockedBloomMatchesSerial(t *testing.T) {
 		h1s, h2s := make([]uint64, n), make([]uint64, n)
 		for i := 0; i < n; i++ {
 			ref.Add(blockedKey(i))
-			af.Add(blockedKey(i))
+			bloomAdd(af, blockedKey(i))
 			h1s[i], h2s[i] = hashx.Murmur3_128(blockedKey(n+i), 3)
 		}
 		ref.AddHashBatch(h1s, h2s)
@@ -50,10 +50,10 @@ func TestAtomicBlockedBloomMatchesSerial(t *testing.T) {
 			}
 		}
 		for i := 0; i < n; i++ {
-			if !af.Contains(blockedKey(i)) {
+			if !bloomContains(af, blockedKey(i)) {
 				t.Fatalf("k=%d: false negative for key %d", k, i)
 			}
-			if !af.ContainsString(string(blockedKey(i))) {
+			if !bloomContains(af, blockedKey(i)) {
 				t.Fatalf("k=%d: string false negative for key %d", k, i)
 			}
 		}
@@ -86,7 +86,7 @@ func TestAtomicBlockedBloomConcurrentAdds(t *testing.T) {
 			// both code paths.
 			af.AddBatch(items[:perW/2])
 			for _, it := range items[perW/2:] {
-				af.Add(it)
+				bloomAdd(af, it)
 			}
 		}(w)
 	}
@@ -96,8 +96,8 @@ func TestAtomicBlockedBloomConcurrentAdds(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("concurrent adds diverged from serial reference")
 	}
-	if af.N() != writers*perW {
-		t.Fatalf("N() = %d, want %d", af.N(), writers*perW)
+	if af.n.Load() != writers*perW {
+		t.Fatalf("N() = %d, want %d", af.n.Load(), writers*perW)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestAtomicBlockedBloomMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		if !af.Contains(blockedKey(i)) {
+		if !bloomContains(af, blockedKey(i)) {
 			t.Fatalf("merged key %d missing", i)
 		}
 	}

@@ -341,10 +341,6 @@ func (b *Buffer) BufferedWriters() int { return int(b.prop.writers.Load()) }
 // currently miss: writers × per-writer buffer.
 func (b *Buffer) StalenessBound() int { return b.BufferedWriters() * b.writerBuf }
 
-// Propagated returns the number of items passed to apply — the
-// read-visible epoch.
-func (b *Buffer) Propagated() uint64 { return b.prop.propagated.Load() }
-
 // Close stops the propagator; buffered-but-unflushed writer items are
 // dropped. Do not put after Close.
 func (b *Buffer) Close() { b.prop.close() }

@@ -441,9 +441,9 @@ func TestBufferedHLLEstimateNeedsNoSync(t *testing.T) {
 	}
 	w.Flush()
 	deadline := time.Now().Add(10 * time.Second)
-	for h.Propagated() < items {
+	for h.prop.propagated.Load() < items {
 		if time.Now().After(deadline) {
-			t.Fatalf("propagated %d of %d items after 10s", h.Propagated(), items)
+			t.Fatalf("propagated %d of %d items after 10s", h.prop.propagated.Load(), items)
 		}
 		runtime.Gosched()
 	}

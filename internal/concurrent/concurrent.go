@@ -28,19 +28,12 @@ import (
 )
 
 // ShardedHLL is a concurrent HyperLogLog: each shard is owned by the
-// goroutines that hash to it (striped by a cheap counter), and reads
-// merge all shards into a cached merged view. The cache is keyed by an
-// epoch — the sum of per-shard write counters — so only the first read
-// after a write rebuilds it: a copy of the first shard, one
-// cardinality.HLL.Merge per further shard, taken under that shard's
-// lock straight into the new view, and one Estimate when the read is
-// an estimate (a serialization needs none). Under mixed
-// traffic nearly every read is such a read, so what a read costs is
-// those word kernels: at p = 14 over 2 shards ≈ 30 µs and one 12 KB
-// view (ShardedHLLEstimateUnderWrites in the hot-path suite), 3 % of a
-// shard's CPU on the benchmark's cluster_ingest mix when sketchd served
-// this type, where one request in eight is such a read. With
-// per-register loops and a clone per shard it was 190 µs and 26 %.
+// goroutines that hash to it (striped by a cheap counter), and a
+// serialization merges all shards into a cached merged view. The cache
+// is keyed by an epoch — the sum of per-shard write counters — so only
+// the first read after a write rebuilds it: a copy of the first shard
+// and one cardinality.HLL.Merge per further shard, taken under that
+// shard's lock straight into the new view.
 type ShardedHLL struct {
 	shards []shardedHLLSlot
 	p      uint8
@@ -53,8 +46,6 @@ type ShardedHLL struct {
 	// the cache can be stale-marked but never wrong.
 	cacheMu    sync.Mutex
 	cache      *cardinality.HLL
-	cacheEst   float64 // of cache, once estOK
-	estOK      bool
 	cacheEpoch uint64
 	cacheValid bool
 }
@@ -98,35 +89,6 @@ func (h *HLLHandle) AddUint64(v uint64) {
 	h.mu.Unlock()
 }
 
-// Add inserts a byte-slice item through the handle.
-func (h *HLLHandle) Add(item []byte) {
-	h.mu.Lock()
-	h.hll.Add(item)
-	h.version.Add(1)
-	h.mu.Unlock()
-}
-
-// AddBatch inserts many byte-slice items in fixed-size chunks: each
-// chunk is fully hashed *outside* the lock (pure ALU work other
-// goroutines never wait on), then folded in under one acquisition via
-// the two-phase AddHashBatch. Items may be reused by the caller after
-// the call returns; state is identical to per-item Add.
-func (h *HLLHandle) AddBatch(items [][]byte) {
-	var hs [atomicIngestChunk]uint64
-	seed := h.hll.Seed()
-	for len(items) > 0 {
-		c := len(items)
-		if c > atomicIngestChunk {
-			c = atomicIngestChunk
-		}
-		for i, item := range items[:c] {
-			hs[i], _ = hashx.Murmur3_128(item, seed)
-		}
-		h.AddHashBatch(hs[:c])
-		items = items[c:]
-	}
-}
-
 // AddHashBatch folds many pre-hashed values in under one lock
 // acquisition. Hash-once pipelines use it so each item is hashed
 // exactly once, outside the lock, and the critical section is pure
@@ -151,8 +113,6 @@ func (s *ShardedHLL) epoch() uint64 {
 // mergeShards builds a fresh merged sketch from all shards: a copy of
 // the first, then every other merged straight in, each under its own
 // lock (a word-wise merge holds it little longer than a copy would).
-// This is the uncached read path; BenchmarkShardedHLLEstimate measures
-// what the epoch cache saves over calling this on every read.
 func (s *ShardedHLL) mergeShards() *cardinality.HLL {
 	first := &s.shards[0]
 	first.mu.Lock()
@@ -170,43 +130,18 @@ func (s *ShardedHLL) mergeShards() *cardinality.HLL {
 }
 
 // mergedView returns the cached merged sketch, rebuilding it only if a
-// write moved the epoch since the last rebuild, and its estimate when
-// estimate is set: the harmonic sum over the registers runs on the
-// first read after a rebuild that asks for it, so serializing the view
-// never pays for it. Callers must not mutate the sketch; Snapshot
-// clones it for them.
-func (s *ShardedHLL) mergedView(estimate bool) (*cardinality.HLL, float64) {
+// write moved the epoch since the last rebuild. Callers must not mutate
+// it.
+func (s *ShardedHLL) mergedView() *cardinality.HLL {
 	e := s.epoch()
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if !s.cacheValid || s.cacheEpoch != e {
 		s.cache = s.mergeShards()
-		s.estOK = false
 		s.cacheEpoch = e
 		s.cacheValid = true
 	}
-	if estimate && !s.estOK {
-		s.cacheEst = s.cache.Estimate()
-		s.estOK = true
-	}
-	return s.cache, s.cacheEst
-}
-
-// Estimate returns the cardinality estimate of the union of all
-// shards. Because HLL merge is the register-wise max, the result is
-// exactly the estimate a single sketch would have produced for the
-// union of all shards' inputs. Repeated reads between writes are
-// served from the epoch cache in O(shards).
-func (s *ShardedHLL) Estimate() float64 {
-	_, est := s.mergedView(true)
-	return est
-}
-
-// Snapshot returns a private copy of the merged sketch, suitable for
-// serialization or further merging by the caller.
-func (s *ShardedHLL) Snapshot() *cardinality.HLL {
-	merged, _ := s.mergedView(false)
-	return merged.Clone()
+	return s.cache
 }
 
 // Merge folds a peer's HLL (same p and seed) into the sketch. The peer
@@ -229,12 +164,8 @@ func (s *ShardedHLL) MarshalBinary() ([]byte, error) { return s.AppendBinary(nil
 
 // AppendBinary appends what MarshalBinary returns to dst.
 func (s *ShardedHLL) AppendBinary(dst []byte) ([]byte, error) {
-	merged, _ := s.mergedView(false)
-	return merged.AppendBinary(dst)
+	return s.mergedView().AppendBinary(dst)
 }
-
-// P returns the dense precision shared by all shards.
-func (s *ShardedHLL) P() uint8 { return s.p }
 
 // SizeBytes returns the total register storage across shards.
 func (s *ShardedHLL) SizeBytes() int {
@@ -285,20 +216,6 @@ func NewAtomicCountMinLayout(l frequency.Layout) *AtomicCountMin {
 // use without external locking.
 func (c *AtomicCountMin) AddUint64(item, weight uint64) {
 	c.AddHash(hashx.HashUint64(item, c.layout.Seed), weight)
-}
-
-// Add adds weight occurrences of a byte-slice item: one hash pass, all
-// row positions derived from it. Equivalent to
-// AddHash(hashx.XXHash64(item, seed), weight), the same item→cell map
-// as frequency.CountMin.
-func (c *AtomicCountMin) Add(item []byte, weight uint64) {
-	c.AddHash(hashx.XXHash64(item, c.layout.Seed), weight)
-}
-
-// AddString adds weight occurrences of a string item without copying
-// or allocating.
-func (c *AtomicCountMin) AddString(item string, weight uint64) {
-	c.AddHash(hashx.XXHash64String(item, c.layout.Seed), weight)
 }
 
 // AddHash adds weight at the cells frequency.CountMin.AddHash would
@@ -370,25 +287,9 @@ func (c *AtomicCountMin) AddWeightedHashBatch(hs, ws []uint64) {
 	}
 }
 
-// Estimate returns the point-query estimate for a byte-slice item,
-// probing exactly the buckets Add touched for the same item.
-func (c *AtomicCountMin) Estimate(item []byte) uint64 {
-	return c.estimateHash(hashx.XXHash64(item, c.layout.Seed))
-}
-
-// EstimateUint64 returns the point-query estimate for an integer item.
-func (c *AtomicCountMin) EstimateUint64(item uint64) uint64 {
-	return c.estimateHash(hashx.HashUint64(item, c.layout.Seed))
-}
-
-func (c *AtomicCountMin) estimateHash(h uint64) uint64 {
-	var buf [frequency.StackDepth]uint64
-	return frequency.MinCells(c.appendCells(buf[:0], h))
-}
-
 // AppendCells appends the depth counters a point query for item reads,
 // each loaded atomically, in row order — the same cells, in the same
-// order, as frequency.CountMin.AppendCells on a Snapshot.
+// order, as frequency.CountMin.AppendCells on its envelope.
 func (c *AtomicCountMin) AppendCells(dst []uint64, item []byte) []uint64 {
 	return c.appendCells(dst, hashx.XXHash64(item, c.layout.Seed))
 }
@@ -403,12 +304,6 @@ func (c *AtomicCountMin) appendCells(dst []uint64, h uint64) []uint64 {
 
 // N returns the total weight added.
 func (c *AtomicCountMin) N() uint64 { return c.n.Load() }
-
-// Width returns the bucket count per row.
-func (c *AtomicCountMin) Width() int { return c.layout.Width }
-
-// Depth returns the number of rows.
-func (c *AtomicCountMin) Depth() int { return c.layout.Depth }
 
 // Seed returns the hash seed.
 func (c *AtomicCountMin) Seed() uint64 { return c.layout.Seed }
@@ -438,20 +333,6 @@ func (c *AtomicCountMin) Merge(other *frequency.CountMin) error {
 	}
 	c.n.Add(other.N())
 	return nil
-}
-
-// Snapshot copies the counters into a plain CountMin for serialization
-// or offline use. Each counter is read atomically; under concurrent
-// writes the copy is a per-cell snapshot (sufficient for the
-// overestimate guarantee, as with EstimateUint64).
-func (c *AtomicCountMin) Snapshot() *frequency.CountMin {
-	cm := frequency.NewCountMinLayout(c.layout)
-	cells := cm.Table()
-	for j := range cells {
-		cells[j] = c.cells[j].Load()
-	}
-	cm.SetN(c.n.Load())
-	return cm
 }
 
 // MarshalBinary serializes a snapshot in the standard Count-Min

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cardinality"
 	"repro/internal/core"
 	"repro/internal/frequency"
+	"repro/internal/hashx"
 )
 
 func TestShardedHLLMatchesSequential(t *testing.T) {
@@ -32,7 +33,7 @@ func TestShardedHLLMatchesSequential(t *testing.T) {
 	for i := 0; i < n; i++ {
 		single.AddUint64(uint64(i))
 	}
-	if got, want := s.Estimate(), single.Estimate(); got != want {
+	if got, want := s.mergedView().Estimate(), single.Estimate(); got != want {
 		t.Errorf("sharded estimate %.1f != sequential %.1f", got, want)
 	}
 }
@@ -62,7 +63,7 @@ func TestShardedHLLConcurrentReads(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if est := s.Estimate(); est < 0 {
+				if est := s.mergedView().Estimate(); est < 0 {
 					t.Error("negative estimate")
 					return
 				}
@@ -72,7 +73,7 @@ func TestShardedHLLConcurrentReads(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-readerDone
-	if err := core.RelErr(s.Estimate(), 200000); err > 0.1 {
+	if err := core.RelErr(s.mergedView().Estimate(), 200000); err > 0.1 {
 		t.Errorf("final estimate rel err %.3f", err)
 	}
 }
@@ -97,7 +98,7 @@ func TestAtomicCountMinConcurrentNeverUndercounts(t *testing.T) {
 	}
 	for item := uint64(0); item < 100; item++ {
 		want := uint64(workers * perWorker / 100)
-		if got := c.EstimateUint64(item); got < want {
+		if got := cmEstimateUint64(c, item); got < want {
 			t.Errorf("item %d: estimate %d < true %d", item, got, want)
 		}
 	}
@@ -105,14 +106,13 @@ func TestAtomicCountMinConcurrentNeverUndercounts(t *testing.T) {
 
 func TestAtomicCountMinByteItems(t *testing.T) {
 	c := NewAtomicCountMin(256, 4, 4)
-	c.Add([]byte("x"), 7)
-	h := c.EstimateUint64 // ensure integer path unaffected
-	_ = h
-	// Byte-item estimates go through the same counters; check via a
-	// second Add.
-	c.Add([]byte("x"), 3)
+	cmAdd(c, []byte("x"), 7)
+	cmAdd(c, []byte("x"), 3)
 	if c.N() != 10 {
 		t.Errorf("N = %d", c.N())
+	}
+	if got := frequency.MinCells(c.AppendCells(nil, []byte("x"))); got < 10 {
+		t.Errorf("byte-item estimate %d, want >= 10", got)
 	}
 }
 
@@ -163,9 +163,9 @@ func TestShardedHLLEpochCache(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		h.AddUint64(uint64(i))
 	}
-	first := s.Estimate()
+	first := s.mergedView().Estimate()
 	// A second read between writes must come from the cache and agree.
-	if again := s.Estimate(); again != first {
+	if again := s.mergedView().Estimate(); again != first {
 		t.Errorf("cached estimate %.1f != %.1f", again, first)
 	}
 	if s.epoch() != 10000 {
@@ -175,10 +175,10 @@ func TestShardedHLLEpochCache(t *testing.T) {
 	for i := 10000; i < 30000; i++ {
 		h.AddUint64(uint64(i))
 	}
-	if got := s.Estimate(); got == first {
+	if got := s.mergedView().Estimate(); got == first {
 		t.Errorf("estimate unchanged at %.1f after 20k new items", got)
 	}
-	if err := core.RelErr(s.Estimate(), 30000); err > 0.1 {
+	if err := core.RelErr(s.mergedView().Estimate(), 30000); err > 0.1 {
 		t.Errorf("estimate rel err %.3f", err)
 	}
 }
@@ -197,7 +197,7 @@ func TestShardedHLLMergeAndSnapshot(t *testing.T) {
 		t.Fatalf("merge: %v", err)
 	}
 	// Merge must invalidate the cache and union the peer.
-	if err := core.RelErr(s.Estimate(), 10000); err > 0.1 {
+	if err := core.RelErr(s.mergedView().Estimate(), 10000); err > 0.1 {
 		t.Errorf("post-merge rel err %.3f", err)
 	}
 	// Incompatible peers must be rejected.
@@ -206,14 +206,14 @@ func TestShardedHLLMergeAndSnapshot(t *testing.T) {
 		t.Error("merge of incompatible HLL succeeded")
 	}
 	// Snapshot must be a private copy equal to the merged view.
-	snap := s.Snapshot()
-	if snap.Estimate() != s.Estimate() {
-		t.Errorf("snapshot estimate %.1f != %.1f", snap.Estimate(), s.Estimate())
+	snap := s.mergedView().Clone()
+	if snap.Estimate() != s.mergedView().Estimate() {
+		t.Errorf("snapshot estimate %.1f != %.1f", snap.Estimate(), s.mergedView().Estimate())
 	}
 	for i := 0; i < 20000; i++ {
 		snap.AddUint64(uint64(1<<40 + i))
 	}
-	if snap.Estimate() <= s.Estimate() {
+	if snap.Estimate() <= s.mergedView().Estimate() {
 		t.Error("mutating the snapshot did not diverge from the source")
 	}
 	// Round-trip through MarshalBinary must be absorbable by a plain HLL.
@@ -225,8 +225,8 @@ func TestShardedHLLMergeAndSnapshot(t *testing.T) {
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Estimate() != s.Estimate() {
-		t.Errorf("round-trip estimate %.1f != %.1f", back.Estimate(), s.Estimate())
+	if back.Estimate() != s.mergedView().Estimate() {
+		t.Errorf("round-trip estimate %.1f != %.1f", back.Estimate(), s.mergedView().Estimate())
 	}
 }
 
@@ -246,16 +246,16 @@ func TestAtomicCountMinMergeSnapshot(t *testing.T) {
 		t.Errorf("N = %d, want 1500", c.N())
 	}
 	for item := uint64(0); item < 10; item++ {
-		if got := c.EstimateUint64(item); got < 150 {
+		if got := cmEstimateUint64(c, item); got < 150 {
 			t.Errorf("item %d: estimate %d < 150", item, got)
 		}
 	}
 	// Snapshot must agree with the atomic reads and round-trip.
-	snap := c.Snapshot()
+	snap := cmSnapshot(t, c)
 	for item := uint64(0); item < 10; item++ {
-		if snap.EstimateUint64(item) != c.EstimateUint64(item) {
+		if snap.EstimateUint64(item) != cmEstimateUint64(c, item) {
 			t.Errorf("item %d: snapshot %d != live %d",
-				item, snap.EstimateUint64(item), c.EstimateUint64(item))
+				item, snap.EstimateUint64(item), cmEstimateUint64(c, item))
 		}
 	}
 	// Mismatched shapes and conservative peers are rejected.
@@ -286,9 +286,41 @@ func BenchmarkShardedHLLEstimate(b *testing.B) {
 					merged := s.mergeShards()
 					_ = merged.Estimate()
 				} else {
-					_ = s.Estimate()
+					_ = s.mergedView().Estimate()
 				}
 			}
 		})
 	}
+}
+
+// The holders are read the way the registry reads them, through their
+// cells and envelopes; these give the tests the plain kernel's reads.
+
+func cmAdd(c *AtomicCountMin, item []byte, weight uint64) {
+	c.AddHash(hashx.XXHash64(item, c.Seed()), weight)
+}
+
+func cmEstimateUint64(c *AtomicCountMin, item uint64) uint64 {
+	return frequency.MinCells(c.appendCells(nil, hashx.HashUint64(item, c.Seed())))
+}
+
+func cmSnapshot(t testing.TB, c *AtomicCountMin) *frequency.CountMin {
+	t.Helper()
+	env, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := new(frequency.CountMin)
+	if err := cm.UnmarshalBinary(env); err != nil {
+		t.Fatal(err)
+	}
+	return cm
+}
+
+func bloomAdd(f *AtomicBlockedBloom, item []byte) {
+	f.AddHash(hashx.Murmur3_128(item, f.Seed()))
+}
+
+func bloomContains(f *AtomicBlockedBloom, item []byte) bool {
+	return f.ContainsHash(hashx.Murmur3_128(item, f.Seed()))
 }

@@ -189,27 +189,6 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Mean != 3 {
-		t.Errorf("Summary = %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Errorf("empty summary N = %d", empty.N)
-	}
-}
-
-func TestRankError(t *testing.T) {
-	stream := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := RankError(stream, 5, 5); got != 0 {
-		t.Errorf("exact rank error = %v", got)
-	}
-	if got := RankError(stream, 5, 7); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("rank error = %v, want 0.2", got)
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if got := Median([]float64{3, 1, 2}); got != 2 {
 		t.Errorf("Median odd = %v", got)

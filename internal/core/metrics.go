@@ -83,62 +83,6 @@ func RelErr(est, truth float64) float64 {
 	return math.Abs(est-truth) / math.Abs(truth)
 }
 
-// Summary holds order statistics of a sample of measurements.
-type Summary struct {
-	N                int
-	Mean, RMS        float64
-	Min, Median, Max float64
-	P90, P99         float64
-}
-
-// Summarize computes a Summary of xs. It sorts a copy.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var sum, sumSq float64
-	for _, x := range s {
-		sum += x
-		sumSq += x * x
-	}
-	n := float64(len(s))
-	return Summary{
-		N:      len(s),
-		Mean:   sum / n,
-		RMS:    math.Sqrt(sumSq / n),
-		Min:    s[0],
-		Median: quantileOf(s, 0.5),
-		Max:    s[len(s)-1],
-		P90:    quantileOf(s, 0.9),
-		P99:    quantileOf(s, 0.99),
-	}
-}
-
-// quantileOf reads the q-quantile from an already sorted slice using
-// the nearest-rank rule.
-func quantileOf(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// RankError returns the normalized rank error of a quantile estimate:
-// |rank(est) − wantRank| / n, where rank(est) is the number of stream
-// items ≤ est. This is the ε in the additive-error guarantee that GK,
-// KLL, q-digest and MRL all promise.
-func RankError(sortedStream []float64, est float64, wantRank int) float64 {
-	gotRank := sort.SearchFloat64s(sortedStream, est)
-	// Count ties as included: advance past equal values.
-	for gotRank < len(sortedStream) && sortedStream[gotRank] == est {
-		gotRank++
-	}
-	return math.Abs(float64(gotRank-wantRank)) / float64(len(sortedStream))
-}
-
 // Median returns the median of xs (sorting a copy).
 func Median(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -176,7 +176,7 @@ func TestNelsonYuAccuracy(t *testing.T) {
 	const n = 200000
 	c := NewNelsonYu(0.2, 0.05, 11)
 	for i := 0; i < n; i++ {
-		c.Increment()
+		increment(c)
 	}
 	if err := core.RelErr(c.Count(), n); err > 0.3 {
 		t.Errorf("NelsonYu rel err %.3f exceeds budget (eps=0.2 + slack)", err)
@@ -195,7 +195,7 @@ func TestNelsonYuMedianBeatsOneCopy(t *testing.T) {
 		ny := NewNelsonYu(eps, 0.05, uint64(trial)+100)
 		single := NewMorrisBase(1+2*eps*eps, uint64(trial)+5000)
 		for i := 0; i < n; i++ {
-			ny.Increment()
+			increment(ny)
 			single.Increment()
 		}
 		if core.RelErr(ny.Count(), n) > eps*1.5 {
@@ -219,8 +219,8 @@ func TestNelsonYuOddRepetitions(t *testing.T) {
 	if c.Repetitions()%2 == 0 {
 		t.Error("repetition count should be odd for a clean median")
 	}
-	if s := c.Spec(); s.Epsilon != 0.1 || s.Delta != 0.01 {
-		t.Errorf("Spec = %+v", s)
+	if c.eps != 0.1 || c.delta != 0.01 {
+		t.Errorf("eps, delta = %v, %v", c.eps, c.delta)
 	}
 }
 
@@ -228,8 +228,8 @@ func TestNelsonYuMerge(t *testing.T) {
 	a := NewNelsonYu(0.2, 0.1, 1)
 	b := NewNelsonYu(0.2, 0.1, 2)
 	for i := 0; i < 10000; i++ {
-		a.Increment()
-		b.Increment()
+		increment(a)
+		increment(b)
 	}
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestNelsonYuMerge(t *testing.T) {
 func TestNelsonYuSerialization(t *testing.T) {
 	c := NewNelsonYu(0.25, 0.1, 9)
 	for i := 0; i < 5000; i++ {
-		c.Increment()
+		increment(c)
 	}
 	data, err := c.MarshalBinary()
 	if err != nil {
@@ -292,6 +292,14 @@ func BenchmarkMorrisIncrement(b *testing.B) {
 func BenchmarkNelsonYuIncrement(b *testing.B) {
 	c := NewNelsonYu(0.1, 0.05, 1)
 	for i := 0; i < b.N; i++ {
-		c.Increment()
+		increment(c)
+	}
+}
+
+// increment registers one event in every repetition of a Nelson–Yu
+// counter, one Morris increment each.
+func increment(c *NelsonYu) {
+	for _, m := range c.counters {
+		m.Increment()
 	}
 }

@@ -50,13 +50,6 @@ func NewNelsonYu(eps, delta float64, seed uint64) *NelsonYu {
 	return &NelsonYu{counters: counters, eps: eps, delta: delta}
 }
 
-// Increment registers one event in every repetition.
-func (c *NelsonYu) Increment() {
-	for _, m := range c.counters {
-		m.Increment()
-	}
-}
-
 // IncrementN registers n events in every repetition using the
 // geometric fast-forward (see Morris.IncrementN).
 func (c *NelsonYu) IncrementN(n uint64) {
@@ -73,9 +66,6 @@ func (c *NelsonYu) Count() float64 {
 	}
 	return core.Median(ests)
 }
-
-// Spec returns the accuracy contract the counter was built for.
-func (c *NelsonYu) Spec() core.Spec { return core.Spec{Epsilon: c.eps, Delta: c.delta} }
 
 // Repetitions returns the number of independent Morris copies.
 func (c *NelsonYu) Repetitions() int { return len(c.counters) }

@@ -165,14 +165,6 @@ func (c *mutexCountMin) AddUint64(item, weight uint64) {
 	c.mu.Unlock()
 }
 
-// EstimateUint64 returns the point-query estimate under the lock.
-func (c *mutexCountMin) EstimateUint64(item uint64) uint64 {
-	h := hashx.HashUint64(item, c.cm.Seed())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cm.EstimateHash(h)
-}
-
 // benchWorkers runs the shared update function from `workers`
 // goroutines and returns aggregate ops per millisecond.
 func benchWorkers(workers, ops int, build func() func(uint64)) float64 {

@@ -143,13 +143,3 @@ func metStr(ok bool) string {
 	}
 	return "NOT met"
 }
-
-// sortedKeys is a small helper for deterministic table rows.
-func sortedKeys[K ~int | ~uint64, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}

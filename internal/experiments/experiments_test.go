@@ -166,7 +166,7 @@ func TestMutexCountMinCorrectUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	for item := uint64(0); item < 50; item++ {
-		if got := c.EstimateUint64(item); got < 800 {
+		if got := c.cm.EstimateUint64(item); got < 800 {
 			t.Errorf("item %d: estimate %d < 800", item, got)
 		}
 	}

@@ -117,12 +117,6 @@ func (a *SecureAggregator) Aggregate(uploads [][]float64) ([]float64, error) {
 	})
 }
 
-// Cohort returns the cohort size.
-func (a *SecureAggregator) Cohort() int { return a.cohort }
-
-// Dim returns the vector dimension.
-func (a *SecureAggregator) Dim() int { return a.dim }
-
 // FrequencyRound runs one complete federated frequency-estimation
 // round: every client one-hot encodes its value into a shared
 // histogram layout, uploads under secure aggregation, and the server

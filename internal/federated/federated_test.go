@@ -137,7 +137,7 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 	a := NewSecureAggregator(4, 2, 1)
-	if a.Cohort() != 4 || a.Dim() != 2 {
+	if a.cohort != 4 || a.dim != 2 {
 		t.Error("accessors wrong")
 	}
 }

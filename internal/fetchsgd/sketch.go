@@ -79,19 +79,6 @@ func (s *GradSketch) Add(other *GradSketch) error {
 	return nil
 }
 
-// AddScaled merges factor·other into the sketch (linearity).
-func (s *GradSketch) AddScaled(other *GradSketch, factor float64) error {
-	if s.rows != other.rows || s.cols != other.cols || s.seed != other.seed {
-		return fmt.Errorf("%w: gradient sketch shape mismatch", core.ErrIncompatible)
-	}
-	for r := range s.data {
-		for j := range s.data[r] {
-			s.data[r][j] += factor * other.data[r][j]
-		}
-	}
-	return nil
-}
-
 // Scale multiplies every counter (momentum decay uses this).
 func (s *GradSketch) Scale(factor float64) {
 	for r := range s.data {
@@ -162,9 +149,3 @@ func (s *GradSketch) SubtractSparse(sparse map[int]float64) {
 // SizeBytes returns the sketch payload size — the per-round
 // communication cost E16 reports.
 func (s *GradSketch) SizeBytes() int { return s.rows * s.cols * 8 }
-
-// Rows returns the sketch depth.
-func (s *GradSketch) Rows() int { return s.rows }
-
-// Cols returns the sketch width.
-func (s *GradSketch) Cols() int { return s.cols }

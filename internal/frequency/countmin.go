@@ -17,7 +17,6 @@ package frequency
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -206,12 +205,6 @@ func (c *CountMin) EstimateUint64(item uint64) uint64 {
 	return c.EstimateHash(hashx.HashUint64(item, c.layout.Seed))
 }
 
-// EstimateString returns the point-query estimate for a string item
-// without copying or allocating.
-func (c *CountMin) EstimateString(item string) uint64 {
-	return c.EstimateHash(hashx.XXHash64String(item, c.layout.Seed))
-}
-
 // EstimateHash answers a point query for a pre-hashed item.
 func (c *CountMin) EstimateHash(h uint64) uint64 {
 	var buf [StackDepth]uint32
@@ -279,9 +272,6 @@ func (c *CountMin) InnerProduct(other *CountMin) (uint64, error) {
 // N returns the total weight added.
 func (c *CountMin) N() uint64 { return c.n }
 
-// SetN records the total weight behind counters written through Table.
-func (c *CountMin) SetN(n uint64) { c.n = n }
-
 // Width returns the sketch width.
 func (c *CountMin) Width() int { return c.layout.Width }
 
@@ -337,13 +327,6 @@ func (c *CountMin) Merge(other *CountMin) error {
 	}
 	c.n += other.n
 	return nil
-}
-
-// Clone returns a deep copy.
-func (c *CountMin) Clone() *CountMin {
-	cp := *c // the layout's KWise rows are immutable and shared
-	cp.cells = slices.Clone(c.cells)
-	return &cp
 }
 
 // MarshalBinary serializes the sketch. Version 3 extends the version-2

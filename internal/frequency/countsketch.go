@@ -103,12 +103,6 @@ func (c *CountSketch) AddUint64(item uint64, weight int64) {
 	c.AddHash(hashx.HashUint64(item, c.layout.Seed), weight)
 }
 
-// AddString adds weight to a string item's count without copying or
-// allocating. Equivalent to Add on the string's bytes.
-func (c *CountSketch) AddString(item string, weight int64) {
-	c.AddHash(hashx.XXHash64String(item, c.layout.Seed), weight)
-}
-
 // Update implements core.Updater (weight 1).
 func (c *CountSketch) Update(item []byte) { c.Add(item, 1) }
 
@@ -158,16 +152,6 @@ func medianOddInPlace(xs []int64) int64 {
 		xs[j+1] = v
 	}
 	return xs[len(xs)/2]
-}
-
-// AddHashBatch folds many pre-hashed items in, each with weight 1. It
-// is AddHash per item: a sign belongs to an (item, row) pair, so a walk
-// of Layout.CellsBatch's stream would have to look each one up again,
-// and measured no faster than this.
-func (c *CountSketch) AddHashBatch(hs []uint64) {
-	for _, h := range hs {
-		c.AddHash(h, 1)
-	}
 }
 
 // Estimate returns the unbiased point-query estimate (median over rows

@@ -83,9 +83,6 @@ func TestCountMinStringMatchesBytes(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("AddString state differs from Add on the same keys")
 	}
-	if got, want := viaString.EstimateString("string-equiv-000042"), viaBytes.Estimate([]byte("string-equiv-000042")); got != want {
-		t.Fatalf("EstimateString = %d, Estimate = %d", got, want)
-	}
 }
 
 // skewedStream feeds a deterministic skewed stream (item i appears
@@ -315,20 +312,5 @@ func TestCountSketchDepthCap(t *testing.T) {
 	var back CountSketch
 	if err := back.UnmarshalBinary(w.Bytes()); !errors.Is(err, core.ErrCorrupt) {
 		t.Fatalf("derived depth-65 payload: err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestCountSketchStringMatchesBytes(t *testing.T) {
-	viaBytes := NewCountSketch(512, 5, 3)
-	viaString := NewCountSketch(512, 5, 3)
-	for i := 0; i < 1000; i++ {
-		key := fmt.Sprintf("cs-equiv-%06d", i)
-		viaBytes.Add([]byte(key), 2)
-		viaString.AddString(key, 2)
-	}
-	a, _ := viaBytes.MarshalBinary()
-	b, _ := viaString.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatal("AddString state differs from Add on the same keys")
 	}
 }

@@ -565,8 +565,8 @@ func TestMajorityFindsMajority(t *testing.T) {
 	if c, ok := m.Candidate(); !ok || c != "a" {
 		t.Errorf("candidate = %q, want a", c)
 	}
-	if m.N() != 100 {
-		t.Errorf("N = %d", m.N())
+	if m.n != 100 {
+		t.Errorf("n = %d", m.n)
 	}
 	empty := NewMajority()
 	if _, ok := empty.Candidate(); ok {

@@ -52,22 +52,6 @@ func TestCountMinFusedBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestCountSketchFusedBatchMatchesSequential(t *testing.T) {
-	seq := NewCountSketchLayout(Layout{Width: 2048, Depth: 5, Mode: Fused, Seed: 3})
-	bat := NewCountSketchLayout(Layout{Width: 2048, Depth: 5, Mode: Fused, Seed: 3})
-	hs := make([]uint64, 1000)
-	for i := range hs {
-		hs[i] = hashx.HashUint64(uint64(i), 3)
-		seq.AddHash(hs[i], 1)
-	}
-	bat.AddHashBatch(hs)
-	a, _ := seq.MarshalBinary()
-	b, _ := bat.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatal("fused AddHashBatch state differs from scalar AddHash")
-	}
-}
-
 func TestCountMinFusedRoundTripAndMergeGuard(t *testing.T) {
 	fused := NewCountMinLayout(Layout{Width: 512, Depth: 5, Mode: Fused, Seed: 5})
 	std := NewCountMin(512, 5, 5)

@@ -36,6 +36,3 @@ func (m *Majority) Update(item []byte) { m.Add(string(item)) }
 func (m *Majority) Candidate() (string, bool) {
 	return m.candidate, m.n > 0
 }
-
-// N returns the number of items processed.
-func (m *Majority) N() uint64 { return m.n }

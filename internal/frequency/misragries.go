@@ -64,9 +64,6 @@ func (m *MisraGries) Add(item string, weight uint64) {
 	}
 }
 
-// AddString registers one occurrence of item.
-func (m *MisraGries) AddString(item string) { m.Add(item, 1) }
-
 // Update implements core.Updater.
 func (m *MisraGries) Update(item []byte) { m.Add(string(item), 1) }
 

@@ -3,7 +3,6 @@ package frequency
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hashx"
@@ -78,12 +77,6 @@ func (s *SFSketch) AddUint64(item, weight uint64) {
 	s.AddHash(hashx.HashUint64(item, s.slimL.Seed), weight)
 }
 
-// AddString increments a string item's count by one without copying or
-// allocating.
-func (s *SFSketch) AddString(item string) {
-	s.AddHash(hashx.XXHash64String(item, s.slimL.Seed), 1)
-}
-
 // Update implements core.Updater (weight 1).
 func (s *SFSketch) Update(item []byte) { s.Add(item, 1) }
 
@@ -121,32 +114,6 @@ func (s *SFSketch) AddHash(h, weight uint64) {
 	}
 }
 
-// AddBatch increments each item's count by one. Chunks are hashed with
-// pure ALU work before the counter updates stream, as in
-// CountMin.AddBatch; the per-item update itself stays scalar because
-// the conditional slim update is read-dependent and order-sensitive
-// (like conservative update). State is byte-identical to calling
-// Add(item, 1) per item in order.
-func (s *SFSketch) AddBatch(items [][]byte) {
-	var hs [ingestChunk]uint64
-	for len(items) > 0 {
-		n := min(len(items), ingestChunk)
-		for i, item := range items[:n] {
-			hs[i] = hashx.XXHash64(item, s.slimL.Seed)
-		}
-		s.AddHashBatch(hs[:n])
-		items = items[n:]
-	}
-}
-
-// AddHashBatch folds many pre-hashed items in, each with weight 1, in
-// order. Byte-identical to calling AddHash per item.
-func (s *SFSketch) AddHashBatch(hs []uint64) {
-	for _, h := range hs {
-		s.AddHash(h, 1)
-	}
-}
-
 // AddWeightedHashBatch folds a block of pre-hashed items in, hs[i] with
 // weight ws[i], in order. Byte-identical to calling AddHash per item.
 func (s *SFSketch) AddWeightedHashBatch(hs, ws []uint64) {
@@ -164,12 +131,6 @@ func (s *SFSketch) Estimate(item []byte) uint64 {
 // EstimateUint64 returns the point-query estimate for an integer item.
 func (s *SFSketch) EstimateUint64(item uint64) uint64 {
 	return s.EstimateHash(hashx.HashUint64(item, s.slimL.Seed))
-}
-
-// EstimateString returns the point-query estimate for a string item
-// without copying or allocating.
-func (s *SFSketch) EstimateString(item string) uint64 {
-	return s.EstimateHash(hashx.XXHash64String(item, s.slimL.Seed))
 }
 
 // EstimateHash answers a point query for a pre-hashed item from the
@@ -256,13 +217,6 @@ func (s *SFSketch) Merge(other *SFSketch) error {
 	}
 	s.n += other.n
 	return nil
-}
-
-// Clone returns a deep copy.
-func (s *SFSketch) Clone() *SFSketch {
-	cp := *s
-	cp.slim, cp.fat = slices.Clone(s.slim), slices.Clone(s.fat)
-	return &cp
 }
 
 // Mode byte values in the SF wire envelope.

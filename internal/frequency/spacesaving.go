@@ -72,9 +72,6 @@ func (s *SpaceSaving) Add(item string, weight uint64) {
 	s.items[item] = min
 }
 
-// AddString registers one occurrence of item.
-func (s *SpaceSaving) AddString(item string) { s.Add(item, 1) }
-
 // Update implements core.Updater.
 func (s *SpaceSaving) Update(item []byte) { s.Add(string(item), 1) }
 

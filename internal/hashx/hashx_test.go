@@ -228,8 +228,8 @@ func TestKWiseDeterministicAndDistinctSeeds(t *testing.T) {
 	if !diff {
 		t.Error("different seeds should give different functions")
 	}
-	if a.K() != 3 {
-		t.Errorf("K() = %d, want 3", a.K())
+	if len(a.coeff) != 3 {
+		t.Errorf("%d coefficients, want 3", len(a.coeff))
 	}
 }
 
@@ -248,7 +248,7 @@ func TestTabulationUniformity(t *testing.T) {
 	const items = 128000
 	counts := make([]int, n)
 	for i := 0; i < items; i++ {
-		counts[tab.HashRange(uint64(i)*2654435761, n)]++
+		counts[tab.Hash(uint64(i)*2654435761)%n]++
 	}
 	want := float64(items) / n
 	for b, c := range counts {

@@ -70,9 +70,6 @@ func (h *KWise) Sign(x uint64) int64 {
 	return -1
 }
 
-// K reports the independence parameter of the family member.
-func (h *KWise) K() int { return len(h.coeff) }
-
 // modP reduces a 64-bit value modulo 2^61-1.
 func modP(x uint64) uint64 {
 	x = (x & MersennePrime61) + (x >> 61)

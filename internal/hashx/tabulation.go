@@ -36,8 +36,3 @@ func (t *Tabulation) Hash(x uint64) uint64 {
 		t.table[6][byte(x>>48)] ^
 		t.table[7][byte(x>>56)]
 }
-
-// HashRange maps a 64-bit key to a bucket in [0, n).
-func (t *Tabulation) HashRange(x uint64, n int) int {
-	return int(t.Hash(x) % uint64(n))
-}

@@ -163,18 +163,6 @@ func (t *Sparse) InputDim() int { return t.d }
 // OutputDim returns k.
 func (t *Sparse) OutputDim() int { return t.k }
 
-// Sparsity returns s.
-func (t *Sparse) Sparsity() int { return t.s }
-
-// Norm returns the Euclidean norm of a vector.
-func Norm(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Distance returns the Euclidean distance between two vectors.
 func Distance(a, b []float64) float64 {
 	if len(a) != len(b) {

@@ -71,7 +71,7 @@ func TestNormPreservationStatistics(t *testing.T) {
 	// E[||Ax||²] = ||x||² for all three transforms.
 	const d, k, trials = 200, 256, 50
 	x := randomPoints(1, d, 7)[0]
-	want := Norm(x)
+	want := norm(x)
 	for name, mk := range map[string]func(seed uint64) Transform{
 		"gaussian":   func(s uint64) Transform { return NewGaussian(d, k, s) },
 		"rademacher": func(s uint64) Transform { return NewRademacher(d, k, s) },
@@ -80,7 +80,7 @@ func TestNormPreservationStatistics(t *testing.T) {
 		var sumSq float64
 		for trial := 0; trial < trials; trial++ {
 			y := mk(uint64(trial) + 10).Apply(x)
-			sumSq += Norm(y) * Norm(y)
+			sumSq += norm(y) * norm(y)
 		}
 		meanSq := sumSq / trials
 		if math.Abs(meanSq-want*want)/(want*want) > 0.15 {
@@ -167,7 +167,7 @@ func TestDims(t *testing.T) {
 		t.Error("dense dims wrong")
 	}
 	s := NewSparse(8, 4, 2, 1)
-	if s.InputDim() != 8 || s.OutputDim() != 4 || s.Sparsity() != 2 {
+	if s.InputDim() != 8 || s.OutputDim() != 4 || s.s != 2 {
 		t.Error("sparse dims wrong")
 	}
 }
@@ -188,4 +188,13 @@ func BenchmarkSparseApply(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Apply(x)
 	}
+}
+
+// norm is the Euclidean norm of x.
+func norm(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s)
 }

@@ -175,7 +175,7 @@ func TestTensorSketchPanics(t *testing.T) {
 		}()
 	}
 	ts := NewTensorSketch(10, 64, 2, 1)
-	if ts.InputDim() != 10 || ts.OutputDim() != 64 || ts.Degree() != 2 {
+	if ts.InputDim() != 10 || ts.OutputDim() != 64 || ts.degree != 2 {
 		t.Error("accessors wrong")
 	}
 }

@@ -85,6 +85,3 @@ func (t *TensorSketch) InputDim() int { return t.d }
 
 // OutputDim returns k.
 func (t *TensorSketch) OutputDim() int { return t.k }
-
-// Degree returns the kernel degree.
-func (t *TensorSketch) Degree() int { return t.degree }

@@ -207,8 +207,8 @@ func TestIndexQueryVerifies(t *testing.T) {
 	if got := ix.Query(mb, 0.99); len(got) != 0 {
 		t.Errorf("Query with impossible threshold returned %v", got)
 	}
-	if ix.Len() != 1 {
-		t.Errorf("Len = %d", ix.Len())
+	if len(ix.sigs) != 1 {
+		t.Errorf("Len = %d", len(ix.sigs))
 	}
 	if err := ix.Add("bad", NewMinHash(32, 5)); !errors.Is(err, core.ErrIncompatible) {
 		t.Error("wrong-length signature accepted")

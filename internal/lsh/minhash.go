@@ -192,9 +192,6 @@ func (ix *Index) Query(sig *MinHash, minSim float64) []string {
 	return out
 }
 
-// Len returns the number of indexed items.
-func (ix *Index) Len() int { return len(ix.sigs) }
-
 // CandidateProbability returns the analytic S-curve value
 // 1 − (1 − s^r)^b for similarity s.
 func (ix *Index) CandidateProbability(s float64) float64 {

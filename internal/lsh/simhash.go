@@ -57,9 +57,6 @@ func (s *SimHash) Hash(x []float64) uint64 {
 	return sig
 }
 
-// Bits returns the signature width.
-func (s *SimHash) Bits() int { return len(s.planes) }
-
 // Similarity estimates the cosine similarity between the vectors that
 // produced two signatures: cos(π·(1 − agreement)).
 func (s *SimHash) Similarity(a, b uint64) float64 {
@@ -132,9 +129,6 @@ func (e *EuclideanLSH) CollisionProbability(c float64) float64 {
 func gaussCDFNeg(r float64) float64 {
 	return 0.5 * math.Erfc(r/math.Sqrt2)
 }
-
-// D returns the input dimensionality.
-func (s *SimHash) D() int { return s.d }
 
 // MarshalBinary serializes the SimHash. The hyperplanes are a pure
 // function of (d, bits, seed) — NewSimHash draws them from a seeded

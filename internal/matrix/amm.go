@@ -78,9 +78,3 @@ func (m *AMM) Product() [][]float64 {
 	}
 	return out
 }
-
-// K returns the compression dimension.
-func (m *AMM) K() int { return m.k }
-
-// Rows returns the number of appended row pairs.
-func (m *AMM) Rows() int { return m.row }

@@ -123,18 +123,6 @@ func (f *FD) Sketch() [][]float64 {
 // 2·‖A‖_F²/ℓ on ‖AᵀA − BᵀB‖₂.
 func (f *FD) CovarianceErrorBound() float64 { return 2 * f.frob2 / float64(f.l) }
 
-// Frobenius2 returns the accumulated squared Frobenius norm of A.
-func (f *FD) Frobenius2() float64 { return f.frob2 }
-
-// L returns the sketch size parameter.
-func (f *FD) L() int { return f.l }
-
-// D returns the column count.
-func (f *FD) D() int { return f.d }
-
-// N returns the number of appended rows.
-func (f *FD) N() int { return f.n }
-
 // CovarianceDiff computes ‖AᵀA − BᵀB‖₂ against an explicitly provided
 // A (test/experiment helper) via power iteration on the difference.
 func (f *FD) CovarianceDiff(a [][]float64) float64 {

@@ -129,8 +129,8 @@ func TestFDSketchSizeBounded(t *testing.T) {
 	if got := len(f.Sketch()); got > 10 {
 		t.Errorf("sketch holds %d rows, want <= 10", got)
 	}
-	if f.N() != 5000 {
-		t.Errorf("N = %d", f.N())
+	if f.n != 5000 {
+		t.Errorf("N = %d", f.n)
 	}
 }
 
@@ -205,7 +205,7 @@ func TestAMMUnbiasedAndAccurate(t *testing.T) {
 	if rel := math.Sqrt(num / den); rel > 0.25 {
 		t.Errorf("AMM relative Frobenius error %.3f", rel)
 	}
-	if m.Rows() != n || m.K() != 512 {
+	if m.row != n || m.k != 512 {
 		t.Error("accessors wrong")
 	}
 }

@@ -100,9 +100,3 @@ func (s *PrivateCMS) Estimate(value string) float64 {
 	w := float64(s.width)
 	return w / (w - 1) * (sum - float64(s.n)/w)
 }
-
-// N returns the number of absorbed reports.
-func (s *PrivateCMS) N() int { return s.n }
-
-// Epsilon returns the per-report privacy budget.
-func (s *PrivateCMS) Epsilon() float64 { return s.eps }

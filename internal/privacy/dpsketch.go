@@ -82,12 +82,3 @@ func (d *DPCountMin) EstimateString(item string) (float64, error) {
 	}
 	return best, nil
 }
-
-// Epsilon returns the privacy budget.
-func (d *DPCountMin) Epsilon() float64 { return d.eps }
-
-// N returns the number of updates absorbed before release.
-func (d *DPCountMin) N() uint64 { return d.n }
-
-// NoiseScale returns the Laplace scale applied per counter.
-func (d *DPCountMin) NoiseScale() float64 { return float64(d.sketch.Depth()) / d.eps }

@@ -45,12 +45,6 @@ func (rr *RandomizedResponse) Perturb(bit bool) bool {
 	return !bit
 }
 
-// PTruth returns the probability of answering truthfully.
-func (rr *RandomizedResponse) PTruth() float64 { return rr.pTruth }
-
-// Epsilon returns the privacy budget.
-func (rr *RandomizedResponse) Epsilon() float64 { return rr.eps }
-
 // Debias converts an observed count of positive reports out of n into
 // an unbiased estimate of the true positive count: inverting
 // E[observed] = true·p + (n−true)·(1−p).
@@ -81,9 +75,6 @@ func (m *LaplaceMechanism) Release(trueValue float64) float64 {
 	return trueValue + m.rng.Laplace(m.scale)
 }
 
-// Scale returns the noise scale b (standard deviation is b·√2).
-func (m *LaplaceMechanism) Scale() float64 { return m.scale }
-
 // GaussianMechanism adds N(0, σ²) noise calibrated for (ε, δ)-DP with
 // the analytic σ = sensitivity·√(2 ln(1.25/δ))/ε.
 type GaussianMechanism struct {
@@ -105,6 +96,3 @@ func NewGaussianMechanism(eps, delta, sensitivity float64, seed uint64) *Gaussia
 func (m *GaussianMechanism) Release(trueValue float64) float64 {
 	return trueValue + m.rng.Normal()*m.sigma
 }
-
-// Sigma returns the noise standard deviation.
-func (m *GaussianMechanism) Sigma() float64 { return m.sigma }

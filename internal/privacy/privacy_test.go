@@ -29,10 +29,10 @@ func TestRandomizedResponseDebias(t *testing.T) {
 func TestRandomizedResponseTruthProbability(t *testing.T) {
 	rr := NewRandomizedResponse(2.0, 2)
 	want := math.Exp(2) / (1 + math.Exp(2))
-	if math.Abs(rr.PTruth()-want) > 1e-12 {
-		t.Errorf("PTruth = %v, want %v", rr.PTruth(), want)
+	if math.Abs(rr.pTruth-want) > 1e-12 {
+		t.Errorf("PTruth = %v, want %v", rr.pTruth, want)
 	}
-	if rr.Epsilon() != 2.0 {
+	if rr.eps != 2.0 {
 		t.Error("epsilon lost")
 	}
 	// Empirical flip rate should match.
@@ -50,8 +50,8 @@ func TestRandomizedResponseTruthProbability(t *testing.T) {
 
 func TestLaplaceMechanismMoments(t *testing.T) {
 	m := NewLaplaceMechanism(0.5, 1, 3)
-	if m.Scale() != 2 {
-		t.Errorf("scale = %v, want 2", m.Scale())
+	if m.scale != 2 {
+		t.Errorf("scale = %v, want 2", m.scale)
 	}
 	var sum float64
 	const n = 100000
@@ -66,8 +66,8 @@ func TestLaplaceMechanismMoments(t *testing.T) {
 func TestGaussianMechanismSigma(t *testing.T) {
 	m := NewGaussianMechanism(1, 1e-5, 1, 4)
 	want := math.Sqrt(2 * math.Log(1.25/1e-5))
-	if math.Abs(m.Sigma()-want) > 1e-9 {
-		t.Errorf("sigma = %v, want %v", m.Sigma(), want)
+	if math.Abs(m.sigma-want) > 1e-9 {
+		t.Errorf("sigma = %v, want %v", m.sigma, want)
 	}
 	var sum, sumSq float64
 	const n = 200000
@@ -144,7 +144,7 @@ func TestRAPPORPrivacyNoiseScalesWithEps(t *testing.T) {
 	if !(tight.F() > loose.F()) {
 		t.Errorf("stronger privacy must flip more: f(0.5)=%.3f f(8)=%.3f", tight.F(), loose.F())
 	}
-	if loose.M() != 64 {
+	if loose.m != 64 {
 		t.Error("M accessor wrong")
 	}
 }
@@ -179,8 +179,8 @@ func TestPrivateCMSEndToEnd(t *testing.T) {
 			t.Errorf("%s: estimate %.0f, true %.0f", item, got, want)
 		}
 	}
-	if s.N() != nClients {
-		t.Errorf("N = %d", s.N())
+	if s.n != nClients {
+		t.Errorf("N = %d", s.n)
 	}
 }
 
@@ -229,11 +229,11 @@ func TestDPCountMinLifecycle(t *testing.T) {
 		}()
 		d.AddString("x")
 	}()
-	if d.N() != 20000 || d.Epsilon() != 1 {
+	if d.n != 20000 || d.eps != 1 {
 		t.Error("metadata wrong")
 	}
-	if d.NoiseScale() != 5 {
-		t.Errorf("noise scale %v, want depth/eps = 5", d.NoiseScale())
+	if got := float64(d.sketch.Depth()) / d.eps; got != 5 {
+		t.Errorf("noise scale %v, want depth/eps = 5", got)
 	}
 }
 

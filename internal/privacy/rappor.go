@@ -117,9 +117,6 @@ func (r *RAPPOR) EstimateFrequencies(counts []float64, nReports int, candidates 
 // F returns the per-bit flip probability.
 func (r *RAPPOR) F() float64 { return r.f }
 
-// M returns the filter width.
-func (r *RAPPOR) M() int { return r.m }
-
 // leastSquares solves min ‖Ax − b‖₂ via the normal equations with
 // Gaussian elimination and partial pivoting; candidate sets are small
 // (tens to hundreds), so cubic cost is fine.

@@ -183,9 +183,6 @@ func (c *compactor) Rank(v float64) uint64 {
 // N returns the number of inserted values.
 func (c *compactor) N() uint64 { return c.n }
 
-// K returns the size parameter the sketch was built with.
-func (c *compactor) K() int { return c.k }
-
 // RetainedItems returns the number of stored values — the E6 space
 // figure.
 func (c *compactor) RetainedItems() int {

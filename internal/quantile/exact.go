@@ -42,25 +42,8 @@ func (s *Exact) Quantile(q float64) float64 {
 	return s.vals[idx]
 }
 
-// Rank returns the exact number of values ≤ v.
-func (s *Exact) Rank(v float64) uint64 {
-	s.ensureSorted()
-	i := sort.SearchFloat64s(s.vals, v)
-	for i < len(s.vals) && s.vals[i] == v {
-		i++
-	}
-	return uint64(i)
-}
-
 // N returns the number of values inserted.
 func (s *Exact) N() uint64 { return uint64(len(s.vals)) }
-
-// Sorted returns the sorted data (shared slice; callers must not
-// mutate).
-func (s *Exact) Sorted() []float64 {
-	s.ensureSorted()
-	return s.vals
-}
 
 // SizeBytes returns the memory footprint — Θ(n), the baseline cost.
 func (s *Exact) SizeBytes() int { return len(s.vals) * 8 }

@@ -117,27 +117,11 @@ func (s *GK) Quantile(q float64) float64 {
 	return s.tuples[len(s.tuples)-1].v
 }
 
-// Rank returns the estimated rank of v (number of items ≤ v).
-func (s *GK) Rank(v float64) uint64 {
-	var rmin uint64
-	for _, t := range s.tuples {
-		if t.v > v {
-			break
-		}
-		rmin += t.g
-	}
-	return rmin
-}
-
 // N returns the number of values inserted.
 func (s *GK) N() uint64 { return s.n }
 
 // Eps returns the configured error guarantee.
 func (s *GK) Eps() float64 { return s.eps }
-
-// TupleCount returns the number of stored tuples — the space figure
-// experiment E6 reports.
-func (s *GK) TupleCount() int { return len(s.tuples) }
 
 // SizeBytes returns the approximate memory footprint.
 func (s *GK) SizeBytes() int { return len(s.tuples) * 24 }

@@ -108,21 +108,6 @@ func (s *QDigest) Quantile(q float64) uint64 {
 	return uint64(pairs[len(pairs)-1].v) // q is not a number
 }
 
-// Rank estimates the number of items ≤ v. Each stored node whose range
-// lies entirely at or below v contributes fully; straddling nodes
-// contribute nothing (their items may be above v), making this a lower
-// bound within the digest's error.
-func (s *QDigest) Rank(v uint64) uint64 {
-	var acc uint64
-	for id, c := range s.nodes {
-		_, hi := s.nodeRange(id)
-		if hi <= v {
-			acc += c
-		}
-	}
-	return acc
-}
-
 // nodeRange returns the inclusive value range covered by tree node id.
 func (s *QDigest) nodeRange(id uint64) (uint64, uint64) {
 	level := uint8(0)
@@ -141,9 +126,6 @@ func (s *QDigest) N() uint64 { return s.n }
 // Callers feeding untrusted input check this before Add, which panics
 // on out-of-domain values.
 func (s *QDigest) LogU() uint8 { return s.logU }
-
-// K returns the compression factor.
-func (s *QDigest) K() uint64 { return s.k }
 
 // NodeCount returns the number of stored tree nodes — the E6 space
 // figure.

@@ -73,8 +73,8 @@ func TestGKSpaceSublinear(t *testing.T) {
 	for i := 0; i < n; i++ {
 		g.Add(rng.Float64())
 	}
-	if g.TupleCount() > n/20 {
-		t.Errorf("GK stored %d tuples for n=%d — compression not working", g.TupleCount(), n)
+	if len(g.tuples) > n/20 {
+		t.Errorf("GK stored %d tuples for n=%d — compression not working", len(g.tuples), n)
 	}
 	if g.N() != n {
 		t.Errorf("N = %d", g.N())
@@ -403,7 +403,8 @@ func TestTDigestCentroidBudget(t *testing.T) {
 	for i := 0; i < 500000; i++ {
 		td.Add(rng.Float64())
 	}
-	if c := td.CentroidCount(); c > 200 {
+	td.flush()
+	if c := len(td.centroids); c > 200 {
 		t.Errorf("t-digest holds %d centroids for delta=100", c)
 	}
 }
@@ -523,9 +524,6 @@ func TestExactBaseline(t *testing.T) {
 	}
 	if e.Quantile(0.5) != 5 && e.Quantile(0.5) != 6 {
 		t.Errorf("exact median = %v", e.Quantile(0.5))
-	}
-	if e.Rank(5) != 5 {
-		t.Errorf("Rank(5) = %d", e.Rank(5))
 	}
 	if e.N() != 10 {
 		t.Errorf("N = %d", e.N())

@@ -198,7 +198,7 @@ func TestREQPanicsAndOddK(t *testing.T) {
 		NewREQ(2, 1)
 	}()
 	s := NewREQ(5, 1) // odd k rounds up
-	if s.K()%2 != 0 {
+	if s.k%2 != 0 {
 		t.Error("k should be even")
 	}
 }

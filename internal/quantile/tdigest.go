@@ -204,16 +204,6 @@ func (s *TDigest) CDF(v float64) float64 {
 // N returns the number of inserted values.
 func (s *TDigest) N() uint64 { return s.n }
 
-// Compression returns the δ parameter.
-func (s *TDigest) Compression() float64 { return s.compression }
-
-// CentroidCount returns the number of stored centroids (after flushing
-// the buffer) — the E6 space figure.
-func (s *TDigest) CentroidCount() int {
-	s.flush()
-	return len(s.centroids)
-}
-
 // SizeBytes returns the approximate memory footprint.
 func (s *TDigest) SizeBytes() int {
 	s.flush()

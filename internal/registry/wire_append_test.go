@@ -63,9 +63,9 @@ var atomicCountMin = variant{"serving", shaped(concurrent.NewAtomicCountMinLayou
 	Ingest: hashedIngest(weightedHash, (*concurrent.AtomicCountMin).AddWeightedHashBatch),
 	Query: query1(func(c *concurrent.AtomicCountMin, params url.Values) (map[string]any, error) {
 		if item := params.Get("item"); item != "" {
-			return map[string]any{"estimate": c.Estimate([]byte(item)), "n": c.N()}, nil
+			return map[string]any{"estimate": frequency.MinCells(c.AppendCells(nil, []byte(item))), "n": c.N()}, nil
 		}
-		return map[string]any{"n": c.N(), "width": c.Width(), "depth": c.Depth()}, nil
+		return map[string]any{"n": c.N(), "width": c.Layout().Width, "depth": c.Layout().Depth}, nil
 	}),
 	Merge: merge2[*frequency.CountMin](),
 }}

@@ -35,12 +35,6 @@ type Distinct struct {
 	q    float64 // Bernoulli ingest-admission rate; 1 = admit everything
 }
 
-// NewDistinct creates a robust distinct counter with switching
-// threshold eps and lambda independent HLL copies of precision p.
-func NewDistinct(eps float64, lambda int, p uint8, seed uint64) *Distinct {
-	return NewDefendedDistinct(eps, lambda, p, seed, 0, 1)
-}
-
 // NewDefendedDistinct creates the full defense stack: Bernoulli-q
 // subsampled ingest (q = 1 disables) into lambda switching HLL copies
 // with (1+rho)-grid noisy release (rho = 0 disables).
@@ -65,15 +59,6 @@ func NewDefendedDistinct(eps float64, lambda int, p uint8, seed uint64, rho, q f
 		copies: copies, eps: eps, last: math.NaN(),
 		p: p, seed: seed, rho: rho, q: q,
 	}
-}
-
-// DistinctLambdaFor returns the copy count needed for streams with up
-// to maxDistinct distinct items.
-func DistinctLambdaFor(eps, maxDistinct float64) int {
-	if maxDistinct < 2 {
-		maxDistinct = 2
-	}
-	return int(math.Ceil(math.Log(maxDistinct)/math.Log1p(eps))) + 1
 }
 
 // admitted applies the Bernoulli ingest sample for byte items.

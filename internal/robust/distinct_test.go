@@ -10,7 +10,7 @@ import (
 
 func TestDistinctTracksHonestStream(t *testing.T) {
 	const eps = 0.2
-	d := NewDistinct(eps, DistinctLambdaFor(eps, 1e6), 12, 1)
+	d := NewDefendedDistinct(eps, lambdaFor(eps, 1e6), 12, 1, 0, 1)
 	for i := uint64(0); i < 100000; i++ {
 		d.AddUint64(i)
 		if i%5000 == 4999 {
@@ -23,14 +23,14 @@ func TestDistinctTracksHonestStream(t *testing.T) {
 			}
 		}
 	}
-	if d.Exhausted() {
+	if d.burned {
 		t.Error("honest stream exhausted the copies")
 	}
 }
 
 func TestDistinctOutputQuantized(t *testing.T) {
 	const lambda = 30
-	d := NewDistinct(0.3, lambda, 10, 2)
+	d := NewDefendedDistinct(0.3, lambda, 10, 2, 0, 1)
 	changes := 0
 	last := math.NaN()
 	for i := uint64(0); i < 200000; i++ {
@@ -83,7 +83,7 @@ func TestDistinctAdaptiveAttackResisted(t *testing.T) {
 	naive := cardinalityHLL(8, 42)
 	nIns, nRep := attack(naive.AddUint64, naive.Estimate, 1200)
 	// Robust wrapper under the same attack.
-	rob := NewDistinct(0.5, DistinctLambdaFor(0.5, 1e7), 8, 42)
+	rob := NewDefendedDistinct(0.5, lambdaFor(0.5, 1e7), 8, 42, 0, 1)
 	rIns, rRep := attack(rob.AddUint64, rob.Estimate, 1200)
 
 	naiveRatio := nRep / nIns
@@ -108,7 +108,7 @@ func cardinalityHLL(p uint8, seed uint64) interface {
 }
 
 func TestDistinctSizeAndPanics(t *testing.T) {
-	d := NewDistinct(0.5, 3, 10, 1)
+	d := NewDefendedDistinct(0.5, 3, 10, 1, 0, 1)
 	if d.Copies() != 3 {
 		t.Errorf("Copies = %d", d.Copies())
 	}
@@ -116,8 +116,8 @@ func TestDistinctSizeAndPanics(t *testing.T) {
 		t.Error("size accounting broken")
 	}
 	for name, fn := range map[string]func(){
-		"eps":    func() { NewDistinct(1, 2, 10, 1) },
-		"lambda": func() { NewDistinct(0.5, 0, 10, 1) },
+		"eps":    func() { NewDefendedDistinct(1, 2, 10, 1, 0, 1) },
+		"lambda": func() { NewDefendedDistinct(0.5, 0, 10, 1, 0, 1) },
 	} {
 		func() {
 			defer func() {
@@ -128,13 +128,13 @@ func TestDistinctSizeAndPanics(t *testing.T) {
 			fn()
 		}()
 	}
-	if DistinctLambdaFor(0.5, 0) < 1 {
+	if lambdaFor(0.5, 0) < 1 {
 		t.Error("degenerate lambda")
 	}
 }
 
 func TestDistinctByteItems(t *testing.T) {
-	d := NewDistinct(0.3, 10, 10, 5)
+	d := NewDefendedDistinct(0.3, 10, 10, 5, 0, 1)
 	rng := randx.New(6)
 	truth := map[string]bool{}
 	for i := 0; i < 20000; i++ {
@@ -146,4 +146,13 @@ func TestDistinctByteItems(t *testing.T) {
 	if err := core.RelErr(d.Estimate(), float64(len(truth))); err > 0.5 {
 		t.Errorf("estimate rel err %.3f", err)
 	}
+}
+
+// lambdaFor is the copy count a switching counter needs for streams of
+// up to maxDistinct distinct items: one copy per (1+eps) step.
+func lambdaFor(eps, maxDistinct float64) int {
+	if maxDistinct < 2 {
+		maxDistinct = 2
+	}
+	return int(math.Ceil(math.Log(maxDistinct)/math.Log1p(eps))) + 1
 }

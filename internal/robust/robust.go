@@ -99,14 +99,6 @@ func (r *F2) Estimate() float64 {
 	return r.last
 }
 
-// Exhausted reports whether the wrapper has consumed all copies; once
-// true, the robustness guarantee has expired (the caller sized λ too
-// small for the stream's flip number).
-func (r *F2) Exhausted() bool { return r.burned }
-
-// Copies returns λ.
-func (r *F2) Copies() int { return len(r.copies) }
-
 // SizeBytes returns the total memory across copies — the price of
 // robustness that E13 reports alongside the accuracy.
 func (r *F2) SizeBytes() int {

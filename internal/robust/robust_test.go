@@ -57,7 +57,7 @@ func TestRobustSurvivesAdaptiveAttack(t *testing.T) {
 	lambda := LambdaFor(eps, 1e9)
 	r := NewF2(eps, lambda, 1, 64, 42)
 	reported, trueF2 := adaptiveAttack(r.AddUint64, r.Estimate, 1500, 7)
-	if r.Exhausted() {
+	if r.burned {
 		t.Fatal("wrapper ran out of copies — lambda sized too small")
 	}
 	// The robust estimate must stay within a constant factor of truth
@@ -90,7 +90,7 @@ func TestRobustTracksHonestStream(t *testing.T) {
 			}
 		}
 	}
-	if r.Exhausted() {
+	if r.burned {
 		t.Error("honest stream exhausted the copies")
 	}
 }
@@ -130,8 +130,8 @@ func TestLambdaFor(t *testing.T) {
 
 func TestSizeAccounting(t *testing.T) {
 	r := NewF2(0.5, 4, 2, 32, 1)
-	if r.Copies() != 4 {
-		t.Errorf("Copies = %d", r.Copies())
+	if len(r.copies) != 4 {
+		t.Errorf("copies = %d", len(r.copies))
 	}
 	single := ams.New(2, 32, 1).SizeBytes()
 	if r.SizeBytes() != 4*single {

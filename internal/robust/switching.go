@@ -98,16 +98,6 @@ func (s *Switching) Estimate() float64 {
 	return s.last
 }
 
-// Exhausted reports whether every copy's randomness has been exposed;
-// once true the robustness guarantee has expired.
-func (s *Switching) Exhausted() bool { return s.burned }
-
-// Copies returns λ.
-func (s *Switching) Copies() int { return len(s.copies) }
-
-// CopiesUsed returns how many copies have been exposed so far.
-func (s *Switching) CopiesUsed() int { return s.cur + 1 }
-
 // SizeBytes returns the total memory across copies — the λ× price of
 // the defense.
 func (s *Switching) SizeBytes() int {

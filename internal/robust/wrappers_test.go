@@ -41,16 +41,16 @@ func TestSwitchingHLLHonestStream(t *testing.T) {
 	// covers log_{1.05}(growth) epochs with room to spare.
 	s := NewSwitchingHLL(0.05, 128, 12, 1)
 	checkTracks(t, s, 40000, 2000, 0.15)
-	if s.Exhausted() {
-		t.Errorf("honest stream exhausted λ=%d copies (used %d)", s.Copies(), s.CopiesUsed())
+	if s.burned {
+		t.Errorf("honest stream exhausted λ=%d copies (used %d)", len(s.copies), s.cur+1)
 	}
 }
 
 func TestSwitchingKMVHonestStream(t *testing.T) {
 	s := NewSwitchingKMV(0.05, 128, 512, 1)
 	checkTracks(t, s, 40000, 2000, 0.15)
-	if s.Exhausted() {
-		t.Errorf("honest stream exhausted λ=%d copies (used %d)", s.Copies(), s.CopiesUsed())
+	if s.burned {
+		t.Errorf("honest stream exhausted λ=%d copies (used %d)", len(s.copies), s.cur+1)
 	}
 }
 

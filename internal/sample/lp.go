@@ -129,8 +129,5 @@ func (s *LpSampler) Merge(other *LpSampler) error {
 	return nil
 }
 
-// P returns the sampling exponent.
-func (s *LpSampler) P() float64 { return s.p }
-
 // SizeBytes returns the sketch memory — independent of the domain.
 func (s *LpSampler) SizeBytes() int { return s.depth * s.width * 8 }

@@ -128,7 +128,7 @@ func TestLpSamplerSpaceIndependentOfDomain(t *testing.T) {
 	if s.SizeBytes() != 256*5*8 {
 		t.Errorf("SizeBytes = %d", s.SizeBytes())
 	}
-	if s.P() != 1 {
+	if s.p != 1 {
 		t.Error("P accessor wrong")
 	}
 }

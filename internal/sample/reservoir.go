@@ -49,9 +49,6 @@ func (r *Reservoir) Add(item []byte) {
 	}
 }
 
-// AddString offers a string item.
-func (r *Reservoir) AddString(item string) { r.Add([]byte(item)) }
-
 // Update implements core.Updater.
 func (r *Reservoir) Update(item []byte) { r.Add(item) }
 

@@ -40,7 +40,7 @@ func TestReservoirUniformInclusion(t *testing.T) {
 func TestReservoirFillsBelowK(t *testing.T) {
 	r := NewReservoir(100, 1)
 	for i := 0; i < 50; i++ {
-		r.AddString(fmt.Sprint(i))
+		r.Add([]byte(fmt.Sprint(i)))
 	}
 	if len(r.Sample()) != 50 {
 		t.Errorf("sample size %d, want 50", len(r.Sample()))
@@ -94,7 +94,7 @@ func TestReservoirMergeUniform(t *testing.T) {
 func TestReservoirSerialization(t *testing.T) {
 	r := NewReservoir(16, 5)
 	for i := 0; i < 1000; i++ {
-		r.AddString(fmt.Sprint(i))
+		r.Add([]byte(fmt.Sprint(i)))
 	}
 	data, _ := r.MarshalBinary()
 	var g Reservoir

@@ -37,23 +37,6 @@ func IsBundle(body []byte) bool {
 	return len(body) >= 8 && string(body[:4]) == BundleMagic
 }
 
-// EncodeBundle frames envelopes into one GSKB merge body, for a
-// client's Merge and for tests that drive the handler.
-func EncodeBundle(envelopes [][]byte) []byte {
-	size := 8
-	for _, env := range envelopes {
-		size += 4 + len(env)
-	}
-	out := make([]byte, 0, size)
-	out = append(out, BundleMagic...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(envelopes)))
-	for _, env := range envelopes {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(env)))
-		out = append(out, env...)
-	}
-	return out
-}
-
 // CombineBundle merges the envelopes of a GSKB body into one combined
 // envelope of the same type (registry.MergeEnvelopes: as bytes, folded
 // into the first envelope where it lies in body — which the caller must

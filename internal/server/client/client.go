@@ -249,31 +249,12 @@ func (c *Client) GroupBy(params url.Values, batch []byte) (GroupByResult, error)
 	return out, err
 }
 
-// Types fetches the server's sketch type catalog (GET /v1/types):
-// every servable family with its parameter schema and ingest format.
-func (c *Client) Types() ([]server.TypeInfo, error) {
-	var out struct {
-		Types []server.TypeInfo `json:"types"`
-	}
-	if err := c.do("types", "", nil, "", nil, &out); err != nil {
-		return nil, err
-	}
-	return out.Types, nil
-}
-
 // Status fetches GET /v1/status: uptime, op counters, and the
 // durability gauges (WAL LSN, last snapshot LSN, WAL bytes, fsync
 // age; Durability.Enabled is false on an in-memory-only server).
 func (c *Client) Status() (server.StatusResponse, error) {
 	var out server.StatusResponse
 	err := c.do("status", "", nil, "", nil, &out)
-	return out, err
-}
-
-// Statsz fetches the server's operation counters.
-func (c *Client) Statsz() (server.Statsz, error) {
-	var out server.Statsz
-	err := c.do("statsz", "", nil, "", nil, &out)
 	return out, err
 }
 

@@ -74,12 +74,6 @@ func Named(name string) Op {
 	panic("server: no operation " + strconv.Quote(name))
 }
 
-// Path is the operation's concrete URL path for a tenant ("" or
-// "default": the plain route) and, where the pattern has one, a name.
-func (op Op) Path(tenant, name string) string {
-	return string(op.AppendPath(nil, tenant, name))
-}
-
 // AppendPath appends Path(tenant, name) to dst: the form the client
 // writes a request line with, no string built on the way.
 func (op Op) AppendPath(dst []byte, tenant, name string) []byte {

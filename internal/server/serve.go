@@ -207,6 +207,8 @@ type conn struct {
 	date  [32]byte   // backing of the Date header, the status code and a chunk's size
 	num   [20]byte   // backing of an added Content-Length
 	spare [4096]byte // where drained request bytes land
+
+	bodyAt int64 // where the body began, in bodyRead's count
 }
 
 func (c *conn) serve() {
@@ -294,6 +296,7 @@ func (c *conn) readRequest(afterPost bool) (*http.Request, error) {
 		return nil, statusError{http.StatusHTTPVersionNotSupported, "unsupported protocol version"}
 	}
 	c.r.limit = math.MaxInt64
+	c.bodyAt = -int64(c.br.Buffered())
 	hosts := c.hostValues(req)
 	h2 = h2 && len(req.Header) == 0 && len(hosts) == 0 && req.URL.Path == "*"
 	if req.ProtoAtLeast(1, 1) && len(hosts) == 0 && !h2 && req.Method != "CONNECT" {
@@ -370,6 +373,13 @@ func (c *conn) closeWriteAndWait() {
 		tc.CloseWrite()
 	}
 	time.Sleep(rstAvoidance)
+}
+
+// bodyRead is the count of request body bytes the handler has taken:
+// what came off the connection since the header, less what the reader
+// still buffers.
+func (c *conn) bodyRead() int64 {
+	return math.MaxInt64 - c.r.limit - int64(c.br.Buffered()) - c.bodyAt
 }
 
 // drain reads off what the handler left of a request body, up to
@@ -586,7 +596,10 @@ func (w *response) writeHeader(done bool, p []byte) {
 	if w.cont != nil && !w.cont.sawEOF {
 		w.closeAfter = true // the client may never send the body it offered
 	}
-	if req.ContentLength != 0 && !w.closeAfter && w.cont == nil && !w.c.drain(req.Body) {
+	// A declared remainder of maxDrain or more is not waited for, as
+	// http.Server does not: its client may send it only after the reply.
+	if req.ContentLength != 0 && !w.closeAfter && w.cont == nil &&
+		(req.ContentLength-w.c.bodyRead() >= maxDrain || !w.c.drain(req.Body)) {
 		w.closeAfter, w.unread = true, true
 		delete(h, "Connection")
 		setConn = "close"

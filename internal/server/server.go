@@ -3,13 +3,13 @@
 // endpoints for streaming ingest (newline-delimited batches), point
 // and estimate queries, mergeable-summary exchange (the peer posts a
 // MarshalBinary envelope, per the Mergeable Summaries model the paper
-// builds on), and serialization out. Hot sketch types ride the
-// holders in internal/concurrent — the sharded HLL, the lock-free
-// Count-Min and blocked Bloom — so ingest throughput scales with client
-// concurrency; every other family is its plain sketch behind the
-// registry's locked holder (registry.Descriptor.Serving), whose lock is
-// around the apply or the read: a batch is parsed, validated and hashed
-// outside it. Entry itself holds no lock.
+// builds on), and serialization out. Every family is served as its
+// plain sketch behind the registry's locked holder
+// (registry.Descriptor.Serving), whose lock is around the apply or the
+// read: a batch is parsed, validated and hashed outside it. Under
+// -concurrent-ingest=buffered a Count-Min, HLL or blocked Bloom has a
+// concurrent.Buffer in front of that holder. Entry itself holds no
+// lock.
 //
 // Every route is a row of Ops (ops.go), the one table this server's
 // mux, the coordinator's mux, the client's URLs and the documented API

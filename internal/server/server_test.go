@@ -1,6 +1,8 @@
 package server_test
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -168,7 +170,7 @@ func TestBloomKLLTheta(t *testing.T) {
 	}
 	peer := cardinality.NewTheta(1024, 5)
 	for i := 5000; i < 10000; i++ {
-		peer.AddString(strconv.Itoa(i))
+		peer.Add([]byte(strconv.Itoa(i)))
 	}
 	env, _ := peer.MarshalBinary()
 	if err := cl.Merge("set", env); err != nil {
@@ -235,7 +237,7 @@ func TestHTTPErrors(t *testing.T) {
 	// is well-formed and self-describing, so it's an incompatibility
 	// conflict (409), not a malformed request.
 	th := cardinality.NewTheta(64, 1)
-	th.AddString("x")
+	th.Add([]byte("x"))
 	env, _ := th.MarshalBinary()
 	resp, err := http.Post(ts.URL+"/v1/sketch/dup/merge", "application/octet-stream", strings.NewReader(string(env)))
 	if err != nil {
@@ -254,8 +256,22 @@ func TestHTTPErrors(t *testing.T) {
 	}
 }
 
+// getJSON decodes the 200 reply to GET base+path into v.
+func getJSON(base, path string, v any) error {
+	resp, err := http.Get(base + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %s", path, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
 func TestStatszCounters(t *testing.T) {
-	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
+	base := server.ServeLoop(t, server.New().Handler(), nil).URL
+	cl := client.New(base)
 	if err := cl.Create("s", server.CreateRequest{Type: "hll"}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +284,8 @@ func TestStatszCounters(t *testing.T) {
 	if _, err := cl.Snapshot("s"); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := cl.Statsz()
-	if err != nil {
+	var stats server.Statsz
+	if err := getJSON(base, "/debug/statsz", &stats); err != nil {
 		t.Fatalf("statsz: %v", err)
 	}
 	if stats.Ops.Adds != 3 || stats.Ops.AddBatches != 1 {
@@ -292,7 +308,8 @@ func TestStatszCounters(t *testing.T) {
 // envelopes, and readers pull snapshots, estimates and statsz, all
 // against one sketch, all at once.
 func TestConcurrentAddMergeSnapshot(t *testing.T) {
-	cl := client.New(server.ServeLoop(t, server.New().Handler(), nil).URL)
+	base := server.ServeLoop(t, server.New().Handler(), nil).URL
+	cl := client.New(base)
 	if err := cl.Create("race", server.CreateRequest{Type: "hll", P: 12, Seed: 1, Params: map[string]float64{"shards": 4}}); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +369,7 @@ func TestConcurrentAddMergeSnapshot(t *testing.T) {
 				t.Errorf("snapshot decode: %v", err)
 				return
 			}
-			if _, err := cl.Statsz(); err != nil {
+			if err := getJSON(base, "/debug/statsz", new(server.Statsz)); err != nil {
 				t.Errorf("statsz: %v", err)
 				return
 			}

@@ -7,6 +7,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -47,7 +48,7 @@ func TestSnapshotWireSlim(t *testing.T) {
 	if !sf.SlimOnly() {
 		t.Fatal("slim envelope decoded with a fat stage")
 	}
-	if got := sf.EstimateString("alpha"); got < 5 {
+	if got := sf.Estimate([]byte("alpha")); got < 5 {
 		t.Fatalf("slim estimate(alpha) = %d, want >= 5", got)
 	}
 
@@ -210,7 +211,7 @@ func TestSlimEnvelopeBundleCombine(t *testing.T) {
 		}
 		envs = append(envs, env)
 	}
-	combined, err := CombineBundle(EncodeBundle(envs))
+	combined, err := CombineBundle(encodeBundle(envs))
 	if err != nil {
 		t.Fatalf("combine slim bundle: %v", err)
 	}
@@ -220,8 +221,24 @@ func TestSlimEnvelopeBundleCombine(t *testing.T) {
 	}
 	merged := inst.(*frequency.SFSketch)
 	for item, want := range truth {
-		if got := merged.EstimateString(item); got < want {
+		if got := merged.Estimate([]byte(item)); got < want {
 			t.Fatalf("combined slim bundle undercounts %q: %d < %d", item, got, want)
 		}
 	}
 }
+
+// encodeBundle frames envelopes into one GSKB merge body, as a client
+// that sends several envelopes in one /merge would.
+func encodeBundle(envelopes [][]byte) []byte {
+	out := append([]byte(nil), BundleMagic...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(envelopes)))
+	for _, env := range envelopes {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(env)))
+		out = append(out, env...)
+	}
+	return out
+}
+
+// EncodeBundle is encodeBundle, for this directory's external test
+// package.
+var EncodeBundle = encodeBundle

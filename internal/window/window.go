@@ -13,7 +13,6 @@ package window
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cardinality"
 )
@@ -137,12 +136,6 @@ func (h *EH) Bounds() (lo, hi uint64) {
 // BucketCount returns the number of stored buckets — O(k·log W).
 func (h *EH) BucketCount() int { return len(h.buckets) }
 
-// Now returns the current timestamp.
-func (h *EH) Now() uint64 { return h.now }
-
-// RelativeError returns the guarantee 1/k.
-func (h *EH) RelativeError() float64 { return 1 / float64(h.k) }
-
 // WindowedHLL tracks distinct items over a sliding window using p
 // rotating panes of HLL sketches: each pane covers window/panes ticks;
 // a query merges the live panes. Expiry granularity is one pane — the
@@ -231,9 +224,6 @@ func (w *WindowedHLL) Estimate() float64 {
 	return merged.Estimate()
 }
 
-// Panes returns the number of live panes.
-func (w *WindowedHLL) Panes() int { return len(w.panes) }
-
 // SizeBytes returns the live sketch memory.
 func (w *WindowedHLL) SizeBytes() int {
 	total := 0
@@ -241,10 +231,4 @@ func (w *WindowedHLL) SizeBytes() int {
 		total += p.hll.SizeBytes()
 	}
 	return total
-}
-
-// theoreticalEHBuckets returns the EH space bound O(k log W) for
-// documentation and tests.
-func theoreticalEHBuckets(k int, window uint64) int {
-	return (k/2 + 1) * (int(math.Log2(float64(window))) + 2)
 }

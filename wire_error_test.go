@@ -115,8 +115,8 @@ func TestUnmarshalCorruptCounts(t *testing.T) {
 		td.Add(float64(i))
 		gk.Add(float64(i))
 		qd.Add(uint64(i%1024), 1)
-		mg.AddString("item" + string(rune('a'+i%8)))
-		ss.AddString("item" + string(rune('a'+i%8)))
+		mg.Add("item"+string(rune('a'+i%8)), 1)
+		ss.Add("item"+string(rune('a'+i%8)), 1)
 	}
 	cases := []struct {
 		name     string

@@ -53,7 +53,6 @@ func TestZeroAllocHotPaths(t *testing.T) {
 
 	cs := frequency.NewCountSketch(512, 5, 1)
 	assertZeroAlloc(t, "frequency.CountSketch.AddUint64", func() { cs.AddUint64(42, 1) })
-	assertZeroAlloc(t, "frequency.CountSketch.AddString", func() { cs.AddString(skey, 1) })
 
 	h := cardinality.NewHLL(12, 1)
 	assertZeroAlloc(t, "cardinality.HLL.AddUint64", func() { h.AddUint64(42) })
@@ -63,14 +62,10 @@ func TestZeroAllocHotPaths(t *testing.T) {
 	sf := frequency.NewSFSketch(512, 4, 4096, 4, 1)
 	assertZeroAlloc(t, "frequency.SFSketch.AddUint64", func() { sf.AddUint64(42, 1) })
 	assertZeroAlloc(t, "frequency.SFSketch.Add", func() { sf.Add(key, 1) })
-	assertZeroAlloc(t, "frequency.SFSketch.AddString", func() { sf.AddString(skey) })
 	assertZeroAlloc(t, "frequency.SFSketch.EstimateUint64", func() { _ = sf.EstimateUint64(42) })
-	assertZeroAlloc(t, "frequency.SFSketch.EstimateString", func() { _ = sf.EstimateString(skey) })
 
 	acm := concurrent.NewAtomicCountMin(512, 4, 1)
 	assertZeroAlloc(t, "concurrent.AtomicCountMin.AddUint64", func() { acm.AddUint64(42, 1) })
-	assertZeroAlloc(t, "concurrent.AtomicCountMin.AddString", func() { acm.AddString(skey, 1) })
-	assertZeroAlloc(t, "concurrent.AtomicCountMin.EstimateUint64", func() { _ = acm.EstimateUint64(42) })
 
 	handle := concurrent.NewShardedHLL(4, 12, 1).Handle()
 	assertZeroAlloc(t, "concurrent.HLLHandle.AddUint64", func() { handle.AddUint64(42) })
@@ -85,13 +80,10 @@ func TestZeroAllocBlockedAndFusedPaths(t *testing.T) {
 	// accelerate: the pipelined loops buffer their chunks in fixed-size
 	// stack arrays, never on the heap.
 	key := []byte("https://example.com/api/v1/users/1000000")
-	skey := strings.Repeat("zero-alloc-key/", 4) // 60 bytes
 
 	bf := bloom.NewBlockedWithEstimates(10_000, 0.01, 1)
 	assertZeroAlloc(t, "bloom.BlockedFilter.Add", func() { bf.Add(key) })
 	assertZeroAlloc(t, "bloom.BlockedFilter.Contains", func() { _ = bf.Contains(key) })
-	assertZeroAlloc(t, "bloom.BlockedFilter.AddString", func() { bf.AddString(skey) })
-	assertZeroAlloc(t, "bloom.BlockedFilter.ContainsString", func() { _ = bf.ContainsString(skey) })
 
 	batch := make([][]byte, 512)
 	for i := range batch {
@@ -109,9 +101,6 @@ func TestZeroAllocBlockedAndFusedPaths(t *testing.T) {
 	assertZeroAlloc(t, "bloom.Filter.AddBatch", func() { f.AddBatch(batch) })
 
 	abf := concurrent.NewAtomicBlockedBloom(1<<17, 5, 1)
-	assertZeroAlloc(t, "concurrent.AtomicBlockedBloom.Add", func() { abf.Add(key) })
-	assertZeroAlloc(t, "concurrent.AtomicBlockedBloom.Contains", func() { _ = abf.Contains(key) })
-	assertZeroAlloc(t, "concurrent.AtomicBlockedBloom.AddString", func() { abf.AddString(skey) })
 	assertZeroAlloc(t, "concurrent.AtomicBlockedBloom.AddBatch", func() { abf.AddBatch(batch) })
 	assertZeroAlloc(t, "concurrent.AtomicBlockedBloom.AddHashBatch", func() { abf.AddHashBatch(h1s, h2s) })
 
@@ -132,14 +121,6 @@ func TestZeroAllocBlockedAndFusedPaths(t *testing.T) {
 	fcs := frequency.NewCountSketchLayout(frequency.Layout{Width: 2048, Depth: 5, Mode: frequency.Fused, Seed: 1})
 	assertZeroAlloc(t, "frequency.CountSketch(fused).AddUint64", func() { fcs.AddUint64(42, 1) })
 	assertZeroAlloc(t, "frequency.CountSketch(fused).EstimateUint64", func() { _ = fcs.EstimateUint64(42) })
-	assertZeroAlloc(t, "frequency.CountSketch(fused).AddHashBatch", func() { fcs.AddHashBatch(hs) })
-
-	cs := frequency.NewCountSketch(2048, 5, 1)
-	assertZeroAlloc(t, "frequency.CountSketch.AddHashBatch", func() { cs.AddHashBatch(hs) })
-
-	sf := frequency.NewSFSketch(512, 4, 4096, 4, 1)
-	assertZeroAlloc(t, "frequency.SFSketch.AddHashBatch", func() { sf.AddHashBatch(hs) })
-	assertZeroAlloc(t, "frequency.SFSketch.AddBatch", func() { sf.AddBatch(batch) })
 
 	h := cardinality.NewHLL(12, 1)
 	assertZeroAlloc(t, "cardinality.HLL.AddHashBatch", func() { h.AddHashBatch(hs) })
