@@ -1,13 +1,15 @@
 package sketch_test
 
 // TestInternalExportsHaveCallers keeps internal/ to what a program
-// calls. Nothing outside this module can import internal/, so an
-// exported function or method there that no non-test code calls is
-// kept alive only by its own unit test. The test type-checks every
-// non-test package of the module, plus benchmark/layertrace (the
-// benchmark's reach into internal/) and the benchmark package it
-// imports, and fails on each exported internal/ function or method that
-// nothing refers to, unless it satisfies an interface or is on keep.
+// uses. Nothing outside this module can import internal/, so an
+// exported function, method, type, constant or variable there that no
+// non-test code names is kept alive only by its own unit test. The test
+// type-checks every non-test package of the module, plus
+// benchmark/layertrace (the benchmark's reach into internal/) and the
+// benchmark package it imports, and fails on each such export of
+// internal/ that nothing refers to, unless it is a method that
+// satisfies an interface or is on keep. Struct fields are out of scope:
+// encoding/json reads them without naming them.
 
 import (
 	"fmt"
@@ -27,11 +29,12 @@ import (
 	"testing"
 )
 
-// keep names the exports no program calls that stay, by what keeps
+// keep names the exports no program uses that stay, by what keeps
 // them: an operation DESIGN §1.1–1.2 names for a substrate or family,
-// an error bound ROADMAP item 3(a)'s Bound will read, or ROADMAP item
-// 6's next deletion, which takes each one's own test with it. An entry
-// is "pkg.Func" or "pkg.Type.Method", pkg relative to internal/.
+// an error bound ROADMAP item 3(a)'s Bound will read, or the atomic
+// column ROADMAP item 6 deletes whole once the benchmark stops naming
+// it. An entry is "pkg.Name" (a function, type, constant or variable)
+// or "pkg.Type.Method", pkg relative to internal/.
 var keep = keepList(map[string][]string{
 	"DESIGN §1.1: tabulation hashing":             {"hashx.NewTabulation", "hashx.Tabulation.Hash"},
 	"DESIGN §1.1: seeded hash builders":           {"hashx.Seeded"},
@@ -58,15 +61,6 @@ var keep = keepList(map[string][]string{
 		"counter.Morris.RelativeStandardError",
 	},
 	"ROADMAP item 6: the atomic column goes whole": {"concurrent.AtomicBlockedBloom.ContainsHash"},
-	"ROADMAP item 6: goes with its own test": {
-		"adtech.Reporter.OverlapReach", "ams.NewWithSpec", "ams.Sketch.DistanceSquared",
-		"bloom.Filter.EstimatedCardinality", "bloom.Filter.Intersect", "bloom.NewBlockedFromWords",
-		"cardinality.KMV.JaccardEstimate", "fetchsgd.GradSketch.Scale", "fetchsgd.GradSketch.Reset",
-		"frequency.NewCountMinWithSpec", "jl.TargetDim", "quantile.KLL.CDF", "quantile.TDigest.CDF",
-		"randx.ZipfCDF", "window.EH.Bounds", "window.NewWindowedTopK", "window.WindowedTopK.Add",
-		"window.WindowedTopK.Estimate", "window.WindowedTopK.N", "window.WindowedTopK.Panes",
-		"window.WindowedTopK.Tick", "window.WindowedTopK.TopK",
-	},
 })
 
 func keepList(byReason map[string][]string) map[string]string {
@@ -221,25 +215,49 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 
-	// A use is any reference outside the function's own body. A method
-	// that makes some type of the module satisfy an interface is used.
-	decls := map[*types.Func]*ast.FuncDecl{}
+	// A use is any reference outside the object's own declaration (a
+	// function's body, a type's or value's spec) and outside a method
+	// receiver: a type that only its own methods name is never built. A
+	// method that makes some type of the module satisfy an interface is
+	// used.
+	decls := map[types.Object]ast.Node{}
+	inRecv := map[*ast.Ident]bool{}
 	for _, p := range pkgs {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					decls[info.Defs[fd.Name].(*types.Func)] = fd
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					decls[info.Defs[d.Name]] = d
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								inRecv[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							decls[info.Defs[s.Name]] = s
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								decls[info.Defs[n]] = s
+							}
+						}
+					}
 				}
 			}
 		}
 	}
-	used := map[*types.Func]bool{}
+	used := map[types.Object]bool{}
 	for id, obj := range info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
-			fn = fn.Origin()
-			if d := decls[fn]; d == nil || id.Pos() < d.Pos() || id.Pos() > d.End() {
-				used[fn] = true
-			}
+			obj = fn.Origin()
+		}
+		if d := decls[obj]; !inRecv[id] && (d == nil || id.Pos() < d.Pos() || id.Pos() > d.End()) {
+			used[obj] = true
 		}
 	}
 	byName := map[string][]*types.Interface{}
@@ -280,22 +298,39 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || !fd.Name.IsExported() {
-					continue
-				}
-				fn := info.Defs[fd.Name].(*types.Func)
-				key := rel + "." + fn.Name()
-				if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-					key = rel + "." + recvName(recv.Type()) + "." + fn.Name()
-				}
-				declared[key] = true
-				if _, kept := keep[key]; kept {
-					if used[fn] {
-						t.Errorf("%s has a caller now: take it off keep", key)
+				var names []*ast.Ident
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					names = []*ast.Ident{d.Name}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names = append(names, s.Name)
+						case *ast.ValueSpec:
+							names = append(names, s.Names...)
+						}
 					}
-				} else if !used[fn] {
-					dead = append(dead, fmt.Sprintf("%s (%s)", key, fset.Position(fd.Pos())))
+				}
+				for _, id := range names {
+					if !id.IsExported() {
+						continue
+					}
+					obj := info.Defs[id]
+					key := rel + "." + id.Name
+					if fn, ok := obj.(*types.Func); ok {
+						if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+							key = rel + "." + recvName(recv.Type()) + "." + id.Name
+						}
+					}
+					declared[key] = true
+					if _, kept := keep[key]; kept {
+						if used[obj] {
+							t.Errorf("%s has a user now: take it off keep", key)
+						}
+					} else if !used[obj] {
+						dead = append(dead, fmt.Sprintf("%s (%s)", key, fset.Position(id.Pos())))
+					}
 				}
 			}
 		}
@@ -307,7 +342,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	}
 	sort.Strings(dead)
 	for _, d := range dead {
-		t.Errorf("exported but never called: %s", d)
+		t.Errorf("exported but never used: %s", d)
 	}
 }
 

@@ -5,16 +5,12 @@ package sketch_test
 // never hang, never allocate unboundedly. The seed corpus (valid
 // serializations plus mutations) runs under plain `go test`;
 // `go test -fuzz=FuzzX` explores further. FuzzGenericDecode is the one
-// CI fuzzes for the envelope decoders — it reaches every family's and
-// uses what decodes through the family's bindings, and it carries the
-// seeds' mutations and the assertions of the per-family Fuzz*Unmarshal /
-// FuzzSFDecode / FuzzRobustDistinctDecode targets, which still run their
-// own seed corpora.
+// target for the envelope decoders: it reaches every family's through
+// the registry and uses what decodes through the family's bindings.
 
 import (
 	"bufio"
 	"bytes"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -35,15 +31,11 @@ import (
 	"repro/internal/bloom"
 	"repro/internal/cardinality"
 	"repro/internal/core"
-	"repro/internal/counter"
 	"repro/internal/durable"
 	"repro/internal/frequency"
 	"repro/internal/hashx"
-	"repro/internal/lsh"
-	"repro/internal/quantile"
 	typereg "repro/internal/registry"
 	"repro/internal/robust"
-	"repro/internal/sample"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -70,43 +62,6 @@ func mutations(data []byte) [][]byte {
 	flipped2 := append([]byte(nil), data...)
 	flipped2[6] ^= 0x80
 	return [][]byte{data[:len(data)/2], flipped, flipped2}
-}
-
-// fuzzDecode is a per-family decode target: the envelopes and their
-// mutations seed it, and what decodes into a T is used.
-func fuzzDecode[T any, PT interface {
-	*T
-	encoding.BinaryUnmarshaler
-}](f *testing.F, use func(t *testing.T, g PT), seeds ...encoding.BinaryMarshaler) {
-	for _, m := range seeds {
-		data, _ := m.MarshalBinary()
-		corpusFor(f, data)
-	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		if g := PT(new(T)); g.UnmarshalBinary(in) == nil {
-			use(t, g)
-		}
-	})
-}
-
-func FuzzBloomUnmarshal(f *testing.F) {
-	b := bloom.NewWithEstimates(100, 0.01, 1)
-	b.AddString("seed")
-	fuzzDecode(f, func(_ *testing.T, g *bloom.Filter) {
-		g.AddString("post")
-		_ = g.ContainsString("post")
-	}, b)
-}
-
-func FuzzHLLUnmarshal(f *testing.F) {
-	h := cardinality.NewHLL(10, 2)
-	for i := 0; i < 1000; i++ {
-		h.AddUint64(uint64(i))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *cardinality.HLL) {
-		g.AddUint64(42)
-		_ = g.Estimate()
-	}, h)
 }
 
 // hllOfRegisters builds an HLL of precision p whose packed register
@@ -195,217 +150,6 @@ func FuzzHLLMergeWords(f *testing.F) {
 	})
 }
 
-func FuzzHLLPPUnmarshal(f *testing.F) {
-	h := cardinality.NewHLLPP(10, 3)
-	for i := 0; i < 500; i++ {
-		h.AddUint64(uint64(i))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *cardinality.HLLPP) {
-		g.AddUint64(42)
-		_ = g.Estimate()
-	}, h)
-}
-
-func FuzzCountMinUnmarshal(f *testing.F) {
-	c := frequency.NewCountMin(64, 3, 4)
-	c.AddString("seed")
-	data, _ := c.MarshalBinary()
-	corpusFor(f, data)
-	fused := frequency.NewCountMinLayout(frequency.Layout{Width: 64, Depth: 3, Mode: frequency.Fused, Seed: 4})
-	fused.AddString("seed")
-	fdata, _ := fused.MarshalBinary()
-	corpusFor(f, fdata)
-	// A version-2 envelope carrying the fused mode byte: the layout
-	// cannot agree with the byte, and the decoder must reject it (the
-	// PR 2 pattern that made v1 Bloom payloads unreachable). Flip the
-	// version byte on a valid v3 fused envelope to build the seed.
-	if len(fdata) > 8 {
-		v2 := append([]byte(nil), fdata...)
-		v2[5] = 2 // GSK1 magic (4) + tag (1), then version
-		f.Add(v2)
-	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g frequency.CountMin
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddString("post")
-			_ = g.Estimate([]byte("post"))
-		}
-	})
-}
-
-func FuzzCountSketchUnmarshal(f *testing.F) {
-	c := frequency.NewCountSketch(64, 3, 5)
-	c.AddUint64(7, 3)
-	data, _ := c.MarshalBinary()
-	corpusFor(f, data)
-	fused := frequency.NewCountSketchLayout(frequency.Layout{Width: 64, Depth: 3, Mode: frequency.Fused, Seed: 5})
-	fused.AddUint64(7, 3)
-	fdata, _ := fused.MarshalBinary()
-	corpusFor(f, fdata)
-	if len(fdata) > 8 {
-		v2 := append([]byte(nil), fdata...)
-		v2[5] = 2 // see FuzzCountMinUnmarshal: fused byte in a v2 envelope
-		f.Add(v2)
-	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g frequency.CountSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.AddUint64(9, 1)
-			_ = g.EstimateUint64(9)
-		}
-	})
-}
-
-func FuzzSFDecode(f *testing.F) {
-	s := frequency.NewSFSketch(64, 3, 256, 3, 4)
-	s.Add([]byte("seed"), 1)
-	s.AddUint64(7, 3)
-	full, _ := s.MarshalBinary()
-	corpusFor(f, full)
-	slim, _ := s.MarshalSlim()
-	corpusFor(f, slim)
-	// A mode byte beyond slim in an otherwise valid envelope.
-	if len(full) > 8 {
-		bad := append([]byte(nil), full...)
-		bad[6] = 2 // GSK1 magic (4) + tag (1) + version (1), then mode
-		f.Add(bad)
-	}
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g frequency.SFSketch
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.Add([]byte("post"), 1)
-			_ = g.Estimate([]byte("post"))
-			_ = g.SlimOnly()
-			if out, err := g.MarshalBinary(); err != nil {
-				t.Fatalf("re-marshal of decoded sketch failed: %v", err)
-			} else if len(out) == 0 {
-				t.Fatal("empty re-marshal")
-			}
-		}
-	})
-}
-
-func FuzzBlockedBloomUnmarshal(f *testing.F) {
-	b := bloom.NewBlockedWithEstimates(100, 0.01, 1)
-	b.Add([]byte("seed"))
-	data, _ := b.MarshalBinary()
-	corpusFor(f, data)
-	// The classic filter's envelope must never decode as a blocked one
-	// (the layouts address different bits); seed it so the fuzzer
-	// exercises the tag check from the start.
-	classic := bloom.NewWithEstimates(100, 0.01, 1)
-	classic.AddString("seed")
-	cdata, _ := classic.MarshalBinary()
-	f.Add(cdata)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g bloom.BlockedFilter
-		if err := g.UnmarshalBinary(in); err == nil {
-			g.Add([]byte("post"))
-			if !g.Contains([]byte("post")) {
-				t.Fatal("decoded blocked filter lost a fresh insert")
-			}
-		}
-	})
-}
-
-func FuzzKLLUnmarshal(f *testing.F) {
-	k := quantile.NewKLL(64, 6)
-	for i := 0; i < 5000; i++ {
-		k.Add(float64(i))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *quantile.KLL) {
-		g.Add(1)
-		_ = g.Quantile(0.5)
-	}, k)
-}
-
-func FuzzTDigestUnmarshal(f *testing.F) {
-	td := quantile.NewTDigest(50)
-	for i := 0; i < 2000; i++ {
-		td.Add(float64(i))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *quantile.TDigest) {
-		g.Add(1)
-		_ = g.Quantile(0.9)
-	}, td)
-}
-
-func FuzzQDigestUnmarshal(f *testing.F) {
-	qd := quantile.NewQDigest(10, 32)
-	for i := uint64(0); i < 1000; i++ {
-		qd.Add(i%1024, 1)
-	}
-	fuzzDecode(f, func(_ *testing.T, g *quantile.QDigest) { _ = g.Quantile(0.5) }, qd)
-}
-
-func FuzzThetaUnmarshal(f *testing.F) {
-	th := cardinality.NewTheta(64, 7)
-	for i := 0; i < 5000; i++ {
-		th.AddUint64(uint64(i))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *cardinality.Theta) {
-		g.AddUint64(1)
-		_ = g.Estimate()
-	}, th)
-}
-
-func FuzzKMVUnmarshal(f *testing.F) {
-	k := cardinality.NewKMV(32, 8)
-	for i := 0; i < 5000; i++ {
-		k.AddUint64(uint64(i))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *cardinality.KMV) {
-		g.AddUint64(1)
-		_ = g.Estimate()
-	}, k)
-}
-
-func FuzzREQUnmarshal(f *testing.F) {
-	r := quantile.NewREQ(16, 9)
-	for i := 0; i < 5000; i++ {
-		r.Add(float64(i))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *quantile.REQ) {
-		g.Add(1)
-		_ = g.Quantile(0.99)
-	}, r)
-}
-
-func FuzzMinHashUnmarshal(f *testing.F) {
-	m := lsh.NewMinHash(32, 10)
-	m.AddString("seed")
-	fuzzDecode(f, func(_ *testing.T, g *lsh.MinHash) { g.AddString("post") }, m)
-}
-
-func FuzzMisraGriesUnmarshal(f *testing.F) {
-	m := frequency.NewMisraGries(16)
-	m.Add("seed", 1)
-	fuzzDecode(f, func(_ *testing.T, g *frequency.MisraGries) {
-		g.Add("post", 1)
-		_ = g.Estimate("post")
-	}, m)
-}
-
-func FuzzSpaceSavingUnmarshal(f *testing.F) {
-	s := frequency.NewSpaceSaving(16)
-	s.Add("seed", 1)
-	fuzzDecode(f, func(_ *testing.T, g *frequency.SpaceSaving) {
-		g.Add("post", 1)
-		_ = g.Estimate("post")
-	}, s)
-}
-
-func FuzzMorrisUnmarshal(f *testing.F) {
-	m := counter.NewMorrisBase(1.2, 11)
-	for i := 0; i < 1000; i++ {
-		m.Increment()
-	}
-	fuzzDecode(f, func(_ *testing.T, g *counter.Morris) {
-		g.Increment()
-		_ = g.Count()
-	}, m)
-}
-
 // FuzzServerRequestDecode drives sketchd's two request decoders — the
 // ingest body path (Entry.Ingest, which cuts and parses the lines in one
 // pass) and the merge-envelope decoder feeding Entry.Merge — with
@@ -465,17 +209,6 @@ func FuzzServerRequestDecode(f *testing.F) {
 	})
 }
 
-func FuzzReservoirUnmarshal(f *testing.F) {
-	r := sample.NewReservoir(8, 12)
-	for i := 0; i < 100; i++ {
-		r.Add([]byte("item"))
-	}
-	fuzzDecode(f, func(_ *testing.T, g *sample.Reservoir) {
-		g.Add([]byte("post"))
-		_ = g.Sample()
-	}, r)
-}
-
 // sampleBatch is one well-formed batch per input kind, valid under every
 // family's default and small shapes.
 var sampleBatch = map[typereg.InputKind]string{
@@ -499,9 +232,9 @@ func batchOf(kind typereg.InputKind) []byte { return []byte(sampleBatch[kind]) }
 // decode or error, never panic; and what decodes is a sketch a server
 // could hold — it is used through its descriptor's bindings as a live
 // entry is: it takes the kind's lines (or refuses them), answers the
-// summary query, keeps a fresh insert if it is a membership filter,
-// marshals to bytes that decode again, and merges with that copy of
-// itself.
+// summary query and a point query, keeps a fresh insert if it is a
+// membership filter, marshals to bytes that decode again, and merges
+// with that copy of itself.
 func FuzzGenericDecode(f *testing.F) {
 	// Families whose default shape serializes to hundreds of KB get a
 	// deliberately small seed shape — mutation throughput over payloads
@@ -594,13 +327,14 @@ func FuzzGenericDecode(f *testing.F) {
 		if d.Servable() {
 			_, _ = d.Bind.Ingest(inst, batchOf(d.Input)) // a decoded shape may refuse a line: its domain is its own
 			_, _ = d.Bind.Query(inst, nil)
+			_, _ = d.Bind.Query(inst, url.Values{"item": {"post"}})
 		}
 		if m, ok := inst.(interface {
-			AddString(string)
-			ContainsString(string) bool
+			Add([]byte)
+			Contains([]byte) bool
 		}); ok {
-			m.AddString("post")
-			if !m.ContainsString("post") {
+			m.Add([]byte("post"))
+			if !m.Contains([]byte("post")) {
 				t.Fatalf("decoded %s lost a fresh insert", d.Name)
 			}
 		}
@@ -765,39 +499,6 @@ func bloomBlockedSeed() []byte {
 	bf.Add([]byte("seed"))
 	data, _ := bf.MarshalBinary()
 	return data
-}
-
-// FuzzRobustDistinctDecode: the robustdistinct envelope nests a full
-// HLL serialization per switching copy plus six parameter fields, all
-// of which must validate before any copy decode is trusted. A decode
-// that succeeds must round-trip: re-marshal, decode again, and answer
-// queries without panicking — the registry's crash-recovery path
-// (decode + merge into a fresh serving instance) relies on exactly
-// that.
-func FuzzRobustDistinctDecode(f *testing.F) {
-	d := robust.NewDefendedDistinct(0.05, 4, 8, 1, 0.1, 0.5)
-	for i := 0; i < 500; i++ {
-		d.AddUint64(uint64(i))
-	}
-	d.Estimate() // bake switching state (cur/last) into the envelope
-	data, _ := d.MarshalBinary()
-	corpusFor(f, data)
-	f.Fuzz(func(t *testing.T, in []byte) {
-		var g robust.Distinct
-		if g.UnmarshalBinary(in) != nil {
-			return
-		}
-		g.AddUint64(42)
-		_ = g.Estimate()
-		round, err := g.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal of decoded sketch: %v", err)
-		}
-		var h robust.Distinct
-		if err := h.UnmarshalBinary(round); err != nil {
-			t.Fatalf("round-trip decode: %v", err)
-		}
-	})
 }
 
 // FuzzProjectionDecode hammers the query-projection carrier's decoder

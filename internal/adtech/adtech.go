@@ -194,24 +194,6 @@ func (r *Reporter) unionReach(sketches []*cardinality.HLL) (float64, error) {
 	return merged.Estimate(), nil
 }
 
-// OverlapReach estimates |users(c1) ∩ users(c2)| by inclusion–
-// exclusion over the lossless HLL merges: |A| + |B| − |A ∪ B|. The
-// error is a few HLL standard errors of the union size, which is why
-// set-heavy deployments prefer theta sketches (see
-// cardinality.Theta.Intersect) — exposed here because overlap is the
-// second question every advertiser asks after reach.
-func (r *Reporter) OverlapReach(c1, c2 int) (float64, error) {
-	union, err := r.CombinedReach(c1, c2)
-	if err != nil {
-		return 0, err
-	}
-	overlap := r.Reach(c1) + r.Reach(c2) - union
-	if overlap < 0 {
-		overlap = 0
-	}
-	return overlap, nil
-}
-
 // Campaigns returns all campaign ids seen, sorted.
 func (r *Reporter) Campaigns() []int {
 	out := make([]int, 0, len(r.total))

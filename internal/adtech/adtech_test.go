@@ -149,38 +149,6 @@ func TestCombinedReachDedups(t *testing.T) {
 	}
 }
 
-func TestOverlapReach(t *testing.T) {
-	g := NewGenerator(4, 30000, 12)
-	r := NewReporter(13, 13)
-	users := map[int]map[uint64]bool{}
-	for i := 0; i < 200000; i++ {
-		imp := g.Next()
-		r.Record(imp)
-		if users[imp.CampaignID] == nil {
-			users[imp.CampaignID] = map[uint64]bool{}
-		}
-		users[imp.CampaignID][imp.UserID] = true
-	}
-	cs := r.Campaigns()
-	c1, c2 := cs[0], cs[1]
-	var want float64
-	for u := range users[c1] {
-		if users[c2][u] {
-			want++
-		}
-	}
-	got, err := r.OverlapReach(c1, c2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Inclusion-exclusion amplifies HLL error; allow generous slack
-	// relative to the union size.
-	union, _ := r.CombinedReach(c1, c2)
-	if diff := got - want; diff > 0.05*union || diff < -0.05*union {
-		t.Errorf("overlap estimate %.0f vs true %.0f (union %.0f)", got, want, union)
-	}
-}
-
 func TestReporterSpaceSublinear(t *testing.T) {
 	g := NewGenerator(10, 500000, 10)
 	r := NewReporter(12, 11)

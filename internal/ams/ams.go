@@ -6,9 +6,9 @@
 // taking the median of O(log 1/δ) groups gives an (ε, δ) guarantee —
 // the median-of-means pattern that recurs across randomized sketches.
 //
-// The sketch is linear, so it also estimates inner products ⟨f, g⟩ and
-// Euclidean distances ‖f−g‖₂ between streams (experiment E9), and can
-// be viewed as a small-space Johnson–Lindenstrauss transform.
+// The sketch is linear, so it also estimates inner products ⟨f, g⟩
+// between streams (experiment E9), and can be viewed as a small-space
+// Johnson–Lindenstrauss transform.
 package ams
 
 import (
@@ -49,16 +49,6 @@ func New(groups, perGroup int, seed uint64) *Sketch {
 		perGroup: perGroup,
 		seed:     seed,
 	}
-}
-
-// NewWithSpec sizes the sketch from an (ε, δ) contract via the
-// median-of-means parameterization.
-func NewWithSpec(spec core.Spec, seed uint64) (*Sketch, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	buckets, reps := spec.MedianOfMeans()
-	return New(reps, buckets, seed), nil
 }
 
 // Add adds weight to item's frequency (negative weights supported —
@@ -113,25 +103,6 @@ func (s *Sketch) InnerProduct(other *Sketch) (float64, error) {
 		for j := 0; j < s.perGroup; j++ {
 			i := g*s.perGroup + j
 			sum += float64(s.z[i]) * float64(other.z[i])
-		}
-		meds[g] = sum / float64(s.perGroup)
-	}
-	return core.Median(meds), nil
-}
-
-// DistanceSquared estimates ‖f−g‖₂² between two compatible sketches by
-// linearity: sketch(f−g) = sketch(f) − sketch(g).
-func (s *Sketch) DistanceSquared(other *Sketch) (float64, error) {
-	if err := s.compatible(other); err != nil {
-		return 0, err
-	}
-	meds := make([]float64, s.groups)
-	for g := 0; g < s.groups; g++ {
-		var sum float64
-		for j := 0; j < s.perGroup; j++ {
-			i := g*s.perGroup + j
-			d := float64(s.z[i]) - float64(other.z[i])
-			sum += d * d
 		}
 		meds[g] = sum / float64(s.perGroup)
 	}

@@ -78,43 +78,6 @@ func TestInnerProduct(t *testing.T) {
 	}
 }
 
-func TestDistanceSquared(t *testing.T) {
-	a := New(9, 256, 6)
-	b := New(9, 256, 6)
-	var want float64
-	for i := uint64(0); i < 500; i++ {
-		fa := int64(i % 5)
-		fb := int64((i + 2) % 5)
-		a.AddUint64(i, fa)
-		b.AddUint64(i, fb)
-		d := float64(fa - fb)
-		want += d * d
-	}
-	got, err := a.DistanceSquared(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.RelErr(got, want) > 0.3 {
-		t.Errorf("distance² %.0f, want ~%.0f", got, want)
-	}
-}
-
-func TestIdenticalStreamsZeroDistance(t *testing.T) {
-	a := New(5, 64, 7)
-	b := New(5, 64, 7)
-	for i := uint64(0); i < 1000; i++ {
-		a.AddUint64(i, 3)
-		b.AddUint64(i, 3)
-	}
-	got, err := a.DistanceSquared(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0 {
-		t.Errorf("distance between identical streams = %v", got)
-	}
-}
-
 func TestVarianceShrinksWithWidth(t *testing.T) {
 	// Mean relative error over trials must drop when perGroup grows.
 	meanErr := func(perGroup int) float64 {
@@ -133,19 +96,6 @@ func TestVarianceShrinksWithWidth(t *testing.T) {
 	}
 	if e16, e256 := meanErr(16), meanErr(256); e256 >= e16 {
 		t.Errorf("error did not shrink with width: %f vs %f", e16, e256)
-	}
-}
-
-func TestNewWithSpec(t *testing.T) {
-	s, err := NewWithSpec(core.Spec{Epsilon: 0.1, Delta: 0.05}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.perGroup < 100 {
-		t.Errorf("perGroup %d too small for eps=0.1", s.perGroup)
-	}
-	if _, err := NewWithSpec(core.Spec{Epsilon: 0, Delta: 0.5}, 1); err == nil {
-		t.Error("invalid spec accepted")
 	}
 }
 

@@ -380,20 +380,6 @@ func (f *BlockedFilter) SizeBytes() int { return len(f.bits) * 8 }
 // can exchange state with this filter.
 func (f *BlockedFilter) Words() []uint64 { return f.bits }
 
-// NewBlockedFromWords reconstitutes a filter from raw words produced
-// by a hash-compatible peer (same blocks, k and seed imply identical
-// addressing). words must hold blocks*8 values and is copied.
-func NewBlockedFromWords(blocks uint64, k int, seed uint64, words []uint64, n uint64) (*BlockedFilter, error) {
-	if blocks == 0 || k < 1 || k > maxBlockedK || uint64(len(words)) != blocks*BlockWords {
-		return nil, fmt.Errorf("%w: %d words for a %d-block filter",
-			core.ErrIncompatible, len(words), blocks)
-	}
-	f := NewBlocked(blocks*BlockBits, k, seed)
-	copy(f.bits, words)
-	f.n = n
-	return f, nil
-}
-
 // MarshalBinary serializes the filter under its own wire tag (the
 // blocked layout addresses different bits than the classic filter, so
 // the formats must never be confused). Version 1.

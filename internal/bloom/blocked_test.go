@@ -218,28 +218,6 @@ func TestBlockedMergeIncompatible(t *testing.T) {
 	}
 }
 
-func TestBlockedFromWordsValidates(t *testing.T) {
-	f := NewBlocked(1024, 4, 9)
-	for i := 0; i < 100; i++ {
-		f.Add(key(i))
-	}
-	back, err := NewBlockedFromWords(f.Blocks(), f.K(), f.Seed(), f.Words(), f.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := f.MarshalBinary()
-	b, _ := back.MarshalBinary()
-	if !bytes.Equal(a, b) {
-		t.Fatal("FromWords round trip differs")
-	}
-	if _, err := NewBlockedFromWords(f.Blocks(), f.K(), f.Seed(), f.Words()[:1], f.N()); !errors.Is(err, core.ErrIncompatible) {
-		t.Errorf("short words: err = %v, want ErrIncompatible", err)
-	}
-	if _, err := NewBlockedFromWords(0, f.K(), f.Seed(), nil, 0); !errors.Is(err, core.ErrIncompatible) {
-		t.Errorf("zero blocks: err = %v, want ErrIncompatible", err)
-	}
-}
-
 func TestBlockedAddHashMatchesAdd(t *testing.T) {
 	// The pre-hashed contract: Add(item) == AddHash(Murmur3_128(item, seed)).
 	a := NewBlocked(1<<14, 6, 5)

@@ -199,16 +199,6 @@ func TheoreticalFPR(m uint64, k int, n uint64) float64 {
 	return math.Pow(1-math.Exp(-float64(k)*float64(n)/float64(m)), float64(k))
 }
 
-// EstimatedCardinality inverts the fill ratio to estimate the number of
-// distinct items inserted: n ≈ −(m/k) ln(1 − fill). (Swamidass & Baldi.)
-func (f *Filter) EstimatedCardinality() float64 {
-	fill := f.FillRatio()
-	if fill >= 1 {
-		return math.Inf(1)
-	}
-	return -float64(f.m) / float64(f.k) * math.Log(1-fill)
-}
-
 // Merge ORs another filter into this one; the result represents the
 // union of both sets. Shapes and seeds must match.
 func (f *Filter) Merge(other *Filter) error {
@@ -220,19 +210,6 @@ func (f *Filter) Merge(other *Filter) error {
 		f.bits[i] |= w
 	}
 	f.n += other.n
-	return nil
-}
-
-// Intersect ANDs another filter into this one. The result may overstate
-// the true intersection (standard Bloom semantics) but never misses a
-// common element. Shapes and seeds must match.
-func (f *Filter) Intersect(other *Filter) error {
-	if f.m != other.m || f.k != other.k || f.seed != other.seed {
-		return fmt.Errorf("%w: bloom intersect shape mismatch", core.ErrIncompatible)
-	}
-	for i, w := range other.bits {
-		f.bits[i] &= w
-	}
 	return nil
 }
 

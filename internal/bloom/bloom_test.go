@@ -62,19 +62,6 @@ func TestEstimatedFPRTracksTheory(t *testing.T) {
 	}
 }
 
-func TestEstimatedCardinality(t *testing.T) {
-	f := New(1<<18, 5, 4)
-	const n = 20000
-	for i := 0; i < n; i++ {
-		f.Add(key(i))
-		f.Add(key(i)) // duplicates must not inflate cardinality
-	}
-	est := f.EstimatedCardinality()
-	if math.Abs(est-n)/n > 0.05 {
-		t.Errorf("cardinality estimate %v, want ~%d", est, n)
-	}
-}
-
 func TestMergeEqualsUnion(t *testing.T) {
 	a := New(1<<14, 4, 9)
 	b := New(1<<14, 4, 9)
@@ -106,28 +93,6 @@ func TestMergeIncompatible(t *testing.T) {
 		if err := a.Merge(b); !errors.Is(err, core.ErrIncompatible) {
 			t.Errorf("merge of mismatched filter did not fail: %v", err)
 		}
-	}
-}
-
-func TestIntersectNeverMissesCommon(t *testing.T) {
-	a := New(1<<14, 4, 5)
-	b := New(1<<14, 4, 5)
-	for i := 0; i < 2000; i++ {
-		a.Add(key(i))
-	}
-	for i := 1000; i < 3000; i++ {
-		b.Add(key(i))
-	}
-	if err := a.Intersect(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := 1000; i < 2000; i++ {
-		if !a.Contains(key(i)) {
-			t.Fatalf("intersection lost common key %d", i)
-		}
-	}
-	if err := a.Intersect(New(64, 4, 5)); !errors.Is(err, core.ErrIncompatible) {
-		t.Error("intersect with mismatched shape must fail")
 	}
 }
 

@@ -390,31 +390,6 @@ func TestKMVMergeEqualsUnion(t *testing.T) {
 	}
 }
 
-func TestKMVIntersectionAndJaccard(t *testing.T) {
-	a, b := NewKMV(2048, 11), NewKMV(2048, 11)
-	// |A| = 60k, |B| = 60k, overlap 20k => Jaccard = 20k/100k = 0.2
-	for i := 0; i < 60000; i++ {
-		a.AddUint64(uint64(i))
-	}
-	for i := 40000; i < 100000; i++ {
-		b.AddUint64(uint64(i))
-	}
-	inter, err := a.IntersectionEstimate(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relErr := core.RelErr(inter, 20000); relErr > 0.2 {
-		t.Errorf("intersection estimate %.0f, want ~20000 (err %.3f)", inter, relErr)
-	}
-	j, err := a.JaccardEstimate(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(j-0.2) > 0.05 {
-		t.Errorf("jaccard estimate %.3f, want ~0.2", j)
-	}
-}
-
 func TestKMVSerialization(t *testing.T) {
 	s := NewKMV(64, 12)
 	for i := 0; i < 10000; i++ {

@@ -89,63 +89,6 @@ func (s *KMV) Merge(other *KMV) error {
 	return nil
 }
 
-// IntersectionEstimate estimates |A ∩ B| between two compatible KMV
-// sketches using the standard theta-sketch style inclusion ratio over
-// the combined bottom-k.
-func (s *KMV) IntersectionEstimate(other *KMV) (float64, error) {
-	if s.k != other.k || s.seed != other.seed {
-		return 0, fmt.Errorf("%w: KMV shape mismatch", core.ErrIncompatible)
-	}
-	union := NewKMV(s.k, s.seed)
-	for _, v := range s.vals {
-		union.addHash(v)
-	}
-	for _, v := range other.vals {
-		union.addHash(v)
-	}
-	if len(union.vals) == 0 {
-		return 0, nil
-	}
-	// Count union bottom-k values present in both sketches.
-	inBoth := 0
-	setA := make(map[uint64]struct{}, len(s.vals))
-	for _, v := range s.vals {
-		setA[v] = struct{}{}
-	}
-	setB := make(map[uint64]struct{}, len(other.vals))
-	for _, v := range other.vals {
-		setB[v] = struct{}{}
-	}
-	for _, v := range union.vals {
-		if _, okA := setA[v]; okA {
-			if _, okB := setB[v]; okB {
-				inBoth++
-			}
-		}
-	}
-	return float64(inBoth) / float64(len(union.vals)) * union.Estimate(), nil
-}
-
-// JaccardEstimate estimates the Jaccard similarity |A∩B|/|A∪B|.
-func (s *KMV) JaccardEstimate(other *KMV) (float64, error) {
-	inter, err := s.IntersectionEstimate(other)
-	if err != nil {
-		return 0, err
-	}
-	union := NewKMV(s.k, s.seed)
-	for _, v := range s.vals {
-		union.addHash(v)
-	}
-	for _, v := range other.vals {
-		union.addHash(v)
-	}
-	u := union.Estimate()
-	if u == 0 {
-		return 0, nil
-	}
-	return inter / u, nil
-}
-
 // MarshalBinary serializes the sketch.
 func (s *KMV) MarshalBinary() ([]byte, error) {
 	w := core.NewWriter(core.TagKMV, 1)

@@ -2,20 +2,15 @@
 // surveys: a sketch is a compact data structure with an update
 // operation (the streaming model) and, where the literature supports
 // it, a merge operation (the distributed model of Mergeable Summaries,
-// PODS 2012). It also hosts the error-specification types, the shared
-// serialization envelope, and the measurement helpers used by the
-// experiment harness.
+// PODS 2012). It also hosts the shared serialization envelope and the
+// measurement helpers used by the experiment harness.
 //
 // Concrete sketches live in their own packages (internal/bloom,
 // internal/cardinality, …) and are re-exported through the public
 // facade package at the repository root.
 package core
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "errors"
 
 // ErrIncompatible is returned by Merge implementations when the two
 // sketches were built with different shapes or seeds. Merging such
@@ -32,55 +27,4 @@ var ErrCorrupt = errors.New("sketch: corrupt serialization")
 type Updater interface {
 	// Update folds one item (as bytes) into the summary.
 	Update(item []byte)
-}
-
-// Merger is the distributed half: combine the summary with another of
-// the same shape so that the result summarizes the union of both
-// inputs. Implementations must be commutative and associative up to
-// estimate equivalence, and must return ErrIncompatible (possibly
-// wrapped) when shapes or seeds differ.
-type Merger[T any] interface {
-	Merge(other T) error
-}
-
-// Spec captures the (ε, δ) accuracy contract of a randomized sketch:
-// the estimate is within ε (relative or additive, per sketch) of the
-// truth with probability at least 1−δ.
-type Spec struct {
-	Epsilon float64 // approximation error
-	Delta   float64 // failure probability
-}
-
-// Validate checks that the specification is satisfiable.
-func (s Spec) Validate() error {
-	if !(s.Epsilon > 0 && s.Epsilon < 1) {
-		return fmt.Errorf("sketch: epsilon %v out of (0,1)", s.Epsilon)
-	}
-	if !(s.Delta > 0 && s.Delta < 1) {
-		return fmt.Errorf("sketch: delta %v out of (0,1)", s.Delta)
-	}
-	return nil
-}
-
-// CountMinShape converts an (ε, δ) spec into the canonical Count-Min
-// dimensions: width ⌈e/ε⌉, depth ⌈ln 1/δ⌉.
-func (s Spec) CountMinShape() (width, depth int) {
-	width = int(math.Ceil(math.E / s.Epsilon))
-	depth = int(math.Ceil(math.Log(1 / s.Delta)))
-	if depth < 1 {
-		depth = 1
-	}
-	return width, depth
-}
-
-// MedianOfMeans converts an (ε, δ) spec into the replication counts
-// used by AMS-style estimators: bucket count O(1/ε²) averaged, then
-// O(log 1/δ) independent repetitions combined by a median.
-func (s Spec) MedianOfMeans() (buckets, repetitions int) {
-	buckets = int(math.Ceil(6 / (s.Epsilon * s.Epsilon)))
-	repetitions = int(math.Ceil(4 * math.Log(1/s.Delta)))
-	if repetitions < 1 {
-		repetitions = 1
-	}
-	return buckets, repetitions
 }

@@ -8,44 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestSpecValidate(t *testing.T) {
-	good := Spec{Epsilon: 0.01, Delta: 0.01}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid spec rejected: %v", err)
-	}
-	for _, s := range []Spec{
-		{Epsilon: 0, Delta: 0.1},
-		{Epsilon: 1, Delta: 0.1},
-		{Epsilon: 0.1, Delta: 0},
-		{Epsilon: 0.1, Delta: 1},
-		{Epsilon: -0.1, Delta: 0.5},
-	} {
-		if err := s.Validate(); err == nil {
-			t.Errorf("spec %+v should be invalid", s)
-		}
-	}
-}
-
-func TestCountMinShape(t *testing.T) {
-	w, d := Spec{Epsilon: 0.01, Delta: 0.01}.CountMinShape()
-	if w != int(math.Ceil(math.E/0.01)) {
-		t.Errorf("width %d", w)
-	}
-	if d != 5 { // ceil(ln 100) = 5
-		t.Errorf("depth %d, want 5", d)
-	}
-}
-
-func TestMedianOfMeans(t *testing.T) {
-	b, r := Spec{Epsilon: 0.1, Delta: 0.05}.MedianOfMeans()
-	if b < 1/(0.1*0.1) {
-		t.Errorf("buckets %d too small", b)
-	}
-	if r < 1 {
-		t.Errorf("repetitions %d", r)
-	}
-}
-
 func TestWireRoundTrip(t *testing.T) {
 	w := NewWriter(TagBloom, 1)
 	w.U8(7)

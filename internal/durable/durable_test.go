@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -583,5 +585,45 @@ func TestRotationReportsSegmentErrors(t *testing.T) {
 			t.Errorf("%s: active segment %d after a failed rotation, want 1", name, got)
 		}
 		m.Kill()
+	}
+}
+
+// A failed WAL fsync is reported by every barrier from then on. The
+// parent commit dropped the error and fsynced again, and that second
+// fsync's nil answered Sync for the records of the first too, whose
+// pages the kernel may have dropped with the failed write.
+func TestFailedFsyncStaysReported(t *testing.T) {
+	var calls atomic.Int32
+	syncFile = func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			return syscall.EIO
+		}
+		return f.Sync()
+	}
+	t.Cleanup(func() { syncFile = (*os.File).Sync })
+	m, err := Open(t.TempDir(), Options{FsyncInterval: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Start(func() []SketchSnap { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range []string{"a", "b"} {
+		m.Append(OpIngest, "", "s", []byte(body))
+		if err := m.Sync(); !errors.Is(err, syscall.EIO) {
+			t.Errorf("Sync %d after a failed fsync: %v, want EIO", i+1, err)
+		}
+	}
+	if err := m.SealActive(); !errors.Is(err, syscall.EIO) {
+		t.Errorf("SealActive: %v, want EIO", err)
+	}
+	if err := m.SnapshotNow(); !errors.Is(err, syscall.EIO) {
+		t.Errorf("SnapshotNow: %v, want EIO", err)
+	}
+	if got := m.Status().FsyncError; got != syscall.EIO.Error() {
+		t.Errorf("status fsync_error %q, want %q", got, syscall.EIO.Error())
+	}
+	if err := m.Close(); !errors.Is(err, syscall.EIO) {
+		t.Errorf("Close: %v, want EIO", err)
 	}
 }

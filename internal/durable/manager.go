@@ -41,6 +41,9 @@ const (
 	queueDepth = 4096
 )
 
+// syncFile fsyncs a WAL segment; a variable so a test can fail it.
+var syncFile = (*os.File).Sync
+
 func (o *Options) applyDefaults() {
 	if o.WALMaxBytes == 0 {
 		o.WALMaxBytes = 64 << 20
@@ -57,6 +60,10 @@ type Status struct {
 	LastSnapshotLSN uint64 `json:"last_snapshot_lsn"`
 	WALBytes        int64  `json:"wal_bytes"`
 	LastFsyncAgeMS  int64  `json:"last_fsync_age_ms"`
+	// FsyncError is the first WAL fsync that failed: from then on the
+	// barriers report it, since a later fsync that succeeds covers only
+	// the pages the kernel still held.
+	FsyncError string `json:"fsync_error,omitempty"`
 }
 
 // RecoveryStats summarizes what Recover did.
@@ -119,6 +126,8 @@ type Manager struct {
 	walBytes  atomic.Int64
 	lastFsync atomic.Int64  // unixnano; 0 until the first commit
 	activeSeq atomic.Uint64 // seq of the segment currently being written
+	fsyncErr  atomic.Pointer[error]
+	closeErr  error // the final commit's, for Close
 }
 
 // Open prepares a manager over dir (created if absent). No files are
@@ -305,11 +314,12 @@ func (m *Manager) SealActive() error {
 }
 
 // Close drains the queue, fsyncs the WAL, writes a final snapshot, and
-// stops the syncer. The HTTP layer must stop producing appends first.
+// stops the syncer; it returns the final commit's error. The HTTP layer
+// must stop producing appends first.
 func (m *Manager) Close() error {
 	close(m.quit)
 	m.wg.Wait()
-	return nil
+	return m.closeErr
 }
 
 // Kill stops the syncer abruptly: no drain, no flush, no final
@@ -334,7 +344,18 @@ func (m *Manager) Status() Status {
 	if t := m.lastFsync.Load(); t != 0 {
 		s.LastFsyncAgeMS = time.Since(time.Unix(0, t)).Milliseconds()
 	}
+	if err := m.failed(); err != nil {
+		s.FsyncError = err.Error()
+	}
 	return s
+}
+
+// failed returns the first WAL fsync error, nil while none has failed.
+func (m *Manager) failed() error {
+	if err := m.fsyncErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
 // --- syncer ---
@@ -386,8 +407,8 @@ func (m *Manager) run() {
 				return
 			}
 			m.drainQueue()
-			if err := m.commit(); err != nil {
-				m.opts.Logf("durable: final commit: %v", err)
+			if m.closeErr = m.commit(); m.closeErr != nil {
+				m.opts.Logf("durable: final commit: %v", m.closeErr)
 			}
 			if err := m.doSnapshot(); err != nil {
 				m.opts.Logf("durable: final snapshot: %v", err)
@@ -467,17 +488,18 @@ func (m *Manager) startCommit() error {
 	}
 	done := make(chan error, 1)
 	m.fsyncing, m.fsyncStart = done, start
-	go func(f *os.File) { done <- f.Sync() }(m.f)
+	go func(f *os.File) { done <- syncFile(f) }(m.f)
 	return nil
 }
 
 // endFsync records the outcome of the fsync in flight: everything
 // flushed before it started is on disk, or, if it failed, still to be
-// committed.
+// committed — and the first failure is kept for the barriers.
 func (m *Manager) endFsync(err error) error {
 	m.fsyncing = nil
 	if err != nil {
 		m.opts.Logf("durable: WAL fsync: %v", err)
+		m.fsyncErr.CompareAndSwap(nil, &err)
 		m.dirty = true
 		return err
 	}
@@ -503,13 +525,16 @@ func (m *Manager) settle() error {
 }
 
 // commit is a barrier: it returns once every record written so far is
-// flushed and, unless FsyncInterval < 0, fsynced.
+// flushed and, unless FsyncInterval < 0, fsynced. Once a WAL fsync has
+// failed it returns that error for good: the records it covered may be
+// gone from the page cache, and a retry that succeeds cannot tell.
 func (m *Manager) commit() error {
-	m.settle() // a failed fsync leaves its records to the commit below
+	m.settle()
 	if err := m.startCommit(); err != nil {
 		return err
 	}
-	return m.settle()
+	m.settle()
+	return m.failed()
 }
 
 // openSegment creates the next WAL segment and makes it the active
@@ -556,7 +581,8 @@ func (m *Manager) seal() error {
 	if err := m.w.Flush(); err != nil {
 		return fmt.Errorf("durable: WAL flush: %w", err)
 	}
-	if err := m.f.Sync(); err != nil {
+	if err := syncFile(m.f); err != nil {
+		m.fsyncErr.CompareAndSwap(nil, &err)
 		return fmt.Errorf("durable: WAL fsync: %w", err)
 	}
 	if err := m.f.Close(); err != nil {
@@ -585,7 +611,7 @@ func (m *Manager) rotate() error {
 // it holds no records.
 func (m *Manager) sealActive() error {
 	if m.activeBytes <= int64(walHeaderLen) {
-		return nil // no records since the last rotation: nothing to seal
+		return m.failed() // no records since the last rotation: nothing to seal
 	}
 	return m.rotate()
 }

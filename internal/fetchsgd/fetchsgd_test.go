@@ -104,21 +104,6 @@ func TestGradSketchSubtractSparse(t *testing.T) {
 	}
 }
 
-func TestGradSketchScaleReset(t *testing.T) {
-	s := NewGradSketch(3, 64, 8)
-	vec := make([]float64, 10)
-	vec[5] = 8
-	s.Accumulate(vec, 1)
-	s.Scale(0.5)
-	if got := s.Estimate(5); math.Abs(got-4) > 1e-9 {
-		t.Errorf("scaled estimate %v, want 4", got)
-	}
-	s.Reset()
-	if got := s.Estimate(5); got != 0 {
-		t.Errorf("reset estimate %v", got)
-	}
-}
-
 func TestWorkerGradientDescentDirection(t *testing.T) {
 	task := NewTask(64, 8, 0.01, 9)
 	workers := NewWorkers(task, 4, 400, 10)

@@ -79,24 +79,6 @@ func (s *GradSketch) Add(other *GradSketch) error {
 	return nil
 }
 
-// Scale multiplies every counter (momentum decay uses this).
-func (s *GradSketch) Scale(factor float64) {
-	for r := range s.data {
-		for j := range s.data[r] {
-			s.data[r][j] *= factor
-		}
-	}
-}
-
-// Reset zeroes the sketch.
-func (s *GradSketch) Reset() {
-	for r := range s.data {
-		for j := range s.data[r] {
-			s.data[r][j] = 0
-		}
-	}
-}
-
 // Estimate returns the unbiased estimate of coordinate j.
 func (s *GradSketch) Estimate(j int) float64 {
 	ests := make([]float64, s.rows)

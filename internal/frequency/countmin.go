@@ -53,15 +53,6 @@ func NewCountMinLayout(l Layout) *CountMin {
 	return &CountMin{layout: l, cells: make([]uint64, l.Len())}
 }
 
-// NewCountMinWithSpec sizes the sketch from an (ε, δ) contract.
-func NewCountMinWithSpec(spec core.Spec, seed uint64) (*CountMin, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	w, d := spec.CountMinShape()
-	return NewCountMin(w, d, seed), nil
-}
-
 // SetConservative enables conservative update (Estan–Varghese): an
 // update only raises the counters that are at the current minimum, to
 // the minimum+weight. This never breaks the overestimate guarantee and

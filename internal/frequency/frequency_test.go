@@ -162,19 +162,6 @@ func TestCountMinInnerProduct(t *testing.T) {
 	}
 }
 
-func TestCountMinSpecConstructor(t *testing.T) {
-	cm, err := NewCountMinWithSpec(core.Spec{Epsilon: 0.001, Delta: 0.01}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Width() != int(math.Ceil(math.E/0.001)) || cm.Depth() != 5 {
-		t.Errorf("shape %dx%d", cm.Width(), cm.Depth())
-	}
-	if _, err := NewCountMinWithSpec(core.Spec{Epsilon: 2, Delta: 0.5}, 1); err == nil {
-		t.Error("invalid spec accepted")
-	}
-}
-
 func TestCountMinSerialization(t *testing.T) {
 	cm := NewCountMin(128, 4, 9)
 	stream, _ := zipfStream(10000, 1000, 1.5, 9)

@@ -29,19 +29,6 @@ type Transform interface {
 	OutputDim() int
 }
 
-// TargetDim returns the standard JL output dimension
-// ⌈8·ln(n)/ε²⌉ sufficient to preserve all pairwise distances among n
-// points within (1±ε).
-func TargetDim(n int, eps float64) int {
-	if n < 2 {
-		n = 2
-	}
-	if !(eps > 0 && eps < 1) {
-		panic("jl: eps must be in (0,1)")
-	}
-	return int(math.Ceil(8 * math.Log(float64(n)) / (eps * eps)))
-}
-
 // Dense is a dense random projection with entries drawn i.i.d. from
 // either a Gaussian or Rademacher (±1) distribution, scaled by 1/√k.
 type Dense struct {

@@ -45,23 +45,30 @@ func checkDistancePreservation(t *testing.T, tr Transform, pts [][]float64, eps 
 	}
 }
 
+// targetDim is the standard JL output dimension ⌈8·ln(n)/ε²⌉,
+// sufficient to preserve all pairwise distances among n points within
+// (1±ε).
+func targetDim(n int, eps float64) int {
+	return int(math.Ceil(8 * math.Log(float64(n)) / (eps * eps)))
+}
+
 func TestGaussianDistancePreservation(t *testing.T) {
 	const n, d, eps = 30, 500, 0.25
-	k := TargetDim(n, eps)
+	k := targetDim(n, eps)
 	tr := NewGaussian(d, k, 1)
 	checkDistancePreservation(t, tr, randomPoints(n, d, 2), eps)
 }
 
 func TestRademacherDistancePreservation(t *testing.T) {
 	const n, d, eps = 30, 500, 0.25
-	k := TargetDim(n, eps)
+	k := targetDim(n, eps)
 	tr := NewRademacher(d, k, 3)
 	checkDistancePreservation(t, tr, randomPoints(n, d, 4), eps)
 }
 
 func TestSparseDistancePreservation(t *testing.T) {
 	const n, d, eps = 30, 500, 0.25
-	k := TargetDim(n, eps)
+	k := targetDim(n, eps)
 	k = (k/8 + 1) * 8 // make divisible by sparsity 8
 	tr := NewSparse(d, k, 8, 5)
 	checkDistancePreservation(t, tr, randomPoints(n, d, 6), eps)
@@ -125,21 +132,6 @@ func TestTransformLinearity(t *testing.T) {
 			t.Fatal("transform is not linear")
 		}
 	}
-}
-
-func TestTargetDim(t *testing.T) {
-	if TargetDim(100, 0.1) < 100 {
-		t.Error("target dim suspiciously small")
-	}
-	if TargetDim(1000, 0.1) <= TargetDim(10, 0.1) {
-		t.Error("target dim must grow with n")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad eps")
-		}
-	}()
-	TargetDim(10, 0)
 }
 
 func TestApplyPanicsOnWrongDim(t *testing.T) {

@@ -166,20 +166,6 @@ func (c *compactor) quantile(q float64, total uint64) float64 {
 	return c.maxV
 }
 
-// Rank returns the estimated number of inserted items ≤ v.
-func (c *compactor) Rank(v float64) uint64 {
-	var acc uint64
-	for level, buf := range c.levels {
-		w := uint64(1) << uint(level)
-		for _, x := range buf {
-			if x <= v {
-				acc += w
-			}
-		}
-	}
-	return acc
-}
-
 // N returns the number of inserted values.
 func (c *compactor) N() uint64 { return c.n }
 

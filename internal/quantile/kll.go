@@ -40,23 +40,6 @@ func NewKLL(k int, seed uint64) *KLL {
 // Quantile returns an approximate q-quantile.
 func (s *KLL) Quantile(q float64) float64 { return s.quantile(q, s.n) }
 
-// CDF returns the estimated cumulative fraction of items ≤ v, clamped
-// to [0, 1] (compaction can leave the total retained weight slightly
-// off n) with exact handling outside the observed range.
-func (s *KLL) CDF(v float64) float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	if v < s.minV {
-		return 0
-	}
-	if v >= s.maxV {
-		return 1
-	}
-	c := float64(s.Rank(v)) / float64(s.n)
-	return math.Min(1, math.Max(0, c))
-}
-
 // Eps returns the approximate rank-error guarantee ≈ 2.3/k.
 func (s *KLL) Eps() float64 { return 2.3 / float64(s.k) }
 

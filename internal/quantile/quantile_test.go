@@ -220,25 +220,6 @@ func TestKLLMergeGuarantee(t *testing.T) {
 	}
 }
 
-func TestKLLCDFMonotone(t *testing.T) {
-	s := NewKLL(128, 12)
-	rng := randx.New(13)
-	for i := 0; i < 20000; i++ {
-		s.Add(rng.Normal())
-	}
-	prev := -1.0
-	for v := -3.0; v <= 3.0; v += 0.1 {
-		c := s.CDF(v)
-		if c < prev {
-			t.Fatalf("CDF not monotone at %v", v)
-		}
-		prev = c
-	}
-	if s.CDF(-100) != 0 || s.CDF(100) != 1 {
-		t.Error("CDF extremes wrong")
-	}
-}
-
 func TestKLLSerialization(t *testing.T) {
 	s := NewKLL(100, 14)
 	rng := randx.New(15)
@@ -430,20 +411,6 @@ func TestTDigestMerge(t *testing.T) {
 	}
 	if err := a.Merge(NewTDigest(50)); !errors.Is(err, core.ErrIncompatible) {
 		t.Error("merge across compressions must fail")
-	}
-}
-
-func TestTDigestCDF(t *testing.T) {
-	td := NewTDigest(200)
-	rng := randx.New(23)
-	for i := 0; i < 50000; i++ {
-		td.Add(rng.Float64())
-	}
-	if got := td.CDF(0.5); math.Abs(got-0.5) > 0.02 {
-		t.Errorf("CDF(0.5) = %.4f", got)
-	}
-	if td.CDF(-1) != 0 || td.CDF(2) != 1 {
-		t.Error("CDF outside range wrong")
 	}
 }
 

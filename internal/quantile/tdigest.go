@@ -170,37 +170,6 @@ func (s *TDigest) span(i int) (lo, hi float64) {
 	return lo, hi
 }
 
-// CDF returns the estimated fraction of values ≤ v.
-func (s *TDigest) CDF(v float64) float64 {
-	s.flush()
-	if len(s.centroids) == 0 {
-		return math.NaN()
-	}
-	if v < s.minV {
-		return 0
-	}
-	if v >= s.maxV {
-		return 1
-	}
-	var acc float64
-	for i, c := range s.centroids {
-		lo, hi := s.span(i)
-		if v < lo {
-			break
-		}
-		if v < hi {
-			frac := 0.5
-			if hi > lo {
-				frac = (v - lo) / (hi - lo)
-			}
-			acc += c.weight * frac
-			break
-		}
-		acc += c.weight
-	}
-	return acc / totalWeight(s.centroids)
-}
-
 // N returns the number of inserted values.
 func (s *TDigest) N() uint64 { return s.n }
 

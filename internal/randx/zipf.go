@@ -91,19 +91,3 @@ func (z *Zipf) Next() uint64 {
 		}
 	}
 }
-
-// ZipfCDF returns the exact probability mass function of Zipf(alpha)
-// over {1, …, n}, normalized to sum to 1. Experiments use it to compute
-// true item frequencies against which sketch estimates are scored.
-func ZipfCDF(alpha float64, n int) []float64 {
-	pmf := make([]float64, n)
-	var z float64
-	for k := 1; k <= n; k++ {
-		pmf[k-1] = math.Exp(-alpha * math.Log(float64(k)))
-		z += pmf[k-1]
-	}
-	for i := range pmf {
-		pmf[i] /= z
-	}
-	return pmf
-}

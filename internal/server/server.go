@@ -416,7 +416,8 @@ func HandleTypes(w http.ResponseWriter, _ *http.Request) {
 
 // StatusResponse is the GET /v1/status document: liveness plus the
 // durability gauges (wal_lsn, last_snapshot_lsn, wal_bytes,
-// last_fsync_age_ms; enabled=false when running in-memory only) and
+// last_fsync_age_ms, fsync_error once a WAL fsync has failed;
+// enabled=false when running in-memory only) and
 // the replication block (leader lag in records once a follower has
 // polled, or a follower's own apply frontier).
 type StatusResponse struct {

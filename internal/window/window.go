@@ -124,15 +124,6 @@ func (h *EH) Count() float64 {
 	return est
 }
 
-// Exact upper and lower bounds on the true window count.
-func (h *EH) Bounds() (lo, hi uint64) {
-	h.expire()
-	if len(h.buckets) == 0 {
-		return 0, 0
-	}
-	return h.total - h.buckets[0].count + 1, h.total
-}
-
 // BucketCount returns the number of stored buckets — O(k·log W).
 func (h *EH) BucketCount() int { return len(h.buckets) }
 

