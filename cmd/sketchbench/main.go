@@ -8,17 +8,14 @@
 //	sketchbench -run E4,E8   # run selected experiments
 //	sketchbench -list        # list experiment ids and titles
 //
-// The E25 loadgen starts an in-process sketchd by default; pass
-// -sketchd http://host:port to drive an externally running daemon
-// instead.
-//
 // It exits non-zero when an experiment is unknown or one of its exact
 // pass bars is not met.
 //
-// sketchbench measures the paper's claims and nothing else. Timings
-// of a kernel or a hop are `go test -run '^$' -bench 'Hot/<row>'
-// -benchmem .` at the module root; a PR's end-to-end numbers are
-// benchmark/ (see its README).
+// sketchbench measures the paper's claims and nothing else; the
+// "(… completed in …)" line after each experiment is the one timing of
+// a whole experiment. Timings of a kernel or a hop are `go test -run
+// '^$' -bench 'Hot/<row>' -benchmem .` at the module root; a PR's
+// end-to-end numbers are benchmark/ (see its README).
 package main
 
 import (
@@ -34,12 +31,7 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
-	sketchd := flag.String("sketchd", "", "base URL of a running sketchd for the E25 loadgen (default: in-process)")
 	flag.Parse()
-
-	if *sketchd != "" {
-		os.Setenv("SKETCHD_ADDR", *sketchd)
-	}
 
 	if *list {
 		titles := experiments.Titles()

@@ -12,8 +12,8 @@
 //
 // sketchd serves none of the sharded or atomic types: each lost to, or
 // tied, the plain kernel behind one lock (DESIGN.md §5.1). They remain
-// as the per-cell and per-shard baselines experiments E7a and E29
-// measure against.
+// as the per-cell and per-shard baselines experiment E29 and the
+// BenchmarkHot rows measure against.
 package concurrent
 
 import (

@@ -132,7 +132,7 @@ func TestPanics(t *testing.T) {
 	}
 }
 
-// Throughput benchmarks back experiment E7a.
+// Throughput of the atomic and sharded writers under RunParallel.
 
 func BenchmarkAtomicCountMinParallel(b *testing.B) {
 	c := NewAtomicCountMin(4096, 4, 1)

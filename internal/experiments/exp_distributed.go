@@ -2,23 +2,17 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/cardinality"
-	"repro/internal/concurrent"
 	"repro/internal/core"
 	"repro/internal/frequency"
-	"repro/internal/hashx"
 	"repro/internal/quantile"
 	"repro/internal/randx"
 )
 
 func init() {
 	register("E7", "Mergeable summaries: sharded vs single-stream accuracy", runE7)
-	register("E7a", "Ablation: concurrent sketch update throughput", runE7a)
 }
 
 // runE7 shards one stream 64 ways, merges per-shard sketches, and
@@ -99,110 +93,6 @@ func runE7() *Result {
 		Claim:  "§2/PODS 2012: sketches of shards merge into exactly (HLL, CM) or boundedly (KLL, SS) the sketch of the whole stream.",
 		Tables: []*core.Table{tbl},
 	}
-}
-
-// runE7a measures update throughput of the concurrent wrappers across
-// goroutine counts against the single-mutex baseline.
-func runE7a() *Result {
-	const opsPerWorker = 200000
-	tbl := core.NewTable("E7a: concurrent Count-Min updates (ops/ms, higher is better)",
-		"goroutines", "mutex", "atomic", "speedup")
-	// Sweep past GOMAXPROCS so single-core machines still exercise the
-	// contention behaviour (speedups only appear with real cores).
-	maxWorkers := runtime.GOMAXPROCS(0) * 4
-	if maxWorkers > 8 {
-		maxWorkers = 8
-	}
-	for workers := 1; workers <= maxWorkers; workers *= 2 {
-		mutexRate := benchWorkers(workers, opsPerWorker, func() func(uint64) {
-			c := newMutexCountMin(4096, 4, 1)
-			return func(v uint64) { c.AddUint64(v, 1) }
-		})
-		atomicRate := benchWorkers(workers, opsPerWorker, func() func(uint64) {
-			c := concurrent.NewAtomicCountMin(4096, 4, 1)
-			return func(v uint64) { c.AddUint64(v, 1) }
-		})
-		tbl.AddRow(workers, mutexRate, atomicRate, atomicRate/mutexRate)
-	}
-	hllTbl := core.NewTable("E7a-hll: sharded HLL updates (ops/ms)",
-		"goroutines", "sharded HLL rate")
-	for workers := 1; workers <= maxWorkers; workers *= 2 {
-		s := concurrent.NewShardedHLL(workers, 14, 1)
-		rate := benchWorkersHandles(workers, opsPerWorker, s)
-		hllTbl.AddRow(workers, rate)
-	}
-	return &Result{
-		ID:     "E7a",
-		Title:  "Concurrent sketch throughput",
-		Claim:  "§2: the DataSketches project 'emphasised the need for concurrency and mergability of sketches'.",
-		Tables: []*core.Table{tbl, hllTbl},
-		Notes: []string{
-			"Rates vary with hardware; the shape (atomic >= mutex under contention, scaling with real cores) is the claim.",
-			fmt.Sprintf("This run used GOMAXPROCS=%d.", runtime.GOMAXPROCS(0)),
-		},
-	}
-}
-
-// mutexCountMin is E7a's strawman: a Count-Min guarded by one mutex,
-// there to show what sharding and atomics buy. The item is hashed
-// outside the lock and the sketch shares concurrent.AtomicCountMin's
-// layout, so the comparison isolates the synchronization cost, not the
-// hashing.
-type mutexCountMin struct {
-	mu sync.Mutex
-	cm *frequency.CountMin
-}
-
-func newMutexCountMin(width, depth int, seed uint64) *mutexCountMin {
-	return &mutexCountMin{cm: frequency.NewCountMin(width, depth, seed)}
-}
-
-// AddUint64 adds weight to an item's count under the lock.
-func (c *mutexCountMin) AddUint64(item, weight uint64) {
-	h := hashx.HashUint64(item, c.cm.Seed())
-	c.mu.Lock()
-	c.cm.AddHash(h, weight)
-	c.mu.Unlock()
-}
-
-// benchWorkers runs the shared update function from `workers`
-// goroutines and returns aggregate ops per millisecond.
-func benchWorkers(workers, ops int, build func() func(uint64)) float64 {
-	update := build()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := uint64(w) << 32
-			for i := 0; i < ops; i++ {
-				update(base | uint64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	ms := float64(time.Since(start).Microseconds()) / 1000
-	return float64(workers*ops) / ms
-}
-
-func benchWorkersHandles(workers, ops int, s *concurrent.ShardedHLL) float64 {
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := s.Handle()
-			base := uint64(w) << 32
-			for i := 0; i < ops; i++ {
-				h.AddUint64(base | uint64(i))
-			}
-		}(w)
-	}
-	wg.Wait()
-	ms := float64(time.Since(start).Microseconds()) / 1000
-	return float64(workers*ops) / ms
 }
 
 func must(err error) {

@@ -9,8 +9,7 @@
 // Each states its exact pass bars as Bars; a timing is only ever a note.
 // The tier-1 sweep fails on an unmet bar and holds every experiment that
 // prints no timing to its testdata/<id>.golden byte for byte.
-// cmd/sketchbench runs them from the command line; bench_test.go wraps
-// each in a testing.B benchmark.
+// cmd/sketchbench runs them from the command line.
 package experiments
 
 import (

@@ -1,9 +1,9 @@
 // Package client is the Go client for sketchd (internal/server): it
 // batches newline-delimited ingest, exchanges merge envelopes, and
 // decodes query and stats responses, over keep-alive connections of its
-// own (link.go). cmd/sketchbench's E25 loadgen uses it to measure
-// ingest throughput scaling; cmd/sketchcli-style tools can reuse it
-// as-is.
+// own (link.go). The coordinator's shard calls, the follower's WAL
+// fetches, sketchcli, the live-sketchd attack driver and the E-series
+// experiments use it.
 package client
 
 import (
