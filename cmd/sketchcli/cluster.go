@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"net/url"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/registry"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -40,7 +38,7 @@ func shardList(s string) ([]string, error) {
 }
 
 func runClusterStatus(args []string) error {
-	fs := flag.NewFlagSet("cluster status", flag.ExitOnError)
+	fs := flag.NewFlagSet("cluster status", flag.ContinueOnError)
 	shards := fs.String("shards", "", "comma-separated shard base URLs")
 	tenant := fs.String("tenant", "", "show only this tenant's per-shard row (default: all tenants)")
 	tenants := fs.Bool("tenants", false, "print a per-tenant row under each shard")
@@ -89,7 +87,7 @@ func runClusterStatus(args []string) error {
 }
 
 func runClusterMerge(args []string) error {
-	fs := flag.NewFlagSet("cluster merge", flag.ExitOnError)
+	fs := flag.NewFlagSet("cluster merge", flag.ContinueOnError)
 	shards := fs.String("shards", "", "comma-separated shard base URLs")
 	name := fs.String("name", "", "sketch name to gather")
 	tenant := fs.String("tenant", "", "tenant namespace to gather from (default: the default tenant)")
@@ -118,34 +116,22 @@ func runClusterMerge(args []string) error {
 		envs = append(envs, env)
 		gathered += len(env)
 	}
-	merged, d, err := cluster.MergeEnvelopes(envs)
+	merged, env, err := mergeAll(envs)
 	if err != nil {
 		return err
 	}
 	if *out != "" {
-		env, err := registry.Marshal(merged)
-		if err != nil {
-			return err
-		}
 		if err := os.WriteFile(*out, env, 0o644); err != nil {
 			return err
 		}
 		fmt.Printf("%s: merged %d shard envelopes (%s) into %s (%d bytes)\n",
-			*name, len(envs), d.Name, *out, len(env))
+			*name, len(envs), merged.Desc.Name, *out, len(env))
 		return nil
 	}
-	res, err := d.Bind.Query(merged, url.Values{})
+	inst, err := merged.Instance()
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s over %d shards (%d gathered bytes)\n", *name, d.Name, len(envs), gathered)
-	keys := make([]string, 0, len(res))
-	for k := range res {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-12s %v\n", k, res[k])
-	}
-	return nil
+	fmt.Printf("%s: %s over %d shards (%d gathered bytes)\n", *name, merged.Desc.Name, len(envs), gathered)
+	return answer(merged.Desc, inst, "", []url.Values{{}})
 }

@@ -1,34 +1,30 @@
-// Command sketchcli builds sketches over newline-delimited items from
-// stdin and answers queries — the practitioner-facing tool the paper's
-// "pushing out code" pathway argues for.
-//
-// Usage:
-//
-//	sketchcli distinct [-p 14]              # count distinct lines (HLL)
-//	sketchcli topk [-k 20]                  # heavy hitters (SpaceSaving)
-//	sketchcli quantiles [-q .5,.9,.99]      # numeric quantiles (KLL)
-//	sketchcli membership -query item [...]  # Bloom filter membership
-//	sketchcli f2                            # second frequency moment (AMS)
-//	sketchcli inspect file.bin              # identify + summarize any envelope
-//	sketchcli merge -o out.bin a.bin b.bin  # merge same-type envelopes
-//	sketchcli types                         # list every registered family
-//
-// inspect, merge, and types are fully registry-driven: they work for
-// every sketch family without naming a single one, because each GSK1
-// envelope self-describes its type through the wire tag.
+// Command sketchcli builds, inspects and merges sketches from the
+// command line — the practitioner-facing tool the paper's "pushing out
+// code" pathway argues for. Every subcommand is registry-driven: sketch
+// builds any family sketchd serves from stdin, read as sketchd reads an
+// /add body, with sketchd's parameters and hash seed (1), so its -o
+// envelope is the one sketchd's /snapshot would hold; inspect and merge
+// take any envelope, which names its family by its wire tag. An answer
+// is printed as sketchd's /query sends it: one JSON document a line.
 //
 // Examples:
 //
-//	cat access.log | awk '{print $1}' | sketchcli distinct
-//	cat words.txt | sketchcli topk -k 10
-//	cat latencies.txt | sketchcli quantiles -q 0.5,0.99
+//	cat access.log | awk '{print $1}' | sketchcli sketch hll
+//	cat words.txt | sketchcli sketch spacesaving -k 80 -query k=10
+//	cat latencies.txt | sketchcli sketch kll -query q=0.5 -query q=0.99
+//	cat imps.tsv | sketchcli sketch hll -group   # campaign<TAB>user lines: reach per campaign, then overall
+//	seq 1 100000 | sketchcli sketch hll -p 12 -o a.hll && sketchcli merge -o all.hll a.hll b.hll
 //	curl -s sketchd:7600/v1/sketch/users/snapshot | sketchcli inspect /dev/stdin
 package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/url"
 	"os"
 	"sort"
@@ -42,26 +38,20 @@ import (
 	sketchclient "repro/internal/server/client"
 )
 
-func main() {
-	if len(os.Args) < 2 {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the command: its exit status is 0, 1 for a failed subcommand
+// (a bad flag or parameter among them) and 2 for an unknown one.
+func run(args []string) int {
+	if len(args) < 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	cmd, args := os.Args[1], os.Args[2:]
+	cmd, args := args[0], args[1:]
 	var err error
 	switch cmd {
-	case "distinct":
-		err = runDistinct(args)
-	case "topk":
-		err = runTopK(args)
-	case "quantiles":
-		err = runQuantiles(args)
-	case "membership":
-		err = runMembership(args)
-	case "f2":
-		err = runF2(args)
-	case "reach":
-		err = runReach(args)
+	case "sketch":
+		err = runSketch(args)
 	case "inspect":
 		err = runInspect(args)
 	case "merge":
@@ -74,25 +64,25 @@ func main() {
 		err = runRedteam(args)
 	default:
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, flag.ErrHelp) { // -h has printed the flags
 		fmt.Fprintln(os.Stderr, "sketchcli:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: sketchcli <distinct|topk|quantiles|membership|f2|reach|inspect|merge|types|cluster|redteam> [flags]
-  distinct   [-p precision]     estimate distinct lines with HyperLogLog
-  topk       [-k counters]      heavy hitters with SpaceSaving
-  quantiles  [-q q1,q2,...]     numeric quantiles with KLL
-  membership -query item [...]  Bloom-filter membership of query items
-  f2                            second frequency moment with AMS
-  reach      [-p precision]     per-group distinct counts from "group,id" lines
+	fmt.Fprintln(os.Stderr, `usage: sketchcli <sketch|inspect|merge|types|cluster|redteam> [flags]
+  sketch <family> [-<param> v]... [-query k=v]... [-group] [-o file]
+                                sketch stdin as sketchd would an /add body and print
+                                each -query's answer (default: the summary); -group
+                                reads group<TAB>line, answers per group and then for
+                                their union; -o writes the envelope instead
   inspect    <file>             identify and summarize any serialized sketch
   merge      -o out a b [...]   merge same-type serialized sketches
-  types                         list every registered sketch family
+  types                         list every family, its parameters and line format
   cluster status -shards a,b [-tenants|-tenant t]
                                 per-shard health, durability, replication lag,
                                 optionally with per-tenant gauge rows
@@ -104,166 +94,193 @@ func usage() {
                                 sketch sharing the seed`)
 }
 
-func scanLines(fn func(line string)) error {
+// chunkBytes is how much of stdin sketch reads before it hands the
+// whole lines of it to an ingest: a sketchd /add body's worth.
+var chunkBytes = 1 << 20
+
+// runSketch builds a sketch of any servable family over stdin as
+// sketchd builds one from /add bodies of the same bytes: the family's
+// parameter schema as flags, Validate with sketchd's default seed 1, and
+// Bind.Ingest over newline-aligned chunks. With -group each line is
+// group<TAB>line, as POST /v1/ingest/groupby reads it, and each group is
+// a sketch of its own; a mergeable family's groups are then answered
+// for as one, their union, which is labelled with no group.
+func runSketch(args []string) error {
+	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
+		return fmt.Errorf("usage: sketchcli sketch <family> [-<param> v]... [-query k=v]... [-group] [-o file]")
+	}
+	d, ok := registry.Lookup(args[0])
+	if !ok || !d.Servable() {
+		return fmt.Errorf("%q is not a family sketchd serves (sketchcli types lists them)", args[0])
+	}
+	fs := flag.NewFlagSet("sketch "+d.Name, flag.ContinueOnError)
+	raw := map[string]float64{}
+	for _, p := range d.Params {
+		fs.Func(p.Name, fmt.Sprintf("%s (default %g, in [%g,%g])", p.Doc, p.Def, p.Min, p.Max), func(s string) (err error) {
+			raw[p.Name], err = strconv.ParseFloat(s, 64)
+			return err
+		})
+	}
+	var queries []url.Values
+	fs.Func("query", "answer the `k=v[&k=v]` query of sketchd's /query; repeatable (default: the summary)", func(s string) error {
+		q, err := url.ParseQuery(s)
+		queries = append(queries, q)
+		return err
+	})
+	group := fs.Bool("group", false, "read group<TAB>line and answer per group, then for their union")
+	out := fs.String("o", "", `write the envelope here ("-" for stdout) instead of answering`)
+	if err := fs.Parse(args[1:]); err != nil {
+		return err
+	}
+	switch {
+	case fs.NArg() > 0:
+		return fmt.Errorf("sketch %s: unexpected argument %q", d.Name, fs.Arg(0))
+	case *out != "" && (*group || queries != nil):
+		return fmt.Errorf("sketch %s: -o writes the one sketch; it takes neither -query nor -group", d.Name)
+	case queries == nil:
+		queries = []url.Values{{}}
+	}
+	params, err := d.Validate(1, raw)
+	if err != nil {
+		return err
+	}
+	// insts[""] is the sketch of every line: without -group the one
+	// sketch, with it the groups' union, where the family merges.
+	insts := map[string]any{}
+	if !*group || d.Mergeable() {
+		if insts[""], err = d.New(params); err != nil {
+			return err
+		}
+	}
+	// Stdin goes in a buffer of whole lines at a time, so memory stays
+	// bounded whatever the stream's length; the buffer grows only for a
+	// line longer than it.
 	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" {
-			fn(line)
+	sc.Buffer(make([]byte, chunkBytes), math.MaxInt)
+	sc.Split(func(data []byte, eof bool) (int, []byte, error) {
+		end := bytes.LastIndexByte(data, '\n') + 1
+		if eof {
+			end = len(data)
+		}
+		if end == 0 {
+			return 0, nil, nil
+		}
+		return end, data[:end], nil
+	})
+	bodies := map[string][]byte{}
+	for n := 1; sc.Scan(); {
+		body := sc.Bytes()
+		first, last := n, n+bytes.Count(body[:len(body)-1], []byte{'\n'})
+		n = last + 1
+		if !*group {
+			bodies[""] = body
+		}
+		for at := first; *group && len(body) > 0; at++ {
+			var line []byte
+			if line, body = registry.CutLine(body); len(line) == 0 {
+				continue
+			}
+			tab := bytes.IndexByte(line, '\t')
+			if tab <= 0 {
+				return fmt.Errorf("stdin line %d: missing group<TAB>item", at)
+			}
+			g := string(line[:tab])
+			bodies[g] = append(append(bodies[g], line[tab+1:]...), '\n')
+		}
+		for g, b := range bodies {
+			if insts[g] == nil {
+				if insts[g], err = d.New(params); err != nil {
+					return err
+				}
+			}
+			if _, err := d.Bind.Ingest(insts[g], b); err != nil {
+				if *group {
+					err = fmt.Errorf("group %q: %w", g, err)
+				}
+				return fmt.Errorf("stdin lines %d-%d: %w", first, last, err)
+			}
+			bodies[g] = b[:0]
 		}
 	}
-	return sc.Err()
-}
-
-func runDistinct(args []string) error {
-	fs := flag.NewFlagSet("distinct", flag.ExitOnError)
-	p := fs.Int("p", 14, "HLL precision (4-18)")
-	if err := fs.Parse(args); err != nil {
+	if err := sc.Err(); err != nil {
 		return err
 	}
-	h := sketch.NewHLL(uint8(*p), 0)
-	var n uint64
-	if err := scanLines(func(line string) { h.AddString(line); n++ }); err != nil {
-		return err
-	}
-	fmt.Printf("lines:    %d\n", n)
-	fmt.Printf("distinct: %.0f (±%.1f%% expected)\n", h.Estimate(), 100*h.StandardError())
-	fmt.Printf("sketch:   %d bytes\n", h.SizeBytes())
-	return nil
-}
-
-func runTopK(args []string) error {
-	fs := flag.NewFlagSet("topk", flag.ExitOnError)
-	k := fs.Int("k", 20, "number of counters / results")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ss := sketch.NewSpaceSaving(*k * 4) // extra counters sharpen the top-k
-	if err := scanLines(func(line string) { ss.Add(line, 1) }); err != nil {
-		return err
-	}
-	entries := ss.Entries()
-	if len(entries) > *k {
-		entries = entries[:*k]
-	}
-	for i, e := range entries {
-		fmt.Printf("%3d  %-40s ~%d (>=%d)\n", i+1, e.Item, e.Count, ss.GuaranteedCount(e.Item))
-	}
-	return nil
-}
-
-func runQuantiles(args []string) error {
-	fs := flag.NewFlagSet("quantiles", flag.ExitOnError)
-	qs := fs.String("q", "0.5,0.9,0.99", "comma-separated quantiles")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	kll := sketch.NewKLL(200, 0)
-	var skipped int
-	if err := scanLines(func(line string) {
-		v, err := strconv.ParseFloat(line, 64)
+	if *out != "" {
+		env, err := registry.Marshal(insts[""])
 		if err != nil {
-			skipped++
-			return
+			return err
 		}
-		kll.Add(v)
-	}); err != nil {
-		return err
+		return writeOut(*out, env)
 	}
-	if kll.N() == 0 {
-		return fmt.Errorf("no numeric input")
-	}
-	fmt.Printf("n: %d  min: %g  max: %g\n", kll.N(), kll.Min(), kll.Max())
-	for _, qStr := range strings.Split(*qs, ",") {
-		q, err := strconv.ParseFloat(strings.TrimSpace(qStr), 64)
-		if err != nil {
-			return fmt.Errorf("bad quantile %q: %v", qStr, err)
+	names := make([]string, 0, len(insts))
+	for g := range insts {
+		if g != "" {
+			names = append(names, g)
 		}
-		fmt.Printf("q%.4g: %g\n", q, kll.Quantile(q))
-	}
-	if skipped > 0 {
-		fmt.Fprintf(os.Stderr, "(skipped %d non-numeric lines)\n", skipped)
-	}
-	return nil
-}
-
-func runMembership(args []string) error {
-	fs := flag.NewFlagSet("membership", flag.ExitOnError)
-	query := fs.String("query", "", "comma-separated items to test")
-	fpr := fs.Float64("fpr", 0.01, "target false positive rate")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *query == "" {
-		return fmt.Errorf("membership requires -query")
-	}
-	var lines []string
-	if err := scanLines(func(line string) { lines = append(lines, line) }); err != nil {
-		return err
-	}
-	f := sketch.NewBloomWithEstimates(uint64(len(lines))+1, *fpr, 0)
-	for _, l := range lines {
-		f.AddString(l)
-	}
-	for _, q := range strings.Split(*query, ",") {
-		q = strings.TrimSpace(q)
-		verdict := "definitely absent"
-		if f.ContainsString(q) {
-			verdict = fmt.Sprintf("maybe present (FPR %.2g)", f.EstimatedFPR())
-		}
-		fmt.Printf("%-40s %s\n", q, verdict)
-	}
-	return nil
-}
-
-// runReach reads "group,id" lines and reports distinct ids per group
-// plus the deduplicated total — the ad-reach pipeline over stdin.
-func runReach(args []string) error {
-	fs := flag.NewFlagSet("reach", flag.ExitOnError)
-	p := fs.Int("p", 14, "HLL precision (4-18)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	groups := map[string]*sketch.HLLSketch{}
-	total := sketch.NewHLL(uint8(*p), 0)
-	var badLines int
-	if err := scanLines(func(line string) {
-		group, id, ok := strings.Cut(line, ",")
-		if !ok {
-			badLines++
-			return
-		}
-		h, found := groups[group]
-		if !found {
-			h = sketch.NewHLL(uint8(*p), 0)
-			groups[group] = h
-		}
-		h.AddString(id)
-		total.AddString(id)
-	}); err != nil {
-		return err
-	}
-	names := make([]string, 0, len(groups))
-	for g := range groups {
-		names = append(names, g)
 	}
 	sort.Strings(names)
-	for _, g := range names {
-		fmt.Printf("%-30s %.0f\n", g, groups[g].Estimate())
+	if union := insts[""]; union != nil {
+		for _, g := range names {
+			if err := d.Bind.Merge(union, insts[g]); err != nil {
+				return err
+			}
+		}
+		names = append(names, "")
 	}
-	fmt.Printf("%-30s %.0f (union of all groups)\n", "TOTAL", total.Estimate())
-	if badLines > 0 {
-		fmt.Fprintf(os.Stderr, "(skipped %d malformed lines)\n", badLines)
+	for _, g := range names {
+		if err := answer(d, insts[g], g, queries); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// answer is how every subcommand prints an answer: inst's to each
+// query, as the bytes sketchd's /query sends — one JSON document and a
+// newline — behind label and a tab when label is set.
+func answer(d *registry.Descriptor, inst any, label string, queries []url.Values) error {
+	for _, q := range queries {
+		doc, err := d.Bind.Query(inst, q)
+		if err == nil && label != "" {
+			_, err = fmt.Print(label, "\t")
+		}
+		if err == nil {
+			err = json.NewEncoder(os.Stdout).Encode(doc)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeOut writes an envelope to path, or to stdout for "-".
+func writeOut(path string, env []byte) error {
+	if path == "-" {
+		_, err := os.Stdout.Write(env)
+		return err
+	}
+	return os.WriteFile(path, env, 0o644)
+}
+
+// mergeAll is the one merge of envelopes in the command:
+// registry.MergeEnvelopes — as bytes where the family merges on the
+// wire, else a parallel binary tree across GOMAXPROCS cores — folding
+// into envs[0], and the merged envelope.
+func mergeAll(envs [][]byte) (registry.Merged, []byte, error) {
+	merged, err := registry.MergeEnvelopes(envs)
+	if err != nil {
+		return merged, nil, fmt.Errorf("%w (envelopes are numbered from 0, in the order given)", err)
+	}
+	env, err := merged.Envelope(nil)
+	return merged, env, err
 }
 
 // runInspect decodes any serialized sketch through the registry and
 // prints its identity plus the family's parameter-free summary query —
 // the same document sketchd serves on /query with no parameters.
 func runInspect(args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
+	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -286,29 +303,16 @@ func runInspect(args []string) error {
 	if d.Bind.Query == nil {
 		return nil
 	}
-	doc, err := d.Bind.Query(inst, url.Values{})
-	if err != nil {
-		return err
-	}
-	keys := make([]string, 0, len(doc))
-	for k := range doc {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("%-9s %v\n", k+":", doc[k])
-	}
-	return nil
+	return answer(d, inst, "", []url.Values{{}})
 }
 
 // runMerge folds any number of same-type envelopes into one, writing
 // the merged envelope to -o (or stdout with "-"). Distributed
 // aggregation from the command line: each input self-describes and the
-// registry supplies the merge (registry.MergeEnvelopes: as bytes where
-// the family merges on the wire, else a parallel binary tree across
-// GOMAXPROCS cores). Incompatible inputs fail loudly.
+// registry supplies the merge (mergeAll). Incompatible inputs fail
+// loudly.
 func runMerge(args []string) error {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
+	fs := flag.NewFlagSet("merge", flag.ContinueOnError)
 	out := fs.String("o", "-", `output file ("-" for stdout)`)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -323,25 +327,17 @@ func runMerge(args []string) error {
 			return err
 		}
 	}
-	merged, err := registry.MergeEnvelopes(envs)
-	if err != nil {
-		return fmt.Errorf("%w (envelopes are numbered from 0, in the order given)", err)
-	}
-	env, err := merged.Envelope(nil)
+	_, env, err := mergeAll(envs)
 	if err != nil {
 		return err
 	}
-	if *out == "-" {
-		_, err = os.Stdout.Write(env)
-		return err
-	}
-	return os.WriteFile(*out, env, 0o644)
+	return writeOut(*out, env)
 }
 
 // runTypes prints the registry catalog: every family, its wire tag,
-// capabilities, and parameter schema.
+// capabilities, line format and parameter schema.
 func runTypes(args []string) error {
-	fs := flag.NewFlagSet("types", flag.ExitOnError)
+	fs := flag.NewFlagSet("types", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -353,7 +349,7 @@ func runTypes(args []string) error {
 		if d.Servable() {
 			caps = append(caps, "serve")
 		}
-		fmt.Printf("%-18s tag %2d  %-12s [%s]  %s\n", d.Name, d.Tag, d.Family, strings.Join(caps, ","), d.Doc)
+		fmt.Printf("%-18s tag %2d  %-12s [%s]  %s; lines: %s\n", d.Name, d.Tag, d.Family, strings.Join(caps, ","), d.Doc, d.Input)
 		for _, p := range d.Params {
 			fmt.Printf("    -%-10s default %-8g [%g,%g]  %s\n", p.Name, p.Def, p.Min, p.Max, p.Doc)
 		}
@@ -368,7 +364,7 @@ func runTypes(args []string) error {
 // the masked set is replayed into a live sketchd sketch created with
 // the same seed. Prints the attack curve and a verdict.
 func runRedteam(args []string) error {
-	fs := flag.NewFlagSet("redteam", flag.ExitOnError)
+	fs := flag.NewFlagSet("redteam", flag.ContinueOnError)
 	mode := fs.String("mode", "hll",
 		"target: hll | kmv | switching | switching-kmv | noisy | subsampled | robustdistinct")
 	p := fs.Int("p", 10, "HLL precision for hll-backed modes (4-18)")
@@ -380,8 +376,18 @@ func runRedteam(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The registry's schemas bound -p and -k as a sketchd create would:
+	// p in [4,18] before 1<<p or uint8(p) can wrap, and k >= 3.
+	hll, _ := registry.Lookup("hll")
+	if _, err := hll.Validate(1, map[string]float64{"p": float64(*p)}); err != nil {
+		return err
+	}
 	if *k == 0 {
 		*k = 1 << *p
+	}
+	kmv, _ := registry.Lookup("kmv")
+	if _, err := kmv.Validate(1, map[string]float64{"k": float64(*k)}); err != nil {
+		return err
 	}
 	cfg := attack.Config{K: 1 << *p, Seed: *seed ^ 0xc1}
 	pair := func(mk func() robust.Estimator) (attack.Target, attack.Target) {
@@ -452,20 +458,5 @@ func runRedteam(args []string) error {
 	default:
 		fmt.Printf("verdict: bounded — %.2fx relative error after the full attack set\n", res.FinalRelError)
 	}
-	return nil
-}
-
-func runF2(args []string) error {
-	fs := flag.NewFlagSet("f2", flag.ExitOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	a := sketch.NewAMS(9, 256, 0)
-	var n uint64
-	if err := scanLines(func(line string) { a.Update([]byte(line)); n++ }); err != nil {
-		return err
-	}
-	fmt.Printf("lines: %d\n", n)
-	fmt.Printf("F2 (self-join size): %.0f\n", a.F2())
 	return nil
 }

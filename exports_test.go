@@ -57,7 +57,7 @@ var keep = keepList(map[string][]string{
 	"DESIGN §1.2: top-k recovery with error feedback": {"fetchsgd.GradSketch.TopK", "fetchsgd.GradSketch.SubtractSparse"},
 	"ROADMAP item 3(a): the error bound a Bound reads": {
 		"frequency.CountMin.ErrorBound", "frequency.CountSketch.ErrorBoundL2", "frequency.SFSketch.ErrorBound",
-		"frequency.SpaceSaving.ErrorBound", "quantile.QDigest.ErrorBound", "cardinality.Theta.StandardError",
+		"frequency.SpaceSaving.ErrorBound", "quantile.QDigest.ErrorBound", "cardinality.Theta.StandardError", "cardinality.HLL.StandardError",
 		"counter.Morris.RelativeStandardError",
 	},
 	"ROADMAP item 6: the atomic column goes whole": {

@@ -62,63 +62,12 @@ func TestEstimatedFPRTracksTheory(t *testing.T) {
 	}
 }
 
-func TestMergeEqualsUnion(t *testing.T) {
-	a := New(1<<14, 4, 9)
-	b := New(1<<14, 4, 9)
-	whole := New(1<<14, 4, 9)
-	for i := 0; i < 3000; i++ {
-		a.Add(key(i))
-		whole.Add(key(i))
-	}
-	for i := 3000; i < 6000; i++ {
-		b.Add(key(i))
-		whole.Add(key(i))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.bits {
-		if a.bits[i] != whole.bits[i] {
-			t.Fatal("merged bits differ from single-stream filter")
-		}
-	}
-	if a.N() != whole.N() {
-		t.Errorf("merged N %d, want %d", a.N(), whole.N())
-	}
-}
-
 func TestMergeIncompatible(t *testing.T) {
 	a := New(128, 3, 1)
 	for _, b := range []*Filter{New(256, 3, 1), New(128, 4, 1), New(128, 3, 2)} {
 		if err := a.Merge(b); !errors.Is(err, core.ErrIncompatible) {
 			t.Errorf("merge of mismatched filter did not fail: %v", err)
 		}
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	f := NewWithEstimates(5000, 0.02, 11)
-	for i := 0; i < 5000; i++ {
-		f.Add(key(i))
-	}
-	data, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g Filter
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5000; i++ {
-		if !g.Contains(key(i)) {
-			t.Fatal("round-tripped filter lost a key")
-		}
-	}
-	if g.N() != f.N() || g.M() != f.M() || g.K() != f.K() {
-		t.Error("metadata lost in round trip")
-	}
-	if err := g.UnmarshalBinary(data[:8]); !errors.Is(err, core.ErrCorrupt) {
-		t.Error("truncated data accepted")
 	}
 }
 
@@ -145,29 +94,6 @@ func TestSerializationPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMergeCommutative(t *testing.T) {
-	build := func(lo, hi int) *Filter {
-		f := New(2048, 3, 13)
-		for i := lo; i < hi; i++ {
-			f.Add(key(i))
-		}
-		return f
-	}
-	ab := build(0, 100)
-	if err := ab.Merge(build(100, 200)); err != nil {
-		t.Fatal(err)
-	}
-	ba := build(100, 200)
-	if err := ba.Merge(build(0, 100)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range ab.bits {
-		if ab.bits[i] != ba.bits[i] {
-			t.Fatal("merge is not commutative")
-		}
 	}
 }
 

@@ -205,21 +205,6 @@ func TestHLLSizeBytes(t *testing.T) {
 	}
 }
 
-func TestHLLSerialization(t *testing.T) {
-	h := NewHLL(10, 8)
-	for i := 0; i < 30000; i++ {
-		h.AddUint64(uint64(i))
-	}
-	data, _ := h.MarshalBinary()
-	var g HLL
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if g.Estimate() != h.Estimate() {
-		t.Error("HLL round trip changed estimate")
-	}
-}
-
 func TestHLLCloneIndependent(t *testing.T) {
 	h := NewHLL(8, 1)
 	h.AddUint64(1)

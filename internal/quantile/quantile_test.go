@@ -220,27 +220,6 @@ func TestKLLMergeGuarantee(t *testing.T) {
 	}
 }
 
-func TestKLLSerialization(t *testing.T) {
-	s := NewKLL(100, 14)
-	rng := randx.New(15)
-	for i := 0; i < 30000; i++ {
-		s.Add(rng.Float64())
-	}
-	data, _ := s.MarshalBinary()
-	var g KLL
-	if err := g.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range probeQs {
-		if g.Quantile(q) != s.Quantile(q) {
-			t.Fatal("round trip changed quantiles")
-		}
-	}
-	if g.N() != s.N() {
-		t.Error("round trip changed N")
-	}
-}
-
 func TestQDigestRankGuarantee(t *testing.T) {
 	const n = 50000
 	const logU = 16

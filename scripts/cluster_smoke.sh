@@ -83,6 +83,16 @@ echo "global estimate: $EST (true 50000)"
 awk -v e="$EST" 'BEGIN { d = e / 50000; if (d < 0.95 || d > 1.05) exit 1 }' ||
 	{ echo "FAIL: estimate $EST outside 5% of 50000"; exit 1; }
 
+# Build where the data is, ship the envelope, merge: the same lines
+# sketched locally are the cluster's merged sketch to the byte, since an
+# HLL merge is the union (registry law M4) and both use seed 1.
+echo "== the users stream sketched locally with sketchcli = the coordinator's merged snapshot"
+seq 1 50000 | sed 's/^/user-/' | "$WORK/sketchcli" sketch hll -p 12 -o "$WORK/users-local.bin"
+curl -fsS "http://$COORD/v1/sketch/users/snapshot" -o "$WORK/users-cluster.bin"
+echo "local $(wc -c <"$WORK/users-local.bin") bytes, cluster $(wc -c <"$WORK/users-cluster.bin") bytes"
+cmp -s "$WORK/users-local.bin" "$WORK/users-cluster.bin" ||
+	{ echo "FAIL: sketchcli sketch hll -p 12 over the users stream differs from the merged /snapshot"; exit 1; }
+
 HEALTHY=$(curl -fsS "http://$COORD/v1/cluster/status" | grep -o '"healthy":[0-9]*')
 echo "cluster status: $HEALTHY"
 [ "$HEALTHY" = '"healthy":3' ] || { echo "FAIL: want 3 healthy shards"; exit 1; }
